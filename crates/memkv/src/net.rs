@@ -31,7 +31,9 @@ use bytes::Bytes;
 
 use crate::client::{Deferred, KvClient};
 use crate::error::{KvError, KvResult};
-use crate::proto::{write_request_line, Request, Response, ValueItem, MAX_LINE_LEN};
+use crate::proto::{
+    find_crlf, parse_u64, write_request_line, Request, Response, ValueItem, MAX_LINE_LEN,
+};
 use crate::reactor::{PendingExchange, ReactorHandle, ReactorStatsSnapshot, Registration};
 
 // The server engine lives in `crate::server`; re-export its surface here
@@ -339,225 +341,221 @@ pub(crate) enum ParseStep {
 
 /// Try to parse one response from the front of `buf`, consuming it.
 /// Shared with the reactor ([`crate::reactor`]), which accumulates
-/// inbound bytes per connection and parses them incrementally.
+/// inbound bytes per connection and parses them incrementally. Lines are
+/// matched on the borrowed bytes: the one-word replies that make up most
+/// small-op traffic cost no allocation.
 pub(crate) fn try_parse_response(buf: &mut Vec<u8>) -> KvResult<ParseStep> {
-    let Some(line_end) = buf.windows(2).position(|w| w == b"\r\n") else {
+    let Some(line_end) = find_crlf(buf) else {
         return Ok(ParseStep::More(2));
     };
-    let line = buf[..line_end].to_vec();
-    let consume_line = line_end + 2;
-
-    let simple = |buf: &mut Vec<u8>, resp: Response| {
-        buf.drain(..consume_line);
-        Ok(ParseStep::Done(resp))
-    };
-
-    if line == b"STORED" {
-        return simple(buf, Response::Stored);
-    }
-    if line == b"NOT_STORED" {
-        return simple(buf, Response::NotStored);
-    }
-    if line == b"EXISTS" {
-        return simple(buf, Response::Exists);
-    }
-    if line == b"NOT_FOUND" {
-        return simple(buf, Response::NotFound);
-    }
-    if line == b"DELETED" {
-        return simple(buf, Response::Deleted);
-    }
-    if line == b"OK" {
-        return simple(buf, Response::Ok);
-    }
-    if line == b"END" {
-        return simple(buf, Response::End);
-    }
-    if let Some(v) = line.strip_prefix(b"VERSION ") {
-        let resp = Response::Version(String::from_utf8_lossy(v).into_owned());
-        return simple(buf, resp);
-    }
-    if let Some(msg) = line.strip_prefix(b"SERVER_ERROR ") {
-        let resp = Response::ServerError(String::from_utf8_lossy(msg).into_owned());
-        return simple(buf, resp);
-    }
-    if let Some(msg) = line.strip_prefix(b"CLIENT_ERROR ") {
-        let resp = Response::ClientError(String::from_utf8_lossy(msg).into_owned());
-        return simple(buf, resp);
-    }
-    if line.starts_with(b"KEY ") {
-        // Collect KEY lines until END.
-        let mut keys = Vec::new();
-        let mut pos = 0usize;
-        loop {
-            let rest = &buf[pos..];
-            let Some(le) = rest.windows(2).position(|w| w == b"\r\n") else {
-                return Ok(ParseStep::More(2));
-            };
-            let l = &rest[..le];
-            pos += le + 2;
-            if l == b"END" {
-                buf.drain(..pos);
-                return Ok(ParseStep::Done(Response::KeyList(keys)));
-            }
-            let Some(k) = l.strip_prefix(b"KEY ") else {
-                return Err(KvError::Protocol("malformed key list".into()));
-            };
-            keys.push(k.to_vec());
-        }
-    }
-    if line.starts_with(b"STAT ") {
-        // Collect STAT lines until END.
-        let mut pairs = Vec::new();
-        let mut pos = 0usize;
-        loop {
-            let rest = &buf[pos..];
-            let Some(le) = rest.windows(2).position(|w| w == b"\r\n") else {
-                return Ok(ParseStep::More(2));
-            };
-            let l = &rest[..le];
-            pos += le + 2;
-            if l == b"END" {
-                buf.drain(..pos);
-                return Ok(ParseStep::Done(Response::Stats(pairs)));
-            }
-            let Some(kv) = l.strip_prefix(b"STAT ") else {
-                return Err(KvError::Protocol("malformed stats block".into()));
-            };
-            let text = String::from_utf8_lossy(kv);
-            let mut it = text.splitn(2, ' ');
-            let k = it.next().unwrap_or_default().to_string();
-            let v = it.next().unwrap_or_default().to_string();
-            pairs.push((k, v));
-        }
-    }
-    if line.starts_with(b"VALUE ") {
-        // One or more `VALUE <key> <flags> <bytes> [cas]\r\n<data>\r\n`
-        // blocks terminated by `END\r\n` — a (multi-)get reply.
-        //
-        // Scan in two passes: the first only records item boundaries, so
-        // the retries read_response makes while a large pipelined frame
-        // trickles in stay cheap (no per-attempt data copies — copying
-        // each value on every attempt would make a `w`-stripe window
-        // quadratic in its payload size). Values are materialized once,
-        // after `END` proves the frame is complete.
-        struct RawItem {
-            key: (usize, usize),
-            data: (usize, usize),
-            cas: Option<u64>,
-        }
-        let mut raw: Vec<RawItem> = Vec::new();
-        let mut pos = 0usize;
-        let frame_end = loop {
-            let rest = &buf[pos..];
-            let Some(le) = rest.windows(2).position(|w| w == b"\r\n") else {
-                return Ok(ParseStep::More(2));
-            };
-            let l = &rest[..le];
-            let data_start = pos + le + 2;
-            if l == b"END" {
-                break data_start;
-            }
-            let Some(header) = l.strip_prefix(b"VALUE ") else {
-                return Err(KvError::Protocol("malformed VALUE framing".into()));
-            };
-            let text = String::from_utf8_lossy(header).into_owned();
-            let toks: Vec<&str> = text.split(' ').collect();
-            if toks.len() < 3 {
-                return Err(KvError::Protocol("malformed VALUE line".into()));
-            }
-            let key_start = pos + b"VALUE ".len();
-            let nbytes: usize = toks[2]
-                .parse()
-                .map_err(|_| KvError::Protocol("bad VALUE byte count".into()))?;
-            let cas = if toks.len() >= 4 {
-                Some(
-                    toks[3]
-                        .parse()
-                        .map_err(|_| KvError::Protocol("bad VALUE cas".into()))?,
-                )
+    let line = &buf[..line_end];
+    let text = |bytes: &[u8]| String::from_utf8_lossy(bytes).into_owned();
+    let resp = match line {
+        b"STORED" => Response::Stored,
+        b"NOT_STORED" => Response::NotStored,
+        b"EXISTS" => Response::Exists,
+        b"NOT_FOUND" => Response::NotFound,
+        b"DELETED" => Response::Deleted,
+        b"OK" => Response::Ok,
+        b"END" => Response::End,
+        _ => {
+            if let Some(v) = line.strip_prefix(b"VERSION ") {
+                Response::Version(text(v))
+            } else if let Some(msg) = line.strip_prefix(b"SERVER_ERROR ") {
+                Response::ServerError(text(msg))
+            } else if let Some(msg) = line.strip_prefix(b"CLIENT_ERROR ") {
+                Response::ClientError(text(msg))
+            } else if line.starts_with(b"KEY ") {
+                let entry = |k: &[u8]| k.to_vec();
+                return parse_lines(buf, b"KEY ", "malformed key list", entry, Response::KeyList);
+            } else if line.starts_with(b"STAT ") {
+                let entry = |kv: &[u8]| {
+                    let kv = String::from_utf8_lossy(kv);
+                    let (k, v) = kv.split_once(' ').unwrap_or((&kv, ""));
+                    (k.to_string(), v.to_string())
+                };
+                return parse_lines(
+                    buf,
+                    b"STAT ",
+                    "malformed stats block",
+                    entry,
+                    Response::Stats,
+                );
+            } else if line.starts_with(b"VALUE ") {
+                return parse_values(buf);
             } else {
-                None
-            };
-            let need = data_start + nbytes + 2; // data + CRLF
-            if buf.len() < need {
-                return Ok(ParseStep::More(need - buf.len()));
+                return Err(KvError::Protocol(format!(
+                    "unrecognized response line {:?}",
+                    String::from_utf8_lossy(line)
+                )));
             }
-            if &buf[data_start + nbytes..need] != b"\r\n" {
-                return Err(KvError::Protocol("malformed VALUE framing".into()));
-            }
-            raw.push(RawItem {
-                key: (key_start, key_start + toks[0].len()),
-                data: (data_start, data_start + nbytes),
-                cas,
-            });
-            pos = need;
+        }
+    };
+    buf.drain(..line_end + 2);
+    Ok(ParseStep::Done(resp))
+}
+
+/// Collect `<prefix><entry>` lines until `END` (the `keys` and `stats`
+/// replies) and consume the block as `wrap(entries)` once it is complete.
+fn parse_lines<T>(
+    buf: &mut Vec<u8>,
+    prefix: &[u8],
+    malformed: &str,
+    entry: impl Fn(&[u8]) -> T,
+    wrap: impl FnOnce(Vec<T>) -> Response,
+) -> KvResult<ParseStep> {
+    let mut entries = Vec::new();
+    let mut pos = 0usize;
+    loop {
+        let rest = &buf[pos..];
+        let Some(le) = find_crlf(rest) else {
+            return Ok(ParseStep::More(2));
         };
-        // Materialize the values. Small frames are copied out so the
-        // scratch buffer keeps its capacity; big (stripe-sized) frames
-        // hand the whole buffer over to a shared `Bytes` and every value
-        // becomes a zero-copy slice of it — halving the memory traffic
-        // that dominates multi-megabyte pipelined windows.
-        const ZERO_COPY_THRESHOLD: usize = 64 * 1024;
-        let payload: usize = raw.iter().map(|r| r.data.1 - r.data.0).sum();
-        // Zero-copy hand-over of the receive buffer is unconditional for
-        // big payloads, and *conditional* for smaller ones: a frame that
-        // is the whole buffer and at least segment-sized (≥ 4 KiB) with
-        // payload filling ≥ half the buffer's capacity also goes
-        // zero-copy — a lone stripe-read response costs no memcpy at any
-        // size. A small frame inside a large pipelined buffer still
-        // copies on purpose: handing the whole allocation to one Bytes
-        // would pin buffer-sized memory behind a tiny cached value
-        // (memory amplification in the prefetch cache).
-        let whole_frame = frame_end == buf.len();
-        let zero_copy = payload >= ZERO_COPY_THRESHOLD
-            || (whole_frame
-                && payload >= SEGMENT_THRESHOLD
-                && payload.saturating_mul(2) >= buf.capacity());
-        let mut items: Vec<ValueItem> = if zero_copy {
-            let mut frame_vec = std::mem::take(buf);
-            // Preserve any pipelined bytes beyond this frame.
-            buf.extend_from_slice(&frame_vec[frame_end..]);
-            frame_vec.truncate(frame_end);
-            let frame = Bytes::from(frame_vec);
-            raw.into_iter()
-                .map(|r| ValueItem {
-                    // Keys ride the same shared frame as the values: a
-                    // refcount bump each, no per-key allocation.
-                    key: frame.slice(r.key.0..r.key.1),
-                    value: frame.slice(r.data.0..r.data.1),
-                    cas: r.cas,
-                })
-                .collect()
-        } else {
-            crate::audit::count_rx_copied(payload);
-            let items = raw
-                .into_iter()
-                .map(|r| ValueItem {
-                    key: Bytes::copy_from_slice(&buf[r.key.0..r.key.1]),
-                    value: Bytes::copy_from_slice(&buf[r.data.0..r.data.1]),
-                    cas: r.cas,
-                })
-                .collect();
-            buf.drain(..frame_end);
-            items
+        let l = &rest[..le];
+        pos += le + 2;
+        if l == b"END" {
+            buf.drain(..pos);
+            return Ok(ParseStep::Done(wrap(entries)));
+        }
+        let Some(body) = l.strip_prefix(prefix) else {
+            return Err(KvError::Protocol(malformed.into()));
         };
-        let resp = if items.len() == 1 {
-            let item = items.pop().expect("one item");
-            Response::Value {
-                key: item.key,
-                value: item.value,
-                cas: item.cas,
-            }
-        } else {
-            Response::Values(items)
-        };
-        return Ok(ParseStep::Done(resp));
+        entries.push(entry(body));
     }
-    Err(KvError::Protocol(format!(
-        "unrecognized response line {:?}",
-        String::from_utf8_lossy(&line)
-    )))
+}
+
+/// One or more `VALUE <key> <flags> <bytes> [cas]\r\n<data>\r\n` blocks
+/// terminated by `END\r\n` — a (multi-)get reply.
+///
+/// Scans in two passes: the first only records item boundaries, so the
+/// retries the reactor makes while a large pipelined frame trickles in
+/// stay cheap (no per-attempt data copies — copying each value on every
+/// attempt would make a `w`-stripe window quadratic in its payload
+/// size). Values are materialized once, after `END` proves the frame is
+/// complete.
+fn parse_values(buf: &mut Vec<u8>) -> KvResult<ParseStep> {
+    struct RawItem {
+        key: (usize, usize),
+        data: (usize, usize),
+        cas: Option<u64>,
+    }
+    const END: &[u8] = b"END\r\n";
+    let mut raw: Vec<RawItem> = Vec::new();
+    let mut pos = 0usize;
+    let frame_end = loop {
+        let rest = &buf[pos..];
+        let Some(le) = find_crlf(rest) else {
+            return Ok(ParseStep::More(2));
+        };
+        let l = &rest[..le];
+        let data_start = pos + le + 2;
+        if l == b"END" {
+            break data_start;
+        }
+        let Some(header) = l.strip_prefix(b"VALUE ") else {
+            return Err(KvError::Protocol("malformed VALUE framing".into()));
+        };
+        let mut toks = header.split(|&b| b == b' ');
+        let (Some(key), Some(_flags), Some(nbytes)) = (toks.next(), toks.next(), toks.next())
+        else {
+            return Err(KvError::Protocol("malformed VALUE line".into()));
+        };
+        let key_start = pos + b"VALUE ".len();
+        let nbytes = parse_u64(nbytes)
+            .ok()
+            .and_then(|n| usize::try_from(n).ok())
+            .ok_or_else(|| KvError::Protocol("bad VALUE byte count".into()))?;
+        let cas = match toks.next() {
+            Some(tok) => {
+                Some(parse_u64(tok).map_err(|_| KvError::Protocol("bad VALUE cas".into()))?)
+            }
+            None => None,
+        };
+        // Data block + CRLF, then at least `END`. The length comes off
+        // the wire, so no wrapping arithmetic.
+        let Some(with_end) = data_start
+            .checked_add(nbytes)
+            .and_then(|n| n.checked_add(2 + END.len()))
+        else {
+            return Err(KvError::Protocol("bad VALUE byte count".into()));
+        };
+        let need = with_end - END.len();
+        if buf.len() < need {
+            // Counting the `END` that must follow makes the hint exact
+            // for a single-value frame: the reactor reserves the frame
+            // to the byte, once.
+            return Ok(ParseStep::More(with_end - buf.len()));
+        }
+        if &buf[data_start + nbytes..need] != b"\r\n" {
+            return Err(KvError::Protocol("malformed VALUE framing".into()));
+        }
+        raw.push(RawItem {
+            key: (key_start, key_start + key.len()),
+            data: (data_start, data_start + nbytes),
+            cas,
+        });
+        pos = need;
+    };
+    // Materialize the values. Small frames are copied out so the
+    // scratch buffer keeps its capacity; big (stripe-sized) frames
+    // hand the whole buffer over to a shared `Bytes` and every value
+    // becomes a zero-copy slice of it — halving the memory traffic
+    // that dominates multi-megabyte pipelined windows.
+    const ZERO_COPY_THRESHOLD: usize = 64 * 1024;
+    let payload: usize = raw.iter().map(|r| r.data.1 - r.data.0).sum();
+    // Zero-copy hand-over of the receive buffer is unconditional for
+    // big payloads, and *conditional* for smaller ones: a frame that
+    // is the whole buffer and at least segment-sized (≥ 4 KiB) with
+    // payload filling ≥ half the buffer's capacity also goes
+    // zero-copy — a lone stripe-read response costs no memcpy at any
+    // size. A small frame inside a large pipelined buffer still
+    // copies on purpose: handing the whole allocation to one Bytes
+    // would pin buffer-sized memory behind a tiny cached value
+    // (memory amplification in the prefetch cache).
+    let whole_frame = frame_end == buf.len();
+    let zero_copy = payload >= ZERO_COPY_THRESHOLD
+        || (whole_frame
+            && payload >= SEGMENT_THRESHOLD
+            && payload.saturating_mul(2) >= buf.capacity());
+    let mut items: Vec<ValueItem> = if zero_copy {
+        let mut frame_vec = std::mem::take(buf);
+        // Preserve any pipelined bytes beyond this frame.
+        buf.extend_from_slice(&frame_vec[frame_end..]);
+        frame_vec.truncate(frame_end);
+        let frame = Bytes::from(frame_vec);
+        raw.into_iter()
+            .map(|r| ValueItem {
+                // Keys ride the same shared frame as the values: a
+                // refcount bump each, no per-key allocation.
+                key: frame.slice(r.key.0..r.key.1),
+                value: frame.slice(r.data.0..r.data.1),
+                cas: r.cas,
+            })
+            .collect()
+    } else {
+        crate::audit::count_rx_copied(payload);
+        let items = raw
+            .into_iter()
+            .map(|r| ValueItem {
+                key: Bytes::copy_from_slice(&buf[r.key.0..r.key.1]),
+                value: Bytes::copy_from_slice(&buf[r.data.0..r.data.1]),
+                cas: r.cas,
+            })
+            .collect();
+        buf.drain(..frame_end);
+        items
+    };
+    let resp = if items.len() == 1 {
+        let item = items.pop().expect("one item");
+        Response::Value {
+            key: item.key,
+            value: item.value,
+            cas: item.cas,
+        }
+    } else {
+        Response::Values(items)
+    };
+    Ok(ParseStep::Done(resp))
 }
 
 impl KvClient for TcpClient {

@@ -137,11 +137,11 @@ pub enum Parsed {
 /// Longest accepted command line (bytes before the first CRLF).
 pub const MAX_LINE_LEN: usize = 16 * 1024;
 
-fn find_crlf(buf: &[u8]) -> Option<usize> {
+pub(crate) fn find_crlf(buf: &[u8]) -> Option<usize> {
     buf.windows(2).position(|w| w == b"\r\n")
 }
 
-fn parse_u64(tok: &[u8]) -> KvResult<u64> {
+pub(crate) fn parse_u64(tok: &[u8]) -> KvResult<u64> {
     std::str::from_utf8(tok)
         .ok()
         .and_then(|s| s.parse().ok())

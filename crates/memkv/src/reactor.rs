@@ -56,7 +56,7 @@
 //! a free list for the next registration.
 
 use std::collections::VecDeque;
-use std::io::{self, IoSlice, Read, Write};
+use std::io::{self, IoSlice, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -75,8 +75,19 @@ use crate::wheel::{TimerId, TimerWheel};
 
 /// Max iovec entries per `writev` — matches the kernel's UIO_FASTIOV.
 const MAX_IOV: usize = 8;
-/// Read granularity for response bytes.
-const READ_CHUNK: usize = 64 * 1024;
+/// Spare `inbuf` capacity a `read` is offered while the parser has not
+/// announced a payload: room for any header line or small reply. Equal to
+/// [`crate::net`]'s zero-copy bar on purpose: a lone value frame's buffer
+/// then never exceeds `max(2 * MIN_SPARE, frame length)`, which keeps the
+/// "payload fills at least half the buffer" hand-over rule true for every
+/// value of 4 KiB and up.
+const MIN_SPARE: usize = 4 * 1024;
+/// Bytes a connection takes in between two `TCP_QUICKACK` re-arms. Keyed
+/// on what the socket *received* — a payload-sized amount, i.e. a response
+/// whose last segment the peer's congestion control will time — never on
+/// which call or workload produced it. Replies smaller than this leave
+/// the kernel's delayed ACK alone: the next request carries their ACK.
+const QUICKACK_REARM_BYTES: usize = 64 * 1024;
 /// First reconnect backoff after a failed connect attempt.
 const MIN_BACKOFF: Duration = Duration::from_millis(10);
 /// Backoff ceiling — an unreachable server is probed at most ~2/s.
@@ -391,6 +402,12 @@ struct ConnState {
     queue: VecDeque<Exchange>,
     /// Accumulated unparsed response bytes.
     inbuf: Vec<u8>,
+    /// `inbuf` length below which the front frame is known incomplete (the
+    /// parser's last `More` hint): no re-parse and, for an announced value
+    /// payload, one exact reservation instead of chunked growth.
+    need: usize,
+    /// Bytes received since `TCP_QUICKACK` was last re-armed.
+    rx_since_quickack: usize,
     /// Whether EPOLLOUT is currently registered (established links).
     want_write: bool,
     /// Server this slot connects to (meaningless while unregistered).
@@ -425,7 +442,9 @@ impl ConnState {
         ConnState {
             link: Link::Down,
             queue: VecDeque::new(),
-            inbuf: Vec::with_capacity(4096),
+            inbuf: Vec::with_capacity(MIN_SPARE),
+            need: 0,
+            rx_since_quickack: 0,
             want_write: false,
             addr: SocketAddr::from(([0, 0, 0, 0], 0)),
             timeout: Duration::from_secs(10),
@@ -446,6 +465,14 @@ impl ConnState {
             Link::Up(stream) => Some(stream),
             _ => None,
         }
+    }
+
+    /// Forget buffered response bytes and the receive bookkeeping that
+    /// describes them (a new or torn-down stream starts clean).
+    fn reset_inbuf(&mut self) {
+        self.inbuf.clear();
+        self.need = 0;
+        self.rx_since_quickack = 0;
     }
 }
 
@@ -1130,7 +1157,7 @@ impl EventLoop {
         let conn = &mut self.conns[idx];
         conn.link = Link::Up(stream);
         conn.want_write = false;
-        conn.inbuf.clear();
+        conn.reset_inbuf();
         self.set_link_gauge(idx, true);
         Ok(())
     }
@@ -1291,7 +1318,7 @@ impl EventLoop {
         }
         self.set_link_gauge(idx, false);
         let conn = &mut self.conns[idx];
-        conn.inbuf.clear();
+        conn.reset_inbuf();
         conn.want_write = false;
     }
 
@@ -1330,49 +1357,118 @@ impl EventLoop {
         self.arm_front_deadline(idx); // queue empty: cancels the timer
     }
 
+    /// Read until the socket is drained, straight into `inbuf`'s spare
+    /// capacity (no bounce buffer), parsing as frames complete.
     fn handle_readable(&mut self, idx: usize) {
-        let mut chunk = [0u8; READ_CHUNK];
         loop {
             let conn = &mut self.conns[idx];
-            let Some(stream) = conn.stream() else {
+            let Some(fd) = conn.stream().map(AsRawFd::as_raw_fd) else {
                 return;
             };
-            let mut reader = stream;
-            match reader.read(&mut chunk) {
-                Ok(0) => {
-                    if conn.queue.is_empty() {
-                        // Idle EOF: the server went away between calls.
-                        // Close quietly; the next submit reconnects.
-                        self.close_stream(idx);
-                    } else {
-                        self.kill_conn(
-                            idx,
-                            io::Error::new(
-                                io::ErrorKind::UnexpectedEof,
-                                "server closed connection",
-                            ),
-                        );
+            // An announced value payload gets its remainder in one exact
+            // reservation — the frame then fills the buffer to the byte
+            // and is handed over whole; anything else reads into a small
+            // amortized tail.
+            let missing = conn.need.saturating_sub(conn.inbuf.len());
+            let reserved = if missing > MIN_SPARE {
+                conn.inbuf.try_reserve_exact(missing)
+            } else if conn.inbuf.capacity() - conn.inbuf.len() < MIN_SPARE {
+                conn.inbuf.try_reserve(MIN_SPARE)
+            } else {
+                Ok(())
+            };
+            if reserved.is_err() {
+                self.poison_conn(
+                    idx,
+                    KvError::Protocol("response frame too large to buffer".into()),
+                );
+                return;
+            }
+            let spare = conn.inbuf.spare_capacity_mut();
+            let offered = spare.len();
+            // SAFETY: `spare` is `offered` writable bytes owned by `inbuf`,
+            // and `fd` is this connection's open socket (the `TcpStream` in
+            // `conn.link` outlives the call); `read` writes at most
+            // `offered` bytes and needs no initialised input.
+            let n = unsafe { libc::read(fd, spare.as_mut_ptr().cast(), offered) };
+            if n < 0 {
+                let err = io::Error::last_os_error();
+                match err.kind() {
+                    io::ErrorKind::WouldBlock => {
+                        self.ack_tail(idx);
+                        return;
                     }
-                    return;
-                }
-                Ok(n) => {
-                    conn.inbuf.extend_from_slice(&chunk[..n]);
-                    self.shared
-                        .stats
-                        .bytes_rx
-                        .fetch_add(n as u64, Ordering::Relaxed);
-                    if let Err(err) = self.drain_inbuf(idx) {
-                        self.poison_conn(idx, err);
+                    io::ErrorKind::Interrupted => continue,
+                    _ => {
+                        self.kill_conn(idx, err);
                         return;
                     }
                 }
-                Err(err) if err.kind() == io::ErrorKind::WouldBlock => return,
-                Err(err) if err.kind() == io::ErrorKind::Interrupted => continue,
-                Err(err) => {
-                    self.kill_conn(idx, err);
-                    return;
-                }
             }
+            let n = n as usize;
+            if n == 0 {
+                if conn.queue.is_empty() {
+                    // Idle EOF: the server went away between calls.
+                    // Close quietly; the next submit reconnects.
+                    self.close_stream(idx);
+                } else {
+                    self.kill_conn(
+                        idx,
+                        io::Error::new(io::ErrorKind::UnexpectedEof, "server closed connection"),
+                    );
+                }
+                return;
+            }
+            // SAFETY: the kernel just initialised the first `n <= offered`
+            // bytes of the spare capacity, so `len + n` is within capacity
+            // and every byte below it is initialised.
+            unsafe { conn.inbuf.set_len(conn.inbuf.len() + n) };
+            conn.rx_since_quickack += n;
+            self.shared
+                .stats
+                .bytes_rx
+                .fetch_add(n as u64, Ordering::Relaxed);
+            if let Err(err) = self.drain_inbuf(idx) {
+                self.poison_conn(idx, err);
+                return;
+            }
+            if n < offered {
+                // A short read drained the socket; level-triggered epoll
+                // reports whatever arrives later (EOF included).
+                self.ack_tail(idx);
+                return;
+            }
+        }
+    }
+
+    /// The socket is drained. If a payload-sized amount arrived since the
+    /// last time, make the kernel ACK it now rather than after its
+    /// delayed-ACK timer (≥ 40 ms): a reply's last segment meets a socket
+    /// with nothing to send, and a rate-based sender (BBR) reads the late
+    /// ACK as a bandwidth sample of a few MB/s and paces the *next* reply
+    /// out over 40–130 ms. `TCP_QUICKACK` is not sticky — the kernel
+    /// leaves quick-ACK mode after a handful of ACKs — hence the re-arm.
+    /// Failure is harmless (the ACK is merely late), so it is ignored.
+    fn ack_tail(&mut self, idx: usize) {
+        let conn = &mut self.conns[idx];
+        if conn.rx_since_quickack < QUICKACK_REARM_BYTES {
+            return;
+        }
+        let Some(fd) = conn.stream().map(AsRawFd::as_raw_fd) else {
+            return;
+        };
+        conn.rx_since_quickack = 0;
+        let on: libc::c_int = 1;
+        // SAFETY: `fd` is this connection's open socket, and `optval`
+        // points at a live `c_int` whose size is passed as `optlen`.
+        unsafe {
+            libc::setsockopt(
+                fd,
+                libc::IPPROTO_TCP,
+                libc::TCP_QUICKACK,
+                (&on as *const libc::c_int).cast(),
+                std::mem::size_of::<libc::c_int>() as libc::socklen_t,
+            );
         }
     }
 
@@ -1382,7 +1478,7 @@ impl EventLoop {
         let mut front_changed = false;
         let result = loop {
             let conn = &mut self.conns[idx];
-            if conn.inbuf.is_empty() {
+            if conn.inbuf.is_empty() || conn.inbuf.len() < conn.need {
                 break Ok(());
             }
             if conn.queue.is_empty() {
@@ -1393,12 +1489,12 @@ impl EventLoop {
             match try_parse_response(&mut conn.inbuf) {
                 Err(err) => break Err(err),
                 Ok(ParseStep::More(hint)) => {
-                    // A `VALUE` header announces its payload length; grow
-                    // the buffer once instead of per 64 KiB read.
-                    conn.inbuf.reserve(hint);
+                    // No wrap: the parser bounds a frame's end in `usize`.
+                    conn.need = conn.inbuf.len() + hint;
                     break Ok(());
                 }
                 Ok(ParseStep::Done(resp)) => {
+                    conn.need = 0;
                     let front = conn.queue.front_mut().expect("queue checked non-empty");
                     front.got.push(resp);
                     if front.got.len() == front.expect {

@@ -21,8 +21,10 @@
 # thread-census binaries (client side: one reactor loop per mount,
 # including a live 4 -> 6 grow; server side: exactly 1 epoll loop +
 # ServerConfig::workers execution threads per server, regardless of
-# connection count) and the stall/kill isolation suites, plus the
-# self-healing repair and elastic-membership suites: mover units, the
+# connection count), the tail-ACK census (large GET responses are ACKed
+# without the kernel's delayed-ACK timer) and the stall/kill isolation
+# suites, plus the self-healing repair and elastic-membership suites:
+# mover units, the
 # membership property tests, the 8-server kill/heal/second-kill soak,
 # and the grow-mid-workload kill-during-migration chaos cycle. The
 # store-engine suites ride along: the lock-discipline census (reads
@@ -88,6 +90,9 @@ for arg in "$@"; do
             # by name: own binaries, one test each, no parallel siblings.
             cargo test -q --test reactor_threads
             cargo test -q --test server_threads
+            # tail_ack reads the namespace-wide TcpExt DelayedACKs
+            # counter: own binary, one test, nothing else talking TCP.
+            cargo test -q --test tail_ack
             RUST_TEST_THREADS=16 cargo test -q --test shared_reactor
             # Self-healing + elastic membership: repair planner/daemon
             # and mover units, heartbeat census, kill/heal and

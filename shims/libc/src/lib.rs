@@ -52,6 +52,7 @@ pub const SO_REUSEADDR: c_int = 2;
 pub const SO_ERROR: c_int = 4;
 pub const IPPROTO_TCP: c_int = 6;
 pub const TCP_NODELAY: c_int = 1;
+pub const TCP_QUICKACK: c_int = 12;
 pub const EINPROGRESS: c_int = 115;
 pub const EINTR: c_int = 4;
 pub const EAGAIN: c_int = 11;
