@@ -1258,42 +1258,17 @@ impl ServerPool {
     /// chain *inside that server's job*, so a dead server degrades only
     /// its own keys while the healthy servers' batches proceed.
     pub fn get_many(&self, keys: &[Bytes]) -> Vec<MemFsResult<Bytes>> {
-        let mut out: Vec<Option<MemFsResult<Bytes>>> = (0..keys.len()).map(|_| None).collect();
-        self.get_many_settling(keys, |group, results| {
-            for (&i, r) in group.iter().zip(results) {
-                out[i] = Some(r);
-            }
-        });
-        out.into_iter()
-            .map(|r| r.expect("every key grouped exactly once"))
-            .collect()
-    }
-
-    /// [`ServerPool::get_many`] without the final barrier: each server's
-    /// share is handed to `settle` — the key indices of the batch and
-    /// their results, aligned — as soon as that batch completes, so a
-    /// caller can act on one server's stripes while another server is
-    /// still answering. Every key index is delivered exactly once before
-    /// this returns. (Evented pools settle in arrival order; engine pools
-    /// run one batch on the caller and deliver the workers' shares after
-    /// the barrier, since `settle` borrows the caller's stack.)
-    pub fn get_many_settling(
-        &self,
-        keys: &[Bytes],
-        mut settle: impl FnMut(&[usize], Vec<MemFsResult<Bytes>>),
-    ) {
         let (_gate, state) = self.core.begin_op();
         let mut groups: Vec<Vec<usize>> = vec![Vec::new(); state.clients.len()];
         for (i, key) in keys.iter().enumerate() {
             groups[state.primary(key).0].push(i);
         }
-        let batch_of =
-            |group: &[usize]| -> Vec<Bytes> { group.iter().map(|&i| keys[i].clone()).collect() };
         let mut work: Vec<(usize, Vec<usize>)> = groups
             .into_iter()
             .enumerate()
             .filter(|(_, group)| !group.is_empty())
             .collect();
+        let mut out: Vec<Option<MemFsResult<Bytes>>> = (0..keys.len()).map(|_| None).collect();
         if state.submit_capable && self.budget > 1 && work.len() > 1 {
             // Evented path: every client supports split submit/completion,
             // so the window keeps up to `budget` servers busy with zero
@@ -1301,7 +1276,7 @@ impl ServerPool {
             let work: Vec<(usize, KeyedBatch)> = work
                 .into_iter()
                 .map(|(server, group)| {
-                    let batch = batch_of(&group);
+                    let batch: Vec<Bytes> = group.iter().map(|&i| keys[i].clone()).collect();
                     (server, (group, batch))
                 })
                 .collect();
@@ -1310,53 +1285,68 @@ impl ServerPool {
                 |(_, batch)| batch.len(),
                 |server, (_, batch)| state.clients[server].start_get_many(batch),
                 |server, (group, batch), result| {
-                    settle(
-                        &group,
-                        self.core.finish_fetch(&state, server, &batch, result),
-                    );
+                    for (&i, r) in group
+                        .iter()
+                        .zip(self.core.finish_fetch(&state, server, &batch, result))
+                    {
+                        out[i] = Some(r);
+                    }
                 },
             );
-            return;
+            return out
+                .into_iter()
+                .map(|r| r.expect("every key grouped exactly once"))
+                .collect();
         }
         match &self.engine {
             Some(engine) if work.len() > 1 => {
-                let parked = Arc::new(Mutex::new(Vec::new()));
+                let shared = Arc::new(Mutex::new(out));
                 // The caller's thread is a worker too: it runs the last
                 // group itself instead of idling on the TaskGroup.
                 let (last_server, last_group) = work.pop().expect("len > 1");
                 let tg = engine.group(work.len());
                 for (server, group) in work {
-                    let batch = batch_of(&group);
+                    let batch: Vec<Bytes> = group.iter().map(|&i| keys[i].clone()).collect();
                     let core = Arc::clone(&self.core);
                     let state = Arc::clone(&state);
-                    let parked = Arc::clone(&parked);
+                    let shared = Arc::clone(&shared);
                     let tg = Arc::clone(&tg);
                     engine.execute(move || {
                         let results = core.fetch_group(&state, server, &batch);
-                        parked
-                            .lock()
-                            .expect("fan-out results lock")
-                            .push((group, results));
+                        let mut out = shared.lock().expect("fan-out results lock");
+                        for (&i, r) in group.iter().zip(results) {
+                            out[i] = Some(r);
+                        }
+                        drop(out);
                         tg.done();
                     });
                 }
-                let results = self
-                    .core
-                    .fetch_group(&state, last_server, &batch_of(&last_group));
-                settle(&last_group, results);
-                tg.wait();
-                let parked = std::mem::take(&mut *parked.lock().expect("fan-out results lock"));
-                for (group, results) in parked {
-                    settle(&group, results);
+                let batch: Vec<Bytes> = last_group.iter().map(|&i| keys[i].clone()).collect();
+                let results = self.core.fetch_group(&state, last_server, &batch);
+                {
+                    let mut out = shared.lock().expect("fan-out results lock");
+                    for (&i, r) in last_group.iter().zip(results) {
+                        out[i] = Some(r);
+                    }
                 }
+                tg.wait();
+                out = std::mem::take(&mut *shared.lock().expect("fan-out results lock"));
             }
             _ => {
                 for (server, group) in work {
-                    let results = self.core.fetch_group(&state, server, &batch_of(&group));
-                    settle(&group, results);
+                    let batch: Vec<Bytes> = group.iter().map(|&i| keys[i].clone()).collect();
+                    for (&i, r) in group
+                        .iter()
+                        .zip(self.core.fetch_group(&state, server, &batch))
+                    {
+                        out[i] = Some(r);
+                    }
                 }
             }
         }
+        out.into_iter()
+            .map(|r| r.expect("every key grouped exactly once"))
+            .collect()
     }
 
     /// Batched routed `set`: [`ServerPool::set_many_outcomes`] reduced to

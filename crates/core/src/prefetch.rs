@@ -95,65 +95,6 @@ impl Cache {
     }
 }
 
-/// Stripes a batched fetch has claimed (`InFlight`) and not yet resolved.
-///
-/// Batches settle one server at a time, so a window's slots resolve in
-/// several critical sections rather than one. Dropping the guard — after
-/// the last batch, or while unwinding out of a job that panicked — fails
-/// whatever is still claimed, so no exit path leaves another server's
-/// stripes `InFlight` with waiters parked on the condvar.
-struct Claims {
-    cache: Arc<Cache>,
-    /// Claimed stripe per key index of the batched fetch; `None` once
-    /// resolved.
-    stripes: Vec<Option<u64>>,
-}
-
-impl Claims {
-    fn new(cache: &Arc<Cache>, stripes: impl Iterator<Item = u64>) -> Claims {
-        Claims {
-            cache: Arc::clone(cache),
-            stripes: stripes.map(Some).collect(),
-        }
-    }
-
-    /// Resolve one settled batch — `group[j]` is the key index of
-    /// `results[j]` — to `Ready`/`Failed` under one lock pass, then wake
-    /// the readers waiting on those stripes.
-    fn settle(&mut self, group: &[usize], results: &[MemFsResult<Bytes>]) {
-        let mut state = self.cache.state.lock();
-        for (&i, result) in group.iter().zip(results) {
-            let Some(stripe) = self.stripes[i].take() else {
-                continue;
-            };
-            match result {
-                Ok(data) => self
-                    .cache
-                    .insert_ready_locked(&mut state, stripe, data.clone()),
-                Err(_) => {
-                    state.slots.insert(stripe, Slot::Failed);
-                }
-            }
-        }
-        drop(state);
-        self.cache.cv.notify_all();
-    }
-}
-
-impl Drop for Claims {
-    fn drop(&mut self) {
-        if self.stripes.iter().all(Option::is_none) {
-            return;
-        }
-        let mut state = self.cache.state.lock();
-        for stripe in self.stripes.drain(..).flatten() {
-            state.slots.insert(stripe, Slot::Failed);
-        }
-        drop(state);
-        self.cache.cv.notify_all();
-    }
-}
-
 /// Concurrent access streams tracked per reader handle. Covers a few
 /// interleaved sequential/strided regions (e.g. head+tail readers);
 /// beyond this the least recently touched stream is recycled.
@@ -234,16 +175,14 @@ impl StripeReader {
         self.file_size
     }
 
-    /// Kick prefetch of the detected-stride window, then fetch stripe
-    /// `stripe`, from cache if possible. The window goes first so that on
-    /// a miss — a fresh handle's first read above all — the synchronous
-    /// fetch and the window share one round trip instead of queueing
-    /// behind each other.
+    /// Fetch stripe `stripe`, from cache if possible, then kick prefetch
+    /// of the detected-stride window.
     pub fn stripe(&self, stripe: u64) -> MemFsResult<Bytes> {
         debug_assert!(stripe < self.layout.stripe_count(self.file_size));
         let stride = self.note_access(stripe);
+        let data = self.fetch(stripe)?;
         self.prefetch_ahead(stripe, stride);
-        self.fetch(stripe)
+        Ok(data)
     }
 
     /// Record an access at `stripe` in the stream table and return the
@@ -361,10 +300,9 @@ impl StripeReader {
     ///
     /// Cache-aware: already-resident stripes are served locally, stripes
     /// another thread is prefetching are waited on, and only the true
-    /// misses travel — as a single [`ServerPool::get_many_settling`] whose
-    /// per-server batches go out in parallel, each one's stripes becoming
-    /// visible to concurrent readers as it settles. This is what makes a
-    /// large `read_at` span cost one parallel round trip instead of one
+    /// misses travel — as a single [`ServerPool::get_many`] whose
+    /// per-server batches go out in parallel. This is what makes a large
+    /// `read_at` span cost one parallel round trip instead of one
     /// sequential round trip per stripe.
     pub fn read_stripes(&self, stripes: &[u64]) -> MemFsResult<Vec<Bytes>> {
         if self.window == 0 {
@@ -419,26 +357,28 @@ impl StripeReader {
                 .iter()
                 .map(|&(_, s)| Bytes::from(KeySchema::stripe_key(&self.path, s)))
                 .collect();
-            // Each server's share turns Ready (or Failed) as its batch
-            // settles; the guard fails whatever an early exit leaves.
-            let mut claims = Claims::new(&self.cache, misses.iter().map(|&(_, s)| s));
-            // The error of the lowest-indexed failed stripe, whatever
-            // order the batches settled in.
-            let mut first_err: Option<(usize, MemFsError)> = None;
-            self.pool.get_many_settling(&keys, |group, results| {
-                claims.settle(group, &results);
-                for (&j, r) in group.iter().zip(results) {
-                    let (i, s) = misses[j];
-                    match r {
-                        Ok(data) => out[i] = Some(data),
-                        Err(e) if first_err.as_ref().is_none_or(|&(fj, _)| j < fj) => {
-                            first_err = Some((j, self.stripe_err(s, e)));
+            let results = self.pool.get_many(&keys);
+            let mut first_err: Option<MemFsError> = None;
+            let mut state = self.cache.state.lock();
+            // Every claimed slot must be resolved to Ready or Failed even
+            // on error, or waiters would hang on InFlight forever.
+            for (&(i, s), r) in misses.iter().zip(results) {
+                match r {
+                    Ok(data) => {
+                        self.cache.insert_ready_locked(&mut state, s, data.clone());
+                        out[i] = Some(data);
+                    }
+                    Err(e) => {
+                        state.slots.insert(s, Slot::Failed);
+                        if first_err.is_none() {
+                            first_err = Some(self.stripe_err(s, e));
                         }
-                        Err(_) => {}
                     }
                 }
-            });
-            if let Some((_, e)) = first_err {
+            }
+            drop(state);
+            self.cache.cv.notify_all();
+            if let Some(e) = first_err {
                 return Err(e);
             }
         }
@@ -457,13 +397,10 @@ impl StripeReader {
     /// `k` in `1..=window`.
     ///
     /// The whole window travels as **one** worker job issuing a single
-    /// batched [`ServerPool::get_many_settling`]; the pool groups the keys
-    /// by owning server and fans the per-server multi-gets out in
-    /// parallel, so a window of `w` stripes over `n` servers costs one
-    /// round trip per server — issued concurrently, `max(server RTT)`
-    /// total — and each server's stripes turn `Ready` the moment its batch
-    /// settles: the reader of the window's first stripe does not wait for
-    /// the slowest server's share of the rest.
+    /// batched [`ServerPool::get_many`]; the pool groups the keys by
+    /// owning server and fans the per-server multi-gets out in parallel,
+    /// so a window of `w` stripes over `n` servers costs one round trip
+    /// per server — issued concurrently, `max(server RTT)` total.
     fn prefetch_ahead(&self, stripe: u64, stride: u64) {
         let Some(engine) = &self.engine else {
             return;
@@ -521,9 +458,20 @@ impl StripeReader {
             .map(|&s| Bytes::from(KeySchema::stripe_key(&self.path, s)))
             .collect();
         let pool = Arc::clone(&self.pool);
-        let mut claims = Claims::new(&self.cache, pending.into_iter());
+        let cache = Arc::clone(&self.cache);
         engine.execute(move || {
-            pool.get_many_settling(&keys, |group, results| claims.settle(group, &results));
+            let results = pool.get_many(&keys);
+            let mut state = cache.state.lock();
+            for (&s, result) in pending.iter().zip(results) {
+                match result {
+                    Ok(data) => cache.insert_ready_locked(&mut state, s, data),
+                    Err(_) => {
+                        state.slots.insert(s, Slot::Failed);
+                    }
+                }
+            }
+            drop(state);
+            cache.cv.notify_all();
         });
     }
 
@@ -958,7 +906,7 @@ mod tests {
         let clients: Vec<Arc<dyn KvClient>> = vec![Arc::clone(&failable) as Arc<dyn KvClient>];
         let pool = Arc::new(ServerPool::new(clients, DistributorKind::default()));
         let layout = StripeLayout::new(100);
-        for s in 0..layout.stripe_count(10_000) {
+        for s in 0..layout.stripe_count(5000) {
             pool.set(
                 &KeySchema::stripe_key("/f", s),
                 Bytes::from(vec![s as u8; 100]),
@@ -969,7 +917,7 @@ mod tests {
         let r = StripeReader::new(
             "/f".into(),
             layout,
-            10_000, // the stride-10 window past stripe 40 must exist
+            5000,
             Arc::clone(&pool),
             engine,
             4,
@@ -981,10 +929,6 @@ mod tests {
         for s in [0u64, 10, 20, 30] {
             assert!(r.read_stripes(&[s]).is_err());
         }
-        // The failed reads' own windows are still failing in the
-        // background; let them finish while the server is down, or a
-        // straggler's claims could fill the prefetch budget below.
-        r.wait_settled();
         failable.set_down(false);
         // Recovery: a successful read must re-arm prefetching. Before the
         // Failed-slot sweep, the stale markers counted against capacity
@@ -1005,10 +949,10 @@ mod tests {
             "prefetch window never issued after recovery: wedged"
         );
 
-        // One server of four fails its share of a window. Its batch
-        // settles apart from the others': their stripes must turn Ready
-        // (not stay InFlight behind the failure) and its own must turn
-        // Failed, to be retried synchronously once the server is back.
+        // One server of four fails its share of a window: the other
+        // servers' stripes must turn Ready (not stay InFlight behind the
+        // failure) and its own must turn Failed, to be retried
+        // synchronously once the server is back.
         let (counted, pool) = instrumented_pool_over(2000, 100, |store| {
             FailableClient::new(LocalClient::new(store))
         });
@@ -1062,227 +1006,6 @@ mod tests {
             before + 1,
             "the failed stripe must be retried synchronously"
         );
-    }
-
-    #[test]
-    fn dropped_claims_fail_what_they_left_unresolved() {
-        // A fetch that exits early (an unwinding job included) drops its
-        // claims with batches outstanding: the settled stripe stays
-        // Ready, the others turn Failed, and a parked reader wakes up
-        // and fetches for itself.
-        let (pool, data) = setup(1000, 100);
-        let r = Arc::new(reader(&pool, 1000, 100, 4));
-        {
-            let mut state = r.cache.state.lock();
-            for s in [3u64, 4, 5] {
-                state.slots.insert(s, Slot::InFlight);
-            }
-        }
-        let mut claims = Claims::new(&r.cache, [3u64, 4, 5].into_iter());
-        let waiter = {
-            let r = Arc::clone(&r);
-            std::thread::spawn(move || r.fetch(5))
-        };
-        claims.settle(&[1], &[Ok(data.slice(400..500))]);
-        drop(claims);
-        assert_eq!(waiter.join().unwrap().unwrap(), data.slice(500..600));
-        let state = r.cache.state.lock();
-        assert!(matches!(state.slots.get(&3), Some(Slot::Failed)));
-        assert!(matches!(state.slots.get(&4), Some(Slot::Ready(_))));
-        assert!(matches!(state.slots.get(&5), Some(Slot::Ready(_))));
-    }
-
-    /// A read gate shared by [`GateClient`]s: while closed, reads that
-    /// reach a gated client are on the wire but cannot complete.
-    struct Gate {
-        open: std::sync::Mutex<bool>,
-        cv: std::sync::Condvar,
-    }
-
-    impl Gate {
-        fn new(open: bool) -> Arc<Gate> {
-            Arc::new(Gate {
-                open: std::sync::Mutex::new(open),
-                cv: std::sync::Condvar::new(),
-            })
-        }
-        fn is_open(&self) -> bool {
-            *self.open.lock().unwrap()
-        }
-        fn open(&self) {
-            *self.open.lock().unwrap() = true;
-            self.cv.notify_all();
-        }
-        fn pass(&self) {
-            let mut open = self.open.lock().unwrap();
-            while !*open {
-                open = self.cv.wait(open).unwrap();
-            }
-        }
-    }
-
-    /// An evented-style client over a local store whose reads complete
-    /// only once its gate is open: `get` blocks at it, `start_get_many`
-    /// returns at once with a completion that is not ready until then.
-    /// Reads are counted as they are *issued*.
-    struct GateClient {
-        inner: LocalClient,
-        gate: Arc<Gate>,
-        gets_issued: std::sync::atomic::AtomicU64,
-        mgets_issued: std::sync::atomic::AtomicU64,
-    }
-
-    impl KvClient for GateClient {
-        fn set(&self, key: &[u8], value: Bytes) -> memfs_memkv::error::KvResult<()> {
-            self.inner.set(key, value)
-        }
-        fn add(&self, key: &[u8], value: Bytes) -> memfs_memkv::error::KvResult<()> {
-            self.inner.add(key, value)
-        }
-        fn get(&self, key: &[u8]) -> memfs_memkv::error::KvResult<Bytes> {
-            self.gets_issued
-                .fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-            self.gate.pass();
-            self.inner.get(key)
-        }
-        fn append(&self, key: &[u8], suffix: &[u8]) -> memfs_memkv::error::KvResult<()> {
-            self.inner.append(key, suffix)
-        }
-        fn delete(&self, key: &[u8]) -> memfs_memkv::error::KvResult<()> {
-            self.inner.delete(key)
-        }
-        fn supports_submit(&self) -> bool {
-            true
-        }
-        fn start_get_many(&self, keys: &[Bytes]) -> memfs_memkv::Deferred<Bytes> {
-            self.mgets_issued
-                .fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-            let (probe, gate) = (Arc::clone(&self.gate), Arc::clone(&self.gate));
-            let (inner, keys) = (self.inner.clone(), keys.to_vec());
-            memfs_memkv::Deferred::Polled {
-                ready: Box::new(move || probe.is_open()),
-                finish: Box::new(move || {
-                    gate.pass();
-                    inner.get_many(&keys)
-                }),
-            }
-        }
-    }
-
-    /// Four gated servers (one gate each, as given) holding a 2000-byte
-    /// file in 100-byte stripes, and a window-8 reader over them.
-    fn gated_reader(
-        gates: &[Arc<Gate>; 4],
-    ) -> (Vec<Arc<GateClient>>, Arc<ServerPool>, StripeReader) {
-        let gated: Vec<Arc<GateClient>> = gates
-            .iter()
-            .map(|gate| {
-                Arc::new(GateClient {
-                    inner: LocalClient::new(Arc::new(Store::new(StoreConfig::default()))),
-                    gate: Arc::clone(gate),
-                    gets_issued: Default::default(),
-                    mgets_issued: Default::default(),
-                })
-            })
-            .collect();
-        let clients: Vec<Arc<dyn KvClient>> = gated
-            .iter()
-            .map(|c| Arc::clone(c) as Arc<dyn KvClient>)
-            .collect();
-        let pool = Arc::new(ServerPool::new(clients, DistributorKind::default()));
-        let layout = StripeLayout::new(100);
-        for s in 0..layout.stripe_count(2000) {
-            pool.set(
-                &KeySchema::stripe_key("/f", s),
-                Bytes::from(vec![s as u8; 100]),
-            )
-            .unwrap();
-        }
-        let engine = Some(Arc::new(IoEngine::new(2, "pf")));
-        let r = StripeReader::new("/f".into(), layout, 2000, Arc::clone(&pool), engine, 8, 32);
-        (gated, pool, r)
-    }
-
-    #[test]
-    fn window_stripes_are_served_as_each_server_settles() {
-        let gates = [
-            Gate::new(true),
-            Gate::new(true),
-            Gate::new(true),
-            Gate::new(true),
-        ];
-        let (gated, pool, r) = gated_reader(&gates);
-        let owner = |s: u64| pool.server_for(&KeySchema::stripe_key("/f", s)).0;
-        // Hold one server that owns part of the first window (but not the
-        // stripe read synchronously), and ask for a window stripe of
-        // another server.
-        let held = (1..=8u64)
-            .map(owner)
-            .find(|&o| o != owner(0))
-            .expect("a window stripe off the first stripe's server");
-        let wanted = (1..=8u64)
-            .find(|&s| owner(s) != held)
-            .expect("a window stripe off the held server");
-        *gates[held].open.lock().unwrap() = false;
-        assert_eq!(r.stripe(0).unwrap().as_ref(), &[0u8; 100][..]);
-        let r = Arc::new(r);
-        let (tx, rx) = std::sync::mpsc::channel();
-        let reader = {
-            let r = Arc::clone(&r);
-            std::thread::spawn(move || tx.send(r.stripe(wanted)).unwrap())
-        };
-        let got = rx
-            .recv_timeout(std::time::Duration::from_secs(10))
-            .expect("a settled server's stripe must not wait for the held server's batch");
-        assert_eq!(got.unwrap().as_ref(), &vec![wanted as u8; 100][..]);
-        assert!(
-            gated[held]
-                .mgets_issued
-                .load(std::sync::atomic::Ordering::SeqCst)
-                >= 1,
-            "the held server's batch was part of the window"
-        );
-        gates[held].open();
-        reader.join().unwrap();
-        let theirs = (1..=8u64).find(|&s| owner(s) == held).unwrap();
-        assert_eq!(
-            r.stripe(theirs).unwrap().as_ref(),
-            &vec![theirs as u8; 100][..]
-        );
-    }
-
-    #[test]
-    fn first_read_overlaps_its_miss_with_its_window() {
-        // One gate for every server, closed: nothing a fresh handle's
-        // first read sends can complete, so whatever is counted as issued
-        // went out before anything came back.
-        let gate = Gate::new(false);
-        let gates = [
-            Arc::clone(&gate),
-            Arc::clone(&gate),
-            Arc::clone(&gate),
-            Arc::clone(&gate),
-        ];
-        let (gated, _pool, r) = gated_reader(&gates);
-        let reader = std::thread::spawn(move || r.stripe(0));
-        let issued = |f: fn(&GateClient) -> &std::sync::atomic::AtomicU64| -> u64 {
-            gated
-                .iter()
-                .map(|c| f(c).load(std::sync::atomic::Ordering::SeqCst))
-                .sum()
-        };
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-        while issued(|c| &c.gets_issued) < 1 || issued(|c| &c.mgets_issued) < 1 {
-            assert!(
-                std::time::Instant::now() < deadline,
-                "miss and window never shared the wire: {} gets, {} window batches issued",
-                issued(|c| &c.gets_issued),
-                issued(|c| &c.mgets_issued)
-            );
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        }
-        gate.open();
-        assert_eq!(reader.join().unwrap().unwrap().as_ref(), &[0u8; 100][..]);
     }
 
     #[test]

@@ -115,7 +115,7 @@ fn is_idempotent(req: &Request) -> bool {
 /// Value payloads at or above this size travel as their own zero-copy
 /// wire segment; smaller ones are cheaper to copy into the header buffer
 /// than to pay an extra iovec entry for.
-const SEGMENT_THRESHOLD: usize = 4 * 1024;
+pub(crate) const SEGMENT_THRESHOLD: usize = 4 * 1024;
 
 /// Encode a pipelined batch into wire segments for the reactor: command
 /// lines (and small payloads) coalesce into shared header buffers, large
@@ -334,8 +334,9 @@ pub(crate) enum ParseStep {
     /// A complete response was consumed from the buffer.
     Done(Response),
     /// The frame is incomplete; at least this many more bytes are needed.
-    /// (A lower bound — `VALUE` framing knows the exact payload remainder,
-    /// line-oriented frames just ask for "more".)
+    /// The reactor does not parse again before they arrived, so this must
+    /// never exceed what is missing: `VALUE` framing knows the payload
+    /// remainder, a line without its CRLF may lack only the `\n` — 1.
     More(usize),
 }
 
@@ -346,7 +347,7 @@ pub(crate) enum ParseStep {
 /// small-op traffic cost no allocation.
 pub(crate) fn try_parse_response(buf: &mut Vec<u8>) -> KvResult<ParseStep> {
     let Some(line_end) = find_crlf(buf) else {
-        return Ok(ParseStep::More(2));
+        return Ok(ParseStep::More(1));
     };
     let line = &buf[..line_end];
     let text = |bytes: &[u8]| String::from_utf8_lossy(bytes).into_owned();
@@ -409,7 +410,7 @@ fn parse_lines<T>(
     loop {
         let rest = &buf[pos..];
         let Some(le) = find_crlf(rest) else {
-            return Ok(ParseStep::More(2));
+            return Ok(ParseStep::More(1));
         };
         let l = &rest[..le];
         pos += le + 2;
@@ -445,7 +446,7 @@ fn parse_values(buf: &mut Vec<u8>) -> KvResult<ParseStep> {
     let frame_end = loop {
         let rest = &buf[pos..];
         let Some(le) = find_crlf(rest) else {
-            return Ok(ParseStep::More(2));
+            return Ok(ParseStep::More(1));
         };
         let l = &rest[..le];
         let data_start = pos + le + 2;
@@ -1099,5 +1100,104 @@ mod tests {
         };
         assert_eq!(items.len(), 2);
         assert!(items.iter().all(|i| i.cas.is_some()));
+    }
+
+    /// One reply of every kind the parser knows, as sent on the wire.
+    fn every_reply_kind() -> Vec<Response> {
+        let item = |key: &'static [u8], value: &'static [u8], cas| ValueItem {
+            key: Bytes::from_static(key),
+            value: Bytes::from_static(value),
+            cas,
+        };
+        vec![
+            Response::Stored,
+            Response::NotStored,
+            Response::Exists,
+            Response::NotFound,
+            Response::Deleted,
+            Response::Ok,
+            Response::End,
+            Response::Version("1.2.3".into()),
+            Response::ServerError("out of memory".into()),
+            Response::ClientError("bad data chunk".into()),
+            Response::Value {
+                key: Bytes::from_static(b"k"),
+                value: Bytes::from_static(b"a\r\nb"),
+                cas: None,
+            },
+            Response::Value {
+                key: Bytes::from_static(b"k"),
+                value: Bytes::from_static(b""),
+                cas: Some(7),
+            },
+            Response::Values(vec![item(b"k1", b"abc", None), item(b"k2", b"\r", None)]),
+            Response::Stats(vec![
+                ("pid".into(), "1".into()),
+                ("uptime".into(), "2".into()),
+            ]),
+            Response::KeyList(vec![b"a".to_vec(), b"bb".to_vec()]),
+        ]
+    }
+
+    #[test]
+    fn parser_asks_for_more_at_every_split_point() {
+        for resp in every_reply_kind() {
+            let wire = crate::proto::encode_response(&resp);
+            let mut buf = Vec::new();
+            for (i, &byte) in wire.iter().enumerate() {
+                buf.push(byte);
+                let step = try_parse_response(&mut buf).unwrap();
+                if i + 1 < wire.len() {
+                    // The hint is a lower bound on what is still missing:
+                    // the reactor may skip re-parsing until it arrived.
+                    let ParseStep::More(hint) = step else {
+                        panic!("{resp:?} parsed from {} of {} bytes", i + 1, wire.len());
+                    };
+                    assert!(
+                        (1..=wire.len() - buf.len()).contains(&hint),
+                        "{resp:?}: hint {hint} with {} bytes missing",
+                        wire.len() - buf.len()
+                    );
+                    assert_eq!(buf, wire[..=i], "an incomplete frame is left in place");
+                } else {
+                    assert!(matches!(step, ParseStep::Done(ref got) if *got == resp));
+                    assert!(buf.is_empty());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn replies_delivered_one_byte_at_a_time_complete() {
+        // A reply can be cut anywhere — a partial `writev`, a segment
+        // boundary — so the last byte of any frame may arrive alone.
+        use std::io::{Read, Write};
+        let replies = every_reply_kind();
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let wires: Vec<Vec<u8>> = replies.iter().map(crate::proto::encode_response).collect();
+        let server = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            stream.set_nodelay(true).unwrap();
+            for wire in wires {
+                let mut request = [0u8; 64];
+                let n = stream.read(&mut request).unwrap();
+                assert_eq!(&request[..n], b"version\r\n");
+                for byte in wire {
+                    stream.write_all(&[byte]).unwrap();
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+            }
+        });
+        let config = PoolConfig {
+            connections: 1,
+            timeout: Duration::from_secs(3),
+            ..PoolConfig::default()
+        };
+        let client = TcpClient::connect_with(addr, config).unwrap();
+        for resp in replies {
+            assert_eq!(client.call(&Request::Version).unwrap(), resp);
+        }
+        server.join().unwrap();
     }
 }

@@ -68,7 +68,7 @@ use bytes::Bytes;
 use parking_lot::{Condvar, Mutex};
 
 use crate::error::{KvError, KvResult};
-use crate::net::{try_parse_response, ParseStep};
+use crate::net::{try_parse_response, ParseStep, SEGMENT_THRESHOLD};
 use crate::poll::{Poller, WAKE_TOKEN};
 use crate::proto::Response;
 use crate::wheel::{TimerId, TimerWheel};
@@ -76,12 +76,12 @@ use crate::wheel::{TimerId, TimerWheel};
 /// Max iovec entries per `writev` — matches the kernel's UIO_FASTIOV.
 const MAX_IOV: usize = 8;
 /// Spare `inbuf` capacity a `read` is offered while the parser has not
-/// announced a payload: room for any header line or small reply. Equal to
-/// [`crate::net`]'s zero-copy bar on purpose: a lone value frame's buffer
-/// then never exceeds `max(2 * MIN_SPARE, frame length)`, which keeps the
-/// "payload fills at least half the buffer" hand-over rule true for every
-/// value of 4 KiB and up.
-const MIN_SPARE: usize = 4 * 1024;
+/// announced a payload: room for any header line or small reply. It *is*
+/// [`crate::net`]'s zero-copy bar: a lone value frame's buffer then never
+/// exceeds `max(2 * MIN_SPARE, frame length)`, which keeps the "payload
+/// fills at least half the buffer" hand-over rule true for every value of
+/// that size and up.
+const MIN_SPARE: usize = SEGMENT_THRESHOLD;
 /// Bytes a connection takes in between two `TCP_QUICKACK` re-arms. Keyed
 /// on what the socket *received* — a payload-sized amount, i.e. a response
 /// whose last segment the peer's congestion control will time — never on

@@ -31,15 +31,14 @@ const STRIPE: usize = 512 * 1024;
 /// After each burst of two exchanges per pooled connection the client
 /// goes quiet for longer than the delayed-ACK timer, so no later request
 /// can carry a tail's ACK: the transport asks for it, or the timer sends
-/// it and the kernel counts that. (Unfixed, this schedule counts 16–19.)
+/// it and the kernel counts that.
 const BURST: usize = 8;
 const QUIET: Duration = Duration::from_millis(50);
+/// One pass, so the bar sits between what the schedule counts with the
+/// re-arm (0–1) and without it (16–30, every time); the slack is for other
+/// sockets in the namespace, which share the counter.
 const MAX_DELAYED_ACKS: u64 = 8;
 const MAX_EXCHANGE: Duration = Duration::from_millis(30);
-/// A pass can be disturbed from outside (another process's sockets share
-/// the counter, a descheduled thread stretches one exchange); the defect
-/// is systematic and fails every pass.
-const PASSES: usize = 3;
 
 /// `TcpExt: DelayedACKs` from `/proc/net/netstat`, `None` if unreadable.
 fn delayed_acks() -> Option<u64> {
@@ -71,33 +70,28 @@ fn large_get_tails_are_acked_without_the_delayed_ack_timer() {
             .expect("set");
     }
 
-    let mut last = String::new();
-    let mut ok = false;
-    for _ in 0..PASSES {
-        let before = delayed_acks().expect("counter was readable");
-        let mut slowest = Duration::ZERO;
-        for i in 0..EXCHANGES {
-            if i % BURST == 0 {
-                std::thread::sleep(QUIET);
-            }
-            let start = Instant::now();
-            let got = client.get_many(&keys).expect("multi-get");
-            slowest = slowest.max(start.elapsed());
-            assert!(got
-                .iter()
-                .all(|v| v.as_ref().is_ok_and(|v| v.len() == STRIPE)));
+    let before = delayed_acks().expect("counter was readable");
+    let mut slowest = Duration::ZERO;
+    for i in 0..EXCHANGES {
+        if i % BURST == 0 {
+            std::thread::sleep(QUIET);
         }
-        let delayed = delayed_acks().expect("counter was readable") - before;
-        last = format!("{delayed} delayed ACKs, slowest exchange {slowest:?}");
-        if delayed <= MAX_DELAYED_ACKS && slowest <= MAX_EXCHANGE {
-            ok = true;
-            break;
-        }
+        let start = Instant::now();
+        let got = client.get_many(&keys).expect("multi-get");
+        slowest = slowest.max(start.elapsed());
+        assert!(got
+            .iter()
+            .all(|v| v.as_ref().is_ok_and(|v| v.len() == STRIPE)));
     }
+    let delayed = delayed_acks().expect("counter was readable") - before;
     server.shutdown();
     assert!(
-        ok,
-        "{EXCHANGES} sequential {STRIPES}-stripe multi-gets: {last} in the last of {PASSES} \
-         failed passes (bars: {MAX_DELAYED_ACKS} delayed ACKs, {MAX_EXCHANGE:?} per exchange)"
+        delayed <= MAX_DELAYED_ACKS,
+        "{EXCHANGES} sequential {STRIPES}-stripe multi-gets left {delayed} response tails to \
+         the delayed-ACK timer (bar: {MAX_DELAYED_ACKS})"
+    );
+    assert!(
+        slowest <= MAX_EXCHANGE,
+        "slowest of {EXCHANGES} {STRIPES}-stripe multi-gets took {slowest:?} (bar: {MAX_EXCHANGE:?})"
     );
 }
