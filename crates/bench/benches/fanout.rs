@@ -8,10 +8,10 @@
 //! too fast for the network overlap to matter). Each server count is
 //! measured twice:
 //!
-//! * `sequential` — `io_parallelism = 1`, the pre-fan-out dispatcher that
-//!   visits per-server batches one at a time;
-//! * `parallel` — `io_parallelism = 0` (auto: one dispatcher worker per
-//!   server), every per-server batch on the wire simultaneously.
+//! * `sequential` — `io_parallelism = 1`, a submit window of one: the
+//!   per-server batches are visited one at a time;
+//! * `parallel` — `io_parallelism = 0` (auto: unlimited window), every
+//!   per-server batch on the wire simultaneously.
 //!
 //! The acceptance bar for this PR is parallel read ≥ 2.5x sequential at
 //! 4 servers; `scripts/bench_record.sh` records the same comparison to

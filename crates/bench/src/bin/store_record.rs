@@ -1,16 +1,14 @@
-//! Record the read-mostly store engine's acceptance bars to JSON
+//! Record the read-mostly store engine's numbers to JSON
 //! (`BENCH_pr10.json`).
 //!
 //! Two experiments:
 //!
 //! 1. **Contended multi-get** — 8 worker threads hammer one store with
 //!    `get_many` batches over a 256-key hot set confined to 4 of 16
-//!    shards, old engine vs new. The old read path
-//!    (`StoreConfig::exclusive_reads`, kept verbatim as the baseline)
-//!    write-locks each shard and allocates a queue record per hit; the
-//!    new path takes the shard read lock and stamps recency with one
-//!    atomic. Bar: new aggregate throughput >= 2x the write-locked
-//!    baseline.
+//!    shards: shard read lock, one atomic recency stamp per hit. The
+//!    aggregate keys/s is reported, not gated (the write-locked engine
+//!    it replaced is gone from the tree; the 2.1x over it is on record
+//!    in the committed `BENCH_pr10.json`).
 //!
 //! 2. **Over-budget shaped soak** — one shaped server (8 MiB/s pipe)
 //!    serves a foreground client while an in-process pressure thread
@@ -65,19 +63,8 @@ fn status_kib(field: &str) -> u64 {
         .unwrap_or(0)
 }
 
-fn contention_config(exclusive_reads: bool) -> StoreConfig {
-    StoreConfig {
-        memory_budget: 64 << 20,
-        max_value_size: 64 * 1024,
-        eviction: EvictionPolicy::Error,
-        shards: SHARDS,
-        exclusive_reads,
-        ..StoreConfig::default()
-    }
-}
-
 /// Keys that all land on the first `HOT_SHARDS` shards — a deliberately
-/// skewed hot set, so the baseline's shard write locks actually contend.
+/// skewed hot set, so every batch overlaps every other on its shards.
 fn hot_keys(probe: &Store) -> Vec<Vec<u8>> {
     let mut keys = Vec::with_capacity(HOT_KEYS);
     let mut i = 0u64;
@@ -92,21 +79,23 @@ fn hot_keys(probe: &Store) -> Vec<Vec<u8>> {
 }
 
 /// Median of three contention trials, so one noisy scheduler window
-/// doesn't decide the ratio either way.
-fn run_contention(exclusive_reads: bool) -> f64 {
-    let mut trials = [
-        contention_trial(exclusive_reads),
-        contention_trial(exclusive_reads),
-        contention_trial(exclusive_reads),
-    ];
+/// doesn't decide the number.
+fn run_contention() -> f64 {
+    let mut trials = [contention_trial(), contention_trial(), contention_trial()];
     trials.sort_by(|a, b| a.partial_cmp(b).unwrap());
     trials[1]
 }
 
 /// Aggregate keys/second fetched by `WORKERS` threads looping `get_many`
 /// over the hot set for `CONTEND_SECS`.
-fn contention_trial(exclusive_reads: bool) -> f64 {
-    let store = Arc::new(Store::new(contention_config(exclusive_reads)));
+fn contention_trial() -> f64 {
+    let store = Arc::new(Store::new(StoreConfig {
+        memory_budget: 64 << 20,
+        max_value_size: 64 * 1024,
+        eviction: EvictionPolicy::Error,
+        shards: SHARDS,
+        ..StoreConfig::default()
+    }));
     let keys = Arc::new(hot_keys(&store));
     for k in keys.iter() {
         store.set(k, Bytes::from(vec![0x5Au8; 1024])).unwrap();
@@ -294,10 +283,8 @@ fn main() {
     eprintln!(
         "contended get_many: {WORKERS} workers, {HOT_KEYS} keys on {HOT_SHARDS}/{SHARDS} shards"
     );
-    let exclusive_kps = run_contention(true);
-    eprintln!("  write-locked baseline: {:9.0} keys/s", exclusive_kps);
-    let shared_kps = run_contention(false);
-    eprintln!("  read-locked engine:    {:9.0} keys/s", shared_kps);
+    let shared_kps = run_contention();
+    eprintln!("  read-locked engine: {:9.0} keys/s", shared_kps);
 
     eprintln!(
         "over-budget soak: {} MiB budget behind a {} MiB/s pipe",
@@ -306,21 +293,18 @@ fn main() {
     );
     let soak = run_soak(seed);
 
-    let read_ratio = shared_kps / exclusive_kps;
     let p99_ratio = soak.baseline_p99_us / soak.soak_p99_us;
     let rss_limit_kib = (BUDGET >> 10) as f64 * 1.2;
-    let read_pass = read_ratio >= 2.0;
     let p99_pass = p99_ratio >= 0.70;
     let rss_pass = (soak.rss_kib as f64) <= rss_limit_kib;
     let reclaim_pass = soak.evictions > 0 && soak.expired > 0 && soak.sweeps > 0;
-    let pass = read_pass && p99_pass && rss_pass && reclaim_pass;
+    let pass = p99_pass && rss_pass && reclaim_pass;
     let hwm = status_kib("VmHWM");
     println!(
         "{{\n  \"bench\": \"store_engine\",\n  \
          \"seed\": {seed},\n  \
          \"contended_get\": {{\"workers\": {WORKERS}, \"hot_keys\": {HOT_KEYS}, \
          \"hot_shards\": {HOT_SHARDS}, \"shards\": {SHARDS}, \
-         \"exclusive_keys_per_s\": {exclusive_kps:.0}, \
          \"shared_keys_per_s\": {shared_kps:.0}}},\n  \
          \"soak\": {{\"memory_budget_bytes\": {BUDGET}, \"pipe_bps\": {PIPE_BPS}, \
          \"pressure_value_bytes\": {PRESSURE_VALUE}, \
@@ -328,10 +312,9 @@ fn main() {
          \"soak_p99_us\": {:.0}, \"soak_ops\": {}, \"soak_hits\": {}, \
          \"rss_kib\": {}, \"vm_hwm_kib\": {hwm}, \
          \"evictions\": {}, \"expired\": {}, \"sweeps\": {}}},\n  \
-         \"acceptance\": {{\"metric\": \"contended get_many >= 2x write-locked baseline; \
-         soak RSS <= 1.2x budget, p99 >= 70% of baseline, evictions and TTL reaps nonzero\", \
-         \"read_ratio\": {read_ratio:.3}, \"p99_ratio\": {p99_ratio:.3}, \
-         \"read_pass\": {read_pass}, \"p99_pass\": {p99_pass}, \
+         \"acceptance\": {{\"metric\": \"soak RSS <= 1.2x budget, p99 >= 70% of baseline, \
+         evictions and TTL reaps nonzero\", \
+         \"p99_ratio\": {p99_ratio:.3}, \"p99_pass\": {p99_pass}, \
          \"rss_pass\": {rss_pass}, \"reclaim_pass\": {reclaim_pass}, \
          \"pass\": {pass}}}\n}}",
         soak.baseline_p99_us,
@@ -344,9 +327,6 @@ fn main() {
         soak.expired,
         soak.sweeps,
     );
-    if !read_pass {
-        eprintln!("FAIL: contended get_many ratio {read_ratio:.3} (< 2.0)");
-    }
     if !p99_pass {
         eprintln!("FAIL: soak p99 ratio {p99_ratio:.3} (< 0.70)");
     }

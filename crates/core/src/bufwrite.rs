@@ -196,12 +196,12 @@ impl WriteBuffer {
         Ok(())
     }
 
-    /// Hand the pending batch to the shared engine as one drain job. The
-    /// job issues one pipelined `set_many` per owning server — the pool
-    /// fans those per-server batches (including replica copies) out in
-    /// parallel on the same engine (the nested fan-out the helping wait
-    /// exists for), so a batch of `b` stripes costs one *concurrent*
-    /// round trip per server rather than `b` sequential round trips.
+    /// Hand the pending batch to the mount's engine as one drain job. The
+    /// job makes one [`ServerPool::set_many`] call, whose submit window
+    /// puts one pipelined batch per owning server (replica copies
+    /// included) on the wire at once from the job's own thread, so a
+    /// batch of `b` stripes costs one *concurrent* round trip per server
+    /// rather than `b` sequential round trips.
     fn submit_batch(&mut self) -> MemFsResult<()> {
         if self.batch.is_empty() {
             return Ok(());

@@ -33,13 +33,13 @@ pub struct MemFsConfig {
     pub write_buffer_size: usize,
     /// Per-open-file read cache in bytes (same 8 MB figure).
     pub read_cache_size: usize,
-    /// Write-drain jobs the mount's shared I/O engine runs concurrently.
-    /// Drain jobs fan their batches out through the same engine, so a
-    /// couple of slots suffice; Figure 3b shows bandwidth saturating well
-    /// before thread counts grow large.
-    pub writer_threads: usize,
-    /// Prefetch jobs the shared engine runs concurrently for readers.
-    pub prefetch_threads: usize,
+    /// Workers in the mount's I/O engine: how many background jobs —
+    /// write drains, prefetch windows, unlink waves — run concurrently
+    /// across every file open through the mount. Each job drives all its
+    /// servers at once from its own thread (see `io_parallelism`), so a
+    /// few suffice; Figure 3b shows bandwidth saturating well before
+    /// thread counts grow large.
+    pub io_threads: usize,
     /// How many stripes ahead of the read position to prefetch. Bounded
     /// by the read cache; 0 disables prefetching (the "Read (no
     /// prefetching)" series of Figure 3b).
@@ -61,12 +61,11 @@ pub struct MemFsConfig {
     /// over the reactors when larger. Capped at the server count.
     /// In-process mounts ignore it.
     pub reactor_threads: usize,
-    /// How many per-server batches a fan-out keeps on the wire at once
-    /// (paper §3.2.2: symmetrical striping drives all N servers at once).
-    /// Evented transports treat this as an in-flight submit budget on the
-    /// calling thread; blocking transports as a dispatcher worker count.
-    /// `0` means auto — full fan-out, every server busy concurrently;
-    /// `1` forces sequential per-server dispatch (a bench baseline).
+    /// How many per-server batches one batched call keeps on the wire at
+    /// once (paper §3.2.2: symmetrical striping drives all N servers at
+    /// once): the in-flight budget of the pool's submit window, spent on
+    /// the calling thread. `0` means auto — full fan-out, every server
+    /// busy concurrently; `1` dispatches the servers one after another.
     pub io_parallelism: usize,
     /// Key distribution scheme.
     pub distributor: DistributorKind,
@@ -110,8 +109,7 @@ impl Default for MemFsConfig {
             stripe_size: 512 << 10,
             write_buffer_size: 8 << 20,
             read_cache_size: 8 << 20,
-            writer_threads: 2,
-            prefetch_threads: 4,
+            io_threads: 4,
             prefetch_window: 8,
             write_batch_stripes: 8,
             pool_connections: 4,
@@ -129,7 +127,7 @@ impl Default for MemFsConfig {
 }
 
 impl MemFsConfig {
-    /// Validate invariants; called by [`crate::MemFs::new`].
+    /// Validate invariants; every [`crate::MemFs`] constructor calls it.
     pub fn validate(&self) -> Result<(), String> {
         if self.stripe_size == 0 {
             return Err("stripe_size must be positive".into());
@@ -146,11 +144,8 @@ impl MemFsConfig {
                 self.read_cache_size, self.stripe_size
             ));
         }
-        if self.writer_threads == 0 {
-            return Err("writer_threads must be at least 1".into());
-        }
-        if self.prefetch_window > 0 && self.prefetch_threads == 0 {
-            return Err("prefetch_threads must be at least 1 when prefetching".into());
+        if self.io_threads == 0 {
+            return Err("io_threads must be at least 1".into());
         }
         if let DistributorKind::Ketama { points_per_server } = self.distributor {
             if points_per_server == 0 {
@@ -177,27 +172,10 @@ impl MemFsConfig {
         (self.write_buffer_size / self.stripe_size).max(1)
     }
 
-    /// Workers in the mount's shared I/O engine when it serves
-    /// `n_servers` backends: enough for one full per-server fan-out plus
-    /// the background drain/prefetch jobs that issue those fan-outs.
-    /// Bounded by the config, not by how many files are open.
-    pub fn engine_threads(&self, n_servers: usize) -> usize {
-        let fanout_width = if self.io_parallelism == 1 || n_servers <= 1 {
-            0
-        } else if self.io_parallelism == 0 {
-            n_servers
-        } else {
-            self.io_parallelism
-        };
-        let background_width = self
-            .writer_threads
-            .max(if self.prefetch_window > 0 {
-                self.prefetch_threads
-            } else {
-                0
-            })
-            .max(1);
-        fanout_width + background_width
+    /// Workers in the mount's I/O engine. Set by the config alone — not
+    /// by the server count, the client kind or how many files are open.
+    pub fn engine_threads(&self) -> usize {
+        self.io_threads
     }
 
     /// Max stripes the read cache may hold.
@@ -211,10 +189,9 @@ impl MemFsConfig {
         self
     }
 
-    /// Builder-style setter for thread counts (writers and prefetchers).
-    pub fn with_threads(mut self, writers: usize, prefetchers: usize) -> Self {
-        self.writer_threads = writers;
-        self.prefetch_threads = prefetchers;
+    /// Builder-style setter for the I/O engine's worker count.
+    pub fn with_io_threads(mut self, threads: usize) -> Self {
+        self.io_threads = threads;
         self
     }
 
@@ -248,8 +225,8 @@ impl MemFsConfig {
         self
     }
 
-    /// Builder-style setter for the fan-out width (`0` = full fan-out,
-    /// `1` = sequential dispatch).
+    /// Builder-style setter for the in-flight batch budget (`0` = full
+    /// fan-out, `1` = one server at a time).
     pub fn with_io_parallelism(mut self, width: usize) -> Self {
         self.io_parallelism = width;
         self
@@ -307,7 +284,8 @@ mod tests {
         assert_eq!(c.write_batch_stripes, 8);
         assert_eq!(c.pool_connections, 4);
         assert_eq!(c.reactor_threads, 1, "one shared reactor per mount");
-        assert_eq!(c.io_parallelism, 0, "auto: one dispatcher per server");
+        assert_eq!(c.io_parallelism, 0, "auto: every server in flight");
+        assert_eq!(c.io_threads, 4);
         assert_eq!(c.repair_interval_ms, 0, "repair daemon opt-in");
         assert_eq!(c.repair_bandwidth, 0, "repair bandwidth unlimited");
         assert_eq!(c.migrate_bandwidth, 0, "migration bandwidth unlimited");
@@ -332,21 +310,14 @@ mod tests {
     }
 
     #[test]
-    fn engine_threads_covers_fanout_plus_background() {
-        let c = MemFsConfig::default(); // writers 2, prefetchers 4, auto fan-out
-        assert_eq!(c.engine_threads(4), 4 + 4);
-        assert_eq!(c.engine_threads(1), 4, "single server: no fan-out slots");
-        let seq = MemFsConfig::default().with_io_parallelism(1);
-        assert_eq!(
-            seq.engine_threads(8),
-            4,
-            "sequential dispatch: background only"
-        );
-        let fixed = MemFsConfig::default().with_io_parallelism(3);
-        assert_eq!(fixed.engine_threads(8), 3 + 4);
-        let mut nopf = MemFsConfig::default().without_prefetch();
-        nopf.prefetch_threads = 0;
-        assert_eq!(nopf.engine_threads(2), 2 + 2, "writers only in background");
+    fn engine_threads_is_io_threads_whatever_the_budget() {
+        assert_eq!(MemFsConfig::default().engine_threads(), 4);
+        for budget in [0, 1, 3] {
+            let c = MemFsConfig::default()
+                .with_io_threads(6)
+                .with_io_parallelism(budget);
+            assert_eq!(c.engine_threads(), 6, "background jobs only");
+        }
     }
 
     #[test]
@@ -372,7 +343,7 @@ mod tests {
             ..MemFsConfig::default()
         };
         assert!(c.validate().is_err());
-        let c = MemFsConfig::default().with_threads(0, 4);
+        let c = MemFsConfig::default().with_io_threads(0);
         assert!(c.validate().is_err());
         let c = MemFsConfig {
             distributor: DistributorKind::Ketama {
@@ -387,12 +358,5 @@ mod tests {
         assert!(c.validate().is_err());
         let c = MemFsConfig::default().with_reactor_threads(0);
         assert!(c.validate().is_err());
-    }
-
-    #[test]
-    fn no_prefetch_mode_allows_zero_prefetch_threads() {
-        let mut c = MemFsConfig::default().without_prefetch();
-        c.prefetch_threads = 0;
-        assert!(c.validate().is_ok());
     }
 }

@@ -39,6 +39,10 @@ pub enum MemFsError {
     /// Path contains bytes the key-value layer cannot carry (whitespace or
     /// control characters) or is not absolute.
     InvalidPath(String),
+    /// The mount configuration is invalid: a [`crate::MemFsConfig`] that
+    /// fails its own validation, an empty server list, or a replication
+    /// factor above the server count.
+    InvalidConfig(String),
     /// Handle already closed.
     Closed,
     /// The storage layer failed (out of memory, value limits, transport).
@@ -89,6 +93,7 @@ impl fmt::Display for MemFsError {
             MemFsError::DirectoryNotEmpty(p) => write!(f, "{p}: directory not empty"),
             MemFsError::ParentNotFound(p) => write!(f, "{p}: parent directory missing"),
             MemFsError::InvalidPath(p) => write!(f, "{p}: invalid path"),
+            MemFsError::InvalidConfig(msg) => write!(f, "invalid config: {msg}"),
             MemFsError::Closed => write!(f, "handle already closed"),
             MemFsError::Storage(e) => write!(f, "storage error: {e}"),
             MemFsError::CorruptMetadata(msg) => write!(f, "corrupt metadata: {msg}"),

@@ -2,10 +2,13 @@
 //! role of paper §3.1.3), with write-once / read-many semantics (§3.2.3).
 //!
 //! Each [`MemFs`] value corresponds to one mountpoint: it owns a single
-//! shared [`IoEngine`] — one dispatcher whose workers serve the
-//! per-server fan-out, the write drains, and the prefetchers of *every*
-//! file opened through the mount, so the thread count is bounded by the
-//! config rather than by how many files are open.
+//! [`IoEngine`] whose workers run the background jobs — write drains,
+//! prefetch windows, unlink waves — of *every* file opened through the
+//! mount, so the thread count is set by the config
+//! ([`MemFsConfig::io_threads`]) rather than by how many files are open
+//! or how many servers there are. Driving all the servers at once is not
+//! the engine's job: each batched pool call does that from the thread
+//! that makes it (see [`ServerPool`]).
 //! Creating several `MemFs` values over the same server list
 //! reproduces the paper's multi-mountpoint deployment (the fix for the
 //! FUSE NUMA-spinlock bottleneck of Figure 10) — placement is a pure
@@ -99,6 +102,24 @@ fn stripe_key_bytes(path: &str, stripe: u64) -> Bytes {
     Bytes::from(KeySchema::stripe_key(path, stripe))
 }
 
+/// One validation for every way to mount: the config's own invariants
+/// plus the two that depend on the server count.
+fn check_config(config: &MemFsConfig, n_servers: usize) -> MemFsResult<()> {
+    config.validate().map_err(MemFsError::InvalidConfig)?;
+    if n_servers == 0 {
+        return Err(MemFsError::InvalidConfig(
+            "a mount needs at least one server".into(),
+        ));
+    }
+    if config.replication > n_servers {
+        return Err(MemFsError::InvalidConfig(format!(
+            "replication factor {} exceeds the {n_servers} servers",
+            config.replication
+        )));
+    }
+    Ok(())
+}
+
 /// A MemFS mountpoint. Cheap to clone (all clones share the I/O engine).
 #[derive(Clone)]
 pub struct MemFs {
@@ -110,39 +131,28 @@ impl MemFs {
     ///
     /// The first mount initializes the root directory; mounting an
     /// already-populated pool attaches to the existing namespace.
+    /// A config that fails [`MemFsConfig::validate`], an empty server
+    /// list, or a replication factor above the server count is
+    /// [`MemFsError::InvalidConfig`].
     pub fn new(servers: Vec<Arc<dyn KvClient>>, config: MemFsConfig) -> MemFsResult<MemFs> {
+        check_config(&config, servers.len())?;
         Self::build(servers, config, None)
     }
 
+    /// Pool + mount over servers whose count `config` was already checked
+    /// against.
     fn build(
         servers: Vec<Arc<dyn KvClient>>,
         config: MemFsConfig,
         net: Option<NetContext>,
     ) -> MemFsResult<MemFs> {
-        if let Err(msg) = config.validate() {
-            return Err(MemFsError::InvalidPath(format!("config: {msg}")));
-        }
-        // One engine for the whole mount: its workers run the drain and
-        // prefetch jobs, plus the per-server fan-out batches when the
-        // clients are blocking (nested submission is deadlock-free —
-        // waiters help, see [`IoEngine`]). Evented clients fan out on the
-        // caller's thread under the `io_parallelism` budget instead, so
-        // the engine is sized for background jobs only.
-        let n = servers.len();
-        let evented = n > 1 && servers.iter().all(|c| c.supports_submit());
-        let engine = Arc::new(IoEngine::new(
-            config.engine_threads(if evented { 1 } else { n }),
-            "memfs-io",
-        ));
-        let fanout = !evented && config.io_parallelism != 1 && n > 1;
-        let pool = Arc::new(ServerPool::with_engine(
+        let pool = Arc::new(ServerPool::with_options(
             servers,
             config.distributor,
             config.replication,
-            fanout.then(|| Arc::clone(&engine)),
             config.io_parallelism,
         ));
-        Self::mount(pool, config, engine, net)
+        Self::mount(pool, config, net)
     }
 
     /// Mount over TCP storage servers: connects one
@@ -156,10 +166,8 @@ impl MemFs {
         addrs: &[impl std::net::ToSocketAddrs],
         config: MemFsConfig,
     ) -> MemFsResult<MemFs> {
-        if let Err(msg) = config.validate() {
-            return Err(MemFsError::InvalidPath(format!("config: {msg}")));
-        }
-        let n_reactors = config.reactor_threads.min(addrs.len().max(1));
+        check_config(&config, addrs.len())?;
+        let n_reactors = config.reactor_threads.min(addrs.len());
         let reactors = memfs_memkv::ReactorSet::new(n_reactors).map_err(MemFsError::Storage)?;
         let pool_config = memfs_memkv::PoolConfig {
             connections: config.pool_connections,
@@ -188,20 +196,12 @@ impl MemFs {
     }
 
     /// Mount over an existing [`ServerPool`] (lets several mounts share
-    /// routing state, and lets tests inject custom pools). The mount's
-    /// background jobs run on the pool's dispatcher when it has one, so
-    /// pool-sharing mounts also share one engine.
+    /// routing state, and lets tests inject custom pools). Placement,
+    /// replication and the in-flight budget are the pool's; the mount
+    /// brings its own engine for its background jobs.
     pub fn with_pool(pool: Arc<ServerPool>, config: MemFsConfig) -> MemFsResult<MemFs> {
-        if let Err(msg) = config.validate() {
-            return Err(MemFsError::InvalidPath(format!("config: {msg}")));
-        }
-        let engine = match pool.engine() {
-            Some(e) => Arc::clone(e),
-            // Sequential pool: background jobs still need somewhere to
-            // run; size for them alone (no fan-out slots).
-            None => Arc::new(IoEngine::new(config.engine_threads(1), "memfs-io")),
-        };
-        Self::mount(pool, config, engine, None)
+        config.validate().map_err(MemFsError::InvalidConfig)?;
+        Self::mount(pool, config, None)
     }
 
     fn repair_config(config: &MemFsConfig) -> RepairConfig {
@@ -216,9 +216,9 @@ impl MemFs {
     fn mount(
         pool: Arc<ServerPool>,
         config: MemFsConfig,
-        engine: Arc<IoEngine>,
         net: Option<NetContext>,
     ) -> MemFsResult<MemFs> {
+        let engine = Arc::new(IoEngine::new(config.engine_threads(), "memfs-io"));
         let repair = (config.repair_interval_ms > 0).then(|| {
             RepairDaemon::spawn(
                 Arc::clone(&pool),
@@ -332,8 +332,8 @@ impl MemFs {
         &self.inner.pool
     }
 
-    /// The mount's shared I/O engine — the one dispatcher every open
-    /// file's drain, prefetch, and fan-out work runs on.
+    /// The mount's I/O engine — the one worker set every open file's
+    /// drain, prefetch and unlink jobs run on.
     pub fn engine(&self) -> &Arc<IoEngine> {
         &self.inner.engine
     }
@@ -558,8 +558,8 @@ impl MemFs {
     /// additionally reclaim the stripes so runtime memory is reusable).
     ///
     /// Stripes are freed through batched [`ServerPool::delete_many`]
-    /// rounds — one pipelined multi-delete per server, fanned out on the
-    /// mount's shared engine — instead of one round trip per stripe.
+    /// rounds — one pipelined multi-delete per server, all servers at
+    /// once — instead of one round trip per stripe.
     ///
     /// A file whose size record is still open (its writer crashed or the
     /// handle leaked before `close`) is unlinked too: the stripes it
@@ -954,8 +954,7 @@ mod tests {
                 stripe_size: 128,
                 write_buffer_size: 1024,
                 read_cache_size: 1024,
-                writer_threads: 2,
-                prefetch_threads: 2,
+                io_threads: 2,
                 prefetch_window: 4,
                 ..MemFsConfig::default()
             },
@@ -1184,64 +1183,60 @@ mod tests {
     }
 
     #[test]
-    fn mount_shares_one_engine_with_its_pool() {
-        // Blocking (non-submit-capable) clients: the pool fans out on the
-        // mount's engine, and both must share one dispatcher.
-        struct Opaque(LocalClient);
-        impl KvClient for Opaque {
-            fn set(&self, key: &[u8], value: Bytes) -> memfs_memkv::error::KvResult<()> {
-                self.0.set(key, value)
-            }
-            fn add(&self, key: &[u8], value: Bytes) -> memfs_memkv::error::KvResult<()> {
-                self.0.add(key, value)
-            }
-            fn get(&self, key: &[u8]) -> memfs_memkv::error::KvResult<Bytes> {
-                self.0.get(key)
-            }
-            fn append(&self, key: &[u8], suffix: &[u8]) -> memfs_memkv::error::KvResult<()> {
-                self.0.append(key, suffix)
-            }
-            fn delete(&self, key: &[u8]) -> memfs_memkv::error::KvResult<()> {
-                self.0.delete(key)
-            }
-            // supports_submit stays at the default `false`.
+    fn engine_is_sized_by_the_config_alone() {
+        // Background jobs only: the worker count is `engine_threads()`
+        // whatever the server count or the in-flight budget. (The
+        // eager-`start_*` client kind is covered in tests/fanout.rs.)
+        let fs = mount(4);
+        assert_eq!(fs.engine().size(), fs.config().engine_threads());
+        assert_eq!(fs.engine().size(), 2);
+        for (n_servers, io_parallelism) in [(1, 0), (2, 1), (8, 3)] {
+            let fs = mount_with(
+                n_servers,
+                MemFsConfig {
+                    io_parallelism,
+                    ..MemFsConfig::default()
+                },
+            );
+            assert_eq!(fs.engine().size(), fs.config().engine_threads());
+            assert_eq!(fs.engine().size(), 4);
         }
-        let servers: Vec<Arc<dyn KvClient>> = (0..4)
-            .map(|_| {
-                Arc::new(Opaque(LocalClient::new(Arc::new(Store::new(
-                    StoreConfig::default(),
-                ))))) as Arc<dyn KvClient>
-            })
-            .collect();
-        let fs = MemFs::new(servers, MemFsConfig::default()).unwrap();
-        let pool_engine = fs.pool().engine().expect("fan-out pool has an engine");
-        assert!(
-            Arc::ptr_eq(pool_engine, fs.engine()),
-            "pool dispatch and mount background jobs must share one engine"
-        );
+    }
 
-        // Submit-capable clients fan out on the caller's thread under the
-        // io_parallelism budget: the pool needs no engine at all and the
-        // mount's engine is sized for background jobs only.
-        let evented = mount(4);
-        assert!(evented.pool().engine().is_none());
-        assert_eq!(
-            evented.engine().size(),
-            evented.config().engine_threads(1),
-            "evented mount engine sized for background jobs only"
-        );
-
-        // Sequential mounts skip pool fan-out but still run background
-        // drains and prefetches on a mount-owned engine.
-        let seq = mount_with(
-            2,
-            MemFsConfig {
-                io_parallelism: 1,
-                ..MemFsConfig::default()
-            },
-        );
-        assert!(seq.pool().engine().is_none());
-        assert!(seq.engine().size() >= 1);
+    #[test]
+    fn bad_config_and_bad_topology_are_errors_not_panics() {
+        let servers = |n: usize| -> Vec<Arc<dyn KvClient>> {
+            (0..n)
+                .map(|_| {
+                    Arc::new(LocalClient::new(Arc::new(Store::new(
+                        StoreConfig::default(),
+                    )))) as Arc<dyn KvClient>
+                })
+                .collect()
+        };
+        let rejected = |n: usize, config: MemFsConfig| {
+            matches!(
+                MemFs::new(servers(n), config),
+                Err(MemFsError::InvalidConfig(_))
+            )
+        };
+        // A config that fails its own validation...
+        assert!(rejected(2, MemFsConfig::default().with_stripe_size(0)));
+        // ...and the two cases that depend on the server list, which used
+        // to hit the pool constructor's `assert!`s.
+        assert!(rejected(0, MemFsConfig::default()));
+        assert!(rejected(2, MemFsConfig::default().with_replication(3)));
+        assert!(!rejected(3, MemFsConfig::default().with_replication(3)));
+        // The TCP constructor shares the check, before it dials anything.
+        let none: [&str; 0] = [];
+        assert!(matches!(
+            MemFs::connect(&none, MemFsConfig::default()),
+            Err(MemFsError::InvalidConfig(_))
+        ));
+        assert!(matches!(
+            MemFs::connect(&["127.0.0.1:1"], MemFsConfig::default().with_io_threads(0)),
+            Err(MemFsError::InvalidConfig(_))
+        ));
     }
 
     #[test]

@@ -18,10 +18,11 @@
 //!   storage server via [`memfs_hashring`];
 //! * [`layout::StripeLayout`] — the striping mechanism (default 512 KiB
 //!   stripes, the paper's measured optimum);
-//! * [`threadpool::IoEngine`] — one dispatcher per mount shared by the
-//!   per-server fan-out, every file's write drain, and every file's
-//!   prefetcher, so thread count is bounded by the config rather than by
-//!   the number of open files;
+//! * [`threadpool::IoEngine`] — one worker pool per mount for background
+//!   jobs: every file's write drains, prefetch windows and unlink rounds,
+//!   so thread count is bounded by the config rather than by the number
+//!   of open files (driving all servers at once is the pool's submit
+//!   window, on the calling thread);
 //! * [`bufwrite`] — the write-buffering protocol: an 8 MiB per-file buffer
 //!   drained asynchronously through the shared engine; `close()`/`flush()`
 //!   block until it is empty;

@@ -5,11 +5,14 @@
 //! same server list and distributor agree on placement — that is what lets
 //! any compute node read any file without coordination.
 //!
-//! Batched operations fan their per-server batches out **concurrently**
-//! through a dispatcher thread pool (paper §3.2.2: symmetrical striping
-//! means every file operation should drive all N servers at once, using
-//! the full bisection bandwidth). A `get_many` window therefore costs
-//! `max(server RTT)`, not `sum(server RTTs)`.
+//! Batched operations have one dispatch path, the **submit window**
+//! (`ServerPool::drive`): the caller's thread submits each server's batch
+//! through the client's non-blocking `start_*` half, keeps up to
+//! `io_parallelism` of them on the wire, and settles completions in
+//! arrival order (paper §3.2.2: symmetrical striping means every file
+//! operation should drive all N servers at once, using the full bisection
+//! bandwidth). A `get_many` window therefore costs `max(server RTT)`, not
+//! `sum(server RTTs)`, and occupies no thread but the caller's.
 //!
 //! ## Elastic membership
 //!
@@ -40,23 +43,19 @@ use memfs_memkv::{Deferred, KvClient, KvError, ReactorStatsSnapshot, ServerHealt
 
 use crate::config::DistributorKind;
 use crate::error::{MemFsError, MemFsResult};
-use crate::threadpool::IoEngine;
 
-/// One server's share of a keyed batch: the original key indices paired
-/// with the keys themselves, kept together through the submit window so
-/// completions can write results back in input order.
-type KeyedBatch = (Vec<usize>, Vec<Bytes>);
-
-/// One server's share of a keyed `set_many`: original item indices paired
-/// with the (key, value) entries themselves.
-type KeyedItems = (Vec<usize>, Vec<(Bytes, Bytes)>);
+/// One server's share of a batched call: the original input indices paired
+/// with the entries themselves (keys, or key/value items), kept together
+/// through the submit window so completions can write results back in
+/// input order.
+type ServerBatch<K> = (Vec<usize>, Vec<K>);
 
 /// Per-server I/O counters, updated by every batched dispatch.
 ///
 /// `in_flight` is a live gauge (batches currently on the wire to that
 /// server); `max_in_flight` is its high-water mark. With symmetrical
-/// striping working as the paper claims, a fan-out over N servers should
-/// drive `max_in_flight` to 1 on *every* server at once rather than
+/// striping working as the paper claims, a batched call over N servers
+/// should drive `max_in_flight` to 1 on *every* server at once rather than
 /// serially — that is what makes the symmetry observable.
 #[derive(Debug, Default)]
 struct ServerIo {
@@ -240,8 +239,6 @@ pub(crate) struct RingState {
     pub(crate) members: Vec<usize>,
     /// The ring the current membership routes by.
     pub(crate) current: Arc<dyn Distributor>,
-    /// Every routable client has a split submit/completion path.
-    pub(crate) submit_capable: bool,
     pub(crate) transition: Option<TransitionState>,
     /// Bumped on every membership snapshot swap.
     pub(crate) version: u64,
@@ -385,9 +382,7 @@ impl KvClient for RetiredClient {
     }
 }
 
-/// The shareable routing state: everything a dispatcher job needs, behind
-/// one `Arc` so per-server closures are `'static` without cloning clients
-/// or the ring.
+/// The pool's routing state and bookkeeping.
 struct PoolCore {
     /// The live routing snapshot; swapped whole on membership changes.
     ring: RwLock<Arc<RingState>>,
@@ -423,29 +418,41 @@ impl PoolCore {
         (gate, state)
     }
 
-    fn get(&self, state: &RingState, key: &[u8]) -> MemFsResult<Bytes> {
+    /// The one replica walk behind every routed read: try `key`'s homes
+    /// primary first. `NotFound` is final from an authoritative home but
+    /// not from a target-only home of a migrating range, where absence
+    /// only means the background copy has not landed yet.
+    ///
+    /// The per-key fallback of a failed batch passes the server that
+    /// failed as `skip` and its error as `last_err`: retrying that server
+    /// per key would multiply its failure latency by the batch size (fatal
+    /// when the failure is a response timeout), and without a surviving
+    /// replica the batch's own error is what surfaces.
+    fn get(
+        &self,
+        state: &RingState,
+        key: &[u8],
+        skip: Option<usize>,
+        mut last_err: Option<KvError>,
+    ) -> MemFsResult<Bytes> {
         let (homes, auth) = state.route_with_auth(key, self.replication);
-        let mut last_err: Option<KvError> = None;
         for (i, id) in homes.iter().enumerate() {
+            if Some(id.0) == skip {
+                continue;
+            }
             match state.client(*id).get(key) {
                 Ok(v) => return Ok(v),
-                Err(e @ KvError::NotFound) => {
-                    if i < auth {
-                        return Err(e.into());
-                    }
-                    // A target-only home during migration: absence only
-                    // means the background copy has not landed yet.
-                }
+                Err(e @ KvError::NotFound) if i < auth => return Err(e.into()),
+                Err(KvError::NotFound) => {}
                 Err(e) => last_err = Some(e),
             }
         }
         match last_err {
-            Some(err) => self.get_failover(state, key, None, err),
-            // Every authoritative home erred... no — every home returned
-            // NotFound and none was authoritative is impossible (auth >=
-            // 1); reaching here without a transport error means the
-            // non-authoritative tail missed after authoritative transport
-            // errors were absent. Surface the miss.
+            Some(err) => self.get_failover(state, key, skip, err),
+            // Every authoritative home that was tried either returned
+            // above or left its error in `last_err`, and `auth >= 1`
+            // whenever `homes` is non-empty: unreachable unless `homes`
+            // is empty.
             None => Err(KvError::NotFound.into()),
         }
     }
@@ -475,56 +482,8 @@ impl PoolCore {
         Err(err.into())
     }
 
-    /// Replica-chain fallback for one key after server `failed` erred with
-    /// `err`. The failed server is **skipped** — retrying it per key would
-    /// multiply its failure latency by the batch size (fatal when the
-    /// failure is a response timeout). Without surviving replicas the
-    /// original error is surfaced.
-    fn get_fallback(
-        &self,
-        state: &RingState,
-        key: &[u8],
-        failed: usize,
-        err: &KvError,
-    ) -> MemFsResult<Bytes> {
-        let (homes, auth) = state.route_with_auth(key, self.replication);
-        let mut last_err: Option<KvError> = None;
-        for (i, id) in homes.iter().enumerate() {
-            if id.0 == failed {
-                continue;
-            }
-            match state.client(*id).get(key) {
-                Ok(v) => return Ok(v),
-                Err(e @ KvError::NotFound) => {
-                    if i < auth {
-                        return Err(e.into());
-                    }
-                }
-                Err(e) => last_err = Some(e),
-            }
-        }
-        let err = last_err.unwrap_or_else(|| err.duplicate());
-        self.get_failover(state, key, Some(failed), err)
-    }
-
-    /// One server's share of a `get_many`: a single batched multi-get,
-    /// with per-key replica-chain fallback on transport failure. Runs on
-    /// dispatcher workers; must never re-enter a pool-level batch op.
-    fn fetch_group(
-        &self,
-        state: &RingState,
-        server: usize,
-        batch: &[Bytes],
-    ) -> Vec<MemFsResult<Bytes>> {
-        let io = self.stats.io(server);
-        let _in_flight = io.track(batch.len());
-        let result = state.clients[server].get_many(batch);
-        self.finish_fetch(state, server, batch, result)
-    }
-
-    /// Resolve one server's multi-get replies against the replica chain —
-    /// the completion half shared by the engine path ([`fetch_group`]
-    /// above) and the evented submit-window path.
+    /// Resolve one server's multi-get replies against the replica chain:
+    /// the completion half of a `get_many` batch.
     fn finish_fetch(
         &self,
         state: &RingState,
@@ -543,7 +502,7 @@ impl PoolCore {
                     // Per-key transport/server error: replica chain.
                     Err(e) => {
                         io.bump_fallback();
-                        self.get_fallback(state, key, server, &e)
+                        self.get(state, key, Some(server), Some(e))
                     }
                 })
                 .collect(),
@@ -554,36 +513,10 @@ impl PoolCore {
                 .iter()
                 .map(|key| {
                     io.bump_fallback();
-                    self.get_fallback(state, key, server, &e)
+                    self.get(state, key, Some(server), Some(e.duplicate()))
                 })
                 .collect(),
         }
-    }
-
-    /// One server's share of a `set_many`: a single pipelined batch,
-    /// mapped to per-key outcomes (`None` stored, `Some` failed) so the
-    /// cross-replica aggregate can tell degraded from lost writes.
-    fn store_group(
-        &self,
-        state: &RingState,
-        server: usize,
-        batch: &[(Bytes, Bytes)],
-    ) -> Vec<Option<MemFsError>> {
-        let io = self.stats.io(server);
-        let _in_flight = io.track(batch.len());
-        let result = state.clients[server].set_many(batch);
-        finish_store(batch.len(), result)
-    }
-
-    /// One server's share of a `delete_many`: a single pipelined batch of
-    /// deletes. (The transport already replays idempotent batches once on
-    /// a dropped connection; a batch that still fails maps its error onto
-    /// every key so the cross-replica aggregate can absorb it.)
-    fn erase_group(&self, state: &RingState, server: usize, batch: &[Bytes]) -> Vec<Erase> {
-        let io = self.stats.io(server);
-        let _in_flight = io.track(batch.len());
-        let result = state.clients[server].delete_many(batch);
-        finish_erase(batch.len(), result)
     }
 }
 
@@ -701,7 +634,7 @@ impl StoreAgg {
 }
 
 /// A hash-routed pool of storage servers with optional n-way replication
-/// and a concurrent per-server dispatcher for batched operations.
+/// and a submit window that keeps every server's batch in flight at once.
 ///
 /// Replication is the fault-tolerance mechanism the paper sketches but
 /// defers ("assuming the replication factor is n, then the total storage
@@ -724,22 +657,14 @@ impl StoreAgg {
 /// `replication = 1`.
 pub struct ServerPool {
     core: Arc<PoolCore>,
-    /// Per-server fan-out engine; `None` means sequential dispatch
-    /// (`io_parallelism` resolved to 1, or a single server). Usually the
-    /// mount's shared [`IoEngine`] (see [`ServerPool::with_engine`]), so
-    /// fan-out, prefetch, and drains all ride one bounded worker set.
-    /// Unused for batched fan-out when every client has an evented submit
-    /// path (see [`RingState::submit_capable`]).
-    engine: Option<Arc<IoEngine>>,
-    /// In-flight batch budget for the submit-window path, resolved from
-    /// `io_parallelism` (`0` → unlimited). Fan-out width is governed by
-    /// this budget, not by worker count.
+    /// In-flight batch budget of the submit window, resolved from
+    /// `io_parallelism` (`0` → unlimited).
     budget: usize,
 }
 
 impl ServerPool {
     /// Build a pool over `clients` with the configured distributor, no
-    /// replication, and the default fan-out (one worker per server).
+    /// replication, and the default full fan-out.
     ///
     /// # Panics
     /// Panics on an empty client list.
@@ -761,15 +686,10 @@ impl ServerPool {
         Self::with_options(clients, kind, replication, 0)
     }
 
-    /// Build a pool with every knob explicit. `io_parallelism` caps how
-    /// many per-server batches a fan-out keeps on the wire at once: `0`
-    /// means unlimited (the paper's full-fan-out shape), `1` forces
-    /// sequential per-server dispatch (the PR 1 behaviour, useful as a
-    /// bench baseline).
-    ///
-    /// For evented clients the cap is an in-flight submit budget on the
-    /// caller's thread; for blocking clients it is a dispatcher worker
-    /// count (resolved to one worker per server when `0`).
+    /// Build a pool with every knob explicit. `io_parallelism` is the
+    /// submit window's budget — how many per-server batches a batched call
+    /// keeps on the wire at once: `0` means unlimited (the paper's full
+    /// fan-out shape), `1` dispatches the servers one after another.
     ///
     /// # Panics
     /// Panics on an empty client list or an invalid replication factor.
@@ -777,37 +697,6 @@ impl ServerPool {
         clients: Vec<Arc<dyn KvClient>>,
         kind: DistributorKind,
         replication: usize,
-        io_parallelism: usize,
-    ) -> Self {
-        let workers = if io_parallelism == 0 {
-            clients.len()
-        } else {
-            io_parallelism
-        };
-        // One server (or parallelism forced to 1) has nothing to overlap,
-        // and evented clients overlap without workers: in both cases skip
-        // the worker threads entirely.
-        let submit_capable = clients.iter().all(|c| c.supports_submit());
-        let engine = (!submit_capable && workers > 1 && clients.len() > 1)
-            .then(|| Arc::new(IoEngine::new(workers, "pool-io")));
-        Self::with_engine(clients, kind, replication, engine, io_parallelism)
-    }
-
-    /// Build a pool that dispatches its per-server batches on an existing
-    /// shared [`IoEngine`] instead of spawning its own workers — the
-    /// per-mount shape: one engine serves the pool fan-out *and* every
-    /// open file's prefetch and drain jobs. `None` means sequential
-    /// inline dispatch. `io_parallelism` is the in-flight batch budget
-    /// used instead of the engine when every client is evented (`0` =
-    /// unlimited).
-    ///
-    /// # Panics
-    /// Panics on an empty client list or an invalid replication factor.
-    pub fn with_engine(
-        clients: Vec<Arc<dyn KvClient>>,
-        kind: DistributorKind,
-        replication: usize,
-        engine: Option<Arc<IoEngine>>,
         io_parallelism: usize,
     ) -> Self {
         assert!(!clients.is_empty(), "server pool needs at least one server");
@@ -820,7 +709,6 @@ impl ServerPool {
         let current = ring_for(&kind, &members, clients.len())
             .expect("contiguous initial membership is always supported");
         let stats = PoolStats::new(clients.len());
-        let submit_capable = clients.len() > 1 && clients.iter().all(|c| c.supports_submit());
         let budget = if io_parallelism == 0 {
             usize::MAX
         } else {
@@ -830,7 +718,6 @@ impl ServerPool {
             clients,
             members,
             current,
-            submit_capable,
             transition: None,
             version: 0,
         });
@@ -843,16 +730,7 @@ impl ServerPool {
             gate: GenGate::default(),
             migration: Mutex::new(()),
         });
-        ServerPool {
-            core,
-            engine,
-            budget,
-        }
-    }
-
-    /// The engine this pool dispatches on, if fan-out is enabled.
-    pub fn engine(&self) -> Option<&Arc<IoEngine>> {
-        self.engine.as_ref()
+        ServerPool { core, budget }
     }
 
     /// The configured replication factor.
@@ -860,17 +738,11 @@ impl ServerPool {
         self.core.replication
     }
 
-    /// Effective dispatcher width: how many per-server batches can be on
-    /// the wire simultaneously. Evented pools report the in-flight submit
-    /// budget (capped at the member count — there is at most one batch
-    /// per server in a fan-out); engine pools report the worker count.
+    /// How many per-server batches one batched call can have on the wire
+    /// simultaneously: the submit budget, capped at the member count
+    /// (a call carries at most one batch per server).
     pub fn io_parallelism(&self) -> usize {
-        let state = self.core.state();
-        if state.submit_capable && self.budget > 1 {
-            self.budget.min(state.members.len())
-        } else {
-            self.engine.as_ref().map_or(1, |e| e.size())
-        }
+        self.budget.min(self.core.state().members.len())
     }
 
     /// Per-server dispatch counters.
@@ -1035,18 +907,10 @@ impl ServerPool {
         let mut clients = state.clients.clone();
         clients.extend(new_clients);
         self.core.stats.grow_to(clients.len());
-        // During the transition writes dual-route to members ∪ joining:
-        // the submit window is only usable if all of them support it.
-        let submit_capable = target_members.len() > 1
-            && target_members
-                .iter()
-                .chain(state.members.iter())
-                .all(|&m| clients[m].supports_submit());
         *ring = Arc::new(RingState {
             clients,
             members: state.members.clone(),
             current: Arc::clone(&state.current),
-            submit_capable,
             transition: Some(TransitionState {
                 target_members,
                 target,
@@ -1094,7 +958,6 @@ impl ServerPool {
             clients: state.clients.clone(),
             members: state.members.clone(),
             current: Arc::clone(&state.current),
-            submit_capable: state.submit_capable,
             transition: Some(TransitionState {
                 target_members,
                 target,
@@ -1140,13 +1003,10 @@ impl ServerPool {
             clients[l] = Arc::new(RetiredClient) as Arc<dyn KvClient>;
         }
         let members = t.target_members.clone();
-        let submit_capable =
-            members.len() > 1 && members.iter().all(|&m| clients[m].supports_submit());
         *ring = Arc::new(RingState {
             clients,
             members,
             current: Arc::clone(&t.target),
-            submit_capable,
             transition: None,
             version: state.version + 1,
         });
@@ -1234,7 +1094,7 @@ impl ServerPool {
     /// have landed yet).
     pub fn get(&self, key: &[u8]) -> MemFsResult<Bytes> {
         let (_gate, state) = self.core.begin_op();
-        self.core.get(&state, key)
+        self.core.get(&state, key, None, None)
     }
 
     /// Routed `get` that maps a missing key to `None`.
@@ -1247,103 +1107,37 @@ impl ServerPool {
     }
 
     /// Batched routed `get`: keys are grouped by primary server, each
-    /// group travels as **one** [`KvClient::get_many`] call, and the
-    /// groups go out **concurrently** through the dispatcher — a prefetch
-    /// window of `w` stripes over `n` servers costs one parallel round
-    /// trip (`max` of the per-server times), not `n` sequential ones.
-    /// Results come back in input order.
+    /// group travels as **one** multi-get
+    /// ([`KvClient::start_get_many`]), and the groups are on the wire
+    /// **concurrently** in the submit window — a prefetch window of `w`
+    /// stripes over `n` servers costs one parallel round trip (`max` of
+    /// the per-server times), not `n` sequential ones. Results come back
+    /// in input order.
     ///
     /// Fallback mirrors [`ServerPool::get`]: a transport failure (of the
     /// whole batch or a single key) retries that key through the replica
-    /// chain *inside that server's job*, so a dead server degrades only
-    /// its own keys while the healthy servers' batches proceed.
+    /// chain when that server's batch settles, so a dead server degrades
+    /// only its own keys while the healthy servers' batches proceed.
     pub fn get_many(&self, keys: &[Bytes]) -> Vec<MemFsResult<Bytes>> {
         let (_gate, state) = self.core.begin_op();
-        let mut groups: Vec<Vec<usize>> = vec![Vec::new(); state.clients.len()];
+        let mut batches: Vec<ServerBatch<Bytes>> =
+            vec![(Vec::new(), Vec::new()); state.clients.len()];
         for (i, key) in keys.iter().enumerate() {
-            groups[state.primary(key).0].push(i);
+            let (idx, batch) = &mut batches[state.primary(key).0];
+            idx.push(i);
+            batch.push(key.clone());
         }
-        let mut work: Vec<(usize, Vec<usize>)> = groups
-            .into_iter()
-            .enumerate()
-            .filter(|(_, group)| !group.is_empty())
-            .collect();
         let mut out: Vec<Option<MemFsResult<Bytes>>> = (0..keys.len()).map(|_| None).collect();
-        if state.submit_capable && self.budget > 1 && work.len() > 1 {
-            // Evented path: every client supports split submit/completion,
-            // so the window keeps up to `budget` servers busy with zero
-            // engine workers.
-            let work: Vec<(usize, KeyedBatch)> = work
-                .into_iter()
-                .map(|(server, group)| {
-                    let batch: Vec<Bytes> = group.iter().map(|&i| keys[i].clone()).collect();
-                    (server, (group, batch))
-                })
-                .collect();
-            self.drive(
-                work,
-                |(_, batch)| batch.len(),
-                |server, (_, batch)| state.clients[server].start_get_many(batch),
-                |server, (group, batch), result| {
-                    for (&i, r) in group
-                        .iter()
-                        .zip(self.core.finish_fetch(&state, server, &batch, result))
-                    {
-                        out[i] = Some(r);
-                    }
-                },
-            );
-            return out
-                .into_iter()
-                .map(|r| r.expect("every key grouped exactly once"))
-                .collect();
-        }
-        match &self.engine {
-            Some(engine) if work.len() > 1 => {
-                let shared = Arc::new(Mutex::new(out));
-                // The caller's thread is a worker too: it runs the last
-                // group itself instead of idling on the TaskGroup.
-                let (last_server, last_group) = work.pop().expect("len > 1");
-                let tg = engine.group(work.len());
-                for (server, group) in work {
-                    let batch: Vec<Bytes> = group.iter().map(|&i| keys[i].clone()).collect();
-                    let core = Arc::clone(&self.core);
-                    let state = Arc::clone(&state);
-                    let shared = Arc::clone(&shared);
-                    let tg = Arc::clone(&tg);
-                    engine.execute(move || {
-                        let results = core.fetch_group(&state, server, &batch);
-                        let mut out = shared.lock().expect("fan-out results lock");
-                        for (&i, r) in group.iter().zip(results) {
-                            out[i] = Some(r);
-                        }
-                        drop(out);
-                        tg.done();
-                    });
+        self.drive(
+            batches,
+            |server, batch| state.clients[server].start_get_many(batch),
+            |server, idx, batch, result| {
+                let results = self.core.finish_fetch(&state, server, batch, result);
+                for (&i, r) in idx.iter().zip(results) {
+                    out[i] = Some(r);
                 }
-                let batch: Vec<Bytes> = last_group.iter().map(|&i| keys[i].clone()).collect();
-                let results = self.core.fetch_group(&state, last_server, &batch);
-                {
-                    let mut out = shared.lock().expect("fan-out results lock");
-                    for (&i, r) in last_group.iter().zip(results) {
-                        out[i] = Some(r);
-                    }
-                }
-                tg.wait();
-                out = std::mem::take(&mut *shared.lock().expect("fan-out results lock"));
-            }
-            _ => {
-                for (server, group) in work {
-                    let batch: Vec<Bytes> = group.iter().map(|&i| keys[i].clone()).collect();
-                    for (&i, r) in group
-                        .iter()
-                        .zip(self.core.fetch_group(&state, server, &batch))
-                    {
-                        out[i] = Some(r);
-                    }
-                }
-            }
-        }
+            },
+        );
         out.into_iter()
             .map(|r| r.expect("every key grouped exactly once"))
             .collect()
@@ -1363,9 +1157,10 @@ impl ServerPool {
 
     /// Batched routed `set` with per-key outcomes: items are grouped per
     /// replica-holding server and each group travels as one pipelined
-    /// [`KvClient::set_many`] call, all groups dispatched **concurrently**
-    /// (replica batches to different servers overlap too). Every batch is
-    /// always attempted; results come back in input order.
+    /// [`KvClient::start_set_many`] batch, all groups in the submit window
+    /// **concurrently** (replica batches to different servers overlap
+    /// too). Every batch is always attempted; results come back in input
+    /// order.
     ///
     /// Per-key semantics mirror [`ServerPool::delete_many`]'s aggregate:
     /// a key every replica accepted is [`WriteOutcome::Full`]; a key some
@@ -1377,82 +1172,24 @@ impl ServerPool {
         // With replication, each item lands on `r` ring-successor servers
         // — build one batch per *target* server across all replicas; each
         // entry remembers which input item it resolves.
-        let mut batches: Vec<KeyedItems> = vec![(Vec::new(), Vec::new()); state.clients.len()];
+        let mut batches: Vec<ServerBatch<(Bytes, Bytes)>> =
+            vec![(Vec::new(), Vec::new()); state.clients.len()];
         for (i, (key, value)) in items.iter().enumerate() {
             for id in state.route(key, self.core.replication) {
                 batches[id.0].0.push(i);
                 batches[id.0].1.push((key.clone(), value.clone()));
             }
         }
-        let mut work: Vec<(usize, KeyedItems)> = batches
-            .into_iter()
-            .enumerate()
-            .filter(|(_, (idx, _))| !idx.is_empty())
-            .collect();
         let mut agg: Vec<StoreAgg> = (0..items.len()).map(|_| StoreAgg::default()).collect();
-        if state.submit_capable && self.budget > 1 && work.len() > 1 {
-            self.drive(
-                work,
-                |(_, batch): &KeyedItems| batch.len(),
-                |server, (_, batch)| state.clients[server].start_set_many(batch),
-                |server, (idx, batch), result| {
-                    for (&i, o) in idx.iter().zip(finish_store(batch.len(), result)) {
-                        agg[i].merge(server, o);
-                    }
-                },
-            );
-            return self.settle_writes(items, agg);
-        }
-        match &self.engine {
-            Some(engine) if work.len() > 1 => {
-                let shared = Arc::new(Mutex::new(agg));
-                let (last_server, (last_idx, last_batch)) = work.pop().expect("len > 1");
-                let tg = engine.group(work.len());
-                for (server, (idx, batch)) in work {
-                    let core = Arc::clone(&self.core);
-                    let state = Arc::clone(&state);
-                    let shared = Arc::clone(&shared);
-                    let tg = Arc::clone(&tg);
-                    engine.execute(move || {
-                        let outcomes = core.store_group(&state, server, &batch);
-                        let mut agg = shared.lock().expect("fan-out store lock");
-                        for (&i, o) in idx.iter().zip(outcomes) {
-                            agg[i].merge(server, o);
-                        }
-                        drop(agg);
-                        tg.done();
-                    });
+        self.drive(
+            batches,
+            |server, batch| state.clients[server].start_set_many(batch),
+            |server, idx, batch, result| {
+                for (&i, o) in idx.iter().zip(finish_store(batch.len(), result)) {
+                    agg[i].merge(server, o);
                 }
-                let outcomes = self.core.store_group(&state, last_server, &last_batch);
-                {
-                    let mut agg = shared.lock().expect("fan-out store lock");
-                    for (&i, o) in last_idx.iter().zip(outcomes) {
-                        agg[i].merge(last_server, o);
-                    }
-                }
-                tg.wait();
-                agg = std::mem::take(&mut *shared.lock().expect("fan-out store lock"));
-            }
-            _ => {
-                for (server, (idx, batch)) in work {
-                    for (&i, o) in idx
-                        .iter()
-                        .zip(self.core.store_group(&state, server, &batch))
-                    {
-                        agg[i].merge(server, o);
-                    }
-                }
-            }
-        }
-        self.settle_writes(items, agg)
-    }
-
-    /// Resolve every [`StoreAgg`] of a `set_many` against its input key.
-    fn settle_writes(
-        &self,
-        items: &[(Bytes, Bytes)],
-        agg: Vec<StoreAgg>,
-    ) -> Vec<MemFsResult<WriteOutcome>> {
+            },
+        );
         items
             .iter()
             .zip(agg)
@@ -1499,9 +1236,9 @@ impl ServerPool {
 
     /// Batched routed `delete`: keys are grouped per replica-holding
     /// server, each group travels as one pipelined
-    /// [`KvClient::delete_many`] call, and the groups go out concurrently
-    /// through the engine — freeing a striped file costs one parallel
-    /// round trip per chunk instead of one round trip per stripe.
+    /// [`KvClient::start_delete_many`] batch, and the groups are in the
+    /// submit window concurrently — freeing a striped file costs one
+    /// parallel round trip per chunk instead of one round trip per stripe.
     ///
     /// Per-key semantics match [`ServerPool::delete_quiet`]: `Ok(true)` if
     /// any replica deleted the key, `Ok(false)` if every live replica
@@ -1509,8 +1246,8 @@ impl ServerPool {
     pub fn delete_many(&self, keys: &[Bytes]) -> Vec<MemFsResult<bool>> {
         let (_gate, state) = self.core.begin_op();
         // One batch per *target* server across all replicas; each entry
-        // remembers which input key it resolves (parallel index/key vecs).
-        let mut batches: Vec<(Vec<usize>, Vec<Bytes>)> =
+        // remembers which input key it resolves.
+        let mut batches: Vec<ServerBatch<Bytes>> =
             vec![(Vec::new(), Vec::new()); state.clients.len()];
         for (i, key) in keys.iter().enumerate() {
             for id in state.route(key, self.core.replication) {
@@ -1518,71 +1255,16 @@ impl ServerPool {
                 batches[id.0].1.push(key.clone());
             }
         }
-        let mut work: Vec<(usize, Vec<usize>, Vec<Bytes>)> = batches
-            .into_iter()
-            .enumerate()
-            .filter(|(_, (idx, _))| !idx.is_empty())
-            .map(|(server, (idx, batch))| (server, idx, batch))
-            .collect();
         let mut agg: Vec<EraseAgg> = (0..keys.len()).map(|_| EraseAgg::default()).collect();
-        if state.submit_capable && self.budget > 1 && work.len() > 1 {
-            let work: Vec<(usize, KeyedBatch)> = work
-                .into_iter()
-                .map(|(server, idx, batch)| (server, (idx, batch)))
-                .collect();
-            self.drive(
-                work,
-                |(_, batch)| batch.len(),
-                |server, (_, batch)| state.clients[server].start_delete_many(batch),
-                |_, (idx, batch), result| {
-                    for (&i, o) in idx.iter().zip(finish_erase(batch.len(), result)) {
-                        agg[i].merge(o);
-                    }
-                },
-            );
-            return agg.into_iter().map(EraseAgg::resolve).collect();
-        }
-        match &self.engine {
-            Some(engine) if work.len() > 1 => {
-                let shared = Arc::new(Mutex::new(agg));
-                let (last_server, last_idx, last_batch) = work.pop().expect("len > 1");
-                let tg = engine.group(work.len());
-                for (server, idx, batch) in work {
-                    let core = Arc::clone(&self.core);
-                    let state = Arc::clone(&state);
-                    let shared = Arc::clone(&shared);
-                    let tg = Arc::clone(&tg);
-                    engine.execute(move || {
-                        let outcomes = core.erase_group(&state, server, &batch);
-                        let mut agg = shared.lock().expect("fan-out erase lock");
-                        for (&i, o) in idx.iter().zip(outcomes) {
-                            agg[i].merge(o);
-                        }
-                        drop(agg);
-                        tg.done();
-                    });
+        self.drive(
+            batches,
+            |server, batch| state.clients[server].start_delete_many(batch),
+            |_, idx, batch, result| {
+                for (&i, o) in idx.iter().zip(finish_erase(batch.len(), result)) {
+                    agg[i].merge(o);
                 }
-                let outcomes = self.core.erase_group(&state, last_server, &last_batch);
-                {
-                    let mut agg = shared.lock().expect("fan-out erase lock");
-                    for (&i, o) in last_idx.iter().zip(outcomes) {
-                        agg[i].merge(o);
-                    }
-                }
-                tg.wait();
-                agg = std::mem::take(&mut *shared.lock().expect("fan-out erase lock"));
-            }
-            _ => {
-                for (server, idx, batch) in work {
-                    for (&i, o) in idx
-                        .iter()
-                        .zip(self.core.erase_group(&state, server, &batch))
-                    {
-                        agg[i].merge(o);
-                    }
-                }
-            }
-        }
+            },
+        );
         agg.into_iter().map(EraseAgg::resolve).collect()
     }
 
@@ -1595,43 +1277,52 @@ impl ServerPool {
             .any(|id| state.client(id).contains(key))
     }
 
-    /// Evented fan-out: submit per-server batches until `budget` are in
-    /// flight, then settle completed ones as slots are needed, refilling
-    /// the window as each frees. Submission is non-blocking (the shared
-    /// reactor owns the sockets), so the whole window is on the wire
-    /// concurrently while this — the only caller-side thread the fan-out
-    /// occupies — waits on one completion at a time. Completions are
-    /// settled in *arrival* order ([`Deferred::is_ready`]): the shared
-    /// reactor delivers them in cross-server batches as they land
-    /// anywhere in the cluster, so a slow server never blocks the window
-    /// behind its submission position — only the slot it actually holds.
-    fn drive<B, T>(
+    /// The submit window — the one dispatch path of every batched call.
+    /// `batches` is indexed by server slot; each non-empty one is
+    /// submitted through `start` until `budget` are in flight, then
+    /// completed ones are settled through `finish` as slots are needed,
+    /// refilling the window as each frees. Submission is non-blocking for
+    /// an evented client (the shared reactor owns the sockets), so the
+    /// whole window is on the wire concurrently while this — the only
+    /// thread the call occupies — waits on one completion at a time.
+    /// Completions are settled in *arrival* order
+    /// ([`Deferred::is_ready`]): the shared reactor delivers them in
+    /// cross-server batches as they land anywhere in the cluster, so a
+    /// slow server never blocks the window behind its submission position
+    /// — only the slot it actually holds. A client with only the eager
+    /// `start_*` defaults completes inside `start` and simply gets no
+    /// overlap; budget 1 settles every batch before submitting the next.
+    fn drive<K, T>(
         &self,
-        work: Vec<(usize, B)>,
-        nkeys: impl Fn(&B) -> usize,
-        start: impl Fn(usize, &B) -> Deferred<T>,
-        mut finish: impl FnMut(usize, B, KvResult<Vec<KvResult<T>>>),
+        batches: Vec<ServerBatch<K>>,
+        start: impl Fn(usize, &[K]) -> Deferred<T>,
+        mut finish: impl FnMut(usize, &[usize], &[K], KvResult<Vec<KvResult<T>>>),
     ) {
-        let mut window: VecDeque<(usize, B, Deferred<T>, InFlightGuard)> = VecDeque::new();
-        let mut settle_one = |window: &mut VecDeque<(usize, B, Deferred<T>, InFlightGuard)>| {
+        type Window<K, T> = VecDeque<(usize, ServerBatch<K>, Deferred<T>, InFlightGuard)>;
+        let mut window: Window<K, T> = VecDeque::new();
+        let mut settle_one = |window: &mut Window<K, T>| {
             // Prefer a batch whose completion already landed; block on
             // the oldest only when none is ready yet.
             let pos = window
                 .iter()
                 .position(|(_, _, deferred, _)| deferred.is_ready())
                 .unwrap_or(0);
-            let (server, batch, deferred, guard) = window.remove(pos).expect("window filled");
+            let (server, (idx, batch), deferred, guard) =
+                window.remove(pos).expect("window filled");
             let result = deferred.wait();
             drop(guard);
-            finish(server, batch, result);
+            finish(server, &idx, &batch, result);
         };
-        for (server, batch) in work {
+        for (server, (idx, batch)) in batches.into_iter().enumerate() {
+            if batch.is_empty() {
+                continue;
+            }
             while window.len() >= self.budget {
                 settle_one(&mut window);
             }
-            let guard = self.core.stats.io(server).track(nkeys(&batch));
+            let guard = self.core.stats.io(server).track(batch.len());
             let deferred = start(server, &batch);
-            window.push_back((server, batch, deferred, guard));
+            window.push_back((server, (idx, batch), deferred, guard));
         }
         while !window.is_empty() {
             settle_one(&mut window);
@@ -1973,7 +1664,7 @@ mod tests {
     }
 
     #[test]
-    fn io_parallelism_knob_controls_dispatcher_width() {
+    fn io_parallelism_is_the_budget_capped_at_the_member_count() {
         let clients = |n: usize| -> Vec<Arc<dyn KvClient>> {
             (0..n)
                 .map(|_| {
@@ -1983,13 +1674,16 @@ mod tests {
                 })
                 .collect()
         };
-        // Auto: one worker per server.
+        // Auto: unlimited budget, one batch per member.
         let p = ServerPool::with_options(clients(4), DistributorKind::default(), 1, 0);
         assert_eq!(p.io_parallelism(), 4);
-        // Explicit width.
+        // Explicit budget.
         let p = ServerPool::with_options(clients(4), DistributorKind::default(), 1, 2);
         assert_eq!(p.io_parallelism(), 2);
-        // Forced sequential: no dispatcher.
+        // A budget wider than the pool is capped at the member count.
+        let p = ServerPool::with_options(clients(4), DistributorKind::default(), 1, 8);
+        assert_eq!(p.io_parallelism(), 4);
+        // Budget 1: one batch at a time.
         let p = ServerPool::with_options(clients(4), DistributorKind::default(), 1, 1);
         assert_eq!(p.io_parallelism(), 1);
         // Single server: nothing to overlap.
@@ -1997,9 +1691,9 @@ mod tests {
         assert_eq!(p.io_parallelism(), 1);
     }
 
-    /// Submit-capable wrapper around a [`LocalClient`] that counts how
-    /// many deferred batches are outstanding between `start_*` and
-    /// `wait`, i.e. the submit window the pool actually keeps open.
+    /// Wrapper around a [`LocalClient`] that counts how many deferred
+    /// batches are outstanding between `start_*` and `wait`, i.e. the
+    /// submit window the pool actually keeps open.
     struct SubmitProbe {
         inner: LocalClient,
         in_flight: Arc<std::sync::atomic::AtomicUsize>,
@@ -2012,10 +1706,13 @@ mod tests {
             let now = self.in_flight.fetch_add(1, Ordering::SeqCst) + 1;
             self.max.fetch_max(now, Ordering::SeqCst);
             let in_flight = Arc::clone(&self.in_flight);
-            Deferred::Pending(Box::new(move || {
-                in_flight.fetch_sub(1, Ordering::SeqCst);
-                result
-            }))
+            Deferred::Polled {
+                ready: Box::new(|| false),
+                finish: Box::new(move || {
+                    in_flight.fetch_sub(1, Ordering::SeqCst);
+                    result
+                }),
+            }
         }
     }
 
@@ -2034,9 +1731,6 @@ mod tests {
         }
         fn delete(&self, key: &[u8]) -> memfs_memkv::error::KvResult<()> {
             self.inner.delete(key)
-        }
-        fn supports_submit(&self) -> bool {
-            true
         }
         fn start_get_many(&self, keys: &[Bytes]) -> Deferred<Bytes> {
             self.begin(self.inner.get_many(keys))
@@ -2084,10 +1778,6 @@ mod tests {
 
         // Budget 2: never more than two batches in flight, for every op.
         let (p, in_flight, max) = probe_pool(6, 2);
-        assert!(
-            p.engine().is_none(),
-            "submit-capable pool must not spawn dispatcher workers"
-        );
         assert_eq!(p.io_parallelism(), 2);
         p.set_many(&items).unwrap();
         for r in p.get_many(&keys) {

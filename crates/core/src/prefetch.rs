@@ -699,9 +699,6 @@ mod tests {
         fn delete(&self, key: &[u8]) -> memfs_memkv::error::KvResult<()> {
             self.inner.delete(key)
         }
-        fn supports_submit(&self) -> bool {
-            true
-        }
     }
 
     /// Four counted local servers plus a pool over them, pre-seeded with

@@ -1,22 +1,23 @@
-//! The shared per-mount I/O engine.
+//! The per-mount I/O engine: one bounded worker pool for background jobs.
 //!
 //! Both the write-buffering and the prefetching protocols "work with thread
 //! pools to implement concurrent communication to the remote nodes"
-//! (paper §3.2.2). Earlier revisions gave each protocol its own pool plus
-//! a third for the fan-out dispatcher, so thread count grew with every
-//! role; [`IoEngine`] is the single pool that replaces all three. One
-//! engine per mount runs the per-server fan-out batches, the prefetch
-//! window jobs, the write-buffer drains, and the batched unlink — the
-//! thread count is fixed per mount, no matter how many files are open.
+//! (paper §3.2.2). One [`IoEngine`] per mount runs the write-buffer
+//! drains, the prefetch window jobs and the batched unlink rounds of
+//! every open file — the thread count is fixed per mount
+//! (`MemFsConfig::io_threads`), no matter how many files are open. The
+//! engine does *not* spread a batched call over the servers: each job
+//! makes its `set_many` / `get_many` / `delete_many` call and the pool's
+//! submit window keeps every server busy from that one thread.
 //!
-//! Sharing one bounded pool between *nested* work (a drain job calls
-//! `set_many`, which submits per-server jobs back to the same engine and
-//! waits for them) would deadlock a conventional pool: every worker could
-//! be stuck in an outer job waiting for inner jobs nobody is free to run.
-//! The engine's [`TaskGroup`] therefore **helps while waiting**: a thread
-//! blocked on a group pops queued engine jobs and runs them itself until
-//! its group completes. Any waiter makes global progress, so a single
-//! worker — or even zero free workers — cannot wedge the engine.
+//! A caller that waits on a [`TaskGroup`] (an unlink waiting on its
+//! delete rounds) may find every worker busy with other files' drains
+//! and prefetches, its own jobs still queued behind them. The group
+//! therefore **helps while waiting**: a thread blocked on a group pops
+//! queued engine jobs and runs them itself until its group completes.
+//! Any waiter makes global progress, so a single worker — or even zero
+//! free workers, or a job that itself waits on a group — cannot wedge
+//! the engine.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -147,12 +148,12 @@ impl Drop for IoEngine {
 
 /// Completion rendezvous for a batch of engine jobs.
 ///
-/// This is the fan-out dispatcher's barrier: per-server batches are queued
-/// on the engine, the caller runs one batch itself, then waits here for
-/// the rest — so a window costs `max(server RTT)`, not the sum. Unlike a
-/// plain waitgroup, [`TaskGroup::wait`] *helps*: while its jobs are still
-/// queued it pops and runs engine jobs (its own or anyone's), which is
-/// what lets nested batch operations share one bounded pool.
+/// An unlink queues all but one of a wave's delete rounds on the engine,
+/// runs the last itself, then waits here for the rest. Unlike a plain
+/// waitgroup, [`TaskGroup::wait`] *helps*: while its jobs are still
+/// queued it pops and runs engine jobs (its own or anyone's), so a
+/// waiter never idles behind other files' jobs and a job that itself
+/// waits on a group cannot wedge a small pool.
 pub struct TaskGroup {
     remaining: AtomicUsize,
     shared: Arc<EngineShared>,

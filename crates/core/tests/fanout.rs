@@ -1,21 +1,24 @@
-//! Integration tests for the concurrent per-server fan-out dispatcher
-//! (paper §3.2.2: symmetrical striping should drive all N servers at
-//! once, so a batched window costs `max` of the per-server times).
+//! Integration tests for the pool's submit window (paper §3.2.2:
+//! symmetrical striping should drive all N servers at once, so a batched
+//! call costs `max` of the per-server times).
 //!
-//! These exercise the `ServerPool` batch paths from the outside — order
-//! preservation under concurrency, failure isolation per server, a
-//! rendezvous proof that per-server batches really overlap, and
-//! drop/shutdown draining through a full `MemFs` mount.
+//! These exercise the `ServerPool` batched calls from the outside — order
+//! preservation, failure isolation per server, a rendezvous proof that
+//! every server's batch is submitted before the first is waited on, the
+//! same contract over clients that have only the eager `start_*`
+//! defaults, and drop/shutdown draining through a full `MemFs` mount.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 use bytes::Bytes;
 use memfs_core::{DistributorKind, MemFs, MemFsConfig, MemFsError, ServerPool};
 use memfs_memkv::client::Shaping;
 use memfs_memkv::error::{KvError, KvResult};
-use memfs_memkv::{FailableClient, KvClient, LocalClient, Store, StoreConfig, ThrottledClient};
+use memfs_memkv::{
+    Deferred, FailableClient, KvClient, LocalClient, Store, StoreConfig, ThrottledClient,
+};
 
 fn local_clients(n: usize) -> (Vec<Arc<dyn KvClient>>, Vec<Arc<Store>>) {
     let stores: Vec<Arc<Store>> = (0..n)
@@ -39,7 +42,7 @@ fn stripe_like_keys(n: usize) -> Vec<Bytes> {
 fn get_many_preserves_input_order_under_concurrency() {
     let (clients, _stores) = local_clients(4);
     let pool = ServerPool::new(clients, DistributorKind::default());
-    assert_eq!(pool.io_parallelism(), 4, "auto fan-out: one worker/server");
+    assert_eq!(pool.io_parallelism(), 4, "auto: every server in flight");
 
     let keys = stripe_like_keys(128);
     let items: Vec<(Bytes, Bytes)> = keys
@@ -49,8 +52,7 @@ fn get_many_preserves_input_order_under_concurrency() {
         .collect();
     pool.set_many(&items).unwrap();
 
-    // Many rounds: scheduling of the per-server jobs varies, the output
-    // order must not.
+    // Many rounds: the output order must hold every time.
     for _ in 0..50 {
         let out = pool.get_many(&keys);
         assert_eq!(out.len(), keys.len());
@@ -206,41 +208,41 @@ fn set_many_reports_dead_server_but_stores_the_rest() {
     }
 }
 
-/// A client that waits inside `get_many` until every participant has
-/// entered, proving the per-server batches are on the wire simultaneously.
-/// A sequential dispatcher would never reach the rendezvous and each call
-/// would time out, tripping the assertion.
+/// A client that counts a batch as arrived when it is *submitted*
+/// (`start_*`) and, when the batch is waited on, records whether all
+/// `expected` batches of the call had been submitted by then — proving
+/// the per-server batches are in flight simultaneously. A dispatcher that
+/// waited on one batch before submitting the next would see a short
+/// count at its first wait and trip the assertion.
 struct RendezvousClient {
     inner: LocalClient,
-    arrived: Arc<(Mutex<usize>, Condvar)>,
+    arrived: Arc<AtomicUsize>,
     expected: usize,
-    full_house: AtomicBool,
+    full_house: Arc<AtomicBool>,
 }
 
 impl RendezvousClient {
-    fn new(store: Arc<Store>, arrived: Arc<(Mutex<usize>, Condvar)>, expected: usize) -> Self {
+    fn new(store: Arc<Store>, arrived: Arc<AtomicUsize>, expected: usize) -> Self {
         RendezvousClient {
             inner: LocalClient::new(store),
             arrived,
             expected,
-            full_house: AtomicBool::new(false),
+            full_house: Arc::new(AtomicBool::new(false)),
         }
     }
 
-    fn rendezvous(&self) {
-        let (lock, cv) = &*self.arrived;
-        let mut n = lock.lock().unwrap();
-        *n += 1;
-        cv.notify_all();
-        let deadline = Duration::from_secs(5);
-        while *n < self.expected {
-            let (guard, timeout) = cv.wait_timeout(n, deadline).unwrap();
-            n = guard;
-            if timeout.timed_out() {
-                return; // full_house stays false => assertion fires
-            }
+    fn submit<T: Send + 'static>(&self, result: KvResult<Vec<KvResult<T>>>) -> Deferred<T> {
+        self.arrived.fetch_add(1, Ordering::SeqCst);
+        let arrived = Arc::clone(&self.arrived);
+        let expected = self.expected;
+        let full_house = Arc::clone(&self.full_house);
+        Deferred::Polled {
+            ready: Box::new(|| true),
+            finish: Box::new(move || {
+                full_house.store(arrived.load(Ordering::SeqCst) >= expected, Ordering::SeqCst);
+                result
+            }),
         }
-        self.full_house.store(true, Ordering::SeqCst);
     }
 }
 
@@ -266,30 +268,27 @@ impl KvClient for RendezvousClient {
     fn contains(&self, key: &[u8]) -> bool {
         self.inner.contains(key)
     }
-    fn get_many(&self, keys: &[Bytes]) -> KvResult<Vec<KvResult<Bytes>>> {
-        self.rendezvous();
-        self.inner.get_many(keys)
+    fn start_get_many(&self, keys: &[Bytes]) -> Deferred<Bytes> {
+        self.submit(self.inner.get_many(keys))
     }
-    fn set_many(&self, items: &[(Bytes, Bytes)]) -> KvResult<Vec<KvResult<()>>> {
-        self.rendezvous();
-        self.inner.set_many(items)
+    fn start_set_many(&self, items: &[(Bytes, Bytes)]) -> Deferred<()> {
+        self.submit(self.inner.set_many(items))
     }
-    fn delete_many(&self, keys: &[Bytes]) -> KvResult<Vec<KvResult<()>>> {
-        self.rendezvous();
-        self.inner.delete_many(keys)
+    fn start_delete_many(&self, keys: &[Bytes]) -> Deferred<()> {
+        self.submit(self.inner.delete_many(keys))
     }
 }
 
-#[test]
-fn per_server_batches_really_run_in_parallel() {
-    const N: usize = 4;
-    let arrived = Arc::new((Mutex::new(0usize), Condvar::new()));
-    let rendezvous: Vec<Arc<RendezvousClient>> = (0..N)
+/// `n` rendezvous clients sharing one arrival counter, and a pool over
+/// them.
+fn rendezvous_pool(n: usize) -> (Vec<Arc<RendezvousClient>>, Arc<AtomicUsize>, ServerPool) {
+    let arrived = Arc::new(AtomicUsize::new(0));
+    let rendezvous: Vec<Arc<RendezvousClient>> = (0..n)
         .map(|_| {
             Arc::new(RendezvousClient::new(
                 Arc::new(Store::new(StoreConfig::default())),
                 Arc::clone(&arrived),
-                N,
+                n,
             ))
         })
         .collect();
@@ -298,6 +297,13 @@ fn per_server_batches_really_run_in_parallel() {
         .map(|c| Arc::clone(c) as Arc<dyn KvClient>)
         .collect();
     let pool = ServerPool::new(clients, DistributorKind::default());
+    (rendezvous, arrived, pool)
+}
+
+#[test]
+fn per_server_batches_really_run_in_parallel() {
+    const N: usize = 4;
+    let (rendezvous, arrived, pool) = rendezvous_pool(N);
 
     // Enough keys that every server owns a share of the batch.
     let keys = stripe_like_keys(64);
@@ -308,7 +314,8 @@ fn per_server_batches_really_run_in_parallel() {
         keys.iter().map(|k| pool.server_for(k).0).collect();
     assert_eq!(occupied.len(), N, "keys must cover all servers");
 
-    // set_many: all four per-server batches must meet inside the clients.
+    // set_many: all four per-server batches must be submitted before the
+    // first is waited on.
     let items: Vec<(Bytes, Bytes)> = keys
         .iter()
         .map(|k| (k.clone(), Bytes::from_static(b"x")))
@@ -322,7 +329,7 @@ fn per_server_batches_really_run_in_parallel() {
     }
 
     // Reset and prove the same for get_many.
-    *arrived.0.lock().unwrap() = 0;
+    arrived.store(0, Ordering::SeqCst);
     for c in &rendezvous {
         c.full_house.store(false, Ordering::SeqCst);
     }
@@ -342,21 +349,7 @@ fn per_server_delete_batches_run_in_parallel() {
     // The unlink path frees stripes via `delete_many`; its per-server
     // batches must overlap just like reads and writes do.
     const N: usize = 4;
-    let arrived = Arc::new((Mutex::new(0usize), Condvar::new()));
-    let rendezvous: Vec<Arc<RendezvousClient>> = (0..N)
-        .map(|_| {
-            Arc::new(RendezvousClient::new(
-                Arc::new(Store::new(StoreConfig::default())),
-                Arc::clone(&arrived),
-                N,
-            ))
-        })
-        .collect();
-    let clients: Vec<Arc<dyn KvClient>> = rendezvous
-        .iter()
-        .map(|c| Arc::clone(c) as Arc<dyn KvClient>)
-        .collect();
-    let pool = ServerPool::new(clients, DistributorKind::default());
+    let (rendezvous, _arrived, pool) = rendezvous_pool(N);
 
     let keys = stripe_like_keys(64);
     for k in &keys {
@@ -371,6 +364,97 @@ fn per_server_delete_batches_run_in_parallel() {
             "server {i}'s delete batch never saw all {N} batches in flight"
         );
     }
+}
+
+/// A client with nothing but the five single-key operations: every
+/// batched method, including the `start_*` halves, is the trait's eager
+/// default.
+struct EagerClient(FailableClient<LocalClient>);
+
+impl KvClient for EagerClient {
+    fn set(&self, key: &[u8], value: Bytes) -> KvResult<()> {
+        self.0.set(key, value)
+    }
+    fn add(&self, key: &[u8], value: Bytes) -> KvResult<()> {
+        self.0.add(key, value)
+    }
+    fn get(&self, key: &[u8]) -> KvResult<Bytes> {
+        self.0.get(key)
+    }
+    fn append(&self, key: &[u8], suffix: &[u8]) -> KvResult<()> {
+        self.0.append(key, suffix)
+    }
+    fn delete(&self, key: &[u8]) -> KvResult<()> {
+        self.0.delete(key)
+    }
+}
+
+#[test]
+fn eager_only_clients_pass_the_batched_contract() {
+    let eager: Vec<Arc<EagerClient>> = (0..4)
+        .map(|_| {
+            Arc::new(EagerClient(FailableClient::new(LocalClient::new(
+                Arc::new(Store::new(StoreConfig::default())),
+            ))))
+        })
+        .collect();
+    let clients = || -> Vec<Arc<dyn KvClient>> {
+        eager
+            .iter()
+            .map(|c| Arc::clone(c) as Arc<dyn KvClient>)
+            .collect()
+    };
+    let pool = ServerPool::with_replication(clients(), DistributorKind::default(), 2);
+
+    // Input order and per-key misses.
+    let keys = stripe_like_keys(64);
+    let items: Vec<(Bytes, Bytes)> = keys
+        .iter()
+        .enumerate()
+        .map(|(i, k)| (k.clone(), Bytes::from(format!("value-{i}"))))
+        .collect();
+    pool.set_many(&items).unwrap();
+    let mut asked = keys.clone();
+    asked.insert(7, Bytes::from_static(b"never-written"));
+    let out = pool.get_many(&asked);
+    assert!(matches!(
+        out[7],
+        Err(MemFsError::Storage(KvError::NotFound))
+    ));
+    for (k, r) in asked.iter().zip(&out) {
+        if let Some(i) = keys.iter().position(|x| x == k) {
+            assert_eq!(r.as_ref().unwrap(), &Bytes::from(format!("value-{i}")));
+        }
+    }
+
+    // A dead primary: its keys come back from the follower, and deletes
+    // still succeed on the surviving replica.
+    let dead = pool.server_for(&keys[0]).0;
+    eager[dead].0.set_down(true);
+    for (i, r) in pool.get_many(&keys).into_iter().enumerate() {
+        assert_eq!(r.unwrap(), Bytes::from(format!("value-{i}")));
+    }
+    assert!(pool.stats().snapshot()[dead].fallbacks > 0);
+    for r in pool.delete_many(&keys) {
+        assert!(r.unwrap());
+    }
+    eager[dead].0.set_down(false);
+
+    // A full mount over the same kind of client: write, read back,
+    // unlink. The engine is sized by the config for this client kind too.
+    let config = MemFsConfig {
+        stripe_size: 4096,
+        write_buffer_size: 64 << 10,
+        read_cache_size: 64 << 10,
+        ..MemFsConfig::default()
+    };
+    let fs = MemFs::new(clients(), config.clone()).unwrap();
+    assert_eq!(fs.engine().size(), config.engine_threads());
+    let data: Vec<u8> = (0..100_000usize).map(|i| (i * 7) as u8).collect();
+    fs.write_file("/eager.dat", &data).unwrap();
+    assert_eq!(fs.read_to_vec("/eager.dat").unwrap(), data);
+    fs.unlink("/eager.dat").unwrap();
+    assert!(!fs.exists("/eager.dat").unwrap());
 }
 
 #[test]
@@ -484,7 +568,7 @@ fn drop_joins_dispatch_workers_without_losing_stripes() {
         let mut w = fs.create("/fanout/drop.dat").unwrap();
         w.write_all(&data).unwrap();
         w.close().unwrap();
-        drop(fs); // joins writer, prefetcher and dispatcher threads
+        drop(fs); // joins the engine's workers
     }
 
     let fs = MemFs::new(shaped(&stores), config).unwrap();

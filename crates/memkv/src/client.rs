@@ -34,8 +34,6 @@ use crate::store::Store;
 pub enum Deferred<T> {
     /// The operation already completed (eager transports).
     Ready(KvResult<Vec<KvResult<T>>>),
-    /// The operation is in flight; the closure blocks until completion.
-    Pending(Box<dyn FnOnce() -> KvResult<Vec<KvResult<T>>> + Send>),
     /// In flight with a readiness probe: `ready` answers "has this
     /// completed?" without blocking or consuming, `finish` blocks for the
     /// result. Lets a sliding-window driver settle completions in
@@ -43,7 +41,7 @@ pub enum Deferred<T> {
     Polled {
         /// Non-blocking completion probe.
         ready: Box<dyn Fn() -> bool + Send>,
-        /// Blocking completion, same contract as [`Deferred::Pending`].
+        /// Blocks until the batch completes.
         finish: Box<dyn FnOnce() -> KvResult<Vec<KvResult<T>>> + Send>,
     },
 }
@@ -53,18 +51,14 @@ impl<T> Deferred<T> {
     pub fn wait(self) -> KvResult<Vec<KvResult<T>>> {
         match self {
             Deferred::Ready(result) => result,
-            Deferred::Pending(finish) => finish(),
             Deferred::Polled { finish, .. } => finish(),
         }
     }
 
     /// Whether [`Deferred::wait`] would return without blocking.
-    /// [`Deferred::Pending`] has no probe and conservatively answers
-    /// `false`.
     pub fn is_ready(&self) -> bool {
         match self {
             Deferred::Ready(_) => true,
-            Deferred::Pending(_) => false,
             Deferred::Polled { ready, .. } => ready(),
         }
     }
@@ -147,14 +141,6 @@ pub trait KvClient: Send + Sync {
     /// Whether a key exists (no read traffic accounted).
     fn contains(&self, key: &[u8]) -> bool {
         self.get(key).is_ok()
-    }
-    /// Whether this client has a true split submit/completion path — i.e.
-    /// whether the `start_*` methods return before the network round trip
-    /// finishes. Dispatchers use this to pick between submit-window
-    /// fan-out (one thread, many servers in flight) and thread-pool
-    /// fan-out (one worker per server).
-    fn supports_submit(&self) -> bool {
-        false
     }
     /// Begin a [`KvClient::get_many`]; the default runs it eagerly.
     /// Evented transports override this to put the batch on the wire and
@@ -244,13 +230,6 @@ impl KvClient for LocalClient {
     }
     fn contains(&self, key: &[u8]) -> bool {
         self.store.contains(key)
-    }
-    /// In-process calls complete at memory speed, so the eager `start_*`
-    /// defaults already satisfy the split-submit contract: the pool's
-    /// budgeted caller-thread fan-out needs no engine workers for local
-    /// servers.
-    fn supports_submit(&self) -> bool {
-        true
     }
 }
 
@@ -408,14 +387,6 @@ impl<C: KvClient> KvClient for ThrottledClient<C> {
     fn contains(&self, key: &[u8]) -> bool {
         self.inner.contains(key)
     }
-    /// The shaped batch cost is charged as a submission-time deadline
-    /// (see [`ThrottledClient::shaped_deferred`]), so shaped fan-outs
-    /// ride the pool's budgeted caller-thread path: submit to every
-    /// server, then settle deadlines as they elapse — the Figure-3
-    /// overlap without engine workers.
-    fn supports_submit(&self) -> bool {
-        true
-    }
     fn start_get_many(&self, keys: &[Bytes]) -> Deferred<Bytes> {
         let out = self.inner.get_many(keys);
         let total: usize = out
@@ -524,9 +495,6 @@ impl<C: KvClient> KvClient for FailableClient<C> {
     fn contains(&self, key: &[u8]) -> bool {
         !self.is_down() && self.inner.contains(key)
     }
-    fn supports_submit(&self) -> bool {
-        self.inner.supports_submit()
-    }
     fn start_get_many(&self, keys: &[Bytes]) -> Deferred<Bytes> {
         match self.check() {
             Ok(()) => self.inner.start_get_many(keys),
@@ -593,9 +561,6 @@ impl<C: KvClient + ?Sized> KvClient for Arc<C> {
     }
     fn contains(&self, key: &[u8]) -> bool {
         (**self).contains(key)
-    }
-    fn supports_submit(&self) -> bool {
-        (**self).supports_submit()
     }
     fn start_get_many(&self, keys: &[Bytes]) -> Deferred<Bytes> {
         (**self).start_get_many(keys)

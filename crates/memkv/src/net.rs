@@ -698,10 +698,6 @@ impl KvClient for TcpClient {
         }
     }
 
-    fn supports_submit(&self) -> bool {
-        true
-    }
-
     fn reactor_stats(&self) -> Option<ReactorStatsSnapshot> {
         Some(TcpClient::reactor_stats(self))
     }

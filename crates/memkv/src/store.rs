@@ -105,11 +105,6 @@ pub struct StoreConfig {
     /// Fraction of the budget the sweeper evicts down to once the high
     /// watermark is crossed. Must be `<= high_watermark`.
     pub low_watermark: f64,
-    /// Benchmark baseline: serve reads under the shard **write** lock
-    /// with an allocating LRU-queue feed per hit, replicating the
-    /// pre-watermark engine. Only the `store_record` old-vs-new bench
-    /// should ever set this.
-    pub exclusive_reads: bool,
 }
 
 impl Default for StoreConfig {
@@ -121,7 +116,6 @@ impl Default for StoreConfig {
             shards: 16,
             high_watermark: 0.90,
             low_watermark: 0.80,
-            exclusive_reads: false,
         }
     }
 }
@@ -535,8 +529,7 @@ impl Store {
     }
 
     /// Writer-side LRU touch: stamp the entry and push a fresh queue
-    /// record (one boxed key per *mutation* — reads never come here
-    /// unless [`StoreConfig::exclusive_reads`] replays the old engine).
+    /// record (one boxed key per *mutation* — reads never come here).
     fn touch_exclusive(&self, shard: &mut Shard, key: &[u8]) {
         let gen = self.lru_clock.fetch_add(1, Ordering::Relaxed);
         if let Some(e) = shard.map.get_mut(key) {
@@ -684,9 +677,6 @@ impl Store {
         Self::validate_key(key)?;
         StoreStats::bump(&self.stats.get_ops);
         let idx = self.shard_index(key);
-        if self.config.exclusive_reads {
-            return self.get_exclusive(idx, key);
-        }
         let shard = self.read_shard(idx);
         match shard.map.get(key) {
             Some(e) if self.live(e) => {
@@ -694,23 +684,6 @@ impl Store {
                 StoreStats::bump(&self.stats.get_hits);
                 StoreStats::add(&self.stats.bytes_read, value.len() as u64);
                 self.touch_shared(e);
-                Ok(value)
-            }
-            _ => Err(KvError::NotFound),
-        }
-    }
-
-    /// The pre-watermark engine's read path, kept verbatim as the
-    /// benchmark baseline behind [`StoreConfig::exclusive_reads`]: shard
-    /// write lock plus an allocating queue feed per hit.
-    fn get_exclusive(&self, idx: usize, key: &[u8]) -> KvResult<Bytes> {
-        let mut shard = self.write_shard(idx);
-        match shard.map.get(key) {
-            Some(e) if self.live(e) => {
-                let value = e.value.clone();
-                StoreStats::bump(&self.stats.get_hits);
-                StoreStats::add(&self.stats.bytes_read, value.len() as u64);
-                self.touch_exclusive(&mut shard, key);
                 Ok(value)
             }
             _ => Err(KvError::NotFound),
@@ -746,24 +719,6 @@ impl Store {
         }
         for (s, idxs) in groups.iter().enumerate() {
             if idxs.is_empty() {
-                continue;
-            }
-            if self.config.exclusive_reads {
-                let mut shard = self.write_shard(s);
-                for &i in idxs {
-                    let key = keys[i].as_ref();
-                    StoreStats::bump(&self.stats.get_ops);
-                    out[i] = Some(match shard.map.get(key) {
-                        Some(e) if self.live(e) => {
-                            let value = e.value.clone();
-                            StoreStats::bump(&self.stats.get_hits);
-                            StoreStats::add(&self.stats.bytes_read, value.len() as u64);
-                            self.touch_exclusive(&mut shard, key);
-                            Ok(value)
-                        }
-                        _ => Err(KvError::NotFound),
-                    });
-                }
                 continue;
             }
             let shard = self.read_shard(s);
@@ -1350,7 +1305,6 @@ mod tests {
             shards: 4,
             high_watermark: 0.70,
             low_watermark: 0.40,
-            ..StoreConfig::default()
         });
         // Fill to ~80% of budget: above high, below the hard budget, so
         // no inline eviction fired yet.
@@ -1438,26 +1392,6 @@ mod tests {
         assert_eq!(out[1].as_ref().unwrap().as_ref(), b"y");
         let snap = s.stats().snapshot();
         assert_eq!(snap.get_hits, 1);
-    }
-
-    #[test]
-    fn exclusive_reads_baseline_still_correct() {
-        let s = Store::new(StoreConfig {
-            memory_budget: 700,
-            max_value_size: 1024,
-            eviction: EvictionPolicy::Lru,
-            shards: 4,
-            exclusive_reads: true,
-            ..StoreConfig::default()
-        });
-        s.set(b"a", Bytes::from(vec![0u8; 200])).unwrap();
-        s.set(b"b", Bytes::from(vec![0u8; 200])).unwrap();
-        s.get(b"a").unwrap();
-        s.set(b"c", Bytes::from(vec![0u8; 200])).unwrap();
-        assert!(s.contains(b"a"));
-        assert!(!s.contains(b"b"));
-        let out = s.get_many(&[b"a".to_vec(), b"c".to_vec()]);
-        assert!(out.iter().all(|r| r.is_ok()));
     }
 
     #[test]

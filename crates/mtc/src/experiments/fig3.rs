@@ -101,8 +101,7 @@ pub fn run_fig3a(file_bytes: usize, shaping: Shaping) -> Vec<Fig3aRow> {
                 stripe_size: stripe,
                 write_buffer_size: 8 << 20,
                 read_cache_size: 8 << 20,
-                writer_threads: 4,
-                prefetch_threads: 4,
+                io_threads: 4,
                 prefetch_window: 8,
                 ..MemFsConfig::default()
             };
@@ -124,8 +123,7 @@ pub fn run_fig3b(file_bytes: usize, shaping: Shaping) -> Vec<Fig3bRow> {
                 stripe_size: 512 << 10,
                 write_buffer_size: 8 << 20,
                 read_cache_size: 8 << 20,
-                writer_threads: threads,
-                prefetch_threads: threads,
+                io_threads: threads,
                 prefetch_window: 8,
                 ..MemFsConfig::default()
             };

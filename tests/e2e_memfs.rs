@@ -23,8 +23,7 @@ fn small_config() -> MemFsConfig {
         stripe_size: 4096,
         write_buffer_size: 32 * 4096,
         read_cache_size: 32 * 4096,
-        writer_threads: 3,
-        prefetch_threads: 3,
+        io_threads: 3,
         prefetch_window: 4,
         ..MemFsConfig::default()
     }

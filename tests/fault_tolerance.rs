@@ -28,8 +28,7 @@ fn config(replication: usize) -> MemFsConfig {
         stripe_size: 4096,
         write_buffer_size: 16 * 4096,
         read_cache_size: 16 * 4096,
-        writer_threads: 2,
-        prefetch_threads: 2,
+        io_threads: 2,
         prefetch_window: 2,
         replication,
         ..MemFsConfig::default()

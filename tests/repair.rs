@@ -84,8 +84,7 @@ fn repair_fs_config() -> MemFsConfig {
         stripe_size: 8192,
         write_buffer_size: 8 * 8192,
         read_cache_size: 8 * 8192,
-        writer_threads: 2,
-        prefetch_threads: 2,
+        io_threads: 2,
         prefetch_window: 2,
         replication: 2,
         repair_interval_ms: 50,

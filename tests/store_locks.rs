@@ -84,7 +84,6 @@ fn reads_take_read_locks_and_eviction_write_locks_one_shard_per_victim() {
         shards,
         high_watermark: 0.70,
         low_watermark: 0.40,
-        ..StoreConfig::default()
     });
     // Fill past the high watermark without tripping the hard budget, so
     // only the watermark sweep evicts.

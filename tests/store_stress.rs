@@ -99,7 +99,6 @@ fn concurrent_stress_holds_accounting_and_no_lost_updates() {
         shards: 8,
         high_watermark: 0.85,
         low_watermark: 0.70,
-        ..StoreConfig::default()
     }));
     let stop = Arc::new(AtomicBool::new(false));
 
