@@ -3,19 +3,17 @@
 //!
 //! A single 16-server mount over bandwidth-capped proxies (6 MiB/s per
 //! server, 96 MiB/s aggregate) is driven with balanced full-fan-out
-//! batches of 64 KiB values, once with one reactor loop and once with
-//! the servers sharded across two loops ([`memfs_memkv::ReactorSet`]).
-//! For each config the best-of-rounds aggregate write and read
-//! throughput is expressed as a fraction of the shaped cap.
+//! batches of 64 KiB values on the mount's one reactor loop. The
+//! best-of-rounds aggregate write and read throughput is expressed as a
+//! fraction of the shaped cap.
 //!
 //! Bars:
 //!
-//! 1. **Line rate** — the better config moves ≥ 90% of the aggregate
-//!    shaped bandwidth in both directions. The loop (timer wheel,
-//!    in-loop connects, one-copy writes) is not the bottleneck; the
-//!    shaped pipes are.
-//! 2. **Thread census** — the 1-loop config runs exactly one
-//!    `memkv-reactor` thread, the 2-loop config exactly two.
+//! 1. **Line rate** — the mount moves ≥ 90% of the aggregate shaped
+//!    bandwidth in both directions. The loop (timer wheel, in-loop
+//!    connects, one-copy writes) is not the bottleneck; the shaped
+//!    pipes are.
+//! 2. **Thread census** — exactly one `memkv-reactor` thread.
 //!
 //! Usage: `cargo run --release -p memfs-bench --bin linerate_record`
 //! (JSON to stdout; `scripts/bench_record.sh` writes `BENCH_pr6.json`
@@ -74,21 +72,20 @@ fn balanced_items(pool: &ServerPool, rng: &mut Rng) -> Vec<(Bytes, Bytes)> {
     items
 }
 
-/// Best-of-rounds aggregate (write_bps, read_bps, reactor thread count)
-/// for a mount whose servers are sharded across `n_reactors` loops.
-fn measure(n_reactors: usize, rng: &mut Rng) -> (f64, f64, usize) {
+/// Best-of-rounds aggregate (write_bps, read_bps, reactor thread count).
+fn measure(rng: &mut Rng) -> (f64, f64, usize) {
     let mut best_write = 0f64;
     let mut best_read = 0f64;
     let mut threads = 0;
     for _ in 0..ROUNDS {
         let cluster = ShapedCluster::spawn(N_SERVERS, Shape::throttled(SERVER_BPS));
         let pool = ServerPool::with_options(
-            cluster.clients_sharded(PoolConfig::default(), n_reactors),
+            cluster.clients(PoolConfig::default()),
             DistributorKind::default(),
             1,
             0,
         );
-        threads = reactor_threads(n_reactors);
+        threads = reactor_threads(1);
         let items = balanced_items(&pool, rng);
         let keys: Vec<Bytes> = items.iter().map(|(k, _)| k.clone()).collect();
         let total = (items.len() * VALUE_BYTES) as f64;
@@ -112,30 +109,19 @@ fn main() {
     let mut rng = Rng::new(seed);
 
     let cap = (N_SERVERS as u64 * SERVER_BPS) as f64;
-    let (write1, read1, threads1) = measure(1, &mut rng);
+    let (write, read, threads) = measure(&mut rng);
     eprintln!(
-        "1 loop : write {:.1} MB/s ({:.1}% of cap), read {:.1} MB/s ({:.1}%), {threads1} reactor thread(s)",
-        write1 / 1e6,
-        100.0 * write1 / cap,
-        read1 / 1e6,
-        100.0 * read1 / cap,
-    );
-    let (write2, read2, threads2) = measure(2, &mut rng);
-    eprintln!(
-        "2 loops: write {:.1} MB/s ({:.1}% of cap), read {:.1} MB/s ({:.1}%), {threads2} reactor thread(s)",
-        write2 / 1e6,
-        100.0 * write2 / cap,
-        read2 / 1e6,
-        100.0 * read2 / cap,
+        "write {:.1} MB/s ({:.1}% of cap), read {:.1} MB/s ({:.1}%), {threads} reactor thread(s)",
+        write / 1e6,
+        100.0 * write / cap,
+        read / 1e6,
+        100.0 * read / cap,
     );
 
-    // Per-config efficiency is the weaker of its two directions; the
-    // mount passes on its better config.
-    let eff1 = (write1 / cap).min(read1 / cap);
-    let eff2 = (write2 / cap).min(read2 / cap);
-    let best_eff = eff1.max(eff2);
-    let census_pass = threads1 == 1 && threads2 == 2;
-    let linerate_pass = best_eff >= 0.90;
+    // Efficiency is the weaker of the two directions.
+    let eff = (write / cap).min(read / cap);
+    let census_pass = threads == 1;
+    let linerate_pass = eff >= 0.90;
     let pass = census_pass && linerate_pass;
     println!(
         "{{\n  \"bench\": \"linerate_reactor\",\n  \
@@ -143,19 +129,17 @@ fn main() {
          \"server_bandwidth_bps\": {SERVER_BPS}, \"aggregate_cap_bps\": {cap:.0}}},\n  \
          \"seed\": {seed},\n  \
          \"value_bytes\": {VALUE_BYTES},\n  \
-         \"one_loop\": {{\"threads\": {threads1}, \"write_bps\": {write1:.0}, \
-         \"read_bps\": {read1:.0}, \"efficiency\": {eff1:.3}}},\n  \
-         \"two_loops\": {{\"threads\": {threads2}, \"write_bps\": {write2:.0}, \
-         \"read_bps\": {read2:.0}, \"efficiency\": {eff2:.3}}},\n  \
-         \"acceptance\": {{\"metric\": \"best config moves >= 90% of the shaped cap both ways; census 1 and 2 loops\", \
-         \"best_efficiency\": {best_eff:.3}, \"census_pass\": {census_pass}, \
+         \"one_loop\": {{\"threads\": {threads}, \"write_bps\": {write:.0}, \
+         \"read_bps\": {read:.0}, \"efficiency\": {eff:.3}}},\n  \
+         \"acceptance\": {{\"metric\": \"the mount moves >= 90% of the shaped cap both ways on 1 loop\", \
+         \"best_efficiency\": {eff:.3}, \"census_pass\": {census_pass}, \
          \"linerate_pass\": {linerate_pass}, \"pass\": {pass}}}\n}}"
     );
     if !census_pass {
-        eprintln!("FAIL: thread census {threads1}/{threads2} (want 1/2)");
+        eprintln!("FAIL: thread census {threads} (want 1)");
     }
     if !linerate_pass {
-        eprintln!("FAIL: best efficiency {best_eff:.3} < 0.90 of the shaped cap");
+        eprintln!("FAIL: efficiency {eff:.3} < 0.90 of the shaped cap");
     }
     if !pass {
         std::process::exit(1);

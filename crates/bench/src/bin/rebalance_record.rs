@@ -35,7 +35,7 @@ use bytes::Bytes;
 use memfs_core::{migrate_pass, DistributorKind, MigrateConfig, ServerPool};
 use memfs_memkv::net::PoolConfig;
 use memfs_memkv::testutil::{seed_from_env, Rng, Shape, ShapedCluster};
-use memfs_memkv::{KvClient, ReactorSet};
+use memfs_memkv::{KvClient, ReactorHandle};
 
 const SERVERS: usize = 8;
 const INITIAL: usize = 4;
@@ -100,12 +100,12 @@ fn main() {
     let mut rng = Rng::new(seed);
 
     let cluster = ShapedCluster::spawn(SERVERS, Shape::throttled(SERVER_BPS));
-    let reactors = ReactorSet::new(2).expect("reactor set");
+    let reactor = ReactorHandle::new().expect("reactor");
     let pool_config = PoolConfig {
         heartbeat: Some(Duration::from_millis(50)),
         ..PoolConfig::default()
     };
-    let clients: Vec<Arc<dyn KvClient>> = cluster.clients_on(pool_config.clone(), &reactors);
+    let clients: Vec<Arc<dyn KvClient>> = cluster.clients_on(pool_config.clone(), &reactor);
     let ketama = DistributorKind::Ketama {
         points_per_server: KETAMA_POINTS,
     };

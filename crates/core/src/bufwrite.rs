@@ -1,10 +1,12 @@
 //! The write-buffering protocol (paper §3.2.2).
 //!
 //! Writes land in a per-file buffer; whenever a full batch of stripes
-//! accumulates it drains through the mount's shared I/O engine, which
-//! `set`s it on the owning storage servers asynchronously. The buffer bounds in-flight data
-//! (8 MiB by default — the paper's per-open-file cache), applying
-//! backpressure to the writer when the network cannot keep up.
+//! accumulates it is queued on the mount's shared I/O engine as one
+//! fire-and-forget drain job, which `set`s it on the owning storage
+//! servers. The buffer bounds in-flight data (8 MiB by default — the
+//! paper's per-open-file cache), applying backpressure to the writer when
+//! the network cannot keep up; it waits for its jobs on its own condvar,
+//! never on the engine.
 //! "Whenever an application calls close(), or flush(), our file system
 //! waits until the write buffer has been emptied and then returns."
 

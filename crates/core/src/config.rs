@@ -34,8 +34,8 @@ pub struct MemFsConfig {
     /// Per-open-file read cache in bytes (same 8 MB figure).
     pub read_cache_size: usize,
     /// Workers in the mount's I/O engine: how many background jobs —
-    /// write drains, prefetch windows, unlink waves — run concurrently
-    /// across every file open through the mount. Each job drives all its
+    /// write drains and prefetch windows — run concurrently across every
+    /// file open through the mount, whatever the server count. Each job drives all its
     /// servers at once from its own thread (see `io_parallelism`), so a
     /// few suffice; Figure 3b shows bandwidth saturating well before
     /// thread counts grow large.
@@ -44,23 +44,6 @@ pub struct MemFsConfig {
     /// by the read cache; 0 disables prefetching (the "Read (no
     /// prefetching)" series of Figure 3b).
     pub prefetch_window: usize,
-    /// Completed stripes accumulated per background drain job. Each job
-    /// groups its stripes by owning server and issues one pipelined
-    /// `set_many` per server, so larger batches amortize round trips; 1
-    /// reproduces the unbatched per-stripe drain. Values above
-    /// `write_buffer_stripes()` are clamped to the in-flight budget.
-    pub write_batch_stripes: usize,
-    /// TCP connections per storage server when mounting over the network
-    /// transport (the [`memfs_memkv::PoolConfig::connections`] knob).
-    /// In-process mounts ignore it.
-    pub pool_connections: usize,
-    /// Shared epoll reactor threads a TCP mount runs
-    /// ([`crate::MemFs::connect`]). The default `1` multiplexes every
-    /// server's connections on one thread — the replacement for the old
-    /// implicit thread-per-server shape; clients are spread round-robin
-    /// over the reactors when larger. Capped at the server count.
-    /// In-process mounts ignore it.
-    pub reactor_threads: usize,
     /// How many per-server batches one batched call keeps on the wire at
     /// once (paper §3.2.2: symmetrical striping drives all N servers at
     /// once): the in-flight budget of the pool's submit window, spent on
@@ -111,9 +94,6 @@ impl Default for MemFsConfig {
             read_cache_size: 8 << 20,
             io_threads: 4,
             prefetch_window: 8,
-            write_batch_stripes: 8,
-            pool_connections: 4,
-            reactor_threads: 1,
             io_parallelism: 0,
             distributor: DistributorKind::default(),
             replication: 1,
@@ -155,27 +135,12 @@ impl MemFsConfig {
         if self.replication == 0 {
             return Err("replication factor must be at least 1".into());
         }
-        if self.write_batch_stripes == 0 {
-            return Err("write_batch_stripes must be at least 1".into());
-        }
-        if self.pool_connections == 0 {
-            return Err("pool_connections must be at least 1".into());
-        }
-        if self.reactor_threads == 0 {
-            return Err("reactor_threads must be at least 1".into());
-        }
         Ok(())
     }
 
     /// Max stripes the write buffer may hold in flight.
     pub fn write_buffer_stripes(&self) -> usize {
         (self.write_buffer_size / self.stripe_size).max(1)
-    }
-
-    /// Workers in the mount's I/O engine. Set by the config alone — not
-    /// by the server count, the client kind or how many files are open.
-    pub fn engine_threads(&self) -> usize {
-        self.io_threads
     }
 
     /// Max stripes the read cache may hold.
@@ -207,63 +172,10 @@ impl MemFsConfig {
         self
     }
 
-    /// Builder-style setter for the write-drain batch size.
-    pub fn with_write_batch_stripes(mut self, stripes: usize) -> Self {
-        self.write_batch_stripes = stripes;
-        self
-    }
-
-    /// Builder-style setter for per-server TCP connection count.
-    pub fn with_pool_connections(mut self, connections: usize) -> Self {
-        self.pool_connections = connections;
-        self
-    }
-
-    /// Builder-style setter for the shared reactor thread count.
-    pub fn with_reactor_threads(mut self, reactors: usize) -> Self {
-        self.reactor_threads = reactors;
-        self
-    }
-
     /// Builder-style setter for the in-flight batch budget (`0` = full
     /// fan-out, `1` = one server at a time).
     pub fn with_io_parallelism(mut self, width: usize) -> Self {
         self.io_parallelism = width;
-        self
-    }
-
-    /// Builder-style setter for the background repair pass interval
-    /// (`0` disables the daemon).
-    pub fn with_repair_interval_ms(mut self, ms: u64) -> Self {
-        self.repair_interval_ms = ms;
-        self
-    }
-
-    /// Builder-style setter for the repair bandwidth budget in bytes per
-    /// second (`0` = unlimited).
-    pub fn with_repair_bandwidth(mut self, bytes_per_sec: u64) -> Self {
-        self.repair_bandwidth = bytes_per_sec;
-        self
-    }
-
-    /// Builder-style setter for the migration bandwidth budget in bytes
-    /// per second (`0` = unlimited).
-    pub fn with_migrate_bandwidth(mut self, bytes_per_sec: u64) -> Self {
-        self.migrate_bandwidth = bytes_per_sec;
-        self
-    }
-
-    /// Builder-style setter for the auto-evict grace window in
-    /// milliseconds (`0` disables eviction).
-    pub fn with_evict_grace_ms(mut self, ms: u64) -> Self {
-        self.evict_grace_ms = ms;
-        self
-    }
-
-    /// Builder-style setter for the TCP liveness probe interval
-    /// (`0` disables heartbeats).
-    pub fn with_heartbeat_ms(mut self, ms: u64) -> Self {
-        self.heartbeat_ms = ms;
         self
     }
 }
@@ -281,9 +193,6 @@ mod tests {
         assert!(c.validate().is_ok());
         assert_eq!(c.write_buffer_stripes(), 16);
         assert_eq!(c.read_cache_stripes(), 16);
-        assert_eq!(c.write_batch_stripes, 8);
-        assert_eq!(c.pool_connections, 4);
-        assert_eq!(c.reactor_threads, 1, "one shared reactor per mount");
         assert_eq!(c.io_parallelism, 0, "auto: every server in flight");
         assert_eq!(c.io_threads, 4);
         assert_eq!(c.repair_interval_ms, 0, "repair daemon opt-in");
@@ -291,33 +200,6 @@ mod tests {
         assert_eq!(c.migrate_bandwidth, 0, "migration bandwidth unlimited");
         assert_eq!(c.evict_grace_ms, 0, "auto-evict opt-in");
         assert_eq!(c.heartbeat_ms, 0, "heartbeats opt-in");
-    }
-
-    #[test]
-    fn repair_builders_set_knobs() {
-        let c = MemFsConfig::default()
-            .with_repair_interval_ms(250)
-            .with_repair_bandwidth(64 << 20)
-            .with_migrate_bandwidth(32 << 20)
-            .with_evict_grace_ms(5_000)
-            .with_heartbeat_ms(50);
-        assert_eq!(c.repair_interval_ms, 250);
-        assert_eq!(c.repair_bandwidth, 64 << 20);
-        assert_eq!(c.migrate_bandwidth, 32 << 20);
-        assert_eq!(c.evict_grace_ms, 5_000);
-        assert_eq!(c.heartbeat_ms, 50);
-        assert!(c.validate().is_ok());
-    }
-
-    #[test]
-    fn engine_threads_is_io_threads_whatever_the_budget() {
-        assert_eq!(MemFsConfig::default().engine_threads(), 4);
-        for budget in [0, 1, 3] {
-            let c = MemFsConfig::default()
-                .with_io_threads(6)
-                .with_io_parallelism(budget);
-            assert_eq!(c.engine_threads(), 6, "background jobs only");
-        }
     }
 
     #[test]
@@ -351,12 +233,6 @@ mod tests {
             },
             ..MemFsConfig::default()
         };
-        assert!(c.validate().is_err());
-        let c = MemFsConfig::default().with_write_batch_stripes(0);
-        assert!(c.validate().is_err());
-        let c = MemFsConfig::default().with_pool_connections(0);
-        assert!(c.validate().is_err());
-        let c = MemFsConfig::default().with_reactor_threads(0);
         assert!(c.validate().is_err());
     }
 }

@@ -2,13 +2,14 @@
 //! role of paper §3.1.3), with write-once / read-many semantics (§3.2.3).
 //!
 //! Each [`MemFs`] value corresponds to one mountpoint: it owns a single
-//! [`IoEngine`] whose workers run the background jobs — write drains,
-//! prefetch windows, unlink waves — of *every* file opened through the
-//! mount, so the thread count is set by the config
+//! [`IoEngine`] whose workers run the background jobs — write drains
+//! and prefetch windows — of *every* file opened through the mount, so
+//! the thread count is set by the config
 //! ([`MemFsConfig::io_threads`]) rather than by how many files are open
 //! or how many servers there are. Driving all the servers at once is not
 //! the engine's job: each batched pool call does that from the thread
-//! that makes it (see [`ServerPool`]).
+//! that makes it (see [`ServerPool`]) — which is all `unlink` needs, so it
+//! frees a file's stripes with plain chunked `delete_many` calls.
 //! Creating several `MemFs` values over the same server list
 //! reproduces the paper's multi-mountpoint deployment (the fix for the
 //! FUSE NUMA-spinlock bottleneck of Figure 10) — placement is a pure
@@ -66,9 +67,9 @@ pub struct FileStat {
 
 /// TCP transport state a [`MemFs::connect`] mount retains so the
 /// membership API can admit replacement servers onto the same shared
-/// reactors (zero new threads). In-process mounts have none.
+/// reactor (zero new threads). In-process mounts have none.
 struct NetContext {
-    reactors: memfs_memkv::ReactorSet,
+    reactor: memfs_memkv::ReactorHandle,
     pool_config: memfs_memkv::PoolConfig,
 }
 
@@ -86,17 +87,18 @@ struct Inner {
 
 /// Stripe keys freed per `delete_many` round during unlink — bounds the
 /// per-round allocation while still amortizing round trips.
-const UNLINK_BATCH: usize = 1024;
+const UNLINK_BATCH: usize = 4096;
 
 /// Probe width when unlinking a never-finalized file: one batch of this
 /// many stripe keys per round until a round deletes nothing.
-const PROBE_BATCH: usize = 64;
+const PROBE_BATCH: usize = 128;
 
-/// Unlink rounds kept in flight at once: [`UNLINK_BATCH`]-keyed
-/// `delete_many` rounds overlap on the engine so freeing a deep file
-/// pays one round-trip latency per `UNLINK_PIPELINE` rounds, not per
-/// round.
-const UNLINK_PIPELINE: usize = 4;
+/// Completed stripes per background drain job. Each job groups its
+/// stripes by owning server and issues one pipelined `set_many` per
+/// server, so 8 × 512 KiB amortizes the round trip while leaving half of
+/// the default 16-stripe write buffer free to refill. One value in use,
+/// hence a constant rather than a [`MemFsConfig`] field.
+const DRAIN_BATCH_STRIPES: usize = 8;
 
 fn stripe_key_bytes(path: &str, stripe: u64) -> Bytes {
     Bytes::from(KeySchema::stripe_key(path, stripe))
@@ -156,40 +158,33 @@ impl MemFs {
     }
 
     /// Mount over TCP storage servers: connects one
-    /// [`memfs_memkv::TcpClient`] per address, all registered on
-    /// `config.reactor_threads` shared epoll reactors (default 1 — a
-    /// single reactor thread drives the whole cluster and delivers
-    /// completions in cross-server batches; clients round-robin over the
-    /// reactors when more are configured). `config.pool_connections`
-    /// sizes each server's connection pool.
+    /// [`memfs_memkv::TcpClient`] per address, all registered on one
+    /// shared epoll reactor — a single thread drives the whole cluster
+    /// and delivers completions in cross-server batches. Each server gets
+    /// [`memfs_memkv::PoolConfig`]'s default connection count.
     pub fn connect(
         addrs: &[impl std::net::ToSocketAddrs],
         config: MemFsConfig,
     ) -> MemFsResult<MemFs> {
         check_config(&config, addrs.len())?;
-        let n_reactors = config.reactor_threads.min(addrs.len());
-        let reactors = memfs_memkv::ReactorSet::new(n_reactors).map_err(MemFsError::Storage)?;
+        let reactor = memfs_memkv::ReactorHandle::new().map_err(MemFsError::Storage)?;
         let pool_config = memfs_memkv::PoolConfig {
-            connections: config.pool_connections,
             heartbeat: (config.heartbeat_ms > 0)
                 .then(|| std::time::Duration::from_millis(config.heartbeat_ms)),
             ..memfs_memkv::PoolConfig::default()
         };
         let mut servers: Vec<Arc<dyn KvClient>> = Vec::with_capacity(addrs.len());
-        for (i, addr) in addrs.iter().enumerate() {
-            let client = memfs_memkv::TcpClient::connect_shared(
-                addr,
-                pool_config.clone(),
-                reactors.handle_for(i),
-            )
-            .map_err(MemFsError::Storage)?;
+        for addr in addrs {
+            let client =
+                memfs_memkv::TcpClient::connect_shared(addr, pool_config.clone(), &reactor)
+                    .map_err(MemFsError::Storage)?;
             servers.push(Arc::new(client));
         }
         Self::build(
             servers,
             config,
             Some(NetContext {
-                reactors,
+                reactor,
                 pool_config,
             }),
         )
@@ -218,7 +213,7 @@ impl MemFs {
         config: MemFsConfig,
         net: Option<NetContext>,
     ) -> MemFsResult<MemFs> {
-        let engine = Arc::new(IoEngine::new(config.engine_threads(), "memfs-io"));
+        let engine = Arc::new(IoEngine::new(config.io_threads, "memfs-io"));
         let repair = (config.repair_interval_ms > 0).then(|| {
             RepairDaemon::spawn(
                 Arc::clone(&pool),
@@ -278,19 +273,15 @@ impl MemFs {
     }
 
     /// Admit a TCP storage server by address onto the mount's shared
-    /// reactors (zero new threads — its connections join the existing
-    /// epoll loops). Only available on [`Self::connect`] mounts.
+    /// reactor (zero new threads — its connections join the existing
+    /// epoll loop). Only available on [`Self::connect`] mounts.
     pub fn admit_server(&self, addr: impl std::net::ToSocketAddrs) -> MemFsResult<ServerId> {
         let net = self.inner.net.as_ref().ok_or_else(|| {
             MemFsError::InvalidPath("admit_server: not a TCP mount (use add_server)".into())
         })?;
-        let slot = self.inner.pool.n_servers();
-        let client = memfs_memkv::TcpClient::connect_shared(
-            &addr,
-            net.pool_config.clone(),
-            net.reactors.handle_for(slot),
-        )
-        .map_err(MemFsError::Storage)?;
+        let client =
+            memfs_memkv::TcpClient::connect_shared(&addr, net.pool_config.clone(), &net.reactor)
+                .map_err(MemFsError::Storage)?;
         self.add_server(Arc::new(client))
     }
 
@@ -333,7 +324,7 @@ impl MemFs {
     }
 
     /// The mount's I/O engine — the one worker set every open file's
-    /// drain, prefetch and unlink jobs run on.
+    /// drain and prefetch jobs run on.
     pub fn engine(&self) -> &Arc<IoEngine> {
         &self.inner.engine
     }
@@ -380,7 +371,7 @@ impl MemFs {
             Arc::clone(&self.inner.pool),
             Arc::clone(&self.inner.engine),
             self.inner.config.write_buffer_stripes(),
-            self.inner.config.write_batch_stripes,
+            DRAIN_BATCH_STRIPES,
         );
         Ok(WriteHandle {
             fs: self.clone(),
@@ -594,43 +585,19 @@ impl MemFs {
         Ok(())
     }
 
-    /// Free `keys` in bounded [`ServerPool::delete_many`] rounds. Both
-    /// outcomes per key are fine (`true` deleted, `false` already gone);
-    /// a storage error aborts so the size record stays behind as the
-    /// marker that stripes may remain.
+    /// Free `keys` in [`UNLINK_BATCH`]-key [`ServerPool::delete_many`]
+    /// rounds, one after another: each round is already one pipelined
+    /// batch per owning server with every server in flight, so a file
+    /// costs ⌈stripes / `UNLINK_BATCH`⌉ round trips. With no rounds
+    /// running side by side, a server takes its share of even a very deep
+    /// file (> 1024 stripes, 512 MiB at the default stripe size) on one
+    /// connection at a time. Both outcomes per key are fine (`true`
+    /// deleted, `false` already gone); a storage error aborts so the size
+    /// record stays behind as the marker that stripes may remain.
     fn delete_stripe_batch(&self, keys: &[Bytes]) -> MemFsResult<()> {
-        let first_err = |results: Vec<MemFsResult<bool>>| results.into_iter().find_map(|r| r.err());
-        let chunks: Vec<&[Bytes]> = keys.chunks(UNLINK_BATCH).collect();
-        // Rounds overlap in waves of UNLINK_PIPELINE: the engine runs all
-        // but the last chunk of a wave while the caller's thread runs
-        // that one, so a deep file's delete rounds pay overlapping
-        // round-trip latencies instead of strictly sequential ones.
-        for wave in chunks.chunks(UNLINK_PIPELINE) {
-            let (&inline_chunk, spawned) = wave.split_last().expect("chunks are non-empty");
-            let shared: Arc<std::sync::Mutex<Option<MemFsError>>> =
-                Arc::new(std::sync::Mutex::new(None));
-            let tg = self.inner.engine.group(spawned.len());
-            for &chunk in spawned {
-                let chunk: Vec<Bytes> = chunk.to_vec();
-                let pool = Arc::clone(&self.inner.pool);
-                let shared = Arc::clone(&shared);
-                let tg = Arc::clone(&tg);
-                self.inner.engine.execute(move || {
-                    if let Some(e) = pool.delete_many(&chunk).into_iter().find_map(|r| r.err()) {
-                        shared.lock().expect("unlink errs lock").get_or_insert(e);
-                    }
-                    tg.done();
-                });
-            }
-            let inline_err = first_err(self.inner.pool.delete_many(inline_chunk));
-            tg.wait();
-            let err = shared
-                .lock()
-                .expect("unlink errs lock")
-                .take()
-                .or(inline_err);
-            if let Some(e) = err {
-                return Err(e);
+        for chunk in keys.chunks(UNLINK_BATCH) {
+            for deleted in self.inner.pool.delete_many(chunk) {
+                deleted?;
             }
         }
         Ok(())
@@ -638,78 +605,24 @@ impl MemFs {
 
     /// Free the stripes of a never-finalized file. Its true length is
     /// unknown (only the crashed writer knew), but stripes are written
-    /// sequentially, so probe forward in batches until a whole batch
-    /// reports nothing deleted.
-    ///
-    /// Rounds are speculatively pipelined at depth 2: while round `r` is
-    /// being decided, round `r + 1` is already on the wire (on the
-    /// engine). If `r` turns out to be the last round, the speculative
-    /// deletes beyond the end are harmless no-ops — deleting an absent
-    /// stripe is `Ok(false)` — so half the round-trip latencies vanish
-    /// from the zombie-free path without changing its outcome.
+    /// sequentially, so probe forward in [`PROBE_BATCH`]-key rounds until
+    /// a whole round reports nothing deleted — one round trip more than
+    /// ⌈stripes / `PROBE_BATCH`⌉. Deleting an absent stripe is
+    /// `Ok(false)`, so probing past the end is harmless.
     fn probe_delete_stripes(&self, p: &str) -> MemFsResult<()> {
-        type RoundResult = Arc<std::sync::Mutex<Option<MemFsResult<bool>>>>;
-        let spawn_round = |next: u64| -> (Arc<crate::threadpool::TaskGroup>, RoundResult) {
-            let keys: Vec<Bytes> = (next..next + PROBE_BATCH as u64)
+        for first in (0u64..).step_by(PROBE_BATCH) {
+            let keys: Vec<Bytes> = (first..first + PROBE_BATCH as u64)
                 .map(|s| stripe_key_bytes(p, s))
                 .collect();
-            let out: RoundResult = Arc::new(std::sync::Mutex::new(None));
-            let tg = self.inner.engine.group(1);
-            let pool = Arc::clone(&self.inner.pool);
-            let job_out = Arc::clone(&out);
-            let job_tg = Arc::clone(&tg);
-            self.inner.engine.execute(move || {
-                let mut result: MemFsResult<bool> = Ok(false);
-                for res in pool.delete_many(&keys) {
-                    match res {
-                        Ok(deleted) => {
-                            if let Ok(any) = result.as_mut() {
-                                *any |= deleted;
-                            }
-                        }
-                        Err(e) => {
-                            result = Err(e);
-                            break;
-                        }
-                    }
-                }
-                *job_out.lock().expect("probe round lock") = Some(result);
-                job_tg.done();
-            });
-            (tg, out)
-        };
-        let mut current = spawn_round(0);
-        let mut next = PROBE_BATCH as u64;
-        loop {
-            let speculative = spawn_round(next);
-            current.0.wait();
-            let any = current
-                .1
-                .lock()
-                .expect("probe round lock")
-                .take()
-                .expect("round completed");
-            // Always settle the speculative round too — even on error or
-            // completion — so no job outlives the unlink call.
-            let settle = |(tg, out): (Arc<crate::threadpool::TaskGroup>, RoundResult)| {
-                tg.wait();
-                out.lock().expect("probe round lock").take()
-            };
-            match any {
-                Err(e) => {
-                    let _ = settle(speculative);
-                    return Err(e);
-                }
-                Ok(false) => {
-                    let _ = settle(speculative);
-                    return Ok(());
-                }
-                Ok(true) => {
-                    current = speculative;
-                    next += PROBE_BATCH as u64;
-                }
+            let mut any = false;
+            for deleted in self.inner.pool.delete_many(&keys) {
+                any |= deleted?;
+            }
+            if !any {
+                break;
             }
         }
+        Ok(())
     }
 
     /// Remove empty directory `path`.
@@ -1182,13 +1095,114 @@ mod tests {
         assert!(!fs.exists("/empty-zombie").unwrap());
     }
 
+    type Failable = memfs_memkv::FailableClient<LocalClient>;
+
+    /// `n` stores behind failure-injectable clients, mounted with tiny
+    /// stripes so thousands of them stay cheap.
+    fn small_stripe_mount(n: usize) -> (Vec<Arc<Store>>, Vec<Arc<Failable>>, MemFs) {
+        let stores: Vec<Arc<Store>> = (0..n)
+            .map(|_| Arc::new(Store::new(StoreConfig::default())))
+            .collect();
+        let failables: Vec<_> = stores
+            .iter()
+            .map(|s| Arc::new(Failable::new(LocalClient::new(Arc::clone(s)))))
+            .collect();
+        let clients = failables
+            .iter()
+            .map(|c| Arc::clone(c) as Arc<dyn KvClient>)
+            .collect();
+        let config = MemFsConfig {
+            stripe_size: 16,
+            write_buffer_size: 1024,
+            read_cache_size: 1024,
+            ..MemFsConfig::default()
+        };
+        (stores, failables, MemFs::new(clients, config).unwrap())
+    }
+
+    fn items(stores: &[Arc<Store>]) -> u64 {
+        stores.iter().map(|s| s.item_count()).sum()
+    }
+
+    /// Nothing but the root directory's log is left on the servers.
+    fn assert_only_root_remains(stores: &[Arc<Store>], what: &str) {
+        assert_eq!(items(stores), 1, "{what}: keys left behind");
+    }
+
+    #[test]
+    fn unlink_frees_a_file_one_stripe_past_the_batch() {
+        let (stores, _, fs) = small_stripe_mount(4);
+        let stripes = UNLINK_BATCH + 1;
+        fs.write_file("/deep", &vec![5u8; stripes * 16]).unwrap();
+        assert_eq!(
+            items(&stores),
+            stripes as u64 + 2,
+            "stripes + size record + root"
+        );
+        fs.unlink("/deep").unwrap();
+        assert_only_root_remains(&stores, "finalized file");
+        fs.write_file("/deep", b"again").unwrap();
+        assert_eq!(fs.read_to_vec("/deep").unwrap(), b"again");
+    }
+
+    #[test]
+    fn unlink_frees_zombies_at_the_probe_boundaries() {
+        // A round that deletes exactly PROBE_BATCH stripes must be
+        // followed by one more (which deletes nothing and ends the probe);
+        // one stripe either side of the boundary and two full rounds too.
+        for flushed in [
+            PROBE_BATCH - 1,
+            PROBE_BATCH,
+            PROBE_BATCH + 1,
+            2 * PROBE_BATCH,
+        ] {
+            let (stores, _, fs) = small_stripe_mount(4);
+            let mut w = fs.create("/zombie").unwrap();
+            w.write_all(&vec![9u8; flushed * 16]).unwrap();
+            w.flush().unwrap();
+            std::mem::forget(w); // the writer "crashes": close never runs
+            assert_eq!(
+                items(&stores),
+                flushed as u64 + 2,
+                "{flushed} flushed stripes"
+            );
+            fs.unlink("/zombie").unwrap();
+            assert_only_root_remains(&stores, &format!("{flushed}-stripe zombie"));
+            fs.write_file("/zombie", b"alive").unwrap();
+            assert_eq!(fs.read_to_vec("/zombie").unwrap(), b"alive");
+        }
+    }
+
+    #[test]
+    fn deep_unlink_with_a_server_down_keeps_the_size_record() {
+        let (stores, failables, fs) = small_stripe_mount(4);
+        fs.write_file("/deep", &vec![5u8; (UNLINK_BATCH + 1) * 16])
+            .unwrap();
+        // A server holding stripes but neither metadata key, so the
+        // failure comes from the stripe rounds alone.
+        let meta = [
+            fs.pool().server_for(&KeySchema::file_key("/deep")).0,
+            fs.pool().server_for(&KeySchema::dir_key("/")).0,
+        ];
+        let down = (0..4).find(|s| !meta.contains(s)).unwrap();
+        failables[down].set_down(true);
+        assert!(matches!(fs.unlink("/deep"), Err(MemFsError::Storage(_))));
+        // The size record stays behind as the marker that stripes remain:
+        // the file is still there, and still finalized.
+        assert!(fs.stat("/deep").unwrap().finalized);
+        assert!(stores[down].item_count() > 0);
+        failables[down].set_down(false);
+        fs.unlink("/deep").unwrap();
+        assert_only_root_remains(&stores, "retried unlink");
+    }
+
     #[test]
     fn engine_is_sized_by_the_config_alone() {
-        // Background jobs only: the worker count is `engine_threads()`
+        // Background jobs only: the worker count is `io_threads`
         // whatever the server count or the in-flight budget. (The
         // eager-`start_*` client kind is covered in tests/fanout.rs.)
         let fs = mount(4);
-        assert_eq!(fs.engine().size(), fs.config().engine_threads());
+        assert_eq!(fs.engine().size(), fs.config().io_threads);
         assert_eq!(fs.engine().size(), 2);
         for (n_servers, io_parallelism) in [(1, 0), (2, 1), (8, 3)] {
             let fs = mount_with(
@@ -1198,7 +1212,7 @@ mod tests {
                     ..MemFsConfig::default()
                 },
             );
-            assert_eq!(fs.engine().size(), fs.config().engine_threads());
+            assert_eq!(fs.engine().size(), fs.config().io_threads);
             assert_eq!(fs.engine().size(), 4);
         }
     }

@@ -18,11 +18,11 @@
 //!   storage server via [`memfs_hashring`];
 //! * [`layout::StripeLayout`] — the striping mechanism (default 512 KiB
 //!   stripes, the paper's measured optimum);
-//! * [`threadpool::IoEngine`] — one worker pool per mount for background
-//!   jobs: every file's write drains, prefetch windows and unlink rounds,
-//!   so thread count is bounded by the config rather than by the number
-//!   of open files (driving all servers at once is the pool's submit
-//!   window, on the calling thread);
+//! * [`threadpool::IoEngine`] — one job queue per mount for background
+//!   jobs: every file's write drains and prefetch windows, so thread
+//!   count is bounded by the config rather than by the number of open
+//!   files (driving all servers at once is the pool's submit window, on
+//!   the calling thread);
 //! * [`bufwrite`] — the write-buffering protocol: an 8 MiB per-file buffer
 //!   drained asynchronously through the shared engine; `close()`/`flush()`
 //!   block until it is empty;
@@ -78,4 +78,4 @@ pub use fs::{DirEntry, EntryKind, FileStat, MemFs, ReadHandle, WriteHandle};
 pub use mover::{migrate_pass, MembershipMonitor, MigrateConfig, MigrationReport};
 pub use pool::{DegradedWrite, PoolStats, ServerIoSnapshot, ServerPool, WriteOutcome};
 pub use repair::{repair_pass, RepairConfig, RepairDaemon, RepairReport};
-pub use threadpool::{IoEngine, TaskGroup};
+pub use threadpool::IoEngine;

@@ -382,144 +382,6 @@ impl KvClient for RetiredClient {
     }
 }
 
-/// The pool's routing state and bookkeeping.
-struct PoolCore {
-    /// The live routing snapshot; swapped whole on membership changes.
-    ring: RwLock<Arc<RingState>>,
-    /// How to rebuild rings on membership changes.
-    kind: DistributorKind,
-    replication: usize,
-    stats: PoolStats,
-    /// Keys whose last write landed on some replicas but not all — the
-    /// hand-off point between the degraded write path and the repair
-    /// planner ([`ServerPool::take_degraded`]). May contain duplicates
-    /// when a key is written degraded repeatedly; repair dedups on drain.
-    degraded: Mutex<VecDeque<DegradedWrite>>,
-    /// Quiescence gate separating migration phase flips from in-flight
-    /// operations routed by the pre-flip phase.
-    gate: GenGate,
-    /// Serializes migration passes (the mover holds this across a pass).
-    migration: Mutex<()>,
-}
-
-impl PoolCore {
-    /// The live routing snapshot.
-    fn state(&self) -> Arc<RingState> {
-        Arc::clone(&self.ring.read().expect("pool ring lock"))
-    }
-
-    /// Enter the quiescence gate, then snapshot the ring. The gate is
-    /// entered *first* so that once [`GenGate::advance_and_wait`]
-    /// returns, no operation still works from a snapshot taken before
-    /// the phases the mover just published.
-    fn begin_op(&self) -> (GateGuard<'_>, Arc<RingState>) {
-        let gate = self.gate.enter();
-        let state = self.state();
-        (gate, state)
-    }
-
-    /// The one replica walk behind every routed read: try `key`'s homes
-    /// primary first. `NotFound` is final from an authoritative home but
-    /// not from a target-only home of a migrating range, where absence
-    /// only means the background copy has not landed yet.
-    ///
-    /// The per-key fallback of a failed batch passes the server that
-    /// failed as `skip` and its error as `last_err`: retrying that server
-    /// per key would multiply its failure latency by the batch size (fatal
-    /// when the failure is a response timeout), and without a surviving
-    /// replica the batch's own error is what surfaces.
-    fn get(
-        &self,
-        state: &RingState,
-        key: &[u8],
-        skip: Option<usize>,
-        mut last_err: Option<KvError>,
-    ) -> MemFsResult<Bytes> {
-        let (homes, auth) = state.route_with_auth(key, self.replication);
-        for (i, id) in homes.iter().enumerate() {
-            if Some(id.0) == skip {
-                continue;
-            }
-            match state.client(*id).get(key) {
-                Ok(v) => return Ok(v),
-                Err(e @ KvError::NotFound) if i < auth => return Err(e.into()),
-                Err(KvError::NotFound) => {}
-                Err(e) => last_err = Some(e),
-            }
-        }
-        match last_err {
-            Some(err) => self.get_failover(state, key, skip, err),
-            // Every authoritative home that was tried either returned
-            // above or left its error in `last_err`, and `auth >= 1`
-            // whenever `homes` is non-empty: unreachable unless `homes`
-            // is empty.
-            None => Err(KvError::NotFound.into()),
-        }
-    }
-
-    /// Every owner failed with a transport error: extend the candidate
-    /// walk past the owner set, where the repair planner parks failover
-    /// copies while owners are down. `NotFound` is not authoritative out
-    /// here — absence on a successor just means repair never placed a
-    /// copy there — so the owners' transport error is what surfaces when
-    /// the whole chain comes up empty.
-    fn get_failover(
-        &self,
-        state: &RingState,
-        key: &[u8],
-        skip: Option<usize>,
-        err: KvError,
-    ) -> MemFsResult<Bytes> {
-        let owners = self.replication.min(state.members.len());
-        for id in state.candidates(key).into_iter().skip(owners) {
-            if Some(id.0) == skip {
-                continue;
-            }
-            if let Ok(v) = state.client(id).get(key) {
-                return Ok(v);
-            }
-        }
-        Err(err.into())
-    }
-
-    /// Resolve one server's multi-get replies against the replica chain:
-    /// the completion half of a `get_many` batch.
-    fn finish_fetch(
-        &self,
-        state: &RingState,
-        server: usize,
-        batch: &[Bytes],
-        result: KvResult<Vec<KvResult<Bytes>>>,
-    ) -> Vec<MemFsResult<Bytes>> {
-        let io = self.stats.io(server);
-        match result {
-            Ok(results) => batch
-                .iter()
-                .zip(results)
-                .map(|(key, r)| match r {
-                    Ok(v) => Ok(v),
-                    Err(KvError::NotFound) => Err(KvError::NotFound.into()),
-                    // Per-key transport/server error: replica chain.
-                    Err(e) => {
-                        io.bump_fallback();
-                        self.get(state, key, Some(server), Some(e))
-                    }
-                })
-                .collect(),
-            // Whole-batch transport failure: fall back key by key so
-            // replicas (if any) still serve this server's share while the
-            // other servers' batches proceed untouched.
-            Err(e) => batch
-                .iter()
-                .map(|key| {
-                    io.bump_fallback();
-                    self.get(state, key, Some(server), Some(e.duplicate()))
-                })
-                .collect(),
-        }
-    }
-}
-
 /// Map one server's `set_many` replies to per-key outcomes: `None` for a
 /// stored key, `Some(err)` for a failed one. A whole-batch transport
 /// failure maps its error onto every key, exactly like [`finish_erase`].
@@ -656,7 +518,22 @@ impl StoreAgg {
 /// converges; applications needing ordered replicated appends should keep
 /// `replication = 1`.
 pub struct ServerPool {
-    core: Arc<PoolCore>,
+    /// The live routing snapshot; swapped whole on membership changes.
+    ring: RwLock<Arc<RingState>>,
+    /// How to rebuild rings on membership changes.
+    kind: DistributorKind,
+    replication: usize,
+    stats: PoolStats,
+    /// Keys whose last write landed on some replicas but not all — the
+    /// hand-off point between the degraded write path and the repair
+    /// planner ([`ServerPool::take_degraded`]). May contain duplicates
+    /// when a key is written degraded repeatedly; repair dedups on drain.
+    degraded: Mutex<VecDeque<DegradedWrite>>,
+    /// Quiescence gate separating migration phase flips from in-flight
+    /// operations routed by the pre-flip phase.
+    gate: GenGate,
+    /// Serializes migration passes (the mover holds this across a pass).
+    migration: Mutex<()>,
     /// In-flight batch budget of the submit window, resolved from
     /// `io_parallelism` (`0` → unlimited).
     budget: usize,
@@ -721,7 +598,7 @@ impl ServerPool {
             transition: None,
             version: 0,
         });
-        let core = Arc::new(PoolCore {
+        ServerPool {
             ring: RwLock::new(state),
             kind,
             replication,
@@ -729,25 +606,25 @@ impl ServerPool {
             degraded: Mutex::new(VecDeque::new()),
             gate: GenGate::default(),
             migration: Mutex::new(()),
-        });
-        ServerPool { core, budget }
+            budget,
+        }
     }
 
     /// The configured replication factor.
     pub fn replication(&self) -> usize {
-        self.core.replication
+        self.replication
     }
 
     /// How many per-server batches one batched call can have on the wire
     /// simultaneously: the submit budget, capped at the member count
     /// (a call carries at most one batch per server).
     pub fn io_parallelism(&self) -> usize {
-        self.budget.min(self.core.state().members.len())
+        self.budget.min(self.ring_state().members.len())
     }
 
     /// Per-server dispatch counters.
     pub fn stats(&self) -> &PoolStats {
-        &self.core.stats
+        &self.stats
     }
 
     /// Transport reactor counters, one snapshot per distinct reactor
@@ -758,8 +635,7 @@ impl ServerPool {
     /// registered connections, timeouts fired, and reconnect attempts.
     pub fn reactor_stats(&self) -> Vec<ReactorStatsSnapshot> {
         let mut seen = std::collections::HashSet::new();
-        self.core
-            .state()
+        self.ring_state()
             .clients
             .iter()
             .filter_map(|c| c.reactor_stats())
@@ -771,10 +647,7 @@ impl ServerPool {
     /// distinct-successor walk; during a migrating range, the old homes
     /// followed by the target ring's extra homes).
     pub fn servers_for(&self, key: &[u8]) -> impl Iterator<Item = ServerId> + '_ {
-        self.core
-            .state()
-            .route(key, self.core.replication)
-            .into_iter()
+        self.ring_state().route(key, self.replication).into_iter()
     }
 
     /// The key's full failover candidate chain: its `replication()`
@@ -784,7 +657,7 @@ impl ServerPool {
     /// successors while owners are down and converge back when they
     /// return.
     pub fn replica_candidates(&self, key: &[u8]) -> Vec<ServerId> {
-        self.core.state().candidates(key)
+        self.ring_state().candidates(key)
     }
 
     /// Per-server health census, indexed by [`ServerId`]: each client's
@@ -794,8 +667,7 @@ impl ServerPool {
     /// planner uses this to pick surviving copy sources and live
     /// re-replication targets.
     pub fn health(&self) -> Vec<ServerHealth> {
-        self.core
-            .state()
+        self.ring_state()
             .clients
             .iter()
             .map(|c| c.health())
@@ -806,8 +678,7 @@ impl ServerPool {
     /// under-replicated since the last drain, in write order (duplicates
     /// possible — dedup on use).
     pub fn take_degraded(&self) -> Vec<DegradedWrite> {
-        self.core
-            .degraded
+        self.degraded
             .lock()
             .expect("degraded queue lock")
             .drain(..)
@@ -820,8 +691,7 @@ impl ServerPool {
     /// copying from one during a migration would resurrect it on the new
     /// homes while the fresh old-home copy gets retired.
     pub(crate) fn peek_degraded(&self) -> Vec<DegradedWrite> {
-        self.core
-            .degraded
+        self.degraded
             .lock()
             .expect("degraded queue lock")
             .iter()
@@ -831,11 +701,7 @@ impl ServerPool {
 
     /// Number of degraded writes currently queued for repair.
     pub fn degraded_pending(&self) -> usize {
-        self.core
-            .degraded
-            .lock()
-            .expect("degraded queue lock")
-            .len()
+        self.degraded.lock().expect("degraded queue lock").len()
     }
 
     /// Put unresolved degraded-write hints back on the queue (the repair
@@ -846,8 +712,7 @@ impl ServerPool {
         if hints.is_empty() {
             return;
         }
-        self.core
-            .degraded
+        self.degraded
             .lock()
             .expect("degraded queue lock")
             .extend(hints);
@@ -856,15 +721,14 @@ impl ServerPool {
     /// Number of server *slots* (including joining and retired ones —
     /// slot ids are stable for the life of the pool).
     pub fn n_servers(&self) -> usize {
-        self.core.state().clients.len()
+        self.ring_state().clients.len()
     }
 
     /// The current member slots, sorted. Joining servers appear once
     /// their admission transition completes; drained servers disappear
     /// when theirs does.
     pub fn members(&self) -> Vec<ServerId> {
-        self.core
-            .state()
+        self.ring_state()
             .members
             .iter()
             .map(|&m| ServerId(m))
@@ -873,7 +737,7 @@ impl ServerPool {
 
     /// Whether a membership transition is in progress.
     pub fn transition_active(&self) -> bool {
-        self.core.state().transition.is_some()
+        self.ring_state().transition.is_some()
     }
 
     /// Admit new servers: append their clients to the slot table and
@@ -893,7 +757,7 @@ impl ServerPool {
         if new_clients.is_empty() {
             return Ok(Vec::new());
         }
-        let mut ring = self.core.ring.write().expect("pool ring lock");
+        let mut ring = self.ring.write().expect("pool ring lock");
         let state = &**ring;
         if state.transition.is_some() {
             return Err(MemFsError::MembershipBusy);
@@ -903,10 +767,10 @@ impl ServerPool {
         let mut target_members = state.members.clone();
         target_members.extend(joining.iter().copied());
         target_members.sort_unstable();
-        let target = ring_for(&self.core.kind, &target_members, state.members.len())?;
+        let target = ring_for(&self.kind, &target_members, state.members.len())?;
         let mut clients = state.clients.clone();
         clients.extend(new_clients);
-        self.core.stats.grow_to(clients.len());
+        self.stats.grow_to(clients.len());
         *ring = Arc::new(RingState {
             clients,
             members: state.members.clone(),
@@ -933,7 +797,7 @@ impl ServerPool {
     /// leave fewer members than the replication factor (or a slot-table
     /// hole the distributor cannot express).
     pub fn begin_remove_server(&self, id: ServerId) -> MemFsResult<()> {
-        let mut ring = self.core.ring.write().expect("pool ring lock");
+        let mut ring = self.ring.write().expect("pool ring lock");
         let state = &**ring;
         if state.transition.is_some() {
             return Err(MemFsError::MembershipBusy);
@@ -947,13 +811,13 @@ impl ServerPool {
             .copied()
             .filter(|&m| m != id.0)
             .collect();
-        if target_members.len() < self.core.replication {
+        if target_members.len() < self.replication {
             return Err(MemFsError::UnsupportedTopology {
                 from: state.members.len(),
                 to: target_members.len(),
             });
         }
-        let target = ring_for(&self.core.kind, &target_members, state.members.len())?;
+        let target = ring_for(&self.kind, &target_members, state.members.len())?;
         *ring = Arc::new(RingState {
             clients: state.clients.clone(),
             members: state.members.clone(),
@@ -971,20 +835,20 @@ impl ServerPool {
 
     /// The live routing snapshot (for the mover and in-crate tests).
     pub(crate) fn ring_state(&self) -> Arc<RingState> {
-        self.core.state()
+        Arc::clone(&self.ring.read().expect("pool ring lock"))
     }
 
     /// Wait until every operation that entered before this call has
     /// finished, so a phase flip published before the call is visible to
     /// all in-flight routing. Called by the mover between flip and act.
     pub(crate) fn quiesce(&self) {
-        self.core.gate.advance_and_wait();
+        self.gate.advance_and_wait();
     }
 
     /// Serializes migration passes across threads (daemon vs. manual
     /// `migrate_now`).
     pub(crate) fn migration_mutex(&self) -> &Mutex<()> {
-        &self.core.migration
+        &self.migration
     }
 
     /// Finish the in-progress transition: the target membership becomes
@@ -992,7 +856,7 @@ impl ServerPool {
     /// dropped. The mover calls this after every range reached
     /// [`RangePhase::New`]; a no-op without an active transition.
     pub(crate) fn complete_transition(&self) {
-        let mut ring = self.core.ring.write().expect("pool ring lock");
+        let mut ring = self.ring.write().expect("pool ring lock");
         let state = &**ring;
         let Some(t) = &state.transition else {
             return;
@@ -1015,13 +879,13 @@ impl ServerPool {
     /// The server a key routes to (exposed for balance diagnostics and the
     /// simulation models, which share this placement logic).
     pub fn server_for(&self, key: &[u8]) -> ServerId {
-        self.core.state().primary(key)
+        self.ring_state().primary(key)
     }
 
     /// The client for a given server id (a snapshot — the slot may retire
     /// later, at which point calls on the old handle fail cleanly).
     pub fn client(&self, id: ServerId) -> Arc<dyn KvClient> {
-        Arc::clone(&self.core.state().clients[id.0])
+        Arc::clone(&self.ring_state().clients[id.0])
     }
 
     /// Routed `set`: attempted on every replica. A key that lands on at
@@ -1030,9 +894,9 @@ impl ServerPool {
     /// error, so the write path stays available while a server is down.
     /// Only a key every replica rejected is an error.
     pub fn set(&self, key: &[u8], value: Bytes) -> MemFsResult<()> {
-        let (_gate, state) = self.core.begin_op();
+        let (_gate, state) = self.begin_op();
         let mut agg = StoreAgg::default();
-        for id in state.route(key, self.core.replication) {
+        for id in state.route(key, self.replication) {
             agg.merge(
                 id.0,
                 state
@@ -1055,10 +919,9 @@ impl ServerPool {
             return Ok(WriteOutcome::Full);
         }
         for id in &agg.missing {
-            self.core.stats.bump_degraded(id.0);
+            self.stats.bump_degraded(id.0);
         }
-        self.core
-            .degraded
+        self.degraded
             .lock()
             .expect("degraded queue lock")
             .push_back(DegradedWrite {
@@ -1077,8 +940,8 @@ impl ServerPool {
     /// routes old-homes-first, so the gate is unambiguous); the target
     /// homes receive follower `set`s like any replica.
     pub fn add(&self, key: &[u8], value: Bytes) -> MemFsResult<()> {
-        let (_gate, state) = self.core.begin_op();
-        let mut servers = state.route(key, self.core.replication).into_iter();
+        let (_gate, state) = self.begin_op();
+        let mut servers = state.route(key, self.replication).into_iter();
         let primary = servers.next().expect("replication >= 1");
         state.client(primary).add(key, value.clone())?;
         for id in servers {
@@ -1093,8 +956,8 @@ impl ServerPool {
     /// home of a migrating range, where the key's copy may simply not
     /// have landed yet).
     pub fn get(&self, key: &[u8]) -> MemFsResult<Bytes> {
-        let (_gate, state) = self.core.begin_op();
-        self.core.get(&state, key, None, None)
+        let (_gate, state) = self.begin_op();
+        self.get_routed(&state, key, None, None)
     }
 
     /// Routed `get` that maps a missing key to `None`.
@@ -1119,7 +982,7 @@ impl ServerPool {
     /// chain when that server's batch settles, so a dead server degrades
     /// only its own keys while the healthy servers' batches proceed.
     pub fn get_many(&self, keys: &[Bytes]) -> Vec<MemFsResult<Bytes>> {
-        let (_gate, state) = self.core.begin_op();
+        let (_gate, state) = self.begin_op();
         let mut batches: Vec<ServerBatch<Bytes>> =
             vec![(Vec::new(), Vec::new()); state.clients.len()];
         for (i, key) in keys.iter().enumerate() {
@@ -1132,7 +995,7 @@ impl ServerPool {
             batches,
             |server, batch| state.clients[server].start_get_many(batch),
             |server, idx, batch, result| {
-                let results = self.core.finish_fetch(&state, server, batch, result);
+                let results = self.finish_fetch(&state, server, batch, result);
                 for (&i, r) in idx.iter().zip(results) {
                     out[i] = Some(r);
                 }
@@ -1168,14 +1031,14 @@ impl ServerPool {
     /// (durable, recorded in the repair queue with the missing servers);
     /// a key every replica failed is `Err`.
     pub fn set_many_outcomes(&self, items: &[(Bytes, Bytes)]) -> Vec<MemFsResult<WriteOutcome>> {
-        let (_gate, state) = self.core.begin_op();
+        let (_gate, state) = self.begin_op();
         // With replication, each item lands on `r` ring-successor servers
         // — build one batch per *target* server across all replicas; each
         // entry remembers which input item it resolves.
         let mut batches: Vec<ServerBatch<(Bytes, Bytes)>> =
             vec![(Vec::new(), Vec::new()); state.clients.len()];
         for (i, (key, value)) in items.iter().enumerate() {
-            for id in state.route(key, self.core.replication) {
+            for id in state.route(key, self.replication) {
                 batches[id.0].0.push(i);
                 batches[id.0].1.push((key.clone(), value.clone()));
             }
@@ -1203,8 +1066,8 @@ impl ServerPool {
     /// homes, and the mover's post-copy re-check carries it across before
     /// the range flips to `New`.
     pub fn append(&self, key: &[u8], suffix: &[u8]) -> MemFsResult<()> {
-        let (_gate, state) = self.core.begin_op();
-        let (homes, auth) = state.route_with_auth(key, self.core.replication);
+        let (_gate, state) = self.begin_op();
+        let (homes, auth) = state.route_with_auth(key, self.replication);
         for (i, id) in homes.iter().enumerate() {
             match state.client(*id).append(key, suffix) {
                 Ok(()) => {}
@@ -1218,10 +1081,10 @@ impl ServerPool {
     /// Routed `delete`; missing keys and dead replicas are ignored
     /// (idempotent cleanup).
     pub fn delete_quiet(&self, key: &[u8]) -> MemFsResult<()> {
-        let (_gate, state) = self.core.begin_op();
+        let (_gate, state) = self.begin_op();
         let mut last_err: Option<KvError> = None;
         let mut any_ok = false;
-        for id in state.route(key, self.core.replication) {
+        for id in state.route(key, self.replication) {
             match state.client(id).delete(key) {
                 Ok(()) | Err(KvError::NotFound) => any_ok = true,
                 Err(e) => last_err = Some(e),
@@ -1244,13 +1107,13 @@ impl ServerPool {
     /// any replica deleted the key, `Ok(false)` if every live replica
     /// reported it missing, `Err` only if all replicas failed.
     pub fn delete_many(&self, keys: &[Bytes]) -> Vec<MemFsResult<bool>> {
-        let (_gate, state) = self.core.begin_op();
+        let (_gate, state) = self.begin_op();
         // One batch per *target* server across all replicas; each entry
         // remembers which input key it resolves.
         let mut batches: Vec<ServerBatch<Bytes>> =
             vec![(Vec::new(), Vec::new()); state.clients.len()];
         for (i, key) in keys.iter().enumerate() {
-            for id in state.route(key, self.core.replication) {
+            for id in state.route(key, self.replication) {
                 batches[id.0].0.push(i);
                 batches[id.0].1.push(key.clone());
             }
@@ -1270,11 +1133,122 @@ impl ServerPool {
 
     /// Whether a key exists on any live replica.
     pub fn contains(&self, key: &[u8]) -> bool {
-        let (_gate, state) = self.core.begin_op();
+        let (_gate, state) = self.begin_op();
         state
-            .route(key, self.core.replication)
+            .route(key, self.replication)
             .into_iter()
             .any(|id| state.client(id).contains(key))
+    }
+
+    /// Enter the quiescence gate, then snapshot the ring. The gate is
+    /// entered *first* so that once [`GenGate::advance_and_wait`]
+    /// returns, no operation still works from a snapshot taken before
+    /// the phases the mover just published.
+    fn begin_op(&self) -> (GateGuard<'_>, Arc<RingState>) {
+        let gate = self.gate.enter();
+        let state = self.ring_state();
+        (gate, state)
+    }
+
+    /// The one replica walk behind every routed read: try `key`'s homes
+    /// primary first. `NotFound` is final from an authoritative home but
+    /// not from a target-only home of a migrating range, where absence
+    /// only means the background copy has not landed yet.
+    ///
+    /// The per-key fallback of a failed batch passes the server that
+    /// failed as `skip` and its error as `last_err`: retrying that server
+    /// per key would multiply its failure latency by the batch size (fatal
+    /// when the failure is a response timeout), and without a surviving
+    /// replica the batch's own error is what surfaces.
+    fn get_routed(
+        &self,
+        state: &RingState,
+        key: &[u8],
+        skip: Option<usize>,
+        mut last_err: Option<KvError>,
+    ) -> MemFsResult<Bytes> {
+        let (homes, auth) = state.route_with_auth(key, self.replication);
+        for (i, id) in homes.iter().enumerate() {
+            if Some(id.0) == skip {
+                continue;
+            }
+            match state.client(*id).get(key) {
+                Ok(v) => return Ok(v),
+                Err(e @ KvError::NotFound) if i < auth => return Err(e.into()),
+                Err(KvError::NotFound) => {}
+                Err(e) => last_err = Some(e),
+            }
+        }
+        match last_err {
+            Some(err) => self.get_failover(state, key, skip, err),
+            // Every authoritative home that was tried either returned
+            // above or left its error in `last_err`, and `auth >= 1`
+            // whenever `homes` is non-empty: unreachable unless `homes`
+            // is empty.
+            None => Err(KvError::NotFound.into()),
+        }
+    }
+
+    /// Every owner failed with a transport error: extend the candidate
+    /// walk past the owner set, where the repair planner parks failover
+    /// copies while owners are down. `NotFound` is not authoritative out
+    /// here — absence on a successor just means repair never placed a
+    /// copy there — so the owners' transport error is what surfaces when
+    /// the whole chain comes up empty.
+    fn get_failover(
+        &self,
+        state: &RingState,
+        key: &[u8],
+        skip: Option<usize>,
+        err: KvError,
+    ) -> MemFsResult<Bytes> {
+        let owners = self.replication.min(state.members.len());
+        for id in state.candidates(key).into_iter().skip(owners) {
+            if Some(id.0) == skip {
+                continue;
+            }
+            if let Ok(v) = state.client(id).get(key) {
+                return Ok(v);
+            }
+        }
+        Err(err.into())
+    }
+
+    /// Resolve one server's multi-get replies against the replica chain:
+    /// the completion half of a `get_many` batch.
+    fn finish_fetch(
+        &self,
+        state: &RingState,
+        server: usize,
+        batch: &[Bytes],
+        result: KvResult<Vec<KvResult<Bytes>>>,
+    ) -> Vec<MemFsResult<Bytes>> {
+        let io = self.stats.io(server);
+        match result {
+            Ok(results) => batch
+                .iter()
+                .zip(results)
+                .map(|(key, r)| match r {
+                    Ok(v) => Ok(v),
+                    Err(KvError::NotFound) => Err(KvError::NotFound.into()),
+                    // Per-key transport/server error: replica chain.
+                    Err(e) => {
+                        io.bump_fallback();
+                        self.get_routed(state, key, Some(server), Some(e))
+                    }
+                })
+                .collect(),
+            // Whole-batch transport failure: fall back key by key so
+            // replicas (if any) still serve this server's share while the
+            // other servers' batches proceed untouched.
+            Err(e) => batch
+                .iter()
+                .map(|key| {
+                    io.bump_fallback();
+                    self.get_routed(state, key, Some(server), Some(e.duplicate()))
+                })
+                .collect(),
+        }
     }
 
     /// The submit window — the one dispatch path of every batched call.
@@ -1320,7 +1294,7 @@ impl ServerPool {
             while window.len() >= self.budget {
                 settle_one(&mut window);
             }
-            let guard = self.core.stats.io(server).track(batch.len());
+            let guard = self.stats.io(server).track(batch.len());
             let deferred = start(server, &batch);
             window.push_back((server, (idx, batch), deferred, guard));
         }
@@ -1332,7 +1306,7 @@ impl ServerPool {
 
 impl std::fmt::Debug for ServerPool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let state = self.core.state();
+        let state = self.ring_state();
         f.debug_struct("ServerPool")
             .field("n_servers", &state.clients.len())
             .field("members", &state.members.len())

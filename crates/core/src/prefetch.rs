@@ -6,7 +6,7 @@
 //!
 //! [`StripeReader`] keeps a bounded per-file cache (8 MiB by default).
 //! Every stripe access triggers prefetch of the next `window` stripes
-//! through the shared prefetch thread pool; sequential readers therefore
+//! through the mount's shared I/O engine; sequential readers therefore
 //! always find the next stripe already local, hiding the network latency
 //! (which is why Figure 3a shows read bandwidth independent of stripe
 //! size).
@@ -30,14 +30,13 @@ use crate::layout::StripeLayout;
 use crate::pool::ServerPool;
 use crate::threadpool::IoEngine;
 
-/// State of one cache slot.
+/// State of one cache slot. A fetch that fails removes its claim and
+/// notifies, so an absent slot is also "failed: retry synchronously".
 enum Slot {
     /// A prefetch job is fetching this stripe.
     InFlight,
     /// Stripe bytes are local.
     Ready(Bytes),
-    /// The background fetch failed; readers retry synchronously.
-    Failed,
 }
 
 struct CacheState {
@@ -248,13 +247,11 @@ impl StripeReader {
                     Some(Slot::InFlight) => {
                         self.cache.cv.wait(&mut state);
                     }
-                    Some(Slot::Failed) | None => {
+                    None => {
                         // Claim the slot *before* going to the network so
                         // concurrent misses on this stripe wait here
                         // instead of each fetching it (and pushing
-                        // duplicate eviction-order entries). Overwriting a
-                        // stale Failed marker is the synchronous retry
-                        // clearing it.
+                        // duplicate eviction-order entries).
                         state.slots.insert(stripe, Slot::InFlight);
                         break;
                     }
@@ -328,7 +325,7 @@ impl StripeReader {
                 match state.slots.get(&s) {
                     Some(Slot::Ready(data)) => out[i] = Some(data.clone()),
                     Some(Slot::InFlight) => waiting.push((i, s)),
-                    Some(Slot::Failed) | None => {
+                    None => {
                         // Claim the slot so concurrent readers/prefetchers
                         // wait on our batch instead of fetching twice.
                         state.slots.insert(s, Slot::InFlight);
@@ -360,8 +357,8 @@ impl StripeReader {
             let results = self.pool.get_many(&keys);
             let mut first_err: Option<MemFsError> = None;
             let mut state = self.cache.state.lock();
-            // Every claimed slot must be resolved to Ready or Failed even
-            // on error, or waiters would hang on InFlight forever.
+            // Every claimed slot must be resolved — Ready, or released on
+            // error — or waiters would hang on InFlight forever.
             for (&(i, s), r) in misses.iter().zip(results) {
                 match r {
                     Ok(data) => {
@@ -369,7 +366,7 @@ impl StripeReader {
                         out[i] = Some(data);
                     }
                     Err(e) => {
-                        state.slots.insert(s, Slot::Failed);
+                        state.slots.remove(&s);
                         if first_err.is_none() {
                             first_err = Some(self.stripe_err(s, e));
                         }
@@ -414,14 +411,6 @@ impl StripeReader {
         let mut pending: Vec<u64> = Vec::new();
         {
             let mut state = self.cache.state.lock();
-            // Sweep stale Failed markers first. They never enter the
-            // eviction `order` queue, so before this sweep they
-            // accumulated in `slots` until the capacity guard below
-            // permanently wedged prefetching after transient errors. The
-            // cost: a persistently failing stripe may be re-tried once
-            // per issued window — bounded, and the synchronous path
-            // surfaces its error either way.
-            state.slots.retain(|_, s| !matches!(s, Slot::Failed));
             // Don't let prefetch evict data the reader hasn't seen: bound
             // the stripes that are still *unread* — ahead of the read
             // position or in flight. Ready stripes behind `stripe` were
@@ -466,7 +455,7 @@ impl StripeReader {
                 match result {
                     Ok(data) => cache.insert_ready_locked(&mut state, s, data),
                     Err(_) => {
-                        state.slots.insert(s, Slot::Failed);
+                        state.slots.remove(&s);
                     }
                 }
             }
@@ -685,13 +674,10 @@ mod tests {
             self.gets.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
             self.inner.get(key)
         }
-        fn get_many(
-            &self,
-            keys: &[Bytes],
-        ) -> memfs_memkv::error::KvResult<Vec<memfs_memkv::error::KvResult<Bytes>>> {
+        fn start_get_many(&self, keys: &[Bytes]) -> memfs_memkv::Deferred<Bytes> {
             self.mgets
                 .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            self.inner.get_many(keys)
+            self.inner.start_get_many(keys)
         }
         fn append(&self, key: &[u8], suffix: &[u8]) -> memfs_memkv::error::KvResult<()> {
             self.inner.append(key, suffix)
@@ -902,8 +888,10 @@ mod tests {
         let failable = Arc::new(FailableClient::new(LocalClient::new(Arc::clone(&store))));
         let clients: Vec<Arc<dyn KvClient>> = vec![Arc::clone(&failable) as Arc<dyn KvClient>];
         let pool = Arc::new(ServerPool::new(clients, DistributorKind::default()));
+        // 100 stripes: the recovery read at stripe 40 continues a
+        // stride-10 stream, so its window (50, 60, ...) must fit the file.
         let layout = StripeLayout::new(100);
-        for s in 0..layout.stripe_count(5000) {
+        for s in 0..layout.stripe_count(10_000) {
             pool.set(
                 &KeySchema::stripe_key("/f", s),
                 Bytes::from(vec![s as u8; 100]),
@@ -914,23 +902,28 @@ mod tests {
         let r = StripeReader::new(
             "/f".into(),
             layout,
-            5000,
+            10_000,
             Arc::clone(&pool),
             engine,
             4,
-            4, // capacity == window: a few stale Failed slots fill it
+            4, // capacity == window: unreleased outage-time claims fill it
         );
-        // Transient outage: every batched read fails, leaving Failed
-        // markers behind (as many distinct stripes as the capacity).
+        // Transient outage: every batched read fails, on as many distinct
+        // stripes as the capacity.
         failable.set_down(true);
         for s in [0u64, 10, 20, 30] {
             assert!(r.read_stripes(&[s]).is_err());
         }
+        // Let the outage-time window jobs fail and release their claims
+        // while the server is still down: left in flight they can fill
+        // the capacity-4 budget (no recovery window), or run after
+        // recovery and be mistaken for the window this test waits for.
+        r.wait_settled();
         failable.set_down(false);
-        // Recovery: a successful read must re-arm prefetching. Before the
-        // Failed-slot sweep, the stale markers counted against capacity
-        // and the `slots.len() >= capacity` guard wedged prefetch
-        // permanently — no batched multi-get was ever issued again.
+        // Recovery: a successful read must re-arm prefetching. Failed
+        // fetches used to leave markers that counted against capacity and
+        // wedged prefetch permanently — no batched multi-get was ever
+        // issued again.
         let baseline = store.stats().snapshot().mget_ops;
         assert_eq!(r.stripe(40).unwrap().as_ref(), &[40u8; 100][..]);
         let mut landed = false;
@@ -948,7 +941,7 @@ mod tests {
 
         // One server of four fails its share of a window: the other
         // servers' stripes must turn Ready (not stay InFlight behind the
-        // failure) and its own must turn Failed, to be retried
+        // failure) and its own must be released, to be retried
         // synchronously once the server is back.
         let (counted, pool) = instrumented_pool_over(2000, 100, |store| {
             FailableClient::new(LocalClient::new(store))
@@ -975,7 +968,7 @@ mod tests {
             let state = r.cache.state.lock();
             for s in 1..=8u64 {
                 match state.slots.get(&s) {
-                    Some(Slot::Failed) => assert_eq!(owner(s), down, "stripe {s} failed"),
+                    None => assert_eq!(owner(s), down, "stripe {s} failed"),
                     Some(Slot::Ready(_)) => assert_ne!(owner(s), down, "stripe {s} ready"),
                     _ => panic!("window stripe {s} left unresolved"),
                 }

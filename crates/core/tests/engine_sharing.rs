@@ -58,7 +58,7 @@ fn thirty_two_open_files_share_one_bounded_dispatcher() {
     let fs = MemFs::new(servers, config.clone()).unwrap();
     // Batched pool calls drive the servers from the caller's thread, so
     // the engine is sized for background jobs only.
-    let expected = config.engine_threads();
+    let expected = config.io_threads;
     assert_eq!(fs.engine().size(), expected);
     expect_io_threads(expected, "mounting starts the one engine");
 

@@ -449,7 +449,7 @@ fn eager_only_clients_pass_the_batched_contract() {
         ..MemFsConfig::default()
     };
     let fs = MemFs::new(clients(), config.clone()).unwrap();
-    assert_eq!(fs.engine().size(), config.engine_threads());
+    assert_eq!(fs.engine().size(), config.io_threads);
     let data: Vec<u8> = (0..100_000usize).map(|i| (i * 7) as u8).collect();
     fs.write_file("/eager.dat", &data).unwrap();
     assert_eq!(fs.read_to_vec("/eager.dat").unwrap(), data);

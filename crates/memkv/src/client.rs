@@ -113,50 +113,54 @@ pub trait KvClient: Send + Sync {
     /// Keys travel as [`Bytes`] so the fan-out dispatcher's per-server
     /// batches are assembled by reference-count bumps, never key copies.
     ///
-    /// The default loops over [`KvClient::get`]; batching transports
-    /// override it ([`LocalClient`] dispatches one engine batch,
-    /// [`crate::net::TcpClient`] sends pipelined multi-key `get` frames).
+    /// Provided: [`KvClient::start_get_many`] is the half a transport
+    /// overrides; this is always that call, waited on.
     fn get_many(&self, keys: &[Bytes]) -> KvResult<Vec<KvResult<Bytes>>> {
-        Ok(keys.iter().map(|k| self.get(k)).collect())
+        self.start_get_many(keys).wait()
     }
     /// Store several key/value pairs, returning one result per pair in
-    /// request order. Same error split as [`KvClient::get_many`].
-    ///
-    /// The default loops over [`KvClient::set`]; pipelining transports
-    /// override it to write every frame before reading any reply.
+    /// request order. Same error split as [`KvClient::get_many`];
+    /// provided over [`KvClient::start_set_many`].
     fn set_many(&self, items: &[(Bytes, Bytes)]) -> KvResult<Vec<KvResult<()>>> {
-        Ok(items.iter().map(|(k, v)| self.set(k, v.clone())).collect())
+        self.start_set_many(items).wait()
     }
     /// Remove several keys in one round trip, returning one result per key
     /// in request order. Same error split as [`KvClient::get_many`];
     /// per-key misses surface as inner
-    /// [`KvError::NotFound`](crate::error::KvError::NotFound).
-    ///
-    /// The default loops over [`KvClient::delete`]; pipelining transports
-    /// override it — freeing a striped file's stripes should not cost one
-    /// round trip each.
+    /// [`KvError::NotFound`](crate::error::KvError::NotFound). Provided
+    /// over [`KvClient::start_delete_many`].
     fn delete_many(&self, keys: &[Bytes]) -> KvResult<Vec<KvResult<()>>> {
-        Ok(keys.iter().map(|k| self.delete(k)).collect())
+        self.start_delete_many(keys).wait()
     }
     /// Whether a key exists (no read traffic accounted).
     fn contains(&self, key: &[u8]) -> bool {
         self.get(key).is_ok()
     }
-    /// Begin a [`KvClient::get_many`]; the default runs it eagerly.
-    /// Evented transports override this to put the batch on the wire and
-    /// return without blocking.
+    /// Begin a [`KvClient::get_many`] — the one batched surface a
+    /// transport overrides. The default loops over [`KvClient::get`]
+    /// eagerly; batching transports override it ([`LocalClient`]
+    /// dispatches one engine batch) and evented ones put the batch on the
+    /// wire and return without blocking ([`crate::net::TcpClient`] sends
+    /// pipelined multi-key `get` frames).
     fn start_get_many(&self, keys: &[Bytes]) -> Deferred<Bytes> {
-        Deferred::Ready(self.get_many(keys))
+        Deferred::Ready(Ok(keys.iter().map(|k| self.get(k)).collect()))
     }
     /// Begin a [`KvClient::set_many`]; same contract as
-    /// [`KvClient::start_get_many`].
+    /// [`KvClient::start_get_many`]. The default loops over
+    /// [`KvClient::set`]; pipelining transports write every frame before
+    /// reading any reply.
     fn start_set_many(&self, items: &[(Bytes, Bytes)]) -> Deferred<()> {
-        Deferred::Ready(self.set_many(items))
+        Deferred::Ready(Ok(items
+            .iter()
+            .map(|(k, v)| self.set(k, v.clone()))
+            .collect()))
     }
     /// Begin a [`KvClient::delete_many`]; same contract as
-    /// [`KvClient::start_get_many`].
+    /// [`KvClient::start_get_many`]. The default loops over
+    /// [`KvClient::delete`]; pipelining transports override it — freeing a
+    /// striped file's stripes should not cost one round trip each.
     fn start_delete_many(&self, keys: &[Bytes]) -> Deferred<()> {
-        Deferred::Ready(self.delete_many(keys))
+        Deferred::Ready(Ok(keys.iter().map(|k| self.delete(k)).collect()))
     }
     /// Enumerate every key on the server — needed by the elastic
     /// rebalancer. Default: unsupported (transports without the `keys`
@@ -219,8 +223,8 @@ impl KvClient for LocalClient {
     fn get(&self, key: &[u8]) -> KvResult<Bytes> {
         self.store.get(key)
     }
-    fn get_many(&self, keys: &[Bytes]) -> KvResult<Vec<KvResult<Bytes>>> {
-        Ok(self.store.get_many(keys))
+    fn start_get_many(&self, keys: &[Bytes]) -> Deferred<Bytes> {
+        Deferred::Ready(Ok(self.store.get_many(keys)))
     }
     fn append(&self, key: &[u8], suffix: &[u8]) -> KvResult<()> {
         self.store.append(key, suffix)
@@ -354,23 +358,6 @@ impl<C: KvClient> KvClient for ThrottledClient<C> {
         self.delay(out.as_ref().map(|v| v.len()).unwrap_or(0));
         out
     }
-    fn get_many(&self, keys: &[Bytes]) -> KvResult<Vec<KvResult<Bytes>>> {
-        // One round trip for the whole batch: a single latency charge plus
-        // bandwidth on the combined payload — the cost model that makes
-        // batching worth doing over a shaped link.
-        let out = self.inner.get_many(keys)?;
-        let total: usize = out
-            .iter()
-            .map(|r| r.as_ref().map(|v| v.len()).unwrap_or(0))
-            .sum();
-        self.delay(total);
-        Ok(out)
-    }
-    fn set_many(&self, items: &[(Bytes, Bytes)]) -> KvResult<Vec<KvResult<()>>> {
-        let total: usize = items.iter().map(|(_, v)| v.len()).sum();
-        self.delay(total);
-        self.inner.set_many(items)
-    }
     fn append(&self, key: &[u8], suffix: &[u8]) -> KvResult<()> {
         self.delay(suffix.len());
         self.inner.append(key, suffix)
@@ -379,15 +366,13 @@ impl<C: KvClient> KvClient for ThrottledClient<C> {
         self.delay(0);
         self.inner.delete(key)
     }
-    fn delete_many(&self, keys: &[Bytes]) -> KvResult<Vec<KvResult<()>>> {
-        // One round trip for the whole batch (deletes carry no payload).
-        self.delay(0);
-        self.inner.delete_many(keys)
-    }
     fn contains(&self, key: &[u8]) -> bool {
         self.inner.contains(key)
     }
     fn start_get_many(&self, keys: &[Bytes]) -> Deferred<Bytes> {
+        // One round trip for the whole batch: a single latency charge plus
+        // bandwidth on the combined payload — the cost model that makes
+        // batching worth doing over a shaped link.
         let out = self.inner.get_many(keys);
         let total: usize = out
             .iter()
@@ -402,6 +387,7 @@ impl<C: KvClient> KvClient for ThrottledClient<C> {
         self.shaped_deferred(total, out)
     }
     fn start_delete_many(&self, keys: &[Bytes]) -> Deferred<()> {
+        // Deletes carry no payload: latency only.
         let out = self.inner.delete_many(keys);
         self.shaped_deferred(0, out)
     }
@@ -472,14 +458,6 @@ impl<C: KvClient> KvClient for FailableClient<C> {
         self.check()?;
         self.inner.get(key)
     }
-    fn get_many(&self, keys: &[Bytes]) -> KvResult<Vec<KvResult<Bytes>>> {
-        self.check()?;
-        self.inner.get_many(keys)
-    }
-    fn set_many(&self, items: &[(Bytes, Bytes)]) -> KvResult<Vec<KvResult<()>>> {
-        self.check()?;
-        self.inner.set_many(items)
-    }
     fn append(&self, key: &[u8], suffix: &[u8]) -> KvResult<()> {
         self.check()?;
         self.inner.append(key, suffix)
@@ -487,10 +465,6 @@ impl<C: KvClient> KvClient for FailableClient<C> {
     fn delete(&self, key: &[u8]) -> KvResult<()> {
         self.check()?;
         self.inner.delete(key)
-    }
-    fn delete_many(&self, keys: &[Bytes]) -> KvResult<Vec<KvResult<()>>> {
-        self.check()?;
-        self.inner.delete_many(keys)
     }
     fn contains(&self, key: &[u8]) -> bool {
         !self.is_down() && self.inner.contains(key)
@@ -544,20 +518,11 @@ impl<C: KvClient + ?Sized> KvClient for Arc<C> {
     fn get(&self, key: &[u8]) -> KvResult<Bytes> {
         (**self).get(key)
     }
-    fn get_many(&self, keys: &[Bytes]) -> KvResult<Vec<KvResult<Bytes>>> {
-        (**self).get_many(keys)
-    }
-    fn set_many(&self, items: &[(Bytes, Bytes)]) -> KvResult<Vec<KvResult<()>>> {
-        (**self).set_many(items)
-    }
     fn append(&self, key: &[u8], suffix: &[u8]) -> KvResult<()> {
         (**self).append(key, suffix)
     }
     fn delete(&self, key: &[u8]) -> KvResult<()> {
         (**self).delete(key)
-    }
-    fn delete_many(&self, keys: &[Bytes]) -> KvResult<Vec<KvResult<()>>> {
-        (**self).delete_many(keys)
     }
     fn contains(&self, key: &[u8]) -> bool {
         (**self).contains(key)

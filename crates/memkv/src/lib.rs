@@ -45,6 +45,6 @@ pub mod wheel;
 pub use client::{Deferred, FailableClient, KvClient, LocalClient, ServerHealth, ThrottledClient};
 pub use error::KvError;
 pub use net::{KvServer, PoolConfig, ServerConfig, TcpClient};
-pub use reactor::{ReactorHandle, ReactorSet, ReactorStatsSnapshot};
+pub use reactor::{ReactorHandle, ReactorStatsSnapshot};
 pub use stats::{ServerStatsSnapshot, StoreStats};
 pub use store::{EvictionPolicy, Store, StoreConfig};

@@ -597,10 +597,6 @@ impl KvClient for TcpClient {
         }
     }
 
-    fn get_many(&self, keys: &[Bytes]) -> KvResult<Vec<KvResult<Bytes>>> {
-        self.start_get_many(keys).wait()
-    }
-
     fn start_get_many(&self, keys: &[Bytes]) -> Deferred<Bytes> {
         if keys.is_empty() {
             return Deferred::Ready(Ok(Vec::new()));
@@ -612,10 +608,6 @@ impl KvClient for TcpClient {
             ready: pending.probe(),
             finish: Box::new(move || decode_get_responses(&keys, pending.wait()?)),
         }
-    }
-
-    fn set_many(&self, items: &[(Bytes, Bytes)]) -> KvResult<Vec<KvResult<()>>> {
-        self.start_set_many(items).wait()
     }
 
     fn start_set_many(&self, items: &[(Bytes, Bytes)]) -> Deferred<()> {
@@ -665,10 +657,6 @@ impl KvClient for TcpClient {
             Response::NotFound => Err(KvError::NotFound),
             other => Err(response_error(other)),
         }
-    }
-
-    fn delete_many(&self, keys: &[Bytes]) -> KvResult<Vec<KvResult<()>>> {
-        self.start_delete_many(keys).wait()
     }
 
     fn start_delete_many(&self, keys: &[Bytes]) -> Deferred<()> {

@@ -24,13 +24,18 @@ pub(crate) struct Poller {
 
 impl Poller {
     pub(crate) fn new() -> io::Result<Poller> {
+        // SAFETY: `epoll_create1` takes no pointers; the result is checked
+        // before use and owned by the `Poller` from here on.
         let epfd = unsafe { libc::epoll_create1(libc::EPOLL_CLOEXEC) };
         if epfd < 0 {
             return Err(io::Error::last_os_error());
         }
+        // SAFETY: `eventfd` takes no pointers; the result is checked below.
         let wakefd = unsafe { libc::eventfd(0, libc::EFD_CLOEXEC | libc::EFD_NONBLOCK) };
         if wakefd < 0 {
             let err = io::Error::last_os_error();
+            // SAFETY: `epfd` was just returned open by `epoll_create1` and
+            // nothing else holds it yet, so this is its only close.
             unsafe { libc::close(epfd) };
             return Err(err);
         }
@@ -44,6 +49,10 @@ impl Poller {
             events: interest,
             u64: token,
         };
+        // SAFETY: `epfd` is this poller's open epoll instance and `ev` is
+        // a live, initialised `epoll_event` for the duration of the call.
+        // An `fd` that is closed or not registered is reported as an error
+        // (`EBADF` / `ENOENT`), not undefined behaviour.
         let rc = unsafe { libc::epoll_ctl(self.epfd, op, fd, &mut ev) };
         if rc < 0 {
             Err(io::Error::last_os_error())
@@ -87,6 +96,9 @@ impl Poller {
         };
         let mut events = [libc::epoll_event { events: 0, u64: 0 }; 64];
         loop {
+            // SAFETY: `events` is a live array of exactly 64 entries, the
+            // `maxevents` passed, so the kernel writes within it; `epfd`
+            // is this poller's open epoll instance.
             let n = unsafe { libc::epoll_wait(self.epfd, events.as_mut_ptr(), 64, ms) };
             if n < 0 {
                 let err = io::Error::last_os_error();
@@ -105,18 +117,26 @@ impl Poller {
     /// Wake a blocked [`Poller::wait`] from another thread.
     pub(crate) fn notify(&self) {
         let one: u64 = 1;
+        // SAFETY: `one` is a live `u64`, exactly the 8 bytes an eventfd
+        // write takes, and `wakefd` stays open until `Drop`.
         let _ = unsafe { libc::write(self.wakefd, (&one as *const u64).cast(), 8) };
     }
 
     /// Reset the wake counter so level-triggered polling goes quiet.
     pub(crate) fn drain_wake(&self) {
         let mut count: u64 = 0;
+        // SAFETY: `count` is a live, exclusively borrowed `u64`, exactly
+        // the 8 bytes an eventfd read fills; `wakefd` is non-blocking and
+        // stays open until `Drop`.
         let _ = unsafe { libc::read(self.wakefd, (&mut count as *mut u64).cast(), 8) };
     }
 }
 
 impl Drop for Poller {
     fn drop(&mut self) {
+        // SAFETY: both descriptors were opened in `new`, are owned by this
+        // `Poller` alone (the fields are private and never handed out as
+        // owned fds), and `drop` runs once — so each is closed exactly once.
         unsafe {
             libc::close(self.wakefd);
             libc::close(self.epfd);

@@ -17,8 +17,7 @@
 //! tokens naming its connections inside the shared loop. One reactor
 //! thread multiplexes every server's sockets, so:
 //!
-//! * a 16-server mount runs **one** reactor thread instead of 16 (or N
-//!   threads when the mount shards its servers over a [`ReactorSet`]);
+//! * a 16-server mount runs **one** reactor thread instead of 16;
 //! * one epoll wake drains completions for *all* servers, delivering them
 //!   to waiting callers in cross-server batches (the pool's sliding
 //!   window observes completions as they land anywhere in the cluster);
@@ -505,10 +504,6 @@ impl ReactorHandle {
     /// Spawn the reactor thread (named `memkv-reactor`) with no
     /// registered connections.
     pub fn new() -> KvResult<ReactorHandle> {
-        Self::named("memkv-reactor".into())
-    }
-
-    fn named(name: String) -> KvResult<ReactorHandle> {
         let poller = Poller::new()?;
         let shared = Arc::new(Shared {
             poller,
@@ -525,7 +520,7 @@ impl ReactorHandle {
             wheel: TimerWheel::new(Instant::now()),
         };
         let thread = std::thread::Builder::new()
-            .name(name)
+            .name("memkv-reactor".into())
             .spawn(move || event_loop.run())
             .map_err(KvError::Io)?;
         Ok(ReactorHandle {
@@ -612,50 +607,6 @@ impl ReactorHandle {
         };
         self.command(Command::Submit { conn: token, call });
         PendingExchange { done }
-    }
-}
-
-/// A fixed fleet of reactors for one mount, sharding servers across
-/// loops by index. One loop saturates most mounts; wide mounts on fast
-/// networks can spread their servers over several
-/// (`MemFsConfig::reactor_threads`). Threads are named
-/// `memkv-reactor/<i>` — the census prefix `memkv-reactor` still counts
-/// them.
-#[derive(Clone)]
-pub struct ReactorSet {
-    reactors: Vec<ReactorHandle>,
-}
-
-impl ReactorSet {
-    /// Spawn `n` reactor loops (at least one).
-    pub fn new(n: usize) -> KvResult<ReactorSet> {
-        let reactors = (0..n.max(1))
-            .map(|i| {
-                let mut name = format!("memkv-reactor/{i}");
-                // Linux thread names cap at 15 bytes; keep the census
-                // prefix intact for any fleet size.
-                name.truncate(15);
-                ReactorHandle::named(name)
-            })
-            .collect::<KvResult<Vec<_>>>()?;
-        Ok(ReactorSet { reactors })
-    }
-
-    pub fn len(&self) -> usize {
-        self.reactors.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.reactors.is_empty()
-    }
-
-    /// The loop that owns server `server_index`'s connections.
-    pub fn handle_for(&self, server_index: usize) -> &ReactorHandle {
-        &self.reactors[server_index % self.reactors.len()]
-    }
-
-    pub fn handles(&self) -> &[ReactorHandle] {
-        &self.reactors
     }
 }
 

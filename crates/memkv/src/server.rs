@@ -293,6 +293,7 @@ fn bind_one(addr: &SocketAddr) -> io::Result<TcpListener> {
         SocketAddr::V4(_) => libc::AF_INET,
         SocketAddr::V6(_) => libc::AF_INET6,
     };
+    // SAFETY: `socket` takes no pointers; the result is checked before use.
     let raw = unsafe {
         libc::socket(
             domain,
@@ -303,8 +304,12 @@ fn bind_one(addr: &SocketAddr) -> io::Result<TcpListener> {
     if raw < 0 {
         return Err(io::Error::last_os_error());
     }
+    // SAFETY: `raw` is a fresh, open descriptor nothing else owns, so the
+    // `OwnedFd` is its sole owner (and closes it on every error return).
     let fd = unsafe { OwnedFd::from_raw_fd(raw) };
     let one: libc::c_int = 1;
+    // SAFETY: `fd` is open, and `optval` points at a live `c_int` whose
+    // size is passed as `optlen`.
     let rc = unsafe {
         libc::setsockopt(
             fd.as_raw_fd(),
@@ -327,6 +332,8 @@ fn bind_one(addr: &SocketAddr) -> io::Result<TcpListener> {
                 },
                 sin_zero: [0; 8],
             };
+            // SAFETY: `sin` is a live, fully initialised `sockaddr_in`
+            // whose exact size is passed as the address length.
             unsafe {
                 libc::bind(
                     fd.as_raw_fd(),
@@ -345,6 +352,8 @@ fn bind_one(addr: &SocketAddr) -> io::Result<TcpListener> {
                 },
                 sin6_scope_id: a.scope_id(),
             };
+            // SAFETY: `sin6` is a live, fully initialised `sockaddr_in6`
+            // whose exact size is passed as the address length.
             unsafe {
                 libc::bind(
                     fd.as_raw_fd(),
@@ -357,9 +366,12 @@ fn bind_one(addr: &SocketAddr) -> io::Result<TcpListener> {
     if rc < 0 {
         return Err(io::Error::last_os_error());
     }
+    // SAFETY: `listen` takes no pointers and `fd` is open.
     if unsafe { libc::listen(fd.as_raw_fd(), 1024) } < 0 {
         return Err(io::Error::last_os_error());
     }
+    // SAFETY: `into_raw_fd` gives up the `OwnedFd`'s ownership, so the
+    // `TcpListener` becomes the sole owner of an open, listening socket.
     Ok(unsafe { TcpListener::from_raw_fd(fd.into_raw_fd()) })
 }
 
@@ -735,6 +747,9 @@ impl ServerLoop {
     /// Drain the accept queue (level-triggered listener).
     fn accept_ready(&mut self) {
         loop {
+            // SAFETY: the listener is open for the life of the loop, and
+            // null `addr` / `addrlen` are the documented way to decline
+            // the peer address.
             let raw = unsafe {
                 libc::accept4(
                     self.listener.as_raw_fd(),
@@ -752,6 +767,8 @@ impl ServerLoop {
                 // errors (ECONNABORTED) both end this round.
                 return;
             }
+            // SAFETY: `raw` is non-negative here, i.e. a fresh connected
+            // socket nothing else owns; the `TcpStream` is its sole owner.
             let stream = unsafe { TcpStream::from_raw_fd(raw) };
             let open = self.engine.stats.connections.load(Ordering::Relaxed);
             if open as usize >= self.engine.config.max_connections {

@@ -24,7 +24,7 @@ use std::time::{Duration, Instant};
 
 use crate::client::KvClient;
 use crate::net::{KvServer, PoolConfig, ServerConfig, TcpClient};
-use crate::reactor::ReactorSet;
+use crate::reactor::ReactorHandle;
 use crate::store::Store;
 
 /// Traffic shape applied to each direction of a proxied connection.
@@ -428,41 +428,34 @@ impl ShapedCluster {
     /// reactor handle lives inside the clients; it shuts down when the
     /// last client drops.
     pub fn clients(&self, config: PoolConfig) -> Vec<Arc<dyn KvClient>> {
-        self.clients_sharded(config, 1)
+        let reactor = ReactorHandle::new().expect("spawn reactor");
+        self.clients_on(config, &reactor)
     }
 
-    /// Like [`clients`](Self::clients), but sharding the servers across
-    /// `n_reactors` loops by index (a [`ReactorSet`]) — the
-    /// `reactor_threads > 1` deployment shape for wide mounts.
-    pub fn clients_sharded(&self, config: PoolConfig, n_reactors: usize) -> Vec<Arc<dyn KvClient>> {
-        let set = ReactorSet::new(n_reactors).expect("spawn reactor set");
-        self.proxies
-            .iter()
-            .enumerate()
-            .map(|(i, p)| {
-                Arc::new(
-                    TcpClient::connect_shared(p.addr(), config.clone(), set.handle_for(i))
-                        .expect("connect client"),
-                ) as Arc<dyn KvClient>
-            })
-            .collect()
-    }
-
-    /// Connect one [`TcpClient`] per proxy on a caller-owned
-    /// [`ReactorSet`] (sharded by index) — for tests that later admit
-    /// grown servers onto the *same* loops via [`Self::client_on`].
-    pub fn clients_on(&self, config: PoolConfig, set: &ReactorSet) -> Vec<Arc<dyn KvClient>> {
+    /// Connect one [`TcpClient`] per proxy on a caller-owned reactor —
+    /// for tests that later admit grown servers onto the *same* loop via
+    /// [`Self::client_on`].
+    pub fn clients_on(
+        &self,
+        config: PoolConfig,
+        reactor: &ReactorHandle,
+    ) -> Vec<Arc<dyn KvClient>> {
         (0..self.proxies.len())
-            .map(|i| self.client_on(i, config.clone(), set))
+            .map(|i| self.client_on(i, config.clone(), reactor))
             .collect()
     }
 
     /// Connect a [`TcpClient`] through proxy `i` on a caller-owned
-    /// [`ReactorSet`] — the admit path: the new server's connections
-    /// join the existing epoll loops, zero new threads.
-    pub fn client_on(&self, i: usize, config: PoolConfig, set: &ReactorSet) -> Arc<dyn KvClient> {
+    /// reactor — the admit path: the new server's connections join the
+    /// existing epoll loop, zero new threads.
+    pub fn client_on(
+        &self,
+        i: usize,
+        config: PoolConfig,
+        reactor: &ReactorHandle,
+    ) -> Arc<dyn KvClient> {
         Arc::new(
-            TcpClient::connect_shared(self.proxies[i].addr(), config, set.handle_for(i))
+            TcpClient::connect_shared(self.proxies[i].addr(), config, reactor)
                 .expect("connect client"),
         ) as Arc<dyn KvClient>
     }

@@ -3,27 +3,19 @@
 #
 #   scripts/bench_record.sh
 #
-# BENCH_pr3.json — `fanout_record`: the concurrent fan-out speedup over
-# gigabit-Ethernet-shaped in-process servers (same experiment as
-# `crates/bench/benches/fanout.rs`). Bars: at 4 servers, parallel read
-# bandwidth >= 2.5x sequential, parallel write bandwidth >= 2x
-# sequential, and single-stripe sequential reads must spread their
-# batches over every server (max/min <= 2).
-#
-# BENCH_pr4.json — `scaling_record`: evented-transport scaling over
-# real-TCP bandwidth-capped shaped proxies. Bar: 8-server aggregate
-# fan-out read and write throughput each >= 1.5x the 4-server figure.
-#
-# BENCH_pr5.json — `reactor_record`: shared per-mount reactor
-# consolidation. Bars: a 16-server mount runs exactly 1 reactor thread
-# (vs 16 standalone), cross-server completion batching factor > 1, and
-# 8v4 shaped scaling holds PR 4's 1.5x floor on the shared loop.
+# BENCH_pr3–5.json are history: their bins (`fanout_record`,
+# `scaling_record`, `reactor_record`) are gone because each bar is pinned
+# by a test the gate runs — parallel per-server batches by the rendezvous
+# proofs in `crates/core/tests/fanout.rs`, 8-vs-4 >= 1.5x by
+# `tests/shaped_scaling.rs`, the 16 -> 1 reactor-thread census by
+# `tests/reactor_threads.rs`, batching factor >= 1 by
+# `tests/shared_reactor.rs`.
 #
 # BENCH_pr6.json — `linerate_record`: line-rate efficiency of the
 # finished reactor (timer wheel, in-loop connects, one-copy writes) at
-# 16 bandwidth-capped servers, 1 vs 2 reactor threads. Bars: the better
-# config moves >= 90% of the aggregate shaped cap in both directions,
-# and the thread census reads exactly 1 and 2 loops.
+# 16 bandwidth-capped servers on the mount's one reactor thread. Bars:
+# >= 90% of the aggregate shaped cap moves in both directions, and the
+# thread census reads exactly 1 loop.
 #
 # BENCH_pr7.json — `manymount_record`: fan-in scalability of the evented
 # server engine. 4 shaped servers mounted by 4 vs 64 concurrent mounts
@@ -57,24 +49,6 @@
 # Each binary exits non-zero if a bar is missed, failing this script.
 set -euo pipefail
 cd "$(dirname "$0")/.."
-
-out="BENCH_pr3.json"
-echo "==> cargo run --release -p memfs-bench --bin fanout_record"
-cargo run --release -p memfs-bench --bin fanout_record > "$out"
-echo "==> wrote $out"
-grep -o '"acceptance": .*' "$out"
-
-out="BENCH_pr4.json"
-echo "==> cargo run --release -p memfs-bench --bin scaling_record"
-cargo run --release -p memfs-bench --bin scaling_record > "$out"
-echo "==> wrote $out"
-grep -o '"acceptance": .*' "$out"
-
-out="BENCH_pr5.json"
-echo "==> cargo run --release -p memfs-bench --bin reactor_record"
-cargo run --release -p memfs-bench --bin reactor_record > "$out"
-echo "==> wrote $out"
-grep -o '"acceptance": .*' "$out"
 
 out="BENCH_pr6.json"
 echo "==> cargo run --release -p memfs-bench --bin linerate_record"

@@ -12,7 +12,7 @@
 # fmt/clippy keep the tree warning-free; clippy runs with -D warnings so
 # new lints fail the gate instead of scrolling by.
 #
-# --threads repeats the fan-out/thread-pool suites with a high test-thread
+# --threads repeats the fan-out/job-queue suites with a high test-thread
 # count so the pool's submit window, the write drain, and the prefetcher
 # race against each other — the schedule-dependent bugs (lost wakeups,
 # in-flight gauges that never settle, out-of-order reassembly) that a
@@ -77,12 +77,16 @@ for arg in "$@"; do
             RUST_TEST_THREADS=16 cargo test -q -p memfs-core --lib -- \
                 threadpool:: pool:: prefetch:: bufwrite::
             # Error-injection regressions: prefetch wedge recovery,
-            # concurrent-miss coalescing, zombie unlink.
+            # concurrent-miss coalescing, zombie unlink, and the chunked
+            # unlink's batch / probe boundaries and server-down contract.
             RUST_TEST_THREADS=16 cargo test -q -p memfs-core --lib -- \
                 prefetch_recovers_after_transient_errors \
                 concurrent_misses_coalesce_into_one_fetch \
                 cache_never_exceeds_capacity_under_random_ops \
-                unlink_open_file
+                unlink_open_file \
+                unlink_frees_a_file_one_stripe_past_the_batch \
+                unlink_frees_zombies_at_the_probe_boundaries \
+                deep_unlink_with_a_server_down_keeps_the_size_record
             # reactor_threads / server_threads count process-wide threads
             # by name: own binaries, one test each, no parallel siblings.
             cargo test -q --test reactor_threads

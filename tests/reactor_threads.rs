@@ -24,8 +24,7 @@ fn named_threads(prefix: &str) -> usize {
         .count()
 }
 
-/// Reactor loops: `memkv-reactor` for a lone loop, `memkv-reactor/N`
-/// for a sharded set — the prefix matches both, and does not match the
+/// Reactor loops (`memkv-reactor`) — the prefix does not match the
 /// retired `memkv-reconnect` helper name.
 fn reactor_threads() -> usize {
     named_threads("memkv-reactor")
@@ -109,20 +108,6 @@ fn sixteen_server_mount_runs_one_reactor_thread() {
     expect_reactor_threads(1, "MemFs::connect mounts on one shared reactor");
     fs.write_file("/again", &data).unwrap();
     assert_eq!(fs.read_to_vec("/again").unwrap(), data);
-    drop(fs);
-    expect_reactor_threads(0, "unmounting joins the mount's reactor");
-
-    // `reactor_threads = 2` shards the 16 servers across two real loops:
-    // exactly two reactor threads, still zero per-connection ones.
-    let two_loops = MemFsConfig {
-        reactor_threads: 2,
-        ..config.clone()
-    };
-    let fs = MemFs::connect(&addrs, two_loops).unwrap();
-    expect_reactor_threads(2, "reactor_threads=2 mounts exactly two loops");
-    fs.write_file("/two-loops", &data).unwrap();
-    assert_eq!(fs.read_to_vec("/two-loops").unwrap(), data);
-    expect_reactor_threads(2, "sharded traffic must not spawn more loops");
     assert_eq!(
         reconnect_threads(),
         0,
@@ -134,21 +119,21 @@ fn sixteen_server_mount_runs_one_reactor_thread() {
     // `memkv-reconnect` helper thread must never reappear.
     servers[0].shutdown();
     for _ in 0..6 {
-        let _ = fs.read_to_vec("/two-loops");
+        let _ = fs.read_to_vec("/again");
         assert_eq!(
             reconnect_threads(),
             0,
             "reconnect pressure spawned a helper thread"
         );
     }
-    expect_reactor_threads(2, "reconnect pressure must not change the loop census");
+    expect_reactor_threads(1, "reconnect pressure must not change the loop census");
     drop(fs);
-    expect_reactor_threads(0, "unmounting joins both sharded reactors");
+    expect_reactor_threads(0, "unmounting joins the mount's reactor");
 
     // Elastic membership rides the same loop: admitting servers into a
     // live mount and migrating ranges onto them spawns nothing — the
     // rebalancer runs inside the caller's thread and every admitted
-    // client registers with the mount's existing reactor set. (Server 0
+    // client registers with the mount's existing reactor. (Server 0
     // is already shut down; mount a fresh slice of the survivors.)
     let fs = MemFs::connect(&addrs[1..5], config).unwrap();
     expect_reactor_threads(1, "4-server mount before the grow");

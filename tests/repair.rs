@@ -15,7 +15,7 @@ use std::time::{Duration, Instant};
 use memfs::memfs_core::{DistributorKind, MemFs, MemFsConfig, ServerPool};
 use memfs::memkv::net::PoolConfig;
 use memfs::memkv::testutil::{seed_from_env, Rng, Shape, ShapedCluster};
-use memfs::memkv::{KvClient, ReactorSet, ServerHealth};
+use memfs::memkv::{KvClient, ReactorHandle, ServerHealth};
 
 fn heartbeat_pool_config() -> PoolConfig {
     PoolConfig {
@@ -201,13 +201,13 @@ fn grow_to_eight_mid_workload_survives_a_kill_during_migration() {
     eprintln!("elastic chaos seed: {seed} (set MEMFS_SHAPE_SEED to reproduce)");
     let mut rng = Rng::new(seed);
 
-    // Eight shaped servers on one caller-owned reactor set: mount the
+    // Eight shaped servers on one caller-owned reactor: mount the
     // first four, keep the other four as the admission pool. Migration
     // is driven by hand (`repair_interval_ms: 0`) so the kill lands at
     // a deterministic point in the range schedule.
     let cluster = ShapedCluster::spawn(8, Shape::clean());
-    let reactors = ReactorSet::new(2).expect("reactor set");
-    let clients: Vec<Arc<dyn KvClient>> = cluster.clients_on(heartbeat_pool_config(), &reactors);
+    let reactor = ReactorHandle::new().expect("reactor");
+    let clients: Vec<Arc<dyn KvClient>> = cluster.clients_on(heartbeat_pool_config(), &reactor);
     let fs = MemFs::new(
         clients[..4].to_vec(),
         MemFsConfig {
