@@ -408,7 +408,6 @@ impl MemFs {
         );
         Ok(ReadHandle {
             path: p,
-            layout: self.layout(),
             reader: Arc::new(reader),
             pos: 0,
         })
@@ -757,7 +756,6 @@ impl io::Write for WriteHandle {
 /// cursor for `std::io::Read` convenience.
 pub struct ReadHandle {
     path: String,
-    layout: StripeLayout,
     reader: Arc<StripeReader>,
     pos: u64,
 }
@@ -774,37 +772,13 @@ impl ReadHandle {
     }
 
     /// Read up to `buf.len()` bytes at `offset`, returning the byte count
-    /// (short only at end of file).
-    ///
-    /// A read spanning several stripes fetches them as **one** batched
-    /// [`StripeReader::read_stripes`] call, whose per-server multi-gets
-    /// the pool fans out in parallel — a large `read_at` (and therefore
-    /// [`MemFs::read_to_vec`]) drives all servers at once instead of
-    /// walking the stripes sequentially.
+    /// (short only at end of file). [`StripeReader::read_at`] decides, per
+    /// stripe touched, between the cached whole-stripe path with its
+    /// prefetch window and a ranged fetch of just the bytes asked for; a
+    /// read spanning several stripes (and therefore
+    /// [`MemFs::read_to_vec`]) drives all their servers at once.
     pub fn read_at(&self, offset: u64, buf: &mut [u8]) -> MemFsResult<usize> {
-        let spans = self.layout.spans(self.size(), offset, buf.len());
-        let stripes: Vec<Bytes> = match spans.len() {
-            0 => Vec::new(),
-            // Single-stripe reads keep the prefetch-triggering path.
-            1 => vec![self.reader.stripe(spans[0].stripe)?],
-            _ => {
-                let wanted: Vec<u64> = spans.iter().map(|s| s.stripe).collect();
-                self.reader.read_stripes(&wanted)?
-            }
-        };
-        let mut filled = 0usize;
-        for (span, stripe) in spans.iter().zip(stripes) {
-            if stripe.len() < span.offset_in_stripe + span.len {
-                return Err(MemFsError::CorruptMetadata(format!(
-                    "stripe {} of {} shorter than the size record implies",
-                    span.stripe, self.path
-                )));
-            }
-            buf[filled..filled + span.len]
-                .copy_from_slice(&stripe[span.offset_in_stripe..span.offset_in_stripe + span.len]);
-            filled += span.len;
-        }
-        Ok(filled)
+        self.reader.read_at(offset, buf)
     }
 
     /// A clone sharing the same prefetch cache but with an independent
@@ -812,7 +786,6 @@ impl ReadHandle {
     pub fn duplicate(&self) -> ReadHandle {
         ReadHandle {
             path: self.path.clone(),
-            layout: self.layout,
             reader: Arc::clone(&self.reader),
             pos: 0,
         }

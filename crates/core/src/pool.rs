@@ -50,6 +50,24 @@ use crate::error::{MemFsError, MemFsResult};
 /// input order.
 type ServerBatch<K> = (Vec<usize>, Vec<K>);
 
+/// What a routed read wants of a value: `None` for all of it, or
+/// `(offset, len)` — the `getrange` clamping rules, see
+/// [`KvClient::start_get_range_many`]. The replica walk is the same either
+/// way; only the fetch at each home differs.
+type ByteRange = Option<(u64, usize)>;
+
+/// One `get` of `key` — whole, or just `range` of it — from one server.
+fn fetch_from(client: &dyn KvClient, key: &[u8], range: ByteRange) -> KvResult<Bytes> {
+    match range {
+        None => client.get(key),
+        Some((offset, len)) => client
+            .start_get_range_many(&[(Bytes::copy_from_slice(key), offset, len)])
+            .wait()?
+            .pop()
+            .expect("one reply per request"),
+    }
+}
+
 /// Per-server I/O counters, updated by every batched dispatch.
 ///
 /// `in_flight` is a live gauge (batches currently on the wire to that
@@ -957,7 +975,7 @@ impl ServerPool {
     /// have landed yet).
     pub fn get(&self, key: &[u8]) -> MemFsResult<Bytes> {
         let (_gate, state) = self.begin_op();
-        self.get_routed(&state, key, None, None)
+        self.get_routed(&state, key, None, None, None)
     }
 
     /// Routed `get` that maps a missing key to `None`.
@@ -982,27 +1000,62 @@ impl ServerPool {
     /// chain when that server's batch settles, so a dead server degrades
     /// only its own keys while the healthy servers' batches proceed.
     pub fn get_many(&self, keys: &[Bytes]) -> Vec<MemFsResult<Bytes>> {
+        self.read_batched(
+            keys,
+            |key| (key.as_ref(), None),
+            |client, batch| client.start_get_many(batch),
+        )
+    }
+
+    /// Batched routed *ranged* `get`: for each `(key, offset, len)` the
+    /// bytes `[offset, offset + len)` of the key's value, clamped to it
+    /// ([`KvClient::start_get_range_many`]) — a fine-grain read moves the
+    /// range, not the stripe. Routing, dispatch and accounting are
+    /// [`ServerPool::get_many`]'s: grouped by primary, one batch per
+    /// server in the submit window, and the same replica walk on failure
+    /// (`NotFound` final only from an authoritative home, the failed
+    /// server skipped, failover copies past the owner set consulted last).
+    /// Requests pair with results by position, so one key may appear with
+    /// several ranges.
+    pub fn get_range_many(&self, reqs: &[(Bytes, u64, usize)]) -> Vec<MemFsResult<Bytes>> {
+        self.read_batched(
+            reqs,
+            |(key, offset, len)| (key.as_ref(), Some((*offset, *len))),
+            |client, batch| client.start_get_range_many(batch),
+        )
+    }
+
+    /// The one body of the batched reads: group `reqs` by primary server,
+    /// `start` each group in the submit window, resolve the replies
+    /// against the replica chain ([`ServerPool::finish_fetch`]). `target`
+    /// names each request's key and range.
+    fn read_batched<K: Clone>(
+        &self,
+        reqs: &[K],
+        target: impl for<'k> Fn(&'k K) -> (&'k [u8], ByteRange),
+        start: impl Fn(&Arc<dyn KvClient>, &[K]) -> Deferred<Bytes>,
+    ) -> Vec<MemFsResult<Bytes>> {
         let (_gate, state) = self.begin_op();
-        let mut batches: Vec<ServerBatch<Bytes>> =
-            vec![(Vec::new(), Vec::new()); state.clients.len()];
-        for (i, key) in keys.iter().enumerate() {
-            let (idx, batch) = &mut batches[state.primary(key).0];
+        let mut batches: Vec<ServerBatch<K>> = vec![(Vec::new(), Vec::new()); state.clients.len()];
+        for (i, req) in reqs.iter().enumerate() {
+            let (idx, batch) = &mut batches[state.primary(target(req).0).0];
             idx.push(i);
-            batch.push(key.clone());
+            batch.push(req.clone());
         }
-        let mut out: Vec<Option<MemFsResult<Bytes>>> = (0..keys.len()).map(|_| None).collect();
+        let mut out: Vec<Option<MemFsResult<Bytes>>> = (0..reqs.len()).map(|_| None).collect();
         self.drive(
             batches,
-            |server, batch| state.clients[server].start_get_many(batch),
+            |server, batch| start(&state.clients[server], batch),
             |server, idx, batch, result| {
-                let results = self.finish_fetch(&state, server, batch, result);
+                let targets = batch.iter().map(&target);
+                let results = self.finish_fetch(&state, server, targets, result);
                 for (&i, r) in idx.iter().zip(results) {
                     out[i] = Some(r);
                 }
             },
         );
         out.into_iter()
-            .map(|r| r.expect("every key grouped exactly once"))
+            .map(|r| r.expect("every request grouped exactly once"))
             .collect()
     }
 
@@ -1164,6 +1217,7 @@ impl ServerPool {
         &self,
         state: &RingState,
         key: &[u8],
+        range: ByteRange,
         skip: Option<usize>,
         mut last_err: Option<KvError>,
     ) -> MemFsResult<Bytes> {
@@ -1172,7 +1226,7 @@ impl ServerPool {
             if Some(id.0) == skip {
                 continue;
             }
-            match state.client(*id).get(key) {
+            match fetch_from(state.client(*id), key, range) {
                 Ok(v) => return Ok(v),
                 Err(e @ KvError::NotFound) if i < auth => return Err(e.into()),
                 Err(KvError::NotFound) => {}
@@ -1180,7 +1234,7 @@ impl ServerPool {
             }
         }
         match last_err {
-            Some(err) => self.get_failover(state, key, skip, err),
+            Some(err) => self.get_failover(state, key, range, skip, err),
             // Every authoritative home that was tried either returned
             // above or left its error in `last_err`, and `auth >= 1`
             // whenever `homes` is non-empty: unreachable unless `homes`
@@ -1199,6 +1253,7 @@ impl ServerPool {
         &self,
         state: &RingState,
         key: &[u8],
+        range: ByteRange,
         skip: Option<usize>,
         err: KvError,
     ) -> MemFsResult<Bytes> {
@@ -1207,46 +1262,43 @@ impl ServerPool {
             if Some(id.0) == skip {
                 continue;
             }
-            if let Ok(v) = state.client(id).get(key) {
+            if let Ok(v) = fetch_from(state.client(id), key, range) {
                 return Ok(v);
             }
         }
         Err(err.into())
     }
 
-    /// Resolve one server's multi-get replies against the replica chain:
-    /// the completion half of a `get_many` batch.
-    fn finish_fetch(
+    /// Resolve one server's batched-read replies against the replica
+    /// chain: the completion half of a `get_many` or `get_range_many`
+    /// batch, whose `targets` are each entry's key and range in order.
+    fn finish_fetch<'k>(
         &self,
         state: &RingState,
         server: usize,
-        batch: &[Bytes],
+        targets: impl Iterator<Item = (&'k [u8], ByteRange)>,
         result: KvResult<Vec<KvResult<Bytes>>>,
     ) -> Vec<MemFsResult<Bytes>> {
         let io = self.stats.io(server);
+        let fall_back = |key: &[u8], range: ByteRange, e: KvError| {
+            io.bump_fallback();
+            self.get_routed(state, key, range, Some(server), Some(e))
+        };
         match result {
-            Ok(results) => batch
-                .iter()
+            Ok(results) => targets
                 .zip(results)
-                .map(|(key, r)| match r {
+                .map(|((key, range), r)| match r {
                     Ok(v) => Ok(v),
                     Err(KvError::NotFound) => Err(KvError::NotFound.into()),
                     // Per-key transport/server error: replica chain.
-                    Err(e) => {
-                        io.bump_fallback();
-                        self.get_routed(state, key, Some(server), Some(e))
-                    }
+                    Err(e) => fall_back(key, range, e),
                 })
                 .collect(),
             // Whole-batch transport failure: fall back key by key so
             // replicas (if any) still serve this server's share while the
             // other servers' batches proceed untouched.
-            Err(e) => batch
-                .iter()
-                .map(|key| {
-                    io.bump_fallback();
-                    self.get_routed(state, key, Some(server), Some(e.duplicate()))
-                })
+            Err(e) => targets
+                .map(|(key, range)| fall_back(key, range, e.duplicate()))
                 .collect(),
         }
     }
@@ -1427,6 +1479,45 @@ mod tests {
         for r in p.get_many(&keys) {
             assert_eq!(r.unwrap().as_ref(), b"replicated");
         }
+        // A ranged read takes the same walk and is counted the same way.
+        let before: u64 = p.stats().snapshot().iter().map(|s| s.fallbacks).sum();
+        let ranges: Vec<(Bytes, u64, usize)> = keys.iter().map(|k| (k.clone(), 2, 4)).collect();
+        for r in p.get_range_many(&ranges) {
+            assert_eq!(r.unwrap().as_ref(), b"plic");
+        }
+        let after: u64 = p.stats().snapshot().iter().map(|s| s.fallbacks).sum();
+        assert!(after > before, "the dead primary's ranges fell back");
+    }
+
+    #[test]
+    fn get_range_many_pairs_results_by_position_and_counts_its_batches() {
+        let (p, _) = pool(4);
+        let keys: Vec<Bytes> = (0..16).map(|i| Bytes::from(format!("k{i}"))).collect();
+        for (i, k) in keys.iter().enumerate() {
+            p.set(k, Bytes::from(vec![i as u8; 100])).unwrap();
+        }
+        let mut reqs: Vec<(Bytes, u64, usize)> = keys
+            .iter()
+            .enumerate()
+            .map(|(i, k)| (k.clone(), i as u64 * 10, 10))
+            .collect();
+        reqs.push((Bytes::from_static(b"missing"), 0, 10));
+        reqs.push((keys[3].clone(), 95, 10)); // a second, clamped range of k3
+        let out = p.get_range_many(&reqs);
+        for (i, r) in out[..16].iter().enumerate() {
+            let want = if i < 10 { 10 } else { 0 }; // offsets >= 100 read empty
+            assert_eq!(r.as_ref().unwrap().as_ref(), &vec![i as u8; want][..]);
+        }
+        assert!(matches!(
+            out[16],
+            Err(MemFsError::Storage(KvError::NotFound))
+        ));
+        assert_eq!(out[17].as_ref().unwrap().as_ref(), &[3u8; 5][..]);
+        // Same dispatch, same accounting as `get_many`: one batch per
+        // server that owns a key, every request counted.
+        let snap = p.stats().snapshot();
+        assert_eq!(snap.iter().map(|s| s.keys).sum::<u64>(), 18);
+        assert!(snap.iter().all(|s| s.batches <= 1 && s.in_flight == 0));
     }
 
     #[test]
@@ -2025,6 +2116,43 @@ mod tests {
             assert_eq!(p.get(&key).unwrap().as_ref(), b"dual");
         }
         assert!(moved > 0, "some key must move to the new server");
+    }
+
+    #[test]
+    fn ranged_reads_of_a_migrating_range_do_not_trust_a_target_only_miss() {
+        use memfs_hashring::MIGRATION_RANGES;
+        let (p, failables) = failable_pool(2, 1);
+        let pre: Vec<(Bytes, u64, usize)> = (0..24)
+            .map(|i| (Bytes::from(format!("pre{i}")), 4, 5))
+            .collect();
+        for (k, ..) in &pre {
+            p.set(k, Bytes::from_static(b"old-value")).unwrap();
+        }
+        p.begin_add_servers(vec![local_client()]).unwrap();
+        let state = p.ring_state();
+        let t = state.transition.as_ref().unwrap();
+        for r in 0..MIGRATION_RANGES {
+            t.ranges.set_phase(r, RangePhase::Migrating);
+        }
+        p.quiesce();
+        let moving = pre
+            .iter()
+            .filter(|(k, ..)| t.target.replicas_for(k, 1)[0].0 == 2)
+            .count();
+        assert!(moving > 0, "some key must gain a target-only home");
+        // The old homes answer, whatever the empty target home would say.
+        for r in p.get_range_many(&pre) {
+            assert_eq!(r.unwrap().as_ref(), b"value");
+        }
+        // Old homes down: the target-only home's `NotFound` only means
+        // the copy has not landed, so the transport error surfaces.
+        failables.iter().for_each(|f| f.set_down(true));
+        for r in p.get_range_many(&pre) {
+            assert!(
+                matches!(&r, Err(MemFsError::Storage(e)) if e.is_transport()),
+                "got {r:?}"
+            );
+        }
     }
 
     #[test]

@@ -1,22 +1,52 @@
-//! The prefetching protocol (paper §3.2.2).
+//! The prefetching protocol (paper §3.2.2) and the fine-grain read path.
 //!
 //! "Our prefetching scheme is simple and effective only for sequential
 //! reads: when an application requests data from a specific stripe, MemFS
 //! prefetches the consecutive stripes in a local cache."
 //!
-//! [`StripeReader`] keeps a bounded per-file cache (8 MiB by default).
-//! Every stripe access triggers prefetch of the next `window` stripes
-//! through the mount's shared I/O engine; sequential readers therefore
-//! always find the next stripe already local, hiding the network latency
-//! (which is why Figure 3a shows read bandwidth independent of stripe
-//! size).
+//! [`StripeReader`] keeps a bounded per-file cache (8 MiB by default) and
+//! [`StripeReader::read_at`] is the one read entry point. A sequential
+//! reader always finds the next stripe already local, hiding the network
+//! latency (which is why Figure 3a shows read bandwidth independent of
+//! stripe size) — and a reader that is *not* sequential is not made to pay
+//! for that: the paper's scheme fetches the whole stripe and a window
+//! behind every access, which for a 64 KiB read of a 512 KiB stripe moved
+//! ≈ 20 wire bytes per user byte (its Figure 16 is the same amplification
+//! seen from iozone). Each span of a read — its piece of one stripe — is
+//! served one of three ways:
 //!
-//! The reader goes slightly beyond the paper's strictly-consecutive
-//! scheme: a small per-handle stream table detects forward strides
-//! (including several interleaved sequential regions on one handle), so a
-//! stride-`k` scan prefetches `stripe + k, stripe + 2k, ...` instead of
-//! degrading every access to a synchronous miss. Pure sequential access
-//! resolves to stride 1 and behaves exactly as before.
+//! | the span…                                             | path       |
+//! |-------------------------------------------------------|------------|
+//! | covers its whole stripe                               | **cached** |
+//! | is part of a read that *continues a stream*           | **cached** |
+//! | neither, but its stripe is already `Ready`            | cache copy |
+//! | otherwise (also a stripe that is only `InFlight`)     | **ranged** |
+//!
+//! *Cached* is the paper's path: claim the slot, fetch the stripe whole,
+//! keep it, record the access in the stream table and queue the next
+//! `window` stripes. *Ranged* asks the server for just the span
+//! (`getrange`), claims and caches nothing and issues no window. A *cache
+//! copy* touches nothing either: hits by a random reader must not feed the
+//! prefetcher, or every resident stripe keeps spawning windows nobody
+//! reads. A read *continues a stream* when it starts at byte 0 or exactly
+//! where an earlier read on this reader ended. Byte 0 counts because
+//! open-then-read-through is by far the commonest access, and its first
+//! read has no history to go by (Linux on-demand readahead makes the same
+//! call); a reader that seeks mid-file and then streams pays one ranged
+//! round trip — which leaves its end offset in the stream table — and is
+//! recognised by its second read. With `window == 0` there is no cache, so
+//! sub-stripe spans are always ranged.
+//!
+//! All misses of one read, whole and ranged, travel as **one**
+//! [`ServerPool::get_range_many`], queued *after* the window so the two
+//! overlap.
+//!
+//! The stream table goes slightly beyond the paper's strictly-consecutive
+//! scheme: it detects forward strides (including several interleaved
+//! sequential regions on one handle), so a stride-`k` scan of whole
+//! stripes prefetches `stripe + k, stripe + 2k, ...` instead of degrading
+//! every access to a synchronous miss. Pure sequential access resolves to
+//! stride 1.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
@@ -26,7 +56,7 @@ use memfs_hashring::schema::KeySchema;
 use parking_lot::{Condvar, Mutex};
 
 use crate::error::{MemFsError, MemFsResult};
-use crate::layout::StripeLayout;
+use crate::layout::{StripeLayout, StripeSpan};
 use crate::pool::ServerPool;
 use crate::threadpool::IoEngine;
 
@@ -109,13 +139,100 @@ const MAX_STRIDE: u64 = 32;
 struct StreamState {
     last: u64,
     stride: u64,
+    /// File offset where the stream's latest read ended: a read starting
+    /// here continues the stream.
+    end: u64,
     /// Logical clock of the last touch, for LRU recycling.
     touched: u64,
 }
 
+#[derive(Default)]
 struct StreamTable {
     streams: Vec<StreamState>,
     clock: u64,
+}
+
+impl StreamTable {
+    /// Whether a read starting at `offset` continues a stream: the start
+    /// of the file, or exactly where an earlier read ended.
+    fn continues(&self, offset: u64) -> bool {
+        offset == 0 || self.streams.iter().any(|st| st.end == offset)
+    }
+
+    /// Record an access at `stripe` by a read ending at file offset `end`
+    /// and return the stride the prefetcher should extrapolate with.
+    /// Matching order: exact continuation of a known stream, re-read of a
+    /// stream's position, nearest forward jump from a stream (which *sets*
+    /// that stream's stride), else a fresh stream assumed sequential.
+    fn note(&mut self, stripe: u64, end: u64) -> u64 {
+        self.clock += 1;
+        let clock = self.clock;
+        let matched = if let Some(st) = self
+            .streams
+            .iter_mut()
+            .find(|st| st.stride > 0 && st.last + st.stride == stripe)
+        {
+            Some(st)
+        } else if let Some(st) = self.streams.iter_mut().find(|st| st.last == stripe) {
+            st.stride = st.stride.max(1);
+            Some(st)
+        } else if let Some(st) = self
+            .streams
+            .iter_mut()
+            .filter(|st| st.last < stripe && stripe - st.last <= MAX_STRIDE)
+            .max_by_key(|st| st.last)
+        {
+            st.stride = stripe - st.last;
+            Some(st)
+        } else {
+            None
+        };
+        match matched {
+            Some(st) => {
+                st.last = stripe;
+                st.end = end;
+                st.touched = clock;
+                st.stride
+            }
+            None => {
+                self.begin(stripe, end);
+                1
+            }
+        }
+    }
+
+    /// Start a fresh, assumed-sequential stream whose latest read touched
+    /// `stripe` and ended at `end`, recycling the least recently touched
+    /// one when the table is full.
+    fn begin(&mut self, stripe: u64, end: u64) {
+        if self.streams.len() >= MAX_STREAMS {
+            if let Some(pos) = self
+                .streams
+                .iter()
+                .enumerate()
+                .min_by_key(|(_, st)| st.touched)
+                .map(|(i, _)| i)
+            {
+                self.streams.swap_remove(pos);
+            }
+        }
+        self.streams.push(StreamState {
+            last: stripe,
+            stride: 1,
+            end,
+            touched: self.clock,
+        });
+    }
+}
+
+/// Where one span of a read gets its bytes.
+enum Source {
+    /// From the cache: the stripe itself, or `None` while another fetch
+    /// holds its slot (waited on after this read's own misses went out).
+    Cached(Option<Bytes>),
+    /// The next reply of this read's one [`ServerPool::get_range_many`];
+    /// the piece starts at this offset of the stripe.
+    Fetched(usize),
 }
 
 /// A striped, prefetching reader over one finalized file.
@@ -162,10 +279,7 @@ impl StripeReader {
                 cv: Condvar::new(),
                 capacity: cache_stripes.max(1),
             }),
-            streams: Mutex::new(StreamTable {
-                streams: Vec::new(),
-                clock: 0,
-            }),
+            streams: Mutex::new(StreamTable::default()),
         }
     }
 
@@ -174,111 +288,175 @@ impl StripeReader {
         self.file_size
     }
 
-    /// Fetch stripe `stripe`, from cache if possible, then kick prefetch
-    /// of the detected-stride window.
-    pub fn stripe(&self, stripe: u64) -> MemFsResult<Bytes> {
-        debug_assert!(stripe < self.layout.stripe_count(self.file_size));
-        let stride = self.note_access(stripe);
-        let data = self.fetch(stripe)?;
-        self.prefetch_ahead(stripe, stride);
-        Ok(data)
-    }
+    /// Read up to `buf.len()` bytes at `offset`, returning the byte count
+    /// (short only at end of file) — the one read entry point; the module
+    /// docs give the policy each span follows.
+    ///
+    /// A read spanning several stripes costs one parallel round trip: its
+    /// misses share one [`ServerPool::get_range_many`], whose per-server
+    /// batches are on the wire together.
+    pub fn read_at(&self, offset: u64, buf: &mut [u8]) -> MemFsResult<usize> {
+        let spans = self.layout.spans(self.file_size, offset, buf.len());
+        let Some(last) = spans.last() else {
+            return Ok(0);
+        };
+        let end = offset + spans.iter().map(|s| s.len as u64).sum::<u64>();
+        let caching = self.window > 0;
+        let whole = |span: &StripeSpan| {
+            span.offset_in_stripe == 0
+                && span.len == self.layout.stripe_len(self.file_size, span.stripe)
+        };
 
-    /// Record an access at `stripe` in the stream table and return the
-    /// stride the prefetcher should extrapolate with. Matching order:
-    /// exact continuation of a known stream, re-read of a stream's
-    /// position, nearest forward jump from a stream (which *sets* that
-    /// stream's stride), else a fresh stream assumed sequential.
-    fn note_access(&self, stripe: u64) -> u64 {
-        let mut table = self.streams.lock();
-        table.clock += 1;
-        let clock = table.clock;
-        if let Some(st) = table
-            .streams
-            .iter_mut()
-            .find(|st| st.stride > 0 && st.last + st.stride == stripe)
-        {
-            st.last = stripe;
-            st.touched = clock;
-            return st.stride;
-        }
-        if let Some(st) = table.streams.iter_mut().find(|st| st.last == stripe) {
-            st.touched = clock;
-            return st.stride.max(1);
-        }
-        if let Some(st) = table
-            .streams
-            .iter_mut()
-            .filter(|st| st.last < stripe && stripe - st.last <= MAX_STRIDE)
-            .max_by_key(|st| st.last)
-        {
-            st.stride = stripe - st.last;
-            st.last = stripe;
-            st.touched = clock;
-            return st.stride;
-        }
-        if table.streams.len() >= MAX_STREAMS {
-            if let Some(pos) = table
-                .streams
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, st)| st.touched)
-                .map(|(i, _)| i)
-            {
-                table.streams.swap_remove(pos);
+        // Which spans take the cached path — and what the stream table
+        // makes of them: noting every such stripe (not just the last)
+        // keeps the table seeing the contiguous walk, so the next read
+        // continues at stride 1 instead of looking like a span-sized jump.
+        let mut streaming = false;
+        let mut window_from: Option<(u64, u64)> = None;
+        if caching {
+            let mut table = self.streams.lock();
+            streaming = table.continues(offset);
+            for span in spans.iter().filter(|s| streaming || whole(s)) {
+                window_from = Some((span.stripe, table.note(span.stripe, end)));
             }
         }
-        table.streams.push(StreamState {
-            last: stripe,
-            stride: 1,
-            touched: clock,
-        });
-        1
-    }
 
-    /// Cache-or-network fetch of one stripe, waiting on in-flight
-    /// prefetches rather than fetching twice.
-    fn fetch(&self, stripe: u64) -> MemFsResult<Bytes> {
-        if self.window > 0 {
+        // Classify every span, claiming the cached-path misses under one
+        // lock pass so concurrent readers and windows wait on this read
+        // instead of fetching the same stripes again.
+        let mut sources: Vec<Source> = Vec::with_capacity(spans.len());
+        let mut reqs: Vec<(Bytes, u64, usize)> = Vec::new();
+        let mut claimed: Vec<(usize, u64)> = Vec::new();
+        {
+            let mut state = caching.then(|| self.cache.state.lock());
+            for span in &spans {
+                let key = || Bytes::from(KeySchema::stripe_key(&self.path, span.stripe));
+                let cached = match state.as_mut() {
+                    Some(state) if streaming || whole(span) => {
+                        Some(match state.slots.get(&span.stripe) {
+                            Some(Slot::Ready(data)) => Source::Cached(Some(data.clone())),
+                            Some(Slot::InFlight) => Source::Cached(None),
+                            None => {
+                                state.slots.insert(span.stripe, Slot::InFlight);
+                                claimed.push((reqs.len(), span.stripe));
+                                let len = self.layout.stripe_len(self.file_size, span.stripe);
+                                reqs.push((key(), 0, len));
+                                Source::Fetched(0)
+                            }
+                        })
+                    }
+                    Some(state) => match state.slots.get(&span.stripe) {
+                        Some(Slot::Ready(data)) => Some(Source::Cached(Some(data.clone()))),
+                        _ => None,
+                    },
+                    None => None,
+                };
+                // No cache to fill, or a random access: move only the span.
+                sources.push(cached.unwrap_or_else(|| {
+                    reqs.push((key(), span.offset_in_stripe as u64, span.len));
+                    Source::Fetched(span.offset_in_stripe)
+                }));
+            }
+        }
+
+        // Window first, so it overlaps the synchronous fetch below. A read
+        // served by ranges alone only leaves its end offset behind; one
+        // served by cache copies alone leaves nothing.
+        if let Some((furthest, stride)) = window_from {
+            self.prefetch_ahead(furthest, stride);
+        } else if caching && !reqs.is_empty() {
+            self.streams.lock().begin(last.stripe, end);
+        }
+
+        let fetched = if reqs.is_empty() {
+            Vec::new()
+        } else {
+            self.pool.get_range_many(&reqs)
+        };
+        if !claimed.is_empty() {
+            // Every claimed slot must be resolved — Ready, or released on
+            // error — or waiters would hang on InFlight forever.
             let mut state = self.cache.state.lock();
-            loop {
-                match state.slots.get(&stripe) {
-                    Some(Slot::Ready(data)) => return Ok(data.clone()),
-                    Some(Slot::InFlight) => {
-                        self.cache.cv.wait(&mut state);
-                    }
-                    None => {
-                        // Claim the slot *before* going to the network so
-                        // concurrent misses on this stripe wait here
-                        // instead of each fetching it (and pushing
-                        // duplicate eviction-order entries).
-                        state.slots.insert(stripe, Slot::InFlight);
-                        break;
+            for &(req, stripe) in &claimed {
+                match &fetched[req] {
+                    Ok(data) => self
+                        .cache
+                        .insert_ready_locked(&mut state, stripe, data.clone()),
+                    Err(_) => {
+                        state.slots.remove(&stripe);
                     }
                 }
             }
+            drop(state);
+            self.cache.cv.notify_all();
         }
-        // Synchronous path (claimed miss, or prefetch disabled).
-        let key = KeySchema::stripe_key(&self.path, stripe);
-        match self.pool.get(&key) {
-            Ok(data) => {
-                if self.window > 0 {
-                    self.insert_ready(stripe, data.clone());
+
+        let mut fetched = fetched.into_iter();
+        let mut filled = 0usize;
+        for (span, source) in spans.iter().zip(sources) {
+            let (piece, starts_at) = match source {
+                Source::Cached(Some(data)) => (data, 0),
+                // `fetch` waits out the in-flight slot (and retries
+                // synchronously if its owner failed or it got evicted).
+                Source::Cached(None) => (self.fetch(span.stripe)?, 0),
+                Source::Fetched(starts_at) => {
+                    let reply = fetched.next().expect("one reply per request");
+                    (
+                        reply.map_err(|e| self.stripe_err(span.stripe, e))?,
+                        starts_at,
+                    )
                 }
-                Ok(data)
-            }
-            Err(e) => {
-                if self.window > 0 {
-                    // Release the claim so waiters retry instead of
-                    // hanging on an InFlight that will never resolve.
-                    let mut state = self.cache.state.lock();
-                    state.slots.remove(&stripe);
-                    drop(state);
-                    self.cache.cv.notify_all();
-                }
-                Err(self.stripe_err(stripe, e))
+            };
+            let from = span.offset_in_stripe - starts_at;
+            let bytes = piece
+                .get(from..from + span.len)
+                .ok_or_else(|| self.short_stripe(span))?;
+            buf[filled..filled + span.len].copy_from_slice(bytes);
+            filled += span.len;
+        }
+        Ok(filled)
+    }
+
+    /// Read stripe `stripe` whole through [`StripeReader::read_at`].
+    #[cfg(test)]
+    fn stripe(&self, stripe: u64) -> MemFsResult<Bytes> {
+        let mut buf = vec![0u8; self.layout.stripe_len(self.file_size, stripe)];
+        let offset = stripe * self.layout.stripe_size() as u64;
+        let n = self.read_at(offset, &mut buf)?;
+        assert_eq!(n, buf.len(), "stripe {stripe} inside the file");
+        Ok(Bytes::from(buf))
+    }
+
+    /// Wait out another fetch's claim on `stripe`. If that fetch failed (or
+    /// the stripe was evicted again before this waiter woke), claim the
+    /// slot and fetch the stripe synchronously — concurrent misses still
+    /// wait on one fetch instead of each going to the network.
+    fn fetch(&self, stripe: u64) -> MemFsResult<Bytes> {
+        let mut state = self.cache.state.lock();
+        loop {
+            match state.slots.get(&stripe) {
+                Some(Slot::Ready(data)) => return Ok(data.clone()),
+                Some(Slot::InFlight) => self.cache.cv.wait(&mut state),
+                None => break,
             }
         }
+        state.slots.insert(stripe, Slot::InFlight);
+        drop(state);
+        let result = self.pool.get(&KeySchema::stripe_key(&self.path, stripe));
+        // Resolve the claim either way, so waiters retry instead of
+        // hanging on an InFlight that will never turn Ready.
+        let mut state = self.cache.state.lock();
+        match &result {
+            Ok(data) => self
+                .cache
+                .insert_ready_locked(&mut state, stripe, data.clone()),
+            Err(_) => {
+                state.slots.remove(&stripe);
+            }
+        }
+        drop(state);
+        self.cache.cv.notify_all();
+        result.map_err(|e| self.stripe_err(stripe, e))
     }
 
     /// A missing stripe under a finalized size record means the key space
@@ -292,102 +470,13 @@ impl StripeReader {
         }
     }
 
-    /// Fetch several stripes as one batched, fanned-out operation,
-    /// returned in input order.
-    ///
-    /// Cache-aware: already-resident stripes are served locally, stripes
-    /// another thread is prefetching are waited on, and only the true
-    /// misses travel — as a single [`ServerPool::get_many`] whose
-    /// per-server batches go out in parallel. This is what makes a large
-    /// `read_at` span cost one parallel round trip instead of one
-    /// sequential round trip per stripe.
-    pub fn read_stripes(&self, stripes: &[u64]) -> MemFsResult<Vec<Bytes>> {
-        if self.window == 0 {
-            // Cache disabled: straight batched fetch.
-            let keys: Vec<Bytes> = stripes
-                .iter()
-                .map(|&s| Bytes::from(KeySchema::stripe_key(&self.path, s)))
-                .collect();
-            return self
-                .pool
-                .get_many(&keys)
-                .into_iter()
-                .zip(stripes)
-                .map(|(r, &s)| r.map_err(|e| self.stripe_err(s, e)))
-                .collect();
-        }
-        let mut out: Vec<Option<Bytes>> = vec![None; stripes.len()];
-        let mut misses: Vec<(usize, u64)> = Vec::new();
-        let mut waiting: Vec<(usize, u64)> = Vec::new();
-        {
-            let mut state = self.cache.state.lock();
-            for (i, &s) in stripes.iter().enumerate() {
-                match state.slots.get(&s) {
-                    Some(Slot::Ready(data)) => out[i] = Some(data.clone()),
-                    Some(Slot::InFlight) => waiting.push((i, s)),
-                    None => {
-                        // Claim the slot so concurrent readers/prefetchers
-                        // wait on our batch instead of fetching twice.
-                        state.slots.insert(s, Slot::InFlight);
-                        misses.push((i, s));
-                    }
-                }
-            }
-        }
-        // Re-issue the full remaining prefetch window immediately, keyed
-        // off the furthest requested stripe. The readahead job overlaps
-        // the synchronous miss fetch below, so small sequential `read_at`
-        // spans (1-2 stripes) still keep every server engaged instead of
-        // capping the fan-out at the span width. Noting every stripe of
-        // the span (not just the max) keeps the stream table seeing the
-        // contiguous walk, so the next span continues at stride 1 instead
-        // of being mistaken for a span-sized jump.
-        if let Some(&last) = stripes.iter().max() {
-            let mut stride = 1;
-            for &s in stripes {
-                stride = self.note_access(s);
-            }
-            self.prefetch_ahead(last, stride);
-        }
-        if !misses.is_empty() {
-            let keys: Vec<Bytes> = misses
-                .iter()
-                .map(|&(_, s)| Bytes::from(KeySchema::stripe_key(&self.path, s)))
-                .collect();
-            let results = self.pool.get_many(&keys);
-            let mut first_err: Option<MemFsError> = None;
-            let mut state = self.cache.state.lock();
-            // Every claimed slot must be resolved — Ready, or released on
-            // error — or waiters would hang on InFlight forever.
-            for (&(i, s), r) in misses.iter().zip(results) {
-                match r {
-                    Ok(data) => {
-                        self.cache.insert_ready_locked(&mut state, s, data.clone());
-                        out[i] = Some(data);
-                    }
-                    Err(e) => {
-                        state.slots.remove(&s);
-                        if first_err.is_none() {
-                            first_err = Some(self.stripe_err(s, e));
-                        }
-                    }
-                }
-            }
-            drop(state);
-            self.cache.cv.notify_all();
-            if let Some(e) = first_err {
-                return Err(e);
-            }
-        }
-        // `fetch` waits out the in-flight slots (and retries synchronously
-        // if the owning fetch failed or the slot got evicted meanwhile).
-        for (i, s) in waiting {
-            out[i] = Some(self.fetch(s)?);
-        }
-        Ok(out
-            .into_iter()
-            .map(|d| d.expect("every stripe classified exactly once"))
-            .collect())
+    /// A stripe (or a ranged piece of one) shorter than the finalized size
+    /// record implies.
+    fn short_stripe(&self, span: &StripeSpan) -> MemFsError {
+        MemFsError::CorruptMetadata(format!(
+            "stripe {} of {} shorter than the size record implies",
+            span.stripe, self.path
+        ))
     }
 
     /// Queue background fetches for stripes `stripe + k*stride` for
@@ -464,14 +553,6 @@ impl StripeReader {
         });
     }
 
-    /// Insert a synchronously fetched stripe, evicting FIFO if needed.
-    fn insert_ready(&self, stripe: u64, data: Bytes) {
-        let mut state = self.cache.state.lock();
-        self.cache.insert_ready_locked(&mut state, stripe, data);
-        drop(state);
-        self.cache.cv.notify_all();
-    }
-
     /// Number of stripes currently cached or in flight (diagnostic).
     pub fn cached_stripes(&self) -> usize {
         self.cache.state.lock().slots.len()
@@ -503,6 +584,8 @@ impl StripeReader {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+
     use super::*;
     use crate::config::DistributorKind;
     use memfs_memkv::{KvClient, LocalClient, Store, StoreConfig};
@@ -643,24 +726,18 @@ mod tests {
         }
     }
 
-    /// A client wrapper separating synchronous single-key `get`s (the
-    /// reader's miss path) from batched `get_many`s (the prefetch path).
+    /// A client wrapper separating the reader's three kinds of traffic:
+    /// synchronous whole-stripe fetches (`gets` — a single-key `get`, or a
+    /// ranged request for all `whole` bytes of a stripe), ranged pieces
+    /// (`ranged`) and batched `get_many`s (`mgets`, the prefetch path).
     /// `Store`'s own counters can't tell them apart: its `get_many` bumps
     /// `get_ops` once per key too.
     struct CountingClient<C = LocalClient> {
         inner: C,
-        gets: std::sync::atomic::AtomicU64,
-        mgets: std::sync::atomic::AtomicU64,
-    }
-
-    impl<C: KvClient> CountingClient<C> {
-        fn new(inner: C) -> Self {
-            CountingClient {
-                inner,
-                gets: Default::default(),
-                mgets: Default::default(),
-            }
-        }
+        whole: usize,
+        gets: AtomicU64,
+        ranged: AtomicU64,
+        mgets: AtomicU64,
     }
 
     impl<C: KvClient> KvClient for CountingClient<C> {
@@ -671,13 +748,26 @@ mod tests {
             self.inner.add(key, value)
         }
         fn get(&self, key: &[u8]) -> memfs_memkv::error::KvResult<Bytes> {
-            self.gets.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            self.gets.fetch_add(1, Relaxed);
             self.inner.get(key)
         }
         fn start_get_many(&self, keys: &[Bytes]) -> memfs_memkv::Deferred<Bytes> {
-            self.mgets
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            self.mgets.fetch_add(1, Relaxed);
             self.inner.start_get_many(keys)
+        }
+        fn start_get_range_many(
+            &self,
+            reqs: &[(Bytes, u64, usize)],
+        ) -> memfs_memkv::Deferred<Bytes> {
+            for &(_, offset, len) in reqs {
+                let counter = if (offset, len) == (0, self.whole) {
+                    &self.gets
+                } else {
+                    &self.ranged
+                };
+                counter.fetch_add(1, Relaxed);
+            }
+            self.inner.start_get_range_many(reqs)
         }
         fn append(&self, key: &[u8], suffix: &[u8]) -> memfs_memkv::error::KvResult<()> {
             self.inner.append(key, suffix)
@@ -705,9 +795,13 @@ mod tests {
     ) -> (Vec<Arc<CountingClient<C>>>, Arc<ServerPool>) {
         let counted: Vec<Arc<CountingClient<C>>> = (0..4)
             .map(|_| {
-                Arc::new(CountingClient::new(wrap(Arc::new(Store::new(
-                    StoreConfig::default(),
-                )))))
+                Arc::new(CountingClient {
+                    inner: wrap(Arc::new(Store::new(StoreConfig::default()))),
+                    whole: stripe,
+                    gets: AtomicU64::new(0),
+                    ranged: AtomicU64::new(0),
+                    mgets: AtomicU64::new(0),
+                })
             })
             .collect();
         let clients: Vec<Arc<dyn KvClient>> = counted
@@ -727,17 +821,15 @@ mod tests {
     }
 
     fn sync_gets(clients: &[Arc<CountingClient>]) -> u64 {
-        clients
-            .iter()
-            .map(|c| c.gets.load(std::sync::atomic::Ordering::Relaxed))
-            .sum()
+        clients.iter().map(|c| c.gets.load(Relaxed)).sum()
+    }
+
+    fn ranged_gets(clients: &[Arc<CountingClient>]) -> u64 {
+        clients.iter().map(|c| c.ranged.load(Relaxed)).sum()
     }
 
     fn batched_gets(clients: &[Arc<CountingClient>]) -> u64 {
-        clients
-            .iter()
-            .map(|c| c.mgets.load(std::sync::atomic::Ordering::Relaxed))
-            .sum()
+        clients.iter().map(|c| c.mgets.load(Relaxed)).sum()
     }
 
     #[test]
@@ -806,48 +898,244 @@ mod tests {
         );
     }
 
-    #[test]
-    fn read_stripes_returns_input_order_and_uses_cache() {
-        let (pool, data) = setup(2000, 100);
-        let r = reader(&pool, 2000, 100, 4);
-        // Mixed cold/warm: stripe 0 warms the cache first.
-        r.stripe(0).unwrap();
-        let got = r.read_stripes(&[3, 0, 17, 9]).unwrap();
-        for (&s, d) in [3u64, 0, 17, 9].iter().zip(&got) {
-            let start = (s as usize) * 100;
-            assert_eq!(d.as_ref(), &data[start..start + 100], "stripe {s}");
+    /// `n` seeded sub-stripe reads — one eighth of an 800-byte stripe each,
+    /// anywhere in a `stripes`-stripe file — as `(offset, len)` pairs, none
+    /// of which continues a stream: none starts at byte 0, at an offset in
+    /// `taken`, or where an earlier one of them ended.
+    fn random_eighths(stripes: u64, n: usize, taken: &[u64]) -> Vec<(u64, usize)> {
+        let mut ends: std::collections::HashSet<u64> = taken.iter().copied().collect();
+        ends.insert(0);
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let mut reads = Vec::with_capacity(n);
+        while reads.len() < n {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let offset = (x % stripes) * 800 + ((x >> 32) % 8) * 100;
+            if ends.contains(&offset) {
+                continue;
+            }
+            ends.insert(offset + 100);
+            reads.push((offset, 100));
         }
-        // A second batched read of the same stripes is fully cache-served.
-        let again = r.read_stripes(&[3, 0, 17, 9]).unwrap();
-        assert_eq!(got, again);
+        reads
+    }
+
+    /// Read `len` bytes at `offset` of the `instrumented_pool` file, whose
+    /// stripe `s` is filled with `s as u8`.
+    fn read_checked(r: &StripeReader, offset: u64, len: usize) {
+        let mut buf = vec![0u8; len];
+        assert_eq!(r.read_at(offset, &mut buf).unwrap(), len);
+        for (i, &b) in buf.iter().enumerate() {
+            assert_eq!(
+                b,
+                ((offset + i as u64) / 800) as u8,
+                "byte {i} of {offset}+{len}"
+            );
+        }
+    }
+
+    fn counted_reader(pool: &Arc<ServerPool>, stripes: u64, window: usize) -> StripeReader {
+        let engine = (window > 0).then(|| Arc::new(IoEngine::new(2, "pf")));
+        let (layout, size) = (StripeLayout::new(800), stripes * 800);
+        StripeReader::new(
+            "/f".into(),
+            layout,
+            size,
+            Arc::clone(pool),
+            engine,
+            window,
+            32,
+        )
     }
 
     #[test]
-    fn read_stripes_without_cache_is_one_parallel_fetch() {
-        let (pool, data) = setup(1000, 100);
-        let r = reader(&pool, 1000, 100, 0);
-        let stripes: Vec<u64> = (0..10).collect();
-        let got = r.read_stripes(&stripes).unwrap();
-        let mut flat = Vec::new();
-        for d in got {
-            flat.extend_from_slice(&d);
+    fn random_sub_stripe_reads_move_only_their_ranges() {
+        let (counted, pool) = instrumented_pool(80_000, 800);
+        let r = counted_reader(&pool, 100, 8);
+        for (offset, len) in random_eighths(100, 200, &[]) {
+            read_checked(&r, offset, len);
         }
-        assert_eq!(flat, data.as_ref());
+        assert_eq!(ranged_gets(&counted), 200);
+        assert_eq!(
+            sync_gets(&counted),
+            0,
+            "a random read fetched a whole stripe"
+        );
+        assert_eq!(batched_gets(&counted), 0, "a random read issued a window");
         assert_eq!(r.cached_stripes(), 0);
     }
 
     #[test]
-    fn read_stripes_missing_stripe_is_corrupt_metadata() {
+    fn cache_hits_by_random_reads_do_not_feed_the_prefetcher() {
+        let (counted, pool) = instrumented_pool(80_000, 800);
+        let r = counted_reader(&pool, 100, 8);
+        // Stripe 0 and its window: stripes 0..=8 become resident.
+        r.stripe(0).unwrap();
+        r.wait_settled();
+        assert_eq!(r.cached_stripes(), 9);
+        let (windows, gets) = (batched_gets(&counted), sync_gets(&counted));
+        // Random reads over the resident part and just beyond it: hits are
+        // copied out, misses are ranged, and neither issues a window.
+        let reads = random_eighths(12, 90, &[800]);
+        let resident = reads
+            .iter()
+            .filter(|&&(offset, _)| offset < 9 * 800)
+            .count();
+        assert!(resident > 30, "the plan must land on resident stripes");
+        for &(offset, len) in &reads {
+            read_checked(&r, offset, len);
+        }
+        r.wait_settled();
+        assert_eq!(
+            batched_gets(&counted),
+            windows,
+            "a cache hit issued a window"
+        );
+        assert_eq!(sync_gets(&counted), gets);
+        assert_eq!(ranged_gets(&counted), (reads.len() - resident) as u64);
+        assert_eq!(r.cached_stripes(), 9);
+    }
+
+    #[test]
+    fn sequential_sub_stripe_reads_from_byte_zero_stay_on_the_cached_path() {
+        // A quarter stripe per read — the 128 KiB reads of a 512 KiB
+        // stripe: one synchronous whole-stripe fetch, then window hits.
+        let (counted, pool) = instrumented_pool(24_000, 800);
+        let r = counted_reader(&pool, 30, 8);
+        for offset in (0..24_000).step_by(200) {
+            read_checked(&r, offset, 200);
+        }
+        assert_eq!(ranged_gets(&counted), 0);
+        assert!(
+            sync_gets(&counted) <= 1,
+            "{} sync gets",
+            sync_gets(&counted)
+        );
+        assert!(batched_gets(&counted) > 0);
+    }
+
+    #[test]
+    fn sequential_reads_from_mid_file_lock_in_after_one_ranged_read() {
+        let (counted, pool) = instrumented_pool(24_000, 800);
+        let r = counted_reader(&pool, 30, 8);
+        for offset in (8_200..24_000).step_by(200) {
+            read_checked(&r, offset, 200);
+        }
+        assert_eq!(ranged_gets(&counted), 1, "only the first read is ranged");
+        assert!(
+            sync_gets(&counted) <= 1,
+            "{} sync gets",
+            sync_gets(&counted)
+        );
+        assert!(batched_gets(&counted) > 0);
+    }
+
+    #[test]
+    fn two_streams_on_one_reader_both_lock_in() {
+        // What two `duplicate()`d handles do: one reader, two cursors.
+        let (counted, pool) = instrumented_pool(48_000, 800);
+        let r = counted_reader(&pool, 60, 8);
+        for step in (0..16_000).step_by(200) {
+            read_checked(&r, step, 200);
+            read_checked(&r, 24_600 + step, 200);
+        }
+        assert_eq!(ranged_gets(&counted), 1, "the mid-file stream's first read");
+        assert!(
+            sync_gets(&counted) <= 2,
+            "{} sync gets",
+            sync_gets(&counted)
+        );
+    }
+
+    #[test]
+    fn without_a_cache_every_sub_stripe_read_is_ranged() {
+        let (counted, pool) = instrumented_pool(8_000, 800);
+        let r = counted_reader(&pool, 10, 0);
+        for offset in (0..8_000).step_by(200) {
+            read_checked(&r, offset, 200);
+        }
+        assert_eq!(ranged_gets(&counted), 40);
+        assert_eq!(sync_gets(&counted) + batched_gets(&counted), 0);
+        assert_eq!(r.cached_stripes(), 0);
+    }
+
+    #[test]
+    fn multi_stripe_read_is_correct_and_uses_cache() {
+        let (pool, data) = setup(2000, 100);
+        let r = reader(&pool, 2000, 100, 4);
+        // Mixed cold/warm: stripe 0 warms the cache (and its window) first;
+        // the read starts and ends mid-stripe.
+        r.stripe(0).unwrap();
+        let mut got = vec![0u8; 850];
+        assert_eq!(r.read_at(250, &mut got).unwrap(), 850);
+        assert_eq!(got, &data[250..1100]);
+        // A second read of the whole stripes in that range is cache-served.
+        r.wait_settled();
+        let before = pool.stats().snapshot();
+        let mut again = vec![0u8; 700];
+        assert_eq!(r.read_at(300, &mut again).unwrap(), 700);
+        assert_eq!(again, &data[300..1000]);
+        assert_eq!(
+            before.iter().map(|s| s.keys).sum::<u64>(),
+            pool.stats().snapshot().iter().map(|s| s.keys).sum::<u64>(),
+            "resident stripes were fetched again"
+        );
+    }
+
+    #[test]
+    fn multi_stripe_read_without_cache_is_one_parallel_fetch() {
+        let (pool, data) = setup(1000, 100);
+        let r = reader(&pool, 1000, 100, 0);
+        let mut flat = vec![0u8; 1000];
+        assert_eq!(r.read_at(0, &mut flat).unwrap(), 1000);
+        assert_eq!(flat, data.as_ref());
+        assert_eq!(r.cached_stripes(), 0);
+        // One batch per server, not one round trip per stripe.
+        let batches: u64 = pool.stats().snapshot().iter().map(|s| s.batches).sum();
+        assert!(batches <= 4, "{batches} batches for one read");
+    }
+
+    #[test]
+    fn multi_stripe_read_missing_stripe_is_corrupt_metadata() {
         let (pool, _) = setup(1000, 100);
         pool.delete_quiet(&KeySchema::stripe_key("/f", 5)).unwrap();
         let r = reader(&pool, 1000, 100, 4);
+        let mut buf = vec![0u8; 600];
         assert!(matches!(
-            r.read_stripes(&[2, 5, 7]),
+            r.read_at(200, &mut buf),
+            Err(MemFsError::CorruptMetadata(_))
+        ));
+        // A ranged piece of the missing stripe is the same error.
+        assert!(matches!(
+            r.read_at(510, &mut buf[..20]),
             Err(MemFsError::CorruptMetadata(_))
         ));
         // The failed slot must not wedge later readers: a retry of the
         // healthy stripes succeeds.
-        assert_eq!(r.read_stripes(&[2, 7]).unwrap().len(), 2);
+        assert_eq!(r.read_at(200, &mut buf[..300]).unwrap(), 300);
+    }
+
+    #[test]
+    fn short_stripe_is_corrupt_metadata_whole_or_ranged() {
+        // The size record says 1000 bytes, but stripe 3 holds only 40.
+        let (pool, _) = setup(1000, 100);
+        pool.set(&KeySchema::stripe_key("/f", 3), Bytes::from(vec![1u8; 40]))
+            .unwrap();
+        for window in [0, 4] {
+            let r = reader(&pool, 1000, 100, window);
+            let mut buf = [0u8; 100];
+            for (offset, len) in [(300, 100), (330, 20)] {
+                assert!(
+                    matches!(
+                        r.read_at(offset, &mut buf[..len]),
+                        Err(MemFsError::CorruptMetadata(_))
+                    ),
+                    "window {window}, read {offset}+{len}"
+                );
+            }
+            assert_eq!(r.read_at(310, &mut buf[..30]).unwrap(), 30);
+        }
     }
 
     #[test]
@@ -912,7 +1200,7 @@ mod tests {
         // stripes as the capacity.
         failable.set_down(true);
         for s in [0u64, 10, 20, 30] {
-            assert!(r.read_stripes(&[s]).is_err());
+            assert!(r.stripe(s).is_err());
         }
         // Let the outage-time window jobs fail and release their claims
         // while the server is still down: left in flight they can fill
@@ -981,11 +1269,7 @@ mod tests {
         }
         r.wait_settled();
         counted[down].inner.set_down(false);
-        let retries = || {
-            counted[down]
-                .gets
-                .load(std::sync::atomic::Ordering::Relaxed)
-        };
+        let retries = || counted[down].gets.load(Relaxed);
         let before = retries();
         assert_eq!(
             r.stripe(failed).unwrap().as_ref(),
@@ -1070,14 +1354,16 @@ mod tests {
                     assert_eq!(got.as_ref(), &data[(s as usize) * 100..][..100]);
                 } else {
                     let start = x % 97;
-                    let span: Vec<u64> = (start..(start + 1 + (x >> 8) % 4).min(100)).collect();
-                    r.read_stripes(&span).unwrap();
+                    let stripes = (1 + (x >> 8) % 4).min(100 - start);
+                    let mut buf = vec![0u8; stripes as usize * 100];
+                    r.read_at(start * 100, &mut buf).unwrap();
+                    assert_eq!(buf, &data[start as usize * 100..][..buf.len()]);
                 }
                 // `cache_counts` checks the order/slots invariant (order
                 // unique, Ready-only, bounded by capacity) on every step;
                 // total slots may transiently exceed capacity only by the
                 // claims in flight: prefetch reserves at most `cap` unread
-                // stripes and a `read_stripes` span claims <= 4 more.
+                // stripes and a multi-stripe read claims <= 4 more.
                 let (slots, order) = r.cache_counts();
                 assert!(order <= cap, "order {order} > capacity {cap}");
                 assert!(

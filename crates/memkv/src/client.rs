@@ -18,6 +18,7 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 
 use crate::error::KvResult;
+use crate::proto::slice_range;
 use crate::store::Store;
 
 /// A batched operation that may still be in flight.
@@ -161,6 +162,25 @@ pub trait KvClient: Send + Sync {
     /// striped file's stripes should not cost one round trip each.
     fn start_delete_many(&self, keys: &[Bytes]) -> Deferred<()> {
         Deferred::Ready(Ok(keys.iter().map(|k| self.delete(k)).collect()))
+    }
+    /// Begin a batch of *ranged* reads: for each `(key, offset, len)`, the
+    /// `len` bytes of `key`'s value from `offset`, both clamped to the
+    /// value (so a range past the end reads empty); a missing key is an
+    /// inner [`KvError::NotFound`](crate::error::KvError::NotFound).
+    /// Results pair with requests by position — two ranges of one key may
+    /// share a batch. Same error split and deferral contract as
+    /// [`KvClient::start_get_many`].
+    ///
+    /// The default fetches each value whole and slices it here, so every
+    /// client is correct without knowing the `getrange` verb; a transport
+    /// that has it ([`crate::net::TcpClient`]) moves only the range, and a
+    /// wrapper must forward this call or that saving is lost behind the
+    /// default.
+    fn start_get_range_many(&self, reqs: &[(Bytes, u64, usize)]) -> Deferred<Bytes> {
+        Deferred::Ready(Ok(reqs
+            .iter()
+            .map(|(key, offset, len)| Ok(slice_range(&self.get(key)?, *offset, *len)))
+            .collect()))
     }
     /// Enumerate every key on the server — needed by the elastic
     /// rebalancer. Default: unsupported (transports without the `keys`
@@ -327,6 +347,12 @@ impl<C: KvClient> ThrottledClient<C> {
     }
 }
 
+/// Bytes a batched read returned — what a shaped link charges for it.
+fn payload_len(out: &KvResult<Vec<KvResult<Bytes>>>) -> usize {
+    let hits = out.iter().flatten().flatten();
+    hits.map(|value| value.len()).sum()
+}
+
 /// Sleep with sub-millisecond fidelity: OS sleep for the bulk, then spin
 /// for the tail. OS timers routinely overshoot by ~50 µs, which would
 /// swamp the microsecond-scale latencies being modelled.
@@ -374,12 +400,13 @@ impl<C: KvClient> KvClient for ThrottledClient<C> {
         // bandwidth on the combined payload — the cost model that makes
         // batching worth doing over a shaped link.
         let out = self.inner.get_many(keys);
-        let total: usize = out
-            .iter()
-            .flatten()
-            .map(|r| r.as_ref().map(|v| v.len()).unwrap_or(0))
-            .sum();
-        self.shaped_deferred(total, out)
+        self.shaped_deferred(payload_len(&out), out)
+    }
+    fn start_get_range_many(&self, reqs: &[(Bytes, u64, usize)]) -> Deferred<Bytes> {
+        // Charged like `start_get_many`, on the bytes the ranges return —
+        // not on the values they were cut from.
+        let out = self.inner.start_get_range_many(reqs).wait();
+        self.shaped_deferred(payload_len(&out), out)
     }
     fn start_set_many(&self, items: &[(Bytes, Bytes)]) -> Deferred<()> {
         let total: usize = items.iter().map(|(_, v)| v.len()).sum();
@@ -475,6 +502,12 @@ impl<C: KvClient> KvClient for FailableClient<C> {
             Err(e) => Deferred::Ready(Err(e)),
         }
     }
+    fn start_get_range_many(&self, reqs: &[(Bytes, u64, usize)]) -> Deferred<Bytes> {
+        match self.check() {
+            Ok(()) => self.inner.start_get_range_many(reqs),
+            Err(e) => Deferred::Ready(Err(e)),
+        }
+    }
     fn start_set_many(&self, items: &[(Bytes, Bytes)]) -> Deferred<()> {
         match self.check() {
             Ok(()) => self.inner.start_set_many(items),
@@ -529,6 +562,9 @@ impl<C: KvClient + ?Sized> KvClient for Arc<C> {
     }
     fn start_get_many(&self, keys: &[Bytes]) -> Deferred<Bytes> {
         (**self).start_get_many(keys)
+    }
+    fn start_get_range_many(&self, reqs: &[(Bytes, u64, usize)]) -> Deferred<Bytes> {
+        (**self).start_get_range_many(reqs)
     }
     fn start_set_many(&self, items: &[(Bytes, Bytes)]) -> Deferred<()> {
         (**self).start_set_many(items)
@@ -606,11 +642,63 @@ mod tests {
     }
 
     #[test]
+    fn get_range_many_default_slices_whole_values() {
+        // No transport support needed: the default is `get` + slice, with
+        // results paired to requests by position.
+        let c = local();
+        c.set(b"k", Bytes::from_static(b"0123456789")).unwrap();
+        let k = Bytes::from_static(b"k");
+        let out = c
+            .start_get_range_many(&[
+                (k.clone(), 2, 3),
+                (Bytes::from_static(b"missing"), 0, 4),
+                (k.clone(), 8, 100),
+                (k.clone(), 2, 3),
+                (k, 50, 1),
+            ])
+            .wait()
+            .unwrap();
+        assert_eq!(out[0].as_ref().unwrap().as_ref(), b"234");
+        assert!(matches!(out[1], Err(crate::error::KvError::NotFound)));
+        assert_eq!(out[2].as_ref().unwrap().as_ref(), b"89");
+        assert_eq!(out[3].as_ref().unwrap().as_ref(), b"234");
+        assert_eq!(out[4].as_ref().unwrap().as_ref(), b"");
+    }
+
+    #[test]
+    fn throttled_client_charges_the_range_not_the_value() {
+        let shaped = ThrottledClient::new(
+            local(),
+            Shaping {
+                latency: Duration::ZERO,
+                bandwidth: 1e6, // 1 MB/s: the whole value would cost 1 s
+            },
+        );
+        shaped
+            .inner()
+            .set(b"k", Bytes::from(vec![7u8; 1_000_000]))
+            .unwrap();
+        let start = Instant::now();
+        let out = shaped
+            .start_get_range_many(&[(Bytes::from_static(b"k"), 500_000, 20_000)])
+            .wait()
+            .unwrap();
+        let took = start.elapsed();
+        assert_eq!(out[0].as_ref().unwrap().len(), 20_000);
+        assert!(took >= Duration::from_millis(19), "{took:?}"); // 20 ms
+        assert!(took < Duration::from_millis(500), "{took:?}");
+    }
+
+    #[test]
     fn failable_client_blocks_batches_too() {
         let c = FailableClient::new(local());
         c.set(b"k", Bytes::from_static(b"v")).unwrap();
         c.set_down(true);
         assert!(c.get_many(&[Bytes::from_static(b"k")]).is_err());
+        assert!(c
+            .start_get_range_many(&[(Bytes::from_static(b"k"), 0, 1)])
+            .wait()
+            .is_err());
         assert!(c
             .set_many(&[(Bytes::from_static(b"k"), Bytes::new())])
             .is_err());

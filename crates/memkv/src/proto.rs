@@ -7,8 +7,9 @@
 //! set/add/append <key> <flags> <exptime> <bytes>\r\n<data>\r\n
 //! cas <key> <flags> <exptime> <bytes> <cas>\r\n<data>\r\n
 //! get <key> [key ...]\r\n  gets <key> [key ...]\r\n
-//! delete <key>\r\n         flush_all\r\n
-//! stats\r\n                version\r\n       quit\r\n
+//! getrange <key> <offset> <length>\r\n
+//! delete <key>\r\n         flush_all\r\n       keys\r\n
+//! stats\r\n                version\r\n         quit\r\n
 //! ```
 //!
 //! Multi-key `get` follows memcached semantics: the server answers with one
@@ -24,6 +25,23 @@
 //! expires; the store reaps expired items lazily and via its background
 //! sweeper). `append` parses `exptime` but ignores it, exactly as memcached
 //! does — an append never changes the item's expiry.
+//!
+//! Two verbs are not memcached's. `keys` (enumeration, for the elastic
+//! rebalancer) was the first; `getrange` follows its precedent. It reads a
+//! piece of one value without moving the rest — a 64 KiB `read_at` inside
+//! a 512 KiB stripe — and answers with an ordinary `VALUE <key> 0 <n>`
+//! frame whose data is `value[min(off, |v|) .. min(off + len, |v|)]`
+//! (clamped, possibly empty), or a bare `END` on a miss. Because the reply
+//! is a `VALUE` frame the client needs no second reply parser; because the
+//! verb takes one key per line, a batch is pipelined lines (like `delete`)
+//! and replies pair with requests by position, so two ranges of one key
+//! can share a batch.
+//!
+//! Integers off the wire are never trusted: every length goes through
+//! [`parse_len`] (`usize::try_from`, no `as`), frame ends are
+//! `checked_add`ed, and a storage command announcing more than
+//! [`MAX_VALUE_LEN`] bytes is refused at its command line
+//! ([`KvError::ValueTooLarge`]) instead of being buffered toward.
 
 use std::fmt::Write as _;
 
@@ -69,6 +87,14 @@ pub enum Request {
     /// Like `Get` but replies include each value's CAS token.
     Gets {
         keys: Vec<Bytes>,
+    },
+    /// Non-standard extension: `len` bytes of `key`'s value starting at
+    /// `offset`, both clamped to the value ([`slice_range`]). One key per
+    /// line; replies are ordinary `VALUE` frames.
+    GetRange {
+        key: Bytes,
+        offset: u64,
+        len: usize,
     },
     Delete {
         key: Bytes,
@@ -137,6 +163,12 @@ pub enum Parsed {
 /// Longest accepted command line (bytes before the first CRLF).
 pub const MAX_LINE_LEN: usize = 16 * 1024;
 
+/// Largest data block a storage command may announce — the store's
+/// default per-item limit (128 MiB, the paper's figure). A bigger
+/// `<bytes>` is refused at the command line: the data block is never
+/// buffered, so a peer cannot balloon the decoder by promising one.
+pub const MAX_VALUE_LEN: usize = 128 << 20;
+
 pub(crate) fn find_crlf(buf: &[u8]) -> Option<usize> {
     buf.windows(2).position(|w| w == b"\r\n")
 }
@@ -148,10 +180,29 @@ pub(crate) fn parse_u64(tok: &[u8]) -> KvResult<u64> {
         .ok_or_else(|| KvError::Protocol(format!("bad integer {:?}", String::from_utf8_lossy(tok))))
 }
 
+/// A length or count off the wire, checked into `usize`.
+pub(crate) fn parse_len(tok: &[u8]) -> KvResult<usize> {
+    usize::try_from(parse_u64(tok)?).map_err(|_| {
+        KvError::Protocol(format!(
+            "length {:?} out of range",
+            String::from_utf8_lossy(tok)
+        ))
+    })
+}
+
+/// The bytes a `getrange` answers with: `value[off..off + len]`, both ends
+/// clamped to the value. A refcounted slice — nothing is copied.
+pub(crate) fn slice_range(value: &Bytes, offset: u64, len: usize) -> Bytes {
+    let start = usize::try_from(offset).map_or(value.len(), |o| o.min(value.len()));
+    value.slice(start..start.saturating_add(len).min(value.len()))
+}
+
 /// Try to parse one request from the front of `buf`.
 ///
 /// Returns [`Parsed::NeedMore`] if the command line or its data block is
-/// still incomplete; protocol violations yield [`KvError::Protocol`].
+/// still incomplete; protocol violations yield [`KvError::Protocol`], a
+/// data block announced above [`MAX_VALUE_LEN`] yields
+/// [`KvError::ValueTooLarge`].
 pub fn parse_request(buf: &[u8]) -> KvResult<Parsed> {
     let Some(line_end) = find_crlf(buf) else {
         // Guard against unbounded garbage before the first CRLF. The limit
@@ -186,7 +237,13 @@ pub fn parse_request(buf: &[u8]) -> KvResult<Parsed> {
         let key = Bytes::copy_from_slice(args[0]);
         let _flags = parse_u64(args[1])?;
         let exptime = parse_u64(args[2])?.min(u32::MAX as u64) as u32;
-        let bytes = parse_u64(args[3])? as usize;
+        let bytes = parse_len(args[3])?;
+        if bytes > MAX_VALUE_LEN {
+            return Err(KvError::ValueTooLarge {
+                size: bytes,
+                limit: MAX_VALUE_LEN,
+            });
+        }
         let token = if with_cas { parse_u64(args[4])? } else { 0 };
         Ok((key, bytes, token, exptime))
     }
@@ -195,7 +252,10 @@ pub fn parse_request(buf: &[u8]) -> KvResult<Parsed> {
         b"set" | b"add" | b"append" | b"cas" => {
             let with_cas = verb == b"cas";
             let (key, nbytes, token, exptime) = parse_storage(args, with_cas)?;
-            let need = after_line + nbytes + 2;
+            let need = after_line
+                .checked_add(nbytes)
+                .and_then(|n| n.checked_add(2))
+                .ok_or_else(|| KvError::Protocol("data block length overflows".into()))?;
             if buf.len() < need {
                 return Ok(Parsed::NeedMore);
             }
@@ -237,6 +297,21 @@ pub fn parse_request(buf: &[u8]) -> KvResult<Parsed> {
                 Request::Gets { keys }
             };
             Ok(Parsed::Done(req, after_line))
+        }
+        b"getrange" => {
+            let [key, offset, len] = args else {
+                return Err(KvError::Protocol(
+                    "getrange takes <key> <offset> <length>".into(),
+                ));
+            };
+            Ok(Parsed::Done(
+                Request::GetRange {
+                    key: Bytes::copy_from_slice(key),
+                    offset: parse_u64(offset)?,
+                    len: parse_len(len)?,
+                },
+                after_line,
+            ))
         }
         b"delete" => {
             if args.len() != 1 {
@@ -414,6 +489,16 @@ pub fn write_request_line<'r>(req: &'r Request, out: &mut Vec<u8>) -> Option<&'r
             multi_key(out, b"gets", keys);
             None
         }
+        Request::GetRange { key, offset, len } => {
+            out.extend_from_slice(b"getrange ");
+            out.extend_from_slice(key);
+            out.push(b' ');
+            write_decimal(out, *offset);
+            out.push(b' ');
+            write_decimal(out, *len as u64);
+            out.extend_from_slice(b"\r\n");
+            None
+        }
         Request::Delete { key } => {
             out.extend_from_slice(b"delete ");
             out.extend_from_slice(key);
@@ -548,6 +633,8 @@ pub fn stats_pairs(snap: &StatsSnapshot) -> Vec<(String, String)> {
             (snap.get_ops - snap.get_hits).to_string(),
         ),
         ("cmd_mget".into(), snap.mget_ops.to_string()),
+        ("cmd_getrange".into(), snap.getrange_ops.to_string()),
+        ("getrange_bytes".into(), snap.getrange_bytes.to_string()),
         ("cmd_set".into(), snap.set_ops.to_string()),
         ("cmd_add".into(), snap.add_ops.to_string()),
         ("cmd_append".into(), snap.append_ops.to_string()),
@@ -640,6 +727,16 @@ mod tests {
             },
             Request::Gets {
                 keys: vec![Bytes::from_static(b"a"), Bytes::from_static(b"b")],
+            },
+            Request::GetRange {
+                key: Bytes::from_static(b"s:/f#3"),
+                offset: 65_536,
+                len: 4096,
+            },
+            Request::GetRange {
+                key: Bytes::from_static(b"k"),
+                offset: u64::MAX,
+                len: usize::MAX,
             },
             Request::Delete {
                 key: Bytes::from_static(b"k"),
@@ -753,6 +850,94 @@ mod tests {
     }
 
     #[test]
+    fn getrange_wire_form_and_malformed_lines() {
+        let req = Request::GetRange {
+            key: Bytes::from_static(b"k"),
+            offset: 10,
+            len: 20,
+        };
+        assert_eq!(encode_request(&req), b"getrange k 10 20\r\n".to_vec());
+        for bad in [
+            &b"getrange\r\n"[..],
+            b"getrange k\r\n",
+            b"getrange k 1\r\n",
+            b"getrange k 1 2 3\r\n",
+            b"getrange k x 2\r\n",
+            b"getrange k 1 y\r\n",
+            b"getrange k -1 2\r\n",
+            b"getrange k 1 18446744073709551616\r\n",
+        ] {
+            assert!(
+                matches!(parse_request(bad), Err(KvError::Protocol(_))),
+                "{:?}",
+                String::from_utf8_lossy(bad)
+            );
+        }
+    }
+
+    #[test]
+    fn slice_range_clamps_both_ends() {
+        let v = Bytes::from_static(b"0123456789");
+        assert_eq!(slice_range(&v, 2, 3).as_ref(), b"234");
+        assert_eq!(slice_range(&v, 7, 3).as_ref(), b"789");
+        assert_eq!(slice_range(&v, 8, 5).as_ref(), b"89");
+        assert_eq!(slice_range(&v, 10, 5).as_ref(), b"");
+        assert_eq!(slice_range(&v, 11, 5).as_ref(), b"");
+        assert_eq!(slice_range(&v, 4, 0).as_ref(), b"");
+        assert_eq!(slice_range(&v, u64::MAX, usize::MAX).as_ref(), b"");
+        assert_eq!(slice_range(&v, 1, usize::MAX).as_ref(), b"123456789");
+    }
+
+    /// Storage command lines whose `<bytes>` must be refused outright: the
+    /// first used to overflow `after_line + nbytes + 2` (a panic in debug
+    /// builds, a wrap in release), the others to answer `NeedMore` until
+    /// the peer had ballooned the decoder by that much.
+    const HOSTILE_SETS: [&[u8]; 3] = [
+        b"set k 0 0 18446744073709551615\r\n",
+        b"set k 0 0 9999999999999\r\n",
+        b"append k 0 0 134217729\r\n",
+    ];
+
+    #[test]
+    fn oversized_data_blocks_are_refused_at_the_command_line() {
+        for line in HOSTILE_SETS {
+            let name = String::from_utf8_lossy(line);
+            assert!(
+                matches!(
+                    parse_request(line),
+                    Err(KvError::ValueTooLarge {
+                        limit: MAX_VALUE_LEN,
+                        ..
+                    })
+                ),
+                "{name}"
+            );
+            // One byte at a time: nothing to say until the line is whole,
+            // then the refusal — never a wait for the data block.
+            let mut dec = RequestDecoder::new();
+            for (i, byte) in line.iter().enumerate() {
+                dec.feed(std::slice::from_ref(byte));
+                let step = dec.next_request();
+                if i + 1 < line.len() {
+                    assert!(matches!(step, Ok(None)), "{name} after {} bytes", i + 1);
+                } else {
+                    assert!(matches!(step, Err(KvError::ValueTooLarge { .. })), "{name}");
+                }
+            }
+        }
+        // The limit itself is still a legal announcement, and a count
+        // past u64 is a plain protocol error.
+        assert_eq!(
+            parse_request(b"set k 0 0 134217728\r\n").unwrap(),
+            Parsed::NeedMore
+        );
+        assert!(matches!(
+            parse_request(b"set k 0 0 99999999999999999999\r\n"),
+            Err(KvError::Protocol(_))
+        ));
+    }
+
+    #[test]
     fn oversized_garbage_line_rejected() {
         let garbage = vec![b'x'; MAX_LINE_LEN + 1];
         assert!(parse_request(&garbage).is_err());
@@ -852,7 +1037,7 @@ mod tests {
         // Build a pipelined burst and replay it into the decoder at every
         // awkward granularity; the decoded sequence must be identical.
         let reqs: Vec<Request> = (0..50)
-            .map(|i| match i % 3 {
+            .map(|i| match i % 4 {
                 0 => Request::Set {
                     key: Bytes::from(format!("k{i}").into_bytes()),
                     value: Bytes::from(vec![b'v'; i % 7 + 1]),
@@ -860,6 +1045,11 @@ mod tests {
                 },
                 1 => Request::Get {
                     keys: vec![Bytes::from(format!("k{i}").into_bytes())],
+                },
+                2 => Request::GetRange {
+                    key: Bytes::from(format!("k{i}").into_bytes()),
+                    offset: i as u64 * 1000,
+                    len: i,
                 },
                 _ => Request::Version,
             })

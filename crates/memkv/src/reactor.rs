@@ -95,6 +95,54 @@ const MAX_BACKOFF: Duration = Duration::from_millis(500);
 /// `connect_timeout` floor.
 const MIN_CONNECT_TIMEOUT: Duration = Duration::from_millis(50);
 
+/// Where [`pin_malloc_thresholds`] holds glibc's `M_MMAP_THRESHOLD` and
+/// `M_TRIM_THRESHOLD`: the top of the range its own dynamic adjustment
+/// moves them in (`DEFAULT_MMAP_THRESHOLD_MAX` on 64-bit, and twice that).
+#[cfg(target_env = "gnu")]
+const MALLOC_MMAP_THRESHOLD: libc::c_int = 32 << 20;
+#[cfg(target_env = "gnu")]
+const MALLOC_TRIM_THRESHOLD: libc::c_int = 64 << 20;
+
+/// Pin glibc malloc's `mmap` and trim thresholds, once per process; a
+/// no-op under any other C library.
+///
+/// A process that starts a reactor is about to move stripe-sized buffers
+/// (512 KiB stripes, multi-stripe reply frames) through `malloc` at line
+/// rate, and two thresholds decide what each one costs: a request at or
+/// above `M_MMAP_THRESHOLD` is a fresh `mmap` — zero-filled page by page
+/// as it is first written, unmapped on free, ≈ 130 µs per stripe — and
+/// free heap beyond `M_TRIM_THRESHOLD` goes back to the kernel, to be
+/// faulted in again by the next file. By default both *move with what the
+/// process happened to free first* (each freed `mmap`ped chunk raises
+/// them) and whether a freed buffer reaches the heap top depends on which
+/// small allocation landed above it, so one mount in one process settles
+/// in any of three regimes — and stays there: buffers recycled (0 page
+/// faults per 256 MiB written and read back), read frames faulted in anew
+/// (≈ 60 k, reads at ⅔ speed) or write buffers too (≈ 110 k, writes at ⅗
+/// speed). Which one was decided by the order of unrelated allocations,
+/// so it differed from run to run and moved with every code change
+/// (DESIGN.md §4l). Pinned, every such buffer is heap memory that stays
+/// mapped: the first regime, always. The cost is up to the trim
+/// threshold of freed heap per arena kept instead of returned.
+fn pin_malloc_thresholds() {
+    #[cfg(target_env = "gnu")]
+    {
+        static PINNED: std::sync::Once = std::sync::Once::new();
+        // SAFETY: `mallopt` takes two integers and is thread-safe (it
+        // locks the main arena); setting either parameter turns the
+        // dynamic adjustment off.
+        PINNED.call_once(|| unsafe {
+            // Out of range on 32-bit glibc, where the call changes
+            // nothing; the trim threshold alone would freeze the `mmap`
+            // threshold at its 128 KiB default, so it is set only behind
+            // a successful first call.
+            if libc::mallopt(libc::M_MMAP_THRESHOLD, MALLOC_MMAP_THRESHOLD) == 1 {
+                libc::mallopt(libc::M_TRIM_THRESHOLD, MALLOC_TRIM_THRESHOLD);
+            }
+        });
+    }
+}
+
 /// Reactor observability counters, updated by the loop thread and read
 /// by [`ReactorHandle::stats`] without synchronization beyond atomics.
 #[derive(Default)]
@@ -502,8 +550,12 @@ pub struct ReactorHandle {
 
 impl ReactorHandle {
     /// Spawn the reactor thread (named `memkv-reactor`) with no
-    /// registered connections.
+    /// registered connections. The first call in a process also pins
+    /// glibc malloc's `mmap` and trim thresholds, so that what a
+    /// stripe-sized buffer costs does not depend on the process's
+    /// allocation history.
     pub fn new() -> KvResult<ReactorHandle> {
+        pin_malloc_thresholds();
         let poller = Poller::new()?;
         let shared = Arc::new(Shared {
             poller,

@@ -51,8 +51,10 @@ use parking_lot::{Condvar, Mutex};
 use crate::error::{KvError, KvResult};
 use crate::poll::{Poller, WAKE_TOKEN};
 use crate::proto::{
-    stats_pairs, write_response, write_value_header, Request, RequestDecoder, Response, ValueItem,
+    slice_range, stats_pairs, write_response, write_value_header, Request, RequestDecoder,
+    Response, ValueItem,
 };
+use crate::stats::StoreStats;
 use crate::stats::{ServerStats, ServerStatsSnapshot};
 use crate::store::Store;
 use crate::wheel::{TimerId, TimerWheel};
@@ -460,6 +462,7 @@ fn first_key(req: &Request) -> Option<&[u8]> {
         | Request::Add { key, .. }
         | Request::Append { key, .. }
         | Request::Cas { key, .. }
+        | Request::GetRange { key, .. }
         | Request::Delete { key } => Some(key),
         Request::Get { keys } | Request::Gets { keys } => keys.first().map(|k| k.as_ref()),
         _ => None,
@@ -573,6 +576,25 @@ pub fn execute(store: &Store, req: Request) -> Response {
                 .collect();
             values_response(items)
         }
+        // The same read as a single-key `get` (read lock, recency stamp,
+        // `get_ops`/`get_hits`), answered with a refcounted slice: the
+        // response writer sends it as its own iovec, nothing is copied.
+        Request::GetRange { key, offset, len } => {
+            let stats = store.stats();
+            StoreStats::bump(&stats.getrange_ops);
+            match store.get(&key) {
+                Ok(value) => {
+                    let value = slice_range(&value, offset, len);
+                    StoreStats::add(&stats.getrange_bytes, value.len() as u64);
+                    Response::Value {
+                        key,
+                        value,
+                        cas: None,
+                    }
+                }
+                Err(_) => Response::End,
+            }
+        }
         Request::Delete { key } => match store.delete(&key) {
             Ok(()) => Response::Deleted,
             Err(_) => Response::NotFound,
@@ -643,8 +665,9 @@ struct Conn {
     paused_read: bool,
     /// `quit` seen: close once earlier responses have drained.
     quit: bool,
-    /// Protocol error waiting to be reported once in-order.
-    pending_error: Option<String>,
+    /// Parse failure waiting to be reported (as this response) once
+    /// in-order; the connection closes behind it.
+    pending_error: Option<Response>,
     /// Send nothing more after the out queue drains; then close.
     close_after_flush: bool,
     /// Interest mask currently registered with epoll.
@@ -946,7 +969,14 @@ impl ServerLoop {
                 Ok(Some(req)) => conn.backlog.push(req),
                 Ok(None) => break,
                 Err(e) => {
-                    conn.pending_error = Some(e.to_string());
+                    conn.pending_error = Some(match e {
+                        // memcached's own words for a data block above
+                        // the item limit.
+                        KvError::ValueTooLarge { .. } => {
+                            Response::ServerError("object too large for cache".into())
+                        }
+                        e => Response::ClientError(e.to_string()),
+                    });
                     conn.decoder.reset();
                     break;
                 }
@@ -975,8 +1005,8 @@ impl ServerLoop {
                 reqs,
             });
             self.engine.jobs_cv.notify_one();
-        } else if let Some(msg) = conn.pending_error.take() {
-            enqueue_response(conn, &Response::ClientError(msg));
+        } else if let Some(resp) = conn.pending_error.take() {
+            enqueue_response(conn, &resp);
             conn.close_after_flush = true;
         } else if conn.quit {
             conn.close_after_flush = true;

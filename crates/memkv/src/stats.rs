@@ -19,6 +19,11 @@ pub struct StoreStats {
     /// Batched multi-get *requests* (each also bumps `get_ops` once per
     /// key, so `get_misses = get_ops - get_hits` stays well-defined).
     pub(crate) mget_ops: AtomicU64,
+    /// `getrange` requests (each also bumps `get_ops`, and `get_hits` on
+    /// a hit) and the bytes their replies carried — the fine-grain read
+    /// traffic, next to the whole values `bytes_read` counts.
+    pub(crate) getrange_ops: AtomicU64,
+    pub(crate) getrange_bytes: AtomicU64,
     pub(crate) set_ops: AtomicU64,
     pub(crate) add_ops: AtomicU64,
     pub(crate) append_ops: AtomicU64,
@@ -44,6 +49,10 @@ pub struct StatsSnapshot {
     pub get_hits: u64,
     /// Batched multi-get requests served (one per `get k1 k2 …` frame).
     pub mget_ops: u64,
+    /// Ranged reads served (`getrange` frames).
+    pub getrange_ops: u64,
+    /// Payload bytes those ranged reads returned.
+    pub getrange_bytes: u64,
     pub set_ops: u64,
     pub add_ops: u64,
     pub append_ops: u64,
@@ -68,6 +77,8 @@ impl StoreStats {
             get_ops: self.get_ops.load(Ordering::Relaxed),
             get_hits: self.get_hits.load(Ordering::Relaxed),
             mget_ops: self.mget_ops.load(Ordering::Relaxed),
+            getrange_ops: self.getrange_ops.load(Ordering::Relaxed),
+            getrange_bytes: self.getrange_bytes.load(Ordering::Relaxed),
             set_ops: self.set_ops.load(Ordering::Relaxed),
             add_ops: self.add_ops.load(Ordering::Relaxed),
             append_ops: self.append_ops.load(Ordering::Relaxed),

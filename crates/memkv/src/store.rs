@@ -110,8 +110,8 @@ pub struct StoreConfig {
 impl Default for StoreConfig {
     fn default() -> Self {
         StoreConfig {
-            memory_budget: 4 << 30,    // 4 GiB
-            max_value_size: 128 << 20, // 128 MiB, the paper's figure
+            memory_budget: 4 << 30,                      // 4 GiB
+            max_value_size: crate::proto::MAX_VALUE_LEN, // 128 MiB, the paper's figure
             eviction: EvictionPolicy::Error,
             shards: 16,
             high_watermark: 0.90,

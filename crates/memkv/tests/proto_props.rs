@@ -47,6 +47,19 @@ proptest! {
     }
 
     #[test]
+    fn getrange_round_trips_any_integers(
+        key in key_strategy(),
+        offset in any::<u64>(),
+        len in any::<usize>(),
+    ) {
+        let req = Request::GetRange { key: Bytes::from(key), offset, len };
+        let wire = encode_request(&req);
+        prop_assert_eq!(parse_request(&wire).unwrap(), Parsed::Done(req, wire.len()));
+        // A strict prefix is never a (different) complete request.
+        prop_assert_eq!(parse_request(&wire[..wire.len() - 1]).unwrap(), Parsed::NeedMore);
+    }
+
+    #[test]
     fn truncated_requests_never_panic_or_misparse(
         key in key_strategy(),
         value in value_strategy(),

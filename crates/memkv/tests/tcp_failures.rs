@@ -94,6 +94,56 @@ fn oversized_value_rejected_connection_survives() {
     assert_eq!(server.store().item_count(), 1);
 }
 
+/// Send `line` on a fresh raw connection and return everything the server
+/// says before it closes the connection.
+fn raw_exchange(server: &KvServer, line: &[u8]) -> Vec<u8> {
+    use std::io::{Read, Write};
+    let mut stream = std::net::TcpStream::connect(server.addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    stream.write_all(line).unwrap();
+    let mut reply = Vec::new();
+    stream
+        .read_to_end(&mut reply)
+        .expect("the server closes the connection behind its error");
+    reply
+}
+
+#[test]
+fn hostile_length_fields_are_refused_and_the_server_survives() {
+    // `<bytes>` off the wire used to be `as usize`d and added to: the
+    // first line overflowed (a panic in this debug build — on the loop
+    // thread, taking the whole server with it), the second parked the
+    // connection in `NeedMore` while the peer fed the decoder buffer.
+    let server = KvServer::spawn(Arc::new(Store::with_defaults()), "127.0.0.1:0").unwrap();
+    for line in [
+        &b"set k 0 0 18446744073709551615\r\n"[..],
+        b"set k 0 0 9999999999999\r\n",
+        b"cas k 0 0 134217729 1\r\n",
+    ] {
+        assert_eq!(
+            raw_exchange(&server, line),
+            b"SERVER_ERROR object too large for cache\r\n",
+            "{:?}",
+            String::from_utf8_lossy(line)
+        );
+    }
+    // `getrange`'s integers go through the same checked parse.
+    let reply = raw_exchange(&server, b"getrange k 0 18446744073709551616\r\n");
+    assert!(reply.starts_with(b"CLIENT_ERROR "), "{reply:?}");
+    // Loop and worker threads are alive: a fresh connection is served,
+    // store and all.
+    let client = TcpClient::connect(server.addr()).unwrap();
+    client.set(b"k", Bytes::from_static(b"0123456789")).unwrap();
+    let out = client
+        .start_get_range_many(&[(Bytes::from_static(b"k"), 8, usize::MAX)])
+        .wait()
+        .unwrap();
+    assert_eq!(out[0].as_ref().unwrap().as_ref(), b"89");
+    assert_eq!(server.store().item_count(), 1);
+}
+
 #[test]
 fn pipelined_batch_recovers_past_a_failed_item() {
     let server = spawn_tiny_server(1024);

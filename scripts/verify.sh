@@ -76,6 +76,18 @@ for arg in "$@"; do
             cargo test -q -p memfs-core --test engine_sharing
             RUST_TEST_THREADS=16 cargo test -q -p memfs-core --lib -- \
                 threadpool:: pool:: prefetch:: bufwrite::
+            # The read policy (which spans are cached, ranged or cache
+            # copies) is asserted on exact request counts while window
+            # jobs land concurrently; the ranged TCP tests pair pipelined
+            # `getrange` replies by position.
+            RUST_TEST_THREADS=16 cargo test -q -p memfs-core --lib -- \
+                random_sub_stripe_reads_move_only_their_ranges \
+                cache_hits_by_random_reads_do_not_feed_the_prefetcher \
+                sequential_sub_stripe_reads_from_byte_zero_stay_on_the_cached_path \
+                sequential_reads_from_mid_file_lock_in_after_one_ranged_read \
+                two_streams_on_one_reader_both_lock_in \
+                without_a_cache_every_sub_stripe_read_is_ranged
+            RUST_TEST_THREADS=16 cargo test -q -p memfs-memkv --lib -- tcp_getrange
             # Error-injection regressions: prefetch wedge recovery,
             # concurrent-miss coalescing, zombie unlink, and the chunked
             # unlink's batch / probe boundaries and server-down contract.

@@ -4,9 +4,10 @@
 //! needs — epoll for readiness notification, eventfd for cross-thread
 //! wakeups, and non-blocking stream sockets for in-loop connects and
 //! accepts (`bind`/`listen`/`accept4` back the evented server) — with
-//! the kernel ABI types and constants those calls take. The symbols
-//! resolve against the system C library every Rust binary already links;
-//! no C code is vendored.
+//! the kernel ABI types and constants those calls take, plus glibc's
+//! `mallopt` (the client pins the allocator's `mmap`/trim thresholds with
+//! it). The symbols resolve against the system C library every Rust binary
+//! already links; no C code is vendored.
 
 #![allow(non_camel_case_types)]
 
@@ -98,6 +99,18 @@ pub struct sockaddr_in6 {
 pub struct sockaddr {
     pub sa_family: sa_family_t,
     pub sa_data: [u8; 14],
+}
+
+/// `mallopt` parameters (glibc `<malloc.h>`).
+#[cfg(target_env = "gnu")]
+pub const M_TRIM_THRESHOLD: c_int = -1;
+#[cfg(target_env = "gnu")]
+pub const M_MMAP_THRESHOLD: c_int = -3;
+
+#[cfg(target_env = "gnu")]
+extern "C" {
+    /// Returns 1 on success, 0 if `value` is out of the parameter's range.
+    pub fn mallopt(param: c_int, value: c_int) -> c_int;
 }
 
 extern "C" {

@@ -121,9 +121,14 @@ fn main() {
                             .unwrap_or_default()
                     };
                     println!(
-                        "{addr}: {} items, {} bytes used",
+                        "{addr}: {} items, {} bytes used; reads: {} gets, {} multi-gets, \
+                         {} ranged ({} bytes)",
                         find("curr_items"),
-                        find("bytes")
+                        find("bytes"),
+                        find("cmd_get"),
+                        find("cmd_mget"),
+                        find("cmd_getrange"),
+                        find("getrange_bytes")
                     );
                 }
             }

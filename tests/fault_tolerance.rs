@@ -58,6 +58,40 @@ fn replicated_files_survive_one_server_failure() {
 }
 
 #[test]
+fn ranged_reads_are_served_by_the_replica_of_a_dead_primary() {
+    let (failables, clients) = failable_cluster(4);
+    let fs = MemFs::new(clients, config(2)).unwrap();
+    let data: Vec<u8> = (0..100_000u32).map(|i| (i % 211) as u8).collect();
+    fs.write_file("/replicated", &data).unwrap();
+    let fallbacks = || -> u64 {
+        let snap = fs.pool().stats().snapshot();
+        snap.iter().map(|s| s.fallbacks).sum()
+    };
+    for (victim, failable) in failables.iter().enumerate() {
+        // A fresh handle per round: nothing cached, and every read below
+        // is a sub-stripe read that continues no stream — a ranged fetch.
+        let handle = fs.open("/replicated").unwrap();
+        failable.set_down(true);
+        let before = fallbacks();
+        let mut buf = [0u8; 512];
+        for stripe in 1..24 {
+            let offset = stripe * 4096 + 1000;
+            assert_eq!(handle.read_at(offset as u64, &mut buf).unwrap(), 512);
+            assert_eq!(
+                buf[..],
+                data[offset..offset + 512],
+                "stripe {stripe}, server {victim} down"
+            );
+        }
+        assert!(
+            fallbacks() > before,
+            "no read fell back with server {victim} down"
+        );
+        failable.set_down(false);
+    }
+}
+
+#[test]
 fn unreplicated_files_do_not_survive() {
     // The control: with the paper's r=1 configuration a failure loses
     // whatever stripes the dead server held.

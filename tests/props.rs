@@ -1,7 +1,8 @@
 //! Property-based tests (proptest) on the core invariants:
 //!
 //! * read-equals-write through the real engine for arbitrary sizes,
-//!   stripe sizes and read offsets;
+//!   stripe sizes and read offsets, and for arbitrary `read_at` sequences
+//!   on one handle (whole-stripe, ranged and cache-served spans mixed);
 //! * stripe layout covers ranges exactly, with no gaps or overlaps;
 //! * directory-log folding agrees with a reference model under arbitrary
 //!   add/remove interleavings;
@@ -84,6 +85,37 @@ proptest! {
             &data[offset..(offset + read_len).min(len)]
         };
         prop_assert_eq!(&buf[..n], expected);
+    }
+
+    #[test]
+    fn read_at_sequences_match_the_model(
+        stripe_idx in 0usize..3,
+        stripes_x16 in 1usize..160,
+        reads in proptest::collection::vec((0u8..4, 0u32..1_000_000, 1u32..3_000_000), 1..40),
+    ) {
+        // One handle, many reads: which path a span takes (cached whole
+        // stripe + window, ranged piece, cache copy) depends on the reads
+        // before it, and every path must return the model's bytes.
+        let stripe = [100usize, 4096, 65_536][stripe_idx];
+        let len = stripe * stripes_x16 / 16;
+        let data: Vec<u8> = (0..len).map(|i| (i * 31 % 251) as u8).collect();
+        let fs = mount(3, stripe);
+        fs.write_file("/p", &data).unwrap();
+        let r = fs.open("/p").unwrap();
+        let mut end = 0usize;
+        for (mode, at, span) in reads {
+            let offset = match mode {
+                0 => 0,
+                1 => end, // continue where the last read stopped
+                _ => at as usize * len / 1_000_000,
+            };
+            // Up to three stripes, so reads mix partial and whole spans.
+            let mut buf = vec![0u8; 1 + span as usize * stripe / 1_000_000];
+            let n = r.read_at(offset as u64, &mut buf).unwrap();
+            let expected = &data[offset.min(len)..(offset + buf.len()).min(len)];
+            prop_assert_eq!(&buf[..n], expected, "read {}+{}", offset, buf.len());
+            end = offset + n;
+        }
     }
 
     #[test]
