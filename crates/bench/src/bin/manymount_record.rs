@@ -14,9 +14,9 @@
 //!    ≥ 90% of the 4-mount aggregate. Connection count costs the evented
 //!    engine nothing; the shaped pipes stay the bottleneck.
 //! 2. **Thread census** — during the 64-mount phase the 4 servers run
-//!    exactly 4 `memkv-srv-loop` + 8 `memkv-srv-wkr` threads (workers=2
-//!    each) and zero `memkv-conn` threads (the retired
-//!    thread-per-connection engine would sit at 256).
+//!    exactly 4 `memkv-srv-loop` + 4 `memkv-srv-maint` threads and zero
+//!    `memkv-conn` threads (a thread-per-connection engine would sit at
+//!    256).
 //!
 //! RSS (`VmRSS`/`VmHWM` from `/proc/self/status`) is recorded per phase
 //! so a memory blow-up under fan-in shows in the artifact.
@@ -32,7 +32,6 @@ use bytes::Bytes;
 use memfs_core::{DistributorKind, ServerPool};
 use memfs_memkv::net::PoolConfig;
 use memfs_memkv::testutil::{seed_from_env, Rng, Shape, ShapedCluster};
-use memfs_memkv::ServerConfig;
 
 const N_SERVERS: usize = 4;
 const SERVER_BPS: u64 = 24 << 20;
@@ -87,7 +86,7 @@ fn balanced_items(
 struct PhaseResult {
     aggregate_bps: f64,
     loops: usize,
-    workers: usize,
+    maint: usize,
     conn_threads: usize,
     rss_kib: u64,
 }
@@ -148,14 +147,14 @@ fn run_phase(cluster: &ShapedCluster, mounts: usize, per_server: usize, seed: u6
     // Census mid-phase, with every mount connected and traffic flowing.
     std::thread::sleep(Duration::from_secs_f64(PHASE_SECS / 2.0));
     let loops = named_threads("memkv-srv-loop");
-    let workers = named_threads("memkv-srv-wkr");
+    let maint = named_threads("memkv-srv-maint");
     let conn_threads = named_threads("memkv-conn");
     let total: u64 = drivers.into_iter().map(|d| d.join().expect("driver")).sum();
     let aggregate_bps = total as f64 / started.elapsed().as_secs_f64();
     PhaseResult {
         aggregate_bps,
         loops,
-        workers,
+        maint,
         conn_threads,
         rss_kib: status_kib("VmRSS"),
     }
@@ -165,15 +164,7 @@ fn main() {
     let seed = seed_from_env();
     eprintln!("manymount_record seed: {seed} (set MEMFS_SHAPE_SEED to reproduce)");
 
-    let cluster = ShapedCluster::spawn_with_server(
-        N_SERVERS,
-        |_| Shape::throttled(SERVER_BPS),
-        |_| Arc::new(memfs_memkv::Store::with_defaults()),
-        ServerConfig {
-            workers: 2,
-            ..ServerConfig::default()
-        },
-    );
+    let cluster = ShapedCluster::spawn(N_SERVERS, Shape::throttled(SERVER_BPS));
     let cap = (N_SERVERS as u64 * SERVER_BPS) as f64;
 
     // Phase A: 4 mounts, 32 values per server per round (4 MiB rounds).
@@ -195,25 +186,23 @@ fn main() {
     );
 
     let ratio = many.aggregate_bps / few.aggregate_bps;
-    let census_pass =
-        many.loops == N_SERVERS && many.workers == 2 * N_SERVERS && many.conn_threads == 0;
+    let census_pass = many.loops == N_SERVERS && many.maint == N_SERVERS && many.conn_threads == 0;
     let ratio_pass = ratio >= 0.90;
     let pass = census_pass && ratio_pass;
     let hwm = status_kib("VmHWM");
     println!(
         "{{\n  \"bench\": \"manymount_server\",\n  \
          \"cluster\": {{\"servers\": {N_SERVERS}, \"transport\": \"tcp\", \
-         \"server_bandwidth_bps\": {SERVER_BPS}, \"aggregate_cap_bps\": {cap:.0}, \
-         \"server_workers\": 2}},\n  \
+         \"server_bandwidth_bps\": {SERVER_BPS}, \"aggregate_cap_bps\": {cap:.0}}},\n  \
          \"seed\": {seed},\n  \
          \"value_bytes\": {VALUE_BYTES},\n  \
          \"four_mounts\": {{\"mounts\": 4, \"aggregate_bps\": {:.0}, \
          \"rss_kib\": {}}},\n  \
          \"sixty_four_mounts\": {{\"mounts\": 64, \"aggregate_bps\": {:.0}, \
-         \"rss_kib\": {}, \"srv_loops\": {}, \"srv_workers\": {}, \
+         \"rss_kib\": {}, \"srv_loops\": {}, \"srv_maint\": {}, \
          \"conn_threads\": {}}},\n  \
          \"vm_hwm_kib\": {hwm},\n  \
-         \"acceptance\": {{\"metric\": \"64 mounts >= 90% of 4-mount aggregate; census 4 loops + 8 workers, 0 conn threads\", \
+         \"acceptance\": {{\"metric\": \"64 mounts >= 90% of 4-mount aggregate; census 4 loops + 4 maintenance threads, 0 conn threads\", \
          \"ratio\": {ratio:.3}, \"census_pass\": {census_pass}, \
          \"ratio_pass\": {ratio_pass}, \"pass\": {pass}}}\n}}",
         few.aggregate_bps,
@@ -221,17 +210,13 @@ fn main() {
         many.aggregate_bps,
         many.rss_kib,
         many.loops,
-        many.workers,
+        many.maint,
         many.conn_threads,
     );
     if !census_pass {
         eprintln!(
-            "FAIL: census loops={} workers={} conn={} (want {}/{}/0)",
-            many.loops,
-            many.workers,
-            many.conn_threads,
-            N_SERVERS,
-            2 * N_SERVERS
+            "FAIL: census loops={} maint={} conn={} (want {N_SERVERS}/{N_SERVERS}/0)",
+            many.loops, many.maint, many.conn_threads,
         );
     }
     if !ratio_pass {

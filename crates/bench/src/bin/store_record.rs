@@ -31,7 +31,7 @@ use bytes::Bytes;
 use memfs_memkv::client::KvClient;
 use memfs_memkv::net::PoolConfig;
 use memfs_memkv::testutil::{seed_from_env, Rng, Shape, ShapedCluster};
-use memfs_memkv::{EvictionPolicy, ServerConfig, Store, StoreConfig};
+use memfs_memkv::{EvictionPolicy, Store, StoreConfig};
 
 // --- Experiment 1: contended multi-get ---------------------------------
 const SHARDS: usize = 16;
@@ -178,14 +178,10 @@ fn run_soak(seed: u64) -> SoakResult {
     }));
     let cluster = {
         let store = Arc::clone(&store);
-        ShapedCluster::spawn_with_server(
+        ShapedCluster::spawn_with(
             1,
             |_| Shape::throttled(PIPE_BPS),
             move |_| Arc::clone(&store),
-            ServerConfig {
-                workers: 2,
-                ..ServerConfig::default()
-            },
         )
     };
     let client = cluster.clients(PoolConfig::default()).remove(0);

@@ -341,6 +341,13 @@ pub fn parse_request(buf: &[u8]) -> KvResult<Parsed> {
 /// parse stall so pipelined runs never pay a per-request memmove.
 const DECODER_COMPACT_BYTES: usize = 256 * 1024;
 
+/// Capacity an *empty* decoder buffer may keep — two default stripes with
+/// their headers, so steady stripe-sized `set`s never reallocate. Above
+/// it the excess goes back to the allocator: connection slots are reused
+/// for the life of the process, and one [`MAX_VALUE_LEN`] `set` must not
+/// leave 128 MiB attached to its slot.
+const DECODER_KEEP_BYTES: usize = 1024 * 1024;
+
 /// Incremental server-side request decoder: a receive buffer plus a read
 /// cursor.
 ///
@@ -394,9 +401,11 @@ impl RequestDecoder {
         }
     }
 
-    /// Drop all buffered bytes (connection teardown / slot reuse).
+    /// Drop all buffered bytes (connection teardown / slot reuse) and any
+    /// capacity above [`DECODER_KEEP_BYTES`].
     pub fn reset(&mut self) {
         self.buf.clear();
+        self.buf.shrink_to(DECODER_KEEP_BYTES);
         self.pos = 0;
     }
 
@@ -405,11 +414,10 @@ impl RequestDecoder {
             return;
         }
         if self.pos >= self.buf.len() {
-            self.buf.clear();
-        } else {
-            self.buf.copy_within(self.pos.., 0);
-            self.buf.truncate(self.buf.len() - self.pos);
+            return self.reset();
         }
+        self.buf.copy_within(self.pos.., 0);
+        self.buf.truncate(self.buf.len() - self.pos);
         self.pos = 0;
     }
 }
@@ -1099,6 +1107,54 @@ mod tests {
             );
         }
         assert_eq!(parsed, 10_000);
+    }
+
+    /// A `set` frame the way the server sees it: 64 KiB reads, a parse
+    /// attempt after each.
+    fn feed_set(dec: &mut RequestDecoder, value_len: usize) {
+        let mut wire = format!("set k 0 0 {value_len}\r\n").into_bytes();
+        wire.resize(wire.len() + value_len, b'v');
+        wire.extend_from_slice(b"\r\n");
+        let mut got = 0;
+        for piece in wire.chunks(64 * 1024) {
+            dec.feed(piece);
+            while let Some(req) = dec.next_request().unwrap() {
+                assert!(matches!(req, Request::Set { value, .. } if value.len() == value_len));
+                got += 1;
+            }
+        }
+        assert_eq!((got, dec.buffered()), (1, 0));
+    }
+
+    #[test]
+    fn decoder_gives_back_the_buffer_of_an_oversized_request() {
+        let mut dec = RequestDecoder::new();
+        feed_set(&mut dec, 4 << 20);
+        assert!(
+            dec.buf.capacity() <= DECODER_KEEP_BYTES,
+            "an empty decoder kept {} bytes",
+            dec.buf.capacity()
+        );
+        // Teardown with a large partial frame buffered gives it back too.
+        dec.feed(format!("set k 0 0 {}\r\n", 8 << 20).as_bytes());
+        dec.feed(&vec![b'v'; 4 << 20]);
+        assert_eq!(dec.next_request().unwrap(), None);
+        assert!(dec.buf.capacity() > DECODER_KEEP_BYTES);
+        dec.reset();
+        assert_eq!(dec.buffered(), 0);
+        assert!(dec.buf.capacity() <= DECODER_KEEP_BYTES);
+    }
+
+    #[test]
+    fn steady_stripe_sized_sets_reuse_one_decoder_buffer() {
+        let mut dec = RequestDecoder::new();
+        feed_set(&mut dec, 512 * 1024);
+        let (ptr, cap) = (dec.buf.as_ptr(), dec.buf.capacity());
+        assert!(cap > 512 * 1024);
+        for _ in 0..32 {
+            feed_set(&mut dec, 512 * 1024);
+            assert_eq!((dec.buf.as_ptr(), dec.buf.capacity()), (ptr, cap));
+        }
     }
 
     #[test]

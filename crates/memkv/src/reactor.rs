@@ -106,9 +106,11 @@ const MALLOC_TRIM_THRESHOLD: libc::c_int = 64 << 20;
 /// Pin glibc malloc's `mmap` and trim thresholds, once per process; a
 /// no-op under any other C library.
 ///
-/// A process that starts a reactor is about to move stripe-sized buffers
-/// (512 KiB stripes, multi-stripe reply frames) through `malloc` at line
-/// rate, and two thresholds decide what each one costs: a request at or
+/// A process that starts a reactor — or a storage server
+/// (`KvServer::spawn_with` calls this too) — is about to move
+/// stripe-sized buffers (512 KiB stripes, multi-stripe reply frames, the
+/// stored values themselves) through `malloc` at line rate, and two
+/// thresholds decide what each one costs: a request at or
 /// above `M_MMAP_THRESHOLD` is a fresh `mmap` — zero-filled page by page
 /// as it is first written, unmapped on free, ≈ 130 µs per stripe — and
 /// free heap beyond `M_TRIM_THRESHOLD` goes back to the kernel, to be
@@ -123,8 +125,10 @@ const MALLOC_TRIM_THRESHOLD: libc::c_int = 64 << 20;
 /// so it differed from run to run and moved with every code change
 /// (DESIGN.md §4l). Pinned, every such buffer is heap memory that stays
 /// mapped: the first regime, always. The cost is up to the trim
-/// threshold of freed heap per arena kept instead of returned.
-fn pin_malloc_thresholds() {
+/// threshold of freed heap per arena kept instead of returned; a server
+/// keeps the heap its deleted values lived in, as memcached keeps its
+/// slabs, and the next file written to it faults nothing in.
+pub(crate) fn pin_malloc_thresholds() {
     #[cfg(target_env = "gnu")]
     {
         static PINNED: std::sync::Once = std::sync::Once::new();

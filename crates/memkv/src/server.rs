@@ -1,40 +1,67 @@
-//! Evented memkv server engine: one epoll loop plus a small worker pool
-//! replaces the old thread-per-connection server.
+//! The memkv storage server: one epoll loop that runs every request to
+//! completion on the thread that read it, plus one maintenance thread.
 //!
-//! The client went fully evented in PRs 4–6, but every server still
-//! spawned one blocking OS thread per accepted connection — the paper's
-//! "thousands of concurrent mounts per server" dies there. This module
-//! ports the reactor architecture server-side:
+//! This is memcached's shape — a passive server whose event thread
+//! decodes, executes and answers each request where it arrived. A store
+//! call costs under half a microsecond (`get` ≈ 70 ns, `set` ≈ 220 ns at
+//! any size, a directory `append` ≈ 380 ns) while the socket reads, the
+//! parse and the response encoding around it were always the loop's, so
+//! handing requests to other threads would buy no parallelism and cost
+//! two thread hops per batch.
 //!
 //! * **One loop thread** (`memkv-srv-loop`) owns the listening socket and
-//!   a token-slab of non-blocking connection state machines. Accepts run
-//!   in-loop via `accept4(SOCK_NONBLOCK)`; a 64-connection server runs a
-//!   fixed census of 1 loop + [`ServerConfig::workers`] worker threads.
-//! * **Incremental parsing** with a cursor ([`RequestDecoder`]): no
-//!   `Vec::drain` memmove per pipelined request.
+//!   a token-slab of non-blocking connections. Accepts run in-loop via
+//!   `accept4(SOCK_NONBLOCK)`; the thread census is this loop plus the
+//!   maintenance thread at any connection count.
+//! * **Run to completion, in order.** `parse_conn` is the one place a
+//!   request is handled: decode with a cursor ([`RequestDecoder`], no
+//!   memmove per pipelined request), execute against the store, queue
+//!   the response. Pipeline order is a property of that loop. A `quit`
+//!   or a decode error queues its verdict behind the earlier responses;
+//!   the connection closes once they are sent.
 //! * **Vectored zero-copy responses**: value payloads ride as
 //!   refcount-bumped [`Bytes`] iovec segments straight from the store to
 //!   `writev`, never copied into an encode buffer.
-//! * **Backpressure per connection**: queued response bytes are bounded
-//!   ([`ServerConfig::max_pending_bytes`]); past the bound the loop stops
-//!   reading from that socket (EPOLLIN dropped) and drains via
-//!   EPOLLOUT-driven flushes until the client catches up. A slow reader
-//!   can stall only itself.
-//! * **Worker pool hand-off**: parsed requests accumulate in a per-
-//!   connection backlog; at most one job per connection is in flight in
-//!   the pool, so responses stay in pipeline order while one slow
-//!   multi-key batch cannot stall the loop or other connections.
+//! * **A connection's turn is bounded.** It ends at the first short read,
+//!   at [`MAX_PENDING_BYTES`] of queued output, or after [`TURN_READS`]
+//!   reads, whichever comes first; level-triggered epoll reports the
+//!   socket again next round, so nothing is lost and nothing is re-armed.
+//!   A peer that keeps its socket full therefore holds the loop for at
+//!   most `TURN_READS × READ_CHUNK` bytes of requests at a time. The
+//!   slowest single request is a 4096-key `get` (≈ 0.4 ms) or the
+//!   operator verbs `keys` / `flush_all`, which are O(items).
+//! * **Backpressure per connection**: past [`MAX_PENDING_BYTES`] of unsent
+//!   response bytes the loop stops reading and executing for that socket
+//!   (EPOLLIN dropped; undecoded requests wait in the decoder) and drains
+//!   via EPOLLOUT until the peer has caught up to half the bound. A slow
+//!   reader can stall only itself.
+//! * **Maintenance off the loop.** A sweep from the high to the low
+//!   watermark is the one store call that is not sub-microsecond, so
+//!   `memkv-srv-maint` runs [`Store::maintain`] every
+//!   [`MAINTENANCE_INTERVAL`]; the store never has two sweepers.
+//! * **Value memory is recycled, not returned.** The first server of a
+//!   process pins glibc malloc's `mmap` and trim thresholds (the reactor's
+//!   `pin_malloc_thresholds`), so a stripe-sized value is heap memory and
+//!   the heap a deleted file lived in stays mapped for the next one —
+//!   memcached's slabs by other means. Unpinned, whether a server kept
+//!   or re-faulted that memory (a 2× difference in write speed) was
+//!   decided by which small allocation sat on top of its heap.
 //! * **Idle-connection timeouts** on the shared [`TimerWheel`]: lazily
 //!   re-armed, so busy connections never touch the wheel per request.
 //! * **Load shedding**: beyond [`ServerConfig::max_connections`] an
 //!   accepted socket gets a best-effort `SERVER_ERROR` line and is
 //!   closed, leaving established mounts untouched.
+//! * **Why one loop and not N.** The paper runs one storage server per
+//!   node beside the application's tasks, and every `recv`/`send`, copy
+//!   and parse of this server always ran on one thread. N loops over
+//!   `SO_REUSEPORT` can be added if a many-core server ever shows one
+//!   loop saturated.
 //!
 //! Observability flows through [`ServerStats`] (connection census, ops,
-//! wire bytes, queue depth, idle closes, per-tenant op counts), exposed
-//! both programmatically ([`KvServer::server_stats`]) and over the wire:
-//! the `stats` protocol command now appends the serving-layer pairs to
-//! the store's counters.
+//! wire bytes, idle closes, per-tenant op counts), exposed both
+//! programmatically ([`KvServer::server_stats`]) and over the wire: the
+//! `stats` protocol command appends the serving-layer pairs to the
+//! store's counters.
 
 use std::collections::VecDeque;
 use std::io::{self, IoSlice, Read, Write};
@@ -46,7 +73,6 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use parking_lot::{Condvar, Mutex};
 
 use crate::error::{KvError, KvResult};
 use crate::poll::{Poller, WAKE_TOKEN};
@@ -64,29 +90,29 @@ pub const SERVER_VERSION: &str = "memkv/0.1 (memcached text protocol)";
 
 /// epoll token reserved for the listening socket (`WAKE_TOKEN - 1`).
 const LISTEN_TOKEN: u64 = u64::MAX - 1;
-/// Timer-wheel payload marking the recurring maintenance tick (real
-/// connection timers carry a slab index, which can never be this).
-const MAINT_SENTINEL: usize = usize::MAX;
 /// Max iovec entries per `writev` — matches the kernel's UIO_FASTIOV.
 const MAX_IOV: usize = 8;
 /// Read granularity for request bytes.
 const READ_CHUNK: usize = 64 * 1024;
+/// Reads one connection gets per turn on the loop (1 MiB of requests)
+/// before the other ready connections have theirs.
+const TURN_READS: usize = 16;
+/// Bound on queued unsent response bytes per connection before the loop
+/// stops reading and executing requests from that socket.
+const MAX_PENDING_BYTES: usize = 8 * 1024 * 1024;
+/// Cadence of background store maintenance ([`Store::maintain`]): TTL
+/// reaping plus watermark eviction.
+const MAINTENANCE_INTERVAL: Duration = Duration::from_millis(100);
 /// Values at least this large become their own zero-copy out-segments;
 /// smaller ones are inlined into the header scratch (mirrors the client
 /// encoder's split).
 const SEGMENT_THRESHOLD: usize = 4 * 1024;
-/// Cap on parsed-but-undispatched requests per connection; past it the
-/// loop stops reading from the socket until the worker pool catches up.
-const MAX_BACKLOG: usize = 4096;
 /// Sent (best effort) to a connection shed at the `max_connections` cap.
 const SHED_MESSAGE: &[u8] = b"SERVER_ERROR too many connections\r\n";
 
-/// Sizing and policy knobs for a [`KvServer`].
+/// Policy knobs for a [`KvServer`].
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Store-execution worker threads (minimum 1). The loop thread never
-    /// touches the store, so the census is exactly `1 + workers`.
-    pub workers: usize,
     /// Connections accepted concurrently before new ones are shed with a
     /// protocol error. Generous by default — the cap is a safety rail,
     /// not a tuning knob.
@@ -94,66 +120,25 @@ pub struct ServerConfig {
     /// Close connections with no traffic for this long. `Duration::ZERO`
     /// disables idle reaping.
     pub idle_timeout: Duration,
-    /// Bound on queued unsent response bytes per connection before the
-    /// loop stops reading more requests from that socket.
-    pub max_pending_bytes: usize,
-    /// Cadence of background store maintenance ([`Store::maintain`]):
-    /// TTL reaping plus watermark eviction, run as a worker-pool job so
-    /// the loop thread never touches the store. `Duration::ZERO`
-    /// disables the sweeper (embedders drive `maintain` themselves).
-    pub maintenance_interval: Duration,
 }
 
 impl Default for ServerConfig {
     fn default() -> ServerConfig {
         ServerConfig {
-            workers: 2,
             max_connections: 1024,
             idle_timeout: Duration::from_secs(300),
-            max_pending_bytes: 8 * 1024 * 1024,
-            maintenance_interval: Duration::from_millis(100),
         }
     }
 }
 
-/// State shared between the loop thread, the worker pool, and the
-/// [`KvServer`] handle. Lives in an `Arc` so a worker finishing a job
-/// after the loop exited can still touch the poller safely (no fd-reuse
-/// hazard: the epoll/eventfd descriptors close only when the last owner
-/// drops).
+/// State shared between the loop thread, the maintenance thread and the
+/// [`KvServer`] handle (whose `shutdown` wakes both).
 struct Engine {
     poller: Poller,
     shutdown: AtomicBool,
     stats: ServerStats,
     store: Arc<Store>,
     config: ServerConfig,
-    jobs: Mutex<VecDeque<Job>>,
-    jobs_cv: Condvar,
-    completions: Mutex<Vec<Completion>>,
-    /// True while a maintenance job is queued or running; the wheel tick
-    /// skips enqueueing another so a slow sweep cannot pile up jobs.
-    maint_inflight: AtomicBool,
-}
-
-/// A unit of work for the worker pool.
-enum Job {
-    /// One connection's pipelined run of requests, executed as a unit.
-    Conn {
-        token: usize,
-        generation: u64,
-        reqs: Vec<Request>,
-    },
-    /// A background store-maintenance pass (TTL reap + watermark sweep),
-    /// driven by the loop's timer wheel. Does not count toward
-    /// `queue_depth` and produces no completion.
-    Maintain,
-}
-
-/// The responses for one [`Job`], in request order.
-struct Completion {
-    token: usize,
-    generation: u64,
-    resps: Vec<Response>,
 }
 
 /// A running evented TCP storage server.
@@ -161,8 +146,7 @@ pub struct KvServer {
     store: Arc<Store>,
     addr: SocketAddr,
     engine: Arc<Engine>,
-    loop_thread: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
+    threads: Vec<JoinHandle<()>>,
 }
 
 impl KvServer {
@@ -172,17 +156,20 @@ impl KvServer {
         KvServer::spawn_with(store, addr, ServerConfig::default())
     }
 
-    /// Bind `addr` and start serving `store` with an explicit config.
+    /// Bind `addr` and start serving `store` with an explicit config. The
+    /// first server (or reactor) of a process also pins glibc malloc's
+    /// `mmap` and trim thresholds, so that what storing a stripe-sized
+    /// value costs does not depend on the process's allocation history.
     pub fn spawn_with(
         store: Arc<Store>,
         addr: impl ToSocketAddrs,
         config: ServerConfig,
     ) -> KvResult<KvServer> {
         let config = ServerConfig {
-            workers: config.workers.max(1),
             max_connections: config.max_connections.max(1),
             ..config
         };
+        crate::reactor::pin_malloc_thresholds();
         let listener = bind_reuseaddr(addr).map_err(KvError::Io)?;
         let addr = listener.local_addr()?;
         let engine = Arc::new(Engine {
@@ -191,10 +178,6 @@ impl KvServer {
             stats: ServerStats::default(),
             store: Arc::clone(&store),
             config,
-            jobs: Mutex::new(VecDeque::new()),
-            jobs_cv: Condvar::new(),
-            completions: Mutex::new(Vec::new()),
-            maint_inflight: AtomicBool::new(false),
         });
         engine
             .poller
@@ -205,32 +188,27 @@ impl KvServer {
             store,
             addr,
             engine: Arc::clone(&engine),
-            loop_thread: None,
-            workers: Vec::new(),
+            threads: Vec::new(),
         };
-        for i in 0..engine.config.workers {
-            let worker_engine = Arc::clone(&engine);
-            let handle = std::thread::Builder::new()
-                .name(format!("memkv-srv-wkr/{i}"))
-                .spawn(move || worker_loop(worker_engine));
+        let maint_engine = Arc::clone(&engine);
+        let spawned = [
+            std::thread::Builder::new()
+                .name("memkv-srv-loop".into())
+                .spawn(move || ServerLoop::new(engine, listener).run()),
+            std::thread::Builder::new()
+                .name("memkv-srv-maint".into())
+                .spawn(move || maintenance_loop(&maint_engine)),
+        ];
+        let mut failed = None;
+        for handle in spawned {
             match handle {
-                Ok(h) => server.workers.push(h),
-                Err(e) => {
-                    server.shutdown();
-                    return Err(KvError::Io(e));
-                }
+                Ok(h) => server.threads.push(h),
+                Err(e) => failed = Some(e),
             }
         }
-        let loop_engine = Arc::clone(&engine);
-        match std::thread::Builder::new()
-            .name("memkv-srv-loop".into())
-            .spawn(move || ServerLoop::new(loop_engine, listener).run())
-        {
-            Ok(h) => server.loop_thread = Some(h),
-            Err(e) => {
-                server.shutdown();
-                return Err(KvError::Io(e));
-            }
+        if let Some(e) = failed {
+            server.shutdown();
+            return Err(KvError::Io(e));
         }
         Ok(server)
     }
@@ -245,24 +223,21 @@ impl KvServer {
         &self.store
     }
 
-    /// Serving-layer counters (connections, ops, wire bytes, queue depth,
-    /// per-tenant ops). Store counters live on [`Store::stats`].
+    /// Serving-layer counters (connections, ops, wire bytes, per-tenant
+    /// ops). Store counters live on [`Store::stats`].
     pub fn server_stats(&self) -> ServerStatsSnapshot {
         self.engine.stats.snapshot()
     }
 
-    /// Stop the server: close the listener and every connection, fail
-    /// queued-but-unexecuted jobs fast, and join the loop and worker
-    /// threads. Idempotent — later calls are no-ops.
+    /// Stop the server: close the listener and every connection (requests
+    /// not yet read die with their sockets) and join the loop and
+    /// maintenance threads. Idempotent — later calls are no-ops.
     pub fn shutdown(&mut self) {
         self.engine.shutdown.store(true, Ordering::SeqCst);
         self.engine.poller.notify();
-        self.engine.jobs_cv.notify_all();
-        if let Some(t) = self.loop_thread.take() {
+        for t in self.threads.drain(..) {
+            t.thread().unpark();
             let _ = t.join();
-        }
-        for w in self.workers.drain(..) {
-            let _ = w.join();
         }
     }
 }
@@ -270,6 +245,18 @@ impl KvServer {
 impl Drop for KvServer {
     fn drop(&mut self) {
         self.shutdown();
+    }
+}
+
+/// Body of `memkv-srv-maint`: park for the interval, return on shutdown
+/// (which unparks it), else sweep. A spurious wake-up only sweeps early.
+fn maintenance_loop(engine: &Engine) {
+    loop {
+        std::thread::park_timeout(MAINTENANCE_INTERVAL);
+        if engine.shutdown.load(Ordering::SeqCst) {
+            return;
+        }
+        engine.store.maintain();
     }
 }
 
@@ -377,50 +364,6 @@ fn bind_one(addr: &SocketAddr) -> io::Result<TcpListener> {
     Ok(unsafe { TcpListener::from_raw_fd(fd.into_raw_fd()) })
 }
 
-// ---------------------------------------------------------------------------
-// Worker pool
-// ---------------------------------------------------------------------------
-
-fn worker_loop(engine: Arc<Engine>) {
-    loop {
-        let job = {
-            let mut jobs = engine.jobs.lock();
-            loop {
-                if engine.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                if let Some(job) = jobs.pop_front() {
-                    break job;
-                }
-                engine.jobs_cv.wait(&mut jobs);
-            }
-        };
-        match job {
-            Job::Conn {
-                token,
-                generation,
-                reqs,
-            } => {
-                let resps: Vec<Response> = reqs
-                    .into_iter()
-                    .map(|req| execute_traced(&engine, req))
-                    .collect();
-                engine.stats.queue_depth.fetch_sub(1, Ordering::Relaxed);
-                engine.completions.lock().push(Completion {
-                    token,
-                    generation,
-                    resps,
-                });
-                engine.poller.notify();
-            }
-            Job::Maintain => {
-                engine.store.maintain();
-                engine.maint_inflight.store(false, Ordering::Release);
-            }
-        }
-    }
-}
-
 /// Execute one request with serving-layer accounting; `stats` gets the
 /// server pairs appended to the store's.
 fn execute_traced(engine: &Engine, req: Request) -> Response {
@@ -444,9 +387,7 @@ fn execute_traced(engine: &Engine, req: Request) -> Response {
             pairs.push(("server_ops".into(), snap.ops.to_string()));
             pairs.push(("bytes_tx".into(), snap.bytes_tx.to_string()));
             pairs.push(("bytes_rx".into(), snap.bytes_rx.to_string()));
-            pairs.push(("queue_depth".into(), snap.queue_depth.to_string()));
             pairs.push(("idle_closed".into(), snap.idle_closed.to_string()));
-            pairs.push(("workers".into(), engine.config.workers.to_string()));
             for (tenant, ops) in snap.tenant_ops {
                 pairs.push((format!("tenant:{tenant}:ops"), ops.to_string()));
             }
@@ -644,31 +585,21 @@ fn storage_error(e: KvError) -> Response {
 // ---------------------------------------------------------------------------
 
 /// One slot of the connection slab. Slots are reused through a freelist;
-/// `generation` fences stale worker completions and timer firings after
-/// a slot's previous occupant closed.
+/// the only reference that outlives an occupant is its idle timer, which
+/// `close_conn` cancels, so a slot needs no generation of its own.
 struct Conn {
     stream: Option<TcpStream>,
-    generation: u64,
     decoder: RequestDecoder,
-    /// Parsed requests not yet handed to the worker pool.
-    backlog: Vec<Request>,
-    /// At most one job per connection sits in the pool, preserving
-    /// pipeline order without per-connection worker affinity.
-    job_in_flight: bool,
     /// Unsent response segments (zero-copy `Bytes`), plus the byte offset
     /// already written of the front segment.
     out: VecDeque<Bytes>,
     out_off: usize,
     /// Total unsent bytes across `out` — the backpressure gauge.
     pending_out: usize,
-    /// Stop reading: backlog or pending_out hit their bound.
+    /// Stop reading and executing: `pending_out` passed its bound.
     paused_read: bool,
-    /// `quit` seen: close once earlier responses have drained.
-    quit: bool,
-    /// Parse failure waiting to be reported (as this response) once
-    /// in-order; the connection closes behind it.
-    pending_error: Option<Response>,
-    /// Send nothing more after the out queue drains; then close.
+    /// A `quit` or a decode error was seen: send nothing more after the
+    /// out queue drains; then close.
     close_after_flush: bool,
     /// Interest mask currently registered with epoll.
     interest: u32,
@@ -680,16 +611,11 @@ impl Conn {
     fn vacant(now: Instant) -> Conn {
         Conn {
             stream: None,
-            generation: 0,
             decoder: RequestDecoder::new(),
-            backlog: Vec::new(),
-            job_in_flight: false,
             out: VecDeque::new(),
             out_off: 0,
             pending_out: 0,
             paused_read: false,
-            quit: false,
-            pending_error: None,
             close_after_flush: false,
             interest: 0,
             last_activity: now,
@@ -703,7 +629,8 @@ struct ServerLoop {
     listener: TcpListener,
     conns: Vec<Conn>,
     free: Vec<usize>,
-    wheel: TimerWheel<(usize, u64)>,
+    /// Idle timers; the payload is the connection's slab index.
+    wheel: TimerWheel<usize>,
 }
 
 impl ServerLoop {
@@ -720,18 +647,13 @@ impl ServerLoop {
     fn run(mut self) {
         let mut events: Vec<(u64, u32)> = Vec::new();
         let mut chunk = vec![0u8; READ_CHUNK];
-        self.arm_maintenance(Instant::now());
         loop {
             if self.engine.shutdown.load(Ordering::SeqCst) {
                 break;
             }
             let now = Instant::now();
-            for fired in self.wheel.advance(now) {
-                if fired.0 == MAINT_SENTINEL {
-                    self.maintenance_fired(now);
-                } else {
-                    self.idle_fired(fired, now);
-                }
+            for idx in self.wheel.advance(now) {
+                self.idle_fired(idx, now);
             }
             let timeout = self
                 .wheel
@@ -749,9 +671,6 @@ impl ServerLoop {
                         if idx >= self.conns.len() || self.conns[idx].stream.is_none() {
                             continue;
                         }
-                        if ev & libc::EPOLLOUT != 0 {
-                            self.flush_conn(idx);
-                        }
                         if ev & (libc::EPOLLIN | libc::EPOLLRDHUP | libc::EPOLLERR | libc::EPOLLHUP)
                             != 0
                         {
@@ -762,9 +681,12 @@ impl ServerLoop {
                     }
                 }
             }
-            self.drain_completions();
         }
-        self.teardown();
+        // Fail-fast shutdown: in-flight batches die with their sockets;
+        // clients replay idempotent work elsewhere or surface the error.
+        for idx in 0..self.conns.len() {
+            self.close_conn(idx);
+        }
     }
 
     /// Drain the accept queue (level-triggered listener).
@@ -840,35 +762,11 @@ impl ServerLoop {
         }
     }
 
-    /// Arm the next maintenance tick (no-op when disabled).
-    fn arm_maintenance(&mut self, now: Instant) {
-        let interval = self.engine.config.maintenance_interval;
-        if interval.is_zero() {
-            return;
-        }
-        self.wheel.arm(now + interval, (MAINT_SENTINEL, 0));
-    }
-
-    /// The maintenance timer fired: re-arm it and hand a sweep to the
-    /// worker pool — unless the previous sweep is still queued or
-    /// running, in which case this tick is skipped (the store never has
-    /// more than one sweeper at a time).
-    fn maintenance_fired(&mut self, now: Instant) {
-        self.arm_maintenance(now);
-        if self.engine.maint_inflight.swap(true, Ordering::AcqRel) {
-            return;
-        }
-        self.engine.jobs.lock().push_back(Job::Maintain);
-        self.engine.jobs_cv.notify_one();
-    }
-
     fn arm_idle(&mut self, idx: usize, deadline: Instant) {
         if self.engine.config.idle_timeout.is_zero() {
             return;
         }
-        let generation = self.conns[idx].generation;
-        let id = self.wheel.arm(deadline, (idx, generation));
-        self.conns[idx].idle_timer = Some(id);
+        self.conns[idx].idle_timer = Some(self.wheel.arm(deadline, idx));
     }
 
     /// An idle timer fired. Timers are lazy: traffic only refreshes
@@ -877,18 +775,13 @@ impl ServerLoop {
     /// churn. On firing, either the connection is genuinely idle (close
     /// it) or the timer re-arms at the earliest future instant it could
     /// be.
-    fn idle_fired(&mut self, (idx, generation): (usize, u64), now: Instant) {
-        let Some(conn) = self.conns.get_mut(idx) else {
-            return;
-        };
-        if conn.stream.is_none() || conn.generation != generation {
-            return;
-        }
+    fn idle_fired(&mut self, idx: usize, now: Instant) {
+        let conn = &mut self.conns[idx];
+        debug_assert!(conn.stream.is_some(), "close_conn cancels the timer");
         conn.idle_timer = None;
         let timeout = self.engine.config.idle_timeout;
         let deadline = conn.last_activity + timeout;
-        let busy = conn.job_in_flight || !conn.out.is_empty() || !conn.backlog.is_empty();
-        if now >= deadline && !busy {
+        if now >= deadline && conn.out.is_empty() {
             self.engine
                 .stats
                 .idle_closed
@@ -904,8 +797,11 @@ impl ServerLoop {
         }
     }
 
+    /// One connection's turn: read and run requests until a short read,
+    /// the output bound, or [`TURN_READS`] reads. Level-triggered epoll
+    /// reports whatever is left next round.
     fn conn_readable(&mut self, idx: usize, chunk: &mut [u8]) {
-        loop {
+        for _ in 0..TURN_READS {
             let conn = &mut self.conns[idx];
             let Some(stream) = conn.stream.as_ref() else {
                 return;
@@ -924,12 +820,9 @@ impl ServerLoop {
                         .stats
                         .bytes_rx
                         .fetch_add(n as u64, Ordering::Relaxed);
-                    let conn = &mut self.conns[idx];
                     conn.last_activity = Instant::now();
                     conn.decoder.feed(&chunk[..n]);
                     self.parse_conn(idx);
-                    self.dispatch(idx);
-                    self.update_pause(idx);
                     if n < chunk.len() {
                         break;
                     }
@@ -945,72 +838,39 @@ impl ServerLoop {
         self.advance_conn(idx);
     }
 
-    /// Decode as many pipelined requests as the buffer holds into the
-    /// backlog. A `quit` or protocol error poisons further decoding; the
-    /// verdict is delivered in order by [`ServerLoop::dispatch`] once
-    /// earlier requests have answered.
+    /// The one place a request is handled: decode, execute and queue the
+    /// response of every complete pipelined request the buffer holds, in
+    /// order, until the output bound pauses the connection (the rest wait
+    /// in the decoder for [`ServerLoop::advance_conn`]). A `quit` or a
+    /// decode error queues its verdict behind the earlier responses and
+    /// ends the connection once they are sent; later input is dropped.
     fn parse_conn(&mut self, idx: usize) {
         let conn = &mut self.conns[idx];
-        if conn.stream.is_none()
-            || conn.quit
-            || conn.pending_error.is_some()
-            || conn.close_after_flush
-        {
-            conn.decoder.reset();
-            return;
-        }
-        while conn.backlog.len() < MAX_BACKLOG {
-            match conn.decoder.next_request() {
-                Ok(Some(Request::Quit)) => {
-                    conn.quit = true;
-                    conn.decoder.reset();
-                    break;
-                }
-                Ok(Some(req)) => conn.backlog.push(req),
-                Ok(None) => break,
-                Err(e) => {
-                    conn.pending_error = Some(match e {
-                        // memcached's own words for a data block above
-                        // the item limit.
-                        KvError::ValueTooLarge { .. } => {
-                            Response::ServerError("object too large for cache".into())
-                        }
-                        e => Response::ClientError(e.to_string()),
-                    });
-                    conn.decoder.reset();
-                    break;
-                }
+        while !conn.close_after_flush {
+            if conn.pending_out > MAX_PENDING_BYTES {
+                conn.paused_read = true;
+                return;
             }
-        }
-    }
-
-    /// Hand the backlog to the worker pool (one job in flight per
-    /// connection), or — once the pipeline has fully drained — deliver a
-    /// pending protocol error / `quit` close.
-    fn dispatch(&mut self, idx: usize) {
-        let conn = &mut self.conns[idx];
-        if conn.stream.is_none() || conn.job_in_flight || conn.close_after_flush {
-            return;
-        }
-        if !conn.backlog.is_empty() {
-            let reqs = std::mem::take(&mut conn.backlog);
-            conn.job_in_flight = true;
-            self.engine
-                .stats
-                .queue_depth
-                .fetch_add(1, Ordering::Relaxed);
-            self.engine.jobs.lock().push_back(Job::Conn {
-                token: idx,
-                generation: conn.generation,
-                reqs,
-            });
-            self.engine.jobs_cv.notify_one();
-        } else if let Some(resp) = conn.pending_error.take() {
-            enqueue_response(conn, &resp);
-            conn.close_after_flush = true;
-        } else if conn.quit {
+            let verdict = match conn.decoder.next_request() {
+                Ok(Some(Request::Quit)) => None,
+                Ok(Some(req)) => {
+                    enqueue_response(conn, &execute_traced(&self.engine, req));
+                    continue;
+                }
+                Ok(None) => return,
+                // memcached's own words for a data block above the item
+                // limit.
+                Err(KvError::ValueTooLarge { .. }) => {
+                    Some(Response::ServerError("object too large for cache".into()))
+                }
+                Err(e) => Some(Response::ClientError(e.to_string())),
+            };
+            if let Some(resp) = verdict {
+                enqueue_response(conn, &resp);
+            }
             conn.close_after_flush = true;
         }
+        conn.decoder.reset();
     }
 
     /// Flush queued response segments with vectored writes until the
@@ -1032,19 +892,25 @@ impl ServerLoop {
         }
     }
 
-    /// Post-I/O bookkeeping: decode/dispatch anything newly available,
-    /// flush, close if the drain condition is met, and resync epoll
-    /// interest with the connection's state.
+    /// Post-I/O bookkeeping: flush, resume a paused connection once the
+    /// peer has drained to half the bound (so the interest mask does not
+    /// flap around the threshold), close if the drain condition is met,
+    /// and resync epoll interest with the connection's state.
     fn advance_conn(&mut self, idx: usize) {
-        if self.conns[idx].stream.is_none() {
-            return;
+        loop {
+            self.flush_conn(idx);
+            let conn = &mut self.conns[idx];
+            if !conn.paused_read || conn.pending_out > MAX_PENDING_BYTES / 2 {
+                break;
+            }
+            // The flush after this may drain everything again, and a
+            // paused connection with nothing to send would wait on no
+            // event at all: go round until the decoder is empty or the
+            // socket pushes back.
+            conn.paused_read = false;
+            self.parse_conn(idx);
         }
-        self.parse_conn(idx);
-        self.dispatch(idx);
-        self.flush_conn(idx);
-        let Some(conn) = self.conns.get(idx) else {
-            return;
-        };
+        let conn = &self.conns[idx];
         if conn.stream.is_none() {
             return;
         }
@@ -1052,26 +918,7 @@ impl ServerLoop {
             self.close_conn(idx);
             return;
         }
-        self.update_pause(idx);
         self.update_interest(idx);
-    }
-
-    /// Backpressure policy: stop reading when queued responses or the
-    /// backlog pass their bounds; resume at half the byte bound so the
-    /// interest mask does not flap around the threshold.
-    fn update_pause(&mut self, idx: usize) {
-        let max_pending = self.engine.config.max_pending_bytes;
-        let conn = &mut self.conns[idx];
-        if conn.stream.is_none() {
-            return;
-        }
-        if conn.paused_read {
-            if conn.pending_out <= max_pending / 2 && conn.backlog.len() < MAX_BACKLOG {
-                conn.paused_read = false;
-            }
-        } else if conn.pending_out > max_pending || conn.backlog.len() >= MAX_BACKLOG {
-            conn.paused_read = true;
-        }
     }
 
     /// Register exactly the interest the state machine needs: EPOLLIN
@@ -1098,27 +945,6 @@ impl ServerLoop {
         }
     }
 
-    /// Deliver finished jobs back to their connections. Generation
-    /// fencing drops completions for slots whose occupant died while the
-    /// job ran.
-    fn drain_completions(&mut self) {
-        let completions: Vec<Completion> = std::mem::take(&mut *self.engine.completions.lock());
-        for c in completions {
-            let Some(conn) = self.conns.get_mut(c.token) else {
-                continue;
-            };
-            if conn.stream.is_none() || conn.generation != c.generation {
-                continue;
-            }
-            conn.job_in_flight = false;
-            conn.last_activity = Instant::now();
-            for resp in &c.resps {
-                enqueue_response(conn, resp);
-            }
-            self.advance_conn(c.token);
-        }
-    }
-
     fn close_conn(&mut self, idx: usize) {
         let conn = &mut self.conns[idx];
         let Some(stream) = conn.stream.take() else {
@@ -1128,17 +954,11 @@ impl ServerLoop {
         if let Some(id) = conn.idle_timer.take() {
             self.wheel.cancel(id);
         }
-        // Fence any in-flight job's completion and any stale timer.
-        conn.generation += 1;
         conn.decoder.reset();
-        conn.backlog.clear();
-        conn.job_in_flight = false;
         conn.out.clear();
         conn.out_off = 0;
         conn.pending_out = 0;
         conn.paused_read = false;
-        conn.quit = false;
-        conn.pending_error = None;
         conn.close_after_flush = false;
         conn.interest = 0;
         self.engine
@@ -1147,26 +967,6 @@ impl ServerLoop {
             .fetch_sub(1, Ordering::Relaxed);
         self.free.push(idx);
         // dropping `stream` closes the fd
-    }
-
-    /// Fail-fast shutdown: close every connection (in-flight batches die
-    /// with their sockets; clients replay idempotent work elsewhere or
-    /// surface the error) and clear jobs the pool never started.
-    fn teardown(&mut self) {
-        for idx in 0..self.conns.len() {
-            self.close_conn(idx);
-        }
-        let cleared = self
-            .engine
-            .jobs
-            .lock()
-            .drain(..)
-            .filter(|j| matches!(j, Job::Conn { .. }))
-            .count();
-        self.engine
-            .stats
-            .queue_depth
-            .fetch_sub(cleared as u64, Ordering::Relaxed);
     }
 }
 
@@ -1252,6 +1052,200 @@ fn write_out(stream: &TcpStream, out: &mut VecDeque<Bytes>, off: &mut usize) -> 
             } else {
                 *off += n;
                 n = 0;
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::net::TcpClient;
+
+    const BIG: usize = 512 * 1024;
+
+    fn spawn() -> KvServer {
+        KvServer::spawn(Arc::new(Store::with_defaults()), "127.0.0.1:0").unwrap()
+    }
+
+    fn raw(server: &KvServer) -> TcpStream {
+        let s = TcpStream::connect(server.addr()).unwrap();
+        s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        s
+    }
+
+    fn set_frame(key: &str, value: &[u8]) -> Vec<u8> {
+        let mut wire = format!("set {key} 0 0 {}\r\n", value.len()).into_bytes();
+        wire.extend_from_slice(value);
+        wire.extend_from_slice(b"\r\n");
+        wire
+    }
+
+    fn value_frame(key: &str, value: &[u8]) -> Vec<u8> {
+        let mut wire = format!("VALUE {key} 0 {}\r\n", value.len()).into_bytes();
+        wire.extend_from_slice(value);
+        wire.extend_from_slice(b"\r\nEND\r\n");
+        wire
+    }
+
+    /// A distinguishable `len`-byte payload.
+    fn pattern(len: usize) -> Vec<u8> {
+        (0..len).map(|i| (i * 31 % 251) as u8).collect()
+    }
+
+    fn expect_reply(s: &mut TcpStream, want: &[u8]) {
+        let mut got = vec![0u8; want.len()];
+        s.read_exact(&mut got).unwrap();
+        assert!(got == want, "reply differs from the expected frame");
+    }
+
+    /// Tentpole 4: a peer that keeps its socket full gets
+    /// `TURN_READS × READ_CHUNK` bytes per turn, never the whole transfer.
+    /// The loop is driven by hand, so a turn is one `conn_readable` call.
+    #[test]
+    fn one_connections_turn_on_the_loop_is_bounded() {
+        const FRAMES: usize = 128;
+        let listener = bind_reuseaddr("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let engine = Arc::new(Engine {
+            poller: Poller::new().unwrap(),
+            shutdown: AtomicBool::new(false),
+            stats: ServerStats::default(),
+            store: Arc::new(Store::with_defaults()),
+            config: ServerConfig::default(),
+        });
+        let mut lp = ServerLoop::new(Arc::clone(&engine), listener);
+
+        // 64 MiB of pipelined `set`s, written as fast as the socket takes
+        // them; the writer never reads a reply.
+        let frame = set_frame("k", &pattern(BIG));
+        let total = (FRAMES * frame.len()) as u64;
+        let writer = std::thread::spawn(move || {
+            let mut s = TcpStream::connect(addr).unwrap();
+            for _ in 0..FRAMES {
+                s.write_all(&frame).unwrap();
+            }
+            s
+        });
+        while lp.conns.is_empty() {
+            lp.accept_ready();
+            std::thread::sleep(Duration::from_millis(1));
+        }
+
+        let turn = (TURN_READS * READ_CHUNK) as u64;
+        let mut chunk = vec![0u8; READ_CHUNK];
+        let (mut received, mut full_turns) = (0u64, 0u32);
+        while received < total {
+            lp.conn_readable(0, &mut chunk);
+            let now = engine.stats.bytes_rx.load(Ordering::Relaxed);
+            let got = now - received;
+            received = now;
+            assert!(got <= turn, "one turn read {got} bytes, bound {turn}");
+            full_turns += u32::from(got == turn);
+            if got == 0 {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+        assert!(
+            full_turns > 0,
+            "the writer never kept the socket full: the bound was not exercised"
+        );
+        assert_eq!(engine.stats.ops.load(Ordering::Relaxed), FRAMES as u64);
+        assert_eq!(engine.store.get(b"k").unwrap(), pattern(BIG));
+        // Every `STORED` went out in order behind its request.
+        let mut s = writer.join().unwrap();
+        expect_reply(&mut s, &b"STORED\r\n".repeat(FRAMES));
+    }
+
+    /// A peer that pipelines 32 MiB of responses and reads none of them
+    /// gets `MAX_PENDING_BYTES` (+ the response that crossed it) queued in
+    /// the server, not all 32 MiB; once it reads, every value arrives
+    /// bit-exact and in order.
+    #[test]
+    fn backpressure_bounds_the_responses_queued_for_a_peer_that_does_not_read() {
+        const GETS: u64 = 64;
+        let server = spawn();
+        let mut s = raw(&server);
+        let value = pattern(BIG);
+        s.write_all(&set_frame("big", &value)).unwrap();
+        expect_reply(&mut s, b"STORED\r\n");
+        s.write_all(&b"get big\r\n".repeat(GETS as usize)).unwrap();
+
+        // Let the server run into the bound and the socket fill up.
+        let mut stats = server.server_stats();
+        loop {
+            std::thread::sleep(Duration::from_millis(200));
+            let next = server.server_stats();
+            if next == stats {
+                break;
+            }
+            stats = next;
+        }
+        let reply = value_frame("big", &value);
+        let executed = stats.ops - 1;
+        let queued = executed * reply.len() as u64 + 8 - stats.bytes_tx;
+        assert!(executed < GETS, "all {GETS} gets ran: no backpressure");
+        assert!(
+            queued <= (MAX_PENDING_BYTES + reply.len()) as u64,
+            "{queued} response bytes queued behind a peer that reads nothing"
+        );
+
+        for _ in 0..GETS {
+            expect_reply(&mut s, &reply);
+        }
+        assert_eq!(server.server_stats().ops, GETS + 1);
+    }
+
+    /// Nothing else checks that a live server calls `Store::maintain` at
+    /// all: `stats` never looks an item up, so only the sweeper can make
+    /// `curr_items` drop.
+    #[test]
+    fn the_sweeper_reaps_expired_items_with_no_traffic() {
+        let server = spawn();
+        let client = TcpClient::connect(server.addr()).unwrap();
+        client.set_ttl(b"k", Bytes::from_static(b"v"), 1).unwrap();
+        let curr_items = || {
+            let stats = client.stats().unwrap();
+            let (_, v) = stats.iter().find(|(k, _)| k == "curr_items").unwrap();
+            v.parse::<u64>().unwrap()
+        };
+        assert_eq!(curr_items(), 1);
+        let deadline = Instant::now() + Duration::from_secs(3);
+        while curr_items() != 0 {
+            assert!(
+                Instant::now() < deadline,
+                "the expired item was never reaped"
+            );
+            std::thread::sleep(Duration::from_millis(100));
+        }
+    }
+
+    /// A decode error or a `quit` answers behind the earlier responses —
+    /// however large — then the connection closes; what follows it on the
+    /// wire is never answered.
+    #[test]
+    fn verdicts_queue_behind_earlier_responses_and_end_the_connection() {
+        let server = spawn();
+        let (big, small) = (pattern(BIG), pattern(100));
+        let mut s = raw(&server);
+        s.write_all(&[set_frame("big", &big), set_frame("small", &small)].concat())
+            .unwrap();
+        expect_reply(&mut s, b"STORED\r\nSTORED\r\n");
+        let replies = [value_frame("big", &big), value_frame("small", &small)].concat();
+
+        for (verdict, error_line) in [("bogus verb", true), ("quit", false)] {
+            let mut s = raw(&server);
+            s.write_all(format!("get big\r\nget small\r\n{verdict}\r\nget small\r\n").as_bytes())
+                .unwrap();
+            let mut got = Vec::new();
+            s.read_to_end(&mut got).unwrap();
+            assert!(got.starts_with(&replies), "{verdict}: replies out of order");
+            let rest = &got[replies.len()..];
+            if error_line {
+                assert!(rest.starts_with(b"CLIENT_ERROR "), "{verdict}: {rest:?}");
+                assert_eq!(rest.iter().filter(|&&b| b == b'\n').count(), 1);
+            } else {
+                assert!(rest.is_empty(), "{verdict}: {rest:?}");
             }
         }
     }

@@ -134,10 +134,10 @@ impl StatsSnapshot {
 const MAX_TENANTS: usize = 64;
 
 /// Serving-layer counters for one evented [`crate::net::KvServer`]:
-/// connection census, wire traffic, worker-queue depth, and per-tenant
-/// operation tallies. Store-level counters (hits, evictions, occupancy)
-/// stay in [`StoreStats`] — a server snapshot complements, not replaces,
-/// the store's.
+/// connection census, wire traffic, and per-tenant operation tallies.
+/// Store-level counters (hits, evictions, occupancy) stay in
+/// [`StoreStats`] — a server snapshot complements, not replaces, the
+/// store's.
 #[derive(Debug, Default)]
 pub struct ServerStats {
     /// Currently open connections (gauge).
@@ -146,15 +146,12 @@ pub struct ServerStats {
     pub(crate) total_connections: AtomicU64,
     /// Connections shed at the `max_connections` cap.
     pub(crate) rejected_connections: AtomicU64,
-    /// Requests executed by the worker pool (every verb, including
-    /// `stats` itself).
+    /// Requests executed (every verb, including `stats` itself).
     pub(crate) ops: AtomicU64,
     /// Response bytes written to sockets.
     pub(crate) bytes_tx: AtomicU64,
     /// Request bytes read from sockets.
     pub(crate) bytes_rx: AtomicU64,
-    /// Jobs handed to the worker pool and not yet executed (gauge).
-    pub(crate) queue_depth: AtomicU64,
     /// Connections closed by the idle-timeout wheel.
     pub(crate) idle_closed: AtomicU64,
     /// Ops per tenant. The tenant of a request is its first key's prefix
@@ -198,7 +195,6 @@ impl ServerStats {
             ops: self.ops.load(Ordering::Relaxed),
             bytes_tx: self.bytes_tx.load(Ordering::Relaxed),
             bytes_rx: self.bytes_rx.load(Ordering::Relaxed),
-            queue_depth: self.queue_depth.load(Ordering::Relaxed),
             idle_closed: self.idle_closed.load(Ordering::Relaxed),
             tenant_ops,
         }
@@ -214,7 +210,6 @@ pub struct ServerStatsSnapshot {
     pub ops: u64,
     pub bytes_tx: u64,
     pub bytes_rx: u64,
-    pub queue_depth: u64,
     pub idle_closed: u64,
     /// `(tenant, ops)` sorted by tenant name.
     pub tenant_ops: Vec<(String, u64)>,

@@ -469,9 +469,9 @@ impl Store {
     /// while this runs; candidate scans happen under read locks and each
     /// reclaimed item takes exactly one brief shard write lock.
     ///
-    /// The evented server drives this off its timer wheel onto the
-    /// worker pool ([`crate::net::ServerConfig::maintenance_interval`]);
-    /// embedded users call it from any thread at their own cadence.
+    /// The server calls this from its own `memkv-srv-maint` thread every
+    /// 100 ms; embedded users call it from any thread at their own
+    /// cadence.
     pub fn maintain(&self) -> MaintainReport {
         StoreStats::bump(&self.stats.sweeps);
         let mut report = MaintainReport::default();

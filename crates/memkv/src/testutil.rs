@@ -23,7 +23,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::client::KvClient;
-use crate::net::{KvServer, PoolConfig, ServerConfig, TcpClient};
+use crate::net::{KvServer, PoolConfig, TcpClient};
 use crate::reactor::ReactorHandle;
 use crate::store::Store;
 
@@ -350,24 +350,8 @@ impl ShapedCluster {
         shape: impl Fn(usize) -> Shape,
         store: impl Fn(usize) -> Arc<Store>,
     ) -> ShapedCluster {
-        Self::spawn_with_server(n, shape, store, ServerConfig::default())
-    }
-
-    /// Spawn with per-server shapes and stores plus an explicit server
-    /// engine config (worker count, connection cap, idle timeout) applied
-    /// to every server — the knob many-mount soaks pin their thread
-    /// census with.
-    pub fn spawn_with_server(
-        n: usize,
-        shape: impl Fn(usize) -> Shape,
-        store: impl Fn(usize) -> Arc<Store>,
-        server_config: ServerConfig,
-    ) -> ShapedCluster {
         let servers: Vec<KvServer> = (0..n)
-            .map(|i| {
-                KvServer::spawn_with(store(i), "127.0.0.1:0", server_config.clone())
-                    .expect("spawn kv server")
-            })
+            .map(|i| KvServer::spawn(store(i), "127.0.0.1:0").expect("spawn kv server"))
             .collect();
         let proxies = servers
             .iter()
@@ -384,12 +368,8 @@ impl ShapedCluster {
     pub fn grow(&mut self, k: usize, shape: Shape) -> std::ops::Range<usize> {
         let base = self.servers.len();
         for _ in 0..k {
-            let server = KvServer::spawn_with(
-                Arc::new(Store::with_defaults()),
-                "127.0.0.1:0",
-                ServerConfig::default(),
-            )
-            .expect("spawn kv server");
+            let server = KvServer::spawn(Arc::new(Store::with_defaults()), "127.0.0.1:0")
+                .expect("spawn kv server");
             self.proxies.push(ShapedProxy::spawn(server.addr(), shape));
             self.servers.push(server);
         }

@@ -20,8 +20,8 @@
 # BENCH_pr7.json — `manymount_record`: fan-in scalability of the evented
 # server engine. 4 shaped servers mounted by 4 vs 64 concurrent mounts
 # (256 connections). Bars: the 64-mount aggregate >= 90% of the 4-mount
-# aggregate, and the server census reads exactly 4 loops + 8 workers
-# with zero per-connection threads.
+# aggregate, and the server census reads exactly 4 loops + 4
+# maintenance threads with zero per-connection threads.
 #
 # BENCH_pr8.json — `repair_record`: self-healing repair on an 8-server
 # shaped cluster with one server killed. Bars: foreground read

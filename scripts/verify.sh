@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Repo verification gate: build, tests, formatting, lints.
 #
-#   scripts/verify.sh            # build + workspace tests + fmt + clippy
+#   scripts/verify.sh            # build + workspace tests + fmt + clippy + knob count
 #   scripts/verify.sh --clippy   # fast path: fmt + clippy only, no build/tests
 #   scripts/verify.sh --threads  # additionally stress the concurrency tests
 #   scripts/verify.sh --soak     # shaped-cluster suites, N random seeds
@@ -20,9 +20,10 @@
 # shaped-cluster scaling regression: 8 bandwidth-capped servers must
 # deliver >= 1.5x the 4-server aggregate batched throughput, plus the
 # thread-census binaries (client side: one reactor loop per mount,
-# including a live 4 -> 6 grow; server side: exactly 1 epoll loop +
-# ServerConfig::workers execution threads per server, regardless of
-# connection count), the tail-ACK census (large GET responses are ACKed
+# including a live 4 -> 6 grow; server side: exactly 1 epoll loop + 1
+# maintenance thread per server, regardless of connection count) with
+# the server loop's own suite (bounded turn, backpressure, sweeper,
+# verdict ordering), the tail-ACK census (large GET responses are ACKed
 # without the kernel's delayed-ACK timer) and the stall/kill isolation
 # suites, plus the self-healing repair and elastic-membership suites:
 # mover units, the
@@ -65,6 +66,17 @@ cargo fmt --all -- --check
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+# The knob count can only go down (ROADMAP aim 2: the same behaviour from
+# the simplest design). Lower KNOBS_MAX in the PR that deletes a knob.
+KNOBS_MAX=25
+knobs=$(scripts/loc.sh --knobs | awk '$2 == "total" { print $1 }')
+echo "==> scripts/loc.sh --knobs: $knobs (max $KNOBS_MAX)"
+if ((knobs > KNOBS_MAX)); then
+    echo "verify: $knobs config knobs, $KNOBS_MAX recorded — ROADMAP aim 2: a PR may" \
+        "delete a knob, not add one (scripts/loc.sh --knobs lists them)" >&2
+    exit 1
+fi
+
 for arg in "$@"; do
     case "$arg" in
     --threads)
@@ -103,6 +115,11 @@ for arg in "$@"; do
             # by name: own binaries, one test each, no parallel siblings.
             cargo test -q --test reactor_threads
             cargo test -q --test server_threads
+            # The server loop itself: one connection's turn is bounded,
+            # backpressure bounds queued output (and a paused connection
+            # with nothing left to send is resumed), the sweeper runs
+            # with no traffic, verdicts queue behind earlier replies.
+            RUST_TEST_THREADS=16 cargo test -q -p memfs-memkv --lib -- server::
             # tail_ack reads the namespace-wide TcpExt DelayedACKs
             # counter: own binary, one test, nothing else talking TCP.
             cargo test -q --test tail_ack

@@ -1,11 +1,9 @@
-//! The tentpole property of the evented server engine: a server's thread
-//! census is fixed by [`memfs::memkv::ServerConfig`] — one epoll loop
-//! plus `workers` store-execution threads — no matter how many
-//! connections it carries. The retired engine burned one `memkv-conn`
-//! thread per accepted socket (64 connections = 64 threads); those names
-//! must never reappear. This binary holds exactly one test on purpose —
-//! it counts process-wide threads by name, which would race with
-//! parallel tests.
+//! A server's thread census is fixed — one epoll loop that runs every
+//! request to completion plus one store-maintenance thread — no matter
+//! how many connections it carries. Neither a thread per accepted socket
+//! nor an execution pool may reappear (the retired names are asserted
+//! absent). This binary holds exactly one test on purpose — it counts
+//! process-wide threads by name, which would race with parallel tests.
 
 #![cfg(target_os = "linux")]
 
@@ -45,24 +43,34 @@ fn expect_named(prefix: &str, expected: usize, what: &str) {
 }
 
 #[test]
-fn server_census_is_one_loop_plus_workers_regardless_of_connections() {
+fn server_census_is_one_loop_plus_one_maintenance_thread_regardless_of_connections() {
     assert_eq!(named_threads("memkv-srv"), 0, "clean slate");
 
     let server = KvServer::spawn_with(
         Arc::new(Store::with_defaults()),
         "127.0.0.1:0",
         ServerConfig {
-            workers: 3,
             ..Default::default()
         },
     )
     .unwrap();
-    expect_named("memkv-srv-loop", 1, "one epoll loop per server");
-    expect_named("memkv-srv-wkr", 3, "exactly `workers` execution threads");
+    let census = |what: &str| {
+        expect_named("memkv-srv-loop", 1, what);
+        expect_named("memkv-srv-maint", 1, what);
+        expect_named("memkv-srv", 2, what);
+        for retired in ["memkv-srv-wkr", "memkv-conn", "memkv-accept"] {
+            assert_eq!(
+                named_threads(retired),
+                0,
+                "{what}: `{retired}` must stay retired"
+            );
+        }
+    };
+    census("a fresh server is one loop + one maintenance thread");
 
     // 64 raw connections, each exercised with a protocol round trip: the
-    // census must not move. (The retired thread-per-connection engine
-    // would sit at 64 `memkv-conn` threads here.)
+    // census must not move. (A thread-per-connection engine would sit at
+    // 64 `memkv-conn` threads here.)
     let mut raw: Vec<std::net::TcpStream> = (0..64)
         .map(|_| std::net::TcpStream::connect(server.addr()).unwrap())
         .collect();
@@ -78,22 +86,7 @@ fn server_census_is_one_loop_plus_workers_regardless_of_connections() {
         assert!(Instant::now() < deadline, "64 connections never registered");
         std::thread::sleep(Duration::from_millis(5));
     }
-    expect_named("memkv-srv-loop", 1, "64 connections still share one loop");
-    expect_named(
-        "memkv-srv-wkr",
-        3,
-        "connection count must not grow the pool",
-    );
-    assert_eq!(
-        named_threads("memkv-conn"),
-        0,
-        "thread-per-connection must stay retired"
-    );
-    assert_eq!(
-        named_threads("memkv-accept"),
-        0,
-        "the dedicated accept thread must stay retired"
-    );
+    census("64 connections still share one loop");
 
     // Real pipelined traffic through shared-reactor clients on top of the
     // raw sockets: still the same census.
@@ -114,17 +107,15 @@ fn server_census_is_one_loop_plus_workers_regardless_of_connections() {
         let keys: Vec<Bytes> = items.iter().map(|(k, _)| k.clone()).collect();
         assert_eq!(c.get_many(&keys).unwrap().len(), 100);
     }
-    expect_named("memkv-srv-loop", 1, "traffic must not spawn loops");
-    expect_named("memkv-srv-wkr", 3, "traffic must not spawn workers");
-    assert_eq!(named_threads("memkv-conn"), 0);
+    census("traffic must not spawn threads");
 
-    // Shutdown joins everything — loop and workers — even with 64 live
-    // connections and clients still holding sockets.
+    // Shutdown joins both threads, even with 64 live connections and
+    // clients still holding sockets.
     drop(clients);
     drop(reactor);
     let mut server = server;
     server.shutdown();
-    expect_named("memkv-srv", 0, "shutdown joins the loop and all workers");
+    expect_named("memkv-srv", 0, "shutdown joins the loop and the sweeper");
     // Idempotent: a second shutdown (and the eventual Drop) are no-ops.
     server.shutdown();
     assert_eq!(named_threads("memkv-srv"), 0);
