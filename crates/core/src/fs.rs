@@ -20,7 +20,7 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use memfs_hashring::schema::KeySchema;
-use memfs_memkv::{KvClient, KvError};
+use memfs_memkv::{KvClient, KvError, StoreVerb};
 
 use memfs_hashring::ServerId;
 
@@ -333,38 +333,79 @@ impl MemFs {
         StripeLayout::new(self.inner.config.stripe_size)
     }
 
+    /// Whether each of `keys` exists, asked in one submit window. A probe
+    /// is a zero-length ranged read — an empty hit or a miss: a directory
+    /// log holds every entry ever appended, and a yes/no must not move it.
+    fn probe<const N: usize>(&self, keys: [Vec<u8>; N]) -> [MemFsResult<bool>; N] {
+        let reqs = keys.map(|key| (Bytes::from(key), 0, 0));
+        let found = |reply| match reply {
+            Ok(_) => Ok(true),
+            Err(MemFsError::Storage(KvError::NotFound)) => Ok(false),
+            Err(e) => Err(e),
+        };
+        let replies = self.inner.pool.get_range_many(&reqs);
+        let found: Vec<_> = replies.into_iter().map(found).collect();
+        found.try_into().expect("one reply per probe")
+    }
+
     fn dir_exists(&self, dir: &str) -> MemFsResult<bool> {
-        Ok(self.inner.pool.try_get(&KeySchema::dir_key(dir))?.is_some())
+        let [found] = self.probe([KeySchema::dir_key(dir)]);
+        found
     }
 
     /// Create `path` for writing. Fails if the file or a directory of the
     /// same name exists (write-once: a file can be written exactly once),
     /// or if the parent directory is missing.
+    ///
+    /// Three requests in two steps. In flight together: the probe for a
+    /// directory named `path`, and the atomic `add` of the empty size
+    /// record — the write-once gate: the second creator loses, even from
+    /// another mount. Then the `append` to the parent's log, which is
+    /// also the parent check (`append` to a missing key fails), so the
+    /// parent's log is never read.
+    ///
+    /// The gate is thus taken before the checks have answered. A create
+    /// that wins it and is then refused — a directory of that name, the
+    /// probe failing, no parent — deletes the record again before it
+    /// returns. Until then another mount's `open(path)` sees
+    /// `NotFinalized` and its `create(path)` `WriteOnce` where each would
+    /// have met the same refusal; a client that dies in between leaves
+    /// the empty record behind, which [`MemFs::unlink`] clears like any
+    /// unclosed file. A storage error from the `append` leaves it too,
+    /// as it always has: the entry may have landed.
     pub fn create(&self, raw: &str) -> MemFsResult<WriteHandle> {
         let p = path::normalize(raw)?;
         if p == "/" {
             return Err(MemFsError::IsADirectory(p));
         }
-        let parent = path::parent(&p).to_string();
-        if !self.dir_exists(&parent)? {
-            return Err(MemFsError::ParentNotFound(p));
-        }
-        if self.dir_exists(&p)? {
-            return Err(MemFsError::AlreadyExists(p));
-        }
-        // The atomic `add` of the empty size record is the write-once
-        // gate: the second creator loses, even from another mount.
-        match self.inner.pool.add(&KeySchema::file_key(&p), Bytes::new()) {
-            Ok(()) => {}
-            Err(MemFsError::Storage(KvError::Exists)) => {
-                return Err(MemFsError::WriteOnce(p));
+        let pool = &self.inner.pool;
+        let file_key = KeySchema::file_key(&p);
+        let probe = || self.dir_exists(&p);
+        let (gate, same_name_dir) =
+            pool.store_beside(StoreVerb::Add, &file_key, Bytes::new(), probe);
+        // Every way out, and whether it is a refusal known to have listed
+        // nothing — only then is a gate that was won given back.
+        let (undo, outcome) = match (same_name_dir, gate) {
+            (Err(e), gate) => (gate.is_ok(), Err(e)),
+            (Ok(true), gate) => (gate.is_ok(), Err(MemFsError::AlreadyExists(p.clone()))),
+            (Ok(false), Err(MemFsError::Storage(KvError::Exists))) => {
+                (false, Err(MemFsError::WriteOnce(p.clone())))
             }
-            Err(e) => return Err(e),
+            (Ok(false), Err(e)) => (false, Err(e)),
+            (Ok(false), Ok(())) => match pool.append(
+                &KeySchema::dir_key(path::parent(&p)),
+                &meta::encode_add(path::basename(&p), ChildKind::File),
+            ) {
+                Err(MemFsError::Storage(KvError::NotFound)) => {
+                    (true, Err(MemFsError::ParentNotFound(p.clone())))
+                }
+                listed => (false, listed),
+            },
+        };
+        if undo {
+            let _ = pool.delete_quiet(&file_key);
         }
-        self.inner.pool.append(
-            &KeySchema::dir_key(&parent),
-            &meta::encode_add(path::basename(&p), ChildKind::File),
-        )?;
+        outcome?;
         let buffer = WriteBuffer::new(
             p.clone(),
             self.layout(),
@@ -439,16 +480,24 @@ impl MemFs {
     }
 
     /// Create directory `path`. The parent must exist.
+    ///
+    /// Four requests in three steps: the probes of the parent's log and
+    /// of a file named `path` in one window, the `add` of the empty log,
+    /// the `append` to the parent's. Unlike [`MemFs::create`] the gate
+    /// waits for the checks: undoing a speculative `add` could delete a
+    /// directory another mount has already created a child in.
     pub fn mkdir(&self, raw: &str) -> MemFsResult<()> {
         let p = path::normalize(raw)?;
         if p == "/" {
             return Err(MemFsError::AlreadyExists(p));
         }
         let parent = path::parent(&p).to_string();
-        if !self.dir_exists(&parent)? {
+        let [parent_exists, same_name_file] =
+            self.probe([KeySchema::dir_key(&parent), KeySchema::file_key(&p)]);
+        if !parent_exists? {
             return Err(MemFsError::ParentNotFound(p));
         }
-        if self.inner.pool.try_get(&KeySchema::file_key(&p))?.is_some() {
+        if same_name_file? {
             return Err(MemFsError::AlreadyExists(p));
         }
         match self.inner.pool.add(&KeySchema::dir_key(&p), Bytes::new()) {
@@ -547,9 +596,16 @@ impl MemFs {
     /// a tombstone to the parent's log (paper §3.2.4 only tombstones; we
     /// additionally reclaim the stripes so runtime memory is reusable).
     ///
-    /// Stripes are freed through batched [`ServerPool::delete_many`]
-    /// rounds — one pipelined multi-delete per server, all servers at
-    /// once — instead of one round trip per stripe.
+    /// Three steps: read the size record; free the stripes in batched
+    /// [`ServerPool::delete_many`] rounds — one pipelined multi-delete per
+    /// server, all servers at once; then the record's `delete` and the
+    /// tombstone's `append`, in flight together. A failure freeing the
+    /// stripes stops there, so the record stays as the marker that
+    /// stripes may remain. The last two are both always attempted, and
+    /// the first error in (delete, append) order is returned. If only the
+    /// delete lands, the file is gone but still listed (the serial form's
+    /// window too); if only the append, it is unlisted with its record
+    /// still there, which a retried `unlink` finds and finishes.
     ///
     /// A file whose size record is still open (its writer crashed or the
     /// handle leaked before `close`) is unlinked too: the stripes it
@@ -576,12 +632,14 @@ impl MemFs {
             }
             SizeRecord::Open => self.probe_delete_stripes(&p)?,
         }
-        self.inner.pool.delete_quiet(&KeySchema::file_key(&p))?;
-        self.inner.pool.append(
+        let (unlisted, erased) = self.inner.pool.store_beside(
+            StoreVerb::Append,
             &KeySchema::dir_key(path::parent(&p)),
-            &meta::encode_remove(path::basename(&p)),
-        )?;
-        Ok(())
+            meta::encode_remove(path::basename(&p)).into(),
+            // A window of one, so the pool's gauges see both requests.
+            || self.delete_stripe_batch(&[KeySchema::file_key(&p).into()]),
+        );
+        erased.and(unlisted)
     }
 
     /// Free `keys` in [`UNLINK_BATCH`]-key [`ServerPool::delete_many`]
@@ -1073,6 +1131,19 @@ mod tests {
     /// `n` stores behind failure-injectable clients, mounted with tiny
     /// stripes so thousands of them stay cheap.
     fn small_stripe_mount(n: usize) -> (Vec<Arc<Store>>, Vec<Arc<Failable>>, MemFs) {
+        let config = MemFsConfig {
+            stripe_size: 16,
+            write_buffer_size: 1024,
+            read_cache_size: 1024,
+            ..MemFsConfig::default()
+        };
+        failable_mount(n, config)
+    }
+
+    fn failable_mount(
+        n: usize,
+        config: MemFsConfig,
+    ) -> (Vec<Arc<Store>>, Vec<Arc<Failable>>, MemFs) {
         let stores: Vec<Arc<Store>> = (0..n)
             .map(|_| Arc::new(Store::new(StoreConfig::default())))
             .collect();
@@ -1084,12 +1155,6 @@ mod tests {
             .iter()
             .map(|c| Arc::clone(c) as Arc<dyn KvClient>)
             .collect();
-        let config = MemFsConfig {
-            stripe_size: 16,
-            write_buffer_size: 1024,
-            read_cache_size: 1024,
-            ..MemFsConfig::default()
-        };
         (stores, failables, MemFs::new(clients, config).unwrap())
     }
 
@@ -1167,6 +1232,286 @@ mod tests {
         failables[down].set_down(false);
         fs.unlink("/deep").unwrap();
         assert_only_root_remains(&stores, "retried unlink");
+    }
+
+    /// A mount over recording clients (`pool.rs`'s `SubmitProbe`), its
+    /// log drained of the mount's own `add d:/`.
+    fn recording_mount(n: usize) -> (Arc<crate::pool::tests::ProbeLog>, MemFs) {
+        let stores: Vec<Arc<Store>> = (0..n)
+            .map(|_| Arc::new(Store::new(StoreConfig::default())))
+            .collect();
+        let (clients, log) = crate::pool::tests::probe_clients(&stores);
+        let config = MemFsConfig {
+            stripe_size: 128,
+            ..MemFsConfig::default()
+        };
+        let fs = MemFs::new(clients, config).unwrap();
+        assert_eq!(log.take_steps(), [["add d:/"]]);
+        (log, fs)
+    }
+
+    // The request counts of the hot metadata paths, and what is in flight
+    // together (one inner list = one step, see `ProbeLog::take_steps`).
+    // These are the numbers a later change may not silently raise.
+
+    #[test]
+    fn pinned_create_is_three_requests_in_two_steps() {
+        let (log, fs) = recording_mount(4);
+        let mut w = fs.create("/a").unwrap();
+        // The parent's log is never read: the append is the check.
+        assert_eq!(
+            log.take_steps(),
+            [vec!["add f:/a", "getrange d:/a 0 0"], vec!["append d:/"]]
+        );
+        // A refused create costs the same three plus the undo.
+        assert!(fs.create("/missing/f").is_err());
+        assert_eq!(
+            log.take_steps(),
+            [
+                vec!["add f:/missing/f", "getrange d:/missing/f 0 0"],
+                vec!["append d:/missing"],
+                vec!["delete f:/missing/f"]
+            ]
+        );
+        w.close().unwrap();
+    }
+
+    #[test]
+    fn pinned_mkdir_is_four_requests_in_three_steps() {
+        let (log, fs) = recording_mount(4);
+        fs.mkdir("/d").unwrap();
+        assert_eq!(
+            log.take_steps(),
+            [
+                vec!["getrange d:/ 0 0", "getrange f:/d 0 0"],
+                vec!["add d:/d"],
+                vec!["append d:/"]
+            ]
+        );
+    }
+
+    #[test]
+    fn pinned_one_stripe_file_costs_two_to_close_two_to_read_four_to_unlink() {
+        let (log, fs) = recording_mount(4);
+        let mut w = fs.create("/a").unwrap();
+        w.write_all(&[7u8; 100]).unwrap();
+        log.take_steps();
+        w.close().unwrap();
+        assert_eq!(log.take_steps(), [["set s:/a#0"], ["set f:/a"]]);
+        assert_eq!(fs.read_to_vec("/a").unwrap(), [7u8; 100]);
+        assert_eq!(log.take_steps(), [["get f:/a"], ["getrange s:/a#0 0 100"]]);
+        fs.unlink("/a").unwrap();
+        assert_eq!(
+            log.take_steps(),
+            [
+                vec!["get f:/a"],
+                vec!["delete s:/a#0"],
+                vec!["append d:/", "delete f:/a"]
+            ]
+        );
+    }
+
+    #[test]
+    fn existence_checks_do_not_move_the_directory_log() {
+        // Over a real server: `stat` / `exists` of a directory used to
+        // `get` its whole log — every entry ever appended — for a yes/no.
+        let server = memfs_memkv::KvServer::spawn(
+            Arc::new(Store::new(StoreConfig::default())),
+            "127.0.0.1:0",
+        )
+        .unwrap();
+        let fs = MemFs::connect(&[server.addr()], MemFsConfig::default()).unwrap();
+        fs.mkdir("/d").unwrap();
+        for i in 0..200 {
+            fs.write_file(&format!("/d/some-longish-file-name-{i:03}"), b"x")
+                .unwrap();
+        }
+        let log_len = fs.pool().get(&KeySchema::dir_key("/d")).unwrap().len() as u64;
+        assert!(log_len > 5000, "{log_len}");
+        // The one server loop counts a reply's bytes after sending it:
+        // one more round trip and the log's own transfer is on the books.
+        assert!(!fs.exists("/nope").unwrap());
+        let before = (server.store().stats().snapshot(), server.server_stats());
+        for _ in 0..10 {
+            assert_eq!(fs.stat("/d").unwrap().kind, EntryKind::Dir);
+            assert!(fs.exists("/d").unwrap());
+        }
+        let after = (server.store().stats().snapshot(), server.server_stats());
+        assert_eq!(after.0.getrange_bytes, before.0.getrange_bytes);
+        // Twenty checks of two requests each, answered with headers only
+        // (`END`, or an empty `VALUE` frame): a fraction of one log.
+        assert_eq!(after.1.ops - before.1.ops, 40);
+        let sent = after.1.bytes_tx - before.1.bytes_tx;
+        assert!(sent < log_len / 4, "{sent} bytes for 20 existence checks");
+    }
+
+    #[test]
+    fn refused_create_leaves_nothing_behind_and_the_gate_still_arbitrates() {
+        let (stores, _, fs) = small_stripe_mount(4);
+        let on_any_server = |key: Vec<u8>| stores.iter().any(|s| s.contains(&key));
+        // No parent: the append is what notices.
+        let before = items(&stores);
+        assert!(matches!(
+            fs.create("/missing/f"),
+            Err(MemFsError::ParentNotFound(_))
+        ));
+        assert_eq!(items(&stores), before);
+        assert!(!on_any_server(KeySchema::file_key("/missing/f")));
+        // A directory of that name.
+        fs.mkdir("/y").unwrap();
+        let before = items(&stores);
+        assert!(matches!(fs.create("/y"), Err(MemFsError::AlreadyExists(_))));
+        assert_eq!(items(&stores), before);
+        assert!(!on_any_server(KeySchema::file_key("/y")));
+        let y = DirEntry {
+            name: "y".into(),
+            kind: EntryKind::Dir,
+        };
+        assert_eq!(fs.readdir("/").unwrap(), [y]);
+        // A closed file: the loser touches nothing.
+        let data: Vec<u8> = (0..100u8).collect();
+        fs.write_file("/y/f", &data).unwrap();
+        let before = items(&stores);
+        assert!(matches!(fs.create("/y/f"), Err(MemFsError::WriteOnce(_))));
+        assert_eq!(items(&stores), before);
+        assert_eq!(fs.read_to_vec("/y/f").unwrap(), data);
+        let f = DirEntry {
+            name: "f".into(),
+            kind: EntryKind::File,
+        };
+        assert_eq!(fs.readdir("/y").unwrap(), [f]);
+    }
+
+    #[test]
+    fn two_mounts_racing_create_have_exactly_one_winner_per_name() {
+        const NAMES: usize = 200;
+        let servers: Vec<Arc<dyn KvClient>> = (0..4)
+            .map(|_| {
+                Arc::new(LocalClient::new(Arc::new(Store::new(
+                    StoreConfig::default(),
+                )))) as Arc<dyn KvClient>
+            })
+            .collect();
+        // Both contenders leave the barrier into the same `create`.
+        let barrier = Arc::new(std::sync::Barrier::new(2));
+        let racers: Vec<_> = (0..2)
+            .map(|_| {
+                let fs = MemFs::new(servers.clone(), MemFsConfig::default()).unwrap();
+                let barrier = Arc::clone(&barrier);
+                std::thread::spawn(move || {
+                    let mut won = Vec::new();
+                    for i in 0..NAMES {
+                        barrier.wait();
+                        match fs.create(&format!("/r{i}")) {
+                            Ok(mut w) => {
+                                w.close().unwrap();
+                                won.push(i);
+                            }
+                            Err(MemFsError::WriteOnce(_)) => {}
+                            Err(e) => panic!("/r{i}: {e:?}"),
+                        }
+                    }
+                    won
+                })
+            })
+            .collect();
+        let mut won: Vec<usize> = racers.into_iter().flat_map(|r| r.join().unwrap()).collect();
+        won.sort_unstable();
+        assert_eq!(won, (0..NAMES).collect::<Vec<_>>(), "one `Ok` per name");
+        // One log entry per name: the loser appended nothing.
+        let fs = MemFs::new(servers, MemFsConfig::default()).unwrap();
+        let log = fs.pool().get(&KeySchema::dir_key("/")).unwrap();
+        assert_eq!(log.iter().filter(|&&b| b == b'\n').count(), NAMES);
+        assert_eq!(fs.readdir("/").unwrap().len(), NAMES);
+    }
+
+    #[test]
+    fn create_with_the_probes_server_down_surfaces_the_error_and_releases_the_gate() {
+        let (stores, failables, fs) = small_stripe_mount(4);
+        let server_for = |key: Vec<u8>| fs.pool().server_for(&key).0;
+        // A name whose same-name-directory probe and gate live apart.
+        let name = (0..)
+            .map(|i| format!("/x{i}"))
+            .find(|p| server_for(KeySchema::dir_key(p)) != server_for(KeySchema::file_key(p)))
+            .unwrap();
+        let down = server_for(KeySchema::dir_key(&name));
+        failables[down].set_down(true);
+        let before = items(&stores);
+        assert!(matches!(
+            fs.create(&name),
+            Err(MemFsError::Storage(e)) if e.is_transport()
+        ));
+        assert_eq!(items(&stores), before, "the gate it won is released");
+        failables[down].set_down(false);
+        fs.write_file(&name, b"now").unwrap();
+        assert_eq!(fs.read_to_vec(&name).unwrap(), b"now");
+    }
+
+    #[test]
+    fn create_reports_a_follower_failure_as_the_routed_add_does() {
+        let (stores, failables, fs) = failable_mount(4, MemFsConfig::default().with_replication(2));
+        let key = KeySchema::file_key("/f");
+        let homes: Vec<usize> = fs.pool().servers_for(&key).map(|s| s.0).collect();
+        failables[homes[1]].set_down(true);
+        // The primary took the record, the follower's `set` failed: that
+        // error is the create's, exactly as `ServerPool::add` reports it,
+        // and the name stays taken on the arbiter.
+        assert!(matches!(
+            fs.create("/f"),
+            Err(MemFsError::Storage(e)) if e.is_transport()
+        ));
+        assert!(matches!(
+            fs.pool().add(&key, Bytes::new()),
+            Err(MemFsError::Storage(KvError::Exists))
+        ));
+        assert!(stores[homes[0]].contains(&key));
+    }
+
+    #[test]
+    fn create_in_a_migrating_range_is_arbitrated_by_the_old_primary_and_survives_the_flip() {
+        use memfs_hashring::{RangePhase, MIGRATION_RANGES};
+        let stores: Vec<Arc<Store>> = (0..3)
+            .map(|_| Arc::new(Store::new(StoreConfig::default())))
+            .collect();
+        let local = |s: &Arc<Store>| Arc::new(LocalClient::new(Arc::clone(s))) as Arc<dyn KvClient>;
+        let config = MemFsConfig {
+            distributor: crate::DistributorKind::Ketama {
+                points_per_server: 32,
+            },
+            ..MemFsConfig::default()
+        };
+        let fs = MemFs::new(stores[..2].iter().map(local).collect(), config).unwrap();
+        fs.add_server(local(&stores[2])).unwrap();
+        let state = fs.pool().ring_state();
+        let t = state.transition.as_ref().unwrap();
+        for r in 0..MIGRATION_RANGES {
+            t.ranges.set_phase(r, RangePhase::Migrating);
+        }
+        fs.pool().quiesce();
+        let paths: Vec<String> = (0..32).map(|i| format!("/m{i}")).collect();
+        let mut moving = 0;
+        for path in &paths {
+            fs.write_file(path, path.as_bytes()).unwrap();
+            let key = KeySchema::file_key(path);
+            let old = state.current.replicas_for(&key, 1)[0];
+            assert!(stores[old.0].contains(&key), "the old primary arbitrates");
+            if t.target.replicas_for(&key, 1)[0].0 == 2 {
+                assert!(stores[2].contains(&key), "the target home got its copy");
+                moving += 1;
+            }
+            assert!(matches!(fs.create(path), Err(MemFsError::WriteOnce(_))));
+        }
+        assert!(moving > 0, "some record must move to the new server");
+        let mut passes = 0;
+        while !fs.migrate_now().unwrap().complete {
+            passes += 1;
+            assert!(passes < 16, "migration never completed");
+        }
+        for path in &paths {
+            assert_eq!(fs.read_to_vec(path).unwrap(), path.as_bytes());
+            assert!(matches!(fs.create(path), Err(MemFsError::WriteOnce(_))));
+        }
+        assert_eq!(fs.readdir("/").unwrap().len(), paths.len());
     }
 
     #[test]

@@ -7,7 +7,10 @@
 //!   child records. Adding a file/directory appends one record via the
 //!   store's atomic `append`; deletions append a tombstone. `readdir`
 //!   folds the log. This gives constant-time metadata mutations with no
-//!   read-modify-write races.
+//!   read-modify-write races. The append doubles as the parent check:
+//!   the store refuses an `append` to a missing key, so `create` never
+//!   reads the log it extends — nor does an existence check (a
+//!   zero-length ranged probe answers; the log never compacts).
 //!
 //! Record format (one per line, names cannot contain whitespace):
 //!

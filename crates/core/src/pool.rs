@@ -39,7 +39,7 @@ use std::time::Duration;
 use bytes::Bytes;
 use memfs_hashring::{Distributor, KetamaRing, ModuloRing, RangeEpochs, RangePhase, ServerId};
 use memfs_memkv::error::KvResult;
-use memfs_memkv::{Deferred, KvClient, KvError, ReactorStatsSnapshot, ServerHealth};
+use memfs_memkv::{Deferred, KvClient, KvError, ReactorStatsSnapshot, ServerHealth, StoreVerb};
 
 use crate::config::DistributorKind;
 use crate::error::{MemFsError, MemFsResult};
@@ -958,14 +958,51 @@ impl ServerPool {
     /// routes old-homes-first, so the gate is unambiguous); the target
     /// homes receive follower `set`s like any replica.
     pub fn add(&self, key: &[u8], value: Bytes) -> MemFsResult<()> {
+        self.store_beside(StoreVerb::Add, key, value, || ()).0
+    }
+
+    /// The one body of the arbitration requests [`ServerPool::add`] and
+    /// [`ServerPool::append`], with room for something beside them. The
+    /// first home's request goes on the wire through
+    /// [`KvClient::start_store_many`], counted by [`PoolStats`] like a
+    /// one-key batch; `beside` — a pool call that does not depend on the
+    /// outcome — runs on the caller's thread (a batched one opens its own
+    /// submit window); then the request is settled and, if it succeeded,
+    /// applied to the remaining homes in turn. Under the sequential budget
+    /// (`io_parallelism = 1`) it settles before `beside` starts.
+    pub fn store_beside<R>(
+        &self,
+        verb: StoreVerb,
+        key: &[u8],
+        value: Bytes,
+        beside: impl FnOnce() -> R,
+    ) -> (MemFsResult<()>, R) {
         let (_gate, state) = self.begin_op();
-        let mut servers = state.route(key, self.replication).into_iter();
-        let primary = servers.next().expect("replication >= 1");
-        state.client(primary).add(key, value.clone())?;
-        for id in servers {
-            state.client(id).set(key, value.clone())?;
-        }
-        Ok(())
+        let (homes, auth) = state.route_with_auth(key, self.replication);
+        let guard = self.stats.io(homes[0].0).track(1);
+        let item = [(Bytes::copy_from_slice(key), value)];
+        let deferred = state.client(homes[0]).start_store_many(verb, &item);
+        let settle = move || {
+            let reply = deferred.wait();
+            drop(guard);
+            reply?.pop().expect("one reply per request")
+        };
+        let (first, other) = if self.budget == 1 {
+            (settle(), beside())
+        } else {
+            let other = beside();
+            (settle(), other)
+        };
+        let [(_, value)] = item;
+        let rest = |(i, id): (usize, &ServerId)| match verb {
+            StoreVerb::Append => match state.client(*id).append(key, &value) {
+                Err(KvError::NotFound) if i >= auth => Ok(()),
+                r => r,
+            },
+            StoreVerb::Add | StoreVerb::Set => state.client(*id).set(key, value.clone()),
+        };
+        let result = first.and_then(|()| homes.iter().enumerate().skip(1).try_for_each(rest));
+        (result.map_err(Into::into), other)
     }
 
     /// Routed `get`: primary first, surviving replicas on failure. Only
@@ -1073,7 +1110,7 @@ impl ServerPool {
 
     /// Batched routed `set` with per-key outcomes: items are grouped per
     /// replica-holding server and each group travels as one pipelined
-    /// [`KvClient::start_set_many`] batch, all groups in the submit window
+    /// [`KvClient::start_store_many`] batch, all groups in the submit window
     /// **concurrently** (replica batches to different servers overlap
     /// too). Every batch is always attempted; results come back in input
     /// order.
@@ -1099,7 +1136,7 @@ impl ServerPool {
         let mut agg: Vec<StoreAgg> = (0..items.len()).map(|_| StoreAgg::default()).collect();
         self.drive(
             batches,
-            |server, batch| state.clients[server].start_set_many(batch),
+            |server, batch| state.clients[server].start_store_many(StoreVerb::Set, batch),
             |server, idx, batch, result| {
                 for (&i, o) in idx.iter().zip(finish_store(batch.len(), result)) {
                     agg[i].merge(server, o);
@@ -1119,16 +1156,8 @@ impl ServerPool {
     /// homes, and the mover's post-copy re-check carries it across before
     /// the range flips to `New`.
     pub fn append(&self, key: &[u8], suffix: &[u8]) -> MemFsResult<()> {
-        let (_gate, state) = self.begin_op();
-        let (homes, auth) = state.route_with_auth(key, self.replication);
-        for (i, id) in homes.iter().enumerate() {
-            match state.client(*id).append(key, suffix) {
-                Ok(()) => {}
-                Err(KvError::NotFound) if i >= auth => {}
-                Err(e) => return Err(e.into()),
-            }
-        }
-        Ok(())
+        let suffix = Bytes::copy_from_slice(suffix);
+        self.store_beside(StoreVerb::Append, key, suffix, || ()).0
     }
 
     /// Routed `delete`; missing keys and dead replicas are ignored
@@ -1369,7 +1398,7 @@ impl std::fmt::Debug for ServerPool {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use memfs_memkv::{LocalClient, Store, StoreConfig};
 
@@ -1756,25 +1785,87 @@ mod tests {
         assert_eq!(p.io_parallelism(), 1);
     }
 
-    /// Wrapper around a [`LocalClient`] that counts how many deferred
-    /// batches are outstanding between `start_*` and `wait`, i.e. the
-    /// submit window the pool actually keeps open.
+    /// What every [`SubmitProbe`] sharing the log saw, in order: each
+    /// batch (a blocking call is a batch of one) when it is submitted
+    /// (`true`) and when it settles (`false`), with its requests named as
+    /// on the wire (`add f:/a`, `getrange d:/ 0 0`).
+    #[derive(Default)]
+    pub(crate) struct ProbeLog(Mutex<Vec<(bool, Vec<String>)>>);
+
+    impl ProbeLog {
+        fn push(&self, submitted: bool, requests: &[String]) {
+            let mut log = self.0.lock().unwrap();
+            log.push((submitted, requests.to_vec()));
+        }
+
+        /// Batches `(in flight at the end of the log, at its high-water
+        /// mark)`.
+        fn in_flight(&self) -> (usize, usize) {
+            let log = self.0.lock().unwrap();
+            log.iter().fold((0, 0), |(now, max), (submitted, _)| {
+                let now = if *submitted { now + 1 } else { now - 1 };
+                (now, max.max(now))
+            })
+        }
+
+        /// Drain the log into *steps* of requests: batches submitted
+        /// while another was still in flight share a step (sorted by
+        /// name), a batch submitted with nothing in flight opens the next
+        /// — `[[a, b], [c]]` reads "a and b on the wire together, c only
+        /// after both settled".
+        pub(crate) fn take_steps(&self) -> Vec<Vec<String>> {
+            let mut steps: Vec<Vec<String>> = Vec::new();
+            let mut in_flight = 0usize;
+            for (submitted, requests) in self.0.lock().unwrap().drain(..) {
+                if !submitted {
+                    in_flight -= 1;
+                    continue;
+                }
+                if in_flight == 0 {
+                    steps.push(Vec::new());
+                }
+                in_flight += 1;
+                steps.last_mut().unwrap().extend(requests);
+            }
+            assert_eq!(in_flight, 0, "a batch never settled");
+            steps.iter_mut().for_each(|step| step.sort());
+            steps
+        }
+    }
+
+    /// Wrapper around a [`LocalClient`] that records every request in a
+    /// [`ProbeLog`]: a blocking call settles before it returns, a
+    /// `start_*` batch stays in flight until the pool waits on it — so
+    /// the log shows the submit window the pool actually keeps open.
     struct SubmitProbe {
         inner: LocalClient,
-        in_flight: Arc<std::sync::atomic::AtomicUsize>,
-        max: Arc<std::sync::atomic::AtomicUsize>,
+        log: Arc<ProbeLog>,
+    }
+
+    fn named(verb: &str, key: &[u8]) -> String {
+        format!("{verb} {}", String::from_utf8_lossy(key))
     }
 
     impl SubmitProbe {
-        fn begin<T: Send + 'static>(&self, result: KvResult<Vec<KvResult<T>>>) -> Deferred<T> {
-            use std::sync::atomic::Ordering;
-            let now = self.in_flight.fetch_add(1, Ordering::SeqCst) + 1;
-            self.max.fetch_max(now, Ordering::SeqCst);
-            let in_flight = Arc::clone(&self.in_flight);
+        fn blocking<T>(&self, request: String, run: impl FnOnce() -> T) -> T {
+            let request = [request];
+            self.log.push(true, &request);
+            let out = run();
+            self.log.push(false, &request);
+            out
+        }
+
+        fn begin<T: Send + 'static>(
+            &self,
+            requests: Vec<String>,
+            result: KvResult<Vec<KvResult<T>>>,
+        ) -> Deferred<T> {
+            self.log.push(true, &requests);
+            let log = Arc::clone(&self.log);
             Deferred::Polled {
                 ready: Box::new(|| false),
                 finish: Box::new(move || {
-                    in_flight.fetch_sub(1, Ordering::SeqCst);
+                    log.push(false, &requests);
                     result
                 }),
             }
@@ -1782,58 +1873,66 @@ mod tests {
     }
 
     impl KvClient for SubmitProbe {
-        fn set(&self, key: &[u8], value: Bytes) -> memfs_memkv::error::KvResult<()> {
-            self.inner.set(key, value)
+        fn set(&self, key: &[u8], value: Bytes) -> KvResult<()> {
+            self.blocking(named("set", key), || self.inner.set(key, value))
         }
-        fn add(&self, key: &[u8], value: Bytes) -> memfs_memkv::error::KvResult<()> {
-            self.inner.add(key, value)
+        fn add(&self, key: &[u8], value: Bytes) -> KvResult<()> {
+            self.blocking(named("add", key), || self.inner.add(key, value))
         }
-        fn get(&self, key: &[u8]) -> memfs_memkv::error::KvResult<Bytes> {
-            self.inner.get(key)
+        fn get(&self, key: &[u8]) -> KvResult<Bytes> {
+            self.blocking(named("get", key), || self.inner.get(key))
         }
-        fn append(&self, key: &[u8], suffix: &[u8]) -> memfs_memkv::error::KvResult<()> {
-            self.inner.append(key, suffix)
+        fn append(&self, key: &[u8], suffix: &[u8]) -> KvResult<()> {
+            self.blocking(named("append", key), || self.inner.append(key, suffix))
         }
-        fn delete(&self, key: &[u8]) -> memfs_memkv::error::KvResult<()> {
-            self.inner.delete(key)
+        fn delete(&self, key: &[u8]) -> KvResult<()> {
+            self.blocking(named("delete", key), || self.inner.delete(key))
         }
         fn start_get_many(&self, keys: &[Bytes]) -> Deferred<Bytes> {
-            self.begin(self.inner.get_many(keys))
+            let names = keys.iter().map(|k| named("get", k)).collect();
+            self.begin(names, self.inner.get_many(keys))
         }
-        fn start_set_many(&self, items: &[(Bytes, Bytes)]) -> Deferred<()> {
-            self.begin(self.inner.set_many(items))
+        fn start_get_range_many(&self, reqs: &[(Bytes, u64, usize)]) -> Deferred<Bytes> {
+            let name = |(k, off, len): &(Bytes, u64, usize)| {
+                named("getrange", k) + &format!(" {off} {len}")
+            };
+            let names = reqs.iter().map(name).collect();
+            self.begin(names, self.inner.start_get_range_many(reqs).wait())
+        }
+        fn start_store_many(&self, verb: StoreVerb, items: &[(Bytes, Bytes)]) -> Deferred<()> {
+            let verb_name = format!("{verb:?}").to_lowercase();
+            let names = items.iter().map(|(k, _)| named(&verb_name, k)).collect();
+            self.begin(names, self.inner.start_store_many(verb, items).wait())
         }
         fn start_delete_many(&self, keys: &[Bytes]) -> Deferred<()> {
-            self.begin(self.inner.delete_many(keys))
+            let names = keys.iter().map(|k| named("delete", k)).collect();
+            self.begin(names, self.inner.delete_many(keys))
         }
     }
 
-    fn probe_pool(
-        n: usize,
-        io_parallelism: usize,
-    ) -> (
-        ServerPool,
-        Arc<std::sync::atomic::AtomicUsize>,
-        Arc<std::sync::atomic::AtomicUsize>,
-    ) {
-        let in_flight = Arc::new(std::sync::atomic::AtomicUsize::new(0));
-        let max = Arc::new(std::sync::atomic::AtomicUsize::new(0));
-        let clients: Vec<Arc<dyn KvClient>> = (0..n)
-            .map(|_| {
-                Arc::new(SubmitProbe {
-                    inner: LocalClient::new(Arc::new(Store::new(StoreConfig::default()))),
-                    in_flight: Arc::clone(&in_flight),
-                    max: Arc::clone(&max),
-                }) as Arc<dyn KvClient>
-            })
+    /// One recording client per store, all writing one log.
+    pub(crate) fn probe_clients(stores: &[Arc<Store>]) -> (Vec<Arc<dyn KvClient>>, Arc<ProbeLog>) {
+        let log = Arc::new(ProbeLog::default());
+        let probe = |store: &Arc<Store>| {
+            Arc::new(SubmitProbe {
+                inner: LocalClient::new(Arc::clone(store)),
+                log: Arc::clone(&log),
+            }) as Arc<dyn KvClient>
+        };
+        (stores.iter().map(probe).collect(), log)
+    }
+
+    fn probe_pool(n: usize, io_parallelism: usize) -> (ServerPool, Arc<ProbeLog>) {
+        let stores: Vec<Arc<Store>> = (0..n)
+            .map(|_| Arc::new(Store::new(StoreConfig::default())))
             .collect();
+        let (clients, log) = probe_clients(&stores);
         let pool = ServerPool::with_options(clients, DistributorKind::default(), 1, io_parallelism);
-        (pool, in_flight, max)
+        (pool, log)
     }
 
     #[test]
     fn submit_budget_caps_in_flight_batches() {
-        use std::sync::atomic::Ordering;
         // Enough keys that all 6 servers get a batch.
         let keys: Vec<Bytes> = (0..96).map(|i| Bytes::from(format!("s:/f{i}#0"))).collect();
         let items: Vec<(Bytes, Bytes)> = keys
@@ -1842,7 +1941,7 @@ mod tests {
             .collect();
 
         // Budget 2: never more than two batches in flight, for every op.
-        let (p, in_flight, max) = probe_pool(6, 2);
+        let (p, log) = probe_pool(6, 2);
         assert_eq!(p.io_parallelism(), 2);
         p.set_many(&items).unwrap();
         for r in p.get_many(&keys) {
@@ -1851,15 +1950,57 @@ mod tests {
         for r in p.delete_many(&keys) {
             assert!(r.unwrap());
         }
-        assert_eq!(max.load(Ordering::SeqCst), 2, "window must fill to budget");
-        assert_eq!(in_flight.load(Ordering::SeqCst), 0, "window must drain");
+        assert_eq!(
+            log.in_flight(),
+            (0, 2),
+            "window must fill to budget, and drain"
+        );
 
         // Budget 0 (auto): full fan-out, all six servers in flight at once.
-        let (p, in_flight, max) = probe_pool(6, 0);
+        let (p, log) = probe_pool(6, 0);
         assert_eq!(p.io_parallelism(), 6);
         p.set_many(&items).unwrap();
-        assert_eq!(max.load(Ordering::SeqCst), 6);
-        assert_eq!(in_flight.load(Ordering::SeqCst), 0);
+        assert_eq!(log.in_flight(), (0, 6));
+    }
+
+    #[test]
+    fn an_arbitration_request_rides_beside_one_window_and_is_counted() {
+        let (p, log) = probe_pool(4, 0);
+        let keys: Vec<Bytes> = (0..8).map(|i| Bytes::from(format!("k{i}"))).collect();
+        let (added, got) =
+            p.store_beside(StoreVerb::Add, b"gate", Bytes::new(), || p.get_many(&keys));
+        added.unwrap();
+        assert_eq!(got.len(), 8);
+        let steps = log.take_steps();
+        assert_eq!(steps.len(), 1, "{steps:?}");
+        assert_eq!(steps[0].len(), 9);
+        assert!(steps[0].contains(&"add gate".to_string()));
+        // Counted like a one-key batch, and the gauge settles.
+        let snap = p.stats().snapshot();
+        assert_eq!(snap.iter().map(|s| s.keys).sum::<u64>(), 9);
+        assert_eq!(snap.iter().map(|s| s.batches).sum::<u64>(), 5);
+        assert_eq!(snap[p.server_for(b"gate").0].max_in_flight, 2);
+        assert!(snap.iter().all(|s| s.in_flight == 0));
+        // The refusal is the verb's own: `Exists` for `add`, `NotFound`
+        // for an `append` to a key that is not there.
+        let (again, ()) = p.store_beside(StoreVerb::Add, b"gate", Bytes::new(), || ());
+        assert!(matches!(again, Err(MemFsError::Storage(KvError::Exists))));
+        assert!(matches!(
+            p.append(b"nowhere", b"x"),
+            Err(MemFsError::Storage(KvError::NotFound))
+        ));
+        p.append(b"gate", b"x").unwrap();
+        assert_eq!(p.get(b"gate").unwrap().as_ref(), b"x");
+        log.take_steps();
+
+        // The sequential budget: the request settles before anything
+        // else starts.
+        let (p, log) = probe_pool(4, 1);
+        let (added, _) = p.store_beside(StoreVerb::Add, b"gate", Bytes::new(), || {
+            p.get_many(&keys[..1])
+        });
+        added.unwrap();
+        assert_eq!(log.take_steps(), [["add gate"], ["get k0"]]);
     }
 
     fn failable_pool(

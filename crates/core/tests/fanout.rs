@@ -17,7 +17,7 @@ use memfs_core::{DistributorKind, MemFs, MemFsConfig, MemFsError, ServerPool};
 use memfs_memkv::client::Shaping;
 use memfs_memkv::error::{KvError, KvResult};
 use memfs_memkv::{
-    Deferred, FailableClient, KvClient, LocalClient, Store, StoreConfig, ThrottledClient,
+    Deferred, FailableClient, KvClient, LocalClient, Store, StoreConfig, StoreVerb, ThrottledClient,
 };
 
 fn local_clients(n: usize) -> (Vec<Arc<dyn KvClient>>, Vec<Arc<Store>>) {
@@ -271,8 +271,8 @@ impl KvClient for RendezvousClient {
     fn start_get_many(&self, keys: &[Bytes]) -> Deferred<Bytes> {
         self.submit(self.inner.get_many(keys))
     }
-    fn start_set_many(&self, items: &[(Bytes, Bytes)]) -> Deferred<()> {
-        self.submit(self.inner.set_many(items))
+    fn start_store_many(&self, verb: StoreVerb, items: &[(Bytes, Bytes)]) -> Deferred<()> {
+        self.submit(self.inner.start_store_many(verb, items).wait())
     }
     fn start_delete_many(&self, keys: &[Bytes]) -> Deferred<()> {
         self.submit(self.inner.delete_many(keys))

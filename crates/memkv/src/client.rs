@@ -92,6 +92,17 @@ impl ServerHealth {
     }
 }
 
+/// Which storage command a [`KvClient::start_store_many`] batch carries.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StoreVerb {
+    /// [`KvClient::set`]: store, replacing any existing value.
+    Set,
+    /// [`KvClient::add`]: store only if absent (else an inner `Exists`).
+    Add,
+    /// [`KvClient::append`]: extend a value (inner `NotFound` if missing).
+    Append,
+}
+
 /// The operations MemFS needs from a storage server. All methods are
 /// `&self` and implementations must be thread-safe: the write-buffer and
 /// prefetch pools issue concurrent requests.
@@ -121,9 +132,9 @@ pub trait KvClient: Send + Sync {
     }
     /// Store several key/value pairs, returning one result per pair in
     /// request order. Same error split as [`KvClient::get_many`];
-    /// provided over [`KvClient::start_set_many`].
+    /// provided over [`KvClient::start_store_many`].
     fn set_many(&self, items: &[(Bytes, Bytes)]) -> KvResult<Vec<KvResult<()>>> {
-        self.start_set_many(items).wait()
+        self.start_store_many(StoreVerb::Set, items).wait()
     }
     /// Remove several keys in one round trip, returning one result per key
     /// in request order. Same error split as [`KvClient::get_many`];
@@ -146,14 +157,21 @@ pub trait KvClient: Send + Sync {
     fn start_get_many(&self, keys: &[Bytes]) -> Deferred<Bytes> {
         Deferred::Ready(Ok(keys.iter().map(|k| self.get(k)).collect()))
     }
-    /// Begin a [`KvClient::set_many`]; same contract as
-    /// [`KvClient::start_get_many`]. The default loops over
-    /// [`KvClient::set`]; pipelining transports write every frame before
-    /// reading any reply.
-    fn start_set_many(&self, items: &[(Bytes, Bytes)]) -> Deferred<()> {
+    /// Begin a batch of `verb` commands, one per `(key, value)` item — a
+    /// [`KvClient::set_many`], or an `add` / `append` a caller wants on
+    /// the wire without waiting for it. Same contract as
+    /// [`KvClient::start_get_many`], per-item outcomes as the verb's
+    /// blocking method reports them. The default loops over that method;
+    /// pipelining transports write every frame before reading any reply,
+    /// and a wrapper must forward this call or the overlap is lost.
+    fn start_store_many(&self, verb: StoreVerb, items: &[(Bytes, Bytes)]) -> Deferred<()> {
         Deferred::Ready(Ok(items
             .iter()
-            .map(|(k, v)| self.set(k, v.clone()))
+            .map(|(k, v)| match verb {
+                StoreVerb::Set => self.set(k, v.clone()),
+                StoreVerb::Add => self.add(k, v.clone()),
+                StoreVerb::Append => self.append(k, v),
+            })
             .collect()))
     }
     /// Begin a [`KvClient::delete_many`]; same contract as
@@ -408,9 +426,9 @@ impl<C: KvClient> KvClient for ThrottledClient<C> {
         let out = self.inner.start_get_range_many(reqs).wait();
         self.shaped_deferred(payload_len(&out), out)
     }
-    fn start_set_many(&self, items: &[(Bytes, Bytes)]) -> Deferred<()> {
+    fn start_store_many(&self, verb: StoreVerb, items: &[(Bytes, Bytes)]) -> Deferred<()> {
         let total: usize = items.iter().map(|(_, v)| v.len()).sum();
-        let out = self.inner.set_many(items);
+        let out = self.inner.start_store_many(verb, items).wait();
         self.shaped_deferred(total, out)
     }
     fn start_delete_many(&self, keys: &[Bytes]) -> Deferred<()> {
@@ -508,9 +526,9 @@ impl<C: KvClient> KvClient for FailableClient<C> {
             Err(e) => Deferred::Ready(Err(e)),
         }
     }
-    fn start_set_many(&self, items: &[(Bytes, Bytes)]) -> Deferred<()> {
+    fn start_store_many(&self, verb: StoreVerb, items: &[(Bytes, Bytes)]) -> Deferred<()> {
         match self.check() {
-            Ok(()) => self.inner.start_set_many(items),
+            Ok(()) => self.inner.start_store_many(verb, items),
             Err(e) => Deferred::Ready(Err(e)),
         }
     }
@@ -566,8 +584,8 @@ impl<C: KvClient + ?Sized> KvClient for Arc<C> {
     fn start_get_range_many(&self, reqs: &[(Bytes, u64, usize)]) -> Deferred<Bytes> {
         (**self).start_get_range_many(reqs)
     }
-    fn start_set_many(&self, items: &[(Bytes, Bytes)]) -> Deferred<()> {
-        (**self).start_set_many(items)
+    fn start_store_many(&self, verb: StoreVerb, items: &[(Bytes, Bytes)]) -> Deferred<()> {
+        (**self).start_store_many(verb, items)
     }
     fn start_delete_many(&self, keys: &[Bytes]) -> Deferred<()> {
         (**self).start_delete_many(keys)
@@ -687,6 +705,109 @@ mod tests {
         assert_eq!(out[0].as_ref().unwrap().len(), 20_000);
         assert!(took >= Duration::from_millis(19), "{took:?}"); // 20 ms
         assert!(took < Duration::from_millis(500), "{took:?}");
+    }
+
+    /// Counts how the storage verbs reach it: as batches through the
+    /// `start_store_many` override, or one by one.
+    struct CountingStores {
+        inner: LocalClient,
+        batches: std::sync::atomic::AtomicUsize,
+        singles: std::sync::atomic::AtomicUsize,
+    }
+
+    impl CountingStores {
+        fn single(&self) -> &LocalClient {
+            self.singles
+                .fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+            &self.inner
+        }
+    }
+
+    impl KvClient for CountingStores {
+        fn set(&self, key: &[u8], value: Bytes) -> KvResult<()> {
+            self.single().set(key, value)
+        }
+        fn add(&self, key: &[u8], value: Bytes) -> KvResult<()> {
+            self.single().add(key, value)
+        }
+        fn get(&self, key: &[u8]) -> KvResult<Bytes> {
+            self.inner.get(key)
+        }
+        fn append(&self, key: &[u8], suffix: &[u8]) -> KvResult<()> {
+            self.single().append(key, suffix)
+        }
+        fn delete(&self, key: &[u8]) -> KvResult<()> {
+            self.inner.delete(key)
+        }
+        fn start_store_many(&self, verb: StoreVerb, items: &[(Bytes, Bytes)]) -> Deferred<()> {
+            self.batches
+                .fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+            self.inner.start_store_many(verb, items)
+        }
+    }
+
+    #[test]
+    fn every_wrapper_forwards_the_batched_store_call() {
+        use crate::error::KvError;
+        use std::sync::atomic::Ordering::SeqCst;
+        // Behind `Arc<dyn KvClient>` an unforwarded `start_store_many`
+        // would fall back to the eager default: one `add` per item, and
+        // over a shaped link one latency charge per item.
+        let inner = Arc::new(CountingStores {
+            inner: local(),
+            batches: Default::default(),
+            singles: Default::default(),
+        });
+        let failable = Arc::new(FailableClient::new(Arc::clone(&inner)));
+        let latency = Duration::from_millis(50);
+        let shaping = Shaping {
+            latency,
+            bandwidth: f64::INFINITY,
+        };
+        let client: Arc<dyn KvClient> =
+            Arc::new(ThrottledClient::new(Arc::clone(&failable), shaping));
+        let item = |k: &'static str, v: &'static str| (Bytes::from(k), Bytes::from(v));
+
+        let start = Instant::now();
+        let adds = [
+            item("a", "1"),
+            item("b", "2"),
+            item("a", "3"),
+            item("c", "4"),
+        ];
+        let out = client
+            .start_store_many(StoreVerb::Add, &adds)
+            .wait()
+            .unwrap();
+        let took = start.elapsed();
+        assert!(matches!(
+            out[..],
+            [Ok(()), Ok(()), Err(KvError::Exists), Ok(())]
+        ));
+        assert!(took >= latency, "{took:?}");
+        assert!(took < 3 * latency, "one shaped delay per batch: {took:?}");
+
+        let appends = [item("a", "+"), item("missing", "+"), item("b", "+")];
+        let out = client
+            .start_store_many(StoreVerb::Append, &appends)
+            .wait()
+            .unwrap();
+        assert!(matches!(out[..], [Ok(()), Err(KvError::NotFound), Ok(())]));
+        assert_eq!(client.get(b"a").unwrap().as_ref(), b"1+");
+        assert!(!client.contains(b"missing"));
+        assert_eq!(inner.batches.load(SeqCst), 2, "once per batch");
+        assert_eq!(inner.singles.load(SeqCst), 0, "never once per item");
+
+        failable.set_down(true);
+        assert!(client
+            .start_store_many(StoreVerb::Add, &adds)
+            .wait()
+            .is_err());
+        assert!(client
+            .start_store_many(StoreVerb::Append, &appends)
+            .wait()
+            .is_err());
+        assert_eq!(inner.batches.load(SeqCst), 2, "a down server sees nothing");
     }
 
     #[test]

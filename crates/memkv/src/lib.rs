@@ -42,7 +42,9 @@ pub mod store;
 pub mod testutil;
 pub mod wheel;
 
-pub use client::{Deferred, FailableClient, KvClient, LocalClient, ServerHealth, ThrottledClient};
+pub use client::{
+    Deferred, FailableClient, KvClient, LocalClient, ServerHealth, StoreVerb, ThrottledClient,
+};
 pub use error::KvError;
 pub use net::{KvServer, PoolConfig, ServerConfig, TcpClient};
 pub use reactor::{ReactorHandle, ReactorStatsSnapshot};

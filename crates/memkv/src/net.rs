@@ -29,7 +29,7 @@ use std::time::Duration;
 
 use bytes::Bytes;
 
-use crate::client::{Deferred, KvClient};
+use crate::client::{Deferred, KvClient, StoreVerb};
 use crate::error::{KvError, KvResult};
 use crate::proto::{
     find_crlf, parse_len, parse_u64, write_request_line, Request, Response, ValueItem, MAX_LINE_LEN,
@@ -236,7 +236,7 @@ impl TcpClient {
     fn start_each<T: Send + 'static>(
         &self,
         reqs: &[Request],
-        decode: fn(Response) -> KvResult<T>,
+        decode: impl Fn(Response) -> KvResult<T> + Send + 'static,
     ) -> Deferred<T> {
         if reqs.is_empty() {
             return Deferred::Ready(Ok(Vec::new()));
@@ -282,6 +282,12 @@ impl TcpClient {
         Ok(resps.pop().expect("one response per request"))
     }
 
+    /// One blocking storage command.
+    fn store(&self, verb: StoreVerb, key: &[u8], value: Bytes, exptime: u32) -> KvResult<()> {
+        let req = store_request(verb, Bytes::copy_from_slice(key), value, exptime);
+        stored(verb, self.call(&req)?)
+    }
+
     /// Fetch server statistics.
     pub fn stats(&self) -> KvResult<Vec<(String, String)>> {
         match self.call(&Request::Stats)? {
@@ -320,14 +326,7 @@ impl TcpClient {
     /// `exptime`; 0 = never expires). The server reaps the item lazily
     /// on read and in its background maintenance sweep.
     pub fn set_ttl(&self, key: &[u8], value: Bytes, ttl_secs: u32) -> KvResult<()> {
-        match self.call(&Request::Set {
-            key: Bytes::copy_from_slice(key),
-            value,
-            exptime: ttl_secs,
-        })? {
-            Response::Stored => Ok(()),
-            other => Err(response_error(other)),
-        }
+        self.store(StoreVerb::Set, key, value, ttl_secs)
     }
 
     /// Compare-and-swap: replace `key` only if `token` is still current.
@@ -580,26 +579,11 @@ impl KvClient for TcpClient {
     }
 
     fn set(&self, key: &[u8], value: Bytes) -> KvResult<()> {
-        match self.call(&Request::Set {
-            key: Bytes::copy_from_slice(key),
-            value,
-            exptime: 0,
-        })? {
-            Response::Stored => Ok(()),
-            other => Err(response_error(other)),
-        }
+        self.store(StoreVerb::Set, key, value, 0)
     }
 
     fn add(&self, key: &[u8], value: Bytes) -> KvResult<()> {
-        match self.call(&Request::Add {
-            key: Bytes::copy_from_slice(key),
-            value,
-            exptime: 0,
-        })? {
-            Response::Stored => Ok(()),
-            Response::NotStored => Err(KvError::Exists),
-            other => Err(response_error(other)),
-        }
+        self.store(StoreVerb::Add, key, value, 0)
     }
 
     fn get(&self, key: &[u8]) -> KvResult<Bytes> {
@@ -645,30 +629,18 @@ impl KvClient for TcpClient {
         })
     }
 
-    fn start_set_many(&self, items: &[(Bytes, Bytes)]) -> Deferred<()> {
+    fn start_store_many(&self, verb: StoreVerb, items: &[(Bytes, Bytes)]) -> Deferred<()> {
+        // `add` and `append` are not idempotent: a batch holding one is
+        // never replayed on a fresh connection (`is_idempotent`).
         let reqs: Vec<Request> = items
             .iter()
-            .map(|(key, value)| Request::Set {
-                key: key.clone(),
-                value: value.clone(),
-                exptime: 0,
-            })
+            .map(|(key, value)| store_request(verb, key.clone(), value.clone(), 0))
             .collect();
-        self.start_each(&reqs, |resp| match resp {
-            Response::Stored => Ok(()),
-            other => Err(response_error(other)),
-        })
+        self.start_each(&reqs, move |resp| stored(verb, resp))
     }
 
     fn append(&self, key: &[u8], suffix: &[u8]) -> KvResult<()> {
-        match self.call(&Request::Append {
-            key: Bytes::copy_from_slice(key),
-            value: Bytes::copy_from_slice(suffix),
-        })? {
-            Response::Stored => Ok(()),
-            Response::NotStored => Err(KvError::NotFound),
-            other => Err(response_error(other)),
-        }
+        self.store(StoreVerb::Append, key, Bytes::copy_from_slice(suffix), 0)
     }
 
     fn delete(&self, key: &[u8]) -> KvResult<()> {
@@ -734,6 +706,33 @@ fn decode_get_responses(keys: &[Bytes], resps: Vec<Response>) -> KvResult<Vec<Kv
         .iter()
         .map(|k| hits.get(k).cloned().ok_or(KvError::NotFound))
         .collect())
+}
+
+fn store_request(verb: StoreVerb, key: Bytes, value: Bytes, exptime: u32) -> Request {
+    match verb {
+        StoreVerb::Set => Request::Set {
+            key,
+            value,
+            exptime,
+        },
+        StoreVerb::Add => Request::Add {
+            key,
+            value,
+            exptime,
+        },
+        StoreVerb::Append => Request::Append { key, value },
+    }
+}
+
+/// What the reply to a storage command means: `NOT_STORED` is the verb's
+/// own refusal — the key exists (`add`) or does not (`append`).
+fn stored(verb: StoreVerb, resp: Response) -> KvResult<()> {
+    match (resp, verb) {
+        (Response::Stored, _) => Ok(()),
+        (Response::NotStored, StoreVerb::Add) => Err(KvError::Exists),
+        (Response::NotStored, StoreVerb::Append) => Err(KvError::NotFound),
+        (other, _) => Err(response_error(other)),
+    }
 }
 
 fn response_error(resp: Response) -> KvError {
@@ -911,6 +910,37 @@ mod tests {
             .get_many(&[Bytes::from_static(b"x"), Bytes::from_static(b"y")])
             .unwrap();
         assert!(out.iter().all(|r| matches!(r, Err(KvError::NotFound))));
+    }
+
+    #[test]
+    fn tcp_batched_add_and_append_report_the_verbs_refusal_per_item() {
+        let server = spawn_server();
+        let client = TcpClient::connect(server.addr()).unwrap();
+        let item = |k: &'static str, v: &'static str| (Bytes::from(k), Bytes::from(v));
+        // One pipelined batch per call; `NOT_STORED` means `Exists` to an
+        // `add` and `NotFound` to an `append`, reply by reply.
+        let adds = [item("a", "1"), item("b", "2"), item("a", "3")];
+        let out = client
+            .start_store_many(StoreVerb::Add, &adds)
+            .wait()
+            .unwrap();
+        assert!(matches!(out[..], [Ok(()), Ok(()), Err(KvError::Exists)]));
+        let appends = [item("a", "+"), item("missing", "+"), item("a", "+")];
+        let out = client
+            .start_store_many(StoreVerb::Append, &appends)
+            .wait()
+            .unwrap();
+        assert!(matches!(out[..], [Ok(()), Err(KvError::NotFound), Ok(())]));
+        assert_eq!(client.get(b"a").unwrap().as_ref(), b"1++");
+        assert_eq!(client.get(b"b").unwrap().as_ref(), b"2");
+        assert!(matches!(client.get(b"missing"), Err(KvError::NotFound)));
+        // `Set` is the `set_many` it always was.
+        let out = client
+            .start_store_many(StoreVerb::Set, &adds)
+            .wait()
+            .unwrap();
+        assert!(out.iter().all(|r| r.is_ok()));
+        assert_eq!(client.get(b"a").unwrap().as_ref(), b"3");
     }
 
     #[test]

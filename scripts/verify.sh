@@ -16,7 +16,10 @@
 # count so the pool's submit window, the write drain, and the prefetcher
 # race against each other — the schedule-dependent bugs (lost wakeups,
 # in-flight gauges that never settle, out-of-order reassembly) that a
-# single quiet run can miss. It also runs the (otherwise `--ignored`)
+# single quiet run can miss. The metadata protocol rides along: two
+# mounts racing `create` of the same 200 names (one winner each), the
+# refused-create undo, and the request-count pins of create / mkdir /
+# close / open + read / unlink. It also runs the (otherwise `--ignored`)
 # shaped-cluster scaling regression: 8 bandwidth-capped servers must
 # deliver >= 1.5x the 4-server aggregate batched throughput, plus the
 # thread-census binaries (client side: one reactor loop per mount,
@@ -111,6 +114,17 @@ for arg in "$@"; do
                 unlink_frees_a_file_one_stripe_past_the_batch \
                 unlink_frees_zombies_at_the_probe_boundaries \
                 deep_unlink_with_a_server_down_keeps_the_size_record
+            # The metadata protocol: the two-mount create race, the
+            # refused create that leaves nothing behind, the request
+            # counts and overlap of the hot paths (`pinned_*`), and the
+            # existence checks that do not move a directory log.
+            RUST_TEST_THREADS=16 cargo test -q -p memfs-core --lib -- \
+                two_mounts_racing_create \
+                refused_create_leaves_nothing_behind \
+                create_with_the_probes_server_down \
+                create_in_a_migrating_range \
+                pinned_ \
+                existence_checks_do_not_move_the_directory_log
             # reactor_threads / server_threads count process-wide threads
             # by name: own binaries, one test each, no parallel siblings.
             cargo test -q --test reactor_threads
