@@ -59,9 +59,14 @@ pub struct MemFsConfig {
     pub replication: usize,
     /// Interval between background repair passes, in milliseconds. Each
     /// pass re-replicates keys whose replica set lost a member (detected
-    /// via the health census and degraded-write records). `0` (the
-    /// default) disables the repair daemon; [`crate::MemFs::repair_now`]
-    /// still runs single passes on demand.
+    /// via the health census and degraded-write records). A TCP mount
+    /// ([`crate::MemFs::connect`]) probes its idle connections at the
+    /// same interval, so that the census a pass reads is no older than
+    /// the pass before it and a server that dies while the mount is quiet
+    /// is seen. `0` (the default) disables the repair daemon and the
+    /// probes: health is then observed only through foreground traffic,
+    /// and [`crate::MemFs::repair_now`] still runs single passes on
+    /// demand.
     pub repair_interval_ms: u64,
     /// Token-bucket budget for repair copies, in bytes per second. Bounds
     /// how much bandwidth background re-replication may steal from
@@ -75,15 +80,10 @@ pub struct MemFsConfig {
     pub migrate_bandwidth: u64,
     /// Auto-evict a member that stays down this long, in milliseconds:
     /// the repair daemon starts a drain transition for it so the ring
-    /// heals around the loss (requires `repair_interval_ms > 0` and, for
-    /// TCP mounts, heartbeats to notice the death). `0` (the default)
-    /// disables eviction — dead members wait for repair only.
+    /// heals around the loss (requires `repair_interval_ms > 0`). `0`
+    /// (the default) disables eviction — dead members wait for repair
+    /// only.
     pub evict_grace_ms: u64,
-    /// Liveness probe interval for TCP mounts, in milliseconds (the
-    /// [`memfs_memkv::PoolConfig::heartbeat`] knob). `0` (the default)
-    /// disables heartbeats: server health is then observed only through
-    /// foreground traffic. In-process mounts ignore it.
-    pub heartbeat_ms: u64,
 }
 
 impl Default for MemFsConfig {
@@ -101,7 +101,6 @@ impl Default for MemFsConfig {
             repair_bandwidth: 0,
             migrate_bandwidth: 0,
             evict_grace_ms: 0,
-            heartbeat_ms: 0,
         }
     }
 }
@@ -199,7 +198,6 @@ mod tests {
         assert_eq!(c.repair_bandwidth, 0, "repair bandwidth unlimited");
         assert_eq!(c.migrate_bandwidth, 0, "migration bandwidth unlimited");
         assert_eq!(c.evict_grace_ms, 0, "auto-evict opt-in");
-        assert_eq!(c.heartbeat_ms, 0, "heartbeats opt-in");
     }
 
     #[test]

@@ -161,7 +161,10 @@ impl MemFs {
     /// [`memfs_memkv::TcpClient`] per address, all registered on one
     /// shared epoll reactor — a single thread drives the whole cluster
     /// and delivers completions in cross-server batches. Each server gets
-    /// [`memfs_memkv::PoolConfig`]'s default connection count.
+    /// [`memfs_memkv::PoolConfig`]'s default connection count, and — exactly
+    /// when the repair daemon runs — liveness probes at its interval: the
+    /// daemon plans from the health census, which on a quiet mount only
+    /// the probes keep true.
     pub fn connect(
         addrs: &[impl std::net::ToSocketAddrs],
         config: MemFsConfig,
@@ -169,8 +172,8 @@ impl MemFs {
         check_config(&config, addrs.len())?;
         let reactor = memfs_memkv::ReactorHandle::new().map_err(MemFsError::Storage)?;
         let pool_config = memfs_memkv::PoolConfig {
-            heartbeat: (config.heartbeat_ms > 0)
-                .then(|| std::time::Duration::from_millis(config.heartbeat_ms)),
+            heartbeat: (config.repair_interval_ms > 0)
+                .then(|| std::time::Duration::from_millis(config.repair_interval_ms)),
             ..memfs_memkv::PoolConfig::default()
         };
         let mut servers: Vec<Arc<dyn KvClient>> = Vec::with_capacity(addrs.len());

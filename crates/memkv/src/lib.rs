@@ -31,6 +31,7 @@
 
 pub mod audit;
 pub mod client;
+mod conn;
 pub mod error;
 pub mod net;
 mod poll;

@@ -30,9 +30,11 @@ use std::time::Duration;
 use bytes::Bytes;
 
 use crate::client::{Deferred, KvClient, StoreVerb};
+use crate::conn::{RxBuf, TxQueue};
 use crate::error::{KvError, KvResult};
 use crate::proto::{
-    find_crlf, parse_len, parse_u64, write_request_line, Request, Response, ValueItem, MAX_LINE_LEN,
+    find_crlf, parse_len, parse_u64, write_request_line, Need, Request, Response, ValueItem,
+    MAX_LINE_LEN,
 };
 use crate::reactor::{PendingExchange, ReactorHandle, ReactorStatsSnapshot, Registration};
 
@@ -112,37 +114,19 @@ fn is_idempotent(req: &Request) -> bool {
     )
 }
 
-/// Value payloads at or above this size travel as their own zero-copy
-/// wire segment; smaller ones are cheaper to copy into the header buffer
-/// than to pay an extra iovec entry for.
-pub(crate) const SEGMENT_THRESHOLD: usize = 4 * 1024;
-
 /// Encode a pipelined batch into wire segments for the reactor: command
 /// lines (and small payloads) coalesce into shared header buffers, large
-/// payloads ride as refcount-bumped [`Bytes`] segments. No segment is
-/// ever empty.
+/// payloads ride as refcount-bumped [`Bytes`] segments — the send queue's
+/// one staging rule. No segment is ever empty.
 fn encode_batch(reqs: &[Request]) -> Vec<Bytes> {
-    let mut segments: Vec<Bytes> = Vec::new();
-    let mut head: Vec<u8> = Vec::new();
+    let mut tx = TxQueue::default();
     for req in reqs {
-        match write_request_line(req, &mut head) {
-            Some(value) if value.len() >= SEGMENT_THRESHOLD => {
-                segments.push(Bytes::from(std::mem::take(&mut head)));
-                segments.push(value.clone());
-                head.extend_from_slice(b"\r\n");
-            }
-            Some(value) => {
-                crate::audit::count_staged(value.len());
-                head.extend_from_slice(value);
-                head.extend_from_slice(b"\r\n");
-            }
-            None => {}
+        if let Some(value) = write_request_line(req, tx.head()) {
+            crate::audit::count_staged(tx.value(value));
+            tx.head().extend_from_slice(b"\r\n");
         }
     }
-    if !head.is_empty() {
-        segments.push(Bytes::from(head));
-    }
-    segments
+    tx.into_segments()
 }
 
 impl TcpClient {
@@ -349,21 +333,23 @@ impl TcpClient {
 pub(crate) enum ParseStep {
     /// A complete response was consumed from the buffer.
     Done(Response),
-    /// The frame is incomplete; at least this many more bytes are needed.
-    /// The reactor does not parse again before they arrived, so this must
-    /// never exceed what is missing: `VALUE` framing knows the payload
-    /// remainder, a line without its CRLF may lack only the `\n` — 1.
-    More(usize),
+    /// The frame is incomplete and was left in place; this is what it
+    /// lacks. [`next_response`] hands it to [`RxBuf::hold`], and nothing
+    /// parses again before that much arrived, so it must never overstate:
+    /// `VALUE` framing knows the payload remainder, a line without its
+    /// CRLF may lack only the `\n`.
+    More(Need),
 }
 
-/// Try to parse one response from the front of `buf`, consuming it.
-/// Shared with the reactor ([`crate::reactor`]), which accumulates
-/// inbound bytes per connection and parses them incrementally. Lines are
+/// Try to parse one response from the front of `rx`, consuming it. The
+/// reactor ([`crate::reactor`]) receives into one [`RxBuf`] per
+/// connection and parses it incrementally. Lines are
 /// matched on the borrowed bytes: the one-word replies that make up most
 /// small-op traffic cost no allocation.
-pub(crate) fn try_parse_response(buf: &mut Vec<u8>) -> KvResult<ParseStep> {
+pub(crate) fn try_parse_response(rx: &mut RxBuf) -> KvResult<ParseStep> {
+    let buf = rx.bytes();
     let Some(line_end) = find_crlf(buf) else {
-        return Ok(ParseStep::More(1));
+        return Ok(ParseStep::More(Need::Line(buf.len())));
     };
     let line = &buf[..line_end];
     let text = |bytes: &[u8]| String::from_utf8_lossy(bytes).into_owned();
@@ -384,7 +370,7 @@ pub(crate) fn try_parse_response(buf: &mut Vec<u8>) -> KvResult<ParseStep> {
                 Response::ClientError(text(msg))
             } else if line.starts_with(b"KEY ") {
                 let entry = |k: &[u8]| k.to_vec();
-                return parse_lines(buf, b"KEY ", "malformed key list", entry, Response::KeyList);
+                return parse_lines(rx, b"KEY ", "malformed key list", entry, Response::KeyList);
             } else if line.starts_with(b"STAT ") {
                 let entry = |kv: &[u8]| {
                     let kv = String::from_utf8_lossy(kv);
@@ -392,14 +378,14 @@ pub(crate) fn try_parse_response(buf: &mut Vec<u8>) -> KvResult<ParseStep> {
                     (k.to_string(), v.to_string())
                 };
                 return parse_lines(
-                    buf,
+                    rx,
                     b"STAT ",
                     "malformed stats block",
                     entry,
                     Response::Stats,
                 );
             } else if line.starts_with(b"VALUE ") {
-                return parse_values(buf);
+                return parse_values(rx);
             } else {
                 return Err(KvError::Protocol(format!(
                     "unrecognized response line {:?}",
@@ -408,30 +394,48 @@ pub(crate) fn try_parse_response(buf: &mut Vec<u8>) -> KvResult<ParseStep> {
             }
         }
     };
-    buf.drain(..line_end + 2);
+    rx.consume(line_end + 2);
     Ok(ParseStep::Done(resp))
+}
+
+/// Parse the next complete response off a receive buffer, if it holds
+/// one — the reply-side twin of [`crate::proto::next_request`]. An
+/// incomplete frame is left in place and the buffer told what it lacks;
+/// an `Err` means the framing is lost and the connection with it.
+pub(crate) fn next_response(rx: &mut RxBuf) -> KvResult<Option<Response>> {
+    if !rx.ready() {
+        return Ok(None);
+    }
+    match try_parse_response(rx)? {
+        ParseStep::Done(resp) => Ok(Some(resp)),
+        ParseStep::More(need) => {
+            rx.hold(need)?;
+            Ok(None)
+        }
+    }
 }
 
 /// Collect `<prefix><entry>` lines until `END` (the `keys` and `stats`
 /// replies) and consume the block as `wrap(entries)` once it is complete.
 fn parse_lines<T>(
-    buf: &mut Vec<u8>,
+    rx: &mut RxBuf,
     prefix: &[u8],
     malformed: &str,
     entry: impl Fn(&[u8]) -> T,
     wrap: impl FnOnce(Vec<T>) -> Response,
 ) -> KvResult<ParseStep> {
+    let buf = rx.bytes();
     let mut entries = Vec::new();
     let mut pos = 0usize;
     loop {
         let rest = &buf[pos..];
         let Some(le) = find_crlf(rest) else {
-            return Ok(ParseStep::More(1));
+            return Ok(ParseStep::More(Need::Line(rest.len())));
         };
         let l = &rest[..le];
         pos += le + 2;
         if l == b"END" {
-            buf.drain(..pos);
+            rx.consume(pos);
             return Ok(ParseStep::Done(wrap(entries)));
         }
         let Some(body) = l.strip_prefix(prefix) else {
@@ -450,19 +454,20 @@ fn parse_lines<T>(
 /// attempt would make a `w`-stripe window quadratic in its payload
 /// size). Values are materialized once, after `END` proves the frame is
 /// complete.
-fn parse_values(buf: &mut Vec<u8>) -> KvResult<ParseStep> {
+fn parse_values(rx: &mut RxBuf) -> KvResult<ParseStep> {
     struct RawItem {
         key: (usize, usize),
         data: (usize, usize),
         cas: Option<u64>,
     }
     const END: &[u8] = b"END\r\n";
+    let buf = rx.bytes();
     let mut raw: Vec<RawItem> = Vec::new();
     let mut pos = 0usize;
     let frame_end = loop {
         let rest = &buf[pos..];
         let Some(le) = find_crlf(rest) else {
-            return Ok(ParseStep::More(1));
+            return Ok(ParseStep::More(Need::Line(rest.len())));
         };
         let l = &rest[..le];
         let data_start = pos + le + 2;
@@ -497,9 +502,12 @@ fn parse_values(buf: &mut Vec<u8>) -> KvResult<ParseStep> {
         let need = with_end - END.len();
         if buf.len() < need {
             // Counting the `END` that must follow makes the hint exact
-            // for a single-value frame: the reactor reserves the frame
-            // to the byte, once.
-            return Ok(ParseStep::More(with_end - buf.len()));
+            // for a single-value frame: the buffer reserves the frame to
+            // the byte, once.
+            return Ok(ParseStep::More(Need::Data {
+                value: nbytes,
+                missing: with_end - buf.len(),
+            }));
         }
         if &buf[data_start + nbytes..need] != b"\r\n" {
             return Err(KvError::Protocol("malformed VALUE framing".into()));
@@ -511,33 +519,13 @@ fn parse_values(buf: &mut Vec<u8>) -> KvResult<ParseStep> {
         });
         pos = need;
     };
-    // Materialize the values. Small frames are copied out so the
-    // scratch buffer keeps its capacity; big (stripe-sized) frames
-    // hand the whole buffer over to a shared `Bytes` and every value
-    // becomes a zero-copy slice of it — halving the memory traffic
-    // that dominates multi-megabyte pipelined windows.
-    const ZERO_COPY_THRESHOLD: usize = 64 * 1024;
+    // Materialize the values: big frames, and lone ones that fill their
+    // buffer, leave as slices of the receive buffer itself; small ones
+    // are copied out ([`RxBuf::hands_over`] has the rule and its reason).
     let payload: usize = raw.iter().map(|r| r.data.1 - r.data.0).sum();
-    // Zero-copy hand-over of the receive buffer is unconditional for
-    // big payloads, and *conditional* for smaller ones: a frame that
-    // is the whole buffer and at least segment-sized (≥ 4 KiB) with
-    // payload filling ≥ half the buffer's capacity also goes
-    // zero-copy — a lone stripe-read response costs no memcpy at any
-    // size. A small frame inside a large pipelined buffer still
-    // copies on purpose: handing the whole allocation to one Bytes
-    // would pin buffer-sized memory behind a tiny cached value
-    // (memory amplification in the prefetch cache).
-    let whole_frame = frame_end == buf.len();
-    let zero_copy = payload >= ZERO_COPY_THRESHOLD
-        || (whole_frame
-            && payload >= SEGMENT_THRESHOLD
-            && payload.saturating_mul(2) >= buf.capacity());
+    let zero_copy = rx.hands_over(frame_end, payload);
     let mut items: Vec<ValueItem> = if zero_copy {
-        let mut frame_vec = std::mem::take(buf);
-        // Preserve any pipelined bytes beyond this frame.
-        buf.extend_from_slice(&frame_vec[frame_end..]);
-        frame_vec.truncate(frame_end);
-        let frame = Bytes::from(frame_vec);
+        let frame = rx.take_frame(frame_end);
         raw.into_iter()
             .map(|r| ValueItem {
                 // Keys ride the same shared frame as the values: a
@@ -557,7 +545,7 @@ fn parse_values(buf: &mut Vec<u8>) -> KvResult<ParseStep> {
                 cas: r.cas,
             })
             .collect();
-        buf.drain(..frame_end);
+        rx.consume(frame_end);
         items
     };
     let resp = if items.len() == 1 {
@@ -747,6 +735,7 @@ mod tests {
     use std::sync::Arc;
 
     use super::*;
+    use crate::proto::tests::every_reply_kind;
     use crate::store::{Store, StoreConfig};
 
     fn spawn_server() -> KvServer {
@@ -1207,69 +1196,86 @@ mod tests {
         assert!(items.iter().all(|i| i.cas.is_some()));
     }
 
-    /// One reply of every kind the parser knows, as sent on the wire.
-    fn every_reply_kind() -> Vec<Response> {
-        let item = |key: &'static [u8], value: &'static [u8], cas| ValueItem {
-            key: Bytes::from_static(key),
-            value: Bytes::from_static(value),
-            cas,
-        };
-        vec![
-            Response::Stored,
-            Response::NotStored,
-            Response::Exists,
-            Response::NotFound,
-            Response::Deleted,
-            Response::Ok,
-            Response::End,
-            Response::Version("1.2.3".into()),
-            Response::ServerError("out of memory".into()),
-            Response::ClientError("bad data chunk".into()),
-            Response::Value {
-                key: Bytes::from_static(b"k"),
-                value: Bytes::from_static(b"a\r\nb"),
-                cas: None,
-            },
-            Response::Value {
-                key: Bytes::from_static(b"k"),
-                value: Bytes::from_static(b""),
-                cas: Some(7),
-            },
-            Response::Values(vec![item(b"k1", b"abc", None), item(b"k2", b"\r", None)]),
-            Response::Stats(vec![
-                ("pid".into(), "1".into()),
-                ("uptime".into(), "2".into()),
-            ]),
-            Response::KeyList(vec![b"a".to_vec(), b"bb".to_vec()]),
-        ]
-    }
-
     #[test]
     fn parser_asks_for_more_at_every_split_point() {
         for resp in every_reply_kind() {
             let wire = crate::proto::encode_response(&resp);
-            let mut buf = Vec::new();
-            for (i, &byte) in wire.iter().enumerate() {
-                buf.push(byte);
+            let mut buf = RxBuf::default();
+            for (i, byte) in wire.iter().enumerate() {
+                buf.feed(std::slice::from_ref(byte));
                 let step = try_parse_response(&mut buf).unwrap();
                 if i + 1 < wire.len() {
                     // The hint is a lower bound on what is still missing:
                     // the reactor may skip re-parsing until it arrived.
-                    let ParseStep::More(hint) = step else {
+                    let ParseStep::More(need) = step else {
                         panic!("{resp:?} parsed from {} of {} bytes", i + 1, wire.len());
                     };
+                    let hint = need.missing();
                     assert!(
                         (1..=wire.len() - buf.len()).contains(&hint),
                         "{resp:?}: hint {hint} with {} bytes missing",
                         wire.len() - buf.len()
                     );
-                    assert_eq!(buf, wire[..=i], "an incomplete frame is left in place");
+                    assert_eq!(
+                        buf.bytes(),
+                        &wire[..=i],
+                        "an incomplete frame is left in place"
+                    );
                 } else {
                     assert!(matches!(step, ParseStep::Done(ref got) if *got == resp));
-                    assert!(buf.is_empty());
+                    assert_eq!(buf.len(), 0);
                 }
             }
         }
+    }
+
+    /// Feed `wire` the way the reactor receives it, until a verdict.
+    fn parse_fed(rx: &mut RxBuf, wire: &[u8]) -> KvResult<Response> {
+        for piece in wire.chunks(4096) {
+            rx.feed(piece);
+            if let Some(resp) = next_response(rx)? {
+                return Ok(resp);
+            }
+        }
+        panic!("{} bytes fed and no verdict", wire.len());
+    }
+
+    #[test]
+    fn a_reply_line_with_no_crlf_is_refused_at_the_line_bound() {
+        // A server that never ends its line used to grow the receive
+        // buffer without limit, rescanned whole on every read.
+        let mut rx = RxBuf::default();
+        let err = parse_fed(&mut rx, &vec![b'S'; 4 * MAX_LINE_LEN]).unwrap_err();
+        assert!(matches!(err, KvError::Protocol(_)), "got {err:?}");
+        assert!(
+            rx.len() <= MAX_LINE_LEN + 4096,
+            "{} bytes buffered",
+            rx.len()
+        );
+        // So is an over-long line inside a multi-line reply; a long reply
+        // of short lines is not.
+        let mut wire = b"STAT pid 1\r\nSTAT ".to_vec();
+        wire.resize(wire.len() + 2 * MAX_LINE_LEN, b'x');
+        let err = parse_fed(&mut RxBuf::default(), &wire).unwrap_err();
+        assert!(matches!(err, KvError::Protocol(_)), "got {err:?}");
+        let keys = Response::KeyList(vec![vec![b'k'; 100]; 4 * MAX_LINE_LEN / 100]);
+        let wire = crate::proto::encode_response(&keys);
+        assert_eq!(parse_fed(&mut RxBuf::default(), &wire).unwrap(), keys);
+    }
+
+    #[test]
+    fn a_value_announced_above_the_limit_is_refused_at_its_header() {
+        use crate::proto::MAX_VALUE_LEN;
+        // `usize::MAX` used to reach the reactor's `try_reserve_exact`.
+        for announced in [MAX_VALUE_LEN + 1, usize::MAX / 2, usize::MAX] {
+            let wire = format!("VALUE k 0 {announced}\r\nxxxx");
+            let err = parse_fed(&mut RxBuf::default(), wire.as_bytes()).unwrap_err();
+            assert!(matches!(err, KvError::Protocol(_)), "{announced}: {err:?}");
+        }
+        // The limit itself is a legal announcement.
+        let mut rx = RxBuf::default();
+        rx.feed(format!("VALUE k 0 {MAX_VALUE_LEN}\r\n").as_bytes());
+        assert_eq!(next_response(&mut rx).unwrap(), None);
     }
 
     #[test]

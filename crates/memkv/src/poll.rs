@@ -4,7 +4,7 @@
 //! Both event loops — the client-side reactor ([`crate::reactor`]) and
 //! the server engine ([`crate::server`]) — are built on the same
 //! primitive: one epoll instance plus an eventfd that lets other threads
-//! (submitters, worker-pool completions, handle drops) wake a blocked
+//! (submitters, handle drops, a server's `shutdown`) wake a blocked
 //! `epoll_wait`. [`Poller`] owns both file descriptors and exposes the
 //! small level-triggered surface each loop needs.
 

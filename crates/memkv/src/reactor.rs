@@ -33,7 +33,10 @@
 //!   connections.
 //! * **Idempotent-only retry** — a batch that dies with the connection is
 //!   replayed once after a reconnect, but only if every request in it is
-//!   idempotent (`add`/`append`/`cas` batches surface the I/O error).
+//!   idempotent (`add`/`append`/`cas` batches surface the I/O error). An
+//!   established link is a [`Conn`] (the connection type the server loop
+//!   uses too): its receive buffer and send queue die with the stream,
+//!   and the stream adopted next is handed every queued batch whole.
 //! * **Reconnect** — a dead connection is reopened *inside the loop*: a
 //!   non-blocking `connect()` parks as [`Link::Connecting`] until epoll
 //!   reports writability and `SO_ERROR` renders the verdict. No helper
@@ -55,9 +58,9 @@
 //! a free list for the next registration.
 
 use std::collections::VecDeque;
-use std::io::{self, IoSlice, Write};
+use std::io;
 use std::net::{SocketAddr, TcpStream};
-use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};
+use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -66,21 +69,13 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 use parking_lot::{Condvar, Mutex};
 
+use crate::conn::{connect_nonblocking, Conn, TxQueue};
 use crate::error::{KvError, KvResult};
-use crate::net::{try_parse_response, ParseStep, SEGMENT_THRESHOLD};
+use crate::net::next_response;
 use crate::poll::{Poller, WAKE_TOKEN};
 use crate::proto::Response;
 use crate::wheel::{TimerId, TimerWheel};
 
-/// Max iovec entries per `writev` — matches the kernel's UIO_FASTIOV.
-const MAX_IOV: usize = 8;
-/// Spare `inbuf` capacity a `read` is offered while the parser has not
-/// announced a payload: room for any header line or small reply. It *is*
-/// [`crate::net`]'s zero-copy bar: a lone value frame's buffer then never
-/// exceeds `max(2 * MIN_SPARE, frame length)`, which keeps the "payload
-/// fills at least half the buffer" hand-over rule true for every value of
-/// that size and up.
-const MIN_SPARE: usize = SEGMENT_THRESHOLD;
 /// Bytes a connection takes in between two `TCP_QUICKACK` re-arms. Keyed
 /// on what the socket *received* — a payload-sized amount, i.e. a response
 /// whose last segment the peer's congestion control will time — never on
@@ -123,11 +118,12 @@ const MALLOC_TRIM_THRESHOLD: libc::c_int = 64 << 20;
 /// (≈ 60 k, reads at ⅔ speed) or write buffers too (≈ 110 k, writes at ⅗
 /// speed). Which one was decided by the order of unrelated allocations,
 /// so it differed from run to run and moved with every code change
-/// (DESIGN.md §4l). Pinned, every such buffer is heap memory that stays
-/// mapped: the first regime, always. The cost is up to the trim
-/// threshold of freed heap per arena kept instead of returned; a server
-/// keeps the heap its deleted values lived in, as memcached keeps its
-/// slabs, and the next file written to it faults nothing in.
+/// (DESIGN.md §4b, "Under the sockets"). Pinned, every such buffer is
+/// heap memory that stays mapped: the first regime, always. The cost is
+/// up to the trim threshold of freed heap per arena kept instead of
+/// returned; a server keeps the heap its deleted values lived in, as
+/// memcached keeps its slabs, and the next file written to it faults
+/// nothing in.
 pub(crate) fn pin_malloc_thresholds() {
     #[cfg(target_env = "gnu")]
     {
@@ -274,10 +270,35 @@ impl LinkHealth {
     }
 }
 
-/// Completion slot shared between a submitter and the reactor.
-struct CallShared {
-    state: Mutex<Option<KvResult<Vec<Response>>>>,
+/// A slot the loop fills once and one caller empties: the completion of a
+/// batch, the reply to a registration.
+struct OneShot<T> {
+    slot: Mutex<Option<T>>,
     cv: Condvar,
+}
+
+impl<T> OneShot<T> {
+    fn new() -> Arc<OneShot<T>> {
+        Arc::new(OneShot {
+            slot: Mutex::new(None),
+            cv: Condvar::new(),
+        })
+    }
+
+    fn set(&self, value: T) {
+        *self.slot.lock() = Some(value);
+        self.cv.notify_all();
+    }
+
+    fn wait(&self) -> T {
+        let mut slot = self.slot.lock();
+        loop {
+            if let Some(value) = slot.take() {
+                return value;
+            }
+            self.cv.wait(&mut slot);
+        }
+    }
 }
 
 /// Handle to one in-flight pipelined batch. [`PendingExchange::wait`]
@@ -285,18 +306,12 @@ struct CallShared {
 /// failure) — this is the completion half of the split submit/completion
 /// path.
 pub(crate) struct PendingExchange {
-    done: Arc<CallShared>,
+    done: Arc<OneShot<KvResult<Vec<Response>>>>,
 }
 
 impl PendingExchange {
     pub(crate) fn wait(self) -> KvResult<Vec<Response>> {
-        let mut state = self.done.state.lock();
-        loop {
-            if let Some(result) = state.take() {
-                return result;
-            }
-            self.done.cv.wait(&mut state);
-        }
+        self.done.wait()
     }
 
     /// A non-consuming readiness probe: `true` once the reactor has
@@ -304,19 +319,18 @@ impl PendingExchange {
     /// settle completions in arrival order instead of submission order.
     pub(crate) fn probe(&self) -> Box<dyn Fn() -> bool + Send> {
         let done = Arc::clone(&self.done);
-        Box::new(move || done.state.lock().is_some())
+        Box::new(move || done.slot.lock().is_some())
     }
 }
 
-/// One pipelined batch owned by the reactor: pre-encoded wire segments, a
-/// write cursor, and the responses collected so far.
+/// One pipelined batch owned by the reactor: pre-encoded wire segments
+/// and the responses collected so far.
 struct Exchange {
-    /// Encoded frames. Headers are coalesced; stripe-sized payloads ride
-    /// as their own zero-copy segments. Never contains an empty segment.
+    /// Encoded frames (headers coalesced, stripe-sized payloads as their
+    /// own zero-copy segments), held while the batch may still have to go
+    /// out: until a stream's send queue takes them, and through the one
+    /// replay for a batch that has one.
     segments: Vec<Bytes>,
-    /// Write cursor: next segment index / offset within it.
-    seg: usize,
-    off: usize,
     /// Responses expected (one per request in the batch).
     expect: usize,
     got: Vec<Response>,
@@ -325,59 +339,43 @@ struct Exchange {
     /// A batch is replayed at most once.
     retried: bool,
     deadline: Instant,
-    done: Arc<CallShared>,
+    done: Arc<OneShot<KvResult<Vec<Response>>>>,
 }
 
 impl Exchange {
-    fn deliver(done: &CallShared, result: KvResult<Vec<Response>>) {
-        *done.state.lock() = Some(result);
-        done.cv.notify_all();
+    fn new(segments: Vec<Bytes>, expect: usize, idempotent: bool, timeout: Duration) -> Exchange {
+        debug_assert!(segments.iter().all(|s| !s.is_empty()));
+        Exchange {
+            segments,
+            expect,
+            got: Vec::with_capacity(expect),
+            idempotent,
+            retried: false,
+            deadline: Instant::now() + timeout,
+            done: OneShot::new(),
+        }
+    }
+
+    /// Queue the batch's frames, whole, on a stream's send queue. They are
+    /// kept only if a dropped connection may still replay them.
+    fn enqueue(&mut self, tx: &mut TxQueue) {
+        if self.idempotent && !self.retried {
+            self.segments.iter().for_each(|s| tx.push(s.clone()));
+        } else {
+            std::mem::take(&mut self.segments)
+                .into_iter()
+                .for_each(|s| tx.push(s));
+        }
     }
 
     fn finish_ok(self, stats: &ReactorStats) {
         stats.completions.fetch_add(1, Ordering::Relaxed);
-        let Exchange { got, done, .. } = self;
-        Self::deliver(&done, Ok(got));
+        self.done.set(Ok(self.got));
     }
 
     fn finish_err(self, err: KvError, stats: &ReactorStats) {
         stats.completions.fetch_add(1, Ordering::Relaxed);
-        Self::deliver(&self.done, Err(err));
-    }
-
-    /// Bytes of this batch still unwritten?
-    fn unwritten(&self) -> bool {
-        self.seg < self.segments.len()
-    }
-}
-
-/// Reply slot for the synchronous [`Command::Register`] round trip.
-struct RegisterReply {
-    state: Mutex<Option<io::Result<Vec<usize>>>>,
-    cv: Condvar,
-}
-
-impl RegisterReply {
-    fn new() -> RegisterReply {
-        RegisterReply {
-            state: Mutex::new(None),
-            cv: Condvar::new(),
-        }
-    }
-
-    fn wait(&self) -> io::Result<Vec<usize>> {
-        let mut state = self.state.lock();
-        loop {
-            if let Some(result) = state.take() {
-                return result;
-            }
-            self.cv.wait(&mut state);
-        }
-    }
-
-    fn set(&self, result: io::Result<Vec<usize>>) {
-        *self.state.lock() = Some(result);
-        self.cv.notify_all();
+        self.done.set(Err(err));
     }
 }
 
@@ -391,7 +389,7 @@ enum Command {
         timeout: Duration,
         heartbeat: Option<Duration>,
         health: Arc<LinkHealth>,
-        reply: Arc<RegisterReply>,
+        reply: Arc<OneShot<io::Result<Vec<usize>>>>,
     },
     /// Release token slots: queued batches fail with `NotConnected`, any
     /// in-flight connect is abandoned, and the slots return to the free
@@ -436,10 +434,12 @@ enum TimerKind {
 enum Link {
     /// No socket. Submits park on the queue and (re)connect lazily.
     Down,
-    /// Non-blocking connect in flight, fd registered for EPOLLOUT.
-    Connecting(OwnedFd),
-    /// Established stream registered for EPOLLIN.
-    Up(TcpStream),
+    /// Non-blocking connect in flight, registered for EPOLLOUT.
+    Connecting(TcpStream),
+    /// Established stream: its receive buffer and send queue live and die
+    /// with it, so a new stream (or a new registrant of the slot) starts
+    /// with neither a stale reply byte nor a half-written frame.
+    Up(Conn),
 }
 
 /// Per-connection state, owned exclusively by the reactor thread. Slots
@@ -451,16 +451,8 @@ struct ConnState {
     /// In-flight batches in submission order. The wire answers in the same
     /// order, so the front batch owns the next parsed response.
     queue: VecDeque<Exchange>,
-    /// Accumulated unparsed response bytes.
-    inbuf: Vec<u8>,
-    /// `inbuf` length below which the front frame is known incomplete (the
-    /// parser's last `More` hint): no re-parse and, for an announced value
-    /// payload, one exact reservation instead of chunked growth.
-    need: usize,
     /// Bytes received since `TCP_QUICKACK` was last re-armed.
     rx_since_quickack: usize,
-    /// Whether EPOLLOUT is currently registered (established links).
-    want_write: bool,
     /// Server this slot connects to (meaningless while unregistered).
     addr: SocketAddr,
     /// Per-request deadline for this slot's registration.
@@ -493,10 +485,7 @@ impl ConnState {
         ConnState {
             link: Link::Down,
             queue: VecDeque::new(),
-            inbuf: Vec::with_capacity(MIN_SPARE),
-            need: 0,
             rx_since_quickack: 0,
-            want_write: false,
             addr: SocketAddr::from(([0, 0, 0, 0], 0)),
             timeout: Duration::from_secs(10),
             registered: false,
@@ -509,21 +498,6 @@ impl ConnState {
             heartbeat: None,
             heartbeat_timer: None,
         }
-    }
-
-    fn stream(&self) -> Option<&TcpStream> {
-        match &self.link {
-            Link::Up(stream) => Some(stream),
-            _ => None,
-        }
-    }
-
-    /// Forget buffered response bytes and the receive bookkeeping that
-    /// describes them (a new or torn-down stream starts clean).
-    fn reset_inbuf(&mut self) {
-        self.inbuf.clear();
-        self.need = 0;
-        self.rx_since_quickack = 0;
     }
 }
 
@@ -610,7 +584,7 @@ impl ReactorHandle {
         timeout: Duration,
         heartbeat: Option<Duration>,
     ) -> KvResult<Registration> {
-        let reply = Arc::new(RegisterReply::new());
+        let reply = OneShot::new();
         let health = Arc::new(LinkHealth::new(streams.len()));
         self.command(Command::Register {
             addr,
@@ -629,40 +603,6 @@ impl ReactorHandle {
             timeout,
             health,
         })
-    }
-
-    /// Queue one pre-encoded batch on connection `token` and return the
-    /// completion handle. Never blocks on the network.
-    fn submit(
-        &self,
-        token: usize,
-        segments: Vec<Bytes>,
-        expect: usize,
-        idempotent: bool,
-        timeout: Duration,
-    ) -> PendingExchange {
-        let done = Arc::new(CallShared {
-            state: Mutex::new(None),
-            cv: Condvar::new(),
-        });
-        if expect == 0 {
-            Exchange::deliver(&done, Ok(Vec::new()));
-            return PendingExchange { done };
-        }
-        debug_assert!(segments.iter().all(|s| !s.is_empty()));
-        let call = Exchange {
-            segments,
-            seg: 0,
-            off: 0,
-            expect,
-            got: Vec::with_capacity(expect),
-            idempotent,
-            retried: false,
-            deadline: Instant::now() + timeout,
-            done: Arc::clone(&done),
-        };
-        self.command(Command::Submit { conn: token, call });
-        PendingExchange { done }
     }
 }
 
@@ -691,7 +631,8 @@ impl Registration {
         self.health.census()
     }
 
-    /// Submit on the `slot`-th registered connection.
+    /// Queue one pre-encoded batch on the `slot`-th registered connection
+    /// and return the completion handle. Never blocks on the network.
     pub(crate) fn submit(
         &self,
         slot: usize,
@@ -699,13 +640,15 @@ impl Registration {
         expect: usize,
         idempotent: bool,
     ) -> PendingExchange {
-        self.handle.submit(
-            self.tokens[slot],
-            segments,
-            expect,
-            idempotent,
-            self.timeout,
-        )
+        let call = Exchange::new(segments, expect, idempotent, self.timeout);
+        let done = Arc::clone(&call.done);
+        if expect == 0 {
+            done.set(Ok(Vec::new()));
+        } else {
+            let conn = self.tokens[slot];
+            self.handle.command(Command::Submit { conn, call });
+        }
+        PendingExchange { done }
     }
 }
 
@@ -721,100 +664,6 @@ impl Drop for Registration {
 /// queue of batches).
 fn dup_io(err: &io::Error) -> io::Error {
     io::Error::new(err.kind(), err.to_string())
-}
-
-/// Outcome of starting a non-blocking `connect()`.
-enum ConnectStart {
-    /// Completed synchronously (possible on loopback).
-    Connected(OwnedFd),
-    /// `EINPROGRESS`: park on EPOLLOUT for the verdict.
-    InProgress(OwnedFd),
-}
-
-/// `socket(SOCK_NONBLOCK) + connect()`, never blocking the loop.
-fn start_nonblocking_connect(addr: &SocketAddr) -> io::Result<ConnectStart> {
-    let domain = match addr {
-        SocketAddr::V4(_) => libc::AF_INET,
-        SocketAddr::V6(_) => libc::AF_INET6,
-    };
-    let raw = unsafe {
-        libc::socket(
-            domain,
-            libc::SOCK_STREAM | libc::SOCK_NONBLOCK | libc::SOCK_CLOEXEC,
-            0,
-        )
-    };
-    if raw < 0 {
-        return Err(io::Error::last_os_error());
-    }
-    let fd = unsafe { OwnedFd::from_raw_fd(raw) };
-    let rc = match addr {
-        SocketAddr::V4(a) => {
-            let sin = libc::sockaddr_in {
-                sin_family: libc::AF_INET as libc::sa_family_t,
-                sin_port: a.port().to_be(),
-                sin_addr: libc::in_addr {
-                    s_addr: u32::from_ne_bytes(a.ip().octets()),
-                },
-                sin_zero: [0; 8],
-            };
-            unsafe {
-                libc::connect(
-                    fd.as_raw_fd(),
-                    (&sin as *const libc::sockaddr_in).cast(),
-                    std::mem::size_of::<libc::sockaddr_in>() as libc::socklen_t,
-                )
-            }
-        }
-        SocketAddr::V6(a) => {
-            let sin6 = libc::sockaddr_in6 {
-                sin6_family: libc::AF_INET6 as libc::sa_family_t,
-                sin6_port: a.port().to_be(),
-                sin6_flowinfo: a.flowinfo(),
-                sin6_addr: libc::in6_addr {
-                    s6_addr: a.ip().octets(),
-                },
-                sin6_scope_id: a.scope_id(),
-            };
-            unsafe {
-                libc::connect(
-                    fd.as_raw_fd(),
-                    (&sin6 as *const libc::sockaddr_in6).cast(),
-                    std::mem::size_of::<libc::sockaddr_in6>() as libc::socklen_t,
-                )
-            }
-        }
-    };
-    if rc == 0 {
-        return Ok(ConnectStart::Connected(fd));
-    }
-    let err = io::Error::last_os_error();
-    match err.raw_os_error() {
-        Some(code) if code == libc::EINPROGRESS || code == libc::EINTR => {
-            Ok(ConnectStart::InProgress(fd))
-        }
-        _ => Err(err),
-    }
-}
-
-/// Pending error on a connecting socket (`SO_ERROR`), 0 when connected.
-fn connect_so_error(fd: RawFd) -> io::Result<i32> {
-    let mut err: libc::c_int = 0;
-    let mut len = std::mem::size_of::<libc::c_int>() as libc::socklen_t;
-    let rc = unsafe {
-        libc::getsockopt(
-            fd,
-            libc::SOL_SOCKET,
-            libc::SO_ERROR,
-            (&mut err as *mut libc::c_int).cast(),
-            &mut len,
-        )
-    };
-    if rc < 0 {
-        Err(io::Error::last_os_error())
-    } else {
-        Ok(err)
-    }
 }
 
 struct EventLoop {
@@ -918,19 +767,23 @@ impl EventLoop {
                     self.release_slot(token);
                 }
             }
-            Command::Submit { conn, call } => {
-                self.conns[conn].queue.push_back(call);
-                if self.conns[conn].queue.len() == 1 {
+            Command::Submit { conn, mut call } => {
+                let state = &mut self.conns[conn];
+                if let Link::Up(up) = &mut state.link {
+                    call.enqueue(&mut up.tx);
+                }
+                state.queue.push_back(call);
+                if state.queue.len() == 1 {
                     self.arm_front_deadline(conn);
                 }
-                if matches!(self.conns[conn].link, Link::Up(_)) {
-                    self.flush_conn(conn);
-                } else if matches!(self.conns[conn].link, Link::Down) {
+                match self.conns[conn].link {
+                    Link::Up(_) => self.flush_conn(conn),
                     // Lazy reconnect: a connection that died idle (server
-                    // restart between calls) comes back on first use. A
-                    // pending connect needs nothing — its completion
-                    // flushes the queue.
-                    self.maybe_connect(conn);
+                    // restart between calls) comes back on first use.
+                    Link::Down => self.maybe_connect(conn),
+                    // The connect's completion adopts the stream, which
+                    // queues and flushes every waiting batch.
+                    Link::Connecting(_) => {}
                 }
             }
         }
@@ -1030,24 +883,12 @@ impl EventLoop {
     /// which keeps the link gauge honest while the mount is quiet.
     fn submit_probe(&mut self, idx: usize) {
         self.shared.stats.heartbeats.fetch_add(1, Ordering::Relaxed);
-        let done = Arc::new(CallShared {
-            state: Mutex::new(None),
-            cv: Condvar::new(),
+        let segments = vec![Bytes::from_static(b"version\r\n")];
+        let probe = Exchange::new(segments, 1, true, self.conns[idx].timeout);
+        self.handle_command(Command::Submit {
+            conn: idx,
+            call: probe,
         });
-        let probe = Exchange {
-            segments: vec![Bytes::from_static(b"version\r\n")],
-            seg: 0,
-            off: 0,
-            expect: 1,
-            got: Vec::with_capacity(1),
-            idempotent: true,
-            retried: false,
-            deadline: Instant::now() + self.conns[idx].timeout,
-            done,
-        };
-        self.conns[idx].queue.push_back(probe);
-        self.arm_front_deadline(idx); // queue was empty: probe is the front
-        self.flush_conn(idx);
     }
 
     /// (Re)arm `idx`'s deadline timer for its current queue front.
@@ -1071,7 +912,7 @@ impl EventLoop {
         timeout: Duration,
         heartbeat: Option<Duration>,
         health: &Arc<LinkHealth>,
-        reply: &RegisterReply,
+        reply: &OneShot<io::Result<Vec<usize>>>,
     ) {
         let mut tokens = Vec::with_capacity(streams.len());
         let mut failure: Option<io::Error> = None;
@@ -1128,15 +969,10 @@ impl EventLoop {
         if !self.conns[token].registered {
             return;
         }
-        self.close_stream(token);
-        let queue = std::mem::take(&mut self.conns[token].queue);
-        for ex in queue {
-            ex.finish_err(
-                KvError::Io(io::Error::new(io::ErrorKind::NotConnected, "client closed")),
-                &self.shared.stats,
-            );
-        }
-        self.arm_front_deadline(token); // queue empty: cancels the timer
+        self.fail_queue(
+            token,
+            io::Error::new(io::ErrorKind::NotConnected, "client closed"),
+        );
         if let Some(id) = self.conns[token].heartbeat_timer.take() {
             self.wheel.cancel(id);
         }
@@ -1153,19 +989,19 @@ impl EventLoop {
         self.free.push(token);
     }
 
+    /// Make `stream` slot `idx`'s link. Every batch waiting in the queue
+    /// — parked while the link was down, or kept for its replay — goes
+    /// onto the new stream's send queue, whole, and out.
     fn adopt_stream(&mut self, idx: usize, stream: TcpStream) -> io::Result<()> {
-        stream.set_nodelay(true)?;
-        stream.set_nonblocking(true)?;
-        self.shared.poller.add(
-            stream.as_raw_fd(),
-            idx as u64,
-            libc::EPOLLIN | libc::EPOLLRDHUP,
-        )?;
-        let conn = &mut self.conns[idx];
-        conn.link = Link::Up(stream);
-        conn.want_write = false;
-        conn.reset_inbuf();
+        let mut conn = Conn::adopt(stream, &self.shared.poller, idx as u64)?;
+        let state = &mut self.conns[idx];
+        for ex in state.queue.iter_mut() {
+            ex.enqueue(&mut conn.tx);
+        }
+        state.link = Link::Up(conn);
+        state.rx_since_quickack = 0;
         self.set_link_gauge(idx, true);
+        self.flush_conn(idx);
         Ok(())
     }
 
@@ -1215,18 +1051,13 @@ impl EventLoop {
         debug_assert!(matches!(self.conns[idx].link, Link::Down));
         let addr = self.conns[idx].addr;
         self.shared.stats.reconnects.fetch_add(1, Ordering::Relaxed);
-        match start_nonblocking_connect(&addr) {
-            Ok(ConnectStart::Connected(fd)) => match self.adopt_stream(idx, TcpStream::from(fd)) {
-                Ok(()) => {
-                    self.connect_succeeded(idx);
-                }
-                Err(err) => self.fail_queue(idx, err),
-            },
-            Ok(ConnectStart::InProgress(fd)) => {
-                if let Err(err) = self
-                    .shared
-                    .poller
-                    .add(fd.as_raw_fd(), idx as u64, libc::EPOLLOUT)
+        match connect_nonblocking(&addr) {
+            Ok((stream, true)) => self.connect_succeeded(idx, stream),
+            Ok((stream, false)) => {
+                if let Err(err) =
+                    self.shared
+                        .poller
+                        .add(stream.as_raw_fd(), idx as u64, libc::EPOLLOUT)
                 {
                     self.record_connect_failure(idx, err);
                     return;
@@ -1238,42 +1069,37 @@ impl EventLoop {
                 let deadline = Instant::now() + self.conns[idx].timeout.max(MIN_CONNECT_TIMEOUT);
                 let id = self.wheel.arm(deadline, (idx, TimerKind::ConnectTimeout));
                 let conn = &mut self.conns[idx];
-                conn.link = Link::Connecting(fd);
+                conn.link = Link::Connecting(stream);
                 conn.connect_timer = Some(id);
             }
             Err(err) => self.record_connect_failure(idx, err),
         }
     }
 
-    /// EPOLLOUT (or an error event) on a `Connecting` fd: read the
+    /// EPOLLOUT (or an error event) on a `Connecting` socket: read the
     /// verdict from `SO_ERROR` and either adopt the stream or fail.
     fn finish_connect(&mut self, idx: usize) {
-        let raw = match &self.conns[idx].link {
-            Link::Connecting(fd) => fd.as_raw_fd(),
-            _ => return,
+        let Link::Connecting(stream) = &self.conns[idx].link else {
+            return;
         };
-        match connect_so_error(raw) {
-            Ok(0) => {
-                let fd = self
+        match stream.take_error() {
+            Ok(None) => {
+                let stream = self
                     .teardown_connecting(idx)
                     .expect("link checked Connecting");
-                match self.adopt_stream(idx, TcpStream::from(fd)) {
-                    Ok(()) => {
-                        self.connect_succeeded(idx);
-                        self.flush_conn(idx);
-                    }
-                    Err(err) => self.fail_queue(idx, err),
-                }
+                self.connect_succeeded(idx, stream);
             }
-            Ok(code) => self.connect_failed(idx, io::Error::from_raw_os_error(code)),
-            Err(err) => self.connect_failed(idx, err),
+            Ok(Some(err)) | Err(err) => self.connect_failed(idx, err),
         }
     }
 
-    fn connect_succeeded(&mut self, idx: usize) {
+    fn connect_succeeded(&mut self, idx: usize, stream: TcpStream) {
         let conn = &mut self.conns[idx];
         conn.backoff = Duration::ZERO;
         conn.retry_at = None;
+        if let Err(err) = self.adopt_stream(idx, stream) {
+            self.fail_queue(idx, err);
+        }
     }
 
     /// Abandon the in-flight connect (if any), note the backoff, and
@@ -1295,10 +1121,10 @@ impl EventLoop {
         self.fail_queue(idx, err);
     }
 
-    /// Drop a `Connecting` fd: deregister from epoll, cancel the connect
-    /// (or retry) timer, and settle the in-flight gauge. Returns the fd
-    /// when the link really was connecting.
-    fn teardown_connecting(&mut self, idx: usize) -> Option<OwnedFd> {
+    /// Drop a `Connecting` socket: deregister from epoll, cancel the
+    /// connect (or retry) timer, and settle the in-flight gauge. Returns
+    /// the socket when the link really was connecting.
+    fn teardown_connecting(&mut self, idx: usize) -> Option<TcpStream> {
         if let Some(id) = self.conns[idx].connect_timer.take() {
             self.wheel.cancel(id);
         }
@@ -1316,22 +1142,19 @@ impl EventLoop {
         Some(fd)
     }
 
-    /// Tear the link down without touching the queue.
+    /// Tear the link down without touching the queue. What the stream had
+    /// received and not parsed, and queued and not sent, goes with it.
     fn close_stream(&mut self, idx: usize) {
         drop(self.teardown_connecting(idx));
-        if let Link::Up(stream) = std::mem::replace(&mut self.conns[idx].link, Link::Down) {
-            let _ = self.shared.poller.delete(stream.as_raw_fd());
-            drop(stream);
+        if let Link::Up(conn) = std::mem::replace(&mut self.conns[idx].link, Link::Down) {
+            conn.close(&self.shared.poller);
         }
         self.set_link_gauge(idx, false);
-        let conn = &mut self.conns[idx];
-        conn.reset_inbuf();
-        conn.want_write = false;
     }
 
     /// The connection failed: idempotent batches that have not burned
-    /// their replay yet stay queued (with reset cursors) for the
-    /// reconnect; everything else completes with the I/O error.
+    /// their replay yet stay queued, to be sent whole on the stream the
+    /// reconnect adopts; everything else completes with the I/O error.
     fn kill_conn(&mut self, idx: usize, err: io::Error) {
         self.close_stream(idx);
         let queue = std::mem::take(&mut self.conns[idx].queue);
@@ -1339,8 +1162,6 @@ impl EventLoop {
         for mut ex in queue {
             if ex.idempotent && !ex.retried {
                 ex.retried = true;
-                ex.seg = 0;
-                ex.off = 0;
                 ex.got.clear();
                 keep.push_back(ex);
             } else {
@@ -1364,86 +1185,36 @@ impl EventLoop {
         self.arm_front_deadline(idx); // queue empty: cancels the timer
     }
 
-    /// Read until the socket is drained, straight into `inbuf`'s spare
-    /// capacity (no bounce buffer), parsing as frames complete.
+    /// Read until the socket is drained, parsing as frames complete.
     fn handle_readable(&mut self, idx: usize) {
         loop {
-            let conn = &mut self.conns[idx];
-            let Some(fd) = conn.stream().map(AsRawFd::as_raw_fd) else {
+            let state = &mut self.conns[idx];
+            let Link::Up(conn) = &mut state.link else {
                 return;
             };
-            // An announced value payload gets its remainder in one exact
-            // reservation — the frame then fills the buffer to the byte
-            // and is handed over whole; anything else reads into a small
-            // amortized tail.
-            let missing = conn.need.saturating_sub(conn.inbuf.len());
-            let reserved = if missing > MIN_SPARE {
-                conn.inbuf.try_reserve_exact(missing)
-            } else if conn.inbuf.capacity() - conn.inbuf.len() < MIN_SPARE {
-                conn.inbuf.try_reserve(MIN_SPARE)
-            } else {
-                Ok(())
+            let (n, drained) = match conn.fill(usize::MAX) {
+                Ok(read) => read,
+                // Idle EOF: the server went away between calls. Close
+                // quietly; the next submit reconnects.
+                Err(err)
+                    if err.kind() == io::ErrorKind::UnexpectedEof && state.queue.is_empty() =>
+                {
+                    return self.close_stream(idx);
+                }
+                Err(err) => return self.kill_conn(idx, err),
             };
-            if reserved.is_err() {
-                self.poison_conn(
-                    idx,
-                    KvError::Protocol("response frame too large to buffer".into()),
-                );
-                return;
-            }
-            let spare = conn.inbuf.spare_capacity_mut();
-            let offered = spare.len();
-            // SAFETY: `spare` is `offered` writable bytes owned by `inbuf`,
-            // and `fd` is this connection's open socket (the `TcpStream` in
-            // `conn.link` outlives the call); `read` writes at most
-            // `offered` bytes and needs no initialised input.
-            let n = unsafe { libc::read(fd, spare.as_mut_ptr().cast(), offered) };
-            if n < 0 {
-                let err = io::Error::last_os_error();
-                match err.kind() {
-                    io::ErrorKind::WouldBlock => {
-                        self.ack_tail(idx);
-                        return;
-                    }
-                    io::ErrorKind::Interrupted => continue,
-                    _ => {
-                        self.kill_conn(idx, err);
-                        return;
-                    }
-                }
-            }
-            let n = n as usize;
-            if n == 0 {
-                if conn.queue.is_empty() {
-                    // Idle EOF: the server went away between calls.
-                    // Close quietly; the next submit reconnects.
-                    self.close_stream(idx);
-                } else {
-                    self.kill_conn(
-                        idx,
-                        io::Error::new(io::ErrorKind::UnexpectedEof, "server closed connection"),
-                    );
-                }
-                return;
-            }
-            // SAFETY: the kernel just initialised the first `n <= offered`
-            // bytes of the spare capacity, so `len + n` is within capacity
-            // and every byte below it is initialised.
-            unsafe { conn.inbuf.set_len(conn.inbuf.len() + n) };
-            conn.rx_since_quickack += n;
+            state.rx_since_quickack += n;
             self.shared
                 .stats
                 .bytes_rx
                 .fetch_add(n as u64, Ordering::Relaxed);
             if let Err(err) = self.drain_inbuf(idx) {
-                self.poison_conn(idx, err);
-                return;
+                return self.poison_conn(idx, err);
             }
-            if n < offered {
-                // A short read drained the socket; level-triggered epoll
-                // reports whatever arrives later (EOF included).
-                self.ack_tail(idx);
-                return;
+            if drained {
+                // Level-triggered epoll reports whatever arrives later
+                // (EOF included).
+                return self.ack_tail(idx);
             }
         }
     }
@@ -1453,29 +1224,15 @@ impl EventLoop {
     /// delayed-ACK timer (≥ 40 ms): a reply's last segment meets a socket
     /// with nothing to send, and a rate-based sender (BBR) reads the late
     /// ACK as a bandwidth sample of a few MB/s and paces the *next* reply
-    /// out over 40–130 ms. `TCP_QUICKACK` is not sticky — the kernel
-    /// leaves quick-ACK mode after a handful of ACKs — hence the re-arm.
-    /// Failure is harmless (the ACK is merely late), so it is ignored.
+    /// out over 40–130 ms.
     fn ack_tail(&mut self, idx: usize) {
-        let conn = &mut self.conns[idx];
-        if conn.rx_since_quickack < QUICKACK_REARM_BYTES {
+        let state = &mut self.conns[idx];
+        if state.rx_since_quickack < QUICKACK_REARM_BYTES {
             return;
         }
-        let Some(fd) = conn.stream().map(AsRawFd::as_raw_fd) else {
-            return;
-        };
-        conn.rx_since_quickack = 0;
-        let on: libc::c_int = 1;
-        // SAFETY: `fd` is this connection's open socket, and `optval`
-        // points at a live `c_int` whose size is passed as `optlen`.
-        unsafe {
-            libc::setsockopt(
-                fd,
-                libc::IPPROTO_TCP,
-                libc::TCP_QUICKACK,
-                (&on as *const libc::c_int).cast(),
-                std::mem::size_of::<libc::c_int>() as libc::socklen_t,
-            );
+        if let Link::Up(conn) = &state.link {
+            state.rx_since_quickack = 0;
+            conn.quickack();
         }
     }
 
@@ -1484,28 +1241,25 @@ impl EventLoop {
     fn drain_inbuf(&mut self, idx: usize) -> KvResult<()> {
         let mut front_changed = false;
         let result = loop {
-            let conn = &mut self.conns[idx];
-            if conn.inbuf.is_empty() || conn.inbuf.len() < conn.need {
+            let state = &mut self.conns[idx];
+            let Link::Up(conn) = &mut state.link else {
+                break Ok(());
+            };
+            if !conn.rx.ready() {
                 break Ok(());
             }
-            if conn.queue.is_empty() {
+            let Some(front) = state.queue.front_mut() else {
                 break Err(KvError::Protocol(
                     "unsolicited response bytes from server".into(),
                 ));
-            }
-            match try_parse_response(&mut conn.inbuf) {
+            };
+            match next_response(&mut conn.rx) {
                 Err(err) => break Err(err),
-                Ok(ParseStep::More(hint)) => {
-                    // No wrap: the parser bounds a frame's end in `usize`.
-                    conn.need = conn.inbuf.len() + hint;
-                    break Ok(());
-                }
-                Ok(ParseStep::Done(resp)) => {
-                    conn.need = 0;
-                    let front = conn.queue.front_mut().expect("queue checked non-empty");
+                Ok(None) => break Ok(()),
+                Ok(Some(resp)) => {
                     front.got.push(resp);
                     if front.got.len() == front.expect {
-                        let ex = conn.queue.pop_front().expect("front exists");
+                        let ex = state.queue.pop_front().expect("front exists");
                         ex.finish_ok(&self.shared.stats);
                         front_changed = true;
                     }
@@ -1534,116 +1288,203 @@ impl EventLoop {
         );
     }
 
+    /// Write what the link's send queue holds until the socket pushes
+    /// back, and keep EPOLLOUT registered exactly while some is left.
     fn flush_conn(&mut self, idx: usize) {
-        match write_queued(&mut self.conns[idx]) {
+        let Link::Up(conn) = &mut self.conns[idx].link else {
+            return;
+        };
+        let flushed = conn.flush().and_then(|written| {
+            conn.sync_interest(&self.shared.poller, true)?;
+            Ok(written)
+        });
+        match flushed {
             Ok(written) => {
-                if written > 0 {
-                    self.shared
-                        .stats
-                        .bytes_tx
-                        .fetch_add(written, Ordering::Relaxed);
-                }
-                self.update_write_interest(idx);
+                self.shared
+                    .stats
+                    .bytes_tx
+                    .fetch_add(written as u64, Ordering::Relaxed);
             }
             Err(err) => self.kill_conn(idx, err),
         }
     }
 
-    /// Keep EPOLLOUT registered exactly while unwritten bytes exist
-    /// (level-triggered — leaving it on would spin the reactor).
-    fn update_write_interest(&mut self, idx: usize) {
-        let conn = &mut self.conns[idx];
-        let want = conn.queue.iter().any(Exchange::unwritten);
-        let Some(stream) = conn.stream() else {
-            return;
-        };
-        if want != conn.want_write {
-            let mut interest = libc::EPOLLIN | libc::EPOLLRDHUP;
-            if want {
-                interest |= libc::EPOLLOUT;
-            }
-            let fd = stream.as_raw_fd();
-            if self.shared.poller.modify(fd, idx as u64, interest).is_ok() {
-                self.conns[idx].want_write = want;
-            }
-        }
-    }
-
     fn abort_all(&mut self) {
         for idx in 0..self.conns.len() {
-            self.close_stream(idx);
-            let queue = std::mem::take(&mut self.conns[idx].queue);
-            for ex in queue {
-                ex.finish_err(
-                    KvError::Io(io::Error::new(
-                        io::ErrorKind::NotConnected,
-                        "client shut down",
-                    )),
-                    &self.shared.stats,
-                );
-            }
+            self.fail_queue(
+                idx,
+                io::Error::new(io::ErrorKind::NotConnected, "client shut down"),
+            );
         }
     }
 }
 
-/// Write queued batches in FIFO order with vectored non-blocking writes,
-/// stopping at `WouldBlock`; returns the bytes written. Zero-copy: iovecs
-/// point straight into the pre-encoded segments (stripe payloads
-/// included) — this is the single-copy write path's last hop.
-fn write_queued(conn: &mut ConnState) -> io::Result<u64> {
-    let mut total: u64 = 0;
-    loop {
-        let Some(mut writer) = conn.stream() else {
-            return Ok(total);
-        };
-        let mut slices: Vec<IoSlice<'_>> = Vec::with_capacity(MAX_IOV);
-        for ex in conn.queue.iter() {
-            let mut off = ex.off;
-            for seg in ex.segments.iter().skip(ex.seg) {
-                if slices.len() == MAX_IOV {
-                    break;
-                }
-                if off < seg.len() {
-                    slices.push(IoSlice::new(&seg[off..]));
-                }
-                off = 0;
-            }
-            if slices.len() == MAX_IOV {
-                break;
-            }
+#[cfg(test)]
+mod tests {
+    use std::io::{Read, Write};
+    use std::net::TcpListener;
+
+    use super::*;
+
+    const TIMEOUT: Duration = Duration::from_secs(10);
+
+    fn listener() -> (TcpListener, SocketAddr) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        (listener, addr)
+    }
+
+    /// One connection to `addr`, registered with `reactor`.
+    fn register(reactor: &ReactorHandle, addr: SocketAddr, timeout: Duration) -> Registration {
+        let stream = TcpStream::connect(addr).unwrap();
+        reactor.register(addr, vec![stream], timeout, None).unwrap()
+    }
+
+    /// A 16 MiB batch in 32 segments — more than the socket buffers of a
+    /// peer that reads little or nothing take, so part of it is still in
+    /// the send queue, cut inside a segment, when the test strikes.
+    fn big_batch() -> (Vec<Bytes>, Vec<u8>) {
+        let segments: Vec<Bytes> = (0..32u8)
+            .map(|i| Bytes::from(vec![i; 512 * 1024]))
+            .collect();
+        let wire = segments.concat();
+        (segments, wire)
+    }
+
+    /// Whether anything more arrives on `stream` within 200 ms.
+    fn goes_quiet(stream: &mut TcpStream) -> bool {
+        stream
+            .set_read_timeout(Some(Duration::from_millis(200)))
+            .unwrap();
+        !matches!(stream.read(&mut [0u8; 1]), Ok(n) if n > 0)
+    }
+
+    /// Whether nobody dials `listener` within 200 ms.
+    fn nobody_dials(listener: &TcpListener) -> bool {
+        listener.set_nonblocking(true).unwrap();
+        std::thread::sleep(Duration::from_millis(200));
+        listener.accept().is_err()
+    }
+
+    #[test]
+    fn an_idempotent_batch_caught_half_written_is_resent_whole_exactly_once() {
+        let (listener, addr) = listener();
+        let reactor = ReactorHandle::new().unwrap();
+        let reg = register(&reactor, addr, TIMEOUT);
+        let (segments, wire) = big_batch();
+        let total = wire.len();
+        let server = std::thread::spawn(move || {
+            // The head of the batch arrives; the connection dies under
+            // the rest.
+            let (mut first, _) = listener.accept().unwrap();
+            first.read_exact(&mut vec![0u8; 100_000]).unwrap();
+            drop(first);
+            let (mut second, _) = listener.accept().unwrap();
+            let mut got = vec![0u8; total];
+            second.read_exact(&mut got).unwrap();
+            second.write_all(b"STORED\r\n").unwrap();
+            // One whole copy, and nothing after it — here or elsewhere.
+            assert!(goes_quiet(&mut second), "bytes followed the replayed batch");
+            assert!(nobody_dials(&listener), "a second replay dialed in");
+            got
+        });
+        let replies = reg.submit(0, segments, 1, true).wait().unwrap();
+        assert_eq!(replies, vec![Response::Stored]);
+        assert!(
+            server.join().unwrap() == wire,
+            "the replay differs from the batch"
+        );
+    }
+
+    #[test]
+    fn a_batch_holding_an_append_surfaces_the_io_error_and_is_never_resent() {
+        let (listener, addr) = listener();
+        let reactor = ReactorHandle::new().unwrap();
+        let reg = register(&reactor, addr, TIMEOUT);
+        let server = std::thread::spawn(move || {
+            let (mut first, _) = listener.accept().unwrap();
+            first.read_exact(&mut vec![0u8; 100_000]).unwrap();
+            drop(first);
+            assert!(
+                nobody_dials(&listener),
+                "a non-idempotent batch was replayed"
+            );
+        });
+        // `add` / `append` / `cas` make a batch non-idempotent
+        // (`net::is_idempotent`); the reactor sees only the flag.
+        let err = reg.submit(0, big_batch().0, 1, false).wait().unwrap_err();
+        assert!(matches!(err, KvError::Io(_)), "got {err:?}");
+        server.join().unwrap();
+    }
+
+    #[test]
+    fn a_timed_out_front_exchange_severs_the_connection_and_clears_its_send_queue() {
+        let (listener, addr) = listener();
+        let reactor = ReactorHandle::new().unwrap();
+        let reg = register(&reactor, addr, Duration::from_millis(300));
+        let server = std::thread::spawn(move || {
+            // A server that accepts and never reads: most of the batch
+            // stays in the client's send queue.
+            let (stalled, _) = listener.accept().unwrap();
+            let (mut second, _) = listener.accept().unwrap();
+            let mut request = [0u8; 64];
+            let n = second.read(&mut request).unwrap();
+            assert_eq!(
+                &request[..n],
+                b"get k\r\n",
+                "the dead stream's queue leaked"
+            );
+            assert!(goes_quiet(&mut second));
+            second.write_all(b"END\r\n").unwrap();
+            drop(stalled);
+        });
+        let err = reg.submit(0, big_batch().0, 1, true).wait().unwrap_err();
+        assert!(matches!(err, KvError::Timeout { .. }), "got {err:?}");
+        assert_eq!(reactor.stats().timeouts, 1);
+        // The next batch finds the link down, redials, and is all that
+        // the new stream carries.
+        let get = vec![Bytes::from_static(b"get k\r\n")];
+        assert_eq!(reg.submit(0, get, 1, true).wait().unwrap(), [Response::End]);
+        server.join().unwrap();
+    }
+
+    #[test]
+    fn a_deregistered_slot_leaves_no_bytes_behind_for_the_next_registrant() {
+        const PARTIAL: &[u8] = b"VALUE k 0 100\r\nabc";
+        let (listener, addr) = listener();
+        let reactor = ReactorHandle::new().unwrap();
+        let (release, held) = std::sync::mpsc::channel::<()>();
+        let server = std::thread::spawn(move || {
+            // Answer half a reply, read none of what follows.
+            let (mut stream, _) = listener.accept().unwrap();
+            stream.read_exact(&mut [0u8; 7]).unwrap();
+            stream.write_all(PARTIAL).unwrap();
+            let _ = held.recv();
+        });
+        let first = register(&reactor, addr, TIMEOUT);
+        let get = first.submit(0, vec![Bytes::from_static(b"get k\r\n")], 1, true);
+        let set = first.submit(0, big_batch().0, 1, true);
+        let deadline = Instant::now() + TIMEOUT;
+        while reactor.stats().bytes_rx < PARTIAL.len() as u64 {
+            assert!(Instant::now() < deadline, "the partial reply never arrived");
+            std::thread::sleep(Duration::from_millis(5));
         }
-        if slices.is_empty() {
-            return Ok(total);
+        // The slot now holds a partial frame with a hint, and a send
+        // queue cut mid-segment. Its owner goes away.
+        let tokens = first.tokens.clone();
+        drop(first);
+        for pending in [get, set] {
+            let err = pending.wait().unwrap_err();
+            assert!(matches!(err, KvError::Io(_)), "got {err:?}");
         }
-        let mut n = match writer.write_vectored(&slices) {
-            Ok(0) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::WriteZero,
-                    "failed to write frame",
-                ))
-            }
-            Ok(n) => n,
-            Err(err) if err.kind() == io::ErrorKind::WouldBlock => return Ok(total),
-            Err(err) if err.kind() == io::ErrorKind::Interrupted => continue,
-            Err(err) => return Err(err),
-        };
-        total += n as u64;
-        drop(slices);
-        for ex in conn.queue.iter_mut() {
-            while n > 0 && ex.seg < ex.segments.len() {
-                let avail = ex.segments[ex.seg].len() - ex.off;
-                if n >= avail {
-                    n -= avail;
-                    ex.seg += 1;
-                    ex.off = 0;
-                } else {
-                    ex.off += n;
-                    n = 0;
-                }
-            }
-            if n == 0 {
-                break;
-            }
-        }
+        let server2 =
+            crate::KvServer::spawn(Arc::new(crate::Store::with_defaults()), "127.0.0.1:0").unwrap();
+        let second = register(&reactor, server2.addr(), TIMEOUT);
+        assert_eq!(second.tokens, tokens, "the freed slot is reused");
+        let version = vec![Bytes::from_static(b"version\r\n")];
+        let replies = second.submit(0, version, 1, true).wait().unwrap();
+        assert!(matches!(replies[..], [Response::Version(_)]), "{replies:?}");
+        release.send(()).unwrap();
+        server.join().unwrap();
     }
 }

@@ -10,18 +10,20 @@
 //! two thread hops per batch.
 //!
 //! * **One loop thread** (`memkv-srv-loop`) owns the listening socket and
-//!   a token-slab of non-blocking connections. Accepts run in-loop via
-//!   `accept4(SOCK_NONBLOCK)`; the thread census is this loop plus the
-//!   maintenance thread at any connection count.
+//!   a token-slab of non-blocking connections. Accepts run in-loop; the
+//!   thread census is this loop plus the maintenance thread at any
+//!   connection count.
 //! * **Run to completion, in order.** `parse_conn` is the one place a
-//!   request is handled: decode with a cursor ([`RequestDecoder`], no
+//!   request is handled: decode at the receive buffer's cursor (no
 //!   memmove per pipelined request), execute against the store, queue
 //!   the response. Pipeline order is a property of that loop. A `quit`
 //!   or a decode error queues its verdict behind the earlier responses;
 //!   the connection closes once they are sent.
 //! * **Vectored zero-copy responses**: value payloads ride as
-//!   refcount-bumped [`Bytes`] iovec segments straight from the store to
-//!   `writev`, never copied into an encode buffer.
+//!   refcount-bumped `Bytes` segments straight from the store to the
+//!   connection's `writev`, never copied into an encode buffer. (The
+//!   buffers and the socket I/O are [`crate::conn`]'s, shared with the
+//!   client reactor; this file is the loop and its policy.)
 //! * **A connection's turn is bounded.** It ends at the first short read,
 //!   at [`MAX_PENDING_BYTES`] of queued output, or after [`TURN_READS`]
 //!   reads, whichever comes first; level-triggered epoll reports the
@@ -32,9 +34,9 @@
 //!   operator verbs `keys` / `flush_all`, which are O(items).
 //! * **Backpressure per connection**: past [`MAX_PENDING_BYTES`] of unsent
 //!   response bytes the loop stops reading and executing for that socket
-//!   (EPOLLIN dropped; undecoded requests wait in the decoder) and drains
-//!   via EPOLLOUT until the peer has caught up to half the bound. A slow
-//!   reader can stall only itself.
+//!   (EPOLLIN dropped; undecoded requests wait in the receive buffer)
+//!   and drains via EPOLLOUT until the peer has caught up to half the
+//!   bound. A slow reader can stall only itself.
 //! * **Maintenance off the loop.** A sweep from the high to the low
 //!   watermark is the one store call that is not sub-microsecond, so
 //!   `memkv-srv-maint` runs [`Store::maintain`] every
@@ -63,22 +65,20 @@
 //! `stats` protocol command appends the serving-layer pairs to the
 //! store's counters.
 
-use std::collections::VecDeque;
-use std::io::{self, IoSlice, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::os::fd::{AsRawFd, FromRawFd, IntoRawFd, OwnedFd};
+use std::io::Write;
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
+use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use bytes::Bytes;
-
+use crate::conn::{Conn, TxQueue};
 use crate::error::{KvError, KvResult};
 use crate::poll::{Poller, WAKE_TOKEN};
 use crate::proto::{
-    slice_range, stats_pairs, write_response, write_value_header, Request, RequestDecoder,
-    Response, ValueItem,
+    next_request, slice_range, stats_pairs, write_response, write_value_header, Request, Response,
+    ValueItem,
 };
 use crate::stats::StoreStats;
 use crate::stats::{ServerStats, ServerStatsSnapshot};
@@ -90,9 +90,7 @@ pub const SERVER_VERSION: &str = "memkv/0.1 (memcached text protocol)";
 
 /// epoll token reserved for the listening socket (`WAKE_TOKEN - 1`).
 const LISTEN_TOKEN: u64 = u64::MAX - 1;
-/// Max iovec entries per `writev` — matches the kernel's UIO_FASTIOV.
-const MAX_IOV: usize = 8;
-/// Read granularity for request bytes.
+/// Most request bytes one read takes.
 const READ_CHUNK: usize = 64 * 1024;
 /// Reads one connection gets per turn on the loop (1 MiB of requests)
 /// before the other ready connections have theirs.
@@ -103,10 +101,6 @@ const MAX_PENDING_BYTES: usize = 8 * 1024 * 1024;
 /// Cadence of background store maintenance ([`Store::maintain`]): TTL
 /// reaping plus watermark eviction.
 const MAINTENANCE_INTERVAL: Duration = Duration::from_millis(100);
-/// Values at least this large become their own zero-copy out-segments;
-/// smaller ones are inlined into the header scratch (mirrors the client
-/// encoder's split).
-const SEGMENT_THRESHOLD: usize = 4 * 1024;
 /// Sent (best effort) to a connection shed at the `max_connections` cap.
 const SHED_MESSAGE: &[u8] = b"SERVER_ERROR too many connections\r\n";
 
@@ -170,7 +164,7 @@ impl KvServer {
             ..config
         };
         crate::reactor::pin_malloc_thresholds();
-        let listener = bind_reuseaddr(addr).map_err(KvError::Io)?;
+        let listener = crate::conn::listen(addr).map_err(KvError::Io)?;
         let addr = listener.local_addr()?;
         let engine = Arc::new(Engine {
             poller: Poller::new().map_err(KvError::Io)?,
@@ -258,110 +252,6 @@ fn maintenance_loop(engine: &Engine) {
         }
         engine.store.maintain();
     }
-}
-
-/// `socket + SO_REUSEADDR + bind + listen`, returning a non-blocking
-/// listener. `SO_REUSEADDR` matters for restart semantics: a server
-/// respawned on the same port must not fail on lingering TIME_WAIT pairs
-/// from its previous life.
-fn bind_reuseaddr(addr: impl ToSocketAddrs) -> io::Result<TcpListener> {
-    let mut last: Option<io::Error> = None;
-    for a in addr.to_socket_addrs()? {
-        match bind_one(&a) {
-            Ok(l) => return Ok(l),
-            Err(e) => last = Some(e),
-        }
-    }
-    Err(last.unwrap_or_else(|| {
-        io::Error::new(io::ErrorKind::InvalidInput, "address resolved to nothing")
-    }))
-}
-
-fn bind_one(addr: &SocketAddr) -> io::Result<TcpListener> {
-    let domain = match addr {
-        SocketAddr::V4(_) => libc::AF_INET,
-        SocketAddr::V6(_) => libc::AF_INET6,
-    };
-    // SAFETY: `socket` takes no pointers; the result is checked before use.
-    let raw = unsafe {
-        libc::socket(
-            domain,
-            libc::SOCK_STREAM | libc::SOCK_NONBLOCK | libc::SOCK_CLOEXEC,
-            0,
-        )
-    };
-    if raw < 0 {
-        return Err(io::Error::last_os_error());
-    }
-    // SAFETY: `raw` is a fresh, open descriptor nothing else owns, so the
-    // `OwnedFd` is its sole owner (and closes it on every error return).
-    let fd = unsafe { OwnedFd::from_raw_fd(raw) };
-    let one: libc::c_int = 1;
-    // SAFETY: `fd` is open, and `optval` points at a live `c_int` whose
-    // size is passed as `optlen`.
-    let rc = unsafe {
-        libc::setsockopt(
-            fd.as_raw_fd(),
-            libc::SOL_SOCKET,
-            libc::SO_REUSEADDR,
-            (&one as *const libc::c_int).cast(),
-            std::mem::size_of::<libc::c_int>() as libc::socklen_t,
-        )
-    };
-    if rc < 0 {
-        return Err(io::Error::last_os_error());
-    }
-    let rc = match addr {
-        SocketAddr::V4(a) => {
-            let sin = libc::sockaddr_in {
-                sin_family: libc::AF_INET as libc::sa_family_t,
-                sin_port: a.port().to_be(),
-                sin_addr: libc::in_addr {
-                    s_addr: u32::from_ne_bytes(a.ip().octets()),
-                },
-                sin_zero: [0; 8],
-            };
-            // SAFETY: `sin` is a live, fully initialised `sockaddr_in`
-            // whose exact size is passed as the address length.
-            unsafe {
-                libc::bind(
-                    fd.as_raw_fd(),
-                    (&sin as *const libc::sockaddr_in).cast(),
-                    std::mem::size_of::<libc::sockaddr_in>() as libc::socklen_t,
-                )
-            }
-        }
-        SocketAddr::V6(a) => {
-            let sin6 = libc::sockaddr_in6 {
-                sin6_family: libc::AF_INET6 as libc::sa_family_t,
-                sin6_port: a.port().to_be(),
-                sin6_flowinfo: a.flowinfo(),
-                sin6_addr: libc::in6_addr {
-                    s6_addr: a.ip().octets(),
-                },
-                sin6_scope_id: a.scope_id(),
-            };
-            // SAFETY: `sin6` is a live, fully initialised `sockaddr_in6`
-            // whose exact size is passed as the address length.
-            unsafe {
-                libc::bind(
-                    fd.as_raw_fd(),
-                    (&sin6 as *const libc::sockaddr_in6).cast(),
-                    std::mem::size_of::<libc::sockaddr_in6>() as libc::socklen_t,
-                )
-            }
-        }
-    };
-    if rc < 0 {
-        return Err(io::Error::last_os_error());
-    }
-    // SAFETY: `listen` takes no pointers and `fd` is open.
-    if unsafe { libc::listen(fd.as_raw_fd(), 1024) } < 0 {
-        return Err(io::Error::last_os_error());
-    }
-    // SAFETY: `into_raw_fd` gives up the `OwnedFd`'s ownership, so the
-    // `TcpListener` becomes the sole owner of an open, listening socket.
-    Ok(unsafe { TcpListener::from_raw_fd(fd.into_raw_fd()) })
 }
 
 /// Execute one request with serving-layer accounting; `stats` gets the
@@ -587,37 +477,24 @@ fn storage_error(e: KvError) -> Response {
 /// One slot of the connection slab. Slots are reused through a freelist;
 /// the only reference that outlives an occupant is its idle timer, which
 /// `close_conn` cancels, so a slot needs no generation of its own.
-struct Conn {
-    stream: Option<TcpStream>,
-    decoder: RequestDecoder,
-    /// Unsent response segments (zero-copy `Bytes`), plus the byte offset
-    /// already written of the front segment.
-    out: VecDeque<Bytes>,
-    out_off: usize,
-    /// Total unsent bytes across `out` — the backpressure gauge.
-    pending_out: usize,
-    /// Stop reading and executing: `pending_out` passed its bound.
+struct Slot {
+    /// The occupant: stream, receive buffer, send queue, epoll interest.
+    conn: Option<Conn>,
+    /// Stop reading and executing: the send queue passed its bound.
     paused_read: bool,
     /// A `quit` or a decode error was seen: send nothing more after the
-    /// out queue drains; then close.
+    /// send queue drains; then close.
     close_after_flush: bool,
-    /// Interest mask currently registered with epoll.
-    interest: u32,
     last_activity: Instant,
     idle_timer: Option<TimerId>,
 }
 
-impl Conn {
-    fn vacant(now: Instant) -> Conn {
-        Conn {
-            stream: None,
-            decoder: RequestDecoder::new(),
-            out: VecDeque::new(),
-            out_off: 0,
-            pending_out: 0,
+impl Slot {
+    fn vacant(now: Instant) -> Slot {
+        Slot {
+            conn: None,
             paused_read: false,
             close_after_flush: false,
-            interest: 0,
             last_activity: now,
             idle_timer: None,
         }
@@ -627,7 +504,7 @@ impl Conn {
 struct ServerLoop {
     engine: Arc<Engine>,
     listener: TcpListener,
-    conns: Vec<Conn>,
+    conns: Vec<Slot>,
     free: Vec<usize>,
     /// Idle timers; the payload is the connection's slab index.
     wheel: TimerWheel<usize>,
@@ -646,7 +523,6 @@ impl ServerLoop {
 
     fn run(mut self) {
         let mut events: Vec<(u64, u32)> = Vec::new();
-        let mut chunk = vec![0u8; READ_CHUNK];
         loop {
             if self.engine.shutdown.load(Ordering::SeqCst) {
                 break;
@@ -668,13 +544,13 @@ impl ServerLoop {
                     LISTEN_TOKEN => self.accept_ready(),
                     t => {
                         let idx = t as usize;
-                        if idx >= self.conns.len() || self.conns[idx].stream.is_none() {
+                        if idx >= self.conns.len() || self.conns[idx].conn.is_none() {
                             continue;
                         }
                         if ev & (libc::EPOLLIN | libc::EPOLLRDHUP | libc::EPOLLERR | libc::EPOLLHUP)
                             != 0
                         {
-                            self.conn_readable(idx, &mut chunk);
+                            self.conn_readable(idx);
                         } else {
                             self.advance_conn(idx);
                         }
@@ -689,32 +565,11 @@ impl ServerLoop {
         }
     }
 
-    /// Drain the accept queue (level-triggered listener).
+    /// Drain the accept queue (level-triggered, non-blocking listener).
     fn accept_ready(&mut self) {
-        loop {
-            // SAFETY: the listener is open for the life of the loop, and
-            // null `addr` / `addrlen` are the documented way to decline
-            // the peer address.
-            let raw = unsafe {
-                libc::accept4(
-                    self.listener.as_raw_fd(),
-                    std::ptr::null_mut(),
-                    std::ptr::null_mut(),
-                    libc::SOCK_NONBLOCK | libc::SOCK_CLOEXEC,
-                )
-            };
-            if raw < 0 {
-                let err = io::Error::last_os_error();
-                if err.kind() == io::ErrorKind::Interrupted {
-                    continue;
-                }
-                // EAGAIN (queue drained) and transient per-connection
-                // errors (ECONNABORTED) both end this round.
-                return;
-            }
-            // SAFETY: `raw` is non-negative here, i.e. a fresh connected
-            // socket nothing else owns; the `TcpStream` is its sole owner.
-            let stream = unsafe { TcpStream::from_raw_fd(raw) };
+        // `WouldBlock` (queue drained) and transient per-connection errors
+        // (`ECONNABORTED`) both end this round.
+        while let Ok((stream, _)) = self.listener.accept() {
             let open = self.engine.stats.connections.load(Ordering::Relaxed);
             if open as usize >= self.engine.config.max_connections {
                 // Shed: tell the client why, best effort on a fresh
@@ -726,29 +581,21 @@ impl ServerLoop {
                 let _ = (&stream).write(SHED_MESSAGE);
                 continue;
             }
-            let _ = stream.set_nodelay(true);
             let now = Instant::now();
             let idx = match self.free.pop() {
                 Some(i) => i,
                 None => {
-                    self.conns.push(Conn::vacant(now));
+                    self.conns.push(Slot::vacant(now));
                     self.conns.len() - 1
                 }
             };
-            let interest = libc::EPOLLIN | libc::EPOLLRDHUP;
-            if self
-                .engine
-                .poller
-                .add(stream.as_raw_fd(), idx as u64, interest)
-                .is_err()
-            {
+            let Ok(conn) = Conn::adopt(stream, &self.engine.poller, idx as u64) else {
                 self.free.push(idx);
-                continue; // drop closes the socket
-            }
-            let conn = &mut self.conns[idx];
-            conn.stream = Some(stream);
-            conn.interest = interest;
-            conn.last_activity = now;
+                continue; // the socket closed with the failed adoption
+            };
+            let slot = &mut self.conns[idx];
+            slot.conn = Some(conn);
+            slot.last_activity = now;
             self.engine
                 .stats
                 .connections
@@ -776,12 +623,13 @@ impl ServerLoop {
     /// it) or the timer re-arms at the earliest future instant it could
     /// be.
     fn idle_fired(&mut self, idx: usize, now: Instant) {
-        let conn = &mut self.conns[idx];
-        debug_assert!(conn.stream.is_some(), "close_conn cancels the timer");
-        conn.idle_timer = None;
+        let slot = &mut self.conns[idx];
+        debug_assert!(slot.conn.is_some(), "close_conn cancels the timer");
+        slot.idle_timer = None;
         let timeout = self.engine.config.idle_timeout;
-        let deadline = conn.last_activity + timeout;
-        if now >= deadline && conn.out.is_empty() {
+        let deadline = slot.last_activity + timeout;
+        let sent_all = slot.conn.as_ref().is_some_and(|c| c.tx.is_empty());
+        if now >= deadline && sent_all {
             self.engine
                 .stats
                 .idle_closed
@@ -800,39 +648,28 @@ impl ServerLoop {
     /// One connection's turn: read and run requests until a short read,
     /// the output bound, or [`TURN_READS`] reads. Level-triggered epoll
     /// reports whatever is left next round.
-    fn conn_readable(&mut self, idx: usize, chunk: &mut [u8]) {
+    fn conn_readable(&mut self, idx: usize) {
         for _ in 0..TURN_READS {
-            let conn = &mut self.conns[idx];
-            let Some(stream) = conn.stream.as_ref() else {
+            let slot = &mut self.conns[idx];
+            let Some(conn) = slot.conn.as_mut() else {
                 return;
             };
-            if conn.paused_read {
+            if slot.paused_read {
                 break;
             }
-            let mut sref = stream;
-            match sref.read(chunk) {
-                Ok(0) => {
-                    self.close_conn(idx);
-                    return;
-                }
-                Ok(n) => {
-                    self.engine
-                        .stats
-                        .bytes_rx
-                        .fetch_add(n as u64, Ordering::Relaxed);
-                    conn.last_activity = Instant::now();
-                    conn.decoder.feed(&chunk[..n]);
-                    self.parse_conn(idx);
-                    if n < chunk.len() {
-                        break;
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    self.close_conn(idx);
-                    return;
-                }
+            let Ok((n, drained)) = conn.fill(READ_CHUNK) else {
+                return self.close_conn(idx);
+            };
+            if n > 0 {
+                self.engine
+                    .stats
+                    .bytes_rx
+                    .fetch_add(n as u64, Ordering::Relaxed);
+                slot.last_activity = Instant::now();
+                self.parse_conn(idx);
+            }
+            if drained {
+                break;
             }
         }
         self.advance_conn(idx);
@@ -841,20 +678,23 @@ impl ServerLoop {
     /// The one place a request is handled: decode, execute and queue the
     /// response of every complete pipelined request the buffer holds, in
     /// order, until the output bound pauses the connection (the rest wait
-    /// in the decoder for [`ServerLoop::advance_conn`]). A `quit` or a
-    /// decode error queues its verdict behind the earlier responses and
-    /// ends the connection once they are sent; later input is dropped.
+    /// in the receive buffer for [`ServerLoop::advance_conn`]). A `quit`
+    /// or a decode error queues its verdict behind the earlier responses
+    /// and ends the connection once they are sent; later input is dropped.
     fn parse_conn(&mut self, idx: usize) {
-        let conn = &mut self.conns[idx];
-        while !conn.close_after_flush {
-            if conn.pending_out > MAX_PENDING_BYTES {
-                conn.paused_read = true;
+        let slot = &mut self.conns[idx];
+        let Some(conn) = slot.conn.as_mut() else {
+            return;
+        };
+        while !slot.close_after_flush {
+            if conn.tx.pending() > MAX_PENDING_BYTES {
+                slot.paused_read = true;
                 return;
             }
-            let verdict = match conn.decoder.next_request() {
+            let verdict = match next_request(&mut conn.rx) {
                 Ok(Some(Request::Quit)) => None,
                 Ok(Some(req)) => {
-                    enqueue_response(conn, &execute_traced(&self.engine, req));
+                    enqueue_response(&mut conn.tx, &execute_traced(&self.engine, req));
                     continue;
                 }
                 Ok(None) => return,
@@ -866,199 +706,105 @@ impl ServerLoop {
                 Err(e) => Some(Response::ClientError(e.to_string())),
             };
             if let Some(resp) = verdict {
-                enqueue_response(conn, &resp);
+                enqueue_response(&mut conn.tx, &resp);
             }
-            conn.close_after_flush = true;
+            slot.close_after_flush = true;
         }
-        conn.decoder.reset();
-    }
-
-    /// Flush queued response segments with vectored writes until the
-    /// socket pushes back.
-    fn flush_conn(&mut self, idx: usize) {
-        let conn = &mut self.conns[idx];
-        let Some(stream) = conn.stream.as_ref() else {
-            return;
-        };
-        if conn.out.is_empty() {
-            return;
-        }
-        match write_out(stream, &mut conn.out, &mut conn.out_off) {
-            Ok(n) => {
-                conn.pending_out -= n as usize;
-                self.engine.stats.bytes_tx.fetch_add(n, Ordering::Relaxed);
-            }
-            Err(_) => self.close_conn(idx),
-        }
+        conn.rx.reset();
     }
 
     /// Post-I/O bookkeeping: flush, resume a paused connection once the
     /// peer has drained to half the bound (so the interest mask does not
     /// flap around the threshold), close if the drain condition is met,
-    /// and resync epoll interest with the connection's state.
+    /// and resync epoll interest with the connection's state: readable
+    /// unless paused, writable only while unsent segments exist.
     fn advance_conn(&mut self, idx: usize) {
         loop {
-            self.flush_conn(idx);
-            let conn = &mut self.conns[idx];
-            if !conn.paused_read || conn.pending_out > MAX_PENDING_BYTES / 2 {
+            let slot = &mut self.conns[idx];
+            let Some(conn) = slot.conn.as_mut() else {
+                return;
+            };
+            match conn.flush() {
+                Ok(n) => self
+                    .engine
+                    .stats
+                    .bytes_tx
+                    .fetch_add(n as u64, Ordering::Relaxed),
+                Err(_) => return self.close_conn(idx),
+            };
+            if !slot.paused_read || conn.tx.pending() > MAX_PENDING_BYTES / 2 {
                 break;
             }
             // The flush after this may drain everything again, and a
             // paused connection with nothing to send would wait on no
-            // event at all: go round until the decoder is empty or the
-            // socket pushes back.
-            conn.paused_read = false;
+            // event at all: go round until the buffer holds no complete
+            // request or the socket pushes back.
+            slot.paused_read = false;
             self.parse_conn(idx);
         }
-        let conn = &self.conns[idx];
-        if conn.stream.is_none() {
-            return;
-        }
-        if conn.close_after_flush && conn.out.is_empty() {
-            self.close_conn(idx);
-            return;
-        }
-        self.update_interest(idx);
-    }
-
-    /// Register exactly the interest the state machine needs: EPOLLIN
-    /// unless paused, EPOLLOUT only while unsent segments exist.
-    fn update_interest(&mut self, idx: usize) {
-        let conn = &mut self.conns[idx];
-        let Some(stream) = conn.stream.as_ref() else {
+        let slot = &mut self.conns[idx];
+        let Some(conn) = slot.conn.as_mut() else {
             return;
         };
-        let mut interest = 0u32;
-        if !conn.paused_read {
-            interest |= libc::EPOLLIN | libc::EPOLLRDHUP;
-        }
-        if !conn.out.is_empty() {
-            interest |= libc::EPOLLOUT;
-        }
-        if interest != conn.interest {
-            let fd = stream.as_raw_fd();
-            if self.engine.poller.modify(fd, idx as u64, interest).is_ok() {
-                conn.interest = interest;
-            } else {
-                self.close_conn(idx);
-            }
+        if (slot.close_after_flush && conn.tx.is_empty())
+            || conn
+                .sync_interest(&self.engine.poller, !slot.paused_read)
+                .is_err()
+        {
+            self.close_conn(idx);
         }
     }
 
     fn close_conn(&mut self, idx: usize) {
-        let conn = &mut self.conns[idx];
-        let Some(stream) = conn.stream.take() else {
+        let slot = &mut self.conns[idx];
+        let Some(conn) = slot.conn.take() else {
             return;
         };
-        let _ = self.engine.poller.delete(stream.as_raw_fd());
-        if let Some(id) = conn.idle_timer.take() {
+        conn.close(&self.engine.poller);
+        if let Some(id) = slot.idle_timer.take() {
             self.wheel.cancel(id);
         }
-        conn.decoder.reset();
-        conn.out.clear();
-        conn.out_off = 0;
-        conn.pending_out = 0;
-        conn.paused_read = false;
-        conn.close_after_flush = false;
-        conn.interest = 0;
+        slot.paused_read = false;
+        slot.close_after_flush = false;
         self.engine
             .stats
             .connections
             .fetch_sub(1, Ordering::Relaxed);
         self.free.push(idx);
-        // dropping `stream` closes the fd
     }
 }
 
-/// Append one response to the connection's out-queue. Header bytes build
-/// in a scratch that becomes one segment; values at or above
-/// [`SEGMENT_THRESHOLD`] ride as their own refcount-bumped segments, so
-/// stripe-sized payloads go store → `writev` with zero copies.
-fn enqueue_response(conn: &mut Conn, resp: &Response) {
-    let mut head: Vec<u8> = Vec::new();
+/// Append one response to a connection's send queue: header lines and
+/// small values build one segment, stripe-sized values ride as their own
+/// refcount-bumped segments ([`TxQueue::value`]), store → `writev` with
+/// zero copies.
+fn enqueue_response(tx: &mut TxQueue, resp: &Response) {
     match resp {
         Response::Value { key, value, cas } => {
-            write_value_header(&mut head, key, value.len(), *cas);
-            stage_value(conn, &mut head, value);
-            head.extend_from_slice(b"\r\nEND\r\n");
+            write_value_header(tx.head(), key, value.len(), *cas);
+            tx.value(value);
+            tx.head().extend_from_slice(b"\r\nEND\r\n");
         }
         Response::Values(items) => {
             for item in items {
-                write_value_header(&mut head, &item.key, item.value.len(), item.cas);
-                stage_value(conn, &mut head, &item.value);
-                head.extend_from_slice(b"\r\n");
+                write_value_header(tx.head(), &item.key, item.value.len(), item.cas);
+                tx.value(&item.value);
+                tx.head().extend_from_slice(b"\r\n");
             }
-            head.extend_from_slice(b"END\r\n");
+            tx.head().extend_from_slice(b"END\r\n");
         }
-        other => write_response(other, &mut head),
+        other => write_response(other, tx.head()),
     }
-    push_segment(conn, Bytes::from(head));
-}
-
-fn stage_value(conn: &mut Conn, head: &mut Vec<u8>, value: &Bytes) {
-    if value.len() >= SEGMENT_THRESHOLD {
-        let flushed = std::mem::take(head);
-        push_segment(conn, Bytes::from(flushed));
-        push_segment(conn, value.clone());
-    } else {
-        head.extend_from_slice(value);
-    }
-}
-
-fn push_segment(conn: &mut Conn, seg: Bytes) {
-    if !seg.is_empty() {
-        conn.pending_out += seg.len();
-        conn.out.push_back(seg);
-    }
-}
-
-/// Write as much of `out` as the socket accepts, vectored. Returns the
-/// bytes written; `WouldBlock` ends the round without error.
-fn write_out(stream: &TcpStream, out: &mut VecDeque<Bytes>, off: &mut usize) -> io::Result<u64> {
-    let mut total: u64 = 0;
-    loop {
-        if out.is_empty() {
-            *off = 0;
-            return Ok(total);
-        }
-        let mut slices: Vec<IoSlice<'_>> = Vec::with_capacity(MAX_IOV.min(out.len()));
-        for (i, seg) in out.iter().enumerate() {
-            if slices.len() == MAX_IOV {
-                break;
-            }
-            let start = if i == 0 { *off } else { 0 };
-            slices.push(IoSlice::new(&seg[start..]));
-        }
-        let mut sref = stream;
-        let mut n = match sref.write_vectored(&slices) {
-            Ok(0) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::WriteZero,
-                    "failed to write response",
-                ))
-            }
-            Ok(n) => n,
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(total),
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
-        };
-        total += n as u64;
-        while n > 0 {
-            let front_len = out.front().expect("bytes written to empty queue").len() - *off;
-            if n >= front_len {
-                n -= front_len;
-                out.pop_front();
-                *off = 0;
-            } else {
-                *off += n;
-                n = 0;
-            }
-        }
-    }
+    tx.seal();
 }
 
 #[cfg(test)]
 mod tests {
+    use std::io::Read;
+    use std::net::TcpStream;
+
+    use bytes::Bytes;
+
     use super::*;
     use crate::net::TcpClient;
 
@@ -1105,7 +851,7 @@ mod tests {
     #[test]
     fn one_connections_turn_on_the_loop_is_bounded() {
         const FRAMES: usize = 128;
-        let listener = bind_reuseaddr("127.0.0.1:0").unwrap();
+        let listener = crate::conn::listen("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let engine = Arc::new(Engine {
             poller: Poller::new().unwrap(),
@@ -1133,10 +879,9 @@ mod tests {
         }
 
         let turn = (TURN_READS * READ_CHUNK) as u64;
-        let mut chunk = vec![0u8; READ_CHUNK];
         let (mut received, mut full_turns) = (0u64, 0u32);
         while received < total {
-            lp.conn_readable(0, &mut chunk);
+            lp.conn_readable(0);
             let now = engine.stats.bytes_rx.load(Ordering::Relaxed);
             let got = now - received;
             received = now;

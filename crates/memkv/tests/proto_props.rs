@@ -5,7 +5,7 @@
 
 use bytes::Bytes;
 use memfs_memkv::proto::{
-    encode_request, encode_response, parse_request, Parsed, Request, Response,
+    encode_request, encode_response, parse_request, Need, Parsed, Request, Response,
 };
 use proptest::prelude::*;
 
@@ -42,7 +42,7 @@ proptest! {
                 prop_assert_eq!(parsed, req);
                 prop_assert_eq!(n, wire.len());
             }
-            Parsed::NeedMore => prop_assert!(false, "complete request not parsed"),
+            Parsed::NeedMore(_) => prop_assert!(false, "complete request not parsed"),
         }
     }
 
@@ -55,8 +55,10 @@ proptest! {
         let req = Request::GetRange { key: Bytes::from(key), offset, len };
         let wire = encode_request(&req);
         prop_assert_eq!(parse_request(&wire).unwrap(), Parsed::Done(req, wire.len()));
-        // A strict prefix is never a (different) complete request.
-        prop_assert_eq!(parse_request(&wire[..wire.len() - 1]).unwrap(), Parsed::NeedMore);
+        // A strict prefix is never a (different) complete request: all it
+        // lacks is the end of its line.
+        let cut = &wire[..wire.len() - 1];
+        prop_assert_eq!(parse_request(cut).unwrap(), Parsed::NeedMore(Need::Line(cut.len())));
     }
 
     #[test]
@@ -71,7 +73,7 @@ proptest! {
         // A strict prefix must parse to NeedMore or a clean error — never
         // to a Done of the *wrong* request.
         match parse_request(&wire[..cut]) {
-            Ok(Parsed::NeedMore) | Err(_) => {}
+            Ok(Parsed::NeedMore(_)) | Err(_) => {}
             Ok(Parsed::Done(parsed, _)) => prop_assert_eq!(parsed, req),
         }
     }

@@ -12,6 +12,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use memfs::hashring::ServerId;
 use memfs::memfs_core::{DistributorKind, MemFs, MemFsConfig, ServerPool};
 use memfs::memkv::net::PoolConfig;
 use memfs::memkv::testutil::{seed_from_env, Rng, Shape, ShapedCluster};
@@ -77,6 +78,40 @@ fn heartbeat_probe_flags_a_wedged_server() {
     await_health(&pool, 0, false, Duration::from_secs(5));
     cluster.proxy(0).unstall();
     await_health(&pool, 0, true, Duration::from_secs(5));
+}
+
+#[test]
+fn a_connect_mount_probes_at_the_repair_interval_and_sees_a_quiet_server_die() {
+    let cluster = ShapedCluster::spawn(3, Shape::clean());
+    let addrs: Vec<_> = (0..3).map(|i| cluster.proxy(i).addr()).collect();
+    let heartbeats = |fs: &MemFs| {
+        let stats = fs.pool().client(ServerId(0)).reactor_stats();
+        stats.expect("a TCP mount").heartbeats
+    };
+    // The mount derives its probes from the one knob that needs them:
+    // no repair daemon, no probes; a repair daemon, probes at its pace.
+    let plain = MemFs::connect(&addrs, MemFsConfig::default()).unwrap();
+    let config = MemFsConfig {
+        repair_interval_ms: 25,
+        ..MemFsConfig::default()
+    };
+    let fs = MemFs::connect(&addrs, config).unwrap();
+    assert!(fs.repair_daemon_running() && !plain.repair_daemon_running());
+
+    let start = Instant::now();
+    while heartbeats(&fs) == 0 {
+        assert!(start.elapsed() < Duration::from_secs(5), "no probe sent");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert_eq!(heartbeats(&plain), 0);
+
+    // Kill one server and touch nothing. The daemon scans only members
+    // the census calls alive, so once the server is down nothing but a
+    // probe's re-dial can find it back.
+    cluster.proxy(1).kill();
+    await_health(fs.pool(), 1, false, Duration::from_secs(5));
+    cluster.proxy(1).revive();
+    await_health(fs.pool(), 1, true, Duration::from_secs(5));
 }
 
 fn repair_fs_config() -> MemFsConfig {
