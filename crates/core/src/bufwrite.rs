@@ -14,6 +14,7 @@ use std::sync::Arc;
 
 use bytes::{Bytes, BytesMut};
 use memfs_hashring::schema::KeySchema;
+use memfs_memkv::KvError;
 use parking_lot::{Condvar, Mutex};
 
 use crate::error::{MemFsError, MemFsResult};
@@ -29,9 +30,20 @@ struct Shared {
 
 struct Pending {
     inflight: usize,
-    /// First storage error observed by any background writer; surfaced at
-    /// the next flush/close.
-    error: Option<MemFsError>,
+    /// First storage error observed by any background writer. It stays
+    /// for the life of the buffer: some stripe of the file was never
+    /// stored, so every later write, flush and finish reports it again
+    /// and the file can never be given a size.
+    error: Option<KvError>,
+}
+
+impl Pending {
+    fn check(&self) -> MemFsResult<()> {
+        match &self.error {
+            Some(e) => Err(MemFsError::Storage(e.duplicate())),
+            None => Ok(()),
+        }
+    }
 }
 
 /// A buffered, striped writer for one file.
@@ -89,7 +101,8 @@ impl WriteBuffer {
         }
     }
 
-    /// Bytes accepted so far (the file offset of the next write).
+    /// Bytes accepted so far (the file offset of the next write). Nothing
+    /// is accepted once a drain has failed.
     pub fn written(&self) -> u64 {
         self.written
     }
@@ -103,7 +116,7 @@ impl WriteBuffer {
     /// Callers that already own [`Bytes`] should use
     /// [`write_bytes`](Self::write_bytes) and skip that copy too.
     pub fn write(&mut self, mut data: &[u8]) -> MemFsResult<()> {
-        self.check_error()?;
+        self.shared.state.lock().check()?;
         while !data.is_empty() {
             let room = self.layout.stripe_size() - self.current.len();
             let take = room.min(data.len());
@@ -125,7 +138,7 @@ impl WriteBuffer {
     /// partial stripe (an unaligned head or tail) are copied into the
     /// stripe buffer, and those are the write path's single copy.
     pub fn write_bytes(&mut self, mut data: Bytes) -> MemFsResult<()> {
-        self.check_error()?;
+        self.shared.state.lock().check()?;
         while !data.is_empty() {
             if self.current.is_empty() && data.len() >= self.layout.stripe_size() {
                 let stripe = data.split_to(self.layout.stripe_size());
@@ -156,28 +169,18 @@ impl WriteBuffer {
         while state.inflight > 0 {
             self.shared.cv.wait(&mut state);
         }
-        if let Some(e) = state.error.take() {
-            return Err(e);
-        }
-        Ok(())
+        state.check()
     }
 
     /// Submit the partial tail stripe (if any) and drain completely.
-    /// Returns the final file size. The buffer must not be written again.
+    /// Returns the final file size — or, if any drain of this buffer ever
+    /// failed, that failure. The buffer must not be written again.
     pub fn finish(&mut self) -> MemFsResult<u64> {
         if !self.current.is_empty() {
             self.submit_current()?;
         }
         self.flush()?;
         Ok(self.written)
-    }
-
-    fn check_error(&self) -> MemFsResult<()> {
-        let mut state = self.shared.state.lock();
-        if let Some(e) = state.error.take() {
-            return Err(e);
-        }
-        Ok(())
     }
 
     /// Move the completed stripe into the pending batch, draining it to
@@ -217,9 +220,7 @@ impl WriteBuffer {
             while state.inflight >= self.max_inflight && state.error.is_none() {
                 self.shared.cv.wait(&mut state);
             }
-            if let Some(e) = state.error.take() {
-                return Err(e);
-            }
+            state.check()?;
             state.inflight += n;
         }
 
@@ -230,7 +231,10 @@ impl WriteBuffer {
             let mut state = shared.state.lock();
             state.inflight -= n;
             if let Err(e) = result {
-                state.error.get_or_insert(e);
+                state.error.get_or_insert(match e {
+                    MemFsError::Storage(e) => e,
+                    other => KvError::Protocol(other.to_string()),
+                });
             }
             shared.cv.notify_all();
         });
@@ -311,7 +315,8 @@ mod tests {
             2,
         );
         assert_eq!(buf.finish().unwrap(), 0);
-        assert!(!pool.contains(&KeySchema::stripe_key("/e", 0)));
+        let stripe = pool.try_get(&KeySchema::stripe_key("/e", 0));
+        assert_eq!(stripe.unwrap(), None);
     }
 
     #[test]

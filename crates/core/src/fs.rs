@@ -358,7 +358,8 @@ impl MemFs {
 
     /// Create `path` for writing. Fails if the file or a directory of the
     /// same name exists (write-once: a file can be written exactly once),
-    /// or if the parent directory is missing.
+    /// if the parent directory is missing, or — `InvalidPath` — if the
+    /// path is too long for its stripe keys ([`path::normalize_new`]).
     ///
     /// Three requests in two steps. In flight together: the probe for a
     /// directory named `path`, and the atomic `add` of the empty size
@@ -377,7 +378,7 @@ impl MemFs {
     /// unclosed file. A storage error from the `append` leaves it too,
     /// as it always has: the entry may have landed.
     pub fn create(&self, raw: &str) -> MemFsResult<WriteHandle> {
-        let p = path::normalize(raw)?;
+        let p = path::normalize_new(raw)?;
         if p == "/" {
             return Err(MemFsError::IsADirectory(p));
         }
@@ -490,7 +491,7 @@ impl MemFs {
     /// waits for the checks: undoing a speculative `add` could delete a
     /// directory another mount has already created a child in.
     pub fn mkdir(&self, raw: &str) -> MemFsResult<()> {
-        let p = path::normalize(raw)?;
+        let p = path::normalize_new(raw)?;
         if p == "/" {
             return Err(MemFsError::AlreadyExists(p));
         }
@@ -770,7 +771,10 @@ impl WriteHandle {
     }
 
     /// Finish the file: drain the buffer, then publish the final size in
-    /// the metadata record, making the file readable everywhere.
+    /// the metadata record, making the file readable everywhere. If any
+    /// drain of this handle failed — now or on an earlier call that
+    /// already reported it — that failure is returned and no size is
+    /// published: the file stays `NotFinalized`, for `unlink` to remove.
     pub fn close(&mut self) -> MemFsResult<()> {
         let mut buffer = self.buffer.take().ok_or(MemFsError::Closed)?;
         let size = buffer.finish()?;
@@ -1237,6 +1241,94 @@ mod tests {
         assert_only_root_remains(&stores, "retried unlink");
     }
 
+    #[test]
+    fn a_failed_drain_is_never_finalized_by_close_or_drop() {
+        for by_drop in [false, true] {
+            let config = MemFsConfig {
+                stripe_size: 1024,
+                write_buffer_size: 8 * 1024,
+                ..MemFsConfig::default()
+            };
+            let (stores, failables, fs) = failable_mount(2, config);
+            let record = fs.pool().server_for(&KeySchema::file_key("/f")).0;
+            let chunk = vec![7u8; 4096];
+            let mut w = fs.create("/f").unwrap();
+            for _ in 0..4 {
+                w.write_all(&chunk).unwrap();
+            }
+            w.flush().unwrap();
+            // The server that does not hold the size record goes down
+            // mid-file: half of the stripes that follow have no home.
+            failables[1 - record].set_down(true);
+            let refused = (0..8).filter(|_| w.write_all(&chunk).is_err()).count();
+            assert!(refused > 0, "a drain must have failed by now");
+            // From the first failure on the handle only ever fails, with
+            // the server back too, and accepts no more bytes.
+            failables[1 - record].set_down(false);
+            let written = w.written();
+            assert!(matches!(w.write_all(&chunk), Err(MemFsError::Storage(_))));
+            assert!(matches!(w.flush(), Err(MemFsError::Storage(_))));
+            let owned = Bytes::from(chunk.clone());
+            assert!(matches!(w.write_bytes(owned), Err(MemFsError::Storage(_))));
+            assert_eq!(w.written(), written);
+            if by_drop {
+                drop(w);
+            } else {
+                assert!(matches!(w.close(), Err(MemFsError::Storage(_))));
+                assert!(matches!(w.close(), Err(MemFsError::Closed)));
+            }
+            // No size was published over the hole: the file stays open,
+            // unreadable, and removable.
+            assert!(!fs.stat("/f").unwrap().finalized, "by_drop {by_drop}");
+            assert!(matches!(fs.open("/f"), Err(MemFsError::NotFinalized(_))));
+            fs.unlink("/f").unwrap();
+            assert_only_root_remains(&stores, "a file whose drain failed");
+        }
+    }
+
+    /// The longest path `create` and `mkdir` take can be written past 100
+    /// stripes (where the stripe key grows a digit), read, unlinked; one
+    /// byte more is refused before anything is stored.
+    fn longest_path_works_and_the_next_is_refused(fs: &MemFs, what: &str) {
+        use memfs_memkv::store::MAX_KEY_LEN;
+        let longest = format!("/{}", "x".repeat(MAX_KEY_LEN - 24));
+        assert_eq!(KeySchema::stripe_key(&longest, u64::MAX).len(), MAX_KEY_LEN);
+        let data: Vec<u8> = (0..150 * 16).map(|i| (i % 251) as u8).collect();
+        fs.write_file(&longest, &data).expect(what);
+        assert_eq!(fs.read_to_vec(&longest).expect(what), data, "{what}");
+        assert_eq!(fs.readdir("/").unwrap().len(), 1, "{what}");
+        fs.unlink(&longest).expect(what);
+        fs.mkdir(&longest).expect(what);
+        fs.rmdir(&longest).expect(what);
+        let too_long = format!("{longest}x");
+        for refused in [fs.create(&too_long).map(drop), fs.mkdir(&too_long)] {
+            assert!(
+                matches!(&refused, Err(MemFsError::InvalidPath(p)) if *p == too_long),
+                "{what}: {refused:?}"
+            );
+        }
+        assert!(fs.readdir("/").unwrap().is_empty(), "{what}");
+    }
+
+    #[test]
+    fn a_path_create_accepts_fits_every_key_it_is_embedded_in() {
+        let (stores, _, fs) = small_stripe_mount(2);
+        longest_path_works_and_the_next_is_refused(&fs, "local");
+        assert_only_root_remains(&stores, "local");
+
+        let servers: Vec<_> = (0..2)
+            .map(|_| {
+                let store = Arc::new(Store::new(StoreConfig::default()));
+                memfs_memkv::KvServer::spawn(store, "127.0.0.1:0").unwrap()
+            })
+            .collect();
+        let addrs: Vec<_> = servers.iter().map(|s| s.addr()).collect();
+        let fs = MemFs::connect(&addrs, fs.config().clone()).unwrap();
+        longest_path_works_and_the_next_is_refused(&fs, "tcp");
+        let left: u64 = servers.iter().map(|s| s.store().item_count()).sum();
+        assert_eq!(left, 1, "tcp: keys left behind");
+    }
+
     /// A mount over recording clients (`pool.rs`'s `SubmitProbe`), its
     /// log drained of the mount's own `add d:/`.
     fn recording_mount(n: usize) -> (Arc<crate::pool::tests::ProbeLog>, MemFs) {
@@ -1520,8 +1612,7 @@ mod tests {
     #[test]
     fn engine_is_sized_by_the_config_alone() {
         // Background jobs only: the worker count is `io_threads`
-        // whatever the server count or the in-flight budget. (The
-        // eager-`start_*` client kind is covered in tests/fanout.rs.)
+        // whatever the server count or the in-flight budget.
         let fs = mount(4);
         assert_eq!(fs.engine().size(), fs.config().io_threads);
         assert_eq!(fs.engine().size(), 2);

@@ -7,6 +7,9 @@
 //! deployment would escape such names; for the MTC workloads of the paper
 //! (Montage/BLAST intermediate files) plain names are the reality.
 
+use memfs_hashring::schema::KeySchema;
+use memfs_memkv::store::MAX_KEY_LEN;
+
 use crate::error::{MemFsError, MemFsResult};
 
 /// Normalize `raw` to a canonical absolute path:
@@ -36,6 +39,20 @@ pub fn normalize(raw: &str) -> MemFsResult<String> {
     } else {
         Ok(format!("/{}", parts.join("/")))
     }
+}
+
+/// [`normalize`] for a name about to be created (`create`, `mkdir`):
+/// additionally refuses a path whose stripe keys would not all fit a
+/// storage key. `s:<path>#<index>` is the longest key a path is embedded
+/// in, so a path that passes can be written to any length, read, listed
+/// and unlinked — a longer one would be accepted by the shorter `f:<path>`
+/// and then fail mid-write, and again in `unlink`.
+pub fn normalize_new(raw: &str) -> MemFsResult<String> {
+    let path = normalize(raw)?;
+    if KeySchema::stripe_key(&path, u64::MAX).len() > MAX_KEY_LEN {
+        return Err(MemFsError::InvalidPath(path));
+    }
+    Ok(path)
 }
 
 /// The parent directory of a normalized path (`/` is its own parent).

@@ -7,12 +7,13 @@
 //!
 //! Batched operations have one dispatch path, the **submit window**
 //! (`ServerPool::drive`): the caller's thread submits each server's batch
-//! through the client's non-blocking `start_*` half, keeps up to
+//! through [`KvClient::start`], which does not block, keeps up to
 //! `io_parallelism` of them on the wire, and settles completions in
 //! arrival order (paper §3.2.2: symmetrical striping means every file
 //! operation should drive all N servers at once, using the full bisection
 //! bandwidth). A `get_many` window therefore costs `max(server RTT)`, not
-//! `sum(server RTTs)`, and occupies no thread but the caller's.
+//! `sum(server RTTs)`, and occupies no thread but the caller's. The
+//! single-key calls are the same calls with one entry.
 //!
 //! ## Elastic membership
 //!
@@ -39,7 +40,9 @@ use std::time::Duration;
 use bytes::Bytes;
 use memfs_hashring::{Distributor, KetamaRing, ModuloRing, RangeEpochs, RangePhase, ServerId};
 use memfs_memkv::error::KvResult;
-use memfs_memkv::{Deferred, KvClient, KvError, ReactorStatsSnapshot, ServerHealth, StoreVerb};
+use memfs_memkv::{
+    Batch, Deferred, KvClient, KvError, ReactorStatsSnapshot, Replies, ServerHealth, StoreVerb,
+};
 
 use crate::config::DistributorKind;
 use crate::error::{MemFsError, MemFsResult};
@@ -52,19 +55,15 @@ type ServerBatch<K> = (Vec<usize>, Vec<K>);
 
 /// What a routed read wants of a value: `None` for all of it, or
 /// `(offset, len)` — the `getrange` clamping rules, see
-/// [`KvClient::start_get_range_many`]. The replica walk is the same either
-/// way; only the fetch at each home differs.
+/// [`Batch::GetRange`]. The replica walk is the same either way; only the
+/// fetch at each home differs.
 type ByteRange = Option<(u64, usize)>;
 
 /// One `get` of `key` — whole, or just `range` of it — from one server.
 fn fetch_from(client: &dyn KvClient, key: &[u8], range: ByteRange) -> KvResult<Bytes> {
     match range {
         None => client.get(key),
-        Some((offset, len)) => client
-            .start_get_range_many(&[(Bytes::copy_from_slice(key), offset, len)])
-            .wait()?
-            .pop()
-            .expect("one reply per request"),
+        Some((offset, len)) => client.get_range(key, offset, len),
     }
 }
 
@@ -372,28 +371,12 @@ fn ring_for(
 /// transport error, and the health census reports the slot `Down`.
 struct RetiredClient;
 
-fn retired_err() -> KvError {
-    KvError::Io(std::io::Error::new(
-        std::io::ErrorKind::NotConnected,
-        "server slot retired from the pool",
-    ))
-}
-
 impl KvClient for RetiredClient {
-    fn set(&self, _key: &[u8], _value: Bytes) -> KvResult<()> {
-        Err(retired_err())
-    }
-    fn add(&self, _key: &[u8], _value: Bytes) -> KvResult<()> {
-        Err(retired_err())
-    }
-    fn get(&self, _key: &[u8]) -> KvResult<Bytes> {
-        Err(retired_err())
-    }
-    fn append(&self, _key: &[u8], _suffix: &[u8]) -> KvResult<()> {
-        Err(retired_err())
-    }
-    fn delete(&self, _key: &[u8]) -> KvResult<()> {
-        Err(retired_err())
+    fn start(&self, _batch: Batch<'_>) -> Deferred<Bytes> {
+        Deferred::Ready(Err(KvError::Io(std::io::Error::new(
+            std::io::ErrorKind::NotConnected,
+            "server slot retired from the pool",
+        ))))
     }
     fn health(&self) -> ServerHealth {
         ServerHealth::Down
@@ -403,7 +386,7 @@ impl KvClient for RetiredClient {
 /// Map one server's `set_many` replies to per-key outcomes: `None` for a
 /// stored key, `Some(err)` for a failed one. A whole-batch transport
 /// failure maps its error onto every key, exactly like [`finish_erase`].
-fn finish_store(batch_len: usize, result: KvResult<Vec<KvResult<()>>>) -> Vec<Option<MemFsError>> {
+fn finish_store(batch_len: usize, result: Replies) -> Vec<Option<MemFsError>> {
     match result {
         Ok(results) => results
             .into_iter()
@@ -414,9 +397,9 @@ fn finish_store(batch_len: usize, result: KvResult<Vec<KvResult<()>>>) -> Vec<Op
 }
 
 /// Map one server's `delete_many` replies to per-key [`Erase`] outcomes.
-fn finish_erase(batch_len: usize, result: KvResult<Vec<KvResult<()>>>) -> Vec<Erase> {
-    let map = |r: Result<(), KvError>| match r {
-        Ok(()) => Erase::Deleted,
+fn finish_erase(batch_len: usize, result: Replies) -> Vec<Erase> {
+    let map = |r: KvResult<Bytes>| match r {
+        Ok(_) => Erase::Deleted,
         Err(KvError::NotFound) => Erase::Missing,
         Err(e) => Erase::Failed(e.into()),
     };
@@ -452,9 +435,8 @@ impl EraseAgg {
         }
     }
 
-    /// Same semantics as [`ServerPool::delete_quiet`], per key: any replica
-    /// deleting wins, a clean miss everywhere is `Ok(false)`, and only a
-    /// key whose every replica erred is an error.
+    /// Any replica deleting wins, a clean miss on a live replica is
+    /// `Ok(false)`, and only a key whose every replica erred is an error.
     fn resolve(self) -> MemFsResult<bool> {
         if self.deleted {
             Ok(true)
@@ -906,25 +888,14 @@ impl ServerPool {
         Arc::clone(&self.ring_state().clients[id.0])
     }
 
-    /// Routed `set`: attempted on every replica. A key that lands on at
+    /// Routed `set`: [`ServerPool::set_many`] with one item — every
+    /// replica's request on the wire in one step. A key that lands on at
     /// least one replica is durable — partial failures are recorded as a
     /// degraded write and queued for repair rather than surfaced as an
     /// error, so the write path stays available while a server is down.
     /// Only a key every replica rejected is an error.
     pub fn set(&self, key: &[u8], value: Bytes) -> MemFsResult<()> {
-        let (_gate, state) = self.begin_op();
-        let mut agg = StoreAgg::default();
-        for id in state.route(key, self.replication) {
-            agg.merge(
-                id.0,
-                state
-                    .client(id)
-                    .set(key, value.clone())
-                    .err()
-                    .map(Into::into),
-            );
-        }
-        self.settle_write(key, agg).map(|_| ())
+        self.set_many(&[(Bytes::copy_from_slice(key), value)])
     }
 
     /// Resolve one key's cross-replica write aggregate: full, degraded
@@ -963,11 +934,10 @@ impl ServerPool {
 
     /// The one body of the arbitration requests [`ServerPool::add`] and
     /// [`ServerPool::append`], with room for something beside them. The
-    /// first home's request goes on the wire through
-    /// [`KvClient::start_store_many`], counted by [`PoolStats`] like a
-    /// one-key batch; `beside` — a pool call that does not depend on the
-    /// outcome — runs on the caller's thread (a batched one opens its own
-    /// submit window); then the request is settled and, if it succeeded,
+    /// first home's request goes on the wire through [`KvClient::start`],
+    /// counted by [`PoolStats`] like a one-key batch; `beside` — a pool
+    /// call that does not depend on the outcome — runs on the caller's
+    /// thread (a batched one opens its own submit window); then the request is settled and, if it succeeded,
     /// applied to the remaining homes in turn. Under the sequential budget
     /// (`io_parallelism = 1`) it settles before `beside` starts.
     pub fn store_beside<R>(
@@ -981,11 +951,11 @@ impl ServerPool {
         let (homes, auth) = state.route_with_auth(key, self.replication);
         let guard = self.stats.io(homes[0].0).track(1);
         let item = [(Bytes::copy_from_slice(key), value)];
-        let deferred = state.client(homes[0]).start_store_many(verb, &item);
+        let deferred = state.client(homes[0]).start(Batch::Store(verb, &item));
         let settle = move || {
             let reply = deferred.wait();
             drop(guard);
-            reply?.pop().expect("one reply per request")
+            reply?.pop().expect("one reply per request").map(drop)
         };
         let (first, other) = if self.budget == 1 {
             (settle(), beside())
@@ -1005,14 +975,14 @@ impl ServerPool {
         (result.map_err(Into::into), other)
     }
 
-    /// Routed `get`: primary first, surviving replicas on failure. Only
-    /// transport/server errors trigger fallback — `NotFound` is
-    /// authoritative from any live replica (but *not* from a target-only
-    /// home of a migrating range, where the key's copy may simply not
-    /// have landed yet).
+    /// Routed `get`: [`ServerPool::get_many`] with one key — primary
+    /// first, surviving replicas on failure. Only transport/server errors
+    /// trigger fallback — `NotFound` is authoritative from any live
+    /// replica (but *not* from a target-only home of a migrating range,
+    /// where the key's copy may simply not have landed yet).
     pub fn get(&self, key: &[u8]) -> MemFsResult<Bytes> {
-        let (_gate, state) = self.begin_op();
-        self.get_routed(&state, key, None, None, None)
+        let mut replies = self.get_many(&[Bytes::copy_from_slice(key)]);
+        replies.pop().expect("one reply per key")
     }
 
     /// Routed `get` that maps a missing key to `None`.
@@ -1025,8 +995,8 @@ impl ServerPool {
     }
 
     /// Batched routed `get`: keys are grouped by primary server, each
-    /// group travels as **one** multi-get
-    /// ([`KvClient::start_get_many`]), and the groups are on the wire
+    /// group travels as **one** multi-get ([`Batch::Get`]), and the
+    /// groups are on the wire
     /// **concurrently** in the submit window — a prefetch window of `w`
     /// stripes over `n` servers costs one parallel round trip (`max` of
     /// the per-server times), not `n` sequential ones. Results come back
@@ -1037,17 +1007,13 @@ impl ServerPool {
     /// chain when that server's batch settles, so a dead server degrades
     /// only its own keys while the healthy servers' batches proceed.
     pub fn get_many(&self, keys: &[Bytes]) -> Vec<MemFsResult<Bytes>> {
-        self.read_batched(
-            keys,
-            |key| (key.as_ref(), None),
-            |client, batch| client.start_get_many(batch),
-        )
+        self.read_batched(keys, |key| (key.as_ref(), None), |keys| Batch::Get(keys))
     }
 
     /// Batched routed *ranged* `get`: for each `(key, offset, len)` the
     /// bytes `[offset, offset + len)` of the key's value, clamped to it
-    /// ([`KvClient::start_get_range_many`]) — a fine-grain read moves the
-    /// range, not the stripe. Routing, dispatch and accounting are
+    /// ([`Batch::GetRange`]) — a fine-grain read moves the range, not the
+    /// stripe. Routing, dispatch and accounting are
     /// [`ServerPool::get_many`]'s: grouped by primary, one batch per
     /// server in the submit window, and the same replica walk on failure
     /// (`NotFound` final only from an authoritative home, the failed
@@ -1058,19 +1024,20 @@ impl ServerPool {
         self.read_batched(
             reqs,
             |(key, offset, len)| (key.as_ref(), Some((*offset, *len))),
-            |client, batch| client.start_get_range_many(batch),
+            |ranges| Batch::GetRange(ranges),
         )
     }
 
     /// The one body of the batched reads: group `reqs` by primary server,
-    /// `start` each group in the submit window, resolve the replies
-    /// against the replica chain ([`ServerPool::finish_fetch`]). `target`
-    /// names each request's key and range.
+    /// start each group as a `kind` batch in the submit window, resolve
+    /// the replies against the replica chain
+    /// ([`ServerPool::finish_fetch`]). `target` names each request's key
+    /// and range.
     fn read_batched<K: Clone>(
         &self,
         reqs: &[K],
         target: impl for<'k> Fn(&'k K) -> (&'k [u8], ByteRange),
-        start: impl Fn(&Arc<dyn KvClient>, &[K]) -> Deferred<Bytes>,
+        kind: impl for<'k> Fn(&'k [K]) -> Batch<'k>,
     ) -> Vec<MemFsResult<Bytes>> {
         let (_gate, state) = self.begin_op();
         let mut batches: Vec<ServerBatch<K>> = vec![(Vec::new(), Vec::new()); state.clients.len()];
@@ -1082,7 +1049,7 @@ impl ServerPool {
         let mut out: Vec<Option<MemFsResult<Bytes>>> = (0..reqs.len()).map(|_| None).collect();
         self.drive(
             batches,
-            |server, batch| start(&state.clients[server], batch),
+            |server, batch| state.clients[server].start(kind(batch)),
             |server, idx, batch, result| {
                 let targets = batch.iter().map(&target);
                 let results = self.finish_fetch(&state, server, targets, result);
@@ -1110,9 +1077,8 @@ impl ServerPool {
 
     /// Batched routed `set` with per-key outcomes: items are grouped per
     /// replica-holding server and each group travels as one pipelined
-    /// [`KvClient::start_store_many`] batch, all groups in the submit window
-    /// **concurrently** (replica batches to different servers overlap
-    /// too). Every batch is always attempted; results come back in input
+    /// [`Batch::Store`], all groups in the submit window **concurrently**
+    /// (replica batches to different servers overlap too). Every batch is always attempted; results come back in input
     /// order.
     ///
     /// Per-key semantics mirror [`ServerPool::delete_many`]'s aggregate:
@@ -1136,7 +1102,7 @@ impl ServerPool {
         let mut agg: Vec<StoreAgg> = (0..items.len()).map(|_| StoreAgg::default()).collect();
         self.drive(
             batches,
-            |server, batch| state.clients[server].start_store_many(StoreVerb::Set, batch),
+            |server, batch| state.clients[server].start(Batch::Store(StoreVerb::Set, batch)),
             |server, idx, batch, result| {
                 for (&i, o) in idx.iter().zip(finish_store(batch.len(), result)) {
                     agg[i].merge(server, o);
@@ -1160,34 +1126,22 @@ impl ServerPool {
         self.store_beside(StoreVerb::Append, key, suffix, || ()).0
     }
 
-    /// Routed `delete`; missing keys and dead replicas are ignored
-    /// (idempotent cleanup).
+    /// Routed `delete`: [`ServerPool::delete_many`] with one key; missing
+    /// keys and dead replicas are ignored (idempotent cleanup).
     pub fn delete_quiet(&self, key: &[u8]) -> MemFsResult<()> {
-        let (_gate, state) = self.begin_op();
-        let mut last_err: Option<KvError> = None;
-        let mut any_ok = false;
-        for id in state.route(key, self.replication) {
-            match state.client(id).delete(key) {
-                Ok(()) | Err(KvError::NotFound) => any_ok = true,
-                Err(e) => last_err = Some(e),
-            }
-        }
-        if any_ok {
-            Ok(())
-        } else {
-            Err(last_err.expect("replication >= 1").into())
-        }
+        let mut outcomes = self.delete_many(&[Bytes::copy_from_slice(key)]);
+        outcomes.pop().expect("one outcome per key").map(drop)
     }
 
     /// Batched routed `delete`: keys are grouped per replica-holding
-    /// server, each group travels as one pipelined
-    /// [`KvClient::start_delete_many`] batch, and the groups are in the
-    /// submit window concurrently — freeing a striped file costs one
-    /// parallel round trip per chunk instead of one round trip per stripe.
+    /// server, each group travels as one pipelined [`Batch::Delete`], and
+    /// the groups are in the submit window concurrently — freeing a
+    /// striped file costs one parallel round trip per chunk instead of one
+    /// round trip per stripe.
     ///
-    /// Per-key semantics match [`ServerPool::delete_quiet`]: `Ok(true)` if
-    /// any replica deleted the key, `Ok(false)` if every live replica
-    /// reported it missing, `Err` only if all replicas failed.
+    /// Per key: `Ok(true)` if any replica deleted the key, `Ok(false)` if
+    /// every live replica reported it missing, `Err` only if all replicas
+    /// failed.
     pub fn delete_many(&self, keys: &[Bytes]) -> Vec<MemFsResult<bool>> {
         let (_gate, state) = self.begin_op();
         // One batch per *target* server across all replicas; each entry
@@ -1203,7 +1157,7 @@ impl ServerPool {
         let mut agg: Vec<EraseAgg> = (0..keys.len()).map(|_| EraseAgg::default()).collect();
         self.drive(
             batches,
-            |server, batch| state.clients[server].start_delete_many(batch),
+            |server, batch| state.clients[server].start(Batch::Delete(batch)),
             |_, idx, batch, result| {
                 for (&i, o) in idx.iter().zip(finish_erase(batch.len(), result)) {
                     agg[i].merge(o);
@@ -1211,15 +1165,6 @@ impl ServerPool {
             },
         );
         agg.into_iter().map(EraseAgg::resolve).collect()
-    }
-
-    /// Whether a key exists on any live replica.
-    pub fn contains(&self, key: &[u8]) -> bool {
-        let (_gate, state) = self.begin_op();
-        state
-            .route(key, self.replication)
-            .into_iter()
-            .any(|id| state.client(id).contains(key))
     }
 
     /// Enter the quiescence gate, then snapshot the ring. The gate is
@@ -1306,7 +1251,7 @@ impl ServerPool {
         state: &RingState,
         server: usize,
         targets: impl Iterator<Item = (&'k [u8], ByteRange)>,
-        result: KvResult<Vec<KvResult<Bytes>>>,
+        result: Replies,
     ) -> Vec<MemFsResult<Bytes>> {
         let io = self.stats.io(server);
         let fall_back = |key: &[u8], range: ByteRange, e: KvError| {
@@ -1344,18 +1289,18 @@ impl ServerPool {
     /// ([`Deferred::is_ready`]): the shared reactor delivers them in
     /// cross-server batches as they land anywhere in the cluster, so a
     /// slow server never blocks the window behind its submission position
-    /// — only the slot it actually holds. A client with only the eager
-    /// `start_*` defaults completes inside `start` and simply gets no
-    /// overlap; budget 1 settles every batch before submitting the next.
-    fn drive<K, T>(
+    /// — only the slot it actually holds. An in-process client completes
+    /// inside `start` and simply gets no overlap; budget 1 settles every
+    /// batch before submitting the next.
+    fn drive<K>(
         &self,
         batches: Vec<ServerBatch<K>>,
-        start: impl Fn(usize, &[K]) -> Deferred<T>,
-        mut finish: impl FnMut(usize, &[usize], &[K], KvResult<Vec<KvResult<T>>>),
+        start: impl Fn(usize, &[K]) -> Deferred<Bytes>,
+        mut finish: impl FnMut(usize, &[usize], &[K], Replies),
     ) {
-        type Window<K, T> = VecDeque<(usize, ServerBatch<K>, Deferred<T>, InFlightGuard)>;
-        let mut window: Window<K, T> = VecDeque::new();
-        let mut settle_one = |window: &mut Window<K, T>| {
+        type Window<K> = VecDeque<(usize, ServerBatch<K>, Deferred<Bytes>, InFlightGuard)>;
+        let mut window: Window<K> = VecDeque::new();
+        let mut settle_one = |window: &mut Window<K>| {
             // Prefer a batch whose completion already landed; block on
             // the oldest only when none is ready yet.
             let pos = window
@@ -1418,7 +1363,6 @@ pub(crate) mod tests {
         let (p, _) = pool(4);
         p.set(b"k1", Bytes::from_static(b"v1")).unwrap();
         assert_eq!(p.get(b"k1").unwrap().as_ref(), b"v1");
-        assert!(p.contains(b"k1"));
         assert_eq!(p.try_get(b"missing").unwrap(), None);
     }
 
@@ -1532,6 +1476,7 @@ pub(crate) mod tests {
             .collect();
         reqs.push((Bytes::from_static(b"missing"), 0, 10));
         reqs.push((keys[3].clone(), 95, 10)); // a second, clamped range of k3
+        let before = p.stats().snapshot();
         let out = p.get_range_many(&reqs);
         for (i, r) in out[..16].iter().enumerate() {
             let want = if i < 10 { 10 } else { 0 }; // offsets >= 100 read empty
@@ -1545,8 +1490,13 @@ pub(crate) mod tests {
         // Same dispatch, same accounting as `get_many`: one batch per
         // server that owns a key, every request counted.
         let snap = p.stats().snapshot();
-        assert_eq!(snap.iter().map(|s| s.keys).sum::<u64>(), 18);
-        assert!(snap.iter().all(|s| s.batches <= 1 && s.in_flight == 0));
+        let delta = |f: fn(&ServerIoSnapshot) -> u64| -> Vec<u64> {
+            let pairs = snap.iter().zip(&before);
+            pairs.map(|(now, was)| f(now) - f(was)).collect()
+        };
+        assert_eq!(delta(|s| s.keys).iter().sum::<u64>(), 18);
+        assert!(delta(|s| s.batches).iter().all(|&batches| batches <= 1));
+        assert!(snap.iter().all(|s| s.in_flight == 0));
     }
 
     #[test]
@@ -1642,7 +1592,7 @@ pub(crate) mod tests {
         p.set(b"k", Bytes::from_static(b"v")).unwrap();
         p.delete_quiet(b"k").unwrap();
         p.delete_quiet(b"k").unwrap();
-        assert!(!p.contains(b"k"));
+        assert_eq!(p.try_get(b"k").unwrap(), None);
     }
 
     #[test]
@@ -1724,7 +1674,6 @@ pub(crate) mod tests {
         let primary = p.servers_for(b"k").next().unwrap();
         failables[primary.0].set_down(true);
         assert_eq!(p.get(b"k").unwrap().as_ref(), b"survives");
-        assert!(p.contains(b"k"));
         // With the follower down too, the read fails loudly.
         let follower = p.servers_for(b"k").nth(1).unwrap();
         failables[follower.0].set_down(true);
@@ -1786,7 +1735,7 @@ pub(crate) mod tests {
     }
 
     /// What every [`SubmitProbe`] sharing the log saw, in order: each
-    /// batch (a blocking call is a batch of one) when it is submitted
+    /// batch (a single-key call is a batch of one) when it is submitted
     /// (`true`) and when it settles (`false`), with its requests named as
     /// on the wire (`add f:/a`, `getrange d:/ 0 0`).
     #[derive(Default)]
@@ -1834,9 +1783,9 @@ pub(crate) mod tests {
     }
 
     /// Wrapper around a [`LocalClient`] that records every request in a
-    /// [`ProbeLog`]: a blocking call settles before it returns, a
-    /// `start_*` batch stays in flight until the pool waits on it — so
-    /// the log shows the submit window the pool actually keeps open.
+    /// [`ProbeLog`]: a batch is logged when it is started and stays in
+    /// flight until the pool waits on it — so the log shows the submit
+    /// window the pool actually keeps open.
     struct SubmitProbe {
         inner: LocalClient,
         log: Arc<ProbeLog>,
@@ -1846,20 +1795,21 @@ pub(crate) mod tests {
         format!("{verb} {}", String::from_utf8_lossy(key))
     }
 
-    impl SubmitProbe {
-        fn blocking<T>(&self, request: String, run: impl FnOnce() -> T) -> T {
-            let request = [request];
-            self.log.push(true, &request);
-            let out = run();
-            self.log.push(false, &request);
-            out
-        }
-
-        fn begin<T: Send + 'static>(
-            &self,
-            requests: Vec<String>,
-            result: KvResult<Vec<KvResult<T>>>,
-        ) -> Deferred<T> {
+    impl KvClient for SubmitProbe {
+        fn start(&self, batch: Batch<'_>) -> Deferred<Bytes> {
+            let requests: Vec<String> = match batch {
+                Batch::Get(keys) => keys.iter().map(|k| named("get", k)).collect(),
+                Batch::GetRange(ranges) => ranges
+                    .iter()
+                    .map(|(k, off, len)| named("getrange", k) + &format!(" {off} {len}"))
+                    .collect(),
+                Batch::Store(verb, items) => {
+                    let verb = format!("{verb:?}").to_lowercase();
+                    items.iter().map(|(k, _)| named(&verb, k)).collect()
+                }
+                Batch::Delete(keys) => keys.iter().map(|k| named("delete", k)).collect(),
+            };
+            let result = self.inner.start(batch).wait();
             self.log.push(true, &requests);
             let log = Arc::clone(&self.log);
             Deferred::Polled {
@@ -1869,44 +1819,6 @@ pub(crate) mod tests {
                     result
                 }),
             }
-        }
-    }
-
-    impl KvClient for SubmitProbe {
-        fn set(&self, key: &[u8], value: Bytes) -> KvResult<()> {
-            self.blocking(named("set", key), || self.inner.set(key, value))
-        }
-        fn add(&self, key: &[u8], value: Bytes) -> KvResult<()> {
-            self.blocking(named("add", key), || self.inner.add(key, value))
-        }
-        fn get(&self, key: &[u8]) -> KvResult<Bytes> {
-            self.blocking(named("get", key), || self.inner.get(key))
-        }
-        fn append(&self, key: &[u8], suffix: &[u8]) -> KvResult<()> {
-            self.blocking(named("append", key), || self.inner.append(key, suffix))
-        }
-        fn delete(&self, key: &[u8]) -> KvResult<()> {
-            self.blocking(named("delete", key), || self.inner.delete(key))
-        }
-        fn start_get_many(&self, keys: &[Bytes]) -> Deferred<Bytes> {
-            let names = keys.iter().map(|k| named("get", k)).collect();
-            self.begin(names, self.inner.get_many(keys))
-        }
-        fn start_get_range_many(&self, reqs: &[(Bytes, u64, usize)]) -> Deferred<Bytes> {
-            let name = |(k, off, len): &(Bytes, u64, usize)| {
-                named("getrange", k) + &format!(" {off} {len}")
-            };
-            let names = reqs.iter().map(name).collect();
-            self.begin(names, self.inner.start_get_range_many(reqs).wait())
-        }
-        fn start_store_many(&self, verb: StoreVerb, items: &[(Bytes, Bytes)]) -> Deferred<()> {
-            let verb_name = format!("{verb:?}").to_lowercase();
-            let names = items.iter().map(|(k, _)| named(&verb_name, k)).collect();
-            self.begin(names, self.inner.start_store_many(verb, items).wait())
-        }
-        fn start_delete_many(&self, keys: &[Bytes]) -> Deferred<()> {
-            let names = keys.iter().map(|k| named("delete", k)).collect();
-            self.begin(names, self.inner.delete_many(keys))
         }
     }
 
@@ -2026,6 +1938,70 @@ pub(crate) mod tests {
             ServerPool::with_replication(clients, DistributorKind::default(), replication),
             failables,
         )
+    }
+
+    #[test]
+    fn single_key_calls_are_their_batches_with_one_entry() {
+        let replicated = |io_parallelism: usize| {
+            let stores: Vec<Arc<Store>> = (0..2)
+                .map(|_| Arc::new(Store::new(StoreConfig::default())))
+                .collect();
+            let (clients, log) = probe_clients(&stores);
+            let kind = DistributorKind::default();
+            (
+                ServerPool::with_options(clients, kind, 2, io_parallelism),
+                log,
+            )
+        };
+        let value = Bytes::from_static(b"v");
+        // r = 2: both replicas' requests are on the wire before either
+        // settles — one step, not one round trip per replica.
+        let (p, log) = replicated(0);
+        p.set(b"k", value.clone()).unwrap();
+        assert_eq!(log.take_steps(), [["set k", "set k"]]);
+        assert_eq!(p.get(b"k").unwrap(), value);
+        assert_eq!(log.take_steps(), [["get k"]]);
+        p.delete_quiet(b"k").unwrap();
+        assert_eq!(log.take_steps(), [["delete k", "delete k"]]);
+        p.delete_quiet(b"k").unwrap(); // a miss on every replica is fine
+        log.take_steps();
+        // Each request went through the window as a batch of one key.
+        let snap = p.stats().snapshot();
+        assert_eq!(snap.iter().map(|s| s.batches).sum::<u64>(), 2 + 1 + 2 + 2);
+        assert!(snap.iter().all(|s| s.keys == s.batches && s.in_flight == 0));
+        assert!(snap.iter().all(|s| s.max_in_flight == 1));
+        // The sequential budget settles one replica before the next starts.
+        let (p, log) = replicated(1);
+        p.set(b"k", value.clone()).unwrap();
+        assert_eq!(log.take_steps(), [["set k"], ["set k"]]);
+        p.delete_quiet(b"k").unwrap();
+        assert_eq!(log.take_steps(), [["delete k"], ["delete k"]]);
+
+        // One replica down: the write is durable and degraded, exactly as
+        // its batched form reports it; the delete is quiet about it.
+        let (p, failables) = failable_pool(2, 2);
+        failables[0].set_down(true);
+        p.set(b"k", value.clone()).unwrap();
+        let hint = DegradedWrite {
+            key: Bytes::from_static(b"k"),
+            missing: vec![ServerId(0)],
+        };
+        assert_eq!(p.take_degraded(), [hint]);
+        assert_eq!(p.stats().snapshot()[0].degraded_writes, 1);
+        assert_eq!(p.get(b"k").unwrap(), value);
+        p.delete_quiet(b"k").unwrap();
+        // Both down: the transport error is what each call returns.
+        failables[1].set_down(true);
+        let transport =
+            |r: MemFsResult<()>| matches!(r, Err(MemFsError::Storage(e)) if e.is_transport());
+        assert!(transport(p.set(b"k", value.clone())));
+        assert!(transport(p.delete_quiet(b"k")));
+        assert!(transport(p.get(b"k").map(drop)));
+        assert_eq!(
+            p.degraded_pending(),
+            0,
+            "a write that landed nowhere is not degraded"
+        );
     }
 
     #[test]

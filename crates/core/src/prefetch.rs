@@ -727,11 +727,14 @@ mod tests {
     }
 
     /// A client wrapper separating the reader's three kinds of traffic:
-    /// synchronous whole-stripe fetches (`gets` — a single-key `get`, or a
-    /// ranged request for all `whole` bytes of a stripe), ranged pieces
-    /// (`ranged`) and batched `get_many`s (`mgets`, the prefetch path).
-    /// `Store`'s own counters can't tell them apart: its `get_many` bumps
-    /// `get_ops` once per key too.
+    /// synchronous whole-stripe fetches (`gets` — a `Get` started on the
+    /// reading thread, or a ranged request for all `whole` bytes of a
+    /// stripe), ranged pieces (`ranged`) and prefetch windows (`mgets` — a
+    /// `Get` started on one of the engine's `pf-<i>` workers). A window's
+    /// share for one server may be a single key, so the batch cannot tell
+    /// a window from a synchronous fetch; the thread it starts on can.
+    /// `Store`'s own counters can't either: its `get_many` bumps `get_ops`
+    /// once per key too.
     struct CountingClient<C = LocalClient> {
         inner: C,
         whole: usize,
@@ -741,39 +744,25 @@ mod tests {
     }
 
     impl<C: KvClient> KvClient for CountingClient<C> {
-        fn set(&self, key: &[u8], value: Bytes) -> memfs_memkv::error::KvResult<()> {
-            self.inner.set(key, value)
-        }
-        fn add(&self, key: &[u8], value: Bytes) -> memfs_memkv::error::KvResult<()> {
-            self.inner.add(key, value)
-        }
-        fn get(&self, key: &[u8]) -> memfs_memkv::error::KvResult<Bytes> {
-            self.gets.fetch_add(1, Relaxed);
-            self.inner.get(key)
-        }
-        fn start_get_many(&self, keys: &[Bytes]) -> memfs_memkv::Deferred<Bytes> {
-            self.mgets.fetch_add(1, Relaxed);
-            self.inner.start_get_many(keys)
-        }
-        fn start_get_range_many(
-            &self,
-            reqs: &[(Bytes, u64, usize)],
-        ) -> memfs_memkv::Deferred<Bytes> {
-            for &(_, offset, len) in reqs {
-                let counter = if (offset, len) == (0, self.whole) {
-                    &self.gets
-                } else {
-                    &self.ranged
-                };
-                counter.fetch_add(1, Relaxed);
+        fn start(&self, batch: memfs_memkv::Batch<'_>) -> memfs_memkv::Deferred<Bytes> {
+            let thread = std::thread::current();
+            let on_worker = thread.name().is_some_and(|name| name.starts_with("pf-"));
+            match batch {
+                memfs_memkv::Batch::Get(_) if on_worker => _ = self.mgets.fetch_add(1, Relaxed),
+                memfs_memkv::Batch::Get(_) => _ = self.gets.fetch_add(1, Relaxed),
+                memfs_memkv::Batch::GetRange(ranges) => {
+                    for &(_, offset, len) in ranges {
+                        let counter = if (offset, len) == (0, self.whole) {
+                            &self.gets
+                        } else {
+                            &self.ranged
+                        };
+                        counter.fetch_add(1, Relaxed);
+                    }
+                }
+                _ => {}
             }
-            self.inner.start_get_range_many(reqs)
-        }
-        fn append(&self, key: &[u8], suffix: &[u8]) -> memfs_memkv::error::KvResult<()> {
-            self.inner.append(key, suffix)
-        }
-        fn delete(&self, key: &[u8]) -> memfs_memkv::error::KvResult<()> {
-            self.inner.delete(key)
+            self.inner.start(batch)
         }
     }
 
@@ -1087,12 +1076,14 @@ mod tests {
     fn multi_stripe_read_without_cache_is_one_parallel_fetch() {
         let (pool, data) = setup(1000, 100);
         let r = reader(&pool, 1000, 100, 0);
+        let batches = || -> u64 { pool.stats().snapshot().iter().map(|s| s.batches).sum() };
+        let before = batches();
         let mut flat = vec![0u8; 1000];
         assert_eq!(r.read_at(0, &mut flat).unwrap(), 1000);
         assert_eq!(flat, data.as_ref());
         assert_eq!(r.cached_stripes(), 0);
         // One batch per server, not one round trip per stripe.
-        let batches: u64 = pool.stats().snapshot().iter().map(|s| s.batches).sum();
+        let batches = batches() - before;
         assert!(batches <= 4, "{batches} batches for one read");
     }
 

@@ -411,7 +411,7 @@ mod tests {
                 .into_iter()
                 .filter(|id| alive[id.0])
                 .take(r)
-                .all(|id| pool.client(id).contains(key))
+                .all(|id| pool.client(id).get_range(key, 0, 0).is_ok())
         })
     }
 

@@ -4,9 +4,8 @@
 //!
 //! These exercise the `ServerPool` batched calls from the outside — order
 //! preservation, failure isolation per server, a rendezvous proof that
-//! every server's batch is submitted before the first is waited on, the
-//! same contract over clients that have only the eager `start_*`
-//! defaults, and drop/shutdown draining through a full `MemFs` mount.
+//! every server's batch is submitted before the first is waited on, and
+//! drop/shutdown draining through a full `MemFs` mount.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -15,9 +14,9 @@ use std::time::Duration;
 use bytes::Bytes;
 use memfs_core::{DistributorKind, MemFs, MemFsConfig, MemFsError, ServerPool};
 use memfs_memkv::client::Shaping;
-use memfs_memkv::error::{KvError, KvResult};
+use memfs_memkv::error::KvError;
 use memfs_memkv::{
-    Deferred, FailableClient, KvClient, LocalClient, Store, StoreConfig, StoreVerb, ThrottledClient,
+    Batch, Deferred, FailableClient, KvClient, LocalClient, Store, StoreConfig, ThrottledClient,
 };
 
 fn local_clients(n: usize) -> (Vec<Arc<dyn KvClient>>, Vec<Arc<Store>>) {
@@ -209,7 +208,7 @@ fn set_many_reports_dead_server_but_stores_the_rest() {
 }
 
 /// A client that counts a batch as arrived when it is *submitted*
-/// (`start_*`) and, when the batch is waited on, records whether all
+/// (`start`) and, when the batch is waited on, records whether all
 /// `expected` batches of the call had been submitted by then — proving
 /// the per-server batches are in flight simultaneously. A dispatcher that
 /// waited on one batch before submitting the next would see a short
@@ -230,8 +229,11 @@ impl RendezvousClient {
             full_house: Arc::new(AtomicBool::new(false)),
         }
     }
+}
 
-    fn submit<T: Send + 'static>(&self, result: KvResult<Vec<KvResult<T>>>) -> Deferred<T> {
+impl KvClient for RendezvousClient {
+    fn start(&self, batch: Batch<'_>) -> Deferred<Bytes> {
+        let result = self.inner.start(batch).wait();
         self.arrived.fetch_add(1, Ordering::SeqCst);
         let arrived = Arc::clone(&self.arrived);
         let expected = self.expected;
@@ -243,39 +245,6 @@ impl RendezvousClient {
                 result
             }),
         }
-    }
-}
-
-impl KvClient for RendezvousClient {
-    fn scan_keys(&self) -> KvResult<Vec<Vec<u8>>> {
-        self.inner.scan_keys()
-    }
-    fn get(&self, key: &[u8]) -> KvResult<Bytes> {
-        self.inner.get(key)
-    }
-    fn set(&self, key: &[u8], value: Bytes) -> KvResult<()> {
-        self.inner.set(key, value)
-    }
-    fn add(&self, key: &[u8], value: Bytes) -> KvResult<()> {
-        self.inner.add(key, value)
-    }
-    fn append(&self, key: &[u8], suffix: &[u8]) -> KvResult<()> {
-        self.inner.append(key, suffix)
-    }
-    fn delete(&self, key: &[u8]) -> KvResult<()> {
-        self.inner.delete(key)
-    }
-    fn contains(&self, key: &[u8]) -> bool {
-        self.inner.contains(key)
-    }
-    fn start_get_many(&self, keys: &[Bytes]) -> Deferred<Bytes> {
-        self.submit(self.inner.get_many(keys))
-    }
-    fn start_store_many(&self, verb: StoreVerb, items: &[(Bytes, Bytes)]) -> Deferred<()> {
-        self.submit(self.inner.start_store_many(verb, items).wait())
-    }
-    fn start_delete_many(&self, keys: &[Bytes]) -> Deferred<()> {
-        self.submit(self.inner.delete_many(keys))
     }
 }
 
@@ -349,11 +318,17 @@ fn per_server_delete_batches_run_in_parallel() {
     // The unlink path frees stripes via `delete_many`; its per-server
     // batches must overlap just like reads and writes do.
     const N: usize = 4;
-    let (rendezvous, _arrived, pool) = rendezvous_pool(N);
+    let (rendezvous, arrived, pool) = rendezvous_pool(N);
 
     let keys = stripe_like_keys(64);
-    for k in &keys {
-        pool.set(k, Bytes::from_static(b"doomed")).unwrap();
+    let items: Vec<(Bytes, Bytes)> = keys
+        .iter()
+        .map(|k| (k.clone(), Bytes::from_static(b"doomed")))
+        .collect();
+    pool.set_many(&items).unwrap();
+    arrived.store(0, Ordering::SeqCst);
+    for c in &rendezvous {
+        c.full_house.store(false, Ordering::SeqCst);
     }
     for r in pool.delete_many(&keys) {
         assert!(r.unwrap(), "every key existed and must report deleted");
@@ -364,97 +339,6 @@ fn per_server_delete_batches_run_in_parallel() {
             "server {i}'s delete batch never saw all {N} batches in flight"
         );
     }
-}
-
-/// A client with nothing but the five single-key operations: every
-/// batched method, including the `start_*` halves, is the trait's eager
-/// default.
-struct EagerClient(FailableClient<LocalClient>);
-
-impl KvClient for EagerClient {
-    fn set(&self, key: &[u8], value: Bytes) -> KvResult<()> {
-        self.0.set(key, value)
-    }
-    fn add(&self, key: &[u8], value: Bytes) -> KvResult<()> {
-        self.0.add(key, value)
-    }
-    fn get(&self, key: &[u8]) -> KvResult<Bytes> {
-        self.0.get(key)
-    }
-    fn append(&self, key: &[u8], suffix: &[u8]) -> KvResult<()> {
-        self.0.append(key, suffix)
-    }
-    fn delete(&self, key: &[u8]) -> KvResult<()> {
-        self.0.delete(key)
-    }
-}
-
-#[test]
-fn eager_only_clients_pass_the_batched_contract() {
-    let eager: Vec<Arc<EagerClient>> = (0..4)
-        .map(|_| {
-            Arc::new(EagerClient(FailableClient::new(LocalClient::new(
-                Arc::new(Store::new(StoreConfig::default())),
-            ))))
-        })
-        .collect();
-    let clients = || -> Vec<Arc<dyn KvClient>> {
-        eager
-            .iter()
-            .map(|c| Arc::clone(c) as Arc<dyn KvClient>)
-            .collect()
-    };
-    let pool = ServerPool::with_replication(clients(), DistributorKind::default(), 2);
-
-    // Input order and per-key misses.
-    let keys = stripe_like_keys(64);
-    let items: Vec<(Bytes, Bytes)> = keys
-        .iter()
-        .enumerate()
-        .map(|(i, k)| (k.clone(), Bytes::from(format!("value-{i}"))))
-        .collect();
-    pool.set_many(&items).unwrap();
-    let mut asked = keys.clone();
-    asked.insert(7, Bytes::from_static(b"never-written"));
-    let out = pool.get_many(&asked);
-    assert!(matches!(
-        out[7],
-        Err(MemFsError::Storage(KvError::NotFound))
-    ));
-    for (k, r) in asked.iter().zip(&out) {
-        if let Some(i) = keys.iter().position(|x| x == k) {
-            assert_eq!(r.as_ref().unwrap(), &Bytes::from(format!("value-{i}")));
-        }
-    }
-
-    // A dead primary: its keys come back from the follower, and deletes
-    // still succeed on the surviving replica.
-    let dead = pool.server_for(&keys[0]).0;
-    eager[dead].0.set_down(true);
-    for (i, r) in pool.get_many(&keys).into_iter().enumerate() {
-        assert_eq!(r.unwrap(), Bytes::from(format!("value-{i}")));
-    }
-    assert!(pool.stats().snapshot()[dead].fallbacks > 0);
-    for r in pool.delete_many(&keys) {
-        assert!(r.unwrap());
-    }
-    eager[dead].0.set_down(false);
-
-    // A full mount over the same kind of client: write, read back,
-    // unlink. The engine is sized by the config for this client kind too.
-    let config = MemFsConfig {
-        stripe_size: 4096,
-        write_buffer_size: 64 << 10,
-        read_cache_size: 64 << 10,
-        ..MemFsConfig::default()
-    };
-    let fs = MemFs::new(clients(), config.clone()).unwrap();
-    assert_eq!(fs.engine().size(), config.io_threads);
-    let data: Vec<u8> = (0..100_000usize).map(|i| (i * 7) as u8).collect();
-    fs.write_file("/eager.dat", &data).unwrap();
-    assert_eq!(fs.read_to_vec("/eager.dat").unwrap(), data);
-    fs.unlink("/eager.dat").unwrap();
-    assert!(!fs.exists("/eager.dat").unwrap());
 }
 
 #[test]

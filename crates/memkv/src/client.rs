@@ -2,13 +2,23 @@
 //!
 //! MemFS programs against [`KvClient`], mirroring the role Libmemcached
 //! plays in the paper: the client owns data placement, the servers are
-//! passive. Implementations:
+//! passive. A client has **one** way to reach its server,
+//! [`KvClient::start`]: it takes one homogeneous [`Batch`] — keys to get,
+//! ranges to read, items to store, keys to delete — puts it on the wire
+//! and returns a [`Deferred`] the caller waits on when it needs the
+//! replies. Everything else a caller can spell (`get`, `set`, `add`,
+//! `append`, `delete`, `get_range`, `get_many`, `set_many`,
+//! `delete_many`) is written once, on the trait, over that method — a
+//! single-key call is a batch of one — so an implementation is `start`
+//! plus whichever of the three side methods (`scan_keys`, `health`,
+//! `reactor_stats`) it has something to say about. Implementations:
 //!
 //! * [`LocalClient`] — direct in-process calls into a [`Store`] (a MemFS
 //!   node talking to the server in its own DRAM);
 //! * [`ThrottledClient`] — wraps any client with a real-time latency and
 //!   bandwidth shaper, so single-machine benchmarks reproduce the *shape*
 //!   of remote-server behaviour (used for the Figure 3 experiments);
+//! * [`FailableClient`] — wraps any client with an injected outage;
 //! * [`crate::net::TcpClient`] — the memcached text protocol over TCP, for
 //!   genuinely distributed deployments.
 
@@ -17,17 +27,17 @@ use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 
-use crate::error::KvResult;
+use crate::error::{KvError, KvResult};
 use crate::proto::slice_range;
 use crate::store::Store;
 
-/// A batched operation that may still be in flight.
+/// A batch that may still be in flight.
 ///
-/// Returned by the `start_*` methods on [`KvClient`]: the submission half
-/// has already run (for an evented transport the requests are on the
-/// wire), and [`Deferred::wait`] blocks only for the completion half.
-/// This is what lets one caller thread keep batches in flight on every
-/// server of a pool simultaneously — submit to all, then wait.
+/// Returned by [`KvClient::start`]: the submission half has already run
+/// (for an evented transport the requests are on the wire), and
+/// [`Deferred::wait`] blocks only for the completion half. This is what
+/// lets one caller thread keep batches in flight on every server of a
+/// pool simultaneously — submit to all, then wait.
 ///
 /// Transports without a split submit path run eagerly and return
 /// [`Deferred::Ready`]; callers cannot tell the difference, they just get
@@ -92,7 +102,7 @@ impl ServerHealth {
     }
 }
 
-/// Which storage command a [`KvClient::start_store_many`] batch carries.
+/// Which storage command a [`Batch::Store`] carries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StoreVerb {
     /// [`KvClient::set`]: store, replacing any existing value.
@@ -103,108 +113,116 @@ pub enum StoreVerb {
     Append,
 }
 
+/// One homogeneous batch of requests for one server — the argument of
+/// [`KvClient::start`]. Keys and values travel as [`Bytes`], so a pool
+/// assembles its per-server batches by reference-count bumps, never
+/// copies.
+///
+/// Every batch is answered with one result per entry, in request order: a
+/// read's result is the bytes read, a store's or delete's
+/// acknowledgement is an empty [`Bytes`]. The outer `Err` of the reply is
+/// a transport-level failure (no per-entry information); what one entry
+/// met is its inner result.
+#[derive(Clone, Copy)]
+pub enum Batch<'a> {
+    /// Fetch each key's value; a missing key is an inner
+    /// [`KvError::NotFound`].
+    Get(&'a [Bytes]),
+    /// For each `(key, offset, len)`, the `len` bytes of `key`'s value
+    /// from `offset`, both clamped to the value (so a range past the end
+    /// reads empty); a missing key is an inner [`KvError::NotFound`].
+    /// Results pair with requests by position — two ranges of one key may
+    /// share a batch.
+    GetRange(&'a [(Bytes, u64, usize)]),
+    /// Apply the verb to each `(key, value)` item. The verb's own refusal
+    /// is the inner error: [`KvError::Exists`] for an `Add` of a present
+    /// key, [`KvError::NotFound`] for an `Append` to a missing one.
+    Store(StoreVerb, &'a [(Bytes, Bytes)]),
+    /// Remove each key; a missing key is an inner [`KvError::NotFound`].
+    Delete(&'a [Bytes]),
+}
+
+/// The reply to a [`Batch`]: a result per entry, or the transport's failure.
+pub type Replies = KvResult<Vec<KvResult<Bytes>>>;
+
+/// The reply to a batch of one.
+fn only(reply: Deferred<Bytes>) -> KvResult<Bytes> {
+    reply.wait()?.pop().expect("one reply per request")
+}
+
+/// Per-entry acknowledgements, with the empty payloads dropped.
+fn acks(reply: Deferred<Bytes>) -> KvResult<Vec<KvResult<()>>> {
+    let results = reply.wait()?;
+    Ok(results.into_iter().map(|r| r.map(drop)).collect())
+}
+
 /// The operations MemFS needs from a storage server. All methods are
 /// `&self` and implementations must be thread-safe: the write-buffer and
 /// prefetch pools issue concurrent requests.
+///
+/// [`KvClient::start`] is the only method through which a request reaches
+/// a store or a socket, and the only data method an implementation
+/// writes; the blocking calls below it are provided over it and
+/// `scripts/verify.sh` refuses an `impl` that overrides one.
 pub trait KvClient: Send + Sync {
-    /// Store a value, replacing any existing one.
-    fn set(&self, key: &[u8], value: Bytes) -> KvResult<()>;
-    /// Store a value only if absent.
-    fn add(&self, key: &[u8], value: Bytes) -> KvResult<()>;
+    /// Begin `batch`: submit it without waiting for the replies. An
+    /// evented transport ([`crate::net::TcpClient`]) returns as soon as
+    /// the frames are queued — pipelined on one connection, a `Get` packed
+    /// into multi-key lines — and the caller overlaps batches to many
+    /// servers by starting them all before waiting on any; an in-process
+    /// one completes inside the call. See [`Batch`] for what each kind
+    /// asks and how it is answered.
+    fn start(&self, batch: Batch<'_>) -> Deferred<Bytes>;
+
     /// Fetch a value.
-    fn get(&self, key: &[u8]) -> KvResult<Bytes>;
+    fn get(&self, key: &[u8]) -> KvResult<Bytes> {
+        only(self.start(Batch::Get(&[Bytes::copy_from_slice(key)])))
+    }
+    /// Fetch `len` bytes of a value from `offset`, clamped to the value.
+    fn get_range(&self, key: &[u8], offset: u64, len: usize) -> KvResult<Bytes> {
+        let range = (Bytes::copy_from_slice(key), offset, len);
+        only(self.start(Batch::GetRange(&[range])))
+    }
+    /// Store a value, replacing any existing one.
+    fn set(&self, key: &[u8], value: Bytes) -> KvResult<()> {
+        let item = (Bytes::copy_from_slice(key), value);
+        only(self.start(Batch::Store(StoreVerb::Set, &[item]))).map(drop)
+    }
+    /// Store a value only if absent.
+    fn add(&self, key: &[u8], value: Bytes) -> KvResult<()> {
+        let item = (Bytes::copy_from_slice(key), value);
+        only(self.start(Batch::Store(StoreVerb::Add, &[item]))).map(drop)
+    }
     /// Atomically append to an existing value.
-    fn append(&self, key: &[u8], suffix: &[u8]) -> KvResult<()>;
+    fn append(&self, key: &[u8], suffix: &[u8]) -> KvResult<()> {
+        let item = (Bytes::copy_from_slice(key), Bytes::copy_from_slice(suffix));
+        only(self.start(Batch::Store(StoreVerb::Append, &[item]))).map(drop)
+    }
     /// Remove a key.
-    fn delete(&self, key: &[u8]) -> KvResult<()>;
+    fn delete(&self, key: &[u8]) -> KvResult<()> {
+        only(self.start(Batch::Delete(&[Bytes::copy_from_slice(key)]))).map(drop)
+    }
     /// Fetch several keys in one round trip, returning one result per key
-    /// in request order. The outer `Err` is a transport-level failure (no
-    /// per-key information); per-key misses surface as inner
-    /// [`KvError::NotFound`](crate::error::KvError::NotFound).
-    ///
-    /// Keys travel as [`Bytes`] so the fan-out dispatcher's per-server
-    /// batches are assembled by reference-count bumps, never key copies.
-    ///
-    /// Provided: [`KvClient::start_get_many`] is the half a transport
-    /// overrides; this is always that call, waited on.
-    fn get_many(&self, keys: &[Bytes]) -> KvResult<Vec<KvResult<Bytes>>> {
-        self.start_get_many(keys).wait()
+    /// in request order ([`Batch::Get`], waited on).
+    fn get_many(&self, keys: &[Bytes]) -> Replies {
+        self.start(Batch::Get(keys)).wait()
     }
     /// Store several key/value pairs, returning one result per pair in
-    /// request order. Same error split as [`KvClient::get_many`];
-    /// provided over [`KvClient::start_store_many`].
+    /// request order ([`Batch::Store`] with [`StoreVerb::Set`]).
     fn set_many(&self, items: &[(Bytes, Bytes)]) -> KvResult<Vec<KvResult<()>>> {
-        self.start_store_many(StoreVerb::Set, items).wait()
+        acks(self.start(Batch::Store(StoreVerb::Set, items)))
     }
     /// Remove several keys in one round trip, returning one result per key
-    /// in request order. Same error split as [`KvClient::get_many`];
-    /// per-key misses surface as inner
-    /// [`KvError::NotFound`](crate::error::KvError::NotFound). Provided
-    /// over [`KvClient::start_delete_many`].
+    /// in request order ([`Batch::Delete`]).
     fn delete_many(&self, keys: &[Bytes]) -> KvResult<Vec<KvResult<()>>> {
-        self.start_delete_many(keys).wait()
+        acks(self.start(Batch::Delete(keys)))
     }
-    /// Whether a key exists (no read traffic accounted).
-    fn contains(&self, key: &[u8]) -> bool {
-        self.get(key).is_ok()
-    }
-    /// Begin a [`KvClient::get_many`] — the one batched surface a
-    /// transport overrides. The default loops over [`KvClient::get`]
-    /// eagerly; batching transports override it ([`LocalClient`]
-    /// dispatches one engine batch) and evented ones put the batch on the
-    /// wire and return without blocking ([`crate::net::TcpClient`] sends
-    /// pipelined multi-key `get` frames).
-    fn start_get_many(&self, keys: &[Bytes]) -> Deferred<Bytes> {
-        Deferred::Ready(Ok(keys.iter().map(|k| self.get(k)).collect()))
-    }
-    /// Begin a batch of `verb` commands, one per `(key, value)` item — a
-    /// [`KvClient::set_many`], or an `add` / `append` a caller wants on
-    /// the wire without waiting for it. Same contract as
-    /// [`KvClient::start_get_many`], per-item outcomes as the verb's
-    /// blocking method reports them. The default loops over that method;
-    /// pipelining transports write every frame before reading any reply,
-    /// and a wrapper must forward this call or the overlap is lost.
-    fn start_store_many(&self, verb: StoreVerb, items: &[(Bytes, Bytes)]) -> Deferred<()> {
-        Deferred::Ready(Ok(items
-            .iter()
-            .map(|(k, v)| match verb {
-                StoreVerb::Set => self.set(k, v.clone()),
-                StoreVerb::Add => self.add(k, v.clone()),
-                StoreVerb::Append => self.append(k, v),
-            })
-            .collect()))
-    }
-    /// Begin a [`KvClient::delete_many`]; same contract as
-    /// [`KvClient::start_get_many`]. The default loops over
-    /// [`KvClient::delete`]; pipelining transports override it — freeing a
-    /// striped file's stripes should not cost one round trip each.
-    fn start_delete_many(&self, keys: &[Bytes]) -> Deferred<()> {
-        Deferred::Ready(Ok(keys.iter().map(|k| self.delete(k)).collect()))
-    }
-    /// Begin a batch of *ranged* reads: for each `(key, offset, len)`, the
-    /// `len` bytes of `key`'s value from `offset`, both clamped to the
-    /// value (so a range past the end reads empty); a missing key is an
-    /// inner [`KvError::NotFound`](crate::error::KvError::NotFound).
-    /// Results pair with requests by position — two ranges of one key may
-    /// share a batch. Same error split and deferral contract as
-    /// [`KvClient::start_get_many`].
-    ///
-    /// The default fetches each value whole and slices it here, so every
-    /// client is correct without knowing the `getrange` verb; a transport
-    /// that has it ([`crate::net::TcpClient`]) moves only the range, and a
-    /// wrapper must forward this call or that saving is lost behind the
-    /// default.
-    fn start_get_range_many(&self, reqs: &[(Bytes, u64, usize)]) -> Deferred<Bytes> {
-        Deferred::Ready(Ok(reqs
-            .iter()
-            .map(|(key, offset, len)| Ok(slice_range(&self.get(key)?, *offset, *len)))
-            .collect()))
-    }
+
     /// Enumerate every key on the server — needed by the elastic
     /// rebalancer. Default: unsupported (transports without the `keys`
     /// protocol extension).
     fn scan_keys(&self) -> KvResult<Vec<Vec<u8>>> {
-        Err(crate::error::KvError::Protocol(
+        Err(KvError::Protocol(
             "key enumeration not supported by this client".into(),
         ))
     }
@@ -243,6 +261,32 @@ impl LocalClient {
 }
 
 impl KvClient for LocalClient {
+    fn start(&self, batch: Batch<'_>) -> Deferred<Bytes> {
+        let store = &self.store;
+        let ack = |stored: KvResult<()>| stored.map(|()| Bytes::new());
+        Deferred::Ready(Ok(match batch {
+            // One key is a plain `get`, as on the server: only a real
+            // batch counts as one (`mget_ops`).
+            Batch::Get([key]) => vec![store.get(key)],
+            Batch::Get(keys) => store.get_many(keys),
+            Batch::GetRange(ranges) => ranges
+                .iter()
+                .map(|(key, offset, len)| Ok(slice_range(&store.get(key)?, *offset, *len)))
+                .collect(),
+            Batch::Store(verb, items) => items
+                .iter()
+                .map(|(key, value)| {
+                    ack(match verb {
+                        StoreVerb::Set => store.set(key, value.clone()),
+                        StoreVerb::Add => store.add(key, value.clone()),
+                        StoreVerb::Append => store.append(key, value),
+                    })
+                })
+                .collect(),
+            Batch::Delete(keys) => keys.iter().map(|key| ack(store.delete(key))).collect(),
+        }))
+    }
+
     fn scan_keys(&self) -> KvResult<Vec<Vec<u8>>> {
         Ok(self
             .store
@@ -250,28 +294,6 @@ impl KvClient for LocalClient {
             .into_iter()
             .map(|k| k.into_vec())
             .collect())
-    }
-
-    fn set(&self, key: &[u8], value: Bytes) -> KvResult<()> {
-        self.store.set(key, value)
-    }
-    fn add(&self, key: &[u8], value: Bytes) -> KvResult<()> {
-        self.store.add(key, value)
-    }
-    fn get(&self, key: &[u8]) -> KvResult<Bytes> {
-        self.store.get(key)
-    }
-    fn start_get_many(&self, keys: &[Bytes]) -> Deferred<Bytes> {
-        Deferred::Ready(Ok(self.store.get_many(keys)))
-    }
-    fn append(&self, key: &[u8], suffix: &[u8]) -> KvResult<()> {
-        self.store.append(key, suffix)
-    }
-    fn delete(&self, key: &[u8]) -> KvResult<()> {
-        self.store.delete(key)
-    }
-    fn contains(&self, key: &[u8]) -> bool {
-        self.store.contains(key)
     }
 }
 
@@ -304,10 +326,12 @@ impl Shaping {
 
 /// Adds real-time latency/bandwidth costs to an inner client by sleeping.
 ///
-/// The delay model is per-request: `latency + payload / bandwidth`. This
-/// yields the right *per-stream* behaviour for the single-machine design
-/// experiments (stripe-size sweeps, buffering/prefetching thread scaling)
-/// where the point is overlapping many shaped streams.
+/// The delay model is per-batch: `latency + payload / bandwidth`, one
+/// round trip however many requests ride in it — the cost model that
+/// makes batching worth doing over a shaped link. This yields the right
+/// *per-stream* behaviour for the single-machine design experiments
+/// (stripe-size sweeps, buffering/prefetching thread scaling) where the
+/// point is overlapping many shaped streams.
 pub struct ThrottledClient<C> {
     inner: C,
     shaping: Shaping,
@@ -332,43 +356,6 @@ impl<C: KvClient> ThrottledClient<C> {
         }
         d
     }
-
-    fn delay(&self, payload_bytes: usize) {
-        let d = self.cost(payload_bytes);
-        if d > Duration::ZERO {
-            precise_sleep(d);
-        }
-    }
-
-    /// Build the deferred half of a shaped batch: the inner operation has
-    /// already run (memory-speed for the intended [`LocalClient`] inner),
-    /// the shaped cost is a wall-clock deadline. `ready` polls the clock;
-    /// `finish` sleeps out the remainder. Because the deadline starts at
-    /// submission, N servers' costs elapse concurrently — the fan-out
-    /// pays `max(cost)`, not `sum(cost)`, exactly like real shaped links.
-    fn shaped_deferred<T: Send + 'static>(
-        &self,
-        payload_bytes: usize,
-        result: KvResult<Vec<KvResult<T>>>,
-    ) -> Deferred<T> {
-        let deadline = Instant::now() + self.cost(payload_bytes);
-        Deferred::Polled {
-            ready: Box::new(move || Instant::now() >= deadline),
-            finish: Box::new(move || {
-                let remaining = deadline.saturating_duration_since(Instant::now());
-                if remaining > Duration::ZERO {
-                    precise_sleep(remaining);
-                }
-                result
-            }),
-        }
-    }
-}
-
-/// Bytes a batched read returned — what a shaped link charges for it.
-fn payload_len(out: &KvResult<Vec<KvResult<Bytes>>>) -> usize {
-    let hits = out.iter().flatten().flatten();
-    hits.map(|value| value.len()).sum()
 }
 
 /// Sleep with sub-millisecond fidelity: OS sleep for the bulk, then spin
@@ -385,56 +372,38 @@ fn precise_sleep(d: Duration) {
 }
 
 impl<C: KvClient> KvClient for ThrottledClient<C> {
+    /// The inner batch runs at once (memory-speed for the intended
+    /// [`LocalClient`] inner); its shaped cost — one latency charge plus
+    /// bandwidth on the payload sent and the payload that came back, so a
+    /// ranged read pays for the range, not for the value it was cut from —
+    /// is a wall-clock deadline counted from submission. `ready` polls the
+    /// clock, `finish` sleeps out the remainder: N servers' costs elapse
+    /// concurrently and a fan-out pays `max(cost)`, not `sum(cost)`,
+    /// exactly like real shaped links.
+    fn start(&self, batch: Batch<'_>) -> Deferred<Bytes> {
+        let submitted = Instant::now();
+        let sent: usize = match batch {
+            Batch::Store(_, items) => items.iter().map(|(_, value)| value.len()).sum(),
+            _ => 0,
+        };
+        let reply = self.inner.start(batch).wait();
+        let received: usize = reply
+            .iter()
+            .flatten()
+            .flatten()
+            .map(|value| value.len())
+            .sum();
+        let deadline = submitted + self.cost(sent + received);
+        Deferred::Polled {
+            ready: Box::new(move || Instant::now() >= deadline),
+            finish: Box::new(move || {
+                precise_sleep(deadline.saturating_duration_since(Instant::now()));
+                reply
+            }),
+        }
+    }
     fn scan_keys(&self) -> KvResult<Vec<Vec<u8>>> {
         self.inner.scan_keys()
-    }
-
-    fn set(&self, key: &[u8], value: Bytes) -> KvResult<()> {
-        self.delay(value.len());
-        self.inner.set(key, value)
-    }
-    fn add(&self, key: &[u8], value: Bytes) -> KvResult<()> {
-        self.delay(value.len());
-        self.inner.add(key, value)
-    }
-    fn get(&self, key: &[u8]) -> KvResult<Bytes> {
-        let out = self.inner.get(key);
-        self.delay(out.as_ref().map(|v| v.len()).unwrap_or(0));
-        out
-    }
-    fn append(&self, key: &[u8], suffix: &[u8]) -> KvResult<()> {
-        self.delay(suffix.len());
-        self.inner.append(key, suffix)
-    }
-    fn delete(&self, key: &[u8]) -> KvResult<()> {
-        self.delay(0);
-        self.inner.delete(key)
-    }
-    fn contains(&self, key: &[u8]) -> bool {
-        self.inner.contains(key)
-    }
-    fn start_get_many(&self, keys: &[Bytes]) -> Deferred<Bytes> {
-        // One round trip for the whole batch: a single latency charge plus
-        // bandwidth on the combined payload — the cost model that makes
-        // batching worth doing over a shaped link.
-        let out = self.inner.get_many(keys);
-        self.shaped_deferred(payload_len(&out), out)
-    }
-    fn start_get_range_many(&self, reqs: &[(Bytes, u64, usize)]) -> Deferred<Bytes> {
-        // Charged like `start_get_many`, on the bytes the ranges return —
-        // not on the values they were cut from.
-        let out = self.inner.start_get_range_many(reqs).wait();
-        self.shaped_deferred(payload_len(&out), out)
-    }
-    fn start_store_many(&self, verb: StoreVerb, items: &[(Bytes, Bytes)]) -> Deferred<()> {
-        let total: usize = items.iter().map(|(_, v)| v.len()).sum();
-        let out = self.inner.start_store_many(verb, items).wait();
-        self.shaped_deferred(total, out)
-    }
-    fn start_delete_many(&self, keys: &[Bytes]) -> Deferred<()> {
-        // Deletes carry no payload: latency only.
-        let out = self.inner.delete_many(keys);
-        self.shaped_deferred(0, out)
     }
     fn reactor_stats(&self) -> Option<crate::reactor::ReactorStatsSnapshot> {
         self.inner.reactor_stats()
@@ -475,7 +444,7 @@ impl<C: KvClient> FailableClient<C> {
 
     fn check(&self) -> KvResult<()> {
         if self.is_down() {
-            Err(crate::error::KvError::Io(std::io::Error::new(
+            Err(KvError::Io(std::io::Error::new(
                 std::io::ErrorKind::ConnectionRefused,
                 "server down (injected failure)",
             )))
@@ -486,57 +455,15 @@ impl<C: KvClient> FailableClient<C> {
 }
 
 impl<C: KvClient> KvClient for FailableClient<C> {
+    fn start(&self, batch: Batch<'_>) -> Deferred<Bytes> {
+        match self.check() {
+            Ok(()) => self.inner.start(batch),
+            Err(e) => Deferred::Ready(Err(e)),
+        }
+    }
     fn scan_keys(&self) -> KvResult<Vec<Vec<u8>>> {
         self.check()?;
         self.inner.scan_keys()
-    }
-
-    fn set(&self, key: &[u8], value: Bytes) -> KvResult<()> {
-        self.check()?;
-        self.inner.set(key, value)
-    }
-    fn add(&self, key: &[u8], value: Bytes) -> KvResult<()> {
-        self.check()?;
-        self.inner.add(key, value)
-    }
-    fn get(&self, key: &[u8]) -> KvResult<Bytes> {
-        self.check()?;
-        self.inner.get(key)
-    }
-    fn append(&self, key: &[u8], suffix: &[u8]) -> KvResult<()> {
-        self.check()?;
-        self.inner.append(key, suffix)
-    }
-    fn delete(&self, key: &[u8]) -> KvResult<()> {
-        self.check()?;
-        self.inner.delete(key)
-    }
-    fn contains(&self, key: &[u8]) -> bool {
-        !self.is_down() && self.inner.contains(key)
-    }
-    fn start_get_many(&self, keys: &[Bytes]) -> Deferred<Bytes> {
-        match self.check() {
-            Ok(()) => self.inner.start_get_many(keys),
-            Err(e) => Deferred::Ready(Err(e)),
-        }
-    }
-    fn start_get_range_many(&self, reqs: &[(Bytes, u64, usize)]) -> Deferred<Bytes> {
-        match self.check() {
-            Ok(()) => self.inner.start_get_range_many(reqs),
-            Err(e) => Deferred::Ready(Err(e)),
-        }
-    }
-    fn start_store_many(&self, verb: StoreVerb, items: &[(Bytes, Bytes)]) -> Deferred<()> {
-        match self.check() {
-            Ok(()) => self.inner.start_store_many(verb, items),
-            Err(e) => Deferred::Ready(Err(e)),
-        }
-    }
-    fn start_delete_many(&self, keys: &[Bytes]) -> Deferred<()> {
-        match self.check() {
-            Ok(()) => self.inner.start_delete_many(keys),
-            Err(e) => Deferred::Ready(Err(e)),
-        }
     }
     fn reactor_stats(&self) -> Option<crate::reactor::ReactorStatsSnapshot> {
         self.inner.reactor_stats()
@@ -553,42 +480,13 @@ impl<C: KvClient> KvClient for FailableClient<C> {
     }
 }
 
-/// Blanket impls so `Arc<C>` and `&C` are clients too — MemFS holds its
-/// server pool behind `Arc`s.
+/// `Arc<C>` is a client too — MemFS holds its server pool behind `Arc`s.
 impl<C: KvClient + ?Sized> KvClient for Arc<C> {
+    fn start(&self, batch: Batch<'_>) -> Deferred<Bytes> {
+        (**self).start(batch)
+    }
     fn scan_keys(&self) -> KvResult<Vec<Vec<u8>>> {
         (**self).scan_keys()
-    }
-
-    fn set(&self, key: &[u8], value: Bytes) -> KvResult<()> {
-        (**self).set(key, value)
-    }
-    fn add(&self, key: &[u8], value: Bytes) -> KvResult<()> {
-        (**self).add(key, value)
-    }
-    fn get(&self, key: &[u8]) -> KvResult<Bytes> {
-        (**self).get(key)
-    }
-    fn append(&self, key: &[u8], suffix: &[u8]) -> KvResult<()> {
-        (**self).append(key, suffix)
-    }
-    fn delete(&self, key: &[u8]) -> KvResult<()> {
-        (**self).delete(key)
-    }
-    fn contains(&self, key: &[u8]) -> bool {
-        (**self).contains(key)
-    }
-    fn start_get_many(&self, keys: &[Bytes]) -> Deferred<Bytes> {
-        (**self).start_get_many(keys)
-    }
-    fn start_get_range_many(&self, reqs: &[(Bytes, u64, usize)]) -> Deferred<Bytes> {
-        (**self).start_get_range_many(reqs)
-    }
-    fn start_store_many(&self, verb: StoreVerb, items: &[(Bytes, Bytes)]) -> Deferred<()> {
-        (**self).start_store_many(verb, items)
-    }
-    fn start_delete_many(&self, keys: &[Bytes]) -> Deferred<()> {
-        (**self).start_delete_many(keys)
     }
     fn reactor_stats(&self) -> Option<crate::reactor::ReactorStatsSnapshot> {
         (**self).reactor_stats()
@@ -601,10 +499,18 @@ impl<C: KvClient + ?Sized> KvClient for Arc<C> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::net::{KvServer, TcpClient};
     use crate::store::StoreConfig;
 
     fn local() -> LocalClient {
         LocalClient::new(Arc::new(Store::new(StoreConfig::default())))
+    }
+
+    fn unshaped() -> Shaping {
+        Shaping {
+            latency: Duration::ZERO,
+            bandwidth: f64::INFINITY,
+        }
     }
 
     #[test]
@@ -612,202 +518,200 @@ mod tests {
         let c = local();
         c.set(b"k", Bytes::from_static(b"v")).unwrap();
         assert_eq!(c.get(b"k").unwrap().as_ref(), b"v");
-        assert!(c.contains(b"k"));
+        assert_eq!(c.get_range(b"k", 0, 0).unwrap().as_ref(), b"");
         c.delete(b"k").unwrap();
-        assert!(!c.contains(b"k"));
-    }
-
-    #[test]
-    fn get_many_and_set_many_defaults() {
-        let c = local();
-        let items = vec![
-            (Bytes::from_static(b"a"), Bytes::from_static(b"1")),
-            (Bytes::from_static(b"b"), Bytes::from_static(b"2")),
-        ];
-        for r in c.set_many(&items).unwrap() {
-            r.unwrap();
-        }
-        let out = c
-            .get_many(&[
-                Bytes::from_static(b"a"),
-                Bytes::from_static(b"missing"),
-                Bytes::from_static(b"b"),
-            ])
+        assert!(matches!(c.get(b"k"), Err(KvError::NotFound)));
+        // One key is a plain `get` to the store, several are one batch.
+        c.get_many(&[Bytes::from_static(b"a"), Bytes::from_static(b"b")])
             .unwrap();
-        assert_eq!(out[0].as_ref().unwrap().as_ref(), b"1");
-        assert!(out[1].is_err());
-        assert_eq!(out[2].as_ref().unwrap().as_ref(), b"2");
-        // LocalClient routes the batch through the engine's batched path.
-        assert_eq!(c.store().stats().snapshot().mget_ops, 1);
+        let stats = c.store().stats().snapshot();
+        assert_eq!((stats.mget_ops, stats.get_ops), (1, 5));
     }
 
-    #[test]
-    fn delete_many_default_reports_per_key() {
-        let c = local();
-        c.set(b"a", Bytes::from_static(b"1")).unwrap();
-        c.set(b"b", Bytes::from_static(b"2")).unwrap();
-        let out = c
-            .delete_many(&[
-                Bytes::from_static(b"a"),
-                Bytes::from_static(b"missing"),
-                Bytes::from_static(b"b"),
-            ])
-            .unwrap();
-        assert!(out[0].is_ok());
-        assert!(matches!(out[1], Err(crate::error::KvError::NotFound)));
-        assert!(out[2].is_ok());
-        assert!(!c.contains(b"a") && !c.contains(b"b"));
+    /// A batch's reply with each entry reduced to what every transport
+    /// must agree on: the bytes, or which refusal it was.
+    fn outcomes(reply: Deferred<Bytes>) -> Vec<Result<Vec<u8>, String>> {
+        let entry = |r: KvResult<Bytes>| match r {
+            Ok(bytes) => Ok(bytes.to_vec()),
+            Err(KvError::NotFound) => Err("NotFound".to_string()),
+            Err(KvError::Exists) => Err("Exists".to_string()),
+            Err(other) => Err(format!("{other:?}")),
+        };
+        let reply = reply.wait().expect("the transport is up");
+        reply.into_iter().map(entry).collect()
     }
 
-    #[test]
-    fn get_range_many_default_slices_whole_values() {
-        // No transport support needed: the default is `get` + slice, with
-        // results paired to requests by position.
-        let c = local();
-        c.set(b"k", Bytes::from_static(b"0123456789")).unwrap();
-        let k = Bytes::from_static(b"k");
-        let out = c
-            .start_get_range_many(&[
-                (k.clone(), 2, 3),
-                (Bytes::from_static(b"missing"), 0, 4),
-                (k.clone(), 8, 100),
-                (k.clone(), 2, 3),
-                (k, 50, 1),
-            ])
-            .wait()
-            .unwrap();
-        assert_eq!(out[0].as_ref().unwrap().as_ref(), b"234");
-        assert!(matches!(out[1], Err(crate::error::KvError::NotFound)));
-        assert_eq!(out[2].as_ref().unwrap().as_ref(), b"89");
-        assert_eq!(out[3].as_ref().unwrap().as_ref(), b"234");
-        assert_eq!(out[4].as_ref().unwrap().as_ref(), b"");
+    fn hit(bytes: &str) -> Result<Vec<u8>, String> {
+        Ok(bytes.as_bytes().to_vec())
     }
 
-    #[test]
-    fn throttled_client_charges_the_range_not_the_value() {
-        let shaped = ThrottledClient::new(
-            local(),
-            Shaping {
-                latency: Duration::ZERO,
-                bandwidth: 1e6, // 1 MB/s: the whole value would cost 1 s
-            },
+    fn refused(why: &str) -> Result<Vec<u8>, String> {
+        Err(why.to_string())
+    }
+
+    /// The one script every client must answer identically, batch kind by
+    /// batch kind, on an empty server.
+    fn conforms(name: &str, c: &dyn KvClient) {
+        let key = |k: &'static str| Bytes::from_static(k.as_bytes());
+        let item = |k: &'static str, v: &'static str| (key(k), key(v));
+        let ack = || hit("");
+
+        let sets = [item("a", "1"), item("b", "0123456789")];
+        let got = outcomes(c.start(Batch::Store(StoreVerb::Set, &sets)));
+        assert_eq!(got, [ack(), ack()], "{name}: set");
+        // `Add` on an existing key is the verb's own refusal, per item.
+        let adds = [item("a", "x"), item("c", "3"), item("c", "4")];
+        let got = outcomes(c.start(Batch::Store(StoreVerb::Add, &adds)));
+        assert_eq!(
+            got,
+            [refused("Exists"), ack(), refused("Exists")],
+            "{name}: add"
         );
-        shaped
-            .inner()
-            .set(b"k", Bytes::from(vec![7u8; 1_000_000]))
-            .unwrap();
-        let start = Instant::now();
-        let out = shaped
-            .start_get_range_many(&[(Bytes::from_static(b"k"), 500_000, 20_000)])
-            .wait()
-            .unwrap();
-        let took = start.elapsed();
-        assert_eq!(out[0].as_ref().unwrap().len(), 20_000);
-        assert!(took >= Duration::from_millis(19), "{took:?}"); // 20 ms
-        assert!(took < Duration::from_millis(500), "{took:?}");
-    }
+        // So is `Append` on a missing one.
+        let appends = [item("a", "+"), item("missing", "+"), item("a", "+")];
+        let got = outcomes(c.start(Batch::Store(StoreVerb::Append, &appends)));
+        assert_eq!(got, [ack(), refused("NotFound"), ack()], "{name}: append");
 
-    /// Counts how the storage verbs reach it: as batches through the
-    /// `start_store_many` override, or one by one.
-    struct CountingStores {
-        inner: LocalClient,
-        batches: std::sync::atomic::AtomicUsize,
-        singles: std::sync::atomic::AtomicUsize,
-    }
+        // Hits, a miss, and a key asked twice in one `Get`.
+        let got = outcomes(c.start(Batch::Get(&[key("a"), key("missing"), key("c"), key("a")])));
+        let want = [hit("1++"), refused("NotFound"), hit("3"), hit("1++")];
+        assert_eq!(got, want, "{name}: get");
+        assert_eq!(
+            outcomes(c.start(Batch::Get(&[key("b")]))),
+            [hit("0123456789")]
+        );
+        let got = outcomes(c.start(Batch::Get(&[key("missing")])));
+        assert_eq!(got, [refused("NotFound")], "{name}: lone miss");
 
-    impl CountingStores {
-        fn single(&self) -> &LocalClient {
-            self.singles
-                .fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-            &self.inner
-        }
-    }
+        // Ranges pair with results by position and clamp at, and past,
+        // the value's end; two ranges of one key share the batch.
+        let ranges = [
+            (key("b"), 2, 3),
+            (key("missing"), 0, 4),
+            (key("b"), 8, 100),
+            (key("b"), 2, 3),
+            (key("b"), 10, 5),
+            (key("b"), 50, 1),
+            (key("b"), 4, 0),
+            (key("b"), 0, usize::MAX),
+        ];
+        let got = outcomes(c.start(Batch::GetRange(&ranges)));
+        let want = [
+            hit("234"),
+            refused("NotFound"),
+            hit("89"),
+            hit("234"),
+            hit(""),
+            hit(""),
+            hit(""),
+            hit("0123456789"),
+        ];
+        assert_eq!(got, want, "{name}: getrange");
 
-    impl KvClient for CountingStores {
-        fn set(&self, key: &[u8], value: Bytes) -> KvResult<()> {
-            self.single().set(key, value)
+        let got = outcomes(c.start(Batch::Delete(&[key("a"), key("missing"), key("c")])));
+        assert_eq!(got, [ack(), refused("NotFound"), ack()], "{name}: delete");
+        assert_eq!(
+            outcomes(c.start(Batch::Get(&[key("a"), key("c")]))).len(),
+            2
+        );
+
+        // An empty batch of any kind is answered with no entries.
+        for empty in [
+            Batch::Get(&[]),
+            Batch::GetRange(&[]),
+            Batch::Store(StoreVerb::Set, &[]),
+            Batch::Delete(&[]),
+        ] {
+            assert!(outcomes(c.start(empty)).is_empty(), "{name}: empty batch");
         }
-        fn add(&self, key: &[u8], value: Bytes) -> KvResult<()> {
-            self.single().add(key, value)
-        }
-        fn get(&self, key: &[u8]) -> KvResult<Bytes> {
-            self.inner.get(key)
-        }
-        fn append(&self, key: &[u8], suffix: &[u8]) -> KvResult<()> {
-            self.single().append(key, suffix)
-        }
-        fn delete(&self, key: &[u8]) -> KvResult<()> {
-            self.inner.delete(key)
-        }
-        fn start_store_many(&self, verb: StoreVerb, items: &[(Bytes, Bytes)]) -> Deferred<()> {
-            self.batches
-                .fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-            self.inner.start_store_many(verb, items)
-        }
+
+        // The provided calls are those batches: one entry, or waited on.
+        c.set(b"p", key("v")).unwrap();
+        assert!(matches!(c.add(b"p", key("w")), Err(KvError::Exists)));
+        assert!(matches!(c.append(b"q", b"+"), Err(KvError::NotFound)));
+        c.append(b"p", b"+").unwrap();
+        assert_eq!(c.get(b"p").unwrap().as_ref(), b"v+", "{name}");
+        assert_eq!(c.get_range(b"p", 1, 9).unwrap().as_ref(), b"+", "{name}");
+        assert!(matches!(c.get_range(b"q", 0, 1), Err(KvError::NotFound)));
+        let stored = c.set_many(&[item("q", "1"), item("r", "2")]).unwrap();
+        assert!(matches!(stored[..], [Ok(()), Ok(())]), "{name}");
+        let got = c.get_many(&[key("r"), key("s"), key("q")]).unwrap();
+        assert!(matches!(got[1], Err(KvError::NotFound)), "{name}");
+        assert_eq!(got[0].as_ref().unwrap().as_ref(), b"2", "{name}");
+        assert_eq!(got[2].as_ref().unwrap().as_ref(), b"1", "{name}");
+        let gone = c.delete_many(&[key("q"), key("s"), key("r")]).unwrap();
+        assert!(matches!(gone[..], [Ok(()), Err(KvError::NotFound), Ok(())]));
+        c.delete(b"p").unwrap();
+        assert!(matches!(c.delete(b"p"), Err(KvError::NotFound)), "{name}");
+        assert!(matches!(c.get(b"p"), Err(KvError::NotFound)), "{name}");
+        assert_eq!(c.health(), ServerHealth::Up, "{name}");
     }
 
     #[test]
-    fn every_wrapper_forwards_the_batched_store_call() {
-        use crate::error::KvError;
-        use std::sync::atomic::Ordering::SeqCst;
-        // Behind `Arc<dyn KvClient>` an unforwarded `start_store_many`
-        // would fall back to the eager default: one `add` per item, and
-        // over a shaped link one latency charge per item.
-        let inner = Arc::new(CountingStores {
-            inner: local(),
-            batches: Default::default(),
-            singles: Default::default(),
-        });
-        let failable = Arc::new(FailableClient::new(Arc::clone(&inner)));
+    fn every_client_answers_every_batch_kind_alike() {
+        conforms("local", &local());
+        conforms("throttled", &ThrottledClient::new(local(), unshaped()));
+        conforms("failable", &FailableClient::new(local()));
+        let shared: Arc<dyn KvClient> = Arc::new(local());
+        conforms("arc<dyn>", &shared);
+        let store = Arc::new(Store::new(StoreConfig::default()));
+        let server = KvServer::spawn(store, "127.0.0.1:0").unwrap();
+        conforms("tcp", &TcpClient::connect(server.addr()).unwrap());
+
+        // A down server answers no kind at all, and says so to the census.
+        let inner = Arc::new(local());
+        let failable = FailableClient::new(Arc::clone(&inner));
+        failable.set_down(true);
+        let (keys, ranges) = (
+            [Bytes::from_static(b"k")],
+            [(Bytes::from_static(b"k"), 0, 1)],
+        );
+        let items = [(Bytes::from_static(b"k"), Bytes::new())];
+        for batch in [
+            Batch::Get(&keys),
+            Batch::GetRange(&ranges),
+            Batch::Store(StoreVerb::Set, &items),
+            Batch::Store(StoreVerb::Add, &items),
+            Batch::Store(StoreVerb::Append, &items),
+            Batch::Delete(&keys),
+        ] {
+            assert!(matches!(failable.start(batch).wait(), Err(KvError::Io(_))));
+        }
+        assert_eq!(failable.health(), ServerHealth::Down);
+        assert_eq!(inner.store().item_count(), 0, "a down server sees nothing");
+
+        // A shaped link charges one latency per batch, however many items
+        // ride in it...
         let latency = Duration::from_millis(50);
         let shaping = Shaping {
             latency,
             bandwidth: f64::INFINITY,
         };
-        let client: Arc<dyn KvClient> =
-            Arc::new(ThrottledClient::new(Arc::clone(&failable), shaping));
-        let item = |k: &'static str, v: &'static str| (Bytes::from(k), Bytes::from(v));
-
+        let shaped: Arc<dyn KvClient> = Arc::new(ThrottledClient::new(local(), shaping));
+        let adds: Vec<(Bytes, Bytes)> = (0..4)
+            .map(|i| (Bytes::from(format!("k{i}")), Bytes::new()))
+            .collect();
         let start = Instant::now();
-        let adds = [
-            item("a", "1"),
-            item("b", "2"),
-            item("a", "3"),
-            item("c", "4"),
-        ];
-        let out = client
-            .start_store_many(StoreVerb::Add, &adds)
+        shaped
+            .start(Batch::Store(StoreVerb::Add, &adds))
             .wait()
             .unwrap();
         let took = start.elapsed();
-        assert!(matches!(
-            out[..],
-            [Ok(()), Ok(()), Err(KvError::Exists), Ok(())]
-        ));
-        assert!(took >= latency, "{took:?}");
-        assert!(took < 3 * latency, "one shaped delay per batch: {took:?}");
-
-        let appends = [item("a", "+"), item("missing", "+"), item("b", "+")];
-        let out = client
-            .start_store_many(StoreVerb::Append, &appends)
-            .wait()
-            .unwrap();
-        assert!(matches!(out[..], [Ok(()), Err(KvError::NotFound), Ok(())]));
-        assert_eq!(client.get(b"a").unwrap().as_ref(), b"1+");
-        assert!(!client.contains(b"missing"));
-        assert_eq!(inner.batches.load(SeqCst), 2, "once per batch");
-        assert_eq!(inner.singles.load(SeqCst), 0, "never once per item");
-
-        failable.set_down(true);
-        assert!(client
-            .start_store_many(StoreVerb::Add, &adds)
-            .wait()
-            .is_err());
-        assert!(client
-            .start_store_many(StoreVerb::Append, &appends)
-            .wait()
-            .is_err());
-        assert_eq!(inner.batches.load(SeqCst), 2, "a down server sees nothing");
+        assert!(took >= latency && took < 3 * latency, "{took:?}");
+        // ...and a ranged read for the range, not for the value.
+        let shaping = Shaping {
+            latency: Duration::ZERO,
+            bandwidth: 1e6, // 1 MB/s: the whole value would cost 1 s
+        };
+        let shaped = ThrottledClient::new(local(), shaping);
+        let value = Bytes::from(vec![7u8; 1_000_000]);
+        shaped.inner().set(b"k", value).unwrap();
+        let start = Instant::now();
+        let out = shaped.get_range(b"k", 500_000, 20_000).unwrap();
+        let took = start.elapsed();
+        assert_eq!(out.len(), 20_000);
+        assert!(took >= Duration::from_millis(19), "{took:?}"); // 20 ms
+        assert!(took < Duration::from_millis(500), "{took:?}");
     }
 
     #[test]
@@ -816,10 +720,7 @@ mod tests {
         c.set(b"k", Bytes::from_static(b"v")).unwrap();
         c.set_down(true);
         assert!(c.get_many(&[Bytes::from_static(b"k")]).is_err());
-        assert!(c
-            .start_get_range_many(&[(Bytes::from_static(b"k"), 0, 1)])
-            .wait()
-            .is_err());
+        assert!(c.get_range(b"k", 0, 1).is_err());
         assert!(c
             .set_many(&[(Bytes::from_static(b"k"), Bytes::new())])
             .is_err());
@@ -865,26 +766,15 @@ mod tests {
         let c = FailableClient::new(local());
         c.set(b"k", Bytes::from_static(b"v")).unwrap();
         c.set_down(true);
-        assert!(matches!(c.get(b"k"), Err(crate::error::KvError::Io(_))));
-        assert!(matches!(
-            c.set(b"x", Bytes::new()),
-            Err(crate::error::KvError::Io(_))
-        ));
-        assert!(!c.contains(b"k"));
+        assert!(matches!(c.get(b"k"), Err(KvError::Io(_))));
+        assert!(matches!(c.set(b"x", Bytes::new()), Err(KvError::Io(_))));
         c.set_down(false);
         assert_eq!(c.get(b"k").unwrap().as_ref(), b"v");
-        assert!(c.contains(b"k"));
     }
 
     #[test]
     fn throttled_semantics_pass_through() {
-        let shaped = ThrottledClient::new(
-            local(),
-            Shaping {
-                latency: Duration::ZERO,
-                bandwidth: f64::INFINITY,
-            },
-        );
+        let shaped = ThrottledClient::new(local(), unshaped());
         shaped.set(b"dir", Bytes::from_static(b"a")).unwrap();
         shaped.append(b"dir", b"b").unwrap();
         assert_eq!(shaped.get(b"dir").unwrap().as_ref(), b"ab");

@@ -44,7 +44,8 @@ pub mod testutil;
 pub mod wheel;
 
 pub use client::{
-    Deferred, FailableClient, KvClient, LocalClient, ServerHealth, StoreVerb, ThrottledClient,
+    Batch, Deferred, FailableClient, KvClient, LocalClient, Replies, ServerHealth, StoreVerb,
+    ThrottledClient,
 };
 pub use error::KvError;
 pub use net::{KvServer, PoolConfig, ServerConfig, TcpClient};

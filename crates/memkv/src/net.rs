@@ -14,7 +14,7 @@
 //! batch never blocks on the socket, and the caller parks on a completion
 //! handle only when it actually needs the responses — so one thread can
 //! keep batches in flight on every server of a pool concurrently
-//! ([`KvClient::start_get_many`] and friends expose that split). A mount
+//! ([`KvClient::start`] is that split). A mount
 //! registers all of its `TcpClient`s on one [`ReactorHandle`]
 //! ([`TcpClient::connect_shared`]), so a single reactor thread drives the
 //! whole cluster and drains completions for all servers per wake. Value
@@ -29,7 +29,7 @@ use std::time::Duration;
 
 use bytes::Bytes;
 
-use crate::client::{Deferred, KvClient, StoreVerb};
+use crate::client::{Batch, Deferred, KvClient, Replies, ServerHealth, StoreVerb};
 use crate::conn::{RxBuf, TxQueue};
 use crate::error::{KvError, KvResult};
 use crate::proto::{
@@ -88,11 +88,9 @@ impl Default for PoolConfig {
 /// [`ReactorHandle`] so every client of a mount shares one reactor
 /// thread; [`TcpClient::connect_with`] spins up a private one.
 ///
-/// Batch operations ([`KvClient::get_many`], [`KvClient::set_many`]) are
-/// *pipelined*: every frame is queued on one connection and the replies
-/// are read back in order. The `start_*` variants expose the split
-/// submit/completion path for callers that fan one logical operation out
-/// across servers.
+/// Every request is a batch ([`KvClient::start`]; a single-key call is a
+/// batch of one) and every batch is *pipelined*: its frames are queued on
+/// one connection and the replies are read back in order.
 ///
 /// A connection that dies mid-call is reopened; the request is retried
 /// once, transparently, when it is idempotent (`get`/`set`/`delete`…).
@@ -215,26 +213,21 @@ impl TcpClient {
             .submit(conn, segments, reqs.len(), idempotent)
     }
 
-    /// Submit a pipelined batch whose replies map one-to-one, in order,
-    /// onto per-request results.
-    fn start_each<T: Send + 'static>(
+    /// Submit `reqs` as one pipelined batch; `decode` turns the replies,
+    /// which arrive in request order, into the batch's per-entry results.
+    fn start_with(
         &self,
-        reqs: &[Request],
-        decode: impl Fn(Response) -> KvResult<T> + Send + 'static,
-    ) -> Deferred<T> {
+        reqs: Vec<Request>,
+        decode: impl FnOnce(Vec<Response>) -> Replies + Send + 'static,
+    ) -> Deferred<Bytes> {
         if reqs.is_empty() {
             return Deferred::Ready(Ok(Vec::new()));
         }
-        let pending = self.submit_batch(reqs);
+        let pending = self.submit_batch(&reqs);
         Deferred::Polled {
             ready: pending.probe(),
-            finish: Box::new(move || Ok(pending.wait()?.into_iter().map(decode).collect())),
+            finish: Box::new(move || decode(pending.wait()?)),
         }
-    }
-
-    /// Submit a batch and wait for the replies, in request order.
-    fn exchange(&self, reqs: &[Request]) -> KvResult<Vec<Response>> {
-        self.submit_batch(reqs).wait()
     }
 
     /// Pack keys into multi-key `get` lines (bounded by both key count and
@@ -256,20 +249,16 @@ impl TcpClient {
             line_len += 1 + key.len();
             chunk.push(key.clone());
         }
-        reqs.push(Request::Get { keys: chunk });
+        if !chunk.is_empty() {
+            reqs.push(Request::Get { keys: chunk });
+        }
         reqs
     }
 
     /// Issue a request and wait for its response.
     pub fn call(&self, req: &Request) -> KvResult<Response> {
-        let mut resps = self.exchange(std::slice::from_ref(req))?;
+        let mut resps = self.submit_batch(std::slice::from_ref(req)).wait()?;
         Ok(resps.pop().expect("one response per request"))
-    }
-
-    /// One blocking storage command.
-    fn store(&self, verb: StoreVerb, key: &[u8], value: Bytes, exptime: u32) -> KvResult<()> {
-        let req = store_request(verb, Bytes::copy_from_slice(key), value, exptime);
-        stored(verb, self.call(&req)?)
     }
 
     /// Fetch server statistics.
@@ -310,7 +299,8 @@ impl TcpClient {
     /// `exptime`; 0 = never expires). The server reaps the item lazily
     /// on read and in its background maintenance sweep.
     pub fn set_ttl(&self, key: &[u8], value: Bytes, ttl_secs: u32) -> KvResult<()> {
-        self.store(StoreVerb::Set, key, value, ttl_secs)
+        let req = store_request(StoreVerb::Set, Bytes::copy_from_slice(key), value, ttl_secs);
+        stored(StoreVerb::Set, self.call(&req)?).map(drop)
     }
 
     /// Compare-and-swap: replace `key` only if `token` is still current.
@@ -562,97 +552,47 @@ fn parse_values(rx: &mut RxBuf) -> KvResult<ParseStep> {
 }
 
 impl KvClient for TcpClient {
+    /// One pipelined batch on one connection. A `Get` packs its keys into
+    /// multi-key lines and aligns the hits back onto them; every other
+    /// kind is one frame per entry whose replies pair with the entries by
+    /// position, not by an echoed key — two ranges of one key in a batch
+    /// must both resolve. A batch holding an `add` or `append` is never
+    /// replayed on a fresh connection (`is_idempotent`); the rest are.
+    fn start(&self, batch: Batch<'_>) -> Deferred<Bytes> {
+        fn each(decode: impl Fn(Response) -> KvResult<Bytes>, resps: Vec<Response>) -> Replies {
+            Ok(resps.into_iter().map(decode).collect())
+        }
+        match batch {
+            Batch::Get(keys) => {
+                let keys = keys.to_vec();
+                let reqs = self.chunk_get_requests(&keys);
+                self.start_with(reqs, move |resps| decode_get_responses(&keys, resps))
+            }
+            Batch::GetRange(ranges) => {
+                let reqs = ranges.iter().map(|(key, offset, len)| Request::GetRange {
+                    key: key.clone(),
+                    offset: *offset,
+                    len: *len,
+                });
+                self.start_with(reqs.collect(), |resps| each(ranged, resps))
+            }
+            Batch::Store(verb, items) => {
+                let reqs = items
+                    .iter()
+                    .map(|(key, value)| store_request(verb, key.clone(), value.clone(), 0));
+                self.start_with(reqs.collect(), move |resps| {
+                    each(|resp| stored(verb, resp), resps)
+                })
+            }
+            Batch::Delete(keys) => {
+                let reqs = keys.iter().map(|key| Request::Delete { key: key.clone() });
+                self.start_with(reqs.collect(), |resps| each(deleted, resps))
+            }
+        }
+    }
+
     fn scan_keys(&self) -> KvResult<Vec<Vec<u8>>> {
         self.keys()
-    }
-
-    fn set(&self, key: &[u8], value: Bytes) -> KvResult<()> {
-        self.store(StoreVerb::Set, key, value, 0)
-    }
-
-    fn add(&self, key: &[u8], value: Bytes) -> KvResult<()> {
-        self.store(StoreVerb::Add, key, value, 0)
-    }
-
-    fn get(&self, key: &[u8]) -> KvResult<Bytes> {
-        match self.call(&Request::Get {
-            keys: vec![Bytes::copy_from_slice(key)],
-        })? {
-            Response::Value { value, .. } => Ok(value),
-            Response::End => Err(KvError::NotFound),
-            other => Err(response_error(other)),
-        }
-    }
-
-    fn start_get_many(&self, keys: &[Bytes]) -> Deferred<Bytes> {
-        if keys.is_empty() {
-            return Deferred::Ready(Ok(Vec::new()));
-        }
-        let reqs = self.chunk_get_requests(keys);
-        let pending = self.submit_batch(&reqs);
-        let keys = keys.to_vec();
-        Deferred::Polled {
-            ready: pending.probe(),
-            finish: Box::new(move || decode_get_responses(&keys, pending.wait()?)),
-        }
-    }
-
-    fn start_get_range_many(&self, ranges: &[(Bytes, u64, usize)]) -> Deferred<Bytes> {
-        // One pipelined `getrange` line per range on one connection —
-        // idempotent, so a dropped connection replays safely. Replies pair
-        // with requests by position, not by the echoed key: two ranges of
-        // one key in a batch must both resolve.
-        let reqs: Vec<Request> = ranges
-            .iter()
-            .map(|(key, offset, len)| Request::GetRange {
-                key: key.clone(),
-                offset: *offset,
-                len: *len,
-            })
-            .collect();
-        self.start_each(&reqs, |resp| match resp {
-            Response::Value { value, .. } => Ok(value),
-            Response::End => Err(KvError::NotFound),
-            other => Err(response_error(other)),
-        })
-    }
-
-    fn start_store_many(&self, verb: StoreVerb, items: &[(Bytes, Bytes)]) -> Deferred<()> {
-        // `add` and `append` are not idempotent: a batch holding one is
-        // never replayed on a fresh connection (`is_idempotent`).
-        let reqs: Vec<Request> = items
-            .iter()
-            .map(|(key, value)| store_request(verb, key.clone(), value.clone(), 0))
-            .collect();
-        self.start_each(&reqs, move |resp| stored(verb, resp))
-    }
-
-    fn append(&self, key: &[u8], suffix: &[u8]) -> KvResult<()> {
-        self.store(StoreVerb::Append, key, Bytes::copy_from_slice(suffix), 0)
-    }
-
-    fn delete(&self, key: &[u8]) -> KvResult<()> {
-        match self.call(&Request::Delete {
-            key: Bytes::copy_from_slice(key),
-        })? {
-            Response::Deleted => Ok(()),
-            Response::NotFound => Err(KvError::NotFound),
-            other => Err(response_error(other)),
-        }
-    }
-
-    fn start_delete_many(&self, keys: &[Bytes]) -> Deferred<()> {
-        // One pipelined frame per key on one connection — delete is
-        // idempotent, so a dropped connection replays safely.
-        let reqs: Vec<Request> = keys
-            .iter()
-            .map(|key| Request::Delete { key: key.clone() })
-            .collect();
-        self.start_each(&reqs, |resp| match resp {
-            Response::Deleted => Ok(()),
-            Response::NotFound => Err(KvError::NotFound),
-            other => Err(response_error(other)),
-        })
     }
 
     fn reactor_stats(&self) -> Option<ReactorStatsSnapshot> {
@@ -661,20 +601,20 @@ impl KvClient for TcpClient {
 
     /// The reactor's link census for this client's registration: all
     /// connections established → `Up`, none → `Down`, some → `Degraded`.
-    fn health(&self) -> crate::client::ServerHealth {
+    fn health(&self) -> ServerHealth {
         let (up, total) = self.registration.health_census();
         if up == 0 {
-            crate::client::ServerHealth::Down
+            ServerHealth::Down
         } else if up < total {
-            crate::client::ServerHealth::Degraded
+            ServerHealth::Degraded
         } else {
-            crate::client::ServerHealth::Up
+            ServerHealth::Up
         }
     }
 }
 
 /// Align multi-get replies back onto the requested keys, in order.
-fn decode_get_responses(keys: &[Bytes], resps: Vec<Response>) -> KvResult<Vec<KvResult<Bytes>>> {
+fn decode_get_responses(keys: &[Bytes], resps: Vec<Response>) -> Replies {
     let mut hits: HashMap<Bytes, Bytes> = HashMap::with_capacity(keys.len());
     for resp in resps {
         match resp {
@@ -714,12 +654,30 @@ fn store_request(verb: StoreVerb, key: Bytes, value: Bytes, exptime: u32) -> Req
 
 /// What the reply to a storage command means: `NOT_STORED` is the verb's
 /// own refusal — the key exists (`add`) or does not (`append`).
-fn stored(verb: StoreVerb, resp: Response) -> KvResult<()> {
+fn stored(verb: StoreVerb, resp: Response) -> KvResult<Bytes> {
     match (resp, verb) {
-        (Response::Stored, _) => Ok(()),
+        (Response::Stored, _) => Ok(Bytes::new()),
         (Response::NotStored, StoreVerb::Add) => Err(KvError::Exists),
         (Response::NotStored, StoreVerb::Append) => Err(KvError::NotFound),
         (other, _) => Err(response_error(other)),
+    }
+}
+
+/// What the reply to a `getrange` means.
+fn ranged(resp: Response) -> KvResult<Bytes> {
+    match resp {
+        Response::Value { value, .. } => Ok(value),
+        Response::End => Err(KvError::NotFound),
+        other => Err(response_error(other)),
+    }
+}
+
+/// What the reply to a `delete` means.
+fn deleted(resp: Response) -> KvResult<Bytes> {
+    match resp {
+        Response::Deleted => Ok(Bytes::new()),
+        Response::NotFound => Err(KvError::NotFound),
+        other => Err(response_error(other)),
     }
 }
 
@@ -909,25 +867,20 @@ mod tests {
         // One pipelined batch per call; `NOT_STORED` means `Exists` to an
         // `add` and `NotFound` to an `append`, reply by reply.
         let adds = [item("a", "1"), item("b", "2"), item("a", "3")];
-        let out = client
-            .start_store_many(StoreVerb::Add, &adds)
-            .wait()
-            .unwrap();
-        assert!(matches!(out[..], [Ok(()), Ok(()), Err(KvError::Exists)]));
+        let out = client.start(Batch::Store(StoreVerb::Add, &adds)).wait();
+        let out = out.unwrap();
+        assert!(matches!(out[..], [Ok(_), Ok(_), Err(KvError::Exists)]));
         let appends = [item("a", "+"), item("missing", "+"), item("a", "+")];
         let out = client
-            .start_store_many(StoreVerb::Append, &appends)
-            .wait()
-            .unwrap();
-        assert!(matches!(out[..], [Ok(()), Err(KvError::NotFound), Ok(())]));
+            .start(Batch::Store(StoreVerb::Append, &appends))
+            .wait();
+        let out = out.unwrap();
+        assert!(matches!(out[..], [Ok(_), Err(KvError::NotFound), Ok(_)]));
         assert_eq!(client.get(b"a").unwrap().as_ref(), b"1++");
         assert_eq!(client.get(b"b").unwrap().as_ref(), b"2");
         assert!(matches!(client.get(b"missing"), Err(KvError::NotFound)));
         // `Set` is the `set_many` it always was.
-        let out = client
-            .start_store_many(StoreVerb::Set, &adds)
-            .wait()
-            .unwrap();
+        let out = client.set_many(&adds).unwrap();
         assert!(out.iter().all(|r| r.is_ok()));
         assert_eq!(client.get(b"a").unwrap().as_ref(), b"3");
     }
@@ -955,7 +908,7 @@ mod tests {
             (k.clone(), 0, 1),   // ...and a third
             (k, 0, usize::MAX),
         ];
-        let out = client.start_get_range_many(&reqs).wait().unwrap();
+        let out = client.start(Batch::GetRange(&reqs)).wait().unwrap();
         let expect: [Option<&[u8]>; 10] = [
             Some(&value[10..30]),
             Some(&value[80..]),
@@ -974,7 +927,11 @@ mod tests {
                 None => assert!(matches!(got, Err(KvError::NotFound)), "range {i}"),
             }
         }
-        assert!(client.start_get_range_many(&[]).wait().unwrap().is_empty());
+        assert!(client
+            .start(Batch::GetRange(&[]))
+            .wait()
+            .unwrap()
+            .is_empty());
         // An operator sees the fine-grain traffic next to `cmd_mget`; each
         // ranged read is also a `get` to the hit/miss counters.
         let stats = client.stats().unwrap();
@@ -992,21 +949,14 @@ mod tests {
     #[test]
     fn tcp_getrange_moves_the_range_not_the_value() {
         let server = spawn_server();
-        // Through `Arc<dyn KvClient>`, as a mount holds it: the blanket
-        // impl has to forward the call or the default fetches the value.
+        // Through `Arc<dyn KvClient>`, as a mount holds it.
         let client: Arc<dyn KvClient> = Arc::new(TcpClient::connect(server.addr()).unwrap());
         let value: Vec<u8> = (0..512 * 1024).map(|i| (i * 7 % 251) as u8).collect();
         client.set(b"stripe", Bytes::from(value.clone())).unwrap();
         let rx = || client.reactor_stats().expect("a TCP client").bytes_rx;
         let before = rx();
-        let out = client
-            .start_get_range_many(&[(Bytes::from_static(b"stripe"), 3 * 65_536, 65_536)])
-            .wait()
-            .unwrap();
-        assert_eq!(
-            out[0].as_ref().unwrap().as_ref(),
-            &value[3 * 65_536..4 * 65_536]
-        );
+        let out = client.get_range(b"stripe", 3 * 65_536, 65_536).unwrap();
+        assert_eq!(out.as_ref(), &value[3 * 65_536..4 * 65_536]);
         let moved = rx() - before;
         assert!(
             (65_536..70 * 1024).contains(&moved),

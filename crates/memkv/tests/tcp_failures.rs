@@ -136,11 +136,10 @@ fn hostile_length_fields_are_refused_and_the_server_survives() {
     // store and all.
     let client = TcpClient::connect(server.addr()).unwrap();
     client.set(b"k", Bytes::from_static(b"0123456789")).unwrap();
-    let out = client
-        .start_get_range_many(&[(Bytes::from_static(b"k"), 8, usize::MAX)])
-        .wait()
-        .unwrap();
-    assert_eq!(out[0].as_ref().unwrap().as_ref(), b"89");
+    assert_eq!(
+        client.get_range(b"k", 8, usize::MAX).unwrap().as_ref(),
+        b"89"
+    );
     assert_eq!(server.store().item_count(), 1);
 }
 

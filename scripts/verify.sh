@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Repo verification gate: build, tests, formatting, lints.
 #
-#   scripts/verify.sh            # build + workspace tests + fmt + clippy + knob count + unsafe census
+#   scripts/verify.sh            # build + workspace tests + fmt + clippy + knob count + unsafe census + KvClient census
 #   scripts/verify.sh --clippy   # fast path: fmt + clippy only, no build/tests
 #   scripts/verify.sh --threads  # additionally stress the concurrency tests
 #   scripts/verify.sh --soak     # shaped-cluster suites, N random seeds
@@ -91,6 +91,35 @@ echo "==> unsafe census of crates/memkv/src: ${stray:-none} outside conn.rs, pol
 if [[ -n "$stray" ]] || ((mallopt_only > 1)); then
     echo "verify: \`unsafe\` outside conn.rs / poll.rs, or more than the one" \
         "mallopt block in reactor.rs ($mallopt_only)" >&2
+    exit 1
+fi
+
+# One request path from the pool to the wire: `KvClient::start` is the
+# only data method an implementation writes. The blocking calls provided
+# over it have to stay on the trait (callers spell them), so what keeps a
+# second tier from growing back is this: no `start_*_many`, and no `impl
+# KvClient for` that defines anything but `start` and the side methods.
+trees="crates src tests examples"
+# shellcheck disable=SC2086
+tier=$(grep -rnE 'start_(get|store|delete|get_range)_many' $trees || true)
+# shellcheck disable=SC2086
+overrides=$(find $trees -name '*.rs' -print0 | xargs -0 awk '
+    FNR == 1 { inside = 0 }
+    !inside && /^[[:space:]]*impl.* KvClient for / { inside = 1; depth = 0 }
+    inside && !/^[[:space:]]*\/\// {
+        if (depth == 1 && match($0, /fn [a-z_0-9]+/)) {
+            name = substr($0, RSTART + 3, RLENGTH - 3)
+            if (name !~ /^(start|scan_keys|health|reactor_stats)$/)
+                print FILENAME ":" FNR ": fn " name
+        }
+        opened = gsub(/\{/, "{"); closed = gsub(/\}/, "}")
+        depth += opened - closed
+        if (depth == 0 && closed > 0) inside = 0
+    }')
+echo "==> KvClient census: ${tier:-no start_*_many}; ${overrides:-no provided method overridden}"
+if [[ -n "$tier$overrides" ]]; then
+    echo "verify: a KvClient implements \`start\` (+ scan_keys / health / reactor_stats)" \
+        "and nothing else — write the new behaviour inside \`start\`" >&2
     exit 1
 fi
 
