@@ -427,16 +427,32 @@ impl MemFs {
 
     /// Open `path` for reading. The file must have been closed by its
     /// writer (its size record finalized).
+    ///
+    /// One step: the size record and — when the mount prefetches — stripe
+    /// 0 whole, in one window (one multi-get when they share a server).
+    /// Stripes are stored before `close` finalizes the record and never
+    /// rewritten, so a stripe that fits a `Finalized` record is the file's;
+    /// the reader starts with it cached (`StripeReader::with_first_stripe`
+    /// drops one that does not fit). A missing or unfinalized record drops
+    /// it too, and a missing record is then told apart from a directory
+    /// by the probe of the directory's log.
     pub fn open(&self, raw: &str) -> MemFsResult<ReadHandle> {
         let p = path::normalize(raw)?;
-        let record = match self.inner.pool.try_get(&KeySchema::file_key(&p))? {
-            Some(v) => v,
-            None => {
+        let config = &self.inner.config;
+        let mut keys = vec![Bytes::from(KeySchema::file_key(&p))];
+        if config.prefetch_window > 0 {
+            keys.push(stripe_key_bytes(&p, 0));
+        }
+        let mut replies = self.inner.pool.get_many(&keys).into_iter();
+        let record = match replies.next().expect("one reply per key") {
+            Ok(v) => v,
+            Err(MemFsError::Storage(KvError::NotFound)) => {
                 if self.dir_exists(&p)? {
                     return Err(MemFsError::IsADirectory(p));
                 }
                 return Err(MemFsError::NotFound(p));
             }
+            Err(e) => return Err(e),
         };
         let size = match meta::decode_size(&record, &p)? {
             SizeRecord::Open => return Err(MemFsError::NotFinalized(p)),
@@ -447,10 +463,11 @@ impl MemFs {
             self.layout(),
             size,
             Arc::clone(&self.inner.pool),
-            (self.inner.config.prefetch_window > 0).then(|| Arc::clone(&self.inner.engine)),
-            self.inner.config.prefetch_window,
-            self.inner.config.read_cache_stripes(),
-        );
+            (config.prefetch_window > 0).then(|| Arc::clone(&self.inner.engine)),
+            config.prefetch_window,
+            config.read_cache_stripes(),
+        )
+        .with_first_stripe(replies.next().and_then(Result::ok));
         Ok(ReadHandle {
             path: p,
             reader: Arc::new(reader),
@@ -1138,13 +1155,16 @@ mod tests {
     /// `n` stores behind failure-injectable clients, mounted with tiny
     /// stripes so thousands of them stay cheap.
     fn small_stripe_mount(n: usize) -> (Vec<Arc<Store>>, Vec<Arc<Failable>>, MemFs) {
-        let config = MemFsConfig {
+        failable_mount(n, small_stripe_config())
+    }
+
+    fn small_stripe_config() -> MemFsConfig {
+        MemFsConfig {
             stripe_size: 16,
             write_buffer_size: 1024,
             read_cache_size: 1024,
             ..MemFsConfig::default()
-        };
-        failable_mount(n, config)
+        }
     }
 
     fn failable_mount(
@@ -1332,12 +1352,21 @@ mod tests {
     /// A mount over recording clients (`pool.rs`'s `SubmitProbe`), its
     /// log drained of the mount's own `add d:/`.
     fn recording_mount(n: usize) -> (Arc<crate::pool::tests::ProbeLog>, MemFs) {
+        recording_mount_with(n, MemFsConfig::default().prefetch_window)
+    }
+
+    /// [`recording_mount`] prefetching `prefetch_window` stripes.
+    fn recording_mount_with(
+        n: usize,
+        prefetch_window: usize,
+    ) -> (Arc<crate::pool::tests::ProbeLog>, MemFs) {
         let stores: Vec<Arc<Store>> = (0..n)
             .map(|_| Arc::new(Store::new(StoreConfig::default())))
             .collect();
         let (clients, log) = crate::pool::tests::probe_clients(&stores);
         let config = MemFsConfig {
             stripe_size: 128,
+            prefetch_window,
             ..MemFsConfig::default()
         };
         let fs = MemFs::new(clients, config).unwrap();
@@ -1386,15 +1415,16 @@ mod tests {
     }
 
     #[test]
-    fn pinned_one_stripe_file_costs_two_to_close_two_to_read_four_to_unlink() {
+    fn pinned_one_stripe_file_costs_two_to_close_one_to_read_four_to_unlink() {
         let (log, fs) = recording_mount(4);
         let mut w = fs.create("/a").unwrap();
         w.write_all(&[7u8; 100]).unwrap();
         log.take_steps();
         w.close().unwrap();
         assert_eq!(log.take_steps(), [["set s:/a#0"], ["set f:/a"]]);
+        // The stripe travels beside the record; the read is a cache copy.
         assert_eq!(fs.read_to_vec("/a").unwrap(), [7u8; 100]);
-        assert_eq!(log.take_steps(), [["get f:/a"], ["getrange s:/a#0 0 100"]]);
+        assert_eq!(log.take_steps(), [["get f:/a", "get s:/a#0"]]);
         fs.unlink("/a").unwrap();
         assert_eq!(
             log.take_steps(),
@@ -1404,6 +1434,192 @@ mod tests {
                 vec!["append d:/", "delete f:/a"]
             ]
         );
+    }
+
+    #[test]
+    fn pinned_open_is_one_step_for_every_outcome() {
+        let (log, fs) = recording_mount(4);
+        let data: Vec<u8> = (0..300u32).map(|i| i as u8).collect();
+        fs.write_file("/c", &data).unwrap();
+        fs.write_file("/z", b"").unwrap();
+        fs.mkdir("/d").unwrap();
+        log.take_steps();
+        // Three stripes: the open step, then stripes 1 and 2 together.
+        assert_eq!(fs.read_to_vec("/c").unwrap(), data);
+        assert_eq!(
+            log.take_steps(),
+            [
+                vec!["get f:/c", "get s:/c#0"],
+                vec!["getrange s:/c#1 0 128", "getrange s:/c#2 0 44"]
+            ]
+        );
+        // Zero bytes: nothing to read after the open.
+        assert_eq!(fs.read_to_vec("/z").unwrap(), b"");
+        assert_eq!(log.take_steps(), [["get f:/z", "get s:/z#0"]]);
+        // No record: the directory probe tells the two misses apart.
+        assert!(matches!(fs.open("/d"), Err(MemFsError::IsADirectory(_))));
+        assert_eq!(
+            log.take_steps(),
+            [vec!["get f:/d", "get s:/d#0"], vec!["getrange d:/d 0 0"]]
+        );
+        assert!(matches!(fs.open("/nope"), Err(MemFsError::NotFound(_))));
+        assert_eq!(
+            log.take_steps(),
+            [
+                vec!["get f:/nope", "get s:/nope#0"],
+                vec!["getrange d:/nope 0 0"]
+            ]
+        );
+    }
+
+    #[test]
+    fn pinned_open_without_prefetch_sends_no_speculative_get() {
+        let (log, fs) = recording_mount_with(4, 0);
+        fs.write_file("/a", &[7u8; 100]).unwrap();
+        log.take_steps();
+        assert_eq!(fs.read_to_vec("/a").unwrap(), [7u8; 100]);
+        assert_eq!(log.take_steps(), [["get f:/a"], ["getrange s:/a#0 0 100"]]);
+    }
+
+    #[test]
+    fn open_of_an_unclosed_file_is_not_finalized_whatever_its_first_stripe() {
+        let (log, fs) = recording_mount(4);
+        let mut w = fs.create("/slow").unwrap();
+        w.write_all(&[3u8; 300]).unwrap();
+        w.flush().unwrap();
+        // Stripes 0 and 1 are stored, the record is still open: the stripe
+        // that came back beside it is dropped.
+        log.take_steps();
+        assert!(matches!(fs.open("/slow"), Err(MemFsError::NotFinalized(_))));
+        assert_eq!(log.take_steps(), [["get f:/slow", "get s:/slow#0"]]);
+        w.close().unwrap();
+        let r = fs.open("/slow").unwrap();
+        assert_eq!(r.reader.cached_stripes(), 1, "finalized: stripe 0 kept");
+        assert_eq!(fs.read_to_vec("/slow").unwrap(), [3u8; 300]);
+    }
+
+    #[test]
+    fn a_first_stripe_that_does_not_fit_the_record_is_not_kept() {
+        let (_, _, fs) = small_stripe_mount(4);
+        // Shorter than the record says: the first read is the parent's
+        // whole-stripe fetch, and its `CorruptMetadata`.
+        fs.write_file("/f", &[1u8; 40]).unwrap();
+        fs.pool()
+            .set(&KeySchema::stripe_key("/f", 0), Bytes::from(vec![1u8; 10]))
+            .unwrap();
+        let r = fs.open("/f").unwrap();
+        assert_eq!(r.reader.cached_stripes(), 0);
+        let mut buf = [0u8; 40];
+        assert!(matches!(
+            r.read_at(0, &mut buf),
+            Err(MemFsError::CorruptMetadata(_))
+        ));
+        // Longer: not kept either; the first read fetches only the
+        // record's share of the stripe, as before.
+        fs.write_file("/g", &[3u8; 10]).unwrap();
+        fs.pool()
+            .set(&KeySchema::stripe_key("/g", 0), Bytes::from(vec![4u8; 16]))
+            .unwrap();
+        let r = fs.open("/g").unwrap();
+        assert_eq!(r.reader.cached_stripes(), 0);
+        let mut buf = [0u8; 10];
+        assert_eq!(r.read_at(0, &mut buf).unwrap(), 10);
+        assert_eq!(buf, [4u8; 10]);
+    }
+
+    /// A path of `fs` whose size record and stripe 0 have different
+    /// primaries, and stripe 0's primary.
+    fn record_and_stripe_apart(fs: &MemFs) -> (String, usize) {
+        let server_for = |key: Vec<u8>| fs.pool().server_for(&key).0;
+        let name = (0..)
+            .map(|i| format!("/x{i}"))
+            .find(|p| server_for(KeySchema::file_key(p)) != server_for(KeySchema::stripe_key(p, 0)))
+            .unwrap();
+        let stripe_home = server_for(KeySchema::stripe_key(&name, 0));
+        (name, stripe_home)
+    }
+
+    #[test]
+    fn open_succeeds_with_the_first_stripes_server_down() {
+        // r = 1: the read reports what the parent's read reported.
+        let (_, failables, fs) = small_stripe_mount(4);
+        let (name, down) = record_and_stripe_apart(&fs);
+        let data: Vec<u8> = (0..40u8).collect();
+        fs.write_file(&name, &data).unwrap();
+        failables[down].set_down(true);
+        let r = fs.open(&name).unwrap();
+        assert_eq!(r.reader.cached_stripes(), 0);
+        let mut buf = [0u8; 40];
+        assert!(matches!(
+            r.read_at(0, &mut buf),
+            Err(MemFsError::Storage(e)) if e.is_transport()
+        ));
+        failables[down].set_down(false);
+        assert_eq!(r.read_at(0, &mut buf).unwrap(), 40);
+        assert_eq!(buf[..], data[..]);
+
+        // r = 2: the replica serves it.
+        let (_, failables, fs) = failable_mount(4, small_stripe_config().with_replication(2));
+        let (name, down) = record_and_stripe_apart(&fs);
+        fs.write_file(&name, &data).unwrap();
+        failables[down].set_down(true);
+        let r = fs.open(&name).unwrap();
+        assert_eq!(r.read_at(0, &mut buf).unwrap(), 40);
+        assert_eq!(buf[..], data[..]);
+    }
+
+    /// Mount `a` opens a file, `b` unlinks, re-creates and rewrites it,
+    /// `a` opens it again: the second handle reads `b`'s bytes, whether
+    /// or not the new stripe 0 has the old one's length.
+    fn a_reopen_reads_the_rewritten_file(a: &MemFs, b: &MemFs) {
+        for (old, new) in [
+            (vec![1u8; 300], vec![2u8; 300]),
+            (vec![3; 300], vec![4; 50]),
+        ] {
+            a.write_file("/f", &old).unwrap();
+            let first = a.open("/f").unwrap();
+            let mut buf = vec![0u8; old.len()];
+            assert_eq!(first.read_at(0, &mut buf).unwrap(), old.len());
+            assert_eq!(buf, old);
+            b.unlink("/f").unwrap();
+            b.write_file("/f", &new).unwrap();
+            assert_eq!(a.read_to_vec("/f").unwrap(), new);
+            let second = a.open("/f").unwrap();
+            assert_eq!(second.size(), new.len() as u64);
+            let mut buf = vec![0u8; new.len()];
+            assert_eq!(second.read_at(0, &mut buf).unwrap(), new.len());
+            assert_eq!(buf, new);
+            b.unlink("/f").unwrap();
+        }
+    }
+
+    #[test]
+    fn no_first_stripe_crosses_handles_or_incarnations() {
+        let config = MemFsConfig {
+            stripe_size: 128,
+            ..MemFsConfig::default()
+        };
+        let servers: Vec<Arc<dyn KvClient>> = (0..4)
+            .map(|_| {
+                Arc::new(LocalClient::new(Arc::new(Store::new(
+                    StoreConfig::default(),
+                )))) as Arc<dyn KvClient>
+            })
+            .collect();
+        let a = MemFs::new(servers.clone(), config.clone()).unwrap();
+        let b = MemFs::new(servers, config.clone()).unwrap();
+        a_reopen_reads_the_rewritten_file(&a, &b);
+
+        let servers: Vec<_> = (0..2)
+            .map(|_| {
+                let store = Arc::new(Store::new(StoreConfig::default()));
+                memfs_memkv::KvServer::spawn(store, "127.0.0.1:0").unwrap()
+            })
+            .collect();
+        let addrs: Vec<_> = servers.iter().map(|s| s.addr()).collect();
+        let a = MemFs::connect(&addrs, config.clone()).unwrap();
+        let b = MemFs::connect(&addrs, config).unwrap();
+        a_reopen_reads_the_rewritten_file(&a, &b);
     }
 
     #[test]

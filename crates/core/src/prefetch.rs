@@ -37,6 +37,11 @@
 //! recognised by its second read. With `window == 0` there is no cache, so
 //! sub-stripe spans are always ranged.
 //!
+//! For the same reason a caching reader may start with stripe 0 already
+//! `Ready` (`StripeReader::with_first_stripe`): `MemFs::open` fetches it
+//! in the same step as the size record — a finalized file's stripes never
+//! change — so opening and reading a one-stripe file is one round trip.
+//!
 //! All misses of one read, whole and ranged, travel as **one**
 //! [`ServerPool::get_range_many`], queued *after* the window so the two
 //! overlap.
@@ -281,6 +286,25 @@ impl StripeReader {
             }),
             streams: Mutex::new(StreamTable::default()),
         }
+    }
+
+    /// Start with stripe 0 already `Ready`: the bytes `MemFs::open`
+    /// fetched beside the size record, so a first read from byte 0 is a
+    /// cache copy (it still notes the stream and queues the window). Kept
+    /// only when the reader caches at all and `first` is exactly the
+    /// length the size record gives stripe 0; anything else is dropped and
+    /// the first read fetches, and reports, as it would have without it.
+    pub(crate) fn with_first_stripe(self, first: Option<Bytes>) -> Self {
+        let fits = |data: &Bytes| {
+            self.window > 0
+                && self.file_size > 0
+                && data.len() == self.layout.stripe_len(self.file_size, 0)
+        };
+        if let Some(data) = first.filter(fits) {
+            let mut state = self.cache.state.lock();
+            self.cache.insert_ready_locked(&mut state, 0, data);
+        }
+        self
     }
 
     /// The file size this reader was opened with.
@@ -1047,6 +1071,25 @@ mod tests {
         assert_eq!(ranged_gets(&counted), 40);
         assert_eq!(sync_gets(&counted) + batched_gets(&counted), 0);
         assert_eq!(r.cached_stripes(), 0);
+    }
+
+    #[test]
+    fn a_first_stripe_is_a_cache_copy_that_still_queues_the_window() {
+        let (counted, pool) = instrumented_pool(2000, 100);
+        let seeded = |window: usize, first: Vec<u8>| {
+            reader(&pool, 2000, 100, window).with_first_stripe(Some(Bytes::from(first)))
+        };
+        let r = seeded(8, vec![0u8; 100]);
+        assert_eq!(r.cached_stripes(), 1);
+        assert_eq!(r.stripe(0).unwrap().as_ref(), &[0u8; 100][..]);
+        r.wait_settled();
+        assert_eq!(sync_gets(&counted) + ranged_gets(&counted), 0);
+        assert!(batched_gets(&counted) > 0, "the read queued no window");
+        assert_eq!(r.cached_stripes(), 9);
+        // The wrong length, or no cache to put it in: dropped.
+        for r in [seeded(8, vec![0u8; 99]), seeded(0, vec![0u8; 100])] {
+            assert_eq!(r.cached_stripes(), 0);
+        }
     }
 
     #[test]

@@ -1,23 +1,19 @@
-//! Evented transport core: one shared epoll reactor drives every
-//! registered connection — to any number of servers — without blocking
-//! callers on socket I/O.
+//! Evented transport core: one epoll reactor thread drives every
+//! registered connection — to any number of servers — and no caller
+//! blocks on socket I/O.
 //!
-//! The blocking client parked one OS thread per in-flight call — a mount
-//! fanning out to `n` servers needed `n` engine workers just to keep the
-//! sockets busy, so aggregate bandwidth plateaued at the worker count
-//! instead of the server count (the paper's full-bisection claim, §3.2,
-//! needs *every* server streaming concurrently). The first evented cut
-//! fixed that but spent one reactor thread per [`crate::net::TcpClient`]:
-//! a 64-server mount burned 64 epoll threads, each draining completions
-//! for its own server in isolation.
+//! The reactor is a process-wide resource shared through a
+//! [`ReactorHandle`]. Each [`crate::net::TcpClient`] *registers* its
+//! pre-connected sockets with a handle and gets back a [`Registration`] —
+//! a set of tokens naming its connections inside the shared loop. A call
+//! is a pre-encoded batch handed to the loop through its inbox (one lock,
+//! one eventfd wake); the loop writes it, parses the replies and fills the
+//! batch's completion slot, on which the caller parks. One thread
+//! multiplexes every server's sockets, so:
 //!
-//! Now the reactor is a process-wide resource shared through a
-//! [`ReactorHandle`]. Each `TcpClient` *registers* its pre-connected
-//! sockets with a handle and gets back a [`Registration`] — a set of
-//! tokens naming its connections inside the shared loop. One reactor
-//! thread multiplexes every server's sockets, so:
-//!
-//! * a 16-server mount runs **one** reactor thread instead of 16;
+//! * a mount runs **one** reactor thread whatever its server count, and
+//!   still keeps every server streaming at once (the paper's
+//!   full-bisection claim, §3.2) — no thread is parked per in-flight call;
 //! * one epoll wake drains completions for *all* servers, delivering them
 //!   to waiting callers in cross-server batches (the pool's sliding
 //!   window observes completions as they land anywhere in the cluster);
@@ -25,7 +21,7 @@
 //!   arm/cancel, and an idle loop sleeps precisely until the next armed
 //!   timer instead of scanning every connection's queue front.
 //!
-//! Semantics carried over from the per-client reactor:
+//! Per connection:
 //!
 //! * **Pipelining** — all frames of a batch are queued on one connection
 //!   and answered in order; concurrent batches interleave at frame

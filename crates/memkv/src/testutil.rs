@@ -305,10 +305,13 @@ impl ShapedProxy {
                         }
                     }
                 }
+                // Counted before the write: once the bytes are out, the
+                // other end may already be acting on them, and a reader of
+                // `bytes_forwarded` must not see less than it was sent.
+                inner.forwarded.fetch_add(send as u64, Ordering::SeqCst);
                 if send > 0 && to.write_all(&buf[..send]).is_err() {
                     break;
                 }
-                inner.forwarded.fetch_add(send as u64, Ordering::SeqCst);
                 if cut {
                     break;
                 }

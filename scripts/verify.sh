@@ -18,10 +18,14 @@
 # in-flight gauges that never settle, out-of-order reassembly) that a
 # single quiet run can miss. The metadata protocol rides along: two
 # mounts racing `create` of the same 200 names (one winner each), the
-# refused-create undo, and the request-count pins of create / mkdir /
-# close / open + read / unlink. It also runs the (otherwise `--ignored`)
-# shaped-cluster scaling regression: 8 bandwidth-capped servers must
-# deliver >= 1.5x the 4-server aggregate batched throughput, plus the
+# refused-create undo, the request-count pins of create / mkdir / close /
+# unlink and of open + read (open is one step, stripe 0 beside the size
+# record), and the rules for when that stripe is dropped (unclosed file,
+# wrong length, its server down, a rewritten file reopened from a second
+# mount). The shaped proxy's own byte count rides along. It also runs
+# the (otherwise `--ignored`) shaped-cluster scaling regression: 8
+# bandwidth-capped servers must deliver >= 1.5x the 4-server aggregate
+# batched throughput, plus the
 # thread-census binaries (client side: one reactor loop per mount,
 # including a live 4 -> 6 grow; server side: exactly 1 epoll loop + 1
 # maintenance thread per server, regardless of connection count) with
@@ -159,15 +163,24 @@ for arg in "$@"; do
                 deep_unlink_with_a_server_down_keeps_the_size_record
             # The metadata protocol: the two-mount create race, the
             # refused create that leaves nothing behind, the request
-            # counts and overlap of the hot paths (`pinned_*`), and the
-            # existence checks that do not move a directory log.
+            # counts and overlap of the hot paths (`pinned_*`), the
+            # existence checks that do not move a directory log, and when
+            # the stripe `open` fetches beside the record is dropped.
             RUST_TEST_THREADS=16 cargo test -q -p memfs-core --lib -- \
                 two_mounts_racing_create \
                 refused_create_leaves_nothing_behind \
                 create_with_the_probes_server_down \
                 create_in_a_migrating_range \
                 pinned_ \
-                existence_checks_do_not_move_the_directory_log
+                existence_checks_do_not_move_the_directory_log \
+                open_of_an_unclosed_file_is_not_finalized \
+                a_first_stripe_that_does_not_fit_the_record \
+                open_succeeds_with_the_first_stripes_server_down \
+                no_first_stripe_crosses_handles_or_incarnations
+            # The shaped proxy counts a burst before forwarding it, so a
+            # reply the client holds is already on the books.
+            RUST_TEST_THREADS=16 cargo test -q -p memfs-memkv --lib -- \
+                testutil::tests::shaped_proxy_forwards_and_throttles
             # reactor_threads / server_threads count process-wide threads
             # by name: own binaries, one test each, no parallel siblings.
             cargo test -q --test reactor_threads
