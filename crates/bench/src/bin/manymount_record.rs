@@ -14,7 +14,7 @@
 //!    ≥ 90% of the 4-mount aggregate. Connection count costs the evented
 //!    engine nothing; the shaped pipes stay the bottleneck.
 //! 2. **Thread census** — during the 64-mount phase the 4 servers run
-//!    exactly 4 `memkv-srv-loop` + 4 `memkv-srv-maint` threads and zero
+//!    exactly 4 `memkv-srv-*` threads, all of them `memkv-srv-loop`, and zero
 //!    `memkv-conn` threads (a thread-per-connection engine would sit at
 //!    256).
 //!
@@ -86,7 +86,7 @@ fn balanced_items(
 struct PhaseResult {
     aggregate_bps: f64,
     loops: usize,
-    maint: usize,
+    srv_threads: usize,
     conn_threads: usize,
     rss_kib: u64,
 }
@@ -147,14 +147,14 @@ fn run_phase(cluster: &ShapedCluster, mounts: usize, per_server: usize, seed: u6
     // Census mid-phase, with every mount connected and traffic flowing.
     std::thread::sleep(Duration::from_secs_f64(PHASE_SECS / 2.0));
     let loops = named_threads("memkv-srv-loop");
-    let maint = named_threads("memkv-srv-maint");
+    let srv_threads = named_threads("memkv-srv");
     let conn_threads = named_threads("memkv-conn");
     let total: u64 = drivers.into_iter().map(|d| d.join().expect("driver")).sum();
     let aggregate_bps = total as f64 / started.elapsed().as_secs_f64();
     PhaseResult {
         aggregate_bps,
         loops,
-        maint,
+        srv_threads,
         conn_threads,
         rss_kib: status_kib("VmRSS"),
     }
@@ -186,7 +186,8 @@ fn main() {
     );
 
     let ratio = many.aggregate_bps / few.aggregate_bps;
-    let census_pass = many.loops == N_SERVERS && many.maint == N_SERVERS && many.conn_threads == 0;
+    let census_pass =
+        many.loops == N_SERVERS && many.srv_threads == N_SERVERS && many.conn_threads == 0;
     let ratio_pass = ratio >= 0.90;
     let pass = census_pass && ratio_pass;
     let hwm = status_kib("VmHWM");
@@ -199,10 +200,10 @@ fn main() {
          \"four_mounts\": {{\"mounts\": 4, \"aggregate_bps\": {:.0}, \
          \"rss_kib\": {}}},\n  \
          \"sixty_four_mounts\": {{\"mounts\": 64, \"aggregate_bps\": {:.0}, \
-         \"rss_kib\": {}, \"srv_loops\": {}, \"srv_maint\": {}, \
+         \"rss_kib\": {}, \"srv_loops\": {}, \"srv_threads\": {}, \
          \"conn_threads\": {}}},\n  \
          \"vm_hwm_kib\": {hwm},\n  \
-         \"acceptance\": {{\"metric\": \"64 mounts >= 90% of 4-mount aggregate; census 4 loops + 4 maintenance threads, 0 conn threads\", \
+         \"acceptance\": {{\"metric\": \"64 mounts >= 90% of 4-mount aggregate; census 4 server threads, all loops, 0 conn threads\", \
          \"ratio\": {ratio:.3}, \"census_pass\": {census_pass}, \
          \"ratio_pass\": {ratio_pass}, \"pass\": {pass}}}\n}}",
         few.aggregate_bps,
@@ -210,13 +211,13 @@ fn main() {
         many.aggregate_bps,
         many.rss_kib,
         many.loops,
-        many.maint,
+        many.srv_threads,
         many.conn_threads,
     );
     if !census_pass {
         eprintln!(
-            "FAIL: census loops={} maint={} conn={} (want {N_SERVERS}/{N_SERVERS}/0)",
-            many.loops, many.maint, many.conn_threads,
+            "FAIL: census loops={} srv={} conn={} (want {N_SERVERS}/{N_SERVERS}/0)",
+            many.loops, many.srv_threads, many.conn_threads,
         );
     }
     if !ratio_pass {

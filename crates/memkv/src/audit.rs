@@ -61,8 +61,8 @@ pub fn count_store_write_lock() {
 /// Total store shard read-lock acquisitions since process start.
 /// With [`store_write_locks`], pins the engine's locking discipline:
 /// `tests/store_locks.rs` asserts that a multi-get batch takes at most
-/// one *read* lock per shard and zero write locks, and that eviction
-/// write-locks one shard per reclaimed item instead of all of them.
+/// one *read* lock per shard and zero write locks, and that every
+/// mutation takes exactly one write lock.
 pub fn store_read_locks() -> u64 {
     STORE_READ_LOCKS.load(Ordering::Relaxed)
 }

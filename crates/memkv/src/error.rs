@@ -7,7 +7,7 @@ use std::io;
 /// Errors returned by key-value operations.
 #[derive(Debug)]
 pub enum KvError {
-    /// `get`/`append`/`delete`/`cas` on a key that does not exist.
+    /// `get`/`append`/`delete` on a key that does not exist.
     NotFound,
     /// `add` on a key that already exists.
     Exists,
@@ -23,16 +23,14 @@ pub enum KvError {
     KeyTooLong(usize),
     /// Key contains bytes illegal in the text protocol (space/control).
     BadKey,
-    /// The store is full and the eviction policy is
-    /// [`crate::EvictionPolicy::Error`].
+    /// The store's memory budget has no room for the write (the store
+    /// never evicts to make some).
     OutOfMemory {
         /// Bytes the operation needed.
         needed: u64,
         /// The configured memory budget.
         budget: u64,
     },
-    /// `cas` with a stale token.
-    CasMismatch,
     /// Malformed wire-protocol input.
     Protocol(String),
     /// Transport failure (TCP client/server paths only).
@@ -63,7 +61,6 @@ impl fmt::Display for KvError {
             KvError::OutOfMemory { needed, budget } => {
                 write!(f, "store full: need {needed} bytes, budget {budget} bytes")
             }
-            KvError::CasMismatch => write!(f, "compare-and-swap token mismatch"),
             KvError::Protocol(msg) => write!(f, "protocol error: {msg}"),
             KvError::Io(e) => write!(f, "I/O error: {e}"),
             KvError::Timeout { after } => write!(f, "request timed out after {after:?}"),
@@ -90,7 +87,6 @@ impl KvError {
                 needed: *needed,
                 budget: *budget,
             },
-            KvError::CasMismatch => KvError::CasMismatch,
             KvError::Protocol(msg) => KvError::Protocol(msg.clone()),
             KvError::Io(e) => KvError::Io(io::Error::new(e.kind(), e.to_string())),
             KvError::Timeout { after } => KvError::Timeout { after: *after },

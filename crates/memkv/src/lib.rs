@@ -6,15 +6,15 @@
 //!
 //! The crate provides exactly the semantics MemFS relies on:
 //!
-//! * simple key-value commands: `set`, `add`, `get`, `append`, `delete`,
-//!   `cas` — with **atomic, internally synchronized `append`** (the paper's
-//!   directory-metadata protocol depends on it, §3.2.4);
+//! * the key-value commands MemFS sends: `set`, `add`, `get`, `getrange`,
+//!   `append`, `delete` — with **atomic, internally synchronized `append`**
+//!   (the paper's directory-metadata protocol depends on it, §3.2.4);
 //! * servers that do not communicate with each other and know nothing about
 //!   data distribution — the *client* places data (§3.1.1);
 //! * a per-item size limit (memcached's classic item limit motivates
-//!   MemFS' striping, §3.2.1) and a configurable memory budget with either
-//!   memcached-style LRU eviction or hard `OutOfMemory` errors (the mode a
-//!   runtime file system needs);
+//!   MemFS' striping, §3.2.1) and a hard memory budget: a full store
+//!   answers `OutOfMemory` and never evicts or expires anything (the
+//!   paper sizes memcached so it never evicts, §3.2.1 / §4.2.1);
 //! * detailed statistics (`get` vs `set` counts, hit rate, bytes stored)
 //!   used by the balance experiments.
 //!
@@ -51,4 +51,4 @@ pub use error::KvError;
 pub use net::{KvServer, PoolConfig, ServerConfig, TcpClient};
 pub use reactor::{ReactorHandle, ReactorStatsSnapshot};
 pub use stats::{ServerStatsSnapshot, StoreStats};
-pub use store::{EvictionPolicy, Store, StoreConfig};
+pub use store::{Store, StoreConfig};

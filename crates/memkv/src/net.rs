@@ -94,7 +94,7 @@ impl Default for PoolConfig {
 ///
 /// A connection that dies mid-call is reopened; the request is retried
 /// once, transparently, when it is idempotent (`get`/`set`/`delete`…).
-/// Non-idempotent verbs (`add`/`append`/`cas`) surface the I/O error
+/// Non-idempotent verbs (`add`/`append`) surface the I/O error
 /// instead — retrying those could double-apply. Calls unanswered past
 /// [`PoolConfig::timeout`] fail with [`KvError::Timeout`].
 pub struct TcpClient {
@@ -106,10 +106,7 @@ pub struct TcpClient {
 
 /// Whether a request may be transparently resent after a connection drop.
 fn is_idempotent(req: &Request) -> bool {
-    !matches!(
-        req,
-        Request::Add { .. } | Request::Append { .. } | Request::Cas { .. }
-    )
+    !matches!(req, Request::Add { .. } | Request::Append { .. })
 }
 
 /// Encode a pipelined batch into wire segments for the reactor: command
@@ -279,44 +276,6 @@ impl TcpClient {
             other => Err(KvError::Protocol(format!("unexpected reply {other:?}"))),
         }
     }
-
-    /// Fetch a value together with its CAS token (`gets`).
-    pub fn gets(&self, key: &[u8]) -> KvResult<(Bytes, u64)> {
-        match self.call(&Request::Gets {
-            keys: vec![Bytes::copy_from_slice(key)],
-        })? {
-            Response::Value {
-                value,
-                cas: Some(token),
-                ..
-            } => Ok((value, token)),
-            Response::End => Err(KvError::NotFound),
-            other => Err(KvError::Protocol(format!("unexpected reply {other:?}"))),
-        }
-    }
-
-    /// `set` with a relative TTL in seconds (the wire protocol's
-    /// `exptime`; 0 = never expires). The server reaps the item lazily
-    /// on read and in its background maintenance sweep.
-    pub fn set_ttl(&self, key: &[u8], value: Bytes, ttl_secs: u32) -> KvResult<()> {
-        let req = store_request(StoreVerb::Set, Bytes::copy_from_slice(key), value, ttl_secs);
-        stored(StoreVerb::Set, self.call(&req)?).map(drop)
-    }
-
-    /// Compare-and-swap: replace `key` only if `token` is still current.
-    pub fn cas(&self, key: &[u8], value: Bytes, token: u64) -> KvResult<()> {
-        match self.call(&Request::Cas {
-            key: Bytes::copy_from_slice(key),
-            value,
-            token,
-            exptime: 0,
-        })? {
-            Response::Stored => Ok(()),
-            Response::Exists => Err(KvError::CasMismatch),
-            Response::NotFound => Err(KvError::NotFound),
-            other => Err(KvError::Protocol(format!("unexpected reply {other:?}"))),
-        }
-    }
 }
 
 /// Outcome of one parse attempt over the accumulated response bytes.
@@ -346,7 +305,6 @@ pub(crate) fn try_parse_response(rx: &mut RxBuf) -> KvResult<ParseStep> {
     let resp = match line {
         b"STORED" => Response::Stored,
         b"NOT_STORED" => Response::NotStored,
-        b"EXISTS" => Response::Exists,
         b"NOT_FOUND" => Response::NotFound,
         b"DELETED" => Response::Deleted,
         b"OK" => Response::Ok,
@@ -788,22 +746,6 @@ mod tests {
     }
 
     #[test]
-    fn tcp_gets_and_cas() {
-        let server = spawn_server();
-        let client = TcpClient::connect(server.addr()).unwrap();
-        client.set(b"k", Bytes::from_static(b"v1")).unwrap();
-        let (value, token) = client.gets(b"k").unwrap();
-        assert_eq!(value.as_ref(), b"v1");
-        client.cas(b"k", Bytes::from_static(b"v2"), token).unwrap();
-        assert!(matches!(
-            client.cas(b"k", Bytes::from_static(b"v3"), token),
-            Err(KvError::CasMismatch)
-        ));
-        assert_eq!(client.get(b"k").unwrap().as_ref(), b"v2");
-        assert!(matches!(client.gets(b"missing"), Err(KvError::NotFound)));
-    }
-
-    #[test]
     fn tcp_keys_extension_lists_everything() {
         let server = spawn_server();
         let client = TcpClient::connect(server.addr()).unwrap();
@@ -817,7 +759,9 @@ mod tests {
         assert_eq!(keys.len(), 10);
         assert_eq!(keys[0], b"key0".to_vec());
         // Empty server lists nothing.
-        client.call(&Request::FlushAll).unwrap();
+        for key in keys {
+            client.delete(&key).unwrap();
+        }
         assert!(client.keys().unwrap().is_empty());
     }
 
@@ -1126,24 +1070,6 @@ mod tests {
             std::thread::sleep(Duration::from_millis(5));
         }
         assert_eq!(b.get(b"kb").unwrap(), Bytes::from_static(b"vb"));
-    }
-
-    #[test]
-    fn tcp_gets_multi_returns_cas_per_value() {
-        let server = spawn_server();
-        let client = TcpClient::connect(server.addr()).unwrap();
-        client.set(b"a", Bytes::from_static(b"1")).unwrap();
-        client.set(b"b", Bytes::from_static(b"2")).unwrap();
-        let resp = client
-            .call(&Request::Gets {
-                keys: vec![Bytes::from_static(b"a"), Bytes::from_static(b"b")],
-            })
-            .unwrap();
-        let Response::Values(items) = resp else {
-            panic!("expected Values, got {resp:?}");
-        };
-        assert_eq!(items.len(), 2);
-        assert!(items.iter().all(|i| i.cas.is_some()));
     }
 
     #[test]

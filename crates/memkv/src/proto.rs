@@ -5,11 +5,9 @@
 //!
 //! ```text
 //! set/add/append <key> <flags> <exptime> <bytes>\r\n<data>\r\n
-//! cas <key> <flags> <exptime> <bytes> <cas>\r\n<data>\r\n
-//! get <key> [key ...]\r\n  gets <key> [key ...]\r\n
-//! getrange <key> <offset> <length>\r\n
-//! delete <key>\r\n         flush_all\r\n       keys\r\n
-//! stats\r\n                version\r\n         quit\r\n
+//! get <key> [key ...]\r\n  getrange <key> <offset> <length>\r\n
+//! delete <key>\r\n         keys\r\n            stats\r\n
+//! version\r\n              quit\r\n
 //! ```
 //!
 //! Multi-key `get` follows memcached semantics: the server answers with one
@@ -20,11 +18,11 @@
 //! prefetching: one request fetches a whole prefetch window from a server.
 //!
 //! Divergence from memcached: `flags` is parsed and accepted but not stored
-//! — MemFS always sends zero, and responses echo `flags = 0`. `exptime` IS
-//! honored on `set`/`add`/`cas` as a relative TTL in **seconds** (0 = never
-//! expires; the store reaps expired items lazily and via its background
-//! sweeper). `append` parses `exptime` but ignores it, exactly as memcached
-//! does — an append never changes the item's expiry.
+//! — MemFS always sends zero, and responses echo `flags = 0`. Items never
+//! expire: a `set` / `add` with a non-zero `exptime` is answered with
+//! `CLIENT_ERROR` and stores nothing (the connection stays open — the frame
+//! parsed fine). `append` parses `exptime` and ignores it, as memcached
+//! does. `cas`, `gets` and `flush_all` are not served.
 //!
 //! Two verbs are not memcached's. `keys` (enumeration, for the elastic
 //! rebalancer) was the first; `getrange` follows its precedent. It reads a
@@ -64,32 +62,22 @@ pub enum Request {
     Set {
         key: Bytes,
         value: Bytes,
-        /// Relative TTL in seconds, 0 = never expires.
+        /// memcached's relative TTL. Must be 0: the server refuses any
+        /// other value with `CLIENT_ERROR`.
         exptime: u32,
     },
     Add {
         key: Bytes,
         value: Bytes,
-        /// Relative TTL in seconds, 0 = never expires.
+        /// As for [`Request::Set`]: must be 0.
         exptime: u32,
     },
     Append {
         key: Bytes,
         value: Bytes,
     },
-    Cas {
-        key: Bytes,
-        value: Bytes,
-        token: u64,
-        /// Relative TTL in seconds installed on a successful swap.
-        exptime: u32,
-    },
     /// One or more keys; replies carry one `VALUE` block per hit.
     Get {
-        keys: Vec<Bytes>,
-    },
-    /// Like `Get` but replies include each value's CAS token.
-    Gets {
         keys: Vec<Bytes>,
     },
     /// Non-standard extension: `len` bytes of `key`'s value starting at
@@ -103,7 +91,6 @@ pub enum Request {
     Delete {
         key: Bytes,
     },
-    FlushAll,
     Stats,
     Version,
     Quit,
@@ -118,12 +105,11 @@ pub enum Request {
 pub enum Response {
     Stored,
     NotStored,
-    Exists,
     NotFound,
     Deleted,
     Ok,
-    /// `VALUE` + `END` for a single-key `get`; `cas` is included for
-    /// `gets`.
+    /// `VALUE` + `END` for a single-key `get`. `cas` is memcached's
+    /// optional fifth `VALUE` field; this server never sends one.
     Value {
         key: Bytes,
         value: Bytes,
@@ -152,6 +138,7 @@ pub enum Response {
 pub struct ValueItem {
     pub key: Bytes,
     pub value: Bytes,
+    /// Always `None` from this server; see [`Response::Value`].
     pub cas: Option<u64>,
 }
 
@@ -249,36 +236,24 @@ pub fn parse_request(buf: &[u8]) -> KvResult<Parsed> {
         .ok_or_else(|| KvError::Protocol("empty command".into()))?;
     let args = &toks[1..];
 
-    // Storage commands share the `<key> <flags> <exptime> <bytes> [cas]`
-    // shape followed by a data block.
-    fn parse_storage<'a>(
-        args: &[&'a [u8]],
-        with_cas: bool,
-    ) -> KvResult<(&'a [u8], usize, u64, u32)> {
-        let expected = if with_cas { 5 } else { 4 };
-        if args.len() != expected {
-            return Err(KvError::Protocol(format!(
-                "storage command expects {expected} arguments, got {}",
-                args.len()
-            )));
-        }
-        let _flags = parse_u64(args[1])?;
-        let exptime = parse_u64(args[2])?.min(u32::MAX as u64) as u32;
-        let bytes = parse_len(args[3])?;
-        if bytes > MAX_VALUE_LEN {
-            return Err(KvError::ValueTooLarge {
-                size: bytes,
-                limit: MAX_VALUE_LEN,
-            });
-        }
-        let token = if with_cas { parse_u64(args[4])? } else { 0 };
-        Ok((args[0], bytes, token, exptime))
-    }
-
     match verb {
-        b"set" | b"add" | b"append" | b"cas" => {
-            let with_cas = verb == b"cas";
-            let (key, nbytes, token, exptime) = parse_storage(args, with_cas)?;
+        b"set" | b"add" | b"append" => {
+            // `<key> <flags> <exptime> <bytes>` followed by a data block.
+            let [key, flags, exptime, nbytes] = args else {
+                return Err(KvError::Protocol(format!(
+                    "storage command expects 4 arguments, got {}",
+                    args.len()
+                )));
+            };
+            let _flags = parse_u64(flags)?;
+            let exptime = parse_u64(exptime)?.min(u32::MAX as u64) as u32;
+            let nbytes = parse_len(nbytes)?;
+            if nbytes > MAX_VALUE_LEN {
+                return Err(KvError::ValueTooLarge {
+                    size: nbytes,
+                    limit: MAX_VALUE_LEN,
+                });
+            }
             let need = after_line
                 .checked_add(nbytes)
                 .and_then(|n| n.checked_add(2))
@@ -307,28 +282,16 @@ pub fn parse_request(buf: &[u8]) -> KvResult<Parsed> {
                     exptime,
                 },
                 // memcached: append ignores flags/exptime.
-                b"append" => Request::Append { key, value },
-                b"cas" => Request::Cas {
-                    key,
-                    value,
-                    token,
-                    exptime,
-                },
-                _ => unreachable!(),
+                _ => Request::Append { key, value },
             };
             Ok(Parsed::Done(req, need))
         }
-        b"get" | b"gets" => {
+        b"get" => {
             if args.is_empty() {
                 return Err(KvError::Protocol("get takes at least one key".into()));
             }
-            let keys: Vec<Bytes> = args.iter().map(|k| Bytes::copy_from_slice(k)).collect();
-            let req = if verb == b"get" {
-                Request::Get { keys }
-            } else {
-                Request::Gets { keys }
-            };
-            Ok(Parsed::Done(req, after_line))
+            let keys = args.iter().map(|k| Bytes::copy_from_slice(k)).collect();
+            Ok(Parsed::Done(Request::Get { keys }, after_line))
         }
         b"getrange" => {
             let [key, offset, len] = args else {
@@ -356,7 +319,6 @@ pub fn parse_request(buf: &[u8]) -> KvResult<Parsed> {
                 after_line,
             ))
         }
-        b"flush_all" => Ok(Parsed::Done(Request::FlushAll, after_line)),
         b"keys" => Ok(Parsed::Done(Request::Keys, after_line)),
         b"stats" => Ok(Parsed::Done(Request::Stats, after_line)),
         b"version" => Ok(Parsed::Done(Request::Version, after_line)),
@@ -450,7 +412,6 @@ pub fn write_request_line<'r>(req: &'r Request, out: &mut Vec<u8>) -> Option<&'r
         key: &[u8],
         value: &'r Bytes,
         exptime: u32,
-        cas: Option<u64>,
     ) -> Option<&'r Bytes> {
         out.extend_from_slice(verb.as_bytes());
         out.push(b' ');
@@ -459,45 +420,28 @@ pub fn write_request_line<'r>(req: &'r Request, out: &mut Vec<u8>) -> Option<&'r
         write_decimal(out, exptime as u64);
         out.push(b' ');
         write_decimal(out, value.len() as u64);
-        if let Some(t) = cas {
-            out.push(b' ');
-            write_decimal(out, t);
-        }
         out.extend_from_slice(b"\r\n");
         Some(value)
-    }
-    fn multi_key(out: &mut Vec<u8>, verb: &[u8], keys: &[Bytes]) {
-        out.extend_from_slice(verb);
-        for key in keys {
-            out.push(b' ');
-            out.extend_from_slice(key);
-        }
-        out.extend_from_slice(b"\r\n");
     }
     match req {
         Request::Set {
             key,
             value,
             exptime,
-        } => storage(out, "set", key, value, *exptime, None),
+        } => storage(out, "set", key, value, *exptime),
         Request::Add {
             key,
             value,
             exptime,
-        } => storage(out, "add", key, value, *exptime, None),
-        Request::Append { key, value } => storage(out, "append", key, value, 0, None),
-        Request::Cas {
-            key,
-            value,
-            token,
-            exptime,
-        } => storage(out, "cas", key, value, *exptime, Some(*token)),
+        } => storage(out, "add", key, value, *exptime),
+        Request::Append { key, value } => storage(out, "append", key, value, 0),
         Request::Get { keys } => {
-            multi_key(out, b"get", keys);
-            None
-        }
-        Request::Gets { keys } => {
-            multi_key(out, b"gets", keys);
+            out.extend_from_slice(b"get");
+            for key in keys {
+                out.push(b' ');
+                out.extend_from_slice(key);
+            }
+            out.extend_from_slice(b"\r\n");
             None
         }
         Request::GetRange { key, offset, len } => {
@@ -514,10 +458,6 @@ pub fn write_request_line<'r>(req: &'r Request, out: &mut Vec<u8>) -> Option<&'r
             out.extend_from_slice(b"delete ");
             out.extend_from_slice(key);
             out.extend_from_slice(b"\r\n");
-            None
-        }
-        Request::FlushAll => {
-            out.extend_from_slice(b"flush_all\r\n");
             None
         }
         Request::Keys => {
@@ -573,7 +513,6 @@ pub fn write_response(resp: &Response, out: &mut Vec<u8>) {
     match resp {
         Response::Stored => out.extend_from_slice(b"STORED\r\n"),
         Response::NotStored => out.extend_from_slice(b"NOT_STORED\r\n"),
-        Response::Exists => out.extend_from_slice(b"EXISTS\r\n"),
         Response::NotFound => out.extend_from_slice(b"NOT_FOUND\r\n"),
         Response::Deleted => out.extend_from_slice(b"DELETED\r\n"),
         Response::Ok => out.extend_from_slice(b"OK\r\n"),
@@ -650,14 +589,6 @@ pub fn stats_pairs(snap: &StatsSnapshot) -> Vec<(String, String)> {
         ("cmd_add".into(), snap.add_ops.to_string()),
         ("cmd_append".into(), snap.append_ops.to_string()),
         ("cmd_delete".into(), snap.delete_ops.to_string()),
-        (
-            "cas_hits".into(),
-            (snap.cas_ops - snap.cas_misses).to_string(),
-        ),
-        ("cas_misses".into(), snap.cas_misses.to_string()),
-        ("evictions".into(), snap.evictions.to_string()),
-        ("expired".into(), snap.expired.to_string()),
-        ("sweeps".into(), snap.sweeps.to_string()),
         ("bytes".into(), snap.bytes_used.to_string()),
         ("curr_items".into(), snap.item_count.to_string()),
         ("bytes_written".into(), snap.bytes_written.to_string()),
@@ -702,12 +633,6 @@ pub(crate) mod tests {
                 key: Bytes::from_static(b"dir"),
                 value: Bytes::from_static(b"+x"),
             },
-            Request::Cas {
-                key: Bytes::from_static(b"k"),
-                value: Bytes::from_static(b"v2"),
-                token: 42,
-                exptime: 0,
-            },
             Request::Set {
                 key: Bytes::from_static(b"fleeting"),
                 value: Bytes::from_static(b"v"),
@@ -718,12 +643,6 @@ pub(crate) mod tests {
                 value: Bytes::from_static(b"v"),
                 exptime: 86_400,
             },
-            Request::Cas {
-                key: Bytes::from_static(b"fleeting"),
-                value: Bytes::from_static(b"v"),
-                token: 7,
-                exptime: 1,
-            },
             Request::Get {
                 keys: vec![Bytes::from_static(b"k")],
             },
@@ -733,12 +652,6 @@ pub(crate) mod tests {
                     Bytes::from_static(b"k2"),
                     Bytes::from_static(b"k3"),
                 ],
-            },
-            Request::Gets {
-                keys: vec![Bytes::from_static(b"k")],
-            },
-            Request::Gets {
-                keys: vec![Bytes::from_static(b"a"), Bytes::from_static(b"b")],
             },
             Request::GetRange {
                 key: Bytes::from_static(b"s:/f#3"),
@@ -753,7 +666,6 @@ pub(crate) mod tests {
             Request::Delete {
                 key: Bytes::from_static(b"k"),
             },
-            Request::FlushAll,
             Request::Keys,
             Request::Stats,
             Request::Version,
@@ -771,7 +683,6 @@ pub(crate) mod tests {
         vec![
             Response::Stored,
             Response::NotStored,
-            Response::Exists,
             Response::NotFound,
             Response::Deleted,
             Response::Ok,
@@ -810,7 +721,8 @@ pub(crate) mod tests {
 
     #[test]
     fn exptime_rides_the_wire() {
-        // TTL'd set encodes the exptime field and parses it back out.
+        // The exptime field still parses (so the server can refuse a
+        // non-zero one with CLIENT_ERROR instead of losing the framing).
         let req = Request::Set {
             key: Bytes::from_static(b"k"),
             value: Bytes::from_static(b"hello"),
@@ -821,18 +733,7 @@ pub(crate) mod tests {
         let (parsed, n) = done(&wire);
         assert_eq!(parsed, req);
         assert_eq!(n, wire.len());
-        // Hand-written frames from foreign memcached clients parse too,
-        // and append discards its exptime like memcached does.
-        let (parsed, _) = done(b"cas k 0 60 2 9\r\nvv\r\n");
-        assert_eq!(
-            parsed,
-            Request::Cas {
-                key: Bytes::from_static(b"k"),
-                value: Bytes::from_static(b"vv"),
-                token: 9,
-                exptime: 60,
-            }
-        );
+        // Append discards its exptime like memcached does.
         let (parsed, _) = done(b"append k 0 60 2\r\nvv\r\n");
         assert_eq!(
             parsed,
@@ -898,6 +799,14 @@ pub(crate) mod tests {
         assert!(parse_request(b"set k x 0 5\r\nhello\r\n").is_err());
         assert!(parse_request(b"set k 0 0 5 junk extra\r\nhello\r\n").is_err());
         assert!(parse_request(b"get\r\n").is_err());
+        // Verbs this server does not serve are unknown commands.
+        for verb in [
+            &b"gets k\r\n"[..],
+            b"flush_all\r\n",
+            b"cas k 0 0 1 9\r\nv\r\n",
+        ] {
+            assert!(matches!(parse_request(verb), Err(KvError::Protocol(_))));
+        }
         // Data block with wrong terminator.
         assert!(parse_request(b"set k 0 0 5\r\nhelloXX").is_err());
     }

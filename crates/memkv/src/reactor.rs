@@ -29,7 +29,7 @@
 //!   connections.
 //! * **Idempotent-only retry** — a batch that dies with the connection is
 //!   replayed once after a reconnect, but only if every request in it is
-//!   idempotent (`add`/`append`/`cas` batches surface the I/O error). An
+//!   idempotent (`add`/`append` batches surface the I/O error). An
 //!   established link is a [`Conn`] (the connection type the server loop
 //!   uses too): its receive buffer and send queue die with the stream,
 //!   and the stream adopted next is handed every queued batch whole.
@@ -1406,7 +1406,7 @@ mod tests {
                 "a non-idempotent batch was replayed"
             );
         });
-        // `add` / `append` / `cas` make a batch non-idempotent
+        // `add` / `append` make a batch non-idempotent
         // (`net::is_idempotent`); the reactor sees only the flag.
         let err = reg.submit(0, big_batch().0, 1, false).wait().unwrap_err();
         assert!(matches!(err, KvError::Io(_)), "got {err:?}");

@@ -1,5 +1,5 @@
 //! The memkv storage server: one epoll loop that runs every request to
-//! completion on the thread that read it, plus one maintenance thread.
+//! completion on the thread that read it. A server is that one thread.
 //!
 //! This is memcached's shape — a passive server whose event thread
 //! decodes, executes and answers each request where it arrived. A store
@@ -11,8 +11,8 @@
 //!
 //! * **One loop thread** (`memkv-srv-loop`) owns the listening socket and
 //!   a token-slab of non-blocking connections. Accepts run in-loop; the
-//!   thread census is this loop plus the maintenance thread at any
-//!   connection count.
+//!   thread census is this loop alone at any connection count — the
+//!   store never evicts or expires, so there is nothing to sweep.
 //! * **Run to completion, in order.** `parse_conn` is the one place a
 //!   request is handled: decode at the receive buffer's cursor (no
 //!   memmove per pipelined request), execute against the store, queue
@@ -31,16 +31,12 @@
 //!   A peer that keeps its socket full therefore holds the loop for at
 //!   most `TURN_READS × READ_CHUNK` bytes of requests at a time. The
 //!   slowest single request is a 4096-key `get` (≈ 0.4 ms) or the
-//!   operator verbs `keys` / `flush_all`, which are O(items).
+//!   operator verb `keys`, which is O(items).
 //! * **Backpressure per connection**: past [`MAX_PENDING_BYTES`] of unsent
 //!   response bytes the loop stops reading and executing for that socket
 //!   (EPOLLIN dropped; undecoded requests wait in the receive buffer)
 //!   and drains via EPOLLOUT until the peer has caught up to half the
 //!   bound. A slow reader can stall only itself.
-//! * **Maintenance off the loop.** A sweep from the high to the low
-//!   watermark is the one store call that is not sub-microsecond, so
-//!   `memkv-srv-maint` runs [`Store::maintain`] every
-//!   [`MAINTENANCE_INTERVAL`]; the store never has two sweepers.
 //! * **Value memory is recycled, not returned.** The first server of a
 //!   process pins glibc malloc's `mmap` and trim thresholds (the reactor's
 //!   `pin_malloc_thresholds`), so a stripe-sized value is heap memory and
@@ -60,7 +56,7 @@
 //!   loop saturated.
 //!
 //! Observability flows through [`ServerStats`] (connection census, ops,
-//! wire bytes, idle closes, per-tenant op counts), exposed both
+//! wire bytes, idle closes), exposed both
 //! programmatically ([`KvServer::server_stats`]) and over the wire: the
 //! `stats` protocol command appends the serving-layer pairs to the
 //! store's counters.
@@ -98,9 +94,6 @@ const TURN_READS: usize = 16;
 /// Bound on queued unsent response bytes per connection before the loop
 /// stops reading and executing requests from that socket.
 const MAX_PENDING_BYTES: usize = 8 * 1024 * 1024;
-/// Cadence of background store maintenance ([`Store::maintain`]): TTL
-/// reaping plus watermark eviction.
-const MAINTENANCE_INTERVAL: Duration = Duration::from_millis(100);
 /// Sent (best effort) to a connection shed at the `max_connections` cap.
 const SHED_MESSAGE: &[u8] = b"SERVER_ERROR too many connections\r\n";
 
@@ -125,8 +118,8 @@ impl Default for ServerConfig {
     }
 }
 
-/// State shared between the loop thread, the maintenance thread and the
-/// [`KvServer`] handle (whose `shutdown` wakes both).
+/// State shared between the loop thread and the [`KvServer`] handle
+/// (whose `shutdown` wakes the loop).
 struct Engine {
     poller: Poller,
     shutdown: AtomicBool,
@@ -140,7 +133,7 @@ pub struct KvServer {
     store: Arc<Store>,
     addr: SocketAddr,
     engine: Arc<Engine>,
-    threads: Vec<JoinHandle<()>>,
+    thread: Option<JoinHandle<()>>,
 }
 
 impl KvServer {
@@ -178,33 +171,17 @@ impl KvServer {
             .add(listener.as_raw_fd(), LISTEN_TOKEN, libc::EPOLLIN)
             .map_err(KvError::Io)?;
 
-        let mut server = KvServer {
+        let loop_engine = Arc::clone(&engine);
+        let thread = std::thread::Builder::new()
+            .name("memkv-srv-loop".into())
+            .spawn(move || ServerLoop::new(loop_engine, listener).run())
+            .map_err(KvError::Io)?;
+        Ok(KvServer {
             store,
             addr,
-            engine: Arc::clone(&engine),
-            threads: Vec::new(),
-        };
-        let maint_engine = Arc::clone(&engine);
-        let spawned = [
-            std::thread::Builder::new()
-                .name("memkv-srv-loop".into())
-                .spawn(move || ServerLoop::new(engine, listener).run()),
-            std::thread::Builder::new()
-                .name("memkv-srv-maint".into())
-                .spawn(move || maintenance_loop(&maint_engine)),
-        ];
-        let mut failed = None;
-        for handle in spawned {
-            match handle {
-                Ok(h) => server.threads.push(h),
-                Err(e) => failed = Some(e),
-            }
-        }
-        if let Some(e) = failed {
-            server.shutdown();
-            return Err(KvError::Io(e));
-        }
-        Ok(server)
+            engine,
+            thread: Some(thread),
+        })
     }
 
     /// The address the server is listening on.
@@ -217,20 +194,19 @@ impl KvServer {
         &self.store
     }
 
-    /// Serving-layer counters (connections, ops, wire bytes, per-tenant
-    /// ops). Store counters live on [`Store::stats`].
+    /// Serving-layer counters (connections, ops, wire bytes). Store
+    /// counters live on [`Store::stats`].
     pub fn server_stats(&self) -> ServerStatsSnapshot {
         self.engine.stats.snapshot()
     }
 
     /// Stop the server: close the listener and every connection (requests
-    /// not yet read die with their sockets) and join the loop and
-    /// maintenance threads. Idempotent — later calls are no-ops.
+    /// not yet read die with their sockets) and join the loop thread.
+    /// Idempotent — later calls are no-ops.
     pub fn shutdown(&mut self) {
         self.engine.shutdown.store(true, Ordering::SeqCst);
         self.engine.poller.notify();
-        for t in self.threads.drain(..) {
-            t.thread().unpark();
+        if let Some(t) = self.thread.take() {
             let _ = t.join();
         }
     }
@@ -242,25 +218,10 @@ impl Drop for KvServer {
     }
 }
 
-/// Body of `memkv-srv-maint`: park for the interval, return on shutdown
-/// (which unparks it), else sweep. A spurious wake-up only sweeps early.
-fn maintenance_loop(engine: &Engine) {
-    loop {
-        std::thread::park_timeout(MAINTENANCE_INTERVAL);
-        if engine.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        engine.store.maintain();
-    }
-}
-
 /// Execute one request with serving-layer accounting; `stats` gets the
 /// server pairs appended to the store's.
 fn execute_traced(engine: &Engine, req: Request) -> Response {
     engine.stats.ops.fetch_add(1, Ordering::Relaxed);
-    if let Some(key) = first_key(&req) {
-        engine.stats.charge_tenant(key);
-    }
     match req {
         Request::Stats => {
             let mut pairs = store_stats_pairs(&engine.store);
@@ -278,64 +239,38 @@ fn execute_traced(engine: &Engine, req: Request) -> Response {
             pairs.push(("bytes_tx".into(), snap.bytes_tx.to_string()));
             pairs.push(("bytes_rx".into(), snap.bytes_rx.to_string()));
             pairs.push(("idle_closed".into(), snap.idle_closed.to_string()));
-            for (tenant, ops) in snap.tenant_ops {
-                pairs.push((format!("tenant:{tenant}:ops"), ops.to_string()));
-            }
             Response::Stats(pairs)
         }
         other => execute(&engine.store, other),
     }
 }
 
-fn first_key(req: &Request) -> Option<&[u8]> {
-    match req {
-        Request::Set { key, .. }
-        | Request::Add { key, .. }
-        | Request::Append { key, .. }
-        | Request::Cas { key, .. }
-        | Request::GetRange { key, .. }
-        | Request::Delete { key } => Some(key),
-        Request::Get { keys } | Request::Gets { keys } => keys.first().map(|k| k.as_ref()),
-        _ => None,
-    }
-}
-
 /// Store-level `STAT` pairs: the counter snapshot plus per-shard
-/// occupancy gauges (`shard:N:bytes` / `shard:N:items` /
-/// `shard:N:expiring`), read lock-free from the shard meta.
+/// occupancy gauges (`shard:N:bytes` / `shard:N:items`), read lock-free
+/// from the shard meta.
 fn store_stats_pairs(store: &Store) -> Vec<(String, String)> {
     let mut pairs = stats_pairs(&store.stats().snapshot());
     for (i, u) in store.shard_usage().iter().enumerate() {
         pairs.push((format!("shard:{i}:bytes"), u.bytes.to_string()));
         pairs.push((format!("shard:{i}:items"), u.items.to_string()));
-        pairs.push((format!("shard:{i}:expiring"), u.expiring.to_string()));
     }
     pairs
-}
-
-/// The wire protocol's `exptime` (relative seconds) as store TTL
-/// milliseconds.
-fn ttl_ms(exptime: u32) -> u64 {
-    exptime as u64 * 1000
 }
 
 /// Apply one request to the store, mapping engine errors to protocol
 /// responses exactly as memcached does.
 pub fn execute(store: &Store, req: Request) -> Response {
     match req {
-        Request::Set {
-            key,
-            value,
-            exptime,
-        } => match store.set_ttl(&key, value, ttl_ms(exptime)) {
+        // Items never expire, so a write asking for a TTL is refused
+        // rather than stored forever.
+        Request::Set { exptime: 1.., .. } | Request::Add { exptime: 1.., .. } => {
+            Response::ClientError("exptime must be 0: items never expire".into())
+        }
+        Request::Set { key, value, .. } => match store.set(&key, value) {
             Ok(()) => Response::Stored,
             Err(e) => storage_error(e),
         },
-        Request::Add {
-            key,
-            value,
-            exptime,
-        } => match store.add_ttl(&key, value, ttl_ms(exptime)) {
+        Request::Add { key, value, .. } => match store.add(&key, value) {
             Ok(()) => Response::Stored,
             Err(KvError::Exists) => Response::NotStored,
             Err(e) => storage_error(e),
@@ -343,17 +278,6 @@ pub fn execute(store: &Store, req: Request) -> Response {
         Request::Append { key, value } => match store.append(&key, &value) {
             Ok(()) => Response::Stored,
             Err(KvError::NotFound) => Response::NotStored,
-            Err(e) => storage_error(e),
-        },
-        Request::Cas {
-            key,
-            value,
-            token,
-            exptime,
-        } => match store.cas_ttl(&key, value, token, ttl_ms(exptime)) {
-            Ok(()) => Response::Stored,
-            Err(KvError::CasMismatch) => Response::Exists,
-            Err(KvError::NotFound) => Response::NotFound,
             Err(e) => storage_error(e),
         },
         Request::Get { keys } => {
@@ -383,31 +307,7 @@ pub fn execute(store: &Store, req: Request) -> Response {
                 .collect();
             values_response(items)
         }
-        Request::Gets { keys } => {
-            if keys.len() == 1 {
-                let key = keys.into_iter().next().expect("one key");
-                return match store.gets(&key) {
-                    Ok((value, cas)) => Response::Value {
-                        key,
-                        value,
-                        cas: Some(cas),
-                    },
-                    Err(_) => Response::End,
-                };
-            }
-            let items: Vec<ValueItem> = keys
-                .into_iter()
-                .filter_map(|key| {
-                    store.gets(&key).ok().map(|(value, cas)| ValueItem {
-                        key,
-                        value,
-                        cas: Some(cas),
-                    })
-                })
-                .collect();
-            values_response(items)
-        }
-        // The same read as a single-key `get` (read lock, recency stamp,
+        // The same read as a single-key `get` (one read lock,
         // `get_ops`/`get_hits`), answered with a refcounted slice: the
         // response writer sends it as its own iovec, nothing is copied.
         Request::GetRange { key, offset, len } => {
@@ -430,10 +330,6 @@ pub fn execute(store: &Store, req: Request) -> Response {
             Ok(()) => Response::Deleted,
             Err(_) => Response::NotFound,
         },
-        Request::FlushAll => {
-            store.flush_all();
-            Response::Ok
-        }
         Request::Stats => Response::Stats(store_stats_pairs(store)),
         Request::Keys => {
             Response::KeyList(store.keys().into_iter().map(|k| k.into_vec()).collect())
@@ -803,10 +699,7 @@ mod tests {
     use std::io::Read;
     use std::net::TcpStream;
 
-    use bytes::Bytes;
-
     use super::*;
-    use crate::net::TcpClient;
 
     const BIG: usize = 512 * 1024;
 
@@ -941,28 +834,27 @@ mod tests {
         assert_eq!(server.server_stats().ops, GETS + 1);
     }
 
-    /// Nothing else checks that a live server calls `Store::maintain` at
-    /// all: `stats` never looks an item up, so only the sweeper can make
-    /// `curr_items` drop.
+    /// Items never expire: a `set` / `add` with a non-zero `exptime` is
+    /// refused with `CLIENT_ERROR`, stores nothing, and — the frame having
+    /// parsed cleanly — leaves the connection serving the next request.
     #[test]
-    fn the_sweeper_reaps_expired_items_with_no_traffic() {
+    fn a_nonzero_exptime_is_refused_and_the_connection_stays_open() {
         let server = spawn();
-        let client = TcpClient::connect(server.addr()).unwrap();
-        client.set_ttl(b"k", Bytes::from_static(b"v"), 1).unwrap();
-        let curr_items = || {
-            let stats = client.stats().unwrap();
-            let (_, v) = stats.iter().find(|(k, _)| k == "curr_items").unwrap();
-            v.parse::<u64>().unwrap()
-        };
-        assert_eq!(curr_items(), 1);
-        let deadline = Instant::now() + Duration::from_secs(3);
-        while curr_items() != 0 {
-            assert!(
-                Instant::now() < deadline,
-                "the expired item was never reaped"
-            );
-            std::thread::sleep(Duration::from_millis(100));
+        let mut s = raw(&server);
+        for verb in ["set", "add"] {
+            s.write_all(format!("{verb} k 0 5 1\r\nv\r\nget k\r\n").as_bytes())
+                .unwrap();
+            let mut line = Vec::new();
+            let mut byte = [0u8; 1];
+            while !line.ends_with(b"\r\n") {
+                s.read_exact(&mut byte).unwrap();
+                line.push(byte[0]);
+            }
+            assert!(line.starts_with(b"CLIENT_ERROR "), "{verb}: {line:?}");
+            expect_reply(&mut s, b"END\r\n");
         }
+        assert!(!server.store().contains(b"k"));
+        assert_eq!(server.store().bytes_used(), 0);
     }
 
     /// A decode error or a `quit` answers behind the earlier responses —

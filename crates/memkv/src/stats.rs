@@ -6,10 +6,7 @@
 //! memory-balance comparisons of Figure 9 / Table 3. Counters are plain
 //! relaxed atomics — they are monotonic tallies, not synchronization.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-
-use parking_lot::Mutex;
 
 /// Monotonic operation counters plus current occupancy gauges.
 #[derive(Debug, Default)]
@@ -28,14 +25,6 @@ pub struct StoreStats {
     pub(crate) add_ops: AtomicU64,
     pub(crate) append_ops: AtomicU64,
     pub(crate) delete_ops: AtomicU64,
-    pub(crate) cas_ops: AtomicU64,
-    pub(crate) cas_misses: AtomicU64,
-    pub(crate) evictions: AtomicU64,
-    /// Items reclaimed because their TTL had passed (lazily by a
-    /// colliding writer or in bulk by [`crate::Store::maintain`]).
-    pub(crate) expired: AtomicU64,
-    /// Background maintenance passes run ([`crate::Store::maintain`]).
-    pub(crate) sweeps: AtomicU64,
     pub(crate) bytes_used: AtomicU64,
     pub(crate) item_count: AtomicU64,
     pub(crate) bytes_written: AtomicU64,
@@ -57,13 +46,6 @@ pub struct StatsSnapshot {
     pub add_ops: u64,
     pub append_ops: u64,
     pub delete_ops: u64,
-    pub cas_ops: u64,
-    pub cas_misses: u64,
-    pub evictions: u64,
-    /// Items reaped after their TTL passed.
-    pub expired: u64,
-    /// Background maintenance passes run.
-    pub sweeps: u64,
     pub bytes_used: u64,
     pub item_count: u64,
     pub bytes_written: u64,
@@ -83,11 +65,6 @@ impl StoreStats {
             add_ops: self.add_ops.load(Ordering::Relaxed),
             append_ops: self.append_ops.load(Ordering::Relaxed),
             delete_ops: self.delete_ops.load(Ordering::Relaxed),
-            cas_ops: self.cas_ops.load(Ordering::Relaxed),
-            cas_misses: self.cas_misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            expired: self.expired.load(Ordering::Relaxed),
-            sweeps: self.sweeps.load(Ordering::Relaxed),
             bytes_used: self.bytes_used.load(Ordering::Relaxed),
             item_count: self.item_count.load(Ordering::Relaxed),
             bytes_written: self.bytes_written.load(Ordering::Relaxed),
@@ -124,18 +101,13 @@ impl StatsSnapshot {
 
     /// All mutation operations combined.
     pub fn total_writes(&self) -> u64 {
-        self.set_ops + self.add_ops + self.append_ops + self.cas_ops
+        self.set_ops + self.add_ops + self.append_ops
     }
 }
 
-/// Cap on distinct tenants tracked per server; traffic beyond it is
-/// charged to the `~other` bucket so a key-space scan cannot balloon the
-/// stats map.
-const MAX_TENANTS: usize = 64;
-
 /// Serving-layer counters for one evented [`crate::net::KvServer`]:
-/// connection census, wire traffic, and per-tenant operation tallies.
-/// Store-level counters (hits, evictions, occupancy) stay in
+/// connection census and wire traffic. Store-level counters (hits,
+/// occupancy) stay in
 /// [`StoreStats`] — a server snapshot complements, not replaces, the
 /// store's.
 #[derive(Debug, Default)]
@@ -154,40 +126,11 @@ pub struct ServerStats {
     pub(crate) bytes_rx: AtomicU64,
     /// Connections closed by the idle-timeout wheel.
     pub(crate) idle_closed: AtomicU64,
-    /// Ops per tenant. The tenant of a request is its first key's prefix
-    /// up to the first `:` (memfs stripe keys look like `s:/path#n`, so
-    /// every mount's files share the `s` tenant; benchmarks and
-    /// multi-tenant deployments get real separation by prefixing keys).
-    tenants: Mutex<HashMap<Box<[u8]>, u64>>,
 }
 
 impl ServerStats {
-    /// Charge one executed op against `key`'s tenant.
-    pub(crate) fn charge_tenant(&self, key: &[u8]) {
-        let tenant = match key.iter().position(|&b| b == b':') {
-            Some(i) => &key[..i],
-            None => b"-".as_slice(),
-        };
-        let mut tenants = self.tenants.lock();
-        if let Some(count) = tenants.get_mut(tenant) {
-            *count += 1;
-        } else if tenants.len() < MAX_TENANTS {
-            tenants.insert(tenant.into(), 1);
-        } else {
-            *tenants.entry(b"~other".as_slice().into()).or_insert(0) += 1;
-        }
-    }
-
-    /// Take a point-in-time copy; tenant tallies come out sorted by name
-    /// so snapshots render deterministically.
+    /// Take a point-in-time copy.
     pub fn snapshot(&self) -> ServerStatsSnapshot {
-        let mut tenant_ops: Vec<(String, u64)> = self
-            .tenants
-            .lock()
-            .iter()
-            .map(|(k, &v)| (String::from_utf8_lossy(k).into_owned(), v))
-            .collect();
-        tenant_ops.sort();
         ServerStatsSnapshot {
             connections: self.connections.load(Ordering::Relaxed),
             total_connections: self.total_connections.load(Ordering::Relaxed),
@@ -196,7 +139,6 @@ impl ServerStats {
             bytes_tx: self.bytes_tx.load(Ordering::Relaxed),
             bytes_rx: self.bytes_rx.load(Ordering::Relaxed),
             idle_closed: self.idle_closed.load(Ordering::Relaxed),
-            tenant_ops,
         }
     }
 }
@@ -211,8 +153,6 @@ pub struct ServerStatsSnapshot {
     pub bytes_tx: u64,
     pub bytes_rx: u64,
     pub idle_closed: u64,
-    /// `(tenant, ops)` sorted by tenant name.
-    pub tenant_ops: Vec<(String, u64)>,
 }
 
 #[cfg(test)]
@@ -245,36 +185,8 @@ mod tests {
             set_ops: 1,
             add_ops: 2,
             append_ops: 3,
-            cas_ops: 4,
             ..Default::default()
         };
-        assert_eq!(snap.total_writes(), 10);
-    }
-
-    #[test]
-    fn tenant_charges_split_on_colon_and_cap_to_other() {
-        let s = ServerStats::default();
-        s.charge_tenant(b"s:/file#0");
-        s.charge_tenant(b"s:/file#1");
-        s.charge_tenant(b"acct9:/x");
-        s.charge_tenant(b"nocolon");
-        // Overflow past the tenant cap lands in `~other`, not the map.
-        for i in 0..(MAX_TENANTS * 2) {
-            s.charge_tenant(format!("t{i}:/k").as_bytes());
-        }
-        let snap = s.snapshot();
-        let find = |name: &str| {
-            snap.tenant_ops
-                .iter()
-                .find(|(t, _)| t == name)
-                .map(|&(_, n)| n)
-        };
-        assert_eq!(find("s"), Some(2));
-        assert_eq!(find("acct9"), Some(1));
-        assert_eq!(find("-"), Some(1), "colonless keys charge the `-` tenant");
-        assert!(find("~other").unwrap_or(0) >= MAX_TENANTS as u64);
-        assert!(snap.tenant_ops.len() <= MAX_TENANTS + 1);
-        let total: u64 = snap.tenant_ops.iter().map(|&(_, n)| n).sum();
-        assert_eq!(total, 4 + (MAX_TENANTS as u64 * 2));
+        assert_eq!(snap.total_writes(), 6);
     }
 }

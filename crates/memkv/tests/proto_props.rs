@@ -25,7 +25,7 @@ proptest! {
     fn storage_requests_round_trip(
         key in key_strategy(),
         value in value_strategy(),
-        which in 0u8..4,
+        which in 0u8..3,
         exptime in any::<u32>(),
     ) {
         let key = Bytes::from(key);
@@ -33,8 +33,7 @@ proptest! {
         let req = match which {
             0 => Request::Set { key, value, exptime },
             1 => Request::Add { key, value, exptime },
-            2 => Request::Append { key, value },
-            _ => Request::Cas { key, value, token: 42, exptime },
+            _ => Request::Append { key, value },
         };
         let wire = encode_request(&req);
         match parse_request(&wire).unwrap() {

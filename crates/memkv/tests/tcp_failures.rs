@@ -11,7 +11,7 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 use memfs_memkv::net::{KvServer, PoolConfig, TcpClient};
 use memfs_memkv::testutil::{Shape, ShapedCluster};
-use memfs_memkv::{EvictionPolicy, KvClient, KvError, Store, StoreConfig};
+use memfs_memkv::{KvClient, KvError, Store, StoreConfig};
 
 fn config(connections: usize) -> PoolConfig {
     PoolConfig {
@@ -37,9 +37,7 @@ fn spawn_tiny_server(max_value_size: usize) -> KvServer {
         Arc::new(Store::new(StoreConfig {
             memory_budget: 64 << 20,
             max_value_size,
-            eviction: EvictionPolicy::Error,
             shards: 4,
-            ..StoreConfig::default()
         })),
         "127.0.0.1:0",
     )
@@ -120,7 +118,7 @@ fn hostile_length_fields_are_refused_and_the_server_survives() {
     for line in [
         &b"set k 0 0 18446744073709551615\r\n"[..],
         b"set k 0 0 9999999999999\r\n",
-        b"cas k 0 0 134217729 1\r\n",
+        b"set k 0 0 134217729\r\n",
     ] {
         assert_eq!(
             raw_exchange(&server, line),

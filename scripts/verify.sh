@@ -27,10 +27,10 @@
 # bandwidth-capped servers must deliver >= 1.5x the 4-server aggregate
 # batched throughput, plus the
 # thread-census binaries (client side: one reactor loop per mount,
-# including a live 4 -> 6 grow; server side: exactly 1 epoll loop + 1
-# maintenance thread per server, regardless of connection count) with
-# the server loop's own suite (bounded turn, backpressure, sweeper,
-# verdict ordering) and the connection's (receive buffer, send queue,
+# including a live 4 -> 6 grow; server side: exactly 1 epoll loop per
+# server and no other thread, regardless of connection count) with
+# the server loop's own suite (bounded turn, backpressure, exptime
+# refusal, verdict ordering) and the connection's (receive buffer, send queue,
 # both parsers through one buffer), the tail-ACK census (large GET responses are ACKed
 # without the kernel's delayed-ACK timer) and the stall/kill isolation
 # suites, plus the self-healing repair and elastic-membership suites:
@@ -38,8 +38,8 @@
 # membership property tests, the 8-server kill/heal/second-kill soak,
 # and the grow-mid-workload kill-during-migration chaos cycle. The
 # store-engine suites ride along: the lock-discipline census (reads
-# take read locks, eviction write-locks one shard per victim) and the
-# reader/writer/sweeper stress oracle with eviction and TTL active.
+# take one read lock, mutations one write lock) and the reader/writer
+# stress oracle against a budget that refuses writes.
 #
 # --soak loops the shaped-cluster transport suites (failure injection,
 # shaped e2e, scaling, the repair kill/heal and grow/kill chaos
@@ -76,7 +76,7 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 # The knob count can only go down (ROADMAP aim 2: the same behaviour from
 # the simplest design). Lower KNOBS_MAX in the PR that deletes a knob.
-KNOBS_MAX=24
+KNOBS_MAX=21
 knobs=$(scripts/loc.sh --knobs | awk '$2 == "total" { print $1 }')
 echo "==> scripts/loc.sh --knobs: $knobs (max $KNOBS_MAX)"
 if ((knobs > KNOBS_MAX)); then
@@ -187,8 +187,9 @@ for arg in "$@"; do
             cargo test -q --test server_threads
             # The server loop itself: one connection's turn is bounded,
             # backpressure bounds queued output (and a paused connection
-            # with nothing left to send is resumed), the sweeper runs
-            # with no traffic, verdicts queue behind earlier replies.
+            # with nothing left to send is resumed), a non-zero exptime is
+            # refused on an open connection, verdicts queue behind
+            # earlier replies.
             # And the connection under both loops: the receive buffer's
             # capacity rules, a send queue resumed across partial writes,
             # every frame of both directions through one buffer.
@@ -206,8 +207,8 @@ for arg in "$@"; do
             cargo test -q --test fault_tolerance
             RUST_TEST_THREADS=16 cargo test -q --test props -- membership
             # Store engine: lock-discipline census (process-global audit
-            # counters: own binary, one test) and the reader/writer/
-            # sweeper stress oracle with eviction + TTL active.
+            # counters: own binary, one test) and the reader/writer
+            # stress oracle against a budget that refuses writes.
             cargo test -q --test store_locks
             cargo test -q --release --test store_stress
         done

@@ -13,17 +13,16 @@ use std::io::Write;
 use std::sync::Arc;
 
 use memfs::memkv::net::KvServer;
-use memfs::memkv::{EvictionPolicy, Store, StoreConfig};
+use memfs::memkv::{Store, StoreConfig};
 
 fn usage() -> ! {
     eprintln!(
         "memfsd — MemFS storage server (memcached text protocol)\n\n\
-         usage: memfsd [--listen ADDR] [--memory-gb N] [--lru]\n\n\
+         usage: memfsd [--listen ADDR] [--memory-gb N]\n\n\
          options:\n\
            --listen ADDR   bind address (default 127.0.0.1:11211)\n\
-           --memory-gb N   memory budget in GiB (default 4)\n\
-           --lru           evict least-recently-used items when full\n\
-                           (default: refuse writes — the runtime-FS mode)"
+           --memory-gb N   memory budget in GiB (default 4); a full\n\
+                           server refuses writes, it never evicts"
     );
     std::process::exit(2);
 }
@@ -46,7 +45,6 @@ fn status(out: &mut Option<impl Write>, line: fmt::Arguments<'_>) {
 fn main() {
     let mut listen = "127.0.0.1:11211".to_string();
     let mut memory_gb: u64 = 4;
-    let mut eviction = EvictionPolicy::Error;
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -58,14 +56,12 @@ fn main() {
                     .and_then(|v| v.parse().ok())
                     .unwrap_or_else(|| usage())
             }
-            "--lru" => eviction = EvictionPolicy::Lru,
             _ => usage(),
         }
     }
 
     let store = Arc::new(Store::new(StoreConfig {
         memory_budget: memory_gb << 30,
-        eviction,
         ..StoreConfig::default()
     }));
     let server = match KvServer::spawn(Arc::clone(&store), listen.as_str()) {
@@ -79,10 +75,9 @@ fn main() {
     status(
         &mut out,
         format_args!(
-            "memfsd listening on {} ({} GiB budget, {:?} policy)",
+            "memfsd listening on {} ({} GiB budget)",
             server.addr(),
-            memory_gb,
-            eviction
+            memory_gb
         ),
     );
 

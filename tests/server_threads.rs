@@ -1,8 +1,8 @@
 //! A server's thread census is fixed — one epoll loop that runs every
-//! request to completion plus one store-maintenance thread — no matter
-//! how many connections it carries. Neither a thread per accepted socket
-//! nor an execution pool may reappear (the retired names are asserted
-//! absent). This binary holds exactly one test on purpose — it counts
+//! request to completion — no matter how many connections it carries.
+//! Neither a thread per accepted socket, an execution pool nor a
+//! background maintenance thread may reappear (the retired names are
+//! asserted absent). This binary holds exactly one test on purpose — it counts
 //! process-wide threads by name, which would race with parallel tests.
 
 #![cfg(target_os = "linux")]
@@ -43,7 +43,7 @@ fn expect_named(prefix: &str, expected: usize, what: &str) {
 }
 
 #[test]
-fn server_census_is_one_loop_plus_one_maintenance_thread_regardless_of_connections() {
+fn server_census_is_one_loop_regardless_of_connections() {
     assert_eq!(named_threads("memkv-srv"), 0, "clean slate");
 
     let server = KvServer::spawn_with(
@@ -56,9 +56,13 @@ fn server_census_is_one_loop_plus_one_maintenance_thread_regardless_of_connectio
     .unwrap();
     let census = |what: &str| {
         expect_named("memkv-srv-loop", 1, what);
-        expect_named("memkv-srv-maint", 1, what);
-        expect_named("memkv-srv", 2, what);
-        for retired in ["memkv-srv-wkr", "memkv-conn", "memkv-accept"] {
+        expect_named("memkv-srv", 1, what);
+        for retired in [
+            "memkv-srv-maint",
+            "memkv-srv-wkr",
+            "memkv-conn",
+            "memkv-accept",
+        ] {
             assert_eq!(
                 named_threads(retired),
                 0,
@@ -66,7 +70,7 @@ fn server_census_is_one_loop_plus_one_maintenance_thread_regardless_of_connectio
             );
         }
     };
-    census("a fresh server is one loop + one maintenance thread");
+    census("a fresh server is one loop");
 
     // 64 raw connections, each exercised with a protocol round trip: the
     // census must not move. (A thread-per-connection engine would sit at
@@ -109,13 +113,13 @@ fn server_census_is_one_loop_plus_one_maintenance_thread_regardless_of_connectio
     }
     census("traffic must not spawn threads");
 
-    // Shutdown joins both threads, even with 64 live connections and
+    // Shutdown joins the loop, even with 64 live connections and
     // clients still holding sockets.
     drop(clients);
     drop(reactor);
     let mut server = server;
     server.shutdown();
-    expect_named("memkv-srv", 0, "shutdown joins the loop and the sweeper");
+    expect_named("memkv-srv", 0, "shutdown joins the loop");
     // Idempotent: a second shutdown (and the eventual Drop) are no-ops.
     server.shutdown();
     assert_eq!(named_threads("memkv-srv"), 0);

@@ -1,16 +1,15 @@
-//! Lock-discipline proof for the read-mostly store engine, built on the
-//! process-global audit counters ([`memfs::memkv::audit`]) the same way
+//! Lock-discipline proof for the store engine, built on the process-global
+//! audit counters ([`memfs::memkv::audit`]) the same way
 //! `tests/zero_copy.rs` pins the byte-copy discipline.
 //!
 //! What is pinned, by exact counter deltas:
 //!
 //! * A `get` / `contains` takes exactly one shard **read** lock and zero
-//!   write locks (the old engine write-locked per get).
+//!   write locks.
 //! * A `get_many` batch takes at most one read lock per shard — never
 //!   one per key — and zero write locks.
-//! * Eviction write-locks exactly **one** shard per reclaimed item (the
-//!   old victim scan write-locked all shards per eviction), with the
-//!   victim chosen by read-lock peeks only.
+//! * A `set` / `add` / `append` / `delete` takes exactly one shard
+//!   **write** lock and zero read locks.
 //!
 //! The counters are process-global, so this binary holds a single test.
 
@@ -18,9 +17,12 @@
 
 use bytes::Bytes;
 use memfs::memkv::audit::{store_read_locks, store_write_locks};
-use memfs::memkv::{EvictionPolicy, Store, StoreConfig};
+use memfs::memkv::{Store, StoreConfig};
 
 const SHARDS: usize = 8;
+
+/// A store write applied to one key, for the per-verb lock census.
+type Mutation<'a> = &'a dyn Fn(&[u8]);
 
 /// Snapshot both lock counters.
 fn locks() -> (u64, u64) {
@@ -28,14 +30,12 @@ fn locks() -> (u64, u64) {
 }
 
 #[test]
-fn reads_take_read_locks_and_eviction_write_locks_one_shard_per_victim() {
+fn reads_take_one_read_lock_and_writes_one_write_lock() {
     // --- Read path discipline -----------------------------------------
     let s = Store::new(StoreConfig {
         memory_budget: 1 << 20,
         max_value_size: 4096,
-        eviction: EvictionPolicy::Error,
         shards: SHARDS,
-        ..StoreConfig::default()
     });
     let keys: Vec<Vec<u8>> = (0..64).map(|i| format!("key{i:03}").into_bytes()).collect();
     for k in &keys {
@@ -43,8 +43,7 @@ fn reads_take_read_locks_and_eviction_write_locks_one_shard_per_victim() {
     }
 
     // One multi-get batch over all 64 keys: at most one READ lock per
-    // shard, zero write locks. (The pre-watermark engine took the shard
-    // WRITE lock here, serializing every reader on the worker pool.)
+    // shard, zero write locks.
     let (r0, w0) = locks();
     let out = s.get_many(&keys);
     let (r1, w1) = locks();
@@ -56,8 +55,7 @@ fn reads_take_read_locks_and_eviction_write_locks_one_shard_per_victim() {
         r1 - r0
     );
 
-    // Single-key gets: exactly one read lock each, zero write locks —
-    // the allocation-free atomic LRU stamp needs no exclusive access.
+    // Single-key gets: exactly one read lock each, zero write locks.
     let (r0, w0) = locks();
     for k in keys.iter().take(32) {
         s.get(k).unwrap();
@@ -66,7 +64,7 @@ fn reads_take_read_locks_and_eviction_write_locks_one_shard_per_victim() {
     assert_eq!(w1 - w0, 0, "gets must not write-lock");
     assert_eq!(r1 - r0, 32, "one read lock per get");
 
-    // `contains` (the old O(shards) offender's sibling): one read lock.
+    // `contains`: one read lock.
     let (r0, w0) = locks();
     for k in keys.iter().take(10) {
         assert!(s.contains(k));
@@ -75,40 +73,25 @@ fn reads_take_read_locks_and_eviction_write_locks_one_shard_per_victim() {
     assert_eq!(w1 - w0, 0, "contains must not write-lock");
     assert_eq!(r1 - r0, 10, "one read lock per contains");
 
-    // --- Eviction discipline ------------------------------------------
-    let shards = 4usize;
-    let s = Store::new(StoreConfig {
-        memory_budget: 10_000,
-        max_value_size: 1024,
-        eviction: EvictionPolicy::Lru,
-        shards,
-        high_watermark: 0.70,
-        low_watermark: 0.40,
-    });
-    // Fill past the high watermark without tripping the hard budget, so
-    // only the watermark sweep evicts.
-    for i in 0..30u32 {
-        s.set(format!("k{i:03}").as_bytes(), Bytes::from(vec![0u8; 200]))
-            .unwrap();
+    // --- Write path discipline ----------------------------------------
+    // Each mutation, whatever its outcome, is one write lock and no read
+    // lock: the budget is claimed lock-free before the shard is touched.
+    let mutations: [(&str, Mutation); 5] = [
+        ("set", &|k| s.set(k, Bytes::from_static(b"v")).unwrap()),
+        ("add", &|k| {
+            assert!(s.add(k, Bytes::from_static(b"v")).is_err())
+        }),
+        ("append", &|k| s.append(k, b"+rec").unwrap()),
+        ("delete", &|k| s.delete(k).unwrap()),
+        ("add", &|k| s.add(k, Bytes::from_static(b"v")).unwrap()),
+    ];
+    for (verb, op) in mutations {
+        let (r0, w0) = locks();
+        for k in keys.iter().take(16) {
+            op(k);
+        }
+        let (r1, w1) = locks();
+        assert_eq!(r1 - r0, 0, "`{verb}` must not read-lock");
+        assert_eq!(w1 - w0, 16, "one write lock per `{verb}`");
     }
-    let (r0, w0) = locks();
-    let report = s.maintain();
-    let (r1, w1) = locks();
-    assert!(report.evicted > 0, "sweep above the high watermark evicts");
-    // Exactly one shard write lock per reclaimed item. The old engine
-    // write-locked ALL shards per victim: that would read `evicted *
-    // (shards + 1)` here.
-    assert_eq!(
-        w1 - w0,
-        report.evicted,
-        "eviction took {} write locks for {} victims — must be exactly one each",
-        w1 - w0,
-        report.evicted
-    );
-    // Victim choice is read-lock peeks: one peek per shard per victim.
-    assert_eq!(
-        r1 - r0,
-        report.evicted * shards as u64,
-        "victim selection should peek each shard's queue front under a read lock"
-    );
 }
