@@ -79,11 +79,9 @@ fn measure(rng: &mut Rng) -> (f64, f64, usize) {
     let mut threads = 0;
     for _ in 0..ROUNDS {
         let cluster = ShapedCluster::spawn(N_SERVERS, Shape::throttled(SERVER_BPS));
-        let pool = ServerPool::with_options(
+        let pool = ServerPool::new(
             cluster.clients(PoolConfig::default()),
             DistributorKind::default(),
-            1,
-            0,
         );
         threads = reactor_threads(1);
         let items = balanced_items(&pool, rng);

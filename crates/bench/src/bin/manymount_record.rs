@@ -99,14 +99,12 @@ fn run_phase(cluster: &ShapedCluster, mounts: usize, per_server: usize, seed: u6
     // setup is deployment cost, not steady-state throughput.
     let pools: Vec<ServerPool> = (0..mounts)
         .map(|_| {
-            ServerPool::with_options(
+            ServerPool::new(
                 cluster.clients(PoolConfig {
                     connections: 1,
                     ..PoolConfig::default()
                 }),
                 DistributorKind::default(),
-                1,
-                0,
             )
         })
         .collect();

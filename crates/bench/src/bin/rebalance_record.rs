@@ -109,11 +109,10 @@ fn main() {
     let ketama = DistributorKind::Ketama {
         points_per_server: KETAMA_POINTS,
     };
-    let pool = Arc::new(ServerPool::with_options(
+    let pool = Arc::new(ServerPool::with_replication(
         clients[..INITIAL].to_vec(),
         ketama,
         REPLICATION,
-        0, // evented fan-out
     ));
     let items = balanced_items(&pool, &mut rng);
     let keys: Vec<Bytes> = items.iter().map(|(k, _)| k.clone()).collect();
@@ -210,7 +209,7 @@ fn main() {
 
     // Fresh 8-server mount of the same cluster: migration left placement
     // equal to a fresh ring's, so this isolates routing overhead.
-    let fresh = ServerPool::with_options(clients.clone(), ketama, REPLICATION, 0);
+    let fresh = ServerPool::with_replication(clients.clone(), ketama, REPLICATION);
     let start = Instant::now();
     let mut moved = 0u64;
     for round in 0..POST_ROUNDS {

@@ -79,11 +79,10 @@ fn main() {
         heartbeat: Some(Duration::from_millis(50)),
         ..PoolConfig::default()
     };
-    let pool = Arc::new(ServerPool::with_options(
+    let pool = Arc::new(ServerPool::with_replication(
         cluster.clients(pool_config),
         DistributorKind::default(),
         REPLICATION,
-        0, // evented fan-out
     ));
     let items = balanced_items(&pool, &mut rng);
     let keys: Vec<Bytes> = items.iter().map(|(k, _)| k.clone()).collect();

@@ -20,7 +20,7 @@ pub const ARTIFACTS: &[(&str, &str)] = &[
     ("fig3a", "stripe size vs MemFS I/O bandwidth (real engine)"),
     (
         "fig3b",
-        "buffering/prefetching threads vs bandwidth (real engine)",
+        "buffering/prefetching depth vs bandwidth (real engine)",
     ),
     (
         "fig4",

@@ -1,82 +1,68 @@
 //! The write-buffering protocol (paper §3.2.2).
 //!
 //! Writes land in a per-file buffer; whenever a full batch of stripes
-//! accumulates it is queued on the mount's shared I/O engine as one
-//! fire-and-forget drain job, which `set`s it on the owning storage
-//! servers. The buffer bounds in-flight data (8 MiB by default — the
-//! paper's per-open-file cache), applying backpressure to the writer when
-//! the network cannot keep up; it waits for its jobs on its own condvar,
-//! never on the engine.
+//! accumulates it is started as one write window of the pool — one
+//! pipelined batch per owning server, all on the wire at once — and kept
+//! pending in the buffer as a *drain*. The buffer bounds the stripes in
+//! flight (8 MiB by default — the paper's per-open-file cache): while that
+//! many are in the air, starting another drain settles the oldest first,
+//! which is the backpressure that holds a writer to the network's pace.
+//! The paper runs these drains on a thread pool; here the reactor that
+//! carries the batches is the only concurrency, and the writer settles
+//! its own drains on its own thread.
 //! "Whenever an application calls close(), or flush(), our file system
 //! waits until the write buffer has been emptied and then returns."
 
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use bytes::{Bytes, BytesMut};
 use memfs_hashring::schema::KeySchema;
 use memfs_memkv::KvError;
-use parking_lot::{Condvar, Mutex};
 
 use crate::error::{MemFsError, MemFsResult};
 use crate::layout::StripeLayout;
-use crate::pool::ServerPool;
-use crate::threadpool::IoEngine;
+use crate::pool::{ServerPool, Window};
 
-/// Shared completion state between the buffer and its in-flight jobs.
-struct Shared {
-    state: Mutex<Pending>,
-    cv: Condvar,
-}
-
-struct Pending {
-    inflight: usize,
-    /// First storage error observed by any background writer. It stays
-    /// for the life of the buffer: some stripe of the file was never
-    /// stored, so every later write, flush and finish reports it again
-    /// and the file can never be given a size.
-    error: Option<KvError>,
-}
-
-impl Pending {
-    fn check(&self) -> MemFsResult<()> {
-        match &self.error {
-            Some(e) => Err(MemFsError::Storage(e.duplicate())),
-            None => Ok(()),
-        }
-    }
-}
+/// A started batch of stripes and how many stripes it carries.
+type Drain = (usize, Window<(Bytes, Bytes)>);
 
 /// A buffered, striped writer for one file.
 pub struct WriteBuffer {
     path: String,
     layout: StripeLayout,
     pool: Arc<ServerPool>,
-    engine: Arc<IoEngine>,
     current: BytesMut,
-    /// Completed stripes waiting to travel as one batched `set_many`.
+    /// Completed stripes waiting to travel as one batched write.
     batch: Vec<(Bytes, Bytes)>,
     batch_stripes: usize,
     next_stripe: u64,
     written: u64,
     max_inflight: usize,
-    shared: Arc<Shared>,
+    /// Started drains, oldest first.
+    drains: VecDeque<Drain>,
+    /// Stripes the drains carry in total.
+    inflight: usize,
+    /// The first storage error any drain met. It stays for the life of
+    /// the buffer: some stripe of the file was never stored, so every
+    /// later write, flush and finish reports it again and the file can
+    /// never be given a size.
+    error: Option<KvError>,
 }
 
 impl WriteBuffer {
-    /// Create a writer for `path` striping with `layout`, draining through
-    /// the mount's shared `engine` onto `pool`, with at most
-    /// `max_inflight` stripes in the air (the 8 MiB buffer divided by the
-    /// stripe size).
+    /// Create a writer for `path` striping with `layout` onto `pool`, with
+    /// at most `max_inflight` stripes in the air (the 8 MiB buffer divided
+    /// by the stripe size).
     ///
     /// Completed stripes accumulate into groups of `batch_stripes` before
-    /// a drain job is submitted; each job issues per-server pipelined
-    /// `set_many` batches instead of one round trip per stripe.
-    /// `batch_stripes = 1` reproduces the unbatched per-stripe behaviour.
+    /// a drain is started; each drain is one pipelined batch per owning
+    /// server instead of one round trip per stripe. `batch_stripes = 1`
+    /// reproduces the unbatched per-stripe behaviour.
     pub fn new(
         path: String,
         layout: StripeLayout,
         pool: Arc<ServerPool>,
-        engine: Arc<IoEngine>,
         max_inflight: usize,
         batch_stripes: usize,
     ) -> Self {
@@ -85,19 +71,14 @@ impl WriteBuffer {
             current: BytesMut::with_capacity(layout.stripe_size()),
             layout,
             pool,
-            engine,
             batch: Vec::new(),
             batch_stripes: batch_stripes.clamp(1, max_inflight.max(1)),
             next_stripe: 0,
             written: 0,
             max_inflight: max_inflight.max(1),
-            shared: Arc::new(Shared {
-                state: Mutex::new(Pending {
-                    inflight: 0,
-                    error: None,
-                }),
-                cv: Condvar::new(),
-            }),
+            drains: VecDeque::new(),
+            inflight: 0,
+            error: None,
         }
     }
 
@@ -107,16 +88,24 @@ impl WriteBuffer {
         self.written
     }
 
-    /// Append `data` sequentially, submitting completed stripes to the
-    /// background pool. Blocks only when `max_inflight` stripes are
-    /// already in the air.
+    /// The sticky drain failure, if any.
+    fn check(&self) -> MemFsResult<()> {
+        match &self.error {
+            Some(e) => Err(MemFsError::Storage(e.duplicate())),
+            None => Ok(()),
+        }
+    }
+
+    /// Append `data` sequentially, starting a drain for every batch of
+    /// completed stripes. Blocks only when `max_inflight` stripes are
+    /// already in the air, on the oldest drain.
     ///
     /// Slice input pays exactly one staging copy (into the stripe
     /// buffer); from there the stripe travels to the socket by refcount.
     /// Callers that already own [`Bytes`] should use
     /// [`write_bytes`](Self::write_bytes) and skip that copy too.
     pub fn write(&mut self, mut data: &[u8]) -> MemFsResult<()> {
-        self.shared.state.lock().check()?;
+        self.check()?;
         while !data.is_empty() {
             let room = self.layout.stripe_size() - self.current.len();
             let take = room.min(data.len());
@@ -138,7 +127,7 @@ impl WriteBuffer {
     /// partial stripe (an unaligned head or tail) are copied into the
     /// stripe buffer, and those are the write path's single copy.
     pub fn write_bytes(&mut self, mut data: Bytes) -> MemFsResult<()> {
-        self.shared.state.lock().check()?;
+        self.check()?;
         while !data.is_empty() {
             if self.current.is_empty() && data.len() >= self.layout.stripe_size() {
                 let stripe = data.split_to(self.layout.stripe_size());
@@ -159,17 +148,16 @@ impl WriteBuffer {
         Ok(())
     }
 
-    /// Wait for all in-flight stripes to be stored (the partial tail
-    /// stripe stays buffered — it can still grow). Completed stripes
-    /// still waiting in the current batch are submitted first, so every
-    /// full stripe written before `flush` is durable when it returns.
+    /// Settle every drain (the partial tail stripe stays buffered — it
+    /// can still grow). Completed stripes still waiting in the current
+    /// batch are started first, so every full stripe written before
+    /// `flush` is durable when it returns.
     pub fn flush(&mut self) -> MemFsResult<()> {
         self.submit_batch()?;
-        let mut state = self.shared.state.lock();
-        while state.inflight > 0 {
-            self.shared.cv.wait(&mut state);
+        while !self.drains.is_empty() {
+            self.settle_oldest();
         }
-        state.check()
+        self.check()
     }
 
     /// Submit the partial tail stripe (if any) and drain completely.
@@ -183,8 +171,8 @@ impl WriteBuffer {
         Ok(self.written)
     }
 
-    /// Move the completed stripe into the pending batch, draining it to
-    /// the workers once `batch_stripes` have accumulated.
+    /// Move the completed stripe into the pending batch, starting a drain
+    /// once `batch_stripes` have accumulated.
     fn submit_current(&mut self) -> MemFsResult<()> {
         let payload = self.current.split().freeze();
         self.push_stripe(payload)
@@ -201,44 +189,46 @@ impl WriteBuffer {
         Ok(())
     }
 
-    /// Hand the pending batch to the mount's engine as one drain job. The
-    /// job makes one [`ServerPool::set_many`] call, whose submit window
-    /// puts one pipelined batch per owning server (replica copies
-    /// included) on the wire at once from the job's own thread, so a
-    /// batch of `b` stripes costs one *concurrent* round trip per server
-    /// rather than `b` sequential round trips.
+    /// Start the pending batch as one drain: one write window of the pool,
+    /// which puts one pipelined batch per owning server (replica copies
+    /// included) on the wire at once, so a batch of `b` stripes costs one
+    /// *concurrent* round trip per server rather than `b` sequential
+    /// round trips. Backpressure first: while `max_inflight` stripes are
+    /// in the air, the oldest drain is settled — and once one has failed,
+    /// every drain still queued is, so the degraded writes they carry
+    /// reach the repair queue before the error is returned.
     fn submit_batch(&mut self) -> MemFsResult<()> {
         if self.batch.is_empty() {
             return Ok(());
         }
-        let items = std::mem::take(&mut self.batch);
-        let n = items.len();
-
-        // Backpressure: cap in-flight stripes at the buffer budget.
-        {
-            let mut state = self.shared.state.lock();
-            while state.inflight >= self.max_inflight && state.error.is_none() {
-                self.shared.cv.wait(&mut state);
-            }
-            state.check()?;
-            state.inflight += n;
+        while self.inflight >= self.max_inflight || (self.inflight > 0 && self.error.is_some()) {
+            self.settle_oldest();
         }
-
-        let pool = Arc::clone(&self.pool);
-        let shared = Arc::clone(&self.shared);
-        self.engine.execute(move || {
-            let result = pool.set_many(&items);
-            let mut state = shared.state.lock();
-            state.inflight -= n;
-            if let Err(e) = result {
-                state.error.get_or_insert(match e {
-                    MemFsError::Storage(e) => e,
-                    other => KvError::Protocol(other.to_string()),
-                });
-            }
-            shared.cv.notify_all();
-        });
+        self.check()?;
+        let items = std::mem::take(&mut self.batch);
+        self.inflight += items.len();
+        let window = self.pool.start_writes(&items);
+        self.drains.push_back((items.len(), window));
         Ok(())
+    }
+
+    /// Settle the oldest drain, keeping its first failure.
+    fn settle_oldest(&mut self) {
+        let Some((stripes, window)) = self.drains.pop_front() else {
+            return;
+        };
+        self.inflight -= stripes;
+        let failed = self
+            .pool
+            .finish_writes(window)
+            .into_iter()
+            .find_map(Result::err);
+        if let Some(e) = failed.filter(|_| self.error.is_none()) {
+            self.error = Some(match e {
+                MemFsError::Storage(e) => e,
+                other => KvError::Protocol(other.to_string()),
+            });
+        }
     }
 }
 
@@ -274,9 +264,8 @@ mod tests {
     #[test]
     fn writes_stripe_and_store_everything() {
         let pool = make_pool(4, 1 << 30);
-        let workers = Arc::new(IoEngine::new(4, "w"));
         let layout = StripeLayout::new(100);
-        let mut buf = WriteBuffer::new("/f".into(), layout, Arc::clone(&pool), workers, 4, 2);
+        let mut buf = WriteBuffer::new("/f".into(), layout, Arc::clone(&pool), 4, 2);
         let data: Vec<u8> = (0..1050u32).map(|i| (i % 251) as u8).collect();
         buf.write(&data).unwrap();
         let size = buf.finish().unwrap();
@@ -287,15 +276,8 @@ mod tests {
     #[test]
     fn partial_tail_stripe_stored_on_finish() {
         let pool = make_pool(2, 1 << 30);
-        let workers = Arc::new(IoEngine::new(2, "w"));
-        let mut buf = WriteBuffer::new(
-            "/f".into(),
-            StripeLayout::new(100),
-            Arc::clone(&pool),
-            workers,
-            2,
-            2,
-        );
+        let mut buf =
+            WriteBuffer::new("/f".into(), StripeLayout::new(100), Arc::clone(&pool), 2, 2);
         buf.write(b"short").unwrap();
         assert_eq!(buf.finish().unwrap(), 5);
         let key = KeySchema::stripe_key("/f", 0);
@@ -305,15 +287,8 @@ mod tests {
     #[test]
     fn empty_file_has_no_stripes() {
         let pool = make_pool(2, 1 << 30);
-        let workers = Arc::new(IoEngine::new(2, "w"));
-        let mut buf = WriteBuffer::new(
-            "/e".into(),
-            StripeLayout::new(100),
-            Arc::clone(&pool),
-            workers,
-            2,
-            2,
-        );
+        let mut buf =
+            WriteBuffer::new("/e".into(), StripeLayout::new(100), Arc::clone(&pool), 2, 2);
         assert_eq!(buf.finish().unwrap(), 0);
         let stripe = pool.try_get(&KeySchema::stripe_key("/e", 0));
         assert_eq!(stripe.unwrap(), None);
@@ -322,15 +297,7 @@ mod tests {
     #[test]
     fn many_small_writes_accumulate() {
         let pool = make_pool(4, 1 << 30);
-        let workers = Arc::new(IoEngine::new(4, "w"));
-        let mut buf = WriteBuffer::new(
-            "/f".into(),
-            StripeLayout::new(64),
-            Arc::clone(&pool),
-            workers,
-            4,
-            4,
-        );
+        let mut buf = WriteBuffer::new("/f".into(), StripeLayout::new(64), Arc::clone(&pool), 4, 4);
         let mut expected = Vec::new();
         for i in 0..500u32 {
             let chunk = i.to_le_bytes();
@@ -346,15 +313,8 @@ mod tests {
     fn background_storage_error_surfaces_at_finish() {
         // Tiny budget: stripes stop fitting quickly.
         let pool = make_pool(1, 300);
-        let workers = Arc::new(IoEngine::new(2, "w"));
-        let mut buf = WriteBuffer::new(
-            "/f".into(),
-            StripeLayout::new(100),
-            Arc::clone(&pool),
-            workers,
-            2,
-            2,
-        );
+        let mut buf =
+            WriteBuffer::new("/f".into(), StripeLayout::new(100), Arc::clone(&pool), 2, 2);
         let data = vec![0u8; 5_000];
         // The error may surface during write (backpressure path) or at
         // finish; it must surface somewhere.
@@ -365,15 +325,8 @@ mod tests {
     #[test]
     fn flush_leaves_tail_writable() {
         let pool = make_pool(2, 1 << 30);
-        let workers = Arc::new(IoEngine::new(2, "w"));
-        let mut buf = WriteBuffer::new(
-            "/f".into(),
-            StripeLayout::new(100),
-            Arc::clone(&pool),
-            workers,
-            2,
-            2,
-        );
+        let mut buf =
+            WriteBuffer::new("/f".into(), StripeLayout::new(100), Arc::clone(&pool), 2, 2);
         buf.write(&[1u8; 150]).unwrap();
         buf.flush().unwrap();
         // Stripe 0 is durable after flush; the 50-byte tail is not.
@@ -394,15 +347,8 @@ mod tests {
         // batch_stripes 4 over 13 completed stripes: three full batches
         // plus a partial one carrying the tail at finish.
         let pool = make_pool(4, 1 << 30);
-        let workers = Arc::new(IoEngine::new(4, "w"));
-        let mut buf = WriteBuffer::new(
-            "/b".into(),
-            StripeLayout::new(100),
-            Arc::clone(&pool),
-            Arc::clone(&workers),
-            8,
-            4,
-        );
+        let mut buf =
+            WriteBuffer::new("/b".into(), StripeLayout::new(100), Arc::clone(&pool), 8, 4);
         let data: Vec<u8> = (0..1350u32).map(|i| (i % 253) as u8).collect();
         for chunk in data.chunks(7) {
             buf.write(chunk).unwrap();
@@ -418,12 +364,10 @@ mod tests {
         // in-flight budget arbitrarily if not clamped; the writer must
         // still drain correctly with the clamped batch.
         let pool = make_pool(2, 1 << 30);
-        let workers = Arc::new(IoEngine::new(2, "w"));
         let mut buf = WriteBuffer::new(
             "/c".into(),
             StripeLayout::new(100),
             Arc::clone(&pool),
-            workers,
             2,
             64,
         );
@@ -437,12 +381,10 @@ mod tests {
     #[test]
     fn write_bytes_round_trips_aligned_stripes() {
         let pool = make_pool(4, 1 << 30);
-        let workers = Arc::new(IoEngine::new(4, "w"));
         let mut buf = WriteBuffer::new(
             "/zb".into(),
             StripeLayout::new(100),
             Arc::clone(&pool),
-            workers,
             4,
             2,
         );
@@ -459,12 +401,10 @@ mod tests {
         // merge into it, then go zero-copy once realigned, then buffer
         // its own partial tail.
         let pool = make_pool(4, 1 << 30);
-        let workers = Arc::new(IoEngine::new(4, "w"));
         let mut buf = WriteBuffer::new(
             "/zu".into(),
             StripeLayout::new(100),
             Arc::clone(&pool),
-            workers,
             4,
             2,
         );
@@ -485,12 +425,10 @@ mod tests {
     #[test]
     fn stripes_distribute_across_servers() {
         let pool = make_pool(8, 1 << 30);
-        let workers = Arc::new(IoEngine::new(4, "w"));
         let mut buf = WriteBuffer::new(
             "/big".into(),
             StripeLayout::new(1024),
             Arc::clone(&pool),
-            workers,
             8,
             4,
         );
@@ -503,5 +441,41 @@ mod tests {
             counts[pool.server_for(&key).0] += 1;
         }
         assert!(counts.iter().all(|&c| c > 0), "imbalanced: {counts:?}");
+    }
+
+    #[test]
+    fn a_failed_drain_settles_the_drains_queued_behind_it() {
+        // r = 2 over three servers, two of them down: a stripe homed on
+        // both fails, a stripe with a live home lands degraded.
+        let (pool, failables) = crate::pool::tests::failable_pool(3, 2);
+        let pool = Arc::new(pool);
+        let homes = |path: &str, s: u64| {
+            let key = KeySchema::stripe_key(path, s);
+            let mut homes: Vec<usize> = pool.servers_for(&key).map(|id| id.0).collect();
+            homes.sort_unstable();
+            homes
+        };
+        let path = (0..)
+            .map(|i| format!("/f{i}"))
+            .find(|p| homes(p, 0) != homes(p, 1))
+            .expect("some path homes stripes 0 and 1 apart");
+        for down in homes(&path, 0) {
+            failables[down].set_down(true);
+        }
+        // One stripe per drain, two in the air: the third stripe settles
+        // the first drain, which fails while the second is still queued.
+        let layout = StripeLayout::new(100);
+        let mut buf = WriteBuffer::new(path, layout, Arc::clone(&pool), 2, 1);
+        assert!(matches!(
+            buf.write(&[1u8; 300]),
+            Err(MemFsError::Storage(_))
+        ));
+        // The second drain was settled before the error surfaced: stripe
+        // 1 is durable on its live home and queued for repair.
+        assert_eq!(pool.degraded_pending(), 1);
+        let snap = pool.stats().snapshot();
+        assert_eq!(snap.iter().map(|s| s.degraded_writes).sum::<u64>(), 1);
+        assert!(matches!(buf.finish(), Err(MemFsError::Storage(_))));
+        assert_eq!(pool.degraded_pending(), 1, "nothing was left to settle");
     }
 }

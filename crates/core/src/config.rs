@@ -33,23 +33,10 @@ pub struct MemFsConfig {
     pub write_buffer_size: usize,
     /// Per-open-file read cache in bytes (same 8 MB figure).
     pub read_cache_size: usize,
-    /// Workers in the mount's I/O engine: how many background jobs —
-    /// write drains and prefetch windows — run concurrently across every
-    /// file open through the mount, whatever the server count. Each job drives all its
-    /// servers at once from its own thread (see `io_parallelism`), so a
-    /// few suffice; Figure 3b shows bandwidth saturating well before
-    /// thread counts grow large.
-    pub io_threads: usize,
     /// How many stripes ahead of the read position to prefetch. Bounded
     /// by the read cache; 0 disables prefetching (the "Read (no
     /// prefetching)" series of Figure 3b).
     pub prefetch_window: usize,
-    /// How many per-server batches one batched call keeps on the wire at
-    /// once (paper §3.2.2: symmetrical striping drives all N servers at
-    /// once): the in-flight budget of the pool's submit window, spent on
-    /// the calling thread. `0` means auto — full fan-out, every server
-    /// busy concurrently; `1` dispatches the servers one after another.
-    pub io_parallelism: usize,
     /// Key distribution scheme.
     pub distributor: DistributorKind,
     /// Replication factor (1 = the paper's configuration). With `r > 1`
@@ -92,9 +79,7 @@ impl Default for MemFsConfig {
             stripe_size: 512 << 10,
             write_buffer_size: 8 << 20,
             read_cache_size: 8 << 20,
-            io_threads: 4,
             prefetch_window: 8,
-            io_parallelism: 0,
             distributor: DistributorKind::default(),
             replication: 1,
             repair_interval_ms: 0,
@@ -123,9 +108,6 @@ impl MemFsConfig {
                 self.read_cache_size, self.stripe_size
             ));
         }
-        if self.io_threads == 0 {
-            return Err("io_threads must be at least 1".into());
-        }
         if let DistributorKind::Ketama { points_per_server } = self.distributor {
             if points_per_server == 0 {
                 return Err("ketama needs at least one point per server".into());
@@ -153,12 +135,6 @@ impl MemFsConfig {
         self
     }
 
-    /// Builder-style setter for the I/O engine's worker count.
-    pub fn with_io_threads(mut self, threads: usize) -> Self {
-        self.io_threads = threads;
-        self
-    }
-
     /// Disable prefetching (Figure 3b's "no prefetching" series).
     pub fn without_prefetch(mut self) -> Self {
         self.prefetch_window = 0;
@@ -168,13 +144,6 @@ impl MemFsConfig {
     /// Builder-style setter for the replication factor.
     pub fn with_replication(mut self, r: usize) -> Self {
         self.replication = r;
-        self
-    }
-
-    /// Builder-style setter for the in-flight batch budget (`0` = full
-    /// fan-out, `1` = one server at a time).
-    pub fn with_io_parallelism(mut self, width: usize) -> Self {
-        self.io_parallelism = width;
         self
     }
 }
@@ -192,24 +161,10 @@ mod tests {
         assert!(c.validate().is_ok());
         assert_eq!(c.write_buffer_stripes(), 16);
         assert_eq!(c.read_cache_stripes(), 16);
-        assert_eq!(c.io_parallelism, 0, "auto: every server in flight");
-        assert_eq!(c.io_threads, 4);
         assert_eq!(c.repair_interval_ms, 0, "repair daemon opt-in");
         assert_eq!(c.repair_bandwidth, 0, "repair bandwidth unlimited");
         assert_eq!(c.migrate_bandwidth, 0, "migration bandwidth unlimited");
         assert_eq!(c.evict_grace_ms, 0, "auto-evict opt-in");
-    }
-
-    #[test]
-    fn io_parallelism_builder_sets_width() {
-        let c = MemFsConfig::default().with_io_parallelism(2);
-        assert_eq!(c.io_parallelism, 2);
-        assert!(c.validate().is_ok());
-        // 1 (sequential) and 0 (auto) are both valid.
-        assert!(MemFsConfig::default()
-            .with_io_parallelism(1)
-            .validate()
-            .is_ok());
     }
 
     #[test]
@@ -222,8 +177,6 @@ mod tests {
             write_buffer_size: 1024,
             ..MemFsConfig::default()
         };
-        assert!(c.validate().is_err());
-        let c = MemFsConfig::default().with_io_threads(0);
         assert!(c.validate().is_err());
         let c = MemFsConfig {
             distributor: DistributorKind::Ketama {

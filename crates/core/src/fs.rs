@@ -1,15 +1,12 @@
 //! The MemFS mount: the interface an MTC application sees (the FUSE-client
 //! role of paper §3.1.3), with write-once / read-many semantics (§3.2.3).
 //!
-//! Each [`MemFs`] value corresponds to one mountpoint: it owns a single
-//! [`IoEngine`] whose workers run the background jobs — write drains
-//! and prefetch windows — of *every* file opened through the mount, so
-//! the thread count is set by the config
-//! ([`MemFsConfig::io_threads`]) rather than by how many files are open
-//! or how many servers there are. Driving all the servers at once is not
-//! the engine's job: each batched pool call does that from the thread
-//! that makes it (see [`ServerPool`]) — which is all `unlink` needs, so it
-//! frees a file's stripes with plain chunked `delete_many` calls.
+//! Each [`MemFs`] value corresponds to one mountpoint. It runs no I/O
+//! thread of its own, however many files are open: each batched pool call
+//! drives all its servers at once from the thread that makes it (see
+//! [`ServerPool`]), and a file's write drains and prefetch windows stay
+//! in flight in its handle until the application thread using the handle
+//! needs them. A TCP mount's one thread is its transport's event loop.
 //! Creating several `MemFs` values over the same server list
 //! reproduces the paper's multi-mountpoint deployment (the fix for the
 //! FUSE NUMA-spinlock bottleneck of Figure 10) — placement is a pure
@@ -32,9 +29,8 @@ use crate::meta::{self, ChildKind, SizeRecord};
 use crate::mover::{migrate_pass, MigrateConfig, MigrationReport};
 use crate::path;
 use crate::pool::ServerPool;
-use crate::prefetch::StripeReader;
+use crate::prefetch::{FirstStripe, StripeReader};
 use crate::repair::{repair_pass, RepairConfig, RepairDaemon, RepairReport};
-use crate::threadpool::IoEngine;
 
 /// Kind of a namespace entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -76,7 +72,6 @@ struct NetContext {
 struct Inner {
     pool: Arc<ServerPool>,
     config: MemFsConfig,
-    engine: Arc<IoEngine>,
     /// Background re-replicator, running when
     /// [`MemFsConfig::repair_interval_ms`] is non-zero. Stopped (thread
     /// joined) when the last mount clone drops. Doubles as the migration
@@ -93,11 +88,11 @@ const UNLINK_BATCH: usize = 4096;
 /// many stripe keys per round until a round deletes nothing.
 const PROBE_BATCH: usize = 128;
 
-/// Completed stripes per background drain job. Each job groups its
-/// stripes by owning server and issues one pipelined `set_many` per
-/// server, so 8 × 512 KiB amortizes the round trip while leaving half of
-/// the default 16-stripe write buffer free to refill. One value in use,
-/// hence a constant rather than a [`MemFsConfig`] field.
+/// Completed stripes per write drain. Each drain groups its stripes by
+/// owning server and sends one pipelined batch per server, so 8 × 512 KiB
+/// amortizes the round trip while leaving half of the default 16-stripe
+/// write buffer free to refill. One value in use, hence a constant rather
+/// than a [`MemFsConfig`] field.
 const DRAIN_BATCH_STRIPES: usize = 8;
 
 fn stripe_key_bytes(path: &str, stripe: u64) -> Bytes {
@@ -122,7 +117,7 @@ fn check_config(config: &MemFsConfig, n_servers: usize) -> MemFsResult<()> {
     Ok(())
 }
 
-/// A MemFS mountpoint. Cheap to clone (all clones share the I/O engine).
+/// A MemFS mountpoint. Cheap to clone (all clones share one pool).
 #[derive(Clone)]
 pub struct MemFs {
     inner: Arc<Inner>,
@@ -148,11 +143,10 @@ impl MemFs {
         config: MemFsConfig,
         net: Option<NetContext>,
     ) -> MemFsResult<MemFs> {
-        let pool = Arc::new(ServerPool::with_options(
+        let pool = Arc::new(ServerPool::with_replication(
             servers,
             config.distributor,
             config.replication,
-            config.io_parallelism,
         ));
         Self::mount(pool, config, net)
     }
@@ -194,9 +188,8 @@ impl MemFs {
     }
 
     /// Mount over an existing [`ServerPool`] (lets several mounts share
-    /// routing state, and lets tests inject custom pools). Placement,
-    /// replication and the in-flight budget are the pool's; the mount
-    /// brings its own engine for its background jobs.
+    /// routing state, and lets tests inject custom pools). Placement and
+    /// replication are the pool's.
     pub fn with_pool(pool: Arc<ServerPool>, config: MemFsConfig) -> MemFsResult<MemFs> {
         config.validate().map_err(MemFsError::InvalidConfig)?;
         Self::mount(pool, config, None)
@@ -216,7 +209,6 @@ impl MemFs {
         config: MemFsConfig,
         net: Option<NetContext>,
     ) -> MemFsResult<MemFs> {
-        let engine = Arc::new(IoEngine::new(config.io_threads, "memfs-io"));
         let repair = (config.repair_interval_ms > 0).then(|| {
             RepairDaemon::spawn(
                 Arc::clone(&pool),
@@ -228,7 +220,6 @@ impl MemFs {
             inner: Arc::new(Inner {
                 pool,
                 config,
-                engine,
                 repair,
                 net,
             }),
@@ -326,17 +317,11 @@ impl MemFs {
         &self.inner.pool
     }
 
-    /// The mount's I/O engine — the one worker set every open file's
-    /// drain and prefetch jobs run on.
-    pub fn engine(&self) -> &Arc<IoEngine> {
-        &self.inner.engine
-    }
-
     fn layout(&self) -> StripeLayout {
         StripeLayout::new(self.inner.config.stripe_size)
     }
 
-    /// Whether each of `keys` exists, asked in one submit window. A probe
+    /// Whether each of `keys` exists, asked in one window. A probe
     /// is a zero-length ranged read — an empty hit or a miss: a directory
     /// log holds every entry ever appended, and a yes/no must not move it.
     fn probe<const N: usize>(&self, keys: [Vec<u8>; N]) -> [MemFsResult<bool>; N] {
@@ -414,7 +399,6 @@ impl MemFs {
             p.clone(),
             self.layout(),
             Arc::clone(&self.inner.pool),
-            Arc::clone(&self.inner.engine),
             self.inner.config.write_buffer_stripes(),
             DRAIN_BATCH_STRIPES,
         );
@@ -430,23 +414,36 @@ impl MemFs {
     ///
     /// One step: the size record and — when the mount prefetches — stripe
     /// 0 whole, in one window (one multi-get when they share a server).
-    /// Stripes are stored before `close` finalizes the record and never
-    /// rewritten, so a stripe that fits a `Finalized` record is the file's;
-    /// the reader starts with it cached (`StripeReader::with_first_stripe`
-    /// drops one that does not fit). A missing or unfinalized record drops
-    /// it too, and a missing record is then told apart from a directory
-    /// by the probe of the directory's log.
+    /// `open` waits only for the record's share: stripe 0 either came in
+    /// the same batch or stays in flight for the first read, which queues
+    /// its window before it waits for it. Stripes are stored before
+    /// `close` finalizes the record and never rewritten, so a stripe that
+    /// fits a `Finalized` record is the file's; the reader starts with it
+    /// (`StripeReader::with_first_stripe` drops one that does not fit). A
+    /// missing or unfinalized record drops it too, and a missing record is
+    /// then told apart from a directory by the probe of the directory's
+    /// log.
     pub fn open(&self, raw: &str) -> MemFsResult<ReadHandle> {
         let p = path::normalize(raw)?;
         let config = &self.inner.config;
-        let mut keys = vec![Bytes::from(KeySchema::file_key(&p))];
+        let mut reqs = vec![(Bytes::from(KeySchema::file_key(&p)), None)];
         if config.prefetch_window > 0 {
-            keys.push(stripe_key_bytes(&p, 0));
+            reqs.push((stripe_key_bytes(&p, 0), None));
         }
-        let mut replies = self.inner.pool.get_many(&keys).into_iter();
-        let record = match replies.next().expect("one reply per key") {
+        let mut shares = self.inner.pool.start_reads(reqs).into_shares();
+        let at = shares.iter().position(|s| s.positions().contains(&0));
+        let record_share = shares.swap_remove(at.expect("the record went out"));
+        let mut first = shares.pop().map(FirstStripe::InFlight);
+        // The record is its share's first entry; stripe 0 may follow it.
+        let mut replies = self.inner.pool.settle_read(record_share).into_iter();
+        let (_, record) = replies.next().expect("one reply per key");
+        if let Some((_, stripe)) = replies.next() {
+            first = stripe.ok().map(FirstStripe::Ready);
+        }
+        let record = match record {
             Ok(v) => v,
             Err(MemFsError::Storage(KvError::NotFound)) => {
+                drop(first);
                 if self.dir_exists(&p)? {
                     return Err(MemFsError::IsADirectory(p));
                 }
@@ -463,11 +460,10 @@ impl MemFs {
             self.layout(),
             size,
             Arc::clone(&self.inner.pool),
-            (config.prefetch_window > 0).then(|| Arc::clone(&self.inner.engine)),
             config.prefetch_window,
             config.read_cache_stripes(),
         )
-        .with_first_stripe(replies.next().and_then(Result::ok));
+        .with_first_stripe(first);
         Ok(ReadHandle {
             path: p,
             reader: Arc::new(reader),
@@ -922,7 +918,6 @@ mod tests {
                 stripe_size: 128,
                 write_buffer_size: 1024,
                 read_cache_size: 1024,
-                io_threads: 2,
                 prefetch_window: 4,
                 ..MemFsConfig::default()
             },
@@ -1444,14 +1439,18 @@ mod tests {
         fs.write_file("/z", b"").unwrap();
         fs.mkdir("/d").unwrap();
         log.take_steps();
-        // Three stripes: the open step, then stripes 1 and 2 together.
+        // Three stripes: the open step, and stripes 1 and 2 go out while
+        // stripe 0 (on another server than the record) is still on its
+        // way — `open` waited for the record only.
         assert_eq!(fs.read_to_vec("/c").unwrap(), data);
         assert_eq!(
             log.take_steps(),
-            [
-                vec!["get f:/c", "get s:/c#0"],
-                vec!["getrange s:/c#1 0 128", "getrange s:/c#2 0 44"]
-            ]
+            [[
+                "get f:/c",
+                "get s:/c#0",
+                "getrange s:/c#1 0 128",
+                "getrange s:/c#2 0 44"
+            ]]
         );
         // Zero bytes: nothing to read after the open.
         assert_eq!(fs.read_to_vec("/z").unwrap(), b"");
@@ -1826,26 +1825,6 @@ mod tests {
     }
 
     #[test]
-    fn engine_is_sized_by_the_config_alone() {
-        // Background jobs only: the worker count is `io_threads`
-        // whatever the server count or the in-flight budget.
-        let fs = mount(4);
-        assert_eq!(fs.engine().size(), fs.config().io_threads);
-        assert_eq!(fs.engine().size(), 2);
-        for (n_servers, io_parallelism) in [(1, 0), (2, 1), (8, 3)] {
-            let fs = mount_with(
-                n_servers,
-                MemFsConfig {
-                    io_parallelism,
-                    ..MemFsConfig::default()
-                },
-            );
-            assert_eq!(fs.engine().size(), fs.config().io_threads);
-            assert_eq!(fs.engine().size(), 4);
-        }
-    }
-
-    #[test]
     fn bad_config_and_bad_topology_are_errors_not_panics() {
         let servers = |n: usize| -> Vec<Arc<dyn KvClient>> {
             (0..n)
@@ -1876,7 +1855,7 @@ mod tests {
             Err(MemFsError::InvalidConfig(_))
         ));
         assert!(matches!(
-            MemFs::connect(&["127.0.0.1:1"], MemFsConfig::default().with_io_threads(0)),
+            MemFs::connect(&["127.0.0.1:1"], MemFsConfig::default().with_stripe_size(0)),
             Err(MemFsError::InvalidConfig(_))
         ));
     }
@@ -2135,5 +2114,155 @@ mod tests {
         assert_eq!(r.read_at(0, &mut buf).unwrap(), 10);
         assert_eq!(d.read_at(500, &mut buf).unwrap(), 10);
         assert_eq!(d.path(), "/f");
+    }
+
+    // ---- windows and drains pending in their handles ----
+
+    /// `pool.quiesce()` returns within `limit` (on a thread of its own,
+    /// so a hang fails the test instead of wedging it).
+    fn quiesces_within(fs: &MemFs, limit: std::time::Duration) -> bool {
+        let (done, returned) = std::sync::mpsc::channel();
+        let pool = Arc::clone(fs.pool());
+        std::thread::spawn(move || {
+            pool.quiesce();
+            let _ = done.send(());
+        });
+        returned.recv_timeout(limit).is_ok()
+    }
+
+    #[test]
+    fn idle_handles_holding_answered_windows_do_not_stall_quiesce() {
+        let fs = mount(4);
+        let data: Vec<u8> = (0..1280u32).map(|i| (i % 251) as u8).collect();
+        fs.write_file("/r", &data).unwrap();
+        // A reader whose window (stripes 2..=5) nobody has read yet, and
+        // a writer with one drain of eight stripes on its way.
+        let r = fs.open("/r").unwrap();
+        let mut buf = vec![0u8; 256];
+        assert_eq!(r.read_at(0, &mut buf).unwrap(), 256);
+        let mut w = fs.create("/w").unwrap();
+        w.write_all(&data[..1024]).unwrap();
+        assert!(quiesces_within(&fs, std::time::Duration::from_secs(10)));
+        let mut rest = vec![0u8; 1024];
+        assert_eq!(r.read_at(256, &mut rest).unwrap(), 1024);
+        assert_eq!(rest, data[256..]);
+        w.close().unwrap();
+        assert_eq!(fs.read_to_vec("/w").unwrap(), data[..1024]);
+    }
+
+    /// Four in-process stores on a ketama mount with 16-byte stripes, and
+    /// a fifth to admit.
+    fn ketama_mount() -> (Vec<Arc<Store>>, MemFs) {
+        let stores: Vec<Arc<Store>> = (0..5)
+            .map(|_| Arc::new(Store::new(StoreConfig::default())))
+            .collect();
+        let clients = stores[..4]
+            .iter()
+            .map(|s| Arc::new(LocalClient::new(Arc::clone(s))) as Arc<dyn KvClient>)
+            .collect();
+        let config = MemFsConfig {
+            distributor: crate::DistributorKind::Ketama {
+                points_per_server: 32,
+            },
+            ..small_stripe_config()
+        };
+        (stores.clone(), MemFs::new(clients, config).unwrap())
+    }
+
+    /// Admit the fifth store and migrate until the transition completes.
+    fn grow_to_five(stores: &[Arc<Store>], fs: &MemFs) {
+        fs.add_server(Arc::new(LocalClient::new(Arc::clone(&stores[4]))))
+            .unwrap();
+        let mut passes = 0;
+        while !fs.migrate_now().unwrap().complete {
+            passes += 1;
+            assert!(passes < 16, "migration never completed");
+        }
+        assert_eq!(fs.pool().members().len(), 5);
+    }
+
+    /// Every stripe of `path` (and its size record) sits on its home set.
+    fn homed(stores: &[Arc<Store>], fs: &MemFs, path: &str, stripes: u64) {
+        let keys = (0..stripes).map(|s| KeySchema::stripe_key(path, s));
+        for key in keys.chain([KeySchema::file_key(path)]) {
+            for home in fs.pool().servers_for(&key) {
+                assert!(stores[home.0].contains(&key), "{key:?} not on {home:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_window_pending_across_a_grow_reads_back_bit_exact() {
+        let (stores, fs) = ketama_mount();
+        let data: Vec<u8> = (0..40 * 16).map(|i| (i * 7 % 251) as u8).collect();
+        fs.write_file("/t", &data).unwrap();
+        let r = fs.open("/t").unwrap();
+        let mut got = vec![0u8; data.len()];
+        // The first stripe, and a window of eight started and unsettled.
+        assert_eq!(r.read_at(0, &mut got[..16]).unwrap(), 16);
+        grow_to_five(&stores, &fs);
+        assert_eq!(r.read_at(16, &mut got[16..]).unwrap(), data.len() - 16);
+        assert_eq!(got, data);
+        assert_eq!(fs.read_to_vec("/t").unwrap(), data);
+        homed(&stores, &fs, "/t", 40);
+    }
+
+    #[test]
+    fn a_drain_pending_across_a_grow_finalizes_bit_exact() {
+        let (stores, fs) = ketama_mount();
+        let data: Vec<u8> = (0..40 * 16).map(|i| (i * 13 % 251) as u8).collect();
+        let mut w = fs.create("/d").unwrap();
+        // Eight stripes make one drain, started and unsettled.
+        w.write_all(&data[..8 * 16]).unwrap();
+        grow_to_five(&stores, &fs);
+        w.write_all(&data[8 * 16..]).unwrap();
+        w.close().unwrap();
+        assert!(fs.stat("/d").unwrap().finalized);
+        assert_eq!(fs.read_to_vec("/d").unwrap(), data);
+        homed(&stores, &fs, "/d", 40);
+    }
+
+    #[test]
+    fn a_window_share_whose_server_is_down_is_read_through_a_replica_or_fails() {
+        for replication in [1, 2] {
+            let config = small_stripe_config().with_replication(replication);
+            let (_, failables, fs) = failable_mount(4, config);
+            let data: Vec<u8> = (0..20 * 16).map(|i| i as u8).collect();
+            fs.write_file("/w", &data).unwrap();
+            // Down: the home of a window stripe, not of the record or of
+            // stripe 0, so only the window's share meets it.
+            let home = |key: Vec<u8>| fs.pool().server_for(&key).0;
+            let spared = [
+                home(KeySchema::file_key("/w")),
+                home(KeySchema::stripe_key("/w", 0)),
+            ];
+            let stripe = (1..=8)
+                .find(|&s| !spared.contains(&home(KeySchema::stripe_key("/w", s))))
+                .unwrap();
+            failables[home(KeySchema::stripe_key("/w", stripe))].set_down(true);
+            let r = fs.open("/w").unwrap();
+            let mut buf = [0u8; 16];
+            assert_eq!(r.read_at(0, &mut buf).unwrap(), 16);
+            let fallbacks = || -> u64 {
+                fs.pool()
+                    .stats()
+                    .snapshot()
+                    .iter()
+                    .map(|s| s.fallbacks)
+                    .sum()
+            };
+            let before = fallbacks();
+            let read = r.read_at(stripe * 16, &mut buf);
+            assert!(fallbacks() > before, "r = {replication}: no replica walk");
+            if replication == 2 {
+                assert_eq!(read.unwrap(), 16);
+                assert_eq!(buf[..], data[stripe as usize * 16..][..16]);
+            } else {
+                assert!(
+                    matches!(&read, Err(MemFsError::Storage(e)) if e.is_transport()),
+                    "{read:?}"
+                );
+            }
+        }
     }
 }

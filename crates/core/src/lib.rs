@@ -15,23 +15,27 @@
 //! ## Architecture (paper §3)
 //!
 //! * [`pool::ServerPool`] — the Libmemcached role: routes each key to a
-//!   storage server via [`memfs_hashring`];
+//!   storage server via [`memfs_hashring`], and puts every server's batch
+//!   of a call on the wire at once;
 //! * [`layout::StripeLayout`] — the striping mechanism (default 512 KiB
 //!   stripes, the paper's measured optimum);
-//! * [`threadpool::IoEngine`] — one job queue per mount for background
-//!   jobs: every file's write drains and prefetch windows, so thread
-//!   count is bounded by the config rather than by the number of open
-//!   files (driving all servers at once is the pool's submit window, on
-//!   the calling thread);
 //! * [`bufwrite`] — the write-buffering protocol: an 8 MiB per-file buffer
-//!   drained asynchronously through the shared engine; `close()`/`flush()`
-//!   block until it is empty;
+//!   whose drains stay in flight while the writer fills the next batch;
+//!   `close()`/`flush()` block until it is empty;
 //! * [`prefetch`] — the sequential-read prefetcher filling an 8 MiB
-//!   per-file read cache through the shared engine;
+//!   per-file read cache from windows that stay in flight until a read
+//!   needs them;
 //! * [`meta`] — file-size records and append-only directory logs over
 //!   atomic KV `append`;
 //! * [`fs::MemFs`] — the mount: create/open/read/write/close/mkdir/
 //!   readdir/unlink with **write-once, read-many** semantics (§3.2.3).
+//!
+//! The paper runs buffering and prefetching on thread pools (§3.2.2).
+//! Here a mount runs no I/O thread of its own: every request travels
+//! through the transport's event loop (one per TCP mount, none in
+//! process), and the application thread that needs a drain or a window
+//! settles it. (The opt-in repair daemon is the one thread a mount may
+//! add.)
 //!
 //! ## Example
 //!
@@ -70,7 +74,6 @@ pub mod path;
 pub mod pool;
 pub mod prefetch;
 pub mod repair;
-pub mod threadpool;
 
 pub use config::{DistributorKind, MemFsConfig};
 pub use error::{MemFsError, MemFsResult};
@@ -78,4 +81,3 @@ pub use fs::{DirEntry, EntryKind, FileStat, MemFs, ReadHandle, WriteHandle};
 pub use mover::{migrate_pass, MembershipMonitor, MigrateConfig, MigrationReport};
 pub use pool::{DegradedWrite, PoolStats, ServerIoSnapshot, ServerPool, WriteOutcome};
 pub use repair::{repair_pass, RepairConfig, RepairDaemon, RepairReport};
-pub use threadpool::IoEngine;

@@ -255,7 +255,7 @@ pub(crate) fn copy_key(
 /// active. Safe to run concurrently with foreground reads and writes;
 /// runs on the caller's thread.
 pub fn migrate_pass(pool: &ServerPool, config: &MigrateConfig) -> MemFsResult<MigrationReport> {
-    let _pass = pool.migration_mutex().lock().expect("migration mutex");
+    let _pass = pool.migration_mutex().lock();
     run_pass(pool, config)
 }
 
@@ -265,10 +265,8 @@ pub(crate) fn try_migrate_pass(
     pool: &ServerPool,
     config: &MigrateConfig,
 ) -> Option<MemFsResult<MigrationReport>> {
-    match pool.migration_mutex().try_lock() {
-        Ok(_pass) => Some(run_pass(pool, config)),
-        Err(_) => None,
-    }
+    let _pass = pool.migration_mutex().try_lock()?;
+    Some(run_pass(pool, config))
 }
 
 fn run_pass(pool: &ServerPool, config: &MigrateConfig) -> MemFsResult<MigrationReport> {

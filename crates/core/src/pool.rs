@@ -5,15 +5,18 @@
 //! same server list and distributor agree on placement — that is what lets
 //! any compute node read any file without coordination.
 //!
-//! Batched operations have one dispatch path, the **submit window**
-//! (`ServerPool::drive`): the caller's thread submits each server's batch
-//! through [`KvClient::start`], which does not block, keeps up to
-//! `io_parallelism` of them on the wire, and settles completions in
-//! arrival order (paper §3.2.2: symmetrical striping means every file
-//! operation should drive all N servers at once, using the full bisection
-//! bandwidth). A `get_many` window therefore costs `max(server RTT)`, not
-//! `sum(server RTTs)`, and occupies no thread but the caller's. The
-//! single-key calls are the same calls with one entry.
+//! Batched operations have one dispatch path, in two halves (DESIGN.md
+//! §4c). `start` routes a call, enters the quiescence gate and puts every
+//! server's batch on the wire at once through [`KvClient::start`] (paper
+//! §3.2.2: symmetrical striping drives all N servers at once); it returns
+//! a [`Window`] of per-server [`Share`]s, and settling a share turns its
+//! replies into results on whichever thread needs them. The blocking calls
+//! — the single-key calls are those with one entry — start a window and
+//! settle its shares in arrival order, so a call costs `max(server RTT)`
+//! and occupies no thread but the caller's; a prefetch window or a write
+//! drain keeps its shares pending in its file handle instead. The window's
+//! gate entry is released by the transport as its last share is
+//! *answered* ([`Deferred::when_answered`]), never by the settler.
 //!
 //! ## Elastic membership
 //!
@@ -34,7 +37,7 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::Arc;
 use std::time::Duration;
 
 use bytes::Bytes;
@@ -43,21 +46,72 @@ use memfs_memkv::error::KvResult;
 use memfs_memkv::{
     Batch, Deferred, KvClient, KvError, ReactorStatsSnapshot, Replies, ServerHealth, StoreVerb,
 };
+use parking_lot::{Mutex, RwLock};
 
 use crate::config::DistributorKind;
 use crate::error::{MemFsError, MemFsResult};
 
-/// One server's share of a batched call: the original input indices paired
-/// with the entries themselves (keys, or key/value items), kept together
-/// through the submit window so completions can write results back in
-/// input order.
+/// One server's part of a batched call before it is started: the original
+/// input indices paired with the entries themselves (keys, or key/value
+/// items), kept together so settling can write results back in input
+/// order.
 type ServerBatch<K> = (Vec<usize>, Vec<K>);
 
 /// What a routed read wants of a value: `None` for all of it, or
 /// `(offset, len)` — the `getrange` clamping rules, see
 /// [`Batch::GetRange`]. The replica walk is the same either way; only the
 /// fetch at each home differs.
-type ByteRange = Option<(u64, usize)>;
+pub(crate) type ByteRange = Option<(u64, usize)>;
+
+/// One request of a started read: a key and what of its value to read.
+pub(crate) type ReadReq = (Bytes, ByteRange);
+
+/// One server's part of a started [`Window`]: the input positions it
+/// resolves, its entries, and the reply on its way. Its gate token and
+/// in-flight gauge went to the transport with the batch and are dropped
+/// as the answer lands; settling the share (`ServerPool::settle_read`,
+/// `ServerPool::finish_writes`) runs on whichever thread needs the
+/// results, possibly much later.
+pub(crate) struct Share<K> {
+    server: usize,
+    idx: Vec<usize>,
+    entries: Vec<K>,
+    reply: Deferred<Bytes>,
+}
+
+impl<K> Share<K> {
+    /// The input positions this share resolves, in entry order.
+    pub(crate) fn positions(&self) -> &[usize] {
+        &self.idx
+    }
+
+    /// Whether the server has answered: settling would not wait for it.
+    pub(crate) fn is_answered(&self) -> bool {
+        self.reply.is_ready()
+    }
+}
+
+/// A batched call on the wire: one [`Share`] per server it reached.
+pub(crate) struct Window<K> {
+    /// Input entries of the call.
+    len: usize,
+    shares: Vec<Share<K>>,
+}
+
+impl<K> Window<K> {
+    /// The next share to settle, in arrival order: one already answered
+    /// if there is one, else the oldest — a slow server holds up only its
+    /// own share.
+    fn next(&mut self) -> Option<Share<K>> {
+        let pos = self.shares.iter().position(Share::is_answered);
+        (!self.shares.is_empty()).then(|| self.shares.remove(pos.unwrap_or(0)))
+    }
+
+    /// The shares, for a caller that keeps them pending.
+    pub(crate) fn into_shares(self) -> Vec<Share<K>> {
+        self.shares
+    }
+}
 
 /// One `get` of `key` — whole, or just `range` of it — from one server.
 fn fetch_from(client: &dyn KvClient, key: &[u8], range: ByteRange) -> KvResult<Bytes> {
@@ -144,7 +198,7 @@ impl PoolStats {
 
     /// Extend the counter table to `n` slots (admitting servers).
     fn grow_to(&self, n: usize) {
-        let mut servers = self.servers.write().expect("pool stats lock");
+        let mut servers = self.servers.write();
         while servers.len() < n {
             servers.push(Arc::new(ServerIo::default()));
         }
@@ -153,11 +207,11 @@ impl PoolStats {
     /// The counter block for one server slot (shared, lock held only for
     /// the lookup).
     fn io(&self, server: usize) -> Arc<ServerIo> {
-        Arc::clone(&self.servers.read().expect("pool stats lock")[server])
+        Arc::clone(&self.servers.read()[server])
     }
 
     fn bump_degraded(&self, server: usize) {
-        self.servers.read().expect("pool stats lock")[server]
+        self.servers.read()[server]
             .degraded
             .fetch_add(1, Ordering::SeqCst);
     }
@@ -166,7 +220,6 @@ impl PoolStats {
     pub fn snapshot(&self) -> Vec<ServerIoSnapshot> {
         self.servers
             .read()
-            .expect("pool stats lock")
             .iter()
             .map(|s| ServerIoSnapshot {
                 in_flight: s.in_flight.load(Ordering::SeqCst),
@@ -195,19 +248,24 @@ struct GenGate {
     counts: [AtomicUsize; 2],
 }
 
-struct GateGuard<'a> {
-    gate: &'a GenGate,
+/// An owned gate entry: a started window hands it to the transport, which
+/// drops it once the window's last share is answered.
+struct GateGuard {
+    gate: Arc<GenGate>,
     slot: usize,
 }
 
 impl GenGate {
-    fn enter(&self) -> GateGuard<'_> {
+    fn enter(self: &Arc<Self>) -> GateGuard {
         loop {
             let g = self.gen.load(Ordering::Acquire);
             let slot = (g & 1) as usize;
             self.counts[slot].fetch_add(1, Ordering::AcqRel);
             if self.gen.load(Ordering::Acquire) == g {
-                return GateGuard { gate: self, slot };
+                return GateGuard {
+                    gate: Arc::clone(self),
+                    slot,
+                };
             }
             // The generation advanced between the load and the increment:
             // undo and re-enter under the new generation.
@@ -227,7 +285,19 @@ impl GenGate {
     }
 }
 
-impl Drop for GateGuard<'_> {
+impl GateGuard {
+    /// Another hold on this same entry (its slot is held, so no advance
+    /// can drain it meanwhile): one per share of a window.
+    fn share(&self) -> GateGuard {
+        self.gate.counts[self.slot].fetch_add(1, Ordering::AcqRel);
+        GateGuard {
+            gate: Arc::clone(&self.gate),
+            slot: self.slot,
+        }
+    }
+}
+
+impl Drop for GateGuard {
     fn drop(&mut self) {
         self.gate.counts[self.slot].fetch_sub(1, Ordering::AcqRel);
     }
@@ -478,13 +548,15 @@ pub struct DegradedWrite {
 /// sibling of [`EraseAgg`]).
 #[derive(Default)]
 struct StoreAgg {
+    key: Bytes,
     written: usize,
     missing: Vec<ServerId>,
     err: Option<MemFsError>,
 }
 
 impl StoreAgg {
-    fn merge(&mut self, server: usize, outcome: Option<MemFsError>) {
+    fn merge(&mut self, server: usize, key: &Bytes, outcome: Option<MemFsError>) {
+        self.key = key.clone();
         match outcome {
             None => self.written += 1,
             Some(e) => {
@@ -495,8 +567,8 @@ impl StoreAgg {
     }
 }
 
-/// A hash-routed pool of storage servers with optional n-way replication
-/// and a submit window that keeps every server's batch in flight at once.
+/// A hash-routed pool of storage servers with optional n-way replication,
+/// whose batched calls keep every server's batch in flight at once.
 ///
 /// Replication is the fault-tolerance mechanism the paper sketches but
 /// defers ("assuming the replication factor is n, then the total storage
@@ -531,26 +603,23 @@ pub struct ServerPool {
     degraded: Mutex<VecDeque<DegradedWrite>>,
     /// Quiescence gate separating migration phase flips from in-flight
     /// operations routed by the pre-flip phase.
-    gate: GenGate,
+    gate: Arc<GenGate>,
     /// Serializes migration passes (the mover holds this across a pass).
     migration: Mutex<()>,
-    /// In-flight batch budget of the submit window, resolved from
-    /// `io_parallelism` (`0` → unlimited).
-    budget: usize,
 }
 
 impl ServerPool {
-    /// Build a pool over `clients` with the configured distributor, no
-    /// replication, and the default full fan-out.
+    /// Build a pool over `clients` with the configured distributor and no
+    /// replication.
     ///
     /// # Panics
     /// Panics on an empty client list.
     pub fn new(clients: Vec<Arc<dyn KvClient>>, kind: DistributorKind) -> Self {
-        Self::with_options(clients, kind, 1, 0)
+        Self::with_replication(clients, kind, 1)
     }
 
     /// Build a pool that writes each key to `replication` consecutive
-    /// servers, with the default fan-out.
+    /// servers.
     ///
     /// # Panics
     /// Panics on an empty client list, `replication == 0`, or a
@@ -559,22 +628,6 @@ impl ServerPool {
         clients: Vec<Arc<dyn KvClient>>,
         kind: DistributorKind,
         replication: usize,
-    ) -> Self {
-        Self::with_options(clients, kind, replication, 0)
-    }
-
-    /// Build a pool with every knob explicit. `io_parallelism` is the
-    /// submit window's budget — how many per-server batches a batched call
-    /// keeps on the wire at once: `0` means unlimited (the paper's full
-    /// fan-out shape), `1` dispatches the servers one after another.
-    ///
-    /// # Panics
-    /// Panics on an empty client list or an invalid replication factor.
-    pub fn with_options(
-        clients: Vec<Arc<dyn KvClient>>,
-        kind: DistributorKind,
-        replication: usize,
-        io_parallelism: usize,
     ) -> Self {
         assert!(!clients.is_empty(), "server pool needs at least one server");
         assert!(
@@ -586,11 +639,6 @@ impl ServerPool {
         let current = ring_for(&kind, &members, clients.len())
             .expect("contiguous initial membership is always supported");
         let stats = PoolStats::new(clients.len());
-        let budget = if io_parallelism == 0 {
-            usize::MAX
-        } else {
-            io_parallelism
-        };
         let state = Arc::new(RingState {
             clients,
             members,
@@ -604,22 +652,14 @@ impl ServerPool {
             replication,
             stats,
             degraded: Mutex::new(VecDeque::new()),
-            gate: GenGate::default(),
+            gate: Arc::default(),
             migration: Mutex::new(()),
-            budget,
         }
     }
 
     /// The configured replication factor.
     pub fn replication(&self) -> usize {
         self.replication
-    }
-
-    /// How many per-server batches one batched call can have on the wire
-    /// simultaneously: the submit budget, capped at the member count
-    /// (a call carries at most one batch per server).
-    pub fn io_parallelism(&self) -> usize {
-        self.budget.min(self.ring_state().members.len())
     }
 
     /// Per-server dispatch counters.
@@ -678,11 +718,7 @@ impl ServerPool {
     /// under-replicated since the last drain, in write order (duplicates
     /// possible — dedup on use).
     pub fn take_degraded(&self) -> Vec<DegradedWrite> {
-        self.degraded
-            .lock()
-            .expect("degraded queue lock")
-            .drain(..)
-            .collect()
+        self.degraded.lock().drain(..).collect()
     }
 
     /// Peek the degraded-write queue without draining it. The mover uses
@@ -691,17 +727,12 @@ impl ServerPool {
     /// copying from one during a migration would resurrect it on the new
     /// homes while the fresh old-home copy gets retired.
     pub(crate) fn peek_degraded(&self) -> Vec<DegradedWrite> {
-        self.degraded
-            .lock()
-            .expect("degraded queue lock")
-            .iter()
-            .cloned()
-            .collect()
+        self.degraded.lock().iter().cloned().collect()
     }
 
     /// Number of degraded writes currently queued for repair.
     pub fn degraded_pending(&self) -> usize {
-        self.degraded.lock().expect("degraded queue lock").len()
+        self.degraded.lock().len()
     }
 
     /// Put unresolved degraded-write hints back on the queue (the repair
@@ -709,13 +740,7 @@ impl ServerPool {
     /// replica may hold a *stale prior value* under the key, which a
     /// presence-based scan cannot distinguish from a fresh copy).
     pub(crate) fn requeue_degraded(&self, hints: Vec<DegradedWrite>) {
-        if hints.is_empty() {
-            return;
-        }
-        self.degraded
-            .lock()
-            .expect("degraded queue lock")
-            .extend(hints);
+        self.degraded.lock().extend(hints);
     }
 
     /// Number of server *slots* (including joining and retired ones —
@@ -757,7 +782,7 @@ impl ServerPool {
         if new_clients.is_empty() {
             return Ok(Vec::new());
         }
-        let mut ring = self.ring.write().expect("pool ring lock");
+        let mut ring = self.ring.write();
         let state = &**ring;
         if state.transition.is_some() {
             return Err(MemFsError::MembershipBusy);
@@ -797,7 +822,7 @@ impl ServerPool {
     /// leave fewer members than the replication factor (or a slot-table
     /// hole the distributor cannot express).
     pub fn begin_remove_server(&self, id: ServerId) -> MemFsResult<()> {
-        let mut ring = self.ring.write().expect("pool ring lock");
+        let mut ring = self.ring.write();
         let state = &**ring;
         if state.transition.is_some() {
             return Err(MemFsError::MembershipBusy);
@@ -835,7 +860,7 @@ impl ServerPool {
 
     /// The live routing snapshot (for the mover and in-crate tests).
     pub(crate) fn ring_state(&self) -> Arc<RingState> {
-        Arc::clone(&self.ring.read().expect("pool ring lock"))
+        Arc::clone(&self.ring.read())
     }
 
     /// Wait until every operation that entered before this call has
@@ -856,7 +881,7 @@ impl ServerPool {
     /// dropped. The mover calls this after every range reached
     /// [`RangePhase::New`]; a no-op without an active transition.
     pub(crate) fn complete_transition(&self) {
-        let mut ring = self.ring.write().expect("pool ring lock");
+        let mut ring = self.ring.write();
         let state = &**ring;
         let Some(t) = &state.transition else {
             return;
@@ -900,7 +925,7 @@ impl ServerPool {
 
     /// Resolve one key's cross-replica write aggregate: full, degraded
     /// (recorded + queued for repair), or failed everywhere.
-    fn settle_write(&self, key: &[u8], agg: StoreAgg) -> MemFsResult<WriteOutcome> {
+    fn settle_write(&self, agg: StoreAgg) -> MemFsResult<WriteOutcome> {
         if agg.written == 0 {
             return Err(agg.err.expect("replication >= 1"));
         }
@@ -910,13 +935,10 @@ impl ServerPool {
         for id in &agg.missing {
             self.stats.bump_degraded(id.0);
         }
-        self.degraded
-            .lock()
-            .expect("degraded queue lock")
-            .push_back(DegradedWrite {
-                key: Bytes::copy_from_slice(key),
-                missing: agg.missing.clone(),
-            });
+        self.degraded.lock().push_back(DegradedWrite {
+            key: agg.key,
+            missing: agg.missing.clone(),
+        });
         Ok(WriteOutcome::Degraded {
             written: agg.written,
             missing: agg.missing,
@@ -937,9 +959,9 @@ impl ServerPool {
     /// first home's request goes on the wire through [`KvClient::start`],
     /// counted by [`PoolStats`] like a one-key batch; `beside` — a pool
     /// call that does not depend on the outcome — runs on the caller's
-    /// thread (a batched one opens its own submit window); then the request is settled and, if it succeeded,
-    /// applied to the remaining homes in turn. Under the sequential budget
-    /// (`io_parallelism = 1`) it settles before `beside` starts.
+    /// thread (a batched one starts its own window); then the request is
+    /// settled and, if it succeeded, applied to the remaining homes in
+    /// turn.
     pub fn store_beside<R>(
         &self,
         verb: StoreVerb,
@@ -952,17 +974,11 @@ impl ServerPool {
         let guard = self.stats.io(homes[0].0).track(1);
         let item = [(Bytes::copy_from_slice(key), value)];
         let deferred = state.client(homes[0]).start(Batch::Store(verb, &item));
-        let settle = move || {
-            let reply = deferred.wait();
-            drop(guard);
-            reply?.pop().expect("one reply per request").map(drop)
-        };
-        let (first, other) = if self.budget == 1 {
-            (settle(), beside())
-        } else {
-            let other = beside();
-            (settle(), other)
-        };
+        let other = beside();
+        let reply = deferred.wait();
+        drop(guard);
+        let first =
+            reply.and_then(|mut reply| reply.pop().expect("one reply per request").map(drop));
         let [(_, value)] = item;
         let rest = |(i, id): (usize, &ServerId)| match verb {
             StoreVerb::Append => match state.client(*id).append(key, &value) {
@@ -996,18 +1012,18 @@ impl ServerPool {
 
     /// Batched routed `get`: keys are grouped by primary server, each
     /// group travels as **one** multi-get ([`Batch::Get`]), and the
-    /// groups are on the wire
-    /// **concurrently** in the submit window — a prefetch window of `w`
-    /// stripes over `n` servers costs one parallel round trip (`max` of
-    /// the per-server times), not `n` sequential ones. Results come back
-    /// in input order.
+    /// groups are on the wire **concurrently** — a window of `w` stripes
+    /// over `n` servers costs one parallel round trip (`max` of the
+    /// per-server times), not `n` sequential ones. Results come back in
+    /// input order.
     ///
     /// Fallback mirrors [`ServerPool::get`]: a transport failure (of the
     /// whole batch or a single key) retries that key through the replica
-    /// chain when that server's batch settles, so a dead server degrades
+    /// chain when that server's share settles, so a dead server degrades
     /// only its own keys while the healthy servers' batches proceed.
     pub fn get_many(&self, keys: &[Bytes]) -> Vec<MemFsResult<Bytes>> {
-        self.read_batched(keys, |key| (key.as_ref(), None), |keys| Batch::Get(keys))
+        let reqs = keys.iter().map(|key| (key.clone(), None)).collect();
+        self.finish_reads(self.start_reads(reqs))
     }
 
     /// Batched routed *ranged* `get`: for each `(key, offset, len)` the
@@ -1015,49 +1031,57 @@ impl ServerPool {
     /// ([`Batch::GetRange`]) — a fine-grain read moves the range, not the
     /// stripe. Routing, dispatch and accounting are
     /// [`ServerPool::get_many`]'s: grouped by primary, one batch per
-    /// server in the submit window, and the same replica walk on failure
+    /// server in one window, and the same replica walk on failure
     /// (`NotFound` final only from an authoritative home, the failed
     /// server skipped, failover copies past the owner set consulted last).
     /// Requests pair with results by position, so one key may appear with
     /// several ranges.
     pub fn get_range_many(&self, reqs: &[(Bytes, u64, usize)]) -> Vec<MemFsResult<Bytes>> {
-        self.read_batched(
-            reqs,
-            |(key, offset, len)| (key.as_ref(), Some((*offset, *len))),
-            |ranges| Batch::GetRange(ranges),
-        )
+        let reqs = reqs
+            .iter()
+            .map(|(key, offset, len)| (key.clone(), Some((*offset, *len))))
+            .collect();
+        self.finish_reads(self.start_reads(reqs))
     }
 
-    /// The one body of the batched reads: group `reqs` by primary server,
-    /// start each group as a `kind` batch in the submit window, resolve
-    /// the replies against the replica chain
-    /// ([`ServerPool::finish_fetch`]). `target` names each request's key
-    /// and range.
-    fn read_batched<K: Clone>(
-        &self,
-        reqs: &[K],
-        target: impl for<'k> Fn(&'k K) -> (&'k [u8], ByteRange),
-        kind: impl for<'k> Fn(&'k [K]) -> Batch<'k>,
-    ) -> Vec<MemFsResult<Bytes>> {
-        let (_gate, state) = self.begin_op();
-        let mut batches: Vec<ServerBatch<K>> = vec![(Vec::new(), Vec::new()); state.clients.len()];
-        for (i, req) in reqs.iter().enumerate() {
-            let (idx, batch) = &mut batches[state.primary(target(req).0).0];
+    /// Start a read of `reqs`, grouped by primary server: one `Get` batch
+    /// per server when no request names a range, one `GetRange` batch
+    /// otherwise.
+    pub(crate) fn start_reads(&self, reqs: Vec<ReadReq>) -> Window<ReadReq> {
+        let op = self.begin_op();
+        let mut batches: Vec<ServerBatch<ReadReq>> =
+            vec![(Vec::new(), Vec::new()); op.1.clients.len()];
+        let len = reqs.len();
+        for (i, req) in reqs.into_iter().enumerate() {
+            let (idx, batch) = &mut batches[op.1.primary(&req.0).0];
             idx.push(i);
-            batch.push(req.clone());
+            batch.push(req);
         }
-        let mut out: Vec<Option<MemFsResult<Bytes>>> = (0..reqs.len()).map(|_| None).collect();
-        self.drive(
-            batches,
-            |server, batch| state.clients[server].start(kind(batch)),
-            |server, idx, batch, result| {
-                let targets = batch.iter().map(&target);
-                let results = self.finish_fetch(&state, server, targets, result);
-                for (&i, r) in idx.iter().zip(results) {
-                    out[i] = Some(r);
-                }
-            },
-        );
+        self.start(op, len, batches, |client, reqs| {
+            if reqs.iter().all(|(_, range)| range.is_none()) {
+                let keys: Vec<Bytes> = reqs.iter().map(|(key, _)| key.clone()).collect();
+                return client.start(Batch::Get(&keys));
+            }
+            let ranges: Vec<(Bytes, u64, usize)> = reqs
+                .iter()
+                .map(|(key, range)| {
+                    let (offset, len) = range.unwrap_or((0, usize::MAX));
+                    (key.clone(), offset, len)
+                })
+                .collect();
+            client.start(Batch::GetRange(&ranges))
+        })
+    }
+
+    /// Settle every share of a started read, in arrival order, into
+    /// results in input order.
+    fn finish_reads(&self, mut window: Window<ReadReq>) -> Vec<MemFsResult<Bytes>> {
+        let mut out: Vec<Option<MemFsResult<Bytes>>> = (0..window.len).map(|_| None).collect();
+        while let Some(share) = window.next() {
+            for (i, r) in self.settle_read(share) {
+                out[i] = Some(r);
+            }
+        }
         out.into_iter()
             .map(|r| r.expect("every request grouped exactly once"))
             .collect()
@@ -1077,9 +1101,9 @@ impl ServerPool {
 
     /// Batched routed `set` with per-key outcomes: items are grouped per
     /// replica-holding server and each group travels as one pipelined
-    /// [`Batch::Store`], all groups in the submit window **concurrently**
-    /// (replica batches to different servers overlap too). Every batch is always attempted; results come back in input
-    /// order.
+    /// [`Batch::Store`], all groups on the wire **concurrently** (replica
+    /// batches to different servers overlap too). Every batch is always
+    /// attempted; results come back in input order.
     ///
     /// Per-key semantics mirror [`ServerPool::delete_many`]'s aggregate:
     /// a key every replica accepted is [`WriteOutcome::Full`]; a key some
@@ -1087,33 +1111,42 @@ impl ServerPool {
     /// (durable, recorded in the repair queue with the missing servers);
     /// a key every replica failed is `Err`.
     pub fn set_many_outcomes(&self, items: &[(Bytes, Bytes)]) -> Vec<MemFsResult<WriteOutcome>> {
-        let (_gate, state) = self.begin_op();
-        // With replication, each item lands on `r` ring-successor servers
-        // — build one batch per *target* server across all replicas; each
-        // entry remembers which input item it resolves.
+        self.finish_writes(self.start_writes(items))
+    }
+
+    /// Start a replicated `set` of `items`. With replication each item
+    /// lands on `r` ring-successor servers, so this builds one batch per
+    /// *target* server across all replicas.
+    pub(crate) fn start_writes(&self, items: &[(Bytes, Bytes)]) -> Window<(Bytes, Bytes)> {
+        let op = self.begin_op();
         let mut batches: Vec<ServerBatch<(Bytes, Bytes)>> =
-            vec![(Vec::new(), Vec::new()); state.clients.len()];
+            vec![(Vec::new(), Vec::new()); op.1.clients.len()];
         for (i, (key, value)) in items.iter().enumerate() {
-            for id in state.route(key, self.replication) {
+            for id in op.1.route(key, self.replication) {
                 batches[id.0].0.push(i);
                 batches[id.0].1.push((key.clone(), value.clone()));
             }
         }
-        let mut agg: Vec<StoreAgg> = (0..items.len()).map(|_| StoreAgg::default()).collect();
-        self.drive(
-            batches,
-            |server, batch| state.clients[server].start(Batch::Store(StoreVerb::Set, batch)),
-            |server, idx, batch, result| {
-                for (&i, o) in idx.iter().zip(finish_store(batch.len(), result)) {
-                    agg[i].merge(server, o);
-                }
-            },
-        );
-        items
-            .iter()
-            .zip(agg)
-            .map(|((key, _), a)| self.settle_write(key, a))
-            .collect()
+        self.start(op, items.len(), batches, |client, items| {
+            client.start(Batch::Store(StoreVerb::Set, items))
+        })
+    }
+
+    /// Settle every share of a started write, in arrival order, into
+    /// [`ServerPool::set_many_outcomes`]'s per-key outcomes. A degraded
+    /// key's repair hint is queued here, on the settling thread.
+    pub(crate) fn finish_writes(
+        &self,
+        mut window: Window<(Bytes, Bytes)>,
+    ) -> Vec<MemFsResult<WriteOutcome>> {
+        let mut agg: Vec<StoreAgg> = (0..window.len).map(|_| StoreAgg::default()).collect();
+        while let Some(share) = window.next() {
+            let outcomes = finish_store(share.entries.len(), share.reply.wait());
+            for ((&i, (key, _)), o) in share.idx.iter().zip(&share.entries).zip(outcomes) {
+                agg[i].merge(share.server, key, o);
+            }
+        }
+        agg.into_iter().map(|a| self.settle_write(a)).collect()
     }
 
     /// Routed atomic `append`, applied to every replica (see the ordering
@@ -1135,35 +1168,35 @@ impl ServerPool {
 
     /// Batched routed `delete`: keys are grouped per replica-holding
     /// server, each group travels as one pipelined [`Batch::Delete`], and
-    /// the groups are in the submit window concurrently — freeing a
-    /// striped file costs one parallel round trip per chunk instead of one
-    /// round trip per stripe.
+    /// the groups are on the wire concurrently — freeing a striped file
+    /// costs one parallel round trip per chunk instead of one round trip
+    /// per stripe.
     ///
     /// Per key: `Ok(true)` if any replica deleted the key, `Ok(false)` if
     /// every live replica reported it missing, `Err` only if all replicas
     /// failed.
     pub fn delete_many(&self, keys: &[Bytes]) -> Vec<MemFsResult<bool>> {
-        let (_gate, state) = self.begin_op();
+        let op = self.begin_op();
         // One batch per *target* server across all replicas; each entry
         // remembers which input key it resolves.
         let mut batches: Vec<ServerBatch<Bytes>> =
-            vec![(Vec::new(), Vec::new()); state.clients.len()];
+            vec![(Vec::new(), Vec::new()); op.1.clients.len()];
         for (i, key) in keys.iter().enumerate() {
-            for id in state.route(key, self.replication) {
+            for id in op.1.route(key, self.replication) {
                 batches[id.0].0.push(i);
                 batches[id.0].1.push(key.clone());
             }
         }
+        let mut window = self.start(op, keys.len(), batches, |client, keys| {
+            client.start(Batch::Delete(keys))
+        });
         let mut agg: Vec<EraseAgg> = (0..keys.len()).map(|_| EraseAgg::default()).collect();
-        self.drive(
-            batches,
-            |server, batch| state.clients[server].start(Batch::Delete(batch)),
-            |_, idx, batch, result| {
-                for (&i, o) in idx.iter().zip(finish_erase(batch.len(), result)) {
-                    agg[i].merge(o);
-                }
-            },
-        );
+        while let Some(share) = window.next() {
+            let outcomes = finish_erase(share.entries.len(), share.reply.wait());
+            for (&i, o) in share.idx.iter().zip(outcomes) {
+                agg[i].merge(o);
+            }
+        }
         agg.into_iter().map(EraseAgg::resolve).collect()
     }
 
@@ -1171,10 +1204,44 @@ impl ServerPool {
     /// entered *first* so that once [`GenGate::advance_and_wait`]
     /// returns, no operation still works from a snapshot taken before
     /// the phases the mover just published.
-    fn begin_op(&self) -> (GateGuard<'_>, Arc<RingState>) {
+    fn begin_op(&self) -> (GateGuard, Arc<RingState>) {
         let gate = self.gate.enter();
         let state = self.ring_state();
         (gate, state)
+    }
+
+    /// Put one batch per non-empty slot of `batches` (`len` input entries
+    /// routed by `op`'s snapshot) on the wire at once, through `submit`:
+    /// the dispatch half of every batched call, on the caller's thread.
+    /// The window holds `op`'s gate entry until its last share is
+    /// answered, and each share its server's in-flight gauge until its own
+    /// answer — the transport drops both ([`Deferred::when_answered`]), so
+    /// a window left unsettled in an idle handle stalls neither
+    /// [`ServerPool::quiesce`] nor the gauge.
+    fn start<K>(
+        &self,
+        (gate, state): (GateGuard, Arc<RingState>),
+        len: usize,
+        batches: Vec<ServerBatch<K>>,
+        submit: impl Fn(&dyn KvClient, &[K]) -> Deferred<Bytes>,
+    ) -> Window<K> {
+        let mut shares = Vec::new();
+        for (server, (idx, entries)) in batches.into_iter().enumerate() {
+            if entries.is_empty() {
+                continue;
+            }
+            let in_flight = self.stats.io(server).track(entries.len());
+            let mut reply = submit(&*state.clients[server], &entries);
+            let gate = gate.share();
+            reply.when_answered(move || drop((in_flight, gate)));
+            shares.push(Share {
+                server,
+                idx,
+                entries,
+                reply,
+            });
+        }
+        Window { len, shares }
     }
 
     /// The one replica walk behind every routed read: try `key`'s homes
@@ -1243,90 +1310,41 @@ impl ServerPool {
         Err(err.into())
     }
 
-    /// Resolve one server's batched-read replies against the replica
-    /// chain: the completion half of a `get_many` or `get_range_many`
-    /// batch, whose `targets` are each entry's key and range in order.
-    fn finish_fetch<'k>(
-        &self,
-        state: &RingState,
-        server: usize,
-        targets: impl Iterator<Item = (&'k [u8], ByteRange)>,
-        result: Replies,
-    ) -> Vec<MemFsResult<Bytes>> {
-        let io = self.stats.io(server);
-        let fall_back = |key: &[u8], range: ByteRange, e: KvError| {
-            io.bump_fallback();
-            self.get_routed(state, key, range, Some(server), Some(e))
+    /// Settle one read share on the caller's thread: its results, paired
+    /// with their input positions. An entry whose server failed — the
+    /// whole batch or just that entry — walks its replica chain
+    /// ([`ServerPool::get_routed`], the failed server skipped) under the
+    /// ring as it is *now*, in a gate entry of its own: the window's
+    /// entry went with its answer. Replicas (if any) thus serve a dead
+    /// server's keys while the other servers' shares settle untouched.
+    pub(crate) fn settle_read(&self, share: Share<ReadReq>) -> Vec<(usize, MemFsResult<Bytes>)> {
+        let Share {
+            server,
+            idx,
+            entries,
+            reply,
+        } = share;
+        let fall_back = |(key, range): &ReadReq, e: KvError| {
+            self.stats.io(server).bump_fallback();
+            let (_gate, state) = self.begin_op();
+            self.get_routed(&state, key, *range, Some(server), Some(e))
         };
-        match result {
-            Ok(results) => targets
-                .zip(results)
-                .map(|((key, range), r)| match r {
+        let results: Vec<MemFsResult<Bytes>> = match reply.wait() {
+            Ok(replies) => entries
+                .iter()
+                .zip(replies)
+                .map(|(req, r)| match r {
                     Ok(v) => Ok(v),
                     Err(KvError::NotFound) => Err(KvError::NotFound.into()),
-                    // Per-key transport/server error: replica chain.
-                    Err(e) => fall_back(key, range, e),
+                    Err(e) => fall_back(req, e),
                 })
                 .collect(),
-            // Whole-batch transport failure: fall back key by key so
-            // replicas (if any) still serve this server's share while the
-            // other servers' batches proceed untouched.
-            Err(e) => targets
-                .map(|(key, range)| fall_back(key, range, e.duplicate()))
-                .collect(),
-        }
-    }
-
-    /// The submit window — the one dispatch path of every batched call.
-    /// `batches` is indexed by server slot; each non-empty one is
-    /// submitted through `start` until `budget` are in flight, then
-    /// completed ones are settled through `finish` as slots are needed,
-    /// refilling the window as each frees. Submission is non-blocking for
-    /// an evented client (the shared reactor owns the sockets), so the
-    /// whole window is on the wire concurrently while this — the only
-    /// thread the call occupies — waits on one completion at a time.
-    /// Completions are settled in *arrival* order
-    /// ([`Deferred::is_ready`]): the shared reactor delivers them in
-    /// cross-server batches as they land anywhere in the cluster, so a
-    /// slow server never blocks the window behind its submission position
-    /// — only the slot it actually holds. An in-process client completes
-    /// inside `start` and simply gets no overlap; budget 1 settles every
-    /// batch before submitting the next.
-    fn drive<K>(
-        &self,
-        batches: Vec<ServerBatch<K>>,
-        start: impl Fn(usize, &[K]) -> Deferred<Bytes>,
-        mut finish: impl FnMut(usize, &[usize], &[K], Replies),
-    ) {
-        type Window<K> = VecDeque<(usize, ServerBatch<K>, Deferred<Bytes>, InFlightGuard)>;
-        let mut window: Window<K> = VecDeque::new();
-        let mut settle_one = |window: &mut Window<K>| {
-            // Prefer a batch whose completion already landed; block on
-            // the oldest only when none is ready yet.
-            let pos = window
+            Err(e) => entries
                 .iter()
-                .position(|(_, _, deferred, _)| deferred.is_ready())
-                .unwrap_or(0);
-            let (server, (idx, batch), deferred, guard) =
-                window.remove(pos).expect("window filled");
-            let result = deferred.wait();
-            drop(guard);
-            finish(server, &idx, &batch, result);
+                .map(|req| fall_back(req, e.duplicate()))
+                .collect(),
         };
-        for (server, (idx, batch)) in batches.into_iter().enumerate() {
-            if batch.is_empty() {
-                continue;
-            }
-            while window.len() >= self.budget {
-                settle_one(&mut window);
-            }
-            let guard = self.stats.io(server).track(batch.len());
-            let deferred = start(server, &batch);
-            window.push_back((server, (idx, batch), deferred, guard));
-        }
-        while !window.is_empty() {
-            settle_one(&mut window);
-        }
+        idx.into_iter().zip(results).collect()
     }
 }
 
@@ -1337,7 +1355,6 @@ impl std::fmt::Debug for ServerPool {
             .field("n_servers", &state.clients.len())
             .field("members", &state.members.len())
             .field("transition", &state.transition.is_some())
-            .field("io_parallelism", &self.io_parallelism())
             .finish()
     }
 }
@@ -1706,51 +1723,24 @@ pub(crate) mod tests {
         );
     }
 
-    #[test]
-    fn io_parallelism_is_the_budget_capped_at_the_member_count() {
-        let clients = |n: usize| -> Vec<Arc<dyn KvClient>> {
-            (0..n)
-                .map(|_| {
-                    Arc::new(LocalClient::new(Arc::new(Store::new(
-                        StoreConfig::default(),
-                    )))) as Arc<dyn KvClient>
-                })
-                .collect()
-        };
-        // Auto: unlimited budget, one batch per member.
-        let p = ServerPool::with_options(clients(4), DistributorKind::default(), 1, 0);
-        assert_eq!(p.io_parallelism(), 4);
-        // Explicit budget.
-        let p = ServerPool::with_options(clients(4), DistributorKind::default(), 1, 2);
-        assert_eq!(p.io_parallelism(), 2);
-        // A budget wider than the pool is capped at the member count.
-        let p = ServerPool::with_options(clients(4), DistributorKind::default(), 1, 8);
-        assert_eq!(p.io_parallelism(), 4);
-        // Budget 1: one batch at a time.
-        let p = ServerPool::with_options(clients(4), DistributorKind::default(), 1, 1);
-        assert_eq!(p.io_parallelism(), 1);
-        // Single server: nothing to overlap.
-        let p = ServerPool::with_options(clients(1), DistributorKind::default(), 1, 0);
-        assert_eq!(p.io_parallelism(), 1);
-    }
-
     /// What every [`SubmitProbe`] sharing the log saw, in order: each
     /// batch (a single-key call is a batch of one) when it is submitted
-    /// (`true`) and when it settles (`false`), with its requests named as
-    /// on the wire (`add f:/a`, `getrange d:/ 0 0`).
+    /// (`true`) and when it settles or is dropped unsettled (`false`),
+    /// with its requests named as on the wire (`add f:/a`,
+    /// `getrange d:/ 0 0`).
     #[derive(Default)]
     pub(crate) struct ProbeLog(Mutex<Vec<(bool, Vec<String>)>>);
 
     impl ProbeLog {
         fn push(&self, submitted: bool, requests: &[String]) {
-            let mut log = self.0.lock().unwrap();
+            let mut log = self.0.lock();
             log.push((submitted, requests.to_vec()));
         }
 
         /// Batches `(in flight at the end of the log, at its high-water
         /// mark)`.
         fn in_flight(&self) -> (usize, usize) {
-            let log = self.0.lock().unwrap();
+            let log = self.0.lock();
             log.iter().fold((0, 0), |(now, max), (submitted, _)| {
                 let now = if *submitted { now + 1 } else { now - 1 };
                 (now, max.max(now))
@@ -1765,7 +1755,7 @@ pub(crate) mod tests {
         pub(crate) fn take_steps(&self) -> Vec<Vec<String>> {
             let mut steps: Vec<Vec<String>> = Vec::new();
             let mut in_flight = 0usize;
-            for (submitted, requests) in self.0.lock().unwrap().drain(..) {
+            for (submitted, requests) in self.0.lock().drain(..) {
                 if !submitted {
                     in_flight -= 1;
                     continue;
@@ -1784,11 +1774,20 @@ pub(crate) mod tests {
 
     /// Wrapper around a [`LocalClient`] that records every request in a
     /// [`ProbeLog`]: a batch is logged when it is started and stays in
-    /// flight until the pool waits on it — so the log shows the submit
-    /// window the pool actually keeps open.
+    /// flight until the pool waits on it (or drops it unsettled) — so the
+    /// log shows the windows the pool actually keeps open.
     struct SubmitProbe {
         inner: LocalClient,
         log: Arc<ProbeLog>,
+    }
+
+    /// Logs its batch as settled when it goes, waited on or not.
+    struct Settles(Arc<ProbeLog>, Vec<String>);
+
+    impl Drop for Settles {
+        fn drop(&mut self) {
+            self.0.push(false, &self.1);
+        }
     }
 
     fn named(verb: &str, key: &[u8]) -> String {
@@ -1811,13 +1810,14 @@ pub(crate) mod tests {
             };
             let result = self.inner.start(batch).wait();
             self.log.push(true, &requests);
-            let log = Arc::clone(&self.log);
+            let settles = Settles(Arc::clone(&self.log), requests);
             Deferred::Polled {
                 ready: Box::new(|| false),
                 finish: Box::new(move || {
-                    log.push(false, &requests);
+                    drop(settles);
                     result
                 }),
+                answered: None,
             }
         }
     }
@@ -1834,50 +1834,39 @@ pub(crate) mod tests {
         (stores.iter().map(probe).collect(), log)
     }
 
-    fn probe_pool(n: usize, io_parallelism: usize) -> (ServerPool, Arc<ProbeLog>) {
+    fn probe_pool(n: usize) -> (ServerPool, Arc<ProbeLog>) {
         let stores: Vec<Arc<Store>> = (0..n)
             .map(|_| Arc::new(Store::new(StoreConfig::default())))
             .collect();
         let (clients, log) = probe_clients(&stores);
-        let pool = ServerPool::with_options(clients, DistributorKind::default(), 1, io_parallelism);
-        (pool, log)
+        (ServerPool::new(clients, DistributorKind::default()), log)
     }
 
     #[test]
-    fn submit_budget_caps_in_flight_batches() {
+    fn every_batch_of_a_call_is_on_the_wire_at_once() {
         // Enough keys that all 6 servers get a batch.
         let keys: Vec<Bytes> = (0..96).map(|i| Bytes::from(format!("s:/f{i}#0"))).collect();
         let items: Vec<(Bytes, Bytes)> = keys
             .iter()
             .map(|k| (k.clone(), Bytes::from_static(b"v")))
             .collect();
-
-        // Budget 2: never more than two batches in flight, for every op.
-        let (p, log) = probe_pool(6, 2);
-        assert_eq!(p.io_parallelism(), 2);
+        let (p, log) = probe_pool(6);
         p.set_many(&items).unwrap();
+        assert_eq!(log.in_flight(), (0, 6));
         for r in p.get_many(&keys) {
             r.unwrap();
         }
         for r in p.delete_many(&keys) {
             assert!(r.unwrap());
         }
-        assert_eq!(
-            log.in_flight(),
-            (0, 2),
-            "window must fill to budget, and drain"
-        );
-
-        // Budget 0 (auto): full fan-out, all six servers in flight at once.
-        let (p, log) = probe_pool(6, 0);
-        assert_eq!(p.io_parallelism(), 6);
-        p.set_many(&items).unwrap();
-        assert_eq!(log.in_flight(), (0, 6));
+        let steps = log.take_steps();
+        assert_eq!(steps.len(), 3, "one step per call");
+        assert!(steps.iter().all(|step| step.len() == 96));
     }
 
     #[test]
     fn an_arbitration_request_rides_beside_one_window_and_is_counted() {
-        let (p, log) = probe_pool(4, 0);
+        let (p, log) = probe_pool(4);
         let keys: Vec<Bytes> = (0..8).map(|i| Bytes::from(format!("k{i}"))).collect();
         let (added, got) =
             p.store_beside(StoreVerb::Add, b"gate", Bytes::new(), || p.get_many(&keys));
@@ -1904,18 +1893,9 @@ pub(crate) mod tests {
         p.append(b"gate", b"x").unwrap();
         assert_eq!(p.get(b"gate").unwrap().as_ref(), b"x");
         log.take_steps();
-
-        // The sequential budget: the request settles before anything
-        // else starts.
-        let (p, log) = probe_pool(4, 1);
-        let (added, _) = p.store_beside(StoreVerb::Add, b"gate", Bytes::new(), || {
-            p.get_many(&keys[..1])
-        });
-        added.unwrap();
-        assert_eq!(log.take_steps(), [["add gate"], ["get k0"]]);
     }
 
-    fn failable_pool(
+    pub(crate) fn failable_pool(
         n: usize,
         replication: usize,
     ) -> (
@@ -1942,21 +1922,14 @@ pub(crate) mod tests {
 
     #[test]
     fn single_key_calls_are_their_batches_with_one_entry() {
-        let replicated = |io_parallelism: usize| {
-            let stores: Vec<Arc<Store>> = (0..2)
-                .map(|_| Arc::new(Store::new(StoreConfig::default())))
-                .collect();
-            let (clients, log) = probe_clients(&stores);
-            let kind = DistributorKind::default();
-            (
-                ServerPool::with_options(clients, kind, 2, io_parallelism),
-                log,
-            )
-        };
+        let stores: Vec<Arc<Store>> = (0..2)
+            .map(|_| Arc::new(Store::new(StoreConfig::default())))
+            .collect();
+        let (clients, log) = probe_clients(&stores);
+        let p = ServerPool::with_replication(clients, DistributorKind::default(), 2);
         let value = Bytes::from_static(b"v");
         // r = 2: both replicas' requests are on the wire before either
         // settles — one step, not one round trip per replica.
-        let (p, log) = replicated(0);
         p.set(b"k", value.clone()).unwrap();
         assert_eq!(log.take_steps(), [["set k", "set k"]]);
         assert_eq!(p.get(b"k").unwrap(), value);
@@ -1970,12 +1943,6 @@ pub(crate) mod tests {
         assert_eq!(snap.iter().map(|s| s.batches).sum::<u64>(), 2 + 1 + 2 + 2);
         assert!(snap.iter().all(|s| s.keys == s.batches && s.in_flight == 0));
         assert!(snap.iter().all(|s| s.max_in_flight == 1));
-        // The sequential budget settles one replica before the next starts.
-        let (p, log) = replicated(1);
-        p.set(b"k", value.clone()).unwrap();
-        assert_eq!(log.take_steps(), [["set k"], ["set k"]]);
-        p.delete_quiet(b"k").unwrap();
-        assert_eq!(log.take_steps(), [["delete k"], ["delete k"]]);
 
         // One replica down: the write is durable and degraded, exactly as
         // its batched form reports it; the delete is quiet about it.
@@ -2323,5 +2290,156 @@ pub(crate) mod tests {
         }
         stop.store(true, Ordering::SeqCst);
         writer.join().unwrap();
+    }
+
+    // ---- the gate rule: a window holds the gate until it is answered ----
+
+    /// Answers held back: every batch of every [`LatchClient`] sharing it
+    /// is applied at once but answered only when the latch opens.
+    #[derive(Default)]
+    struct Latch {
+        state: Mutex<(bool, Vec<memfs_memkv::AnswerHook>)>,
+        opened: parking_lot::Condvar,
+    }
+
+    impl Latch {
+        fn open(&self) {
+            let hooks = {
+                let mut state = self.state.lock();
+                state.0 = true;
+                std::mem::take(&mut state.1)
+            };
+            self.opened.notify_all();
+            hooks.into_iter().for_each(|hook| hook());
+        }
+    }
+
+    struct LatchClient {
+        inner: LocalClient,
+        latch: Arc<Latch>,
+    }
+
+    impl KvClient for LatchClient {
+        fn start(&self, batch: Batch<'_>) -> Deferred<Bytes> {
+            let result = self.inner.start(batch).wait();
+            let (ready, finish, answered) = (
+                Arc::clone(&self.latch),
+                Arc::clone(&self.latch),
+                Arc::clone(&self.latch),
+            );
+            Deferred::Polled {
+                ready: Box::new(move || ready.state.lock().0),
+                finish: Box::new(move || {
+                    let mut state = finish.state.lock();
+                    while !state.0 {
+                        finish.opened.wait(&mut state);
+                    }
+                    result
+                }),
+                answered: Some(Box::new(move |hook| {
+                    let mut state = answered.state.lock();
+                    if state.0 {
+                        drop(state);
+                        hook();
+                    } else {
+                        state.1.push(hook);
+                    }
+                })),
+            }
+        }
+    }
+
+    /// `pool.quiesce()` on a thread of its own; the receiver hears when it
+    /// returns.
+    fn quiesce_in_background(pool: &Arc<ServerPool>) -> std::sync::mpsc::Receiver<()> {
+        let (done, returned) = std::sync::mpsc::channel();
+        let pool = Arc::clone(pool);
+        std::thread::spawn(move || {
+            pool.quiesce();
+            let _ = done.send(());
+        });
+        returned
+    }
+
+    #[test]
+    fn quiesce_waits_for_a_window_until_it_is_answered_not_settled() {
+        let latch = Arc::new(Latch::default());
+        let clients = (0..3)
+            .map(|_| {
+                let store = Arc::new(Store::new(StoreConfig::default()));
+                Arc::new(LatchClient {
+                    inner: LocalClient::new(store),
+                    latch: Arc::clone(&latch),
+                }) as Arc<dyn KvClient>
+            })
+            .collect();
+        let p = Arc::new(ServerPool::new(clients, DistributorKind::default()));
+        let keys: Vec<Bytes> = (0..12).map(|i| Bytes::from(format!("k{i}"))).collect();
+        let items: Vec<(Bytes, Bytes)> = keys.iter().map(|k| (k.clone(), k.clone())).collect();
+        let writes = p.start_writes(&items);
+        // No server has answered: a membership change must wait.
+        let quiesced = quiesce_in_background(&p);
+        let short = Duration::from_millis(100);
+        assert!(
+            quiesced.recv_timeout(short).is_err(),
+            "quiesce passed a window on the wire"
+        );
+        assert!(p.stats().snapshot().iter().any(|s| s.in_flight > 0));
+        // Answered and still unsettled: nothing is left to wait for.
+        latch.open();
+        quiesced.recv_timeout(Duration::from_secs(10)).unwrap();
+        assert!(p.stats().snapshot().iter().all(|s| s.in_flight == 0));
+        let reads = p.start_reads(keys.iter().map(|k| (k.clone(), None)).collect());
+        quiesce_in_background(&p)
+            .recv_timeout(Duration::from_secs(10))
+            .unwrap();
+        // Settling afterwards still delivers every result.
+        assert!(p.finish_writes(writes).iter().all(|o| o.is_ok()));
+        for (key, value) in keys.iter().zip(p.finish_reads(reads)) {
+            assert_eq!(&value.unwrap(), key);
+        }
+    }
+
+    #[test]
+    fn a_timed_out_or_severed_exchange_releases_the_gate() {
+        use memfs_memkv::{PoolConfig, TcpClient};
+        use std::net::TcpListener;
+        let config = PoolConfig {
+            connections: 1,
+            timeout: Duration::from_millis(200),
+            ..PoolConfig::default()
+        };
+        let one_client_pool = |listener: &TcpListener| {
+            let addr = listener.local_addr().unwrap();
+            let client = TcpClient::connect_with(addr, config.clone()).unwrap();
+            let pool = ServerPool::new(vec![Arc::new(client)], DistributorKind::default());
+            let accepted = listener.accept().unwrap().0;
+            (Arc::new(pool), accepted)
+        };
+        let transport =
+            |r: &MemFsResult<Bytes>| matches!(r, Err(MemFsError::Storage(e)) if e.is_transport());
+        let get_k = || vec![(Bytes::from_static(b"k"), None)];
+
+        // A server that accepts and never answers: the deadline answers.
+        let silent = TcpListener::bind("127.0.0.1:0").unwrap();
+        let (p, _held_open) = one_client_pool(&silent);
+        let window = p.start_reads(get_k());
+        quiesce_in_background(&p)
+            .recv_timeout(Duration::from_secs(10))
+            .expect("a timed-out exchange kept the gate");
+        let results = p.finish_reads(window);
+        assert!(transport(&results[0]), "{:?}", results[0]);
+
+        // A server that goes away mid-request: the severed connection
+        // answers (after one refused replay).
+        let doomed = TcpListener::bind("127.0.0.1:0").unwrap();
+        let (p, accepted) = one_client_pool(&doomed);
+        let window = p.start_reads(get_k());
+        drop((accepted, doomed));
+        quiesce_in_background(&p)
+            .recv_timeout(Duration::from_secs(10))
+            .expect("a severed exchange kept the gate");
+        let results = p.finish_reads(window);
+        assert!(transport(&results[0]), "{:?}", results[0]);
     }
 }

@@ -37,14 +37,24 @@
 //! recognised by its second read. With `window == 0` there is no cache, so
 //! sub-stripe spans are always ranged.
 //!
-//! For the same reason a caching reader may start with stripe 0 already
-//! `Ready` (`StripeReader::with_first_stripe`): `MemFs::open` fetches it
-//! in the same step as the size record — a finalized file's stripes never
-//! change — so opening and reading a one-stripe file is one round trip.
+//! For the same reason a caching reader may start with stripe 0 on its way
+//! (`StripeReader::with_first_stripe`): `MemFs::open` asks for it in the
+//! same step as the size record — a finalized file's stripes never change
+//! — so opening and reading a one-stripe file is one round trip.
 //!
-//! All misses of one read, whole and ranged, travel as **one**
-//! [`ServerPool::get_range_many`], queued *after* the window so the two
-//! overlap.
+//! All misses of one read, whole and ranged, travel as **one** read window
+//! of the pool, started *after* the prefetch window so the two overlap.
+//!
+//! Nothing here runs on a thread of its own. A window is started on the
+//! reading thread and its per-server shares stay pending in the cache:
+//! a slot is `Ready` bytes or `InFlight` with the share that is bringing
+//! them, and the reader that needs an `InFlight` stripe settles that
+//! share itself — filling every stripe it carried — so no reader ever
+//! waits for another to deliver. A share that failed leaves its stripes
+//! absent, and the reader that wanted one fetches it on its own. A read
+//! that may queue a window first settles every answered share, so one
+//! nobody came back for stops holding the prefetch budget. Only stripes
+//! that fit the size record are ever cached.
 //!
 //! The stream table goes slightly beyond the paper's strictly-consecutive
 //! scheme: it detects forward strides (including several interleaved
@@ -58,20 +68,45 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use memfs_hashring::schema::KeySchema;
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Mutex, MutexGuard};
 
 use crate::error::{MemFsError, MemFsResult};
 use crate::layout::{StripeLayout, StripeSpan};
-use crate::pool::ServerPool;
-use crate::threadpool::IoEngine;
+use crate::pool::{ReadReq, ServerPool, Share};
 
-/// State of one cache slot. A fetch that fails removes its claim and
-/// notifies, so an absent slot is also "failed: retry synchronously".
+/// State of one cache slot. A share that fails removes its claims, so an
+/// absent slot is also "failed: fetch it yourself".
 enum Slot {
-    /// A prefetch job is fetching this stripe.
-    InFlight,
+    /// A started share is bringing this stripe.
+    InFlight(Arc<Pending>),
     /// Stripe bytes are local.
     Ready(Bytes),
+}
+
+/// One server's share of a read this reader started — a prefetch window,
+/// a read's own requests, or the stripe 0 `open` asked for — kept until
+/// some reader needs what it carries, and then settled by that reader.
+struct Pending {
+    /// The share's positions in the read it belongs to, in entry order.
+    positions: Vec<usize>,
+    /// Per entry, the stripe whose slot it claimed, if any.
+    claims: Vec<Option<u64>>,
+    landing: Mutex<Landing>,
+}
+
+/// A pending share, then its results: kept for the read that started it,
+/// whoever settled it.
+struct Landing {
+    share: Option<Share<ReadReq>>,
+    results: Vec<Option<MemFsResult<Bytes>>>,
+}
+
+/// Stripe 0 as `MemFs::open` hands it over: bytes that came back in the
+/// size record's batch, or the share of `open`'s window still bringing
+/// them.
+pub(crate) enum FirstStripe {
+    Ready(Bytes),
+    InFlight(Share<ReadReq>),
 }
 
 struct CacheState {
@@ -82,14 +117,13 @@ struct CacheState {
 
 struct Cache {
     state: Mutex<CacheState>,
-    cv: Condvar,
     capacity: usize,
 }
 
 impl Cache {
     /// Insert a fetched stripe as `Ready`, evicting FIFO down to capacity.
-    /// Shared by the synchronous miss path and the background prefetch
-    /// jobs so the `order` queue is the single capacity authority.
+    /// Every settled share fills through here, so the `order` queue is the
+    /// single capacity authority.
     fn insert_ready_locked(&self, state: &mut CacheState, stripe: u64, data: Bytes) {
         while state.order.len() >= self.capacity {
             if let Some(victim) = state.order.pop_front() {
@@ -232,12 +266,12 @@ impl StreamTable {
 
 /// Where one span of a read gets its bytes.
 enum Source {
-    /// From the cache: the stripe itself, or `None` while another fetch
-    /// holds its slot (waited on after this read's own misses went out).
+    /// From the cache: the stripe itself, or `None` while a started share
+    /// holds its slot (settled after this read's own requests went out).
     Cached(Option<Bytes>),
-    /// The next reply of this read's one [`ServerPool::get_range_many`];
-    /// the piece starts at this offset of the stripe.
-    Fetched(usize),
+    /// Request `pos` of this read's own window; the piece starts at this
+    /// offset of the stripe.
+    Fetched(usize, usize),
 }
 
 /// A striped, prefetching reader over one finalized file.
@@ -246,26 +280,23 @@ pub struct StripeReader {
     layout: StripeLayout,
     file_size: u64,
     pool: Arc<ServerPool>,
-    engine: Option<Arc<IoEngine>>,
     window: usize,
-    cache: Arc<Cache>,
+    cache: Cache,
     streams: Mutex<StreamTable>,
 }
 
 impl StripeReader {
     /// Create a reader for `path` with final size `file_size`.
     ///
-    /// `engine`/`window` control prefetching; pass `None`/`0` to disable
-    /// (the "no prefetching" ablation of Figure 3b). The engine is the
-    /// mount's shared [`IoEngine`] — every open file's prefetch jobs ride
-    /// the same bounded worker set. `cache_stripes` caps the local cache
-    /// (8 MiB / stripe size by default).
+    /// `window` is how many stripes to prefetch ahead of a sequential
+    /// reader; `0` disables prefetching and the cache (the "no
+    /// prefetching" ablation of Figure 3b). `cache_stripes` caps the local
+    /// cache (8 MiB / stripe size by default).
     pub fn new(
         path: String,
         layout: StripeLayout,
         file_size: u64,
         pool: Arc<ServerPool>,
-        engine: Option<Arc<IoEngine>>,
         window: usize,
         cache_stripes: usize,
     ) -> Self {
@@ -274,36 +305,38 @@ impl StripeReader {
             layout,
             file_size,
             pool,
-            engine,
             window,
-            cache: Arc::new(Cache {
+            cache: Cache {
                 state: Mutex::new(CacheState {
                     slots: HashMap::new(),
                     order: VecDeque::new(),
                 }),
-                cv: Condvar::new(),
                 capacity: cache_stripes.max(1),
-            }),
+            },
             streams: Mutex::new(StreamTable::default()),
         }
     }
 
-    /// Start with stripe 0 already `Ready`: the bytes `MemFs::open`
-    /// fetched beside the size record, so a first read from byte 0 is a
-    /// cache copy (it still notes the stream and queues the window). Kept
-    /// only when the reader caches at all and `first` is exactly the
-    /// length the size record gives stripe 0; anything else is dropped and
-    /// the first read fetches, and reports, as it would have without it.
-    pub(crate) fn with_first_stripe(self, first: Option<Bytes>) -> Self {
-        let fits = |data: &Bytes| {
-            self.window > 0
-                && self.file_size > 0
-                && data.len() == self.layout.stripe_len(self.file_size, 0)
-        };
-        if let Some(data) = first.filter(fits) {
-            let mut state = self.cache.state.lock();
-            self.cache.insert_ready_locked(&mut state, 0, data);
+    /// Start with stripe 0 on its way: the bytes `MemFs::open` fetched
+    /// beside the size record, or the share of its window still bringing
+    /// them, so a first read from byte 0 is a cache copy (it still notes
+    /// the stream and queues the window). Kept only when the reader caches
+    /// at all; the bytes are kept only when they are exactly the length
+    /// the size record gives stripe 0. Anything else is dropped and the
+    /// first read fetches, and reports, as it would have without it.
+    pub(crate) fn with_first_stripe(self, first: Option<FirstStripe>) -> Self {
+        let first = first.filter(|_| self.window > 0 && self.file_size > 0);
+        let mut state = self.cache.state.lock();
+        match first {
+            Some(FirstStripe::Ready(data)) if self.fits(0, &data) => {
+                self.cache.insert_ready_locked(&mut state, 0, data);
+            }
+            Some(FirstStripe::InFlight(share)) => {
+                self.keep(&mut state, share, |_| Some(0));
+            }
+            _ => {}
         }
+        drop(state);
         self
     }
 
@@ -317,8 +350,8 @@ impl StripeReader {
     /// docs give the policy each span follows.
     ///
     /// A read spanning several stripes costs one parallel round trip: its
-    /// misses share one [`ServerPool::get_range_many`], whose per-server
-    /// batches are on the wire together.
+    /// misses share one read window, whose per-server batches are on the
+    /// wire together.
     pub fn read_at(&self, offset: u64, buf: &mut [u8]) -> MemFsResult<usize> {
         let spans = self.layout.spans(self.file_size, offset, buf.len());
         let Some(last) = spans.last() else {
@@ -344,87 +377,69 @@ impl StripeReader {
                 window_from = Some((span.stripe, table.note(span.stripe, end)));
             }
         }
-
-        // Classify every span, claiming the cached-path misses under one
-        // lock pass so concurrent readers and windows wait on this read
-        // instead of fetching the same stripes again.
-        let mut sources: Vec<Source> = Vec::with_capacity(spans.len());
-        let mut reqs: Vec<(Bytes, u64, usize)> = Vec::new();
-        let mut claimed: Vec<(usize, u64)> = Vec::new();
-        {
-            let mut state = caching.then(|| self.cache.state.lock());
-            for span in &spans {
-                let key = || Bytes::from(KeySchema::stripe_key(&self.path, span.stripe));
-                let cached = match state.as_mut() {
-                    Some(state) if streaming || whole(span) => {
-                        Some(match state.slots.get(&span.stripe) {
-                            Some(Slot::Ready(data)) => Source::Cached(Some(data.clone())),
-                            Some(Slot::InFlight) => Source::Cached(None),
-                            None => {
-                                state.slots.insert(span.stripe, Slot::InFlight);
-                                claimed.push((reqs.len(), span.stripe));
-                                let len = self.layout.stripe_len(self.file_size, span.stripe);
-                                reqs.push((key(), 0, len));
-                                Source::Fetched(0)
-                            }
-                        })
-                    }
-                    Some(state) => match state.slots.get(&span.stripe) {
-                        Some(Slot::Ready(data)) => Some(Source::Cached(Some(data.clone()))),
-                        _ => None,
-                    },
-                    None => None,
-                };
-                // No cache to fill, or a random access: move only the span.
-                sources.push(cached.unwrap_or_else(|| {
-                    reqs.push((key(), span.offset_in_stripe as u64, span.len));
-                    Source::Fetched(span.offset_in_stripe)
-                }));
-            }
+        if window_from.is_some() {
+            self.settle_answered();
         }
 
-        // Window first, so it overlaps the synchronous fetch below. A read
-        // served by ranges alone only leaves its end offset behind; one
-        // served by cache copies alone leaves nothing.
-        if let Some((furthest, stride)) = window_from {
-            self.prefetch_ahead(furthest, stride);
-        } else if caching && !reqs.is_empty() {
+        // Classify every span and start what this read needs under one
+        // lock pass, claiming the cached-path misses, so concurrent readers
+        // settle this read's shares instead of fetching the same stripes
+        // again.
+        let mut sources: Vec<Source> = Vec::with_capacity(spans.len());
+        let mut reqs: Vec<(Option<u64>, ReadReq)> = Vec::new();
+        let mine = {
+            let mut state = self.cache.state.lock();
+            for span in &spans {
+                let cached_path = caching && (streaming || whole(span));
+                let slot = state.slots.get(&span.stripe);
+                let (claim, range) = match slot {
+                    Some(Slot::Ready(data)) => {
+                        sources.push(Source::Cached(Some(data.clone())));
+                        continue;
+                    }
+                    Some(Slot::InFlight(_)) if cached_path => {
+                        sources.push(Source::Cached(None));
+                        continue;
+                    }
+                    // Claim and fetch the stripe whole, to keep it.
+                    None if cached_path => {
+                        let len = self.layout.stripe_len(self.file_size, span.stripe);
+                        (Some(span.stripe), (0, len))
+                    }
+                    // No cache to fill, or a random access: move only the span.
+                    _ => (None, (span.offset_in_stripe, span.len)),
+                };
+                sources.push(Source::Fetched(reqs.len(), range.0));
+                let key = self.stripe_key(span.stripe);
+                reqs.push((claim, (key, Some((range.0 as u64, range.1)))));
+            }
+            // Window first, so it overlaps this read's own requests. A read
+            // served by ranges alone only leaves its end offset behind; one
+            // served by cache copies alone leaves nothing.
+            let claimed = reqs.iter().filter(|(claim, _)| claim.is_some()).count();
+            if let Some((furthest, stride)) = window_from {
+                self.prefetch_ahead(&mut state, furthest, stride, claimed);
+            }
+            if reqs.is_empty() {
+                Vec::new()
+            } else {
+                self.start(&mut state, reqs)
+            }
+        };
+        if window_from.is_none() && caching && !mine.is_empty() {
             self.streams.lock().begin(last.stripe, end);
         }
 
-        let fetched = if reqs.is_empty() {
-            Vec::new()
-        } else {
-            self.pool.get_range_many(&reqs)
-        };
-        if !claimed.is_empty() {
-            // Every claimed slot must be resolved — Ready, or released on
-            // error — or waiters would hang on InFlight forever.
-            let mut state = self.cache.state.lock();
-            for &(req, stripe) in &claimed {
-                match &fetched[req] {
-                    Ok(data) => self
-                        .cache
-                        .insert_ready_locked(&mut state, stripe, data.clone()),
-                    Err(_) => {
-                        state.slots.remove(&stripe);
-                    }
-                }
-            }
-            drop(state);
-            self.cache.cv.notify_all();
-        }
-
-        let mut fetched = fetched.into_iter();
         let mut filled = 0usize;
         for (span, source) in spans.iter().zip(sources) {
             let (piece, starts_at) = match source {
                 Source::Cached(Some(data)) => (data, 0),
-                // `fetch` waits out the in-flight slot (and retries
-                // synchronously if its owner failed or it got evicted).
+                // Settle the share bringing it (or fetch it here, if that
+                // share failed or the stripe was evicted again since).
                 Source::Cached(None) => (self.fetch(span.stripe)?, 0),
-                Source::Fetched(starts_at) => {
-                    let reply = fetched.next().expect("one reply per request");
+                Source::Fetched(pos, starts_at) => {
+                    let pending = mine.iter().find(|p| p.positions.contains(&pos));
+                    let reply = self.take(pending.expect("every request started"), pos);
                     (
                         reply.map_err(|e| self.stripe_err(span.stripe, e))?,
                         starts_at,
@@ -451,36 +466,145 @@ impl StripeReader {
         Ok(Bytes::from(buf))
     }
 
-    /// Wait out another fetch's claim on `stripe`. If that fetch failed (or
-    /// the stripe was evicted again before this waiter woke), claim the
-    /// slot and fetch the stripe synchronously — concurrent misses still
-    /// wait on one fetch instead of each going to the network.
+    fn stripe_key(&self, stripe: u64) -> Bytes {
+        Bytes::from(KeySchema::stripe_key(&self.path, stripe))
+    }
+
+    /// Whether `data` is exactly the length the size record gives
+    /// `stripe`: only such bytes are cached.
+    fn fits(&self, stripe: u64, data: &Bytes) -> bool {
+        data.len() == self.layout.stripe_len(self.file_size, stripe)
+    }
+
+    /// Stripe `stripe` whole from the cache, settling the share that is
+    /// bringing it. If there is none — that share failed, or the stripe
+    /// was evicted again — claim the slot and fetch the stripe here, as a
+    /// whole-stripe ranged read that any concurrent reader of the stripe
+    /// settles as readily as this one: concurrent misses still share one
+    /// fetch instead of each going to the network.
     fn fetch(&self, stripe: u64) -> MemFsResult<Bytes> {
-        let mut state = self.cache.state.lock();
-        loop {
-            match state.slots.get(&stripe) {
+        let mine = loop {
+            let mut state = self.cache.state.lock();
+            let pending = match state.slots.get(&stripe) {
                 Some(Slot::Ready(data)) => return Ok(data.clone()),
-                Some(Slot::InFlight) => self.cache.cv.wait(&mut state),
-                None => break,
-            }
+                Some(Slot::InFlight(pending)) => Arc::clone(pending),
+                None => {
+                    let len = self.layout.stripe_len(self.file_size, stripe);
+                    let req = (self.stripe_key(stripe), Some((0, len)));
+                    let mut mine = self.start(&mut state, vec![(Some(stripe), req)]);
+                    break mine.pop().expect("one share for one request");
+                }
+            };
+            drop(state);
+            self.settle(&pending);
+        };
+        self.take(&mine, 0).map_err(|e| self.stripe_err(stripe, e))
+    }
+
+    /// Start `reqs` as one read window of the pool and keep its shares
+    /// pending; a request that claims a stripe (`Some`) marks that
+    /// stripe's slot `InFlight` with its share. Runs with the cache
+    /// locked, so a claim and the share that resolves it appear together.
+    fn start(
+        &self,
+        state: &mut CacheState,
+        reqs: Vec<(Option<u64>, ReadReq)>,
+    ) -> Vec<Arc<Pending>> {
+        let (claims, reqs): (Vec<Option<u64>>, Vec<ReadReq>) = reqs.into_iter().unzip();
+        let window = self.pool.start_reads(reqs);
+        let keep = |share| self.keep(state, share, |pos| claims[pos]);
+        window.into_shares().into_iter().map(keep).collect()
+    }
+
+    /// Keep `share` pending in the cache: `claim` names the stripe each of
+    /// its positions fills, if any.
+    fn keep(
+        &self,
+        state: &mut CacheState,
+        share: Share<ReadReq>,
+        claim: impl Fn(usize) -> Option<u64>,
+    ) -> Arc<Pending> {
+        let positions = share.positions().to_vec();
+        let pending = Arc::new(Pending {
+            claims: positions.iter().map(|&pos| claim(pos)).collect(),
+            positions,
+            landing: Mutex::new(Landing {
+                share: Some(share),
+                results: Vec::new(),
+            }),
+        });
+        for &stripe in pending.claims.iter().flatten() {
+            state
+                .slots
+                .insert(stripe, Slot::InFlight(Arc::clone(&pending)));
         }
-        state.slots.insert(stripe, Slot::InFlight);
-        drop(state);
-        let result = self.pool.get(&KeySchema::stripe_key(&self.path, stripe));
-        // Resolve the claim either way, so waiters retry instead of
-        // hanging on an InFlight that will never turn Ready.
-        let mut state = self.cache.state.lock();
-        match &result {
-            Ok(data) => self
-                .cache
-                .insert_ready_locked(&mut state, stripe, data.clone()),
-            Err(_) => {
-                state.slots.remove(&stripe);
+        pending
+    }
+
+    /// Settle `pending` unless some reader already has: fill the slots it
+    /// claimed — `Ready`, or released when the entry failed or does not
+    /// fit the size record, for a later read to fetch itself — and keep
+    /// its results for the read that started it. Readers needing the same
+    /// share meanwhile wait on its lock, never on one another.
+    fn settle<'p>(&self, pending: &'p Pending) -> MutexGuard<'p, Landing> {
+        let mut landing = pending.landing.lock();
+        if let Some(share) = landing.share.take() {
+            let results = self.pool.settle_read(share);
+            let mut state = self.cache.state.lock();
+            for ((_, result), claim) in results.iter().zip(&pending.claims) {
+                let Some(stripe) = *claim else { continue };
+                match result {
+                    Ok(data) if self.fits(stripe, data) => {
+                        self.cache
+                            .insert_ready_locked(&mut state, stripe, data.clone())
+                    }
+                    _ => {
+                        state.slots.remove(&stripe);
+                    }
+                }
             }
+            drop(state);
+            landing.results = results.into_iter().map(|(_, r)| Some(r)).collect();
         }
-        drop(state);
-        self.cache.cv.notify_all();
-        result.map_err(|e| self.stripe_err(stripe, e))
+        landing
+    }
+
+    /// Settle every share whose server has already answered, before a read
+    /// that may queue a window counts its budget. A window nobody came back
+    /// for — it failed, or the reader jumped past it — would otherwise hold
+    /// its `InFlight` claims, and so the budget, for the life of the
+    /// handle; settled, its stripes are `Ready` (evictable once behind the
+    /// read position) or absent. A share some reader is settling right now
+    /// is left to that reader.
+    fn settle_answered(&self) {
+        let answered: Vec<Arc<Pending>> = {
+            let state = self.cache.state.lock();
+            let answered = |pending: &Pending| {
+                let landing = pending.landing.try_lock();
+                landing.is_some_and(|l| l.share.as_ref().is_some_and(Share::is_answered))
+            };
+            state
+                .slots
+                .values()
+                .filter_map(|slot| match slot {
+                    Slot::InFlight(pending) if answered(pending) => Some(Arc::clone(pending)),
+                    _ => None,
+                })
+                .collect()
+        };
+        for pending in answered {
+            drop(self.settle(&pending));
+        }
+    }
+
+    /// The result of request `pos` of the read `pending` belongs to,
+    /// settling it first if need be.
+    fn take(&self, pending: &Pending, pos: usize) -> MemFsResult<Bytes> {
+        let entry = pending.positions.iter().position(|&p| p == pos);
+        let mut landing = self.settle(pending);
+        landing.results[entry.expect("a position of this share")]
+            .take()
+            .expect("each result is taken once")
     }
 
     /// A missing stripe under a finalized size record means the key space
@@ -503,83 +627,61 @@ impl StripeReader {
         ))
     }
 
-    /// Queue background fetches for stripes `stripe + k*stride` for
-    /// `k` in `1..=window`.
+    /// Start a window for stripes `stripe + k*stride`, `k` in
+    /// `1..=window`, beside the `claimed` stripes the calling read is
+    /// about to fetch.
     ///
-    /// The whole window travels as **one** worker job issuing a single
-    /// batched [`ServerPool::get_many`]; the pool groups the keys by
-    /// owning server and fans the per-server multi-gets out in parallel,
-    /// so a window of `w` stripes over `n` servers costs one round trip
-    /// per server — issued concurrently, `max(server RTT)` total.
-    fn prefetch_ahead(&self, stripe: u64, stride: u64) {
-        let Some(engine) = &self.engine else {
-            return;
-        };
-        if self.window == 0 {
-            return;
-        }
+    /// The whole window travels as **one** read window of the pool: it
+    /// groups the keys by owning server and puts the per-server multi-gets
+    /// on the wire at once, so a window of `w` stripes over `n` servers
+    /// costs one round trip per server — concurrent, `max(server RTT)`
+    /// total — and its shares wait in the cache for whoever reads first.
+    fn prefetch_ahead(&self, state: &mut CacheState, stripe: u64, stride: u64, claimed: usize) {
         let stride = stride.max(1);
         let total = self.layout.stripe_count(self.file_size);
-        // Reserve the whole window's slots under one lock pass.
-        let mut pending: Vec<u64> = Vec::new();
-        {
-            let mut state = self.cache.state.lock();
-            // Don't let prefetch evict data the reader hasn't seen: bound
-            // the stripes that are still *unread* — ahead of the read
-            // position or in flight. Ready stripes behind `stripe` were
-            // already consumed by this sequential pass and are fair
-            // eviction game, so they must not count against the budget:
-            // charging them wedged steady-state prefetch entirely once a
-            // file longer than the cache had filled it.
-            let mut busy = state
+        // Don't let prefetch evict data the reader hasn't seen: bound the
+        // stripes that are still *unread* — ahead of the read position or
+        // in flight (this read's claims included). Ready stripes behind
+        // `stripe` were already consumed by this sequential pass and are
+        // fair eviction game, so they must not count against the budget:
+        // charging them wedged steady-state prefetch entirely once a file
+        // longer than the cache had filled it. An `InFlight` slot here is
+        // on the wire: `read_at` settled every answered share just before.
+        let mut busy = claimed
+            + state
                 .slots
                 .iter()
-                .filter(|&(&s, slot)| s > stripe || matches!(slot, Slot::InFlight))
+                .filter(|&(&s, slot)| s > stripe || matches!(slot, Slot::InFlight(_)))
                 .count();
-            for k in 1..=(self.window as u64) {
-                let next = stripe + k * stride;
-                if next >= total {
-                    break;
-                }
-                if state.slots.contains_key(&next) {
-                    continue; // ready or in flight
-                }
-                if busy >= self.cache.capacity {
-                    break;
-                }
-                state.slots.insert(next, Slot::InFlight);
-                busy += 1;
-                pending.push(next);
+        let mut reqs: Vec<(Option<u64>, ReadReq)> = Vec::new();
+        for k in 1..=(self.window as u64) {
+            let next = stripe + k * stride;
+            if next >= total {
+                break;
             }
-        }
-        if pending.is_empty() {
-            return;
-        }
-        let keys: Vec<Bytes> = pending
-            .iter()
-            .map(|&s| Bytes::from(KeySchema::stripe_key(&self.path, s)))
-            .collect();
-        let pool = Arc::clone(&self.pool);
-        let cache = Arc::clone(&self.cache);
-        engine.execute(move || {
-            let results = pool.get_many(&keys);
-            let mut state = cache.state.lock();
-            for (&s, result) in pending.iter().zip(results) {
-                match result {
-                    Ok(data) => cache.insert_ready_locked(&mut state, s, data),
-                    Err(_) => {
-                        state.slots.remove(&s);
-                    }
-                }
+            if state.slots.contains_key(&next) {
+                continue; // ready or in flight
             }
-            drop(state);
-            cache.cv.notify_all();
-        });
+            if busy >= self.cache.capacity {
+                break;
+            }
+            busy += 1;
+            reqs.push((Some(next), (self.stripe_key(next), None)));
+        }
+        if !reqs.is_empty() {
+            self.start(state, reqs);
+        }
     }
 
-    /// Number of stripes currently cached or in flight (diagnostic).
+    /// Number of stripes held locally (diagnostic); stripes a pending
+    /// share is still bringing are not counted.
     pub fn cached_stripes(&self) -> usize {
-        self.cache.state.lock().slots.len()
+        let state = self.cache.state.lock();
+        state
+            .slots
+            .values()
+            .filter(|s| matches!(s, Slot::Ready(_)))
+            .count()
     }
 
     /// Verify the cache invariants and report `(slots, order)` sizes.
@@ -590,19 +692,22 @@ impl StripeReader {
         (state.slots.len(), state.order.len())
     }
 
-    /// Block (bounded) until no slot is `InFlight`: every issued window
-    /// has resolved all of its claims.
+    /// Settle every pending share, as readers needing their stripes
+    /// would: afterwards no slot is `InFlight`.
     #[cfg(test)]
-    fn wait_settled(&self) {
-        for _ in 0..5000 {
+    fn settle_pending(&self) {
+        loop {
             let state = self.cache.state.lock();
-            if !state.slots.values().any(|s| matches!(s, Slot::InFlight)) {
-                return;
-            }
+            let next = state.slots.values().find_map(|slot| match slot {
+                Slot::InFlight(pending) => Some(Arc::clone(pending)),
+                Slot::Ready(_) => None,
+            });
             drop(state);
-            std::thread::sleep(std::time::Duration::from_millis(1));
+            match next {
+                Some(pending) => drop(self.settle(&pending)),
+                None => return,
+            }
         }
-        panic!("claimed stripes never resolved");
     }
 }
 
@@ -641,13 +746,11 @@ mod tests {
         stripe: usize,
         window: usize,
     ) -> StripeReader {
-        let engine = (window > 0).then(|| Arc::new(IoEngine::new(2, "pf")));
         StripeReader::new(
             "/f".into(),
             StripeLayout::new(stripe),
             file_size,
             Arc::clone(pool),
-            engine,
             window,
             16,
         )
@@ -694,13 +797,7 @@ mod tests {
         let (pool, _) = setup(2000, 100);
         let r = reader(&pool, 2000, 100, 8);
         r.stripe(0).unwrap();
-        // Wait for prefetchers to land (bounded spin).
-        for _ in 0..1000 {
-            if r.cached_stripes() >= 8 {
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        }
+        r.settle_pending();
         assert!(r.cached_stripes() >= 8, "prefetch did not fill cache");
     }
 
@@ -722,22 +819,12 @@ mod tests {
             )
             .unwrap();
         }
-        let engine = Some(Arc::new(IoEngine::new(4, "pf")));
-        let r = StripeReader::new("/f".into(), layout, 2000, Arc::clone(&pool), engine, 8, 16);
+        let r = StripeReader::new("/f".into(), layout, 2000, Arc::clone(&pool), 8, 16);
         // One read triggers exactly one prefetch window (stripes 1..=8).
         let owners: std::collections::HashSet<usize> = (1..=8u64)
             .map(|s| pool.server_for(&KeySchema::stripe_key("/f", s)).0)
             .collect();
         r.stripe(0).unwrap();
-        // Wait until every per-server batch job has landed (InFlight slots
-        // are reserved synchronously, so cache size can't tell us).
-        for _ in 0..1000 {
-            let batches: u64 = stores.iter().map(|s| s.stats().snapshot().mget_ops).sum();
-            if batches >= owners.len() as u64 {
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        }
         // Acceptance criterion: every server owning part of the window saw
         // exactly ONE batched multi-get, never one request per stripe.
         for (i, store) in stores.iter().enumerate() {
@@ -751,14 +838,11 @@ mod tests {
     }
 
     /// A client wrapper separating the reader's three kinds of traffic:
-    /// synchronous whole-stripe fetches (`gets` — a `Get` started on the
-    /// reading thread, or a ranged request for all `whole` bytes of a
-    /// stripe), ranged pieces (`ranged`) and prefetch windows (`mgets` — a
-    /// `Get` started on one of the engine's `pf-<i>` workers). A window's
-    /// share for one server may be a single key, so the batch cannot tell
-    /// a window from a synchronous fetch; the thread it starts on can.
-    /// `Store`'s own counters can't either: its `get_many` bumps `get_ops`
-    /// once per key too.
+    /// synchronous whole-stripe fetches (`gets` — a ranged request for all
+    /// `whole` bytes of a stripe), ranged pieces (`ranged`) and prefetch
+    /// windows (`mgets` — a `Get`: the reader asks for whole values only
+    /// in its windows). `Store`'s own counters can't tell these apart: its
+    /// `get_many` bumps `get_ops` once per key too.
     struct CountingClient<C = LocalClient> {
         inner: C,
         whole: usize,
@@ -769,11 +853,8 @@ mod tests {
 
     impl<C: KvClient> KvClient for CountingClient<C> {
         fn start(&self, batch: memfs_memkv::Batch<'_>) -> memfs_memkv::Deferred<Bytes> {
-            let thread = std::thread::current();
-            let on_worker = thread.name().is_some_and(|name| name.starts_with("pf-"));
             match batch {
-                memfs_memkv::Batch::Get(_) if on_worker => _ = self.mgets.fetch_add(1, Relaxed),
-                memfs_memkv::Batch::Get(_) => _ = self.gets.fetch_add(1, Relaxed),
+                memfs_memkv::Batch::Get(_) => _ = self.mgets.fetch_add(1, Relaxed),
                 memfs_memkv::Batch::GetRange(ranges) => {
                     for &(_, offset, len) in ranges {
                         let counter = if (offset, len) == (0, self.whole) {
@@ -851,13 +932,11 @@ mod tests {
         // consecutive-only window never contained the next access, so a
         // strided scan degraded to one synchronous get per stripe.
         let (counted, pool) = instrumented_pool(30_000, 100);
-        let engine = Some(Arc::new(IoEngine::new(2, "pf")));
         let r = StripeReader::new(
             "/f".into(),
             StripeLayout::new(100),
             30_000,
             Arc::clone(&pool),
-            engine,
             8,
             16,
         );
@@ -889,13 +968,11 @@ mod tests {
         // file. The stream table tracks both, so neither degrades the
         // other to synchronous misses.
         let (counted, pool) = instrumented_pool(30_000, 100);
-        let engine = Some(Arc::new(IoEngine::new(2, "pf")));
         let r = StripeReader::new(
             "/f".into(),
             StripeLayout::new(100),
             30_000,
             Arc::clone(&pool),
-            engine,
             8,
             32, // room for both streams' windows
         );
@@ -949,17 +1026,8 @@ mod tests {
     }
 
     fn counted_reader(pool: &Arc<ServerPool>, stripes: u64, window: usize) -> StripeReader {
-        let engine = (window > 0).then(|| Arc::new(IoEngine::new(2, "pf")));
         let (layout, size) = (StripeLayout::new(800), stripes * 800);
-        StripeReader::new(
-            "/f".into(),
-            layout,
-            size,
-            Arc::clone(pool),
-            engine,
-            window,
-            32,
-        )
+        StripeReader::new("/f".into(), layout, size, Arc::clone(pool), window, 32)
     }
 
     #[test]
@@ -985,7 +1053,7 @@ mod tests {
         let r = counted_reader(&pool, 100, 8);
         // Stripe 0 and its window: stripes 0..=8 become resident.
         r.stripe(0).unwrap();
-        r.wait_settled();
+        r.settle_pending();
         assert_eq!(r.cached_stripes(), 9);
         let (windows, gets) = (batched_gets(&counted), sync_gets(&counted));
         // Random reads over the resident part and just beyond it: hits are
@@ -999,7 +1067,7 @@ mod tests {
         for &(offset, len) in &reads {
             read_checked(&r, offset, len);
         }
-        r.wait_settled();
+        r.settle_pending();
         assert_eq!(
             batched_gets(&counted),
             windows,
@@ -1077,12 +1145,13 @@ mod tests {
     fn a_first_stripe_is_a_cache_copy_that_still_queues_the_window() {
         let (counted, pool) = instrumented_pool(2000, 100);
         let seeded = |window: usize, first: Vec<u8>| {
-            reader(&pool, 2000, 100, window).with_first_stripe(Some(Bytes::from(first)))
+            reader(&pool, 2000, 100, window)
+                .with_first_stripe(Some(FirstStripe::Ready(Bytes::from(first))))
         };
         let r = seeded(8, vec![0u8; 100]);
         assert_eq!(r.cached_stripes(), 1);
         assert_eq!(r.stripe(0).unwrap().as_ref(), &[0u8; 100][..]);
-        r.wait_settled();
+        r.settle_pending();
         assert_eq!(sync_gets(&counted) + ranged_gets(&counted), 0);
         assert!(batched_gets(&counted) > 0, "the read queued no window");
         assert_eq!(r.cached_stripes(), 9);
@@ -1103,7 +1172,7 @@ mod tests {
         assert_eq!(r.read_at(250, &mut got).unwrap(), 850);
         assert_eq!(got, &data[250..1100]);
         // A second read of the whole stripes in that range is cache-served.
-        r.wait_settled();
+        r.settle_pending();
         let before = pool.stats().snapshot();
         let mut again = vec![0u8; 700];
         assert_eq!(r.read_at(300, &mut again).unwrap(), 700);
@@ -1175,13 +1244,11 @@ mod tests {
     #[test]
     fn cache_respects_capacity() {
         let (pool, _) = setup(10_000, 100);
-        let engine = Some(Arc::new(IoEngine::new(2, "pf")));
         let r = StripeReader::new(
             "/f".into(),
             StripeLayout::new(100),
             10_000,
             Arc::clone(&pool),
-            engine,
             4,
             6, // tiny cache
         );
@@ -1220,13 +1287,11 @@ mod tests {
             )
             .unwrap();
         }
-        let engine = Some(Arc::new(IoEngine::new(2, "pf")));
         let r = StripeReader::new(
             "/f".into(),
             layout,
             10_000,
             Arc::clone(&pool),
-            engine,
             4,
             4, // capacity == window: unreleased outage-time claims fill it
         );
@@ -1236,11 +1301,6 @@ mod tests {
         for s in [0u64, 10, 20, 30] {
             assert!(r.stripe(s).is_err());
         }
-        // Let the outage-time window jobs fail and release their claims
-        // while the server is still down: left in flight they can fill
-        // the capacity-4 budget (no recovery window), or run after
-        // recovery and be mistaken for the window this test waits for.
-        r.wait_settled();
         failable.set_down(false);
         // Recovery: a successful read must re-arm prefetching. Failed
         // fetches used to leave markers that counted against capacity and
@@ -1248,16 +1308,8 @@ mod tests {
         // issued again.
         let baseline = store.stats().snapshot().mget_ops;
         assert_eq!(r.stripe(40).unwrap().as_ref(), &[40u8; 100][..]);
-        let mut landed = false;
-        for _ in 0..2000 {
-            if store.stats().snapshot().mget_ops > baseline {
-                landed = true;
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        }
         assert!(
-            landed,
+            store.stats().snapshot().mget_ops > baseline,
             "prefetch window never issued after recovery: wedged"
         );
 
@@ -1273,19 +1325,17 @@ mod tests {
             .find(|&s| owner(s) != owner(0))
             .expect("a window stripe off the first stripe's server");
         let down = owner(failed);
-        let engine = Some(Arc::new(IoEngine::new(2, "pf")));
         let r = StripeReader::new(
             "/f".into(),
             StripeLayout::new(100),
             2000,
             Arc::clone(&pool),
-            engine,
             8,
             32, // the whole file fits: nothing read below is evicted
         );
         counted[down].inner.set_down(true);
         assert_eq!(r.stripe(0).unwrap().as_ref(), &[0u8; 100][..]);
-        r.wait_settled();
+        r.settle_pending();
         {
             let state = r.cache.state.lock();
             for s in 1..=8u64 {
@@ -1301,7 +1351,7 @@ mod tests {
         for s in (1..=8u64).filter(|&s| owner(s) != down) {
             assert_eq!(r.stripe(s).unwrap().as_ref(), &vec![s as u8; 100][..]);
         }
-        r.wait_settled();
+        r.settle_pending();
         counted[down].inner.set_down(false);
         let retries = || counted[down].gets.load(Relaxed);
         let before = retries();
@@ -1317,6 +1367,27 @@ mod tests {
     }
 
     #[test]
+    fn windows_a_reader_jumped_past_do_not_hold_the_budget() {
+        // Stripe 0, then two seeks: each leaves a window nobody reads.
+        // Their claims must not fill the budget, or the stream that
+        // follows the second seek never prefetches again.
+        let (counted, pool) = instrumented_pool(20_000, 100);
+        let r = reader(&pool, 20_000, 100, 8);
+        for s in [0u64, 50, 100] {
+            assert_eq!(r.stripe(s).unwrap().as_ref(), &vec![s as u8; 100][..]);
+        }
+        let (windows, gets) = (batched_gets(&counted), sync_gets(&counted));
+        for s in 101..=140u64 {
+            assert_eq!(r.stripe(s).unwrap().as_ref(), &vec![s as u8; 100][..]);
+        }
+        assert!(
+            batched_gets(&counted) > windows,
+            "no window after two seeks: wedged"
+        );
+        assert_eq!(sync_gets(&counted), gets, "the stream missed its windows");
+    }
+
+    #[test]
     fn concurrent_misses_coalesce_into_one_fetch() {
         let store = Arc::new(Store::new(StoreConfig::default()));
         let clients: Vec<Arc<dyn KvClient>> =
@@ -1326,13 +1397,11 @@ mod tests {
         // the miss fetch itself.
         pool.set(&KeySchema::stripe_key("/f", 0), Bytes::from(vec![7u8; 100]))
             .unwrap();
-        let engine = Some(Arc::new(IoEngine::new(2, "pf")));
         let r = Arc::new(StripeReader::new(
             "/f".into(),
             StripeLayout::new(100),
             100,
             Arc::clone(&pool),
-            engine,
             4,
             16,
         ));
@@ -1366,13 +1435,11 @@ mod tests {
     fn cache_never_exceeds_capacity_under_random_ops() {
         let (pool, data) = setup(10_000, 100); // 100 stripes
         for cap in [1usize, 2, 5, 8] {
-            let engine = Some(Arc::new(IoEngine::new(2, "pf")));
             let r = StripeReader::new(
                 "/f".into(),
                 StripeLayout::new(100),
                 10_000,
                 Arc::clone(&pool),
-                engine,
                 4,
                 cap,
             );
@@ -1395,9 +1462,9 @@ mod tests {
                 }
                 // `cache_counts` checks the order/slots invariant (order
                 // unique, Ready-only, bounded by capacity) on every step;
-                // total slots may transiently exceed capacity only by the
-                // claims in flight: prefetch reserves at most `cap` unread
-                // stripes and a multi-stripe read claims <= 4 more.
+                // total slots may exceed capacity only by the claims in
+                // flight: prefetch reserves at most `cap` unread stripes
+                // and a multi-stripe read claims <= 4 more.
                 let (slots, order) = r.cache_counts();
                 assert!(order <= cap, "order {order} > capacity {cap}");
                 assert!(
@@ -1407,17 +1474,36 @@ mod tests {
             }
             // Quiescent: every claim resolves and eviction brings the
             // cache back within capacity.
-            let mut settled = false;
-            for _ in 0..2000 {
-                let (slots, _) = r.cache_counts();
-                if slots <= cap {
-                    settled = true;
-                    break;
-                }
-                std::thread::sleep(std::time::Duration::from_millis(1));
-            }
-            assert!(settled, "cache never settled to capacity {cap}");
+            r.settle_pending();
+            let (slots, _) = r.cache_counts();
+            assert!(slots <= cap, "cache never settled to capacity {cap}");
         }
+    }
+
+    #[test]
+    fn a_window_one_reader_queued_and_left_serves_another() {
+        let (counted, pool) = instrumented_pool(2000, 100);
+        let r = Arc::new(reader(&pool, 2000, 100, 8));
+        // Thread A reads stripe 0, which queues the window 1..=8, and
+        // never reads again.
+        let a = Arc::clone(&r);
+        std::thread::spawn(move || a.stripe(0).unwrap())
+            .join()
+            .unwrap();
+        // Thread B reads the window's stripes: it settles A's shares
+        // itself rather than waiting for anyone to deliver them.
+        let (done, served) = std::sync::mpsc::channel();
+        let b = Arc::clone(&r);
+        std::thread::spawn(move || {
+            for s in 1..=8u64 {
+                assert_eq!(b.stripe(s).unwrap().as_ref(), &vec![s as u8; 100][..]);
+            }
+            done.send(()).unwrap();
+        });
+        served
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("the second reader hung on the first one's window");
+        assert_eq!(sync_gets(&counted), 1, "only A's own stripe was fetched");
     }
 
     #[test]

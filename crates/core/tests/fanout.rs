@@ -1,4 +1,4 @@
-//! Integration tests for the pool's submit window (paper §3.2.2:
+//! Integration tests for the pool's windows (paper §3.2.2:
 //! symmetrical striping should drive all N servers at once, so a batched
 //! call costs `max` of the per-server times).
 //!
@@ -41,7 +41,6 @@ fn stripe_like_keys(n: usize) -> Vec<Bytes> {
 fn get_many_preserves_input_order_under_concurrency() {
     let (clients, _stores) = local_clients(4);
     let pool = ServerPool::new(clients, DistributorKind::default());
-    assert_eq!(pool.io_parallelism(), 4, "auto: every server in flight");
 
     let keys = stripe_like_keys(128);
     let items: Vec<(Bytes, Bytes)> = keys
@@ -244,6 +243,7 @@ impl KvClient for RendezvousClient {
                 full_house.store(arrived.load(Ordering::SeqCst) >= expected, Ordering::SeqCst);
                 result
             }),
+            answered: None,
         }
     }
 }
@@ -342,28 +342,6 @@ fn per_server_delete_batches_run_in_parallel() {
 }
 
 #[test]
-fn sequential_pool_stays_sequential() {
-    // io_parallelism = 1 must never overlap batches: max_in_flight == 1
-    // on every server even for a wide multi-server get_many.
-    let (clients, _stores) = local_clients(4);
-    let pool = ServerPool::with_options(clients, DistributorKind::default(), 1, 1);
-    assert_eq!(pool.io_parallelism(), 1);
-    let keys = stripe_like_keys(64);
-    let items: Vec<(Bytes, Bytes)> = keys
-        .iter()
-        .map(|k| (k.clone(), Bytes::from_static(b"s")))
-        .collect();
-    pool.set_many(&items).unwrap();
-    for r in pool.get_many(&keys) {
-        r.unwrap();
-    }
-    for s in pool.stats().snapshot() {
-        assert!(s.max_in_flight <= 1, "sequential dispatch must not overlap");
-        assert_eq!(s.in_flight, 0);
-    }
-}
-
-#[test]
 fn in_flight_settles_to_zero_under_concurrent_callers() {
     let (clients, _stores) = local_clients(4);
     let slow: Vec<Arc<dyn KvClient>> = clients
@@ -415,7 +393,7 @@ fn in_flight_settles_to_zero_under_concurrent_callers() {
 }
 
 #[test]
-fn drop_joins_dispatch_workers_without_losing_stripes() {
+fn dropping_the_mount_after_close_loses_no_stripes() {
     // Write through a full MemFs mount over shaped (slow) servers, drop
     // the mount immediately after close, and verify every stripe is on
     // the stores by re-mounting and reading the file back.
@@ -452,7 +430,7 @@ fn drop_joins_dispatch_workers_without_losing_stripes() {
         let mut w = fs.create("/fanout/drop.dat").unwrap();
         w.write_all(&data).unwrap();
         w.close().unwrap();
-        drop(fs); // joins the engine's workers
+        drop(fs);
     }
 
     let fs = MemFs::new(shaped(&stores), config).unwrap();

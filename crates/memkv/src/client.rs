@@ -54,10 +54,32 @@ pub enum Deferred<T> {
         ready: Box<dyn Fn() -> bool + Send>,
         /// Blocks until the batch completes.
         finish: Box<dyn FnOnce() -> KvResult<Vec<KvResult<T>>> + Send>,
+        /// Registers a hook to run, on the answering thread, once the
+        /// batch is answered; `None` when `start` already applied it.
+        answered: Option<Box<dyn FnOnce(AnswerHook) + Send>>,
     },
 }
 
+/// What [`Deferred::when_answered`] runs: cheap, and never waiting on a
+/// caller (it may run on a transport's event loop).
+pub type AnswerHook = Box<dyn FnOnce() + Send>;
+
 impl<T> Deferred<T> {
+    /// Run `hook` once the batch is answered, waited on or not: now, if
+    /// `start` applied it, else on the thread that delivers the answer, on
+    /// every path a transport ends a batch (reply, timeout, severed
+    /// connection, shutdown). At most one hook per batch.
+    pub fn when_answered(&mut self, hook: impl FnOnce() + Send + 'static) {
+        let register = match self {
+            Deferred::Polled { answered, .. } => answered.take(),
+            Deferred::Ready(_) => None,
+        };
+        match register {
+            Some(register) => register(Box::new(hook)),
+            None => hook(),
+        }
+    }
+
     /// Block until the batch completes and return its per-key results.
     pub fn wait(self) -> KvResult<Vec<KvResult<T>>> {
         match self {
@@ -157,8 +179,9 @@ fn acks(reply: Deferred<Bytes>) -> KvResult<Vec<KvResult<()>>> {
 }
 
 /// The operations MemFS needs from a storage server. All methods are
-/// `&self` and implementations must be thread-safe: the write-buffer and
-/// prefetch pools issue concurrent requests.
+/// `&self` and implementations must be thread-safe: every thread of an
+/// application reading and writing through one mount issues requests
+/// concurrently.
 ///
 /// [`KvClient::start`] is the only method through which a request reaches
 /// a store or a socket, and the only data method an implementation
@@ -400,6 +423,7 @@ impl<C: KvClient> KvClient for ThrottledClient<C> {
                 precise_sleep(deadline.saturating_duration_since(Instant::now()));
                 reply
             }),
+            answered: None,
         }
     }
     fn scan_keys(&self) -> KvResult<Vec<Vec<u8>>> {

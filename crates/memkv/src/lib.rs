@@ -44,8 +44,8 @@ pub mod testutil;
 pub mod wheel;
 
 pub use client::{
-    Batch, Deferred, FailableClient, KvClient, LocalClient, Replies, ServerHealth, StoreVerb,
-    ThrottledClient,
+    AnswerHook, Batch, Deferred, FailableClient, KvClient, LocalClient, Replies, ServerHealth,
+    StoreVerb, ThrottledClient,
 };
 pub use error::KvError;
 pub use net::{KvServer, PoolConfig, ServerConfig, TcpClient};

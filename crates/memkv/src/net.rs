@@ -223,6 +223,7 @@ impl TcpClient {
         let pending = self.submit_batch(&reqs);
         Deferred::Polled {
             ready: pending.probe(),
+            answered: Some(pending.hook()),
             finish: Box::new(move || decode(pending.wait()?)),
         }
     }

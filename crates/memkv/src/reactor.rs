@@ -57,7 +57,7 @@ use std::collections::VecDeque;
 use std::io;
 use std::net::{SocketAddr, TcpStream};
 use std::os::fd::AsRawFd;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -65,6 +65,7 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 use parking_lot::{Condvar, Mutex};
 
+use crate::client::AnswerHook;
 use crate::conn::{connect_nonblocking, Conn, TxQueue};
 use crate::error::{KvError, KvResult};
 use crate::net::next_response;
@@ -267,10 +268,14 @@ impl LinkHealth {
 }
 
 /// A slot the loop fills once and one caller empties: the completion of a
-/// batch, the reply to a registration.
+/// batch, the reply to a registration. Filling it also runs the hook a
+/// caller left with [`OneShot::on_set`], on the filling thread.
 struct OneShot<T> {
     slot: Mutex<Option<T>>,
     cv: Condvar,
+    /// Filled once, and stays so after the value is taken.
+    set: AtomicBool,
+    hook: Mutex<Option<AnswerHook>>,
 }
 
 impl<T> OneShot<T> {
@@ -278,12 +283,35 @@ impl<T> OneShot<T> {
         Arc::new(OneShot {
             slot: Mutex::new(None),
             cv: Condvar::new(),
+            set: AtomicBool::new(false),
+            hook: Mutex::new(None),
         })
     }
 
     fn set(&self, value: T) {
         *self.slot.lock() = Some(value);
+        self.set.store(true, Ordering::SeqCst);
         self.cv.notify_all();
+        self.run_hook();
+    }
+
+    fn is_set(&self) -> bool {
+        self.set.load(Ordering::SeqCst)
+    }
+
+    /// Run `hook` once the slot is filled: now, if it already is. Whichever
+    /// of this and `set` comes second finds the hook and runs it.
+    fn on_set(&self, hook: AnswerHook) {
+        *self.hook.lock() = Some(hook);
+        if self.is_set() {
+            self.run_hook();
+        }
+    }
+
+    fn run_hook(&self) {
+        if let Some(hook) = self.hook.lock().take() {
+            hook();
+        }
     }
 
     fn wait(&self) -> T {
@@ -315,7 +343,14 @@ impl PendingExchange {
     /// settle completions in arrival order instead of submission order.
     pub(crate) fn probe(&self) -> Box<dyn Fn() -> bool + Send> {
         let done = Arc::clone(&self.done);
-        Box::new(move || done.slot.lock().is_some())
+        Box::new(move || done.is_set())
+    }
+
+    /// Registers a hook the loop runs as it delivers this batch's result,
+    /// whichever way the batch ends ([`crate::Deferred::when_answered`]).
+    pub(crate) fn hook(&self) -> Box<dyn FnOnce(AnswerHook) + Send> {
+        let done = Arc::clone(&self.done);
+        Box::new(move |hook| done.on_set(hook))
     }
 }
 
@@ -364,14 +399,22 @@ impl Exchange {
         }
     }
 
-    fn finish_ok(self, stats: &ReactorStats) {
+    fn finish_ok(mut self, stats: &ReactorStats) {
         stats.completions.fetch_add(1, Ordering::Relaxed);
-        self.done.set(Ok(self.got));
+        self.done.set(Ok(std::mem::take(&mut self.got)));
     }
 
     fn finish_err(self, err: KvError, stats: &ReactorStats) {
         stats.completions.fetch_add(1, Ordering::Relaxed);
         self.done.set(Err(err));
+    }
+}
+
+/// Every way a batch leaves the loop answers it (a caller's answer hook
+/// may be what releases a quiescence gate).
+impl Drop for Exchange {
+    fn drop(&mut self) {
+        debug_assert!(self.done.is_set() || std::thread::panicking(), "unanswered");
     }
 }
 

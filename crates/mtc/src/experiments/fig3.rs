@@ -4,12 +4,16 @@
 //!
 //! * Figure 3a: stripe size (128 KB - 1 MB) vs write/read bandwidth —
 //!   the sweep behind the paper's 512 KB choice.
-//! * Figure 3b: number of buffering/prefetching threads vs bandwidth,
-//!   including the no-buffering and no-prefetching baselines.
+//! * Figure 3b: buffering and prefetching depth vs bandwidth, including
+//!   the no-buffering and no-prefetching baselines. The paper's x-axis is
+//!   the thread count of its buffering and prefetching pools; what those
+//!   threads bought is stripes in flight per open file, and that is the
+//!   axis here — a mount has no I/O threads to count (its transport's
+//!   event loop carries every request).
 //!
 //! These measure wall-clock time on the host, so absolute numbers depend
 //! on the machine; the *shapes* (write bandwidth growing with stripe
-//! size, reads flat in stripe size, thread scaling saturating) are the
+//! size, reads flat in stripe size, depth scaling saturating) are the
 //! reproduction target.
 
 use std::sync::Arc;
@@ -36,8 +40,9 @@ pub struct Fig3aRow {
 /// One Figure 3b point.
 #[derive(Debug, Clone, Serialize)]
 pub struct Fig3bRow {
-    /// Thread-pool size.
-    pub threads: usize,
+    /// Stripes in flight per open file: the reader's prefetch window, the
+    /// writer's buffer.
+    pub depth: usize,
     /// Write bandwidth with buffering, bytes/s.
     pub write_bw: f64,
     /// Write bandwidth with the buffer reduced to one stripe
@@ -59,8 +64,14 @@ fn shaped_servers(n: usize, shaping: Shaping) -> Vec<Arc<dyn KvClient>> {
         .collect()
 }
 
-/// Measure write and read bandwidth for one configuration.
-fn measure(config: MemFsConfig, servers: Vec<Arc<dyn KvClient>>, file_bytes: usize) -> (f64, f64) {
+/// Measure write and read bandwidth for one configuration, reading
+/// `read_chunk` bytes per `read_at`.
+fn measure(
+    config: MemFsConfig,
+    servers: Vec<Arc<dyn KvClient>>,
+    file_bytes: usize,
+    read_chunk: usize,
+) -> (f64, f64) {
     let fs = MemFs::new(servers, config).expect("valid config");
     let payload = vec![0xA5u8; 1 << 20];
     let mut w = fs.create("/bench.dat").expect("create");
@@ -76,7 +87,7 @@ fn measure(config: MemFsConfig, servers: Vec<Arc<dyn KvClient>>, file_bytes: usi
 
     // Fresh handle => fresh prefetch cache (a different reader node).
     let r = fs.open("/bench.dat").expect("open");
-    let mut buf = vec![0u8; 1 << 20];
+    let mut buf = vec![0u8; read_chunk];
     let start = Instant::now();
     let mut off = 0u64;
     while off < file_bytes as u64 {
@@ -101,11 +112,11 @@ pub fn run_fig3a(file_bytes: usize, shaping: Shaping) -> Vec<Fig3aRow> {
                 stripe_size: stripe,
                 write_buffer_size: 8 << 20,
                 read_cache_size: 8 << 20,
-                io_threads: 4,
                 prefetch_window: 8,
                 ..MemFsConfig::default()
             };
-            let (write_bw, read_bw) = measure(config, shaped_servers(4, shaping), file_bytes);
+            let servers = shaped_servers(4, shaping);
+            let (write_bw, read_bw) = measure(config, servers, file_bytes, 1 << 20);
             Fig3aRow {
                 stripe_bytes: stripe,
                 write_bw,
@@ -115,42 +126,41 @@ pub fn run_fig3a(file_bytes: usize, shaping: Shaping) -> Vec<Fig3aRow> {
         .collect()
 }
 
-/// Run the Figure 3b thread sweep.
+/// Run the Figure 3b depth sweep: k ∈ {1, 2, 4, 8} stripes in flight
+/// per open file.
 pub fn run_fig3b(file_bytes: usize, shaping: Shaping) -> Vec<Fig3bRow> {
-    (1usize..=8)
-        .map(|threads| {
-            let base = MemFsConfig {
-                stripe_size: 512 << 10,
-                write_buffer_size: 8 << 20,
-                read_cache_size: 8 << 20,
-                io_threads: threads,
-                prefetch_window: 8,
-                ..MemFsConfig::default()
-            };
-            let (write_bw, read_bw) = measure(base.clone(), shaped_servers(4, shaping), file_bytes);
-
-            // No buffering: the write buffer holds a single stripe, so
-            // each stripe is stored synchronously before the next fills.
-            let mut nobuf = base.clone();
-            nobuf.write_buffer_size = nobuf.stripe_size;
-            let (write_nobuf_bw, _) = measure(nobuf, shaped_servers(4, shaping), file_bytes);
-
-            // No prefetching. The figure's baseline is a synchronous
-            // reader fetching one stripe per round trip, so pin the
-            // dispatcher to sequential dispatch — otherwise a read
-            // spanning several stripes fans out to all servers at once
-            // and the baseline stops being a no-concurrency reader.
-            let noprefetch = base.without_prefetch().with_io_parallelism(1);
-            let (_, read_noprefetch_bw) =
-                measure(noprefetch, shaped_servers(4, shaping), file_bytes);
-
-            Fig3bRow {
-                threads,
-                write_bw,
-                write_nobuf_bw,
-                read_bw,
-                read_noprefetch_bw,
-            }
+    let stripe = 512 << 10;
+    let at_depth = |depth: usize| MemFsConfig {
+        stripe_size: stripe,
+        write_buffer_size: depth * stripe,
+        read_cache_size: 8 << 20,
+        prefetch_window: depth,
+        ..MemFsConfig::default()
+    };
+    // No prefetching: the synchronous reader the figure means, one
+    // stripe per `read_at` and so one round trip per stripe.
+    let noprefetch = at_depth(1).without_prefetch();
+    let servers = shaped_servers(4, shaping);
+    let (_, read_noprefetch_bw) = measure(noprefetch, servers, file_bytes, stripe);
+    let measured: Vec<(usize, f64, f64)> = [1usize, 2, 4, 8]
+        .iter()
+        .map(|&depth| {
+            let servers = shaped_servers(4, shaping);
+            let (write_bw, read_bw) = measure(at_depth(depth), servers, file_bytes, 1 << 20);
+            (depth, write_bw, read_bw)
+        })
+        .collect();
+    // No buffering is depth 1: the write buffer holds a single stripe, so
+    // each stripe is stored before the one after the next can start.
+    let write_nobuf_bw = measured[0].1;
+    measured
+        .into_iter()
+        .map(|(depth, write_bw, read_bw)| Fig3bRow {
+            depth,
+            write_bw,
+            write_nobuf_bw,
+            read_bw,
+            read_noprefetch_bw,
         })
         .collect()
 }
@@ -179,7 +189,7 @@ pub fn render_fig3b(rows: &[Fig3bRow]) -> String {
         .iter()
         .map(|r| {
             vec![
-                r.threads.to_string(),
+                r.depth.to_string(),
                 report::mbps(r.write_bw),
                 report::mbps(r.write_nobuf_bw),
                 report::mbps(r.read_bw),
@@ -189,7 +199,7 @@ pub fn render_fig3b(rows: &[Fig3bRow]) -> String {
         .collect();
     out.push_str(&report::table(
         &[
-            "Threads",
+            "Depth",
             "Write",
             "Write (no buf)",
             "Read",
@@ -225,13 +235,13 @@ mod tests {
     #[test]
     fn fig3b_prefetch_helps_under_latency() {
         // With real per-request latency, prefetching must beat the
-        // synchronous read path at >= 4 threads.
+        // synchronous read path at 4 stripes in flight.
         let shaping = Shaping {
             latency: Duration::from_micros(400),
             bandwidth: 2e9,
         };
         let rows = run_fig3b(4 << 20, shaping);
-        let r4 = rows.iter().find(|r| r.threads == 4).unwrap();
+        let r4 = rows.iter().find(|r| r.depth == 4).unwrap();
         assert!(
             r4.read_bw > r4.read_noprefetch_bw,
             "prefetch {} <= sync {}",

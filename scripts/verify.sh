@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Repo verification gate: build, tests, formatting, lints.
 #
-#   scripts/verify.sh            # build + workspace tests + fmt + clippy + knob count + unsafe census + KvClient census
+#   scripts/verify.sh            # build + workspace tests + fmt + clippy + knob count + unsafe census + KvClient census + I/O pool census
 #   scripts/verify.sh --clippy   # fast path: fmt + clippy only, no build/tests
 #   scripts/verify.sh --threads  # additionally stress the concurrency tests
 #   scripts/verify.sh --soak     # shaped-cluster suites, N random seeds
@@ -12,11 +12,11 @@
 # fmt/clippy keep the tree warning-free; clippy runs with -D warnings so
 # new lints fail the gate instead of scrolling by.
 #
-# --threads repeats the fan-out/job-queue suites with a high test-thread
-# count so the pool's submit window, the write drain, and the prefetcher
-# race against each other — the schedule-dependent bugs (lost wakeups,
-# in-flight gauges that never settle, out-of-order reassembly) that a
-# single quiet run can miss. The metadata protocol rides along: two
+# --threads repeats the fan-out/pending-window suites with a high
+# test-thread count so the pool's windows, the pending write drains and
+# the prefetcher's pending shares race against each other — the
+# schedule-dependent bugs (a gate never released, in-flight gauges that
+# never settle, out-of-order reassembly) that a single quiet run can miss. The metadata protocol rides along: two
 # mounts racing `create` of the same 200 names (one winner each), the
 # refused-create undo, the request-count pins of create / mkdir / close /
 # unlink and of open + read (open is one step, stripe 0 beside the size
@@ -76,7 +76,7 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 # The knob count can only go down (ROADMAP aim 2: the same behaviour from
 # the simplest design). Lower KNOBS_MAX in the PR that deletes a knob.
-KNOBS_MAX=21
+KNOBS_MAX=19
 knobs=$(scripts/loc.sh --knobs | awk '$2 == "total" { print $1 }')
 echo "==> scripts/loc.sh --knobs: $knobs (max $KNOBS_MAX)"
 if ((knobs > KNOBS_MAX)); then
@@ -127,6 +127,19 @@ if [[ -n "$tier$overrides" ]]; then
     exit 1
 fi
 
+# The reactor is a mount's only concurrency: no I/O thread pool, and no
+# knob sizing one or capping a window. `crates/mtc/src/envelope.rs` is
+# exempt — its `io_threads` models the paper's pool in the simulator.
+# shellcheck disable=SC2086
+pools=$(grep -rnE 'IoEngine|threadpool|io_threads|io_parallelism|with_options' $trees |
+    grep -v '^crates/mtc/src/envelope\.rs:' || true)
+echo "==> I/O pool census: ${pools:-no I/O pool, no pool knob}"
+if [[ -n "$pools" ]]; then
+    echo "verify: windows and drains stay pending in their handles; a mount runs" \
+        "no I/O thread of its own (DESIGN.md §4c)" >&2
+    exit 1
+fi
+
 for arg in "$@"; do
     case "$arg" in
     --threads)
@@ -134,10 +147,17 @@ for arg in "$@"; do
         for round in 1 2 3 4 5; do
             echo "  -- round $round"
             RUST_TEST_THREADS=16 cargo test -q -p memfs-core --test fanout
-            # engine_sharing counts process-wide threads: own binary, one test.
-            cargo test -q -p memfs-core --test engine_sharing
+            # Pending windows and drains: the gate is held until a window
+            # is answered (latch client, loopback timeout and sever), an
+            # idle handle never stalls quiesce, a window one reader left
+            # serves another, transitions and a dead server mid-window.
             RUST_TEST_THREADS=16 cargo test -q -p memfs-core --lib -- \
-                threadpool:: pool:: prefetch:: bufwrite::
+                pool:: prefetch:: bufwrite::
+            RUST_TEST_THREADS=16 cargo test -q -p memfs-core --lib -- \
+                idle_handles_holding_answered_windows \
+                a_window_pending_across_a_grow \
+                a_drain_pending_across_a_grow \
+                a_window_share_whose_server_is_down
             # The read policy (which spans are cached, ranged or cache
             # copies) is asserted on exact request counts while window
             # jobs land concurrently; the ranged TCP tests pair pipelined

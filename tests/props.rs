@@ -44,7 +44,6 @@ fn mount(n: usize, stripe: usize) -> MemFs {
             stripe_size: stripe,
             write_buffer_size: stripe * 4,
             read_cache_size: stripe * 4,
-            io_threads: 2,
             prefetch_window: 2,
             ..MemFsConfig::default()
         },

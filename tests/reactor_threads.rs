@@ -2,17 +2,20 @@
 //! multiplexing costs one thread per *mount*, not one per server. Before
 //! the shared reactor every `TcpClient` spawned its own epoll loop, so a
 //! 16-server mount burned 16 reactor threads; now all of them register
-//! with one [`memfs::memkv::ReactorHandle`]. This binary holds exactly
-//! one test on purpose — it counts process-wide threads by name, which
-//! would race with parallel tests.
+//! with one [`memfs::memkv::ReactorHandle`]. And that loop is all a mount
+//! runs: prefetch windows and write drains stay pending in their file
+//! handles, so however many files are open a TCP mount is one
+//! `memkv-reactor` thread and an in-process mount is none. This binary
+//! holds exactly one test on purpose — it counts process-wide threads,
+//! which would race with parallel tests.
 
 #![cfg(target_os = "linux")]
 
 use std::sync::Arc;
 
-use memfs::memfs_core::{MemFs, MemFsConfig};
+use memfs::memfs_core::{MemFs, MemFsConfig, ReadHandle, WriteHandle};
 use memfs::memkv::net::{KvServer, PoolConfig, TcpClient};
-use memfs::memkv::{KvClient, ReactorHandle, Store, StoreConfig};
+use memfs::memkv::{KvClient, LocalClient, ReactorHandle, Store, StoreConfig};
 
 /// Live threads of this process whose name starts with `prefix`
 /// (`comm` truncates at 15 chars, so prefixes must fit in that).
@@ -22,6 +25,30 @@ fn named_threads(prefix: &str) -> usize {
         .filter_map(|e| std::fs::read_to_string(e.unwrap().path().join("comm")).ok())
         .filter(|name| name.trim_end().starts_with(prefix))
         .count()
+}
+
+/// The census scenario: 32 files written, open for reading and read
+/// through, and 32 more open mid-write, every handle kept open.
+fn open_files(fs: &MemFs, tag: &str) -> (Vec<ReadHandle>, Vec<WriteHandle>) {
+    for i in 0..32 {
+        fs.write_file(&format!("/{tag}-f{i}"), &vec![i as u8; 40_000])
+            .unwrap();
+    }
+    let readers: Vec<ReadHandle> = (0..32)
+        .map(|i| fs.open(&format!("/{tag}-f{i}")).unwrap())
+        .collect();
+    let mut buf = vec![0u8; 40_000];
+    for r in &readers {
+        assert_eq!(r.read_at(0, &mut buf).unwrap(), 40_000);
+    }
+    let writers = (0..32)
+        .map(|i| {
+            let mut w = fs.create(&format!("/{tag}-w{i}")).unwrap();
+            w.write_all(&vec![i as u8; 20_000]).unwrap();
+            w
+        })
+        .collect();
+    (readers, writers)
 }
 
 /// Reactor loops (`memkv-reactor`) — the prefix does not match the
@@ -56,6 +83,32 @@ fn expect_reactor_threads(expected: usize, what: &str) {
 
 #[test]
 fn sixteen_server_mount_runs_one_reactor_thread() {
+    let config = MemFsConfig {
+        stripe_size: 4096,
+        ..MemFsConfig::default()
+    };
+
+    // An in-process mount spawns no thread at all, with 64 files open.
+    let all_threads = || std::fs::read_dir("/proc/self/task").unwrap().count();
+    let before = all_threads();
+    let local: Vec<Arc<dyn KvClient>> = (0..4)
+        .map(|_| {
+            let store = Arc::new(Store::new(StoreConfig::default()));
+            Arc::new(LocalClient::new(store)) as Arc<dyn KvClient>
+        })
+        .collect();
+    let fs = MemFs::new(local, config.clone()).unwrap();
+    let (readers, mut writers) = open_files(&fs, "local");
+    assert_eq!(
+        all_threads(),
+        before,
+        "an in-process mount spawned a thread"
+    );
+    for w in &mut writers {
+        w.close().unwrap();
+    }
+    drop((readers, writers, fs));
+
     let mut servers: Vec<KvServer> = (0..16)
         .map(|_| {
             KvServer::spawn(Arc::new(Store::new(StoreConfig::default())), "127.0.0.1:0")
@@ -84,10 +137,6 @@ fn sixteen_server_mount_runs_one_reactor_thread() {
             ) as Arc<dyn KvClient>
         })
         .collect();
-    let config = MemFsConfig {
-        stripe_size: 4096,
-        ..MemFsConfig::default()
-    };
     let fs = MemFs::new(clients, config.clone()).unwrap();
     expect_reactor_threads(1, "16 shared clients multiplex on one reactor");
 
@@ -106,6 +155,14 @@ fn sixteen_server_mount_runs_one_reactor_thread() {
     // the handle, so dropping the mount tears the reactor down too.
     let fs = MemFs::connect(&addrs, config.clone()).unwrap();
     expect_reactor_threads(1, "MemFs::connect mounts on one shared reactor");
+    // However many files are open, the reactor is the mount's only thread.
+    let (readers, mut writers) = open_files(&fs, "tcp");
+    expect_reactor_threads(1, "64 open files on one mount");
+    assert_eq!(named_threads("memfs-"), 0, "a mount ran an I/O thread");
+    for w in &mut writers {
+        w.close().unwrap();
+    }
+    drop((readers, writers));
     fs.write_file("/again", &data).unwrap();
     assert_eq!(fs.read_to_vec("/again").unwrap(), data);
     assert_eq!(

@@ -27,7 +27,9 @@ fn heartbeat_pool_config() -> PoolConfig {
     }
 }
 
-/// Poll `pool.health()` until `server` reports the wanted liveness.
+/// Poll `pool.health()` until `server` reports the wanted liveness. A
+/// wedged server's link is down only from a probe's deadline to the next
+/// re-dial — a window as short as one heartbeat — so the poll is fine.
 fn await_health(pool: &ServerPool, server: usize, want_alive: bool, deadline: Duration) {
     let start = Instant::now();
     loop {
@@ -41,7 +43,7 @@ fn await_health(pool: &ServerPool, server: usize, want_alive: bool, deadline: Du
             if want_alive { "alive" } else { "down" },
             pool.health()
         );
-        std::thread::sleep(Duration::from_millis(10));
+        std::thread::sleep(Duration::from_millis(1));
     }
 }
 
@@ -119,7 +121,6 @@ fn repair_fs_config() -> MemFsConfig {
         stripe_size: 8192,
         write_buffer_size: 8 * 8192,
         read_cache_size: 8 * 8192,
-        io_threads: 2,
         prefetch_window: 2,
         replication: 2,
         repair_interval_ms: 50,

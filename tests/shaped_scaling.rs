@@ -48,11 +48,9 @@ fn throughput(n: usize, rng: &mut Rng) -> (f64, f64) {
     let mut best_read = 0f64;
     for _ in 0..ROUNDS {
         let cluster = ShapedCluster::spawn(n, Shape::throttled(SERVER_BPS));
-        let pool = ServerPool::with_options(
+        let pool = ServerPool::new(
             cluster.clients(PoolConfig::default()),
             DistributorKind::default(),
-            1,
-            0,
         );
         let items = balanced_items(&pool, rng);
         let keys: Vec<Bytes> = items.iter().map(|(k, _)| k.clone()).collect();

@@ -39,7 +39,7 @@ fn stalled_server_is_isolated_and_counted_by_the_shared_loop() {
         ..PoolConfig::default()
     };
     let clients = cluster.clients(config.clone());
-    let pool = ServerPool::with_options(clients, DistributorKind::default(), 1, 0);
+    let pool = ServerPool::with_replication(clients, DistributorKind::default(), 1);
 
     // All eight clients share one reactor; its connection census covers
     // the whole mount.
@@ -158,7 +158,7 @@ fn killed_server_fails_fast_without_blocking_siblings() {
         ..PoolConfig::default()
     };
     let clients = cluster.clients(config);
-    let pool = ServerPool::with_options(clients, DistributorKind::default(), 1, 0);
+    let pool = ServerPool::with_replication(clients, DistributorKind::default(), 1);
     let keys = balanced_keys(&pool);
     for key in &keys {
         pool.set(key, Bytes::from_static(b"v")).unwrap();
@@ -205,7 +205,7 @@ fn killed_server_fails_fast_without_blocking_siblings() {
 fn clean_traffic_reports_consistent_reactor_counters() {
     let cluster = ShapedCluster::spawn(4, Shape::clean());
     let clients = cluster.clients(PoolConfig::default());
-    let pool = ServerPool::with_options(clients, DistributorKind::default(), 1, 0);
+    let pool = ServerPool::with_replication(clients, DistributorKind::default(), 1);
 
     let keys: Vec<Bytes> = (0..64).map(|i| Bytes::from(format!("c{i}"))).collect();
     for key in &keys {
