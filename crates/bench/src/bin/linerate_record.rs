@@ -10,9 +10,8 @@
 //! Bars:
 //!
 //! 1. **Line rate** — the mount moves ≥ 90% of the aggregate shaped
-//!    bandwidth in both directions. The loop (timer wheel, in-loop
-//!    connects, one-copy writes) is not the bottleneck; the shaped
-//!    pipes are.
+//!    bandwidth in both directions. The loop (in-loop connects,
+//!    one-copy writes) is not the bottleneck; the shaped pipes are.
 //! 2. **Thread census** — exactly one `memkv-reactor` thread.
 //!
 //! Usage: `cargo run --release -p memfs-bench --bin linerate_record`

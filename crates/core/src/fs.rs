@@ -197,8 +197,7 @@ impl MemFs {
 
     fn repair_config(config: &MemFsConfig) -> RepairConfig {
         RepairConfig {
-            bandwidth: config.repair_bandwidth,
-            migrate_bandwidth: config.migrate_bandwidth,
+            bandwidth: config.copy_bandwidth,
             evict_grace: (config.evict_grace_ms > 0)
                 .then(|| std::time::Duration::from_millis(config.evict_grace_ms)),
         }
@@ -249,7 +248,7 @@ impl MemFs {
     /// Admit one storage server into the live mount: installs a
     /// membership transition whose key ranges migrate in the background
     /// (the repair daemon drives them under
-    /// [`MemFsConfig::migrate_bandwidth`]; without a daemon, call
+    /// [`MemFsConfig::copy_bandwidth`]; without a daemon, call
     /// [`Self::migrate_now`] until it reports complete). Foreground
     /// traffic keeps flowing throughout — reads consult the old homes
     /// until a range flips, writes dual-route during its migration
@@ -295,14 +294,14 @@ impl MemFs {
 
     /// Run one synchronous migration pass (see
     /// [`crate::mover::migrate_pass`]) under the configured
-    /// [`MemFsConfig::migrate_bandwidth`]. Works whether or not the
+    /// [`MemFsConfig::copy_bandwidth`]. Works whether or not the
     /// background daemon is running; returns `complete: true` once the
     /// transition has committed (or none was active).
     pub fn migrate_now(&self) -> MemFsResult<MigrationReport> {
         migrate_pass(
             &self.inner.pool,
             &MigrateConfig {
-                bandwidth: self.inner.config.migrate_bandwidth,
+                bandwidth: self.inner.config.copy_bandwidth,
             },
         )
     }

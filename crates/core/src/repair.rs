@@ -44,9 +44,9 @@
 //! While a **membership transition** is migrating, repair stands down
 //! ([`RepairReport::skipped`]): the home set is in motion and the two
 //! movers would fight over placement. The [`RepairDaemon`] instead
-//! spends those ticks driving [`crate::mover::migrate_pass`] under its
-//! own budget ([`RepairConfig::migrate_bandwidth`]) — one background
-//! thread serves both duties, never two. With
+//! spends those ticks driving [`crate::mover::migrate_pass`] under the
+//! same budget ([`RepairConfig::bandwidth`]) — one background thread
+//! serves both duties, never two, so their copies share one budget. With
 //! [`RepairConfig::evict_grace`] set, the daemon also runs a
 //! [`MembershipMonitor`]: a member down past the grace window is
 //! auto-evicted and its drain migrated out, after which repair resumes
@@ -79,12 +79,10 @@ use crate::pool::{DegradedWrite, ServerPool};
 /// Tuning for a repair pass (and for the daemon's migration duty).
 #[derive(Debug, Clone, Default)]
 pub struct RepairConfig {
-    /// Token-bucket budget for repair copies, in bytes per second.
-    /// `0` means unlimited.
+    /// Token-bucket budget for copies, in bytes per second: a repair
+    /// pass's, and the daemon's migration passes while it drives a
+    /// membership transition. `0` means unlimited.
     pub bandwidth: u64,
-    /// Token-bucket budget for migration copies when the daemon drives a
-    /// membership transition, in bytes per second. `0` means unlimited.
-    pub migrate_bandwidth: u64,
     /// Auto-evict a member that stays down this long: the daemon starts
     /// a drain transition for it so the ring heals around the loss.
     /// `None` disables eviction — dead members wait for repair only.
@@ -282,8 +280,8 @@ pub fn repair_pass(pool: &ServerPool, config: &RepairConfig) -> MemFsResult<Repa
 
 /// Background repair loop: one thread (`memfs-repair`) that each tick
 /// either runs [`repair_pass`] or — while a membership transition is
-/// migrating — a [`crate::mover::migrate_pass`] under
-/// [`RepairConfig::migrate_bandwidth`]. With
+/// migrating — a [`crate::mover::migrate_pass`] under the same
+/// [`RepairConfig::bandwidth`]. With
 /// [`RepairConfig::evict_grace`] set it also auto-evicts members down
 /// past the grace window. One thread serves all three duties; elastic
 /// membership adds **zero** threads to a mount. Idle passes are cheap
@@ -310,7 +308,7 @@ impl RepairDaemon {
             .spawn(move || {
                 let mut monitor = MembershipMonitor::new();
                 let migrate = MigrateConfig {
-                    bandwidth: config.migrate_bandwidth,
+                    bandwidth: config.bandwidth,
                 };
                 while !flag.load(Ordering::Relaxed) {
                     // Sleep in slices so stop() never waits a full

@@ -102,7 +102,7 @@ impl<T> Deferred<T> {
 ///
 /// For the evented TCP transport this is derived from the reactor's
 /// per-connection link state machine (Down/Connecting/Up) kept fresh by
-/// traffic and by wheel-armed heartbeat probes; for in-process transports
+/// traffic and by heartbeat probes; for in-process transports
 /// it is always [`ServerHealth::Up`] unless a test wrapper injects
 /// failure. `Down` is a *view*, not ground truth: a server is `Down` when
 /// no connection to it is currently established.

@@ -41,7 +41,6 @@ mod server;
 pub mod stats;
 pub mod store;
 pub mod testutil;
-pub mod wheel;
 
 pub use client::{
     AnswerHook, Batch, Deferred, FailableClient, KvClient, LocalClient, Replies, ServerHealth,

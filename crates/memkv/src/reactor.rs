@@ -17,9 +17,11 @@
 //! * one epoll wake drains completions for *all* servers, delivering them
 //!   to waiting callers in cross-server batches (the pool's sliding
 //!   window observes completions as they land anywhere in the cluster);
-//! * deadlines live in one hierarchical [`TimerWheel`] per loop: O(1)
-//!   arm/cancel, and an idle loop sleeps precisely until the next armed
-//!   timer instead of scanning every connection's queue front.
+//! * deadlines live in one ordered set per loop, keyed by the exact
+//!   instant: each iteration fires the keys that have passed, and an idle
+//!   loop sleeps until the first one left instead of scanning every
+//!   connection's queue front. A slot holds at most three keys (its
+//!   front's deadline, a connect timeout or retry, a heartbeat).
 //!
 //! Per connection:
 //!
@@ -53,7 +55,7 @@
 //! queued batches fail with `NotConnected` and the token slots return to
 //! a free list for the next registration.
 
-use std::collections::VecDeque;
+use std::collections::{BTreeSet, VecDeque};
 use std::io;
 use std::net::{SocketAddr, TcpStream};
 use std::os::fd::AsRawFd;
@@ -71,7 +73,6 @@ use crate::error::{KvError, KvResult};
 use crate::net::next_response;
 use crate::poll::{Poller, WAKE_TOKEN};
 use crate::proto::Response;
-use crate::wheel::{TimerId, TimerWheel};
 
 /// Bytes a connection takes in between two `TCP_QUICKACK` re-arms. Keyed
 /// on what the socket *received* — a payload-sized amount, i.e. a response
@@ -83,8 +84,11 @@ const QUICKACK_REARM_BYTES: usize = 64 * 1024;
 const MIN_BACKOFF: Duration = Duration::from_millis(10);
 /// Backoff ceiling — an unreachable server is probed at most ~2/s.
 const MAX_BACKOFF: Duration = Duration::from_millis(500);
-/// Floor for the connect deadline, mirroring the old helper-thread
-/// `connect_timeout` floor.
+/// Least time a non-blocking connect is given, whatever the registration's
+/// per-request timeout: a redial waits for the peer's SYN-ACK, which a
+/// loaded host can delay past a timeout sized for replies (tests run down
+/// to tens of milliseconds), and a connect cut short only doubles the
+/// backoff before the next attempt.
 const MIN_CONNECT_TIMEOUT: Duration = Duration::from_millis(50);
 
 /// Where [`pin_malloc_thresholds`] holds glibc's `M_MMAP_THRESHOLD` and
@@ -161,8 +165,6 @@ struct ReactorStats {
     reconnects: AtomicU64,
     /// Non-blocking connects currently parked on EPOLLOUT (gauge).
     connects_in_flight: AtomicUsize,
-    /// Timer-wheel entries demoted a level by cascading.
-    timer_cascades: AtomicU64,
     /// Payload + frame bytes written to sockets.
     bytes_tx: AtomicU64,
     /// Bytes read from sockets.
@@ -195,8 +197,6 @@ pub struct ReactorStatsSnapshot {
     pub reconnects: u64,
     /// Non-blocking connects currently awaiting EPOLLOUT.
     pub connects_in_flight: usize,
-    /// Timer-wheel cascade moves so far.
-    pub timer_cascades: u64,
     /// Bytes written to sockets.
     pub bytes_tx: u64,
     /// Bytes read from sockets.
@@ -231,7 +231,6 @@ impl ReactorStats {
             timeouts: self.timeouts.load(Ordering::Relaxed),
             reconnects: self.reconnects.load(Ordering::Relaxed),
             connects_in_flight: self.connects_in_flight.load(Ordering::Relaxed),
-            timer_cascades: self.timer_cascades.load(Ordering::Relaxed),
             bytes_tx: self.bytes_tx.load(Ordering::Relaxed),
             bytes_rx: self.bytes_rx.load(Ordering::Relaxed),
             heartbeats: self.heartbeats.load(Ordering::Relaxed),
@@ -455,7 +454,7 @@ struct Shared {
 }
 
 /// What a timer firing means for its connection.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 enum TimerKind {
     /// The front exchange's deadline passed.
     Deadline,
@@ -482,9 +481,8 @@ enum Link {
 }
 
 /// Per-connection state, owned exclusively by the reactor thread. Slots
-/// are reused across registrations. Stale timers cannot cross
-/// incarnations: every teardown cancels the slot's armed timers, and
-/// [`TimerId`]s are generation-checked besides.
+/// are reused across registrations. No timer crosses into the next
+/// registration: releasing a slot removes every key it has armed.
 struct ConnState {
     link: Link,
     /// In-flight batches in submission order. The wire answers in the same
@@ -498,13 +496,13 @@ struct ConnState {
     timeout: Duration,
     /// Slot is owned by a live [`Registration`].
     registered: bool,
-    /// Armed wheel timer for the front exchange's deadline. The front has
+    /// Armed timer key for the front exchange's deadline. The front has
     /// the earliest deadline (FIFO submission, uniform timeout), so one
     /// timer per connection suffices; re-armed on every front change.
-    deadline_timer: Option<TimerId>,
+    deadline_timer: Option<(Instant, usize, TimerKind)>,
     /// Armed `ConnectTimeout` (while `Connecting`) or `ConnectRetry`
     /// (while `Down` in backoff) — exclusive by link state.
-    connect_timer: Option<TimerId>,
+    connect_timer: Option<(Instant, usize, TimerKind)>,
     /// Current reconnect backoff; zero after a successful connect.
     backoff: Duration,
     /// Earliest instant the next connect attempt may start.
@@ -515,8 +513,8 @@ struct ConnState {
     up_gauge: bool,
     /// Liveness probe interval (None: heartbeats disabled for this slot).
     heartbeat: Option<Duration>,
-    /// Armed [`TimerKind::Heartbeat`] timer.
-    heartbeat_timer: Option<TimerId>,
+    /// Armed [`TimerKind::Heartbeat`] key.
+    heartbeat_timer: Option<(Instant, usize, TimerKind)>,
 }
 
 impl ConnState {
@@ -586,7 +584,7 @@ impl ReactorHandle {
             shared: Arc::clone(&shared),
             conns: Vec::new(),
             free: Vec::new(),
-            wheel: TimerWheel::new(Instant::now()),
+            timers: BTreeSet::new(),
         };
         let thread = std::thread::Builder::new()
             .name("memkv-reactor".into())
@@ -711,84 +709,90 @@ struct EventLoop {
     conns: Vec<ConnState>,
     /// Deregistered slots available for reuse.
     free: Vec<usize>,
-    /// All armed timers of this loop: request deadlines, connect
-    /// timeouts, reconnect backoffs.
-    wheel: TimerWheel<(usize, TimerKind)>,
+    /// Every armed timer of this loop — request deadlines, connect
+    /// timeouts, reconnect backoffs, heartbeats — as its key, ordered by
+    /// deadline. A slot arms at most one key per kind, so keys are unique.
+    timers: BTreeSet<(Instant, usize, TimerKind)>,
 }
 
 impl EventLoop {
     fn run(mut self) {
         let mut events: Vec<(u64, u32)> = Vec::new();
-        loop {
-            // Completions delivered by this iteration — commands, expired
-            // timers and socket events alike — count as one wake batch.
-            let before = self.shared.stats.completions.load(Ordering::Relaxed);
-            let (commands, shutdown) = {
-                let mut inbox = self.shared.inbox.lock();
-                (std::mem::take(&mut inbox.commands), inbox.shutdown)
-            };
-            for cmd in commands {
-                self.handle_command(cmd);
-            }
-            if shutdown {
-                self.abort_all();
-                return;
-            }
-            for (idx, kind) in self.wheel.advance(Instant::now()) {
-                self.handle_timer(idx, kind);
-            }
-            self.shared
-                .stats
-                .timer_cascades
-                .store(self.wheel.cascades(), Ordering::Relaxed);
-            let poll_timeout = self
-                .wheel
-                .next_wake()
-                .map(|d| d.saturating_duration_since(Instant::now()));
-            if self.shared.poller.wait(&mut events, poll_timeout).is_err() {
-                // Transient poll failure: retry; timers still advance.
+        while self.turn(&mut events) {}
+    }
+
+    /// One iteration: the inbox's commands, the timers that have expired,
+    /// then one `epoll_wait` — sleeping at most until the first timer
+    /// left — and its events. Returns `false` once the reactor shuts down.
+    fn turn(&mut self, events: &mut Vec<(u64, u32)>) -> bool {
+        // Completions delivered by this iteration — commands, expired
+        // timers and socket events alike — count as one wake batch.
+        let before = self.shared.stats.completions.load(Ordering::Relaxed);
+        let (commands, shutdown) = {
+            let mut inbox = self.shared.inbox.lock();
+            (std::mem::take(&mut inbox.commands), inbox.shutdown)
+        };
+        for cmd in commands {
+            self.handle_command(cmd);
+        }
+        if shutdown {
+            self.abort_all();
+            return false;
+        }
+        let now = Instant::now();
+        while let Some(&key) = self.timers.first().filter(|&&(at, ..)| at <= now) {
+            self.timers.remove(&key);
+            let (_, idx, kind) = key;
+            self.handle_timer(idx, kind);
+        }
+        let poll_timeout = self
+            .timers
+            .first()
+            .map(|&(at, ..)| at.saturating_duration_since(Instant::now()));
+        if self.shared.poller.wait(events, poll_timeout).is_err() {
+            // Transient poll failure: retry; timers still fire.
+            return true;
+        }
+        self.shared.stats.wakeups.fetch_add(1, Ordering::Relaxed);
+        for &(token, ev) in events.iter() {
+            if token == WAKE_TOKEN {
+                self.shared.poller.drain_wake();
                 continue;
             }
-            self.shared.stats.wakeups.fetch_add(1, Ordering::Relaxed);
-            for &(token, ev) in events.iter() {
-                if token == WAKE_TOKEN {
-                    self.shared.poller.drain_wake();
-                    continue;
-                }
-                let idx = token as usize;
-                if idx >= self.conns.len() {
-                    continue;
-                }
-                if matches!(self.conns[idx].link, Link::Connecting(_)) {
-                    // Writable or error: either way SO_ERROR renders the
-                    // verdict on the in-flight connect.
-                    if ev & (libc::EPOLLOUT | libc::EPOLLERR | libc::EPOLLHUP) != 0 {
-                        self.finish_connect(idx);
-                    }
-                    continue;
-                }
-                if ev & (libc::EPOLLERR | libc::EPOLLHUP) != 0 {
-                    self.kill_conn(
-                        idx,
-                        io::Error::new(io::ErrorKind::ConnectionReset, "connection error"),
-                    );
-                    continue;
-                }
-                if ev & (libc::EPOLLIN | libc::EPOLLRDHUP) != 0 {
-                    self.handle_readable(idx);
-                }
-                if ev & libc::EPOLLOUT != 0 {
-                    self.flush_conn(idx);
-                }
+            let idx = token as usize;
+            if idx >= self.conns.len() {
+                continue;
             }
-            let delivered = self.shared.stats.completions.load(Ordering::Relaxed) - before;
-            if delivered > 0 {
-                self.shared
-                    .stats
-                    .completion_batches
-                    .fetch_add(1, Ordering::Relaxed);
+            if matches!(self.conns[idx].link, Link::Connecting(_)) {
+                // Writable or error: either way SO_ERROR renders the
+                // verdict on the in-flight connect.
+                if ev & (libc::EPOLLOUT | libc::EPOLLERR | libc::EPOLLHUP) != 0 {
+                    self.finish_connect(idx);
+                }
+                continue;
+            }
+            if ev & (libc::EPOLLERR | libc::EPOLLHUP) != 0 {
+                self.kill_conn(
+                    idx,
+                    io::Error::new(io::ErrorKind::ConnectionReset, "connection error"),
+                );
+                continue;
+            }
+            if ev & (libc::EPOLLIN | libc::EPOLLRDHUP) != 0 {
+                self.handle_readable(idx);
+            }
+            if ev & libc::EPOLLOUT != 0 {
+                self.flush_conn(idx);
             }
         }
+        let delivered = self.shared.stats.completions.load(Ordering::Relaxed) - before;
+        if delivered > 0 {
+            self.shared
+                .stats
+                .completion_batches
+                .fetch_add(1, Ordering::Relaxed);
+        }
+        true
     }
 
     fn handle_command(&mut self, cmd: Command) {
@@ -832,19 +836,11 @@ impl EventLoop {
         match kind {
             TimerKind::Deadline => {
                 self.conns[idx].deadline_timer = None;
-                let now = Instant::now();
-                let expired = self.conns[idx]
+                // The key was the front's own deadline, and it has passed.
+                let front = self.conns[idx]
                     .queue
-                    .front()
-                    .is_some_and(|ex| ex.deadline <= now);
-                if !expired {
-                    // Wheel ticks round up, so this is unreachable in
-                    // practice; re-arm defensively rather than drop a
-                    // deadline.
-                    self.arm_front_deadline(idx);
-                    return;
-                }
-                let front = self.conns[idx].queue.pop_front().expect("front expired");
+                    .pop_front()
+                    .expect("a deadline key is armed only for a queue front");
                 let after = self.conns[idx].timeout;
                 // Count before delivering: a caller that observed the
                 // Timeout error must also observe the counter.
@@ -907,13 +903,12 @@ impl EventLoop {
         let Some(interval) = self.conns[idx].heartbeat else {
             return;
         };
-        if let Some(id) = self.conns[idx].heartbeat_timer.take() {
-            self.wheel.cancel(id);
+        if let Some(key) = self.conns[idx].heartbeat_timer.take() {
+            self.timers.remove(&key);
         }
-        let id = self
-            .wheel
-            .arm(Instant::now() + interval, (idx, TimerKind::Heartbeat));
-        self.conns[idx].heartbeat_timer = Some(id);
+        let key = (Instant::now() + interval, idx, TimerKind::Heartbeat);
+        self.timers.insert(key);
+        self.conns[idx].heartbeat_timer = Some(key);
     }
 
     /// Queue an internal `version` probe on an idle Up link. Nobody waits
@@ -932,12 +927,13 @@ impl EventLoop {
 
     /// (Re)arm `idx`'s deadline timer for its current queue front.
     fn arm_front_deadline(&mut self, idx: usize) {
-        if let Some(id) = self.conns[idx].deadline_timer.take() {
-            self.wheel.cancel(id);
+        if let Some(key) = self.conns[idx].deadline_timer.take() {
+            self.timers.remove(&key);
         }
         if let Some(deadline) = self.conns[idx].queue.front().map(|ex| ex.deadline) {
-            let id = self.wheel.arm(deadline, (idx, TimerKind::Deadline));
-            self.conns[idx].deadline_timer = Some(id);
+            let key = (deadline, idx, TimerKind::Deadline);
+            self.timers.insert(key);
+            self.conns[idx].deadline_timer = Some(key);
         }
     }
 
@@ -1012,8 +1008,8 @@ impl EventLoop {
             token,
             io::Error::new(io::ErrorKind::NotConnected, "client closed"),
         );
-        if let Some(id) = self.conns[token].heartbeat_timer.take() {
-            self.wheel.cancel(id);
+        if let Some(key) = self.conns[token].heartbeat_timer.take() {
+            self.timers.remove(&key);
         }
         let conn = &mut self.conns[token];
         conn.registered = false;
@@ -1078,8 +1074,9 @@ impl EventLoop {
         let now = Instant::now();
         match conn.retry_at {
             Some(at) if at > now => {
-                let id = self.wheel.arm(at, (idx, TimerKind::ConnectRetry));
-                self.conns[idx].connect_timer = Some(id);
+                let key = (at, idx, TimerKind::ConnectRetry);
+                self.timers.insert(key);
+                self.conns[idx].connect_timer = Some(key);
             }
             _ => self.begin_connect(idx),
         }
@@ -1106,10 +1103,11 @@ impl EventLoop {
                     .connects_in_flight
                     .fetch_add(1, Ordering::Relaxed);
                 let deadline = Instant::now() + self.conns[idx].timeout.max(MIN_CONNECT_TIMEOUT);
-                let id = self.wheel.arm(deadline, (idx, TimerKind::ConnectTimeout));
+                let key = (deadline, idx, TimerKind::ConnectTimeout);
+                self.timers.insert(key);
                 let conn = &mut self.conns[idx];
                 conn.link = Link::Connecting(stream);
-                conn.connect_timer = Some(id);
+                conn.connect_timer = Some(key);
             }
             Err(err) => self.record_connect_failure(idx, err),
         }
@@ -1164,8 +1162,8 @@ impl EventLoop {
     /// connect (or retry) timer, and settle the in-flight gauge. Returns
     /// the socket when the link really was connecting.
     fn teardown_connecting(&mut self, idx: usize) -> Option<TcpStream> {
-        if let Some(id) = self.conns[idx].connect_timer.take() {
-            self.wheel.cancel(id);
+        if let Some(key) = self.conns[idx].connect_timer.take() {
+            self.timers.remove(&key);
         }
         if !matches!(self.conns[idx].link, Link::Connecting(_)) {
             return None;
@@ -1525,5 +1523,114 @@ mod tests {
         assert!(matches!(replies[..], [Response::Version(_)]), "{replies:?}");
         release.send(()).unwrap();
         server.join().unwrap();
+    }
+
+    /// Register two streams to `addr` directly on `ev`, returning their
+    /// slots.
+    fn register_on(
+        ev: &mut EventLoop,
+        addr: SocketAddr,
+        heartbeat: Option<Duration>,
+    ) -> Vec<usize> {
+        let streams = (0..2).map(|_| TcpStream::connect(addr).unwrap()).collect();
+        let reply = OneShot::new();
+        ev.handle_command(Command::Register {
+            addr,
+            streams,
+            timeout: TIMEOUT,
+            heartbeat,
+            health: Arc::new(LinkHealth::new(2)),
+            reply: Arc::clone(&reply),
+        });
+        reply.wait().unwrap()
+    }
+
+    /// Queue a `version` batch on `conn` with `timeout`; returns its
+    /// completion slot.
+    fn version_on(
+        ev: &mut EventLoop,
+        conn: usize,
+        timeout: Duration,
+    ) -> Arc<OneShot<KvResult<Vec<Response>>>> {
+        let call = Exchange::new(vec![Bytes::from_static(b"version\r\n")], 1, true, timeout);
+        let done = Arc::clone(&call.done);
+        ev.handle_command(Command::Submit { conn, call });
+        done
+    }
+
+    #[test]
+    fn a_released_slot_leaves_no_timer_behind() {
+        const SHORT: Duration = Duration::from_millis(100);
+        // The loop runs on this thread, so its timer set can be read.
+        let shared = Arc::new(Shared {
+            poller: Poller::new().unwrap(),
+            inbox: Mutex::new(Inbox {
+                commands: Vec::new(),
+                shutdown: false,
+            }),
+            stats: ReactorStats::default(),
+        });
+        let mut ev = EventLoop {
+            shared: Arc::clone(&shared),
+            conns: Vec::new(),
+            free: Vec::new(),
+            timers: BTreeSet::new(),
+        };
+        // A peer that accepts (in the kernel's backlog) and never answers:
+        // each slot arms a deadline and a heartbeat.
+        let (_silent, silent_addr) = listener();
+        let old = register_on(&mut ev, silent_addr, Some(Duration::from_secs(60)));
+        let stalled: Vec<_> = old.iter().map(|&t| version_on(&mut ev, t, SHORT)).collect();
+        for &slot in &old {
+            let kinds: Vec<TimerKind> = ev
+                .timers
+                .iter()
+                .filter(|k| k.1 == slot)
+                .map(|k| k.2)
+                .collect();
+            assert!(
+                kinds.contains(&TimerKind::Deadline) && kinds.contains(&TimerKind::Heartbeat),
+                "slot {slot} armed {kinds:?}"
+            );
+        }
+
+        ev.handle_command(Command::Deregister {
+            tokens: old.clone(),
+        });
+        for done in stalled {
+            assert!(matches!(done.wait(), Err(KvError::Io(_))));
+        }
+        let left: Vec<_> = ev.timers.iter().filter(|k| old.contains(&k.1)).collect();
+        assert!(
+            left.is_empty(),
+            "released slots left timers behind: {left:?}"
+        );
+
+        // Past the old deadlines, the slots go to a new registrant whose
+        // batches must not meet them.
+        std::thread::sleep(2 * SHORT);
+        let server =
+            crate::KvServer::spawn(Arc::new(crate::Store::with_defaults()), "127.0.0.1:0").unwrap();
+        let mut reused = register_on(&mut ev, server.addr(), None);
+        reused.sort_unstable();
+        let mut old = old;
+        old.sort_unstable();
+        assert_eq!(reused, old, "the freed slots are reused");
+        let fresh: Vec<_> = reused
+            .iter()
+            .map(|&t| version_on(&mut ev, t, TIMEOUT))
+            .collect();
+        let mut events = Vec::new();
+        let deadline = Instant::now() + TIMEOUT;
+        while !fresh.iter().all(|done| done.is_set()) {
+            assert!(Instant::now() < deadline, "the new batches never completed");
+            ev.turn(&mut events);
+        }
+        for done in fresh {
+            let replies = done.wait().unwrap();
+            assert!(matches!(replies[..], [Response::Version(_)]), "{replies:?}");
+        }
+        assert_eq!(shared.stats.timeouts.load(Ordering::Relaxed), 0);
+        ev.abort_all();
     }
 }

@@ -44,8 +44,9 @@
 //!   memcached's slabs by other means. Unpinned, whether a server kept
 //!   or re-faulted that memory (a 2× difference in write speed) was
 //!   decided by which small allocation sat on top of its heap.
-//! * **Idle-connection timeouts** on the shared [`TimerWheel`]: lazily
-//!   re-armed, so busy connections never touch the wheel per request.
+//! * **Idle-connection timeouts**, one `(deadline, slot)` key per
+//!   connection in an ordered set: lazily re-armed, so a busy connection
+//!   costs no timer work per request.
 //! * **Load shedding**: beyond [`ServerConfig::max_connections`] an
 //!   accepted socket gets a best-effort `SERVER_ERROR` line and is
 //!   closed, leaving established mounts untouched.
@@ -61,6 +62,7 @@
 //! `stats` protocol command appends the serving-layer pairs to the
 //! store's counters.
 
+use std::collections::BTreeSet;
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::os::fd::AsRawFd;
@@ -79,7 +81,6 @@ use crate::proto::{
 use crate::stats::StoreStats;
 use crate::stats::{ServerStats, ServerStatsSnapshot};
 use crate::store::Store;
-use crate::wheel::{TimerId, TimerWheel};
 
 /// Version string reported to `version` commands.
 pub const SERVER_VERSION: &str = "memkv/0.1 (memcached text protocol)";
@@ -371,8 +372,8 @@ fn storage_error(e: KvError) -> Response {
 // ---------------------------------------------------------------------------
 
 /// One slot of the connection slab. Slots are reused through a freelist;
-/// the only reference that outlives an occupant is its idle timer, which
-/// `close_conn` cancels, so a slot needs no generation of its own.
+/// the only reference that outlives an occupant is its idle timer key,
+/// which `close_conn` removes, so a slot needs no generation of its own.
 struct Slot {
     /// The occupant: stream, receive buffer, send queue, epoll interest.
     conn: Option<Conn>,
@@ -382,7 +383,7 @@ struct Slot {
     /// send queue drains; then close.
     close_after_flush: bool,
     last_activity: Instant,
-    idle_timer: Option<TimerId>,
+    idle_timer: Option<(Instant, usize)>,
 }
 
 impl Slot {
@@ -402,8 +403,8 @@ struct ServerLoop {
     listener: TcpListener,
     conns: Vec<Slot>,
     free: Vec<usize>,
-    /// Idle timers; the payload is the connection's slab index.
-    wheel: TimerWheel<usize>,
+    /// Idle timers as `(deadline, slab index)` keys, ordered by deadline.
+    timers: BTreeSet<(Instant, usize)>,
 }
 
 impl ServerLoop {
@@ -413,7 +414,7 @@ impl ServerLoop {
             listener,
             conns: Vec::new(),
             free: Vec::new(),
-            wheel: TimerWheel::new(Instant::now()),
+            timers: BTreeSet::new(),
         }
     }
 
@@ -424,13 +425,14 @@ impl ServerLoop {
                 break;
             }
             let now = Instant::now();
-            for idx in self.wheel.advance(now) {
-                self.idle_fired(idx, now);
+            while let Some(&key) = self.timers.first().filter(|&&(at, _)| at <= now) {
+                self.timers.remove(&key);
+                self.idle_fired(key.1, now);
             }
             let timeout = self
-                .wheel
-                .next_wake()
-                .map(|w| w.saturating_duration_since(Instant::now()));
+                .timers
+                .first()
+                .map(|&(at, _)| at.saturating_duration_since(Instant::now()));
             if self.engine.poller.wait(&mut events, timeout).is_err() {
                 break;
             }
@@ -509,15 +511,15 @@ impl ServerLoop {
         if self.engine.config.idle_timeout.is_zero() {
             return;
         }
-        self.conns[idx].idle_timer = Some(self.wheel.arm(deadline, idx));
+        self.timers.insert((deadline, idx));
+        self.conns[idx].idle_timer = Some((deadline, idx));
     }
 
     /// An idle timer fired. Timers are lazy: traffic only refreshes
-    /// `last_activity`, and the wheel is consulted at most once per
-    /// timeout window per connection — a busy socket costs zero wheel
-    /// churn. On firing, either the connection is genuinely idle (close
-    /// it) or the timer re-arms at the earliest future instant it could
-    /// be.
+    /// `last_activity`, and a connection's key is touched at most once
+    /// per timeout window — a request costs no timer work. On firing,
+    /// either the connection is genuinely idle (close it) or the timer
+    /// re-arms at the earliest future instant it could be.
     fn idle_fired(&mut self, idx: usize, now: Instant) {
         let slot = &mut self.conns[idx];
         debug_assert!(slot.conn.is_some(), "close_conn cancels the timer");
@@ -657,8 +659,8 @@ impl ServerLoop {
             return;
         };
         conn.close(&self.engine.poller);
-        if let Some(id) = slot.idle_timer.take() {
-            self.wheel.cancel(id);
+        if let Some(key) = slot.idle_timer.take() {
+            self.timers.remove(&key);
         }
         slot.paused_read = false;
         slot.close_after_flush = false;

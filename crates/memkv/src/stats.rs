@@ -124,7 +124,7 @@ pub struct ServerStats {
     pub(crate) bytes_tx: AtomicU64,
     /// Request bytes read from sockets.
     pub(crate) bytes_rx: AtomicU64,
-    /// Connections closed by the idle-timeout wheel.
+    /// Connections closed by the idle timeout.
     pub(crate) idle_closed: AtomicU64,
 }
 

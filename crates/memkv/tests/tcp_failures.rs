@@ -530,25 +530,32 @@ fn client_survives_server_restart_on_same_addr() {
     assert_eq!(client.get(b"durable").unwrap().as_ref(), b"v2");
 }
 
-/// Idle connections are reaped by the timer wheel after `idle_timeout`,
-/// and a reaped client reconnects transparently on its next request.
+/// Idle connections are reaped after `idle_timeout`, never before, and a
+/// reaped client reconnects transparently on its next request.
 #[test]
 fn idle_connections_are_reaped_and_clients_reconnect() {
+    const IDLE: Duration = Duration::from_millis(100);
     let server = KvServer::spawn_with(
         Arc::new(Store::with_defaults()),
         "127.0.0.1:0",
         memfs_memkv::ServerConfig {
-            idle_timeout: Duration::from_millis(100),
+            idle_timeout: IDLE,
             ..Default::default()
         },
     )
     .unwrap();
+    // The connection is accepted, and last active, after this instant.
+    let opened = Instant::now();
     let client = TcpClient::connect_with(server.addr(), config(1)).unwrap();
     client.set(b"k", Bytes::from_static(b"v")).unwrap();
 
     let deadline = Instant::now() + Duration::from_secs(5);
     loop {
         let stats = server.server_stats();
+        if stats.idle_closed >= 1 {
+            let quiet = opened.elapsed();
+            assert!(quiet >= IDLE, "reaped after {quiet:?}, before {IDLE:?}");
+        }
         if stats.idle_closed >= 1 && stats.connections == 0 {
             break;
         }

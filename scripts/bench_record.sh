@@ -12,7 +12,7 @@
 # `tests/shared_reactor.rs`.
 #
 # BENCH_pr6.json — `linerate_record`: line-rate efficiency of the
-# finished reactor (timer wheel, in-loop connects, one-copy writes) at
+# finished reactor (in-loop connects, one-copy writes) at
 # 16 bandwidth-capped servers on the mount's one reactor thread. Bars:
 # >= 90% of the aggregate shaped cap moves in both directions, and the
 # thread census reads exactly 1 loop.

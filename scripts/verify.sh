@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Repo verification gate: build, tests, formatting, lints.
 #
-#   scripts/verify.sh            # build + workspace tests + fmt + clippy + knob count + unsafe census + KvClient census + I/O pool census
+#   scripts/verify.sh            # build + workspace tests + fmt + clippy + knob count + unsafe census + KvClient census + I/O pool census + timer census
 #   scripts/verify.sh --clippy   # fast path: fmt + clippy only, no build/tests
 #   scripts/verify.sh --threads  # additionally stress the concurrency tests
 #   scripts/verify.sh --soak     # shaped-cluster suites, N random seeds
@@ -76,7 +76,7 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 # The knob count can only go down (ROADMAP aim 2: the same behaviour from
 # the simplest design). Lower KNOBS_MAX in the PR that deletes a knob.
-KNOBS_MAX=19
+KNOBS_MAX=18
 knobs=$(scripts/loc.sh --knobs | awk '$2 == "total" { print $1 }')
 echo "==> scripts/loc.sh --knobs: $knobs (max $KNOBS_MAX)"
 if ((knobs > KNOBS_MAX)); then
@@ -137,6 +137,17 @@ echo "==> I/O pool census: ${pools:-no I/O pool, no pool knob}"
 if [[ -n "$pools" ]]; then
     echo "verify: windows and drains stay pending in their handles; a mount runs" \
         "no I/O thread of its own (DESIGN.md §4c)" >&2
+    exit 1
+fi
+
+# Both event loops keep their timers as keys of one `BTreeSet` ordered by
+# deadline: no timer wheel, and no counter of its internals.
+# shellcheck disable=SC2086
+wheels=$(grep -rnE 'TimerWheel|TimerId|timer_cascades|mod wheel|wheel::' $trees || true)
+echo "==> timer census: ${wheels:-no timer wheel}"
+if [[ -n "$wheels" ]]; then
+    echo "verify: deadlines are keys of an ordered set in each loop, not a wheel" \
+        "(DESIGN.md §4b)" >&2
     exit 1
 fi
 
@@ -213,7 +224,11 @@ for arg in "$@"; do
             # And the connection under both loops: the receive buffer's
             # capacity rules, a send queue resumed across partial writes,
             # every frame of both directions through one buffer.
-            RUST_TEST_THREADS=16 cargo test -q -p memfs-memkv --lib -- server:: conn::
+            # And the client loop's replay / timeout / deregistration
+            # rules, with a released slot leaving no timer key behind.
+            RUST_TEST_THREADS=16 cargo test -q -p memfs-memkv --lib -- server:: conn:: reactor::
+            # Transport failure paths; the idle reaper never fires early.
+            RUST_TEST_THREADS=16 cargo test -q -p memfs-memkv --test tcp_failures
             # tail_ack reads the namespace-wide TcpExt DelayedACKs
             # counter: own binary, one test, nothing else talking TCP.
             cargo test -q --test tail_ack

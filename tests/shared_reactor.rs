@@ -71,6 +71,13 @@ fn stalled_server_is_isolated_and_counted_by_the_shared_loop() {
         elapsed < Duration::from_secs(4),
         "stalled server serialized the shared loop: {elapsed:?}"
     );
+    // The stalled key's batch was submitted after `start`: its Timeout
+    // cannot come before the deadline.
+    assert!(
+        elapsed >= config.timeout,
+        "the stalled key timed out early: {elapsed:?} < {:?}",
+        config.timeout
+    );
     for (server, result) in results.iter().enumerate() {
         if server == stalled {
             let err = result.as_ref().expect_err("stalled server must time out");
@@ -97,13 +104,7 @@ fn stalled_server_is_isolated_and_counted_by_the_shared_loop() {
         after.completion_batches > 0 && after.completion_batches <= after.completions,
         "batch count out of range: {after:?}"
     );
-    assert!(after.timeouts >= 1, "deadline wheel never fired: {after:?}");
-    // The 400 ms deadline lives above the wheel's 64-tick level-0 span,
-    // so firing it requires at least one cascade down the hierarchy.
-    assert!(
-        after.timer_cascades >= 1,
-        "a 400ms deadline must cascade before firing: {after:?}"
-    );
+    assert!(after.timeouts >= 1, "the deadline never fired: {after:?}");
     assert!(
         after.bytes_tx >= (N * payload.len()) as u64,
         "tx byte counter missed the warm-up writes: {after:?}"
