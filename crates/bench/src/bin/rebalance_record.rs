@@ -9,7 +9,7 @@
 //!   plus a write trickle before any membership change;
 //! * the **migration window** — the remaining four servers are admitted
 //!   mid-benchmark and a background thread drives budget-throttled
-//!   [`memfs_core::migrate_pass`] loops until every range flips, while
+//!   [`memfs_core::repair_pass`] loops until every range flips, while
 //!   the same foreground workload keeps running and every op is
 //!   counted: **zero may fail**;
 //! * **post-migration throughput** on the grown pool, compared against
@@ -32,7 +32,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use memfs_core::{migrate_pass, DistributorKind, MigrateConfig, ServerPool};
+use memfs_core::{repair_pass, DistributorKind, RepairConfig, ServerPool};
 use memfs_memkv::net::PoolConfig;
 use memfs_memkv::testutil::{seed_from_env, Rng, Shape, ShapedCluster};
 use memfs_memkv::{KvClient, ReactorHandle};
@@ -144,8 +144,9 @@ fn main() {
     let migrate_pool = Arc::clone(&pool);
     let migrate_done = Arc::clone(&done);
     let migrate_thread = std::thread::spawn(move || {
-        let config = MigrateConfig {
+        let config = RepairConfig {
             bandwidth: MIGRATE_BUDGET_BPS,
+            ..RepairConfig::default()
         };
         let start = Instant::now();
         let mut migrated = 0u64;
@@ -153,10 +154,10 @@ fn main() {
         let mut scanned = 0usize;
         let mut passes = 0u32;
         let converged = loop {
-            let report = migrate_pass(&migrate_pool, &config).expect("migration pass");
+            let report = repair_pass(&migrate_pool, &config).expect("migration pass");
             migrated += report.copied_bytes;
-            moved_keys += report.moved_keys;
-            scanned += report.scanned_keys;
+            moved_keys += report.under_replicated;
+            scanned = scanned.max(report.scanned_keys);
             passes += 1;
             if report.complete {
                 break true;

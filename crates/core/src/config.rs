@@ -56,8 +56,9 @@ pub struct MemFsConfig {
     /// demand.
     pub repair_interval_ms: u64,
     /// Token-bucket budget for background copies, in bytes per second:
-    /// repair passes, and the migration passes of a membership transition
-    /// ([`crate::MemFs::add_server`] / [`crate::MemFs::remove_server`]).
+    /// the repair passes that restore replication and migrate a
+    /// membership transition ([`crate::MemFs::add_server`] /
+    /// [`crate::MemFs::remove_server`]).
     /// Both run on the one repair thread, one at a time, so this bounds
     /// how much bandwidth background work may steal from foreground
     /// traffic. `0` (the default) means unlimited.

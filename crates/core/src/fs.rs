@@ -26,7 +26,6 @@ use crate::config::MemFsConfig;
 use crate::error::{MemFsError, MemFsResult};
 use crate::layout::StripeLayout;
 use crate::meta::{self, ChildKind, SizeRecord};
-use crate::mover::{migrate_pass, MigrateConfig, MigrationReport};
 use crate::path;
 use crate::pool::ServerPool;
 use crate::prefetch::{FirstStripe, StripeReader};
@@ -232,10 +231,11 @@ impl MemFs {
     }
 
     /// Run one synchronous repair pass over the mount's pool (see
-    /// [`crate::repair::repair_pass`]): re-replicates every key the
-    /// health census finds short of its home set, under the configured
-    /// bandwidth budget. Works whether or not the background daemon is
-    /// running.
+    /// [`crate::repair::repair_pass`]): puts every key the health census
+    /// finds off its home set back on it, and advances a membership
+    /// transition, under the configured bandwidth budget. Works whether
+    /// or not the background daemon is running; reports `complete: true`
+    /// once no transition is left.
     pub fn repair_now(&self) -> MemFsResult<RepairReport> {
         repair_pass(&self.inner.pool, &Self::repair_config(&self.inner.config))
     }
@@ -249,7 +249,7 @@ impl MemFs {
     /// membership transition whose key ranges migrate in the background
     /// (the repair daemon drives them under
     /// [`MemFsConfig::copy_bandwidth`]; without a daemon, call
-    /// [`Self::migrate_now`] until it reports complete). Foreground
+    /// [`Self::repair_now`] until it reports complete). Foreground
     /// traffic keeps flowing throughout — reads consult the old homes
     /// until a range flips, writes dual-route during its migration
     /// window. Returns the new server's slot id.
@@ -290,20 +290,6 @@ impl MemFs {
     /// Whether a membership transition is still migrating.
     pub fn migration_active(&self) -> bool {
         self.inner.pool.transition_active()
-    }
-
-    /// Run one synchronous migration pass (see
-    /// [`crate::mover::migrate_pass`]) under the configured
-    /// [`MemFsConfig::copy_bandwidth`]. Works whether or not the
-    /// background daemon is running; returns `complete: true` once the
-    /// transition has committed (or none was active).
-    pub fn migrate_now(&self) -> MemFsResult<MigrationReport> {
-        migrate_pass(
-            &self.inner.pool,
-            &MigrateConfig {
-                bandwidth: self.inner.config.copy_bandwidth,
-            },
-        )
     }
 
     /// The mount's configuration.
@@ -1812,7 +1798,7 @@ mod tests {
         }
         assert!(moving > 0, "some record must move to the new server");
         let mut passes = 0;
-        while !fs.migrate_now().unwrap().complete {
+        while !fs.repair_now().unwrap().complete {
             passes += 1;
             assert!(passes < 16, "migration never completed");
         }
@@ -2064,7 +2050,7 @@ mod tests {
                 fs.read_to_vec(&format!("/pre{}", rounds % 10)).unwrap(),
                 data
             );
-            if fs.migrate_now().unwrap().complete {
+            if fs.repair_now().unwrap().complete {
                 break;
             }
             rounds += 1;
@@ -2090,7 +2076,7 @@ mod tests {
         // Default distributor is modulo: only the tail slot can leave.
         fs.remove_server(ServerId(2)).unwrap();
         let mut rounds = 0;
-        while !fs.migrate_now().unwrap().complete {
+        while !fs.repair_now().unwrap().complete {
             rounds += 1;
             assert!(rounds < 16, "drain never completed");
         }
@@ -2173,7 +2159,7 @@ mod tests {
         fs.add_server(Arc::new(LocalClient::new(Arc::clone(&stores[4]))))
             .unwrap();
         let mut passes = 0;
-        while !fs.migrate_now().unwrap().complete {
+        while !fs.repair_now().unwrap().complete {
             passes += 1;
             assert!(passes < 16, "migration never completed");
         }

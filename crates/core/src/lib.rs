@@ -69,7 +69,6 @@ pub mod error;
 pub mod fs;
 pub mod layout;
 pub mod meta;
-pub mod mover;
 pub mod path;
 pub mod pool;
 pub mod prefetch;
@@ -78,6 +77,5 @@ pub mod repair;
 pub use config::{DistributorKind, MemFsConfig};
 pub use error::{MemFsError, MemFsResult};
 pub use fs::{DirEntry, EntryKind, FileStat, MemFs, ReadHandle, WriteHandle};
-pub use mover::{migrate_pass, MembershipMonitor, MigrateConfig, MigrationReport};
 pub use pool::{DegradedWrite, PoolStats, ServerIoSnapshot, ServerPool, WriteOutcome};
-pub use repair::{repair_pass, RepairConfig, RepairDaemon, RepairReport};
+pub use repair::{repair_pass, MembershipMonitor, RepairConfig, RepairDaemon, RepairReport};

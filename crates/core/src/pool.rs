@@ -29,9 +29,9 @@
 //! range is `Migrating`, writers dual-route to the union of old and new
 //! homes and readers consult the old homes first (authoritative) and the
 //! new homes second; `Old` and `New` ranges route purely by one ring.
-//! The mover (`mover.rs`) flips ranges and separates the phases with a
-//! quiescence barrier ([`GenGate`]) so no in-flight operation still
-//! routes by a pre-flip phase when the mover acts on the flip. Server
+//! The repair pass (`repair.rs`) flips ranges and separates the phases
+//! with a quiescence barrier ([`GenGate`]) so no in-flight operation
+//! still routes by a pre-flip phase when the pass acts on the flip. Server
 //! slots are never renumbered: a drained server's slot is replaced by a
 //! [`RetiredClient`] tombstone so `ServerId`s stay stable forever.
 
@@ -96,6 +96,9 @@ pub(crate) struct Window<K> {
     /// Input entries of the call.
     len: usize,
     shares: Vec<Share<K>>,
+    /// The snapshot the call was routed by: a degraded write's hint names
+    /// the homes that took it under exactly this routing.
+    state: Arc<RingState>,
 }
 
 impl<K> Window<K> {
@@ -234,7 +237,7 @@ impl PoolStats {
 }
 
 /// A generation-counted quiescence gate: operations `enter()` cheaply
-/// (two atomic RMWs), and the mover's `advance_and_wait()` bumps the
+/// (two atomic RMWs), and the repair pass's `advance_and_wait()` bumps the
 /// generation then waits until every operation that entered under the old
 /// generation has finished. Two slot counters alternate by generation
 /// parity; `enter` re-checks the generation after incrementing so it
@@ -309,7 +312,7 @@ pub(crate) struct TransitionState {
     pub(crate) target_members: Vec<usize>,
     /// The ring the target membership routes by.
     pub(crate) target: Arc<dyn Distributor>,
-    /// Per-key-range migration phases, shared with the mover.
+    /// Per-key-range migration phases, shared with the repair pass.
     pub(crate) ranges: Arc<RangeEpochs>,
     /// Member slots this transition drains.
     pub(crate) leaving: Vec<usize>,
@@ -392,13 +395,30 @@ impl RingState {
         self.current.server_for(key)
     }
 
+    /// The ring `key`'s range routes by: the target ring once the range
+    /// is `Migrating` or `New`, the current ring otherwise.
+    pub(crate) fn home_ring(&self, key: &[u8]) -> &Arc<dyn Distributor> {
+        match &self.transition {
+            Some(t) if t.ranges.phase_of_key(key) != RangePhase::Old => &t.target,
+            _ => &self.current,
+        }
+    }
+
     /// The key's full failover candidate chain: every distinct successor
-    /// of the current ring in walk order, then any extra successors the
-    /// target ring adds during a transition.
+    /// of its [`RingState::home_ring`] in walk order — where the repair
+    /// pass parks its copies — then any extra successors the other ring
+    /// adds during a transition.
     pub(crate) fn candidates(&self, key: &[u8]) -> Vec<ServerId> {
-        let mut chain = self.current.replicas_for(key, self.clients.len());
+        let n = self.clients.len();
+        let home = self.home_ring(key);
+        let mut chain = home.replicas_for(key, n);
         if let Some(t) = &self.transition {
-            for id in t.target.replicas_for(key, self.clients.len()) {
+            let other = if Arc::ptr_eq(home, &t.target) {
+                &self.current
+            } else {
+                &t.target
+            };
+            for id in other.replicas_for(key, n) {
                 if !chain.contains(&id) {
                     chain.push(id);
                 }
@@ -534,12 +554,15 @@ pub enum WriteOutcome {
     },
 }
 
-/// A key the last write left under-replicated: the repair planner's work
+/// A key the last write left under-replicated: the repair pass's work
 /// unit (drained via [`ServerPool::take_degraded`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DegradedWrite {
     /// The short-written key.
     pub key: Bytes,
+    /// The replicas that took the write: the only copies known to hold
+    /// the acked value. Every other copy of the key is suspect.
+    pub written: Vec<ServerId>,
     /// The replicas that missed the write.
     pub missing: Vec<ServerId>,
 }
@@ -604,7 +627,7 @@ pub struct ServerPool {
     /// Quiescence gate separating migration phase flips from in-flight
     /// operations routed by the pre-flip phase.
     gate: Arc<GenGate>,
-    /// Serializes migration passes (the mover holds this across a pass).
+    /// Serializes repair passes (each holds this across the pass).
     migration: Mutex<()>,
 }
 
@@ -692,10 +715,9 @@ impl ServerPool {
 
     /// The key's full failover candidate chain: its `replication()`
     /// owners first, then every further distinct successor in walk
-    /// order. The repair planner takes the first `r` *alive* entries as
-    /// the key's current home set, so copies migrate to surviving
-    /// successors while owners are down and converge back when they
-    /// return.
+    /// order. The repair pass takes the first `r` *alive* entries as the
+    /// key's home set, so copies migrate to surviving successors while
+    /// owners are down and converge back when they return.
     pub fn replica_candidates(&self, key: &[u8]) -> Vec<ServerId> {
         self.ring_state().candidates(key)
     }
@@ -703,9 +725,7 @@ impl ServerPool {
     /// Per-server health census, indexed by [`ServerId`]: each client's
     /// current liveness view (for TCP clients, the reactor's link state
     /// plus heartbeat probes; in-process clients are always `Up` unless a
-    /// test injects failure). Retired slots report `Down`. The repair
-    /// planner uses this to pick surviving copy sources and live
-    /// re-replication targets.
+    /// test injects failure). Retired slots report `Down`.
     pub fn health(&self) -> Vec<ServerHealth> {
         self.ring_state()
             .clients
@@ -721,26 +741,19 @@ impl ServerPool {
         self.degraded.lock().drain(..).collect()
     }
 
-    /// Peek the degraded-write queue without draining it. The mover uses
-    /// this to exclude stale holders — replicas known to have missed an
-    /// acked write may still serve the *prior* value under the key, and
-    /// copying from one during a migration would resurrect it on the new
-    /// homes while the fresh old-home copy gets retired.
-    pub(crate) fn peek_degraded(&self) -> Vec<DegradedWrite> {
-        self.degraded.lock().iter().cloned().collect()
-    }
-
     /// Number of degraded writes currently queued for repair.
     pub fn degraded_pending(&self) -> usize {
         self.degraded.lock().len()
     }
 
-    /// Put unresolved degraded-write hints back on the queue (the repair
-    /// pass re-queues hints whose missing replica is still down: that
-    /// replica may hold a *stale prior value* under the key, which a
-    /// presence-based scan cannot distinguish from a fresh copy).
+    /// Put unresolved degraded-write hints back at the *front* of the
+    /// queue, ahead of any hint a write queued meanwhile: the last hint
+    /// of a key must stay its latest write's.
     pub(crate) fn requeue_degraded(&self, hints: Vec<DegradedWrite>) {
-        self.degraded.lock().extend(hints);
+        let mut queue = self.degraded.lock();
+        for hint in hints.into_iter().rev() {
+            queue.push_front(hint);
+        }
     }
 
     /// Number of server *slots* (including joining and retired ones —
@@ -767,7 +780,7 @@ impl ServerPool {
 
     /// Admit new servers: append their clients to the slot table and
     /// install a transition whose target ring includes them. Data starts
-    /// moving when the mover runs its next pass; until each key range
+    /// moving when the repair pass next runs; until each key range
     /// flips, reads and writes keep routing by the current ring, so the
     /// call itself never disturbs foreground traffic.
     ///
@@ -858,27 +871,28 @@ impl ServerPool {
         Ok(())
     }
 
-    /// The live routing snapshot (for the mover and in-crate tests).
+    /// The live routing snapshot (for the repair pass and in-crate tests).
     pub(crate) fn ring_state(&self) -> Arc<RingState> {
         Arc::clone(&self.ring.read())
     }
 
     /// Wait until every operation that entered before this call has
     /// finished, so a phase flip published before the call is visible to
-    /// all in-flight routing. Called by the mover between flip and act.
+    /// all in-flight routing. Called by the repair pass between flip and
+    /// act.
     pub(crate) fn quiesce(&self) {
         self.gate.advance_and_wait();
     }
 
-    /// Serializes migration passes across threads (daemon vs. manual
-    /// `migrate_now`).
+    /// Serializes repair passes across threads (daemon vs. manual
+    /// `repair_now`).
     pub(crate) fn migration_mutex(&self) -> &Mutex<()> {
         &self.migration
     }
 
     /// Finish the in-progress transition: the target membership becomes
     /// current, leaving slots are tombstoned, and the phase table is
-    /// dropped. The mover calls this after every range reached
+    /// dropped. The repair pass calls this after every range reached
     /// [`RangePhase::New`]; a no-op without an active transition.
     pub(crate) fn complete_transition(&self) {
         let mut ring = self.ring.write();
@@ -923,9 +937,10 @@ impl ServerPool {
         self.set_many(&[(Bytes::copy_from_slice(key), value)])
     }
 
-    /// Resolve one key's cross-replica write aggregate: full, degraded
-    /// (recorded + queued for repair), or failed everywhere.
-    fn settle_write(&self, agg: StoreAgg) -> MemFsResult<WriteOutcome> {
+    /// Resolve one key's cross-replica write aggregate, routed by
+    /// `state`: full, degraded (recorded + queued for repair), or failed
+    /// everywhere.
+    fn settle_write(&self, state: &RingState, agg: StoreAgg) -> MemFsResult<WriteOutcome> {
         if agg.written == 0 {
             return Err(agg.err.expect("replication >= 1"));
         }
@@ -935,8 +950,14 @@ impl ServerPool {
         for id in &agg.missing {
             self.stats.bump_degraded(id.0);
         }
+        let written = state
+            .route(&agg.key, self.replication)
+            .into_iter()
+            .filter(|id| !agg.missing.contains(id))
+            .collect();
         self.degraded.lock().push_back(DegradedWrite {
             key: agg.key,
+            written,
             missing: agg.missing.clone(),
         });
         Ok(WriteOutcome::Degraded {
@@ -1146,13 +1167,16 @@ impl ServerPool {
                 agg[i].merge(share.server, key, o);
             }
         }
-        agg.into_iter().map(|a| self.settle_write(a)).collect()
+        let state = window.state;
+        agg.into_iter()
+            .map(|a| self.settle_write(&state, a))
+            .collect()
     }
 
     /// Routed atomic `append`, applied to every replica (see the ordering
     /// caveat in the type docs). On a migrating range's *target-only*
     /// homes a `NotFound` is tolerated: the suffix is durable on the old
-    /// homes, and the mover's post-copy re-check carries it across before
+    /// homes, and the repair pass's post-copy re-read carries it across before
     /// the range flips to `New`.
     pub fn append(&self, key: &[u8], suffix: &[u8]) -> MemFsResult<()> {
         let suffix = Bytes::copy_from_slice(suffix);
@@ -1203,7 +1227,7 @@ impl ServerPool {
     /// Enter the quiescence gate, then snapshot the ring. The gate is
     /// entered *first* so that once [`GenGate::advance_and_wait`]
     /// returns, no operation still works from a snapshot taken before
-    /// the phases the mover just published.
+    /// the phases the repair pass just published.
     fn begin_op(&self) -> (GateGuard, Arc<RingState>) {
         let gate = self.gate.enter();
         let state = self.ring_state();
@@ -1241,7 +1265,7 @@ impl ServerPool {
                 reply,
             });
         }
-        Window { len, shares }
+        Window { len, shares, state }
     }
 
     /// The one replica walk behind every routed read: try `key`'s homes
@@ -1951,6 +1975,7 @@ pub(crate) mod tests {
         p.set(b"k", value.clone()).unwrap();
         let hint = DegradedWrite {
             key: Bytes::from_static(b"k"),
+            written: vec![ServerId(1)],
             missing: vec![ServerId(0)],
         };
         assert_eq!(p.take_degraded(), [hint]);
@@ -2000,6 +2025,7 @@ pub(crate) mod tests {
         let queued = p.take_degraded();
         assert_eq!(queued.len(), degraded);
         assert!(queued.iter().all(|d| d.missing == [ServerId(0)]));
+        assert!(queued.iter().all(|d| d.written.len() == 1));
         assert_eq!(p.degraded_pending(), 0);
         assert_eq!(p.stats().snapshot()[0].degraded_writes, degraded as u64);
         // Every key reads back even while the server is still down.

@@ -1,87 +1,86 @@
-//! Self-healing replication: failure detection feeds a repair planner
-//! that re-replicates under-replicated keys in the background.
+//! Self-healing replication and elastic membership: one background pass
+//! that puts every key on its home set.
 //!
 //! The paper runs MemFS on memcached, where a dead storage node simply
-//! loses its stripes; §3.2.5 prices replication as the defense. This
-//! module closes the loop: with `r`-way replication a key survives a
-//! server failure on its surviving replicas, and a **repair pass**
-//! ([`repair_pass`]) restores it to full strength instead of leaving it
-//! one failure away from loss.
+//! loses its stripes; §3.2.5 prices replication as the defense. With
+//! `r`-way replication a key survives a server failure on its surviving
+//! replicas, and a **repair pass** ([`repair_pass`]) restores it to full
+//! strength instead of leaving it one failure away from loss. The same
+//! pass migrates key ranges onto a changed membership (installed by
+//! [`ServerPool::begin_add_servers`] / [`ServerPool::begin_remove_server`]):
+//! a transition only changes which ring a key's homes come from.
 //!
-//! A pass is three steps over one [`ServerPool`]:
+//! A pass holds the pool's migration mutex and runs seven steps:
 //!
-//! 1. **Census** — [`ServerPool::health`] reports each member's liveness
-//!    (for TCP mounts: the reactor's link state kept fresh by heartbeat
-//!    probes; in tests: [`memfs_memkv::FailableClient`] injection).
-//!    Retired slots — servers a completed membership transition drained
-//!    — are not members and are never scanned or counted.
-//! 2. **Plan** — every *alive* member's key population is enumerated
-//!    ([`memfs_memkv::KvClient::scan_keys`], the same walk the migration
-//!    mover rides) and diffed against where each key should live now:
-//!    the first `r` alive entries of its candidate chain
-//!    ([`ServerPool::replica_candidates`]). While an owner is down the
-//!    home set slides onto surviving successors; when it returns the
-//!    set converges back and failover copies are retired.
-//! 3. **Copy** — each under-replicated key is read from a surviving
-//!    holder and written to its missing homes via the shared mover
-//!    ([`crate::mover::copy_key`]), throttled by a token bucket
-//!    ([`RepairConfig::bandwidth`]) so background repair cannot starve
-//!    foreground traffic of the wire.
+//! 1. **Open** (transition only) — flip up to 16 `Old` ranges to
+//!    `Migrating`, then quiesce: every in-flight write to them now
+//!    dual-routes (old ∪ new homes), so the scan below cannot miss one.
+//! 2. **Census and scan** — enumerate the keys of every alive slot of
+//!    members ∪ target members ([`memfs_memkv::KvClient::scan_keys`]). A
+//!    slot that fails its scan counts as down. A *current member* that is
+//!    not leaving and cannot be scanned blocks every flip this pass:
+//!    without its key census a flip could strand a key it alone holds
+//!    behind an authoritative target-ring `NotFound`.
+//! 3. **Hints** — drain the degraded-write queue. A hint names the servers
+//!    that took the key's write ([`DegradedWrite::written`]); for a hinted
+//!    key only those copies are fresh, and every other copy is suspect —
+//!    it may hold a prior value (a file-size record is created empty and
+//!    finalized by `set`), indistinguishable from a fresh copy by
+//!    presence.
+//! 4. **Homes and copies** — a key's homes are the first `r` alive servers
+//!    in the walk of the ring its range routes by
+//!    (`RingState::home_ring`): the current ring for `Old` ranges and
+//!    when no transition is active, the target ring for `Migrating` and
+//!    `New`. While an owner is down the home set slides onto surviving
+//!    successors; when it returns it converges back. A fresh holder's
+//!    value is copied over every stale holder (`set`) and onto every home
+//!    that holds nothing (`add`: `Exists` means a racing foreground write
+//!    already made it current). In a `Migrating` range the source is then
+//!    re-read, so a dual-routed append that raced the copy is carried
+//!    across too. Copies run under a token bucket
+//!    ([`RepairConfig::bandwidth`]). A key with no alive fresh holder
+//!    cannot be repaired this pass; its hint stays queued.
+//! 5. **Flip** (transition only, and only if no member scan failed) —
+//!    `Migrating` ranges whose keys all reached their homes go to `New`,
+//!    then quiesce.
+//! 6. **Retire** — for each key fully homed on fresh copies whose range is
+//!    not `Migrating`, delete its copies outside the homes: failover
+//!    copies whose owner returned, and a migrated key's old homes.
+//! 7. **Finish** — requeue the unresolved hints, and commit the transition
+//!    once every range is `New`.
 //!
-//! Degraded writes ([`crate::pool::DegradedWrite`], recorded when a
-//! `set`/`set_many` lands on only part of its replica set) are drained
-//! each pass and carry information the scan cannot recover: a replica
-//! that missed a write may still hold a **stale prior value** under the
-//! key (a file-size record is created empty and finalized by overwrite),
-//! indistinguishable from a fresh copy by presence alone. The pass
-//! treats hinted replicas as non-holders and re-copies over them; hints
-//! whose replica is still down are re-queued so the stale copy is
-//! overwritten when it returns. For *coverage* the scan remains
-//! authoritative — any durable key is on at least one alive server, so
-//! the scan also finds keys the queue never saw (e.g. keys lost to a
-//! failure after a fully-replicated write).
-//!
-//! While a **membership transition** is migrating, repair stands down
-//! ([`RepairReport::skipped`]): the home set is in motion and the two
-//! movers would fight over placement. The [`RepairDaemon`] instead
-//! spends those ticks driving [`crate::mover::migrate_pass`] under the
-//! same budget ([`RepairConfig::bandwidth`]) — one background thread
-//! serves both duties, never two, so their copies share one budget. With
-//! [`RepairConfig::evict_grace`] set, the daemon also runs a
-//! [`MembershipMonitor`]: a member down past the grace window is
-//! auto-evicted and its drain migrated out, after which repair resumes
-//! on the shrunken ring.
-//!
-//! [`RepairDaemon`] runs passes on an interval;
-//! [`crate::MemFs::repair_now`] runs one on demand. Repair is idempotent
-//! and crash-safe: a pass that dies mid-copy leaves extra-but-valid
-//! copies the next pass reconciles. One caveat: a repair copy races with
-//! a concurrent `unlink` (read-before-delete, write-after) can resurrect
-//! an orphan stripe key; it is invisible to the file system (its file
-//! metadata is gone) and reclaimed by eviction, never surfaced to reads.
+//! [`RepairDaemon`] runs passes on an interval (and, with
+//! [`RepairConfig::evict_grace`], a [`MembershipMonitor`] that evicts a
+//! member down past the grace window); [`crate::MemFs::repair_now`] runs
+//! one on demand. A pass is idempotent and crash-safe: one that dies
+//! mid-copy leaves extra-but-valid copies the next pass reconciles. One
+//! caveat: a copy racing a concurrent `unlink` (read-before-delete,
+//! write-after) can resurrect an orphan key; it is invisible to the file
+//! system (its file metadata is gone) and never surfaced to reads.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use memfs_hashring::ServerId;
+use bytes::Bytes;
+use memfs_hashring::{range_of, RangePhase, ServerId};
 use memfs_memkv::KvError;
 
 use crate::error::MemFsResult;
-use crate::mover::{
-    copy_key, try_migrate_pass, CopyMode, CopyOutcome, MembershipMonitor, MigrateConfig,
-    TokenBucket,
-};
-use crate::pool::{DegradedWrite, ServerPool};
+use crate::pool::{DegradedWrite, RingState, ServerPool};
 
-/// Tuning for a repair pass (and for the daemon's migration duty).
+/// How many `Old` ranges one pass opens at once. Small enough that only
+/// 1/4 of the key space dual-routes at a time; large enough that a
+/// transition completes in a handful of passes.
+const RANGES_PER_PASS: usize = 16;
+
+/// Tuning for a repair pass.
 #[derive(Debug, Clone, Default)]
 pub struct RepairConfig {
-    /// Token-bucket budget for copies, in bytes per second: a repair
-    /// pass's, and the daemon's migration passes while it drives a
-    /// membership transition. `0` means unlimited.
+    /// Token-bucket budget for a pass's copies, in bytes per second.
+    /// `0` means unlimited.
     pub bandwidth: u64,
     /// Auto-evict a member that stays down this long: the daemon starts
     /// a drain transition for it so the ring heals around the loss.
@@ -92,201 +91,412 @@ pub struct RepairConfig {
 /// Outcome of one repair pass.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RepairReport {
-    /// The pass stood down because a membership transition is migrating;
-    /// every other field is zero.
-    pub skipped: bool,
-    /// Members the census reported unreachable.
+    /// Members and target members the census reported unreachable.
     pub servers_down: usize,
-    /// Distinct keys enumerated across the alive members.
+    /// Distinct keys enumerated across the alive slots.
     pub scanned_keys: usize,
     /// Degraded-write hints drained from the pool's queue.
     pub degraded_hints: usize,
-    /// Keys found short of their current home set.
+    /// Keys that needed copies: a home without a fresh copy, or a stale
+    /// holder. During a grow or shrink these are exactly the keys whose
+    /// home set changed.
     pub under_replicated: usize,
-    /// Keys restored to their full home set.
+    /// Keys whose copies all landed.
     pub repaired_keys: usize,
-    /// Bytes copied to missing homes.
+    /// Bytes copied.
     pub copied_bytes: u64,
-    /// Retired copies (on alive servers outside the key's home set —
-    /// failover copies whose owner returned, or placement leftovers).
+    /// Retired copies (on alive servers outside the key's home set).
     pub removed_copies: usize,
-    /// Keys the pass could not restore (no holder would serve the value,
-    /// or a target refused the copy). They stay for the next pass.
+    /// Keys the pass could not restore (no alive fresh holder, or a
+    /// target refused the copy). They stay for the next pass, and so
+    /// does their range's flip.
     pub unrepairable: usize,
     /// Times the bandwidth token bucket paused the copy loop.
     pub throttle_waits: u64,
+    /// No membership transition is left: this pass committed it, or none
+    /// was active.
+    pub complete: bool,
 }
 
 impl RepairReport {
-    /// Whether the pass ran and left every scanned key on its full home
-    /// set.
+    /// Whether the pass left every scanned key on its full home set.
     pub fn converged(&self) -> bool {
-        !self.skipped && self.unrepairable == 0 && self.under_replicated == self.repaired_keys
+        self.unrepairable == 0 && self.under_replicated == self.repaired_keys
     }
 }
 
-/// Run one repair pass over `pool`: census, plan, copy (see the module
-/// docs). Returns what it found and moved. Safe to run concurrently with
-/// foreground reads and writes; runs on the caller's thread. While a
-/// membership transition is migrating the pass stands down immediately
-/// ([`RepairReport::skipped`]) — placement is in motion and belongs to
-/// the migration mover until the transition commits.
+/// Debt-based token bucket: `take` always grants, then sleeps off any
+/// debt at `rate` bytes/s — simpler than capacity planning and exact
+/// over a whole pass, which is all a background throttle needs.
+struct TokenBucket {
+    rate: u64,
+    tokens: f64,
+    last: Instant,
+    waits: u64,
+}
+
+impl TokenBucket {
+    fn new(rate: u64) -> TokenBucket {
+        TokenBucket {
+            rate,
+            tokens: 0.0,
+            last: Instant::now(),
+            waits: 0,
+        }
+    }
+
+    fn refill(&mut self) {
+        let now = Instant::now();
+        let earned = now.duration_since(self.last).as_secs_f64() * self.rate as f64;
+        // Cap the balance at one second of budget: an idle stretch must
+        // not bank an arbitrarily large burst.
+        self.tokens = (self.tokens + earned).min(self.rate as f64);
+        self.last = now;
+    }
+
+    fn take(&mut self, bytes: u64) {
+        if self.rate == 0 || bytes == 0 {
+            return;
+        }
+        self.refill();
+        self.tokens -= bytes as f64;
+        if self.tokens < 0.0 {
+            self.waits += 1;
+            std::thread::sleep(Duration::from_secs_f64(-self.tokens / self.rate as f64));
+            self.refill();
+        }
+    }
+}
+
+/// Outcome of copying one key to its targets.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum CopyOutcome {
+    /// Every target took the copy.
+    Copied,
+    /// Every source agreed the key is gone: it raced an unlink.
+    Vanished,
+    /// No source served the value, or a target refused the copy.
+    Failed,
+}
+
+/// Read `key` from one of the fresh `sources` and place it on every
+/// server in `targets` — `set` over a server in `have` (a stale holder),
+/// `add` on one that holds nothing — throttled by `bucket`. In a
+/// `migrating` range, then re-read the source: a dual-routed append that
+/// raced the copy landed on the source but may have been tolerated as
+/// `NotFound` on a target-only home the copy had not reached (nowhere
+/// else can a write miss a home without failing or leaving a hint). A
+/// grown value re-appends its suffix (directory logs fold as
+/// order-insensitive idempotent sets, so a duplicate entry is absorbed);
+/// any other change is re-`set` whole. Returns the outcome and the bytes
+/// written.
+fn copy_key(
+    state: &RingState,
+    key: &[u8],
+    sources: &BTreeSet<usize>,
+    have: &BTreeSet<usize>,
+    targets: &[ServerId],
+    migrating: bool,
+    bucket: &mut TokenBucket,
+) -> (CopyOutcome, u64) {
+    let mut value: Option<(usize, Bytes)> = None;
+    for &s in sources {
+        if let Ok(v) = state.client(ServerId(s)).get(key) {
+            value = Some((s, v));
+            break;
+        }
+    }
+    let Some((source, value)) = value else {
+        return if sources.is_empty() {
+            (CopyOutcome::Failed, 0)
+        } else {
+            (CopyOutcome::Vanished, 0)
+        };
+    };
+    let mut copied = 0u64;
+    let mut all_written = true;
+    for &target in targets {
+        bucket.take(value.len() as u64);
+        let client = state.client(target);
+        let result = if have.contains(&target.0) {
+            client.set(key, value.clone())
+        } else {
+            match client.add(key, value.clone()) {
+                Err(KvError::Exists) => Ok(()),
+                r => r,
+            }
+        };
+        match result {
+            Ok(()) => copied += value.len() as u64,
+            Err(_) => all_written = false,
+        }
+    }
+    if all_written && migrating {
+        if let Ok(now) = state.client(ServerId(source)).get(key) {
+            if now != value {
+                let grown = now.len() > value.len() && now[..value.len()] == value[..];
+                let delta = if grown {
+                    now.slice(value.len()..now.len())
+                } else {
+                    now
+                };
+                for &target in targets {
+                    bucket.take(delta.len() as u64);
+                    let client = state.client(target);
+                    let r = if grown {
+                        client.append(key, &delta)
+                    } else {
+                        client.set(key, delta.clone())
+                    };
+                    match r {
+                        Ok(()) => copied += delta.len() as u64,
+                        Err(_) => all_written = false,
+                    }
+                }
+            }
+        }
+    }
+    let outcome = if all_written {
+        CopyOutcome::Copied
+    } else {
+        CopyOutcome::Failed
+    };
+    (outcome, copied)
+}
+
+/// Run one pass over `pool` (see the module docs): census, copy, flip,
+/// retire, and commit a finished transition. Blocks while another pass
+/// holds the pool's migration mutex. Safe to run concurrently with
+/// foreground reads and writes; runs on the caller's thread.
 ///
 /// # Errors
-/// Only planner-level failures surface (today: none — a server that
-/// fails mid-pass is treated as down and left for the next pass).
-/// Per-key copy failures are counted in [`RepairReport::unrepairable`].
+/// None today: a server that fails mid-pass is treated as down and left
+/// for the next pass, and per-key copy failures are counted in
+/// [`RepairReport::unrepairable`].
 pub fn repair_pass(pool: &ServerPool, config: &RepairConfig) -> MemFsResult<RepairReport> {
+    let _pass = pool.migration_mutex().lock();
+    let state = pool.ring_state();
+    let t = state.transition.as_ref();
     let mut report = RepairReport::default();
-    // Stand down before touching the degraded queue: hints must survive
-    // the migration so the first real pass afterwards still sees them.
-    if pool.transition_active() {
-        report.skipped = true;
-        return Ok(report);
-    }
-    let member_set: BTreeSet<usize> = pool.members().iter().map(|m| m.0).collect();
-    let mut alive: Vec<bool> = pool
-        .health()
-        .iter()
-        .enumerate()
-        .map(|(s, h)| member_set.contains(&s) && h.is_alive())
-        .collect();
 
-    // Degraded-write hints are more than accounting: a replica that
-    // missed a write may still hold a *stale prior value* under the key
-    // (e.g. a file-size record created empty and finalized by overwrite),
-    // which a presence-based scan cannot tell from a fresh copy. Treat a
-    // hinted replica as a non-holder so the pass re-copies over it.
-    // Hinted slots that have since been evicted are dropped — a retired
-    // server's stale copy left with the server.
-    let hints = pool.take_degraded();
-    report.degraded_hints = hints.len();
-    let mut stale: BTreeMap<&[u8], BTreeSet<usize>> = BTreeMap::new();
-    for hint in &hints {
-        stale.entry(hint.key.as_ref()).or_default().extend(
-            hint.missing
-                .iter()
-                .map(|id| id.0)
-                .filter(|s| member_set.contains(s)),
-        );
-    }
-
-    // Enumerate every alive member's keys. A member that fails the scan
-    // (died after the census) is reclassified as down for this pass.
-    let mut holders: BTreeMap<Vec<u8>, BTreeSet<usize>> = BTreeMap::new();
-    for (s, up) in alive.iter_mut().enumerate() {
-        if !*up {
-            continue;
+    // 1. Open a batch of Old ranges.
+    if let Some(t) = t {
+        let old = t.ranges.ranges_in(RangePhase::Old);
+        for &range in old.iter().take(RANGES_PER_PASS) {
+            t.ranges.set_phase(range, RangePhase::Migrating);
         }
-        match pool.client(ServerId(s)).scan_keys() {
-            Ok(keys) => {
+        if !old.is_empty() {
+            pool.quiesce();
+        }
+    }
+
+    // 2. Census and scan.
+    let members: BTreeSet<usize> = state.members.iter().copied().collect();
+    let mut slots = members.clone();
+    slots.extend(t.iter().flat_map(|t| t.target_members.iter().copied()));
+    let mut alive = vec![false; state.clients.len()];
+    let mut holders: BTreeMap<Vec<u8>, BTreeSet<usize>> = BTreeMap::new();
+    let mut scan_failed = false;
+    for &s in &slots {
+        let client = &state.clients[s];
+        if client.health().is_alive() {
+            if let Ok(keys) = client.scan_keys() {
                 for key in keys {
                     holders.entry(key).or_default().insert(s);
                 }
+                alive[s] = true;
             }
-            Err(_) => *up = false,
         }
+        let leaving = t.is_some_and(|t| t.leaving.contains(&s));
+        scan_failed |= !alive[s] && members.contains(&s) && !leaving;
     }
-    report.servers_down = member_set.iter().filter(|&&s| !alive[s]).count();
+    report.servers_down = slots.iter().filter(|&&s| !alive[s]).count();
     report.scanned_keys = holders.len();
 
+    // 3. Hints: a key's last hint is its latest hinted write.
+    let hints = pool.take_degraded();
+    report.degraded_hints = hints.len();
+    let mut latest: BTreeMap<Vec<u8>, DegradedWrite> = BTreeMap::new();
+    for hint in hints {
+        latest.insert(hint.key.to_vec(), hint);
+    }
+
+    // 4. Homes and copies.
     let r = pool.replication();
     let mut bucket = TokenBucket::new(config.bandwidth);
-    let mut healed: BTreeSet<&[u8]> = BTreeSet::new();
+    let mut short_ranges: BTreeSet<usize> = BTreeSet::new();
+    let mut homed: BTreeMap<&[u8], Vec<ServerId>> = BTreeMap::new();
     for (key, have) in &holders {
-        // The key's current home set: the first r alive candidates.
-        let home: Vec<ServerId> = pool
-            .replica_candidates(key)
+        let homes: Vec<ServerId> = state
+            .home_ring(key)
+            .replicas_for(key, state.clients.len())
             .into_iter()
             .filter(|id| alive[id.0])
             .take(r)
             .collect();
-        // Holders whose copy is known-fresh: hinted replicas missed the
-        // write, so whatever they hold is at best stale.
-        let stale_set = stale.get(key.as_slice());
+        if homes.is_empty() {
+            // Every home is down: nothing to copy to, and nothing retires.
+            report.unrepairable += 1;
+            short_ranges.insert(range_of(key));
+            continue;
+        }
+        let hint = latest.get(key.as_slice());
         let fresh: BTreeSet<usize> = have
             .iter()
             .copied()
-            .filter(|s| !stale_set.is_some_and(|st| st.contains(s)))
+            .filter(|&s| hint.is_none_or(|h| h.written.contains(&ServerId(s))))
             .collect();
-        let missing: Vec<ServerId> = home
+        let stale = have.difference(&fresh).map(|&s| ServerId(s));
+        let targets: Vec<ServerId> = homes
             .iter()
             .copied()
-            .filter(|id| !fresh.contains(&id.0))
+            .filter(|id| !have.contains(&id.0))
+            .chain(stale)
             .collect();
-        let mut fully_homed = missing.is_empty();
-        if !missing.is_empty() {
+        if !targets.is_empty() {
             report.under_replicated += 1;
-            let (outcome, bytes) = copy_key(
-                pool,
-                key,
-                &fresh,
-                &missing,
-                CopyMode::Overwrite,
-                &mut bucket,
-            );
+            let migrating = t.is_some_and(|t| t.ranges.phase_of_key(key) == RangePhase::Migrating);
+            let (outcome, bytes) =
+                copy_key(&state, key, &fresh, have, &targets, migrating, &mut bucket);
             report.copied_bytes += bytes;
             match outcome {
-                CopyOutcome::Copied => {
-                    report.repaired_keys += 1;
-                    fully_homed = true;
-                }
+                CopyOutcome::Copied => report.repaired_keys += 1,
                 CopyOutcome::Vanished => continue, // raced an unlink
                 CopyOutcome::Failed => {
                     report.unrepairable += 1;
+                    short_ranges.insert(range_of(key));
                     continue; // keep every copy we have
                 }
             }
         }
-        if fully_homed {
-            healed.insert(key.as_slice());
-            // Retire copies outside the home set (failover copies whose
-            // owner returned). Only once the key is at full strength —
-            // never trade an existing copy for a hoped-for one.
-            let home_set: BTreeSet<usize> = home.iter().map(|id| id.0).collect();
-            for &s in have.iter().filter(|s| !home_set.contains(s)) {
-                match pool.client(ServerId(s)).delete(key) {
-                    Ok(()) | Err(KvError::NotFound) => report.removed_copies += 1,
-                    Err(_) => {} // next pass retries
-                }
+        homed.insert(key, homes);
+    }
+
+    // 5. Flip the Migrating ranges whose keys all reached their homes.
+    if let (Some(t), false) = (t, scan_failed) {
+        let flips: Vec<usize> = t
+            .ranges
+            .ranges_in(RangePhase::Migrating)
+            .into_iter()
+            .filter(|range| !short_ranges.contains(range))
+            .collect();
+        for &range in &flips {
+            t.ranges.set_phase(range, RangePhase::New);
+        }
+        if !flips.is_empty() {
+            pool.quiesce();
+        }
+    }
+
+    // 6. Retire copies outside the homes — only once the key is at full
+    // strength, never trading an existing copy for a hoped-for one, and
+    // never in a Migrating range, whose old homes still serve reads.
+    for (key, homes) in &homed {
+        if t.is_some_and(|t| t.ranges.phase_of_key(key) == RangePhase::Migrating) {
+            continue;
+        }
+        for &s in &holders[*key] {
+            if homes.contains(&ServerId(s)) {
+                continue;
+            }
+            match state.client(ServerId(s)).delete(key) {
+                Ok(()) | Err(KvError::NotFound) => report.removed_copies += 1,
+                Err(_) => {} // next pass retries
             }
         }
     }
-    // Re-queue hints the pass could not resolve: a hinted replica that is
-    // still down was not overwritten and may surface its stale copy when
-    // it returns; a key that failed to heal keeps its full (member) hint.
-    let requeue: Vec<DegradedWrite> = hints
-        .into_iter()
-        .filter(|hint| holders.contains_key(hint.key.as_ref())) // gone = unlinked
-        .filter_map(|hint| {
-            let keep: Vec<ServerId> = hint
-                .missing
-                .iter()
-                .copied()
-                .filter(|id| member_set.contains(&id.0))
-                .filter(|id| !healed.contains(hint.key.as_ref()) || !alive[id.0])
-                .collect();
-            (!keep.is_empty()).then_some(DegradedWrite {
-                key: hint.key,
-                missing: keep,
-            })
+
+    // 7. Finish. A hint resolves once its key is fully homed (or gone)
+    // and every slot was scanned: a slot that is down may hold a stale
+    // copy that must not pass for fresh when it returns. A requeued hint
+    // of a homed key names the copies that are fresh now.
+    let all_scanned = report.servers_down == 0;
+    let requeue: Vec<DegradedWrite> = latest
+        .into_values()
+        .filter_map(|mut hint| {
+            let have = holders.get(hint.key.as_ref());
+            let homes = homed.get(hint.key.as_ref());
+            if all_scanned && (homes.is_some() || have.is_none()) {
+                return None;
+            }
+            if let (Some(have), Some(homes)) = (have, homes) {
+                hint.written
+                    .extend(have.iter().map(|&s| ServerId(s)).chain(homes.clone()));
+                hint.written.sort_unstable();
+                hint.written.dedup();
+            }
+            Some(hint)
         })
         .collect();
     pool.requeue_degraded(requeue);
-
+    if t.is_some_and(|t| t.ranges.all_new()) {
+        pool.quiesce();
+        pool.complete_transition();
+    }
+    report.complete = !pool.transition_active();
     report.throttle_waits = bucket.waits;
     Ok(report)
 }
 
-/// Background repair loop: one thread (`memfs-repair`) that each tick
-/// either runs [`repair_pass`] or — while a membership transition is
-/// migrating — a [`crate::mover::migrate_pass`] under the same
-/// [`RepairConfig::bandwidth`]. With
-/// [`RepairConfig::evict_grace`] set it also auto-evicts members down
-/// past the grace window. One thread serves all three duties; elastic
+/// Heartbeat census → membership: tracks how long each member has been
+/// down and auto-evicts one that stays down past the grace window by
+/// starting a drain transition for it. Driven by the repair daemon's
+/// tick; holds no thread of its own.
+#[derive(Debug, Default)]
+pub struct MembershipMonitor {
+    down_since: HashMap<usize, Instant>,
+}
+
+impl MembershipMonitor {
+    /// A fresh monitor with no down history.
+    pub fn new() -> MembershipMonitor {
+        MembershipMonitor::default()
+    }
+
+    /// Observe the pool's health census once. Returns the member this
+    /// tick evicted, if any. Eviction starts only when no transition is
+    /// active and enough members would remain to satisfy the replication
+    /// factor; a candidate that stays down keeps its timer and is
+    /// retried next tick.
+    pub fn tick(&mut self, pool: &ServerPool, grace: Duration) -> Option<ServerId> {
+        let members = pool.members();
+        let health = pool.health();
+        let member_set: BTreeSet<usize> = members.iter().map(|m| m.0).collect();
+        self.down_since.retain(|s, _| member_set.contains(s));
+        let now = Instant::now();
+        for m in &members {
+            if health.get(m.0).is_some_and(|h| h.is_alive()) {
+                self.down_since.remove(&m.0);
+            } else {
+                self.down_since.entry(m.0).or_insert(now);
+            }
+        }
+        if pool.transition_active() || members.len() <= pool.replication() {
+            return None;
+        }
+        let victim = self
+            .down_since
+            .iter()
+            .filter(|(_, since)| now.duration_since(**since) >= grace)
+            .map(|(&s, _)| s)
+            .min()?;
+        match pool.begin_remove_server(ServerId(victim)) {
+            Ok(()) => {
+                self.down_since.remove(&victim);
+                Some(ServerId(victim))
+            }
+            Err(_) => None,
+        }
+    }
+}
+
+/// Background repair loop: one thread (`memfs-repair`) that runs
+/// [`repair_pass`] each tick — repair and migration alike, under one
+/// [`RepairConfig::bandwidth`] — and, with [`RepairConfig::evict_grace`]
+/// set, auto-evicts members down past the grace window. Elastic
 /// membership adds **zero** threads to a mount. Idle passes are cheap
-/// only relative to the data volume — the scan walks every alive
-/// member's key list — so the interval trades detection latency against
+/// only relative to the data volume — the scan walks every alive slot's
+/// key list — so the interval trades detection latency against
 /// enumeration traffic.
 pub struct RepairDaemon {
     stop: Arc<AtomicBool>,
@@ -307,9 +517,6 @@ impl RepairDaemon {
             .name("memfs-repair".into())
             .spawn(move || {
                 let mut monitor = MembershipMonitor::new();
-                let migrate = MigrateConfig {
-                    bandwidth: config.bandwidth,
-                };
                 while !flag.load(Ordering::Relaxed) {
                     // Sleep in slices so stop() never waits a full
                     // interval for the thread to notice.
@@ -325,13 +532,7 @@ impl RepairDaemon {
                     if let Some(grace) = config.evict_grace {
                         let _ = monitor.tick(&pool, grace);
                     }
-                    if pool.transition_active() {
-                        // try_: a manual migrate_now pass may hold the
-                        // mutex; don't stack a second pass behind it.
-                        let _ = try_migrate_pass(&pool, &migrate);
-                    } else {
-                        let _ = repair_pass(&pool, &config);
-                    }
+                    let _ = repair_pass(&pool, &config);
                 }
             })
             .expect("spawn memfs-repair thread");
@@ -360,9 +561,8 @@ impl Drop for RepairDaemon {
 mod tests {
     use super::*;
     use crate::config::DistributorKind;
-    use bytes::Bytes;
+    use memfs_hashring::{Distributor, KetamaRing, MIGRATION_RANGES};
     use memfs_memkv::{FailableClient, KvClient, LocalClient, Store, StoreConfig};
-    use std::time::Instant;
 
     type FailableHarness = (
         Arc<ServerPool>,
@@ -370,7 +570,14 @@ mod tests {
         Vec<Arc<Store>>,
     );
 
-    fn failable_pool(n: usize, replication: usize) -> FailableHarness {
+    /// `n` failable in-process servers, the first `members` of them
+    /// mounted as a ketama pool (the rest left to admit).
+    fn failable_servers(
+        n: usize,
+        members: usize,
+        replication: usize,
+        points_per_server: usize,
+    ) -> FailableHarness {
         let stores: Vec<Arc<Store>> = (0..n)
             .map(|_| Arc::new(Store::new(StoreConfig::default())))
             .collect();
@@ -378,18 +585,24 @@ mod tests {
             .iter()
             .map(|s| Arc::new(FailableClient::new(LocalClient::new(Arc::clone(s)))))
             .collect();
-        let clients: Vec<Arc<dyn KvClient>> = failables
+        let clients: Vec<Arc<dyn KvClient>> = failables[..members]
             .iter()
             .map(|f| Arc::clone(f) as Arc<dyn KvClient>)
             .collect();
         let pool = Arc::new(ServerPool::with_replication(
             clients,
-            DistributorKind::Ketama {
-                points_per_server: 64,
-            },
+            DistributorKind::Ketama { points_per_server },
             replication,
         ));
         (pool, failables, stores)
+    }
+
+    fn failable_pool(n: usize, replication: usize) -> FailableHarness {
+        failable_servers(n, n, replication, 64)
+    }
+
+    fn client(f: &Arc<FailableClient<LocalClient>>) -> Arc<dyn KvClient> {
+        Arc::clone(f) as Arc<dyn KvClient>
     }
 
     fn seed(pool: &ServerPool, n_keys: usize) -> Vec<Vec<u8>> {
@@ -411,6 +624,51 @@ mod tests {
                 .take(r)
                 .all(|id| pool.client(id).get_range(key, 0, 0).is_ok())
         })
+    }
+
+    /// Run passes until the transition commits; the passes' reports
+    /// summed.
+    fn drive_to_completion(pool: &ServerPool, config: &RepairConfig) -> RepairReport {
+        let mut total = RepairReport::default();
+        for _ in 0..(MIGRATION_RANGES + 2) {
+            let rep = repair_pass(pool, config).unwrap();
+            total.scanned_keys += rep.scanned_keys;
+            total.under_replicated += rep.under_replicated;
+            total.copied_bytes += rep.copied_bytes;
+            total.removed_copies += rep.removed_copies;
+            total.unrepairable += rep.unrepairable;
+            total.complete = rep.complete;
+            if rep.complete {
+                return total;
+            }
+        }
+        panic!("migration never completed: {total:?}");
+    }
+
+    /// Every key sits on exactly its homes in a fresh ring over
+    /// `members`, and nowhere else.
+    fn placed_like_a_fresh_ring(
+        stores: &[Arc<Store>],
+        keys: &[Vec<u8>],
+        members: &[usize],
+        r: usize,
+    ) {
+        let fresh = KetamaRing::with_members(members, 64);
+        for key in keys {
+            let homes: BTreeSet<usize> = fresh
+                .replicas_for(key, r)
+                .into_iter()
+                .map(|id| id.0)
+                .collect();
+            for (s, store) in stores.iter().enumerate() {
+                assert_eq!(
+                    store.contains(key),
+                    homes.contains(&s),
+                    "key {} misplaced on server {s}",
+                    String::from_utf8_lossy(key)
+                );
+            }
+        }
     }
 
     #[test]
@@ -478,17 +736,7 @@ mod tests {
 
         // Converged back to the true owner placement: every key on
         // exactly its r owners, nowhere else.
-        for key in &keys {
-            let homes: BTreeSet<usize> = pool.servers_for(key).map(|id| id.0).collect();
-            for (s, store) in stores.iter().enumerate() {
-                assert_eq!(
-                    store.contains(key),
-                    homes.contains(&s),
-                    "key {} misplaced on server {s}",
-                    String::from_utf8_lossy(key)
-                );
-            }
-        }
+        placed_like_a_fresh_ring(&stores, &keys, &[0, 1, 2, 3], 2);
     }
 
     #[test]
@@ -540,6 +788,25 @@ mod tests {
     }
 
     #[test]
+    fn a_failover_copy_made_before_a_degraded_overwrite_is_never_served() {
+        // The failover copy placed while the first owner is down holds the
+        // empty record. The overwrite that follows reaches only the second
+        // owner; its hint must mark the failover copy stale too, or losing
+        // the second owner serves the empty record.
+        let (pool, failables, _stores) = failable_pool(4, 2);
+        let key = b"f:/failover".to_vec();
+        pool.set(&key, Bytes::from_static(b"")).unwrap();
+        let owners: Vec<ServerId> = pool.servers_for(&key).collect();
+        failables[owners[0].0].set_down(true);
+        repair_pass(&pool, &RepairConfig::default()).unwrap();
+        pool.set(&key, Bytes::from_static(b"4096")).unwrap();
+        assert_eq!(pool.degraded_pending(), 1, "the overwrite is degraded");
+        repair_pass(&pool, &RepairConfig::default()).unwrap();
+        failables[owners[1].0].set_down(true);
+        assert_eq!(&pool.get(&key).unwrap()[..], b"4096");
+    }
+
+    #[test]
     fn bandwidth_budget_throttles_the_copy_loop() {
         let (pool, failables, _stores) = failable_pool(4, 2);
         seed(&pool, 30); // 30 × 256 B
@@ -562,23 +829,55 @@ mod tests {
     }
 
     #[test]
-    fn repair_stands_down_while_a_transition_is_migrating() {
-        let (pool, failables, _stores) = failable_pool(4, 2);
+    fn a_failure_during_a_stuck_grow_is_healed() {
+        // Member 0 dies mid-grow: no range may flip without its census,
+        // but the pass still restores every key to two alive homes, so a
+        // second failure loses nothing.
+        let (pool, failables, _stores) = failable_servers(5, 4, 2, 64);
+        let keys = seed(&pool, 200);
+        pool.begin_add_servers(vec![client(&failables[4])]).unwrap();
+        failables[0].set_down(true);
+        for _ in 0..10 {
+            let report = repair_pass(&pool, &RepairConfig::default()).unwrap();
+            assert!(!report.complete, "no range flips around a dead member");
+        }
         failables[1].set_down(true);
-        seed(&pool, 20); // queues degraded hints
-        failables[1].set_down(false);
-        let pending = pool.degraded_pending();
-        assert!(pending > 0);
+        for (i, key) in keys.iter().enumerate() {
+            assert_eq!(pool.get(key).unwrap(), Bytes::from(vec![i as u8; 256]));
+        }
+    }
 
-        let extra = Arc::new(Store::new(StoreConfig::default()));
-        pool.begin_add_servers(vec![Arc::new(LocalClient::new(extra)) as Arc<dyn KvClient>])
-            .unwrap();
-        let report = repair_pass(&pool, &RepairConfig::default()).unwrap();
-        assert!(report.skipped);
-        assert!(!report.converged());
-        assert_eq!(report.scanned_keys, 0);
-        // The queue survives the stand-down for the pass after commit.
-        assert_eq!(pool.degraded_pending(), pending);
+    #[test]
+    fn a_joining_server_that_dies_does_not_block_a_grow() {
+        let (pool, failables, stores) = failable_servers(3, 2, 1, 64);
+        let keys = seed(&pool, 60);
+        pool.begin_add_servers(vec![client(&failables[2])]).unwrap();
+        failables[2].set_down(true);
+        // Every key reads after every pass: a flipped range's reads fail
+        // over along the target ring, where the pass put the copies.
+        let mut passes = 0;
+        loop {
+            let report = repair_pass(&pool, &RepairConfig::default()).unwrap();
+            assert_eq!(report.unrepairable, 0);
+            for (i, key) in keys.iter().enumerate() {
+                assert_eq!(pool.get(key).unwrap(), Bytes::from(vec![i as u8; 256]));
+            }
+            if report.complete {
+                break;
+            }
+            passes += 1;
+            assert!(passes < MIGRATION_RANGES, "the grow never committed");
+        }
+        assert_eq!(pool.members().len(), 3);
+        // Back up, it takes its keys over from the failover homes.
+        failables[2].set_down(false);
+        for _ in 0..3 {
+            repair_pass(&pool, &RepairConfig::default()).unwrap();
+        }
+        assert!(repair_pass(&pool, &RepairConfig::default())
+            .unwrap()
+            .converged());
+        placed_like_a_fresh_ring(&stores, &keys, &[0, 1, 2], 1);
     }
 
     #[test]
@@ -666,5 +965,285 @@ mod tests {
         }
         let alive: Vec<bool> = (0..5).map(|s| s != 3).collect();
         assert!(fully_replicated(&pool, &keys, &alive, 2));
+    }
+
+    // ---- membership transitions ----
+
+    const POINTS: usize = 32;
+
+    fn stores(n: usize) -> Vec<Arc<Store>> {
+        (0..n)
+            .map(|_| Arc::new(Store::new(StoreConfig::default())))
+            .collect()
+    }
+
+    fn local(s: &Arc<Store>) -> Arc<dyn KvClient> {
+        Arc::new(LocalClient::new(Arc::clone(s))) as Arc<dyn KvClient>
+    }
+
+    fn ketama_pool(backing: &[Arc<Store>], replication: usize) -> ServerPool {
+        ServerPool::with_replication(
+            backing.iter().map(local).collect(),
+            DistributorKind::Ketama {
+                points_per_server: POINTS,
+            },
+            replication,
+        )
+    }
+
+    #[test]
+    fn pass_without_a_transition_is_complete_and_inactive() {
+        let backing = stores(3);
+        let pool = ketama_pool(&backing, 1);
+        let rep = repair_pass(&pool, &RepairConfig::default()).unwrap();
+        assert!(!pool.transition_active());
+        assert!(rep.complete);
+        assert_eq!(rep.under_replicated, 0);
+    }
+
+    #[test]
+    fn grow_moves_exactly_the_remapped_keys_and_matches_a_fresh_ring() {
+        let backing = stores(4);
+        let pool = ketama_pool(&backing[..2], 1);
+        let keys: Vec<Vec<u8>> = (0..200)
+            .map(|i| format!("s:/data/f{i}#0").into_bytes())
+            .collect();
+        for (i, key) in keys.iter().enumerate() {
+            pool.set(key, Bytes::from(vec![i as u8; 128])).unwrap();
+        }
+        let ids = pool
+            .begin_add_servers(backing[2..].iter().map(local).collect())
+            .unwrap();
+        assert_eq!(ids, vec![ServerId(2), ServerId(3)]);
+
+        let old_ring = KetamaRing::with_members(&[0, 1], POINTS);
+        let new_ring = KetamaRing::with_members(&[0, 1, 2, 3], POINTS);
+        let expected_moves = keys
+            .iter()
+            .filter(|k| old_ring.server_for(k) != new_ring.server_for(k))
+            .count();
+
+        let total = drive_to_completion(&pool, &RepairConfig::default());
+        assert!(total.complete);
+        assert_eq!(total.unrepairable, 0);
+        assert_eq!(
+            total.under_replicated, expected_moves,
+            "a grow must move exactly the keys whose home changed"
+        );
+        assert!(!pool.transition_active());
+        assert_eq!(pool.members().len(), 4);
+
+        // Post-migration placement equals a fresh ring's: every key on
+        // exactly its new home, nowhere else, values intact.
+        for (i, key) in keys.iter().enumerate() {
+            let home = new_ring.server_for(key);
+            assert_eq!(pool.server_for(key), home);
+            for (s, store) in backing.iter().enumerate() {
+                assert_eq!(
+                    store.contains(key),
+                    s == home.0,
+                    "key {} misplaced on server {s}",
+                    String::from_utf8_lossy(key)
+                );
+            }
+            assert_eq!(pool.get(key).unwrap(), Bytes::from(vec![i as u8; 128]));
+        }
+    }
+
+    #[test]
+    fn shrink_drains_the_leaving_server_completely() {
+        let backing = stores(3);
+        let pool = ketama_pool(&backing, 2);
+        let keys: Vec<Vec<u8>> = (0..120)
+            .map(|i| format!("s:/data/g{i}#0").into_bytes())
+            .collect();
+        for key in &keys {
+            pool.set(key, Bytes::from_static(b"payload")).unwrap();
+        }
+        pool.begin_remove_server(ServerId(2)).unwrap();
+        let total = drive_to_completion(&pool, &RepairConfig::default());
+        assert!(total.complete);
+        assert_eq!(pool.members(), vec![ServerId(0), ServerId(1)]);
+        assert_eq!(
+            backing[2].item_count(),
+            0,
+            "the drained server must hold nothing"
+        );
+        let fresh = KetamaRing::with_members(&[0, 1], POINTS);
+        for key in &keys {
+            assert_eq!(pool.get(key).unwrap().as_ref(), b"payload");
+            let homes: BTreeSet<usize> = fresh
+                .replicas_for(key, 2)
+                .into_iter()
+                .map(|id| id.0)
+                .collect();
+            for (s, store) in backing.iter().enumerate() {
+                assert_eq!(store.contains(key), homes.contains(&s));
+            }
+        }
+    }
+
+    #[test]
+    fn unscannable_member_wedges_flips_but_dual_routing_keeps_serving() {
+        let (pool, failables, _stores) = failable_servers(3, 2, 2, POINTS);
+        let keys: Vec<Vec<u8>> = (0..60).map(|i| format!("k{i}").into_bytes()).collect();
+        for key in &keys {
+            pool.set(key, Bytes::from_static(b"v")).unwrap();
+        }
+        pool.begin_add_servers(vec![client(&failables[2])]).unwrap();
+        failables[0].set_down(true);
+        let rep = repair_pass(&pool, &RepairConfig::default()).unwrap();
+        let state = pool.ring_state();
+        let ranges = &state.transition.as_ref().unwrap().ranges;
+        assert_eq!(
+            ranges.ranges_in(RangePhase::New).len(),
+            0,
+            "no range may flip while a member is unscannable"
+        );
+        assert!(!rep.complete);
+        // Reads still serve through the surviving old home.
+        for key in &keys {
+            assert_eq!(pool.get(key).unwrap().as_ref(), b"v");
+        }
+        // Revive and finish.
+        failables[0].set_down(false);
+        let total = drive_to_completion(&pool, &RepairConfig::default());
+        assert!(total.complete);
+        for key in &keys {
+            assert_eq!(pool.get(key).unwrap().as_ref(), b"v");
+        }
+    }
+
+    #[test]
+    fn migration_budget_throttles_the_copy_loop() {
+        let backing = stores(4);
+        let pool = ketama_pool(&backing[..2], 1);
+        for i in 0..40 {
+            pool.set(format!("b{i}").as_bytes(), Bytes::from(vec![0u8; 4096]))
+                .unwrap();
+        }
+        pool.begin_add_servers(backing[2..].iter().map(local).collect())
+            .unwrap();
+        let config = RepairConfig {
+            bandwidth: 64 << 10,
+            ..RepairConfig::default()
+        };
+        let started = Instant::now();
+        let total = drive_to_completion(&pool, &config);
+        assert!(total.complete);
+        // The passes may not beat their own budget (one second of burst
+        // is banked, so subtract it).
+        let floor = Duration::from_secs_f64(
+            total.copied_bytes.saturating_sub(config.bandwidth) as f64 / config.bandwidth as f64,
+        );
+        assert!(started.elapsed() >= floor);
+    }
+
+    #[test]
+    fn migration_never_copies_from_a_stale_holder() {
+        // A degraded write leaves server 0 holding the *prior* value
+        // with a pending hint. The grow must copy the acked value from
+        // the fresh holder — and overwrite any stale copy — never
+        // resurrect the old one.
+        let (pool, failables, _stores) = failable_servers(3, 2, 2, POINTS);
+        // Pick a key whose home set actually changes when server 2
+        // joins, so the pass must move it.
+        let new_ring = KetamaRing::with_members(&[0, 1, 2], POINTS);
+        let key = (0..)
+            .map(|i| format!("f:/stale{i}").into_bytes())
+            .find(|k| new_ring.replicas_for(k, 2).contains(&ServerId(2)))
+            .unwrap();
+
+        pool.set(&key, Bytes::from_static(b"old")).unwrap();
+        failables[0].set_down(true);
+        pool.set(&key, Bytes::from_static(b"new")).unwrap();
+        assert!(pool.degraded_pending() > 0, "the miss must leave a hint");
+        failables[0].set_down(false);
+        assert_eq!(
+            pool.client(ServerId(0)).get(&key).unwrap().as_ref(),
+            b"old",
+            "server 0 must still hold the stale prior value"
+        );
+
+        pool.begin_add_servers(vec![client(&failables[2])]).unwrap();
+        let total = drive_to_completion(&pool, &RepairConfig::default());
+        assert!(total.complete);
+
+        // The acked value survived on every new home; the stale value is
+        // nowhere the reader can see it.
+        for id in new_ring.replicas_for(&key, 2) {
+            assert_eq!(
+                pool.client(id).get(&key).unwrap().as_ref(),
+                b"new",
+                "home {} must hold the acked value",
+                id.0
+            );
+        }
+        assert_eq!(pool.get(&key).unwrap().as_ref(), b"new");
+    }
+
+    #[test]
+    fn a_stale_old_home_of_a_migrating_range_is_overwritten() {
+        // An old home that missed a dual-routed overwrite and is no
+        // target home gets no copy and no retire while its range is
+        // Migrating (a member down elsewhere keeps it from flipping) —
+        // but it is where reads fail over to once the other old home dies.
+        let (pool, failables, _stores) = failable_servers(5, 4, 2, 64);
+        let current = KetamaRing::with_members(&[0, 1, 2, 3], 64);
+        let target = KetamaRing::with_members(&[0, 1, 2, 3, 4], 64);
+        let (key, old, other) = (0..)
+            .find_map(|i| {
+                let key = format!("f:/old{i}").into_bytes();
+                let old = current.replicas_for(&key, 2);
+                let new = target.replicas_for(&key, 2);
+                let other =
+                    (0..4).find(|&s| !old.contains(&ServerId(s)) && !new.contains(&ServerId(s)));
+                (!new.contains(&old[1])).then_some((key, old, other?))
+            })
+            .unwrap();
+        pool.set(&key, Bytes::from_static(b"")).unwrap();
+        pool.begin_add_servers(vec![client(&failables[4])]).unwrap();
+        let state = pool.ring_state();
+        let ranges = &state.transition.as_ref().unwrap().ranges;
+        ranges.set_phase(range_of(&key), RangePhase::Migrating);
+        pool.quiesce();
+
+        failables[old[1].0].set_down(true);
+        pool.set(&key, Bytes::from_static(b"4096")).unwrap();
+        assert_eq!(pool.degraded_pending(), 1, "the overwrite is degraded");
+        failables[old[1].0].set_down(false);
+        failables[other].set_down(true);
+        repair_pass(&pool, &RepairConfig::default()).unwrap();
+        assert_eq!(ranges.phase_of_key(&key), RangePhase::Migrating);
+        failables[old[0].0].set_down(true);
+        assert_eq!(&pool.get(&key).unwrap()[..], b"4096");
+    }
+
+    #[test]
+    fn monitor_evicts_a_member_down_past_the_grace_window() {
+        let (pool, failables, _stores) = failable_servers(5, 5, 2, POINTS);
+        for i in 0..80 {
+            pool.set(format!("m{i}").as_bytes(), Bytes::from_static(b"v"))
+                .unwrap();
+        }
+        let mut monitor = MembershipMonitor::new();
+        assert_eq!(monitor.tick(&pool, Duration::ZERO), None, "all healthy");
+        failables[3].set_down(true);
+        let evicted = monitor.tick(&pool, Duration::ZERO);
+        assert_eq!(evicted, Some(ServerId(3)));
+        assert!(pool.transition_active());
+        // No second eviction while the drain is in flight.
+        failables[4].set_down(true);
+        assert_eq!(monitor.tick(&pool, Duration::ZERO), None);
+        failables[4].set_down(false);
+        // The drain completes without the dead server (its data lives on
+        // the surviving replicas).
+        let total = drive_to_completion(&pool, &RepairConfig::default());
+        assert!(total.complete);
+        assert_eq!(pool.members().len(), 4);
+        assert!(!pool.members().contains(&ServerId(3)));
+        for i in 0..80 {
+            assert_eq!(pool.get(format!("m{i}").as_bytes()).unwrap().as_ref(), b"v");
+        }
     }
 }

@@ -47,10 +47,10 @@ pub fn range_of(key: &[u8]) -> usize {
 
 /// Lock-free per-range phase table for one membership transition.
 ///
-/// Ranges start `Old`; the mover flips batches to `Migrating`, copies
-/// their keys, then flips them to `New`. Each store is paired with a
-/// quiescence barrier in the pool so no in-flight operation still routes
-/// by the pre-flip phase when the mover acts on the flip.
+/// Ranges start `Old`; the repair pass flips batches to `Migrating`,
+/// copies their keys, then flips them to `New`. Each store is paired with
+/// a quiescence barrier in the pool so no in-flight operation still
+/// routes by the pre-flip phase when the pass acts on the flip.
 pub struct RangeEpochs {
     phases: [AtomicU8; MIGRATION_RANGES],
 }
@@ -84,7 +84,7 @@ impl RangeEpochs {
     }
 
     /// Set the phase of `range`. Phases only ever advance
-    /// (Old → Migrating → New); the mover is the sole writer.
+    /// (Old → Migrating → New); the repair pass is the sole writer.
     pub fn set_phase(&self, range: usize, phase: RangePhase) {
         let v = match phase {
             RangePhase::Old => 0,

@@ -49,9 +49,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut scanned = 0usize;
     let mut copied = 0u64;
     while fs.migration_active() {
-        let report = fs.migrate_now()?;
-        moved += report.moved_keys;
-        scanned += report.scanned_keys;
+        let report = fs.repair_now()?;
+        moved += report.under_replicated;
+        scanned = scanned.max(report.scanned_keys);
         copied += report.copied_bytes;
         // Live traffic during the migration: every file stays readable.
         let data = fs.read_to_vec("/dataset/part00")?;

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Repo verification gate: build, tests, formatting, lints.
 #
-#   scripts/verify.sh            # build + workspace tests + fmt + clippy + knob count + unsafe census + KvClient census + I/O pool census + timer census
+#   scripts/verify.sh            # build + workspace tests + fmt + clippy + knob count + unsafe census + KvClient census + I/O pool census + timer census + pass census
 #   scripts/verify.sh --clippy   # fast path: fmt + clippy only, no build/tests
 #   scripts/verify.sh --threads  # additionally stress the concurrency tests
 #   scripts/verify.sh --soak     # shaped-cluster suites, N random seeds
@@ -34,7 +34,7 @@
 # both parsers through one buffer), the tail-ACK census (large GET responses are ACKed
 # without the kernel's delayed-ACK timer) and the stall/kill isolation
 # suites, plus the self-healing repair and elastic-membership suites:
-# mover units, the
+# the repair pass's units, the
 # membership property tests, the 8-server kill/heal/second-kill soak,
 # and the grow-mid-workload kill-during-migration chaos cycle. The
 # store-engine suites ride along: the lock-discipline census (reads
@@ -151,6 +151,18 @@ if [[ -n "$wheels" ]]; then
     exit 1
 fi
 
+# Repair and migration are one pass (`repair_pass`, DESIGN.md §4i/§4j):
+# no second scan/copy loop, no migration-only config, report or entry
+# point.
+# shellcheck disable=SC2086
+passes=$(grep -rnE 'migrate_pass|try_migrate_pass|MigrateConfig|MigrationReport|migrate_now|CopyMode|mod mover' $trees || true)
+echo "==> pass census: ${passes:-one repair pass}"
+if [[ -n "$passes" ]]; then
+    echo "verify: repair and migration are one pass in repair.rs — extend" \
+        "repair_pass instead of adding a second loop" >&2
+    exit 1
+fi
+
 for arg in "$@"; do
     case "$arg" in
     --threads)
@@ -233,11 +245,11 @@ for arg in "$@"; do
             # counter: own binary, one test, nothing else talking TCP.
             cargo test -q --test tail_ack
             RUST_TEST_THREADS=16 cargo test -q --test shared_reactor
-            # Self-healing + elastic membership: repair planner/daemon
-            # and mover units, heartbeat census, kill/heal and
+            # Self-healing + elastic membership: the repair pass and
+            # daemon units, heartbeat census, kill/heal and
             # grow/kill-during-migration chaos cycles, placement props.
             RUST_TEST_THREADS=16 cargo test -q -p memfs-core --lib -- \
-                repair:: mover::
+                repair::
             cargo test -q --test repair
             cargo test -q --test fault_tolerance
             RUST_TEST_THREADS=16 cargo test -q --test props -- membership

@@ -20,7 +20,7 @@ use memfs::hashring::{Distributor, HashScheme, KetamaRing, ModuloRing, ServerId}
 use memfs::memfs_core::layout::StripeLayout;
 use memfs::memfs_core::meta::{encode_add, encode_remove, fold_dir_log, ChildKind};
 use memfs::memfs_core::{
-    migrate_pass, DistributorKind, MemFs, MemFsConfig, MigrateConfig, ServerPool,
+    repair_pass, DistributorKind, MemFs, MemFsConfig, RepairConfig, ServerPool,
 };
 use memfs::memkv::{KvClient, LocalClient, Store, StoreConfig};
 use memfs::netsim::maxmin::maxmin_rates;
@@ -310,9 +310,9 @@ proptest! {
             let mut moved = 0usize;
             let mut complete = false;
             for _ in 0..70 {
-                let rep = migrate_pass(&pool, &MigrateConfig::default()).unwrap();
-                moved += rep.moved_keys;
-                prop_assert_eq!(rep.failed_copies, 0);
+                let rep = repair_pass(&pool, &RepairConfig::default()).unwrap();
+                moved += rep.under_replicated;
+                prop_assert_eq!(rep.unrepairable, 0);
                 if rep.complete {
                     complete = true;
                     break;

@@ -199,7 +199,7 @@ fn sixteen_server_mount_runs_one_reactor_thread() {
         fs.admit_server(*addr).unwrap();
         assert!(fs.migration_active());
         while fs.migration_active() {
-            fs.migrate_now().unwrap();
+            fs.repair_now().unwrap();
             assert_eq!(
                 reactor_threads(),
                 1,
