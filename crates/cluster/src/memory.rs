@@ -102,11 +102,6 @@ impl MemoryTracker {
         self.peak[node]
     }
 
-    /// Sum of current usage over all nodes.
-    pub fn total_used(&self) -> u64 {
-        self.used.iter().sum()
-    }
-
     /// Sum of peak usage over all nodes (the paper's "aggregate memory
     /// usage" metric of Figure 9).
     pub fn total_peak(&self) -> u64 {
@@ -116,16 +111,6 @@ impl MemoryTracker {
     /// Highest single-node peak (the scheduler-node hotspot of Table 3).
     pub fn max_peak(&self) -> u64 {
         self.peak.iter().copied().max().unwrap_or(0)
-    }
-
-    /// Peak imbalance: max node peak over mean node peak (1.0 = balanced).
-    pub fn peak_imbalance(&self) -> f64 {
-        let total = self.total_peak();
-        if total == 0 {
-            return 1.0;
-        }
-        let mean = total as f64 / self.used.len() as f64;
-        self.max_peak() as f64 / mean
     }
 
     /// Per-node peaks (for Table 3-style reporting).
@@ -147,7 +132,6 @@ mod tests {
         assert_eq!(m.used(0), 400);
         assert_eq!(m.peak(0), 900);
         assert_eq!(m.used(1), 0);
-        assert_eq!(m.total_used(), 400);
         assert_eq!(m.total_peak(), 900);
     }
 
@@ -164,25 +148,13 @@ mod tests {
     }
 
     #[test]
-    fn imbalance_detects_hotspots() {
+    fn max_peak_finds_the_hotspot() {
         let mut m = MemoryTracker::new(4, 1000);
         m.alloc(0, 800).unwrap(); // the "scheduler node"
         for n in 1..4 {
             m.alloc(n, 100).unwrap();
         }
-        // mean peak = 275, max = 800 -> imbalance ≈ 2.9
-        assert!((m.peak_imbalance() - 800.0 / 275.0).abs() < 1e-9);
         assert_eq!(m.max_peak(), 800);
-    }
-
-    #[test]
-    fn balanced_usage_has_imbalance_one() {
-        let mut m = MemoryTracker::new(4, 1000);
-        for n in 0..4 {
-            m.alloc(n, 250).unwrap();
-        }
-        assert_eq!(m.peak_imbalance(), 1.0);
-        assert_eq!(MemoryTracker::new(4, 100).peak_imbalance(), 1.0);
     }
 
     #[test]

@@ -3,9 +3,8 @@
 //! MemFS' central claim is that hashing stripes across all servers gives a
 //! *balanced data distribution* — the property AMFS' local writes destroy
 //! (paper Table 3, Figure 9). This module quantifies balance for a given
-//! distributor and key population: per-server load, max/mean imbalance,
-//! and a chi-square uniformity statistic used by tests and the hashing
-//! ablation bench.
+//! distributor and key population: per-server load, max/mean imbalance
+//! and the coefficient of variation.
 
 use crate::dist::Distributor;
 
@@ -70,23 +69,6 @@ impl BalanceReport {
             / (self.load.len() - 1) as f64;
         var.sqrt() / mean
     }
-
-    /// Pearson chi-square statistic against the uniform expectation. For
-    /// `k` servers this is asymptotically chi-square with `k - 1` degrees
-    /// of freedom when keys are unit-weight and placement is uniform.
-    pub fn chi_square(&self) -> f64 {
-        let mean = self.mean();
-        if mean == 0.0 {
-            return 0.0;
-        }
-        self.load
-            .iter()
-            .map(|&l| {
-                let d = l as f64 - mean;
-                d * d / mean
-            })
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -141,7 +123,6 @@ mod tests {
             load: vec![1000, 0, 0, 0],
         };
         assert!((report.imbalance() - 4.0).abs() < 1e-12);
-        assert!(report.chi_square() > 100.0);
     }
 
     #[test]
@@ -150,15 +131,13 @@ mod tests {
         assert_eq!(report.total(), 0);
         assert_eq!(report.imbalance(), 1.0);
         assert_eq!(report.cv(), 0.0);
-        assert_eq!(report.chi_square(), 0.0);
     }
 
     #[test]
-    fn chi_square_zero_for_perfect_balance() {
+    fn perfect_balance_has_unit_imbalance() {
         let report = BalanceReport {
             load: vec![10, 10, 10, 10],
         };
-        assert_eq!(report.chi_square(), 0.0);
         assert_eq!(report.imbalance(), 1.0);
     }
 }

@@ -55,22 +55,6 @@ pub trait Distributor: Send + Sync {
     }
 }
 
-/// Group `keys` by owning server: `groups[s]` lists the *indices* (into
-/// `keys`) of every key whose primary server is `s`, preserving input
-/// order within each group.
-///
-/// This is the placement half of batched transport: the caller turns each
-/// group into one multi-key request to that server instead of one request
-/// per key. Index lists (rather than cloned keys) keep grouping
-/// allocation-free apart from the group vectors themselves.
-pub fn group_by_server<K: AsRef<[u8]>>(dist: &dyn Distributor, keys: &[K]) -> Vec<Vec<usize>> {
-    let mut groups = vec![Vec::new(); dist.n_servers()];
-    for (i, key) in keys.iter().enumerate() {
-        groups[dist.server_for(key.as_ref()).0].push(i);
-    }
-    groups
-}
-
 /// The paper's scheme: `hash(key) mod N` (§3.1.2). Perfectly balanced for
 /// uniformly hashed keys; remaps almost everything when `N` changes.
 #[derive(Debug, Clone)]
@@ -270,33 +254,6 @@ mod tests {
             seen[s.0] = true;
         }
         assert!(seen.iter().all(|&s| s), "every server should receive keys");
-    }
-
-    #[test]
-    fn group_by_server_partitions_all_keys_in_order() {
-        let d = ModuloRing::new(4, HashScheme::Fnv1a);
-        let ks = keys(100);
-        let groups = group_by_server(&d, &ks);
-        assert_eq!(groups.len(), 4);
-        let total: usize = groups.iter().map(|g| g.len()).sum();
-        assert_eq!(total, 100, "every key lands in exactly one group");
-        for (s, group) in groups.iter().enumerate() {
-            // Correct ownership, and input order preserved within a group.
-            for w in group.windows(2) {
-                assert!(w[0] < w[1]);
-            }
-            for &i in group {
-                assert_eq!(d.server_for(ks[i].as_bytes()).0, s);
-            }
-        }
-    }
-
-    #[test]
-    fn group_by_server_handles_empty_input() {
-        let d = ModuloRing::new(3, HashScheme::Fnv1a);
-        let groups = group_by_server(&d, &Vec::<Vec<u8>>::new());
-        assert_eq!(groups.len(), 3);
-        assert!(groups.iter().all(|g| g.is_empty()));
     }
 
     #[test]

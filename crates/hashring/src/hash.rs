@@ -12,16 +12,6 @@ pub fn fnv1a_32(data: &[u8]) -> u32 {
     h
 }
 
-/// 64-bit FNV-1a, for wider distribution uses.
-pub fn fnv1a_64(data: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in data {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
 /// Jenkins one-at-a-time — libmemcached's `HASH_JENKINS` alternative.
 pub fn jenkins_oaat(data: &[u8]) -> u32 {
     let mut h: u32 = 0;
@@ -159,9 +149,6 @@ mod tests {
         assert_eq!(fnv1a_32(b""), 0x811C_9DC5);
         assert_eq!(fnv1a_32(b"a"), 0xE40C_292C);
         assert_eq!(fnv1a_32(b"foobar"), 0xBF9C_F968);
-        assert_eq!(fnv1a_64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a_64(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a_64(b"foobar"), 0x85944171f73967e8);
     }
 
     #[test]

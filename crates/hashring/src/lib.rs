@@ -26,6 +26,6 @@ pub mod hash;
 pub mod schema;
 pub mod versioned;
 
-pub use dist::{group_by_server, Distributor, HashScheme, KetamaRing, ModuloRing, ServerId};
+pub use dist::{Distributor, HashScheme, KetamaRing, ModuloRing, ServerId};
 pub use schema::KeySchema;
 pub use versioned::{range_of, RangeEpochs, RangePhase, MIGRATION_RANGES};

@@ -337,14 +337,6 @@ impl Shaping {
             bandwidth: 1e9,
         }
     }
-
-    /// A profile resembling gigabit Ethernet: 200 µs RTT, 117 MB/s.
-    pub fn gbe_like() -> Self {
-        Shaping {
-            latency: Duration::from_micros(200),
-            bandwidth: 117e6,
-        }
-    }
 }
 
 /// Adds real-time latency/bandwidth costs to an inner client by sleeping.

@@ -98,11 +98,6 @@ impl StatsSnapshot {
             self.get_hits as f64 / self.get_ops as f64
         }
     }
-
-    /// All mutation operations combined.
-    pub fn total_writes(&self) -> u64 {
-        self.set_ops + self.add_ops + self.append_ops
-    }
 }
 
 /// Serving-layer counters for one evented [`crate::net::KvServer`]:
@@ -177,16 +172,5 @@ mod tests {
     #[test]
     fn hit_rate_empty_is_one() {
         assert_eq!(StatsSnapshot::default().hit_rate(), 1.0);
-    }
-
-    #[test]
-    fn total_writes_sums_mutations() {
-        let snap = StatsSnapshot {
-            set_ops: 1,
-            add_ops: 2,
-            append_ops: 3,
-            ..Default::default()
-        };
-        assert_eq!(snap.total_writes(), 6);
     }
 }

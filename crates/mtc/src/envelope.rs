@@ -267,7 +267,7 @@ impl EnvelopeModel {
         let mut counts = vec![0u32; n];
         for i in 0..4096 {
             let name = format!("/mdtest/dir.0/file.mdtest.{i:06}");
-            counts[memfs_amfs::skewed_metadata_server(&name, n)] += 1;
+            counts[skewed_metadata_server(&name, n)] += 1;
         }
         *counts.iter().max().expect("nodes > 0") as f64 / 4096.0
     }
@@ -301,6 +301,19 @@ impl EnvelopeModel {
     pub fn system_bandwidth_per_node(&self, cores: usize) -> f64 {
         2.0 * self.app_bandwidth_per_node(cores)
     }
+}
+
+/// The AMFS metadata server for `path`: a character sum of the name, mod
+/// the server count. The paper explains AMFS' sub-linear `create`
+/// scalability by this placement — "AMFS distributes file metadata over
+/// all servers based on a hash function of the file name; according to
+/// \[2\], this distribution is not uniform" (§4.1) — and a character sum
+/// maps the regular names MTC workflows generate (`proj_0001.fits`,
+/// `proj_0002.fits`, …) onto a narrow band of servers.
+fn skewed_metadata_server(path: &str, n_servers: usize) -> usize {
+    assert!(n_servers > 0);
+    let sum: u64 = path.bytes().map(|b| b as u64).sum();
+    (sum % n_servers as u64) as usize
 }
 
 /// Per-process 4 KB-block iozone bandwidth through the FUSE stack (fits
@@ -528,5 +541,40 @@ mod tests {
         let s_128mb = m.distinct_stripe_servers(128 * MB);
         assert!(s_128mb > 30, "256 stripes should hit most of 64 servers");
         let _ = GB;
+    }
+
+    #[test]
+    fn skewed_hash_is_deterministic() {
+        assert_eq!(
+            skewed_metadata_server("/wf/a.dat", 16),
+            skewed_metadata_server("/wf/a.dat", 16)
+        );
+    }
+
+    #[test]
+    fn skewed_hash_is_actually_skewed_on_sequential_names() {
+        // Sequential workflow names: proj_0000.fits ... proj_0999.fits.
+        // A character-sum hash maps consecutive names to consecutive
+        // servers, but the *distribution over many digits* clusters.
+        let n = 64;
+        let mut counts = vec![0usize; n];
+        for i in 0..1000 {
+            let name = format!("/m17/proj_{i:04}.fits");
+            counts[skewed_metadata_server(&name, n)] += 1;
+        }
+        let max = *counts.iter().max().unwrap() as f64;
+        let mean = 1000.0 / n as f64;
+        // Compare against MemFS' FNV placement of the same names.
+        let mut fnv_counts = vec![0usize; n];
+        for i in 0..1000 {
+            let name = format!("/m17/proj_{i:04}.fits");
+            let h = memfs_hashring::hash::fnv1a_32(name.as_bytes());
+            fnv_counts[h as usize % n] += 1;
+        }
+        let fnv_max = *fnv_counts.iter().max().unwrap() as f64;
+        assert!(
+            max / mean > fnv_max / mean,
+            "character-sum should be more skewed than FNV: {max} vs {fnv_max} (mean {mean})"
+        );
     }
 }

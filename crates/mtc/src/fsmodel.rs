@@ -6,10 +6,9 @@
 //! The two answers — MemFS' symmetric striping versus AMFS' local writes
 //! with replicate-on-read — are this module.
 //!
-//! Placement decisions reuse the real code paths: MemFS placement *is*
-//! symmetric by construction (every node holds `1/N` of every file), and
-//! AMFS placement tracks owners and replicas exactly as the in-process
-//! implementation in `memfs-amfs` does.
+//! MemFS placement *is* symmetric by construction (every node holds `1/N`
+//! of every file); AMFS placement tracks each file's owner and the nodes
+//! that replicated it on read.
 
 use std::collections::BTreeSet;
 

@@ -8,16 +8,18 @@
 //!
 //! ## Two evaluation paths
 //!
-//! * **Real engine** (`memfs-core` / `memfs-amfs` running actual bytes
-//!   in-process) — used for the design-decision experiments that are
-//!   machine-local in the paper too (Figure 3), and by the integration
-//!   tests.
+//! * **Real engine** (`memfs-core` running actual bytes in-process) —
+//!   used for the design-decision experiments that are machine-local in
+//!   the paper too (Figure 3), and by the integration tests.
 //! * **Simulation** ([`engine::WorkflowSim`] over `memfs-netsim` +
 //!   `memfs-cluster`) — used for everything that needs 8-64 DAS4 nodes or
-//!   8-32 EC2 instances. The simulation reuses the *real* placement code
-//!   (`memfs-hashring`) and the real multicast schedule (`memfs-amfs`),
-//!   so distribution behaviour is identical to the implementation; only
-//!   time is modelled.
+//!   8-32 EC2 instances. MemFS placement reuses the *real* placement code
+//!   (`memfs-hashring`), so its distribution behaviour is identical to the
+//!   implementation; only time is modelled. AMFS, the locality-based
+//!   baseline, exists only as a model: [`fsmodel`]'s
+//!   `FsModelKind::Amfs` with [`sched`]'s locality-aware scheduler in the
+//!   simulation, and [`envelope`]'s AMFS metrics (its software multicast
+//!   is `EnvelopeModel::amfs_read_n_1`).
 //!
 //! Calibration constants live in [`calibrate`] and are documented against
 //! the paper's reported numbers; EXPERIMENTS.md records paper-vs-measured

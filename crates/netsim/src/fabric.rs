@@ -105,21 +105,6 @@ impl Fabric {
         }
     }
 
-    /// Constraint id of node `i`'s egress link (for utilization queries).
-    pub fn egress_constraint(&self, node: NodeId) -> ConstraintId {
-        3 * node.0
-    }
-
-    /// Constraint id of node `i`'s ingress link.
-    pub fn ingress_constraint(&self, node: NodeId) -> ConstraintId {
-        3 * node.0 + 1
-    }
-
-    /// Constraint id of node `i`'s memory system.
-    pub fn memory_constraint(&self, node: NodeId) -> ConstraintId {
-        3 * node.0 + 2
-    }
-
     /// The route of a **striped read** landing on `dst`: a symmetric
     /// transfer whose sources are spread over all servers. Only the
     /// reader's ingress NIC and memory constrain it individually; the

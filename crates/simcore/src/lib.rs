@@ -13,10 +13,7 @@
 //! * [`PsResource`] — a processor-sharing resource with an arbitrary
 //!   concurrency-efficiency curve (used e.g. for the FUSE mount-point
 //!   spinlock model of Figure 10),
-//! * [`SimRng`] — seedable, splittable random streams so every experiment is
-//!   reproducible,
-//! * [`stats`] — streaming statistics helpers shared by all experiment
-//!   drivers.
+//! * [`units`] — byte-size and bandwidth constants and conversions.
 //!
 //! The engine is intentionally event-driven rather than process-driven: the
 //! higher layers (`memfs-netsim`, `memfs-mtc`) model network transfers and
@@ -26,12 +23,9 @@
 
 pub mod queue;
 pub mod resource;
-pub mod rng;
-pub mod stats;
 pub mod time;
 pub mod units;
 
 pub use queue::{EventEntry, EventQueue};
 pub use resource::{EfficiencyCurve, JobId, PsResource};
-pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};

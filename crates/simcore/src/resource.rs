@@ -117,11 +117,6 @@ impl PsResource {
         }
     }
 
-    /// Number of jobs currently in service.
-    pub fn active_jobs(&self) -> usize {
-        self.jobs.len()
-    }
-
     /// Total work units completed so far.
     pub fn completed_work(&self) -> f64 {
         self.completed_work

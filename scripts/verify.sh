@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Repo verification gate: build, tests, formatting, lints.
 #
-#   scripts/verify.sh            # build + workspace tests + fmt + clippy + knob count + unsafe census + KvClient census + I/O pool census + timer census + pass census
+#   scripts/verify.sh            # build + workspace tests + fmt + clippy + knob count + unsafe census + KvClient census + I/O pool census + timer census + pass census + substrate census + repro golden
 #   scripts/verify.sh --clippy   # fast path: fmt + clippy only, no build/tests
 #   scripts/verify.sh --threads  # additionally stress the concurrency tests
 #   scripts/verify.sh --soak     # shaped-cluster suites, N random seeds
@@ -10,7 +10,11 @@
 # root-package tests; the gate runs the whole workspace's tests, a
 # superset, so a red crate-level test cannot hide behind a green tier-1.
 # fmt/clippy keep the tree warning-free; clippy runs with -D warnings so
-# new lints fail the gate instead of scrolling by.
+# new lints fail the gate instead of scrolling by. The repro golden step
+# reruns every simulated paper artifact (all but fig3a/fig3b, which time
+# the real engine on the wall clock) and diffs each section against
+# repro_output.txt: a change that moves a figure has to regenerate that
+# file and say why.
 #
 # --threads repeats the fan-out/pending-window suites with a high
 # test-thread count so the pool's windows, the pending write drains and
@@ -160,6 +164,46 @@ echo "==> pass census: ${passes:-one repair pass}"
 if [[ -n "$passes" ]]; then
     echo "verify: repair and migration are one pass in repair.rs — extend" \
         "repair_pass instead of adding a second loop" >&2
+    exit 1
+fi
+
+# The AMFS baseline is a model in crates/mtc (DESIGN.md §5) and the
+# simulations draw no random numbers: no in-process AMFS engine, no `rand`
+# shim, no simulator RNG or statistics module. The one seeded RNG is
+# `memkv::testutil::Rng`.
+# shellcheck disable=SC2086
+substrate=$(
+    ls -d crates/amfs shims/rand 2>/dev/null
+    grep -rnE 'memfs_amfs|memfs-amfs|SimRng|simcore::stats|rand::' $trees
+    find . -name Cargo.toml -not -path '*/target/*' -not -path './.bench_build/*' -print0 |
+        xargs -0 grep -nE 'memfs_amfs|memfs-amfs|SimRng|simcore::stats|rand::|(^|[^a-z_-])rand([^a-z_-]|$)'
+) || true
+echo "==> substrate census: ${substrate:-no AMFS engine, no rand, no SimRng or simcore::stats}"
+if [[ -n "$substrate" ]]; then
+    echo "verify: AMFS is modelled in mtc::{fsmodel, sched, envelope}; simcore is the" \
+        "clock, the event queue, the PS resource and the units" >&2
+    exit 1
+fi
+
+# Every simulated artifact is byte-identical to repro_output.txt, section
+# by section (the `==...==` rules are dropped, each `== <name>` header
+# opens a section). fig3a/fig3b are wall-clock runs of the real engine.
+echo "==> repro golden (every artifact but fig3a/fig3b against repro_output.txt)"
+golden=$(mktemp -d)
+trap 'rm -rf "$golden"' EXIT
+split_sections() { awk -v dir="$1" '/^=+$/ { next } /^== / { name = $2 } name { print > (dir "/" name) }'; }
+mkdir "$golden/want" "$golden/got"
+split_sections "$golden/want" <repro_output.txt
+mapfile -t sections < <(grep -E '^== ' repro_output.txt | awk '$2 != "fig3a" && $2 != "fig3b" { print $2 }')
+cargo run --release -q -p memfs-bench --bin repro -- "${sections[@]}" | split_sections "$golden/got"
+moved=()
+for name in "${sections[@]}"; do
+    diff -u "$golden/want/$name" "$golden/got/$name" >&2 || moved+=("$name")
+done
+echo "    ${#sections[@]} sections, ${#moved[@]} moved${moved:+: ${moved[*]}}"
+if ((${#moved[@]} > 0)); then
+    echo "verify: a simulated figure moved — regenerate repro_output.txt" \
+        "(\`repro all\`) only for a change that means to move it, and say why" >&2
     exit 1
 fi
 

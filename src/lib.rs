@@ -2,15 +2,14 @@
 //!
 //! Re-exports the full MemFS reproduction workspace behind one dependency:
 //! the MemFS file system itself ([`memfs_core`]), the memcached-style
-//! storage engine ([`memkv`]), key distribution ([`hashring`]), the AMFS
-//! locality-based baseline ([`amfs`]), and the simulation substrate used to
-//! reproduce the paper's cluster/cloud experiments ([`simcore`], [`netsim`],
-//! [`cluster`], [`mtc`]).
+//! storage engine ([`memkv`]), key distribution ([`hashring`]), and the
+//! simulation substrate used to reproduce the paper's cluster/cloud
+//! experiments ([`simcore`], [`netsim`], [`cluster`], [`mtc`]); the AMFS
+//! locality-based baseline is modelled in [`mtc`].
 //!
 //! See the repository README for a quickstart, `DESIGN.md` for the system
 //! inventory, and `EXPERIMENTS.md` for the paper-versus-measured record.
 
-pub use memfs_amfs as amfs;
 pub use memfs_cluster as cluster;
 pub use memfs_core;
 pub use memfs_hashring as hashring;
