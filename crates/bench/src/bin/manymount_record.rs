@@ -100,10 +100,7 @@ fn run_phase(cluster: &ShapedCluster, mounts: usize, per_server: usize, seed: u6
     let pools: Vec<ServerPool> = (0..mounts)
         .map(|_| {
             ServerPool::new(
-                cluster.clients(PoolConfig {
-                    connections: 1,
-                    ..PoolConfig::default()
-                }),
+                cluster.clients(PoolConfig::default()),
                 DistributorKind::default(),
             )
         })

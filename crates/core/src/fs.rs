@@ -154,7 +154,7 @@ impl MemFs {
     /// [`memfs_memkv::TcpClient`] per address, all registered on one
     /// shared epoll reactor — a single thread drives the whole cluster
     /// and delivers completions in cross-server batches. Each server gets
-    /// [`memfs_memkv::PoolConfig`]'s default connection count, and — exactly
+    /// one pipelined connection, and — exactly
     /// when the repair daemon runs — liveness probes at its interval: the
     /// daemon plans from the health census, which on a quiet mount only
     /// the probes keep true.
@@ -266,7 +266,7 @@ impl MemFs {
     }
 
     /// Admit a TCP storage server by address onto the mount's shared
-    /// reactor (zero new threads — its connections join the existing
+    /// reactor (zero new threads — its connection joins the existing
     /// epoll loop). Only available on [`Self::connect`] mounts.
     pub fn admit_server(&self, addr: impl std::net::ToSocketAddrs) -> MemFsResult<ServerId> {
         let net = self.inner.net.as_ref().ok_or_else(|| {

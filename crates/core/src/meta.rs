@@ -6,8 +6,9 @@
 //! * **Directory logs** — a directory's value is an append-only log of
 //!   child records. Adding a file/directory appends one record via the
 //!   store's atomic `append`; deletions append a tombstone. `readdir`
-//!   folds the log. This gives constant-time metadata mutations with no
-//!   read-modify-write races. The append doubles as the parent check:
+//!   folds the log. A mutation is one request with no read-modify-write
+//!   race, but the store's `append` copies the whole log into a new
+//!   value, so its cost grows with the directory's size. The append doubles as the parent check:
 //!   the store refuses an `append` to a missing key, so `create` never
 //!   reads the log it extends — nor does an existence check (a
 //!   zero-length ranged probe answers; the log never compacts).

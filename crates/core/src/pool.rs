@@ -2064,7 +2064,7 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn health_census_reflects_injected_failures() {
+    fn health_reflects_injected_failures() {
         use memfs_memkv::ServerHealth;
         let (p, failables) = failable_pool(3, 2);
         assert_eq!(p.health(), vec![ServerHealth::Up; 3]);
@@ -2431,7 +2431,6 @@ pub(crate) mod tests {
         use memfs_memkv::{PoolConfig, TcpClient};
         use std::net::TcpListener;
         let config = PoolConfig {
-            connections: 1,
             timeout: Duration::from_millis(200),
             ..PoolConfig::default()
         };

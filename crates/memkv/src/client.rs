@@ -100,27 +100,25 @@ impl<T> Deferred<T> {
 /// A client's current liveness view of its storage server — the unit of
 /// the failure-detection census the repair planner queries.
 ///
-/// For the evented TCP transport this is derived from the reactor's
-/// per-connection link state machine (Down/Connecting/Up) kept fresh by
-/// traffic and by heartbeat probes; for in-process transports
-/// it is always [`ServerHealth::Up`] unless a test wrapper injects
-/// failure. `Down` is a *view*, not ground truth: a server is `Down` when
-/// no connection to it is currently established.
+/// A TCP client is one pipelined connection per server, and its health is
+/// that link's state in the reactor (Down/Connecting/Up), kept fresh by
+/// traffic and by heartbeat probes: `Up` means the one link is
+/// established. A link severed by a timeout or an error reads `Down` until
+/// the next call or heartbeat redials it. In-process transports are always
+/// [`ServerHealth::Up`] unless a test wrapper injects failure. `Down` is a
+/// *view*, not ground truth.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServerHealth {
-    /// Every pooled connection is established.
+    /// The connection is established.
     Up,
-    /// Some connections are established, some are not (flapping link,
-    /// partial reconnect after a restart).
-    Degraded,
-    /// No connection is established.
+    /// The connection is not established.
     Down,
 }
 
 impl ServerHealth {
-    /// Whether the server is reachable at all (Up or Degraded).
+    /// Whether the server is reachable (`Up`).
     pub fn is_alive(self) -> bool {
-        !matches!(self, ServerHealth::Down)
+        self == ServerHealth::Up
     }
 }
 
@@ -249,7 +247,7 @@ pub trait KvClient: Send + Sync {
             "key enumeration not supported by this client".into(),
         ))
     }
-    /// Counters of the reactor driving this client's connections, if it
+    /// Counters of the reactor driving this client's connection, if it
     /// has one. Clients sharing a reactor return snapshots with the same
     /// [`ReactorStatsSnapshot::reactor_id`]
     /// ([`crate::reactor::ReactorStatsSnapshot`]); aggregators dedup on

@@ -7,9 +7,10 @@
 //! MemFS mount (the Libmemcached role). The `tcp_cluster` example runs a
 //! whole striped file system over localhost sockets.
 //!
-//! The client is a **connection pool** ([`PoolConfig`] sizes it) and every
-//! request batch is **pipelined**: all frames of a batch are queued on one
-//! connection and the replies are read back in order. Connections are
+//! The client is **one connection** per server, as Libmemcached keeps one
+//! socket per server, and every request batch is **pipelined** on it: the
+//! frames of every batch are queued on that socket and the replies are
+//! read back in order. Connections are
 //! driven by a shared epoll reactor ([`crate::reactor`]): submitting a
 //! batch never blocks on the socket, and the caller parks on a completion
 //! handle only when it actually needs the responses — so one thread can
@@ -24,7 +25,6 @@
 
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
 use bytes::Bytes;
@@ -42,16 +42,13 @@ use crate::reactor::{PendingExchange, ReactorHandle, ReactorStatsSnapshot, Regis
 // so `net` stays the one-stop transport module.
 pub use crate::server::{execute, KvServer, ServerConfig, SERVER_VERSION};
 
-/// Sizing knobs for a [`TcpClient`]'s connection pool.
+/// Upper bound on keys packed into one multi-key `get` line; larger
+/// batches are split into pipelined frames on the same connection.
+const MAX_BATCH_KEYS: usize = 64;
+
+/// Deadline and liveness knobs for a [`TcpClient`]'s connection.
 #[derive(Debug, Clone)]
 pub struct PoolConfig {
-    /// Number of TCP connections to keep open to the server. Batches are
-    /// spread round-robin; each connection pipelines independently, so
-    /// concurrent batches do not serialize on one socket.
-    pub connections: usize,
-    /// Upper bound on keys packed into one multi-key `get` line; larger
-    /// batches are split into pipelined frames on the same connection.
-    pub max_batch_keys: usize,
     /// Response deadline per batch. A server that accepts a request and
     /// never answers fails the call with [`KvError::Timeout`] instead of
     /// parking the caller forever; the silent connection is severed.
@@ -68,8 +65,6 @@ pub struct PoolConfig {
 impl Default for PoolConfig {
     fn default() -> Self {
         PoolConfig {
-            connections: 4,
-            max_batch_keys: 64,
             timeout: Duration::from_secs(10),
             heartbeat: None,
         }
@@ -78,19 +73,20 @@ impl Default for PoolConfig {
 
 /// An evented TCP client for one server, implementing [`KvClient`].
 ///
-/// Holds a pool of non-blocking connections ([`PoolConfig::connections`])
-/// registered with an epoll reactor ([`crate::reactor`]) — the role
-/// Libmemcached's connection pools play in the paper's deployment, minus
-/// the thread-per-call cost: submitting a batch only encodes it and hands
-/// it to the reactor, so any number of batches (across any number of
-/// `TcpClient`s) stay in flight while a single caller thread waits.
+/// Holds one non-blocking connection registered with an epoll reactor
+/// ([`crate::reactor`]) — the socket Libmemcached keeps per server in the
+/// paper's deployment, minus the thread-per-call cost: submitting a batch
+/// only encodes it and hands it to the reactor, so any number of batches
+/// (across any number of `TcpClient`s) stay in flight while a single
+/// caller thread waits.
 /// [`TcpClient::connect_shared`] registers on a caller-owned
 /// [`ReactorHandle`] so every client of a mount shares one reactor
 /// thread; [`TcpClient::connect_with`] spins up a private one.
 ///
 /// Every request is a batch ([`KvClient::start`]; a single-key call is a
 /// batch of one) and every batch is *pipelined*: its frames are queued on
-/// one connection and the replies are read back in order.
+/// the connection behind those of earlier batches, and the replies are
+/// read back in order.
 ///
 /// A connection that dies mid-call is reopened; the request is retried
 /// once, transparently, when it is idempotent (`get`/`set`/`delete`…).
@@ -99,9 +95,7 @@ impl Default for PoolConfig {
 /// [`PoolConfig::timeout`] fail with [`KvError::Timeout`].
 pub struct TcpClient {
     registration: Registration,
-    next: AtomicUsize,
     addr: SocketAddr,
-    config: PoolConfig,
 }
 
 /// Whether a request may be transparently resent after a connection drop.
@@ -125,61 +119,45 @@ fn encode_batch(reqs: &[Request]) -> Vec<Bytes> {
 }
 
 impl TcpClient {
-    /// Connect to a server with the default pool size.
+    /// Connect to a server with the default [`PoolConfig`].
     pub fn connect(addr: impl ToSocketAddrs) -> KvResult<TcpClient> {
         Self::connect_with(addr, PoolConfig::default())
     }
 
-    /// Connect to a server with explicit pool sizing on a private reactor
-    /// (this client is the shared reactor's only registrant).
+    /// Connect to a server with an explicit [`PoolConfig`] on a private
+    /// reactor (this client is the reactor's only registrant).
     ///
     /// # Panics
-    /// Panics if `config.connections == 0`, `config.max_batch_keys == 0`
-    /// or `config.timeout` is zero.
+    /// Panics if `config.timeout` is zero.
     pub fn connect_with(addr: impl ToSocketAddrs, config: PoolConfig) -> KvResult<TcpClient> {
         let reactor = ReactorHandle::new()?;
         Self::connect_shared(addr, config, &reactor)
     }
 
-    /// Connect to a server and register the connections with an existing
+    /// Connect to a server and register the connection with an existing
     /// shared reactor — the per-mount deployment shape: every server's
     /// `TcpClient` rides one epoll thread, so completions land in
     /// cross-server batches and thread count stays constant in cluster
     /// size. The client keeps the reactor alive for as long as it lives.
     ///
     /// # Panics
-    /// Panics if `config.connections == 0`, `config.max_batch_keys == 0`
-    /// or `config.timeout` is zero.
+    /// Panics if `config.timeout` is zero.
     pub fn connect_shared(
         addr: impl ToSocketAddrs,
         config: PoolConfig,
         reactor: &ReactorHandle,
     ) -> KvResult<TcpClient> {
-        assert!(config.connections > 0, "pool needs at least one connection");
-        assert!(config.max_batch_keys > 0, "batches need at least one key");
         assert!(
             config.timeout > Duration::ZERO,
             "response deadline must be non-zero"
         );
         // Connect eagerly and synchronously so an unreachable server is
         // reported here, not on the first call.
-        let first = TcpStream::connect(addr)?;
-        first.set_nodelay(true)?;
-        let addr = first.peer_addr()?;
-        let mut streams = Vec::with_capacity(config.connections);
-        streams.push(first);
-        for _ in 1..config.connections {
-            let stream = TcpStream::connect(addr)?;
-            stream.set_nodelay(true)?;
-            streams.push(stream);
-        }
-        let registration = reactor.register(addr, streams, config.timeout, config.heartbeat)?;
-        Ok(TcpClient {
-            registration,
-            next: AtomicUsize::new(0),
-            addr,
-            config,
-        })
+        let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
+        let addr = stream.peer_addr()?;
+        let registration = reactor.register(addr, stream, config.timeout, config.heartbeat)?;
+        Ok(TcpClient { registration, addr })
     }
 
     /// Peer address.
@@ -187,27 +165,19 @@ impl TcpClient {
         self.addr
     }
 
-    /// Number of pooled connections.
-    pub fn pool_size(&self) -> usize {
-        self.config.connections
-    }
-
-    /// Counters of the reactor driving this client's connections. Shared
+    /// Counters of the reactor driving this client's connection. Shared
     /// reactors report aggregate numbers across every registrant; dedup
     /// on [`ReactorStatsSnapshot::reactor_id`] when summing over clients.
     pub fn reactor_stats(&self) -> ReactorStatsSnapshot {
         self.registration.handle().stats()
     }
 
-    /// Submit one pipelined batch to the reactor (round-robin over the
-    /// connection pool) and return its completion handle. Never blocks on
-    /// the network.
+    /// Submit one pipelined batch to the reactor and return its
+    /// completion handle. Never blocks on the network.
     fn submit_batch(&self, reqs: &[Request]) -> PendingExchange {
         let segments = encode_batch(reqs);
         let idempotent = reqs.iter().all(is_idempotent);
-        let conn = self.next.fetch_add(1, Ordering::Relaxed) % self.registration.len();
-        self.registration
-            .submit(conn, segments, reqs.len(), idempotent)
+        self.registration.submit(segments, reqs.len(), idempotent)
     }
 
     /// Submit `reqs` as one pipelined batch; `decode` turns the replies,
@@ -231,13 +201,12 @@ impl TcpClient {
     /// Pack keys into multi-key `get` lines (bounded by both key count and
     /// line length), one request per chunk. `Bytes` keys make every chunk
     /// push a refcount bump, not a copy.
-    fn chunk_get_requests(&self, keys: &[Bytes]) -> Vec<Request> {
+    fn chunk_get_requests(keys: &[Bytes]) -> Vec<Request> {
         let mut reqs: Vec<Request> = Vec::new();
         let mut chunk: Vec<Bytes> = Vec::new();
         let mut line_len = "get".len();
         for key in keys {
-            let full = chunk.len() >= self.config.max_batch_keys
-                || line_len + 1 + key.len() + 2 > MAX_LINE_LEN;
+            let full = chunk.len() >= MAX_BATCH_KEYS || line_len + 1 + key.len() + 2 > MAX_LINE_LEN;
             if full && !chunk.is_empty() {
                 reqs.push(Request::Get {
                     keys: std::mem::take(&mut chunk),
@@ -524,7 +493,7 @@ impl KvClient for TcpClient {
         match batch {
             Batch::Get(keys) => {
                 let keys = keys.to_vec();
-                let reqs = self.chunk_get_requests(&keys);
+                let reqs = Self::chunk_get_requests(&keys);
                 self.start_with(reqs, move |resps| decode_get_responses(&keys, resps))
             }
             Batch::GetRange(ranges) => {
@@ -538,7 +507,7 @@ impl KvClient for TcpClient {
             Batch::Store(verb, items) => {
                 let reqs = items
                     .iter()
-                    .map(|(key, value)| store_request(verb, key.clone(), value.clone(), 0));
+                    .map(|(key, value)| store_request(verb, key.clone(), value.clone()));
                 self.start_with(reqs.collect(), move |resps| {
                     each(|resp| stored(verb, resp), resps)
                 })
@@ -558,16 +527,12 @@ impl KvClient for TcpClient {
         Some(TcpClient::reactor_stats(self))
     }
 
-    /// The reactor's link census for this client's registration: all
-    /// connections established → `Up`, none → `Down`, some → `Degraded`.
+    /// `Up` while the reactor holds this client's one link established.
     fn health(&self) -> ServerHealth {
-        let (up, total) = self.registration.health_census();
-        if up == 0 {
-            ServerHealth::Down
-        } else if up < total {
-            ServerHealth::Degraded
-        } else {
+        if self.registration.is_up() {
             ServerHealth::Up
+        } else {
+            ServerHealth::Down
         }
     }
 }
@@ -595,17 +560,17 @@ fn decode_get_responses(keys: &[Bytes], resps: Vec<Response>) -> Replies {
         .collect())
 }
 
-fn store_request(verb: StoreVerb, key: Bytes, value: Bytes, exptime: u32) -> Request {
+fn store_request(verb: StoreVerb, key: Bytes, value: Bytes) -> Request {
     match verb {
         StoreVerb::Set => Request::Set {
             key,
             value,
-            exptime,
+            exptime: 0,
         },
         StoreVerb::Add => Request::Add {
             key,
             value,
-            exptime,
+            exptime: 0,
         },
         StoreVerb::Append => Request::Append { key, value },
     }
@@ -833,11 +798,7 @@ mod tests {
     #[test]
     fn tcp_getrange_serves_clamped_ranges_by_position() {
         let server = spawn_server();
-        let config = PoolConfig {
-            connections: 1,
-            ..PoolConfig::default()
-        };
-        let client = TcpClient::connect_with(server.addr(), config).unwrap();
+        let client = TcpClient::connect(server.addr()).unwrap();
         let value: Vec<u8> = (0..100u8).collect();
         client.set(b"k", Bytes::from(value.clone())).unwrap();
         let k = Bytes::from_static(b"k");
@@ -912,16 +873,9 @@ mod tests {
     #[test]
     fn tcp_multi_get_large_batch_chunks_frames() {
         let server = spawn_server();
-        let client = TcpClient::connect_with(
-            server.addr(),
-            PoolConfig {
-                connections: 1,
-                max_batch_keys: 16,
-                ..PoolConfig::default()
-            },
-        )
-        .unwrap();
-        let keys: Vec<Bytes> = (0..100).map(|i| Bytes::from(format!("k{i}"))).collect();
+        let client = TcpClient::connect(server.addr()).unwrap();
+        let n = 3 * MAX_BATCH_KEYS + 5;
+        let keys: Vec<Bytes> = (0..n).map(|i| Bytes::from(format!("k{i}"))).collect();
         let items: Vec<(Bytes, Bytes)> = keys
             .iter()
             .map(|k| {
@@ -941,22 +895,17 @@ mod tests {
                 Bytes::from(format!("v-{}", String::from_utf8_lossy(k)))
             );
         }
-        // 100 keys at 16 per frame = 7 pipelined multi-get batches.
-        assert_eq!(server.store().stats().snapshot().mget_ops, 7);
+        // One multi-get line per `MAX_BATCH_KEYS` keys, all pipelined.
+        assert_eq!(
+            server.store().stats().snapshot().mget_ops,
+            n.div_ceil(MAX_BATCH_KEYS) as u64
+        );
     }
 
     #[test]
     fn tcp_delete_many_pipelines_and_reports_misses() {
         let server = spawn_server();
-        let client = TcpClient::connect_with(
-            server.addr(),
-            PoolConfig {
-                connections: 1,
-                max_batch_keys: 64,
-                ..PoolConfig::default()
-            },
-        )
-        .unwrap();
+        let client = TcpClient::connect(server.addr()).unwrap();
         client.set(b"a", Bytes::from_static(b"1")).unwrap();
         client.set(b"b", Bytes::from_static(b"2")).unwrap();
         let out = client
@@ -977,15 +926,7 @@ mod tests {
     #[test]
     fn tcp_set_many_pipelines_on_one_connection() {
         let server = spawn_server();
-        let client = TcpClient::connect_with(
-            server.addr(),
-            PoolConfig {
-                connections: 1,
-                max_batch_keys: 64,
-                ..PoolConfig::default()
-            },
-        )
-        .unwrap();
+        let client = TcpClient::connect(server.addr()).unwrap();
         let items: Vec<(Bytes, Bytes)> = (0..50)
             .map(|i| {
                 (
@@ -1001,20 +942,9 @@ mod tests {
     }
 
     #[test]
-    fn tcp_pool_shares_one_client_across_threads() {
+    fn one_client_connection_is_shared_across_threads() {
         let server = spawn_server();
-        let client = Arc::new(
-            TcpClient::connect_with(
-                server.addr(),
-                PoolConfig {
-                    connections: 4,
-                    max_batch_keys: 64,
-                    ..PoolConfig::default()
-                },
-            )
-            .unwrap(),
-        );
-        assert_eq!(client.pool_size(), 4);
+        let client = Arc::new(TcpClient::connect(server.addr()).unwrap());
         let threads: Vec<_> = (0..8)
             .map(|t| {
                 let client = Arc::clone(&client);
@@ -1036,6 +966,8 @@ mod tests {
             t.join().unwrap();
         }
         assert_eq!(server.store().item_count(), 400);
+        // Eight callers' batches queued behind each other on one socket.
+        assert_eq!(server.server_stats().total_connections, 1);
     }
 
     #[test]
@@ -1048,10 +980,9 @@ mod tests {
         let b =
             TcpClient::connect_shared(server_b.addr(), PoolConfig::default(), &reactor).unwrap();
         // Same loop: both clients' snapshots carry the same reactor id,
-        // and the census covers both registrations.
+        // and the census covers both registrations, one connection each.
         assert_eq!(a.reactor_stats().reactor_id, b.reactor_stats().reactor_id);
-        let per_client = PoolConfig::default().connections;
-        assert_eq!(a.reactor_stats().registered_connections, 2 * per_client);
+        assert_eq!(a.reactor_stats().registered_connections, 2);
 
         a.set(b"ka", Bytes::from_static(b"va")).unwrap();
         b.set(b"kb", Bytes::from_static(b"vb")).unwrap();
@@ -1062,7 +993,7 @@ mod tests {
         // keeps working on the still-running shared loop.
         drop(a);
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while b.reactor_stats().registered_connections != per_client {
+        while b.reactor_stats().registered_connections != 1 {
             assert!(
                 std::time::Instant::now() < deadline,
                 "deregistration never drained: {:?}",
@@ -1178,7 +1109,6 @@ mod tests {
             }
         });
         let config = PoolConfig {
-            connections: 1,
             timeout: Duration::from_secs(3),
             ..PoolConfig::default()
         };

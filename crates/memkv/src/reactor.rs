@@ -3,9 +3,9 @@
 //! blocks on socket I/O.
 //!
 //! The reactor is a process-wide resource shared through a
-//! [`ReactorHandle`]. Each [`crate::net::TcpClient`] *registers* its
-//! pre-connected sockets with a handle and gets back a [`Registration`] —
-//! a set of tokens naming its connections inside the shared loop. A call
+//! [`ReactorHandle`]. Each [`crate::net::TcpClient`] *registers* its one
+//! pre-connected socket with a handle and gets back a [`Registration`] —
+//! the token naming that connection inside the shared loop. A call
 //! is a pre-encoded batch handed to the loop through its inbox (one lock,
 //! one eventfd wake); the loop writes it, parses the replies and fills the
 //! batch's completion slot, on which the caller parks. One thread
@@ -25,10 +25,9 @@
 //!
 //! Per connection:
 //!
-//! * **Pipelining** — all frames of a batch are queued on one connection
-//!   and answered in order; concurrent batches interleave at frame
-//!   granularity on the same socket without head-of-line blocking between
-//!   connections.
+//! * **Pipelining** — all frames of a batch are queued on the server's one
+//!   connection and answered in order; concurrent batches queue behind each
+//!   other on it, as memcached answers a pipelined socket in order.
 //! * **Idempotent-only retry** — a batch that dies with the connection is
 //!   replayed once after a reconnect, but only if every request in it is
 //!   idempotent (`add`/`append` batches surface the I/O error). An
@@ -47,12 +46,12 @@
 //!   connection severed (the FIFO response alignment is unrecoverable
 //!   once a reply is abandoned), and the caller gets
 //!   [`KvError::Timeout`]. A stalled server only stalls its own
-//!   connections: the shared loop keeps every other server streaming.
+//!   connection: the shared loop keeps every other server streaming.
 //!
 //! Lifecycle: the reactor thread starts with the first handle and exits
 //! when the last handle drops ([`ReactorHandle`] is an `Arc` in a
-//! trenchcoat). Dropping a `Registration` deregisters its connections —
-//! queued batches fail with `NotConnected` and the token slots return to
+//! trenchcoat). Dropping a `Registration` deregisters its connection —
+//! queued batches fail with `NotConnected` and the token slot returns to
 //! a free list for the next registration.
 
 use std::collections::{BTreeSet, VecDeque};
@@ -239,33 +238,6 @@ impl ReactorStats {
     }
 }
 
-/// Connection census of one registration, shared between the loop thread
-/// and the registering client: of `total` registered connections, how
-/// many currently hold an established stream. The loop writes at link
-/// transitions (adopt / close / release); the client reads it to answer
-/// [`crate::client::KvClient::health`] without a reactor round trip.
-pub(crate) struct LinkHealth {
-    up: AtomicUsize,
-    total: AtomicUsize,
-}
-
-impl LinkHealth {
-    fn new(total: usize) -> LinkHealth {
-        LinkHealth {
-            up: AtomicUsize::new(0),
-            total: AtomicUsize::new(total),
-        }
-    }
-
-    /// `(established, registered)` connection counts.
-    pub(crate) fn census(&self) -> (usize, usize) {
-        (
-            self.up.load(Ordering::Relaxed),
-            self.total.load(Ordering::Relaxed),
-        )
-    }
-}
-
 /// A slot the loop fills once and one caller empties: the completion of a
 /// batch, the reply to a registration. Filling it also runs the hook a
 /// caller left with [`OneShot::on_set`], on the filling thread.
@@ -418,23 +390,23 @@ impl Drop for Exchange {
 }
 
 enum Command {
-    /// Adopt pre-connected streams into the loop, allocating one token
-    /// slot per stream. Answered through `reply` (registration is the
-    /// only synchronous round trip — it happens once per client).
+    /// Adopt a pre-connected stream into the loop, allocating its token
+    /// slot. Answered through `reply` (registration is the only
+    /// synchronous round trip — it happens once per client).
     Register {
         addr: SocketAddr,
-        streams: Vec<TcpStream>,
+        stream: TcpStream,
         timeout: Duration,
         heartbeat: Option<Duration>,
-        health: Arc<LinkHealth>,
-        reply: Arc<OneShot<io::Result<Vec<usize>>>>,
+        up: Arc<AtomicBool>,
+        reply: Arc<OneShot<io::Result<usize>>>,
     },
-    /// Release token slots: queued batches fail with `NotConnected`, any
-    /// in-flight connect is abandoned, and the slots return to the free
+    /// Release a token slot: queued batches fail with `NotConnected`, any
+    /// in-flight connect is abandoned, and the slot returns to the free
     /// list. Fire-and-forget — a dropping client does not wait on the
     /// loop.
     Deregister {
-        tokens: Vec<usize>,
+        token: usize,
     },
     Submit {
         conn: usize,
@@ -507,10 +479,9 @@ struct ConnState {
     backoff: Duration,
     /// Earliest instant the next connect attempt may start.
     retry_at: Option<Instant>,
-    /// Health census cell of this slot's registration (None while free).
-    health: Option<Arc<LinkHealth>>,
-    /// Whether this slot currently counts as established in the census.
-    up_gauge: bool,
+    /// Whether the link is established: the registration's flag, read by
+    /// its client's `health`, and this slot's share of `links_up`.
+    link_up: Arc<AtomicBool>,
     /// Liveness probe interval (None: heartbeats disabled for this slot).
     heartbeat: Option<Duration>,
     /// Armed [`TimerKind::Heartbeat`] key.
@@ -530,8 +501,7 @@ impl ConnState {
             connect_timer: None,
             backoff: Duration::ZERO,
             retry_at: None,
-            health: None,
-            up_gauge: false,
+            link_up: Arc::new(AtomicBool::new(false)),
             heartbeat: None,
             heartbeat_timer: None,
         }
@@ -554,7 +524,7 @@ impl Drop for HandleInner {
 }
 
 /// Cloneable owner of one shared reactor thread. Clients register their
-/// connections with [`TcpClient::connect_shared`]
+/// connection with [`TcpClient::connect_shared`]
 /// (`crate::net::TcpClient`); every clone refers to the same loop, and
 /// the thread exits when the last clone (including those held by live
 /// registrations) drops.
@@ -609,70 +579,65 @@ impl ReactorHandle {
         self.inner.shared.poller.notify();
     }
 
-    /// Adopt pre-connected `streams` (switched to non-blocking inside the
-    /// loop) as one client's connections to the server at `addr`. With
-    /// `heartbeat` set, each connection is probed at that interval while
-    /// idle, keeping the registration's health census fresh without
+    /// Adopt a pre-connected `stream` (switched to non-blocking inside the
+    /// loop) as one client's connection to the server at `addr`. With
+    /// `heartbeat` set, the connection is probed at that interval while
+    /// idle, keeping the registration's link flag fresh without
     /// foreground traffic.
     pub(crate) fn register(
         &self,
         addr: SocketAddr,
-        streams: Vec<TcpStream>,
+        stream: TcpStream,
         timeout: Duration,
         heartbeat: Option<Duration>,
     ) -> KvResult<Registration> {
         let reply = OneShot::new();
-        let health = Arc::new(LinkHealth::new(streams.len()));
+        let up = Arc::new(AtomicBool::new(false));
         self.command(Command::Register {
             addr,
-            streams,
+            stream,
             timeout,
             heartbeat,
-            health: Arc::clone(&health),
+            up: Arc::clone(&up),
             reply: Arc::clone(&reply),
         });
         // The loop cannot shut down while this handle is alive, so the
         // reply always arrives.
-        let tokens = reply.wait().map_err(KvError::Io)?;
+        let token = reply.wait().map_err(KvError::Io)?;
         Ok(Registration {
             handle: self.clone(),
-            tokens,
+            token,
             timeout,
-            health,
+            up,
         })
     }
 }
 
-/// One client's set of connections inside a shared reactor. Dropping it
-/// deregisters the connections (queued batches fail with `NotConnected`)
+/// One client's connection inside a shared reactor. Dropping it
+/// deregisters the connection (queued batches fail with `NotConnected`)
 /// and keeps the reactor alive for other registrants.
 pub(crate) struct Registration {
     handle: ReactorHandle,
-    tokens: Vec<usize>,
+    token: usize,
     timeout: Duration,
-    health: Arc<LinkHealth>,
+    up: Arc<AtomicBool>,
 }
 
 impl Registration {
-    pub(crate) fn len(&self) -> usize {
-        self.tokens.len()
-    }
-
     pub(crate) fn handle(&self) -> &ReactorHandle {
         &self.handle
     }
 
-    /// `(established, registered)` connection counts for this
-    /// registration, maintained by the loop at link transitions.
-    pub(crate) fn health_census(&self) -> (usize, usize) {
-        self.health.census()
+    /// Whether the connection is established, as the loop last recorded
+    /// at a link transition (adopt / close / release).
+    pub(crate) fn is_up(&self) -> bool {
+        self.up.load(Ordering::Relaxed)
     }
 
-    /// Queue one pre-encoded batch on the `slot`-th registered connection
-    /// and return the completion handle. Never blocks on the network.
+    /// Queue one pre-encoded batch on the connection and return the
+    /// completion handle. Never blocks on the network.
     pub(crate) fn submit(
         &self,
-        slot: usize,
         segments: Vec<Bytes>,
         expect: usize,
         idempotent: bool,
@@ -682,7 +647,7 @@ impl Registration {
         if expect == 0 {
             done.set(Ok(Vec::new()));
         } else {
-            let conn = self.tokens[slot];
+            let conn = self.token;
             self.handle.command(Command::Submit { conn, call });
         }
         PendingExchange { done }
@@ -691,9 +656,8 @@ impl Registration {
 
 impl Drop for Registration {
     fn drop(&mut self) {
-        self.handle.command(Command::Deregister {
-            tokens: std::mem::take(&mut self.tokens),
-        });
+        self.handle
+            .command(Command::Deregister { token: self.token });
     }
 }
 
@@ -799,17 +763,13 @@ impl EventLoop {
         match cmd {
             Command::Register {
                 addr,
-                streams,
+                stream,
                 timeout,
                 heartbeat,
-                health,
+                up,
                 reply,
-            } => self.handle_register(addr, streams, timeout, heartbeat, &health, &reply),
-            Command::Deregister { tokens } => {
-                for token in tokens {
-                    self.release_slot(token);
-                }
-            }
+            } => reply.set(self.handle_register(addr, stream, timeout, heartbeat, up)),
+            Command::Deregister { token } => self.release_slot(token),
             Command::Submit { conn, mut call } => {
                 let state = &mut self.conns[conn];
                 if let Link::Up(up) = &mut state.link {
@@ -842,9 +802,11 @@ impl EventLoop {
                     .pop_front()
                     .expect("a deadline key is armed only for a queue front");
                 let after = self.conns[idx].timeout;
-                // Count before delivering: a caller that observed the
-                // Timeout error must also observe the counter.
+                // Count and sever before delivering: a caller that observed
+                // the Timeout error must also observe the counter and the
+                // link down.
                 self.shared.stats.timeouts.fetch_add(1, Ordering::Relaxed);
+                self.close_stream(idx);
                 front.finish_err(KvError::Timeout { after }, &self.shared.stats);
                 self.kill_conn(
                     idx,
@@ -937,55 +899,33 @@ impl EventLoop {
         }
     }
 
-    /// Allocate one slot per stream, wire the fds into epoll, and answer
-    /// the registering client with the tokens. Partial failure rolls the
-    /// already-adopted streams back.
+    /// Allocate the stream's slot and wire its fd into epoll; the token
+    /// answers the registering client.
     fn handle_register(
         &mut self,
         addr: SocketAddr,
-        streams: Vec<TcpStream>,
+        stream: TcpStream,
         timeout: Duration,
         heartbeat: Option<Duration>,
-        health: &Arc<LinkHealth>,
-        reply: &OneShot<io::Result<Vec<usize>>>,
-    ) {
-        let mut tokens = Vec::with_capacity(streams.len());
-        let mut failure: Option<io::Error> = None;
-        for stream in streams {
-            let token = self.alloc_slot();
-            {
-                let conn = &mut self.conns[token];
-                conn.addr = addr;
-                conn.timeout = timeout;
-                conn.registered = true;
-                conn.health = Some(Arc::clone(health));
-                conn.heartbeat = heartbeat;
-            }
-            self.shared
-                .stats
-                .registered_connections
-                .fetch_add(1, Ordering::Relaxed);
-            match self.adopt_stream(token, stream) {
-                Ok(()) => {
-                    self.arm_heartbeat(token);
-                    tokens.push(token);
-                }
-                Err(err) => {
-                    self.release_slot(token);
-                    failure = Some(err);
-                    break;
-                }
-            }
+        up: Arc<AtomicBool>,
+    ) -> io::Result<usize> {
+        let token = self.alloc_slot();
+        let conn = &mut self.conns[token];
+        conn.addr = addr;
+        conn.timeout = timeout;
+        conn.registered = true;
+        conn.link_up = up;
+        conn.heartbeat = heartbeat;
+        self.shared
+            .stats
+            .registered_connections
+            .fetch_add(1, Ordering::Relaxed);
+        if let Err(err) = self.adopt_stream(token, stream) {
+            self.release_slot(token);
+            return Err(err);
         }
-        match failure {
-            None => reply.set(Ok(tokens)),
-            Some(err) => {
-                for token in tokens {
-                    self.release_slot(token);
-                }
-                reply.set(Err(err));
-            }
-        }
+        self.arm_heartbeat(token);
+        Ok(token)
     }
 
     fn alloc_slot(&mut self) -> usize {
@@ -1015,7 +955,6 @@ impl EventLoop {
         conn.registered = false;
         conn.backoff = Duration::ZERO;
         conn.retry_at = None;
-        conn.health = None;
         conn.heartbeat = None;
         self.shared
             .stats
@@ -1040,23 +979,15 @@ impl EventLoop {
         Ok(())
     }
 
-    /// Record a link transition in the registration's health census and
-    /// the reactor-wide `links_up` gauge. Idempotent per direction.
+    /// Record a link transition in the registration's link flag and the
+    /// reactor-wide `links_up` gauge. Idempotent per direction.
     fn set_link_gauge(&mut self, idx: usize, up: bool) {
-        let conn = &mut self.conns[idx];
-        if conn.up_gauge == up {
+        if self.conns[idx].link_up.swap(up, Ordering::Relaxed) == up {
             return;
         }
-        conn.up_gauge = up;
         if up {
-            if let Some(health) = &conn.health {
-                health.up.fetch_add(1, Ordering::Relaxed);
-            }
             self.shared.stats.links_up.fetch_add(1, Ordering::Relaxed);
         } else {
-            if let Some(health) = &conn.health {
-                health.up.fetch_sub(1, Ordering::Relaxed);
-            }
             self.shared.stats.links_up.fetch_sub(1, Ordering::Relaxed);
         }
     }
@@ -1374,7 +1305,7 @@ mod tests {
     /// One connection to `addr`, registered with `reactor`.
     fn register(reactor: &ReactorHandle, addr: SocketAddr, timeout: Duration) -> Registration {
         let stream = TcpStream::connect(addr).unwrap();
-        reactor.register(addr, vec![stream], timeout, None).unwrap()
+        reactor.register(addr, stream, timeout, None).unwrap()
     }
 
     /// A 16 MiB batch in 32 segments — more than the socket buffers of a
@@ -1425,7 +1356,7 @@ mod tests {
             assert!(nobody_dials(&listener), "a second replay dialed in");
             got
         });
-        let replies = reg.submit(0, segments, 1, true).wait().unwrap();
+        let replies = reg.submit(segments, 1, true).wait().unwrap();
         assert_eq!(replies, vec![Response::Stored]);
         assert!(
             server.join().unwrap() == wire,
@@ -1449,7 +1380,7 @@ mod tests {
         });
         // `add` / `append` make a batch non-idempotent
         // (`net::is_idempotent`); the reactor sees only the flag.
-        let err = reg.submit(0, big_batch().0, 1, false).wait().unwrap_err();
+        let err = reg.submit(big_batch().0, 1, false).wait().unwrap_err();
         assert!(matches!(err, KvError::Io(_)), "got {err:?}");
         server.join().unwrap();
     }
@@ -1475,13 +1406,13 @@ mod tests {
             second.write_all(b"END\r\n").unwrap();
             drop(stalled);
         });
-        let err = reg.submit(0, big_batch().0, 1, true).wait().unwrap_err();
+        let err = reg.submit(big_batch().0, 1, true).wait().unwrap_err();
         assert!(matches!(err, KvError::Timeout { .. }), "got {err:?}");
         assert_eq!(reactor.stats().timeouts, 1);
         // The next batch finds the link down, redials, and is all that
         // the new stream carries.
         let get = vec![Bytes::from_static(b"get k\r\n")];
-        assert_eq!(reg.submit(0, get, 1, true).wait().unwrap(), [Response::End]);
+        assert_eq!(reg.submit(get, 1, true).wait().unwrap(), [Response::End]);
         server.join().unwrap();
     }
 
@@ -1499,8 +1430,8 @@ mod tests {
             let _ = held.recv();
         });
         let first = register(&reactor, addr, TIMEOUT);
-        let get = first.submit(0, vec![Bytes::from_static(b"get k\r\n")], 1, true);
-        let set = first.submit(0, big_batch().0, 1, true);
+        let get = first.submit(vec![Bytes::from_static(b"get k\r\n")], 1, true);
+        let set = first.submit(big_batch().0, 1, true);
         let deadline = Instant::now() + TIMEOUT;
         while reactor.stats().bytes_rx < PARTIAL.len() as u64 {
             assert!(Instant::now() < deadline, "the partial reply never arrived");
@@ -1508,7 +1439,7 @@ mod tests {
         }
         // The slot now holds a partial frame with a hint, and a send
         // queue cut mid-segment. Its owner goes away.
-        let tokens = first.tokens.clone();
+        let token = first.token;
         drop(first);
         for pending in [get, set] {
             let err = pending.wait().unwrap_err();
@@ -1517,29 +1448,23 @@ mod tests {
         let server2 =
             crate::KvServer::spawn(Arc::new(crate::Store::with_defaults()), "127.0.0.1:0").unwrap();
         let second = register(&reactor, server2.addr(), TIMEOUT);
-        assert_eq!(second.tokens, tokens, "the freed slot is reused");
+        assert_eq!(second.token, token, "the freed slot is reused");
         let version = vec![Bytes::from_static(b"version\r\n")];
-        let replies = second.submit(0, version, 1, true).wait().unwrap();
+        let replies = second.submit(version, 1, true).wait().unwrap();
         assert!(matches!(replies[..], [Response::Version(_)]), "{replies:?}");
         release.send(()).unwrap();
         server.join().unwrap();
     }
 
-    /// Register two streams to `addr` directly on `ev`, returning their
-    /// slots.
-    fn register_on(
-        ev: &mut EventLoop,
-        addr: SocketAddr,
-        heartbeat: Option<Duration>,
-    ) -> Vec<usize> {
-        let streams = (0..2).map(|_| TcpStream::connect(addr).unwrap()).collect();
+    /// Register one stream to `addr` directly on `ev`, returning its slot.
+    fn register_on(ev: &mut EventLoop, addr: SocketAddr, heartbeat: Option<Duration>) -> usize {
         let reply = OneShot::new();
         ev.handle_command(Command::Register {
             addr,
-            streams,
+            stream: TcpStream::connect(addr).unwrap(),
             timeout: TIMEOUT,
             heartbeat,
-            health: Arc::new(LinkHealth::new(2)),
+            up: Arc::new(AtomicBool::new(false)),
             reply: Arc::clone(&reply),
         });
         reply.wait().unwrap()
@@ -1577,59 +1502,45 @@ mod tests {
             timers: BTreeSet::new(),
         };
         // A peer that accepts (in the kernel's backlog) and never answers:
-        // each slot arms a deadline and a heartbeat.
+        // the slot arms a deadline and a heartbeat.
         let (_silent, silent_addr) = listener();
         let old = register_on(&mut ev, silent_addr, Some(Duration::from_secs(60)));
-        let stalled: Vec<_> = old.iter().map(|&t| version_on(&mut ev, t, SHORT)).collect();
-        for &slot in &old {
-            let kinds: Vec<TimerKind> = ev
-                .timers
-                .iter()
-                .filter(|k| k.1 == slot)
-                .map(|k| k.2)
-                .collect();
-            assert!(
-                kinds.contains(&TimerKind::Deadline) && kinds.contains(&TimerKind::Heartbeat),
-                "slot {slot} armed {kinds:?}"
-            );
-        }
-
-        ev.handle_command(Command::Deregister {
-            tokens: old.clone(),
-        });
-        for done in stalled {
-            assert!(matches!(done.wait(), Err(KvError::Io(_))));
-        }
-        let left: Vec<_> = ev.timers.iter().filter(|k| old.contains(&k.1)).collect();
+        let stalled = version_on(&mut ev, old, SHORT);
+        let kinds: Vec<TimerKind> = ev
+            .timers
+            .iter()
+            .filter(|k| k.1 == old)
+            .map(|k| k.2)
+            .collect();
         assert!(
-            left.is_empty(),
-            "released slots left timers behind: {left:?}"
+            kinds.contains(&TimerKind::Deadline) && kinds.contains(&TimerKind::Heartbeat),
+            "slot {old} armed {kinds:?}"
         );
 
-        // Past the old deadlines, the slots go to a new registrant whose
-        // batches must not meet them.
+        ev.handle_command(Command::Deregister { token: old });
+        assert!(matches!(stalled.wait(), Err(KvError::Io(_))));
+        let left: Vec<_> = ev.timers.iter().filter(|k| k.1 == old).collect();
+        assert!(
+            left.is_empty(),
+            "the released slot left timers behind: {left:?}"
+        );
+
+        // Past the old deadline, the slot goes to a new registrant whose
+        // batches must not meet it.
         std::thread::sleep(2 * SHORT);
         let server =
             crate::KvServer::spawn(Arc::new(crate::Store::with_defaults()), "127.0.0.1:0").unwrap();
-        let mut reused = register_on(&mut ev, server.addr(), None);
-        reused.sort_unstable();
-        let mut old = old;
-        old.sort_unstable();
-        assert_eq!(reused, old, "the freed slots are reused");
-        let fresh: Vec<_> = reused
-            .iter()
-            .map(|&t| version_on(&mut ev, t, TIMEOUT))
-            .collect();
+        let reused = register_on(&mut ev, server.addr(), None);
+        assert_eq!(reused, old, "the freed slot is reused");
+        let fresh = version_on(&mut ev, reused, TIMEOUT);
         let mut events = Vec::new();
         let deadline = Instant::now() + TIMEOUT;
-        while !fresh.iter().all(|done| done.is_set()) {
-            assert!(Instant::now() < deadline, "the new batches never completed");
+        while !fresh.is_set() {
+            assert!(Instant::now() < deadline, "the new batch never completed");
             ev.turn(&mut events);
         }
-        for done in fresh {
-            let replies = done.wait().unwrap();
-            assert!(matches!(replies[..], [Response::Version(_)]), "{replies:?}");
-        }
+        let replies = fresh.wait().unwrap();
+        assert!(matches!(replies[..], [Response::Version(_)]), "{replies:?}");
         assert_eq!(shared.stats.timeouts.load(Ordering::Relaxed), 0);
         ev.abort_all();
     }

@@ -429,7 +429,7 @@ impl ShapedCluster {
     }
 
     /// Connect a [`TcpClient`] through proxy `i` on a caller-owned
-    /// reactor — the admit path: the new server's connections join the
+    /// reactor — the admit path: the new server's connection joins the
     /// existing epoll loop, zero new threads.
     pub fn client_on(
         &self,

@@ -11,22 +11,12 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 use memfs_memkv::net::{KvServer, PoolConfig, TcpClient};
 use memfs_memkv::testutil::{Shape, ShapedCluster};
-use memfs_memkv::{KvClient, KvError, Store, StoreConfig};
-
-fn config(connections: usize) -> PoolConfig {
-    PoolConfig {
-        connections,
-        max_batch_keys: 64,
-        ..PoolConfig::default()
-    }
-}
+use memfs_memkv::{KvClient, KvError, ServerHealth, Store, StoreConfig};
 
 /// A config with a short timeout for tests that drive requests into a
 /// black hole on purpose.
-fn quick_timeout_config(connections: usize) -> PoolConfig {
+fn quick_timeout_config() -> PoolConfig {
     PoolConfig {
-        connections,
-        max_batch_keys: 64,
         timeout: Duration::from_millis(250),
         ..PoolConfig::default()
     }
@@ -47,7 +37,7 @@ fn spawn_tiny_server(max_value_size: usize) -> KvServer {
 #[test]
 fn requests_after_server_shutdown_fail_cleanly() {
     let mut server = KvServer::spawn(Arc::new(Store::with_defaults()), "127.0.0.1:0").unwrap();
-    let client = TcpClient::connect_with(server.addr(), config(2)).unwrap();
+    let client = TcpClient::connect(server.addr()).unwrap();
     client.set(b"k", Bytes::from_static(b"v")).unwrap();
     server.shutdown();
     drop(server);
@@ -65,7 +55,7 @@ fn requests_after_server_shutdown_fail_cleanly() {
 #[test]
 fn killed_server_behind_live_endpoint_fails_cleanly() {
     let cluster = ShapedCluster::spawn(1, Shape::clean());
-    let client = cluster.client(0, quick_timeout_config(1));
+    let client = cluster.client(0, quick_timeout_config());
     client.set(b"k", Bytes::from_static(b"v")).unwrap();
     cluster.proxy(0).kill();
     // The endpoint still accepts-and-closes (dead process behind a VIP):
@@ -144,7 +134,7 @@ fn hostile_length_fields_are_refused_and_the_server_survives() {
 #[test]
 fn pipelined_batch_recovers_past_a_failed_item() {
     let server = spawn_tiny_server(1024);
-    let client = TcpClient::connect_with(server.addr(), config(1)).unwrap();
+    let client = TcpClient::connect(server.addr()).unwrap();
     let items = vec![
         (Bytes::from_static(b"a"), Bytes::from(vec![1u8; 100])),
         (Bytes::from_static(b"big"), Bytes::from(vec![2u8; 4096])), // over the limit
@@ -165,7 +155,7 @@ fn pipelined_batch_recovers_past_a_failed_item() {
 #[test]
 fn client_reconnects_after_connection_drop() {
     let cluster = ShapedCluster::spawn(1, Shape::clean());
-    let client = cluster.client(0, config(1));
+    let client = cluster.client(0, PoolConfig::default());
     client.set(b"k", Bytes::from_static(b"v1")).unwrap();
 
     cluster.proxy(0).drop_connections();
@@ -189,7 +179,7 @@ fn client_reconnects_after_connection_drop() {
 #[test]
 fn non_idempotent_requests_are_not_replayed() {
     let cluster = ShapedCluster::spawn(1, Shape::clean());
-    let client = Arc::new(cluster.client(0, config(1)));
+    let client = Arc::new(cluster.client(0, PoolConfig::default()));
     client.set(b"log", Bytes::from_static(b"seed")).unwrap();
 
     // Stall the proxy so the append is provably in flight (written by the
@@ -217,7 +207,7 @@ fn non_idempotent_requests_are_not_replayed() {
 #[test]
 fn stalled_server_surfaces_timeout_not_a_hang() {
     let cluster = ShapedCluster::spawn(1, Shape::clean());
-    let client = cluster.client(0, quick_timeout_config(2));
+    let client = cluster.client(0, quick_timeout_config());
     client.set(b"k", Bytes::from_static(b"v")).unwrap();
 
     cluster.proxy(0).stall();
@@ -252,10 +242,36 @@ fn stalled_server_surfaces_timeout_not_a_hang() {
     assert!(recovered, "client must recover after the stall clears");
 }
 
+/// A client's health is its one link: a timed-out batch severs it, so a
+/// wedged server reads `Down` from its first timeout until the next call
+/// (or heartbeat) redials, and `Up` again once that call is answered.
+#[test]
+fn one_timed_out_batch_flags_the_server_down_until_the_next_call_redials() {
+    let cluster = ShapedCluster::spawn(1, Shape::clean());
+    let client = cluster.client(
+        0,
+        PoolConfig {
+            timeout: Duration::from_millis(200),
+            ..PoolConfig::default()
+        },
+    );
+    client.set(b"k", Bytes::from_static(b"v")).unwrap();
+    assert_eq!(client.health(), ServerHealth::Up);
+
+    cluster.proxy(0).stall();
+    let err = client.get(b"k").unwrap_err();
+    assert!(matches!(err, KvError::Timeout { .. }), "got {err:?}");
+    assert_eq!(client.health(), ServerHealth::Down);
+
+    cluster.proxy(0).unstall();
+    assert_eq!(client.get(b"k").unwrap().as_ref(), b"v");
+    assert_eq!(client.health(), ServerHealth::Up);
+}
+
 #[test]
 fn mid_frame_cut_replays_idempotent_batches_only() {
     let cluster = ShapedCluster::spawn(1, Shape::clean());
-    let client = cluster.client(0, config(1));
+    let client = cluster.client(0, PoolConfig::default());
     client.set(b"seed", Bytes::from_static(b"s")).unwrap();
 
     // Cut the client→server stream in the middle of the next batch: an
@@ -288,14 +304,7 @@ fn mid_frame_cut_replays_idempotent_batches_only() {
 #[test]
 fn connection_churn_under_concurrent_load_is_survivable() {
     let cluster = ShapedCluster::spawn(1, Shape::clean());
-    let client = Arc::new(cluster.client(
-        0,
-        PoolConfig {
-            connections: 4,
-            max_batch_keys: 32,
-            ..PoolConfig::default()
-        },
-    ));
+    let client = Arc::new(cluster.client(0, PoolConfig::default()));
     client
         .set(b"stable", Bytes::from_static(b"present"))
         .unwrap();
@@ -343,8 +352,6 @@ fn pipelined_10k_requests_on_one_connection_stay_flat() {
     let client = TcpClient::connect_with(
         server.addr(),
         PoolConfig {
-            connections: 1,
-            max_batch_keys: 10_000,
             timeout: Duration::from_secs(30),
             ..PoolConfig::default()
         },
@@ -366,8 +373,8 @@ fn pipelined_10k_requests_on_one_connection_stay_flat() {
         "20k pipelined requests took {:?} — parse buffer gone quadratic?",
         start.elapsed()
     );
-    // 10k pipelined sets are 10k ops; the reads coalesce into a handful
-    // of multi-key `get` frames on top.
+    // 10k pipelined sets are 10k ops; the reads coalesce into 64-key
+    // multi-key `get` frames on top.
     assert!(
         server.server_stats().ops >= 10_000,
         "server must have executed the full pipelined burst: {:?}",
@@ -431,7 +438,7 @@ fn connections_beyond_cap_are_shed_with_protocol_error() {
         assert!(Instant::now() < deadline, "closed conn never reaped");
         std::thread::sleep(Duration::from_millis(5));
     }
-    let late = TcpClient::connect_with(server.addr(), config(1)).unwrap();
+    let late = TcpClient::connect(server.addr()).unwrap();
     late.set(b"late", Bytes::from_static(b"ok")).unwrap();
     assert_eq!(late.get(b"late").unwrap().as_ref(), b"ok");
     drop(held);
@@ -448,8 +455,6 @@ fn in_flight_batch_fails_fast_on_shutdown() {
     let client = Arc::new(cluster.client(
         0,
         PoolConfig {
-            connections: 1,
-            max_batch_keys: 64,
             timeout: Duration::from_secs(30),
             ..PoolConfig::default()
         },
@@ -501,7 +506,7 @@ fn client_survives_server_restart_on_same_addr() {
     let store = Arc::new(Store::with_defaults());
     let mut server = KvServer::spawn(Arc::clone(&store), "127.0.0.1:0").unwrap();
     let addr = server.addr();
-    let client = TcpClient::connect_with(addr, config(2)).unwrap();
+    let client = TcpClient::connect(addr).unwrap();
     client.set(b"durable", Bytes::from_static(b"v1")).unwrap();
 
     server.shutdown();
@@ -546,7 +551,7 @@ fn idle_connections_are_reaped_and_clients_reconnect() {
     .unwrap();
     // The connection is accepted, and last active, after this instant.
     let opened = Instant::now();
-    let client = TcpClient::connect_with(server.addr(), config(1)).unwrap();
+    let client = TcpClient::connect(server.addr()).unwrap();
     client.set(b"k", Bytes::from_static(b"v")).unwrap();
 
     let deadline = Instant::now() + Duration::from_secs(5);

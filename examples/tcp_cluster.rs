@@ -29,7 +29,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Mount MemFS over TCP — this is the Libmemcached role: the client
     // hashes each stripe key to a server; the servers never talk to each
-    // other. Each client keeps a small connection pool and pipelines
+    // other. Each client keeps one connection per server and pipelines
     // batched requests (prefetch windows and write drains travel as
     // multi-key frames); all of the mount's sockets are multiplexed on
     // one shared reactor thread.

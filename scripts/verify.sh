@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Repo verification gate: build, tests, formatting, lints.
 #
-#   scripts/verify.sh            # build + workspace tests + fmt + clippy + knob count + unsafe census + KvClient census + I/O pool census + timer census + pass census + substrate census + repro golden
+#   scripts/verify.sh            # build + workspace tests + fmt + clippy + knob count + unsafe census + KvClient census + I/O pool census + connection census + timer census + pass census + substrate census + repro golden
 #   scripts/verify.sh --clippy   # fast path: fmt + clippy only, no build/tests
 #   scripts/verify.sh --threads  # additionally stress the concurrency tests
 #   scripts/verify.sh --soak     # shaped-cluster suites, N random seeds
@@ -80,7 +80,7 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 # The knob count can only go down (ROADMAP aim 2: the same behaviour from
 # the simplest design). Lower KNOBS_MAX in the PR that deletes a knob.
-KNOBS_MAX=18
+KNOBS_MAX=16
 knobs=$(scripts/loc.sh --knobs | awk '$2 == "total" { print $1 }')
 echo "==> scripts/loc.sh --knobs: $knobs (max $KNOBS_MAX)"
 if ((knobs > KNOBS_MAX)); then
@@ -141,6 +141,31 @@ echo "==> I/O pool census: ${pools:-no I/O pool, no pool knob}"
 if [[ -n "$pools" ]]; then
     echo "verify: windows and drains stay pending in their handles; a mount runs" \
         "no I/O thread of its own (DESIGN.md §4c)" >&2
+    exit 1
+fi
+
+# A `TcpClient` is one pipelined connection per server, as Libmemcached
+# keeps one socket per server (DESIGN.md §4b): no connection count, no
+# per-call key-chunk knob, no census over several links and no health
+# between up and down. `ServerConfig::max_connections` is the server's cap,
+# a different knob, and is not matched.
+# shellcheck disable=SC2086
+census=$(
+    grep -rnE 'pool_size|max_batch_keys|health_census|ServerHealth::Degraded' $trees
+    find $trees -name '*.rs' -print0 | xargs -0 awk '
+        FNR == 1 { inside = 0 }
+        /PoolConfig \{/ { inside = 1; depth = 0 }
+        inside {
+            if ($0 ~ /^[[:space:]]*(pub )?connections:/) print FILENAME ":" FNR ": " $0
+            opened = gsub(/\{/, "{"); closed = gsub(/\}/, "}")
+            depth += opened - closed
+            if (depth <= 0 && closed > 0) inside = 0
+        }'
+) || true
+echo "==> connection census: ${census:-one connection per server}"
+if [[ -n "$census" ]]; then
+    echo "verify: a TcpClient is one pipelined connection per server — no pool" \
+        "size, chunk knob or partial-health state" >&2
     exit 1
 fi
 

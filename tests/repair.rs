@@ -20,10 +20,8 @@ use memfs::memkv::{KvClient, ReactorHandle, ServerHealth};
 
 fn heartbeat_pool_config() -> PoolConfig {
     PoolConfig {
-        connections: 2,
         timeout: Duration::from_millis(500),
         heartbeat: Some(Duration::from_millis(25)),
-        ..PoolConfig::default()
     }
 }
 

@@ -42,13 +42,12 @@ fn stalled_server_is_isolated_and_counted_by_the_shared_loop() {
     let pool = ServerPool::with_replication(clients, DistributorKind::default(), 1);
 
     // All eight clients share one reactor; its connection census covers
-    // the whole mount.
+    // the whole mount, one connection per server.
     let snaps = pool.reactor_stats();
     assert_eq!(snaps.len(), 1, "eight clients must dedup to one reactor");
     assert_eq!(
-        snaps[0].registered_connections,
-        N * config.connections,
-        "census covers every server's pooled connections"
+        snaps[0].registered_connections, N,
+        "census covers every server's connection"
     );
 
     let keys = balanced_keys(&pool);
@@ -115,7 +114,7 @@ fn stalled_server_is_isolated_and_counted_by_the_shared_loop() {
     );
 
     // Recovery: once the stall clears, the loop reconnects the poisoned
-    // connections and the stalled server's keys come back.
+    // connection and the stalled server's keys come back.
     cluster.proxy(stalled).unstall();
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
@@ -128,21 +127,13 @@ fn stalled_server_is_isolated_and_counted_by_the_shared_loop() {
         );
         std::thread::sleep(Duration::from_millis(50));
     }
-    // The timeout killed one pooled connection; the gets above may have
-    // round-robined onto its healthy siblings. Sweep every pooled
-    // connection so the killed one gets used — its first submit must
-    // lazily reconnect (and replay the idempotent get) rather than fail.
-    for _ in 0..config.connections {
-        pool.get(&keys[stalled]).unwrap();
-    }
     let recovered = pool.reactor_stats()[0];
     assert!(
         recovered.reconnects >= 1,
         "recovery must go through a fenced reconnect: {recovered:?}"
     );
     assert_eq!(
-        recovered.registered_connections,
-        N * config.connections,
+        recovered.registered_connections, N,
         "reconnects must not leak or drop registrations"
     );
     assert_eq!(
@@ -219,10 +210,7 @@ fn clean_traffic_reports_consistent_reactor_counters() {
     let s = pool.reactor_stats();
     assert_eq!(s.len(), 1);
     let s = s[0];
-    assert_eq!(
-        s.registered_connections,
-        4 * PoolConfig::default().connections
-    );
+    assert_eq!(s.registered_connections, 4);
     assert!(s.wakeups > 0);
     assert!(s.completions > 0);
     assert!(s.completion_batches > 0);
@@ -262,7 +250,6 @@ fn connect_refused_storm_surfaces_errors_and_backs_off() {
     let reactor = ReactorHandle::new().expect("spawn reactor");
     let config = PoolConfig {
         timeout: Duration::from_millis(150),
-        connections: 1,
         ..PoolConfig::default()
     };
     let client =

@@ -28,7 +28,7 @@ use memfs::memkv::{KvClient, Store, StoreConfig};
 const EXCHANGES: usize = 100;
 const STRIPES: usize = 4;
 const STRIPE: usize = 512 * 1024;
-/// After each burst of two exchanges per pooled connection the client
+/// After each burst of eight exchanges on the client's one connection it
 /// goes quiet for longer than the delayed-ACK timer, so no later request
 /// can carry a tail's ACK: the transport asks for it, or the timer sends
 /// it and the kernel counts that.

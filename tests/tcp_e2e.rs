@@ -44,6 +44,35 @@ fn memfs_over_tcp_round_trip() {
 }
 
 #[test]
+fn a_connect_mount_holds_one_socket_per_server() {
+    let cluster = ShapedCluster::spawn(4, Shape::clean());
+    let addrs: Vec<_> = (0..cluster.len())
+        .map(|i| cluster.proxy(i).addr())
+        .collect();
+    let config = MemFsConfig {
+        stripe_size: 64 * 1024,
+        ..MemFsConfig::default()
+    };
+    let fs = MemFs::connect(&addrs, config).unwrap();
+    let data: Vec<u8> = (0..1_000_000u32).map(|i| (i % 251) as u8).collect();
+    fs.mkdir("/net").unwrap();
+    fs.write_file("/net/blob", &data).unwrap();
+    assert_eq!(fs.read_to_vec("/net/blob").unwrap(), data);
+
+    // Every server was reached, each over one socket, and the mount's one
+    // reactor holds one registration per server.
+    for i in 0..cluster.len() {
+        let stats = cluster.server(i).server_stats();
+        assert!(stats.ops > 0, "server {i} saw no traffic");
+        assert_eq!(stats.connections, 1, "server {i}: {stats:?}");
+        assert_eq!(stats.total_connections, 1, "server {i}: {stats:?}");
+    }
+    let reactor = fs.pool().reactor_stats();
+    assert_eq!(reactor.len(), 1);
+    assert_eq!(reactor[0].registered_connections, 4);
+}
+
+#[test]
 fn two_tcp_mounts_share_the_namespace() {
     let (_cluster, clients) = shaped_cluster(2);
     // Each mount gets its own TCP connections to the same servers.
