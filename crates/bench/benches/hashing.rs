@@ -7,7 +7,7 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use memfs_hashring::balance::BalanceReport;
 use memfs_hashring::schema::KeySchema;
-use memfs_hashring::{Distributor, HashScheme, KetamaRing, ModuloRing};
+use memfs_hashring::{Distributor, KetamaRing, ModuloRing};
 
 fn keys(n: usize) -> Vec<Vec<u8>> {
     (0..n)
@@ -19,22 +19,12 @@ fn bench_lookup(c: &mut Criterion) {
     let keys = keys(1024);
     let mut group = c.benchmark_group("distributor_lookup");
     for n_servers in [8usize, 64] {
-        let modulo = ModuloRing::new(n_servers, HashScheme::Fnv1a);
+        let modulo = ModuloRing::new(n_servers);
         group.bench_function(format!("modulo_{n_servers}"), |b| {
             b.iter(|| {
                 let mut acc = 0usize;
                 for k in &keys {
                     acc += modulo.server_for(black_box(k)).0;
-                }
-                acc
-            })
-        });
-        let jenkins = ModuloRing::new(n_servers, HashScheme::Jenkins);
-        group.bench_function(format!("jenkins_{n_servers}"), |b| {
-            b.iter(|| {
-                let mut acc = 0usize;
-                for k in &keys {
-                    acc += jenkins.server_for(black_box(k)).0;
                 }
                 acc
             })
@@ -56,7 +46,7 @@ fn bench_lookup(c: &mut Criterion) {
 fn bench_balance(c: &mut Criterion) {
     let keys = keys(16_384);
     c.bench_function("balance_measure_64_servers", |b| {
-        let d = ModuloRing::new(64, HashScheme::Fnv1a);
+        let d = ModuloRing::new(64);
         b.iter(|| {
             let report =
                 BalanceReport::measure(&d, keys.iter().map(|k| (k.as_slice(), 512 * 1024u64)));

@@ -9,7 +9,7 @@
 //!   plus a write trickle before any membership change;
 //! * the **migration window** — the remaining four servers are admitted
 //!   mid-benchmark and a background thread drives budget-throttled
-//!   [`memfs_core::repair_pass`] loops until every range flips, while
+//!   [`memfs_core::repair_pass`] loops until the grow commits, while
 //!   the same foreground workload keeps running and every op is
 //!   counted: **zero may fail**;
 //! * **post-migration throughput** on the grown pool, compared against

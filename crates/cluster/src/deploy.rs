@@ -8,7 +8,6 @@
 //! §4.2.1), and the mountpoint strategy of Figure 10.
 
 use memfs_simcore::units::{GB, MB};
-use serde::{Deserialize, Serialize};
 
 use crate::memory::MemoryTracker;
 use crate::mount::MountModel;
@@ -33,7 +32,7 @@ pub struct Deployment {
 }
 
 /// A compact, serializable record of a deployment for experiment output.
-#[derive(Debug, Clone, Serialize, Deserialize, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DeploymentLabel {
     /// Platform name ("DAS4-IPoIB", …).
     pub platform: String,

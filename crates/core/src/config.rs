@@ -1,24 +1,18 @@
 //! MemFS configuration.
 
-use memfs_hashring::HashScheme;
-
 /// Which key distributor the mount uses (paper §3.1.2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DistributorKind {
-    /// `hash(key) mod N` — the paper's choice for a fixed server set.
-    Modulo(HashScheme),
+    /// FNV-1a `hash(key) mod N` — the paper's choice for a fixed server
+    /// set.
+    #[default]
+    Modulo,
     /// Ketama consistent hashing with the given virtual points per server
     /// — the paper's named option for elastic membership.
     Ketama {
         /// Virtual points per server (libmemcached default: 160).
         points_per_server: usize,
     },
-}
-
-impl Default for DistributorKind {
-    fn default() -> Self {
-        DistributorKind::Modulo(HashScheme::Fnv1a)
-    }
 }
 
 /// Mount configuration. Defaults are the paper's measured design points.

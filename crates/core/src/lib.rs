@@ -77,5 +77,5 @@ pub mod repair;
 pub use config::{DistributorKind, MemFsConfig};
 pub use error::{MemFsError, MemFsResult};
 pub use fs::{DirEntry, EntryKind, FileStat, MemFs, ReadHandle, WriteHandle};
-pub use pool::{DegradedWrite, PoolStats, ServerIoSnapshot, ServerPool, WriteOutcome};
+pub use pool::{DegradedWrite, PoolStats, ServerIoSnapshot, ServerPool};
 pub use repair::{repair_pass, MembershipMonitor, RepairConfig, RepairDaemon, RepairReport};

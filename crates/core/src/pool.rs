@@ -25,15 +25,15 @@
 //! clones the `Arc` once and routes by that snapshot for its whole
 //! lifetime. [`ServerPool::begin_add_servers`] /
 //! [`ServerPool::begin_remove_server`] install a *transition*: a target
-//! ring plus a per-key-range phase table ([`RangeEpochs`]). While a
-//! range is `Migrating`, writers dual-route to the union of old and new
-//! homes and readers consult the old homes first (authoritative) and the
-//! new homes second; `Old` and `New` ranges route purely by one ring.
-//! The repair pass (`repair.rs`) flips ranges and separates the phases
-//! with a quiescence barrier ([`GenGate`]) so no in-flight operation
-//! still routes by a pre-flip phase when the pass acts on the flip. Server
-//! slots are never renumbered: a drained server's slot is replaced by a
-//! [`RetiredClient`] tombstone so `ServerId`s stay stable forever.
+//! ring. While it is installed, writers dual-route every key to the union
+//! of its current and target homes and readers consult the current homes
+//! first (authoritative) and the target-only homes second. The repair
+//! pass (`repair.rs`) commits the transition once every key reached its
+//! target homes, and separates the snapshots with a quiescence barrier
+//! ([`GenGate`]) so no in-flight operation still routes by the previous
+//! one when the pass acts on the change. Server slots are never
+//! renumbered: a drained server's slot is replaced by a [`RetiredClient`]
+//! tombstone so `ServerId`s stay stable forever.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -41,7 +41,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use bytes::Bytes;
-use memfs_hashring::{Distributor, KetamaRing, ModuloRing, RangeEpochs, RangePhase, ServerId};
+use memfs_hashring::{Distributor, KetamaRing, ModuloRing, ServerId};
 use memfs_memkv::error::KvResult;
 use memfs_memkv::{
     Batch, Deferred, KvClient, KvError, ReactorStatsSnapshot, Replies, ServerHealth, StoreVerb,
@@ -312,8 +312,6 @@ pub(crate) struct TransitionState {
     pub(crate) target_members: Vec<usize>,
     /// The ring the target membership routes by.
     pub(crate) target: Arc<dyn Distributor>,
-    /// Per-key-range migration phases, shared with the repair pass.
-    pub(crate) ranges: Arc<RangeEpochs>,
     /// Member slots this transition drains.
     pub(crate) leaving: Vec<usize>,
 }
@@ -341,41 +339,21 @@ impl RingState {
 
     /// The homes of `key` under `r`-way replication, primary first,
     /// plus how many of them are *authoritative* for `NotFound`: during
-    /// a range's `Migrating` phase the old homes (which every dual-routed
-    /// write reached) come first and are authoritative, and the target
-    /// ring's extra homes follow as read fallbacks whose misses only mean
-    /// the background copy has not landed yet.
+    /// a transition the current homes (which every dual-routed write
+    /// reached) come first and are authoritative, and the target ring's
+    /// extra homes follow as read fallbacks whose misses only mean the
+    /// background copy has not landed yet.
     pub(crate) fn route_with_auth(&self, key: &[u8], r: usize) -> (Vec<ServerId>, usize) {
-        let t = match &self.transition {
-            None => {
-                let homes = self.current.replicas_for(key, r);
-                let n = homes.len();
-                return (homes, n);
-            }
-            Some(t) => t,
-        };
-        match t.ranges.phase_of_key(key) {
-            RangePhase::Old => {
-                let homes = self.current.replicas_for(key, r);
-                let n = homes.len();
-                (homes, n)
-            }
-            RangePhase::New => {
-                let homes = t.target.replicas_for(key, r);
-                let n = homes.len();
-                (homes, n)
-            }
-            RangePhase::Migrating => {
-                let mut homes = self.current.replicas_for(key, r);
-                let auth = homes.len();
-                for id in t.target.replicas_for(key, r) {
-                    if !homes.contains(&id) {
-                        homes.push(id);
-                    }
+        let mut homes = self.current.replicas_for(key, r);
+        let auth = homes.len();
+        if let Some(t) = &self.transition {
+            for id in t.target.replicas_for(key, r) {
+                if !homes.contains(&id) {
+                    homes.push(id);
                 }
-                (homes, auth)
             }
         }
+        (homes, auth)
     }
 
     /// The homes of `key` (write set = read set), primary first.
@@ -383,42 +361,31 @@ impl RingState {
         self.route_with_auth(key, r).0
     }
 
-    /// The primary home of `key` — cheap (no allocation): the target
-    /// ring's pick once the key's range is `New`, the current ring's
-    /// otherwise. Always equals `route(key, r)[0]`.
+    /// The primary home of `key` — cheap (no allocation): the current
+    /// ring's pick, transition or not. Always equals `route(key, r)[0]`.
     pub(crate) fn primary(&self, key: &[u8]) -> ServerId {
-        if let Some(t) = &self.transition {
-            if t.ranges.phase_of_key(key) == RangePhase::New {
-                return t.target.server_for(key);
-            }
-        }
         self.current.server_for(key)
     }
 
-    /// The ring `key`'s range routes by: the target ring once the range
-    /// is `Migrating` or `New`, the current ring otherwise.
-    pub(crate) fn home_ring(&self, key: &[u8]) -> &Arc<dyn Distributor> {
+    /// The ring keys are homed by — where the repair pass puts its
+    /// copies: the target ring during a transition, the current ring
+    /// otherwise.
+    pub(crate) fn home_ring(&self) -> &Arc<dyn Distributor> {
         match &self.transition {
-            Some(t) if t.ranges.phase_of_key(key) != RangePhase::Old => &t.target,
-            _ => &self.current,
+            Some(t) => &t.target,
+            None => &self.current,
         }
     }
 
     /// The key's full failover candidate chain: every distinct successor
-    /// of its [`RingState::home_ring`] in walk order — where the repair
-    /// pass parks its copies — then any extra successors the other ring
+    /// of the [`RingState::home_ring`] in walk order — where the repair
+    /// pass parks its copies — then any extra successors the current ring
     /// adds during a transition.
     pub(crate) fn candidates(&self, key: &[u8]) -> Vec<ServerId> {
         let n = self.clients.len();
-        let home = self.home_ring(key);
-        let mut chain = home.replicas_for(key, n);
-        if let Some(t) = &self.transition {
-            let other = if Arc::ptr_eq(home, &t.target) {
-                &self.current
-            } else {
-                &t.target
-            };
-            for id in other.replicas_for(key, n) {
+        let mut chain = self.home_ring().replicas_for(key, n);
+        if self.transition.is_some() {
+            for id in self.current.replicas_for(key, n) {
                 if !chain.contains(&id) {
                     chain.push(id);
                 }
@@ -442,9 +409,9 @@ fn ring_for(
             members,
             *points_per_server,
         ))),
-        DistributorKind::Modulo(scheme) => {
+        DistributorKind::Modulo => {
             if members.iter().enumerate().all(|(i, &m)| i == m) {
-                Ok(Arc::new(ModuloRing::new(members.len(), *scheme)))
+                Ok(Arc::new(ModuloRing::new(members.len())))
             } else {
                 Err(MemFsError::UnsupportedTopology {
                     from,
@@ -538,22 +505,6 @@ impl EraseAgg {
     }
 }
 
-/// Per-key result of a replicated write ([`ServerPool::set_many_outcomes`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum WriteOutcome {
-    /// Every replica accepted the write.
-    Full,
-    /// The key is durable on `written` replicas but the servers in
-    /// `missing` did not take their copy; the key has been handed to the
-    /// pool's repair queue ([`ServerPool::take_degraded`]).
-    Degraded {
-        /// Replicas that accepted the write.
-        written: usize,
-        /// Replicas that failed it.
-        missing: Vec<ServerId>,
-    },
-}
-
 /// A key the last write left under-replicated: the repair pass's work
 /// unit (drained via [`ServerPool::take_degraded`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -624,8 +575,8 @@ pub struct ServerPool {
     /// planner ([`ServerPool::take_degraded`]). May contain duplicates
     /// when a key is written degraded repeatedly; repair dedups on drain.
     degraded: Mutex<VecDeque<DegradedWrite>>,
-    /// Quiescence gate separating migration phase flips from in-flight
-    /// operations routed by the pre-flip phase.
+    /// Quiescence gate separating membership snapshot swaps from
+    /// in-flight operations routed by the previous snapshot.
     gate: Arc<GenGate>,
     /// Serializes repair passes (each holds this across the pass).
     migration: Mutex<()>,
@@ -707,7 +658,7 @@ impl ServerPool {
     }
 
     /// The servers holding `key`, primary first (the distributor's
-    /// distinct-successor walk; during a migrating range, the old homes
+    /// distinct-successor walk; during a transition, the current homes
     /// followed by the target ring's extra homes).
     pub fn servers_for(&self, key: &[u8]) -> impl Iterator<Item = ServerId> + '_ {
         self.ring_state().route(key, self.replication).into_iter()
@@ -780,9 +731,9 @@ impl ServerPool {
 
     /// Admit new servers: append their clients to the slot table and
     /// install a transition whose target ring includes them. Data starts
-    /// moving when the repair pass next runs; until each key range
-    /// flips, reads and writes keep routing by the current ring, so the
-    /// call itself never disturbs foreground traffic.
+    /// moving when the repair pass next runs; until it commits, writes
+    /// also reach the target homes and reads keep trusting the current
+    /// ones, so the call itself never disturbs foreground traffic.
     ///
     /// Returns the slot ids assigned to the new servers. Fails with
     /// [`MemFsError::MembershipBusy`] while another transition is in
@@ -816,7 +767,6 @@ impl ServerPool {
             transition: Some(TransitionState {
                 target_members,
                 target,
-                ranges: Arc::new(RangeEpochs::new()),
                 leaving: Vec::new(),
             }),
             version: state.version + 1,
@@ -826,7 +776,7 @@ impl ServerPool {
 
     /// Drain a member server: install a transition whose target ring
     /// excludes it. The slot keeps serving reads (and receiving
-    /// dual-routed writes) until every key range has migrated off it;
+    /// dual-routed writes) until every key has migrated off it;
     /// completion replaces the slot's client with a retired tombstone.
     ///
     /// Fails with [`MemFsError::MembershipBusy`] while another transition
@@ -863,7 +813,6 @@ impl ServerPool {
             transition: Some(TransitionState {
                 target_members,
                 target,
-                ranges: Arc::new(RangeEpochs::new()),
                 leaving: vec![id.0],
             }),
             version: state.version + 1,
@@ -877,9 +826,9 @@ impl ServerPool {
     }
 
     /// Wait until every operation that entered before this call has
-    /// finished, so a phase flip published before the call is visible to
-    /// all in-flight routing. Called by the repair pass between flip and
-    /// act.
+    /// been answered, so a snapshot published before the call is the one
+    /// all in-flight routing uses. Called by the repair pass between a
+    /// membership change and acting on it.
     pub(crate) fn quiesce(&self) {
         self.gate.advance_and_wait();
     }
@@ -891,16 +840,15 @@ impl ServerPool {
     }
 
     /// Finish the in-progress transition: the target membership becomes
-    /// current, leaving slots are tombstoned, and the phase table is
-    /// dropped. The repair pass calls this after every range reached
-    /// [`RangePhase::New`]; a no-op without an active transition.
+    /// current and leaving slots are tombstoned. The repair pass calls
+    /// this once every key reached its target homes; a no-op without an
+    /// active transition.
     pub(crate) fn complete_transition(&self) {
         let mut ring = self.ring.write();
         let state = &**ring;
         let Some(t) = &state.transition else {
             return;
         };
-        debug_assert!(t.ranges.all_new(), "completing a transition mid-migration");
         let mut clients = state.clients.clone();
         for &l in &t.leaving {
             clients[l] = Arc::new(RetiredClient) as Arc<dyn KvClient>;
@@ -940,12 +888,12 @@ impl ServerPool {
     /// Resolve one key's cross-replica write aggregate, routed by
     /// `state`: full, degraded (recorded + queued for repair), or failed
     /// everywhere.
-    fn settle_write(&self, state: &RingState, agg: StoreAgg) -> MemFsResult<WriteOutcome> {
+    fn settle_write(&self, state: &RingState, agg: StoreAgg) -> MemFsResult<()> {
         if agg.written == 0 {
             return Err(agg.err.expect("replication >= 1"));
         }
         if agg.missing.is_empty() {
-            return Ok(WriteOutcome::Full);
+            return Ok(());
         }
         for id in &agg.missing {
             self.stats.bump_degraded(id.0);
@@ -958,18 +906,15 @@ impl ServerPool {
         self.degraded.lock().push_back(DegradedWrite {
             key: agg.key,
             written,
-            missing: agg.missing.clone(),
-        });
-        Ok(WriteOutcome::Degraded {
-            written: agg.written,
             missing: agg.missing,
-        })
+        });
+        Ok(())
     }
 
     /// Routed `add`: the primary arbitrates existence (its atomic `add` is
     /// the write-once gate); followers receive plain `set`s. During a
-    /// migrating range the *old* primary stays the arbiter (every client
-    /// routes old-homes-first, so the gate is unambiguous); the target
+    /// transition the *current* primary stays the arbiter (every client
+    /// routes current-homes-first, so the gate is unambiguous); the target
     /// homes receive follower `set`s like any replica.
     pub fn add(&self, key: &[u8], value: Bytes) -> MemFsResult<()> {
         self.store_beside(StoreVerb::Add, key, value, || ()).0
@@ -1015,7 +960,7 @@ impl ServerPool {
     /// Routed `get`: [`ServerPool::get_many`] with one key — primary
     /// first, surviving replicas on failure. Only transport/server errors
     /// trigger fallback — `NotFound` is authoritative from any live
-    /// replica (but *not* from a target-only home of a migrating range,
+    /// replica (but *not* from a target-only home during a transition,
     /// where the key's copy may simply not have landed yet).
     pub fn get(&self, key: &[u8]) -> MemFsResult<Bytes> {
         let mut replies = self.get_many(&[Bytes::copy_from_slice(key)]);
@@ -1108,31 +1053,20 @@ impl ServerPool {
             .collect()
     }
 
-    /// Batched routed `set`: [`ServerPool::set_many_outcomes`] reduced to
-    /// the availability contract — a key stored on at least one replica is
-    /// durable (degraded copies are queued for repair); only a key that
-    /// failed on *every* replica is an error, and the first such error in
-    /// input order is returned.
-    pub fn set_many(&self, items: &[(Bytes, Bytes)]) -> MemFsResult<()> {
-        self.set_many_outcomes(items)
-            .into_iter()
-            .find_map(|r| r.err())
-            .map_or(Ok(()), Err)
-    }
-
-    /// Batched routed `set` with per-key outcomes: items are grouped per
-    /// replica-holding server and each group travels as one pipelined
-    /// [`Batch::Store`], all groups on the wire **concurrently** (replica
-    /// batches to different servers overlap too). Every batch is always
-    /// attempted; results come back in input order.
+    /// Batched routed `set`: items are grouped per replica-holding server
+    /// and each group travels as one pipelined [`Batch::Store`], all
+    /// groups on the wire **concurrently** (replica batches to different
+    /// servers overlap too). Every batch is always attempted.
     ///
-    /// Per-key semantics mirror [`ServerPool::delete_many`]'s aggregate:
-    /// a key every replica accepted is [`WriteOutcome::Full`]; a key some
-    /// replicas accepted and some failed is [`WriteOutcome::Degraded`]
-    /// (durable, recorded in the repair queue with the missing servers);
-    /// a key every replica failed is `Err`.
-    pub fn set_many_outcomes(&self, items: &[(Bytes, Bytes)]) -> Vec<MemFsResult<WriteOutcome>> {
+    /// A key stored on at least one replica is durable; if some replicas
+    /// failed it, it is recorded in the repair queue with the missing
+    /// servers ([`ServerPool::take_degraded`]). Only a key that failed on
+    /// *every* replica is an error, and the first such error in input
+    /// order is returned.
+    pub fn set_many(&self, items: &[(Bytes, Bytes)]) -> MemFsResult<()> {
         self.finish_writes(self.start_writes(items))
+            .into_iter()
+            .collect()
     }
 
     /// Start a replicated `set` of `items`. With replication each item
@@ -1153,13 +1087,11 @@ impl ServerPool {
         })
     }
 
-    /// Settle every share of a started write, in arrival order, into
-    /// [`ServerPool::set_many_outcomes`]'s per-key outcomes. A degraded
-    /// key's repair hint is queued here, on the settling thread.
-    pub(crate) fn finish_writes(
-        &self,
-        mut window: Window<(Bytes, Bytes)>,
-    ) -> Vec<MemFsResult<WriteOutcome>> {
+    /// Settle every share of a started write, in arrival order, into one
+    /// result per key, in input order: `Err` only for a key every replica
+    /// failed ([`ServerPool::set_many`]). A degraded key's repair hint is
+    /// queued here, on the settling thread.
+    pub(crate) fn finish_writes(&self, mut window: Window<(Bytes, Bytes)>) -> Vec<MemFsResult<()>> {
         let mut agg: Vec<StoreAgg> = (0..window.len).map(|_| StoreAgg::default()).collect();
         while let Some(share) = window.next() {
             let outcomes = finish_store(share.entries.len(), share.reply.wait());
@@ -1174,10 +1106,10 @@ impl ServerPool {
     }
 
     /// Routed atomic `append`, applied to every replica (see the ordering
-    /// caveat in the type docs). On a migrating range's *target-only*
-    /// homes a `NotFound` is tolerated: the suffix is durable on the old
-    /// homes, and the repair pass's post-copy re-read carries it across before
-    /// the range flips to `New`.
+    /// caveat in the type docs). On a transition's *target-only* homes a
+    /// `NotFound` is tolerated: the suffix is durable on the current
+    /// homes, and the repair pass's post-copy re-read carries it across
+    /// before the transition commits.
     pub fn append(&self, key: &[u8], suffix: &[u8]) -> MemFsResult<()> {
         let suffix = Bytes::copy_from_slice(suffix);
         self.store_beside(StoreVerb::Append, key, suffix, || ()).0
@@ -1227,7 +1159,7 @@ impl ServerPool {
     /// Enter the quiescence gate, then snapshot the ring. The gate is
     /// entered *first* so that once [`GenGate::advance_and_wait`]
     /// returns, no operation still works from a snapshot taken before
-    /// the phases the repair pass just published.
+    /// the membership the repair pass just published.
     fn begin_op(&self) -> (GateGuard, Arc<RingState>) {
         let gate = self.gate.enter();
         let state = self.ring_state();
@@ -1270,7 +1202,7 @@ impl ServerPool {
 
     /// The one replica walk behind every routed read: try `key`'s homes
     /// primary first. `NotFound` is final from an authoritative home but
-    /// not from a target-only home of a migrating range, where absence
+    /// not from a target-only home during a transition, where absence
     /// only means the background copy has not landed yet.
     ///
     /// The per-key fallback of a failed batch passes the server that
@@ -2005,29 +1937,26 @@ pub(crate) mod tests {
             .collect();
         // One of two replicas is down for some keys: every write must
         // still succeed (durable on the survivor)...
-        let outcomes = p.set_many_outcomes(&items);
-        let mut degraded = 0usize;
-        for ((key, _), outcome) in items.iter().zip(&outcomes) {
-            match outcome.as_ref().expect("write must stay available") {
-                WriteOutcome::Full => {
-                    assert!(!p.servers_for(key).any(|s| s.0 == 0));
-                }
-                WriteOutcome::Degraded { written, missing } => {
-                    degraded += 1;
-                    assert_eq!(*written, 1);
-                    assert_eq!(missing, &[ServerId(0)]);
-                }
-            }
-        }
-        assert!(degraded > 0, "server 0 must own some replicas");
-        // ...and the shortfall is recorded for the repair planner.
-        assert_eq!(p.degraded_pending(), degraded);
+        let outcomes = p.finish_writes(p.start_writes(&items));
+        assert!(
+            outcomes.iter().all(Result::is_ok),
+            "writes must stay available"
+        );
+        let on_0: Vec<&Bytes> = items
+            .iter()
+            .map(|(key, _)| key)
+            .filter(|key| p.servers_for(key).any(|s| s.0 == 0))
+            .collect();
+        assert!(!on_0.is_empty(), "server 0 must own some replicas");
+        // ...and exactly the keys server 0 missed are recorded for the
+        // repair planner, in write order.
+        assert_eq!(p.degraded_pending(), on_0.len());
         let queued = p.take_degraded();
-        assert_eq!(queued.len(), degraded);
+        assert_eq!(queued.iter().map(|d| &d.key).collect::<Vec<_>>(), on_0);
         assert!(queued.iter().all(|d| d.missing == [ServerId(0)]));
         assert!(queued.iter().all(|d| d.written.len() == 1));
         assert_eq!(p.degraded_pending(), 0);
-        assert_eq!(p.stats().snapshot()[0].degraded_writes, degraded as u64);
+        assert_eq!(p.stats().snapshot()[0].degraded_writes, on_0.len() as u64);
         // Every key reads back even while the server is still down.
         failables[0].set_down(true);
         for (key, value) in &items {
@@ -2043,7 +1972,7 @@ pub(crate) mod tests {
         let items: Vec<(Bytes, Bytes)> = (0..24)
             .map(|i| (Bytes::from(format!("k{i}")), Bytes::from_static(b"v")))
             .collect();
-        let outcomes = p.set_many_outcomes(&items);
+        let outcomes = p.finish_writes(p.start_writes(&items));
         let mut fully_failed = 0usize;
         for ((key, _), outcome) in items.iter().zip(outcomes) {
             let chain: Vec<usize> = p.servers_for(key).map(|s| s.0).collect();
@@ -2185,8 +2114,7 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn migrating_ranges_dual_route_writes_and_read_old_copies() {
-        use memfs_hashring::MIGRATION_RANGES;
+    fn a_transition_dual_routes_writes_and_reads_current_copies() {
         let (p, stores) = ketama_pool(2, 1);
         // Keys written before the grow live only on their old homes.
         let pre: Vec<Bytes> = (0..24).map(|i| Bytes::from(format!("pre{i}"))).collect();
@@ -2200,10 +2128,6 @@ pub(crate) mod tests {
         .unwrap();
         let state = p.ring_state();
         let t = state.transition.as_ref().unwrap();
-        for r in 0..MIGRATION_RANGES {
-            t.ranges.set_phase(r, RangePhase::Migrating);
-        }
-        p.quiesce();
         // Reads during migration serve the old copy even though the new
         // home has nothing yet (NotFound from a target-only home is not
         // authoritative).
@@ -2229,8 +2153,7 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn ranged_reads_of_a_migrating_range_do_not_trust_a_target_only_miss() {
-        use memfs_hashring::MIGRATION_RANGES;
+    fn ranged_reads_during_a_transition_do_not_trust_a_target_only_miss() {
         let (p, failables) = failable_pool(2, 1);
         let pre: Vec<(Bytes, u64, usize)> = (0..24)
             .map(|i| (Bytes::from(format!("pre{i}")), 4, 5))
@@ -2241,10 +2164,6 @@ pub(crate) mod tests {
         p.begin_add_servers(vec![local_client()]).unwrap();
         let state = p.ring_state();
         let t = state.transition.as_ref().unwrap();
-        for r in 0..MIGRATION_RANGES {
-            t.ranges.set_phase(r, RangePhase::Migrating);
-        }
-        p.quiesce();
         let moving = pre
             .iter()
             .filter(|(k, ..)| t.target.replicas_for(k, 1)[0].0 == 2)
@@ -2267,17 +2186,8 @@ pub(crate) mod tests {
 
     #[test]
     fn completing_a_transition_retires_leaving_slots() {
-        use memfs_hashring::MIGRATION_RANGES;
         let (p, _) = ketama_pool(3, 1);
         p.begin_remove_server(ServerId(2)).unwrap();
-        {
-            let state = p.ring_state();
-            let t = state.transition.as_ref().unwrap();
-            for r in 0..MIGRATION_RANGES {
-                t.ranges.set_phase(r, RangePhase::New);
-            }
-        }
-        p.quiesce();
         p.complete_transition();
         assert!(!p.transition_active());
         assert_eq!(p.members(), vec![ServerId(0), ServerId(1)]);

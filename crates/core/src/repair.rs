@@ -10,44 +10,42 @@
 //! [`ServerPool::begin_add_servers`] / [`ServerPool::begin_remove_server`]):
 //! a transition only changes which ring a key's homes come from.
 //!
-//! A pass holds the pool's migration mutex and runs seven steps:
+//! A pass holds the pool's migration mutex and runs five steps:
 //!
-//! 1. **Open** (transition only) — flip up to 16 `Old` ranges to
-//!    `Migrating`, then quiesce: every in-flight write to them now
-//!    dual-routes (old ∪ new homes), so the scan below cannot miss one.
-//! 2. **Census and scan** — enumerate the keys of every alive slot of
-//!    members ∪ target members ([`memfs_memkv::KvClient::scan_keys`]). A
-//!    slot that fails its scan counts as down. A *current member* that is
-//!    not leaving and cannot be scanned blocks every flip this pass:
-//!    without its key census a flip could strand a key it alone holds
-//!    behind an authoritative target-ring `NotFound`.
-//! 3. **Hints** — drain the degraded-write queue. A hint names the servers
+//! 1. **Census and scan** — during a transition, first quiesce: no
+//!    operation routed by the pre-transition snapshot is still unanswered,
+//!    so every write the scan can miss dual-routes (current ∪ target
+//!    homes). Then enumerate the keys of every alive slot of members ∪
+//!    target members ([`memfs_memkv::KvClient::scan_keys`]). A slot that
+//!    fails its scan counts as down. A *current member* that is not
+//!    leaving and cannot be scanned blocks the commit this pass: without
+//!    its key census a commit could strand a key it alone holds behind an
+//!    authoritative target-ring `NotFound`.
+//! 2. **Hints** — drain the degraded-write queue. A hint names the servers
 //!    that took the key's write ([`DegradedWrite::written`]); for a hinted
 //!    key only those copies are fresh, and every other copy is suspect —
 //!    it may hold a prior value (a file-size record is created empty and
 //!    finalized by `set`), indistinguishable from a fresh copy by
 //!    presence.
-//! 4. **Homes and copies** — a key's homes are the first `r` alive servers
-//!    in the walk of the ring its range routes by
-//!    (`RingState::home_ring`): the current ring for `Old` ranges and
-//!    when no transition is active, the target ring for `Migrating` and
-//!    `New`. While an owner is down the home set slides onto surviving
-//!    successors; when it returns it converges back. A fresh holder's
-//!    value is copied over every stale holder (`set`) and onto every home
-//!    that holds nothing (`add`: `Exists` means a racing foreground write
-//!    already made it current). In a `Migrating` range the source is then
-//!    re-read, so a dual-routed append that raced the copy is carried
-//!    across too. Copies run under a token bucket
-//!    ([`RepairConfig::bandwidth`]). A key with no alive fresh holder
-//!    cannot be repaired this pass; its hint stays queued.
-//! 5. **Flip** (transition only, and only if no member scan failed) —
-//!    `Migrating` ranges whose keys all reached their homes go to `New`,
-//!    then quiesce.
-//! 6. **Retire** — for each key fully homed on fresh copies whose range is
-//!    not `Migrating`, delete its copies outside the homes: failover
-//!    copies whose owner returned, and a migrated key's old homes.
-//! 7. **Finish** — requeue the unresolved hints, and commit the transition
-//!    once every range is `New`.
+//! 3. **Homes and copies** — a key's homes are the first `r` alive servers
+//!    in the walk of `RingState::home_ring`: the target ring during a
+//!    transition, the current ring otherwise. While an owner is down the
+//!    home set slides onto surviving successors; when it returns it
+//!    converges back. A fresh holder's value is copied over every stale
+//!    holder (`set`) and onto every home that holds nothing (`add`:
+//!    `Exists` means a racing foreground write already made it current).
+//!    During a transition the source is then re-read, so a dual-routed
+//!    append that raced the copy is carried across too. Copies run under
+//!    a token bucket ([`RepairConfig::bandwidth`]). A key with no alive
+//!    fresh holder cannot be repaired this pass; its hint stays queued.
+//! 4. **Commit** (transition only) — once no current non-leaving member
+//!    failed its scan and every key reached its homes, the target ring
+//!    becomes current (`ServerPool::complete_transition`), then quiesce:
+//!    no read still trusts a pre-commit home.
+//! 5. **Retire and requeue** — unless a transition is still open, delete
+//!    the copies of each key fully homed on fresh copies that lie outside
+//!    its homes: failover copies whose owner returned, and a migrated
+//!    key's old homes. Then requeue the unresolved hints.
 //!
 //! [`RepairDaemon`] runs passes on an interval (and, with
 //! [`RepairConfig::evict_grace`], a [`MembershipMonitor`] that evicts a
@@ -65,16 +63,11 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use memfs_hashring::{range_of, RangePhase, ServerId};
+use memfs_hashring::ServerId;
 use memfs_memkv::KvError;
 
 use crate::error::MemFsResult;
 use crate::pool::{DegradedWrite, RingState, ServerPool};
-
-/// How many `Old` ranges one pass opens at once. Small enough that only
-/// 1/4 of the key space dual-routes at a time; large enough that a
-/// transition completes in a handful of passes.
-const RANGES_PER_PASS: usize = 16;
 
 /// Tuning for a repair pass.
 #[derive(Debug, Clone, Default)]
@@ -109,7 +102,7 @@ pub struct RepairReport {
     pub removed_copies: usize,
     /// Keys the pass could not restore (no alive fresh holder, or a
     /// target refused the copy). They stay for the next pass, and so
-    /// does their range's flip.
+    /// does the commit of an open transition.
     pub unrepairable: usize,
     /// Times the bandwidth token bucket paused the copy loop.
     pub throttle_waits: u64,
@@ -181,12 +174,12 @@ enum CopyOutcome {
 
 /// Read `key` from one of the fresh `sources` and place it on every
 /// server in `targets` — `set` over a server in `have` (a stale holder),
-/// `add` on one that holds nothing — throttled by `bucket`. In a
-/// `migrating` range, then re-read the source: a dual-routed append that
-/// raced the copy landed on the source but may have been tolerated as
-/// `NotFound` on a target-only home the copy had not reached (nowhere
-/// else can a write miss a home without failing or leaving a hint). A
-/// grown value re-appends its suffix (directory logs fold as
+/// `add` on one that holds nothing — throttled by `bucket`. While
+/// `migrating` (a transition is open), then re-read the source: a
+/// dual-routed append that raced the copy landed on the source but may
+/// have been tolerated as `NotFound` on a target-only home the copy had
+/// not reached (nowhere else can a write miss a home without failing or
+/// leaving a hint). A grown value re-appends its suffix (directory logs fold as
 /// order-insensitive idempotent sets, so a duplicate entry is absorbed);
 /// any other change is re-`set` whole. Returns the outcome and the bytes
 /// written.
@@ -264,8 +257,8 @@ fn copy_key(
     (outcome, copied)
 }
 
-/// Run one pass over `pool` (see the module docs): census, copy, flip,
-/// retire, and commit a finished transition. Blocks while another pass
+/// Run one pass over `pool` (see the module docs): census, copy, commit
+/// a finished transition, retire. Blocks while another pass
 /// holds the pool's migration mutex. Safe to run concurrently with
 /// foreground reads and writes; runs on the caller's thread.
 ///
@@ -279,18 +272,10 @@ pub fn repair_pass(pool: &ServerPool, config: &RepairConfig) -> MemFsResult<Repa
     let t = state.transition.as_ref();
     let mut report = RepairReport::default();
 
-    // 1. Open a batch of Old ranges.
-    if let Some(t) = t {
-        let old = t.ranges.ranges_in(RangePhase::Old);
-        for &range in old.iter().take(RANGES_PER_PASS) {
-            t.ranges.set_phase(range, RangePhase::Migrating);
-        }
-        if !old.is_empty() {
-            pool.quiesce();
-        }
+    // 1. Census and scan, behind every pre-transition operation.
+    if t.is_some() {
+        pool.quiesce();
     }
-
-    // 2. Census and scan.
     let members: BTreeSet<usize> = state.members.iter().copied().collect();
     let mut slots = members.clone();
     slots.extend(t.iter().flat_map(|t| t.target_members.iter().copied()));
@@ -313,7 +298,7 @@ pub fn repair_pass(pool: &ServerPool, config: &RepairConfig) -> MemFsResult<Repa
     report.servers_down = slots.iter().filter(|&&s| !alive[s]).count();
     report.scanned_keys = holders.len();
 
-    // 3. Hints: a key's last hint is its latest hinted write.
+    // 2. Hints: a key's last hint is its latest hinted write.
     let hints = pool.take_degraded();
     report.degraded_hints = hints.len();
     let mut latest: BTreeMap<Vec<u8>, DegradedWrite> = BTreeMap::new();
@@ -321,14 +306,14 @@ pub fn repair_pass(pool: &ServerPool, config: &RepairConfig) -> MemFsResult<Repa
         latest.insert(hint.key.to_vec(), hint);
     }
 
-    // 4. Homes and copies.
+    // 3. Homes and copies.
     let r = pool.replication();
+    let migrating = t.is_some();
     let mut bucket = TokenBucket::new(config.bandwidth);
-    let mut short_ranges: BTreeSet<usize> = BTreeSet::new();
     let mut homed: BTreeMap<&[u8], Vec<ServerId>> = BTreeMap::new();
     for (key, have) in &holders {
         let homes: Vec<ServerId> = state
-            .home_ring(key)
+            .home_ring()
             .replicas_for(key, state.clients.len())
             .into_iter()
             .filter(|id| alive[id.0])
@@ -337,7 +322,6 @@ pub fn repair_pass(pool: &ServerPool, config: &RepairConfig) -> MemFsResult<Repa
         if homes.is_empty() {
             // Every home is down: nothing to copy to, and nothing retires.
             report.unrepairable += 1;
-            short_ranges.insert(range_of(key));
             continue;
         }
         let hint = latest.get(key.as_slice());
@@ -355,7 +339,6 @@ pub fn repair_pass(pool: &ServerPool, config: &RepairConfig) -> MemFsResult<Repa
             .collect();
         if !targets.is_empty() {
             report.under_replicated += 1;
-            let migrating = t.is_some_and(|t| t.ranges.phase_of_key(key) == RangePhase::Migrating);
             let (outcome, bytes) =
                 copy_key(&state, key, &fresh, have, &targets, migrating, &mut bucket);
             report.copied_bytes += bytes;
@@ -364,7 +347,6 @@ pub fn repair_pass(pool: &ServerPool, config: &RepairConfig) -> MemFsResult<Repa
                 CopyOutcome::Vanished => continue, // raced an unlink
                 CopyOutcome::Failed => {
                     report.unrepairable += 1;
-                    short_ranges.insert(range_of(key));
                     continue; // keep every copy we have
                 }
             }
@@ -372,44 +354,35 @@ pub fn repair_pass(pool: &ServerPool, config: &RepairConfig) -> MemFsResult<Repa
         homed.insert(key, homes);
     }
 
-    // 5. Flip the Migrating ranges whose keys all reached their homes.
-    if let (Some(t), false) = (t, scan_failed) {
-        let flips: Vec<usize> = t
-            .ranges
-            .ranges_in(RangePhase::Migrating)
-            .into_iter()
-            .filter(|range| !short_ranges.contains(range))
-            .collect();
-        for &range in &flips {
-            t.ranges.set_phase(range, RangePhase::New);
-        }
-        if !flips.is_empty() {
-            pool.quiesce();
-        }
+    // 4. Commit once every key reached its target homes.
+    let committed = migrating && !scan_failed && report.unrepairable == 0;
+    if committed {
+        pool.complete_transition();
+        pool.quiesce();
     }
 
-    // 6. Retire copies outside the homes — only once the key is at full
+    // 5. Retire copies outside the homes — only once the key is at full
     // strength, never trading an existing copy for a hoped-for one, and
-    // never in a Migrating range, whose old homes still serve reads.
-    for (key, homes) in &homed {
-        if t.is_some_and(|t| t.ranges.phase_of_key(key) == RangePhase::Migrating) {
-            continue;
-        }
-        for &s in &holders[*key] {
-            if homes.contains(&ServerId(s)) {
-                continue;
-            }
-            match state.client(ServerId(s)).delete(key) {
-                Ok(()) | Err(KvError::NotFound) => report.removed_copies += 1,
-                Err(_) => {} // next pass retries
+    // never while a transition is open, whose current homes still serve
+    // reads.
+    if !migrating || committed {
+        for (key, homes) in &homed {
+            for &s in &holders[*key] {
+                if homes.contains(&ServerId(s)) {
+                    continue;
+                }
+                match state.client(ServerId(s)).delete(key) {
+                    Ok(()) | Err(KvError::NotFound) => report.removed_copies += 1,
+                    Err(_) => {} // next pass retries
+                }
             }
         }
     }
 
-    // 7. Finish. A hint resolves once its key is fully homed (or gone)
-    // and every slot was scanned: a slot that is down may hold a stale
-    // copy that must not pass for fresh when it returns. A requeued hint
-    // of a homed key names the copies that are fresh now.
+    // A hint resolves once its key is fully homed (or gone) and every
+    // slot was scanned: a slot that is down may hold a stale copy that
+    // must not pass for fresh when it returns. A requeued hint of a homed
+    // key names the copies that are fresh now.
     let all_scanned = report.servers_down == 0;
     let requeue: Vec<DegradedWrite> = latest
         .into_values()
@@ -429,10 +402,6 @@ pub fn repair_pass(pool: &ServerPool, config: &RepairConfig) -> MemFsResult<Repa
         })
         .collect();
     pool.requeue_degraded(requeue);
-    if t.is_some_and(|t| t.ranges.all_new()) {
-        pool.quiesce();
-        pool.complete_transition();
-    }
     report.complete = !pool.transition_active();
     report.throttle_waits = bucket.waits;
     Ok(report)
@@ -561,7 +530,7 @@ impl Drop for RepairDaemon {
 mod tests {
     use super::*;
     use crate::config::DistributorKind;
-    use memfs_hashring::{Distributor, KetamaRing, MIGRATION_RANGES};
+    use memfs_hashring::{Distributor, KetamaRing};
     use memfs_memkv::{FailableClient, KvClient, LocalClient, Store, StoreConfig};
 
     type FailableHarness = (
@@ -630,7 +599,7 @@ mod tests {
     /// summed.
     fn drive_to_completion(pool: &ServerPool, config: &RepairConfig) -> RepairReport {
         let mut total = RepairReport::default();
-        for _ in 0..(MIGRATION_RANGES + 2) {
+        for _ in 0..4 {
             let rep = repair_pass(pool, config).unwrap();
             total.scanned_keys += rep.scanned_keys;
             total.under_replicated += rep.under_replicated;
@@ -830,16 +799,16 @@ mod tests {
 
     #[test]
     fn a_failure_during_a_stuck_grow_is_healed() {
-        // Member 0 dies mid-grow: no range may flip without its census,
-        // but the pass still restores every key to two alive homes, so a
-        // second failure loses nothing.
+        // Member 0 dies mid-grow: the grow cannot commit without its
+        // census, but the pass still restores every key to two alive
+        // homes, so a second failure loses nothing.
         let (pool, failables, _stores) = failable_servers(5, 4, 2, 64);
         let keys = seed(&pool, 200);
         pool.begin_add_servers(vec![client(&failables[4])]).unwrap();
         failables[0].set_down(true);
         for _ in 0..10 {
             let report = repair_pass(&pool, &RepairConfig::default()).unwrap();
-            assert!(!report.complete, "no range flips around a dead member");
+            assert!(!report.complete, "no commit around a dead member");
         }
         failables[1].set_down(true);
         for (i, key) in keys.iter().enumerate() {
@@ -853,8 +822,8 @@ mod tests {
         let keys = seed(&pool, 60);
         pool.begin_add_servers(vec![client(&failables[2])]).unwrap();
         failables[2].set_down(true);
-        // Every key reads after every pass: a flipped range's reads fail
-        // over along the target ring, where the pass put the copies.
+        // Every key reads after every pass: once the grow commits, reads
+        // fail over along the new ring, where the pass put the copies.
         let mut passes = 0;
         loop {
             let report = repair_pass(&pool, &RepairConfig::default()).unwrap();
@@ -866,7 +835,7 @@ mod tests {
                 break;
             }
             passes += 1;
-            assert!(passes < MIGRATION_RANGES, "the grow never committed");
+            assert!(passes < 4, "the grow never committed");
         }
         assert_eq!(pool.members().len(), 3);
         // Back up, it takes its keys over from the failover homes.
@@ -1002,6 +971,28 @@ mod tests {
     }
 
     #[test]
+    fn a_healthy_grow_and_shrink_commit_in_one_pass() {
+        let (pool, failables, backing) = failable_servers(4, 3, 2, 64);
+        let keys = seed(&pool, 120);
+        pool.begin_add_servers(vec![client(&failables[3])]).unwrap();
+        let grow = repair_pass(&pool, &RepairConfig::default()).unwrap();
+        assert!(grow.complete, "the grow took more than one pass: {grow:?}");
+        placed_like_a_fresh_ring(&backing, &keys, &[0, 1, 2, 3], 2);
+
+        pool.begin_remove_server(ServerId(1)).unwrap();
+        let shrink = repair_pass(&pool, &RepairConfig::default()).unwrap();
+        assert!(
+            shrink.complete,
+            "the shrink took more than one pass: {shrink:?}"
+        );
+        assert_eq!(pool.members(), vec![ServerId(0), ServerId(2), ServerId(3)]);
+        placed_like_a_fresh_ring(&backing, &keys, &[0, 2, 3], 2);
+        for (i, key) in keys.iter().enumerate() {
+            assert_eq!(pool.get(key).unwrap(), Bytes::from(vec![i as u8; 256]));
+        }
+    }
+
+    #[test]
     fn grow_moves_exactly_the_remapped_keys_and_matches_a_fresh_ring() {
         let backing = stores(4);
         let pool = ketama_pool(&backing[..2], 1);
@@ -1084,7 +1075,7 @@ mod tests {
     }
 
     #[test]
-    fn unscannable_member_wedges_flips_but_dual_routing_keeps_serving() {
+    fn unscannable_member_wedges_the_commit_but_dual_routing_keeps_serving() {
         let (pool, failables, _stores) = failable_servers(3, 2, 2, POINTS);
         let keys: Vec<Vec<u8>> = (0..60).map(|i| format!("k{i}").into_bytes()).collect();
         for key in &keys {
@@ -1093,12 +1084,9 @@ mod tests {
         pool.begin_add_servers(vec![client(&failables[2])]).unwrap();
         failables[0].set_down(true);
         let rep = repair_pass(&pool, &RepairConfig::default()).unwrap();
-        let state = pool.ring_state();
-        let ranges = &state.transition.as_ref().unwrap().ranges;
-        assert_eq!(
-            ranges.ranges_in(RangePhase::New).len(),
-            0,
-            "no range may flip while a member is unscannable"
+        assert!(
+            pool.transition_active(),
+            "no commit while a member is unscannable"
         );
         assert!(!rep.complete);
         // Reads still serve through the surviving old home.
@@ -1183,11 +1171,12 @@ mod tests {
     }
 
     #[test]
-    fn a_stale_old_home_of_a_migrating_range_is_overwritten() {
+    fn a_stale_old_home_during_a_transition_is_overwritten() {
         // An old home that missed a dual-routed overwrite and is no
-        // target home gets no copy and no retire while its range is
-        // Migrating (a member down elsewhere keeps it from flipping) —
-        // but it is where reads fail over to once the other old home dies.
+        // target home is no copy target and gets no retire while the
+        // transition is open (a member down elsewhere keeps it from
+        // committing) — but it is where reads fail over to once the other
+        // old home dies, so the pass must overwrite its stale copy.
         let (pool, failables, _stores) = failable_servers(5, 4, 2, 64);
         let current = KetamaRing::with_members(&[0, 1, 2, 3], 64);
         let target = KetamaRing::with_members(&[0, 1, 2, 3, 4], 64);
@@ -1203,10 +1192,6 @@ mod tests {
             .unwrap();
         pool.set(&key, Bytes::from_static(b"")).unwrap();
         pool.begin_add_servers(vec![client(&failables[4])]).unwrap();
-        let state = pool.ring_state();
-        let ranges = &state.transition.as_ref().unwrap().ranges;
-        ranges.set_phase(range_of(&key), RangePhase::Migrating);
-        pool.quiesce();
 
         failables[old[1].0].set_down(true);
         pool.set(&key, Bytes::from_static(b"4096")).unwrap();
@@ -1214,7 +1199,7 @@ mod tests {
         failables[old[1].0].set_down(false);
         failables[other].set_down(true);
         repair_pass(&pool, &RepairConfig::default()).unwrap();
-        assert_eq!(ranges.phase_of_key(&key), RangePhase::Migrating);
+        assert!(pool.transition_active());
         failables[old[0].0].set_down(true);
         assert_eq!(&pool.get(&key).unwrap()[..], b"4096");
     }

@@ -74,7 +74,7 @@ impl BalanceReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dist::{HashScheme, KetamaRing, ModuloRing};
+    use crate::dist::{KetamaRing, ModuloRing};
     use crate::schema::KeySchema;
 
     fn stripe_keys(files: usize, stripes_per_file: u64) -> Vec<Vec<u8>> {
@@ -91,7 +91,7 @@ mod tests {
     fn modulo_balances_stripe_keys_well() {
         // The paper's workload shape: many files, each striped.
         let keys = stripe_keys(500, 16);
-        let d = ModuloRing::new(64, HashScheme::Fnv1a);
+        let d = ModuloRing::new(64);
         let report = BalanceReport::measure(&d, keys.iter().map(|k| (k.as_slice(), 512 * 1024u64)));
         assert_eq!(report.total(), 500 * 16 * 512 * 1024);
         assert!(

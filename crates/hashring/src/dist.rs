@@ -1,32 +1,11 @@
 //! Key-to-server distributors: the modulo scheme MemFS uses, and a
 //! ketama-style consistent-hash ring for elastic membership.
 
-use crate::hash::{fnv1a_32, jenkins_oaat, md5};
+use crate::hash::{fnv1a_32, md5};
 
 /// Index of a storage server within the pool.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ServerId(pub usize);
-
-/// Which base hash the modulo distributor uses (mirrors libmemcached's
-/// selectable hash algorithms).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum HashScheme {
-    /// FNV-1a, libmemcached's default.
-    #[default]
-    Fnv1a,
-    /// Jenkins one-at-a-time.
-    Jenkins,
-}
-
-impl HashScheme {
-    /// Hash `key` to 32 bits with this scheme.
-    pub fn hash(self, key: &[u8]) -> u32 {
-        match self {
-            HashScheme::Fnv1a => fnv1a_32(key),
-            HashScheme::Jenkins => jenkins_oaat(key),
-        }
-    }
-}
 
 /// Maps keys to servers. Implementations must be pure functions of the key
 /// and the configured membership so every client agrees on placement.
@@ -55,12 +34,12 @@ pub trait Distributor: Send + Sync {
     }
 }
 
-/// The paper's scheme: `hash(key) mod N` (§3.1.2). Perfectly balanced for
-/// uniformly hashed keys; remaps almost everything when `N` changes.
+/// The paper's scheme: `hash(key) mod N` (§3.1.2), with FNV-1a —
+/// libmemcached's default hash. Perfectly balanced for uniformly hashed
+/// keys; remaps almost everything when `N` changes.
 #[derive(Debug, Clone)]
 pub struct ModuloRing {
     n: usize,
-    scheme: HashScheme,
 }
 
 impl ModuloRing {
@@ -68,15 +47,15 @@ impl ModuloRing {
     ///
     /// # Panics
     /// Panics if `n == 0`.
-    pub fn new(n: usize, scheme: HashScheme) -> Self {
+    pub fn new(n: usize) -> Self {
         assert!(n > 0, "need at least one server");
-        ModuloRing { n, scheme }
+        ModuloRing { n }
     }
 }
 
 impl Distributor for ModuloRing {
     fn server_for(&self, key: &[u8]) -> ServerId {
-        ServerId((self.scheme.hash(key) as usize) % self.n)
+        ServerId((fnv1a_32(key) as usize) % self.n)
     }
 
     fn n_servers(&self) -> usize {
@@ -246,7 +225,7 @@ mod tests {
 
     #[test]
     fn modulo_covers_all_servers() {
-        let d = ModuloRing::new(8, HashScheme::Fnv1a);
+        let d = ModuloRing::new(8);
         let mut seen = [false; 8];
         for k in keys(1000) {
             let s = d.server_for(k.as_bytes());
@@ -258,22 +237,11 @@ mod tests {
 
     #[test]
     fn modulo_is_deterministic_across_instances() {
-        let a = ModuloRing::new(16, HashScheme::Fnv1a);
-        let b = ModuloRing::new(16, HashScheme::Fnv1a);
+        let a = ModuloRing::new(16);
+        let b = ModuloRing::new(16);
         for k in keys(200) {
             assert_eq!(a.server_for(k.as_bytes()), b.server_for(k.as_bytes()));
         }
-    }
-
-    #[test]
-    fn modulo_schemes_differ() {
-        let f = ModuloRing::new(64, HashScheme::Fnv1a);
-        let j = ModuloRing::new(64, HashScheme::Jenkins);
-        let diff = keys(500)
-            .iter()
-            .filter(|k| f.server_for(k.as_bytes()) != j.server_for(k.as_bytes()))
-            .count();
-        assert!(diff > 300, "schemes should place most keys differently");
     }
 
     #[test]
@@ -318,8 +286,8 @@ mod tests {
     #[test]
     fn modulo_remaps_most_keys_on_grow() {
         // The contrast motivating ketama for elasticity.
-        let before = ModuloRing::new(8, HashScheme::Fnv1a);
-        let after = ModuloRing::new(9, HashScheme::Fnv1a);
+        let before = ModuloRing::new(8);
+        let after = ModuloRing::new(9);
         let ks = keys(5000);
         let moved = ks
             .iter()
@@ -332,7 +300,7 @@ mod tests {
     fn replicas_are_distinct_and_led_by_the_primary() {
         let ks = keys(500);
         let dists: Vec<Box<dyn Distributor>> = vec![
-            Box::new(ModuloRing::new(5, HashScheme::Fnv1a)),
+            Box::new(ModuloRing::new(5)),
             Box::new(KetamaRing::with_n_servers(5, 160)),
         ];
         for d in &dists {
@@ -467,7 +435,7 @@ mod tests {
 
     #[test]
     fn single_server_takes_everything() {
-        let m = ModuloRing::new(1, HashScheme::Fnv1a);
+        let m = ModuloRing::new(1);
         let k = KetamaRing::with_n_servers(1, 16);
         for key in keys(50) {
             assert_eq!(m.server_for(key.as_bytes()), ServerId(0));
@@ -478,6 +446,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one server")]
     fn zero_servers_panics() {
-        ModuloRing::new(0, HashScheme::Fnv1a);
+        ModuloRing::new(0);
     }
 }

@@ -1,6 +1,6 @@
 //! Hash functions implemented from scratch (no external crates): FNV-1a
-//! and Jenkins one-at-a-time for the modulo scheme, and MD5 for
-//! ketama-style consistent hashing (libmemcached's ketama uses MD5).
+//! for the modulo scheme, and MD5 for ketama-style consistent hashing
+//! (libmemcached's ketama uses MD5).
 
 /// 32-bit FNV-1a — libmemcached's default hash.
 pub fn fnv1a_32(data: &[u8]) -> u32 {
@@ -10,19 +10,6 @@ pub fn fnv1a_32(data: &[u8]) -> u32 {
         h = h.wrapping_mul(0x0100_0193);
     }
     h
-}
-
-/// Jenkins one-at-a-time — libmemcached's `HASH_JENKINS` alternative.
-pub fn jenkins_oaat(data: &[u8]) -> u32 {
-    let mut h: u32 = 0;
-    for &b in data {
-        h = h.wrapping_add(b as u32);
-        h = h.wrapping_add(h << 10);
-        h ^= h >> 6;
-    }
-    h = h.wrapping_add(h << 3);
-    h ^= h >> 11;
-    h.wrapping_add(h << 15)
 }
 
 /// MD5 digest (RFC 1321), used only for ketama point placement — not for
@@ -149,15 +136,5 @@ mod tests {
         assert_eq!(fnv1a_32(b""), 0x811C_9DC5);
         assert_eq!(fnv1a_32(b"a"), 0xE40C_292C);
         assert_eq!(fnv1a_32(b"foobar"), 0xBF9C_F968);
-    }
-
-    #[test]
-    fn jenkins_is_deterministic_and_spreads() {
-        let a = jenkins_oaat(b"file1#0");
-        let b = jenkins_oaat(b"file1#1");
-        let c = jenkins_oaat(b"file2#0");
-        assert_eq!(a, jenkins_oaat(b"file1#0"));
-        assert_ne!(a, b);
-        assert_ne!(a, c);
     }
 }

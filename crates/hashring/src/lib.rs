@@ -7,13 +7,16 @@
 //!
 //! Two schemes, as in Libmemcached:
 //!
-//! * [`ModuloRing`] — `hash(key) mod N`, the scheme the paper selects ("a
-//!   simple hashing scheme that assigns each object to a storage server in
-//!   a circular fashion, guaranteeing a balanced data distribution");
+//! * [`ModuloRing`] — FNV-1a `hash(key) mod N`, the scheme the paper
+//!   selects ("a simple hashing scheme that assigns each object to a
+//!   storage server in a circular fashion, guaranteeing a balanced data
+//!   distribution");
 //! * [`KetamaRing`] — MD5-based consistent hashing with virtual points,
 //!   the scheme the paper reserves for elastic node membership (future
 //!   work there; implemented here and exercised by the remapping tests and
-//!   the hashing ablation bench).
+//!   the hashing ablation bench). A membership change in `memfs-core` is
+//!   just two rings — the current one and the target one — until its
+//!   migration commits; this crate holds no migration state.
 //!
 //! [`schema`] defines MemFS' key naming: stripe keys are the file path
 //! concatenated with the stripe number (paper §3.1.2), plus file-size and
@@ -24,8 +27,6 @@ pub mod balance;
 pub mod dist;
 pub mod hash;
 pub mod schema;
-pub mod versioned;
 
-pub use dist::{Distributor, HashScheme, KetamaRing, ModuloRing, ServerId};
+pub use dist::{Distributor, KetamaRing, ModuloRing, ServerId};
 pub use schema::KeySchema;
-pub use versioned::{range_of, RangeEpochs, RangePhase, MIGRATION_RANGES};

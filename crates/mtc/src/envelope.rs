@@ -13,7 +13,7 @@
 
 use memfs_cluster::ClusterSpec;
 use memfs_hashring::schema::KeySchema;
-use memfs_hashring::{Distributor, HashScheme, ModuloRing};
+use memfs_hashring::{Distributor, ModuloRing};
 
 use crate::calibrate::*;
 
@@ -209,7 +209,7 @@ impl EnvelopeModel {
     /// How many distinct servers the stripes of one file land on under
     /// the production modulo ring.
     pub fn distinct_stripe_servers(&self, file: u64) -> usize {
-        let ring = ModuloRing::new(self.cluster.n_nodes, HashScheme::Fnv1a);
+        let ring = ModuloRing::new(self.cluster.n_nodes);
         let stripes = file.div_ceil(self.stripe_size).max(1);
         let mut servers: Vec<usize> = (0..stripes)
             .map(|s| {

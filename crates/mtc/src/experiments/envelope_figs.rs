@@ -4,7 +4,6 @@
 
 use memfs_cluster::ClusterSpec;
 use memfs_simcore::units::{KB, MB};
-use serde::Serialize;
 
 use crate::envelope::EnvelopeModel;
 use crate::report;
@@ -15,7 +14,7 @@ pub const NODE_SCALES: [usize; 4] = [8, 16, 32, 64];
 pub const FILE_SIZES: [u64; 3] = [KB, MB, 128 * MB];
 
 /// One envelope sweep row (a point of Figures 4 and 5).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct EnvelopeRow {
     /// Node count.
     pub nodes: usize,
@@ -99,7 +98,7 @@ pub fn render_envelope(rows: &[EnvelopeRow], file_bytes: u64, bandwidth: bool) -
 }
 
 /// One metadata point of Figure 6.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct MetadataRow {
     /// Node count.
     pub nodes: usize,
@@ -161,14 +160,14 @@ pub fn render_metadata(rows: &[MetadataRow]) -> String {
 }
 
 /// Table 1: the envelope at 64 nodes / 1 MB files on both networks.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Table1 {
     /// Row labels in paper order.
     pub rows: Vec<Table1Row>,
 }
 
 /// One Table 1 row.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Table1Row {
     /// Metric label.
     pub metric: String,
@@ -274,7 +273,7 @@ pub fn render_table1(t: &Table1) -> String {
 }
 
 /// One Figure 16 point.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Fig16Row {
     /// Platform name.
     pub platform: &'static str,

@@ -22,12 +22,11 @@ use std::time::Instant;
 use memfs_core::{MemFs, MemFsConfig};
 use memfs_memkv::client::Shaping;
 use memfs_memkv::{KvClient, LocalClient, Store, StoreConfig, ThrottledClient};
-use serde::Serialize;
 
 use crate::report;
 
 /// One Figure 3a point.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Fig3aRow {
     /// Stripe size in bytes.
     pub stripe_bytes: usize,
@@ -38,7 +37,7 @@ pub struct Fig3aRow {
 }
 
 /// One Figure 3b point.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Fig3bRow {
     /// Stripes in flight per open file: the reader's prefetch window, the
     /// writer's buffer.

@@ -3,7 +3,6 @@
 //! AMFS crash demonstration (§4.2.1).
 
 use memfs_cluster::{ClusterSpec, Deployment};
-use serde::Serialize;
 
 use crate::engine::WorkflowSim;
 use crate::experiments::scaling::bundle_for;
@@ -13,7 +12,7 @@ use crate::report;
 use crate::sched::{SchedulerKind, SHELL_NODE};
 
 /// One Figure 9 / Table 3 measurement.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct MemoryRow {
     /// Node count.
     pub nodes: usize,

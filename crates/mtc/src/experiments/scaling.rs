@@ -2,7 +2,6 @@
 //! (Figures 7, 8) and EC2 (Figures 10-15).
 
 use memfs_cluster::{ClusterSpec, Deployment};
-use serde::Serialize;
 
 use crate::blast::{blast_das4, blast_ec2};
 use crate::engine::WorkflowSim;
@@ -13,7 +12,7 @@ use crate::sched::SchedulerKind;
 use crate::workflow::Workflow;
 
 /// One (configuration, stage) measurement.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ScalingRow {
     /// Which figure this row belongs to ("fig7a", …).
     pub figure: &'static str,

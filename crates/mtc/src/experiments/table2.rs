@@ -1,15 +1,13 @@
 //! Table 2: the application use cases — input size, runtime data, file
 //! sizes — regenerated from the workflow generators themselves.
 
-use serde::Serialize;
-
 use crate::blast::{blast_das4, blast_ec2};
 use crate::montage::montage;
 use crate::report;
 use crate::workflow::Workflow;
 
 /// One Table 2 row.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Table2Row {
     /// Application label.
     pub application: String,

@@ -40,9 +40,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("  server {i}: {:>9} bytes", s.bytes_used());
     }
 
-    // Storage pressure grows: admit server 4 into the live mount. The
-    // ring flips range by range — reads keep flowing from the old homes
-    // until each range migrates, writes dual-route while it does.
+    // Storage pressure grows: admit server 4 into the live mount. Until
+    // the migration commits, reads keep flowing from the old homes and
+    // writes dual-route to the old and the new ones.
     let id = fs.add_server(client(&stores[4]))?;
     println!("\nadmitted server {} — migrating in the background", id.0);
     let mut moved = 0usize;

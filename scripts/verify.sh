@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Repo verification gate: build, tests, formatting, lints.
 #
-#   scripts/verify.sh            # build + workspace tests + fmt + clippy + knob count + unsafe census + KvClient census + I/O pool census + connection census + timer census + pass census + substrate census + repro golden
+#   scripts/verify.sh            # build + workspace tests + fmt + clippy + knob count + unsafe census + KvClient census + I/O pool census + connection census + timer census + pass census + phase census + substrate census + repro golden
 #   scripts/verify.sh --clippy   # fast path: fmt + clippy only, no build/tests
 #   scripts/verify.sh --threads  # additionally stress the concurrency tests
 #   scripts/verify.sh --soak     # shaped-cluster suites, N random seeds
@@ -192,21 +192,34 @@ if [[ -n "$passes" ]]; then
     exit 1
 fi
 
+# A membership transition is one phase (DESIGN.md §4j): while it is
+# installed every key dual-routes, and one repair pass commits it. No
+# per-key-range phase table, range bucketing or per-pass range pacing.
+# shellcheck disable=SC2086
+phases=$(grep -rnE 'RangeEpochs|RangePhase|MIGRATION_RANGES|range_of|RANGES_PER_PASS|phase_of_key|mod versioned' $trees || true)
+echo "==> phase census: ${phases:-one-phase transitions}"
+if [[ -n "$phases" ]]; then
+    echo "verify: a transition routes every key the same way until repair_pass" \
+        "commits it — no key-range phases" >&2
+    exit 1
+fi
+
 # The AMFS baseline is a model in crates/mtc (DESIGN.md §5) and the
 # simulations draw no random numbers: no in-process AMFS engine, no `rand`
 # shim, no simulator RNG or statistics module. The one seeded RNG is
-# `memkv::testutil::Rng`.
+# `memkv::testutil::Rng`. Nothing serializes a result, so there is no
+# `serde` shim either.
 # shellcheck disable=SC2086
 substrate=$(
-    ls -d crates/amfs shims/rand 2>/dev/null
-    grep -rnE 'memfs_amfs|memfs-amfs|SimRng|simcore::stats|rand::' $trees
+    ls -d crates/amfs shims/rand shims/serde shims/serde_derive 2>/dev/null
+    grep -rnE 'memfs_amfs|memfs-amfs|SimRng|simcore::stats|rand::|^[[:space:]]*(pub )?use serde|serde::' $trees
     find . -name Cargo.toml -not -path '*/target/*' -not -path './.bench_build/*' -print0 |
-        xargs -0 grep -nE 'memfs_amfs|memfs-amfs|SimRng|simcore::stats|rand::|(^|[^a-z_-])rand([^a-z_-]|$)'
+        xargs -0 grep -nE 'memfs_amfs|memfs-amfs|SimRng|simcore::stats|rand::|(^|[^a-z_-])rand([^a-z_-]|$)|(^|[^a-z_-])serde'
 ) || true
-echo "==> substrate census: ${substrate:-no AMFS engine, no rand, no SimRng or simcore::stats}"
+echo "==> substrate census: ${substrate:-no AMFS engine, no rand, no serde, no SimRng or simcore::stats}"
 if [[ -n "$substrate" ]]; then
     echo "verify: AMFS is modelled in mtc::{fsmodel, sched, envelope}; simcore is the" \
-        "clock, the event queue, the PS resource and the units" >&2
+        "clock, the event queue, the PS resource and the units; nothing uses serde" >&2
     exit 1
 fi
 
@@ -282,7 +295,7 @@ for arg in "$@"; do
                 two_mounts_racing_create \
                 refused_create_leaves_nothing_behind \
                 create_with_the_probes_server_down \
-                create_in_a_migrating_range \
+                create_during_a_transition \
                 pinned_ \
                 existence_checks_do_not_move_the_directory_log \
                 open_of_an_unclosed_file_is_not_finalized \

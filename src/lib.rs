@@ -21,6 +21,6 @@ pub use memfs_simcore as simcore;
 /// Commonly used types, re-exported for examples and downstream users.
 pub mod prelude {
     pub use memfs_core::{DirEntry, EntryKind, FileStat, MemFs, MemFsConfig, MemFsError};
-    pub use memfs_hashring::{Distributor, HashScheme};
+    pub use memfs_hashring::Distributor;
     pub use memfs_memkv::{KvClient, LocalClient, Store, StoreConfig};
 }

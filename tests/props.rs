@@ -16,7 +16,7 @@
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use memfs::hashring::{Distributor, HashScheme, KetamaRing, ModuloRing, ServerId};
+use memfs::hashring::{Distributor, KetamaRing, ModuloRing, ServerId};
 use memfs::memfs_core::layout::StripeLayout;
 use memfs::memfs_core::meta::{encode_add, encode_remove, fold_dir_log, ChildKind};
 use memfs::memfs_core::{
@@ -209,7 +209,7 @@ proptest! {
         keys in proptest::collection::vec("[a-z0-9/._-]{1,40}", 1..50),
         n_servers in 1usize..32,
     ) {
-        let modulo = ModuloRing::new(n_servers, HashScheme::Fnv1a);
+        let modulo = ModuloRing::new(n_servers);
         let ketama = KetamaRing::with_n_servers(n_servers, 32);
         for k in &keys {
             let m1 = modulo.server_for(k.as_bytes());

@@ -188,7 +188,7 @@ fn sixteen_server_mount_runs_one_reactor_thread() {
     expect_reactor_threads(0, "unmounting joins the mount's reactor");
 
     // Elastic membership rides the same loop: admitting servers into a
-    // live mount and migrating ranges onto them spawns nothing — the
+    // live mount and migrating keys onto them spawns nothing — the
     // rebalancer runs inside the caller's thread and every admitted
     // client registers with the mount's existing reactor. (Server 0
     // is already shut down; mount a fresh slice of the survivors.)

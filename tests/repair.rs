@@ -242,8 +242,8 @@ fn grow_to_eight_mid_workload_survives_a_kill_during_migration() {
 
     // Eight shaped servers on one caller-owned reactor: mount the
     // first four, keep the other four as the admission pool. Migration
-    // is driven by hand (`repair_interval_ms: 0`) so the kill lands at
-    // a deterministic point in the range schedule.
+    // is driven by hand (`repair_interval_ms: 0`) so the kill lands
+    // inside the transition, before its first pass.
     let cluster = ShapedCluster::spawn(8, Shape::clean());
     let reactor = ReactorHandle::new().expect("reactor");
     let clients: Vec<Arc<dyn KvClient>> = cluster.clients_on(heartbeat_pool_config(), &reactor);
@@ -286,18 +286,16 @@ fn grow_to_eight_mid_workload_survives_a_kill_during_migration() {
         streams.push((path, data, w));
     }
 
-    // Grow 4 → 8 under the open streams and take one migration step —
-    // a pass covers at most 16 of the 64 ranges, so the ring is now
-    // genuinely mid-flip: some ranges New, the rest Old or Migrating.
+    // Grow 4 → 8 under the open streams: every write now dual-routes to
+    // the current and the target homes until a pass commits the grow.
     let added = fs
         .add_servers(clients[4..].to_vec())
         .expect("admit four servers");
     assert_eq!(added.len(), 4);
     assert!(fs.migration_active());
-    let first = fs.repair_now().expect("first migration pass");
-    assert!(!first.complete, "one pass cannot drain all 64 ranges");
 
-    // Chaos: kill one of the eight *during* the migration.
+    // Chaos: kill one of the eight *during* the migration, before its
+    // first pass.
     let victim = rng.gen_range(0, 8) as usize;
     eprintln!("killing server {victim} during migration");
     cluster.proxy(victim).kill();
@@ -309,22 +307,23 @@ fn grow_to_eight_mid_workload_survives_a_kill_during_migration() {
         w.close().unwrap();
         files.push((path, data));
     }
-    // ...and read everything back while the victim is down and the ring
-    // is mid-flip (dual-routed ranges still serve from the old homes).
+    // ...and read everything back while the victim is down and the
+    // transition is open (reads still serve from the current homes).
     for (path, data) in &files {
         assert_eq!(&fs.read_to_vec(path).unwrap(), data, "{path} during kill");
     }
 
-    // Passes keep running. A dead current member wedges every flip: a
-    // range only goes New once every member scan and every copy
-    // succeeded. (A dead joining server wedges nothing — its keys go to
-    // the next alive home — but two passes open at most 32 of the 64
-    // ranges, so the transition cannot commit either way.)
-    let wedged = fs.repair_now().expect("wedged migration pass");
-    assert!(
-        !wedged.complete,
-        "migration must not complete around a dead server"
-    );
+    // A pass runs. A dead current member wedges the commit: the grow
+    // only commits once every member scan and every copy succeeded. A
+    // dead joining server wedges nothing — its keys home on the next
+    // alive successor — so that grow may commit.
+    let pass = fs.repair_now().expect("migration pass during the kill");
+    if victim < 4 {
+        assert!(
+            !pass.complete,
+            "migration must not complete around a dead member"
+        );
+    }
 
     // Revive the victim; the census recovers and the migration drains.
     cluster.proxy(victim).revive();
