@@ -12,6 +12,12 @@
 //! its own drains on its own thread.
 //! "Whenever an application calls close(), or flush(), our file system
 //! waits until the write buffer has been emptied and then returns."
+//!
+//! A file that never fills its first stripe never drains at all: the
+//! stripe buffer keeps room for an inline size record's head in front of
+//! stripe 0, so at `finish` the bytes are already the record
+//! (`meta::SizeRecord::Inline`) and `close` publishes the whole file with
+//! one `set` — each payload byte still staged exactly once.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -22,6 +28,7 @@ use memfs_memkv::KvError;
 
 use crate::error::{MemFsError, MemFsResult};
 use crate::layout::StripeLayout;
+use crate::meta;
 use crate::pool::{ServerPool, Window};
 
 /// A started batch of stripes and how many stripes it carries.
@@ -32,7 +39,11 @@ pub struct WriteBuffer {
     path: String,
     layout: StripeLayout,
     pool: Arc<ServerPool>,
+    /// The stripe being filled, after `head` bytes of room.
     current: BytesMut,
+    /// Room for an inline record's head in front of the payload:
+    /// [`meta::INLINE_HEAD`] until the first stripe leaves, 0 after.
+    head: usize,
     /// Completed stripes waiting to travel as one batched write.
     batch: Vec<(Bytes, Bytes)>,
     batch_stripes: usize,
@@ -66,9 +77,12 @@ impl WriteBuffer {
         max_inflight: usize,
         batch_stripes: usize,
     ) -> Self {
+        let mut current = BytesMut::with_capacity(meta::INLINE_HEAD + layout.stripe_size());
+        current.extend_from_slice(&[0; meta::INLINE_HEAD]);
         WriteBuffer {
             path,
-            current: BytesMut::with_capacity(layout.stripe_size()),
+            current,
+            head: meta::INLINE_HEAD,
             layout,
             pool,
             batch: Vec::new(),
@@ -107,15 +121,8 @@ impl WriteBuffer {
     pub fn write(&mut self, mut data: &[u8]) -> MemFsResult<()> {
         self.check()?;
         while !data.is_empty() {
-            let room = self.layout.stripe_size() - self.current.len();
-            let take = room.min(data.len());
-            memfs_memkv::audit::count_staged(take);
-            self.current.extend_from_slice(&data[..take]);
+            let take = self.stage(data)?;
             data = &data[take..];
-            self.written += take as u64;
-            if self.current.len() == self.layout.stripe_size() {
-                self.submit_current()?;
-            }
         }
         Ok(())
     }
@@ -129,23 +136,37 @@ impl WriteBuffer {
     pub fn write_bytes(&mut self, mut data: Bytes) -> MemFsResult<()> {
         self.check()?;
         while !data.is_empty() {
-            if self.current.is_empty() && data.len() >= self.layout.stripe_size() {
+            if self.current.len() == self.head && data.len() >= self.layout.stripe_size() {
                 let stripe = data.split_to(self.layout.stripe_size());
                 self.written += stripe.len() as u64;
+                self.current.clear();
                 self.push_stripe(stripe)?;
                 continue;
             }
-            let room = self.layout.stripe_size() - self.current.len();
-            let take = room.min(data.len());
-            memfs_memkv::audit::count_staged(take);
-            self.current.extend_from_slice(&data[..take]);
+            let take = self.stage(&data)?;
             let _ = data.split_to(take);
-            self.written += take as u64;
-            if self.current.len() == self.layout.stripe_size() {
-                self.submit_current()?;
-            }
         }
         Ok(())
+    }
+
+    /// Copy as much of `data` as the stripe being filled has room for —
+    /// the write path's one copy — submitting the stripe once it is full.
+    /// Returns the bytes taken.
+    fn stage(&mut self, data: &[u8]) -> MemFsResult<usize> {
+        if self.current.capacity() == 0 {
+            // The last stripe left with the whole buffer: size the next
+            // one at once rather than by doubling as it fills.
+            self.current.reserve(self.layout.stripe_size());
+        }
+        let filled = self.current.len() - self.head;
+        let take = (self.layout.stripe_size() - filled).min(data.len());
+        memfs_memkv::audit::count_staged(take);
+        self.current.extend_from_slice(&data[..take]);
+        self.written += take as u64;
+        if filled + take == self.layout.stripe_size() {
+            self.submit_current()?;
+        }
+        Ok(take)
     }
 
     /// Settle every drain (the partial tail stripe stays buffered — it
@@ -160,26 +181,37 @@ impl WriteBuffer {
         self.check()
     }
 
-    /// Submit the partial tail stripe (if any) and drain completely.
-    /// Returns the final file size — or, if any drain of this buffer ever
-    /// failed, that failure. The buffer must not be written again.
-    pub fn finish(&mut self) -> MemFsResult<u64> {
+    /// Finish the file and return the size record that publishes it. A
+    /// file no stripe of which has left the buffer is returned inline —
+    /// its bytes behind the head the buffer kept room for, no stripe
+    /// stored. Otherwise the partial tail stripe (if any) is submitted,
+    /// everything drained, and the record is the size — or, if any drain
+    /// of this buffer ever failed, that failure. The buffer must not be
+    /// written again.
+    pub fn finish(&mut self) -> MemFsResult<Bytes> {
+        if self.head > 0 {
+            self.current[..self.head].copy_from_slice(&meta::inline_head(self.written));
+            return Ok(self.current.split().freeze());
+        }
         if !self.current.is_empty() {
             self.submit_current()?;
         }
         self.flush()?;
-        Ok(self.written)
+        Ok(Bytes::from(meta::encode_size(self.written)))
     }
 
     /// Move the completed stripe into the pending batch, starting a drain
     /// once `batch_stripes` have accumulated.
     fn submit_current(&mut self) -> MemFsResult<()> {
-        let payload = self.current.split().freeze();
-        self.push_stripe(payload)
+        let stripe = self.current.split().freeze();
+        self.push_stripe(stripe.slice(self.head..stripe.len()))
     }
 
-    /// Queue one completed stripe payload under the next stripe key.
+    /// Queue one completed stripe payload under the next stripe key. The
+    /// file is striped from here on: no room for a head any more.
     fn push_stripe(&mut self, payload: Bytes) -> MemFsResult<()> {
+        debug_assert!(self.current.is_empty(), "the stripe buffer was taken");
+        self.head = 0;
         let key = Bytes::from(KeySchema::stripe_key(&self.path, self.next_stripe));
         self.next_stripe += 1;
         self.batch.push((key, payload));
@@ -251,6 +283,13 @@ mod tests {
         Arc::new(ServerPool::new(clients, DistributorKind::default()))
     }
 
+    /// Finish `buf` and decode the size its record publishes.
+    fn finish(buf: &mut WriteBuffer) -> u64 {
+        let record = buf.finish().unwrap();
+        let decoded = meta::decode_size(&record, "/f").unwrap();
+        decoded.size().expect("a closed record")
+    }
+
     fn read_back(pool: &ServerPool, path: &str, size: u64, stripe: usize) -> Vec<u8> {
         let layout = StripeLayout::new(stripe);
         let mut out = Vec::new();
@@ -268,7 +307,7 @@ mod tests {
         let mut buf = WriteBuffer::new("/f".into(), layout, Arc::clone(&pool), 4, 2);
         let data: Vec<u8> = (0..1050u32).map(|i| (i % 251) as u8).collect();
         buf.write(&data).unwrap();
-        let size = buf.finish().unwrap();
+        let size = finish(&mut buf);
         assert_eq!(size, 1050);
         assert_eq!(read_back(&pool, "/f", size, 100), data);
     }
@@ -278,20 +317,56 @@ mod tests {
         let pool = make_pool(2, 1 << 30);
         let mut buf =
             WriteBuffer::new("/f".into(), StripeLayout::new(100), Arc::clone(&pool), 2, 2);
+        buf.write(&[1u8; 100]).unwrap();
         buf.write(b"short").unwrap();
-        assert_eq!(buf.finish().unwrap(), 5);
-        let key = KeySchema::stripe_key("/f", 0);
+        assert_eq!(finish(&mut buf), 105);
+        let key = KeySchema::stripe_key("/f", 1);
         assert_eq!(pool.get(&key).unwrap().as_ref(), b"short");
     }
 
     #[test]
-    fn empty_file_has_no_stripes() {
+    fn a_file_shorter_than_a_stripe_is_its_record_and_stores_nothing() {
+        let pool = make_pool(2, 1 << 30);
+        for (path, data) in [("/e", &b""[..]), ("/s", b"short"), ("/n", &[9u8; 99])] {
+            let mut buf =
+                WriteBuffer::new(path.into(), StripeLayout::new(100), Arc::clone(&pool), 2, 2);
+            buf.write(data).unwrap();
+            buf.flush().unwrap();
+            let record = buf.finish().unwrap();
+            let len = data.len() as u64;
+            assert_eq!(record[..meta::INLINE_HEAD], meta::inline_head(len));
+            assert_eq!(record[meta::INLINE_HEAD..], *data);
+            let stripe = pool.try_get(&KeySchema::stripe_key(path, 0));
+            assert_eq!(stripe.unwrap(), None, "{path}");
+        }
+        // One stripe exactly has left the buffer: striped.
+        let mut buf =
+            WriteBuffer::new("/x".into(), StripeLayout::new(100), Arc::clone(&pool), 2, 2);
+        buf.write_bytes(Bytes::from(vec![3u8; 100])).unwrap();
+        assert_eq!(buf.finish().unwrap(), Bytes::from(meta::encode_size(100)));
+        let stripe = pool.get(&KeySchema::stripe_key("/x", 0)).unwrap();
+        assert_eq!(stripe.as_ref(), &[3u8; 100][..]);
+    }
+
+    #[test]
+    fn the_stripe_buffer_is_sized_once_per_stripe() {
         let pool = make_pool(2, 1 << 30);
         let mut buf =
-            WriteBuffer::new("/e".into(), StripeLayout::new(100), Arc::clone(&pool), 2, 2);
-        assert_eq!(buf.finish().unwrap(), 0);
-        let stripe = pool.try_get(&KeySchema::stripe_key("/e", 0));
-        assert_eq!(stripe.unwrap(), None);
+            WriteBuffer::new("/f".into(), StripeLayout::new(100), Arc::clone(&pool), 4, 4);
+        assert_eq!(buf.current.capacity(), meta::INLINE_HEAD + 100);
+        for _ in 0..3 {
+            buf.write(&[5u8; 50]).unwrap();
+        }
+        // Stripe 0 left with its buffer; the next has one stripe's room
+        // from its first byte on, not a doubling series.
+        assert_eq!((buf.current.len(), buf.current.capacity()), (50, 100));
+        buf.write(&[5u8; 49]).unwrap();
+        assert_eq!(buf.current.capacity(), 100);
+        // No stripe started: nothing reserved after the last one left.
+        buf.write(&[5u8; 1]).unwrap();
+        assert_eq!(buf.current.capacity(), 0);
+        assert_eq!(finish(&mut buf), 200);
+        assert_eq!(read_back(&pool, "/f", 200, 100), [5u8; 200]);
     }
 
     #[test]
@@ -304,7 +379,7 @@ mod tests {
             buf.write(&chunk).unwrap();
             expected.extend_from_slice(&chunk);
         }
-        let size = buf.finish().unwrap();
+        let size = finish(&mut buf);
         assert_eq!(size, 2000);
         assert_eq!(read_back(&pool, "/f", size, 64), expected);
     }
@@ -335,7 +410,7 @@ mod tests {
             100
         );
         buf.write(&[2u8; 50]).unwrap();
-        let size = buf.finish().unwrap();
+        let size = finish(&mut buf);
         assert_eq!(size, 200);
         let tail = pool.get(&KeySchema::stripe_key("/f", 1)).unwrap();
         assert_eq!(&tail[..50], &[1u8; 50][..]);
@@ -353,7 +428,7 @@ mod tests {
         for chunk in data.chunks(7) {
             buf.write(chunk).unwrap();
         }
-        let size = buf.finish().unwrap();
+        let size = finish(&mut buf);
         assert_eq!(size, 1350);
         assert_eq!(read_back(&pool, "/b", size, 100), data);
     }
@@ -373,7 +448,7 @@ mod tests {
         );
         let data = vec![9u8; 1000];
         buf.write(&data).unwrap();
-        let size = buf.finish().unwrap();
+        let size = finish(&mut buf);
         assert_eq!(size, 1000);
         assert_eq!(read_back(&pool, "/c", size, 100), data);
     }
@@ -390,7 +465,7 @@ mod tests {
         );
         let data: Vec<u8> = (0..700u32).map(|i| (i % 241) as u8).collect();
         buf.write_bytes(Bytes::from(data.clone())).unwrap();
-        let size = buf.finish().unwrap();
+        let size = finish(&mut buf);
         assert_eq!(size, 700);
         assert_eq!(read_back(&pool, "/zb", size, 100), data);
     }
@@ -417,7 +492,7 @@ mod tests {
         expected.extend_from_slice(&bulk);
         buf.write_bytes(Bytes::from_static(b"tail")).unwrap();
         expected.extend_from_slice(b"tail");
-        let size = buf.finish().unwrap();
+        let size = finish(&mut buf);
         assert_eq!(size, expected.len() as u64);
         assert_eq!(read_back(&pool, "/zu", size, 100), expected);
     }

@@ -403,11 +403,13 @@ impl MemFs {
     /// the same batch or stays in flight for the first read, which queues
     /// its window before it waits for it. Stripes are stored before
     /// `close` finalizes the record and never rewritten, so a stripe that
-    /// fits a `Finalized` record is the file's; the reader starts with it
-    /// (`StripeReader::with_first_stripe` drops one that does not fit). A
-    /// missing or unfinalized record drops it too, and a missing record is
-    /// then told apart from a directory by the probe of the directory's
-    /// log.
+    /// fits a `Striped` record is the file's; the reader starts with it
+    /// (`StripeReader::with_first_stripe` drops one that does not fit). The
+    /// size is unknown until the record arrives, so the guess goes out for
+    /// a file inline in its record too, and misses: that reader holds the
+    /// record's bytes and never asks for a stripe. A missing or unclosed
+    /// record drops the stripe too, and a missing record is then told
+    /// apart from a directory by the probe of the directory's log.
     pub fn open(&self, raw: &str) -> MemFsResult<ReadHandle> {
         let p = path::normalize(raw)?;
         let config = &self.inner.config;
@@ -436,10 +438,10 @@ impl MemFs {
             }
             Err(e) => return Err(e),
         };
-        let size = match meta::decode_size(&record, &p)? {
-            SizeRecord::Open => return Err(MemFsError::NotFinalized(p)),
-            SizeRecord::Finalized(size) => size,
-        };
+        let decoded = meta::decode_size(&record, &p)?;
+        let size = decoded
+            .size()
+            .ok_or_else(|| MemFsError::NotFinalized(p.clone()))?;
         let reader = StripeReader::new(
             p.clone(),
             self.layout(),
@@ -447,8 +449,13 @@ impl MemFs {
             Arc::clone(&self.inner.pool),
             config.prefetch_window,
             config.read_cache_stripes(),
-        )
-        .with_first_stripe(first);
+        );
+        let reader = match decoded {
+            SizeRecord::Inline(_) => {
+                reader.with_inline(record.slice(meta::INLINE_HEAD..record.len()))
+            }
+            _ => reader.with_first_stripe(first),
+        };
         Ok(ReadHandle {
             path: p,
             reader: Arc::new(reader),
@@ -540,7 +547,8 @@ impl MemFs {
         let log = match self.inner.pool.try_get(&KeySchema::dir_key(&p))? {
             Some(v) => v,
             None => {
-                if self.inner.pool.try_get(&KeySchema::file_key(&p))?.is_some() {
+                let [file] = self.probe([KeySchema::file_key(&p)]);
+                if file? {
                     return Err(MemFsError::NotADirectory(p));
                 }
                 return Err(MemFsError::NotFound(p));
@@ -558,21 +566,30 @@ impl MemFs {
             .collect())
     }
 
+    /// The state and size of `p`'s size record, from its head alone
+    /// (`getrange f:<p> 0 21`, [`meta::RECORD_HEAD`]): never the bytes of
+    /// a file kept inline. `None` when there is no record.
+    fn record_head(&self, p: &str) -> MemFsResult<Option<SizeRecord>> {
+        let key = Bytes::from(KeySchema::file_key(p));
+        let mut replies = self
+            .inner
+            .pool
+            .get_range_many(&[(key, 0, meta::RECORD_HEAD)]);
+        match replies.pop().expect("one reply per key") {
+            Ok(head) => meta::decode_head(&head, p).map(Some),
+            Err(MemFsError::Storage(KvError::NotFound)) => Ok(None),
+            Err(e) => Err(e),
+        }
+    }
+
     /// Entry metadata for `path`.
     pub fn stat(&self, raw: &str) -> MemFsResult<FileStat> {
         let p = path::normalize(raw)?;
-        if let Some(record) = self.inner.pool.try_get(&KeySchema::file_key(&p))? {
-            return Ok(match meta::decode_size(&record, &p)? {
-                SizeRecord::Open => FileStat {
-                    kind: EntryKind::File,
-                    size: 0,
-                    finalized: false,
-                },
-                SizeRecord::Finalized(size) => FileStat {
-                    kind: EntryKind::File,
-                    size,
-                    finalized: true,
-                },
+        if let Some(record) = self.record_head(&p)? {
+            return Ok(FileStat {
+                kind: EntryKind::File,
+                size: record.size().unwrap_or(0),
+                finalized: record != SizeRecord::Open,
             });
         }
         if self.dir_exists(&p)? {
@@ -598,12 +615,13 @@ impl MemFs {
     /// a tombstone to the parent's log (paper §3.2.4 only tombstones; we
     /// additionally reclaim the stripes so runtime memory is reusable).
     ///
-    /// Three steps: read the size record; free the stripes in batched
-    /// [`ServerPool::delete_many`] rounds — one pipelined multi-delete per
-    /// server, all servers at once; then the record's `delete` and the
-    /// tombstone's `append`, in flight together. A failure freeing the
-    /// stripes stops there, so the record stays as the marker that
-    /// stripes may remain. The last two are both always attempted, and
+    /// Three steps: read the size record's head; free the stripes in
+    /// batched [`ServerPool::delete_many`] rounds — one pipelined
+    /// multi-delete per server, all servers at once; then the record's
+    /// `delete` and the tombstone's `append`, in flight together. A file
+    /// kept inline in its record has no stripes: two steps. A failure
+    /// freeing the stripes stops there, so the record stays as the marker
+    /// that stripes may remain. The last two are both always attempted, and
     /// the first error in (delete, append) order is returned. If only the
     /// delete lands, the file is gone but still listed (the serial form's
     /// window too); if only the append, it is unlisted with its record
@@ -617,21 +635,19 @@ impl MemFs {
     /// removed.
     pub fn unlink(&self, raw: &str) -> MemFsResult<()> {
         let p = path::normalize(raw)?;
-        let record = match self.inner.pool.try_get(&KeySchema::file_key(&p))? {
-            Some(v) => v,
-            None => {
-                if self.dir_exists(&p)? {
-                    return Err(MemFsError::IsADirectory(p));
-                }
-                return Err(MemFsError::NotFound(p));
+        let Some(record) = self.record_head(&p)? else {
+            if self.dir_exists(&p)? {
+                return Err(MemFsError::IsADirectory(p));
             }
+            return Err(MemFsError::NotFound(p));
         };
-        match meta::decode_size(&record, &p)? {
-            SizeRecord::Finalized(size) => {
+        match record {
+            SizeRecord::Striped(size) => {
                 let count = self.layout().stripe_count(size);
                 let keys: Vec<Bytes> = (0..count).map(|s| stripe_key_bytes(&p, s)).collect();
                 self.delete_stripe_batch(&keys)?;
             }
+            SizeRecord::Inline(_) => {}
             SizeRecord::Open => self.probe_delete_stripes(&p)?,
         }
         let (unlisted, erased) = self.inner.pool.store_beside(
@@ -769,18 +785,19 @@ impl WriteHandle {
     }
 
     /// Finish the file: drain the buffer, then publish the final size in
-    /// the metadata record, making the file readable everywhere. If any
-    /// drain of this handle failed — now or on an earlier call that
-    /// already reported it — that failure is returned and no size is
-    /// published: the file stays `NotFinalized`, for `unlink` to remove.
+    /// the metadata record, making the file readable everywhere. A file
+    /// shorter than one stripe never drained: its bytes go inside the
+    /// record, and closing it is that one `set`. If any drain of this
+    /// handle failed — now or on an earlier call that already reported
+    /// it — that failure is returned and no size is published: the file
+    /// stays `NotFinalized`, for `unlink` to remove.
     pub fn close(&mut self) -> MemFsResult<()> {
         let mut buffer = self.buffer.take().ok_or(MemFsError::Closed)?;
-        let size = buffer.finish()?;
-        self.fs.inner.pool.set(
-            &KeySchema::file_key(&self.path),
-            Bytes::from(meta::encode_size(size)),
-        )?;
-        Ok(())
+        let record = buffer.finish()?;
+        self.fs
+            .inner
+            .pool
+            .set(&KeySchema::file_key(&self.path), record)
     }
 }
 
@@ -1395,21 +1412,44 @@ mod tests {
     }
 
     #[test]
-    fn pinned_one_stripe_file_costs_two_to_close_one_to_read_four_to_unlink() {
+    fn pinned_sub_stripe_file_costs_one_to_close_one_to_read_two_to_unlink() {
         let (log, fs) = recording_mount(4);
         let mut w = fs.create("/a").unwrap();
         w.write_all(&[7u8; 100]).unwrap();
         log.take_steps();
         w.close().unwrap();
+        assert_eq!(log.take_steps(), [["set f:/a"]]);
+        // The bytes come inside the record; the guessed stripe misses,
+        // and the read is a copy.
+        assert_eq!(fs.read_to_vec("/a").unwrap(), [7u8; 100]);
+        assert_eq!(log.take_steps(), [["get f:/a", "get s:/a#0"]]);
+        // The record's head alone says there are no stripes.
+        fs.unlink("/a").unwrap();
+        assert_eq!(
+            log.take_steps(),
+            [
+                vec!["getrange f:/a 0 21"],
+                vec!["append d:/", "delete f:/a"]
+            ]
+        );
+    }
+
+    #[test]
+    fn pinned_one_stripe_file_costs_two_to_close_one_to_read_three_steps_to_unlink() {
+        let (log, fs) = recording_mount(4);
+        let mut w = fs.create("/a").unwrap();
+        w.write_all(&[7u8; 128]).unwrap();
+        log.take_steps();
+        w.close().unwrap();
         assert_eq!(log.take_steps(), [["set s:/a#0"], ["set f:/a"]]);
         // The stripe travels beside the record; the read is a cache copy.
-        assert_eq!(fs.read_to_vec("/a").unwrap(), [7u8; 100]);
+        assert_eq!(fs.read_to_vec("/a").unwrap(), [7u8; 128]);
         assert_eq!(log.take_steps(), [["get f:/a", "get s:/a#0"]]);
         fs.unlink("/a").unwrap();
         assert_eq!(
             log.take_steps(),
             [
-                vec!["get f:/a"],
+                vec!["getrange f:/a 0 21"],
                 vec!["delete s:/a#0"],
                 vec!["append d:/", "delete f:/a"]
             ]
@@ -1460,9 +1500,231 @@ mod tests {
     fn pinned_open_without_prefetch_sends_no_speculative_get() {
         let (log, fs) = recording_mount_with(4, 0);
         fs.write_file("/a", &[7u8; 100]).unwrap();
+        fs.write_file("/b", &[8u8; 200]).unwrap();
         log.take_steps();
+        // Inline: the record is the whole file.
         assert_eq!(fs.read_to_vec("/a").unwrap(), [7u8; 100]);
-        assert_eq!(log.take_steps(), [["get f:/a"], ["getrange s:/a#0 0 100"]]);
+        assert_eq!(log.take_steps(), [["get f:/a"]]);
+        // Striped: the record, then the ranges.
+        assert_eq!(fs.read_to_vec("/b").unwrap(), [8u8; 200]);
+        assert_eq!(
+            log.take_steps(),
+            [
+                vec!["get f:/b"],
+                vec!["getrange s:/b#0 0 128", "getrange s:/b#1 0 72"]
+            ]
+        );
+    }
+
+    // ---- files either side of one stripe: inline or striped ----
+
+    /// The stripe size of [`small_stripe_config`].
+    const S: usize = 16;
+
+    /// The sizes either side of the inline boundary.
+    const BOUNDARY_SIZES: [usize; 6] = [0, 1, S - 1, S, S + 1, 2 * S];
+
+    /// How a boundary test hands a file to its writer.
+    #[derive(Debug, Clone, Copy)]
+    enum Writer {
+        Slice,
+        Owned,
+        /// 7-byte pieces, alternately borrowed and owned, with a `flush`
+        /// after the second: the pieces of a file past `S` straddle it.
+        Pieces,
+    }
+
+    fn boundary_data(size: usize, salt: usize) -> Vec<u8> {
+        (0..size).map(|i| (i * 31 + salt * 7 + 1) as u8).collect()
+    }
+
+    /// Create `path`, write `data` the `how` way, and hand back the open
+    /// handle.
+    fn write_boundary_file(fs: &MemFs, path: &str, data: &[u8], how: Writer) -> WriteHandle {
+        let mut w = fs.create(path).unwrap();
+        match how {
+            Writer::Slice => w.write_all(data).unwrap(),
+            Writer::Owned => w.write_bytes(Bytes::from(data.to_vec())).unwrap(),
+            Writer::Pieces => {
+                for (i, piece) in data.chunks(7).enumerate() {
+                    if i % 2 == 0 {
+                        w.write_all(piece).unwrap();
+                    } else {
+                        w.write_bytes(Bytes::from(piece.to_vec())).unwrap();
+                    }
+                    if i == 1 {
+                        w.flush().unwrap();
+                    }
+                }
+            }
+        }
+        w
+    }
+
+    /// `path` reads back as `data`: whole, and through `read_at` at
+    /// offsets and lengths `rng` picks, past the end included.
+    fn reads_back(fs: &MemFs, path: &str, data: &[u8], rng: &mut memfs_memkv::testutil::Rng) {
+        assert_eq!(fs.read_to_vec(path).unwrap(), data, "{path}");
+        let r = fs.open(path).unwrap();
+        assert_eq!(r.size(), data.len() as u64, "{path}");
+        let bound = data.len() as u64 + 3;
+        for _ in 0..12 {
+            let offset = rng.gen_range(0, bound) as usize;
+            let len = rng.gen_range(0, bound) as usize;
+            let mut buf = vec![0u8; len];
+            let n = r.read_at(offset as u64, &mut buf).unwrap();
+            let want = &data[offset.min(data.len())..(offset + len).min(data.len())];
+            assert_eq!(&buf[..n], want, "{path}: {len} bytes at {offset}");
+        }
+    }
+
+    /// The stripe keys of `path` on any of `stores`.
+    fn stripe_keys(stores: &[Arc<Store>], path: &str) -> usize {
+        let prefix = KeySchema::stripe_key(path, 0);
+        let prefix = &prefix[..prefix.len() - 1];
+        let keys = stores.iter().flat_map(|s| s.keys());
+        keys.filter(|k| k.starts_with(prefix)).count()
+    }
+
+    #[test]
+    fn files_either_side_of_one_stripe_read_back_bit_exact() {
+        let mut rng = memfs_memkv::testutil::Rng::new(0x1a11_4e5e);
+        for prefetch_window in [0, 8] {
+            let config = MemFsConfig {
+                prefetch_window,
+                ..small_stripe_config()
+            };
+            let (stores, _, fs) = failable_mount(4, config);
+            let mut files = Vec::new();
+            for how in [Writer::Slice, Writer::Owned, Writer::Pieces] {
+                for size in BOUNDARY_SIZES {
+                    let path = format!("/{how:?}-{size}");
+                    let data = boundary_data(size, files.len());
+                    write_boundary_file(&fs, &path, &data, how).close().unwrap();
+                    let stripes = if size < S { 0 } else { size.div_ceil(S) };
+                    assert_eq!(stripe_keys(&stores, &path), stripes, "{path}");
+                    files.push((path, data));
+                }
+            }
+            for (path, data) in &files {
+                reads_back(&fs, path, data, &mut rng);
+                let st = fs.stat(path).unwrap();
+                assert_eq!((st.size, st.finalized), (data.len() as u64, true));
+            }
+            for (path, _) in &files {
+                fs.unlink(path).unwrap();
+            }
+            assert_only_root_remains(&stores, &format!("prefetch {prefetch_window}"));
+        }
+    }
+
+    #[test]
+    fn files_either_side_of_one_stripe_survive_a_replica_down_at_close() {
+        let mut rng = memfs_memkv::testutil::Rng::new(0x2e91_1ca5);
+        let (stores, failables, fs) = failable_mount(4, small_stripe_config().with_replication(2));
+        for how in [Writer::Slice, Writer::Owned, Writer::Pieces] {
+            for size in BOUNDARY_SIZES {
+                let path = format!("/{how:?}-{size}");
+                let data = boundary_data(size, size);
+                let homes: Vec<usize> = fs
+                    .pool()
+                    .servers_for(&KeySchema::file_key(&path))
+                    .map(|s| s.0)
+                    .collect();
+                let [down, up] = homes[..] else {
+                    panic!("two homes at r = 2: {homes:?}")
+                };
+                let w = write_boundary_file(&fs, &path, &data, how);
+                // One replica dies before `close`: the record, and every
+                // stripe homed there, land degraded on the other.
+                failables[down].set_down(true);
+                drop(w);
+                failables[down].set_down(false);
+                assert!(fs.repair_now().unwrap().converged(), "{path}");
+                // Repair put them back: the replica that took the close
+                // can die now.
+                failables[up].set_down(true);
+                reads_back(&fs, &path, &data, &mut rng);
+                failables[up].set_down(false);
+                let stripes = if size < S { 0 } else { 2 * size.div_ceil(S) };
+                assert_eq!(stripe_keys(&stores, &path), stripes, "{path}");
+                fs.unlink(&path).unwrap();
+                assert_eq!(items(&stores), 2, "{path}: more than the root's two copies");
+            }
+        }
+    }
+
+    /// Mount `a` closes files of every size from empty to two stripes
+    /// while `b` keeps opening and reading them: each read is
+    /// `NotFinalized` until it is the whole file.
+    fn a_reader_races_the_closes(a: &MemFs, b: MemFs) {
+        const NAMES: usize = 64;
+        let files: Vec<(String, Vec<u8>)> = (0..NAMES)
+            .map(|i| (format!("/r{i}"), boundary_data(i % (2 * S + 1), i)))
+            .collect();
+        let mut writers: Vec<WriteHandle> = files
+            .iter()
+            .map(|(path, data)| write_boundary_file(a, path, data, Writer::Slice))
+            .collect();
+        // The closes start once the reader has met every record open.
+        let (started, start) = std::sync::mpsc::channel();
+        let reader = {
+            let files = files.clone();
+            std::thread::spawn(move || {
+                let mut complete = vec![false; files.len()];
+                for pass in 0.. {
+                    if pass == 1 {
+                        started.send(()).unwrap();
+                    }
+                    for (i, (path, data)) in files.iter().enumerate() {
+                        match b.read_to_vec(path) {
+                            Ok(got) => {
+                                assert_eq!(&got, data, "{path}: a short or mixed file");
+                                complete[i] = true;
+                            }
+                            Err(MemFsError::NotFinalized(_)) => {
+                                assert!(!complete[i], "{path} was complete already");
+                            }
+                            Err(e) => panic!("{path}: {e:?}"),
+                        }
+                    }
+                    if complete.iter().all(|&c| c) {
+                        break;
+                    }
+                }
+            })
+        };
+        start.recv().unwrap();
+        for w in &mut writers {
+            w.close().unwrap();
+            std::thread::yield_now();
+        }
+        reader.join().unwrap();
+    }
+
+    #[test]
+    fn a_reader_racing_a_closing_mount_sees_no_file_or_the_whole_file() {
+        let servers: Vec<Arc<dyn KvClient>> = (0..4)
+            .map(|_| {
+                Arc::new(LocalClient::new(Arc::new(Store::new(
+                    StoreConfig::default(),
+                )))) as Arc<dyn KvClient>
+            })
+            .collect();
+        let a = MemFs::new(servers.clone(), small_stripe_config()).unwrap();
+        let b = MemFs::new(servers, small_stripe_config()).unwrap();
+        a_reader_races_the_closes(&a, b);
+
+        let servers: Vec<_> = (0..2)
+            .map(|_| {
+                let store = Arc::new(Store::new(StoreConfig::default()));
+                memfs_memkv::KvServer::spawn(store, "127.0.0.1:0").unwrap()
+            })
+            .collect();
+        let addrs: Vec<_> = servers.iter().map(|s| s.addr()).collect();
+        let a = MemFs::connect(&addrs, small_stripe_config()).unwrap();
+        let b = MemFs::connect(&addrs, small_stripe_config()).unwrap();
+        a_reader_races_the_closes(&a, b);
     }
 
     #[test]
@@ -1500,15 +1762,16 @@ mod tests {
         ));
         // Longer: not kept either; the first read fetches only the
         // record's share of the stripe, as before.
-        fs.write_file("/g", &[3u8; 10]).unwrap();
+        fs.write_file("/g", &[3u8; 20]).unwrap();
         fs.pool()
-            .set(&KeySchema::stripe_key("/g", 0), Bytes::from(vec![4u8; 16]))
+            .set(&KeySchema::stripe_key("/g", 0), Bytes::from(vec![4u8; 20]))
             .unwrap();
         let r = fs.open("/g").unwrap();
         assert_eq!(r.reader.cached_stripes(), 0);
-        let mut buf = [0u8; 10];
-        assert_eq!(r.read_at(0, &mut buf).unwrap(), 10);
-        assert_eq!(buf, [4u8; 10]);
+        let mut buf = [0u8; 20];
+        assert_eq!(r.read_at(0, &mut buf).unwrap(), 20);
+        assert_eq!(buf[..16], [4u8; 16]);
+        assert_eq!(buf[16..], [3u8; 4]);
     }
 
     /// A path of `fs` whose size record and stripe 0 have different

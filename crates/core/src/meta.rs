@@ -2,7 +2,11 @@
 //!
 //! * **File size records** — creating a file stores an *empty* value under
 //!   the file key; closing it replaces the empty value with the file size.
-//!   An empty record therefore means "still being written".
+//!   An empty record therefore means "still being written". A file none of
+//!   whose bytes left the write buffer before `close` — one shorter than a
+//!   stripe — is closed with its bytes *inside* the record instead, so it
+//!   has no stripe keys at all, and one `set` publishes size and bytes
+//!   together: a reader sees the whole file or an open record, never part.
 //! * **Directory logs** — a directory's value is an append-only log of
 //!   child records. Adding a file/directory appends one record via the
 //!   store's atomic `append`; deletions append a tombstone. `readdir`
@@ -13,7 +17,20 @@
 //!   reads the log it extends — nor does an existence check (a
 //!   zero-length ranged probe answers; the log never compacts).
 //!
-//! Record format (one per line, names cannot contain whitespace):
+//! Size record format, three states told apart by the first byte:
+//!
+//! ```text
+//! (empty)                    open: created, not yet closed
+//! <decimal size>             closed, its bytes in stripes s:<path>#<i>
+//! I<size: u64 LE><bytes>     closed, its bytes inline (size = |bytes|)
+//! ```
+//!
+//! The first [`RECORD_HEAD`] bytes of any record give its state and size,
+//! so `stat`, `exists` and `unlink` read only that head (`getrange`),
+//! never an inline file's bytes.
+//!
+//! Directory log format (one record per line, names cannot contain
+//! whitespace):
 //!
 //! ```text
 //! F<name>\n    child file created
@@ -39,30 +56,88 @@ pub enum ChildKind {
 pub enum SizeRecord {
     /// Created but not yet closed — size unknown.
     Open,
-    /// Closed with the given final size.
-    Finalized(u64),
+    /// Closed with the given final size; the bytes are in stripes.
+    Striped(u64),
+    /// Closed with the given final size; the bytes follow the record's
+    /// [`INLINE_HEAD`] and the file has no stripes.
+    Inline(u64),
 }
 
-/// Encode a finalized size record.
+impl SizeRecord {
+    /// The final size, once closed.
+    pub fn size(self) -> Option<u64> {
+        match self {
+            SizeRecord::Open => None,
+            SizeRecord::Striped(size) | SizeRecord::Inline(size) => Some(size),
+        }
+    }
+}
+
+/// Opens an inline record: not a decimal digit, so no striped record
+/// starts with it.
+const INLINE_TAG: u8 = b'I';
+
+/// Bytes of an inline record before the file's own: the tag and the size.
+pub const INLINE_HEAD: usize = 1 + 8;
+
+/// How much of a record tells its state and size: a whole decimal record
+/// (`u64::MAX` has 20 digits) and one byte more, so a longer number is
+/// caught as corrupt; of an inline record, the head and the file's first
+/// bytes.
+pub const RECORD_HEAD: usize = 21;
+
+/// Encode a striped file's size record.
 pub fn encode_size(size: u64) -> Vec<u8> {
     size.to_string().into_bytes()
 }
 
-/// Decode a file-size record (`path` is only for error messages).
+/// The head of an inline record of a `size`-byte file; the file's bytes
+/// follow it.
+pub fn inline_head(size: u64) -> [u8; INLINE_HEAD] {
+    let mut head = [INLINE_TAG; INLINE_HEAD];
+    head[1..].copy_from_slice(&size.to_le_bytes());
+    head
+}
+
+/// Decode a whole file-size record (`path` is only for error messages).
 pub fn decode_size(raw: &[u8], path: &str) -> MemFsResult<SizeRecord> {
-    if raw.is_empty() {
-        return Ok(SizeRecord::Open);
+    decode(raw, true, path)
+}
+
+/// Decode a record from its first [`RECORD_HEAD`] bytes; fewer are the
+/// whole record. The state and size are exact; only the length of an
+/// inline file's bytes past the head goes unchecked.
+pub fn decode_head(head: &[u8], path: &str) -> MemFsResult<SizeRecord> {
+    decode(head, head.len() < RECORD_HEAD, path)
+}
+
+fn decode(raw: &[u8], whole: bool, path: &str) -> MemFsResult<SizeRecord> {
+    let corrupt = |what: &str| {
+        MemFsError::CorruptMetadata(format!(
+            "file record of {path} {what}: {:?}",
+            String::from_utf8_lossy(&raw[..raw.len().min(RECORD_HEAD)])
+        ))
+    };
+    match raw.first() {
+        None => Ok(SizeRecord::Open),
+        Some(&INLINE_TAG) => {
+            let size = raw
+                .get(1..INLINE_HEAD)
+                .map(|le| u64::from_le_bytes(le.try_into().expect("eight bytes")))
+                .ok_or_else(|| corrupt("is cut inside its head"))?;
+            let bytes = (raw.len() - INLINE_HEAD) as u64;
+            let fits = if whole { bytes == size } else { bytes <= size };
+            if !fits {
+                return Err(corrupt(&format!("holds {bytes} bytes of an inline {size}")));
+            }
+            Ok(SizeRecord::Inline(size))
+        }
+        Some(_) => std::str::from_utf8(raw)
+            .ok()
+            .and_then(|s| s.parse::<u64>().ok())
+            .map(SizeRecord::Striped)
+            .ok_or_else(|| corrupt("is not a size")),
     }
-    std::str::from_utf8(raw)
-        .ok()
-        .and_then(|s| s.parse::<u64>().ok())
-        .map(SizeRecord::Finalized)
-        .ok_or_else(|| {
-            MemFsError::CorruptMetadata(format!(
-                "file record of {path} is not a size: {:?}",
-                String::from_utf8_lossy(raw)
-            ))
-        })
 }
 
 /// Encode one directory-log record for an added child.
@@ -128,12 +203,24 @@ mod tests {
         assert_eq!(decode_size(b"", "/f").unwrap(), SizeRecord::Open);
         assert_eq!(
             decode_size(&encode_size(12345), "/f").unwrap(),
-            SizeRecord::Finalized(12345)
+            SizeRecord::Striped(12345)
         );
         assert_eq!(
             decode_size(&encode_size(0), "/f").unwrap(),
-            SizeRecord::Finalized(0)
+            SizeRecord::Striped(0)
         );
+        assert_eq!(
+            decode_size(&encode_size(u64::MAX), "/f").unwrap(),
+            SizeRecord::Striped(u64::MAX)
+        );
+        for len in [0usize, 1, 11, 12, 13, 300] {
+            let mut record = inline_head(len as u64).to_vec();
+            record.extend((0..len).map(|i| i as u8));
+            let inline = SizeRecord::Inline(len as u64);
+            assert_eq!(decode_size(&record, "/f").unwrap(), inline, "{len}");
+            let head = &record[..record.len().min(RECORD_HEAD)];
+            assert_eq!(decode_head(head, "/f").unwrap(), inline, "{len}");
+        }
     }
 
     #[test]
@@ -141,6 +228,26 @@ mod tests {
         assert!(decode_size(b"not-a-number", "/f").is_err());
         assert!(decode_size(&[0xFF], "/f").is_err());
         assert!(decode_size(b"-5", "/f").is_err());
+        // Twenty-one digits: past u64, and past any head that is not cut.
+        assert!(decode_head(b"123456789012345678901", "/f").is_err());
+        // An inline record whose size disagrees with its length, whole or
+        // as a head that is the whole record.
+        let mut record = inline_head(5).to_vec();
+        record.extend_from_slice(b"four");
+        assert!(decode_size(&record, "/f").is_err());
+        assert!(decode_head(&record, "/f").is_err());
+        record.extend_from_slice(b"56");
+        assert!(decode_size(&record, "/f").is_err());
+        assert!(decode_head(&record, "/f").is_err());
+        // Cut inside the head, or a head claiming fewer bytes than it has.
+        assert!(decode_size(&inline_head(0)[..5], "/f").is_err());
+        let mut long = inline_head(11).to_vec();
+        long.extend_from_slice(&[0; 12]);
+        assert!(decode_head(&long, "/f").is_err());
+        // A head of a longer record is not checked past itself.
+        long[1..INLINE_HEAD].copy_from_slice(&1000u64.to_le_bytes());
+        assert_eq!(decode_head(&long, "/f").unwrap(), SizeRecord::Inline(1000));
+        assert!(decode_size(&long, "/f").is_err());
     }
 
     #[test]

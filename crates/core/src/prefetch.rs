@@ -40,7 +40,9 @@
 //! For the same reason a caching reader may start with stripe 0 on its way
 //! (`StripeReader::with_first_stripe`): `MemFs::open` asks for it in the
 //! same step as the size record — a finalized file's stripes never change
-//! — so opening and reading a one-stripe file is one round trip.
+//! — so opening and reading a one-stripe file is one round trip. A file
+//! shorter than a stripe has no stripes: its bytes came inside the record
+//! (`StripeReader::with_inline`), and every read is a copy from them.
 //!
 //! All misses of one read, whole and ranged, travel as **one** read window
 //! of the pool, started *after* the prefetch window so the two overlap.
@@ -283,6 +285,9 @@ pub struct StripeReader {
     window: usize,
     cache: Cache,
     streams: Mutex<StreamTable>,
+    /// The whole file, when it was kept inline in its size record: held
+    /// for the reader's life, and no stripe is ever fetched.
+    inline: Option<Bytes>,
 }
 
 impl StripeReader {
@@ -314,6 +319,17 @@ impl StripeReader {
                 capacity: cache_stripes.max(1),
             },
             streams: Mutex::new(StreamTable::default()),
+            inline: None,
+        }
+    }
+
+    /// Serve every read from `data`, the whole file that came inside its
+    /// size record.
+    pub(crate) fn with_inline(self, data: Bytes) -> Self {
+        debug_assert_eq!(data.len() as u64, self.file_size);
+        StripeReader {
+            inline: Some(data),
+            ..self
         }
     }
 
@@ -353,6 +369,12 @@ impl StripeReader {
     /// misses share one read window, whose per-server batches are on the
     /// wire together.
     pub fn read_at(&self, offset: u64, buf: &mut [u8]) -> MemFsResult<usize> {
+        if let Some(data) = &self.inline {
+            let from = usize::try_from(offset).map_or(data.len(), |o| o.min(data.len()));
+            let n = buf.len().min(data.len() - from);
+            buf[..n].copy_from_slice(&data[from..from + n]);
+            return Ok(n);
+        }
         let spans = self.layout.spans(self.file_size, offset, buf.len());
         let Some(last) = spans.last() else {
             return Ok(0);

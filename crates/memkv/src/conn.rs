@@ -164,10 +164,12 @@ impl RxBuf {
     /// both directions refuse what could balloon the buffer — a line past
     /// [`MAX_LINE_LEN`] with no CRLF in sight, a data block announced
     /// above [`MAX_VALUE_LEN`] — as framing errors: the caller gives the
-    /// connection up.
+    /// connection up. A line of exactly the limit whose CR is in, waiting
+    /// for its LF, is held: whole, it would have parsed.
     pub(crate) fn hold(&mut self, need: Need) -> KvResult<()> {
+        let cr_in = usize::from(self.bytes().ends_with(b"\r"));
         let (what, len, limit) = match need {
-            Need::Line(len) => ("line", len, MAX_LINE_LEN),
+            Need::Line(len) => ("line", len, MAX_LINE_LEN + cr_in),
             Need::Data { value, .. } => ("data block", value, MAX_VALUE_LEN),
         };
         if len > limit {

@@ -33,7 +33,7 @@ use crate::client::{Batch, Deferred, KvClient, Replies, ServerHealth, StoreVerb}
 use crate::conn::{RxBuf, TxQueue};
 use crate::error::{KvError, KvResult};
 use crate::proto::{
-    find_crlf, parse_len, parse_u64, write_request_line, Need, Request, Response, ValueItem,
+    line_end, parse_len, parse_u64, write_request_line, Need, Request, Response, ValueItem,
     MAX_LINE_LEN,
 };
 use crate::reactor::{PendingExchange, ReactorHandle, ReactorStatsSnapshot, Registration};
@@ -267,8 +267,9 @@ pub(crate) enum ParseStep {
 /// small-op traffic cost no allocation.
 pub(crate) fn try_parse_response(rx: &mut RxBuf) -> KvResult<ParseStep> {
     let buf = rx.bytes();
-    let Some(line_end) = find_crlf(buf) else {
-        return Ok(ParseStep::More(Need::Line(buf.len())));
+    let line_end = match line_end(buf) {
+        Ok(end) => end,
+        Err(need) => return Ok(ParseStep::More(need)),
     };
     let line = &buf[..line_end];
     let text = |bytes: &[u8]| String::from_utf8_lossy(bytes).into_owned();
@@ -347,8 +348,9 @@ fn parse_lines<T>(
     let mut pos = 0usize;
     loop {
         let rest = &buf[pos..];
-        let Some(le) = find_crlf(rest) else {
-            return Ok(ParseStep::More(Need::Line(rest.len())));
+        let le = match line_end(rest) {
+            Ok(end) => end,
+            Err(need) => return Ok(ParseStep::More(need)),
         };
         let l = &rest[..le];
         pos += le + 2;
@@ -384,8 +386,9 @@ fn parse_values(rx: &mut RxBuf) -> KvResult<ParseStep> {
     let mut pos = 0usize;
     let frame_end = loop {
         let rest = &buf[pos..];
-        let Some(le) = find_crlf(rest) else {
-            return Ok(ParseStep::More(Need::Line(rest.len())));
+        let le = match line_end(rest) {
+            Ok(end) => end,
+            Err(need) => return Ok(ParseStep::More(need)),
         };
         let l = &rest[..le];
         let data_start = pos + le + 2;

@@ -191,6 +191,17 @@ pub(crate) fn find_crlf(buf: &[u8]) -> Option<usize> {
     buf.windows(2).position(|w| w == b"\r\n")
 }
 
+/// The length of the line at the front of `buf` (before its CRLF), or —
+/// the line is incomplete — what it lacks. Only a line of at most
+/// [`MAX_LINE_LEN`] bytes is ever complete: the search stops past that,
+/// and a longer one comes back as a need the receive buffer refuses
+/// (`conn::RxBuf::hold`), whether its CRLF has arrived or not. So a
+/// stream frames the same however its reads were cut.
+pub(crate) fn line_end(buf: &[u8]) -> Result<usize, Need> {
+    let searched = &buf[..buf.len().min(MAX_LINE_LEN + 2)];
+    find_crlf(searched).ok_or(Need::Line(buf.len()))
+}
+
 pub(crate) fn parse_u64(tok: &[u8]) -> KvResult<u64> {
     std::str::from_utf8(tok)
         .ok()
@@ -222,8 +233,9 @@ pub(crate) fn slice_range(value: &Bytes, offset: u64, len: usize) -> Bytes {
 /// [`KvError::Protocol`], a data block announced above [`MAX_VALUE_LEN`]
 /// yields [`KvError::ValueTooLarge`].
 pub fn parse_request(buf: &[u8]) -> KvResult<Parsed> {
-    let Some(line_end) = find_crlf(buf) else {
-        return Ok(Parsed::NeedMore(Need::Line(buf.len())));
+    let line_end = match line_end(buf) {
+        Ok(end) => end,
+        Err(need) => return Ok(Parsed::NeedMore(need)),
     };
     let line = &buf[..line_end];
     let after_line = line_end + 2;
@@ -1040,6 +1052,212 @@ pub(crate) mod tests {
             }
             assert_eq!(got, reqs, "chunk size {chunk}");
             assert_eq!(dec.buffered(), 0);
+        }
+    }
+
+    #[test]
+    fn a_line_is_held_to_the_limit_however_it_is_cut() {
+        // `delete <key>` padded with spaces to `len` bytes before its CRLF.
+        let line = |len: usize| {
+            let mut wire = b"delete k".to_vec();
+            wire.resize(len, b' ');
+            wire.extend_from_slice(b"\r\n");
+            wire
+        };
+        for (len, ok) in [(MAX_LINE_LEN, true), (MAX_LINE_LEN + 1, false)] {
+            let wire = line(len);
+            // Whole, cut after the CR, cut before it.
+            for cut in [wire.len(), len + 1, len] {
+                let mut dec = RequestDecoder::new();
+                dec.feed(&wire[..cut]);
+                let first = dec.next_request();
+                dec.feed(&wire[cut..]);
+                let got = first.and_then(|r| r.map_or_else(|| dec.next_request(), |r| Ok(Some(r))));
+                assert_eq!(got.is_ok(), ok, "{len}-byte line cut at {cut}: {got:?}");
+            }
+        }
+    }
+
+    mod fuzz {
+        use super::*;
+        use crate::testutil::{seed_from_env, Rng};
+
+        fn pick(rng: &mut Rng, from: &[u8]) -> u8 {
+            from[rng.gen_range(0, from.len() as u64) as usize]
+        }
+
+        fn key(rng: &mut Rng, max: u64) -> Bytes {
+            let len = rng.gen_range(1, max + 1);
+            let alphabet = b"abcdefghijklmnopqrstuvwxyz0123456789:/#_.-";
+            Bytes::from((0..len).map(|_| pick(rng, alphabet)).collect::<Vec<u8>>())
+        }
+
+        /// Any bytes, CR and LF included.
+        fn value(rng: &mut Rng) -> Bytes {
+            let len = rng.gen_range(0, 65);
+            let bytes = b"\r\n \x00\xffvVALUEset";
+            Bytes::from((0..len).map(|_| pick(rng, bytes)).collect::<Vec<u8>>())
+        }
+
+        /// A request of any kind. One in twenty is a `get` whose line is
+        /// within a few hundred bytes of [`MAX_LINE_LEN`], either side.
+        fn request(rng: &mut Rng) -> Request {
+            let exptime = rng.gen_range(0, 3) as u32;
+            match rng.gen_range(0, 20) {
+                0..=2 => Request::Set {
+                    key: key(rng, 40),
+                    value: value(rng),
+                    exptime,
+                },
+                3 => Request::Add {
+                    key: key(rng, 40),
+                    value: value(rng),
+                    exptime,
+                },
+                4 => Request::Append {
+                    key: key(rng, 40),
+                    value: value(rng),
+                },
+                5..=7 => Request::Get {
+                    keys: (0..rng.gen_range(1, 6)).map(|_| key(rng, 40)).collect(),
+                },
+                8..=10 => Request::GetRange {
+                    key: key(rng, 40),
+                    offset: [0, rng.gen_range(0, 1 << 20), rng.next_u64()]
+                        [rng.gen_range(0, 3) as usize],
+                    len: rng.gen_range(0, 1 << 20) as usize,
+                },
+                11..=13 => Request::Delete { key: key(rng, 40) },
+                14 => Request::Stats,
+                15 => Request::Version,
+                16 => Request::Keys,
+                17 => Request::Quit,
+                _ => {
+                    let target = MAX_LINE_LEN - 300 + rng.gen_range(0, 600) as usize;
+                    let mut keys = Vec::new();
+                    let mut line = "get".len();
+                    while line < target {
+                        let k = key(rng, (target - line).clamp(1, 200) as u64);
+                        line += 1 + k.len();
+                        keys.push(k);
+                    }
+                    Request::Get { keys }
+                }
+            }
+        }
+
+        /// Damage `wire` a few times: flip, insert, delete or repeat bytes.
+        fn mutate(rng: &mut Rng, mut wire: Vec<u8>) -> Vec<u8> {
+            for _ in 0..rng.gen_range(1, 4) {
+                let at = rng.gen_range(0, wire.len() as u64 + 1) as usize;
+                let interesting = b"\r\n 0123456789\xffsetgetrange";
+                match rng.gen_range(0, 4) {
+                    0 if at < wire.len() => wire[at] = pick(rng, interesting),
+                    1 => wire.insert(at, pick(rng, interesting)),
+                    2 if at < wire.len() => {
+                        wire.remove(at);
+                    }
+                    _ => {
+                        let end = (at + rng.gen_range(1, 32) as usize).min(wire.len());
+                        let piece = wire[at..end].to_vec();
+                        wire.splice(at..at, piece);
+                    }
+                }
+            }
+            wire
+        }
+
+        /// While a decoder waits, what it holds is one incomplete frame: a
+        /// line no longer than [`MAX_LINE_LEN`] (its CR perhaps arrived),
+        /// or a complete storage line and part of a data block no larger
+        /// than [`MAX_VALUE_LEN`].
+        fn assert_bounded(dec: &RequestDecoder) {
+            let held = dec.rx.bytes();
+            let Some(end) = find_crlf(held) else {
+                assert!(
+                    held.len() <= MAX_LINE_LEN + 1,
+                    "{} line bytes held",
+                    held.len()
+                );
+                return;
+            };
+            assert!(end <= MAX_LINE_LEN, "a {end}-byte line held");
+            match parse_request(held) {
+                Ok(Parsed::NeedMore(Need::Data { value, missing })) => {
+                    assert!(value <= MAX_VALUE_LEN);
+                    assert_eq!(held.len() + missing, end + 2 + value + 2);
+                }
+                other => panic!("held {} bytes that parse as {other:?}", held.len()),
+            }
+        }
+
+        /// What a decoder fed `wire` cut at `cuts` makes of it: every
+        /// request up to the first error, whether there was one, and the
+        /// bytes it still holds otherwise.
+        fn decode(wire: &[u8], cuts: &[usize]) -> (Vec<Request>, bool, usize) {
+            let mut dec = RequestDecoder::new();
+            let mut got = Vec::new();
+            let mut from = 0;
+            for &to in cuts.iter().chain([&wire.len()]) {
+                dec.feed(&wire[from..to]);
+                from = to;
+                loop {
+                    match dec.next_request() {
+                        Ok(Some(req)) => got.push(req),
+                        Ok(None) => break,
+                        Err(_) => return (got, true, 0),
+                    }
+                }
+                assert_bounded(&dec);
+            }
+            (got, false, dec.buffered())
+        }
+
+        fn cuts(rng: &mut Rng, len: usize) -> Vec<usize> {
+            let mut cuts: Vec<usize> = (0..rng.gen_range(0, 12))
+                .map(|_| rng.gen_range(0, len as u64 + 1) as usize)
+                .collect();
+            cuts.sort_unstable();
+            cuts
+        }
+
+        #[test]
+        fn the_request_decoder_survives_random_and_damaged_streams() {
+            let seed = seed_from_env();
+            println!("MEMFS_SHAPE_SEED={seed}");
+            let mut rng = Rng::new(seed);
+            for round in 0..400 {
+                let reqs: Vec<Request> = (0..rng.gen_range(1, 24))
+                    .map(|_| request(&mut rng))
+                    .collect();
+                let mut wire = Vec::new();
+                let mut valid = Vec::new();
+                let mut line_too_long = false;
+                for req in &reqs {
+                    let start = wire.len();
+                    write_request(req, &mut wire);
+                    line_too_long |= find_crlf(&wire[start..]).unwrap() > MAX_LINE_LEN;
+                    if !line_too_long {
+                        valid.push(req.clone());
+                    }
+                }
+                // However a stream is cut, it decodes as it does whole; a
+                // valid one to its requests, one with an over-long line to
+                // those before it and an error.
+                let whole = decode(&wire, &[]);
+                assert_eq!(whole, (valid, line_too_long, 0), "round {round}");
+                let c = cuts(&mut rng, wire.len());
+                assert_eq!(decode(&wire, &c), whole, "round {round} cut at {c:?}");
+                // Damaged, or plain noise: no panic, bounded, cut-blind.
+                let damaged = mutate(&mut rng, wire);
+                let c = cuts(&mut rng, damaged.len());
+                assert_eq!(decode(&damaged, &c), decode(&damaged, &[]), "round {round}");
+                let noise: Vec<u8> = (0..rng.gen_range(0, 3 * MAX_LINE_LEN as u64))
+                    .map(|_| rng.next_u64() as u8)
+                    .collect();
+                let c = cuts(&mut rng, noise.len());
+                assert_eq!(decode(&noise, &c), decode(&noise, &[]), "round {round}");
+            }
         }
     }
 

@@ -24,9 +24,14 @@
 # mounts racing `create` of the same 200 names (one winner each), the
 # refused-create undo, the request-count pins of create / mkdir / close /
 # unlink and of open + read (open is one step, stripe 0 beside the size
-# record), and the rules for when that stripe is dropped (unclosed file,
+# record; a sub-stripe file is closed inline in its record with one
+# `set` and unlinked in two steps, a one-stripe file keeps its stripe
+# and three), and the rules for when that stripe is dropped (unclosed file,
 # wrong length, its server down, a rewritten file reopened from a second
-# mount). The shaped proxy's own byte count rides along. It also runs
+# mount). Files either side of one stripe read back bit-exact (every
+# writer, prefetch on and off, a replica down at close then repaired),
+# and a reader racing another mount's closes sees no file or all of it.
+# The shaped proxy's own byte count rides along. It also runs
 # the (otherwise `--ignored`) shaped-cluster scaling regression: 8
 # bandwidth-capped servers must deliver >= 1.5x the 4-server aggregate
 # batched throughput, plus the
@@ -289,10 +294,13 @@ for arg in "$@"; do
             # The metadata protocol: the two-mount create race, the
             # refused create that leaves nothing behind, the request
             # counts and overlap of the hot paths (`pinned_*`), the
-            # existence checks that do not move a directory log, and when
-            # the stripe `open` fetches beside the record is dropped.
+            # existence checks that do not move a directory log, when
+            # the stripe `open` fetches beside the record is dropped, the
+            # inline/striped boundary matrix and a reader racing closes.
             RUST_TEST_THREADS=16 cargo test -q -p memfs-core --lib -- \
                 two_mounts_racing_create \
+                files_either_side_of_one_stripe \
+                a_reader_racing_a_closing_mount \
                 refused_create_leaves_nothing_behind \
                 create_with_the_probes_server_down \
                 create_during_a_transition \

@@ -12,7 +12,7 @@
 use std::borrow::Borrow;
 use std::fmt;
 use std::hash::{Hash, Hasher};
-use std::ops::Deref;
+use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 
 /// A cheaply cloneable, immutable contiguous byte buffer.
@@ -265,6 +265,11 @@ impl BytesMut {
         self.buf.capacity()
     }
 
+    /// Make room for at least `additional` more bytes.
+    pub fn reserve(&mut self, additional: usize) {
+        self.buf.reserve(additional);
+    }
+
     /// Truncate to `len` bytes (no-op if already shorter).
     pub fn truncate(&mut self, len: usize) {
         self.buf.truncate(len);
@@ -294,6 +299,12 @@ impl Deref for BytesMut {
     type Target = [u8];
     fn deref(&self) -> &[u8] {
         &self.buf
+    }
+}
+
+impl DerefMut for BytesMut {
+    fn deref_mut(&mut self) -> &mut [u8] {
+        &mut self.buf
     }
 }
 

@@ -68,9 +68,22 @@ fn bytes_writes_stage_nothing_and_slice_writes_stage_once() {
         data.len()
     );
 
+    // A file shorter than a stripe is built as its size record inside the
+    // stripe buffer: still one copy, none more to wrap it in the record.
+    let small = &data[..STRIPE / 8];
+    let before = staged_bytes();
+    fs.write_file("/inline", small).unwrap();
+    let staged = staged_bytes() - before;
+    assert!(
+        staged >= small.len() as u64 && staged < small.len() as u64 + SLACK,
+        "inline write of {} bytes staged {staged} — expected exactly one copy",
+        small.len()
+    );
+
     // The cheap path must still be the correct path.
     assert_eq!(fs.read_to_vec("/zero-copy").unwrap(), data);
     assert_eq!(fs.read_to_vec("/one-copy").unwrap(), data);
+    assert_eq!(fs.read_to_vec("/inline").unwrap(), small);
     drop(fs);
 
     // Read-path audit, small values. A lone value frame of at least 4 KiB
