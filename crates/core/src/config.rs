@@ -49,20 +49,6 @@ pub struct MemFsConfig {
     /// and [`crate::MemFs::repair_now`] still runs single passes on
     /// demand.
     pub repair_interval_ms: u64,
-    /// Token-bucket budget for background copies, in bytes per second:
-    /// the repair passes that restore replication and migrate a
-    /// membership transition ([`crate::MemFs::add_server`] /
-    /// [`crate::MemFs::remove_server`]).
-    /// Both run on the one repair thread, one at a time, so this bounds
-    /// how much bandwidth background work may steal from foreground
-    /// traffic. `0` (the default) means unlimited.
-    pub copy_bandwidth: u64,
-    /// Auto-evict a member that stays down this long, in milliseconds:
-    /// the repair daemon starts a drain transition for it so the ring
-    /// heals around the loss (requires `repair_interval_ms > 0`). `0`
-    /// (the default) disables eviction — dead members wait for repair
-    /// only.
-    pub evict_grace_ms: u64,
 }
 
 impl Default for MemFsConfig {
@@ -75,8 +61,6 @@ impl Default for MemFsConfig {
             distributor: DistributorKind::default(),
             replication: 1,
             repair_interval_ms: 0,
-            copy_bandwidth: 0,
-            evict_grace_ms: 0,
         }
     }
 }
@@ -153,8 +137,6 @@ mod tests {
         assert_eq!(c.write_buffer_stripes(), 16);
         assert_eq!(c.read_cache_stripes(), 16);
         assert_eq!(c.repair_interval_ms, 0, "repair daemon opt-in");
-        assert_eq!(c.copy_bandwidth, 0, "background copy bandwidth unlimited");
-        assert_eq!(c.evict_grace_ms, 0, "auto-evict opt-in");
     }
 
     #[test]

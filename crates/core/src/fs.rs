@@ -194,14 +194,6 @@ impl MemFs {
         Self::mount(pool, config, None)
     }
 
-    fn repair_config(config: &MemFsConfig) -> RepairConfig {
-        RepairConfig {
-            bandwidth: config.copy_bandwidth,
-            evict_grace: (config.evict_grace_ms > 0)
-                .then(|| std::time::Duration::from_millis(config.evict_grace_ms)),
-        }
-    }
-
     fn mount(
         pool: Arc<ServerPool>,
         config: MemFsConfig,
@@ -211,7 +203,7 @@ impl MemFs {
             RepairDaemon::spawn(
                 Arc::clone(&pool),
                 std::time::Duration::from_millis(config.repair_interval_ms),
-                Self::repair_config(&config),
+                RepairConfig::default(),
             )
         });
         let fs = MemFs {
@@ -233,11 +225,12 @@ impl MemFs {
     /// Run one synchronous repair pass over the mount's pool (see
     /// [`crate::repair::repair_pass`]): puts every key the health census
     /// finds off its home set back on it, and advances a membership
-    /// transition, under the configured bandwidth budget. Works whether
-    /// or not the background daemon is running; reports `complete: true`
-    /// once no transition is left.
+    /// transition, with an unlimited copy budget (a budgeted pass is
+    /// [`crate::repair::repair_pass`] with a [`RepairConfig`] of its own).
+    /// Works whether or not the background daemon is running; reports
+    /// `complete: true` once no transition is left.
     pub fn repair_now(&self) -> MemFsResult<RepairReport> {
-        repair_pass(&self.inner.pool, &Self::repair_config(&self.inner.config))
+        repair_pass(&self.inner.pool, &RepairConfig::default())
     }
 
     /// Whether the background repair daemon is running.
@@ -247,8 +240,7 @@ impl MemFs {
 
     /// Admit one storage server into the live mount: installs a
     /// membership transition whose keys migrate in the background
-    /// (the repair daemon drives them under
-    /// [`MemFsConfig::copy_bandwidth`]; without a daemon, call
+    /// (the repair daemon drives them; without a daemon, call
     /// [`Self::repair_now`] until it reports complete). Foreground
     /// traffic keeps flowing throughout — reads consult the old homes
     /// and writes dual-route until the transition commits. Returns the

@@ -16,7 +16,8 @@
 //!
 //! * [`pool::ServerPool`] — the Libmemcached role: routes each key to a
 //!   storage server via [`memfs_hashring`], and puts every server's batch
-//!   of a call on the wire at once;
+//!   of a call on the wire at once; the replica rules it applies live in
+//!   `replica.rs`, its routing snapshots and quiescence gate in `ring.rs`;
 //! * [`layout::StripeLayout`] — the striping mechanism (default 512 KiB
 //!   stripes, the paper's measured optimum);
 //! * [`bufwrite`] — the write-buffering protocol: an 8 MiB per-file buffer
@@ -73,9 +74,12 @@ pub mod path;
 pub mod pool;
 pub mod prefetch;
 pub mod repair;
+mod replica;
+mod ring;
 
 pub use config::{DistributorKind, MemFsConfig};
 pub use error::{MemFsError, MemFsResult};
 pub use fs::{DirEntry, EntryKind, FileStat, MemFs, ReadHandle, WriteHandle};
-pub use pool::{DegradedWrite, PoolStats, ServerIoSnapshot, ServerPool};
+pub use pool::{PoolStats, ServerIoSnapshot, ServerPool};
 pub use repair::{repair_pass, MembershipMonitor, RepairConfig, RepairDaemon, RepairReport};
+pub use replica::DegradedWrite;

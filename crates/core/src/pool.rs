@@ -1,61 +1,54 @@
 //! The server pool: the Libmemcached role (paper §3.1.2).
 //!
-//! Holds one [`KvClient`] per storage server plus a [`Distributor`]; every
-//! operation hashes its key to pick the server. All MemFS mounts with the
-//! same server list and distributor agree on placement — that is what lets
-//! any compute node read any file without coordination.
+//! Holds the routing snapshot (`ring.rs`) over one [`KvClient`] per
+//! storage server; every operation hashes its key to pick the server. All
+//! MemFS mounts with the same server list and distributor agree on
+//! placement — that is what lets any compute node read any file without
+//! coordination. Which servers hold a key, the order a read walks them in
+//! and how their replies settle are the replica rules of `replica.rs`;
+//! this module puts requests on the wire and hands the rules the replies.
 //!
-//! Batched operations have one dispatch path, in two halves (DESIGN.md
-//! §4c). `start` routes a call, enters the quiescence gate and puts every
-//! server's batch on the wire at once through [`KvClient::start`] (paper
-//! §3.2.2: symmetrical striping drives all N servers at once); it returns
-//! a [`Window`] of per-server [`Share`]s, and settling a share turns its
-//! replies into results on whichever thread needs them. The blocking calls
-//! — the single-key calls are those with one entry — start a window and
-//! settle its shares in arrival order, so a call costs `max(server RTT)`
-//! and occupies no thread but the caller's; a prefetch window or a write
-//! drain keeps its shares pending in its file handle instead. The window's
-//! gate entry is released by the transport as its last share is
-//! *answered* ([`Deferred::when_answered`]), never by the settler.
-//!
-//! ## Elastic membership
-//!
-//! The server set is dynamic. Routing state lives in an immutable
-//! [`RingState`] snapshot behind an `RwLock<Arc<_>>`; every operation
-//! clones the `Arc` once and routes by that snapshot for its whole
-//! lifetime. [`ServerPool::begin_add_servers`] /
-//! [`ServerPool::begin_remove_server`] install a *transition*: a target
-//! ring. While it is installed, writers dual-route every key to the union
-//! of its current and target homes and readers consult the current homes
-//! first (authoritative) and the target-only homes second. The repair
-//! pass (`repair.rs`) commits the transition once every key reached its
-//! target homes, and separates the snapshots with a quiescence barrier
-//! ([`GenGate`]) so no in-flight operation still routes by the previous
-//! one when the pass acts on the change. Server slots are never
-//! renumbered: a drained server's slot is replaced by a [`RetiredClient`]
-//! tombstone so `ServerId`s stay stable forever.
+//! Every request has one dispatch path, in two halves (DESIGN.md §4c). A
+//! call holds the quiescence gate and reads one snapshot at once
+//! (`Live::enter`), routes by it, and `start` puts every server's batch
+//! on the wire at once through [`KvClient::start`] (paper §3.2.2:
+//! symmetrical striping drives all N servers at once); it returns a [`Window`] of per-server [`Share`]s, and
+//! settling a share turns its replies into results on whichever thread
+//! needs them. The blocking calls — the single-key calls are those with
+//! one entry — start a window and settle its shares in arrival order, so
+//! a call costs `max(server RTT)` and occupies no thread but the caller's;
+//! a prefetch window or a write drain keeps its shares pending in its file
+//! handle instead. The replica walk of a failed read and the followers of
+//! an arbitration request are windows of one request. A window's gate
+//! hold is released by the transport as each share is *answered*
+//! ([`Deferred::when_answered`]), never by the settler. Membership
+//! changes swap in the snapshot [`RingState::next`] builds.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 use bytes::Bytes;
-use memfs_hashring::{Distributor, KetamaRing, ModuloRing, ServerId};
+use memfs_hashring::ServerId;
 use memfs_memkv::error::KvResult;
 use memfs_memkv::{
-    Batch, Deferred, KvClient, KvError, ReactorStatsSnapshot, Replies, ServerHealth, StoreVerb,
+    Batch, Deferred, KvClient, KvError, ReactorStatsSnapshot, ServerHealth, StoreVerb,
 };
 use parking_lot::{Mutex, RwLock};
 
 use crate::config::DistributorKind;
 use crate::error::{MemFsError, MemFsResult};
+use crate::replica::{DegradedWrite, KeyReplies};
+use crate::ring::{Change, Hold, Live, RingState};
 
 /// One server's part of a batched call before it is started: the original
 /// input indices paired with the entries themselves (keys, or key/value
 /// items), kept together so settling can write results back in input
 /// order.
 type ServerBatch<K> = (Vec<usize>, Vec<K>);
+
+/// An operation: its gate hold and the snapshot it routes by.
+type Op = (Hold, Arc<RingState>);
 
 /// What a routed read wants of a value: `None` for all of it, or
 /// `(offset, len)` — the `getrange` clamping rules, see
@@ -67,7 +60,7 @@ pub(crate) type ByteRange = Option<(u64, usize)>;
 pub(crate) type ReadReq = (Bytes, ByteRange);
 
 /// One server's part of a started [`Window`]: the input positions it
-/// resolves, its entries, and the reply on its way. Its gate token and
+/// resolves, its entries, and the reply on its way. Its gate hold and
 /// in-flight gauge went to the transport with the batch and are dropped
 /// as the answer lands; settling the share (`ServerPool::settle_read`,
 /// `ServerPool::finish_writes`) runs on whichever thread needs the
@@ -89,6 +82,19 @@ impl<K> Share<K> {
     pub(crate) fn is_answered(&self) -> bool {
         self.reply.is_ready()
     }
+
+    /// Wait for the answer: each entry with its input position and its
+    /// reply. A whole-batch failure is every entry's error.
+    fn replies(self) -> impl Iterator<Item = (usize, K, KvResult<Bytes>)> {
+        let replies = match self.reply.wait() {
+            Ok(replies) => replies,
+            Err(e) => self.idx.iter().map(|_| Err(e.duplicate())).collect(),
+        };
+        let entries = self.idx.into_iter().zip(self.entries);
+        entries
+            .zip(replies)
+            .map(|((i, entry), reply)| (i, entry, reply))
+    }
 }
 
 /// A batched call on the wire: one [`Share`] per server it reached.
@@ -96,9 +102,6 @@ pub(crate) struct Window<K> {
     /// Input entries of the call.
     len: usize,
     shares: Vec<Share<K>>,
-    /// The snapshot the call was routed by: a degraded write's hint names
-    /// the homes that took it under exactly this routing.
-    state: Arc<RingState>,
 }
 
 impl<K> Window<K> {
@@ -114,14 +117,55 @@ impl<K> Window<K> {
     pub(crate) fn into_shares(self) -> Vec<Share<K>> {
         self.shares
     }
+
+    /// Settle every share of a replicated call, in arrival order, into
+    /// one fold of replica replies per input entry, beside the entry.
+    fn fold(mut self) -> Vec<(K, KeyReplies)> {
+        let mut folds: Vec<Option<(K, KeyReplies)>> = (0..self.len).map(|_| None).collect();
+        while let Some(share) = self.next() {
+            let server = ServerId(share.server);
+            for (i, entry, reply) in share.replies() {
+                let fold = folds[i].get_or_insert_with(|| (entry, KeyReplies::default()));
+                fold.1.record(server, reply);
+            }
+        }
+        let routed = |fold: Option<_>| fold.expect("every entry has a home");
+        folds.into_iter().map(routed).collect()
+    }
 }
 
-/// One `get` of `key` — whole, or just `range` of it — from one server.
-fn fetch_from(client: &dyn KvClient, key: &[u8], range: ByteRange) -> KvResult<Bytes> {
-    match range {
-        None => client.get(key),
-        Some((offset, len)) => client.get_range(key, offset, len),
+/// Group `entries` into one batch per server slot of `state`, each entry
+/// in the batch of every server `to` names for it.
+fn group<K: Clone>(
+    state: &RingState,
+    entries: impl IntoIterator<Item = K>,
+    to: impl Fn(&K) -> Vec<ServerId>,
+) -> impl Iterator<Item = (usize, ServerBatch<K>)> {
+    let mut batches: Vec<ServerBatch<K>> = vec![(Vec::new(), Vec::new()); state.clients.len()];
+    for (i, entry) in entries.into_iter().enumerate() {
+        for id in to(&entry) {
+            batches[id.0].0.push(i);
+            batches[id.0].1.push(entry.clone());
+        }
     }
+    batches.into_iter().enumerate()
+}
+
+/// One server's read batch: a `Get` when no request names a range, a
+/// `GetRange` otherwise.
+fn read_batch(client: &dyn KvClient, reqs: &[ReadReq]) -> Deferred<Bytes> {
+    if reqs.iter().all(|(_, range)| range.is_none()) {
+        let keys: Vec<Bytes> = reqs.iter().map(|(key, _)| key.clone()).collect();
+        return client.start(Batch::Get(&keys));
+    }
+    let ranges: Vec<(Bytes, u64, usize)> = reqs
+        .iter()
+        .map(|(key, range)| {
+            let (offset, len) = range.unwrap_or((0, usize::MAX));
+            (key.clone(), offset, len)
+        })
+        .collect();
+    client.start(Batch::GetRange(&ranges))
 }
 
 /// Per-server I/O counters, updated by every batched dispatch.
@@ -149,10 +193,6 @@ impl ServerIo {
         self.batches.fetch_add(1, Ordering::SeqCst);
         self.keys.fetch_add(nkeys as u64, Ordering::SeqCst);
         InFlightGuard(Arc::clone(self))
-    }
-
-    fn bump_fallback(&self) {
-        self.fallbacks.fetch_add(1, Ordering::SeqCst);
     }
 }
 
@@ -193,12 +233,6 @@ pub struct PoolStats {
 }
 
 impl PoolStats {
-    fn new(n: usize) -> Self {
-        PoolStats {
-            servers: RwLock::new((0..n).map(|_| Arc::new(ServerIo::default())).collect()),
-        }
-    }
-
     /// Extend the counter table to `n` slots (admitting servers).
     fn grow_to(&self, n: usize) {
         let mut servers = self.servers.write();
@@ -211,12 +245,6 @@ impl PoolStats {
     /// the lookup).
     fn io(&self, server: usize) -> Arc<ServerIo> {
         Arc::clone(&self.servers.read()[server])
-    }
-
-    fn bump_degraded(&self, server: usize) {
-        self.servers.read()[server]
-            .degraded
-            .fetch_add(1, Ordering::SeqCst);
     }
 
     /// Snapshot every server's counters, indexed by [`ServerId`].
@@ -236,326 +264,26 @@ impl PoolStats {
     }
 }
 
-/// A generation-counted quiescence gate: operations `enter()` cheaply
-/// (two atomic RMWs), and the repair pass's `advance_and_wait()` bumps the
-/// generation then waits until every operation that entered under the old
-/// generation has finished. Two slot counters alternate by generation
-/// parity; `enter` re-checks the generation after incrementing so it
-/// never settles into a slot being drained. Advances are serialized by
-/// the pool's migration mutex, so parity reuse (gen and gen+2) cannot
-/// race: a stale increment is always undone before its slot is waited on
-/// again.
-#[derive(Debug, Default)]
-struct GenGate {
-    gen: AtomicU64,
-    counts: [AtomicUsize; 2],
-}
-
-/// An owned gate entry: a started window hands it to the transport, which
-/// drops it once the window's last share is answered.
-struct GateGuard {
-    gate: Arc<GenGate>,
-    slot: usize,
-}
-
-impl GenGate {
-    fn enter(self: &Arc<Self>) -> GateGuard {
-        loop {
-            let g = self.gen.load(Ordering::Acquire);
-            let slot = (g & 1) as usize;
-            self.counts[slot].fetch_add(1, Ordering::AcqRel);
-            if self.gen.load(Ordering::Acquire) == g {
-                return GateGuard {
-                    gate: Arc::clone(self),
-                    slot,
-                };
-            }
-            // The generation advanced between the load and the increment:
-            // undo and re-enter under the new generation.
-            self.counts[slot].fetch_sub(1, Ordering::AcqRel);
-        }
-    }
-
-    /// Bump the generation and wait for every operation that entered
-    /// under the previous one to drain. On return, every in-flight
-    /// operation observes state published before this call.
-    fn advance_and_wait(&self) {
-        let old = self.gen.fetch_add(1, Ordering::AcqRel);
-        let slot = (old & 1) as usize;
-        while self.counts[slot].load(Ordering::Acquire) != 0 {
-            std::thread::sleep(Duration::from_micros(50));
-        }
-    }
-}
-
-impl GateGuard {
-    /// Another hold on this same entry (its slot is held, so no advance
-    /// can drain it meanwhile): one per share of a window.
-    fn share(&self) -> GateGuard {
-        self.gate.counts[self.slot].fetch_add(1, Ordering::AcqRel);
-        GateGuard {
-            gate: Arc::clone(&self.gate),
-            slot: self.slot,
-        }
-    }
-}
-
-impl Drop for GateGuard {
-    fn drop(&mut self) {
-        self.gate.counts[self.slot].fetch_sub(1, Ordering::AcqRel);
-    }
-}
-
-/// The in-progress half of a membership change: where the ring is going.
-pub(crate) struct TransitionState {
-    /// Member slot ids once the transition completes (sorted).
-    pub(crate) target_members: Vec<usize>,
-    /// The ring the target membership routes by.
-    pub(crate) target: Arc<dyn Distributor>,
-    /// Member slots this transition drains.
-    pub(crate) leaving: Vec<usize>,
-}
-
-/// One immutable routing snapshot: the client table, the current member
-/// set and ring, and the optional in-progress transition. Operations
-/// clone the `Arc` once and route by it unchanged for their lifetime;
-/// membership calls swap in a new snapshot.
-pub(crate) struct RingState {
-    pub(crate) clients: Vec<Arc<dyn KvClient>>,
-    /// Member slot ids (sorted). Slots outside this list are either
-    /// joining (during a grow transition) or retired tombstones.
-    pub(crate) members: Vec<usize>,
-    /// The ring the current membership routes by.
-    pub(crate) current: Arc<dyn Distributor>,
-    pub(crate) transition: Option<TransitionState>,
-    /// Bumped on every membership snapshot swap.
-    pub(crate) version: u64,
-}
-
-impl RingState {
-    pub(crate) fn client(&self, id: ServerId) -> &Arc<dyn KvClient> {
-        &self.clients[id.0]
-    }
-
-    /// The homes of `key` under `r`-way replication, primary first,
-    /// plus how many of them are *authoritative* for `NotFound`: during
-    /// a transition the current homes (which every dual-routed write
-    /// reached) come first and are authoritative, and the target ring's
-    /// extra homes follow as read fallbacks whose misses only mean the
-    /// background copy has not landed yet.
-    pub(crate) fn route_with_auth(&self, key: &[u8], r: usize) -> (Vec<ServerId>, usize) {
-        let mut homes = self.current.replicas_for(key, r);
-        let auth = homes.len();
-        if let Some(t) = &self.transition {
-            for id in t.target.replicas_for(key, r) {
-                if !homes.contains(&id) {
-                    homes.push(id);
-                }
-            }
-        }
-        (homes, auth)
-    }
-
-    /// The homes of `key` (write set = read set), primary first.
-    pub(crate) fn route(&self, key: &[u8], r: usize) -> Vec<ServerId> {
-        self.route_with_auth(key, r).0
-    }
-
-    /// The primary home of `key` — cheap (no allocation): the current
-    /// ring's pick, transition or not. Always equals `route(key, r)[0]`.
-    pub(crate) fn primary(&self, key: &[u8]) -> ServerId {
-        self.current.server_for(key)
-    }
-
-    /// The ring keys are homed by — where the repair pass puts its
-    /// copies: the target ring during a transition, the current ring
-    /// otherwise.
-    pub(crate) fn home_ring(&self) -> &Arc<dyn Distributor> {
-        match &self.transition {
-            Some(t) => &t.target,
-            None => &self.current,
-        }
-    }
-
-    /// The key's full failover candidate chain: every distinct successor
-    /// of the [`RingState::home_ring`] in walk order — where the repair
-    /// pass parks its copies — then any extra successors the current ring
-    /// adds during a transition.
-    pub(crate) fn candidates(&self, key: &[u8]) -> Vec<ServerId> {
-        let n = self.clients.len();
-        let mut chain = self.home_ring().replicas_for(key, n);
-        if self.transition.is_some() {
-            for id in self.current.replicas_for(key, n) {
-                if !chain.contains(&id) {
-                    chain.push(id);
-                }
-            }
-        }
-        chain
-    }
-}
-
-/// Build the ring for a member set. Ketama handles arbitrary (sparse)
-/// membership; modulo placement is only defined for a contiguous
-/// `0..n` slot table, so any membership change that would leave a hole
-/// is rejected — the caller keeps its current topology.
-fn ring_for(
-    kind: &DistributorKind,
-    members: &[usize],
-    from: usize,
-) -> MemFsResult<Arc<dyn Distributor>> {
-    match kind {
-        DistributorKind::Ketama { points_per_server } => Ok(Arc::new(KetamaRing::with_members(
-            members,
-            *points_per_server,
-        ))),
-        DistributorKind::Modulo => {
-            if members.iter().enumerate().all(|(i, &m)| i == m) {
-                Ok(Arc::new(ModuloRing::new(members.len())))
-            } else {
-                Err(MemFsError::UnsupportedTopology {
-                    from,
-                    to: members.len(),
-                })
-            }
-        }
-    }
-}
-
-/// Tombstone client occupying a drained server's slot so `ServerId`s
-/// never renumber. Nothing routes here once the transition that retired
-/// the slot completed; a straggler (stale failover walk) gets a clean
-/// transport error, and the health census reports the slot `Down`.
-struct RetiredClient;
-
-impl KvClient for RetiredClient {
-    fn start(&self, _batch: Batch<'_>) -> Deferred<Bytes> {
-        Deferred::Ready(Err(KvError::Io(std::io::Error::new(
-            std::io::ErrorKind::NotConnected,
-            "server slot retired from the pool",
-        ))))
-    }
-    fn health(&self) -> ServerHealth {
-        ServerHealth::Down
-    }
-}
-
-/// Map one server's `set_many` replies to per-key outcomes: `None` for a
-/// stored key, `Some(err)` for a failed one. A whole-batch transport
-/// failure maps its error onto every key, exactly like [`finish_erase`].
-fn finish_store(batch_len: usize, result: Replies) -> Vec<Option<MemFsError>> {
-    match result {
-        Ok(results) => results
-            .into_iter()
-            .map(|r| r.err().map(Into::into))
-            .collect(),
-        Err(e) => (0..batch_len).map(|_| Some(e.duplicate().into())).collect(),
-    }
-}
-
-/// Map one server's `delete_many` replies to per-key [`Erase`] outcomes.
-fn finish_erase(batch_len: usize, result: Replies) -> Vec<Erase> {
-    let map = |r: KvResult<Bytes>| match r {
-        Ok(_) => Erase::Deleted,
-        Err(KvError::NotFound) => Erase::Missing,
-        Err(e) => Erase::Failed(e.into()),
-    };
-    match result {
-        Ok(results) => results.into_iter().map(map).collect(),
-        Err(e) => (0..batch_len)
-            .map(|_| Erase::Failed(e.duplicate().into()))
-            .collect(),
-    }
-}
-
-/// Per-replica outcome of deleting one key on one server.
-enum Erase {
-    Deleted,
-    Missing,
-    Failed(MemFsError),
-}
-
-/// Cross-replica aggregate for one `delete_many` input key.
-#[derive(Default)]
-struct EraseAgg {
-    deleted: bool,
-    missing: bool,
-    err: Option<MemFsError>,
-}
-
-impl EraseAgg {
-    fn merge(&mut self, outcome: Erase) {
-        match outcome {
-            Erase::Deleted => self.deleted = true,
-            Erase::Missing => self.missing = true,
-            Erase::Failed(e) => self.err = Some(e),
-        }
-    }
-
-    /// Any replica deleting wins, a clean miss on a live replica is
-    /// `Ok(false)`, and only a key whose every replica erred is an error.
-    fn resolve(self) -> MemFsResult<bool> {
-        if self.deleted {
-            Ok(true)
-        } else if self.missing {
-            Ok(false)
-        } else {
-            Err(self.err.expect("replication >= 1"))
-        }
-    }
-}
-
-/// A key the last write left under-replicated: the repair pass's work
-/// unit (drained via [`ServerPool::take_degraded`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DegradedWrite {
-    /// The short-written key.
-    pub key: Bytes,
-    /// The replicas that took the write: the only copies known to hold
-    /// the acked value. Every other copy of the key is suspect.
-    pub written: Vec<ServerId>,
-    /// The replicas that missed the write.
-    pub missing: Vec<ServerId>,
-}
-
-/// Cross-replica aggregate for one `set_many` input key (the write-side
-/// sibling of [`EraseAgg`]).
-#[derive(Default)]
-struct StoreAgg {
-    key: Bytes,
-    written: usize,
-    missing: Vec<ServerId>,
-    err: Option<MemFsError>,
-}
-
-impl StoreAgg {
-    fn merge(&mut self, server: usize, key: &Bytes, outcome: Option<MemFsError>) {
-        self.key = key.clone();
-        match outcome {
-            None => self.written += 1,
-            Some(e) => {
-                self.missing.push(ServerId(server));
-                self.err = Some(e);
-            }
-        }
-    }
-}
-
 /// A hash-routed pool of storage servers with optional n-way replication,
 /// whose batched calls keep every server's batch in flight at once.
 ///
 /// Replication is the fault-tolerance mechanism the paper sketches but
 /// defers ("assuming the replication factor is n, then the total storage
 /// capacity of MemFS would be decreased n times and n times more data will
-/// flow through the network", §3.2.5). With `replication = r`, each key is
-/// written to `r` consecutive servers on the ring (primary + followers);
-/// reads try the primary first and fall back to the followers, so the
-/// system tolerates `r - 1` server failures. The capacity/traffic cost the
-/// paper predicts is measured by the `replication` bench. With `replication
-/// = r`, each key lands on the `r` **distinct successors** the distributor
-/// reports ([`Distributor::replicas_for`]): ring successors under ketama
-/// (stable under membership change, failover load spread over many
-/// servers), index successors under modulo.
+/// flow through the network", §3.2.5). With `replication = r`, each key
+/// lands on the `r` **distinct successors** the distributor reports
+/// ([`memfs_hashring::Distributor::replicas_for`]): ring successors under
+/// ketama (stable under membership change, failover load spread over many
+/// servers), index successors under modulo. Reads try the primary first
+/// and walk on to the followers, so the system tolerates `r - 1` server
+/// failures.
+///
+/// The membership is elastic: [`ServerPool::begin_add_servers`] /
+/// [`ServerPool::begin_remove_server`] install a *transition* toward a
+/// target ring, and while it is installed writers dual-route every key to
+/// the union of its current and target homes and readers consult the
+/// current homes first (authoritative) and the target-only homes second.
+/// The repair pass (`repair.rs`) commits it.
 ///
 /// Caveat (documented, matching the paper's decision not to productize
 /// this): replicated `append` applies to each copy in turn, so two
@@ -564,8 +292,8 @@ impl StoreAgg {
 /// converges; applications needing ordered replicated appends should keep
 /// `replication = 1`.
 pub struct ServerPool {
-    /// The live routing snapshot; swapped whole on membership changes.
-    ring: RwLock<Arc<RingState>>,
+    /// The live routing snapshot and the quiescence gate.
+    live: Live,
     /// How to rebuild rings on membership changes.
     kind: DistributorKind,
     replication: usize,
@@ -575,9 +303,6 @@ pub struct ServerPool {
     /// planner ([`ServerPool::take_degraded`]). May contain duplicates
     /// when a key is written degraded repeatedly; repair dedups on drain.
     degraded: Mutex<VecDeque<DegradedWrite>>,
-    /// Quiescence gate separating membership snapshot swaps from
-    /// in-flight operations routed by the previous snapshot.
-    gate: Arc<GenGate>,
     /// Serializes repair passes (each holds this across the pass).
     migration: Mutex<()>,
 }
@@ -609,24 +334,14 @@ impl ServerPool {
             "replication factor {replication} invalid for {} servers",
             clients.len()
         );
-        let members: Vec<usize> = (0..clients.len()).collect();
-        let current = ring_for(&kind, &members, clients.len())
-            .expect("contiguous initial membership is always supported");
-        let stats = PoolStats::new(clients.len());
-        let state = Arc::new(RingState {
-            clients,
-            members,
-            current,
-            transition: None,
-            version: 0,
-        });
+        let stats = PoolStats::default();
+        stats.grow_to(clients.len());
         ServerPool {
-            ring: RwLock::new(state),
+            live: Live::new(RingState::new(clients, &kind)),
             kind,
             replication,
             stats,
             degraded: Mutex::new(VecDeque::new()),
-            gate: Arc::default(),
             migration: Mutex::new(()),
         }
     }
@@ -661,16 +376,17 @@ impl ServerPool {
     /// distinct-successor walk; during a transition, the current homes
     /// followed by the target ring's extra homes).
     pub fn servers_for(&self, key: &[u8]) -> impl Iterator<Item = ServerId> + '_ {
-        self.ring_state().route(key, self.replication).into_iter()
+        let (homes, _) = self.ring_state().rings().homes(key, self.replication);
+        homes.into_iter()
     }
 
-    /// The key's full failover candidate chain: its `replication()`
-    /// owners first, then every further distinct successor in walk
-    /// order. The repair pass takes the first `r` *alive* entries as the
-    /// key's home set, so copies migrate to surviving successors while
-    /// owners are down and converge back when they return.
+    /// The key's failover walk: every distinct successor in the order
+    /// the repair pass homes it and a failed read walks on. The repair
+    /// pass takes the first `replication()` *alive* entries as the key's
+    /// home set, so copies migrate to surviving successors while owners
+    /// are down and converge back when they return.
     pub fn replica_candidates(&self, key: &[u8]) -> Vec<ServerId> {
-        self.ring_state().candidates(key)
+        self.ring_state().rings().walk(key)
     }
 
     /// Per-server health census, indexed by [`ServerId`]: each client's
@@ -746,32 +462,10 @@ impl ServerPool {
         if new_clients.is_empty() {
             return Ok(Vec::new());
         }
-        let mut ring = self.ring.write();
-        let state = &**ring;
-        if state.transition.is_some() {
-            return Err(MemFsError::MembershipBusy);
-        }
-        let base = state.clients.len();
-        let joining: Vec<usize> = (base..base + new_clients.len()).collect();
-        let mut target_members = state.members.clone();
-        target_members.extend(joining.iter().copied());
-        target_members.sort_unstable();
-        let target = ring_for(&self.kind, &target_members, state.members.len())?;
-        let mut clients = state.clients.clone();
-        clients.extend(new_clients);
-        self.stats.grow_to(clients.len());
-        *ring = Arc::new(RingState {
-            clients,
-            members: state.members.clone(),
-            current: Arc::clone(&state.current),
-            transition: Some(TransitionState {
-                target_members,
-                target,
-                leaving: Vec::new(),
-            }),
-            version: state.version + 1,
-        });
-        Ok(joining.into_iter().map(ServerId).collect())
+        let count = new_clients.len();
+        let state = self.change(Change::Admit(new_clients))?;
+        let slots = state.clients.len();
+        Ok((slots - count..slots).map(ServerId).collect())
     }
 
     /// Drain a member server: install a transition whose target ring
@@ -785,58 +479,7 @@ impl ServerPool {
     /// leave fewer members than the replication factor (or a slot-table
     /// hole the distributor cannot express).
     pub fn begin_remove_server(&self, id: ServerId) -> MemFsResult<()> {
-        let mut ring = self.ring.write();
-        let state = &**ring;
-        if state.transition.is_some() {
-            return Err(MemFsError::MembershipBusy);
-        }
-        if !state.members.contains(&id.0) {
-            return Err(MemFsError::UnknownServer { server: id.0 });
-        }
-        let target_members: Vec<usize> = state
-            .members
-            .iter()
-            .copied()
-            .filter(|&m| m != id.0)
-            .collect();
-        if target_members.len() < self.replication {
-            return Err(MemFsError::UnsupportedTopology {
-                from: state.members.len(),
-                to: target_members.len(),
-            });
-        }
-        let target = ring_for(&self.kind, &target_members, state.members.len())?;
-        *ring = Arc::new(RingState {
-            clients: state.clients.clone(),
-            members: state.members.clone(),
-            current: Arc::clone(&state.current),
-            transition: Some(TransitionState {
-                target_members,
-                target,
-                leaving: vec![id.0],
-            }),
-            version: state.version + 1,
-        });
-        Ok(())
-    }
-
-    /// The live routing snapshot (for the repair pass and in-crate tests).
-    pub(crate) fn ring_state(&self) -> Arc<RingState> {
-        Arc::clone(&self.ring.read())
-    }
-
-    /// Wait until every operation that entered before this call has
-    /// been answered, so a snapshot published before the call is the one
-    /// all in-flight routing uses. Called by the repair pass between a
-    /// membership change and acting on it.
-    pub(crate) fn quiesce(&self) {
-        self.gate.advance_and_wait();
-    }
-
-    /// Serializes repair passes across threads (daemon vs. manual
-    /// `repair_now`).
-    pub(crate) fn migration_mutex(&self) -> &Mutex<()> {
-        &self.migration
+        self.change(Change::Drain(id)).map(drop)
     }
 
     /// Finish the in-progress transition: the target membership becomes
@@ -844,23 +487,36 @@ impl ServerPool {
     /// this once every key reached its target homes; a no-op without an
     /// active transition.
     pub(crate) fn complete_transition(&self) {
-        let mut ring = self.ring.write();
-        let state = &**ring;
-        let Some(t) = &state.transition else {
-            return;
-        };
-        let mut clients = state.clients.clone();
-        for &l in &t.leaving {
-            clients[l] = Arc::new(RetiredClient) as Arc<dyn KvClient>;
-        }
-        let members = t.target_members.clone();
-        *ring = Arc::new(RingState {
-            clients,
-            members,
-            current: Arc::clone(&t.target),
-            transition: None,
-            version: state.version + 1,
-        });
+        self.change(Change::Commit).expect("committing never fails");
+    }
+
+    /// Swap in the snapshot after `change`, with a counter block for
+    /// every slot it has.
+    fn change(&self, change: Change) -> MemFsResult<Arc<RingState>> {
+        self.live.swap(|state| {
+            let next = state.next(change, &self.kind, self.replication)?;
+            self.stats.grow_to(next.clients.len());
+            Ok(next)
+        })
+    }
+
+    /// The live routing snapshot (for the repair pass and in-crate tests).
+    pub(crate) fn ring_state(&self) -> Arc<RingState> {
+        self.live.snapshot()
+    }
+
+    /// Wait until every operation that entered before this call has
+    /// been answered, so a snapshot published before the call is the one
+    /// all in-flight routing uses. Called by the repair pass between a
+    /// membership change and acting on it.
+    pub(crate) fn quiesce(&self) {
+        self.live.quiesce();
+    }
+
+    /// Serializes repair passes across threads (daemon vs. manual
+    /// `repair_now`).
+    pub(crate) fn migration_mutex(&self) -> &Mutex<()> {
+        &self.migration
     }
 
     /// The server a key routes to (exposed for balance diagnostics and the
@@ -885,32 +541,6 @@ impl ServerPool {
         self.set_many(&[(Bytes::copy_from_slice(key), value)])
     }
 
-    /// Resolve one key's cross-replica write aggregate, routed by
-    /// `state`: full, degraded (recorded + queued for repair), or failed
-    /// everywhere.
-    fn settle_write(&self, state: &RingState, agg: StoreAgg) -> MemFsResult<()> {
-        if agg.written == 0 {
-            return Err(agg.err.expect("replication >= 1"));
-        }
-        if agg.missing.is_empty() {
-            return Ok(());
-        }
-        for id in &agg.missing {
-            self.stats.bump_degraded(id.0);
-        }
-        let written = state
-            .route(&agg.key, self.replication)
-            .into_iter()
-            .filter(|id| !agg.missing.contains(id))
-            .collect();
-        self.degraded.lock().push_back(DegradedWrite {
-            key: agg.key,
-            written,
-            missing: agg.missing,
-        });
-        Ok(())
-    }
-
     /// Routed `add`: the primary arbitrates existence (its atomic `add` is
     /// the write-once gate); followers receive plain `set`s. During a
     /// transition the *current* primary stays the arbiter (every client
@@ -923,11 +553,15 @@ impl ServerPool {
     /// The one body of the arbitration requests [`ServerPool::add`] and
     /// [`ServerPool::append`], with room for something beside them. The
     /// first home's request goes on the wire through [`KvClient::start`],
-    /// counted by [`PoolStats`] like a one-key batch; `beside` — a pool
-    /// call that does not depend on the outcome — runs on the caller's
-    /// thread (a batched one starts its own window); then the request is
-    /// settled and, if it succeeded, applied to the remaining homes in
-    /// turn.
+    /// counted by [`PoolStats`] like a one-key batch and held in flight
+    /// until it is settled; `beside` — a pool call that does not depend on
+    /// the outcome — runs on the caller's thread (a batched one starts its
+    /// own window); then the request is settled and, if it succeeded,
+    /// applied to the remaining homes in turn, each a window of one
+    /// request. A follower's failure is the caller's error, except a
+    /// target-only home's `NotFound` to an `append`: the suffix is durable
+    /// on the current homes, and the repair pass's post-copy re-read
+    /// carries it across before the transition commits.
     pub fn store_beside<R>(
         &self,
         verb: StoreVerb,
@@ -935,33 +569,37 @@ impl ServerPool {
         value: Bytes,
         beside: impl FnOnce() -> R,
     ) -> (MemFsResult<()>, R) {
-        let (_gate, state) = self.begin_op();
-        let (homes, auth) = state.route_with_auth(key, self.replication);
+        let op = self.live.enter();
+        let (homes, auth) = op.1.rings().homes(key, self.replication);
         let guard = self.stats.io(homes[0].0).track(1);
         let item = [(Bytes::copy_from_slice(key), value)];
-        let deferred = state.client(homes[0]).start(Batch::Store(verb, &item));
+        let deferred = op.1.client(homes[0]).start(Batch::Store(verb, &item));
         let other = beside();
         let reply = deferred.wait();
         drop(guard);
         let first =
             reply.and_then(|mut reply| reply.pop().expect("one reply per request").map(drop));
-        let [(_, value)] = item;
-        let rest = |(i, id): (usize, &ServerId)| match verb {
-            StoreVerb::Append => match state.client(*id).append(key, &value) {
+        let follower = if verb == StoreVerb::Append {
+            verb
+        } else {
+            StoreVerb::Set
+        };
+        let [item] = item;
+        let rest = |(i, &id): (usize, &ServerId)| {
+            let store = |client: &dyn KvClient, items: &[(Bytes, Bytes)]| {
+                client.start(Batch::Store(follower, items))
+            };
+            match self.call(&op, id, item.clone(), store) {
                 Err(KvError::NotFound) if i >= auth => Ok(()),
-                r => r,
-            },
-            StoreVerb::Add | StoreVerb::Set => state.client(*id).set(key, value.clone()),
+                r => r.map(drop),
+            }
         };
         let result = first.and_then(|()| homes.iter().enumerate().skip(1).try_for_each(rest));
         (result.map_err(Into::into), other)
     }
 
     /// Routed `get`: [`ServerPool::get_many`] with one key — primary
-    /// first, surviving replicas on failure. Only transport/server errors
-    /// trigger fallback — `NotFound` is authoritative from any live
-    /// replica (but *not* from a target-only home during a transition,
-    /// where the key's copy may simply not have landed yet).
+    /// first, the replica walk on failure.
     pub fn get(&self, key: &[u8]) -> MemFsResult<Bytes> {
         let mut replies = self.get_many(&[Bytes::copy_from_slice(key)]);
         replies.pop().expect("one reply per key")
@@ -983,10 +621,10 @@ impl ServerPool {
     /// per-server times), not `n` sequential ones. Results come back in
     /// input order.
     ///
-    /// Fallback mirrors [`ServerPool::get`]: a transport failure (of the
-    /// whole batch or a single key) retries that key through the replica
-    /// chain when that server's share settles, so a dead server degrades
-    /// only its own keys while the healthy servers' batches proceed.
+    /// A transport failure (of the whole batch or a single key) walks
+    /// that key's replicas when that server's share settles
+    /// ([`ServerPool::settle_read`]), so a dead server degrades only its
+    /// own keys while the healthy servers' batches proceed.
     pub fn get_many(&self, keys: &[Bytes]) -> Vec<MemFsResult<Bytes>> {
         let reqs = keys.iter().map(|key| (key.clone(), None)).collect();
         self.finish_reads(self.start_reads(reqs))
@@ -995,13 +633,9 @@ impl ServerPool {
     /// Batched routed *ranged* `get`: for each `(key, offset, len)` the
     /// bytes `[offset, offset + len)` of the key's value, clamped to it
     /// ([`Batch::GetRange`]) — a fine-grain read moves the range, not the
-    /// stripe. Routing, dispatch and accounting are
-    /// [`ServerPool::get_many`]'s: grouped by primary, one batch per
-    /// server in one window, and the same replica walk on failure
-    /// (`NotFound` final only from an authoritative home, the failed
-    /// server skipped, failover copies past the owner set consulted last).
-    /// Requests pair with results by position, so one key may appear with
-    /// several ranges.
+    /// stripe. Routing, dispatch, accounting and the replica walk are
+    /// [`ServerPool::get_many`]'s. Requests pair with results by
+    /// position, so one key may appear with several ranges.
     pub fn get_range_many(&self, reqs: &[(Bytes, u64, usize)]) -> Vec<MemFsResult<Bytes>> {
         let reqs = reqs
             .iter()
@@ -1010,33 +644,12 @@ impl ServerPool {
         self.finish_reads(self.start_reads(reqs))
     }
 
-    /// Start a read of `reqs`, grouped by primary server: one `Get` batch
-    /// per server when no request names a range, one `GetRange` batch
-    /// otherwise.
+    /// Start a read of `reqs`, grouped by primary server.
     pub(crate) fn start_reads(&self, reqs: Vec<ReadReq>) -> Window<ReadReq> {
-        let op = self.begin_op();
-        let mut batches: Vec<ServerBatch<ReadReq>> =
-            vec![(Vec::new(), Vec::new()); op.1.clients.len()];
+        let op = self.live.enter();
         let len = reqs.len();
-        for (i, req) in reqs.into_iter().enumerate() {
-            let (idx, batch) = &mut batches[op.1.primary(&req.0).0];
-            idx.push(i);
-            batch.push(req);
-        }
-        self.start(op, len, batches, |client, reqs| {
-            if reqs.iter().all(|(_, range)| range.is_none()) {
-                let keys: Vec<Bytes> = reqs.iter().map(|(key, _)| key.clone()).collect();
-                return client.start(Batch::Get(&keys));
-            }
-            let ranges: Vec<(Bytes, u64, usize)> = reqs
-                .iter()
-                .map(|(key, range)| {
-                    let (offset, len) = range.unwrap_or((0, usize::MAX));
-                    (key.clone(), offset, len)
-                })
-                .collect();
-            client.start(Batch::GetRange(&ranges))
-        })
+        let batches = group(&op.1, reqs, |(key, _)| vec![op.1.primary(key)]);
+        self.start(&op, len, batches, read_batch)
     }
 
     /// Settle every share of a started read, in arrival order, into
@@ -1069,20 +682,13 @@ impl ServerPool {
             .collect()
     }
 
-    /// Start a replicated `set` of `items`. With replication each item
-    /// lands on `r` ring-successor servers, so this builds one batch per
-    /// *target* server across all replicas.
+    /// Start a replicated `set` of `items`: one batch per server across
+    /// every item's homes.
     pub(crate) fn start_writes(&self, items: &[(Bytes, Bytes)]) -> Window<(Bytes, Bytes)> {
-        let op = self.begin_op();
-        let mut batches: Vec<ServerBatch<(Bytes, Bytes)>> =
-            vec![(Vec::new(), Vec::new()); op.1.clients.len()];
-        for (i, (key, value)) in items.iter().enumerate() {
-            for id in op.1.route(key, self.replication) {
-                batches[id.0].0.push(i);
-                batches[id.0].1.push((key.clone(), value.clone()));
-            }
-        }
-        self.start(op, items.len(), batches, |client, items| {
+        let op = self.live.enter();
+        let homes = |(key, _): &(Bytes, Bytes)| op.1.rings().homes(key, self.replication).0;
+        let batches = group(&op.1, items.iter().cloned(), homes);
+        self.start(&op, items.len(), batches, |client, items| {
             client.start(Batch::Store(StoreVerb::Set, items))
         })
     }
@@ -1091,25 +697,21 @@ impl ServerPool {
     /// result per key, in input order: `Err` only for a key every replica
     /// failed ([`ServerPool::set_many`]). A degraded key's repair hint is
     /// queued here, on the settling thread.
-    pub(crate) fn finish_writes(&self, mut window: Window<(Bytes, Bytes)>) -> Vec<MemFsResult<()>> {
-        let mut agg: Vec<StoreAgg> = (0..window.len).map(|_| StoreAgg::default()).collect();
-        while let Some(share) = window.next() {
-            let outcomes = finish_store(share.entries.len(), share.reply.wait());
-            for ((&i, (key, _)), o) in share.idx.iter().zip(&share.entries).zip(outcomes) {
-                agg[i].merge(share.server, key, o);
+    pub(crate) fn finish_writes(&self, window: Window<(Bytes, Bytes)>) -> Vec<MemFsResult<()>> {
+        let settle = |((key, _), replies): ((Bytes, Bytes), KeyReplies)| {
+            if let Some(hint) = replies.settle_write(key)? {
+                for id in &hint.missing {
+                    self.stats.io(id.0).degraded.fetch_add(1, Ordering::SeqCst);
+                }
+                self.degraded.lock().push_back(hint);
             }
-        }
-        let state = window.state;
-        agg.into_iter()
-            .map(|a| self.settle_write(&state, a))
-            .collect()
+            Ok(())
+        };
+        window.fold().into_iter().map(settle).collect()
     }
 
     /// Routed atomic `append`, applied to every replica (see the ordering
-    /// caveat in the type docs). On a transition's *target-only* homes a
-    /// `NotFound` is tolerated: the suffix is durable on the current
-    /// homes, and the repair pass's post-copy re-read carries it across
-    /// before the transition commits.
+    /// caveat in the type docs and [`ServerPool::store_beside`]).
     pub fn append(&self, key: &[u8], suffix: &[u8]) -> MemFsResult<()> {
         let suffix = Bytes::copy_from_slice(suffix);
         self.store_beside(StoreVerb::Append, key, suffix, || ()).0
@@ -1132,64 +734,40 @@ impl ServerPool {
     /// every live replica reported it missing, `Err` only if all replicas
     /// failed.
     pub fn delete_many(&self, keys: &[Bytes]) -> Vec<MemFsResult<bool>> {
-        let op = self.begin_op();
-        // One batch per *target* server across all replicas; each entry
-        // remembers which input key it resolves.
-        let mut batches: Vec<ServerBatch<Bytes>> =
-            vec![(Vec::new(), Vec::new()); op.1.clients.len()];
-        for (i, key) in keys.iter().enumerate() {
-            for id in op.1.route(key, self.replication) {
-                batches[id.0].0.push(i);
-                batches[id.0].1.push(key.clone());
-            }
-        }
-        let mut window = self.start(op, keys.len(), batches, |client, keys| {
+        let op = self.live.enter();
+        let homes = |key: &Bytes| op.1.rings().homes(key, self.replication).0;
+        let batches = group(&op.1, keys.iter().cloned(), homes);
+        let window = self.start(&op, keys.len(), batches, |client, keys| {
             client.start(Batch::Delete(keys))
         });
-        let mut agg: Vec<EraseAgg> = (0..keys.len()).map(|_| EraseAgg::default()).collect();
-        while let Some(share) = window.next() {
-            let outcomes = finish_erase(share.entries.len(), share.reply.wait());
-            for (&i, o) in share.idx.iter().zip(outcomes) {
-                agg[i].merge(o);
-            }
-        }
-        agg.into_iter().map(EraseAgg::resolve).collect()
+        drop(op); // the shares hold the gate until answered, not settled
+        let resolve = |(_, replies): (Bytes, KeyReplies)| replies.resolve_delete();
+        window.fold().into_iter().map(resolve).collect()
     }
 
-    /// Enter the quiescence gate, then snapshot the ring. The gate is
-    /// entered *first* so that once [`GenGate::advance_and_wait`]
-    /// returns, no operation still works from a snapshot taken before
-    /// the membership the repair pass just published.
-    fn begin_op(&self) -> (GateGuard, Arc<RingState>) {
-        let gate = self.gate.enter();
-        let state = self.ring_state();
-        (gate, state)
-    }
-
-    /// Put one batch per non-empty slot of `batches` (`len` input entries
-    /// routed by `op`'s snapshot) on the wire at once, through `submit`:
-    /// the dispatch half of every batched call, on the caller's thread.
-    /// The window holds `op`'s gate entry until its last share is
-    /// answered, and each share its server's in-flight gauge until its own
-    /// answer — the transport drops both ([`Deferred::when_answered`]), so
-    /// a window left unsettled in an idle handle stalls neither
-    /// [`ServerPool::quiesce`] nor the gauge.
+    /// Put each non-empty batch of `batches` (`len` input entries routed
+    /// by `op`'s snapshot) on the wire at once, through `submit`: the
+    /// dispatch half of every request, on the caller's thread. Each share
+    /// holds a clone of `op`'s gate hold and its server's in-flight gauge
+    /// until its answer — the transport drops both
+    /// ([`Deferred::when_answered`]), so a window left unsettled in an
+    /// idle handle stalls neither [`ServerPool::quiesce`] nor the gauge.
     fn start<K>(
         &self,
-        (gate, state): (GateGuard, Arc<RingState>),
+        (hold, state): &Op,
         len: usize,
-        batches: Vec<ServerBatch<K>>,
+        batches: impl IntoIterator<Item = (usize, ServerBatch<K>)>,
         submit: impl Fn(&dyn KvClient, &[K]) -> Deferred<Bytes>,
     ) -> Window<K> {
         let mut shares = Vec::new();
-        for (server, (idx, entries)) in batches.into_iter().enumerate() {
+        for (server, (idx, entries)) in batches {
             if entries.is_empty() {
                 continue;
             }
             let in_flight = self.stats.io(server).track(entries.len());
             let mut reply = submit(&*state.clients[server], &entries);
-            let gate = gate.share();
-            reply.when_answered(move || drop((in_flight, gate)));
+            let hold = Arc::clone(hold);
+            reply.when_answered(move || drop((in_flight, hold)));
             shares.push(Share {
                 server,
                 idx,
@@ -1197,110 +775,52 @@ impl ServerPool {
                 reply,
             });
         }
-        Window { len, shares, state }
+        Window { len, shares }
     }
 
-    /// The one replica walk behind every routed read: try `key`'s homes
-    /// primary first. `NotFound` is final from an authoritative home but
-    /// not from a target-only home during a transition, where absence
-    /// only means the background copy has not landed yet.
-    ///
-    /// The per-key fallback of a failed batch passes the server that
-    /// failed as `skip` and its error as `last_err`: retrying that server
-    /// per key would multiply its failure latency by the batch size (fatal
-    /// when the failure is a response timeout), and without a surviving
-    /// replica the batch's own error is what surfaces.
-    fn get_routed(
+    /// One request of `entry` to `server` through [`ServerPool::start`],
+    /// waited on: a window of one, counted like any other.
+    fn call<K>(
         &self,
-        state: &RingState,
-        key: &[u8],
-        range: ByteRange,
-        skip: Option<usize>,
-        mut last_err: Option<KvError>,
-    ) -> MemFsResult<Bytes> {
-        let (homes, auth) = state.route_with_auth(key, self.replication);
-        for (i, id) in homes.iter().enumerate() {
-            if Some(id.0) == skip {
-                continue;
-            }
-            match fetch_from(state.client(*id), key, range) {
-                Ok(v) => return Ok(v),
-                Err(e @ KvError::NotFound) if i < auth => return Err(e.into()),
-                Err(KvError::NotFound) => {}
-                Err(e) => last_err = Some(e),
-            }
-        }
-        match last_err {
-            Some(err) => self.get_failover(state, key, range, skip, err),
-            // Every authoritative home that was tried either returned
-            // above or left its error in `last_err`, and `auth >= 1`
-            // whenever `homes` is non-empty: unreachable unless `homes`
-            // is empty.
-            None => Err(KvError::NotFound.into()),
-        }
-    }
-
-    /// Every owner failed with a transport error: extend the candidate
-    /// walk past the owner set, where the repair planner parks failover
-    /// copies while owners are down. `NotFound` is not authoritative out
-    /// here — absence on a successor just means repair never placed a
-    /// copy there — so the owners' transport error is what surfaces when
-    /// the whole chain comes up empty.
-    fn get_failover(
-        &self,
-        state: &RingState,
-        key: &[u8],
-        range: ByteRange,
-        skip: Option<usize>,
-        err: KvError,
-    ) -> MemFsResult<Bytes> {
-        let owners = self.replication.min(state.members.len());
-        for id in state.candidates(key).into_iter().skip(owners) {
-            if Some(id.0) == skip {
-                continue;
-            }
-            if let Ok(v) = fetch_from(state.client(id), key, range) {
-                return Ok(v);
-            }
-        }
-        Err(err.into())
+        op: &Op,
+        server: ServerId,
+        entry: K,
+        submit: impl Fn(&dyn KvClient, &[K]) -> Deferred<Bytes>,
+    ) -> KvResult<Bytes> {
+        let batch = (server.0, (vec![0], vec![entry]));
+        let mut shares = self.start(op, 1, [batch], submit).shares;
+        let share = shares.pop().expect("a one-request window");
+        share.replies().next().expect("one reply per request").2
     }
 
     /// Settle one read share on the caller's thread: its results, paired
     /// with their input positions. An entry whose server failed — the
-    /// whole batch or just that entry — walks its replica chain
-    /// ([`ServerPool::get_routed`], the failed server skipped) under the
-    /// ring as it is *now*, in a gate entry of its own: the window's
-    /// entry went with its answer. Replicas (if any) thus serve a dead
+    /// whole batch or just that entry — takes the replica walk
+    /// ([`crate::replica::ReadWalk::after`], the failed server skipped)
+    /// under the ring as it is *now*, in a gate hold of its own: the
+    /// window's went with its answer. Replicas (if any) thus serve a dead
     /// server's keys while the other servers' shares settle untouched.
     pub(crate) fn settle_read(&self, share: Share<ReadReq>) -> Vec<(usize, MemFsResult<Bytes>)> {
-        let Share {
-            server,
-            idx,
-            entries,
-            reply,
-        } = share;
-        let fall_back = |(key, range): &ReadReq, e: KvError| {
-            self.stats.io(server).bump_fallback();
-            let (_gate, state) = self.begin_op();
-            self.get_routed(&state, key, *range, Some(server), Some(e))
+        let failed = share.server;
+        let walk_on = |req: &ReadReq, err: KvError| {
+            self.stats
+                .io(failed)
+                .fallbacks
+                .fetch_add(1, Ordering::SeqCst);
+            let op = self.live.enter();
+            let walk = op.1.rings().read_walk(&req.0, self.replication);
+            walk.after(ServerId(failed), err, |id| {
+                self.call(&op, id, req.clone(), read_batch)
+            })
         };
-        let results: Vec<MemFsResult<Bytes>> = match reply.wait() {
-            Ok(replies) => entries
-                .iter()
-                .zip(replies)
-                .map(|(req, r)| match r {
-                    Ok(v) => Ok(v),
-                    Err(KvError::NotFound) => Err(KvError::NotFound.into()),
-                    Err(e) => fall_back(req, e),
-                })
-                .collect(),
-            Err(e) => entries
-                .iter()
-                .map(|req| fall_back(req, e.duplicate()))
-                .collect(),
+        let settle = |(i, req, reply): (usize, ReadReq, KvResult<Bytes>)| {
+            let result = match reply {
+                Err(e) if !matches!(e, KvError::NotFound) => walk_on(&req, e),
+                reply => reply,
+            };
+            (i, result.map_err(Into::into))
         };
-        idx.into_iter().zip(results).collect()
+        share.replies().map(settle).collect()
     }
 }
 
@@ -1319,6 +839,7 @@ impl std::fmt::Debug for ServerPool {
 pub(crate) mod tests {
     use super::*;
     use memfs_memkv::{LocalClient, Store, StoreConfig};
+    use std::time::Duration;
 
     fn pool(n: usize) -> (ServerPool, Vec<Arc<Store>>) {
         let stores: Vec<Arc<Store>> = (0..n)

@@ -28,11 +28,12 @@
 //!    finalized by `set`), indistinguishable from a fresh copy by
 //!    presence.
 //! 3. **Homes and copies** — a key's homes are the first `r` alive servers
-//!    in the walk of `RingState::home_ring`: the target ring during a
-//!    transition, the current ring otherwise. While an owner is down the
-//!    home set slides onto surviving successors; when it returns it
-//!    converges back. A fresh holder's value is copied over every stale
-//!    holder (`set`) and onto every home that holds nothing (`add`:
+//!    of its failover walk (`replica.rs`: the target ring's successors
+//!    during a transition, the current ring's otherwise), the walk a
+//!    failed read takes too. While an owner is down the home set slides
+//!    onto surviving successors; when it returns it converges back. A
+//!    fresh holder's value is copied over every stale holder (`set`) and
+//!    onto every home that holds nothing (`add`:
 //!    `Exists` means a racing foreground write already made it current).
 //!    During a transition the source is then re-read, so a dual-routed
 //!    append that raced the copy is carried across too. Copies run under
@@ -67,7 +68,9 @@ use memfs_hashring::ServerId;
 use memfs_memkv::KvError;
 
 use crate::error::MemFsResult;
-use crate::pool::{DegradedWrite, RingState, ServerPool};
+use crate::pool::ServerPool;
+use crate::replica::{is_fresh, DegradedWrite};
+use crate::ring::RingState;
 
 /// Tuning for a repair pass.
 #[derive(Debug, Clone, Default)]
@@ -312,13 +315,7 @@ pub fn repair_pass(pool: &ServerPool, config: &RepairConfig) -> MemFsResult<Repa
     let mut bucket = TokenBucket::new(config.bandwidth);
     let mut homed: BTreeMap<&[u8], Vec<ServerId>> = BTreeMap::new();
     for (key, have) in &holders {
-        let homes: Vec<ServerId> = state
-            .home_ring()
-            .replicas_for(key, state.clients.len())
-            .into_iter()
-            .filter(|id| alive[id.0])
-            .take(r)
-            .collect();
+        let homes = state.rings().repair_homes(key, r, |id| alive[id.0]);
         if homes.is_empty() {
             // Every home is down: nothing to copy to, and nothing retires.
             report.unrepairable += 1;
@@ -328,7 +325,7 @@ pub fn repair_pass(pool: &ServerPool, config: &RepairConfig) -> MemFsResult<Repa
         let fresh: BTreeSet<usize> = have
             .iter()
             .copied()
-            .filter(|&s| hint.is_none_or(|h| h.written.contains(&ServerId(s))))
+            .filter(|&s| is_fresh(hint, ServerId(s)))
             .collect();
         let stale = have.difference(&fresh).map(|&s| ServerId(s));
         let targets: Vec<ServerId> = homes

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Repo verification gate: build, tests, formatting, lints.
 #
-#   scripts/verify.sh            # build + workspace tests + fmt + clippy + knob count + unsafe census + KvClient census + I/O pool census + connection census + timer census + pass census + phase census + substrate census + repro golden
+#   scripts/verify.sh            # build + workspace tests + fmt + clippy + knob count + unsafe census + KvClient census + I/O pool census + connection census + timer census + pass census + phase census + replica census + substrate census + repro golden
 #   scripts/verify.sh --clippy   # fast path: fmt + clippy only, no build/tests
 #   scripts/verify.sh --threads  # additionally stress the concurrency tests
 #   scripts/verify.sh --soak     # shaped-cluster suites, N random seeds
@@ -209,6 +209,37 @@ if [[ -n "$phases" ]]; then
     exit 1
 fi
 
+# Each replica rule has one home (DESIGN.md §2): a key's homes, the
+# failover walk and the repair home set come from ring.rs / replica.rs
+# only, and every request the pool sends goes through its `start`, so
+# `PoolStats` counts it (§4c). Test halves are exempt: they compute the
+# placements they expect on their own.
+# shellcheck disable=SC2016
+replica=$(
+    for f in crates/core/src/*.rs; do
+        case "$f" in */ring.rs | */replica.rs) continue ;; esac
+        awk '/^[[:space:]]*#\[cfg\(test\)\]/ { exit }
+            /replicas_for\(|home_ring\(/ { print FILENAME ":" FNR ": " $0 }' "$f"
+    done
+    awk '/^[[:space:]]*#\[cfg\(test\)\]/ { exit }
+        !inside && /^[[:space:]]*fn start</ { inside = 1; depth = 0 }
+        inside {
+            opened = gsub(/\{/, "{"); closed = gsub(/\}/, "}")
+            depth += opened - closed
+            if (depth == 0 && closed > 0) inside = 0
+            next
+        }
+        /\.(get|set|add|append|delete|get_range)\(/ && !/self\.(get|set|add|append|delete|get_range)\(/ {
+            print FILENAME ":" FNR ": " $0
+        }' crates/core/src/pool.rs
+)
+echo "==> replica census: ${replica:-one home per replica rule, every pool request through start}"
+if [[ -n "$replica" ]]; then
+    echo "verify: route through the rules of replica.rs / ring.rs, and send a" \
+        "pool request through ServerPool::start (a window of one is \`call\`)" >&2
+    exit 1
+fi
+
 # The AMFS baseline is a model in crates/mtc (DESIGN.md §5) and the
 # simulations draw no random numbers: no in-process AMFS engine, no `rand`
 # shim, no simulator RNG or statistics module. The one seeded RNG is
@@ -262,7 +293,7 @@ for arg in "$@"; do
             # idle handle never stalls quiesce, a window one reader left
             # serves another, transitions and a dead server mid-window.
             RUST_TEST_THREADS=16 cargo test -q -p memfs-core --lib -- \
-                pool:: prefetch:: bufwrite::
+                pool:: replica:: prefetch:: bufwrite::
             RUST_TEST_THREADS=16 cargo test -q -p memfs-core --lib -- \
                 idle_handles_holding_answered_windows \
                 a_window_pending_across_a_grow \
