@@ -6,7 +6,6 @@
 //! ```
 
 use memfs_bench::{help_text, is_artifact, ARTIFACTS};
-use memfs_memkv::client::Shaping;
 use memfs_mtc::experiments::{envelope_figs, fig3, memory, scaling, table2};
 
 fn main() {
@@ -41,11 +40,11 @@ fn main() {
 fn run(name: &str) {
     match name {
         "fig3a" => {
-            let rows = fig3::run_fig3a(64 << 20, Shaping::ipoib_like());
+            let rows = fig3::run_fig3a(64 << 20);
             print!("{}", fig3::render_fig3a(&rows));
         }
         "fig3b" => {
-            let rows = fig3::run_fig3b(64 << 20, Shaping::ipoib_like());
+            let rows = fig3::run_fig3b(64 << 20);
             print!("{}", fig3::render_fig3b(&rows));
         }
         "fig4" | "fig5" => {

@@ -903,7 +903,7 @@ impl io::Seek for ReadHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use memfs_memkv::{LocalClient, Store, StoreConfig};
+    use memfs_memkv::{LocalClient, SimClient, Store, StoreConfig};
 
     fn mount(n_servers: usize) -> MemFs {
         mount_with(
@@ -1139,11 +1139,9 @@ mod tests {
         assert!(!fs.exists("/empty-zombie").unwrap());
     }
 
-    type Failable = memfs_memkv::FailableClient<LocalClient>;
-
     /// `n` stores behind failure-injectable clients, mounted with tiny
     /// stripes so thousands of them stay cheap.
-    fn small_stripe_mount(n: usize) -> (Vec<Arc<Store>>, Vec<Arc<Failable>>, MemFs) {
+    fn small_stripe_mount(n: usize) -> (Vec<Arc<Store>>, Vec<Arc<SimClient>>, MemFs) {
         failable_mount(n, small_stripe_config())
     }
 
@@ -1159,13 +1157,13 @@ mod tests {
     fn failable_mount(
         n: usize,
         config: MemFsConfig,
-    ) -> (Vec<Arc<Store>>, Vec<Arc<Failable>>, MemFs) {
+    ) -> (Vec<Arc<Store>>, Vec<Arc<SimClient>>, MemFs) {
         let stores: Vec<Arc<Store>> = (0..n)
             .map(|_| Arc::new(Store::new(StoreConfig::default())))
             .collect();
         let failables: Vec<_> = stores
             .iter()
-            .map(|s| Arc::new(Failable::new(LocalClient::new(Arc::clone(s)))))
+            .map(|s| Arc::new(SimClient::new(Arc::clone(s))))
             .collect();
         let clients = failables
             .iter()

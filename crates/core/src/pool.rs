@@ -838,7 +838,7 @@ impl std::fmt::Debug for ServerPool {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use memfs_memkv::{LocalClient, Store, StoreConfig};
+    use memfs_memkv::{LocalClient, SimClient, Store, StoreConfig};
     use std::time::Duration;
 
     fn pool(n: usize) -> (ServerPool, Vec<Arc<Store>>) {
@@ -923,13 +923,8 @@ pub(crate) mod tests {
 
     #[test]
     fn get_many_falls_back_to_replicas_when_primary_dies() {
-        use memfs_memkv::{FailableClient, LocalClient, Store, StoreConfig};
-        let failables: Vec<Arc<FailableClient<LocalClient>>> = (0..3)
-            .map(|_| {
-                Arc::new(FailableClient::new(LocalClient::new(Arc::new(Store::new(
-                    StoreConfig::default(),
-                )))))
-            })
+        let failables: Vec<Arc<SimClient>> = (0..3)
+            .map(|_| Arc::new(SimClient::new(Arc::new(Store::new(StoreConfig::default())))))
             .collect();
         let clients: Vec<Arc<dyn KvClient>> = failables
             .iter()
@@ -1056,13 +1051,8 @@ pub(crate) mod tests {
 
     #[test]
     fn delete_many_survives_a_dead_replica() {
-        use memfs_memkv::FailableClient;
-        let failables: Vec<Arc<FailableClient<LocalClient>>> = (0..3)
-            .map(|_| {
-                Arc::new(FailableClient::new(LocalClient::new(Arc::new(Store::new(
-                    StoreConfig::default(),
-                )))))
-            })
+        let failables: Vec<Arc<SimClient>> = (0..3)
+            .map(|_| Arc::new(SimClient::new(Arc::new(Store::new(StoreConfig::default())))))
             .collect();
         let clients: Vec<Arc<dyn KvClient>> = failables
             .iter()
@@ -1150,13 +1140,8 @@ pub(crate) mod tests {
 
     #[test]
     fn replicated_reads_survive_a_dead_primary() {
-        use memfs_memkv::FailableClient;
-        let failables: Vec<Arc<FailableClient<LocalClient>>> = (0..3)
-            .map(|_| {
-                Arc::new(FailableClient::new(LocalClient::new(Arc::new(Store::new(
-                    StoreConfig::default(),
-                )))))
-            })
+        let failables: Vec<Arc<SimClient>> = (0..3)
+            .map(|_| Arc::new(SimClient::new(Arc::new(Store::new(StoreConfig::default())))))
             .collect();
         let clients: Vec<Arc<dyn KvClient>> = failables
             .iter()
@@ -1372,20 +1357,9 @@ pub(crate) mod tests {
         log.take_steps();
     }
 
-    pub(crate) fn failable_pool(
-        n: usize,
-        replication: usize,
-    ) -> (
-        ServerPool,
-        Vec<Arc<memfs_memkv::FailableClient<LocalClient>>>,
-    ) {
-        use memfs_memkv::FailableClient;
-        let failables: Vec<Arc<FailableClient<LocalClient>>> = (0..n)
-            .map(|_| {
-                Arc::new(FailableClient::new(LocalClient::new(Arc::new(Store::new(
-                    StoreConfig::default(),
-                )))))
-            })
+    pub(crate) fn failable_pool(n: usize, replication: usize) -> (ServerPool, Vec<Arc<SimClient>>) {
+        let failables: Vec<Arc<SimClient>> = (0..n)
+            .map(|_| Arc::new(SimClient::new(Arc::new(Store::new(StoreConfig::default())))))
             .collect();
         let clients: Vec<Arc<dyn KvClient>> = failables
             .iter()

@@ -1294,9 +1294,9 @@ mod tests {
 
     #[test]
     fn prefetch_recovers_after_transient_errors() {
-        use memfs_memkv::FailableClient;
+        use memfs_memkv::SimClient;
         let store = Arc::new(Store::new(StoreConfig::default()));
-        let failable = Arc::new(FailableClient::new(LocalClient::new(Arc::clone(&store))));
+        let failable = Arc::new(SimClient::new(Arc::clone(&store)));
         let clients: Vec<Arc<dyn KvClient>> = vec![Arc::clone(&failable) as Arc<dyn KvClient>];
         let pool = Arc::new(ServerPool::new(clients, DistributorKind::default()));
         // 100 stripes: the recovery read at stripe 40 continues a
@@ -1339,9 +1339,7 @@ mod tests {
         // servers' stripes must turn Ready (not stay InFlight behind the
         // failure) and its own must be released, to be retried
         // synchronously once the server is back.
-        let (counted, pool) = instrumented_pool_over(2000, 100, |store| {
-            FailableClient::new(LocalClient::new(store))
-        });
+        let (counted, pool) = instrumented_pool_over(2000, 100, SimClient::new);
         let owner = |s: u64| pool.server_for(&KeySchema::stripe_key("/f", s)).0;
         let failed = (1..=8u64)
             .find(|&s| owner(s) != owner(0))

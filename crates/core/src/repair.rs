@@ -528,13 +528,9 @@ mod tests {
     use super::*;
     use crate::config::DistributorKind;
     use memfs_hashring::{Distributor, KetamaRing};
-    use memfs_memkv::{FailableClient, KvClient, LocalClient, Store, StoreConfig};
+    use memfs_memkv::{KvClient, LocalClient, SimClient, Store, StoreConfig};
 
-    type FailableHarness = (
-        Arc<ServerPool>,
-        Vec<Arc<FailableClient<LocalClient>>>,
-        Vec<Arc<Store>>,
-    );
+    type FailableHarness = (Arc<ServerPool>, Vec<Arc<SimClient>>, Vec<Arc<Store>>);
 
     /// `n` failable in-process servers, the first `members` of them
     /// mounted as a ketama pool (the rest left to admit).
@@ -547,9 +543,9 @@ mod tests {
         let stores: Vec<Arc<Store>> = (0..n)
             .map(|_| Arc::new(Store::new(StoreConfig::default())))
             .collect();
-        let failables: Vec<Arc<FailableClient<LocalClient>>> = stores
+        let failables: Vec<Arc<SimClient>> = stores
             .iter()
-            .map(|s| Arc::new(FailableClient::new(LocalClient::new(Arc::clone(s)))))
+            .map(|s| Arc::new(SimClient::new(Arc::clone(s))))
             .collect();
         let clients: Vec<Arc<dyn KvClient>> = failables[..members]
             .iter()
@@ -567,7 +563,7 @@ mod tests {
         failable_servers(n, n, replication, 64)
     }
 
-    fn client(f: &Arc<FailableClient<LocalClient>>) -> Arc<dyn KvClient> {
+    fn client(f: &Arc<SimClient>) -> Arc<dyn KvClient> {
         Arc::clone(f) as Arc<dyn KvClient>
     }
 

@@ -9,15 +9,12 @@
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use memfs_core::{DistributorKind, MemFs, MemFsConfig, MemFsError, ServerPool};
-use memfs_memkv::client::Shaping;
 use memfs_memkv::error::KvError;
-use memfs_memkv::{
-    Batch, Deferred, FailableClient, KvClient, LocalClient, Store, StoreConfig, ThrottledClient,
-};
+use memfs_memkv::{Batch, Deferred, KvClient, LocalClient, SimClient, Store, StoreConfig};
 
 fn local_clients(n: usize) -> (Vec<Arc<dyn KvClient>>, Vec<Arc<Store>>) {
     let stores: Vec<Arc<Store>> = (0..n)
@@ -89,12 +86,8 @@ fn get_many_handles_duplicate_and_missing_keys_in_order() {
 
 #[test]
 fn dead_server_degrades_only_its_own_keys() {
-    let failables: Vec<Arc<FailableClient<LocalClient>>> = (0..4)
-        .map(|_| {
-            Arc::new(FailableClient::new(LocalClient::new(Arc::new(Store::new(
-                StoreConfig::default(),
-            )))))
-        })
+    let failables: Vec<Arc<SimClient>> = (0..4)
+        .map(|_| Arc::new(SimClient::new(Arc::new(Store::new(StoreConfig::default())))))
         .collect();
     let clients: Vec<Arc<dyn KvClient>> = failables
         .iter()
@@ -142,12 +135,8 @@ fn dead_server_degrades_only_its_own_keys() {
 
 #[test]
 fn dead_server_is_masked_entirely_with_replication() {
-    let failables: Vec<Arc<FailableClient<LocalClient>>> = (0..4)
-        .map(|_| {
-            Arc::new(FailableClient::new(LocalClient::new(Arc::new(Store::new(
-                StoreConfig::default(),
-            )))))
-        })
+    let failables: Vec<Arc<SimClient>> = (0..4)
+        .map(|_| Arc::new(SimClient::new(Arc::new(Store::new(StoreConfig::default())))))
         .collect();
     let clients: Vec<Arc<dyn KvClient>> = failables
         .iter()
@@ -170,12 +159,8 @@ fn dead_server_is_masked_entirely_with_replication() {
 
 #[test]
 fn set_many_reports_dead_server_but_stores_the_rest() {
-    let failables: Vec<Arc<FailableClient<LocalClient>>> = (0..4)
-        .map(|_| {
-            Arc::new(FailableClient::new(LocalClient::new(Arc::new(Store::new(
-                StoreConfig::default(),
-            )))))
-        })
+    let failables: Vec<Arc<SimClient>> = (0..4)
+        .map(|_| Arc::new(SimClient::new(Arc::new(Store::new(StoreConfig::default())))))
         .collect();
     let clients: Vec<Arc<dyn KvClient>> = failables
         .iter()
@@ -341,20 +326,45 @@ fn per_server_delete_batches_run_in_parallel() {
     }
 }
 
+/// A client whose batches take `delay` of real time to answer: the store
+/// applies each at once, and its reply is ready once the delay has passed
+/// (waiting sleeps it out). Callers on several threads then really hold
+/// batches in flight at the same time, which virtual time would not make
+/// them do.
+struct DelayedClient {
+    inner: LocalClient,
+    delay: Duration,
+}
+
+impl KvClient for DelayedClient {
+    fn start(&self, batch: Batch<'_>) -> Deferred<Bytes> {
+        let result = self.inner.start(batch).wait();
+        let due = Instant::now() + self.delay;
+        Deferred::Polled {
+            ready: Box::new(move || Instant::now() >= due),
+            finish: Box::new(move || {
+                std::thread::sleep(due.saturating_duration_since(Instant::now()));
+                result
+            }),
+            answered: None,
+        }
+    }
+}
+
+/// A client over `store` answering after `delay`.
+fn delayed(store: &Arc<Store>, delay: Duration) -> Arc<dyn KvClient> {
+    Arc::new(DelayedClient {
+        inner: LocalClient::new(Arc::clone(store)),
+        delay,
+    })
+}
+
 #[test]
 fn in_flight_settles_to_zero_under_concurrent_callers() {
-    let (clients, _stores) = local_clients(4);
-    let slow: Vec<Arc<dyn KvClient>> = clients
-        .into_iter()
-        .map(|c| {
-            Arc::new(ThrottledClient::new(
-                c,
-                Shaping {
-                    latency: Duration::from_micros(200),
-                    bandwidth: f64::INFINITY,
-                },
-            )) as Arc<dyn KvClient>
-        })
+    let (_, stores) = local_clients(4);
+    let slow: Vec<Arc<dyn KvClient>> = stores
+        .iter()
+        .map(|s| delayed(s, Duration::from_micros(200)))
         .collect();
     let pool = Arc::new(ServerPool::new(slow, DistributorKind::default()));
     let keys = Arc::new(stripe_like_keys(64));
@@ -403,15 +413,7 @@ fn dropping_the_mount_after_close_loses_no_stripes() {
     let shaped = |stores: &[Arc<Store>]| -> Vec<Arc<dyn KvClient>> {
         stores
             .iter()
-            .map(|s| {
-                Arc::new(ThrottledClient::new(
-                    LocalClient::new(Arc::clone(s)),
-                    Shaping {
-                        latency: Duration::from_micros(100),
-                        bandwidth: f64::INFINITY,
-                    },
-                )) as Arc<dyn KvClient>
-            })
+            .map(|s| delayed(s, Duration::from_micros(100)))
             .collect()
     };
     let config = MemFsConfig {

@@ -15,17 +15,18 @@
 //!
 //! * [`LocalClient`] — direct in-process calls into a [`Store`] (a MemFS
 //!   node talking to the server in its own DRAM);
-//! * [`ThrottledClient`] — wraps any client with a real-time latency and
-//!   bandwidth shaper, so single-machine benchmarks reproduce the *shape*
-//!   of remote-server behaviour (used for the Figure 3 experiments);
-//! * [`FailableClient`] — wraps any client with an injected outage;
+//! * [`SimClient`] — a [`Store`] behind a simulated link on a virtual
+//!   clock, with an injectable outage (the Figure 3 experiments and the
+//!   fault-tolerance tests);
 //! * [`crate::net::TcpClient`] — the memcached text protocol over TCP, for
 //!   genuinely distributed deployments.
 
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use bytes::Bytes;
+use parking_lot::Mutex;
 
 use crate::error::{KvError, KvResult};
 use crate::proto::slice_range;
@@ -105,7 +106,7 @@ impl<T> Deferred<T> {
 /// traffic and by heartbeat probes: `Up` means the one link is
 /// established. A link severed by a timeout or an error reads `Down` until
 /// the next call or heartbeat redials it. In-process transports are always
-/// [`ServerHealth::Up`] unless a test wrapper injects failure. `Down` is a
+/// [`ServerHealth::Up`] unless a [`SimClient`] is set down. `Down` is a
 /// *view*, not ground truth.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServerHealth {
@@ -318,178 +319,129 @@ impl KvClient for LocalClient {
     }
 }
 
-/// Wall-clock traffic shaping parameters for [`ThrottledClient`].
-#[derive(Debug, Clone, Copy)]
-pub struct Shaping {
-    /// Fixed cost added to every request (round-trip latency).
-    pub latency: Duration,
-    /// Payload bandwidth in bytes per second (`f64::INFINITY` disables).
-    pub bandwidth: f64,
-}
+/// The virtual clock a pool's [`SimClient`]s share: time counted from
+/// zero that moves only when a caller waits on a batch due later than now.
+/// Clones share one clock.
+#[derive(Clone, Default)]
+pub struct SimClock(Arc<AtomicU64>);
 
-impl Shaping {
-    /// A profile resembling IP-over-InfiniBand: 60 µs RTT, 1 GB/s.
-    pub fn ipoib_like() -> Self {
-        Shaping {
-            latency: Duration::from_micros(60),
-            bandwidth: 1e9,
-        }
+impl SimClock {
+    /// Virtual time since the clock was made.
+    pub fn now(&self) -> Duration {
+        Duration::from_nanos(self.0.load(Ordering::SeqCst))
+    }
+
+    fn advance_to(&self, t: Duration) {
+        self.0.fetch_max(t.as_nanos() as u64, Ordering::SeqCst);
     }
 }
 
-/// Adds real-time latency/bandwidth costs to an inner client by sleeping.
+/// An in-process [`Store`] behind a simulated link, timed on a
+/// [`SimClock`].
 ///
-/// The delay model is per-batch: `latency + payload / bandwidth`, one
-/// round trip however many requests ride in it — the cost model that
-/// makes batching worth doing over a shaped link. This yields the right
-/// *per-stream* behaviour for the single-machine design experiments
-/// (stripe-size sweeps, buffering/prefetching thread scaling) where the
-/// point is overlapping many shaped streams.
-pub struct ThrottledClient<C> {
-    inner: C,
-    shaping: Shaping,
+/// A batch costs one request charge, plus its payload — the values sent
+/// and the values that came back, so a ranged read pays for the range, not
+/// for the value it was cut from — over the link bandwidth, and it queues
+/// behind the batches before it on the server's one in-order stream. The
+/// store applies it inside `start`; its [`Deferred`] is ready once the
+/// clock reaches the batch's due time, and waiting on it moves the clock
+/// there. Batches to different servers overlap, so a fan-out costs the
+/// max of its batches, not the sum, and nothing sleeps.
+///
+/// [`SimClient::new`] is the zero-cost link. [`SimClient::set_down`]
+/// injects an outage: the fault-tolerance tests use it to exercise the
+/// replication path (the paper defers fault tolerance to future work,
+/// §3.2.5; this crate implements the replication option it sketches).
+pub struct SimClient {
+    local: LocalClient,
+    clock: SimClock,
+    request_cost: Duration,
+    /// Bytes per second; `f64::INFINITY` charges nothing for payload.
+    bandwidth: f64,
+    /// When the server's stream is free: the due time of its last batch.
+    stream: Mutex<Duration>,
+    down: AtomicBool,
 }
 
-impl<C: KvClient> ThrottledClient<C> {
-    /// Shape `inner` with `shaping`.
-    pub fn new(inner: C, shaping: Shaping) -> Self {
-        ThrottledClient { inner, shaping }
+impl SimClient {
+    /// `store` behind a link that costs nothing, on a clock of its own.
+    pub fn new(store: Arc<Store>) -> Self {
+        Self::linked(store, &SimClock::default(), Duration::ZERO, f64::INFINITY)
     }
 
-    /// The wrapped client.
-    pub fn inner(&self) -> &C {
-        &self.inner
-    }
-
-    /// Shaped wall-clock cost of one round trip carrying `payload_bytes`.
-    fn cost(&self, payload_bytes: usize) -> Duration {
-        let mut d = self.shaping.latency;
-        if self.shaping.bandwidth.is_finite() && self.shaping.bandwidth > 0.0 {
-            d += Duration::from_secs_f64(payload_bytes as f64 / self.shaping.bandwidth);
+    /// `store` behind a link that charges `request_cost` per batch and
+    /// moves `bandwidth` bytes per second (positive), timed on `clock`.
+    pub fn linked(
+        store: Arc<Store>,
+        clock: &SimClock,
+        request_cost: Duration,
+        bandwidth: f64,
+    ) -> Self {
+        SimClient {
+            local: LocalClient::new(store),
+            clock: clock.clone(),
+            request_cost,
+            bandwidth,
+            stream: Mutex::new(Duration::ZERO),
+            down: AtomicBool::new(false),
         }
-        d
+    }
+
+    /// Mark the server down (true) or back up (false). While it is down,
+    /// every batch and [`KvClient::scan_keys`] fails with an I/O error
+    /// before the store sees it, and [`KvClient::health`] reads `Down`: a
+    /// crashed or partitioned server.
+    pub fn set_down(&self, down: bool) {
+        self.down.store(down, Ordering::SeqCst);
+    }
+
+    fn check(&self) -> KvResult<()> {
+        if self.down.load(Ordering::SeqCst) {
+            return Err(KvError::Io(std::io::Error::new(
+                std::io::ErrorKind::ConnectionRefused,
+                "server down (injected failure)",
+            )));
+        }
+        Ok(())
     }
 }
 
-/// Sleep with sub-millisecond fidelity: OS sleep for the bulk, then spin
-/// for the tail. OS timers routinely overshoot by ~50 µs, which would
-/// swamp the microsecond-scale latencies being modelled.
-fn precise_sleep(d: Duration) {
-    let start = Instant::now();
-    if d > Duration::from_micros(200) {
-        std::thread::sleep(d - Duration::from_micros(150));
-    }
-    while start.elapsed() < d {
-        std::hint::spin_loop();
-    }
-}
-
-impl<C: KvClient> KvClient for ThrottledClient<C> {
-    /// The inner batch runs at once (memory-speed for the intended
-    /// [`LocalClient`] inner); its shaped cost — one latency charge plus
-    /// bandwidth on the payload sent and the payload that came back, so a
-    /// ranged read pays for the range, not for the value it was cut from —
-    /// is a wall-clock deadline counted from submission. `ready` polls the
-    /// clock, `finish` sleeps out the remainder: N servers' costs elapse
-    /// concurrently and a fan-out pays `max(cost)`, not `sum(cost)`,
-    /// exactly like real shaped links.
+impl KvClient for SimClient {
     fn start(&self, batch: Batch<'_>) -> Deferred<Bytes> {
-        let submitted = Instant::now();
+        if let Err(e) = self.check() {
+            return Deferred::Ready(Err(e));
+        }
         let sent: usize = match batch {
             Batch::Store(_, items) => items.iter().map(|(_, value)| value.len()).sum(),
             _ => 0,
         };
-        let reply = self.inner.start(batch).wait();
-        let received: usize = reply
-            .iter()
-            .flatten()
-            .flatten()
-            .map(|value| value.len())
-            .sum();
-        let deadline = submitted + self.cost(sent + received);
+        let reply = self.local.start(batch).wait();
+        let received: usize = reply.iter().flatten().flatten().map(Bytes::len).sum();
+        let cost =
+            self.request_cost + Duration::from_secs_f64((sent + received) as f64 / self.bandwidth);
+        let due = {
+            let mut stream = self.stream.lock();
+            *stream = (*stream).max(self.clock.now()) + cost;
+            *stream
+        };
+        let (clock, waited) = (self.clock.clone(), self.clock.clone());
         Deferred::Polled {
-            ready: Box::new(move || Instant::now() >= deadline),
+            ready: Box::new(move || clock.now() >= due),
             finish: Box::new(move || {
-                precise_sleep(deadline.saturating_duration_since(Instant::now()));
+                waited.advance_to(due);
                 reply
             }),
             answered: None,
         }
     }
     fn scan_keys(&self) -> KvResult<Vec<Vec<u8>>> {
-        self.inner.scan_keys()
-    }
-    fn reactor_stats(&self) -> Option<crate::reactor::ReactorStatsSnapshot> {
-        self.inner.reactor_stats()
-    }
-    fn health(&self) -> ServerHealth {
-        self.inner.health()
-    }
-}
-
-/// A failure-injection wrapper: while marked down, every operation fails
-/// with an I/O error, emulating a crashed or partitioned storage server.
-/// Used by the fault-tolerance tests to exercise MemFS' replication path
-/// (the paper defers fault tolerance to future work, §3.2.5; this crate
-/// implements the replication option it sketches).
-pub struct FailableClient<C> {
-    inner: C,
-    down: std::sync::atomic::AtomicBool,
-}
-
-impl<C: KvClient> FailableClient<C> {
-    /// Wrap `inner`, initially up.
-    pub fn new(inner: C) -> Self {
-        FailableClient {
-            inner,
-            down: std::sync::atomic::AtomicBool::new(false),
-        }
-    }
-
-    /// Mark the server down (true) or back up (false).
-    pub fn set_down(&self, down: bool) {
-        self.down.store(down, std::sync::atomic::Ordering::SeqCst);
-    }
-
-    /// Whether the server is currently down.
-    pub fn is_down(&self) -> bool {
-        self.down.load(std::sync::atomic::Ordering::SeqCst)
-    }
-
-    fn check(&self) -> KvResult<()> {
-        if self.is_down() {
-            Err(KvError::Io(std::io::Error::new(
-                std::io::ErrorKind::ConnectionRefused,
-                "server down (injected failure)",
-            )))
-        } else {
-            Ok(())
-        }
-    }
-}
-
-impl<C: KvClient> KvClient for FailableClient<C> {
-    fn start(&self, batch: Batch<'_>) -> Deferred<Bytes> {
-        match self.check() {
-            Ok(()) => self.inner.start(batch),
-            Err(e) => Deferred::Ready(Err(e)),
-        }
-    }
-    fn scan_keys(&self) -> KvResult<Vec<Vec<u8>>> {
         self.check()?;
-        self.inner.scan_keys()
+        self.local.scan_keys()
     }
-    fn reactor_stats(&self) -> Option<crate::reactor::ReactorStatsSnapshot> {
-        self.inner.reactor_stats()
-    }
-    /// An injected failure is a dead server as far as the census is
-    /// concerned — this is what lets repair-planner tests model failure
-    /// detection without a TCP cluster.
     fn health(&self) -> ServerHealth {
-        if self.is_down() {
-            ServerHealth::Down
-        } else {
-            self.inner.health()
+        match self.check() {
+            Ok(()) => ServerHealth::Up,
+            Err(_) => ServerHealth::Down,
         }
     }
 }
@@ -518,13 +470,6 @@ mod tests {
 
     fn local() -> LocalClient {
         LocalClient::new(Arc::new(Store::new(StoreConfig::default())))
-    }
-
-    fn unshaped() -> Shaping {
-        Shaping {
-            latency: Duration::ZERO,
-            bandwidth: f64::INFINITY,
-        }
     }
 
     #[test]
@@ -661,21 +606,52 @@ mod tests {
         assert_eq!(c.health(), ServerHealth::Up, "{name}");
     }
 
+    /// What every client must answer when the store has no room: the
+    /// store's own refusal, whatever the transport.
+    fn refuses_when_full(name: &str, c: &dyn KvClient) {
+        let items = [(Bytes::from_static(b"big"), Bytes::from(vec![7u8; 1000]))];
+        let got = outcomes(c.start(Batch::Store(StoreVerb::Set, &items)));
+        let needed = 3 + 1000 + crate::store::ITEM_OVERHEAD;
+        let full = format!(
+            "{:?}",
+            KvError::OutOfMemory {
+                needed,
+                budget: 300
+            }
+        );
+        assert_eq!(got, [refused(&full)], "{name}: full store");
+    }
+
+    fn tiny_store() -> Arc<Store> {
+        Arc::new(Store::new(StoreConfig {
+            memory_budget: 300,
+            ..StoreConfig::default()
+        }))
+    }
+
     #[test]
     fn every_client_answers_every_batch_kind_alike() {
         conforms("local", &local());
-        conforms("throttled", &ThrottledClient::new(local(), unshaped()));
-        conforms("failable", &FailableClient::new(local()));
+        conforms("sim", &SimClient::new(store()));
+        let clock = SimClock::default();
+        let linked = SimClient::linked(store(), &clock, Duration::from_micros(55), 1e9);
+        conforms("sim over a link", &linked);
+        assert!(clock.now() > Duration::ZERO, "the link charged its batches");
         let shared: Arc<dyn KvClient> = Arc::new(local());
         conforms("arc<dyn>", &shared);
-        let store = Arc::new(Store::new(StoreConfig::default()));
-        let server = KvServer::spawn(store, "127.0.0.1:0").unwrap();
+        let server = KvServer::spawn(store(), "127.0.0.1:0").unwrap();
         conforms("tcp", &TcpClient::connect(server.addr()).unwrap());
 
+        // A full store's refusal reads the same in process and over TCP.
+        refuses_when_full("local", &LocalClient::new(tiny_store()));
+        refuses_when_full("sim", &SimClient::new(tiny_store()));
+        let server = KvServer::spawn(tiny_store(), "127.0.0.1:0").unwrap();
+        refuses_when_full("tcp", &TcpClient::connect(server.addr()).unwrap());
+
         // A down server answers no kind at all, and says so to the census.
-        let inner = Arc::new(local());
-        let failable = FailableClient::new(Arc::clone(&inner));
-        failable.set_down(true);
+        let store = store();
+        let down = SimClient::new(Arc::clone(&store));
+        down.set_down(true);
         let (keys, ranges) = (
             [Bytes::from_static(b"k")],
             [(Bytes::from_static(b"k"), 0, 1)],
@@ -689,55 +665,89 @@ mod tests {
             Batch::Store(StoreVerb::Append, &items),
             Batch::Delete(&keys),
         ] {
-            assert!(matches!(failable.start(batch).wait(), Err(KvError::Io(_))));
+            assert!(matches!(down.start(batch).wait(), Err(KvError::Io(_))));
         }
-        assert_eq!(failable.health(), ServerHealth::Down);
-        assert_eq!(inner.store().item_count(), 0, "a down server sees nothing");
+        assert!(matches!(down.scan_keys(), Err(KvError::Io(_))));
+        assert_eq!(down.health(), ServerHealth::Down);
+        assert_eq!(store.item_count(), 0, "a down server sees nothing");
+    }
 
-        // A shaped link charges one latency per batch, however many items
-        // ride in it...
-        let latency = Duration::from_millis(50);
-        let shaping = Shaping {
-            latency,
-            bandwidth: f64::INFINITY,
-        };
-        let shaped: Arc<dyn KvClient> = Arc::new(ThrottledClient::new(local(), shaping));
-        let adds: Vec<(Bytes, Bytes)> = (0..4)
-            .map(|i| (Bytes::from(format!("k{i}")), Bytes::new()))
-            .collect();
-        let start = Instant::now();
-        shaped
-            .start(Batch::Store(StoreVerb::Add, &adds))
-            .wait()
-            .unwrap();
-        let took = start.elapsed();
-        assert!(took >= latency && took < 3 * latency, "{took:?}");
-        // ...and a ranged read for the range, not for the value.
-        let shaping = Shaping {
-            latency: Duration::ZERO,
-            bandwidth: 1e6, // 1 MB/s: the whole value would cost 1 s
-        };
-        let shaped = ThrottledClient::new(local(), shaping);
-        let value = Bytes::from(vec![7u8; 1_000_000]);
-        shaped.inner().set(b"k", value).unwrap();
-        let start = Instant::now();
-        let out = shaped.get_range(b"k", 500_000, 20_000).unwrap();
-        let took = start.elapsed();
-        assert_eq!(out.len(), 20_000);
-        assert!(took >= Duration::from_millis(19), "{took:?}"); // 20 ms
-        assert!(took < Duration::from_millis(500), "{took:?}");
+    fn store() -> Arc<Store> {
+        Arc::new(Store::new(StoreConfig::default()))
+    }
+
+    /// A client on a fresh clock over a link of `request_cost` and
+    /// `bandwidth`, and that clock.
+    fn linked(request_cost: Duration, bandwidth: f64) -> (SimClient, SimClock) {
+        let clock = SimClock::default();
+        (
+            SimClient::linked(store(), &clock, request_cost, bandwidth),
+            clock,
+        )
     }
 
     #[test]
-    fn failable_client_blocks_batches_too() {
-        let c = FailableClient::new(local());
+    fn sim_client_charges_one_request_cost_per_batch() {
+        let cost = Duration::from_millis(2);
+        let (c, clock) = linked(cost, f64::INFINITY);
+        c.set(b"k", Bytes::from_static(b"v")).unwrap();
+        assert_eq!(clock.now(), cost);
+        // However many items ride in the batch.
+        let adds: Vec<(Bytes, Bytes)> = (0..4)
+            .map(|i| (Bytes::from(format!("k{i}")), Bytes::new()))
+            .collect();
+        c.start(Batch::Store(StoreVerb::Add, &adds)).wait().unwrap();
+        assert_eq!(clock.now(), 2 * cost);
+    }
+
+    #[test]
+    fn sim_client_charges_payload_both_ways_over_the_bandwidth() {
+        let (c, clock) = linked(Duration::ZERO, 1e6); // 1 MB/s: 1 µs a byte
+        c.set(b"k", Bytes::from(vec![7u8; 1_000_000])).unwrap();
+        assert_eq!(clock.now(), Duration::from_secs(1));
+        // A ranged read pays for the range, not for the value.
+        let out = c.get_range(b"k", 500_000, 20_000).unwrap();
+        assert_eq!(out.len(), 20_000);
+        assert_eq!(clock.now(), Duration::from_millis(1020));
+    }
+
+    #[test]
+    fn a_fan_out_costs_its_slowest_batch_and_one_stream_queues() {
+        let clock = SimClock::default();
+        let cost = |ms| Duration::from_millis(ms);
+        let fast = SimClient::linked(store(), &clock, cost(1), f64::INFINITY);
+        let slow = SimClient::linked(store(), &clock, cost(3), f64::INFINITY);
+        let keys = [Bytes::from_static(b"k")];
+        let (a, b) = (fast.start(Batch::Get(&keys)), slow.start(Batch::Get(&keys)));
+        assert!(!a.is_ready() && !b.is_ready(), "nothing is due at start");
+        a.wait().unwrap();
+        assert!(!b.is_ready());
+        b.wait().unwrap();
+        assert_eq!(clock.now(), cost(3), "max of the batches, not the sum");
+        // Two batches on one server: the second waits for the first.
+        let (a, b) = (fast.start(Batch::Get(&keys)), fast.start(Batch::Get(&keys)));
+        b.wait().unwrap();
+        assert!(a.is_ready(), "an in-order stream answers the first first");
+        assert_eq!(clock.now(), cost(5));
+    }
+
+    #[test]
+    fn a_down_sim_client_refuses_batches_until_it_is_up_again() {
+        let store = store();
+        let c = SimClient::new(Arc::clone(&store));
         c.set(b"k", Bytes::from_static(b"v")).unwrap();
         c.set_down(true);
+        assert!(matches!(c.get(b"k"), Err(KvError::Io(_))));
+        assert!(matches!(c.set(b"x", Bytes::new()), Err(KvError::Io(_))));
         assert!(c.get_many(&[Bytes::from_static(b"k")]).is_err());
         assert!(c.get_range(b"k", 0, 1).is_err());
         assert!(c
             .set_many(&[(Bytes::from_static(b"k"), Bytes::new())])
             .is_err());
+        c.set_down(false);
+        assert_eq!(c.health(), ServerHealth::Up);
+        assert_eq!(c.get(b"k").unwrap().as_ref(), b"v");
+        assert!(!store.contains(b"x"), "a refused batch was never applied");
     }
 
     #[test]
@@ -745,53 +755,5 @@ mod tests {
         let c: Arc<dyn KvClient> = Arc::new(local());
         c.set(b"k", Bytes::from_static(b"v")).unwrap();
         assert_eq!(c.get(b"k").unwrap().as_ref(), b"v");
-    }
-
-    #[test]
-    fn throttled_client_adds_latency() {
-        let shaped = ThrottledClient::new(
-            local(),
-            Shaping {
-                latency: Duration::from_millis(2),
-                bandwidth: f64::INFINITY,
-            },
-        );
-        let start = Instant::now();
-        shaped.set(b"k", Bytes::from_static(b"v")).unwrap();
-        assert!(start.elapsed() >= Duration::from_millis(2));
-    }
-
-    #[test]
-    fn throttled_client_charges_bandwidth() {
-        let shaped = ThrottledClient::new(
-            local(),
-            Shaping {
-                latency: Duration::ZERO,
-                bandwidth: 1e6, // 1 MB/s
-            },
-        );
-        let start = Instant::now();
-        shaped.set(b"k", Bytes::from(vec![0u8; 10_000])).unwrap(); // 10 ms
-        assert!(start.elapsed() >= Duration::from_millis(9));
-    }
-
-    #[test]
-    fn failable_client_toggles() {
-        let c = FailableClient::new(local());
-        c.set(b"k", Bytes::from_static(b"v")).unwrap();
-        c.set_down(true);
-        assert!(matches!(c.get(b"k"), Err(KvError::Io(_))));
-        assert!(matches!(c.set(b"x", Bytes::new()), Err(KvError::Io(_))));
-        c.set_down(false);
-        assert_eq!(c.get(b"k").unwrap().as_ref(), b"v");
-    }
-
-    #[test]
-    fn throttled_semantics_pass_through() {
-        let shaped = ThrottledClient::new(local(), unshaped());
-        shaped.set(b"dir", Bytes::from_static(b"a")).unwrap();
-        shaped.append(b"dir", b"b").unwrap();
-        assert_eq!(shaped.get(b"dir").unwrap().as_ref(), b"ab");
-        assert!(shaped.get(b"missing").is_err());
     }
 }

@@ -22,9 +22,10 @@
 //!
 //! * [`Store`] — direct, in-process (what a MemFS server embeds);
 //! * [`client::KvClient`] — the client abstraction MemFS programs against,
-//!   with [`client::LocalClient`] and a latency/bandwidth-shaping
-//!   [`client::ThrottledClient`] used to emulate remote servers in the
-//!   real-engine benchmarks (Figure 3);
+//!   with [`client::LocalClient`] and [`client::SimClient`], a store
+//!   behind a simulated latency/bandwidth link on a virtual clock, which
+//!   times the real engine for Figure 3 and injects outages in the
+//!   fault-tolerance tests;
 //! * [`net::KvServer`]/[`net::TcpClient`] — an actual TCP deployment
 //!   speaking the memcached text protocol in [`proto`], for running a real
 //!   distributed MemFS across processes.
@@ -43,8 +44,8 @@ pub mod store;
 pub mod testutil;
 
 pub use client::{
-    AnswerHook, Batch, Deferred, FailableClient, KvClient, LocalClient, Replies, ServerHealth,
-    StoreVerb, ThrottledClient,
+    AnswerHook, Batch, Deferred, KvClient, LocalClient, Replies, ServerHealth, SimClient, SimClock,
+    StoreVerb,
 };
 pub use error::KvError;
 pub use net::{KvServer, PoolConfig, ServerConfig, TcpClient};

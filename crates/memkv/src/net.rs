@@ -33,8 +33,8 @@ use crate::client::{Batch, Deferred, KvClient, Replies, ServerHealth, StoreVerb}
 use crate::conn::{RxBuf, TxQueue};
 use crate::error::{KvError, KvResult};
 use crate::proto::{
-    line_end, parse_len, parse_u64, write_request_line, Need, Request, Response, ValueItem,
-    MAX_LINE_LEN,
+    line_end, parse_len, parse_store_full, parse_u64, write_request_line, Need, Request, Response,
+    ValueItem, MAX_LINE_LEN,
 };
 use crate::reactor::{PendingExchange, ReactorHandle, ReactorStatsSnapshot, Registration};
 
@@ -610,7 +610,8 @@ fn deleted(resp: Response) -> KvResult<Bytes> {
 
 fn response_error(resp: Response) -> KvError {
     match resp {
-        Response::ServerError(msg) | Response::ClientError(msg) => KvError::Protocol(msg),
+        Response::ServerError(msg) => parse_store_full(&msg).unwrap_or(KvError::Protocol(msg)),
+        Response::ClientError(msg) => KvError::Protocol(msg),
         other => KvError::Protocol(format!("unexpected reply {other:?}")),
     }
 }
@@ -1087,6 +1088,171 @@ mod tests {
         let mut rx = RxBuf::default();
         rx.feed(format!("VALUE k 0 {MAX_VALUE_LEN}\r\n").as_bytes());
         assert_eq!(next_response(&mut rx).unwrap(), None);
+    }
+
+    /// A seeded fuzz of the reply decoder, the twin of the request
+    /// decoder's in `proto`: streams of every reply kind, cut at random
+    /// reads, damaged, and plain noise.
+    mod fuzz {
+        use super::*;
+        use crate::proto::tests::fuzz::{cuts, mutate, pick};
+        use crate::proto::{encode_response, store_full, MAX_VALUE_LEN};
+        use crate::testutil::{seed_from_env, Rng};
+
+        /// `lo..hi` bytes of `alphabet`.
+        fn some(rng: &mut Rng, alphabet: &[u8], lo: u64, hi: u64) -> Vec<u8> {
+            let len = rng.gen_range(lo, hi);
+            (0..len).map(|_| pick(rng, alphabet)).collect()
+        }
+
+        fn word(rng: &mut Rng) -> String {
+            let bytes = some(rng, b"abcdefghijklmnopqrstuvwxyz0123456789:/#_.-", 1, 24);
+            String::from_utf8(bytes).expect("ascii")
+        }
+
+        fn text(rng: &mut Rng) -> String {
+            let bytes = some(rng, b"abc xyz 0123456789:.-", 0, 40);
+            String::from_utf8(bytes).expect("ascii")
+        }
+
+        fn item(rng: &mut Rng) -> ValueItem {
+            ValueItem {
+                key: Bytes::from(word(rng)),
+                // Any bytes, CR and LF included.
+                value: Bytes::from(some(rng, b"\r\n \x00\xffVALUEND", 0, 65)),
+                cas: [None, Some(rng.next_u64())][rng.gen_range(0, 2) as usize],
+            }
+        }
+
+        /// A reply of any kind, parsed back as itself. One in twenty is a
+        /// `SERVER_ERROR` whose line is within a few hundred bytes of
+        /// [`MAX_LINE_LEN`], either side.
+        fn reply(rng: &mut Rng) -> Response {
+            match rng.gen_range(0, 20) {
+                0 => Response::Stored,
+                1 => Response::NotStored,
+                2 => Response::NotFound,
+                3 => Response::Deleted,
+                4 => Response::Ok,
+                5 => Response::End,
+                6 => Response::Version(text(rng)),
+                7 => Response::ServerError(text(rng)),
+                8 => store_full(rng.next_u64(), rng.next_u64()),
+                9 => Response::ClientError(text(rng)),
+                10..=12 => {
+                    let item = item(rng);
+                    Response::Value {
+                        key: item.key,
+                        value: item.value,
+                        cas: item.cas,
+                    }
+                }
+                13..=15 => Response::Values((0..rng.gen_range(2, 6)).map(|_| item(rng)).collect()),
+                16 => Response::Stats(
+                    (0..rng.gen_range(1, 5))
+                        .map(|_| (word(rng), text(rng)))
+                        .collect(),
+                ),
+                17 | 18 => Response::KeyList(
+                    (0..rng.gen_range(1, 6))
+                        .map(|_| word(rng).into_bytes())
+                        .collect(),
+                ),
+                _ => {
+                    let len = MAX_LINE_LEN - 300 + rng.gen_range(0, 600) as usize;
+                    Response::ServerError("x".repeat(len - "SERVER_ERROR ".len()))
+                }
+            }
+        }
+
+        /// While the decoder waits, what it holds is whole lines and one
+        /// partial line no longer than [`MAX_LINE_LEN`] (its CR perhaps
+        /// arrived), or a frame awaiting a data block announced at no more
+        /// than [`MAX_VALUE_LEN`].
+        fn assert_bounded(rx: &RxBuf) {
+            let held = rx.bytes();
+            let mut probe = RxBuf::default();
+            probe.feed(held);
+            match try_parse_response(&mut probe) {
+                Ok(ParseStep::Done(resp)) => panic!("held a whole reply {resp:?}"),
+                Ok(ParseStep::More(Need::Data { value, .. })) => {
+                    assert!(value <= MAX_VALUE_LEN, "a {value}-byte block awaited")
+                }
+                // A partial line, or a block whose bad terminator is looked
+                // at once the `END` after it is in (see below).
+                _ => {
+                    let lines = held.windows(2).rposition(|w| w == b"\r\n");
+                    let tail = held.len() - lines.map_or(0, |at| at + 2);
+                    assert!(tail <= MAX_LINE_LEN + 1, "a {tail}-byte line held");
+                }
+            }
+        }
+
+        /// What a client fed `wire` cut at `cuts` makes of it: every reply
+        /// up to the first error, whether there was one, and the bytes it
+        /// still holds otherwise.
+        fn decode(wire: &[u8], cuts: &[usize]) -> (Vec<Response>, bool, usize) {
+            let mut rx = RxBuf::default();
+            let mut got = Vec::new();
+            let mut from = 0;
+            for &to in cuts.iter().chain([&wire.len()]) {
+                rx.feed(&wire[from..to]);
+                from = to;
+                loop {
+                    match next_response(&mut rx) {
+                        Ok(Some(resp)) => got.push(resp),
+                        Ok(None) => break,
+                        Err(_) => return (got, true, 0),
+                    }
+                }
+                assert_bounded(&rx);
+            }
+            (got, false, rx.len())
+        }
+
+        #[test]
+        fn the_reply_decoder_survives_random_and_damaged_streams() {
+            let seed = seed_from_env();
+            println!("MEMFS_SHAPE_SEED={seed}");
+            let mut rng = Rng::new(seed);
+            for round in 0..400 {
+                let mut wire = Vec::new();
+                let mut valid = Vec::new();
+                let mut line_too_long = false;
+                for _ in 0..rng.gen_range(1, 24) {
+                    let resp = reply(&mut rng);
+                    let frame = encode_response(&resp);
+                    line_too_long |= crate::proto::find_crlf(&frame).unwrap() > MAX_LINE_LEN;
+                    if !line_too_long {
+                        valid.push(resp);
+                    }
+                    wire.extend_from_slice(&frame);
+                }
+                // However a stream is cut, it decodes as it does whole; a
+                // valid one to its replies, one with an over-long line to
+                // those before it and an error.
+                let whole = decode(&wire, &[]);
+                assert_eq!(whole, (valid, line_too_long, 0), "round {round}");
+                let c = cuts(&mut rng, wire.len());
+                assert_eq!(decode(&wire, &c), whole, "round {round} cut at {c:?}");
+                // Damaged, or plain noise: no panic, bounded, and cut-blind
+                // once the stream goes on. At its very end a cut stream may
+                // still be waiting for an `END` before it looks at the
+                // terminator of the data block in front of it: the hint
+                // counts the `END` so that the buffer reserves a frame to the
+                // byte, once. The trailer is that `END`.
+                let damaged = mutate(&mut rng, wire, b"\r\n 0123456789\xffVALUEND");
+                let damaged = [damaged, b"END\r\n".to_vec()].concat();
+                let c = cuts(&mut rng, damaged.len());
+                assert_eq!(decode(&damaged, &c), decode(&damaged, &[]), "round {round}");
+                let noise: Vec<u8> = (0..rng.gen_range(0, 3 * MAX_LINE_LEN as u64))
+                    .map(|_| rng.next_u64() as u8)
+                    .chain(*b"END\r\n")
+                    .collect();
+                let c = cuts(&mut rng, noise.len());
+                assert_eq!(decode(&noise, &c), decode(&noise, &[]), "round {round}");
+            }
+        }
     }
 
     #[test]

@@ -585,6 +585,31 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
     out
 }
 
+/// The three pieces of the `SERVER_ERROR` text a full store answers a
+/// write with, around its two numbers.
+const STORE_FULL: [&str; 3] = ["store full: need ", " bytes, budget ", " bytes"];
+
+/// The reply to a write a full store refused ([`KvError::OutOfMemory`]):
+/// `SERVER_ERROR store full: need N bytes, budget B bytes`.
+pub(crate) fn store_full(needed: u64, budget: u64) -> Response {
+    let [head, mid, tail] = STORE_FULL;
+    Response::ServerError(format!("{head}{needed}{mid}{budget}{tail}"))
+}
+
+/// The refusal a [`store_full`] message carries, so a full store reads
+/// the same over TCP as in process; `None` for any other message.
+pub(crate) fn parse_store_full(msg: &str) -> Option<KvError> {
+    let [head, mid, tail] = STORE_FULL;
+    let (needed, budget) = msg
+        .strip_prefix(head)?
+        .strip_suffix(tail)?
+        .split_once(mid)?;
+    Some(KvError::OutOfMemory {
+        needed: needed.parse().ok()?,
+        budget: budget.parse().ok()?,
+    })
+}
+
 /// Render a stats snapshot as memcached-style `STAT` pairs.
 pub fn stats_pairs(snap: &StatsSnapshot) -> Vec<(String, String)> {
     vec![
@@ -701,6 +726,7 @@ pub(crate) mod tests {
             Response::End,
             Response::Version("1.2.3".into()),
             Response::ServerError("out of memory".into()),
+            store_full(1067, 300),
             Response::ClientError("bad data chunk".into()),
             Response::Value {
                 key: Bytes::from_static(b"k"),
@@ -719,6 +745,33 @@ pub(crate) mod tests {
             ]),
             Response::KeyList(vec![b"a".to_vec(), b"bb".to_vec()]),
         ]
+    }
+
+    #[test]
+    fn a_full_store_reply_parses_back_to_its_refusal() {
+        let Response::ServerError(msg) = store_full(1067, 300) else {
+            panic!("a full store answers SERVER_ERROR");
+        };
+        let refusal = KvError::OutOfMemory {
+            needed: 1067,
+            budget: 300,
+        };
+        assert_eq!(msg, refusal.to_string(), "the text operators already see");
+        let parsed = parse_store_full(&msg);
+        assert!(matches!(
+            parsed,
+            Some(KvError::OutOfMemory {
+                needed: 1067,
+                budget: 300
+            })
+        ));
+        for other in [
+            "out of memory",
+            "store full: need x bytes, budget 1 bytes",
+            "store full: need 1 bytes, budget 2 bytes!",
+        ] {
+            assert!(parse_store_full(other).is_none(), "{other}");
+        }
     }
 
     #[test]
@@ -1078,11 +1131,11 @@ pub(crate) mod tests {
         }
     }
 
-    mod fuzz {
+    pub(crate) mod fuzz {
         use super::*;
         use crate::testutil::{seed_from_env, Rng};
 
-        fn pick(rng: &mut Rng, from: &[u8]) -> u8 {
+        pub(crate) fn pick(rng: &mut Rng, from: &[u8]) -> u8 {
             from[rng.gen_range(0, from.len() as u64) as usize]
         }
 
@@ -1146,11 +1199,11 @@ pub(crate) mod tests {
             }
         }
 
-        /// Damage `wire` a few times: flip, insert, delete or repeat bytes.
-        fn mutate(rng: &mut Rng, mut wire: Vec<u8>) -> Vec<u8> {
+        /// Damage `wire` a few times: flip, insert, delete or repeat bytes,
+        /// the bytes put in drawn from `interesting`.
+        pub(crate) fn mutate(rng: &mut Rng, mut wire: Vec<u8>, interesting: &[u8]) -> Vec<u8> {
             for _ in 0..rng.gen_range(1, 4) {
                 let at = rng.gen_range(0, wire.len() as u64 + 1) as usize;
-                let interesting = b"\r\n 0123456789\xffsetgetrange";
                 match rng.gen_range(0, 4) {
                     0 if at < wire.len() => wire[at] = pick(rng, interesting),
                     1 => wire.insert(at, pick(rng, interesting)),
@@ -1213,7 +1266,8 @@ pub(crate) mod tests {
             (got, false, dec.buffered())
         }
 
-        fn cuts(rng: &mut Rng, len: usize) -> Vec<usize> {
+        /// Up to a dozen random read boundaries in a `len`-byte stream.
+        pub(crate) fn cuts(rng: &mut Rng, len: usize) -> Vec<usize> {
             let mut cuts: Vec<usize> = (0..rng.gen_range(0, 12))
                 .map(|_| rng.gen_range(0, len as u64 + 1) as usize)
                 .collect();
@@ -1249,7 +1303,7 @@ pub(crate) mod tests {
                 let c = cuts(&mut rng, wire.len());
                 assert_eq!(decode(&wire, &c), whole, "round {round} cut at {c:?}");
                 // Damaged, or plain noise: no panic, bounded, cut-blind.
-                let damaged = mutate(&mut rng, wire);
+                let damaged = mutate(&mut rng, wire, b"\r\n 0123456789\xffsetgetrange");
                 let c = cuts(&mut rng, damaged.len());
                 assert_eq!(decode(&damaged, &c), decode(&damaged, &[]), "round {round}");
                 let noise: Vec<u8> = (0..rng.gen_range(0, 3 * MAX_LINE_LEN as u64))

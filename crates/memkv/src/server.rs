@@ -75,8 +75,8 @@ use crate::conn::{Conn, TxQueue};
 use crate::error::{KvError, KvResult};
 use crate::poll::{Poller, WAKE_TOKEN};
 use crate::proto::{
-    next_request, slice_range, stats_pairs, write_response, write_value_header, Request, Response,
-    ValueItem,
+    next_request, slice_range, stats_pairs, store_full, write_response, write_value_header,
+    Request, Response, ValueItem,
 };
 use crate::stats::StoreStats;
 use crate::stats::{ServerStats, ServerStatsSnapshot};
@@ -360,9 +360,8 @@ fn values_response(mut items: Vec<ValueItem>) -> Response {
 
 fn storage_error(e: KvError) -> Response {
     match e {
-        KvError::ValueTooLarge { .. } | KvError::OutOfMemory { .. } => {
-            Response::ServerError(e.to_string())
-        }
+        KvError::OutOfMemory { needed, budget } => store_full(needed, budget),
+        KvError::ValueTooLarge { .. } => Response::ServerError(e.to_string()),
         other => Response::ClientError(other.to_string()),
     }
 }

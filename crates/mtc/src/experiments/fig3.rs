@@ -1,6 +1,9 @@
 //! Figure 3 — the MemFS design-decision experiments, run on the **real**
-//! engine (`memfs-core` moving actual bytes), with remote-server costs
-//! emulated by `memkv`'s latency/bandwidth-shaping client.
+//! engine (`memfs-core` moving actual bytes) over four in-process servers,
+//! each a `memkv` [`SimClient`] behind the DAS4 IPoIB link the simulated
+//! figures use ([`NetProfile::das4_ipoib`]: one request cost per batch,
+//! payload over the NIC bandwidth, one in-order stream per server), timed
+//! on their shared virtual clock.
 //!
 //! * Figure 3a: stripe size (128 KB - 1 MB) vs write/read bandwidth —
 //!   the sweep behind the paper's 512 KB choice.
@@ -11,22 +14,22 @@
 //!   axis here — a mount has no I/O threads to count (its transport's
 //!   event loop carries every request).
 //!
-//! These measure wall-clock time on the host, so absolute numbers depend
-//! on the machine; the *shapes* (write bandwidth growing with stripe
-//! size, reads flat in stripe size, depth scaling saturating) are the
-//! reproduction target.
+//! Nothing sleeps and no host clock is read, so a figure depends only on
+//! the engine and on the link: two runs print the same bytes. The
+//! *shapes* (write bandwidth growing with stripe size, depth scaling
+//! saturating) are the reproduction target.
 
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::Duration;
 
 use memfs_core::{MemFs, MemFsConfig};
-use memfs_memkv::client::Shaping;
-use memfs_memkv::{KvClient, LocalClient, Store, StoreConfig, ThrottledClient};
+use memfs_memkv::{KvClient, SimClient, SimClock, Store, StoreConfig};
+use memfs_netsim::NetProfile;
 
 use crate::report;
 
 /// One Figure 3a point.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig3aRow {
     /// Stripe size in bytes.
     pub stripe_bytes: usize,
@@ -37,7 +40,7 @@ pub struct Fig3aRow {
 }
 
 /// One Figure 3b point.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig3bRow {
     /// Stripes in flight per open file: the reader's prefetch window, the
     /// writer's buffer.
@@ -53,48 +56,44 @@ pub struct Fig3bRow {
     pub read_noprefetch_bw: f64,
 }
 
-/// Build a pool of `n` shaped in-process servers.
-fn shaped_servers(n: usize, shaping: Shaping) -> Vec<Arc<dyn KvClient>> {
-    (0..n)
+/// Measure write and read bandwidth for one configuration over four fresh
+/// servers behind the IPoIB link, reading `read_chunk` bytes per
+/// `read_at`.
+fn measure(config: MemFsConfig, file_bytes: usize, read_chunk: usize) -> (f64, f64) {
+    let ipoib = NetProfile::das4_ipoib();
+    let request_cost = Duration::from_nanos(ipoib.request_cost().as_nanos());
+    let clock = SimClock::default();
+    let servers = (0..4)
         .map(|_| {
             let store = Arc::new(Store::new(StoreConfig::default()));
-            Arc::new(ThrottledClient::new(LocalClient::new(store), shaping)) as Arc<dyn KvClient>
+            let link = SimClient::linked(store, &clock, request_cost, ipoib.nic_bw.bytes_per_s());
+            Arc::new(link) as Arc<dyn KvClient>
         })
-        .collect()
-}
-
-/// Measure write and read bandwidth for one configuration, reading
-/// `read_chunk` bytes per `read_at`.
-fn measure(
-    config: MemFsConfig,
-    servers: Vec<Arc<dyn KvClient>>,
-    file_bytes: usize,
-    read_chunk: usize,
-) -> (f64, f64) {
+        .collect();
     let fs = MemFs::new(servers, config).expect("valid config");
     let payload = vec![0xA5u8; 1 << 20];
     let mut w = fs.create("/bench.dat").expect("create");
     let mut left = file_bytes;
-    let start = Instant::now();
+    let start = clock.now();
     while left > 0 {
         let n = left.min(payload.len());
         w.write_all(&payload[..n]).expect("write");
         left -= n;
     }
     w.close().expect("close");
-    let write_secs = start.elapsed().as_secs_f64();
+    let write_secs = (clock.now() - start).as_secs_f64();
 
     // Fresh handle => fresh prefetch cache (a different reader node).
     let r = fs.open("/bench.dat").expect("open");
     let mut buf = vec![0u8; read_chunk];
-    let start = Instant::now();
+    let start = clock.now();
     let mut off = 0u64;
     while off < file_bytes as u64 {
         let n = r.read_at(off, &mut buf).expect("read");
         assert!(n > 0);
         off += n as u64;
     }
-    let read_secs = start.elapsed().as_secs_f64();
+    let read_secs = (clock.now() - start).as_secs_f64();
     (
         file_bytes as f64 / write_secs,
         file_bytes as f64 / read_secs,
@@ -102,7 +101,7 @@ fn measure(
 }
 
 /// Run the Figure 3a stripe-size sweep.
-pub fn run_fig3a(file_bytes: usize, shaping: Shaping) -> Vec<Fig3aRow> {
+pub fn run_fig3a(file_bytes: usize) -> Vec<Fig3aRow> {
     [128usize, 256, 512, 1024]
         .iter()
         .map(|&kib| {
@@ -114,8 +113,7 @@ pub fn run_fig3a(file_bytes: usize, shaping: Shaping) -> Vec<Fig3aRow> {
                 prefetch_window: 8,
                 ..MemFsConfig::default()
             };
-            let servers = shaped_servers(4, shaping);
-            let (write_bw, read_bw) = measure(config, servers, file_bytes, 1 << 20);
+            let (write_bw, read_bw) = measure(config, file_bytes, 1 << 20);
             Fig3aRow {
                 stripe_bytes: stripe,
                 write_bw,
@@ -127,7 +125,7 @@ pub fn run_fig3a(file_bytes: usize, shaping: Shaping) -> Vec<Fig3aRow> {
 
 /// Run the Figure 3b depth sweep: k ∈ {1, 2, 4, 8} stripes in flight
 /// per open file.
-pub fn run_fig3b(file_bytes: usize, shaping: Shaping) -> Vec<Fig3bRow> {
+pub fn run_fig3b(file_bytes: usize) -> Vec<Fig3bRow> {
     let stripe = 512 << 10;
     let at_depth = |depth: usize| MemFsConfig {
         stripe_size: stripe,
@@ -139,13 +137,11 @@ pub fn run_fig3b(file_bytes: usize, shaping: Shaping) -> Vec<Fig3bRow> {
     // No prefetching: the synchronous reader the figure means, one
     // stripe per `read_at` and so one round trip per stripe.
     let noprefetch = at_depth(1).without_prefetch();
-    let servers = shaped_servers(4, shaping);
-    let (_, read_noprefetch_bw) = measure(noprefetch, servers, file_bytes, stripe);
+    let (_, read_noprefetch_bw) = measure(noprefetch, file_bytes, stripe);
     let measured: Vec<(usize, f64, f64)> = [1usize, 2, 4, 8]
         .iter()
         .map(|&depth| {
-            let servers = shaped_servers(4, shaping);
-            let (write_bw, read_bw) = measure(at_depth(depth), servers, file_bytes, 1 << 20);
+            let (write_bw, read_bw) = measure(at_depth(depth), file_bytes, 1 << 20);
             (depth, write_bw, read_bw)
         })
         .collect();
@@ -212,19 +208,10 @@ pub fn render_fig3b(rows: &[Fig3bRow]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
-
-    fn fast_shaping() -> Shaping {
-        // Keep test wall-time low while still exercising the shaped path.
-        Shaping {
-            latency: Duration::from_micros(30),
-            bandwidth: 2e9,
-        }
-    }
 
     #[test]
     fn fig3a_rows_cover_stripe_sizes() {
-        let rows = run_fig3a(2 << 20, fast_shaping());
+        let rows = run_fig3a(2 << 20);
         assert_eq!(rows.len(), 4);
         assert_eq!(rows[0].stripe_bytes, 128 << 10);
         assert!(rows.iter().all(|r| r.write_bw > 0.0 && r.read_bw > 0.0));
@@ -233,13 +220,9 @@ mod tests {
 
     #[test]
     fn fig3b_prefetch_helps_under_latency() {
-        // With real per-request latency, prefetching must beat the
-        // synchronous read path at 4 stripes in flight.
-        let shaping = Shaping {
-            latency: Duration::from_micros(400),
-            bandwidth: 2e9,
-        };
-        let rows = run_fig3b(4 << 20, shaping);
+        // Prefetching must beat the synchronous read path at 4 stripes in
+        // flight.
+        let rows = run_fig3b(4 << 20);
         let r4 = rows.iter().find(|r| r.depth == 4).unwrap();
         assert!(
             r4.read_bw > r4.read_noprefetch_bw,

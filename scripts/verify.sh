@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Repo verification gate: build, tests, formatting, lints.
 #
-#   scripts/verify.sh            # build + workspace tests + fmt + clippy + knob count + unsafe census + KvClient census + I/O pool census + connection census + timer census + pass census + phase census + replica census + substrate census + repro golden
+#   scripts/verify.sh            # build + workspace tests + fmt + clippy + knob count + unsafe census + KvClient census + I/O pool census + connection census + timer census + pass census + phase census + replica census + substrate census + shaper census + repro golden
 #   scripts/verify.sh --clippy   # fast path: fmt + clippy only, no build/tests
 #   scripts/verify.sh --threads  # additionally stress the concurrency tests
 #   scripts/verify.sh --soak     # shaped-cluster suites, N random seeds
@@ -11,10 +11,10 @@
 # superset, so a red crate-level test cannot hide behind a green tier-1.
 # fmt/clippy keep the tree warning-free; clippy runs with -D warnings so
 # new lints fail the gate instead of scrolling by. The repro golden step
-# reruns every simulated paper artifact (all but fig3a/fig3b, which time
-# the real engine on the wall clock) and diffs each section against
-# repro_output.txt: a change that moves a figure has to regenerate that
-# file and say why.
+# reruns every paper artifact (fig3a/fig3b time the real engine on a
+# virtual clock, so they are as reproducible as the simulated ones) and
+# diffs each section against repro_output.txt: a change that moves a
+# figure has to regenerate that file and say why.
 #
 # --threads repeats the fan-out/pending-window suites with a high
 # test-thread count so the pool's windows, the pending write drains and
@@ -259,16 +259,29 @@ if [[ -n "$substrate" ]]; then
     exit 1
 fi
 
-# Every simulated artifact is byte-identical to repro_output.txt, section
-# by section (the `==...==` rules are dropped, each `== <name>` header
-# opens a section). fig3a/fig3b are wall-clock runs of the real engine.
-echo "==> repro golden (every artifact but fig3a/fig3b against repro_output.txt)"
+# One traffic model times the real engine in process: `SimClient`, a store
+# behind a simulated link on a virtual clock, which also injects outages
+# (DESIGN.md §4b). No wall-clock shaper, sleeping or spinning, and no
+# second failure wrapper.
+# shellcheck disable=SC2086
+shapers=$(grep -rnwE 'ThrottledClient|FailableClient|Shaping|precise_sleep' $trees || true)
+echo "==> shaper census: ${shapers:-one SimClient, no wall-clock shaper}"
+if [[ -n "$shapers" ]]; then
+    echo "verify: time an in-process store with SimClient's virtual clock and" \
+        "inject outages with SimClient::set_down" >&2
+    exit 1
+fi
+
+# Every artifact is byte-identical to repro_output.txt, section by section
+# (the `==...==` rules are dropped, each `== <name>` header opens a
+# section).
+echo "==> repro golden (every artifact against repro_output.txt)"
 golden=$(mktemp -d)
 trap 'rm -rf "$golden"' EXIT
 split_sections() { awk -v dir="$1" '/^=+$/ { next } /^== / { name = $2 } name { print > (dir "/" name) }'; }
 mkdir "$golden/want" "$golden/got"
 split_sections "$golden/want" <repro_output.txt
-mapfile -t sections < <(grep -E '^== ' repro_output.txt | awk '$2 != "fig3a" && $2 != "fig3b" { print $2 }')
+mapfile -t sections < <(grep -E '^== ' repro_output.txt | awk '{ print $2 }')
 cargo run --release -q -p memfs-bench --bin repro -- "${sections[@]}" | split_sections "$golden/got"
 moved=()
 for name in "${sections[@]}"; do
@@ -276,7 +289,7 @@ for name in "${sections[@]}"; do
 done
 echo "    ${#sections[@]} sections, ${#moved[@]} moved${moved:+: ${moved[*]}}"
 if ((${#moved[@]} > 0)); then
-    echo "verify: a simulated figure moved — regenerate repro_output.txt" \
+    echo "verify: a figure moved — regenerate repro_output.txt" \
         "(\`repro all\`) only for a change that means to move it, and say why" >&2
     exit 1
 fi

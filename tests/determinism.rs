@@ -3,6 +3,7 @@
 //! with each other.
 
 use memfs::cluster::{ClusterSpec, Deployment};
+use memfs::mtc::experiments::fig3;
 use memfs::mtc::fsmodel::FsModelKind;
 use memfs::mtc::montage::montage;
 use memfs::mtc::sched::SchedulerKind;
@@ -126,4 +127,12 @@ fn network_bytes_track_data_volume() {
         r.network_bytes,
         data
     );
+}
+
+/// Figure 3 times the real engine on a virtual clock, not the host's: two
+/// runs return identical rows.
+#[test]
+fn fig3_is_bit_reproducible() {
+    assert_eq!(fig3::run_fig3a(4 << 20), fig3::run_fig3a(4 << 20));
+    assert_eq!(fig3::run_fig3b(4 << 20), fig3::run_fig3b(4 << 20));
 }

@@ -4,17 +4,11 @@
 use std::sync::Arc;
 
 use memfs::memfs_core::{MemFs, MemFsConfig, MemFsError};
-use memfs::memkv::{FailableClient, KvClient, LocalClient, Store, StoreConfig};
+use memfs::memkv::{KvClient, LocalClient, SimClient, Store, StoreConfig};
 
-type Failable = FailableClient<LocalClient>;
-
-fn failable_cluster(n: usize) -> (Vec<Arc<Failable>>, Vec<Arc<dyn KvClient>>) {
-    let failables: Vec<Arc<Failable>> = (0..n)
-        .map(|_| {
-            Arc::new(FailableClient::new(LocalClient::new(Arc::new(Store::new(
-                StoreConfig::default(),
-            )))))
-        })
+fn failable_cluster(n: usize) -> (Vec<Arc<SimClient>>, Vec<Arc<dyn KvClient>>) {
+    let failables: Vec<Arc<SimClient>> = (0..n)
+        .map(|_| Arc::new(SimClient::new(Arc::new(Store::new(StoreConfig::default())))))
         .collect();
     let clients = failables
         .iter()

@@ -3,10 +3,12 @@
 //! simulates multi-node clusters).
 
 use memfs::cluster::{ClusterSpec, Deployment};
+use memfs::mtc::experiments::fig3;
 use memfs::mtc::experiments::scaling::{run_config, MONTAGE_STAGES};
 use memfs::mtc::fsmodel::FsModelKind;
 use memfs::mtc::montage::montage;
 use memfs::mtc::{blast, EnvelopeModel};
+use memfs::netsim::NetProfile;
 
 const MB: u64 = 1_000_000;
 
@@ -179,5 +181,65 @@ fn blast_runs_on_both_systems() {
             "{fs:?} failed: {:?}",
             rows[0].failed
         );
+    }
+}
+
+/// §3.2.1–3.2.2 / Figure 3, the real engine over four servers behind the
+/// simulated IPoIB link: the shapes behind the paper's 512 KB stripe and
+/// its buffering and prefetching.
+#[test]
+fn fig3_design_decisions() {
+    const FILE: usize = 64 << 20; // as `repro` runs it
+    let a = fig3::run_fig3a(FILE);
+    let write = |kib: usize| {
+        a.iter()
+            .find(|r| r.stripe_bytes == kib << 10)
+            .unwrap()
+            .write_bw
+    };
+    assert!(
+        write(128) < write(256) && write(256) < write(512),
+        "write bandwidth grows from 128 KB to 512 KB stripes: {a:?}"
+    );
+    assert!(
+        (write(1024) / write(512) - 1.0).abs() < 0.05,
+        "and saturates at 512 KB: {a:?}"
+    );
+
+    let b = fig3::run_fig3b(FILE);
+    let write: Vec<f64> = b.iter().map(|r| r.write_bw).collect();
+    let read: Vec<f64> = b.iter().map(|r| r.read_bw).collect();
+    for (name, bws) in [("buffered write", write), ("prefetched read", read)] {
+        let (first, last) = (bws[0], bws[bws.len() - 1]);
+        assert!(
+            bws.windows(2).all(|w| w[0] <= w[1]) && last > 2.0 * first,
+            "{name} grows with depth: {bws:?}"
+        );
+        let before_last = bws[bws.len() - 2];
+        assert!(
+            last < 1.1 * before_last,
+            "{name} saturates by depth {}: {bws:?}",
+            b[b.len() - 2].depth
+        );
+    }
+    // Without buffering or prefetching one stripe is in flight at a time,
+    // whatever the depth: one round trip of the link per stripe.
+    let ipoib = NetProfile::das4_ipoib();
+    let stripe = (512 << 10) as f64;
+    let one_at_a_time =
+        stripe / (ipoib.request_cost().as_secs_f64() + stripe / ipoib.nic_bw.bytes_per_s());
+    for r in &b {
+        for (name, bw) in [
+            ("no-buffering write", r.write_nobuf_bw),
+            ("no-prefetch read", r.read_noprefetch_bw),
+        ] {
+            let off = (bw / one_at_a_time - 1.0).abs();
+            assert!(
+                off < 0.01,
+                "{name} at depth {}: {bw} vs {one_at_a_time}",
+                r.depth
+            );
+        }
+        assert!(r.read_bw >= r.read_noprefetch_bw, "{r:?}");
     }
 }
