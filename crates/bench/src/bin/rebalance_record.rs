@@ -146,7 +146,6 @@ fn main() {
     let migrate_thread = std::thread::spawn(move || {
         let config = RepairConfig {
             bandwidth: MIGRATE_BUDGET_BPS,
-            ..RepairConfig::default()
         };
         let start = Instant::now();
         let mut migrated = 0u64;

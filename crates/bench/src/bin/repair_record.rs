@@ -119,7 +119,6 @@ fn main() {
     let repair_thread = std::thread::spawn(move || {
         let config = RepairConfig {
             bandwidth: REPAIR_BUDGET_BPS,
-            ..RepairConfig::default()
         };
         let start = Instant::now();
         let mut migrated = 0u64;

@@ -102,17 +102,6 @@ impl MemoryTracker {
         self.peak[node]
     }
 
-    /// Sum of peak usage over all nodes (the paper's "aggregate memory
-    /// usage" metric of Figure 9).
-    pub fn total_peak(&self) -> u64 {
-        self.peak.iter().sum()
-    }
-
-    /// Highest single-node peak (the scheduler-node hotspot of Table 3).
-    pub fn max_peak(&self) -> u64 {
-        self.peak.iter().copied().max().unwrap_or(0)
-    }
-
     /// Per-node peaks (for Table 3-style reporting).
     pub fn peaks(&self) -> &[u64] {
         &self.peak
@@ -132,7 +121,7 @@ mod tests {
         assert_eq!(m.used(0), 400);
         assert_eq!(m.peak(0), 900);
         assert_eq!(m.used(1), 0);
-        assert_eq!(m.total_peak(), 900);
+        assert_eq!(m.peaks(), [900, 0]);
     }
 
     #[test]
@@ -145,16 +134,6 @@ mod tests {
         assert_eq!(err.node, 0);
         // Failed alloc leaves state unchanged.
         assert_eq!(m.used(0), 70);
-    }
-
-    #[test]
-    fn max_peak_finds_the_hotspot() {
-        let mut m = MemoryTracker::new(4, 1000);
-        m.alloc(0, 800).unwrap(); // the "scheduler node"
-        for n in 1..4 {
-            m.alloc(n, 100).unwrap();
-        }
-        assert_eq!(m.max_peak(), 800);
     }
 
     #[test]

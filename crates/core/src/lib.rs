@@ -81,5 +81,5 @@ pub use config::{DistributorKind, MemFsConfig};
 pub use error::{MemFsError, MemFsResult};
 pub use fs::{DirEntry, EntryKind, FileStat, MemFs, ReadHandle, WriteHandle};
 pub use pool::{PoolStats, ServerIoSnapshot, ServerPool};
-pub use repair::{repair_pass, MembershipMonitor, RepairConfig, RepairDaemon, RepairReport};
+pub use repair::{repair_pass, RepairConfig, RepairDaemon, RepairReport};
 pub use replica::DegradedWrite;

@@ -48,16 +48,16 @@
 //!    its homes: failover copies whose owner returned, and a migrated
 //!    key's old homes. Then requeue the unresolved hints.
 //!
-//! [`RepairDaemon`] runs passes on an interval (and, with
-//! [`RepairConfig::evict_grace`], a [`MembershipMonitor`] that evicts a
-//! member down past the grace window); [`crate::MemFs::repair_now`] runs
-//! one on demand. A pass is idempotent and crash-safe: one that dies
-//! mid-copy leaves extra-but-valid copies the next pass reconciles. One
+//! [`RepairDaemon`] runs passes on an interval; [`crate::MemFs::repair_now`]
+//! runs one on demand. A member that is down is routed and repaired
+//! around; only [`crate::MemFs::remove_server`] takes it off the ring. A
+//! pass is idempotent and crash-safe: one that dies mid-copy leaves
+//! extra-but-valid copies the next pass reconciles. One
 //! caveat: a copy racing a concurrent `unlink` (read-before-delete,
 //! write-after) can resurrect an orphan key; it is invisible to the file
 //! system (its file metadata is gone) and never surfaced to reads.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -78,10 +78,6 @@ pub struct RepairConfig {
     /// Token-bucket budget for a pass's copies, in bytes per second.
     /// `0` means unlimited.
     pub bandwidth: u64,
-    /// Auto-evict a member that stays down this long: the daemon starts
-    /// a drain transition for it so the ring heals around the loss.
-    /// `None` disables eviction — dead members wait for repair only.
-    pub evict_grace: Option<Duration>,
 }
 
 /// Outcome of one repair pass.
@@ -404,63 +400,10 @@ pub fn repair_pass(pool: &ServerPool, config: &RepairConfig) -> MemFsResult<Repa
     Ok(report)
 }
 
-/// Heartbeat census → membership: tracks how long each member has been
-/// down and auto-evicts one that stays down past the grace window by
-/// starting a drain transition for it. Driven by the repair daemon's
-/// tick; holds no thread of its own.
-#[derive(Debug, Default)]
-pub struct MembershipMonitor {
-    down_since: HashMap<usize, Instant>,
-}
-
-impl MembershipMonitor {
-    /// A fresh monitor with no down history.
-    pub fn new() -> MembershipMonitor {
-        MembershipMonitor::default()
-    }
-
-    /// Observe the pool's health census once. Returns the member this
-    /// tick evicted, if any. Eviction starts only when no transition is
-    /// active and enough members would remain to satisfy the replication
-    /// factor; a candidate that stays down keeps its timer and is
-    /// retried next tick.
-    pub fn tick(&mut self, pool: &ServerPool, grace: Duration) -> Option<ServerId> {
-        let members = pool.members();
-        let health = pool.health();
-        let member_set: BTreeSet<usize> = members.iter().map(|m| m.0).collect();
-        self.down_since.retain(|s, _| member_set.contains(s));
-        let now = Instant::now();
-        for m in &members {
-            if health.get(m.0).is_some_and(|h| h.is_alive()) {
-                self.down_since.remove(&m.0);
-            } else {
-                self.down_since.entry(m.0).or_insert(now);
-            }
-        }
-        if pool.transition_active() || members.len() <= pool.replication() {
-            return None;
-        }
-        let victim = self
-            .down_since
-            .iter()
-            .filter(|(_, since)| now.duration_since(**since) >= grace)
-            .map(|(&s, _)| s)
-            .min()?;
-        match pool.begin_remove_server(ServerId(victim)) {
-            Ok(()) => {
-                self.down_since.remove(&victim);
-                Some(ServerId(victim))
-            }
-            Err(_) => None,
-        }
-    }
-}
-
 /// Background repair loop: one thread (`memfs-repair`) that runs
 /// [`repair_pass`] each tick — repair and migration alike, under one
-/// [`RepairConfig::bandwidth`] — and, with [`RepairConfig::evict_grace`]
-/// set, auto-evicts members down past the grace window. Elastic
-/// membership adds **zero** threads to a mount. Idle passes are cheap
+/// [`RepairConfig::bandwidth`]. Elastic membership adds **zero** threads
+/// to a mount. Idle passes are cheap
 /// only relative to the data volume — the scan walks every alive slot's
 /// key list — so the interval trades detection latency against
 /// enumeration traffic.
@@ -482,7 +425,6 @@ impl RepairDaemon {
         let thread = std::thread::Builder::new()
             .name("memfs-repair".into())
             .spawn(move || {
-                let mut monitor = MembershipMonitor::new();
                 while !flag.load(Ordering::Relaxed) {
                     // Sleep in slices so stop() never waits a full
                     // interval for the thread to notice.
@@ -494,9 +436,6 @@ impl RepairDaemon {
                     }
                     if flag.load(Ordering::Relaxed) {
                         break;
-                    }
-                    if let Some(grace) = config.evict_grace {
-                        let _ = monitor.tick(&pool, grace);
                     }
                     let _ = repair_pass(&pool, &config);
                 }
@@ -775,7 +714,6 @@ mod tests {
         failables[0].set_down(true);
         let config = RepairConfig {
             bandwidth: 64 << 10, // 64 KiB/s against ~a few KiB of copies
-            ..RepairConfig::default()
         };
         let started = Instant::now();
         let report = repair_pass(&pool, &config).unwrap();
@@ -897,36 +835,6 @@ mod tests {
         for (i, key) in keys.iter().enumerate() {
             assert_eq!(pool.get(key).unwrap(), Bytes::from(vec![i as u8; 256]));
         }
-    }
-
-    #[test]
-    fn daemon_auto_evicts_a_member_down_past_the_grace_window() {
-        let (pool, failables, _stores) = failable_pool(5, 2);
-        let keys = seed(&pool, 50);
-        let mut daemon = RepairDaemon::spawn(
-            Arc::clone(&pool),
-            Duration::from_millis(5),
-            RepairConfig {
-                evict_grace: Some(Duration::from_millis(20)),
-                ..RepairConfig::default()
-            },
-        );
-        failables[3].set_down(true);
-
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while pool.members().len() == 5 || pool.transition_active() {
-            assert!(Instant::now() < deadline, "daemon never evicted server 3");
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        daemon.stop();
-        assert!(!pool.members().contains(&ServerId(3)));
-        // The drain ran without the dead server: every key survives on
-        // the shrunken ring at full replication.
-        for (i, key) in keys.iter().enumerate() {
-            assert_eq!(pool.get(key).unwrap(), Bytes::from(vec![i as u8; 256]));
-        }
-        let alive: Vec<bool> = (0..5).map(|s| s != 3).collect();
-        assert!(fully_replicated(&pool, &keys, &alive, 2));
     }
 
     // ---- membership transitions ----
@@ -1107,7 +1015,6 @@ mod tests {
             .unwrap();
         let config = RepairConfig {
             bandwidth: 64 << 10,
-            ..RepairConfig::default()
         };
         let started = Instant::now();
         let total = drive_to_completion(&pool, &config);
@@ -1197,25 +1104,21 @@ mod tests {
         assert_eq!(&pool.get(&key).unwrap()[..], b"4096");
     }
 
+    /// A member that is down stays a member — no pass evicts it — until
+    /// it is removed by hand; the drain then completes without it, every
+    /// key restored from the surviving replicas.
     #[test]
-    fn monitor_evicts_a_member_down_past_the_grace_window() {
+    fn removing_a_dead_member_drains_it_from_the_surviving_replicas() {
         let (pool, failables, _stores) = failable_servers(5, 5, 2, POINTS);
         for i in 0..80 {
             pool.set(format!("m{i}").as_bytes(), Bytes::from_static(b"v"))
                 .unwrap();
         }
-        let mut monitor = MembershipMonitor::new();
-        assert_eq!(monitor.tick(&pool, Duration::ZERO), None, "all healthy");
         failables[3].set_down(true);
-        let evicted = monitor.tick(&pool, Duration::ZERO);
-        assert_eq!(evicted, Some(ServerId(3)));
-        assert!(pool.transition_active());
-        // No second eviction while the drain is in flight.
-        failables[4].set_down(true);
-        assert_eq!(monitor.tick(&pool, Duration::ZERO), None);
-        failables[4].set_down(false);
-        // The drain completes without the dead server (its data lives on
-        // the surviving replicas).
+        let rep = repair_pass(&pool, &RepairConfig::default()).unwrap();
+        assert_eq!(rep.servers_down, 1);
+        assert_eq!(pool.members().len(), 5, "a down member is not evicted");
+        pool.begin_remove_server(ServerId(3)).unwrap();
         let total = drive_to_completion(&pool, &RepairConfig::default());
         assert!(total.complete);
         assert_eq!(pool.members().len(), 4);

@@ -83,10 +83,6 @@ pub struct KetamaRing {
     distinct: usize,
 }
 
-/// Default virtual points per server, matching libmemcached's
-/// `MEMCACHED_POINTS_PER_SERVER_KETAMA` (40 digests x 4 points).
-pub const DEFAULT_POINTS_PER_SERVER: usize = 160;
-
 impl KetamaRing {
     /// Build a ring for servers named `names` with `points` virtual points
     /// each (`points` is rounded up to a multiple of 4).
@@ -246,7 +242,9 @@ mod tests {
 
     #[test]
     fn ketama_covers_all_servers() {
-        let d = KetamaRing::with_n_servers(8, DEFAULT_POINTS_PER_SERVER);
+        // libmemcached's `MEMCACHED_POINTS_PER_SERVER_KETAMA` (40 digests
+        // x 4 points).
+        let d = KetamaRing::with_n_servers(8, 160);
         let mut counts = [0usize; 8];
         for k in keys(4000) {
             counts[d.server_for(k.as_bytes()).0] += 1;

@@ -65,6 +65,15 @@ const KEEP_BYTES: usize = 1024 * 1024;
 /// at once (64 per server), and a connection the backlog drops costs its
 /// mount a SYN retransmit (1 s) at start-up.
 const LISTEN_BACKLOG: libc::c_int = 1024;
+/// TCP keepalive on a server's sockets, as memcached sets `SO_KEEPALIVE`:
+/// a peer silent for [`KEEPALIVE_IDLE_S`] is probed every
+/// [`KEEPALIVE_INTERVAL_S`], and after [`KEEPALIVE_PROBES`] unanswered
+/// probes (about 90 s in all) its socket reports an error, so a client
+/// that vanished without a FIN loses its slot. A live idle mount answers
+/// the probes in its kernel and is never cut.
+const KEEPALIVE_IDLE_S: libc::c_int = 60;
+const KEEPALIVE_INTERVAL_S: libc::c_int = 10;
+const KEEPALIVE_PROBES: libc::c_int = 3;
 
 /// The receive half: bytes off the socket, waiting for a parser.
 #[derive(Debug, Default)]
@@ -75,6 +84,9 @@ pub(crate) struct RxBuf {
     /// Unparsed length below which the front frame is known incomplete
     /// (the parser's last hint); 0 while nothing is known.
     need: usize,
+    /// Unparsed length the front frame is known to reach (at least
+    /// `need`): what the next read makes room for.
+    reserve: usize,
 }
 
 impl RxBuf {
@@ -107,7 +119,7 @@ impl RxBuf {
     /// and can leave whole — anything else reads into a small amortized
     /// tail.
     pub(crate) fn read(&mut self, stream: &TcpStream, cap: usize) -> io::Result<(usize, bool)> {
-        let missing = self.need.saturating_sub(self.len());
+        let missing = self.reserve.saturating_sub(self.len());
         let reserved = if missing > MIN_SPARE {
             self.buf.try_reserve_exact(missing)
         } else if self.buf.capacity() - self.buf.len() < MIN_SPARE {
@@ -151,7 +163,7 @@ impl RxBuf {
     pub(crate) fn consume(&mut self, n: usize) {
         debug_assert!(n <= self.len());
         self.pos += n;
-        self.need = 0;
+        (self.need, self.reserve) = (0, 0);
         if self.pos >= self.buf.len() {
             self.reset();
         } else if self.pos >= COMPACT_BYTES {
@@ -180,6 +192,7 @@ impl RxBuf {
         // The partial frame moves to the front once, while it is short.
         self.compact();
         self.need = self.len().saturating_add(need.missing());
+        self.reserve = self.len().saturating_add(need.reserve());
         Ok(())
     }
 
@@ -209,7 +222,7 @@ impl RxBuf {
         self.buf.extend_from_slice(&frame[end..]);
         frame.truncate(end);
         let start = std::mem::take(&mut self.pos);
-        self.need = 0;
+        (self.need, self.reserve) = (0, 0);
         Bytes::from(frame).slice(start..end)
     }
 
@@ -219,7 +232,7 @@ impl RxBuf {
         self.buf.clear();
         self.buf.shrink_to(KEEP_BYTES);
         self.pos = 0;
-        self.need = 0;
+        (self.need, self.reserve) = (0, 0);
     }
 
     fn compact(&mut self) {
@@ -481,10 +494,34 @@ pub(crate) fn connect_nonblocking(addr: &SocketAddr) -> io::Result<(TcpStream, b
 /// A non-blocking listener on the first of `addr`'s addresses that binds.
 /// `TcpListener::bind` sets `SO_REUSEADDR` (a server respawned on its port
 /// must not fail on TIME_WAIT pairs from its previous life); listening
-/// again only raises the backlog to [`LISTEN_BACKLOG`].
+/// again only raises the backlog to [`LISTEN_BACKLOG`]. The keepalive
+/// options are set on the listener, and every socket it accepts inherits
+/// them.
 pub(crate) fn listen(addr: impl ToSocketAddrs) -> io::Result<TcpListener> {
     let listener = TcpListener::bind(addr)?;
     listener.set_nonblocking(true)?;
+    for (level, name, value) in [
+        (libc::SOL_SOCKET, libc::SO_KEEPALIVE, 1),
+        (libc::IPPROTO_TCP, libc::TCP_KEEPIDLE, KEEPALIVE_IDLE_S),
+        (libc::IPPROTO_TCP, libc::TCP_KEEPINTVL, KEEPALIVE_INTERVAL_S),
+        (libc::IPPROTO_TCP, libc::TCP_KEEPCNT, KEEPALIVE_PROBES),
+    ] {
+        // SAFETY: `value` is a live `c_int` whose exact size is passed as
+        // the option length, and the borrowed listener keeps its
+        // descriptor open for the call.
+        let rc = unsafe {
+            libc::setsockopt(
+                listener.as_raw_fd(),
+                level,
+                name,
+                (&value as *const libc::c_int).cast(),
+                std::mem::size_of::<libc::c_int>() as libc::socklen_t,
+            )
+        };
+        if rc < 0 {
+            return Err(io::Error::last_os_error());
+        }
+    }
     // SAFETY: `listen` takes no pointers, and the borrowed listener keeps
     // its descriptor open for the call.
     if unsafe { libc::listen(listener.as_raw_fd(), LISTEN_BACKLOG) } < 0 {
@@ -587,6 +624,49 @@ mod tests {
         let near = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         near.set_nonblocking(true).unwrap();
         (near, listener.accept().unwrap().0)
+    }
+
+    /// A server socket has keepalive on with the listener's timing: it is
+    /// set once on the listener and every accepted socket inherits it.
+    #[test]
+    fn accepted_sockets_inherit_the_listeners_keepalive() {
+        let listener = listen("127.0.0.1:0").unwrap();
+        let _near = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let accepted = loop {
+            match listener.accept() {
+                Ok((stream, _)) => break stream,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    std::thread::sleep(Duration::from_millis(1))
+                }
+                Err(e) => panic!("accept: {e}"),
+            }
+        };
+        let read_back = |level, name| {
+            let mut value: libc::c_int = -1;
+            let mut len = std::mem::size_of::<libc::c_int>() as libc::socklen_t;
+            // SAFETY: `value` and `len` are live locals sized for one
+            // `c_int`, and `accepted` keeps its descriptor open.
+            let rc = unsafe {
+                libc::getsockopt(
+                    accepted.as_raw_fd(),
+                    level,
+                    name,
+                    (&mut value as *mut libc::c_int).cast(),
+                    &mut len,
+                )
+            };
+            assert_eq!(rc, 0, "getsockopt: {}", io::Error::last_os_error());
+            value
+        };
+        assert_eq!(
+            [
+                read_back(libc::SOL_SOCKET, libc::SO_KEEPALIVE),
+                read_back(libc::IPPROTO_TCP, libc::TCP_KEEPIDLE),
+                read_back(libc::IPPROTO_TCP, libc::TCP_KEEPINTVL),
+                read_back(libc::IPPROTO_TCP, libc::TCP_KEEPCNT),
+            ],
+            [1, KEEPALIVE_IDLE_S, KEEPALIVE_INTERVAL_S, KEEPALIVE_PROBES]
+        );
     }
 
     #[test]
@@ -793,7 +873,7 @@ mod tests {
                 }
                 // What the next read would reserve is bounded whatever
                 // length the frame claimed, and so is what is held.
-                assert!(rx.need <= rx.len() + MAX_VALUE_LEN + MAX_LINE_LEN);
+                assert!(rx.reserve <= rx.len() + MAX_VALUE_LEN + MAX_LINE_LEN);
                 assert!(rx.buf.capacity() <= KEEP_BYTES, "round {round}");
             };
             // Either loop gives the connection up on an error, and a

@@ -48,7 +48,7 @@ pub use client::{
     StoreVerb,
 };
 pub use error::KvError;
-pub use net::{KvServer, PoolConfig, ServerConfig, TcpClient};
+pub use net::{KvServer, PoolConfig, TcpClient};
 pub use reactor::{ReactorHandle, ReactorStatsSnapshot};
 pub use stats::{ServerStatsSnapshot, StoreStats};
 pub use store::{Store, StoreConfig};

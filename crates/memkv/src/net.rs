@@ -40,7 +40,7 @@ use crate::reactor::{PendingExchange, ReactorHandle, ReactorStatsSnapshot, Regis
 
 // The server engine lives in `crate::server`; re-export its surface here
 // so `net` stays the one-stop transport module.
-pub use crate::server::{execute, KvServer, ServerConfig, SERVER_VERSION};
+pub use crate::server::{execute, KvServer, MAX_CONNECTIONS, SERVER_VERSION};
 
 /// Upper bound on keys packed into one multi-key `get` line; larger
 /// batches are split into pipelined frames on the same connection.
@@ -422,12 +422,13 @@ fn parse_values(rx: &mut RxBuf) -> KvResult<ParseStep> {
         };
         let need = with_end - END.len();
         if buf.len() < need {
-            // Counting the `END` that must follow makes the hint exact
-            // for a single-value frame: the buffer reserves the frame to
-            // the byte, once.
+            // The terminator is checked as soon as it is in; reserving
+            // the `END` that must follow too makes the buffer take a
+            // single-value frame to the byte, once.
             return Ok(ParseStep::More(Need::Data {
                 value: nbytes,
-                missing: with_end - buf.len(),
+                missing: need - buf.len(),
+                reserve: with_end - buf.len(),
             }));
         }
         if &buf[data_start + nbytes..need] != b"\r\n" {
@@ -1090,6 +1091,25 @@ mod tests {
         assert_eq!(next_response(&mut rx).unwrap(), None);
     }
 
+    /// A data block followed by two bytes that are not its CRLF is refused
+    /// as soon as those two bytes are in, not once the `END` the buffer
+    /// makes room for could have arrived too: a stream that stops there
+    /// fails at once instead of waiting out its deadline.
+    #[test]
+    fn a_bad_block_terminator_is_refused_as_soon_as_it_arrives() {
+        let wire = b"VALUE k 0 3\r\nabcXY";
+        let mut rx = RxBuf::default();
+        for (i, byte) in wire.iter().enumerate() {
+            rx.feed(std::slice::from_ref(byte));
+            let step = next_response(&mut rx);
+            if i + 1 < wire.len() {
+                assert!(matches!(step, Ok(None)), "byte {i}: {step:?}");
+            } else {
+                assert!(matches!(step, Err(KvError::Protocol(_))), "{step:?}");
+            }
+        }
+    }
+
     /// A seeded fuzz of the reply decoder, the twin of the request
     /// decoder's in `proto`: streams of every reply kind, cut at random
     /// reads, damaged, and plain noise.
@@ -1178,8 +1198,7 @@ mod tests {
                 Ok(ParseStep::More(Need::Data { value, .. })) => {
                     assert!(value <= MAX_VALUE_LEN, "a {value}-byte block awaited")
                 }
-                // A partial line, or a block whose bad terminator is looked
-                // at once the `END` after it is in (see below).
+                // A partial line.
                 _ => {
                     let lines = held.windows(2).rposition(|w| w == b"\r\n");
                     let tail = held.len() - lines.map_or(0, |at| at + 2);
@@ -1235,19 +1254,12 @@ mod tests {
                 assert_eq!(whole, (valid, line_too_long, 0), "round {round}");
                 let c = cuts(&mut rng, wire.len());
                 assert_eq!(decode(&wire, &c), whole, "round {round} cut at {c:?}");
-                // Damaged, or plain noise: no panic, bounded, and cut-blind
-                // once the stream goes on. At its very end a cut stream may
-                // still be waiting for an `END` before it looks at the
-                // terminator of the data block in front of it: the hint
-                // counts the `END` so that the buffer reserves a frame to the
-                // byte, once. The trailer is that `END`.
+                // Damaged, or plain noise: no panic, bounded, and cut-blind.
                 let damaged = mutate(&mut rng, wire, b"\r\n 0123456789\xffVALUEND");
-                let damaged = [damaged, b"END\r\n".to_vec()].concat();
                 let c = cuts(&mut rng, damaged.len());
                 assert_eq!(decode(&damaged, &c), decode(&damaged, &[]), "round {round}");
                 let noise: Vec<u8> = (0..rng.gen_range(0, 3 * MAX_LINE_LEN as u64))
                     .map(|_| rng.next_u64() as u8)
-                    .chain(*b"END\r\n")
                     .collect();
                 let c = cuts(&mut rng, noise.len());
                 assert_eq!(decode(&noise, &c), decode(&noise, &[]), "round {round}");

@@ -161,8 +161,16 @@ pub enum Need {
     Line(usize),
     /// `missing` more bytes of a frame whose data block was announced as
     /// `value` bytes. Never more than is really missing: the frame is not
-    /// looked at again before they arrived.
-    Data { value: usize, missing: usize },
+    /// looked at again before they arrived, so `missing` ends at the
+    /// block's terminator, where a bad one is refused. `reserve` (at least
+    /// `missing`) is what the rest of the frame is known to take, a
+    /// reply's closing `END` included: the buffer makes room for it in
+    /// one exact reservation.
+    Data {
+        value: usize,
+        missing: usize,
+        reserve: usize,
+    },
 }
 
 impl Need {
@@ -172,6 +180,14 @@ impl Need {
         match self {
             Need::Line(_) => 1,
             Need::Data { missing, .. } => missing,
+        }
+    }
+
+    /// The bytes worth making room for at once: at least [`Need::missing`].
+    pub fn reserve(self) -> usize {
+        match self {
+            Need::Line(_) => 1,
+            Need::Data { reserve, .. } => reserve,
         }
     }
 }
@@ -271,9 +287,11 @@ pub fn parse_request(buf: &[u8]) -> KvResult<Parsed> {
                 .and_then(|n| n.checked_add(2))
                 .ok_or_else(|| KvError::Protocol("data block length overflows".into()))?;
             if buf.len() < need {
+                let missing = need - buf.len();
                 return Ok(Parsed::NeedMore(Need::Data {
                     value: nbytes,
-                    missing: need - buf.len(),
+                    missing,
+                    reserve: missing,
                 }));
             }
             if &buf[after_line + nbytes..need] != b"\r\n" {
@@ -816,11 +834,33 @@ pub(crate) mod tests {
             Parsed::Done(req, _) => panic!("{req:?} parsed from a partial frame"),
         };
         assert_eq!(need(b"set k 0 0 5"), Need::Line(11));
-        let data = |missing| Need::Data { value: 5, missing };
+        let data = |missing| Need::Data {
+            value: 5,
+            missing,
+            reserve: missing,
+        };
         assert_eq!(need(b"set k 0 0 5\r\nhel"), data(4));
         // Data present but missing trailing CRLF.
         assert_eq!(need(b"set k 0 0 5\r\nhello"), data(2));
         assert_eq!(need(b"set k 0 0 5\r\nhello\r"), data(1));
+    }
+
+    /// The request side's twin of the reply decoder's terminator check: a
+    /// data block followed by two bytes that are not its CRLF is refused
+    /// as soon as those two bytes are in.
+    #[test]
+    fn a_bad_block_terminator_is_refused_as_soon_as_it_arrives() {
+        let wire = b"set k 0 0 3\r\nabcXY";
+        let mut dec = RequestDecoder::new();
+        for (i, byte) in wire.iter().enumerate() {
+            dec.feed(std::slice::from_ref(byte));
+            let step = dec.next_request();
+            if i + 1 < wire.len() {
+                assert!(matches!(step, Ok(None)), "byte {i}: {step:?}");
+            } else {
+                assert!(matches!(step, Err(KvError::Protocol(_))), "{step:?}");
+            }
+        }
     }
 
     #[test]
@@ -958,7 +998,8 @@ pub(crate) mod tests {
             parse_request(b"set k 0 0 134217728\r\n").unwrap(),
             Parsed::NeedMore(Need::Data {
                 value: MAX_VALUE_LEN,
-                missing: MAX_VALUE_LEN + 2
+                missing: MAX_VALUE_LEN + 2,
+                reserve: MAX_VALUE_LEN + 2,
             })
         );
         assert!(matches!(
@@ -1236,7 +1277,7 @@ pub(crate) mod tests {
             };
             assert!(end <= MAX_LINE_LEN, "a {end}-byte line held");
             match parse_request(held) {
-                Ok(Parsed::NeedMore(Need::Data { value, missing })) => {
+                Ok(Parsed::NeedMore(Need::Data { value, missing, .. })) => {
                     assert!(value <= MAX_VALUE_LEN);
                     assert_eq!(held.len() + missing, end + 2 + value + 2);
                 }

@@ -102,7 +102,7 @@ const MALLOC_TRIM_THRESHOLD: libc::c_int = 64 << 20;
 /// no-op under any other C library.
 ///
 /// A process that starts a reactor — or a storage server
-/// (`KvServer::spawn_with` calls this too) — is about to move
+/// (`KvServer::spawn` calls this too) — is about to move
 /// stripe-sized buffers (512 KiB stripes, multi-stripe reply frames, the
 /// stored values themselves) through `malloc` at line rate, and two
 /// thresholds decide what each one costs: a request at or

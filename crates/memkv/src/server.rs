@@ -44,12 +44,15 @@
 //!   memcached's slabs by other means. Unpinned, whether a server kept
 //!   or re-faulted that memory (a 2× difference in write speed) was
 //!   decided by which small allocation sat on top of its heap.
-//! * **Idle-connection timeouts**, one `(deadline, slot)` key per
-//!   connection in an ordered set: lazily re-armed, so a busy connection
-//!   costs no timer work per request.
-//! * **Load shedding**: beyond [`ServerConfig::max_connections`] an
-//!   accepted socket gets a best-effort `SERVER_ERROR` line and is
-//!   closed, leaving established mounts untouched.
+//! * **No timers.** The loop waits on epoll with no timeout and keeps no
+//!   deadline: a quiet mount keeps its connection for as long as it
+//!   likes, as memcached's does. A peer that vanished without a FIN is
+//!   found by TCP keepalive, which the listener turns on for every
+//!   accepted socket ([`crate::conn`]): its socket reports an error
+//!   within about 90 s and the slot is freed like any closed one.
+//! * **Load shedding**: beyond [`MAX_CONNECTIONS`] an accepted socket
+//!   gets a best-effort `SERVER_ERROR` line and is closed, leaving
+//!   established mounts untouched.
 //! * **Why one loop and not N.** The paper runs one storage server per
 //!   node beside the application's tasks, and every `recv`/`send`, copy
 //!   and parse of this server always ran on one thread. N loops over
@@ -57,19 +60,17 @@
 //!   loop saturated.
 //!
 //! Observability flows through [`ServerStats`] (connection census, ops,
-//! wire bytes, idle closes), exposed both
+//! wire bytes), exposed both
 //! programmatically ([`KvServer::server_stats`]) and over the wire: the
 //! `stats` protocol command appends the serving-layer pairs to the
 //! store's counters.
 
-use std::collections::BTreeSet;
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
 
 use crate::conn::{Conn, TxQueue};
 use crate::error::{KvError, KvResult};
@@ -95,29 +96,12 @@ const TURN_READS: usize = 16;
 /// Bound on queued unsent response bytes per connection before the loop
 /// stops reading and executing requests from that socket.
 const MAX_PENDING_BYTES: usize = 8 * 1024 * 1024;
-/// Sent (best effort) to a connection shed at the `max_connections` cap.
+/// Connections served at once; the next one is shed with a protocol
+/// error. A safety rail, not a tuning knob: a mount holds one connection
+/// per server.
+pub const MAX_CONNECTIONS: usize = 1024;
+/// Sent (best effort) to a connection shed at [`MAX_CONNECTIONS`].
 const SHED_MESSAGE: &[u8] = b"SERVER_ERROR too many connections\r\n";
-
-/// Policy knobs for a [`KvServer`].
-#[derive(Debug, Clone)]
-pub struct ServerConfig {
-    /// Connections accepted concurrently before new ones are shed with a
-    /// protocol error. Generous by default — the cap is a safety rail,
-    /// not a tuning knob.
-    pub max_connections: usize,
-    /// Close connections with no traffic for this long. `Duration::ZERO`
-    /// disables idle reaping.
-    pub idle_timeout: Duration,
-}
-
-impl Default for ServerConfig {
-    fn default() -> ServerConfig {
-        ServerConfig {
-            max_connections: 1024,
-            idle_timeout: Duration::from_secs(300),
-        }
-    }
-}
 
 /// State shared between the loop thread and the [`KvServer`] handle
 /// (whose `shutdown` wakes the loop).
@@ -126,7 +110,6 @@ struct Engine {
     shutdown: AtomicBool,
     stats: ServerStats,
     store: Arc<Store>,
-    config: ServerConfig,
 }
 
 /// A running evented TCP storage server.
@@ -139,24 +122,11 @@ pub struct KvServer {
 
 impl KvServer {
     /// Bind `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port) and start
-    /// serving `store` with [`ServerConfig::default`].
+    /// serving `store`. The first server (or reactor) of a process also
+    /// pins glibc malloc's `mmap` and trim thresholds, so that what storing
+    /// a stripe-sized value costs does not depend on the process's
+    /// allocation history.
     pub fn spawn(store: Arc<Store>, addr: impl ToSocketAddrs) -> KvResult<KvServer> {
-        KvServer::spawn_with(store, addr, ServerConfig::default())
-    }
-
-    /// Bind `addr` and start serving `store` with an explicit config. The
-    /// first server (or reactor) of a process also pins glibc malloc's
-    /// `mmap` and trim thresholds, so that what storing a stripe-sized
-    /// value costs does not depend on the process's allocation history.
-    pub fn spawn_with(
-        store: Arc<Store>,
-        addr: impl ToSocketAddrs,
-        config: ServerConfig,
-    ) -> KvResult<KvServer> {
-        let config = ServerConfig {
-            max_connections: config.max_connections.max(1),
-            ..config
-        };
         crate::reactor::pin_malloc_thresholds();
         let listener = crate::conn::listen(addr).map_err(KvError::Io)?;
         let addr = listener.local_addr()?;
@@ -165,7 +135,6 @@ impl KvServer {
             shutdown: AtomicBool::new(false),
             stats: ServerStats::default(),
             store: Arc::clone(&store),
-            config,
         });
         engine
             .poller
@@ -239,7 +208,6 @@ fn execute_traced(engine: &Engine, req: Request) -> Response {
             pairs.push(("server_ops".into(), snap.ops.to_string()));
             pairs.push(("bytes_tx".into(), snap.bytes_tx.to_string()));
             pairs.push(("bytes_rx".into(), snap.bytes_rx.to_string()));
-            pairs.push(("idle_closed".into(), snap.idle_closed.to_string()));
             Response::Stats(pairs)
         }
         other => execute(&engine.store, other),
@@ -371,8 +339,9 @@ fn storage_error(e: KvError) -> Response {
 // ---------------------------------------------------------------------------
 
 /// One slot of the connection slab. Slots are reused through a freelist;
-/// the only reference that outlives an occupant is its idle timer key,
-/// which `close_conn` removes, so a slot needs no generation of its own.
+/// nothing refers to an occupant once `close_conn` took it, so a slot
+/// needs no generation of its own.
+#[derive(Default)]
 struct Slot {
     /// The occupant: stream, receive buffer, send queue, epoll interest.
     conn: Option<Conn>,
@@ -381,20 +350,6 @@ struct Slot {
     /// A `quit` or a decode error was seen: send nothing more after the
     /// send queue drains; then close.
     close_after_flush: bool,
-    last_activity: Instant,
-    idle_timer: Option<(Instant, usize)>,
-}
-
-impl Slot {
-    fn vacant(now: Instant) -> Slot {
-        Slot {
-            conn: None,
-            paused_read: false,
-            close_after_flush: false,
-            last_activity: now,
-            idle_timer: None,
-        }
-    }
 }
 
 struct ServerLoop {
@@ -402,8 +357,6 @@ struct ServerLoop {
     listener: TcpListener,
     conns: Vec<Slot>,
     free: Vec<usize>,
-    /// Idle timers as `(deadline, slab index)` keys, ordered by deadline.
-    timers: BTreeSet<(Instant, usize)>,
 }
 
 impl ServerLoop {
@@ -413,7 +366,6 @@ impl ServerLoop {
             listener,
             conns: Vec::new(),
             free: Vec::new(),
-            timers: BTreeSet::new(),
         }
     }
 
@@ -423,16 +375,7 @@ impl ServerLoop {
             if self.engine.shutdown.load(Ordering::SeqCst) {
                 break;
             }
-            let now = Instant::now();
-            while let Some(&key) = self.timers.first().filter(|&&(at, _)| at <= now) {
-                self.timers.remove(&key);
-                self.idle_fired(key.1, now);
-            }
-            let timeout = self
-                .timers
-                .first()
-                .map(|&(at, _)| at.saturating_duration_since(Instant::now()));
-            if self.engine.poller.wait(&mut events, timeout).is_err() {
+            if self.engine.poller.wait(&mut events, None).is_err() {
                 break;
             }
             for &(token, ev) in events.iter() {
@@ -468,7 +411,7 @@ impl ServerLoop {
         // (`ECONNABORTED`) both end this round.
         while let Ok((stream, _)) = self.listener.accept() {
             let open = self.engine.stats.connections.load(Ordering::Relaxed);
-            if open as usize >= self.engine.config.max_connections {
+            if open as usize >= MAX_CONNECTIONS {
                 // Shed: tell the client why, best effort on a fresh
                 // socket whose buffer is certainly empty, then close.
                 self.engine
@@ -478,11 +421,10 @@ impl ServerLoop {
                 let _ = (&stream).write(SHED_MESSAGE);
                 continue;
             }
-            let now = Instant::now();
             let idx = match self.free.pop() {
                 Some(i) => i,
                 None => {
-                    self.conns.push(Slot::vacant(now));
+                    self.conns.push(Slot::default());
                     self.conns.len() - 1
                 }
             };
@@ -490,9 +432,7 @@ impl ServerLoop {
                 self.free.push(idx);
                 continue; // the socket closed with the failed adoption
             };
-            let slot = &mut self.conns[idx];
-            slot.conn = Some(conn);
-            slot.last_activity = now;
+            self.conns[idx].conn = Some(conn);
             self.engine
                 .stats
                 .connections
@@ -501,44 +441,6 @@ impl ServerLoop {
                 .stats
                 .total_connections
                 .fetch_add(1, Ordering::Relaxed);
-            let deadline = now + self.engine.config.idle_timeout;
-            self.arm_idle(idx, deadline);
-        }
-    }
-
-    fn arm_idle(&mut self, idx: usize, deadline: Instant) {
-        if self.engine.config.idle_timeout.is_zero() {
-            return;
-        }
-        self.timers.insert((deadline, idx));
-        self.conns[idx].idle_timer = Some((deadline, idx));
-    }
-
-    /// An idle timer fired. Timers are lazy: traffic only refreshes
-    /// `last_activity`, and a connection's key is touched at most once
-    /// per timeout window — a request costs no timer work. On firing,
-    /// either the connection is genuinely idle (close it) or the timer
-    /// re-arms at the earliest future instant it could be.
-    fn idle_fired(&mut self, idx: usize, now: Instant) {
-        let slot = &mut self.conns[idx];
-        debug_assert!(slot.conn.is_some(), "close_conn cancels the timer");
-        slot.idle_timer = None;
-        let timeout = self.engine.config.idle_timeout;
-        let deadline = slot.last_activity + timeout;
-        let sent_all = slot.conn.as_ref().is_some_and(|c| c.tx.is_empty());
-        if now >= deadline && sent_all {
-            self.engine
-                .stats
-                .idle_closed
-                .fetch_add(1, Ordering::Relaxed);
-            self.close_conn(idx);
-        } else {
-            let next = if now >= deadline {
-                now + timeout
-            } else {
-                deadline
-            };
-            self.arm_idle(idx, next);
         }
     }
 
@@ -562,7 +464,6 @@ impl ServerLoop {
                     .stats
                     .bytes_rx
                     .fetch_add(n as u64, Ordering::Relaxed);
-                slot.last_activity = Instant::now();
                 self.parse_conn(idx);
             }
             if drained {
@@ -658,9 +559,6 @@ impl ServerLoop {
             return;
         };
         conn.close(&self.engine.poller);
-        if let Some(key) = slot.idle_timer.take() {
-            self.timers.remove(&key);
-        }
         slot.paused_read = false;
         slot.close_after_flush = false;
         self.engine
@@ -699,6 +597,7 @@ fn enqueue_response(tx: &mut TxQueue, resp: &Response) {
 mod tests {
     use std::io::Read;
     use std::net::TcpStream;
+    use std::time::Duration;
 
     use super::*;
 
@@ -752,7 +651,6 @@ mod tests {
             shutdown: AtomicBool::new(false),
             stats: ServerStats::default(),
             store: Arc::new(Store::with_defaults()),
-            config: ServerConfig::default(),
         });
         let mut lp = ServerLoop::new(Arc::clone(&engine), listener);
 

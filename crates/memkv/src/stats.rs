@@ -111,7 +111,7 @@ pub struct ServerStats {
     pub(crate) connections: AtomicU64,
     /// Connections accepted and registered over the server's lifetime.
     pub(crate) total_connections: AtomicU64,
-    /// Connections shed at the `max_connections` cap.
+    /// Connections shed at the server's connection cap.
     pub(crate) rejected_connections: AtomicU64,
     /// Requests executed (every verb, including `stats` itself).
     pub(crate) ops: AtomicU64,
@@ -119,8 +119,6 @@ pub struct ServerStats {
     pub(crate) bytes_tx: AtomicU64,
     /// Request bytes read from sockets.
     pub(crate) bytes_rx: AtomicU64,
-    /// Connections closed by the idle timeout.
-    pub(crate) idle_closed: AtomicU64,
 }
 
 impl ServerStats {
@@ -133,7 +131,6 @@ impl ServerStats {
             ops: self.ops.load(Ordering::Relaxed),
             bytes_tx: self.bytes_tx.load(Ordering::Relaxed),
             bytes_rx: self.bytes_rx.load(Ordering::Relaxed),
-            idle_closed: self.idle_closed.load(Ordering::Relaxed),
         }
     }
 }
@@ -147,7 +144,6 @@ pub struct ServerStatsSnapshot {
     pub ops: u64,
     pub bytes_tx: u64,
     pub bytes_rx: u64,
-    pub idle_closed: u64,
 }
 
 #[cfg(test)]

@@ -2,10 +2,10 @@
 //! verbs MemFS sends (`set`, `add`, `append`, `get`, `delete`), a per-item
 //! size limit and a hard memory budget.
 //!
-//! A shard is `RwLock<HashMap<key, Bytes>>` and an entry is just its
-//! bytes. A `get` is one read lock, a lookup and a refcount bump, so
-//! concurrent reads never block each other; each mutation takes its
-//! shard's write lock exactly once. There is no eviction and no expiry:
+//! A store is [`SHARDS`] shards, each `RwLock<HashMap<key, Bytes>>`, and
+//! an entry is just its bytes. A `get` is one read lock, a lookup and a
+//! refcount bump, so concurrent reads never block each other; each
+//! mutation takes its shard's write lock exactly once. There is no eviction and no expiry:
 //! the paper sizes the deployment so memcached never evicts (§3.2.1,
 //! §4.2.1), and a runtime file system needs a loud
 //! [`KvError::OutOfMemory`] rather than a silently dropped stripe.
@@ -38,6 +38,9 @@ pub const MAX_KEY_LEN: usize = 250;
 /// memcached charges a similar item-header cost).
 pub const ITEM_OVERHEAD: u64 = 64;
 
+/// Independent shards of a store, each with its own lock.
+pub const SHARDS: usize = 16;
+
 /// Store construction parameters.
 #[derive(Debug, Clone)]
 pub struct StoreConfig {
@@ -48,8 +51,6 @@ pub struct StoreConfig {
     /// mentions a 128 MB object limit, §3.2.1); MemFS stripes files so it
     /// never hits this.
     pub max_value_size: usize,
-    /// Number of independent shards (power of two recommended).
-    pub shards: usize,
 }
 
 impl Default for StoreConfig {
@@ -57,7 +58,6 @@ impl Default for StoreConfig {
         StoreConfig {
             memory_budget: 4 << 30,                      // 4 GiB
             max_value_size: crate::proto::MAX_VALUE_LEN, // 128 MiB, the paper's figure
-            shards: 16,
         }
     }
 }
@@ -93,15 +93,9 @@ pub struct Store {
 
 impl Store {
     /// Create a store with the given configuration.
-    ///
-    /// # Panics
-    /// Panics if `shards == 0`.
     pub fn new(config: StoreConfig) -> Self {
-        assert!(config.shards > 0, "store needs at least one shard");
-        let shards = (0..config.shards)
-            .map(|_| RwLock::new(Shard::default()))
-            .collect();
-        let meta = (0..config.shards).map(|_| ShardMeta::default()).collect();
+        let shards = (0..SHARDS).map(|_| RwLock::new(Shard::default())).collect();
+        let meta = (0..SHARDS).map(|_| ShardMeta::default()).collect();
         Store {
             config,
             shards,
@@ -422,7 +416,6 @@ mod tests {
         Store::new(StoreConfig {
             memory_budget: budget,
             max_value_size: 1024,
-            shards: 4,
         })
     }
 
@@ -698,10 +691,7 @@ mod tests {
 
     #[test]
     fn per_shard_accounting_sums_to_totals() {
-        let s = Store::new(StoreConfig {
-            shards: 8,
-            ..StoreConfig::default()
-        });
+        let s = Store::with_defaults();
         for i in 0..100u32 {
             s.set(
                 format!("key{i}").as_bytes(),

@@ -135,14 +135,6 @@ impl FsModel {
         }
     }
 
-    /// Whether `node` already holds a copy of `file` (AMFS).
-    pub fn has_local_copy(&self, file: FileId, node: usize) -> bool {
-        match self.kind {
-            FsModelKind::MemFs => false,
-            FsModelKind::Amfs => self.replicas[file.0].contains(&node),
-        }
-    }
-
     /// Plan the read phase of a task on `node` reading `inputs`, charging
     /// replication memory as a side effect (AMFS).
     pub fn plan_read(
@@ -355,7 +347,7 @@ mod tests {
         assert_eq!(plan.pairwise_in, vec![(0, 1000)]);
         assert!(plan.min_secs > 1000.0 / 1e9, "slow remote path charged");
         assert_eq!(m.memory.used(3), before + 1000);
-        assert!(m.has_local_copy(FileId(0), 3));
+        assert!(m.replica_holders(FileId(0)).contains(&3));
         // Second read from node 3 is now local.
         let plan = m.plan_read(3, &[FileId(0)], 1e9).unwrap();
         assert!(plan.pairwise_in.is_empty());

@@ -115,12 +115,6 @@ impl FlowNet {
         self.start_flow_route(now, route, bytes)
     }
 
-    /// Start a striped write of `bytes` leaving `src` toward all servers.
-    pub fn start_striped_write(&mut self, now: SimTime, src: NodeId, bytes: u64) -> FlowId {
-        let route = self.fabric.route_striped_write(src);
-        self.start_flow_route(now, route, bytes)
-    }
-
     /// Start a transfer over an explicit constraint route (advanced; the
     /// workflow engine uses this for aggregated transfers).
     ///
@@ -503,7 +497,8 @@ mod tests {
         let mut n = FlowNet::new(fabric, SimDuration::ZERO);
         for i in 0..4 {
             n.start_striped_read(SimTime::ZERO, NodeId(i), 100);
-            n.start_striped_write(SimTime::ZERO, NodeId(i), 100);
+            let write = n.fabric().route_striped_write(NodeId(i));
+            n.start_flow_route(SimTime::ZERO, write, 100);
         }
         assert!((secs(n.next_event().unwrap()) - 2.0).abs() < 1e-9);
     }

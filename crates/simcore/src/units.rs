@@ -13,9 +13,7 @@ pub const MB: u64 = 1_000_000;
 /// 1 decimal gigabyte (10^9 bytes).
 pub const GB: u64 = 1_000_000_000;
 
-/// 1 binary kibibyte (2^10 bytes) — used for stripe/buffer sizes.
-pub const KIB: u64 = 1 << 10;
-/// 1 binary mebibyte (2^20 bytes).
+/// 1 binary mebibyte (2^20 bytes) — used for stripe/buffer sizes.
 pub const MIB: u64 = 1 << 20;
 /// 1 binary gibibyte (2^30 bytes).
 pub const GIB: u64 = 1 << 30;
@@ -25,16 +23,6 @@ pub const GIB: u64 = 1 << 30;
 pub struct Bandwidth(pub f64);
 
 impl Bandwidth {
-    /// Construct from megabytes (decimal) per second.
-    pub fn from_mb_per_s(mb: f64) -> Self {
-        Bandwidth(mb * MB as f64)
-    }
-
-    /// Construct from gigabits per second (as network links are quoted).
-    pub fn from_gbit_per_s(gbit: f64) -> Self {
-        Bandwidth(gbit * 1e9 / 8.0)
-    }
-
     /// Bytes per second.
     #[inline]
     pub fn bytes_per_s(self) -> f64 {
@@ -45,13 +33,6 @@ impl Bandwidth {
     #[inline]
     pub fn mb_per_s(self) -> f64 {
         self.0 / MB as f64
-    }
-
-    /// Seconds needed to move `bytes` at this bandwidth.
-    #[inline]
-    pub fn transfer_secs(self, bytes: u64) -> f64 {
-        assert!(self.0 > 0.0, "transfer over zero bandwidth");
-        bytes as f64 / self.0
     }
 }
 
@@ -75,17 +56,9 @@ mod tests {
 
     #[test]
     fn bandwidth_conversions() {
-        let b = Bandwidth::from_gbit_per_s(10.0);
-        assert!((b.bytes_per_s() - 1.25e9).abs() < 1.0);
+        let b = Bandwidth(1.25e9);
+        assert_eq!(b.bytes_per_s(), 1.25e9);
         assert!((b.mb_per_s() - 1250.0).abs() < 1e-9);
-        let m = Bandwidth::from_mb_per_s(117.0);
-        assert!((m.bytes_per_s() - 117e6).abs() < 1.0);
-    }
-
-    #[test]
-    fn transfer_time_is_bytes_over_rate() {
-        let b = Bandwidth::from_mb_per_s(1000.0);
-        assert!((b.transfer_secs(GB) - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -98,14 +71,7 @@ mod tests {
 
     #[test]
     fn binary_and_decimal_units_differ() {
-        assert_eq!(KIB, 1024);
-        assert_eq!(KB, 1000);
-        assert_eq!(512 * KIB, 524_288);
-    }
-
-    #[test]
-    #[should_panic(expected = "zero bandwidth")]
-    fn zero_bandwidth_transfer_panics() {
-        Bandwidth(0.0).transfer_secs(1);
+        assert_eq!(MIB, 1 << 20);
+        assert_eq!(MB, 1_000_000);
     }
 }

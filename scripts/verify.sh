@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Repo verification gate: build, tests, formatting, lints.
 #
-#   scripts/verify.sh            # build + workspace tests + fmt + clippy + knob count + unsafe census + KvClient census + I/O pool census + connection census + timer census + pass census + phase census + replica census + substrate census + shaper census + repro golden
+#   scripts/verify.sh            # build + workspace tests + fmt + clippy + knob count + options census + unsafe census + KvClient census + I/O pool census + connection census + timer census + pass census + phase census + replica census + substrate census + shaper census + repro golden
 #   scripts/verify.sh --clippy   # fast path: fmt + clippy only, no build/tests
 #   scripts/verify.sh --threads  # additionally stress the concurrency tests
 #   scripts/verify.sh --soak     # shaped-cluster suites, N random seeds
@@ -85,12 +85,30 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 # The knob count can only go down (ROADMAP aim 2: the same behaviour from
 # the simplest design). Lower KNOBS_MAX in the PR that deletes a knob.
-KNOBS_MAX=16
+KNOBS_MAX=12
 knobs=$(scripts/loc.sh --knobs | awk '$2 == "total" { print $1 }')
 echo "==> scripts/loc.sh --knobs: $knobs (max $KNOBS_MAX)"
 if ((knobs > KNOBS_MAX)); then
     echo "verify: $knobs config knobs, $KNOBS_MAX recorded — ROADMAP aim 2: a PR may" \
         "delete a knob, not add one (scripts/loc.sh --knobs lists them)" >&2
+    exit 1
+fi
+
+# A setting exists only where a caller sets it. A server takes an address
+# and a store (`KvServer::spawn`): its connection cap is a constant, it
+# reaps no idle connection (TCP keepalive finds a dead peer), and a down
+# member leaves the ring only when asked (`remove_server`), never on a
+# grace timer.
+trees="crates src tests examples"
+# shellcheck disable=SC2086
+options=$(
+    grep -rnwE 'ServerConfig|idle_timeout|idle_closed|MembershipMonitor|evict_grace' $trees
+    grep -rnF 'KvServer::spawn_with' $trees
+) || true
+echo "==> options census: ${options:-no server config, idle reaper or grace evictor}"
+if [[ -n "$options" ]]; then
+    echo "verify: make it a constant or delete it — a value nothing but its own" \
+        "tests sets is not an option" >&2
     exit 1
 fi
 
@@ -112,7 +130,6 @@ fi
 # over it have to stay on the trait (callers spell them), so what keeps a
 # second tier from growing back is this: no `start_*_many`, and no `impl
 # KvClient for` that defines anything but `start` and the side methods.
-trees="crates src tests examples"
 # shellcheck disable=SC2086
 tier=$(grep -rnE 'start_(get|store|delete|get_range)_many' $trees || true)
 # shellcheck disable=SC2086
@@ -152,8 +169,7 @@ fi
 # A `TcpClient` is one pipelined connection per server, as Libmemcached
 # keeps one socket per server (DESIGN.md §4b): no connection count, no
 # per-call key-chunk knob, no census over several links and no health
-# between up and down. `ServerConfig::max_connections` is the server's cap,
-# a different knob, and is not matched.
+# between up and down.
 # shellcheck disable=SC2086
 census=$(
     grep -rnE 'pool_size|max_batch_keys|health_census|ServerHealth::Degraded' $trees
@@ -174,8 +190,9 @@ if [[ -n "$census" ]]; then
     exit 1
 fi
 
-# Both event loops keep their timers as keys of one `BTreeSet` ordered by
-# deadline: no timer wheel, and no counter of its internals.
+# The client loop keeps its timers as keys of one `BTreeSet` ordered by
+# deadline (the server loop keeps none): no timer wheel, and no counter of
+# its internals.
 # shellcheck disable=SC2086
 wheels=$(grep -rnE 'TimerWheel|TimerId|timer_cascades|mod wheel|wheel::' $trees || true)
 echo "==> timer census: ${wheels:-no timer wheel}"
@@ -373,7 +390,7 @@ for arg in "$@"; do
             # And the client loop's replay / timeout / deregistration
             # rules, with a released slot leaving no timer key behind.
             RUST_TEST_THREADS=16 cargo test -q -p memfs-memkv --lib -- server:: conn:: reactor::
-            # Transport failure paths; the idle reaper never fires early.
+            # Transport failure paths; the connection cap sheds cleanly.
             RUST_TEST_THREADS=16 cargo test -q -p memfs-memkv --test tcp_failures
             # tail_ack reads the namespace-wide TcpExt DelayedACKs
             # counter: own binary, one test, nothing else talking TCP.

@@ -51,8 +51,12 @@ pub const SOCK_CLOEXEC: c_int = 0x80000;
 pub const SOL_SOCKET: c_int = 1;
 pub const SO_REUSEADDR: c_int = 2;
 pub const SO_ERROR: c_int = 4;
+pub const SO_KEEPALIVE: c_int = 9;
 pub const IPPROTO_TCP: c_int = 6;
 pub const TCP_NODELAY: c_int = 1;
+pub const TCP_KEEPIDLE: c_int = 4;
+pub const TCP_KEEPINTVL: c_int = 5;
+pub const TCP_KEEPCNT: c_int = 6;
 pub const TCP_QUICKACK: c_int = 12;
 pub const EINPROGRESS: c_int = 115;
 pub const EINTR: c_int = 4;

@@ -13,7 +13,7 @@ use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use memfs::memkv::net::{KvServer, PoolConfig, TcpClient};
-use memfs::memkv::{KvClient, ReactorHandle, ServerConfig, Store};
+use memfs::memkv::{KvClient, ReactorHandle, Store};
 
 /// Live threads of this process whose name starts with `prefix`
 /// (`comm` truncates at 15 chars, so prefixes must fit in that).
@@ -46,14 +46,7 @@ fn expect_named(prefix: &str, expected: usize, what: &str) {
 fn server_census_is_one_loop_regardless_of_connections() {
     assert_eq!(named_threads("memkv-srv"), 0, "clean slate");
 
-    let server = KvServer::spawn_with(
-        Arc::new(Store::with_defaults()),
-        "127.0.0.1:0",
-        ServerConfig {
-            ..Default::default()
-        },
-    )
-    .unwrap();
+    let server = KvServer::spawn(Arc::new(Store::with_defaults()), "127.0.0.1:0").unwrap();
     let census = |what: &str| {
         expect_named("memkv-srv-loop", 1, what);
         expect_named("memkv-srv", 1, what);

@@ -17,9 +17,8 @@
 
 use bytes::Bytes;
 use memfs::memkv::audit::{store_read_locks, store_write_locks};
+use memfs::memkv::store::SHARDS;
 use memfs::memkv::{Store, StoreConfig};
-
-const SHARDS: usize = 8;
 
 /// A store write applied to one key, for the per-verb lock census.
 type Mutation<'a> = &'a dyn Fn(&[u8]);
@@ -35,7 +34,6 @@ fn reads_take_one_read_lock_and_writes_one_write_lock() {
     let s = Store::new(StoreConfig {
         memory_budget: 1 << 20,
         max_value_size: 4096,
-        shards: SHARDS,
     });
     let keys: Vec<Vec<u8>> = (0..64).map(|i| format!("key{i:03}").into_bytes()).collect();
     for k in &keys {

@@ -120,7 +120,6 @@ fn concurrent_stress_holds_accounting_and_no_lost_updates() {
     let store = Arc::new(Store::new(StoreConfig {
         memory_budget: BUDGET,
         max_value_size: MAX_VALUE,
-        shards: 8,
     }));
     let stop = Arc::new(AtomicBool::new(false));
 

@@ -7,10 +7,10 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use memfs::memfs_core::{MemFs, MemFsConfig};
-use memfs::memkv::net::PoolConfig;
+use memfs::memfs_core::{DistributorKind, MemFs, MemFsConfig};
+use memfs::memkv::net::{KvServer, PoolConfig};
 use memfs::memkv::testutil::{Shape, ShapedCluster};
-use memfs::memkv::KvClient;
+use memfs::memkv::{KvClient, ServerHealth, Store};
 
 /// A mild WAN-ish shape: visible per-burst latency, generous bandwidth.
 fn shaped_cluster(n: usize) -> (ShapedCluster, Vec<Arc<dyn KvClient>>) {
@@ -192,4 +192,41 @@ fn mount_survives_one_stalled_server_without_wedging_the_rest() {
         fs.read_to_vec("/pre").map(|v| v == data).unwrap_or(false)
     });
     assert!(recovered, "mount must recover once the stall clears");
+}
+
+/// Servers never cut a quiet mount's connections, so a grow over plain
+/// `KvServer`s followed by 600 ms without traffic leaves every link `Up`,
+/// and one repair pass scans all four servers and commits the transition.
+#[test]
+fn a_quiet_mount_commits_a_grow_with_every_server_up() {
+    let servers: Vec<KvServer> = (0..4)
+        .map(|_| KvServer::spawn(Arc::new(Store::with_defaults()), "127.0.0.1:0").unwrap())
+        .collect();
+    let addrs: Vec<_> = servers.iter().map(|s| s.addr()).collect();
+    let config = MemFsConfig {
+        stripe_size: 64 * 1024,
+        distributor: DistributorKind::Ketama {
+            points_per_server: 160,
+        },
+        ..MemFsConfig::default()
+    };
+    let fs = MemFs::connect(&addrs[..3], config).unwrap();
+    let data: Vec<u8> = (0..1_000_000u32).map(|i| (i % 251) as u8).collect();
+    fs.mkdir("/quiet").unwrap();
+    fs.write_file("/quiet/blob", &data).unwrap();
+    fs.admit_server(addrs[3]).unwrap();
+
+    let all_up = |when: &str| {
+        let health = fs.pool().health();
+        assert_eq!(health, [ServerHealth::Up; 4], "{when}");
+    };
+    all_up("after the grow");
+    std::thread::sleep(Duration::from_millis(600));
+    all_up("after 600 ms of quiet");
+    let report = fs.repair_now().unwrap();
+    assert_eq!(report.servers_down, 0, "{report:?}");
+    assert!(report.complete, "{report:?}");
+    assert!(!fs.migration_active());
+    all_up("after the pass");
+    assert_eq!(fs.read_to_vec("/quiet/blob").unwrap(), data);
 }
