@@ -101,11 +101,7 @@ fn main() {
 
     let cluster = ShapedCluster::spawn(SERVERS, Shape::throttled(SERVER_BPS));
     let reactor = ReactorHandle::new().expect("reactor");
-    let pool_config = PoolConfig {
-        heartbeat: Some(Duration::from_millis(50)),
-        ..PoolConfig::default()
-    };
-    let clients: Vec<Arc<dyn KvClient>> = cluster.clients_on(pool_config.clone(), &reactor);
+    let clients: Vec<Arc<dyn KvClient>> = cluster.clients_on(PoolConfig::default(), &reactor);
     let ketama = DistributorKind::Ketama {
         points_per_server: KETAMA_POINTS,
     };

@@ -75,12 +75,8 @@ fn main() {
     let mut rng = Rng::new(seed);
 
     let cluster = ShapedCluster::spawn(SERVERS, Shape::throttled(SERVER_BPS));
-    let pool_config = PoolConfig {
-        heartbeat: Some(Duration::from_millis(50)),
-        ..PoolConfig::default()
-    };
     let pool = Arc::new(ServerPool::with_replication(
-        cluster.clients(pool_config),
+        cluster.clients(PoolConfig::default()),
         DistributorKind::default(),
         REPLICATION,
     ));
@@ -97,7 +93,8 @@ fn main() {
         dataset_bytes >> 20
     );
     cluster.proxy(victim).kill();
-    // One throwaway round so the link census settles before measuring.
+    // One throwaway round so the victim's link is down (and its reconnect
+    // backing off) before measuring.
     read_round(&pool, &keys);
 
     // No-repair baseline.

@@ -39,15 +39,12 @@ pub struct MemFsConfig {
     /// cost the paper quantifies in §3.2.5.
     pub replication: usize,
     /// Interval between background repair passes, in milliseconds. Each
-    /// pass re-replicates keys whose replica set lost a member (detected
-    /// via the health census and degraded-write records). A TCP mount
-    /// ([`crate::MemFs::connect`]) probes its idle connections at the
-    /// same interval, so that the census a pass reads is no older than
-    /// the pass before it and a server that dies while the mount is quiet
-    /// is seen. `0` (the default) disables the repair daemon and the
-    /// probes: health is then observed only through foreground traffic,
-    /// and [`crate::MemFs::repair_now`] still runs single passes on
-    /// demand.
+    /// pass scans every member — a member is alive for the pass exactly
+    /// when its scan answers — and re-replicates keys whose replica set
+    /// lost a member (found by that scan and by degraded-write records),
+    /// so a server that dies or returns while the mount is quiet is seen
+    /// by the next pass. `0` (the default) disables the repair daemon;
+    /// [`crate::MemFs::repair_now`] still runs single passes on demand.
     pub repair_interval_ms: u64,
 }
 

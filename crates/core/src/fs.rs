@@ -60,14 +60,6 @@ pub struct FileStat {
     pub finalized: bool,
 }
 
-/// TCP transport state a [`MemFs::connect`] mount retains so the
-/// membership API can admit replacement servers onto the same shared
-/// reactor (zero new threads). In-process mounts have none.
-struct NetContext {
-    reactor: memfs_memkv::ReactorHandle,
-    pool_config: memfs_memkv::PoolConfig,
-}
-
 struct Inner {
     pool: Arc<ServerPool>,
     config: MemFsConfig,
@@ -76,7 +68,10 @@ struct Inner {
     /// joined) when the last mount clone drops. Doubles as the migration
     /// driver while a membership transition is active.
     repair: Option<RepairDaemon>,
-    net: Option<NetContext>,
+    /// The shared reactor of a [`MemFs::connect`] mount, kept so the
+    /// membership API can admit servers onto it (zero new threads).
+    /// In-process mounts have none.
+    reactor: Option<memfs_memkv::ReactorHandle>,
 }
 
 /// Stripe keys freed per `delete_many` round during unlink — bounds the
@@ -140,50 +135,43 @@ impl MemFs {
     fn build(
         servers: Vec<Arc<dyn KvClient>>,
         config: MemFsConfig,
-        net: Option<NetContext>,
+        reactor: Option<memfs_memkv::ReactorHandle>,
     ) -> MemFsResult<MemFs> {
         let pool = Arc::new(ServerPool::with_replication(
             servers,
             config.distributor,
             config.replication,
         ));
-        Self::mount(pool, config, net)
+        Self::mount(pool, config, reactor)
     }
 
     /// Mount over TCP storage servers: connects one
     /// [`memfs_memkv::TcpClient`] per address, all registered on one
     /// shared epoll reactor — a single thread drives the whole cluster
     /// and delivers completions in cross-server batches. Each server gets
-    /// one pipelined connection, and — exactly
-    /// when the repair daemon runs — liveness probes at its interval: the
-    /// daemon plans from the health census, which on a quiet mount only
-    /// the probes keep true.
+    /// one pipelined connection and nothing probes it: a server that dies
+    /// while the mount is quiet is found by the next request to it — a
+    /// foreground call, or the scan of the next repair pass.
     pub fn connect(
         addrs: &[impl std::net::ToSocketAddrs],
         config: MemFsConfig,
     ) -> MemFsResult<MemFs> {
         check_config(&config, addrs.len())?;
         let reactor = memfs_memkv::ReactorHandle::new().map_err(MemFsError::Storage)?;
-        let pool_config = memfs_memkv::PoolConfig {
-            heartbeat: (config.repair_interval_ms > 0)
-                .then(|| std::time::Duration::from_millis(config.repair_interval_ms)),
-            ..memfs_memkv::PoolConfig::default()
-        };
         let mut servers: Vec<Arc<dyn KvClient>> = Vec::with_capacity(addrs.len());
         for addr in addrs {
-            let client =
-                memfs_memkv::TcpClient::connect_shared(addr, pool_config.clone(), &reactor)
-                    .map_err(MemFsError::Storage)?;
-            servers.push(Arc::new(client));
+            servers.push(Arc::new(Self::dial(addr, &reactor)?));
         }
-        Self::build(
-            servers,
-            config,
-            Some(NetContext {
-                reactor,
-                pool_config,
-            }),
-        )
+        Self::build(servers, config, Some(reactor))
+    }
+
+    /// One server's client on `reactor`, with the default deadline.
+    fn dial(
+        addr: impl std::net::ToSocketAddrs,
+        reactor: &memfs_memkv::ReactorHandle,
+    ) -> MemFsResult<memfs_memkv::TcpClient> {
+        let config = memfs_memkv::PoolConfig::default();
+        memfs_memkv::TcpClient::connect_shared(addr, config, reactor).map_err(MemFsError::Storage)
     }
 
     /// Mount over an existing [`ServerPool`] (lets several mounts share
@@ -197,7 +185,7 @@ impl MemFs {
     fn mount(
         pool: Arc<ServerPool>,
         config: MemFsConfig,
-        net: Option<NetContext>,
+        reactor: Option<memfs_memkv::ReactorHandle>,
     ) -> MemFsResult<MemFs> {
         let repair = (config.repair_interval_ms > 0).then(|| {
             RepairDaemon::spawn(
@@ -211,7 +199,7 @@ impl MemFs {
                 pool,
                 config,
                 repair,
-                net,
+                reactor,
             }),
         };
         // Ensure the root directory exists; racing mounts both succeed.
@@ -223,8 +211,8 @@ impl MemFs {
     }
 
     /// Run one synchronous repair pass over the mount's pool (see
-    /// [`crate::repair::repair_pass`]): puts every key the health census
-    /// finds off its home set back on it, and advances a membership
+    /// [`crate::repair::repair_pass`]): scans every member, puts every
+    /// key it finds off its home set back on it, and advances a membership
     /// transition, with an unlimited copy budget (a budgeted pass is
     /// [`crate::repair::repair_pass`] with a [`RepairConfig`] of its own).
     /// Works whether or not the background daemon is running; reports
@@ -261,13 +249,10 @@ impl MemFs {
     /// reactor (zero new threads — its connection joins the existing
     /// epoll loop). Only available on [`Self::connect`] mounts.
     pub fn admit_server(&self, addr: impl std::net::ToSocketAddrs) -> MemFsResult<ServerId> {
-        let net = self.inner.net.as_ref().ok_or_else(|| {
+        let reactor = self.inner.reactor.as_ref().ok_or_else(|| {
             MemFsError::InvalidPath("admit_server: not a TCP mount (use add_server)".into())
         })?;
-        let client =
-            memfs_memkv::TcpClient::connect_shared(&addr, net.pool_config.clone(), &net.reactor)
-                .map_err(MemFsError::Storage)?;
-        self.add_server(Arc::new(client))
+        self.add_server(Arc::new(Self::dial(addr, reactor)?))
     }
 
     /// Drain `server` out of the live mount: installs a membership

@@ -31,9 +31,7 @@ use std::sync::Arc;
 use bytes::Bytes;
 use memfs_hashring::ServerId;
 use memfs_memkv::error::KvResult;
-use memfs_memkv::{
-    Batch, Deferred, KvClient, KvError, ReactorStatsSnapshot, ServerHealth, StoreVerb,
-};
+use memfs_memkv::{Batch, Deferred, KvClient, KvError, ReactorStatsSnapshot, StoreVerb};
 use parking_lot::{Mutex, RwLock};
 
 use crate::config::DistributorKind;
@@ -387,18 +385,6 @@ impl ServerPool {
     /// are down and converge back when they return.
     pub fn replica_candidates(&self, key: &[u8]) -> Vec<ServerId> {
         self.ring_state().rings().walk(key)
-    }
-
-    /// Per-server health census, indexed by [`ServerId`]: each client's
-    /// current liveness view (for TCP clients, the reactor's link state
-    /// plus heartbeat probes; in-process clients are always `Up` unless a
-    /// test injects failure). Retired slots report `Down`.
-    pub fn health(&self) -> Vec<ServerHealth> {
-        self.ring_state()
-            .clients
-            .iter()
-            .map(|c| c.health())
-            .collect()
     }
 
     /// Drain the degraded-write queue: every key a write left
@@ -1488,18 +1474,6 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn health_reflects_injected_failures() {
-        use memfs_memkv::ServerHealth;
-        let (p, failables) = failable_pool(3, 2);
-        assert_eq!(p.health(), vec![ServerHealth::Up; 3]);
-        failables[1].set_down(true);
-        assert_eq!(
-            p.health(),
-            vec![ServerHealth::Up, ServerHealth::Down, ServerHealth::Up]
-        );
-    }
-
-    #[test]
     fn pool_stats_count_batches_and_settle_to_zero_in_flight() {
         let (p, _) = pool(4);
         let keys: Vec<Bytes> = (0..64).map(|i| Bytes::from(format!("s:/f{i}#0"))).collect();
@@ -1687,7 +1661,6 @@ pub(crate) mod tests {
         assert!(!p.transition_active());
         assert_eq!(p.members(), vec![ServerId(0), ServerId(1)]);
         assert_eq!(p.n_servers(), 3, "slot ids never renumber");
-        assert_eq!(p.health()[2], ServerHealth::Down, "retired slot is down");
         for i in 0..50 {
             let key = format!("k{i}");
             assert_ne!(p.server_for(key.as_bytes()), ServerId(2));
@@ -1837,7 +1810,6 @@ pub(crate) mod tests {
         use std::net::TcpListener;
         let config = PoolConfig {
             timeout: Duration::from_millis(200),
-            ..PoolConfig::default()
         };
         let one_client_pool = |listener: &TcpListener| {
             let addr = listener.local_addr().unwrap();

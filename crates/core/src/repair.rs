@@ -15,8 +15,11 @@
 //! 1. **Census and scan** — during a transition, first quiesce: no
 //!    operation routed by the pre-transition snapshot is still unanswered,
 //!    so every write the scan can miss dual-routes (current ∪ target
-//!    homes). Then enumerate the keys of every alive slot of members ∪
-//!    target members ([`memfs_memkv::KvClient::scan_keys`]). A slot that
+//!    homes). Then enumerate the keys of every slot of members ∪ target
+//!    members ([`memfs_memkv::KvClient::scan_keys`]). The scan is the
+//!    census: a slot is alive for this pass exactly when its scan answers,
+//!    and nothing else is consulted — a member found dead by an earlier
+//!    request is scanned (and so re-dialed) like any other. A slot that
 //!    fails its scan counts as down. A *current member* that is not
 //!    leaving and cannot be scanned blocks the commit this pass: without
 //!    its key census a commit could strand a key it alone holds behind an
@@ -83,7 +86,7 @@ pub struct RepairConfig {
 /// Outcome of one repair pass.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RepairReport {
-    /// Members and target members the census reported unreachable.
+    /// Members and target members whose scan failed this pass.
     pub servers_down: usize,
     /// Distinct keys enumerated across the alive slots.
     pub scanned_keys: usize,
@@ -282,14 +285,11 @@ pub fn repair_pass(pool: &ServerPool, config: &RepairConfig) -> MemFsResult<Repa
     let mut holders: BTreeMap<Vec<u8>, BTreeSet<usize>> = BTreeMap::new();
     let mut scan_failed = false;
     for &s in &slots {
-        let client = &state.clients[s];
-        if client.health().is_alive() {
-            if let Ok(keys) = client.scan_keys() {
-                for key in keys {
-                    holders.entry(key).or_default().insert(s);
-                }
-                alive[s] = true;
+        if let Ok(keys) = state.clients[s].scan_keys() {
+            for key in keys {
+                holders.entry(key).or_default().insert(s);
             }
+            alive[s] = true;
         }
         let leaving = t.is_some_and(|t| t.leaving.contains(&s));
         scan_failed |= !alive[s] && members.contains(&s) && !leaving;
@@ -404,7 +404,7 @@ pub fn repair_pass(pool: &ServerPool, config: &RepairConfig) -> MemFsResult<Repa
 /// [`repair_pass`] each tick — repair and migration alike, under one
 /// [`RepairConfig::bandwidth`]. Elastic membership adds **zero** threads
 /// to a mount. Idle passes are cheap
-/// only relative to the data volume — the scan walks every alive slot's
+/// only relative to the data volume — the scan walks every slot's
 /// key list — so the interval trades detection latency against
 /// enumeration traffic.
 pub struct RepairDaemon {

@@ -18,7 +18,7 @@ use std::time::Duration;
 
 use bytes::Bytes;
 use memfs_hashring::{Distributor, KetamaRing, ModuloRing, ServerId};
-use memfs_memkv::{Batch, Deferred, KvClient, KvError, ServerHealth};
+use memfs_memkv::{Batch, Deferred, KvClient, KvError};
 use parking_lot::RwLock;
 
 use crate::config::DistributorKind;
@@ -183,7 +183,7 @@ fn ring_for(
 /// Tombstone client occupying a drained server's slot so `ServerId`s
 /// never renumber. Nothing routes here once the transition that retired
 /// the slot completed; a straggler (stale failover walk) gets a clean
-/// transport error, and the health census reports the slot `Down`.
+/// transport error.
 struct RetiredClient;
 
 impl KvClient for RetiredClient {
@@ -192,9 +192,6 @@ impl KvClient for RetiredClient {
             std::io::ErrorKind::NotConnected,
             "server slot retired from the pool",
         ))))
-    }
-    fn health(&self) -> ServerHealth {
-        ServerHealth::Down
     }
 }
 

@@ -10,8 +10,10 @@
 //! `append`, `delete`, `get_range`, `get_many`, `set_many`,
 //! `delete_many`) is written once, on the trait, over that method — a
 //! single-key call is a batch of one — so an implementation is `start`
-//! plus whichever of the three side methods (`scan_keys`, `health`,
-//! `reactor_stats`) it has something to say about. Implementations:
+//! plus whichever of the two side methods (`scan_keys`,
+//! `reactor_stats`) it has something to say about. A client keeps no
+//! view of whether its server is alive: a request that fails says so,
+//! as in Libmemcached. Implementations:
 //!
 //! * [`LocalClient`] — direct in-process calls into a [`Store`] (a MemFS
 //!   node talking to the server in its own DRAM);
@@ -95,31 +97,6 @@ impl<T> Deferred<T> {
             Deferred::Ready(_) => true,
             Deferred::Polled { ready, .. } => ready(),
         }
-    }
-}
-
-/// A client's current liveness view of its storage server — the unit of
-/// the failure-detection census the repair planner queries.
-///
-/// A TCP client is one pipelined connection per server, and its health is
-/// that link's state in the reactor (Down/Connecting/Up), kept fresh by
-/// traffic and by heartbeat probes: `Up` means the one link is
-/// established. A link severed by a timeout or an error reads `Down` until
-/// the next call or heartbeat redials it. In-process transports are always
-/// [`ServerHealth::Up`] unless a [`SimClient`] is set down. `Down` is a
-/// *view*, not ground truth.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ServerHealth {
-    /// The connection is established.
-    Up,
-    /// The connection is not established.
-    Down,
-}
-
-impl ServerHealth {
-    /// Whether the server is reachable (`Up`).
-    pub fn is_alive(self) -> bool {
-        self == ServerHealth::Up
     }
 }
 
@@ -256,12 +233,6 @@ pub trait KvClient: Send + Sync {
     fn reactor_stats(&self) -> Option<crate::reactor::ReactorStatsSnapshot> {
         None
     }
-    /// This client's liveness view of its server (see [`ServerHealth`]).
-    /// Default: always `Up` — in-process transports cannot lose their
-    /// server. The TCP client reports the reactor's link census.
-    fn health(&self) -> ServerHealth {
-        ServerHealth::Up
-    }
 }
 
 /// Direct in-process access to a [`Store`].
@@ -389,8 +360,7 @@ impl SimClient {
 
     /// Mark the server down (true) or back up (false). While it is down,
     /// every batch and [`KvClient::scan_keys`] fails with an I/O error
-    /// before the store sees it, and [`KvClient::health`] reads `Down`: a
-    /// crashed or partitioned server.
+    /// before the store sees it: a crashed or partitioned server.
     pub fn set_down(&self, down: bool) {
         self.down.store(down, Ordering::SeqCst);
     }
@@ -438,12 +408,6 @@ impl KvClient for SimClient {
         self.check()?;
         self.local.scan_keys()
     }
-    fn health(&self) -> ServerHealth {
-        match self.check() {
-            Ok(()) => ServerHealth::Up,
-            Err(_) => ServerHealth::Down,
-        }
-    }
 }
 
 /// `Arc<C>` is a client too — MemFS holds its server pool behind `Arc`s.
@@ -456,9 +420,6 @@ impl<C: KvClient + ?Sized> KvClient for Arc<C> {
     }
     fn reactor_stats(&self) -> Option<crate::reactor::ReactorStatsSnapshot> {
         (**self).reactor_stats()
-    }
-    fn health(&self) -> ServerHealth {
-        (**self).health()
     }
 }
 
@@ -603,7 +564,6 @@ mod tests {
         c.delete(b"p").unwrap();
         assert!(matches!(c.delete(b"p"), Err(KvError::NotFound)), "{name}");
         assert!(matches!(c.get(b"p"), Err(KvError::NotFound)), "{name}");
-        assert_eq!(c.health(), ServerHealth::Up, "{name}");
     }
 
     /// What every client must answer when the store has no room: the
@@ -648,7 +608,7 @@ mod tests {
         let server = KvServer::spawn(tiny_store(), "127.0.0.1:0").unwrap();
         refuses_when_full("tcp", &TcpClient::connect(server.addr()).unwrap());
 
-        // A down server answers no kind at all, and says so to the census.
+        // A down server answers no kind at all, nor a scan.
         let store = store();
         let down = SimClient::new(Arc::clone(&store));
         down.set_down(true);
@@ -668,7 +628,6 @@ mod tests {
             assert!(matches!(down.start(batch).wait(), Err(KvError::Io(_))));
         }
         assert!(matches!(down.scan_keys(), Err(KvError::Io(_))));
-        assert_eq!(down.health(), ServerHealth::Down);
         assert_eq!(store.item_count(), 0, "a down server sees nothing");
     }
 
@@ -745,7 +704,6 @@ mod tests {
             .set_many(&[(Bytes::from_static(b"k"), Bytes::new())])
             .is_err());
         c.set_down(false);
-        assert_eq!(c.health(), ServerHealth::Up);
         assert_eq!(c.get(b"k").unwrap().as_ref(), b"v");
         assert!(!store.contains(b"x"), "a refused batch was never applied");
     }

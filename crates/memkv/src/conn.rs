@@ -4,7 +4,7 @@
 //! a client, and both ends move the same stripe-sized frames over one
 //! text protocol. So there is one connection, not two: the client reactor
 //! ([`crate::reactor`]) and the server loop ([`crate::server`]) differ in
-//! *policy* — deadlines, backoff, heartbeats and replay on one side,
+//! *policy* — deadlines, backoff and replay on one side,
 //! accept, admission and turn bounds on the other — and each keeps its own
 //! `run`, but every byte either of them moves between a non-blocking
 //! socket and a parser or encoder goes through this module (memcached's

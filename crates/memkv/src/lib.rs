@@ -44,8 +44,7 @@ pub mod store;
 pub mod testutil;
 
 pub use client::{
-    AnswerHook, Batch, Deferred, KvClient, LocalClient, Replies, ServerHealth, SimClient, SimClock,
-    StoreVerb,
+    AnswerHook, Batch, Deferred, KvClient, LocalClient, Replies, SimClient, SimClock, StoreVerb,
 };
 pub use error::KvError;
 pub use net::{KvServer, PoolConfig, TcpClient};

@@ -29,7 +29,7 @@ use std::time::Duration;
 
 use bytes::Bytes;
 
-use crate::client::{Batch, Deferred, KvClient, Replies, ServerHealth, StoreVerb};
+use crate::client::{Batch, Deferred, KvClient, Replies, StoreVerb};
 use crate::conn::{RxBuf, TxQueue};
 use crate::error::{KvError, KvResult};
 use crate::proto::{
@@ -46,27 +46,20 @@ pub use crate::server::{execute, KvServer, MAX_CONNECTIONS, SERVER_VERSION};
 /// batches are split into pipelined frames on the same connection.
 const MAX_BATCH_KEYS: usize = 64;
 
-/// Deadline and liveness knobs for a [`TcpClient`]'s connection.
+/// The deadline of a [`TcpClient`]'s connection. Nothing probes a quiet
+/// connection: a server is found dead by the next request sent to it.
 #[derive(Debug, Clone)]
 pub struct PoolConfig {
     /// Response deadline per batch. A server that accepts a request and
     /// never answers fails the call with [`KvError::Timeout`] instead of
     /// parking the caller forever; the silent connection is severed.
     pub timeout: Duration,
-    /// Liveness probe interval. When set, the reactor probes each idle
-    /// connection with a `version` request at this cadence and re-dials
-    /// dead ones, so [`KvClient::health`] stays fresh on a quiet mount —
-    /// the failure-detection input of the repair planner. `None` (the
-    /// default) disables heartbeats: liveness is then only observed
-    /// through foreground traffic.
-    pub heartbeat: Option<Duration>,
 }
 
 impl Default for PoolConfig {
     fn default() -> Self {
         PoolConfig {
             timeout: Duration::from_secs(10),
-            heartbeat: None,
         }
     }
 }
@@ -92,7 +85,9 @@ impl Default for PoolConfig {
 /// once, transparently, when it is idempotent (`get`/`set`/`delete`…).
 /// Non-idempotent verbs (`add`/`append`) surface the I/O error
 /// instead — retrying those could double-apply. Calls unanswered past
-/// [`PoolConfig::timeout`] fail with [`KvError::Timeout`].
+/// [`PoolConfig::timeout`] fail with [`KvError::Timeout`]. After a failed
+/// dial, calls fail at once with [`KvError::Io`] until the reconnect
+/// backoff (10 ms doubling to 500 ms) has run out; the next call dials.
 pub struct TcpClient {
     registration: Registration,
     addr: SocketAddr,
@@ -156,7 +151,7 @@ impl TcpClient {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
         let addr = stream.peer_addr()?;
-        let registration = reactor.register(addr, stream, config.timeout, config.heartbeat)?;
+        let registration = reactor.register(addr, stream, config.timeout)?;
         Ok(TcpClient { registration, addr })
     }
 
@@ -529,15 +524,6 @@ impl KvClient for TcpClient {
 
     fn reactor_stats(&self) -> Option<ReactorStatsSnapshot> {
         Some(TcpClient::reactor_stats(self))
-    }
-
-    /// `Up` while the reactor holds this client's one link established.
-    fn health(&self) -> ServerHealth {
-        if self.registration.is_up() {
-            ServerHealth::Up
-        } else {
-            ServerHealth::Down
-        }
     }
 }
 
@@ -1291,7 +1277,6 @@ mod tests {
         });
         let config = PoolConfig {
             timeout: Duration::from_secs(3),
-            ..PoolConfig::default()
         };
         let client = TcpClient::connect_with(addr, config).unwrap();
         for resp in replies {

@@ -20,8 +20,8 @@
 //! * deadlines live in one ordered set per loop, keyed by the exact
 //!   instant: each iteration fires the keys that have passed, and an idle
 //!   loop sleeps until the first one left instead of scanning every
-//!   connection's queue front. A slot holds at most three keys (its
-//!   front's deadline, a connect timeout or retry, a heartbeat).
+//!   connection's queue front. A slot holds at most two keys: its
+//!   front's deadline and a connect timeout.
 //!
 //! Per connection:
 //!
@@ -38,8 +38,12 @@
 //!   non-blocking `connect()` parks as [`Link::Connecting`] until epoll
 //!   reports writability and `SO_ERROR` renders the verdict. No helper
 //!   thread is ever spawned. Failed attempts back off exponentially
-//!   (10 ms doubling to 500 ms), so a refused storm costs a bounded
-//!   trickle of syscalls instead of a hot spin.
+//!   (10 ms doubling to 500 ms), and a batch submitted while the backoff
+//!   runs fails at once with an I/O error instead of waiting it out — a
+//!   server inside its retry window is skipped without a connect attempt,
+//!   as Libmemcached skips one, and the first submit after the window
+//!   dials. A refused storm costs a bounded trickle of syscalls, and a
+//!   caller with a replica to try moves on to it at once.
 //! * **Deadlines** — a per-call timeout
 //!   ([`crate::net::PoolConfig::timeout`], stored per registration). A
 //!   server that accepts and then never answers is timed out, the
@@ -168,11 +172,9 @@ struct ReactorStats {
     bytes_tx: AtomicU64,
     /// Bytes read from sockets.
     bytes_rx: AtomicU64,
-    /// Liveness probes submitted on idle connections.
-    heartbeats: AtomicU64,
     /// Registered connections whose link is currently established
-    /// (gauge). `links_up < registered_connections` means some server is
-    /// unreachable — the failure-detection census in one number.
+    /// (gauge). `links_up < registered_connections` means some link is
+    /// down: its last request failed, or its server closed it.
     links_up: AtomicUsize,
 }
 
@@ -200,8 +202,6 @@ pub struct ReactorStatsSnapshot {
     pub bytes_tx: u64,
     /// Bytes read from sockets.
     pub bytes_rx: u64,
-    /// Liveness probes submitted on idle connections.
-    pub heartbeats: u64,
     /// Registered connections whose link is currently established.
     pub links_up: usize,
 }
@@ -232,7 +232,6 @@ impl ReactorStats {
             connects_in_flight: self.connects_in_flight.load(Ordering::Relaxed),
             bytes_tx: self.bytes_tx.load(Ordering::Relaxed),
             bytes_rx: self.bytes_rx.load(Ordering::Relaxed),
-            heartbeats: self.heartbeats.load(Ordering::Relaxed),
             links_up: self.links_up.load(Ordering::Relaxed),
         }
     }
@@ -397,8 +396,6 @@ enum Command {
         addr: SocketAddr,
         stream: TcpStream,
         timeout: Duration,
-        heartbeat: Option<Duration>,
-        up: Arc<AtomicBool>,
         reply: Arc<OneShot<io::Result<usize>>>,
     },
     /// Release a token slot: queued batches fail with `NotConnected`, any
@@ -432,17 +429,12 @@ enum TimerKind {
     Deadline,
     /// A non-blocking connect never became writable.
     ConnectTimeout,
-    /// Backoff elapsed; a parked queue may try connecting again.
-    ConnectRetry,
-    /// Periodic liveness tick: probe an idle Up link with `version`, or
-    /// re-attempt the connect of a Down one. Keeps the health census
-    /// fresh between real calls.
-    Heartbeat,
 }
 
 /// Transport state of one connection slot.
 enum Link {
-    /// No socket. Submits park on the queue and (re)connect lazily.
+    /// No socket. A submit dials, or fails at once while the backoff
+    /// after a failed dial runs.
     Down,
     /// Non-blocking connect in flight, registered for EPOLLOUT.
     Connecting(TcpStream),
@@ -472,20 +464,15 @@ struct ConnState {
     /// the earliest deadline (FIFO submission, uniform timeout), so one
     /// timer per connection suffices; re-armed on every front change.
     deadline_timer: Option<(Instant, usize, TimerKind)>,
-    /// Armed `ConnectTimeout` (while `Connecting`) or `ConnectRetry`
-    /// (while `Down` in backoff) — exclusive by link state.
+    /// Armed `ConnectTimeout`, while `Connecting`.
     connect_timer: Option<(Instant, usize, TimerKind)>,
     /// Current reconnect backoff; zero after a successful connect.
     backoff: Duration,
-    /// Earliest instant the next connect attempt may start.
+    /// Earliest instant the next connect attempt may start; a submit
+    /// before it fails at once.
     retry_at: Option<Instant>,
-    /// Whether the link is established: the registration's flag, read by
-    /// its client's `health`, and this slot's share of `links_up`.
-    link_up: Arc<AtomicBool>,
-    /// Liveness probe interval (None: heartbeats disabled for this slot).
-    heartbeat: Option<Duration>,
-    /// Armed [`TimerKind::Heartbeat`] key.
-    heartbeat_timer: Option<(Instant, usize, TimerKind)>,
+    /// Whether the link is established: this slot's share of `links_up`.
+    link_up: bool,
 }
 
 impl ConnState {
@@ -501,9 +488,7 @@ impl ConnState {
             connect_timer: None,
             backoff: Duration::ZERO,
             retry_at: None,
-            link_up: Arc::new(AtomicBool::new(false)),
-            heartbeat: None,
-            heartbeat_timer: None,
+            link_up: false,
         }
     }
 }
@@ -580,25 +565,18 @@ impl ReactorHandle {
     }
 
     /// Adopt a pre-connected `stream` (switched to non-blocking inside the
-    /// loop) as one client's connection to the server at `addr`. With
-    /// `heartbeat` set, the connection is probed at that interval while
-    /// idle, keeping the registration's link flag fresh without
-    /// foreground traffic.
+    /// loop) as one client's connection to the server at `addr`.
     pub(crate) fn register(
         &self,
         addr: SocketAddr,
         stream: TcpStream,
         timeout: Duration,
-        heartbeat: Option<Duration>,
     ) -> KvResult<Registration> {
         let reply = OneShot::new();
-        let up = Arc::new(AtomicBool::new(false));
         self.command(Command::Register {
             addr,
             stream,
             timeout,
-            heartbeat,
-            up: Arc::clone(&up),
             reply: Arc::clone(&reply),
         });
         // The loop cannot shut down while this handle is alive, so the
@@ -608,7 +586,6 @@ impl ReactorHandle {
             handle: self.clone(),
             token,
             timeout,
-            up,
         })
     }
 }
@@ -620,18 +597,11 @@ pub(crate) struct Registration {
     handle: ReactorHandle,
     token: usize,
     timeout: Duration,
-    up: Arc<AtomicBool>,
 }
 
 impl Registration {
     pub(crate) fn handle(&self) -> &ReactorHandle {
         &self.handle
-    }
-
-    /// Whether the connection is established, as the loop last recorded
-    /// at a link transition (adopt / close / release).
-    pub(crate) fn is_up(&self) -> bool {
-        self.up.load(Ordering::Relaxed)
     }
 
     /// Queue one pre-encoded batch on the connection and return the
@@ -673,9 +643,9 @@ struct EventLoop {
     conns: Vec<ConnState>,
     /// Deregistered slots available for reuse.
     free: Vec<usize>,
-    /// Every armed timer of this loop — request deadlines, connect
-    /// timeouts, reconnect backoffs, heartbeats — as its key, ordered by
-    /// deadline. A slot arms at most one key per kind, so keys are unique.
+    /// Every armed timer of this loop — request deadlines and connect
+    /// timeouts — as its key, ordered by deadline. A slot arms at most one
+    /// key per kind, so keys are unique.
     timers: BTreeSet<(Instant, usize, TimerKind)>,
 }
 
@@ -765,13 +735,20 @@ impl EventLoop {
                 addr,
                 stream,
                 timeout,
-                heartbeat,
-                up,
                 reply,
-            } => reply.set(self.handle_register(addr, stream, timeout, heartbeat, up)),
+            } => reply.set(self.handle_register(addr, stream, timeout)),
             Command::Deregister { token } => self.release_slot(token),
             Command::Submit { conn, mut call } => {
                 let state = &mut self.conns[conn];
+                let backing_off = matches!(state.link, Link::Down)
+                    && state.retry_at.is_some_and(|at| at > Instant::now());
+                if backing_off {
+                    let err = io::Error::new(
+                        io::ErrorKind::NotConnected,
+                        "server unreachable: reconnect backing off",
+                    );
+                    return call.finish_err(KvError::Io(err), &self.shared.stats);
+                }
                 if let Link::Up(up) = &mut state.link {
                     call.enqueue(&mut up.tx);
                 }
@@ -783,7 +760,7 @@ impl EventLoop {
                     Link::Up(_) => self.flush_conn(conn),
                     // Lazy reconnect: a connection that died idle (server
                     // restart between calls) comes back on first use.
-                    Link::Down => self.maybe_connect(conn),
+                    Link::Down => self.begin_connect(conn),
                     // The connect's completion adopts the stream, which
                     // queues and flushes every waiting batch.
                     Link::Connecting(_) => {}
@@ -825,66 +802,7 @@ impl EventLoop {
                     );
                 }
             }
-            TimerKind::ConnectRetry => {
-                self.conns[idx].connect_timer = None;
-                let wants_connect = self.conns[idx].registered
-                    && matches!(self.conns[idx].link, Link::Down)
-                    && !self.conns[idx].queue.is_empty();
-                if wants_connect {
-                    self.begin_connect(idx);
-                }
-            }
-            TimerKind::Heartbeat => {
-                self.conns[idx].heartbeat_timer = None;
-                if !self.conns[idx].registered {
-                    return;
-                }
-                match self.conns[idx].link {
-                    // An idle Up link gets a probe; pending foreground
-                    // traffic already proves (or disproves) liveness.
-                    Link::Up(_) if self.conns[idx].queue.is_empty() => self.submit_probe(idx),
-                    Link::Up(_) | Link::Connecting(_) => {}
-                    // A Down link is re-dialed even with nothing queued,
-                    // so a revived server is noticed without waiting for
-                    // a caller to submit.
-                    Link::Down => {
-                        let now = Instant::now();
-                        let in_backoff = matches!(self.conns[idx].retry_at, Some(at) if at > now);
-                        if self.conns[idx].connect_timer.is_none() && !in_backoff {
-                            self.begin_connect(idx);
-                        }
-                    }
-                }
-                self.arm_heartbeat(idx);
-            }
         }
-    }
-
-    /// Arm the next heartbeat tick for `idx`, when enabled.
-    fn arm_heartbeat(&mut self, idx: usize) {
-        let Some(interval) = self.conns[idx].heartbeat else {
-            return;
-        };
-        if let Some(key) = self.conns[idx].heartbeat_timer.take() {
-            self.timers.remove(&key);
-        }
-        let key = (Instant::now() + interval, idx, TimerKind::Heartbeat);
-        self.timers.insert(key);
-        self.conns[idx].heartbeat_timer = Some(key);
-    }
-
-    /// Queue an internal `version` probe on an idle Up link. Nobody waits
-    /// on its completion slot — the probe exists to force traffic so a
-    /// dead peer is detected (EOF, RST or deadline) between real calls,
-    /// which keeps the link gauge honest while the mount is quiet.
-    fn submit_probe(&mut self, idx: usize) {
-        self.shared.stats.heartbeats.fetch_add(1, Ordering::Relaxed);
-        let segments = vec![Bytes::from_static(b"version\r\n")];
-        let probe = Exchange::new(segments, 1, true, self.conns[idx].timeout);
-        self.handle_command(Command::Submit {
-            conn: idx,
-            call: probe,
-        });
     }
 
     /// (Re)arm `idx`'s deadline timer for its current queue front.
@@ -906,16 +824,12 @@ impl EventLoop {
         addr: SocketAddr,
         stream: TcpStream,
         timeout: Duration,
-        heartbeat: Option<Duration>,
-        up: Arc<AtomicBool>,
     ) -> io::Result<usize> {
         let token = self.alloc_slot();
         let conn = &mut self.conns[token];
         conn.addr = addr;
         conn.timeout = timeout;
         conn.registered = true;
-        conn.link_up = up;
-        conn.heartbeat = heartbeat;
         self.shared
             .stats
             .registered_connections
@@ -924,7 +838,6 @@ impl EventLoop {
             self.release_slot(token);
             return Err(err);
         }
-        self.arm_heartbeat(token);
         Ok(token)
     }
 
@@ -948,14 +861,10 @@ impl EventLoop {
             token,
             io::Error::new(io::ErrorKind::NotConnected, "client closed"),
         );
-        if let Some(key) = self.conns[token].heartbeat_timer.take() {
-            self.timers.remove(&key);
-        }
         let conn = &mut self.conns[token];
         conn.registered = false;
         conn.backoff = Duration::ZERO;
         conn.retry_at = None;
-        conn.heartbeat = None;
         self.shared
             .stats
             .registered_connections
@@ -979,37 +888,16 @@ impl EventLoop {
         Ok(())
     }
 
-    /// Record a link transition in the registration's link flag and the
-    /// reactor-wide `links_up` gauge. Idempotent per direction.
+    /// Record a link transition in the reactor-wide `links_up` gauge.
+    /// Idempotent per direction.
     fn set_link_gauge(&mut self, idx: usize, up: bool) {
-        if self.conns[idx].link_up.swap(up, Ordering::Relaxed) == up {
+        if std::mem::replace(&mut self.conns[idx].link_up, up) == up {
             return;
         }
         if up {
             self.shared.stats.links_up.fetch_add(1, Ordering::Relaxed);
         } else {
             self.shared.stats.links_up.fetch_sub(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Start connecting `idx` now if allowed, or park behind a
-    /// `ConnectRetry` timer while backoff from the last failure runs.
-    fn maybe_connect(&mut self, idx: usize) {
-        let conn = &self.conns[idx];
-        if !conn.registered || !matches!(conn.link, Link::Down) {
-            return;
-        }
-        if conn.connect_timer.is_some() {
-            return; // a retry is already scheduled
-        }
-        let now = Instant::now();
-        match conn.retry_at {
-            Some(at) if at > now => {
-                let key = (at, idx, TimerKind::ConnectRetry);
-                self.timers.insert(key);
-                self.conns[idx].connect_timer = Some(key);
-            }
-            _ => self.begin_connect(idx),
         }
     }
 
@@ -1090,7 +978,7 @@ impl EventLoop {
     }
 
     /// Drop a `Connecting` socket: deregister from epoll, cancel the
-    /// connect (or retry) timer, and settle the in-flight gauge. Returns
+    /// connect timer, and settle the in-flight gauge. Returns
     /// the socket when the link really was connecting.
     fn teardown_connecting(&mut self, idx: usize) -> Option<TcpStream> {
         if let Some(key) = self.conns[idx].connect_timer.take() {
@@ -1139,7 +1027,7 @@ impl EventLoop {
         self.conns[idx].queue = keep;
         self.arm_front_deadline(idx);
         if !self.conns[idx].queue.is_empty() {
-            self.maybe_connect(idx);
+            self.begin_connect(idx);
         }
     }
 
@@ -1305,7 +1193,7 @@ mod tests {
     /// One connection to `addr`, registered with `reactor`.
     fn register(reactor: &ReactorHandle, addr: SocketAddr, timeout: Duration) -> Registration {
         let stream = TcpStream::connect(addr).unwrap();
-        reactor.register(addr, stream, timeout, None).unwrap()
+        reactor.register(addr, stream, timeout).unwrap()
     }
 
     /// A 16 MiB batch in 32 segments — more than the socket buffers of a
@@ -1457,14 +1345,12 @@ mod tests {
     }
 
     /// Register one stream to `addr` directly on `ev`, returning its slot.
-    fn register_on(ev: &mut EventLoop, addr: SocketAddr, heartbeat: Option<Duration>) -> usize {
+    fn register_on(ev: &mut EventLoop, addr: SocketAddr) -> usize {
         let reply = OneShot::new();
         ev.handle_command(Command::Register {
             addr,
             stream: TcpStream::connect(addr).unwrap(),
             timeout: TIMEOUT,
-            heartbeat,
-            up: Arc::new(AtomicBool::new(false)),
             reply: Arc::clone(&reply),
         });
         reply.wait().unwrap()
@@ -1483,10 +1369,9 @@ mod tests {
         done
     }
 
-    #[test]
-    fn a_released_slot_leaves_no_timer_behind() {
-        const SHORT: Duration = Duration::from_millis(100);
-        // The loop runs on this thread, so its timer set can be read.
+    /// A loop that runs on the test's own thread, so its state can be
+    /// read and set between turns.
+    fn inline_loop() -> EventLoop {
         let shared = Arc::new(Shared {
             poller: Poller::new().unwrap(),
             inbox: Mutex::new(Inbox {
@@ -1495,16 +1380,32 @@ mod tests {
             }),
             stats: ReactorStats::default(),
         });
-        let mut ev = EventLoop {
-            shared: Arc::clone(&shared),
+        EventLoop {
+            shared,
             conns: Vec::new(),
             free: Vec::new(),
             timers: BTreeSet::new(),
-        };
+        }
+    }
+
+    /// Turn `ev` until `done` is filled.
+    fn turn_until_set(ev: &mut EventLoop, done: &OneShot<KvResult<Vec<Response>>>) {
+        let mut events = Vec::new();
+        let deadline = Instant::now() + TIMEOUT;
+        while !done.is_set() {
+            assert!(Instant::now() < deadline, "the batch never completed");
+            ev.turn(&mut events);
+        }
+    }
+
+    #[test]
+    fn a_released_slot_leaves_no_timer_behind() {
+        const SHORT: Duration = Duration::from_millis(100);
+        let mut ev = inline_loop();
         // A peer that accepts (in the kernel's backlog) and never answers:
-        // the slot arms a deadline and a heartbeat.
+        // the slot arms a deadline.
         let (_silent, silent_addr) = listener();
-        let old = register_on(&mut ev, silent_addr, Some(Duration::from_secs(60)));
+        let old = register_on(&mut ev, silent_addr);
         let stalled = version_on(&mut ev, old, SHORT);
         let kinds: Vec<TimerKind> = ev
             .timers
@@ -1512,10 +1413,7 @@ mod tests {
             .filter(|k| k.1 == old)
             .map(|k| k.2)
             .collect();
-        assert!(
-            kinds.contains(&TimerKind::Deadline) && kinds.contains(&TimerKind::Heartbeat),
-            "slot {old} armed {kinds:?}"
-        );
+        assert_eq!(kinds, [TimerKind::Deadline], "slot {old}");
 
         ev.handle_command(Command::Deregister { token: old });
         assert!(matches!(stalled.wait(), Err(KvError::Io(_))));
@@ -1530,18 +1428,51 @@ mod tests {
         std::thread::sleep(2 * SHORT);
         let server =
             crate::KvServer::spawn(Arc::new(crate::Store::with_defaults()), "127.0.0.1:0").unwrap();
-        let reused = register_on(&mut ev, server.addr(), None);
+        let reused = register_on(&mut ev, server.addr());
         assert_eq!(reused, old, "the freed slot is reused");
         let fresh = version_on(&mut ev, reused, TIMEOUT);
-        let mut events = Vec::new();
-        let deadline = Instant::now() + TIMEOUT;
-        while !fresh.is_set() {
-            assert!(Instant::now() < deadline, "the new batch never completed");
-            ev.turn(&mut events);
-        }
+        turn_until_set(&mut ev, &fresh);
         let replies = fresh.wait().unwrap();
         assert!(matches!(replies[..], [Response::Version(_)]), "{replies:?}");
-        assert_eq!(shared.stats.timeouts.load(Ordering::Relaxed), 0);
+        assert_eq!(ev.shared.stats.timeouts.load(Ordering::Relaxed), 0);
+        ev.abort_all();
+    }
+
+    #[test]
+    fn a_submit_inside_the_backoff_fails_at_once_and_one_after_it_dials() {
+        let mut ev = inline_loop();
+        let (listener, addr) = listener();
+        let idx = register_on(&mut ev, addr);
+        // The server goes away: the link closes and every dial is refused.
+        drop(listener);
+        ev.close_stream(idx);
+        let reconnects = |ev: &EventLoop| ev.shared.stats.reconnects.load(Ordering::Relaxed);
+
+        // The first submit dials, is refused, and starts the backoff.
+        let refused = version_on(&mut ev, idx, TIMEOUT);
+        turn_until_set(&mut ev, &refused);
+        assert!(matches!(refused.wait(), Err(KvError::Io(_))));
+        assert_eq!(reconnects(&ev), 1);
+        assert!(
+            ev.conns[idx].retry_at.is_some(),
+            "no backoff after a refusal"
+        );
+
+        // Inside the backoff a submit is answered before the loop turns,
+        // without a dial and without a timer.
+        ev.conns[idx].retry_at = Some(Instant::now() + TIMEOUT);
+        let skipped = version_on(&mut ev, idx, TIMEOUT);
+        assert!(skipped.is_set(), "a submit waited out the backoff");
+        assert!(matches!(skipped.wait(), Err(KvError::Io(_))));
+        assert_eq!(reconnects(&ev), 1);
+        assert!(ev.timers.is_empty(), "{:?}", ev.timers);
+
+        // Once the backoff has run out, the next submit dials.
+        ev.conns[idx].retry_at = Some(Instant::now());
+        let redial = version_on(&mut ev, idx, TIMEOUT);
+        assert_eq!(reconnects(&ev), 2);
+        turn_until_set(&mut ev, &redial);
+        assert!(matches!(redial.wait(), Err(KvError::Io(_))));
         ev.abort_all();
     }
 }

@@ -11,14 +11,13 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 use memfs_memkv::net::{KvServer, PoolConfig, TcpClient, MAX_CONNECTIONS};
 use memfs_memkv::testutil::{Shape, ShapedCluster};
-use memfs_memkv::{KvClient, KvError, ServerHealth, Store, StoreConfig};
+use memfs_memkv::{KvClient, KvError, Store, StoreConfig};
 
 /// A config with a short timeout for tests that drive requests into a
 /// black hole on purpose.
 fn quick_timeout_config() -> PoolConfig {
     PoolConfig {
         timeout: Duration::from_millis(250),
-        ..PoolConfig::default()
     }
 }
 
@@ -241,30 +240,32 @@ fn stalled_server_surfaces_timeout_not_a_hang() {
     assert!(recovered, "client must recover after the stall clears");
 }
 
-/// A client's health is its one link: a timed-out batch severs it, so a
-/// wedged server reads `Down` from its first timeout until the next call
-/// (or heartbeat) redials, and `Up` again once that call is answered.
+/// A timed-out batch severs the client's one link, and it stays down
+/// until the next call redials it.
 #[test]
-fn one_timed_out_batch_flags_the_server_down_until_the_next_call_redials() {
+fn one_timed_out_batch_severs_the_link_until_the_next_call_redials() {
     let cluster = ShapedCluster::spawn(1, Shape::clean());
     let client = cluster.client(
         0,
         PoolConfig {
             timeout: Duration::from_millis(200),
-            ..PoolConfig::default()
         },
     );
+    let links = || {
+        let stats = client.reactor_stats();
+        (stats.links_up, stats.reconnects)
+    };
     client.set(b"k", Bytes::from_static(b"v")).unwrap();
-    assert_eq!(client.health(), ServerHealth::Up);
+    assert_eq!(links(), (1, 0));
 
     cluster.proxy(0).stall();
     let err = client.get(b"k").unwrap_err();
     assert!(matches!(err, KvError::Timeout { .. }), "got {err:?}");
-    assert_eq!(client.health(), ServerHealth::Down);
+    assert_eq!(links(), (0, 0));
 
     cluster.proxy(0).unstall();
     assert_eq!(client.get(b"k").unwrap().as_ref(), b"v");
-    assert_eq!(client.health(), ServerHealth::Up);
+    assert_eq!(links(), (1, 1));
 }
 
 #[test]
@@ -352,7 +353,6 @@ fn pipelined_10k_requests_on_one_connection_stay_flat() {
         server.addr(),
         PoolConfig {
             timeout: Duration::from_secs(30),
-            ..PoolConfig::default()
         },
     )
     .unwrap();
@@ -457,7 +457,6 @@ fn in_flight_batch_fails_fast_on_shutdown() {
         0,
         PoolConfig {
             timeout: Duration::from_secs(30),
-            ..PoolConfig::default()
         },
     ));
     client.set(b"warm", Bytes::from_static(b"up")).unwrap();

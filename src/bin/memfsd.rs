@@ -21,10 +21,18 @@ fn usage() -> ! {
          usage: memfsd [--listen ADDR] [--memory-gb N]\n\n\
          options:\n\
            --listen ADDR   bind address (default 127.0.0.1:11211)\n\
-           --memory-gb N   memory budget in GiB (default 4); a full\n\
-                           server refuses writes, it never evicts"
+           --memory-gb N   memory budget in GiB, at least 1 (default 4);\n\
+                           a full server refuses writes, it never evicts"
     );
     std::process::exit(2);
+}
+
+/// The budget `--memory-gb` names, in bytes: a whole number of GiB, at
+/// least one, that fits in a `u64`. A zero budget — or one whose byte
+/// count wraps — would start a server that refuses every write.
+fn memory_budget(gib: &str) -> Option<u64> {
+    let gib: u64 = gib.parse().ok().filter(|&g| g > 0)?;
+    gib.checked_mul(1 << 30)
 }
 
 /// Write one status line to `out`. Status is best effort: the first failed
@@ -44,16 +52,16 @@ fn status(out: &mut Option<impl Write>, line: fmt::Arguments<'_>) {
 
 fn main() {
     let mut listen = "127.0.0.1:11211".to_string();
-    let mut memory_gb: u64 = 4;
+    let mut budget: u64 = 4 << 30;
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--listen" => listen = args.next().unwrap_or_else(|| usage()),
             "--memory-gb" => {
-                memory_gb = args
+                budget = args
                     .next()
-                    .and_then(|v| v.parse().ok())
+                    .and_then(|v| memory_budget(&v))
                     .unwrap_or_else(|| usage())
             }
             _ => usage(),
@@ -61,7 +69,7 @@ fn main() {
     }
 
     let store = Arc::new(Store::new(StoreConfig {
-        memory_budget: memory_gb << 30,
+        memory_budget: budget,
         ..StoreConfig::default()
     }));
     let server = match KvServer::spawn(Arc::clone(&store), listen.as_str()) {
@@ -77,7 +85,7 @@ fn main() {
         format_args!(
             "memfsd listening on {} ({} GiB budget)",
             server.addr(),
-            memory_gb
+            budget >> 30
         ),
     );
 
@@ -116,6 +124,15 @@ mod tests {
         fn flush(&mut self) -> io::Result<()> {
             Err(io::ErrorKind::BrokenPipe.into())
         }
+    }
+
+    #[test]
+    fn memory_budget_refuses_zero_overflow_and_non_numbers() {
+        assert_eq!(memory_budget("4"), Some(4 << 30));
+        assert_eq!(memory_budget("0"), None);
+        // 2^34 GiB is 2^64 bytes: it used to wrap to a zero budget.
+        assert_eq!(memory_budget("17179869184"), None);
+        assert_eq!(memory_budget("abc"), None);
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Self-healing replication and elastic membership over the real TCP
-//! transport: heartbeat failure detection (reactor link census),
-//! degraded-write accounting under a mid-write kill, the full kill →
-//! re-replicate → second kill → zero-loss cycle of ROADMAP item 3, and
-//! the grow-mid-workload chaos cycle (admit four servers, kill one
-//! *during* migration, lose nothing) — all on the shaped-cluster
-//! harness.
+//! transport: failure detection by the repair pass's own scan (a stalled,
+//! a closed and a revived member), degraded-write accounting under a
+//! mid-write kill, the full kill → re-replicate → second kill → zero-loss
+//! cycle of ROADMAP item 3, and the grow-mid-workload chaos cycle (admit
+//! four servers, kill one *during* migration, lose nothing) — all on the
+//! shaped-cluster harness.
 //!
 //! Every test here replays deterministically under `MEMFS_SHAPE_SEED`;
 //! `scripts/verify.sh --soak` loops the suite over randomized seeds.
@@ -13,83 +13,85 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use memfs::hashring::ServerId;
-use memfs::memfs_core::{DistributorKind, MemFs, MemFsConfig, ServerPool};
-use memfs::memkv::net::PoolConfig;
+use memfs::memfs_core::{
+    repair_pass, DistributorKind, MemFs, MemFsConfig, RepairConfig, ServerPool,
+};
+use memfs::memkv::net::{KvServer, PoolConfig};
 use memfs::memkv::testutil::{seed_from_env, Rng, Shape, ShapedCluster};
-use memfs::memkv::{KvClient, ReactorHandle, ServerHealth};
+use memfs::memkv::{KvClient, ReactorHandle, Store};
 
-fn heartbeat_pool_config() -> PoolConfig {
+fn pool_config() -> PoolConfig {
     PoolConfig {
         timeout: Duration::from_millis(500),
-        heartbeat: Some(Duration::from_millis(25)),
-    }
-}
-
-/// Poll `pool.health()` until `server` reports the wanted liveness. A
-/// wedged server's link is down only from a probe's deadline to the next
-/// re-dial — a window as short as one heartbeat — so the poll is fine.
-fn await_health(pool: &ServerPool, server: usize, want_alive: bool, deadline: Duration) {
-    let start = Instant::now();
-    loop {
-        let alive = pool.health()[server].is_alive();
-        if alive == want_alive {
-            return;
-        }
-        assert!(
-            start.elapsed() < deadline,
-            "server {server} never became {} (census: {:?})",
-            if want_alive { "alive" } else { "down" },
-            pool.health()
-        );
-        std::thread::sleep(Duration::from_millis(1));
     }
 }
 
 #[test]
-fn heartbeat_census_sees_a_killed_server_without_foreground_traffic() {
-    let cluster = ShapedCluster::spawn(3, Shape::clean());
-    let pool = ServerPool::new(
-        cluster.clients(heartbeat_pool_config()),
-        DistributorKind::default(),
-    );
-    // A fresh mount reports everything up.
-    assert!(pool.health().iter().all(|h| *h == ServerHealth::Up));
-
-    // Kill one server and touch nothing: only the heartbeat probes can
-    // notice (an idle pool sends no foreground traffic).
-    cluster.proxy(1).kill();
-    await_health(&pool, 1, false, Duration::from_secs(5));
-
-    // Revive: the heartbeat re-dials and the census recovers.
-    cluster.proxy(1).revive();
-    await_health(&pool, 1, true, Duration::from_secs(5));
-}
-
-#[test]
-fn heartbeat_probe_flags_a_wedged_server() {
-    // A stalled server keeps its connections open but never answers —
-    // the silent-wedge shape only a probe deadline can detect.
+fn a_pass_reports_a_stalled_member_down_within_its_timeout_and_up_once_it_answers() {
+    // A stalled server keeps its connection open but never answers — the
+    // silent wedge only a request deadline can find.
+    const TIMEOUT: Duration = Duration::from_millis(250);
     let cluster = ShapedCluster::spawn(2, Shape::clean());
     let pool = ServerPool::new(
-        cluster.clients(heartbeat_pool_config()),
+        cluster.clients(PoolConfig { timeout: TIMEOUT }),
         DistributorKind::default(),
     );
+    let pass = || {
+        let start = Instant::now();
+        let report = repair_pass(&pool, &RepairConfig::default()).unwrap();
+        (report, start.elapsed())
+    };
     cluster.proxy(0).stall();
-    await_health(&pool, 0, false, Duration::from_secs(5));
+    let (report, took) = pass();
+    assert_eq!(report.servers_down, 1, "{report:?}");
+    assert!(took < TIMEOUT + Duration::from_millis(250), "{took:?}");
+
+    // The timeout severed the link; the next pass re-dials it.
     cluster.proxy(0).unstall();
-    await_health(&pool, 0, true, Duration::from_secs(5));
+    let (report, _) = pass();
+    assert_eq!(report.servers_down, 0, "{report:?}");
 }
 
 #[test]
-fn a_connect_mount_probes_at_the_repair_interval_and_sees_a_quiet_server_die() {
+fn passes_over_a_member_whose_listener_closed_cost_no_backoff_wait() {
+    let mut servers: Vec<KvServer> = (0..3)
+        .map(|_| KvServer::spawn(Arc::new(Store::with_defaults()), "127.0.0.1:0").unwrap())
+        .collect();
+    let addrs: Vec<_> = servers.iter().map(|s| s.addr()).collect();
+    let fs = MemFs::connect(&addrs, MemFsConfig::default()).unwrap();
+    fs.write_file("/f", &[7u8; 4096]).unwrap();
+    servers[1].shutdown();
+
+    // Every dial is refused, and the reconnect backoff doubles towards
+    // 500 ms; a scan inside it fails at once instead of waiting it out.
+    let start = Instant::now();
+    for _ in 0..8 {
+        let report = fs.repair_now().unwrap();
+        assert_eq!(report.servers_down, 1, "{report:?}");
+    }
+    let took = start.elapsed();
+    assert!(
+        took < Duration::from_millis(200),
+        "eight passes took {took:?}"
+    );
+}
+
+#[test]
+fn a_connect_mount_daemon_redials_a_member_that_returned_while_quiet() {
     let cluster = ShapedCluster::spawn(3, Shape::clean());
     let addrs: Vec<_> = (0..3).map(|i| cluster.proxy(i).addr()).collect();
-    let heartbeats = |fs: &MemFs| {
-        let stats = fs.pool().client(ServerId(0)).reactor_stats();
-        stats.expect("a TCP mount").heartbeats
+    let links_up = |fs: &MemFs| fs.pool().reactor_stats()[0].links_up;
+    let await_links = |fs: &MemFs, want: usize| {
+        let start = Instant::now();
+        while links_up(fs) != want {
+            assert!(
+                start.elapsed() < Duration::from_secs(5),
+                "links never settled at {want}: {:?}",
+                fs.pool().reactor_stats()
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
     };
-    // The mount derives its probes from the one knob that needs them:
-    // no repair daemon, no probes; a repair daemon, probes at its pace.
     let plain = MemFs::connect(&addrs, MemFsConfig::default()).unwrap();
     let config = MemFsConfig {
         repair_interval_ms: 25,
@@ -98,20 +100,21 @@ fn a_connect_mount_probes_at_the_repair_interval_and_sees_a_quiet_server_die() {
     let fs = MemFs::connect(&addrs, config).unwrap();
     assert!(fs.repair_daemon_running() && !plain.repair_daemon_running());
 
-    let start = Instant::now();
-    while heartbeats(&fs) == 0 {
-        assert!(start.elapsed() < Duration::from_secs(5), "no probe sent");
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    assert_eq!(heartbeats(&plain), 0);
-
-    // Kill one server and touch nothing. The daemon scans only members
-    // the census calls alive, so once the server is down nothing but a
-    // probe's re-dial can find it back.
+    // Kill one server and touch nothing: both mounts' links to it close.
     cluster.proxy(1).kill();
-    await_health(fs.pool(), 1, false, Duration::from_secs(5));
+    await_links(&plain, 2);
+    await_links(&fs, 2);
+
+    // Revive it. Only the daemon's scans send anything, so only the
+    // daemon's mount dials it back (and keeps it: a dial while the server
+    // was dead connected and closed at once); a plain mount waits for its
+    // next request.
     cluster.proxy(1).revive();
-    await_health(fs.pool(), 1, true, Duration::from_secs(5));
+    await_links(&fs, 3);
+    std::thread::sleep(Duration::from_millis(100));
+    assert_eq!((links_up(&fs), links_up(&plain)), (3, 2));
+    plain.pool().client(ServerId(1)).scan_keys().unwrap();
+    assert_eq!(links_up(&plain), 3);
 }
 
 fn repair_fs_config() -> MemFsConfig {
@@ -150,7 +153,7 @@ fn kill_one_of_eight_mid_workload_heals_within_a_window_and_survives_a_second_ki
     let mut rng = Rng::new(seed);
 
     let cluster = ShapedCluster::spawn(8, Shape::clean());
-    let fs = MemFs::new(cluster.clients(heartbeat_pool_config()), repair_fs_config()).unwrap();
+    let fs = MemFs::new(cluster.clients(pool_config()), repair_fs_config()).unwrap();
     assert!(fs.repair_daemon_running());
     let mut files: Vec<(String, Vec<u8>)> = Vec::new();
     let payload = |rng: &mut Rng| -> Vec<u8> {
@@ -246,7 +249,7 @@ fn grow_to_eight_mid_workload_survives_a_kill_during_migration() {
     // inside the transition, before its first pass.
     let cluster = ShapedCluster::spawn(8, Shape::clean());
     let reactor = ReactorHandle::new().expect("reactor");
-    let clients: Vec<Arc<dyn KvClient>> = cluster.clients_on(heartbeat_pool_config(), &reactor);
+    let clients: Vec<Arc<dyn KvClient>> = cluster.clients_on(pool_config(), &reactor);
     let fs = MemFs::new(
         clients[..4].to_vec(),
         MemFsConfig {
@@ -325,9 +328,8 @@ fn grow_to_eight_mid_workload_survives_a_kill_during_migration() {
         );
     }
 
-    // Revive the victim; the census recovers and the migration drains.
+    // Revive the victim; the next pass scans it and the migration drains.
     cluster.proxy(victim).revive();
-    await_health(fs.pool(), victim, true, Duration::from_secs(5));
     let deadline = Instant::now() + Duration::from_secs(30);
     loop {
         let rep = fs.repair_now().expect("migration pass");

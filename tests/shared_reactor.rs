@@ -36,7 +36,6 @@ fn stalled_server_is_isolated_and_counted_by_the_shared_loop() {
     let cluster = ShapedCluster::spawn(N, Shape::clean());
     let config = PoolConfig {
         timeout: Duration::from_millis(400),
-        ..PoolConfig::default()
     };
     let clients = cluster.clients(config.clone());
     let pool = ServerPool::with_replication(clients, DistributorKind::default(), 1);
@@ -147,7 +146,6 @@ fn killed_server_fails_fast_without_blocking_siblings() {
     let cluster = ShapedCluster::spawn(N, Shape::clean());
     let config = PoolConfig {
         timeout: Duration::from_millis(400),
-        ..PoolConfig::default()
     };
     let clients = cluster.clients(config);
     let pool = ServerPool::with_replication(clients, DistributorKind::default(), 1);
@@ -250,7 +248,6 @@ fn connect_refused_storm_surfaces_errors_and_backs_off() {
     let reactor = ReactorHandle::new().expect("spawn reactor");
     let config = PoolConfig {
         timeout: Duration::from_millis(150),
-        ..PoolConfig::default()
     };
     let client =
         TcpClient::connect_shared(proxy.addr(), config, &reactor).expect("connect through proxy");

@@ -10,7 +10,7 @@ use std::time::Duration;
 use memfs::memfs_core::{DistributorKind, MemFs, MemFsConfig};
 use memfs::memkv::net::{KvServer, PoolConfig};
 use memfs::memkv::testutil::{Shape, ShapedCluster};
-use memfs::memkv::{KvClient, ServerHealth, Store};
+use memfs::memkv::{KvClient, Store};
 
 /// A mild WAN-ish shape: visible per-burst latency, generous bandwidth.
 fn shaped_cluster(n: usize) -> (ShapedCluster, Vec<Arc<dyn KvClient>>) {
@@ -158,7 +158,6 @@ fn mount_survives_one_stalled_server_without_wedging_the_rest() {
     let cluster = ShapedCluster::spawn(4, Shape::clean());
     let clients = cluster.clients(PoolConfig {
         timeout: Duration::from_millis(400),
-        ..PoolConfig::default()
     });
     let fs = MemFs::new(
         clients,
@@ -195,7 +194,7 @@ fn mount_survives_one_stalled_server_without_wedging_the_rest() {
 }
 
 /// Servers never cut a quiet mount's connections, so a grow over plain
-/// `KvServer`s followed by 600 ms without traffic leaves every link `Up`,
+/// `KvServer`s followed by 600 ms without traffic leaves every link up,
 /// and one repair pass scans all four servers and commits the transition.
 #[test]
 fn a_quiet_mount_commits_a_grow_with_every_server_up() {
@@ -217,8 +216,9 @@ fn a_quiet_mount_commits_a_grow_with_every_server_up() {
     fs.admit_server(addrs[3]).unwrap();
 
     let all_up = |when: &str| {
-        let health = fs.pool().health();
-        assert_eq!(health, [ServerHealth::Up; 4], "{when}");
+        let reactor = fs.pool().reactor_stats();
+        let links = (reactor[0].links_up, reactor[0].registered_connections);
+        assert_eq!(links, (4, 4), "{when}");
     };
     all_up("after the grow");
     std::thread::sleep(Duration::from_millis(600));
@@ -228,5 +228,47 @@ fn a_quiet_mount_commits_a_grow_with_every_server_up() {
     assert!(report.complete, "{report:?}");
     assert!(!fs.migration_active());
     all_up("after the pass");
+    assert_eq!(fs.read_to_vec("/quiet/blob").unwrap(), data);
+}
+
+/// A member that dies and returns while the mount is quiet is back for
+/// the first repair pass after it returns: the pass's own scan is the
+/// census, so it re-dials the member instead of trusting a link that
+/// went down while nobody was sending. A grow admitted next commits in
+/// one pass.
+#[test]
+fn a_member_revived_on_a_quiet_mount_is_scanned_by_the_next_pass() {
+    let cluster = ShapedCluster::spawn(4, Shape::clean());
+    let addrs: Vec<_> = (0..cluster.len())
+        .map(|i| cluster.proxy(i).addr())
+        .collect();
+    let config = MemFsConfig {
+        stripe_size: 64 * 1024,
+        distributor: DistributorKind::Ketama {
+            points_per_server: 160,
+        },
+        ..MemFsConfig::default()
+    };
+    let fs = MemFs::connect(&addrs[..3], config).unwrap();
+    let data: Vec<u8> = (0..1_000_000u32).map(|i| (i % 251) as u8).collect();
+    fs.mkdir("/quiet").unwrap();
+    fs.write_file("/quiet/blob", &data).unwrap();
+
+    // Killed with no foreground traffic: only a pass's scan finds it.
+    cluster.proxy(1).kill();
+    std::thread::sleep(Duration::from_millis(200));
+    let report = fs.repair_now().unwrap();
+    assert_eq!(report.servers_down, 1, "{report:?}");
+
+    cluster.proxy(1).revive();
+    std::thread::sleep(Duration::from_millis(200));
+    let report = fs.repair_now().unwrap();
+    assert_eq!(report.servers_down, 0, "{report:?}");
+
+    fs.admit_server(addrs[3]).unwrap();
+    let report = fs.repair_now().unwrap();
+    assert_eq!(report.servers_down, 0, "{report:?}");
+    assert!(report.complete, "{report:?}");
+    assert!(!fs.migration_active());
     assert_eq!(fs.read_to_vec("/quiet/blob").unwrap(), data);
 }
