@@ -8,9 +8,9 @@
 //!   experiment index);
 //! * the **Criterion benches** (`cargo bench -p memfs-bench`) measure the
 //!   performance-critical kernels and the design-choice ablations called
-//!   out in DESIGN.md: hash distributors, the memkv store engine, stripe
-//!   layout planning, the max-min solver, and the real-engine
-//!   striping/buffering paths.
+//!   out in DESIGN.md: hash distributors, stripe layout planning, the
+//!   max-min solver and the flow engine, the workflow simulator, and the
+//!   real engine's striping and replication write paths.
 
 use std::fmt::Write as _;
 

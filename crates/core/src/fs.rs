@@ -29,7 +29,7 @@ use crate::meta::{self, ChildKind, SizeRecord};
 use crate::path;
 use crate::pool::ServerPool;
 use crate::prefetch::{FirstStripe, StripeReader};
-use crate::repair::{repair_pass, RepairConfig, RepairDaemon, RepairReport};
+use crate::repair::{repair_pass, RepairDaemon, RepairReport};
 
 /// Kind of a namespace entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -191,7 +191,6 @@ impl MemFs {
             RepairDaemon::spawn(
                 Arc::clone(&pool),
                 std::time::Duration::from_millis(config.repair_interval_ms),
-                RepairConfig::default(),
             )
         });
         let fs = MemFs {
@@ -213,12 +212,11 @@ impl MemFs {
     /// Run one synchronous repair pass over the mount's pool (see
     /// [`crate::repair::repair_pass`]): scans every member, puts every
     /// key it finds off its home set back on it, and advances a membership
-    /// transition, with an unlimited copy budget (a budgeted pass is
-    /// [`crate::repair::repair_pass`] with a [`RepairConfig`] of its own).
-    /// Works whether or not the background daemon is running; reports
-    /// `complete: true` once no transition is left.
+    /// transition; its copies are not paced. Works whether or not the
+    /// background daemon is running; reports `complete: true` once no
+    /// transition is left.
     pub fn repair_now(&self) -> MemFsResult<RepairReport> {
-        repair_pass(&self.inner.pool, &RepairConfig::default())
+        repair_pass(&self.inner.pool)
     }
 
     /// Whether the background repair daemon is running.

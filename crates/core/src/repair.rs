@@ -39,9 +39,12 @@
 //!    onto every home that holds nothing (`add`:
 //!    `Exists` means a racing foreground write already made it current).
 //!    During a transition the source is then re-read, so a dual-routed
-//!    append that raced the copy is carried across too. Copies run under
-//!    a token bucket ([`RepairConfig::bandwidth`]). A key with no alive
-//!    fresh holder cannot be repaired this pass; its hint stays queued.
+//!    append that raced the copy is carried across too. Copies are not
+//!    paced: the pass moves each value as fast as its servers take it. A
+//!    key is skipped as unlinked only when every fresh holder answers
+//!    `NotFound`; a key no fresh holder could serve (or whose re-read
+//!    failed) cannot be repaired this pass, so the commit waits and its
+//!    hint stays queued.
 //! 4. **Commit** (transition only) — once no current non-leaving member
 //!    failed its scan and every key reached its homes, the target ring
 //!    becomes current (`ServerPool::complete_transition`), then quiesce:
@@ -64,7 +67,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use bytes::Bytes;
 use memfs_hashring::ServerId;
@@ -74,14 +77,6 @@ use crate::error::MemFsResult;
 use crate::pool::ServerPool;
 use crate::replica::{is_fresh, DegradedWrite};
 use crate::ring::RingState;
-
-/// Tuning for a repair pass.
-#[derive(Debug, Clone, Default)]
-pub struct RepairConfig {
-    /// Token-bucket budget for a pass's copies, in bytes per second.
-    /// `0` means unlimited.
-    pub bandwidth: u64,
-}
 
 /// Outcome of one repair pass.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -102,12 +97,11 @@ pub struct RepairReport {
     pub copied_bytes: u64,
     /// Retired copies (on alive servers outside the key's home set).
     pub removed_copies: usize,
-    /// Keys the pass could not restore (no alive fresh holder, or a
-    /// target refused the copy). They stay for the next pass, and so
-    /// does the commit of an open transition.
+    /// Keys the pass could not restore (no fresh holder served the value,
+    /// a target refused the copy, or the source's re-read failed). They
+    /// stay for the next pass, and so does the commit of an open
+    /// transition.
     pub unrepairable: usize,
-    /// Times the bandwidth token bucket paused the copy loop.
-    pub throttle_waits: u64,
     /// No membership transition is left: this pass committed it, or none
     /// was active.
     pub complete: bool,
@@ -120,71 +114,31 @@ impl RepairReport {
     }
 }
 
-/// Debt-based token bucket: `take` always grants, then sleeps off any
-/// debt at `rate` bytes/s — simpler than capacity planning and exact
-/// over a whole pass, which is all a background throttle needs.
-struct TokenBucket {
-    rate: u64,
-    tokens: f64,
-    last: Instant,
-    waits: u64,
-}
-
-impl TokenBucket {
-    fn new(rate: u64) -> TokenBucket {
-        TokenBucket {
-            rate,
-            tokens: 0.0,
-            last: Instant::now(),
-            waits: 0,
-        }
-    }
-
-    fn refill(&mut self) {
-        let now = Instant::now();
-        let earned = now.duration_since(self.last).as_secs_f64() * self.rate as f64;
-        // Cap the balance at one second of budget: an idle stretch must
-        // not bank an arbitrarily large burst.
-        self.tokens = (self.tokens + earned).min(self.rate as f64);
-        self.last = now;
-    }
-
-    fn take(&mut self, bytes: u64) {
-        if self.rate == 0 || bytes == 0 {
-            return;
-        }
-        self.refill();
-        self.tokens -= bytes as f64;
-        if self.tokens < 0.0 {
-            self.waits += 1;
-            std::thread::sleep(Duration::from_secs_f64(-self.tokens / self.rate as f64));
-            self.refill();
-        }
-    }
-}
-
 /// Outcome of copying one key to its targets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum CopyOutcome {
     /// Every target took the copy.
     Copied,
-    /// Every source agreed the key is gone: it raced an unlink.
+    /// Every source answered `NotFound`: the key raced an unlink.
     Vanished,
-    /// No source served the value, or a target refused the copy.
+    /// No source served the value, a target refused the copy, or the
+    /// re-read of the source failed.
     Failed,
 }
 
 /// Read `key` from one of the fresh `sources` and place it on every
 /// server in `targets` — `set` over a server in `have` (a stale holder),
-/// `add` on one that holds nothing — throttled by `bucket`. While
+/// `add` on one that holds nothing. While
 /// `migrating` (a transition is open), then re-read the source: a
 /// dual-routed append that raced the copy landed on the source but may
 /// have been tolerated as `NotFound` on a target-only home the copy had
 /// not reached (nowhere else can a write miss a home without failing or
 /// leaving a hint). A grown value re-appends its suffix (directory logs fold as
 /// order-insensitive idempotent sets, so a duplicate entry is absorbed);
-/// any other change is re-`set` whole. Returns the outcome and the bytes
-/// written.
+/// any other change is re-`set` whole. A source that fails a read (not
+/// `NotFound`) may still hold the key, and a failed re-read may hide a
+/// raced append: either fails the copy, so no commit can drop the key.
+/// Returns the outcome and the bytes written.
 fn copy_key(
     state: &RingState,
     key: &[u8],
@@ -192,26 +146,30 @@ fn copy_key(
     have: &BTreeSet<usize>,
     targets: &[ServerId],
     migrating: bool,
-    bucket: &mut TokenBucket,
 ) -> (CopyOutcome, u64) {
     let mut value: Option<(usize, Bytes)> = None;
+    let mut vanished = !sources.is_empty();
     for &s in sources {
-        if let Ok(v) = state.client(ServerId(s)).get(key) {
-            value = Some((s, v));
-            break;
+        match state.client(ServerId(s)).get(key) {
+            Ok(v) => {
+                value = Some((s, v));
+                break;
+            }
+            Err(KvError::NotFound) => {}
+            Err(_) => vanished = false,
         }
     }
     let Some((source, value)) = value else {
-        return if sources.is_empty() {
-            (CopyOutcome::Failed, 0)
+        let outcome = if vanished {
+            CopyOutcome::Vanished
         } else {
-            (CopyOutcome::Vanished, 0)
+            CopyOutcome::Failed
         };
+        return (outcome, 0);
     };
     let mut copied = 0u64;
     let mut all_written = true;
     for &target in targets {
-        bucket.take(value.len() as u64);
         let client = state.client(target);
         let result = if have.contains(&target.0) {
             client.set(key, value.clone())
@@ -227,8 +185,8 @@ fn copy_key(
         }
     }
     if all_written && migrating {
-        if let Ok(now) = state.client(ServerId(source)).get(key) {
-            if now != value {
+        match state.client(ServerId(source)).get(key) {
+            Ok(now) if now != value => {
                 let grown = now.len() > value.len() && now[..value.len()] == value[..];
                 let delta = if grown {
                     now.slice(value.len()..now.len())
@@ -236,7 +194,6 @@ fn copy_key(
                     now
                 };
                 for &target in targets {
-                    bucket.take(delta.len() as u64);
                     let client = state.client(target);
                     let r = if grown {
                         client.append(key, &delta)
@@ -249,6 +206,10 @@ fn copy_key(
                     }
                 }
             }
+            // Unchanged, or unlinked since the copy (see the module docs'
+            // caveat on a copy racing an unlink).
+            Ok(_) | Err(KvError::NotFound) => {}
+            Err(_) => all_written = false,
         }
     }
     let outcome = if all_written {
@@ -268,7 +229,7 @@ fn copy_key(
 /// None today: a server that fails mid-pass is treated as down and left
 /// for the next pass, and per-key copy failures are counted in
 /// [`RepairReport::unrepairable`].
-pub fn repair_pass(pool: &ServerPool, config: &RepairConfig) -> MemFsResult<RepairReport> {
+pub fn repair_pass(pool: &ServerPool) -> MemFsResult<RepairReport> {
     let _pass = pool.migration_mutex().lock();
     let state = pool.ring_state();
     let t = state.transition.as_ref();
@@ -308,7 +269,6 @@ pub fn repair_pass(pool: &ServerPool, config: &RepairConfig) -> MemFsResult<Repa
     // 3. Homes and copies.
     let r = pool.replication();
     let migrating = t.is_some();
-    let mut bucket = TokenBucket::new(config.bandwidth);
     let mut homed: BTreeMap<&[u8], Vec<ServerId>> = BTreeMap::new();
     for (key, have) in &holders {
         let homes = state.rings().repair_homes(key, r, |id| alive[id.0]);
@@ -332,8 +292,7 @@ pub fn repair_pass(pool: &ServerPool, config: &RepairConfig) -> MemFsResult<Repa
             .collect();
         if !targets.is_empty() {
             report.under_replicated += 1;
-            let (outcome, bytes) =
-                copy_key(&state, key, &fresh, have, &targets, migrating, &mut bucket);
+            let (outcome, bytes) = copy_key(&state, key, &fresh, have, &targets, migrating);
             report.copied_bytes += bytes;
             match outcome {
                 CopyOutcome::Copied => report.repaired_keys += 1,
@@ -396,13 +355,13 @@ pub fn repair_pass(pool: &ServerPool, config: &RepairConfig) -> MemFsResult<Repa
         .collect();
     pool.requeue_degraded(requeue);
     report.complete = !pool.transition_active();
-    report.throttle_waits = bucket.waits;
     Ok(report)
 }
 
 /// Background repair loop: one thread (`memfs-repair`) that runs
-/// [`repair_pass`] each tick — repair and migration alike, under one
-/// [`RepairConfig::bandwidth`]. Elastic membership adds **zero** threads
+/// [`repair_pass`] each tick — repair and migration alike. Its copies are
+/// not paced, so a pass competes with foreground traffic for the servers'
+/// bandwidth while it copies. Elastic membership adds **zero** threads
 /// to a mount. Idle passes are cheap
 /// only relative to the data volume — the scan walks every slot's
 /// key list — so the interval trades detection latency against
@@ -418,7 +377,7 @@ impl RepairDaemon {
     /// # Panics
     /// Panics if `interval` is zero (use [`repair_pass`] directly for
     /// one-shot repairs) or if the OS refuses the thread.
-    pub fn spawn(pool: Arc<ServerPool>, interval: Duration, config: RepairConfig) -> RepairDaemon {
+    pub fn spawn(pool: Arc<ServerPool>, interval: Duration) -> RepairDaemon {
         assert!(!interval.is_zero(), "repair interval must be non-zero");
         let stop = Arc::new(AtomicBool::new(false));
         let flag = Arc::clone(&stop);
@@ -437,7 +396,7 @@ impl RepairDaemon {
                     if flag.load(Ordering::Relaxed) {
                         break;
                     }
-                    let _ = repair_pass(&pool, &config);
+                    let _ = repair_pass(&pool);
                 }
             })
             .expect("spawn memfs-repair thread");
@@ -467,7 +426,9 @@ mod tests {
     use super::*;
     use crate::config::DistributorKind;
     use memfs_hashring::{Distributor, KetamaRing};
-    use memfs_memkv::{KvClient, LocalClient, SimClient, Store, StoreConfig};
+    use memfs_memkv::{Batch, Deferred, KvClient, LocalClient, SimClient, Store, StoreConfig};
+    use std::sync::atomic::AtomicUsize;
+    use std::time::Instant;
 
     type FailableHarness = (Arc<ServerPool>, Vec<Arc<SimClient>>, Vec<Arc<Store>>);
 
@@ -529,10 +490,10 @@ mod tests {
 
     /// Run passes until the transition commits; the passes' reports
     /// summed.
-    fn drive_to_completion(pool: &ServerPool, config: &RepairConfig) -> RepairReport {
+    fn drive_to_completion(pool: &ServerPool) -> RepairReport {
         let mut total = RepairReport::default();
         for _ in 0..4 {
-            let rep = repair_pass(pool, config).unwrap();
+            let rep = repair_pass(pool).unwrap();
             total.scanned_keys += rep.scanned_keys;
             total.under_replicated += rep.under_replicated;
             total.copied_bytes += rep.copied_bytes;
@@ -576,7 +537,7 @@ mod tests {
     fn healthy_pool_repair_is_a_no_op() {
         let (pool, _failables, _stores) = failable_pool(4, 2);
         let keys = seed(&pool, 40);
-        let report = repair_pass(&pool, &RepairConfig::default()).unwrap();
+        let report = repair_pass(&pool).unwrap();
         assert_eq!(report.servers_down, 0);
         assert_eq!(report.scanned_keys, keys.len());
         assert_eq!(report.under_replicated, 0);
@@ -591,7 +552,7 @@ mod tests {
         let keys = seed(&pool, 60);
         failables[1].set_down(true);
 
-        let report = repair_pass(&pool, &RepairConfig::default()).unwrap();
+        let report = repair_pass(&pool).unwrap();
         assert_eq!(report.servers_down, 1);
         assert!(report.under_replicated > 0, "server 1 must have owned keys");
         assert_eq!(report.repaired_keys, report.under_replicated);
@@ -613,8 +574,8 @@ mod tests {
         let (pool, failables, _stores) = failable_pool(5, 2);
         seed(&pool, 30);
         failables[0].set_down(true);
-        repair_pass(&pool, &RepairConfig::default()).unwrap();
-        let second = repair_pass(&pool, &RepairConfig::default()).unwrap();
+        repair_pass(&pool).unwrap();
+        let second = repair_pass(&pool).unwrap();
         assert_eq!(second.under_replicated, 0, "repair must converge");
         assert_eq!(second.copied_bytes, 0);
     }
@@ -624,10 +585,10 @@ mod tests {
         let (pool, failables, stores) = failable_pool(4, 2);
         let keys = seed(&pool, 50);
         failables[2].set_down(true);
-        repair_pass(&pool, &RepairConfig::default()).unwrap();
+        repair_pass(&pool).unwrap();
 
         failables[2].set_down(false);
-        let report = repair_pass(&pool, &RepairConfig::default()).unwrap();
+        let report = repair_pass(&pool).unwrap();
         assert_eq!(report.servers_down, 0);
         assert_eq!(report.repaired_keys, report.under_replicated);
         assert!(
@@ -648,7 +609,7 @@ mod tests {
         let keys = seed(&pool, 40);
         assert!(pool.degraded_pending() > 0);
 
-        let report = repair_pass(&pool, &RepairConfig::default()).unwrap();
+        let report = repair_pass(&pool).unwrap();
         assert!(report.degraded_hints > 0);
         assert!(report.converged());
         let alive: Vec<bool> = (0..4).map(|s| s != 1).collect();
@@ -659,7 +620,7 @@ mod tests {
 
         // Once the replica returns, the next pass resolves them.
         failables[1].set_down(false);
-        repair_pass(&pool, &RepairConfig::default()).unwrap();
+        repair_pass(&pool).unwrap();
         assert_eq!(pool.degraded_pending(), 0, "hints resolve after revival");
     }
 
@@ -677,7 +638,7 @@ mod tests {
         assert_eq!(pool.degraded_pending(), 1);
 
         failables[victim.0].set_down(false);
-        let report = repair_pass(&pool, &RepairConfig::default()).unwrap();
+        let report = repair_pass(&pool).unwrap();
         assert!(report.converged());
         assert_eq!(pool.degraded_pending(), 0);
         // Every home replica now serves the fresh value — including the
@@ -699,33 +660,12 @@ mod tests {
         pool.set(&key, Bytes::from_static(b"")).unwrap();
         let owners: Vec<ServerId> = pool.servers_for(&key).collect();
         failables[owners[0].0].set_down(true);
-        repair_pass(&pool, &RepairConfig::default()).unwrap();
+        repair_pass(&pool).unwrap();
         pool.set(&key, Bytes::from_static(b"4096")).unwrap();
         assert_eq!(pool.degraded_pending(), 1, "the overwrite is degraded");
-        repair_pass(&pool, &RepairConfig::default()).unwrap();
+        repair_pass(&pool).unwrap();
         failables[owners[1].0].set_down(true);
         assert_eq!(&pool.get(&key).unwrap()[..], b"4096");
-    }
-
-    #[test]
-    fn bandwidth_budget_throttles_the_copy_loop() {
-        let (pool, failables, _stores) = failable_pool(4, 2);
-        seed(&pool, 30); // 30 × 256 B
-        failables[0].set_down(true);
-        let config = RepairConfig {
-            bandwidth: 64 << 10, // 64 KiB/s against ~a few KiB of copies
-        };
-        let started = Instant::now();
-        let report = repair_pass(&pool, &config).unwrap();
-        assert!(report.converged());
-        if report.copied_bytes > config.bandwidth {
-            assert!(report.throttle_waits > 0);
-        }
-        // The pass may not beat its own budget.
-        let floor = Duration::from_secs_f64(
-            report.copied_bytes.saturating_sub(config.bandwidth) as f64 / config.bandwidth as f64,
-        );
-        assert!(started.elapsed() >= floor);
     }
 
     #[test]
@@ -738,7 +678,7 @@ mod tests {
         pool.begin_add_servers(vec![client(&failables[4])]).unwrap();
         failables[0].set_down(true);
         for _ in 0..10 {
-            let report = repair_pass(&pool, &RepairConfig::default()).unwrap();
+            let report = repair_pass(&pool).unwrap();
             assert!(!report.complete, "no commit around a dead member");
         }
         failables[1].set_down(true);
@@ -757,7 +697,7 @@ mod tests {
         // fail over along the new ring, where the pass put the copies.
         let mut passes = 0;
         loop {
-            let report = repair_pass(&pool, &RepairConfig::default()).unwrap();
+            let report = repair_pass(&pool).unwrap();
             assert_eq!(report.unrepairable, 0);
             for (i, key) in keys.iter().enumerate() {
                 assert_eq!(pool.get(key).unwrap(), Bytes::from(vec![i as u8; 256]));
@@ -772,11 +712,9 @@ mod tests {
         // Back up, it takes its keys over from the failover homes.
         failables[2].set_down(false);
         for _ in 0..3 {
-            repair_pass(&pool, &RepairConfig::default()).unwrap();
+            repair_pass(&pool).unwrap();
         }
-        assert!(repair_pass(&pool, &RepairConfig::default())
-            .unwrap()
-            .converged());
+        assert!(repair_pass(&pool).unwrap().converged());
         placed_like_a_fresh_ring(&stores, &keys, &[0, 1, 2], 1);
     }
 
@@ -784,11 +722,7 @@ mod tests {
     fn daemon_heals_in_the_background_and_stops_cleanly() {
         let (pool, failables, _stores) = failable_pool(5, 2);
         let keys = seed(&pool, 40);
-        let mut daemon = RepairDaemon::spawn(
-            Arc::clone(&pool),
-            Duration::from_millis(10),
-            RepairConfig::default(),
-        );
+        let mut daemon = RepairDaemon::spawn(Arc::clone(&pool), Duration::from_millis(10));
         failables[2].set_down(true);
 
         let alive: Vec<bool> = (0..5).map(|s| s != 2).collect();
@@ -808,11 +742,7 @@ mod tests {
     fn daemon_drives_a_membership_transition_to_completion() {
         let (pool, _failables, _stores) = failable_pool(2, 1);
         let keys = seed(&pool, 60);
-        let mut daemon = RepairDaemon::spawn(
-            Arc::clone(&pool),
-            Duration::from_millis(5),
-            RepairConfig::default(),
-        );
+        let mut daemon = RepairDaemon::spawn(Arc::clone(&pool), Duration::from_millis(5));
         let extra: Vec<Arc<dyn KvClient>> = (0..2)
             .map(|_| {
                 Arc::new(LocalClient::new(Arc::new(Store::new(
@@ -865,7 +795,7 @@ mod tests {
     fn pass_without_a_transition_is_complete_and_inactive() {
         let backing = stores(3);
         let pool = ketama_pool(&backing, 1);
-        let rep = repair_pass(&pool, &RepairConfig::default()).unwrap();
+        let rep = repair_pass(&pool).unwrap();
         assert!(!pool.transition_active());
         assert!(rep.complete);
         assert_eq!(rep.under_replicated, 0);
@@ -876,12 +806,12 @@ mod tests {
         let (pool, failables, backing) = failable_servers(4, 3, 2, 64);
         let keys = seed(&pool, 120);
         pool.begin_add_servers(vec![client(&failables[3])]).unwrap();
-        let grow = repair_pass(&pool, &RepairConfig::default()).unwrap();
+        let grow = repair_pass(&pool).unwrap();
         assert!(grow.complete, "the grow took more than one pass: {grow:?}");
         placed_like_a_fresh_ring(&backing, &keys, &[0, 1, 2, 3], 2);
 
         pool.begin_remove_server(ServerId(1)).unwrap();
-        let shrink = repair_pass(&pool, &RepairConfig::default()).unwrap();
+        let shrink = repair_pass(&pool).unwrap();
         assert!(
             shrink.complete,
             "the shrink took more than one pass: {shrink:?}"
@@ -915,7 +845,7 @@ mod tests {
             .filter(|k| old_ring.server_for(k) != new_ring.server_for(k))
             .count();
 
-        let total = drive_to_completion(&pool, &RepairConfig::default());
+        let total = drive_to_completion(&pool);
         assert!(total.complete);
         assert_eq!(total.unrepairable, 0);
         assert_eq!(
@@ -953,7 +883,7 @@ mod tests {
             pool.set(key, Bytes::from_static(b"payload")).unwrap();
         }
         pool.begin_remove_server(ServerId(2)).unwrap();
-        let total = drive_to_completion(&pool, &RepairConfig::default());
+        let total = drive_to_completion(&pool);
         assert!(total.complete);
         assert_eq!(pool.members(), vec![ServerId(0), ServerId(1)]);
         assert_eq!(
@@ -984,7 +914,7 @@ mod tests {
         }
         pool.begin_add_servers(vec![client(&failables[2])]).unwrap();
         failables[0].set_down(true);
-        let rep = repair_pass(&pool, &RepairConfig::default()).unwrap();
+        let rep = repair_pass(&pool).unwrap();
         assert!(
             pool.transition_active(),
             "no commit while a member is unscannable"
@@ -996,35 +926,11 @@ mod tests {
         }
         // Revive and finish.
         failables[0].set_down(false);
-        let total = drive_to_completion(&pool, &RepairConfig::default());
+        let total = drive_to_completion(&pool);
         assert!(total.complete);
         for key in &keys {
             assert_eq!(pool.get(key).unwrap().as_ref(), b"v");
         }
-    }
-
-    #[test]
-    fn migration_budget_throttles_the_copy_loop() {
-        let backing = stores(4);
-        let pool = ketama_pool(&backing[..2], 1);
-        for i in 0..40 {
-            pool.set(format!("b{i}").as_bytes(), Bytes::from(vec![0u8; 4096]))
-                .unwrap();
-        }
-        pool.begin_add_servers(backing[2..].iter().map(local).collect())
-            .unwrap();
-        let config = RepairConfig {
-            bandwidth: 64 << 10,
-        };
-        let started = Instant::now();
-        let total = drive_to_completion(&pool, &config);
-        assert!(total.complete);
-        // The passes may not beat their own budget (one second of burst
-        // is banked, so subtract it).
-        let floor = Duration::from_secs_f64(
-            total.copied_bytes.saturating_sub(config.bandwidth) as f64 / config.bandwidth as f64,
-        );
-        assert!(started.elapsed() >= floor);
     }
 
     #[test]
@@ -1054,7 +960,7 @@ mod tests {
         );
 
         pool.begin_add_servers(vec![client(&failables[2])]).unwrap();
-        let total = drive_to_completion(&pool, &RepairConfig::default());
+        let total = drive_to_completion(&pool);
         assert!(total.complete);
 
         // The acked value survived on every new home; the stale value is
@@ -1098,7 +1004,7 @@ mod tests {
         assert_eq!(pool.degraded_pending(), 1, "the overwrite is degraded");
         failables[old[1].0].set_down(false);
         failables[other].set_down(true);
-        repair_pass(&pool, &RepairConfig::default()).unwrap();
+        repair_pass(&pool).unwrap();
         assert!(pool.transition_active());
         failables[old[0].0].set_down(true);
         assert_eq!(&pool.get(&key).unwrap()[..], b"4096");
@@ -1115,16 +1021,140 @@ mod tests {
                 .unwrap();
         }
         failables[3].set_down(true);
-        let rep = repair_pass(&pool, &RepairConfig::default()).unwrap();
+        let rep = repair_pass(&pool).unwrap();
         assert_eq!(rep.servers_down, 1);
         assert_eq!(pool.members().len(), 5, "a down member is not evicted");
         pool.begin_remove_server(ServerId(3)).unwrap();
-        let total = drive_to_completion(&pool, &RepairConfig::default());
+        let total = drive_to_completion(&pool);
         assert!(total.complete);
         assert_eq!(pool.members().len(), 4);
         assert!(!pool.members().contains(&ServerId(3)));
         for i in 0..80 {
             assert_eq!(pool.get(format!("m{i}").as_bytes()).unwrap().as_ref(), b"v");
         }
+    }
+
+    // ---- a source that answers its scan but fails its reads ----
+
+    /// A server that answers `scan_keys` from its store but fails every
+    /// read past the first `reads_left` with a reset connection: a member
+    /// whose census succeeds and whose data cannot be fetched.
+    struct FlakyReads {
+        inner: LocalClient,
+        reads_left: AtomicUsize,
+    }
+
+    impl FlakyReads {
+        fn fail_reads_after(&self, n: usize) {
+            self.reads_left.store(n, Ordering::SeqCst);
+        }
+    }
+
+    impl KvClient for FlakyReads {
+        fn start(&self, batch: Batch<'_>) -> Deferred<Bytes> {
+            let read = matches!(batch, Batch::Get(_) | Batch::GetRange(_));
+            if read
+                && self
+                    .reads_left
+                    .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
+                    .is_err()
+            {
+                let reset = std::io::Error::from(std::io::ErrorKind::ConnectionReset);
+                return Deferred::Ready(Err(KvError::Io(reset)));
+            }
+            self.inner.start(batch)
+        }
+        fn scan_keys(&self) -> memfs_memkv::error::KvResult<Vec<Vec<u8>>> {
+            self.inner.scan_keys()
+        }
+    }
+
+    /// `n` flaky servers (none failing yet), the first `members` of them
+    /// mounted as a ketama pool with `POINTS` points each.
+    fn flaky_servers(n: usize, members: usize) -> (Arc<ServerPool>, Vec<Arc<FlakyReads>>) {
+        let flaky: Vec<Arc<FlakyReads>> = (0..n)
+            .map(|_| {
+                Arc::new(FlakyReads {
+                    inner: LocalClient::new(Arc::new(Store::new(StoreConfig::default()))),
+                    reads_left: AtomicUsize::new(usize::MAX),
+                })
+            })
+            .collect();
+        let clients = flaky[..members]
+            .iter()
+            .map(|f| Arc::clone(f) as Arc<dyn KvClient>)
+            .collect();
+        let pool = ServerPool::with_replication(
+            clients,
+            DistributorKind::Ketama {
+                points_per_server: POINTS,
+            },
+            1,
+        );
+        (Arc::new(pool), flaky)
+    }
+
+    #[test]
+    fn a_shrink_whose_leaving_server_fails_its_reads_does_not_commit() {
+        let (pool, flaky) = flaky_servers(3, 3);
+        let keys = seed(&pool, 30);
+        let on_2 = keys
+            .iter()
+            .filter(|k| pool.server_for(k) == ServerId(2))
+            .count();
+        assert!(on_2 > 0, "server 2 must hold some keys");
+        pool.begin_remove_server(ServerId(2)).unwrap();
+        flaky[2].fail_reads_after(0);
+
+        let rep = repair_pass(&pool).unwrap();
+        assert_eq!(rep.under_replicated, on_2, "{rep:?}");
+        assert_eq!(rep.unrepairable, on_2, "{rep:?}");
+        assert!(
+            !rep.complete,
+            "a shrink committed past unread keys: {rep:?}"
+        );
+        assert!(pool.transition_active());
+
+        // Once its reads answer again, the drain completes and loses nothing.
+        flaky[2].fail_reads_after(usize::MAX);
+        for (i, key) in keys.iter().enumerate() {
+            assert_eq!(pool.get(key).unwrap(), Bytes::from(vec![i as u8; 256]));
+        }
+        assert!(drive_to_completion(&pool).complete);
+        assert_eq!(pool.members(), vec![ServerId(0), ServerId(1)]);
+        for (i, key) in keys.iter().enumerate() {
+            assert_eq!(pool.get(key).unwrap(), Bytes::from(vec![i as u8; 256]));
+        }
+    }
+
+    #[test]
+    fn a_grow_whose_source_fails_its_re_read_does_not_commit() {
+        // One key, moving to the joining server: the pass reads it from
+        // its old home, copies it, and then cannot re-read the source — a
+        // dual-routed append may have landed there unseen.
+        let (pool, flaky) = flaky_servers(3, 2);
+        let target = KetamaRing::with_members(&[0, 1, 2], POINTS);
+        let key = (0..)
+            .map(|i| format!("d:/grow{i}").into_bytes())
+            .find(|k| target.server_for(k) == ServerId(2))
+            .unwrap();
+        pool.set(&key, Bytes::from_static(b"+a\n")).unwrap();
+        let source = pool.server_for(&key);
+        pool.begin_add_servers(vec![Arc::clone(&flaky[2]) as Arc<dyn KvClient>])
+            .unwrap();
+        flaky[source.0].fail_reads_after(1);
+
+        let rep = repair_pass(&pool).unwrap();
+        assert_eq!(rep.under_replicated, 1, "{rep:?}");
+        assert_eq!(rep.unrepairable, 1, "{rep:?}");
+        assert!(
+            !rep.complete,
+            "a grow committed past a failed re-read: {rep:?}"
+        );
+        assert!(pool.transition_active());
+
+        flaky[source.0].fail_reads_after(usize::MAX);
+        assert!(drive_to_completion(&pool).complete);
+        assert_eq!(pool.get(&key).unwrap().as_ref(), b"+a\n");
     }
 }

@@ -60,10 +60,10 @@ const COMPACT_BYTES: usize = 256 * 1024;
 /// excess goes back to the allocator: connection slots live as long as the
 /// process, and one [`MAX_VALUE_LEN`] frame must not leave 128 MiB behind.
 const KEEP_BYTES: usize = 1024 * 1024;
-/// Accept backlog of a server's listener. `std` listens with 128; in
-/// `manymount_record` 64 mounts with one connection each dial every server
-/// at once (64 per server), and a connection the backlog drops costs its
-/// mount a SYN retransmit (1 s) at start-up.
+/// Accept backlog of a server's listener. `std` listens with 128; in the
+/// fan-in test of `tests/shaped_scaling.rs` 64 mounts with one connection
+/// each dial every server at once (64 per server), and a connection the
+/// backlog drops costs its mount a SYN retransmit (1 s) at start-up.
 const LISTEN_BACKLOG: libc::c_int = 1024;
 /// TCP keepalive on a server's sockets, as memcached sets `SO_KEEPALIVE`:
 /// a peer silent for [`KEEPALIVE_IDLE_S`] is probed every

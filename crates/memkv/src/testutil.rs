@@ -35,7 +35,7 @@ pub struct Shape {
     /// network latency.
     pub latency: Duration,
     /// Aggregate bytes/second through the proxy (both directions share one
-    /// token bucket, like a NIC). `0` means unlimited.
+    /// pacer, like a NIC). `0` means unlimited.
     pub bandwidth: u64,
 }
 
@@ -62,16 +62,16 @@ impl Shape {
     }
 }
 
-/// Shared token bucket pacing both directions of a proxy.
-struct TokenBucket {
+/// Token bucket pacing both directions of a proxy.
+struct Pacer {
     rate: u64,
     tokens: f64,
     last: Instant,
 }
 
-impl TokenBucket {
-    fn new(rate: u64) -> TokenBucket {
-        TokenBucket {
+impl Pacer {
+    fn new(rate: u64) -> Pacer {
+        Pacer {
             rate,
             // A modest burst allowance keeps small frames from paying a
             // full pacing round trip while still bounding throughput.
@@ -111,7 +111,7 @@ struct ProxyInner {
     /// mid-frame. Negative means disabled.
     cut_after: AtomicI64,
     live: Mutex<Vec<TcpStream>>,
-    bucket: Mutex<TokenBucket>,
+    pacer: Mutex<Pacer>,
     forwarded: AtomicU64,
 }
 
@@ -143,7 +143,7 @@ impl ShapedProxy {
             stalled: AtomicBool::new(false),
             cut_after: AtomicI64::new(-1),
             live: Mutex::new(Vec::new()),
-            bucket: Mutex::new(TokenBucket::new(shape.bandwidth)),
+            pacer: Mutex::new(Pacer::new(shape.bandwidth)),
             forwarded: AtomicU64::new(0),
         });
         let accept_inner = Arc::clone(&inner);
@@ -286,7 +286,7 @@ impl ShapedProxy {
                     std::thread::sleep(inner.shape.latency);
                 }
                 if inner.shape.bandwidth > 0 {
-                    let wait = inner.bucket.lock().expect("proxy bucket lock").reserve(n);
+                    let wait = inner.pacer.lock().expect("proxy pacer lock").reserve(n);
                     if wait > Duration::ZERO {
                         std::thread::sleep(wait);
                     }
@@ -344,39 +344,17 @@ pub struct ShapedCluster {
 impl ShapedCluster {
     /// Spawn `n` servers with default stores, every proxy shaped alike.
     pub fn spawn(n: usize, shape: Shape) -> ShapedCluster {
-        Self::spawn_with(n, |_| shape, |_| Arc::new(Store::with_defaults()))
-    }
-
-    /// Spawn with per-server shapes and stores.
-    pub fn spawn_with(
-        n: usize,
-        shape: impl Fn(usize) -> Shape,
-        store: impl Fn(usize) -> Arc<Store>,
-    ) -> ShapedCluster {
         let servers: Vec<KvServer> = (0..n)
-            .map(|i| KvServer::spawn(store(i), "127.0.0.1:0").expect("spawn kv server"))
+            .map(|_| {
+                KvServer::spawn(Arc::new(Store::with_defaults()), "127.0.0.1:0")
+                    .expect("spawn kv server")
+            })
             .collect();
         let proxies = servers
             .iter()
-            .enumerate()
-            .map(|(i, s)| ShapedProxy::spawn(s.addr(), shape(i)))
+            .map(|s| ShapedProxy::spawn(s.addr(), shape))
             .collect();
         ShapedCluster { servers, proxies }
-    }
-
-    /// Bring `k` more servers online behind fresh proxies (elastic
-    /// grow under live traffic). Returns the new server indices;
-    /// connect them with [`Self::client_on`] to join an existing
-    /// mount's reactors.
-    pub fn grow(&mut self, k: usize, shape: Shape) -> std::ops::Range<usize> {
-        let base = self.servers.len();
-        for _ in 0..k {
-            let server = KvServer::spawn(Arc::new(Store::with_defaults()), "127.0.0.1:0")
-                .expect("spawn kv server");
-            self.proxies.push(ShapedProxy::spawn(server.addr(), shape));
-            self.servers.push(server);
-        }
-        base..base + k
     }
 
     /// Number of servers.
@@ -415,32 +393,23 @@ impl ShapedCluster {
         self.clients_on(config, &reactor)
     }
 
-    /// Connect one [`TcpClient`] per proxy on a caller-owned reactor —
-    /// for tests that later admit grown servers onto the *same* loop via
-    /// [`Self::client_on`].
+    /// Connect one [`TcpClient`] per proxy on a caller-owned reactor, so
+    /// the servers' connections join an existing epoll loop — zero new
+    /// threads.
     pub fn clients_on(
         &self,
         config: PoolConfig,
         reactor: &ReactorHandle,
     ) -> Vec<Arc<dyn KvClient>> {
-        (0..self.proxies.len())
-            .map(|i| self.client_on(i, config.clone(), reactor))
+        self.proxies
+            .iter()
+            .map(|p| {
+                Arc::new(
+                    TcpClient::connect_shared(p.addr(), config.clone(), reactor)
+                        .expect("connect client"),
+                ) as Arc<dyn KvClient>
+            })
             .collect()
-    }
-
-    /// Connect a [`TcpClient`] through proxy `i` on a caller-owned
-    /// reactor — the admit path: the new server's connection joins the
-    /// existing epoll loop, zero new threads.
-    pub fn client_on(
-        &self,
-        i: usize,
-        config: PoolConfig,
-        reactor: &ReactorHandle,
-    ) -> Arc<dyn KvClient> {
-        Arc::new(
-            TcpClient::connect_shared(self.proxies[i].addr(), config, reactor)
-                .expect("connect client"),
-        ) as Arc<dyn KvClient>
     }
 
     /// Connect a single raw [`TcpClient`] through proxy `i`.

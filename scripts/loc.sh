@@ -6,13 +6,12 @@
 #
 #   scripts/loc.sh [DIR...]      # default: every crates/*/src
 #   scripts/loc.sh --knobs       # `pub` fields per config struct (the
-#                                # mount, transport, store and repair
-#                                # configs): the "options before/after"
-#                                # count
+#                                # mount, transport and store configs):
+#                                # the "options before/after" count
 set -euo pipefail
 cd "$(dirname "$0")/.."
 if [[ "${1:-}" == "--knobs" ]]; then
-    for s in MemFsConfig PoolConfig StoreConfig RepairConfig; do
+    for s in MemFsConfig PoolConfig StoreConfig; do
         f=$(grep -rl "^pub struct $s {" crates/*/src)
         awk -v s="$s" '$0 == "pub struct " s " {" { on = 1; next } on && /^}/ { exit }
             on && /^    pub [a-z_]+:/ { n++ } END { printf "%6d %s\n", n, s }' "$f"

@@ -19,9 +19,7 @@ use std::sync::Arc;
 use memfs::hashring::{Distributor, KetamaRing, ModuloRing, ServerId};
 use memfs::memfs_core::layout::StripeLayout;
 use memfs::memfs_core::meta::{encode_add, encode_remove, fold_dir_log, ChildKind};
-use memfs::memfs_core::{
-    repair_pass, DistributorKind, MemFs, MemFsConfig, RepairConfig, ServerPool,
-};
+use memfs::memfs_core::{repair_pass, DistributorKind, MemFs, MemFsConfig, ServerPool};
 use memfs::memkv::{KvClient, LocalClient, Store, StoreConfig};
 use memfs::netsim::maxmin::maxmin_rates;
 use proptest::prelude::*;
@@ -310,7 +308,7 @@ proptest! {
             let mut moved = 0usize;
             let mut complete = false;
             for _ in 0..70 {
-                let rep = repair_pass(&pool, &RepairConfig::default()).unwrap();
+                let rep = repair_pass(&pool).unwrap();
                 moved += rep.under_replicated;
                 prop_assert_eq!(rep.unrepairable, 0);
                 if rep.complete {

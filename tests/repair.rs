@@ -13,9 +13,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use memfs::hashring::ServerId;
-use memfs::memfs_core::{
-    repair_pass, DistributorKind, MemFs, MemFsConfig, RepairConfig, ServerPool,
-};
+use memfs::memfs_core::{repair_pass, DistributorKind, MemFs, MemFsConfig, ServerPool};
 use memfs::memkv::net::{KvServer, PoolConfig};
 use memfs::memkv::testutil::{seed_from_env, Rng, Shape, ShapedCluster};
 use memfs::memkv::{KvClient, ReactorHandle, Store};
@@ -38,7 +36,7 @@ fn a_pass_reports_a_stalled_member_down_within_its_timeout_and_up_once_it_answer
     );
     let pass = || {
         let start = Instant::now();
-        let report = repair_pass(&pool, &RepairConfig::default()).unwrap();
+        let report = repair_pass(&pool).unwrap();
         (report, start.elapsed())
     };
     cluster.proxy(0).stall();
