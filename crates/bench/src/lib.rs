@@ -1,16 +1,10 @@
 //! # memfs-bench
 //!
-//! The benchmark harness of the MemFS reproduction:
-//!
-//! * the **`repro` binary** (`cargo run -p memfs-bench --release --bin
-//!   repro -- <artifact>`) regenerates every table and figure of the
-//!   paper's evaluation as text series (see `repro --help` or DESIGN.md's
-//!   experiment index);
-//! * the **Criterion benches** (`cargo bench -p memfs-bench`) measure the
-//!   performance-critical kernels and the design-choice ablations called
-//!   out in DESIGN.md: hash distributors, stripe layout planning, the
-//!   max-min solver and the flow engine, the workflow simulator, and the
-//!   real engine's striping and replication write paths.
+//! The paper's evaluation, regenerated: the **`repro` binary**
+//! (`cargo run -p memfs-bench --release --bin repro -- <artifact>`)
+//! prints every table and figure as text series (see `repro --help` or
+//! DESIGN.md's experiment index). Component costs are rungs of the
+//! benchmark ladder in `benchmark/`, not benches here.
 
 use std::fmt::Write as _;
 

@@ -268,7 +268,7 @@ impl WriteBuffer {
 mod tests {
     use super::*;
     use crate::config::DistributorKind;
-    use memfs_memkv::{KvClient, LocalClient, Store, StoreConfig};
+    use memfs_memkv::{KvClient, SimClient, Store, StoreConfig};
 
     fn make_pool(n: usize, budget: u64) -> Arc<ServerPool> {
         let clients: Vec<Arc<dyn KvClient>> = (0..n)
@@ -277,7 +277,7 @@ mod tests {
                     memory_budget: budget,
                     ..StoreConfig::default()
                 };
-                Arc::new(LocalClient::new(Arc::new(Store::new(cfg)))) as Arc<dyn KvClient>
+                Arc::new(SimClient::new(Arc::new(Store::new(cfg)))) as Arc<dyn KvClient>
             })
             .collect();
         Arc::new(ServerPool::new(clients, DistributorKind::default()))

@@ -886,7 +886,7 @@ impl io::Seek for ReadHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use memfs_memkv::{LocalClient, SimClient, Store, StoreConfig};
+    use memfs_memkv::{SimClient, Store, StoreConfig};
 
     fn mount(n_servers: usize) -> MemFs {
         mount_with(
@@ -904,9 +904,8 @@ mod tests {
     fn mount_with(n_servers: usize, config: MemFsConfig) -> MemFs {
         let servers: Vec<Arc<dyn KvClient>> = (0..n_servers)
             .map(|_| {
-                Arc::new(LocalClient::new(Arc::new(Store::new(
-                    StoreConfig::default(),
-                )))) as Arc<dyn KvClient>
+                Arc::new(SimClient::new(Arc::new(Store::new(StoreConfig::default()))))
+                    as Arc<dyn KvClient>
             })
             .collect();
         MemFs::new(servers, config).unwrap()
@@ -941,9 +940,8 @@ mod tests {
     fn write_once_enforced_across_mounts() {
         let servers: Vec<Arc<dyn KvClient>> = (0..2)
             .map(|_| {
-                Arc::new(LocalClient::new(Arc::new(Store::new(
-                    StoreConfig::default(),
-                )))) as Arc<dyn KvClient>
+                Arc::new(SimClient::new(Arc::new(Store::new(StoreConfig::default()))))
+                    as Arc<dyn KvClient>
             })
             .collect();
         let fs1 = MemFs::new(servers.clone(), MemFsConfig::default()).unwrap();
@@ -1078,7 +1076,7 @@ mod tests {
             .collect();
         let clients: Vec<Arc<dyn KvClient>> = servers
             .iter()
-            .map(|s| Arc::new(LocalClient::new(Arc::clone(s))) as Arc<dyn KvClient>)
+            .map(|s| Arc::new(SimClient::new(Arc::clone(s))) as Arc<dyn KvClient>)
             .collect();
         let fs = MemFs::new(
             clients,
@@ -1679,9 +1677,8 @@ mod tests {
     fn a_reader_racing_a_closing_mount_sees_no_file_or_the_whole_file() {
         let servers: Vec<Arc<dyn KvClient>> = (0..4)
             .map(|_| {
-                Arc::new(LocalClient::new(Arc::new(Store::new(
-                    StoreConfig::default(),
-                )))) as Arc<dyn KvClient>
+                Arc::new(SimClient::new(Arc::new(Store::new(StoreConfig::default()))))
+                    as Arc<dyn KvClient>
             })
             .collect();
         let a = MemFs::new(servers.clone(), small_stripe_config()).unwrap();
@@ -1821,9 +1818,8 @@ mod tests {
         };
         let servers: Vec<Arc<dyn KvClient>> = (0..4)
             .map(|_| {
-                Arc::new(LocalClient::new(Arc::new(Store::new(
-                    StoreConfig::default(),
-                )))) as Arc<dyn KvClient>
+                Arc::new(SimClient::new(Arc::new(Store::new(StoreConfig::default()))))
+                    as Arc<dyn KvClient>
             })
             .collect();
         let a = MemFs::new(servers.clone(), config.clone()).unwrap();
@@ -1918,9 +1914,8 @@ mod tests {
         const NAMES: usize = 200;
         let servers: Vec<Arc<dyn KvClient>> = (0..4)
             .map(|_| {
-                Arc::new(LocalClient::new(Arc::new(Store::new(
-                    StoreConfig::default(),
-                )))) as Arc<dyn KvClient>
+                Arc::new(SimClient::new(Arc::new(Store::new(StoreConfig::default()))))
+                    as Arc<dyn KvClient>
             })
             .collect();
         // Both contenders leave the barrier into the same `create`.
@@ -2003,7 +1998,7 @@ mod tests {
         let stores: Vec<Arc<Store>> = (0..3)
             .map(|_| Arc::new(Store::new(StoreConfig::default())))
             .collect();
-        let local = |s: &Arc<Store>| Arc::new(LocalClient::new(Arc::clone(s))) as Arc<dyn KvClient>;
+        let local = |s: &Arc<Store>| Arc::new(SimClient::new(Arc::clone(s))) as Arc<dyn KvClient>;
         let config = MemFsConfig {
             distributor: crate::DistributorKind::Ketama {
                 points_per_server: 32,
@@ -2044,9 +2039,8 @@ mod tests {
         let servers = |n: usize| -> Vec<Arc<dyn KvClient>> {
             (0..n)
                 .map(|_| {
-                    Arc::new(LocalClient::new(Arc::new(Store::new(
-                        StoreConfig::default(),
-                    )))) as Arc<dyn KvClient>
+                    Arc::new(SimClient::new(Arc::new(Store::new(StoreConfig::default()))))
+                        as Arc<dyn KvClient>
                 })
                 .collect()
         };
@@ -2149,7 +2143,7 @@ mod tests {
             .collect();
         let clients: Vec<Arc<dyn KvClient>> = servers
             .iter()
-            .map(|s| Arc::new(LocalClient::new(Arc::clone(s))) as Arc<dyn KvClient>)
+            .map(|s| Arc::new(SimClient::new(Arc::clone(s))) as Arc<dyn KvClient>)
             .collect();
         let fs = MemFs::new(
             clients,
@@ -2266,7 +2260,7 @@ mod tests {
             fs.write_file(&format!("/pre{i}"), &data).unwrap();
         }
         let id = fs
-            .add_server(Arc::new(LocalClient::new(Arc::new(Store::new(
+            .add_server(Arc::new(SimClient::new(Arc::new(Store::new(
                 StoreConfig::default(),
             )))))
             .unwrap();
@@ -2373,7 +2367,7 @@ mod tests {
             .collect();
         let clients = stores[..4]
             .iter()
-            .map(|s| Arc::new(LocalClient::new(Arc::clone(s))) as Arc<dyn KvClient>)
+            .map(|s| Arc::new(SimClient::new(Arc::clone(s))) as Arc<dyn KvClient>)
             .collect();
         let config = MemFsConfig {
             distributor: crate::DistributorKind::Ketama {
@@ -2386,7 +2380,7 @@ mod tests {
 
     /// Admit the fifth store and migrate until the transition completes.
     fn grow_to_five(stores: &[Arc<Store>], fs: &MemFs) {
-        fs.add_server(Arc::new(LocalClient::new(Arc::clone(&stores[4]))))
+        fs.add_server(Arc::new(SimClient::new(Arc::clone(&stores[4]))))
             .unwrap();
         let mut passes = 0;
         while !fs.repair_now().unwrap().complete {

@@ -43,12 +43,12 @@
 //! ```
 //! use std::sync::Arc;
 //! use memfs_core::{MemFs, MemFsConfig};
-//! use memfs_memkv::{KvClient, LocalClient, Store, StoreConfig};
+//! use memfs_memkv::{KvClient, SimClient, Store, StoreConfig};
 //!
 //! // Four in-process "storage nodes".
 //! let servers: Vec<Arc<dyn KvClient>> = (0..4)
 //!     .map(|_| {
-//!         Arc::new(LocalClient::new(Arc::new(Store::new(StoreConfig::default()))))
+//!         Arc::new(SimClient::new(Arc::new(Store::new(StoreConfig::default()))))
 //!             as Arc<dyn KvClient>
 //!     })
 //!     .collect();

@@ -824,7 +824,7 @@ impl std::fmt::Debug for ServerPool {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use memfs_memkv::{LocalClient, SimClient, Store, StoreConfig};
+    use memfs_memkv::{SimClient, Store, StoreConfig};
     use std::time::Duration;
 
     fn pool(n: usize) -> (ServerPool, Vec<Arc<Store>>) {
@@ -833,7 +833,7 @@ pub(crate) mod tests {
             .collect();
         let clients: Vec<Arc<dyn KvClient>> = stores
             .iter()
-            .map(|s| Arc::new(LocalClient::new(Arc::clone(s))) as Arc<dyn KvClient>)
+            .map(|s| Arc::new(SimClient::new(Arc::clone(s))) as Arc<dyn KvClient>)
             .collect();
         (ServerPool::new(clients, DistributorKind::default()), stores)
     }
@@ -976,13 +976,13 @@ pub(crate) mod tests {
 
     #[test]
     fn set_many_respects_replication() {
-        use memfs_memkv::{LocalClient, Store, StoreConfig};
+        use memfs_memkv::{SimClient, Store, StoreConfig};
         let stores: Vec<Arc<Store>> = (0..4)
             .map(|_| Arc::new(Store::new(StoreConfig::default())))
             .collect();
         let clients: Vec<Arc<dyn KvClient>> = stores
             .iter()
-            .map(|s| Arc::new(LocalClient::new(Arc::clone(s))) as Arc<dyn KvClient>)
+            .map(|s| Arc::new(SimClient::new(Arc::clone(s))) as Arc<dyn KvClient>)
             .collect();
         let p = ServerPool::with_replication(clients, DistributorKind::default(), 2);
         let items: Vec<(Bytes, Bytes)> = (0..16)
@@ -1069,9 +1069,8 @@ pub(crate) mod tests {
     fn ketama_pool_works() {
         let stores: Vec<Arc<dyn KvClient>> = (0..4)
             .map(|_| {
-                Arc::new(LocalClient::new(Arc::new(Store::new(
-                    StoreConfig::default(),
-                )))) as Arc<dyn KvClient>
+                Arc::new(SimClient::new(Arc::new(Store::new(StoreConfig::default()))))
+                    as Arc<dyn KvClient>
             })
             .collect();
         let p = ServerPool::new(
@@ -1097,9 +1096,8 @@ pub(crate) mod tests {
         drop(p);
         let stores: Vec<Arc<dyn KvClient>> = (0..2)
             .map(|_| {
-                Arc::new(LocalClient::new(Arc::new(Store::new(
-                    StoreConfig::default(),
-                )))) as Arc<dyn KvClient>
+                Arc::new(SimClient::new(Arc::new(Store::new(StoreConfig::default()))))
+                    as Arc<dyn KvClient>
             })
             .collect();
         ServerPool::with_replication(stores, DistributorKind::default(), 3);
@@ -1112,7 +1110,7 @@ pub(crate) mod tests {
             .collect();
         let clients: Vec<Arc<dyn KvClient>> = stores
             .iter()
-            .map(|s| Arc::new(LocalClient::new(Arc::clone(s))) as Arc<dyn KvClient>)
+            .map(|s| Arc::new(SimClient::new(Arc::clone(s))) as Arc<dyn KvClient>)
             .collect();
         let p = ServerPool::with_replication(clients, DistributorKind::default(), 2);
         p.set(b"k", Bytes::from_static(b"v")).unwrap();
@@ -1154,7 +1152,7 @@ pub(crate) mod tests {
                 .collect();
             let clients: Vec<Arc<dyn KvClient>> = stores
                 .iter()
-                .map(|s| Arc::new(LocalClient::new(Arc::clone(s))) as Arc<dyn KvClient>)
+                .map(|s| Arc::new(SimClient::new(Arc::clone(s))) as Arc<dyn KvClient>)
                 .collect();
             let p = ServerPool::with_replication(clients, DistributorKind::default(), r);
             for i in 0..32 {
@@ -1220,12 +1218,12 @@ pub(crate) mod tests {
         }
     }
 
-    /// Wrapper around a [`LocalClient`] that records every request in a
+    /// Wrapper around a [`SimClient`] that records every request in a
     /// [`ProbeLog`]: a batch is logged when it is started and stays in
     /// flight until the pool waits on it (or drops it unsettled) — so the
     /// log shows the windows the pool actually keeps open.
     struct SubmitProbe {
-        inner: LocalClient,
+        inner: SimClient,
         log: Arc<ProbeLog>,
     }
 
@@ -1275,7 +1273,7 @@ pub(crate) mod tests {
         let log = Arc::new(ProbeLog::default());
         let probe = |store: &Arc<Store>| {
             Arc::new(SubmitProbe {
-                inner: LocalClient::new(Arc::clone(store)),
+                inner: SimClient::new(Arc::clone(store)),
                 log: Arc::clone(&log),
             }) as Arc<dyn KvClient>
         };
@@ -1500,9 +1498,7 @@ pub(crate) mod tests {
     // ---- elastic membership ----
 
     fn local_client() -> Arc<dyn KvClient> {
-        Arc::new(LocalClient::new(Arc::new(Store::new(
-            StoreConfig::default(),
-        )))) as Arc<dyn KvClient>
+        Arc::new(SimClient::new(Arc::new(Store::new(StoreConfig::default())))) as Arc<dyn KvClient>
     }
 
     fn ketama_pool(n: usize, replication: usize) -> (ServerPool, Vec<Arc<Store>>) {
@@ -1511,7 +1507,7 @@ pub(crate) mod tests {
             .collect();
         let clients: Vec<Arc<dyn KvClient>> = stores
             .iter()
-            .map(|s| Arc::new(LocalClient::new(Arc::clone(s))) as Arc<dyn KvClient>)
+            .map(|s| Arc::new(SimClient::new(Arc::clone(s))) as Arc<dyn KvClient>)
             .collect();
         let p = ServerPool::with_replication(
             clients,
@@ -1592,7 +1588,7 @@ pub(crate) mod tests {
         }
         let new_store = Arc::new(Store::new(StoreConfig::default()));
         p.begin_add_servers(vec![
-            Arc::new(LocalClient::new(Arc::clone(&new_store))) as Arc<dyn KvClient>
+            Arc::new(SimClient::new(Arc::clone(&new_store))) as Arc<dyn KvClient>
         ])
         .unwrap();
         let state = p.ring_state();
@@ -1719,7 +1715,7 @@ pub(crate) mod tests {
     }
 
     struct LatchClient {
-        inner: LocalClient,
+        inner: SimClient,
         latch: Arc<Latch>,
     }
 
@@ -1772,7 +1768,7 @@ pub(crate) mod tests {
             .map(|_| {
                 let store = Arc::new(Store::new(StoreConfig::default()));
                 Arc::new(LatchClient {
-                    inner: LocalClient::new(store),
+                    inner: SimClient::new(store),
                     latch: Arc::clone(&latch),
                 }) as Arc<dyn KvClient>
             })

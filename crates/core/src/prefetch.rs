@@ -739,14 +739,13 @@ mod tests {
 
     use super::*;
     use crate::config::DistributorKind;
-    use memfs_memkv::{KvClient, LocalClient, Store, StoreConfig};
+    use memfs_memkv::{KvClient, SimClient, Store, StoreConfig};
 
     fn setup(file_size: u64, stripe: usize) -> (Arc<ServerPool>, Bytes) {
         let clients: Vec<Arc<dyn KvClient>> = (0..4)
             .map(|_| {
-                Arc::new(LocalClient::new(Arc::new(Store::new(
-                    StoreConfig::default(),
-                )))) as Arc<dyn KvClient>
+                Arc::new(SimClient::new(Arc::new(Store::new(StoreConfig::default()))))
+                    as Arc<dyn KvClient>
             })
             .collect();
         let pool = Arc::new(ServerPool::new(clients, DistributorKind::default()));
@@ -830,7 +829,7 @@ mod tests {
             .collect();
         let clients: Vec<Arc<dyn KvClient>> = stores
             .iter()
-            .map(|s| Arc::new(LocalClient::new(Arc::clone(s))) as Arc<dyn KvClient>)
+            .map(|s| Arc::new(SimClient::new(Arc::clone(s))) as Arc<dyn KvClient>)
             .collect();
         let pool = Arc::new(ServerPool::new(clients, DistributorKind::default()));
         let layout = StripeLayout::new(100);
@@ -865,7 +864,7 @@ mod tests {
     /// windows (`mgets` — a `Get`: the reader asks for whole values only
     /// in its windows). `Store`'s own counters can't tell these apart: its
     /// `get_many` bumps `get_ops` once per key too.
-    struct CountingClient<C = LocalClient> {
+    struct CountingClient<C = SimClient> {
         inner: C,
         whole: usize,
         gets: AtomicU64,
@@ -899,7 +898,7 @@ mod tests {
         file_size: u64,
         stripe: usize,
     ) -> (Vec<Arc<CountingClient>>, Arc<ServerPool>) {
-        instrumented_pool_over(file_size, stripe, LocalClient::new)
+        instrumented_pool_over(file_size, stripe, SimClient::new)
     }
 
     /// [`instrumented_pool`] with each server's client built by `wrap`
@@ -1411,7 +1410,7 @@ mod tests {
     fn concurrent_misses_coalesce_into_one_fetch() {
         let store = Arc::new(Store::new(StoreConfig::default()));
         let clients: Vec<Arc<dyn KvClient>> =
-            vec![Arc::new(LocalClient::new(Arc::clone(&store))) as Arc<dyn KvClient>];
+            vec![Arc::new(SimClient::new(Arc::clone(&store))) as Arc<dyn KvClient>];
         let pool = Arc::new(ServerPool::new(clients, DistributorKind::default()));
         // A one-stripe file: nothing to prefetch, so the only traffic is
         // the miss fetch itself.

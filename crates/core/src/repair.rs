@@ -426,7 +426,7 @@ mod tests {
     use super::*;
     use crate::config::DistributorKind;
     use memfs_hashring::{Distributor, KetamaRing};
-    use memfs_memkv::{Batch, Deferred, KvClient, LocalClient, SimClient, Store, StoreConfig};
+    use memfs_memkv::{Batch, Deferred, KvClient, SimClient, Store, StoreConfig};
     use std::sync::atomic::AtomicUsize;
     use std::time::Instant;
 
@@ -745,9 +745,8 @@ mod tests {
         let mut daemon = RepairDaemon::spawn(Arc::clone(&pool), Duration::from_millis(5));
         let extra: Vec<Arc<dyn KvClient>> = (0..2)
             .map(|_| {
-                Arc::new(LocalClient::new(Arc::new(Store::new(
-                    StoreConfig::default(),
-                )))) as Arc<dyn KvClient>
+                Arc::new(SimClient::new(Arc::new(Store::new(StoreConfig::default()))))
+                    as Arc<dyn KvClient>
             })
             .collect();
         pool.begin_add_servers(extra).unwrap();
@@ -778,7 +777,7 @@ mod tests {
     }
 
     fn local(s: &Arc<Store>) -> Arc<dyn KvClient> {
-        Arc::new(LocalClient::new(Arc::clone(s))) as Arc<dyn KvClient>
+        Arc::new(SimClient::new(Arc::clone(s))) as Arc<dyn KvClient>
     }
 
     fn ketama_pool(backing: &[Arc<Store>], replication: usize) -> ServerPool {
@@ -1040,7 +1039,7 @@ mod tests {
     /// read past the first `reads_left` with a reset connection: a member
     /// whose census succeeds and whose data cannot be fetched.
     struct FlakyReads {
-        inner: LocalClient,
+        inner: SimClient,
         reads_left: AtomicUsize,
     }
 
@@ -1075,7 +1074,7 @@ mod tests {
         let flaky: Vec<Arc<FlakyReads>> = (0..n)
             .map(|_| {
                 Arc::new(FlakyReads {
-                    inner: LocalClient::new(Arc::new(Store::new(StoreConfig::default()))),
+                    inner: SimClient::new(Arc::new(Store::new(StoreConfig::default()))),
                     reads_left: AtomicUsize::new(usize::MAX),
                 })
             })

@@ -14,7 +14,7 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 use memfs_core::{DistributorKind, MemFs, MemFsConfig, MemFsError, ServerPool};
 use memfs_memkv::error::KvError;
-use memfs_memkv::{Batch, Deferred, KvClient, LocalClient, SimClient, Store, StoreConfig};
+use memfs_memkv::{Batch, Deferred, KvClient, SimClient, Store, StoreConfig};
 
 fn local_clients(n: usize) -> (Vec<Arc<dyn KvClient>>, Vec<Arc<Store>>) {
     let stores: Vec<Arc<Store>> = (0..n)
@@ -22,7 +22,7 @@ fn local_clients(n: usize) -> (Vec<Arc<dyn KvClient>>, Vec<Arc<Store>>) {
         .collect();
     let clients = stores
         .iter()
-        .map(|s| Arc::new(LocalClient::new(Arc::clone(s))) as Arc<dyn KvClient>)
+        .map(|s| Arc::new(SimClient::new(Arc::clone(s))) as Arc<dyn KvClient>)
         .collect();
     (clients, stores)
 }
@@ -198,7 +198,7 @@ fn set_many_reports_dead_server_but_stores_the_rest() {
 /// waited on one batch before submitting the next would see a short
 /// count at its first wait and trip the assertion.
 struct RendezvousClient {
-    inner: LocalClient,
+    inner: SimClient,
     arrived: Arc<AtomicUsize>,
     expected: usize,
     full_house: Arc<AtomicBool>,
@@ -207,7 +207,7 @@ struct RendezvousClient {
 impl RendezvousClient {
     fn new(store: Arc<Store>, arrived: Arc<AtomicUsize>, expected: usize) -> Self {
         RendezvousClient {
-            inner: LocalClient::new(store),
+            inner: SimClient::new(store),
             arrived,
             expected,
             full_house: Arc::new(AtomicBool::new(false)),
@@ -332,7 +332,7 @@ fn per_server_delete_batches_run_in_parallel() {
 /// batches in flight at the same time, which virtual time would not make
 /// them do.
 struct DelayedClient {
-    inner: LocalClient,
+    inner: SimClient,
     delay: Duration,
 }
 
@@ -354,7 +354,7 @@ impl KvClient for DelayedClient {
 /// A client over `store` answering after `delay`.
 fn delayed(store: &Arc<Store>, delay: Duration) -> Arc<dyn KvClient> {
     Arc::new(DelayedClient {
-        inner: LocalClient::new(Arc::clone(store)),
+        inner: SimClient::new(Arc::clone(store)),
         delay,
     })
 }

@@ -13,13 +13,13 @@
 //! plus whichever of the two side methods (`scan_keys`,
 //! `reactor_stats`) it has something to say about. A client keeps no
 //! view of whether its server is alive: a request that fails says so,
-//! as in Libmemcached. Implementations:
+//! as in Libmemcached. Two transports implement it:
 //!
-//! * [`LocalClient`] — direct in-process calls into a [`Store`] (a MemFS
-//!   node talking to the server in its own DRAM);
-//! * [`SimClient`] — a [`Store`] behind a simulated link on a virtual
-//!   clock, with an injectable outage (the Figure 3 experiments and the
-//!   fault-tolerance tests);
+//! * [`SimClient`] — an in-process [`Store`], reached by direct calls
+//!   behind a simulated link on a virtual clock: free by default
+//!   ([`SimClient::new`], a MemFS node talking to the server in its own
+//!   DRAM), timed for the Figure 3 experiments, and with an injectable
+//!   outage for the fault-tolerance tests;
 //! * [`crate::net::TcpClient`] — the memcached text protocol over TCP, for
 //!   genuinely distributed deployments.
 
@@ -42,11 +42,11 @@ use crate::store::Store;
 /// lets one caller thread keep batches in flight on every server of a
 /// pool simultaneously — submit to all, then wait.
 ///
-/// Transports without a split submit path run eagerly and return
-/// [`Deferred::Ready`]; callers cannot tell the difference, they just get
-/// no overlap.
+/// A batch whose answer is known at submit — an empty one, or one its
+/// transport refused outright — is [`Deferred::Ready`]; callers cannot
+/// tell the difference.
 pub enum Deferred<T> {
-    /// The operation already completed (eager transports).
+    /// The answer was known at submit.
     Ready(KvResult<Vec<KvResult<T>>>),
     /// In flight with a readiness probe: `ready` answers "has this
     /// completed?" without blocking or consuming, `finish` blocks for the
@@ -168,9 +168,10 @@ pub trait KvClient: Send + Sync {
     /// evented transport ([`crate::net::TcpClient`]) returns as soon as
     /// the frames are queued — pipelined on one connection, a `Get` packed
     /// into multi-key lines — and the caller overlaps batches to many
-    /// servers by starting them all before waiting on any; an in-process
-    /// one completes inside the call. See [`Batch`] for what each kind
-    /// asks and how it is answered.
+    /// servers by starting them all before waiting on any; [`SimClient`]
+    /// applies the batch inside the call and answers it on its virtual
+    /// clock. See [`Batch`] for what each kind asks and how it is
+    /// answered.
     fn start(&self, batch: Batch<'_>) -> Deferred<Bytes>;
 
     /// Fetch a value.
@@ -235,61 +236,6 @@ pub trait KvClient: Send + Sync {
     }
 }
 
-/// Direct in-process access to a [`Store`].
-#[derive(Clone)]
-pub struct LocalClient {
-    store: Arc<Store>,
-}
-
-impl LocalClient {
-    /// Wrap a shared store.
-    pub fn new(store: Arc<Store>) -> Self {
-        LocalClient { store }
-    }
-
-    /// The underlying store (for stats inspection in tests/benches).
-    pub fn store(&self) -> &Arc<Store> {
-        &self.store
-    }
-}
-
-impl KvClient for LocalClient {
-    fn start(&self, batch: Batch<'_>) -> Deferred<Bytes> {
-        let store = &self.store;
-        let ack = |stored: KvResult<()>| stored.map(|()| Bytes::new());
-        Deferred::Ready(Ok(match batch {
-            // One key is a plain `get`, as on the server: only a real
-            // batch counts as one (`mget_ops`).
-            Batch::Get([key]) => vec![store.get(key)],
-            Batch::Get(keys) => store.get_many(keys),
-            Batch::GetRange(ranges) => ranges
-                .iter()
-                .map(|(key, offset, len)| Ok(slice_range(&store.get(key)?, *offset, *len)))
-                .collect(),
-            Batch::Store(verb, items) => items
-                .iter()
-                .map(|(key, value)| {
-                    ack(match verb {
-                        StoreVerb::Set => store.set(key, value.clone()),
-                        StoreVerb::Add => store.add(key, value.clone()),
-                        StoreVerb::Append => store.append(key, value),
-                    })
-                })
-                .collect(),
-            Batch::Delete(keys) => keys.iter().map(|key| ack(store.delete(key))).collect(),
-        }))
-    }
-
-    fn scan_keys(&self) -> KvResult<Vec<Vec<u8>>> {
-        Ok(self
-            .store
-            .keys()
-            .into_iter()
-            .map(|k| k.into_vec())
-            .collect())
-    }
-}
-
 /// The virtual clock a pool's [`SimClient`]s share: time counted from
 /// zero that moves only when a caller waits on a batch due later than now.
 /// Clones share one clock.
@@ -319,12 +265,14 @@ impl SimClock {
 /// there. Batches to different servers overlap, so a fan-out costs the
 /// max of its batches, not the sum, and nothing sleeps.
 ///
-/// [`SimClient::new`] is the zero-cost link. [`SimClient::set_down`]
-/// injects an outage: the fault-tolerance tests use it to exercise the
-/// replication path (the paper defers fault tolerance to future work,
-/// §3.2.5; this crate implements the replication option it sketches).
+/// [`SimClient::new`] is the zero-cost link: its batches are ready as
+/// soon as `start` returns, and its clock stays at zero.
+/// [`SimClient::set_down`] injects an outage: the fault-tolerance tests
+/// use it to exercise the replication path (the paper defers fault
+/// tolerance to future work, §3.2.5; this crate implements the
+/// replication option it sketches).
 pub struct SimClient {
-    local: LocalClient,
+    store: Arc<Store>,
     clock: SimClock,
     request_cost: Duration,
     /// Bytes per second; `f64::INFINITY` charges nothing for payload.
@@ -349,7 +297,7 @@ impl SimClient {
         bandwidth: f64,
     ) -> Self {
         SimClient {
-            local: LocalClient::new(store),
+            store,
             clock: clock.clone(),
             request_cost,
             bandwidth,
@@ -374,6 +322,33 @@ impl SimClient {
         }
         Ok(())
     }
+
+    /// Apply `batch` to the store: one result per entry.
+    fn apply(&self, batch: Batch<'_>) -> Vec<KvResult<Bytes>> {
+        let store = &self.store;
+        let ack = |stored: KvResult<()>| stored.map(|()| Bytes::new());
+        match batch {
+            // One key is a plain `get`, as on the server: only a real
+            // batch counts as one (`mget_ops`).
+            Batch::Get([key]) => vec![store.get(key)],
+            Batch::Get(keys) => store.get_many(keys),
+            Batch::GetRange(ranges) => ranges
+                .iter()
+                .map(|(key, offset, len)| Ok(slice_range(&store.get(key)?, *offset, *len)))
+                .collect(),
+            Batch::Store(verb, items) => items
+                .iter()
+                .map(|(key, value)| {
+                    ack(match verb {
+                        StoreVerb::Set => store.set(key, value.clone()),
+                        StoreVerb::Add => store.add(key, value.clone()),
+                        StoreVerb::Append => store.append(key, value),
+                    })
+                })
+                .collect(),
+            Batch::Delete(keys) => keys.iter().map(|key| ack(store.delete(key))).collect(),
+        }
+    }
 }
 
 impl KvClient for SimClient {
@@ -385,8 +360,8 @@ impl KvClient for SimClient {
             Batch::Store(_, items) => items.iter().map(|(_, value)| value.len()).sum(),
             _ => 0,
         };
-        let reply = self.local.start(batch).wait();
-        let received: usize = reply.iter().flatten().flatten().map(Bytes::len).sum();
+        let reply = self.apply(batch);
+        let received: usize = reply.iter().flatten().map(Bytes::len).sum();
         let cost =
             self.request_cost + Duration::from_secs_f64((sent + received) as f64 / self.bandwidth);
         let due = {
@@ -399,14 +374,15 @@ impl KvClient for SimClient {
             ready: Box::new(move || clock.now() >= due),
             finish: Box::new(move || {
                 waited.advance_to(due);
-                reply
+                Ok(reply)
             }),
             answered: None,
         }
     }
     fn scan_keys(&self) -> KvResult<Vec<Vec<u8>>> {
         self.check()?;
-        self.local.scan_keys()
+        let keys = self.store.keys().into_iter();
+        Ok(keys.map(|k| k.into_vec()).collect())
     }
 }
 
@@ -429,13 +405,10 @@ mod tests {
     use crate::net::{KvServer, TcpClient};
     use crate::store::StoreConfig;
 
-    fn local() -> LocalClient {
-        LocalClient::new(Arc::new(Store::new(StoreConfig::default())))
-    }
-
     #[test]
-    fn local_client_round_trip() {
-        let c = local();
+    fn zero_cost_sim_client_round_trip() {
+        let store = store();
+        let c = SimClient::new(Arc::clone(&store));
         c.set(b"k", Bytes::from_static(b"v")).unwrap();
         assert_eq!(c.get(b"k").unwrap().as_ref(), b"v");
         assert_eq!(c.get_range(b"k", 0, 0).unwrap().as_ref(), b"");
@@ -444,8 +417,22 @@ mod tests {
         // One key is a plain `get` to the store, several are one batch.
         c.get_many(&[Bytes::from_static(b"a"), Bytes::from_static(b"b")])
             .unwrap();
-        let stats = c.store().stats().snapshot();
+        let stats = store.stats().snapshot();
         assert_eq!((stats.mget_ops, stats.get_ops), (1, 5));
+        // A free link answers every batch at submit, and its clock never
+        // moves.
+        let keys = [Bytes::from_static(b"k")];
+        let items = [(Bytes::from_static(b"k"), Bytes::from_static(b"v"))];
+        for batch in [
+            Batch::Store(StoreVerb::Set, &items),
+            Batch::Get(&keys),
+            Batch::Delete(&keys),
+        ] {
+            let reply = c.start(batch);
+            assert!(reply.is_ready(), "a zero-cost batch is ready at start");
+            reply.wait().unwrap();
+            assert_eq!(c.clock.now(), Duration::ZERO);
+        }
     }
 
     /// A batch's reply with each entry reduced to what every transport
@@ -591,19 +578,17 @@ mod tests {
 
     #[test]
     fn every_client_answers_every_batch_kind_alike() {
-        conforms("local", &local());
         conforms("sim", &SimClient::new(store()));
         let clock = SimClock::default();
         let linked = SimClient::linked(store(), &clock, Duration::from_micros(55), 1e9);
         conforms("sim over a link", &linked);
         assert!(clock.now() > Duration::ZERO, "the link charged its batches");
-        let shared: Arc<dyn KvClient> = Arc::new(local());
+        let shared: Arc<dyn KvClient> = Arc::new(SimClient::new(store()));
         conforms("arc<dyn>", &shared);
         let server = KvServer::spawn(store(), "127.0.0.1:0").unwrap();
         conforms("tcp", &TcpClient::connect(server.addr()).unwrap());
 
         // A full store's refusal reads the same in process and over TCP.
-        refuses_when_full("local", &LocalClient::new(tiny_store()));
         refuses_when_full("sim", &SimClient::new(tiny_store()));
         let server = KvServer::spawn(tiny_store(), "127.0.0.1:0").unwrap();
         refuses_when_full("tcp", &TcpClient::connect(server.addr()).unwrap());
@@ -710,7 +695,7 @@ mod tests {
 
     #[test]
     fn arc_blanket_impl_works() {
-        let c: Arc<dyn KvClient> = Arc::new(local());
+        let c: Arc<dyn KvClient> = Arc::new(SimClient::new(store()));
         c.set(b"k", Bytes::from_static(b"v")).unwrap();
         assert_eq!(c.get(b"k").unwrap().as_ref(), b"v");
     }

@@ -18,13 +18,13 @@
 //! * detailed statistics (`get` vs `set` counts, hit rate, bytes stored)
 //!   used by the balance experiments.
 //!
-//! Three ways to reach a store:
+//! A store is reached directly, as [`Store`] (what a MemFS server
+//! embeds), or through [`client::KvClient`], the client abstraction MemFS
+//! programs against, over one of its two transports:
 //!
-//! * [`Store`] — direct, in-process (what a MemFS server embeds);
-//! * [`client::KvClient`] — the client abstraction MemFS programs against,
-//!   with [`client::LocalClient`] and [`client::SimClient`], a store
-//!   behind a simulated latency/bandwidth link on a virtual clock, which
-//!   times the real engine for Figure 3 and injects outages in the
+//! * [`client::SimClient`] — the store in process, behind a simulated
+//!   latency/bandwidth link on a virtual clock: free by default, timed to
+//!   run the real engine for Figure 3, and with injectable outages for the
 //!   fault-tolerance tests;
 //! * [`net::KvServer`]/[`net::TcpClient`] — an actual TCP deployment
 //!   speaking the memcached text protocol in [`proto`], for running a real
@@ -43,9 +43,7 @@ pub mod stats;
 pub mod store;
 pub mod testutil;
 
-pub use client::{
-    AnswerHook, Batch, Deferred, KvClient, LocalClient, Replies, SimClient, SimClock, StoreVerb,
-};
+pub use client::{AnswerHook, Batch, Deferred, KvClient, Replies, SimClient, SimClock, StoreVerb};
 pub use error::KvError;
 pub use net::{KvServer, PoolConfig, TcpClient};
 pub use reactor::{ReactorHandle, ReactorStatsSnapshot};

@@ -1,5 +1,5 @@
 //! TCP transport failure paths, driven through the deterministic
-//! shaped-cluster harness ([`memfs_memkv::testutil`]): server shutdown
+//! shaped-cluster harness ([`memfs_testkit`]): server shutdown
 //! mid-stream, oversized value rejection, error recovery inside pipelined
 //! batches, reconnection after dropped connections, silent stalls that
 //! must surface as timeouts, and mid-frame cuts that may only replay
@@ -10,8 +10,8 @@ use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use memfs_memkv::net::{KvServer, PoolConfig, TcpClient, MAX_CONNECTIONS};
-use memfs_memkv::testutil::{Shape, ShapedCluster};
 use memfs_memkv::{KvClient, KvError, Store, StoreConfig};
+use memfs_testkit::{Shape, ShapedCluster};
 
 /// A config with a short timeout for tests that drive requests into a
 /// black hole on purpose.

@@ -10,7 +10,7 @@
 use std::sync::Arc;
 
 use memfs::memfs_core::{DistributorKind, MemFs, MemFsConfig};
-use memfs::memkv::{KvClient, LocalClient, Store, StoreConfig};
+use memfs::memkv::{KvClient, SimClient, Store, StoreConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let config = MemFsConfig {
@@ -21,12 +21,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ..MemFsConfig::default()
     };
 
-    // Day 1: four storage servers.
+    // Day 1: four in-process storage servers, each behind a free link.
     let stores: Vec<Arc<Store>> = (0..5)
         .map(|_| Arc::new(Store::new(StoreConfig::default())))
         .collect();
     let client = |s: &Arc<Store>| -> Arc<dyn KvClient> {
-        Arc::new(LocalClient::new(Arc::clone(s))) as Arc<dyn KvClient>
+        Arc::new(SimClient::new(Arc::clone(s))) as Arc<dyn KvClient>
     };
     let fs = MemFs::new(stores[..4].iter().map(client).collect(), config)?;
 

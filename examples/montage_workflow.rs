@@ -14,7 +14,7 @@
 use std::sync::Arc;
 
 use memfs::memfs_core::{MemFs, MemFsConfig};
-use memfs::memkv::{KvClient, LocalClient, Store, StoreConfig};
+use memfs::memkv::{KvClient, SimClient, Store, StoreConfig};
 
 const N_IMAGES: usize = 24;
 const IMAGE_BYTES: usize = 512 * 1024;
@@ -25,12 +25,13 @@ fn checksum(data: &[u8]) -> u64 {
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
+    // Eight in-process storage servers, each behind a free link.
     let stores: Vec<Arc<Store>> = (0..8)
         .map(|_| Arc::new(Store::new(StoreConfig::default())))
         .collect();
     let servers: Vec<Arc<dyn KvClient>> = stores
         .iter()
-        .map(|s| Arc::new(LocalClient::new(Arc::clone(s))) as Arc<dyn KvClient>)
+        .map(|s| Arc::new(SimClient::new(Arc::clone(s))) as Arc<dyn KvClient>)
         .collect();
     let fs = MemFs::new(servers, MemFsConfig::default())?;
     for dir in ["/in", "/proj", "/diff", "/bg", "/out"] {

@@ -8,17 +8,18 @@
 use std::sync::Arc;
 
 use memfs::memfs_core::{MemFs, MemFsConfig, MemFsError};
-use memfs::memkv::{KvClient, LocalClient, Store, StoreConfig};
+use memfs::memkv::{KvClient, SimClient, Store, StoreConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Four storage "nodes": each exposes its DRAM through a
-    // memcached-style store (paper §3.1.1).
+    // memcached-style store (paper §3.1.1), reached in process over a
+    // link that costs nothing (`SimClient::new`).
     let stores: Vec<Arc<Store>> = (0..4)
         .map(|_| Arc::new(Store::new(StoreConfig::default())))
         .collect();
     let servers: Vec<Arc<dyn KvClient>> = stores
         .iter()
-        .map(|s| Arc::new(LocalClient::new(Arc::clone(s))) as Arc<dyn KvClient>)
+        .map(|s| Arc::new(SimClient::new(Arc::clone(s))) as Arc<dyn KvClient>)
         .collect();
 
     // Mount. Defaults are the paper's design points: 512 KiB stripes,

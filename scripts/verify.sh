@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Repo verification gate: build, tests, formatting, lints.
 #
-#   scripts/verify.sh            # build + workspace tests + fmt + clippy + knob count + options census + unsafe census + KvClient census + I/O pool census + connection census + timer census + pass census + phase census + replica census + substrate census + shaper census + repro golden
+#   scripts/verify.sh            # build + workspace tests + fmt + clippy + knob count + options census + unsafe census + KvClient census + I/O pool census + connection census + timer census + pass census + phase census + replica census + substrate census + shaper census + harness census + measurement census + repro golden
 #   scripts/verify.sh --clippy   # fast path: fmt + clippy only, no build/tests
 #   scripts/verify.sh --threads  # additionally stress the concurrency tests
 #   scripts/verify.sh --soak     # shaped-cluster suites, N random seeds
@@ -30,10 +30,9 @@
 # wrong length, its server down, a rewritten file reopened from a second
 # mount). Files either side of one stripe read back bit-exact (every
 # writer, prefetch on and off, a replica down at close then repaired),
-# and a reader racing another mount's closes sees no file or all of it.
-# The shaped proxy's own byte count rides along. It also runs
-# the (otherwise `--ignored`) shaped-cluster scaling regressions: 8
-# bandwidth-capped servers must deliver >= 1.5x the 4-server aggregate
+# and a reader racing another mount's closes sees no file or all of it. It
+# also runs the (otherwise `--ignored`) shaped-cluster scaling regressions:
+# 8 bandwidth-capped servers must deliver >= 1.5x the 4-server aggregate
 # batched throughput; one mount over 16 servers capped at 6 MiB/s must
 # move >= 90% of their aggregate cap both ways (line rate); 64 mounts on
 # 4 servers capped at 24 MiB/s must move >= 90% of the 4-mount aggregate
@@ -288,16 +287,42 @@ if [[ -n "$substrate" ]]; then
     exit 1
 fi
 
-# One traffic model times the real engine in process: `SimClient`, a store
-# behind a simulated link on a virtual clock, which also injects outages
-# (DESIGN.md §4b). No wall-clock shaper, sleeping or spinning, and no
-# second failure wrapper.
+# One in-process client: `SimClient`, a store behind a simulated link on a
+# virtual clock — free by default, timed for the real engine's figures —
+# which also injects outages (DESIGN.md §4b). No untimed twin, no
+# wall-clock shaper, sleeping or spinning, and no second failure wrapper.
 # shellcheck disable=SC2086
-shapers=$(grep -rnwE 'ThrottledClient|FailableClient|Shaping|precise_sleep' $trees || true)
-echo "==> shaper census: ${shapers:-one SimClient, no wall-clock shaper}"
+shapers=$(grep -rnwE 'LocalClient|ThrottledClient|FailableClient|Shaping|precise_sleep' $trees || true)
+echo "==> shaper census: ${shapers:-one in-process client (SimClient), no wall-clock shaper}"
 if [[ -n "$shapers" ]]; then
-    echo "verify: time an in-process store with SimClient's virtual clock and" \
-        "inject outages with SimClient::set_down" >&2
+    echo "verify: reach an in-process store through SimClient (SimClient::new is" \
+        "the free link), time it on its virtual clock, inject outages with set_down" >&2
+    exit 1
+fi
+
+# Production crates carry production code: the shaped real-TCP harness is
+# the dev-only `memfs-testkit` crate, and `memkv::testutil` keeps only the
+# seeded `Rng` the benchmark's generators import.
+harness=$(grep -rnwE 'ShapedProxy|ShapedCluster|Pacer' crates/memkv/src || true)
+echo "==> harness census: ${harness:-no shaped TCP harness in crates/memkv/src}"
+if [[ -n "$harness" ]]; then
+    echo "verify: test scaffolding goes in crates/testkit (memfs-testkit)," \
+        "a dev-dependency, not in the transport crate" >&2
+    exit 1
+fi
+
+# One measurement system: the benchmark suite (benchmark/) and the repro
+# golden below. No Criterion bench target, shim or dependency: a number
+# nothing records or asserts is not a measurement.
+benches=$(
+    ls -d shims/criterion 2>/dev/null
+    find . -name Cargo.toml -not -path '*/target/*' -not -path './.bench_build/*' -print0 |
+        xargs -0 grep -nE '(^|[^a-z_-])criterion([^a-z_-]|$)'
+) || true
+echo "==> measurement census: ${benches:-no criterion shim or dependency}"
+if [[ -n "$benches" ]]; then
+    echo "verify: measure through the benchmark suite (a ladder rung or a" \
+        "workload row) or the repro golden, not a Criterion bench" >&2
     exit 1
 fi
 
@@ -311,7 +336,11 @@ split_sections() { awk -v dir="$1" '/^=+$/ { next } /^== / { name = $2 } name { 
 mkdir "$golden/want" "$golden/got"
 split_sections "$golden/want" <repro_output.txt
 mapfile -t sections < <(grep -E '^== ' repro_output.txt | awk '{ print $2 }')
+# Built first, so the wall time below is the simulators' own speed.
+cargo build --release -q -p memfs-bench --bin repro
+started=$(date +%s%N)
 cargo run --release -q -p memfs-bench --bin repro -- "${sections[@]}" | split_sections "$golden/got"
+echo "    repro wall time: $((($(date +%s%N) - started) / 1000000)) ms"
 moved=()
 for name in "${sections[@]}"; do
     diff -u "$golden/want/$name" "$golden/got/$name" >&2 || moved+=("$name")
@@ -383,10 +412,6 @@ for arg in "$@"; do
                 a_first_stripe_that_does_not_fit_the_record \
                 open_succeeds_with_the_first_stripes_server_down \
                 no_first_stripe_crosses_handles_or_incarnations
-            # The shaped proxy counts a burst before forwarding it, so a
-            # reply the client holds is already on the books.
-            RUST_TEST_THREADS=16 cargo test -q -p memfs-memkv --lib -- \
-                testutil::tests::shaped_proxy_forwards_and_throttles
             # reactor_threads / server_threads count process-wide threads
             # by name: own binaries, one test each, no parallel siblings.
             cargo test -q --test reactor_threads
@@ -403,7 +428,7 @@ for arg in "$@"; do
             # rules, with a released slot leaving no timer key behind.
             RUST_TEST_THREADS=16 cargo test -q -p memfs-memkv --lib -- server:: conn:: reactor::
             # Transport failure paths; the connection cap sheds cleanly.
-            RUST_TEST_THREADS=16 cargo test -q -p memfs-memkv --test tcp_failures
+            RUST_TEST_THREADS=16 cargo test -q -p memfs-testkit --test tcp_failures
             # tail_ack reads the namespace-wide TcpExt DelayedACKs
             # counter: own binary, one test, nothing else talking TCP.
             cargo test -q --test tail_ack
@@ -434,7 +459,7 @@ for arg in "$@"; do
         for i in $(seq 1 "$iters"); do
             seed="${MEMFS_SHAPE_SEED:-$(od -An -N8 -tu8 /dev/urandom | tr -d ' ')}"
             echo "  -- iteration $i (MEMFS_SHAPE_SEED=$seed)"
-            MEMFS_SHAPE_SEED="$seed" cargo test -q -p memfs-memkv --test tcp_failures
+            MEMFS_SHAPE_SEED="$seed" cargo test -q -p memfs-testkit --test tcp_failures
             MEMFS_SHAPE_SEED="$seed" cargo test -q --test tcp_e2e
             MEMFS_SHAPE_SEED="$seed" cargo test -q --test shared_reactor
             MEMFS_SHAPE_SEED="$seed" cargo test -q --release --test shaped_scaling -- --ignored

@@ -22,5 +22,5 @@ pub use memfs_simcore as simcore;
 pub mod prelude {
     pub use memfs_core::{DirEntry, EntryKind, FileStat, MemFs, MemFsConfig, MemFsError};
     pub use memfs_hashring::Distributor;
-    pub use memfs_memkv::{KvClient, LocalClient, Store, StoreConfig};
+    pub use memfs_memkv::{KvClient, SimClient, Store, StoreConfig};
 }

@@ -5,7 +5,7 @@
 use std::sync::Arc;
 
 use memfs::memfs_core::{DistributorKind, MemFs, MemFsConfig, MemFsError};
-use memfs::memkv::{KvClient, LocalClient, Store, StoreConfig};
+use memfs::memkv::{KvClient, SimClient, Store, StoreConfig};
 
 fn servers_with_stores(n: usize) -> (Vec<Arc<dyn KvClient>>, Vec<Arc<Store>>) {
     let stores: Vec<Arc<Store>> = (0..n)
@@ -13,7 +13,7 @@ fn servers_with_stores(n: usize) -> (Vec<Arc<dyn KvClient>>, Vec<Arc<Store>>) {
         .collect();
     let clients = stores
         .iter()
-        .map(|s| Arc::new(LocalClient::new(Arc::clone(s))) as Arc<dyn KvClient>)
+        .map(|s| Arc::new(SimClient::new(Arc::clone(s))) as Arc<dyn KvClient>)
         .collect();
     (clients, stores)
 }
@@ -178,7 +178,7 @@ fn server_oom_surfaces_as_storage_error() {
         .collect();
     let clients: Vec<Arc<dyn KvClient>> = stores
         .iter()
-        .map(|s| Arc::new(LocalClient::new(Arc::clone(s))) as Arc<dyn KvClient>)
+        .map(|s| Arc::new(SimClient::new(Arc::clone(s))) as Arc<dyn KvClient>)
         .collect();
     let fs = MemFs::new(clients, small_config()).unwrap();
     let mut w = fs.create("/too-big").unwrap();

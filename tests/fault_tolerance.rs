@@ -4,7 +4,7 @@
 use std::sync::Arc;
 
 use memfs::memfs_core::{MemFs, MemFsConfig, MemFsError};
-use memfs::memkv::{KvClient, LocalClient, SimClient, Store, StoreConfig};
+use memfs::memkv::{KvClient, SimClient, Store, StoreConfig};
 
 fn failable_cluster(n: usize) -> (Vec<Arc<SimClient>>, Vec<Arc<dyn KvClient>>) {
     let failables: Vec<Arc<SimClient>> = (0..n)
@@ -144,7 +144,7 @@ fn replication_multiplies_stored_bytes() {
             .collect();
         let clients: Vec<Arc<dyn KvClient>> = stores
             .iter()
-            .map(|s| Arc::new(LocalClient::new(Arc::clone(s))) as Arc<dyn KvClient>)
+            .map(|s| Arc::new(SimClient::new(Arc::clone(s))) as Arc<dyn KvClient>)
             .collect();
         let fs = MemFs::new(clients, config(r)).unwrap();
         fs.write_file("/payload", &vec![0u8; 200_000]).unwrap();

@@ -20,7 +20,7 @@ use memfs::hashring::{Distributor, KetamaRing, ModuloRing, ServerId};
 use memfs::memfs_core::layout::StripeLayout;
 use memfs::memfs_core::meta::{encode_add, encode_remove, fold_dir_log, ChildKind};
 use memfs::memfs_core::{repair_pass, DistributorKind, MemFs, MemFsConfig, ServerPool};
-use memfs::memkv::{KvClient, LocalClient, Store, StoreConfig};
+use memfs::memkv::{KvClient, SimClient, Store, StoreConfig};
 use memfs::netsim::maxmin::maxmin_rates;
 use proptest::prelude::*;
 
@@ -31,9 +31,8 @@ const MEMBER_POINTS: usize = 32;
 fn mount(n: usize, stripe: usize) -> MemFs {
     let clients: Vec<Arc<dyn KvClient>> = (0..n)
         .map(|_| {
-            Arc::new(LocalClient::new(Arc::new(Store::new(
-                StoreConfig::default(),
-            )))) as Arc<dyn KvClient>
+            Arc::new(SimClient::new(Arc::new(Store::new(StoreConfig::default()))))
+                as Arc<dyn KvClient>
         })
         .collect();
     MemFs::new(
@@ -248,7 +247,7 @@ proptest! {
             .map(|_| Arc::new(Store::new(StoreConfig::default())))
             .collect();
         let local = |s: &Arc<Store>| -> Arc<dyn KvClient> {
-            Arc::new(LocalClient::new(Arc::clone(s))) as Arc<dyn KvClient>
+            Arc::new(SimClient::new(Arc::clone(s))) as Arc<dyn KvClient>
         };
         let pool = ServerPool::with_replication(
             stores[..n0].iter().map(local).collect(),

@@ -15,7 +15,7 @@ use std::sync::Arc;
 
 use memfs::memfs_core::{MemFs, MemFsConfig, ReadHandle, WriteHandle};
 use memfs::memkv::net::{KvServer, PoolConfig, TcpClient};
-use memfs::memkv::{KvClient, LocalClient, ReactorHandle, Store, StoreConfig};
+use memfs::memkv::{KvClient, ReactorHandle, SimClient, Store, StoreConfig};
 
 /// Live threads of this process whose name starts with `prefix`
 /// (`comm` truncates at 15 chars, so prefixes must fit in that).
@@ -94,7 +94,7 @@ fn sixteen_server_mount_runs_one_reactor_thread() {
     let local: Vec<Arc<dyn KvClient>> = (0..4)
         .map(|_| {
             let store = Arc::new(Store::new(StoreConfig::default()));
-            Arc::new(LocalClient::new(store)) as Arc<dyn KvClient>
+            Arc::new(SimClient::new(store)) as Arc<dyn KvClient>
         })
         .collect();
     let fs = MemFs::new(local, config.clone()).unwrap();

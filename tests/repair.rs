@@ -15,8 +15,9 @@ use std::time::{Duration, Instant};
 use memfs::hashring::ServerId;
 use memfs::memfs_core::{repair_pass, DistributorKind, MemFs, MemFsConfig, ServerPool};
 use memfs::memkv::net::{KvServer, PoolConfig};
-use memfs::memkv::testutil::{seed_from_env, Rng, Shape, ShapedCluster};
+use memfs::memkv::testutil::{seed_from_env, Rng};
 use memfs::memkv::{KvClient, ReactorHandle, Store};
+use memfs_testkit::{Shape, ShapedCluster};
 
 fn pool_config() -> PoolConfig {
     PoolConfig {

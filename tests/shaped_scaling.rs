@@ -22,7 +22,8 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 use memfs::memfs_core::{DistributorKind, ServerPool};
 use memfs::memkv::net::PoolConfig;
-use memfs::memkv::testutil::{seed_from_env, Rng, Shape, ShapedCluster};
+use memfs::memkv::testutil::{seed_from_env, Rng};
+use memfs_testkit::{Shape, ShapedCluster};
 
 /// Per-server bandwidth cap: slow enough that loopback and protocol
 /// overhead vanish next to pacing, fast enough to keep the test short.

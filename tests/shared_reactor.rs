@@ -11,8 +11,8 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 use memfs::memfs_core::{DistributorKind, MemFsError, ServerPool};
 use memfs::memkv::net::{KvServer, PoolConfig, TcpClient};
-use memfs::memkv::testutil::{Shape, ShapedCluster, ShapedProxy};
 use memfs::memkv::{KvClient, KvError, ReactorHandle, Store, StoreConfig};
+use memfs_testkit::{Shape, ShapedCluster, ShapedProxy};
 
 const N: usize = 8;
 

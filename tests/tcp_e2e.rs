@@ -1,7 +1,7 @@
 //! End-to-end test of the genuinely distributed deployment: MemFS mounted
 //! over TCP connections to storage servers speaking the memcached text
 //! protocol — each server behind a deterministic shaped proxy
-//! ([`memfs::memkv::testutil`]) so the traffic crosses a realistically
+//! ([`memfs_testkit`]) so the traffic crosses a realistically
 //! imperfect wire, not just loopback at memory speed.
 
 use std::sync::Arc;
@@ -9,8 +9,8 @@ use std::time::Duration;
 
 use memfs::memfs_core::{DistributorKind, MemFs, MemFsConfig};
 use memfs::memkv::net::{KvServer, PoolConfig};
-use memfs::memkv::testutil::{Shape, ShapedCluster};
 use memfs::memkv::{KvClient, Store};
+use memfs_testkit::{Shape, ShapedCluster};
 
 /// A mild WAN-ish shape: visible per-burst latency, generous bandwidth.
 fn shaped_cluster(n: usize) -> (ShapedCluster, Vec<Arc<dyn KvClient>>) {
