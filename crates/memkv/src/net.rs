@@ -12,13 +12,14 @@
 //! frames of every batch are queued on that socket and the replies are
 //! read back in order. Connections are
 //! driven by a shared epoll reactor ([`crate::reactor`]): submitting a
-//! batch never blocks on the socket, and the caller parks on a completion
+//! batch never blocks on the socket, and the caller waits on a completion
 //! handle only when it actually needs the responses — so one thread can
 //! keep batches in flight on every server of a pool concurrently
 //! ([`KvClient::start`] is that split). A mount
 //! registers all of its `TcpClient`s on one [`ReactorHandle`]
-//! ([`TcpClient::connect_shared`]), so a single reactor thread drives the
-//! whole cluster and drains completions for all servers per wake. Value
+//! ([`TcpClient::connect_shared`]), so a single loop drives the whole
+//! cluster and drains completions for all servers per turn — run by the
+//! waiting caller itself while nobody else runs it. Value
 //! payloads travel as their own zero-copy iovec segments in both
 //! directions, so stripe-sized values are never copied into an
 //! intermediate wire buffer.

@@ -1,18 +1,17 @@
-//! Evented transport core: one epoll reactor thread drives every
-//! registered connection — to any number of servers — and no caller
-//! blocks on socket I/O.
+//! Evented transport core: one epoll loop drives every registered
+//! connection — to any number of servers — and it runs on whichever
+//! thread is waiting for an answer.
 //!
 //! The reactor is a process-wide resource shared through a
 //! [`ReactorHandle`]. Each [`crate::net::TcpClient`] *registers* its one
 //! pre-connected socket with a handle and gets back a [`Registration`] —
 //! the token naming that connection inside the shared loop. A call
-//! is a pre-encoded batch handed to the loop through its inbox (one lock,
-//! one eventfd wake); the loop writes it, parses the replies and fills the
-//! batch's completion slot, on which the caller parks. One thread
-//! multiplexes every server's sockets, so:
+//! is a pre-encoded batch handed to the loop through its inbox; the loop
+//! writes it, parses the replies and fills the batch's completion slot.
+//! One loop multiplexes every server's sockets, so:
 //!
-//! * a mount runs **one** reactor thread whatever its server count, and
-//!   still keeps every server streaming at once (the paper's
+//! * a mount runs **one** `memkv-reactor` thread whatever its server
+//!   count, and still keeps every server streaming at once (the paper's
 //!   full-bisection claim, §3.2) — no thread is parked per in-flight call;
 //! * one epoll wake drains completions for *all* servers, delivering them
 //!   to waiting callers in cross-server batches (the pool's sliding
@@ -22,6 +21,30 @@
 //!   loop sleeps until the first one left instead of scanning every
 //!   connection's queue front. A slot holds at most two keys: its
 //!   front's deadline and a connect timeout.
+//!
+//! Who runs the loop (leader/follower):
+//!
+//! * **The waiting caller leads.** The loop is one [`EventLoop`] behind a
+//!   mutex, and holding it is leading. A submit pushes its command to the
+//!   inbox and, when nobody leads, runs one turn that does not sleep on
+//!   the caller's thread, so the frames go out without a wake. A caller
+//!   that waits for an answer ([`PendingExchange::wait`], a registration's
+//!   reply) runs turns on its own thread until that answer lands: the
+//!   reply is read, parsed and delivered with no thread hop between the
+//!   socket and the caller.
+//! * **Followers are woken at once.** A caller that finds the loop held
+//!   parks until its answer lands or the loop is free. A leader wakes the
+//!   parked callers after every turn that delivered something, so an
+//!   answer never waits for the leader's own — one stalled server stalls
+//!   only the keys routed to it — and it wakes them when it lets the loop
+//!   go, so one of them takes it over.
+//! * **The thread leads only when nobody does.** After the loop has sat
+//!   untouched for [`QUIET`], the `memkv-reactor` thread takes it: for
+//!   work nobody waits on (a window started and never waited for, a write
+//!   drain, a deadline) and for the idle poll that notices a quiet link
+//!   the server closed. It lets the loop go as soon as a caller turns up —
+//!   a command in the inbox or a parked follower — and waits for the next
+//!   quiet period.
 //!
 //! Per connection:
 //!
@@ -64,11 +87,11 @@ use std::net::{SocketAddr, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::thread::{JoinHandle, ThreadId};
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 
 use crate::client::AnswerHook;
 use crate::conn::{connect_nonblocking, Conn, TxQueue};
@@ -93,6 +116,13 @@ const MAX_BACKOFF: Duration = Duration::from_millis(500);
 /// to tens of milliseconds), and a connect cut short only doubles the
 /// backoff before the next attempt.
 const MIN_CONNECT_TIMEOUT: Duration = Duration::from_millis(50);
+/// How long the loop sits untouched before the `memkv-reactor` thread
+/// takes it. A caller between two requests of a busy stream is back well
+/// inside it, so the thread stays off the request path; it bounds how
+/// late a batch nobody waits on is answered, and how late a quiet link
+/// the server closed is noticed. The thread never spins instead: on two
+/// CPUs a polling thread takes the CPU the caller or a server needs.
+const QUIET: Duration = Duration::from_millis(2);
 
 /// Where [`pin_malloc_thresholds`] holds glibc's `M_MMAP_THRESHOLD` and
 /// `M_TRIM_THRESHOLD`: the top of the range its own dynamic adjustment
@@ -151,10 +181,14 @@ pub(crate) fn pin_malloc_thresholds() {
 /// by [`ReactorHandle::stats`] without synchronization beyond atomics.
 #[derive(Default)]
 struct ReactorStats {
-    /// `epoll_wait` returns (including pure command wakes).
+    /// Returns of an `epoll_wait` that was allowed to sleep (including
+    /// pure command wakes); a submit's non-sleeping turn is not one.
     wakeups: AtomicU64,
     /// Batches completed (delivered to a waiting caller), ok or err.
     completions: AtomicU64,
+    /// Waited-on batches whose answer a turn of the loop on the waiting
+    /// caller's own thread delivered: no thread hop.
+    inline_completions: AtomicU64,
     /// Loop iterations that delivered at least one completion. The ratio
     /// `completions / completion_batches` is the cross-server batching
     /// factor: how many callers one wake unblocks on average.
@@ -184,10 +218,14 @@ pub struct ReactorStatsSnapshot {
     /// Identity of the reactor these counters belong to. Clients sharing
     /// one reactor report the same id — dedup on it when aggregating.
     pub reactor_id: usize,
-    /// `epoll_wait` returns.
+    /// Returns of an `epoll_wait` that was allowed to sleep.
     pub wakeups: u64,
     /// Batches completed (ok or err).
     pub completions: u64,
+    /// Waited-on batches whose answer a turn of the loop on the waiting
+    /// caller's own thread delivered (no thread hop between socket and
+    /// caller).
+    pub inline_completions: u64,
     /// Loop iterations that delivered ≥ 1 completion.
     pub completion_batches: u64,
     /// Connections currently registered.
@@ -225,6 +263,7 @@ impl ReactorStats {
             reactor_id,
             wakeups: self.wakeups.load(Ordering::Relaxed),
             completions: self.completions.load(Ordering::Relaxed),
+            inline_completions: self.inline_completions.load(Ordering::Relaxed),
             completion_batches: self.completion_batches.load(Ordering::Relaxed),
             registered_connections: self.registered_connections.load(Ordering::Relaxed),
             timeouts: self.timeouts.load(Ordering::Relaxed),
@@ -239,10 +278,12 @@ impl ReactorStats {
 
 /// A slot the loop fills once and one caller empties: the completion of a
 /// batch, the reply to a registration. Filling it also runs the hook a
-/// caller left with [`OneShot::on_set`], on the filling thread.
+/// caller left with [`OneShot::on_set`], on the filling thread. A caller
+/// waits for it through [`Reactor::wait_for`], which runs the loop or
+/// parks beside it.
 struct OneShot<T> {
-    slot: Mutex<Option<T>>,
-    cv: Condvar,
+    /// The value, and the thread whose turn of the loop filled it.
+    slot: Mutex<Option<(T, ThreadId)>>,
     /// Filled once, and stays so after the value is taken.
     set: AtomicBool,
     hook: Mutex<Option<AnswerHook>>,
@@ -252,16 +293,14 @@ impl<T> OneShot<T> {
     fn new() -> Arc<OneShot<T>> {
         Arc::new(OneShot {
             slot: Mutex::new(None),
-            cv: Condvar::new(),
             set: AtomicBool::new(false),
             hook: Mutex::new(None),
         })
     }
 
     fn set(&self, value: T) {
-        *self.slot.lock() = Some(value);
+        *self.slot.lock() = Some((value, std::thread::current().id()));
         self.set.store(true, Ordering::SeqCst);
-        self.cv.notify_all();
         self.run_hook();
     }
 
@@ -284,28 +323,25 @@ impl<T> OneShot<T> {
         }
     }
 
-    fn wait(&self) -> T {
-        let mut slot = self.slot.lock();
-        loop {
-            if let Some(value) = slot.take() {
-                return value;
-            }
-            self.cv.wait(&mut slot);
-        }
+    /// The value, once filled and not yet taken, and the thread that
+    /// filled it.
+    fn take(&self) -> Option<(T, ThreadId)> {
+        self.slot.lock().take()
     }
 }
 
 /// Handle to one in-flight pipelined batch. [`PendingExchange::wait`]
-/// parks the caller until the reactor delivers the responses (or the
-/// failure) — this is the completion half of the split submit/completion
-/// path.
+/// returns once the reactor has delivered the responses (or the failure),
+/// running the loop on the caller's thread while nobody else does — this
+/// is the completion half of the split submit/completion path.
 pub(crate) struct PendingExchange {
     done: Arc<OneShot<KvResult<Vec<Response>>>>,
+    reactor: Arc<Reactor>,
 }
 
 impl PendingExchange {
     pub(crate) fn wait(self) -> KvResult<Vec<Response>> {
-        self.done.wait()
+        self.reactor.wait_for(&self.done)
     }
 
     /// A non-consuming readiness probe: `true` once the reactor has
@@ -411,14 +447,15 @@ enum Command {
     },
 }
 
-struct Inbox {
-    commands: Vec<Command>,
-    shutdown: bool,
-}
-
+/// What the loop shares with the threads that feed it.
 struct Shared {
     poller: Poller,
-    inbox: Mutex<Inbox>,
+    inbox: Mutex<Vec<Command>>,
+    /// Set when the last handle drops: the next turn fails everything
+    /// queued and reports the loop finished.
+    shutdown: AtomicBool,
+    /// Turns begun, by any thread: the quiet clock of the thread.
+    turns: AtomicU64,
     stats: ReactorStats,
 }
 
@@ -493,15 +530,192 @@ impl ConnState {
     }
 }
 
-struct HandleInner {
+/// The loop, and the threads taking turns at it. Holding `event_loop` is
+/// leading; `followers` and its two condvars are how the others wait.
+struct Reactor {
     shared: Arc<Shared>,
+    event_loop: Mutex<EventLoop>,
+    /// Callers parked in [`Reactor::wait_for`] while another thread leads.
+    followers: Mutex<usize>,
+    /// Followers park here: woken after a turn that delivered something,
+    /// and when a leader lets the loop go.
+    handoff: Condvar,
+    /// The thread parks here until the loop has sat untouched for
+    /// [`QUIET`], or the reactor shuts down.
+    quiet: Condvar,
+}
+
+/// One thread's hold on the loop. Dropping it lets the loop go and wakes
+/// the parked callers, one of which takes it over.
+struct Leader<'a> {
+    reactor: &'a Reactor,
+    /// `None` only inside `drop`, which must let the loop go before it
+    /// wakes the followers.
+    event_loop: Option<MutexGuard<'a, EventLoop>>,
+}
+
+impl Leader<'_> {
+    /// One turn of the loop; `sleep` lets it sleep in `epoll_wait` until
+    /// an event or the first timer. Whoever keeps leading after a turn
+    /// that `delivered` wakes the followers; letting the loop go does.
+    fn turn(&mut self, sleep: bool) -> Turned {
+        match self.event_loop.as_mut() {
+            Some(event_loop) => event_loop.turn(sleep),
+            None => Turned::default(),
+        }
+    }
+}
+
+impl Drop for Leader<'_> {
+    fn drop(&mut self) {
+        drop(self.event_loop.take());
+        self.reactor.wake_followers();
+    }
+}
+
+impl Reactor {
+    /// Take the loop if nobody holds it.
+    fn try_lead(&self) -> Option<Leader<'_>> {
+        let event_loop = self.event_loop.try_lock()?;
+        Some(Leader {
+            reactor: self,
+            event_loop: Some(event_loop),
+        })
+    }
+
+    fn wake_followers(&self) {
+        if *self.followers.lock() > 0 {
+            self.handoff.notify_all();
+        }
+    }
+
+    /// Hand `cmd` to the loop. When nobody leads, one turn that does not
+    /// sleep runs it here, on the caller's thread: a submit's frames go
+    /// out with no wake. Otherwise the leader is woken to run it.
+    fn command(&self, cmd: Command) {
+        self.shared.inbox.lock().push(cmd);
+        match self.try_lead() {
+            Some(mut leader) => {
+                leader.turn(false);
+            }
+            None => self.shared.poller.notify(),
+        }
+    }
+
+    /// Wait until `done` is filled, and take its value. While nobody else
+    /// leads, the caller runs the loop itself until its answer lands;
+    /// otherwise it parks until the leader delivers that answer or lets
+    /// the loop go.
+    fn wait_for<T>(&self, done: &OneShot<T>) -> T {
+        loop {
+            if let Some((value, filled_by)) = done.take() {
+                if filled_by == std::thread::current().id() {
+                    let stats = &self.shared.stats;
+                    stats.inline_completions.fetch_add(1, Ordering::Relaxed);
+                }
+                return value;
+            }
+            if let Some(mut leader) = self.try_lead().or_else(|| self.follow(done)) {
+                while !done.is_set() {
+                    let turned = leader.turn(true);
+                    if !turned.alive {
+                        // A loop that shut down has answered every batch.
+                        break;
+                    }
+                    // Once `done` is set the leader lets go, which wakes
+                    // them anyway.
+                    if turned.delivered && !done.is_set() {
+                        self.wake_followers();
+                    }
+                }
+            }
+        }
+    }
+
+    /// While another thread leads, park until it has delivered something
+    /// or let the loop go; take the loop if it is free by now.
+    fn follow<T>(&self, done: &OneShot<T>) -> Option<Leader<'_>> {
+        let mut followers = self.followers.lock();
+        // Checked under the lock: a leader fills `done`, or lets the loop
+        // go, before it takes the lock to wake the followers.
+        if done.is_set() {
+            return None;
+        }
+        if let Some(leader) = self.try_lead() {
+            return Some(leader);
+        }
+        *followers += 1;
+        self.handoff.wait(&mut followers);
+        *followers -= 1;
+        None
+    }
+
+    /// The `memkv-reactor` thread: it leads whenever the loop has sat
+    /// untouched for [`QUIET`], and lets it go as soon as a caller turns
+    /// up. Returns once the reactor has shut down.
+    fn run(&self) {
+        loop {
+            let mut leader = self.await_quiet();
+            loop {
+                let turned = leader.turn(true);
+                if !turned.alive {
+                    return;
+                }
+                if turned.commands || *self.followers.lock() > 0 {
+                    break;
+                }
+                if turned.delivered {
+                    self.wake_followers();
+                }
+            }
+        }
+    }
+
+    /// Park until nobody has turned the loop for [`QUIET`], then take it;
+    /// at shutdown, take it as soon as any leader lets it go, for the turn
+    /// that finishes the loop.
+    fn await_quiet(&self) -> Leader<'_> {
+        let mut lock = self.followers.lock();
+        let mut seen = self.shared.turns.load(Ordering::SeqCst);
+        loop {
+            let shutdown = self.shared.shutdown.load(Ordering::SeqCst);
+            if !shutdown {
+                let timed_out = self.quiet.wait_for(&mut lock, QUIET).timed_out();
+                let turns = self.shared.turns.load(Ordering::SeqCst);
+                let untouched = std::mem::replace(&mut seen, turns) == turns;
+                if !(timed_out && untouched) {
+                    continue;
+                }
+            }
+            match self.try_lead() {
+                Some(leader) => return leader,
+                // Shut down with a caller leading: its turn fails what is
+                // queued; the thread's own turn after it finishes.
+                None if shutdown => {
+                    self.quiet.wait_for(&mut lock, QUIET);
+                }
+                None => {}
+            }
+        }
+    }
+}
+
+struct HandleInner {
+    reactor: Arc<Reactor>,
     thread: Mutex<Option<JoinHandle<()>>>,
 }
 
 impl Drop for HandleInner {
     fn drop(&mut self) {
-        self.shared.inbox.lock().shutdown = true;
-        self.shared.poller.notify();
+        let reactor = &self.reactor;
+        reactor.shared.shutdown.store(true, Ordering::SeqCst);
+        reactor.shared.poller.notify();
+        {
+            // Under the lock, so the thread cannot miss it between its
+            // check of the flag and its park.
+            let _lock = reactor.followers.lock();
+            reactor.quiet.notify_all();
+        }
         if let Some(thread) = self.thread.lock().take() {
             let _ = thread.join();
         }
@@ -526,28 +740,24 @@ impl ReactorHandle {
     /// allocation history.
     pub fn new() -> KvResult<ReactorHandle> {
         pin_malloc_thresholds();
-        let poller = Poller::new()?;
-        let shared = Arc::new(Shared {
-            poller,
-            inbox: Mutex::new(Inbox {
-                commands: Vec::new(),
-                shutdown: false,
-            }),
-            stats: ReactorStats::default(),
+        let event_loop = EventLoop::new(Poller::new()?);
+        let reactor = Arc::new(Reactor {
+            shared: Arc::clone(&event_loop.shared),
+            event_loop: Mutex::new(event_loop),
+            followers: Mutex::new(0),
+            handoff: Condvar::new(),
+            quiet: Condvar::new(),
         });
-        let event_loop = EventLoop {
-            shared: Arc::clone(&shared),
-            conns: Vec::new(),
-            free: Vec::new(),
-            timers: BTreeSet::new(),
+        let thread = {
+            let reactor = Arc::clone(&reactor);
+            std::thread::Builder::new()
+                .name("memkv-reactor".into())
+                .spawn(move || reactor.run())
+                .map_err(KvError::Io)?
         };
-        let thread = std::thread::Builder::new()
-            .name("memkv-reactor".into())
-            .spawn(move || event_loop.run())
-            .map_err(KvError::Io)?;
         Ok(ReactorHandle {
             inner: Arc::new(HandleInner {
-                shared,
+                reactor,
                 thread: Mutex::new(Some(thread)),
             }),
         })
@@ -555,13 +765,12 @@ impl ReactorHandle {
 
     /// Current counters for this reactor.
     pub fn stats(&self) -> ReactorStatsSnapshot {
-        let shared = &self.inner.shared;
+        let shared = &self.inner.reactor.shared;
         shared.stats.snapshot(Arc::as_ptr(shared) as usize)
     }
 
-    fn command(&self, cmd: Command) {
-        self.inner.shared.inbox.lock().commands.push(cmd);
-        self.inner.shared.poller.notify();
+    fn reactor(&self) -> &Arc<Reactor> {
+        &self.inner.reactor
     }
 
     /// Adopt a pre-connected `stream` (switched to non-blocking inside the
@@ -573,7 +782,7 @@ impl ReactorHandle {
         timeout: Duration,
     ) -> KvResult<Registration> {
         let reply = OneShot::new();
-        self.command(Command::Register {
+        self.reactor().command(Command::Register {
             addr,
             stream,
             timeout,
@@ -581,7 +790,7 @@ impl ReactorHandle {
         });
         // The loop cannot shut down while this handle is alive, so the
         // reply always arrives.
-        let token = reply.wait().map_err(KvError::Io)?;
+        let token = self.reactor().wait_for(&reply).map_err(KvError::Io)?;
         Ok(Registration {
             handle: self.clone(),
             token,
@@ -605,7 +814,8 @@ impl Registration {
     }
 
     /// Queue one pre-encoded batch on the connection and return the
-    /// completion handle. Never blocks on the network.
+    /// completion handle. Never blocks on the network: when nobody runs
+    /// the loop, the frames are written from this thread.
     pub(crate) fn submit(
         &self,
         segments: Vec<Bytes>,
@@ -614,20 +824,24 @@ impl Registration {
     ) -> PendingExchange {
         let call = Exchange::new(segments, expect, idempotent, self.timeout);
         let done = Arc::clone(&call.done);
+        let reactor = self.handle.reactor();
         if expect == 0 {
             done.set(Ok(Vec::new()));
         } else {
             let conn = self.token;
-            self.handle.command(Command::Submit { conn, call });
+            reactor.command(Command::Submit { conn, call });
         }
-        PendingExchange { done }
+        PendingExchange {
+            done,
+            reactor: Arc::clone(reactor),
+        }
     }
 }
 
 impl Drop for Registration {
     fn drop(&mut self) {
-        self.handle
-            .command(Command::Deregister { token: self.token });
+        let token = self.token;
+        self.handle.reactor().command(Command::Deregister { token });
     }
 }
 
@@ -635,6 +849,18 @@ impl Drop for Registration {
 /// queue of batches).
 fn dup_io(err: &io::Error) -> io::Error {
     io::Error::new(err.kind(), err.to_string())
+}
+
+/// What one turn of the loop did.
+#[derive(Default)]
+struct Turned {
+    /// `false` once the reactor has shut down: every batch it held is
+    /// answered and the loop takes no more turns.
+    alive: bool,
+    /// The turn ran commands from the inbox: a caller is active.
+    commands: bool,
+    /// The turn delivered at least one completion or registration reply.
+    delivered: bool,
 }
 
 struct EventLoop {
@@ -647,31 +873,55 @@ struct EventLoop {
     /// timeouts — as its key, ordered by deadline. A slot arms at most one
     /// key per kind, so keys are unique.
     timers: BTreeSet<(Instant, usize, TimerKind)>,
+    /// What the last `epoll_wait` reported, reused by every turn.
+    events: Vec<(u64, u32)>,
 }
 
 impl EventLoop {
-    fn run(mut self) {
-        let mut events: Vec<(u64, u32)> = Vec::new();
-        while self.turn(&mut events) {}
+    fn new(poller: Poller) -> EventLoop {
+        EventLoop {
+            shared: Arc::new(Shared {
+                poller,
+                inbox: Mutex::new(Vec::new()),
+                shutdown: AtomicBool::new(false),
+                turns: AtomicU64::new(0),
+                stats: ReactorStats::default(),
+            }),
+            conns: Vec::new(),
+            free: Vec::new(),
+            timers: BTreeSet::new(),
+            events: Vec::new(),
+        }
     }
 
     /// One iteration: the inbox's commands, the timers that have expired,
-    /// then one `epoll_wait` — sleeping at most until the first timer
-    /// left — and its events. Returns `false` once the reactor shuts down.
-    fn turn(&mut self, events: &mut Vec<(u64, u32)>) -> bool {
+    /// then one `epoll_wait` and its events. With `sleep` the wait lasts
+    /// until an event or the first timer left — unless the commands or
+    /// timers already answered someone, whose caller must see it before
+    /// the loop sleeps; without, it only collects what is ready.
+    fn turn(&mut self, sleep: bool) -> Turned {
+        self.shared.turns.fetch_add(1, Ordering::SeqCst);
         // Completions delivered by this iteration — commands, expired
         // timers and socket events alike — count as one wake batch.
         let before = self.shared.stats.completions.load(Ordering::Relaxed);
-        let (commands, shutdown) = {
-            let mut inbox = self.shared.inbox.lock();
-            (std::mem::take(&mut inbox.commands), inbox.shutdown)
+        let commands = std::mem::take(&mut *self.shared.inbox.lock());
+        let mut turned = Turned {
+            alive: true,
+            commands: !commands.is_empty(),
+            delivered: commands
+                .iter()
+                .any(|cmd| matches!(cmd, Command::Register { .. })),
         };
         for cmd in commands {
             self.handle_command(cmd);
         }
-        if shutdown {
+        if self.shared.shutdown.load(Ordering::SeqCst) {
             self.abort_all();
-            return false;
+            return Turned {
+                alive: false,
+                delivered: true,
+                ..turned
+            };
         }
         let now = Instant::now();
         while let Some(&key) = self.timers.first().filter(|&&(at, ..)| at <= now) {
@@ -679,15 +929,22 @@ impl EventLoop {
             let (_, idx, kind) = key;
             self.handle_timer(idx, kind);
         }
-        let poll_timeout = self
-            .timers
-            .first()
-            .map(|&(at, ..)| at.saturating_duration_since(Instant::now()));
-        if self.shared.poller.wait(events, poll_timeout).is_err() {
-            // Transient poll failure: retry; timers still fire.
-            return true;
+        let answered =
+            turned.commands || self.shared.stats.completions.load(Ordering::Relaxed) > before;
+        let sleep = sleep && !answered;
+        let poll_timeout = match sleep {
+            true => self
+                .timers
+                .first()
+                .map(|&(at, ..)| at.saturating_duration_since(Instant::now())),
+            false => Some(Duration::ZERO),
+        };
+        let mut events = std::mem::take(&mut self.events);
+        // A failed poll is transient: the next turn retries, and timers
+        // still fire.
+        if self.shared.poller.wait(&mut events, poll_timeout).is_ok() && sleep {
+            self.shared.stats.wakeups.fetch_add(1, Ordering::Relaxed);
         }
-        self.shared.stats.wakeups.fetch_add(1, Ordering::Relaxed);
         for &(token, ev) in events.iter() {
             if token == WAKE_TOKEN {
                 self.shared.poller.drain_wake();
@@ -719,14 +976,15 @@ impl EventLoop {
                 self.flush_conn(idx);
             }
         }
-        let delivered = self.shared.stats.completions.load(Ordering::Relaxed) - before;
-        if delivered > 0 {
+        self.events = events;
+        if self.shared.stats.completions.load(Ordering::Relaxed) > before {
+            turned.delivered = true;
             self.shared
                 .stats
                 .completion_batches
                 .fetch_add(1, Ordering::Relaxed);
         }
-        true
+        turned
     }
 
     fn handle_command(&mut self, cmd: Command) {
@@ -774,10 +1032,12 @@ impl EventLoop {
             TimerKind::Deadline => {
                 self.conns[idx].deadline_timer = None;
                 // The key was the front's own deadline, and it has passed.
-                let front = self.conns[idx]
-                    .queue
-                    .pop_front()
-                    .expect("a deadline key is armed only for a queue front");
+                // A deadline key is armed only for a queue front and
+                // removed with it, so an empty queue has nothing to time
+                // out.
+                let Some(front) = self.conns[idx].queue.pop_front() else {
+                    return;
+                };
                 let after = self.conns[idx].timeout;
                 // Count and sever before delivering: a caller that observed
                 // the Timeout error must also observe the counter and the
@@ -940,10 +1200,11 @@ impl EventLoop {
         };
         match stream.take_error() {
             Ok(None) => {
-                let stream = self
-                    .teardown_connecting(idx)
-                    .expect("link checked Connecting");
-                self.connect_succeeded(idx, stream);
+                // The link was checked `Connecting` above, so teardown
+                // hands the socket back.
+                if let Some(stream) = self.teardown_connecting(idx) {
+                    self.connect_succeeded(idx, stream);
+                }
             }
             Ok(Some(err)) | Err(err) => self.connect_failed(idx, err),
         }
@@ -984,11 +1245,12 @@ impl EventLoop {
         if let Some(key) = self.conns[idx].connect_timer.take() {
             self.timers.remove(&key);
         }
-        if !matches!(self.conns[idx].link, Link::Connecting(_)) {
-            return None;
-        }
-        let Link::Connecting(fd) = std::mem::replace(&mut self.conns[idx].link, Link::Down) else {
-            unreachable!("link checked above");
+        let fd = match std::mem::replace(&mut self.conns[idx].link, Link::Down) {
+            Link::Connecting(fd) => fd,
+            other => {
+                self.conns[idx].link = other;
+                return None;
+            }
         };
         let _ = self.shared.poller.delete(fd.as_raw_fd());
         self.shared
@@ -1114,8 +1376,11 @@ impl EventLoop {
                 Ok(None) => break Ok(()),
                 Ok(Some(resp)) => {
                     front.got.push(resp);
-                    if front.got.len() == front.expect {
-                        let ex = state.queue.pop_front().expect("front exists");
+                    if front.got.len() < front.expect {
+                        continue;
+                    }
+                    // The front just took its last reply.
+                    if let Some(ex) = state.queue.pop_front() {
                         ex.finish_ok(&self.shared.stats);
                         front_changed = true;
                     }
@@ -1353,7 +1618,7 @@ mod tests {
             timeout: TIMEOUT,
             reply: Arc::clone(&reply),
         });
-        reply.wait().unwrap()
+        reply.take().unwrap().0.unwrap()
     }
 
     /// Queue a `version` batch on `conn` with `timeout`; returns its
@@ -1372,29 +1637,15 @@ mod tests {
     /// A loop that runs on the test's own thread, so its state can be
     /// read and set between turns.
     fn inline_loop() -> EventLoop {
-        let shared = Arc::new(Shared {
-            poller: Poller::new().unwrap(),
-            inbox: Mutex::new(Inbox {
-                commands: Vec::new(),
-                shutdown: false,
-            }),
-            stats: ReactorStats::default(),
-        });
-        EventLoop {
-            shared,
-            conns: Vec::new(),
-            free: Vec::new(),
-            timers: BTreeSet::new(),
-        }
+        EventLoop::new(Poller::new().unwrap())
     }
 
     /// Turn `ev` until `done` is filled.
     fn turn_until_set(ev: &mut EventLoop, done: &OneShot<KvResult<Vec<Response>>>) {
-        let mut events = Vec::new();
         let deadline = Instant::now() + TIMEOUT;
         while !done.is_set() {
             assert!(Instant::now() < deadline, "the batch never completed");
-            ev.turn(&mut events);
+            ev.turn(true);
         }
     }
 
@@ -1416,7 +1667,7 @@ mod tests {
         assert_eq!(kinds, [TimerKind::Deadline], "slot {old}");
 
         ev.handle_command(Command::Deregister { token: old });
-        assert!(matches!(stalled.wait(), Err(KvError::Io(_))));
+        assert!(matches!(stalled.take(), Some((Err(KvError::Io(_)), _))));
         let left: Vec<_> = ev.timers.iter().filter(|k| k.1 == old).collect();
         assert!(
             left.is_empty(),
@@ -1432,7 +1683,7 @@ mod tests {
         assert_eq!(reused, old, "the freed slot is reused");
         let fresh = version_on(&mut ev, reused, TIMEOUT);
         turn_until_set(&mut ev, &fresh);
-        let replies = fresh.wait().unwrap();
+        let replies = fresh.take().unwrap().0.unwrap();
         assert!(matches!(replies[..], [Response::Version(_)]), "{replies:?}");
         assert_eq!(ev.shared.stats.timeouts.load(Ordering::Relaxed), 0);
         ev.abort_all();
@@ -1451,7 +1702,7 @@ mod tests {
         // The first submit dials, is refused, and starts the backoff.
         let refused = version_on(&mut ev, idx, TIMEOUT);
         turn_until_set(&mut ev, &refused);
-        assert!(matches!(refused.wait(), Err(KvError::Io(_))));
+        assert!(matches!(refused.take(), Some((Err(KvError::Io(_)), _))));
         assert_eq!(reconnects(&ev), 1);
         assert!(
             ev.conns[idx].retry_at.is_some(),
@@ -1463,7 +1714,7 @@ mod tests {
         ev.conns[idx].retry_at = Some(Instant::now() + TIMEOUT);
         let skipped = version_on(&mut ev, idx, TIMEOUT);
         assert!(skipped.is_set(), "a submit waited out the backoff");
-        assert!(matches!(skipped.wait(), Err(KvError::Io(_))));
+        assert!(matches!(skipped.take(), Some((Err(KvError::Io(_)), _))));
         assert_eq!(reconnects(&ev), 1);
         assert!(ev.timers.is_empty(), "{:?}", ev.timers);
 
@@ -1472,7 +1723,7 @@ mod tests {
         let redial = version_on(&mut ev, idx, TIMEOUT);
         assert_eq!(reconnects(&ev), 2);
         turn_until_set(&mut ev, &redial);
-        assert!(matches!(redial.wait(), Err(KvError::Io(_))));
+        assert!(matches!(redial.take(), Some((Err(KvError::Io(_)), _))));
         ev.abort_all();
     }
 }

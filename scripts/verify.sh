@@ -44,7 +44,9 @@
 # refusal, verdict ordering) and the connection's (receive buffer, send queue,
 # both parsers through one buffer), the tail-ACK census (large GET responses are ACKed
 # without the kernel's delayed-ACK timer) and the stall/kill isolation
-# suites, plus the self-healing repair and elastic-membership suites:
+# suites with the two-caller test (a caller waiting on a stalled server
+# runs the shared loop; another caller's answers must still reach it at
+# once), plus the self-healing repair and elastic-membership suites:
 # the repair pass's units, the
 # membership property tests, the 8-server kill/heal/second-kill soak,
 # and the grow-mid-workload kill-during-migration chaos cycle. The
@@ -432,6 +434,11 @@ for arg in "$@"; do
             # tail_ack reads the namespace-wide TcpExt DelayedACKs
             # counter: own binary, one test, nothing else talking TCP.
             cargo test -q --test tail_ack
+            # The shared loop under load: stall/kill isolation, two callers
+            # on one loop (one waits on a stalled server while the other's
+            # answers must reach it at once), answers delivered on the
+            # waiting caller's own thread, and a batch nobody waits on
+            # answered by the reactor thread.
             RUST_TEST_THREADS=16 cargo test -q --test shared_reactor
             # Self-healing + elastic membership: the repair pass and
             # daemon units, scan-as-census failure detection (stalled,

@@ -10,6 +10,7 @@
 use std::fmt;
 use std::ops::{Deref, DerefMut};
 use std::sync;
+use std::time::Duration;
 
 /// Mutual exclusion with infallible locking.
 pub struct Mutex<T: ?Sized> {
@@ -105,6 +106,21 @@ impl Condvar {
         guard.guard = Some(inner);
     }
 
+    /// As [`Condvar::wait`], but giving up after `timeout`.
+    pub fn wait_for<T>(
+        &self,
+        guard: &mut MutexGuard<'_, T>,
+        timeout: Duration,
+    ) -> WaitTimeoutResult {
+        let inner = guard.guard.take().expect("guard present before wait");
+        let (inner, result) = self
+            .inner
+            .wait_timeout(inner, timeout)
+            .unwrap_or_else(|e| e.into_inner());
+        guard.guard = Some(inner);
+        WaitTimeoutResult(result.timed_out())
+    }
+
     /// Wake one waiter.
     pub fn notify_one(&self) {
         self.inner.notify_one();
@@ -113,6 +129,17 @@ impl Condvar {
     /// Wake all waiters.
     pub fn notify_all(&self) {
         self.inner.notify_all();
+    }
+}
+
+/// Whether a [`Condvar::wait_for`] returned because its timeout ran out.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WaitTimeoutResult(bool);
+
+impl WaitTimeoutResult {
+    /// The wait ended by timeout, not by a notification.
+    pub fn timed_out(self) -> bool {
+        self.0
     }
 }
 
@@ -223,6 +250,15 @@ mod tests {
         drop(done);
         t.join().unwrap();
         assert!(*m.lock());
+    }
+
+    #[test]
+    fn wait_for_times_out_without_a_notification() {
+        let (m, cv) = (Mutex::new(()), Condvar::new());
+        let mut guard = m.lock();
+        assert!(cv
+            .wait_for(&mut guard, Duration::from_millis(1))
+            .timed_out());
     }
 
     #[test]

@@ -1,17 +1,20 @@
 //! Behavior of the shared per-mount reactor under a shaped cluster:
-//! one bad server must not wedge the one loop everyone multiplexes on,
+//! one bad server must not wedge the one loop everyone multiplexes on —
+//! nor a caller whose answer lands while another caller runs that loop —
 //! and the loop's counters ([`memfs::memkv::ReactorStatsSnapshot`], via
 //! `ServerPool::reactor_stats`) must describe what actually happened —
-//! wakeups, cross-server completion batches, registered connections,
-//! timeouts, reconnects.
+//! wakeups, cross-server completion batches, answers delivered on the
+//! waiting caller's own thread, registered connections, timeouts,
+//! reconnects.
 
+use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use memfs::memfs_core::{DistributorKind, MemFsError, ServerPool};
 use memfs::memkv::net::{KvServer, PoolConfig, TcpClient};
-use memfs::memkv::{KvClient, KvError, ReactorHandle, Store, StoreConfig};
+use memfs::memkv::{Batch, KvClient, KvError, ReactorHandle, Store, StoreConfig};
 use memfs_testkit::{Shape, ShapedCluster, ShapedProxy};
 
 const N: usize = 8;
@@ -292,4 +295,107 @@ fn connect_refused_storm_surfaces_errors_and_backs_off() {
         wakeups < 20_000,
         "loop ran hot during backoff: {wakeups} wakeups for {STORM} requests"
     );
+}
+
+/// Two callers on one loop: caller A waits on a stalled server, and so
+/// runs the loop (or parks beside whoever does) for its whole timeout.
+/// Caller B's answers from healthy servers land meanwhile, and each must
+/// reach B at once — not when A's own answer, or its timeout, comes.
+#[test]
+fn a_caller_is_answered_while_another_waits_on_a_stalled_server() {
+    let cluster = ShapedCluster::spawn(4, Shape::clean());
+    let timeout = Duration::from_millis(400);
+    let clients = cluster.clients(PoolConfig { timeout });
+    for (i, client) in clients.iter().enumerate() {
+        client
+            .set(format!("k{i}").as_bytes(), Bytes::from_static(b"v"))
+            .unwrap();
+    }
+    let stalled = 0;
+    cluster.proxy(stalled).stall();
+
+    let sent = || clients[stalled].reactor_stats().unwrap().bytes_tx;
+    let before = sent();
+    let (waiting, a_waits) = mpsc::channel();
+    let a = {
+        let client = Arc::clone(&clients[stalled]);
+        std::thread::spawn(move || {
+            waiting.send(()).unwrap();
+            let start = Instant::now();
+            let got = client.get(b"k0");
+            (got, start.elapsed())
+        })
+    };
+    a_waits.recv().unwrap();
+    // B starts once A's request is on the wire.
+    while sent() == before {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let mut slowest = Duration::ZERO;
+    let mut answered = 0;
+    while !a.is_finished() {
+        for (i, client) in clients.iter().enumerate().skip(1) {
+            let start = Instant::now();
+            assert_eq!(client.get(format!("k{i}").as_bytes()).unwrap(), &b"v"[..]);
+            slowest = slowest.max(start.elapsed());
+            answered += 1;
+        }
+    }
+    let (got, a_waited) = a.join().unwrap();
+    assert!(
+        matches!(got, Err(KvError::Timeout { .. })),
+        "the stalled server answered: {got:?}"
+    );
+    assert!(a_waited >= timeout, "A timed out early: {a_waited:?}");
+    assert!(
+        answered >= 10,
+        "B was answered only {answered} times while A waited {a_waited:?}"
+    );
+    assert!(
+        slowest < timeout / 2,
+        "one of B's gets waited {slowest:?}, as if for A's answer"
+    );
+}
+
+/// A caller waiting on its own request runs the loop itself: on a quiet
+/// loop, its answers are read and delivered on its own thread, with no
+/// hand-off from the reactor thread.
+#[test]
+fn sequential_gets_on_a_quiet_loop_are_delivered_on_the_callers_thread() {
+    const GETS: u64 = 1000;
+    let server = KvServer::spawn(Arc::new(Store::new(StoreConfig::default())), "127.0.0.1:0")
+        .expect("bind storage server");
+    let client = TcpClient::connect(server.addr()).expect("connect");
+    client.set(b"k", Bytes::from(vec![1u8; 64])).unwrap();
+    let before = client.reactor_stats();
+    for _ in 0..GETS {
+        assert_eq!(client.get(b"k").unwrap().len(), 64);
+    }
+    let after = client.reactor_stats();
+    let inline = after.inline_completions - before.inline_completions;
+    assert_eq!(after.completions - before.completions, GETS);
+    assert!(
+        inline * 100 >= GETS * 95,
+        "only {inline} of {GETS} answers were delivered on the caller's thread: {after:?}"
+    );
+}
+
+/// A batch nobody waits on still completes: once the loop has sat
+/// untouched for a moment, the reactor thread runs it.
+#[test]
+fn a_batch_never_waited_on_is_answered_by_the_reactor_thread() {
+    let server = KvServer::spawn(Arc::new(Store::new(StoreConfig::default())), "127.0.0.1:0")
+        .expect("bind storage server");
+    let client = TcpClient::connect(server.addr()).expect("connect");
+    let keys = [Bytes::from_static(b"absent")];
+    let start = Instant::now();
+    let pending = client.start(Batch::Get(&keys));
+    while !pending.is_ready() {
+        assert!(
+            start.elapsed() < Duration::from_millis(50),
+            "a batch nobody waits on was not answered within 50 ms"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert!(pending.wait().unwrap()[0].is_err(), "absent key was found");
 }
