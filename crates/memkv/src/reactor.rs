@@ -117,11 +117,14 @@ const MAX_BACKOFF: Duration = Duration::from_millis(500);
 /// backoff before the next attempt.
 const MIN_CONNECT_TIMEOUT: Duration = Duration::from_millis(50);
 /// How long the loop sits untouched before the `memkv-reactor` thread
-/// takes it. A caller between two requests of a busy stream is back well
-/// inside it, so the thread stays off the request path; it bounds how
-/// late a batch nobody waits on is answered, and how late a quiet link
-/// the server closed is noticed. The thread never spins instead: on two
-/// CPUs a polling thread takes the CPU the caller or a server needs.
+/// takes it. It bounds how late a batch nobody waits on is answered, and
+/// how late a quiet link the server closed is noticed. Measured on the
+/// four benchmark workloads (DESIGN.md §4b), 2 ms keeps the thread off
+/// the request path: it takes the loop 3–44 times in an 18 s run and
+/// answers at most 17 batches; at 200 µs it took `montage_mix`'s loop
+/// 3846 times, and 20 ms saves only those few takings at ten times the
+/// delay. The thread never spins instead: on two CPUs a polling thread
+/// takes the CPU the caller or a server needs.
 const QUIET: Duration = Duration::from_millis(2);
 
 /// Where [`pin_malloc_thresholds`] holds glibc's `M_MMAP_THRESHOLD` and
@@ -181,14 +184,19 @@ pub(crate) fn pin_malloc_thresholds() {
 /// by [`ReactorHandle::stats`] without synchronization beyond atomics.
 #[derive(Default)]
 struct ReactorStats {
-    /// Returns of an `epoll_wait` that was allowed to sleep (including
-    /// pure command wakes); a submit's non-sleeping turn is not one.
+    /// `epoll_wait` returns — one per turn of the loop, on any thread,
+    /// including a submit's turn that does not sleep.
     wakeups: AtomicU64,
     /// Batches completed (delivered to a waiting caller), ok or err.
     completions: AtomicU64,
     /// Waited-on batches whose answer a turn of the loop on the waiting
     /// caller's own thread delivered: no thread hop.
     inline_completions: AtomicU64,
+    /// Times the `memkv-reactor` thread took the loop after it sat
+    /// untouched for [`QUIET`].
+    thread_leads: AtomicU64,
+    /// Batches completed by turns of the `memkv-reactor` thread.
+    thread_completions: AtomicU64,
     /// Loop iterations that delivered at least one completion. The ratio
     /// `completions / completion_batches` is the cross-server batching
     /// factor: how many callers one wake unblocks on average.
@@ -218,7 +226,7 @@ pub struct ReactorStatsSnapshot {
     /// Identity of the reactor these counters belong to. Clients sharing
     /// one reactor report the same id — dedup on it when aggregating.
     pub reactor_id: usize,
-    /// Returns of an `epoll_wait` that was allowed to sleep.
+    /// `epoll_wait` returns (one per turn of the loop).
     pub wakeups: u64,
     /// Batches completed (ok or err).
     pub completions: u64,
@@ -226,6 +234,11 @@ pub struct ReactorStatsSnapshot {
     /// caller's own thread delivered (no thread hop between socket and
     /// caller).
     pub inline_completions: u64,
+    /// Times the `memkv-reactor` thread took the loop after a quiet
+    /// period.
+    pub thread_leads: u64,
+    /// Batches completed by turns of the `memkv-reactor` thread.
+    pub thread_completions: u64,
     /// Loop iterations that delivered ≥ 1 completion.
     pub completion_batches: u64,
     /// Connections currently registered.
@@ -264,6 +277,8 @@ impl ReactorStats {
             wakeups: self.wakeups.load(Ordering::Relaxed),
             completions: self.completions.load(Ordering::Relaxed),
             inline_completions: self.inline_completions.load(Ordering::Relaxed),
+            thread_leads: self.thread_leads.load(Ordering::Relaxed),
+            thread_completions: self.thread_completions.load(Ordering::Relaxed),
             completion_batches: self.completion_batches.load(Ordering::Relaxed),
             registered_connections: self.registered_connections.load(Ordering::Relaxed),
             timeouts: self.timeouts.load(Ordering::Relaxed),
@@ -654,10 +669,17 @@ impl Reactor {
     /// untouched for [`QUIET`], and lets it go as soon as a caller turns
     /// up. Returns once the reactor has shut down.
     fn run(&self) {
+        let stats = &self.shared.stats;
         loop {
             let mut leader = self.await_quiet();
+            stats.thread_leads.fetch_add(1, Ordering::Relaxed);
             loop {
+                let before = stats.completions.load(Ordering::Relaxed);
                 let turned = leader.turn(true);
+                let delivered = stats.completions.load(Ordering::Relaxed) - before;
+                stats
+                    .thread_completions
+                    .fetch_add(delivered, Ordering::Relaxed);
                 if !turned.alive {
                     return;
                 }
@@ -942,7 +964,7 @@ impl EventLoop {
         let mut events = std::mem::take(&mut self.events);
         // A failed poll is transient: the next turn retries, and timers
         // still fire.
-        if self.shared.poller.wait(&mut events, poll_timeout).is_ok() && sleep {
+        if self.shared.poller.wait(&mut events, poll_timeout).is_ok() {
             self.shared.stats.wakeups.fetch_add(1, Ordering::Relaxed);
         }
         for &(token, ev) in events.iter() {

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Alternating pairs of benchmark runs: a base revision against the working
-# tree, judged row by row.
+# tree.
 #
-#   scripts/pair.sh <rev> [--pairs N] [--workload W] [--aa]
-#                         [--seconds S] [--seed S0] [--out FILE]
+#   scripts/pair.sh <rev> [--pairs N] [--workload W] [--aa] [--seed S0]
+#                         [--out FILE]
 #
 # The base side is <rev>, exported with `git archive`; the change side is
 # the working tree as it stands (tracked and untracked files that git does
@@ -14,18 +14,21 @@
 # Pair i runs both sides on seed S0+i (default S0 = 1), base first on even
 # i and change first on odd i: whichever side runs first tends to win by a
 # few percent. A run is benchmark/run.sh's one-run form (--workload W --seed
-# N --seconds S --trace 0, S = 18 by default); its last stdout line is the
-# result. Without --workload every workload of BENCHMARK.json is paired.
+# N --trace 0, at the benchmark's own run length); its last stdout line is
+# the result. Without --workload every workload of BENCHMARK.json is paired.
 #
-# FILE (default bench_history/pair.json) holds, for every end-to-end
-# metric a workload reports: each side's median and quartiles, the ratio
-# of the medians (change / base), the pairs the change won and lost, and
-# a verdict — `better` or `worse` when at least 9 in 10 pairs go that way
-# and the medians differ by more than the base's interquartile range, else
-# `same` — plus whether the median moved worse than the metric's bound.
-# Failed operations are summed per side. Nothing else runs while a pair
-# does: the client and the servers are pinned one CPU each. Needs bash,
-# git and python3 (standard library only).
+# The pairs are judged twice:
+#   * against the bounds: each side's runs are written in the suite's
+#     result shape (target/pair/base.json, change.json) and judged by
+#     `benchmark/run.sh compare` — each metric's bound, the `unresolved`
+#     rule for a spread wider than the bound, and failed operations;
+#   * for a gain: per pair, whether the change won or lost, and `gain` when
+#     it won at least 9 in 10 pairs and its median beats the base's by more
+#     than the base's interquartile range.
+# FILE (default bench_history/pair.json) holds both, with each side's runs,
+# medians and quartiles. Nothing else runs while a pair does: the client
+# and the servers are pinned one CPU each. Needs bash, git and python3
+# (standard library only).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 root=$PWD
@@ -40,7 +43,6 @@ rev=""
 pairs=5
 workloads=()
 aa=0
-seconds=18
 seed0=1
 out="bench_history/pair.json"
 while (($#)); do
@@ -48,7 +50,6 @@ while (($#)); do
     --pairs) pairs=$2; shift 2 ;;
     --workload) workloads+=("$2"); shift 2 ;;
     --aa) aa=1; shift ;;
-    --seconds) seconds=$2; shift 2 ;;
     --seed) seed0=$2; shift 2 ;;
     --out) out=$2; shift 2 ;;
     -h | --help) usage ;;
@@ -60,7 +61,7 @@ done
 base_rev=$(git rev-parse --verify "$rev^{commit}")
 if ((${#workloads[@]} == 0)); then
     mapfile -t workloads < <(python3 -c '
-import json, sys
+import json
 for w in json.load(open("BENCHMARK.json"))["workloads"]:
     print(w["name"])')
 fi
@@ -90,7 +91,7 @@ run_side() {
     local log="$work/runs/$workload-$seed-$side.log"
     echo "  $side  $workload seed $seed" >&2
     (cd "${dir[$side]}" && CARGO_TARGET_DIR="${target[$side]}" bash benchmark/run.sh \
-        --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0) >"$log" 2>&1 ||
+        --workload "$workload" --seed "$seed" --trace 0) >"$log" 2>&1 ||
         echo "  ($side $workload seed $seed exited non-zero; see $log)" >&2
     tail -n 1 "$log" >"$work/runs/$workload-$seed-$side.json"
 }
@@ -111,22 +112,57 @@ for ((i = 0; i < pairs; i++)); do
     done
 done
 
+# Each side's runs in the suite's result shape: the pairs both sides
+# finished, in pair order.
+python3 - "$work" "$pairs" "$seed0" "${workloads[@]}" <<'EOF'
+import json, sys
+
+work, pairs, seed0 = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
+sets = {"base": {}, "change": {}}
+for workload in sys.argv[4:]:
+    whole = []
+    for seed in range(seed0, seed0 + pairs):
+        try:
+            whole.append(tuple(json.load(open(f"{work}/runs/{workload}-{seed}-{side}.json"))
+                               for side in ("base", "change")))
+        except (OSError, ValueError):
+            print(f"  pair on seed {seed} of {workload} is incomplete; left out", file=sys.stderr)
+    for k, side in enumerate(("base", "change")):
+        runs = [pair[k] for pair in whole]
+        names = runs[0]["metrics"] if runs else {}
+        sets[side][workload] = {
+            "failed": sum(r["failed"] for r in runs),
+            "end_to_end": {m: {"values": [r["metrics"][m]["value"] for r in runs]}
+                           for m in names},
+        }
+for side, workloads in sets.items():
+    with open(f"{work}/{side}.json", "w") as f:
+        json.dump({"workloads": workloads}, f)
+EOF
+
 mkdir -p "$(dirname "$out")"
-python3 - "$work/runs" "$out" "$base_rev" "$aa" "$pairs" "$seed0" "$seconds" "${workloads[@]}" <<'EOF'
+status=0
+(cd "$work/base" && CARGO_TARGET_DIR="$work/base-target" bash benchmark/run.sh compare \
+    "$work/base.json" "$work/change.json") >"$work/compare.txt" 2>&1 || status=$?
+cat "$work/compare.txt"
+((status <= 1)) || { echo "pair.sh: run.sh compare failed" >&2; exit 1; }
+
+python3 - "$work" "$out" "$base_rev" "$aa" "$pairs" "$seed0" "$status" <<'EOF'
 import json, statistics, sys
 
-runs, out, base_rev, aa, pairs, seed0, seconds = sys.argv[1:8]
-workloads = sys.argv[8:]
+work, out, base_rev, aa, pairs, seed0, status = sys.argv[1:8]
 pairs, seed0 = int(pairs), int(seed0)
-manifest = json.load(open("BENCHMARK.json"))
-metrics = {m["name"]: m for m in manifest["end_to_end"]}
+better = {m["name"]: m["better"] for m in json.load(open("BENCHMARK.json"))["end_to_end"]}
+sets = {side: json.load(open(f"{work}/{side}.json"))["workloads"] for side in ("base", "change")}
 
-
-def load(workload, seed, side):
-    try:
-        return json.load(open(f"{runs}/{workload}-{seed}-{side}.json"))
-    except (OSError, ValueError):
-        return None
+# `run.sh compare`'s rows: workload, metric, A and B medians, change, spread,
+# bound, verdict.
+bounds = {}
+for line in open(f"{work}/compare.txt"):
+    cols = line.split()
+    if len(cols) == 8 and cols[1] in better:
+        bounds[(cols[0], cols[1])] = {"change": cols[4], "spread": cols[5],
+                                      "verdict": cols[7]}
 
 
 def quartiles(xs):
@@ -142,63 +178,50 @@ report = {
     "aa": aa == "1",
     "pairs": pairs,
     "seeds": [seed0, seed0 + pairs - 1],
-    "seconds": float(seconds),
     "order": "base first on even pairs, change first on odd",
+    "within_bounds": status == "0",
     "workloads": {},
 }
-for workload in workloads:
-    results = [(load(workload, seed0 + i, "base"), load(workload, seed0 + i, "change"))
-               for i in range(pairs)]
-    whole = [(b, c) for b, c in results if b and c]
-    ops = {side: {"attempted": sum(r[k]["attempted"] for r in whole),
-                  "failed": sum(r[k]["failed"] for r in whole)}
-           for k, side in ((0, "base"), (1, "change"))}
+for workload, b in sets["base"].items():
+    c = sets["change"][workload]
     rows = {}
-    for name, m in metrics.items():
-        pairs_seen = [(b["metrics"][name]["value"], c["metrics"][name]["value"])
-                      for b, c in whole if name in b["metrics"] and name in c["metrics"]]
-        if not pairs_seen or all(b == 0 and c == 0 for b, c in pairs_seen):
+    for name in [m for m in better if m in b["end_to_end"]]:
+        base = b["end_to_end"][name]["values"]
+        change = c["end_to_end"][name]["values"]
+        if not base or all(x == 0 for x in base + change):
             continue
-        higher = m["better"] == "higher"
-        base = [b for b, _ in pairs_seen]
-        change = [c for _, c in pairs_seen]
-        won = sum((c > b) if higher else (c < b) for b, c in pairs_seen)
-        lost = sum((c < b) if higher else (c > b) for b, c in pairs_seen)
+        higher = better[name] == "higher"
+        won = sum((y > x) if higher else (y < x) for x, y in zip(base, change))
+        lost = sum((y < x) if higher else (y > x) for x, y in zip(base, change))
         bm, cm = statistics.median(base), statistics.median(change)
         bq, cq = quartiles(base), quartiles(change)
-        iqr = bq[1] - bq[0]
-        gain = (cm - bm) if higher else (bm - cm)
-        need = -(-9 * len(pairs_seen) // 10)
-        verdict = "same"
-        if won >= need and gain > iqr:
-            verdict = "better"
-        elif lost >= need and -gain > iqr:
-            verdict = "worse"
-        ratio = cm / bm if bm else None
-        worse_by = None if ratio is None else ((1 - ratio) if higher else (ratio - 1))
+        beats_by = (cm - bm) if higher else (bm - cm)
         rows[name] = {
-            "unit": m["unit"],
-            "better": m["better"],
+            "better": better[name],
             "base": {"median": bm, "q1": bq[0], "q3": bq[1], "runs": base},
             "change": {"median": cm, "q1": cq[0], "q3": cq[1], "runs": change},
-            "ratio": ratio,
+            "ratio": cm / bm if bm else None,
             "won": won,
             "lost": lost,
-            "of": len(pairs_seen),
-            "verdict": verdict,
-            "past_bound": worse_by is not None and worse_by > m["bound"],
+            "of": len(base),
+            "gain": won >= -(-9 * len(base) // 10) and beats_by > bq[1] - bq[0],
+            "bound": bounds.get((workload, name)),
         }
-    report["workloads"][workload] = {"ops": ops, "rows": rows}
+    report["workloads"][workload] = {
+        "failed": {"base": b["failed"], "change": c["failed"]},
+        "rows": rows,
+    }
 
 with open(out, "w") as f:
     json.dump(report, f, indent=1)
     f.write("\n")
+print()
 for workload, w in report["workloads"].items():
-    print(f"{workload}: failed ops base {w['ops']['base']['failed']}, change {w['ops']['change']['failed']}")
+    print(f"{workload}: pairs won by the change, and gains (>= 9 in 10, beyond the base's IQR)")
     for name, r in w["rows"].items():
         ratio = "n/a" if r["ratio"] is None else f"{r['ratio']:.3f}"
-        flag = "  PAST BOUND" if r["past_bound"] else ""
-        print(f"  {name:16} base {r['base']['median']:12.2f}  change {r['change']['median']:12.2f}"
-              f"  ratio {ratio}  won {r['won']}/{r['of']}  {r['verdict']}{flag}")
+        print(f"  {name:24} ratio {ratio}  won {r['won']}/{r['of']}  lost {r['lost']}"
+              f"{'  GAIN' if r['gain'] else ''}")
+print(f"bounds: {'no row worse' if status == '0' else 'a row is worse, or failed more ops'}")
 print(f"wrote {out}")
 EOF

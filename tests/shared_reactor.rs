@@ -398,4 +398,16 @@ fn a_batch_never_waited_on_is_answered_by_the_reactor_thread() {
         std::thread::sleep(Duration::from_millis(1));
     }
     assert!(pending.wait().unwrap()[0].is_err(), "absent key was found");
+    // The thread adds its turn's answers to its counter once the turn is
+    // over, just after the answer itself is visible.
+    let counted = Instant::now();
+    let mut stats = client.reactor_stats();
+    while stats.thread_completions == 0 && counted.elapsed() < Duration::from_secs(1) {
+        std::thread::sleep(Duration::from_millis(1));
+        stats = client.reactor_stats();
+    }
+    assert!(
+        stats.thread_leads >= 1 && stats.thread_completions >= 1,
+        "the answer did not come from the reactor thread: {stats:?}"
+    );
 }
