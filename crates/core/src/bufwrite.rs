@@ -34,6 +34,12 @@ use crate::pool::{ServerPool, Window};
 /// A started batch of stripes and how many stripes it carries.
 type Drain = (usize, Window<(Bytes, Bytes)>);
 
+/// Completed stripes per drain, clamped to the in-flight budget. Each
+/// drain groups its stripes by owning server and sends one pipelined
+/// batch per server, so 8 × 512 KiB amortizes the round trip while
+/// leaving half of the default 16-stripe write buffer free to refill.
+const DRAIN_BATCH_STRIPES: usize = 8;
+
 /// A buffered, striped writer for one file.
 pub struct WriteBuffer {
     path: String,
@@ -66,16 +72,15 @@ impl WriteBuffer {
     /// at most `max_inflight` stripes in the air (the 8 MiB buffer divided
     /// by the stripe size).
     ///
-    /// Completed stripes accumulate into groups of `batch_stripes` before
-    /// a drain is started; each drain is one pipelined batch per owning
-    /// server instead of one round trip per stripe. `batch_stripes = 1`
-    /// reproduces the unbatched per-stripe behaviour.
+    /// Completed stripes accumulate into groups of [`DRAIN_BATCH_STRIPES`]
+    /// (at most `max_inflight`) before a drain is started; each drain is
+    /// one pipelined batch per owning server instead of one round trip per
+    /// stripe.
     pub fn new(
         path: String,
         layout: StripeLayout,
         pool: Arc<ServerPool>,
         max_inflight: usize,
-        batch_stripes: usize,
     ) -> Self {
         let mut current = BytesMut::with_capacity(meta::INLINE_HEAD + layout.stripe_size());
         current.extend_from_slice(&[0; meta::INLINE_HEAD]);
@@ -86,7 +91,7 @@ impl WriteBuffer {
             layout,
             pool,
             batch: Vec::new(),
-            batch_stripes: batch_stripes.clamp(1, max_inflight.max(1)),
+            batch_stripes: DRAIN_BATCH_STRIPES.min(max_inflight.max(1)),
             next_stripe: 0,
             written: 0,
             max_inflight: max_inflight.max(1),
@@ -304,7 +309,7 @@ mod tests {
     fn writes_stripe_and_store_everything() {
         let pool = make_pool(4, 1 << 30);
         let layout = StripeLayout::new(100);
-        let mut buf = WriteBuffer::new("/f".into(), layout, Arc::clone(&pool), 4, 2);
+        let mut buf = WriteBuffer::new("/f".into(), layout, Arc::clone(&pool), 4);
         let data: Vec<u8> = (0..1050u32).map(|i| (i % 251) as u8).collect();
         buf.write(&data).unwrap();
         let size = finish(&mut buf);
@@ -315,8 +320,7 @@ mod tests {
     #[test]
     fn partial_tail_stripe_stored_on_finish() {
         let pool = make_pool(2, 1 << 30);
-        let mut buf =
-            WriteBuffer::new("/f".into(), StripeLayout::new(100), Arc::clone(&pool), 2, 2);
+        let mut buf = WriteBuffer::new("/f".into(), StripeLayout::new(100), Arc::clone(&pool), 2);
         buf.write(&[1u8; 100]).unwrap();
         buf.write(b"short").unwrap();
         assert_eq!(finish(&mut buf), 105);
@@ -329,7 +333,7 @@ mod tests {
         let pool = make_pool(2, 1 << 30);
         for (path, data) in [("/e", &b""[..]), ("/s", b"short"), ("/n", &[9u8; 99])] {
             let mut buf =
-                WriteBuffer::new(path.into(), StripeLayout::new(100), Arc::clone(&pool), 2, 2);
+                WriteBuffer::new(path.into(), StripeLayout::new(100), Arc::clone(&pool), 2);
             buf.write(data).unwrap();
             buf.flush().unwrap();
             let record = buf.finish().unwrap();
@@ -340,8 +344,7 @@ mod tests {
             assert_eq!(stripe.unwrap(), None, "{path}");
         }
         // One stripe exactly has left the buffer: striped.
-        let mut buf =
-            WriteBuffer::new("/x".into(), StripeLayout::new(100), Arc::clone(&pool), 2, 2);
+        let mut buf = WriteBuffer::new("/x".into(), StripeLayout::new(100), Arc::clone(&pool), 2);
         buf.write_bytes(Bytes::from(vec![3u8; 100])).unwrap();
         assert_eq!(buf.finish().unwrap(), Bytes::from(meta::encode_size(100)));
         let stripe = pool.get(&KeySchema::stripe_key("/x", 0)).unwrap();
@@ -351,8 +354,7 @@ mod tests {
     #[test]
     fn the_stripe_buffer_is_sized_once_per_stripe() {
         let pool = make_pool(2, 1 << 30);
-        let mut buf =
-            WriteBuffer::new("/f".into(), StripeLayout::new(100), Arc::clone(&pool), 4, 4);
+        let mut buf = WriteBuffer::new("/f".into(), StripeLayout::new(100), Arc::clone(&pool), 4);
         assert_eq!(buf.current.capacity(), meta::INLINE_HEAD + 100);
         for _ in 0..3 {
             buf.write(&[5u8; 50]).unwrap();
@@ -372,7 +374,7 @@ mod tests {
     #[test]
     fn many_small_writes_accumulate() {
         let pool = make_pool(4, 1 << 30);
-        let mut buf = WriteBuffer::new("/f".into(), StripeLayout::new(64), Arc::clone(&pool), 4, 4);
+        let mut buf = WriteBuffer::new("/f".into(), StripeLayout::new(64), Arc::clone(&pool), 4);
         let mut expected = Vec::new();
         for i in 0..500u32 {
             let chunk = i.to_le_bytes();
@@ -388,8 +390,7 @@ mod tests {
     fn background_storage_error_surfaces_at_finish() {
         // Tiny budget: stripes stop fitting quickly.
         let pool = make_pool(1, 300);
-        let mut buf =
-            WriteBuffer::new("/f".into(), StripeLayout::new(100), Arc::clone(&pool), 2, 2);
+        let mut buf = WriteBuffer::new("/f".into(), StripeLayout::new(100), Arc::clone(&pool), 2);
         let data = vec![0u8; 5_000];
         // The error may surface during write (backpressure path) or at
         // finish; it must surface somewhere.
@@ -400,8 +401,7 @@ mod tests {
     #[test]
     fn flush_leaves_tail_writable() {
         let pool = make_pool(2, 1 << 30);
-        let mut buf =
-            WriteBuffer::new("/f".into(), StripeLayout::new(100), Arc::clone(&pool), 2, 2);
+        let mut buf = WriteBuffer::new("/f".into(), StripeLayout::new(100), Arc::clone(&pool), 2);
         buf.write(&[1u8; 150]).unwrap();
         buf.flush().unwrap();
         // Stripe 0 is durable after flush; the 50-byte tail is not.
@@ -419,11 +419,11 @@ mod tests {
 
     #[test]
     fn batched_drain_stores_every_stripe_in_order() {
-        // batch_stripes 4 over 13 completed stripes: three full batches
-        // plus a partial one carrying the tail at finish.
+        // A budget of 4 clamps each drain to 4 of the 13 completed
+        // stripes: three full batches plus a partial one carrying the tail
+        // at finish.
         let pool = make_pool(4, 1 << 30);
-        let mut buf =
-            WriteBuffer::new("/b".into(), StripeLayout::new(100), Arc::clone(&pool), 8, 4);
+        let mut buf = WriteBuffer::new("/b".into(), StripeLayout::new(100), Arc::clone(&pool), 4);
         let data: Vec<u8> = (0..1350u32).map(|i| (i % 253) as u8).collect();
         for chunk in data.chunks(7) {
             buf.write(chunk).unwrap();
@@ -435,17 +435,11 @@ mod tests {
 
     #[test]
     fn batch_larger_than_inflight_budget_is_clamped() {
-        // batch_stripes > max_inflight would let one batch overshoot the
-        // in-flight budget arbitrarily if not clamped; the writer must
-        // still drain correctly with the clamped batch.
+        // DRAIN_BATCH_STRIPES > max_inflight would let one batch overshoot
+        // the in-flight budget if not clamped; the writer must still drain
+        // correctly with the clamped batch.
         let pool = make_pool(2, 1 << 30);
-        let mut buf = WriteBuffer::new(
-            "/c".into(),
-            StripeLayout::new(100),
-            Arc::clone(&pool),
-            2,
-            64,
-        );
+        let mut buf = WriteBuffer::new("/c".into(), StripeLayout::new(100), Arc::clone(&pool), 2);
         let data = vec![9u8; 1000];
         buf.write(&data).unwrap();
         let size = finish(&mut buf);
@@ -456,13 +450,7 @@ mod tests {
     #[test]
     fn write_bytes_round_trips_aligned_stripes() {
         let pool = make_pool(4, 1 << 30);
-        let mut buf = WriteBuffer::new(
-            "/zb".into(),
-            StripeLayout::new(100),
-            Arc::clone(&pool),
-            4,
-            2,
-        );
+        let mut buf = WriteBuffer::new("/zb".into(), StripeLayout::new(100), Arc::clone(&pool), 4);
         let data: Vec<u8> = (0..700u32).map(|i| (i % 241) as u8).collect();
         buf.write_bytes(Bytes::from(data.clone())).unwrap();
         let size = finish(&mut buf);
@@ -476,13 +464,7 @@ mod tests {
         // merge into it, then go zero-copy once realigned, then buffer
         // its own partial tail.
         let pool = make_pool(4, 1 << 30);
-        let mut buf = WriteBuffer::new(
-            "/zu".into(),
-            StripeLayout::new(100),
-            Arc::clone(&pool),
-            4,
-            2,
-        );
+        let mut buf = WriteBuffer::new("/zu".into(), StripeLayout::new(100), Arc::clone(&pool), 4);
         let mut expected = Vec::new();
         let head = vec![3u8; 37];
         buf.write(&head).unwrap();
@@ -500,13 +482,8 @@ mod tests {
     #[test]
     fn stripes_distribute_across_servers() {
         let pool = make_pool(8, 1 << 30);
-        let mut buf = WriteBuffer::new(
-            "/big".into(),
-            StripeLayout::new(1024),
-            Arc::clone(&pool),
-            8,
-            4,
-        );
+        let mut buf =
+            WriteBuffer::new("/big".into(), StripeLayout::new(1024), Arc::clone(&pool), 8);
         buf.write(&vec![0u8; 64 * 1024]).unwrap();
         buf.finish().unwrap();
         // 64 stripes over 8 servers: every server should hold some.
@@ -530,27 +507,39 @@ mod tests {
             homes.sort_unstable();
             homes
         };
+        let degraded = |path: &str, stripes: std::ops::Range<u64>| {
+            stripes
+                .filter(|&s| homes(path, s) != homes(path, 0))
+                .count()
+        };
         let path = (0..)
             .map(|i| format!("/f{i}"))
-            .find(|p| homes(p, 0) != homes(p, 1))
-            .expect("some path homes stripes 0 and 1 apart");
+            .find(|p| degraded(p, 8..16) > 0)
+            .expect("some path homes a stripe of the second drain apart");
         for down in homes(&path, 0) {
             failables[down].set_down(true);
         }
-        // One stripe per drain, two in the air: the third stripe settles
-        // the first drain, which fails while the second is still queued.
+        // Eight stripes per drain, two drains in the air: the third drain
+        // settles the first, which fails (stripe 0 has no live home) while
+        // the second is still queued.
+        let expected = degraded(&path, 0..16);
         let layout = StripeLayout::new(100);
-        let mut buf = WriteBuffer::new(path, layout, Arc::clone(&pool), 2, 1);
+        let mut buf = WriteBuffer::new(path, layout, Arc::clone(&pool), 16);
         assert!(matches!(
-            buf.write(&[1u8; 300]),
+            buf.write(&[1u8; 2400]),
             Err(MemFsError::Storage(_))
         ));
-        // The second drain was settled before the error surfaced: stripe
-        // 1 is durable on its live home and queued for repair.
-        assert_eq!(pool.degraded_pending(), 1);
+        // The second drain was settled before the error surfaced: its
+        // stripes with a live home are durable there and queued for repair.
+        assert_eq!(pool.degraded_pending(), expected);
         let snap = pool.stats().snapshot();
-        assert_eq!(snap.iter().map(|s| s.degraded_writes).sum::<u64>(), 1);
+        let writes = snap.iter().map(|s| s.degraded_writes).sum::<u64>();
+        assert_eq!(writes, expected as u64);
         assert!(matches!(buf.finish(), Err(MemFsError::Storage(_))));
-        assert_eq!(pool.degraded_pending(), 1, "nothing was left to settle");
+        assert_eq!(
+            pool.degraded_pending(),
+            expected,
+            "nothing was left to settle"
+        );
     }
 }

@@ -82,13 +82,6 @@ const UNLINK_BATCH: usize = 4096;
 /// many stripe keys per round until a round deletes nothing.
 const PROBE_BATCH: usize = 128;
 
-/// Completed stripes per write drain. Each drain groups its stripes by
-/// owning server and sends one pipelined batch per server, so 8 × 512 KiB
-/// amortizes the round trip while leaving half of the default 16-stripe
-/// write buffer free to refill. One value in use, hence a constant rather
-/// than a [`MemFsConfig`] field.
-const DRAIN_BATCH_STRIPES: usize = 8;
-
 fn stripe_key_bytes(path: &str, stripe: u64) -> Bytes {
     Bytes::from(KeySchema::stripe_key(path, stripe))
 }
@@ -142,7 +135,26 @@ impl MemFs {
             config.distributor,
             config.replication,
         ));
-        Self::mount(pool, config, reactor)
+        let repair = (config.repair_interval_ms > 0).then(|| {
+            RepairDaemon::spawn(
+                Arc::clone(&pool),
+                std::time::Duration::from_millis(config.repair_interval_ms),
+            )
+        });
+        let fs = MemFs {
+            inner: Arc::new(Inner {
+                pool,
+                config,
+                repair,
+                reactor,
+            }),
+        };
+        // Ensure the root directory exists; racing mounts both succeed.
+        match fs.inner.pool.add(&KeySchema::dir_key("/"), Bytes::new()) {
+            Ok(()) | Err(MemFsError::Storage(KvError::Exists)) => {}
+            Err(e) => return Err(e),
+        }
+        Ok(fs)
     }
 
     /// Mount over TCP storage servers: connects one
@@ -172,41 +184,6 @@ impl MemFs {
     ) -> MemFsResult<memfs_memkv::TcpClient> {
         let config = memfs_memkv::PoolConfig::default();
         memfs_memkv::TcpClient::connect_shared(addr, config, reactor).map_err(MemFsError::Storage)
-    }
-
-    /// Mount over an existing [`ServerPool`] (lets several mounts share
-    /// routing state, and lets tests inject custom pools). Placement and
-    /// replication are the pool's.
-    pub fn with_pool(pool: Arc<ServerPool>, config: MemFsConfig) -> MemFsResult<MemFs> {
-        config.validate().map_err(MemFsError::InvalidConfig)?;
-        Self::mount(pool, config, None)
-    }
-
-    fn mount(
-        pool: Arc<ServerPool>,
-        config: MemFsConfig,
-        reactor: Option<memfs_memkv::ReactorHandle>,
-    ) -> MemFsResult<MemFs> {
-        let repair = (config.repair_interval_ms > 0).then(|| {
-            RepairDaemon::spawn(
-                Arc::clone(&pool),
-                std::time::Duration::from_millis(config.repair_interval_ms),
-            )
-        });
-        let fs = MemFs {
-            inner: Arc::new(Inner {
-                pool,
-                config,
-                repair,
-                reactor,
-            }),
-        };
-        // Ensure the root directory exists; racing mounts both succeed.
-        match fs.inner.pool.add(&KeySchema::dir_key("/"), Bytes::new()) {
-            Ok(()) | Err(MemFsError::Storage(KvError::Exists)) => {}
-            Err(e) => return Err(e),
-        }
-        Ok(fs)
     }
 
     /// Run one synchronous repair pass over the mount's pool (see
@@ -360,7 +337,6 @@ impl MemFs {
             self.layout(),
             Arc::clone(&self.inner.pool),
             self.inner.config.write_buffer_stripes(),
-            DRAIN_BATCH_STRIPES,
         );
         Ok(WriteHandle {
             fs: self.clone(),
@@ -433,7 +409,7 @@ impl MemFs {
         };
         Ok(ReadHandle {
             path: p,
-            reader: Arc::new(reader),
+            reader,
             pos: 0,
         })
     }
@@ -807,11 +783,14 @@ impl io::Write for WriteHandle {
 }
 
 /// A POSIX-style read handle: any offset, any number of times, shareable
-/// across threads via [`ReadHandle::read_at`]. The handle also carries a
-/// cursor for `std::io::Read` convenience.
+/// across threads via [`ReadHandle::read_at`]. It carries one cursor for
+/// `std::io::Read` convenience, and its reader follows one sequential
+/// stream: reads that start at byte 0 or where the last fetching read
+/// ended are prefetched, others fetch just their bytes (see
+/// [`crate::prefetch`]).
 pub struct ReadHandle {
     path: String,
-    reader: Arc<StripeReader>,
+    reader: StripeReader,
     pos: u64,
 }
 
@@ -834,16 +813,6 @@ impl ReadHandle {
     /// [`MemFs::read_to_vec`]) drives all their servers at once.
     pub fn read_at(&self, offset: u64, buf: &mut [u8]) -> MemFsResult<usize> {
         self.reader.read_at(offset, buf)
-    }
-
-    /// A clone sharing the same prefetch cache but with an independent
-    /// cursor (several threads of one task reading one file).
-    pub fn duplicate(&self) -> ReadHandle {
-        ReadHandle {
-            path: self.path.clone(),
-            reader: Arc::clone(&self.reader),
-            pos: 0,
-        }
     }
 }
 
@@ -2311,18 +2280,6 @@ mod tests {
         // The mount keeps working on the shrunken set.
         fs.write_file("/after", &data).unwrap();
         assert_eq!(fs.read_to_vec("/after").unwrap(), data);
-    }
-
-    #[test]
-    fn duplicate_handle_shares_cache() {
-        let fs = mount(2);
-        fs.write_file("/f", &[1u8; 1000]).unwrap();
-        let r = fs.open("/f").unwrap();
-        let d = r.duplicate();
-        let mut buf = [0u8; 10];
-        assert_eq!(r.read_at(0, &mut buf).unwrap(), 10);
-        assert_eq!(d.read_at(500, &mut buf).unwrap(), 10);
-        assert_eq!(d.path(), "/f");
     }
 
     // ---- windows and drains pending in their handles ----

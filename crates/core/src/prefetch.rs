@@ -23,19 +23,26 @@
 //! | otherwise (also a stripe that is only `InFlight`)     | **ranged** |
 //!
 //! *Cached* is the paper's path: claim the slot, fetch the stripe whole,
-//! keep it, record the access in the stream table and queue the next
-//! `window` stripes. *Ranged* asks the server for just the span
+//! keep it, and queue the `window` stripes after the read's furthest
+//! cached-path stripe. *Ranged* asks the server for just the span
 //! (`getrange`), claims and caches nothing and issues no window. A *cache
 //! copy* touches nothing either: hits by a random reader must not feed the
 //! prefetcher, or every resident stripe keeps spawning windows nobody
-//! reads. A read *continues a stream* when it starts at byte 0 or exactly
-//! where an earlier read on this reader ended. Byte 0 counts because
+//! reads.
+//!
+//! A reader follows **one** stream. A read *continues* it when it starts
+//! at byte 0 or exactly at the stream's end: where the last read that
+//! fetched anything — cached path or ranged — ended. A read served by
+//! cache copies alone leaves that end where it was. Byte 0 counts because
 //! open-then-read-through is by far the commonest access, and its first
 //! read has no history to go by (Linux on-demand readahead makes the same
 //! call); a reader that seeks mid-file and then streams pays one ranged
-//! round trip — which leaves its end offset in the stream table — and is
-//! recognised by its second read. With `window == 0` there is no cache, so
-//! sub-stripe spans are always ranged.
+//! round trip — which moves the stream's end to where it stopped — and is
+//! recognised by its second read. Like the paper's scheme this serves
+//! sequential readers only: two cursors interleaving on one reader break
+//! each other's stream, and their sub-stripe reads go ranged. With
+//! `window == 0` there is no cache, so sub-stripe spans are always
+//! ranged.
 //!
 //! For the same reason a caching reader may start with stripe 0 on its way
 //! (`StripeReader::with_first_stripe`): `MemFs::open` asks for it in the
@@ -57,15 +64,9 @@
 //! that may queue a window first settles every answered share, so one
 //! nobody came back for stops holding the prefetch budget. Only stripes
 //! that fit the size record are ever cached.
-//!
-//! The stream table goes slightly beyond the paper's strictly-consecutive
-//! scheme: it detects forward strides (including several interleaved
-//! sequential regions on one handle), so a stride-`k` scan of whole
-//! stripes prefetches `stripe + k, stripe + 2k, ...` instead of degrading
-//! every access to a synchronous miss. Pure sequential access resolves to
-//! stride 1.
 
 use std::collections::{HashMap, VecDeque};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -165,107 +166,6 @@ impl Cache {
     }
 }
 
-/// Concurrent access streams tracked per reader handle. Covers a few
-/// interleaved sequential/strided regions (e.g. head+tail readers);
-/// beyond this the least recently touched stream is recycled.
-const MAX_STREAMS: usize = 4;
-
-/// Largest forward jump (in stripes) still treated as a stride of an
-/// existing stream rather than a brand-new stream. Bounds how far a
-/// strided window extrapolates ahead of the read position.
-const MAX_STRIDE: u64 = 32;
-
-/// One detected access stream: where it last read and how far it
-/// appears to advance per access.
-struct StreamState {
-    last: u64,
-    stride: u64,
-    /// File offset where the stream's latest read ended: a read starting
-    /// here continues the stream.
-    end: u64,
-    /// Logical clock of the last touch, for LRU recycling.
-    touched: u64,
-}
-
-#[derive(Default)]
-struct StreamTable {
-    streams: Vec<StreamState>,
-    clock: u64,
-}
-
-impl StreamTable {
-    /// Whether a read starting at `offset` continues a stream: the start
-    /// of the file, or exactly where an earlier read ended.
-    fn continues(&self, offset: u64) -> bool {
-        offset == 0 || self.streams.iter().any(|st| st.end == offset)
-    }
-
-    /// Record an access at `stripe` by a read ending at file offset `end`
-    /// and return the stride the prefetcher should extrapolate with.
-    /// Matching order: exact continuation of a known stream, re-read of a
-    /// stream's position, nearest forward jump from a stream (which *sets*
-    /// that stream's stride), else a fresh stream assumed sequential.
-    fn note(&mut self, stripe: u64, end: u64) -> u64 {
-        self.clock += 1;
-        let clock = self.clock;
-        let matched = if let Some(st) = self
-            .streams
-            .iter_mut()
-            .find(|st| st.stride > 0 && st.last + st.stride == stripe)
-        {
-            Some(st)
-        } else if let Some(st) = self.streams.iter_mut().find(|st| st.last == stripe) {
-            st.stride = st.stride.max(1);
-            Some(st)
-        } else if let Some(st) = self
-            .streams
-            .iter_mut()
-            .filter(|st| st.last < stripe && stripe - st.last <= MAX_STRIDE)
-            .max_by_key(|st| st.last)
-        {
-            st.stride = stripe - st.last;
-            Some(st)
-        } else {
-            None
-        };
-        match matched {
-            Some(st) => {
-                st.last = stripe;
-                st.end = end;
-                st.touched = clock;
-                st.stride
-            }
-            None => {
-                self.begin(stripe, end);
-                1
-            }
-        }
-    }
-
-    /// Start a fresh, assumed-sequential stream whose latest read touched
-    /// `stripe` and ended at `end`, recycling the least recently touched
-    /// one when the table is full.
-    fn begin(&mut self, stripe: u64, end: u64) {
-        if self.streams.len() >= MAX_STREAMS {
-            if let Some(pos) = self
-                .streams
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, st)| st.touched)
-                .map(|(i, _)| i)
-            {
-                self.streams.swap_remove(pos);
-            }
-        }
-        self.streams.push(StreamState {
-            last: stripe,
-            stride: 1,
-            end,
-            touched: self.clock,
-        });
-    }
-}
-
 /// Where one span of a read gets its bytes.
 enum Source {
     /// From the cache: the stripe itself, or `None` while a started share
@@ -284,7 +184,10 @@ pub struct StripeReader {
     pool: Arc<ServerPool>,
     window: usize,
     cache: Cache,
-    streams: Mutex<StreamTable>,
+    /// File offset where the stream this reader follows ends: the end of
+    /// the last read that fetched anything. A read starting here (or at
+    /// byte 0) continues it.
+    stream_end: AtomicU64,
     /// The whole file, when it was kept inline in its size record: held
     /// for the reader's life, and no stripe is ever fetched.
     inline: Option<Bytes>,
@@ -318,7 +221,7 @@ impl StripeReader {
                 }),
                 capacity: cache_stripes.max(1),
             },
-            streams: Mutex::new(StreamTable::default()),
+            stream_end: AtomicU64::new(0),
             inline: None,
         }
     }
@@ -335,10 +238,10 @@ impl StripeReader {
 
     /// Start with stripe 0 on its way: the bytes `MemFs::open` fetched
     /// beside the size record, or the share of its window still bringing
-    /// them, so a first read from byte 0 is a cache copy (it still notes
-    /// the stream and queues the window). Kept only when the reader caches
-    /// at all; the bytes are kept only when they are exactly the length
-    /// the size record gives stripe 0. Anything else is dropped and the
+    /// them, so a first read from byte 0 is a cache copy (it still moves
+    /// the stream's end and queues the window). Kept only when the reader
+    /// caches at all; the bytes are kept only when they are exactly the
+    /// length the size record gives stripe 0. Anything else is dropped and the
     /// first read fetches, and reports, as it would have without it.
     pub(crate) fn with_first_stripe(self, first: Option<FirstStripe>) -> Self {
         let first = first.filter(|_| self.window > 0 && self.file_size > 0);
@@ -376,29 +279,24 @@ impl StripeReader {
             return Ok(n);
         }
         let spans = self.layout.spans(self.file_size, offset, buf.len());
-        let Some(last) = spans.last() else {
+        if spans.is_empty() {
             return Ok(0);
-        };
+        }
         let end = offset + spans.iter().map(|s| s.len as u64).sum::<u64>();
         let caching = self.window > 0;
+        let streaming = offset == 0 || offset == self.stream_end.load(Relaxed);
         let whole = |span: &StripeSpan| {
             span.offset_in_stripe == 0
                 && span.len == self.layout.stripe_len(self.file_size, span.stripe)
         };
+        let cached_path = |span: &StripeSpan| caching && (streaming || whole(span));
 
-        // Which spans take the cached path — and what the stream table
-        // makes of them: noting every such stripe (not just the last)
-        // keeps the table seeing the contiguous walk, so the next read
-        // continues at stride 1 instead of looking like a span-sized jump.
-        let mut streaming = false;
-        let mut window_from: Option<(u64, u64)> = None;
-        if caching {
-            let mut table = self.streams.lock();
-            streaming = table.continues(offset);
-            for span in spans.iter().filter(|s| streaming || whole(s)) {
-                window_from = Some((span.stripe, table.note(span.stripe, end)));
-            }
-        }
+        // The window follows the furthest stripe on the cached path.
+        let window_from = spans
+            .iter()
+            .rev()
+            .find(|s| cached_path(s))
+            .map(|s| s.stripe);
         if window_from.is_some() {
             self.settle_answered();
         }
@@ -412,7 +310,7 @@ impl StripeReader {
         let mine = {
             let mut state = self.cache.state.lock();
             for span in &spans {
-                let cached_path = caching && (streaming || whole(span));
+                let cached_path = cached_path(span);
                 let slot = state.slots.get(&span.stripe);
                 let (claim, range) = match slot {
                     Some(Slot::Ready(data)) => {
@@ -435,12 +333,10 @@ impl StripeReader {
                 let key = self.stripe_key(span.stripe);
                 reqs.push((claim, (key, Some((range.0 as u64, range.1)))));
             }
-            // Window first, so it overlaps this read's own requests. A read
-            // served by ranges alone only leaves its end offset behind; one
-            // served by cache copies alone leaves nothing.
+            // Window first, so it overlaps this read's own requests.
             let claimed = reqs.iter().filter(|(claim, _)| claim.is_some()).count();
-            if let Some((furthest, stride)) = window_from {
-                self.prefetch_ahead(&mut state, furthest, stride, claimed);
+            if let Some(furthest) = window_from {
+                self.prefetch_ahead(&mut state, furthest, claimed);
             }
             if reqs.is_empty() {
                 Vec::new()
@@ -448,8 +344,11 @@ impl StripeReader {
                 self.start(&mut state, reqs)
             }
         };
-        if window_from.is_none() && caching && !mine.is_empty() {
-            self.streams.lock().begin(last.stripe, end);
+        // A read on the cached path, or one that fetched a range, moves
+        // the stream's end to its own; one served by cache copies alone
+        // leaves it.
+        if window_from.is_some() || !mine.is_empty() {
+            self.stream_end.store(end, Relaxed);
         }
 
         let mut filled = 0usize;
@@ -459,14 +358,11 @@ impl StripeReader {
                 // Settle the share bringing it (or fetch it here, if that
                 // share failed or the stripe was evicted again since).
                 Source::Cached(None) => (self.fetch(span.stripe)?, 0),
-                Source::Fetched(pos, starts_at) => {
-                    let pending = mine.iter().find(|p| p.positions.contains(&pos));
-                    let reply = self.take(pending.expect("every request started"), pos);
-                    (
-                        reply.map_err(|e| self.stripe_err(span.stripe, e))?,
-                        starts_at,
-                    )
-                }
+                Source::Fetched(pos, starts_at) => (
+                    self.take(&mine, pos)
+                        .map_err(|e| self.stripe_err(span.stripe, e))?,
+                    starts_at,
+                ),
             };
             let from = span.offset_in_stripe - starts_at;
             let bytes = piece
@@ -476,16 +372,6 @@ impl StripeReader {
             filled += span.len;
         }
         Ok(filled)
-    }
-
-    /// Read stripe `stripe` whole through [`StripeReader::read_at`].
-    #[cfg(test)]
-    fn stripe(&self, stripe: u64) -> MemFsResult<Bytes> {
-        let mut buf = vec![0u8; self.layout.stripe_len(self.file_size, stripe)];
-        let offset = stripe * self.layout.stripe_size() as u64;
-        let n = self.read_at(offset, &mut buf)?;
-        assert_eq!(n, buf.len(), "stripe {stripe} inside the file");
-        Ok(Bytes::from(buf))
     }
 
     fn stripe_key(&self, stripe: u64) -> Bytes {
@@ -513,8 +399,7 @@ impl StripeReader {
                 None => {
                     let len = self.layout.stripe_len(self.file_size, stripe);
                     let req = (self.stripe_key(stripe), Some((0, len)));
-                    let mut mine = self.start(&mut state, vec![(Some(stripe), req)]);
-                    break mine.pop().expect("one share for one request");
+                    break self.start(&mut state, vec![(Some(stripe), req)]);
                 }
             };
             drop(state);
@@ -619,14 +504,22 @@ impl StripeReader {
         }
     }
 
-    /// The result of request `pos` of the read `pending` belongs to,
-    /// settling it first if need be.
-    fn take(&self, pending: &Pending, pos: usize) -> MemFsResult<Bytes> {
-        let entry = pending.positions.iter().position(|&p| p == pos);
-        let mut landing = self.settle(pending);
-        landing.results[entry.expect("a position of this share")]
-            .take()
-            .expect("each result is taken once")
+    /// The result of request `pos` of the read whose shares are `mine`,
+    /// settling its share first if need be. Each request of a read is in
+    /// exactly one of its shares and each span takes its own request's
+    /// result once, so a missing result is a reply the window never
+    /// delivered.
+    fn take(&self, mine: &[Arc<Pending>], pos: usize) -> MemFsResult<Bytes> {
+        let found = mine
+            .iter()
+            .find_map(|p| Some((p, p.positions.iter().position(|&q| q == pos)?)));
+        let result =
+            found.and_then(|(pending, entry)| self.settle(pending).results.get_mut(entry)?.take());
+        result.unwrap_or_else(|| {
+            Err(MemFsError::Storage(memfs_memkv::KvError::Protocol(
+                format!("no reply for request {pos} of a read of {}", self.path),
+            )))
+        })
     }
 
     /// A missing stripe under a finalized size record means the key space
@@ -649,17 +542,15 @@ impl StripeReader {
         ))
     }
 
-    /// Start a window for stripes `stripe + k*stride`, `k` in
-    /// `1..=window`, beside the `claimed` stripes the calling read is
-    /// about to fetch.
+    /// Start a window for the `window` stripes after `stripe`, beside the
+    /// `claimed` stripes the calling read is about to fetch.
     ///
     /// The whole window travels as **one** read window of the pool: it
     /// groups the keys by owning server and puts the per-server multi-gets
     /// on the wire at once, so a window of `w` stripes over `n` servers
     /// costs one round trip per server — concurrent, `max(server RTT)`
     /// total — and its shares wait in the cache for whoever reads first.
-    fn prefetch_ahead(&self, state: &mut CacheState, stripe: u64, stride: u64, claimed: usize) {
-        let stride = stride.max(1);
+    fn prefetch_ahead(&self, state: &mut CacheState, stripe: u64, claimed: usize) {
         let total = self.layout.stripe_count(self.file_size);
         // Don't let prefetch evict data the reader hasn't seen: bound the
         // stripes that are still *unread* — ahead of the read position or
@@ -676,11 +567,7 @@ impl StripeReader {
                 .filter(|&(&s, slot)| s > stripe || matches!(slot, Slot::InFlight(_)))
                 .count();
         let mut reqs: Vec<(Option<u64>, ReadReq)> = Vec::new();
-        for k in 1..=(self.window as u64) {
-            let next = stripe + k * stride;
-            if next >= total {
-                break;
-            }
+        for next in (stripe + 1..total).take(self.window) {
             if state.slots.contains_key(&next) {
                 continue; // ready or in flight
             }
@@ -705,41 +592,48 @@ impl StripeReader {
             .filter(|s| matches!(s, Slot::Ready(_)))
             .count()
     }
-
-    /// Verify the cache invariants and report `(slots, order)` sizes.
-    #[cfg(test)]
-    fn cache_counts(&self) -> (usize, usize) {
-        let state = self.cache.state.lock();
-        self.cache.check_invariants(&state);
-        (state.slots.len(), state.order.len())
-    }
-
-    /// Settle every pending share, as readers needing their stripes
-    /// would: afterwards no slot is `InFlight`.
-    #[cfg(test)]
-    fn settle_pending(&self) {
-        loop {
-            let state = self.cache.state.lock();
-            let next = state.slots.values().find_map(|slot| match slot {
-                Slot::InFlight(pending) => Some(Arc::clone(pending)),
-                Slot::Ready(_) => None,
-            });
-            drop(state);
-            match next {
-                Some(pending) => drop(self.settle(&pending)),
-                None => return,
-            }
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
-    use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-
     use super::*;
     use crate::config::DistributorKind;
     use memfs_memkv::{KvClient, SimClient, Store, StoreConfig};
+
+    impl StripeReader {
+        /// Read stripe `stripe` whole through [`StripeReader::read_at`].
+        fn stripe(&self, stripe: u64) -> MemFsResult<Bytes> {
+            let mut buf = vec![0u8; self.layout.stripe_len(self.file_size, stripe)];
+            let offset = stripe * self.layout.stripe_size() as u64;
+            let n = self.read_at(offset, &mut buf)?;
+            assert_eq!(n, buf.len(), "stripe {stripe} inside the file");
+            Ok(Bytes::from(buf))
+        }
+
+        /// Verify the cache invariants and report `(slots, order)` sizes.
+        fn cache_counts(&self) -> (usize, usize) {
+            let state = self.cache.state.lock();
+            self.cache.check_invariants(&state);
+            (state.slots.len(), state.order.len())
+        }
+
+        /// Settle every pending share, as readers needing their stripes
+        /// would: afterwards no slot is `InFlight`.
+        fn settle_pending(&self) {
+            loop {
+                let state = self.cache.state.lock();
+                let next = state.slots.values().find_map(|slot| match slot {
+                    Slot::InFlight(pending) => Some(Arc::clone(pending)),
+                    Slot::Ready(_) => None,
+                });
+                drop(state);
+                match next {
+                    Some(pending) => drop(self.settle(&pending)),
+                    None => return,
+                }
+            }
+        }
+    }
 
     fn setup(file_size: u64, stripe: usize) -> (Arc<ServerPool>, Bytes) {
         let clients: Vec<Arc<dyn KvClient>> = (0..4)
@@ -947,68 +841,6 @@ mod tests {
         clients.iter().map(|c| c.mgets.load(Relaxed)).sum()
     }
 
-    #[test]
-    fn strided_reads_keep_prefetch_engaged() {
-        // 300 stripes, read every third one. Before stride detection the
-        // consecutive-only window never contained the next access, so a
-        // strided scan degraded to one synchronous get per stripe.
-        let (counted, pool) = instrumented_pool(30_000, 100);
-        let r = StripeReader::new(
-            "/f".into(),
-            StripeLayout::new(100),
-            30_000,
-            Arc::clone(&pool),
-            8,
-            16,
-        );
-        let mut accesses = 0u64;
-        let mut s = 0u64;
-        while s < 300 {
-            assert_eq!(r.stripe(s).unwrap().as_ref(), &vec![s as u8; 100][..]);
-            accesses += 1;
-            s += 3;
-        }
-        // Slot reservation is synchronous under the cache lock, so once
-        // the stride locks in every access finds its stripe Ready or
-        // InFlight: almost all of the 100 accesses must be prefetch hits.
-        let gets = sync_gets(&counted);
-        assert!(accesses >= 100);
-        assert!(
-            gets <= 10,
-            "strided scan fell back to {gets} synchronous gets out of {accesses} accesses"
-        );
-        assert!(
-            batched_gets(&counted) > 0,
-            "stride window never issued a batched prefetch"
-        );
-    }
-
-    #[test]
-    fn interleaved_sequential_streams_each_prefetch() {
-        // Two sequential readers sharing one handle, far apart in the
-        // file. The stream table tracks both, so neither degrades the
-        // other to synchronous misses.
-        let (counted, pool) = instrumented_pool(30_000, 100);
-        let r = StripeReader::new(
-            "/f".into(),
-            StripeLayout::new(100),
-            30_000,
-            Arc::clone(&pool),
-            8,
-            32, // room for both streams' windows
-        );
-        for s in 0..50u64 {
-            assert_eq!(r.stripe(s).unwrap().as_ref(), &vec![s as u8; 100][..]);
-            let t = 150 + s;
-            assert_eq!(r.stripe(t).unwrap().as_ref(), &vec![t as u8; 100][..]);
-        }
-        let gets = sync_gets(&counted);
-        assert!(
-            gets <= 10,
-            "interleaved streams fell back to {gets} synchronous gets"
-        );
-    }
-
     /// `n` seeded sub-stripe reads — one eighth of an 800-byte stripe each,
     /// anywhere in a `stripes`-stripe file — as `(offset, len)` pairs, none
     /// of which continues a stream: none starts at byte 0, at an offset in
@@ -1134,20 +966,22 @@ mod tests {
     }
 
     #[test]
-    fn two_streams_on_one_reader_both_lock_in() {
-        // What two `duplicate()`d handles do: one reader, two cursors.
-        let (counted, pool) = instrumented_pool(48_000, 800);
-        let r = counted_reader(&pool, 60, 8);
-        for step in (0..16_000).step_by(200) {
-            read_checked(&r, step, 200);
-            read_checked(&r, 24_600 + step, 200);
-        }
-        assert_eq!(ranged_gets(&counted), 1, "the mid-file stream's first read");
-        assert!(
-            sync_gets(&counted) <= 2,
-            "{} sync gets",
-            sync_gets(&counted)
-        );
+    fn a_reader_follows_one_stream() {
+        // Two ranged reads, then one from where the first ended: only the
+        // latest read's end continues the stream, so it is ranged too.
+        let (counted, pool) = instrumented_pool(80_000, 800);
+        let r = counted_reader(&pool, 100, 8);
+        read_checked(&r, 1_000, 100);
+        read_checked(&r, 40_100, 100);
+        assert_eq!(ranged_gets(&counted), 2);
+        read_checked(&r, 1_100, 100);
+        assert_eq!(ranged_gets(&counted), 3, "taken for a stream");
+        assert_eq!(sync_gets(&counted) + batched_gets(&counted), 0);
+        // Its own end does continue it: the stripe whole, and a window.
+        read_checked(&r, 1_200, 100);
+        assert_eq!(ranged_gets(&counted), 3);
+        assert_eq!(sync_gets(&counted), 1);
+        assert!(batched_gets(&counted) > 0, "the stream queued no window");
     }
 
     #[test]
@@ -1298,8 +1132,8 @@ mod tests {
         let failable = Arc::new(SimClient::new(Arc::clone(&store)));
         let clients: Vec<Arc<dyn KvClient>> = vec![Arc::clone(&failable) as Arc<dyn KvClient>];
         let pool = Arc::new(ServerPool::new(clients, DistributorKind::default()));
-        // 100 stripes: the recovery read at stripe 40 continues a
-        // stride-10 stream, so its window (50, 60, ...) must fit the file.
+        // 100 stripes: the recovery read at stripe 40 has a window
+        // (41..=44) inside the file.
         let layout = StripeLayout::new(100);
         for s in 0..layout.stripe_count(10_000) {
             pool.set(

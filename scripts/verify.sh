@@ -243,15 +243,16 @@ fi
 # failover walk and the repair home set come from ring.rs / replica.rs
 # only, and every request the pool sends goes through its `start`, so
 # `PoolStats` counts it (§4c). Test halves are exempt: they compute the
-# placements they expect on their own.
+# placements they expect on their own. The test half starts at the first
+# top-level `#[cfg(test)]`; an indented one does not end the scan.
 # shellcheck disable=SC2016
 replica=$(
     for f in crates/core/src/*.rs; do
         case "$f" in */ring.rs | */replica.rs) continue ;; esac
-        awk '/^[[:space:]]*#\[cfg\(test\)\]/ { exit }
+        awk '/^#\[cfg\(test\)\]/ { exit }
             /replicas_for\(|home_ring\(/ { print FILENAME ":" FNR ": " $0 }' "$f"
     done
-    awk '/^[[:space:]]*#\[cfg\(test\)\]/ { exit }
+    awk '/^#\[cfg\(test\)\]/ { exit }
         !inside && /^[[:space:]]*fn start</ { inside = 1; depth = 0 }
         inside {
             opened = gsub(/\{/, "{"); closed = gsub(/\}/, "}")
