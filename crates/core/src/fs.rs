@@ -6,7 +6,8 @@
 //! drives all its servers at once from the thread that makes it (see
 //! [`ServerPool`]), and a file's write drains and prefetch windows stay
 //! in flight in its handle until the application thread using the handle
-//! needs them. A TCP mount's one thread is its transport's event loop.
+//! needs them. A TCP mount's transport starts none either: its event
+//! loop runs on the threads that call into the mount.
 //! Creating several `MemFs` values over the same server list
 //! reproduces the paper's multi-mountpoint deployment (the fix for the
 //! FUSE NUMA-spinlock bottleneck of Figure 10) — placement is a pure
@@ -159,8 +160,9 @@ impl MemFs {
 
     /// Mount over TCP storage servers: connects one
     /// [`memfs_memkv::TcpClient`] per address, all registered on one
-    /// shared epoll reactor — a single thread drives the whole cluster
-    /// and delivers completions in cross-server batches. Each server gets
+    /// shared epoll reactor — a single loop, run by the calling threads,
+    /// drives the whole cluster and delivers completions in cross-server
+    /// batches. Each server gets
     /// one pipelined connection and nothing probes it: a server that dies
     /// while the mount is quiet is found by the next request to it — a
     /// foreground call, or the scan of the next repair pass.
@@ -2303,6 +2305,34 @@ mod tests {
         fs.write_file("/r", &data).unwrap();
         // A reader whose window (stripes 2..=5) nobody has read yet, and
         // a writer with one drain of eight stripes on its way.
+        let r = fs.open("/r").unwrap();
+        let mut buf = vec![0u8; 256];
+        assert_eq!(r.read_at(0, &mut buf).unwrap(), 256);
+        let mut w = fs.create("/w").unwrap();
+        w.write_all(&data[..1024]).unwrap();
+        assert!(quiesces_within(&fs, std::time::Duration::from_secs(10)));
+        let mut rest = vec![0u8; 1024];
+        assert_eq!(r.read_at(256, &mut rest).unwrap(), 1024);
+        assert_eq!(rest, data[256..]);
+        w.close().unwrap();
+        assert_eq!(fs.read_to_vec("/w").unwrap(), data[..1024]);
+    }
+
+    /// Over TCP, nothing but the calls on the mount turns its loop: the
+    /// answer to the writer's drain, submitted last, sits in its socket
+    /// until `quiesce` turns the loop itself.
+    #[test]
+    fn idle_handles_holding_answered_windows_do_not_stall_quiesce_over_tcp() {
+        let servers: Vec<_> = (0..4)
+            .map(|_| {
+                let store = Arc::new(Store::new(StoreConfig::default()));
+                memfs_memkv::KvServer::spawn(store, "127.0.0.1:0").unwrap()
+            })
+            .collect();
+        let addrs: Vec<_> = servers.iter().map(|s| s.addr()).collect();
+        let fs = MemFs::connect(&addrs, mount(4).config().clone()).unwrap();
+        let data: Vec<u8> = (0..1280u32).map(|i| (i % 251) as u8).collect();
+        fs.write_file("/r", &data).unwrap();
         let r = fs.open("/r").unwrap();
         let mut buf = vec![0u8; 256];
         assert_eq!(r.read_at(0, &mut buf).unwrap(), 256);

@@ -33,9 +33,9 @@
 //!
 //! The paper runs buffering and prefetching on thread pools (§3.2.2).
 //! Here a mount runs no I/O thread of its own: every request travels
-//! through the transport's event loop (one per TCP mount, none in
-//! process), and the application thread that needs a drain or a window
-//! settles it. (The opt-in repair daemon is the one thread a mount may
+//! through the transport's event loop (one per TCP mount, run by the
+//! threads that call into it; none in process), and the application
+//! thread that needs a drain or a window settles it. (The opt-in repair daemon is the one thread a mount may
 //! add.)
 //!
 //! ## Example

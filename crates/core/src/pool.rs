@@ -494,9 +494,13 @@ impl ServerPool {
     /// Wait until every operation that entered before this call has
     /// been answered, so a snapshot published before the call is the one
     /// all in-flight routing uses. Called by the repair pass between a
-    /// membership change and acting on it.
+    /// membership change and acting on it. It turns the clients'
+    /// transports while it waits ([`KvClient::progress`]): a window left
+    /// in an idle handle holds the gate until its answer is delivered.
     pub(crate) fn quiesce(&self) {
-        self.live.quiesce();
+        let clients = self.live.snapshot().clients.clone();
+        self.live
+            .quiesce(|| clients.iter().for_each(|client| client.progress()));
     }
 
     /// Serializes repair passes across threads (daemon vs. manual

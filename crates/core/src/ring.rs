@@ -234,10 +234,14 @@ impl Live {
     /// Swap in a fresh token and wait until every hold on the old one is
     /// dropped: on return, no operation still routes by a snapshot read
     /// before this call. A hold is only ever cloned from another hold, so
-    /// the old token's count cannot climb back once it reads 1.
-    pub(crate) fn quiesce(&self) {
+    /// the old token's count cannot climb back once it reads 1. A hold
+    /// rides a batch until it is answered, and a transport may answer a
+    /// batch nobody waits on only while some call turns its loop:
+    /// `progress` is that call, made between checks.
+    pub(crate) fn quiesce(&self, progress: impl Fn()) {
         let old = std::mem::take(&mut self.0.write().1);
         while Arc::strong_count(&old) > 1 {
+            progress();
             std::thread::sleep(Duration::from_micros(50));
         }
         // Pairs with the release decrement of the last hold dropped.

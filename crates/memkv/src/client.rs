@@ -10,10 +10,10 @@
 //! `append`, `delete`, `get_range`, `get_many`, `set_many`,
 //! `delete_many`) is written once, on the trait, over that method — a
 //! single-key call is a batch of one — so an implementation is `start`
-//! plus whichever of the two side methods (`scan_keys`,
-//! `reactor_stats`) it has something to say about. A client keeps no
-//! view of whether its server is alive: a request that fails says so,
-//! as in Libmemcached. Two transports implement it:
+//! plus whichever of the three side methods (`scan_keys`,
+//! `reactor_stats`, `progress`) it has something to say about. A client
+//! keeps no view of whether its server is alive: a request that fails
+//! says so, as in Libmemcached. Two transports implement it:
 //!
 //! * [`SimClient`] — an in-process [`Store`], reached by direct calls
 //!   behind a simulated link on a virtual clock: free by default
@@ -234,6 +234,12 @@ pub trait KvClient: Send + Sync {
     fn reactor_stats(&self) -> Option<crate::reactor::ReactorStatsSnapshot> {
         None
     }
+    /// Deliver the answers that have arrived, without waiting: a transport
+    /// that answers a batch only while some call turns its event loop
+    /// ([`crate::net::TcpClient`]) turns it once, without sleeping, so the
+    /// [`Deferred::when_answered`] hooks of batches nobody waits on run.
+    /// Default: nothing (a transport that answers inside `start`).
+    fn progress(&self) {}
 }
 
 /// The virtual clock a pool's [`SimClient`]s share: time counted from
@@ -396,6 +402,9 @@ impl<C: KvClient + ?Sized> KvClient for Arc<C> {
     }
     fn reactor_stats(&self) -> Option<crate::reactor::ReactorStatsSnapshot> {
         (**self).reactor_stats()
+    }
+    fn progress(&self) {
+        (**self).progress()
     }
 }
 

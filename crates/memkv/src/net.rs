@@ -75,7 +75,8 @@ impl Default for PoolConfig {
 /// caller thread waits.
 /// [`TcpClient::connect_shared`] registers on a caller-owned
 /// [`ReactorHandle`] so every client of a mount shares one reactor
-/// thread; [`TcpClient::connect_with`] spins up a private one.
+/// loop; [`TcpClient::connect_with`] makes a private one. Neither starts
+/// a thread: the loop runs on the callers.
 ///
 /// Every request is a batch ([`KvClient::start`]; a single-key call is a
 /// batch of one) and every batch is *pipelined*: its frames are queued on
@@ -132,9 +133,8 @@ impl TcpClient {
 
     /// Connect to a server and register the connection with an existing
     /// shared reactor — the per-mount deployment shape: every server's
-    /// `TcpClient` rides one epoll thread, so completions land in
-    /// cross-server batches and thread count stays constant in cluster
-    /// size. The client keeps the reactor alive for as long as it lives.
+    /// `TcpClient` rides one epoll loop, so completions land in
+    /// cross-server batches whatever the cluster size. The client keeps the reactor alive for as long as it lives.
     ///
     /// # Panics
     /// Panics if `config.timeout` is zero.
@@ -221,7 +221,10 @@ impl TcpClient {
     /// Issue a request and wait for its response.
     pub fn call(&self, req: &Request) -> KvResult<Response> {
         let mut resps = self.submit_batch(std::slice::from_ref(req)).wait()?;
-        Ok(resps.pop().expect("one response per request"))
+        let Some(resp) = resps.pop() else {
+            return Err(KvError::Protocol("no response to the request".into()));
+        };
+        Ok(resp)
     }
 
     /// Fetch server statistics.
@@ -442,7 +445,7 @@ fn parse_values(rx: &mut RxBuf) -> KvResult<ParseStep> {
     // are copied out ([`RxBuf::hands_over`] has the rule and its reason).
     let payload: usize = raw.iter().map(|r| r.data.1 - r.data.0).sum();
     let zero_copy = rx.hands_over(frame_end, payload);
-    let mut items: Vec<ValueItem> = if zero_copy {
+    let items: Vec<ValueItem> = if zero_copy {
         let frame = rx.take_frame(frame_end);
         raw.into_iter()
             .map(|r| ValueItem {
@@ -466,15 +469,13 @@ fn parse_values(rx: &mut RxBuf) -> KvResult<ParseStep> {
         rx.consume(frame_end);
         items
     };
-    let resp = if items.len() == 1 {
-        let item = items.pop().expect("one item");
-        Response::Value {
+    let resp = match <[ValueItem; 1]>::try_from(items) {
+        Ok([item]) => Response::Value {
             key: item.key,
             value: item.value,
             cas: item.cas,
-        }
-    } else {
-        Response::Values(items)
+        },
+        Err(items) => Response::Values(items),
     };
     Ok(ParseStep::Done(resp))
 }
@@ -525,6 +526,10 @@ impl KvClient for TcpClient {
 
     fn reactor_stats(&self) -> Option<ReactorStatsSnapshot> {
         Some(TcpClient::reactor_stats(self))
+    }
+
+    fn progress(&self) {
+        self.registration.handle().progress();
     }
 }
 

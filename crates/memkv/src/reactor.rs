@@ -1,6 +1,7 @@
 //! Evented transport core: one epoll loop drives every registered
 //! connection — to any number of servers — and it runs on whichever
-//! thread is waiting for an answer.
+//! caller thread needs it. A mount owns no thread, as Libmemcached owns
+//! none: every call does its I/O on the calling thread.
 //!
 //! The reactor is a process-wide resource shared through a
 //! [`ReactorHandle`]. Each [`crate::net::TcpClient`] *registers* its one
@@ -10,9 +11,9 @@
 //! writes it, parses the replies and fills the batch's completion slot.
 //! One loop multiplexes every server's sockets, so:
 //!
-//! * a mount runs **one** `memkv-reactor` thread whatever its server
-//!   count, and still keeps every server streaming at once (the paper's
-//!   full-bisection claim, §3.2) — no thread is parked per in-flight call;
+//! * a mount keeps every server streaming at once whatever its server
+//!   count (the paper's full-bisection claim, §3.2) — no thread is parked
+//!   per in-flight call;
 //! * one epoll wake drains completions for *all* servers, delivering them
 //!   to waiting callers in cross-server batches (the pool's sliding
 //!   window observes completions as they land anywhere in the cluster);
@@ -20,7 +21,7 @@
 //!   instant: each iteration fires the keys that have passed, and an idle
 //!   loop sleeps until the first one left instead of scanning every
 //!   connection's queue front. A slot holds at most two keys: its
-//!   front's deadline and a connect timeout.
+//!   queue's deadline and a connect timeout.
 //!
 //! Who runs the loop (leader/follower):
 //!
@@ -37,14 +38,28 @@
 //!   parked callers after every turn that delivered something, so an
 //!   answer never waits for the leader's own — one stalled server stalls
 //!   only the keys routed to it — and it wakes them when it lets the loop
-//!   go, so one of them takes it over.
-//! * **The thread leads only when nobody does.** After the loop has sat
-//!   untouched for [`QUIET`], the `memkv-reactor` thread takes it: for
-//!   work nobody waits on (a window started and never waited for, a write
-//!   drain, a deadline) and for the idle poll that notices a quiet link
-//!   the server closed. It lets the loop go as soon as a caller turns up —
-//!   a command in the inbox or a parked follower — and waits for the next
-//!   quiet period.
+//!   go, so one of them takes it over. A leader that lets the loop go with
+//!   a command left in the inbox runs one more turn for it.
+//!
+//! Nobody turns the loop while the mount is idle, so the work that has no
+//! waiter rides the turns that do happen:
+//!
+//! * **A link the server closed while the mount was idle** is noticed by
+//!   the next submit: every turn handles the socket events that are ready
+//!   *before* it runs the inbox, so the hang-up marks the link down and
+//!   the submit dials, instead of writing into a dead socket (where an
+//!   `add` or `append` could not be replayed).
+//! * **Deadlines time the server, not the caller's absence.** A turn
+//!   handles socket events before it fires timers, and a connection's
+//!   deadline runs from the last time it moved bytes (Libmemcached's
+//!   per-poll inactivity rule): a reply that sat in the socket, or a batch
+//!   left half-written while nobody turned the loop, is not timed out by
+//!   the turn that finally finds it.
+//! * **Answers nobody waits on** — a prefetch window or a write drain left
+//!   in an idle handle — are delivered by the next turn of anyone: a wait,
+//!   a submit, or [`crate::KvClient::progress`], which the quiescence
+//!   gate's wait calls so that the gate holds such answers carry are
+//!   released.
 //!
 //! Per connection:
 //!
@@ -69,17 +84,15 @@
 //!   caller with a replica to try moves on to it at once.
 //! * **Deadlines** — a per-call timeout
 //!   ([`crate::net::PoolConfig::timeout`], stored per registration). A
-//!   server that accepts and then never answers is timed out, the
-//!   connection severed (the FIFO response alignment is unrecoverable
-//!   once a reply is abandoned), and the caller gets
+//!   server that accepts and then moves no byte for that long is timed
+//!   out, the connection severed (the FIFO response alignment is
+//!   unrecoverable once a reply is abandoned), and the caller gets
 //!   [`KvError::Timeout`]. A stalled server only stalls its own
 //!   connection: the shared loop keeps every other server streaming.
 //!
-//! Lifecycle: the reactor thread starts with the first handle and exits
-//! when the last handle drops ([`ReactorHandle`] is an `Arc` in a
-//! trenchcoat). Dropping a `Registration` deregisters its connection —
-//! queued batches fail with `NotConnected` and the token slot returns to
-//! a free list for the next registration.
+//! Dropping a `Registration` deregisters its connection — queued batches
+//! fail with `NotConnected` and the token slot returns to a free list for
+//! the next registration.
 
 use std::collections::{BTreeSet, VecDeque};
 use std::io;
@@ -87,7 +100,7 @@ use std::net::{SocketAddr, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::thread::{JoinHandle, ThreadId};
+use std::thread::ThreadId;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
@@ -116,16 +129,6 @@ const MAX_BACKOFF: Duration = Duration::from_millis(500);
 /// to tens of milliseconds), and a connect cut short only doubles the
 /// backoff before the next attempt.
 const MIN_CONNECT_TIMEOUT: Duration = Duration::from_millis(50);
-/// How long the loop sits untouched before the `memkv-reactor` thread
-/// takes it. It bounds how late a batch nobody waits on is answered, and
-/// how late a quiet link the server closed is noticed. Measured on the
-/// four benchmark workloads (DESIGN.md §4b), 2 ms keeps the thread off
-/// the request path: it takes the loop 3–44 times in an 18 s run and
-/// answers at most 17 batches; at 200 µs it took `montage_mix`'s loop
-/// 3846 times, and 20 ms saves only those few takings at ten times the
-/// delay. The thread never spins instead: on two CPUs a polling thread
-/// takes the CPU the caller or a server needs.
-const QUIET: Duration = Duration::from_millis(2);
 
 /// Where [`pin_malloc_thresholds`] holds glibc's `M_MMAP_THRESHOLD` and
 /// `M_TRIM_THRESHOLD`: the top of the range its own dynamic adjustment
@@ -180,8 +183,9 @@ pub(crate) fn pin_malloc_thresholds() {
     }
 }
 
-/// Reactor observability counters, updated by the loop thread and read
-/// by [`ReactorHandle::stats`] without synchronization beyond atomics.
+/// Reactor observability counters, updated by whichever thread turns the
+/// loop and read by [`ReactorHandle::stats`] without synchronization
+/// beyond atomics.
 #[derive(Default)]
 struct ReactorStats {
     /// `epoll_wait` returns — one per turn of the loop, on any thread,
@@ -192,11 +196,6 @@ struct ReactorStats {
     /// Waited-on batches whose answer a turn of the loop on the waiting
     /// caller's own thread delivered: no thread hop.
     inline_completions: AtomicU64,
-    /// Times the `memkv-reactor` thread took the loop after it sat
-    /// untouched for [`QUIET`].
-    thread_leads: AtomicU64,
-    /// Batches completed by turns of the `memkv-reactor` thread.
-    thread_completions: AtomicU64,
     /// Loop iterations that delivered at least one completion. The ratio
     /// `completions / completion_batches` is the cross-server batching
     /// factor: how many callers one wake unblocks on average.
@@ -234,11 +233,6 @@ pub struct ReactorStatsSnapshot {
     /// caller's own thread delivered (no thread hop between socket and
     /// caller).
     pub inline_completions: u64,
-    /// Times the `memkv-reactor` thread took the loop after a quiet
-    /// period.
-    pub thread_leads: u64,
-    /// Batches completed by turns of the `memkv-reactor` thread.
-    pub thread_completions: u64,
     /// Loop iterations that delivered ≥ 1 completion.
     pub completion_batches: u64,
     /// Connections currently registered.
@@ -277,8 +271,6 @@ impl ReactorStats {
             wakeups: self.wakeups.load(Ordering::Relaxed),
             completions: self.completions.load(Ordering::Relaxed),
             inline_completions: self.inline_completions.load(Ordering::Relaxed),
-            thread_leads: self.thread_leads.load(Ordering::Relaxed),
-            thread_completions: self.thread_completions.load(Ordering::Relaxed),
             completion_batches: self.completion_batches.load(Ordering::Relaxed),
             registered_connections: self.registered_connections.load(Ordering::Relaxed),
             timeouts: self.timeouts.load(Ordering::Relaxed),
@@ -390,12 +382,11 @@ struct Exchange {
     idempotent: bool,
     /// A batch is replayed at most once.
     retried: bool,
-    deadline: Instant,
     done: Arc<OneShot<KvResult<Vec<Response>>>>,
 }
 
 impl Exchange {
-    fn new(segments: Vec<Bytes>, expect: usize, idempotent: bool, timeout: Duration) -> Exchange {
+    fn new(segments: Vec<Bytes>, expect: usize, idempotent: bool) -> Exchange {
         debug_assert!(segments.iter().all(|s| !s.is_empty()));
         Exchange {
             segments,
@@ -403,7 +394,6 @@ impl Exchange {
             got: Vec::with_capacity(expect),
             idempotent,
             retried: false,
-            deadline: Instant::now() + timeout,
             done: OneShot::new(),
         }
     }
@@ -466,18 +456,14 @@ enum Command {
 struct Shared {
     poller: Poller,
     inbox: Mutex<Vec<Command>>,
-    /// Set when the last handle drops: the next turn fails everything
-    /// queued and reports the loop finished.
-    shutdown: AtomicBool,
-    /// Turns begun, by any thread: the quiet clock of the thread.
-    turns: AtomicU64,
     stats: ReactorStats,
 }
 
 /// What a timer firing means for its connection.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 enum TimerKind {
-    /// The front exchange's deadline passed.
+    /// The queue's deadline passed: the connection moved no byte for
+    /// its timeout.
     Deadline,
     /// A non-blocking connect never became writable.
     ConnectTimeout,
@@ -496,7 +482,7 @@ enum Link {
     Up(Conn),
 }
 
-/// Per-connection state, owned exclusively by the reactor thread. Slots
+/// Per-connection state, owned by whichever thread leads the loop. Slots
 /// are reused across registrations. No timer crosses into the next
 /// registration: releasing a slot removes every key it has armed.
 struct ConnState {
@@ -512,9 +498,12 @@ struct ConnState {
     timeout: Duration,
     /// Slot is owned by a live [`Registration`].
     registered: bool,
-    /// Armed timer key for the front exchange's deadline. The front has
-    /// the earliest deadline (FIFO submission, uniform timeout), so one
-    /// timer per connection suffices; re-armed on every front change.
+    /// When the connection last moved bytes, or its queue last went from
+    /// empty to not: its deadline is this plus `timeout`.
+    progress: Instant,
+    /// Armed timer key for the queue's deadline, while the queue is not
+    /// empty. It may lag `progress`: a key that fires early is re-armed
+    /// at the deadline, so moving bytes costs no timer update.
     deadline_timer: Option<(Instant, usize, TimerKind)>,
     /// Armed `ConnectTimeout`, while `Connecting`.
     connect_timer: Option<(Instant, usize, TimerKind)>,
@@ -536,6 +525,7 @@ impl ConnState {
             addr: SocketAddr::from(([0, 0, 0, 0], 0)),
             timeout: Duration::from_secs(10),
             registered: false,
+            progress: Instant::now(),
             deadline_timer: None,
             connect_timer: None,
             backoff: Duration::ZERO,
@@ -546,7 +536,7 @@ impl ConnState {
 }
 
 /// The loop, and the threads taking turns at it. Holding `event_loop` is
-/// leading; `followers` and its two condvars are how the others wait.
+/// leading; `followers` and `handoff` are how the others wait.
 struct Reactor {
     shared: Arc<Shared>,
     event_loop: Mutex<EventLoop>,
@@ -555,9 +545,6 @@ struct Reactor {
     /// Followers park here: woken after a turn that delivered something,
     /// and when a leader lets the loop go.
     handoff: Condvar,
-    /// The thread parks here until the loop has sat untouched for
-    /// [`QUIET`], or the reactor shuts down.
-    quiet: Condvar,
 }
 
 /// One thread's hold on the loop. Dropping it lets the loop go and wakes
@@ -573,11 +560,9 @@ impl Leader<'_> {
     /// One turn of the loop; `sleep` lets it sleep in `epoll_wait` until
     /// an event or the first timer. Whoever keeps leading after a turn
     /// that `delivered` wakes the followers; letting the loop go does.
-    fn turn(&mut self, sleep: bool) -> Turned {
-        match self.event_loop.as_mut() {
-            Some(event_loop) => event_loop.turn(sleep),
-            None => Turned::default(),
-        }
+    fn turn(&mut self, sleep: bool) -> bool {
+        let event_loop = self.event_loop.as_mut();
+        event_loop.is_some_and(|event_loop| event_loop.turn(sleep))
     }
 }
 
@@ -585,6 +570,12 @@ impl Drop for Leader<'_> {
     fn drop(&mut self) {
         drop(self.event_loop.take());
         self.reactor.wake_followers();
+        // A command pushed during the last turn only woke this leader: run
+        // it, or a batch nobody waits on sits in the inbox until the next
+        // caller turns up.
+        if !self.reactor.shared.inbox.lock().is_empty() {
+            self.reactor.progress();
+        }
     }
 }
 
@@ -609,12 +600,16 @@ impl Reactor {
     /// out with no wake. Otherwise the leader is woken to run it.
     fn command(&self, cmd: Command) {
         self.shared.inbox.lock().push(cmd);
-        match self.try_lead() {
-            Some(mut leader) => {
-                leader.turn(false);
-            }
-            None => self.shared.poller.notify(),
+        if !self.progress() {
+            self.shared.poller.notify();
         }
+    }
+
+    /// One turn that does not sleep, here, when nobody leads; `false` when
+    /// another thread leads, and so turns the loop itself.
+    fn progress(&self) -> bool {
+        let led = self.try_lead();
+        led.map(|mut leader| leader.turn(false)).is_some()
     }
 
     /// Wait until `done` is filled, and take its value. While nobody else
@@ -632,14 +627,10 @@ impl Reactor {
             }
             if let Some(mut leader) = self.try_lead().or_else(|| self.follow(done)) {
                 while !done.is_set() {
-                    let turned = leader.turn(true);
-                    if !turned.alive {
-                        // A loop that shut down has answered every batch.
-                        break;
-                    }
+                    let delivered = leader.turn(true);
                     // Once `done` is set the leader lets go, which wakes
                     // them anyway.
-                    if turned.delivered && !done.is_set() {
+                    if delivered && !done.is_set() {
                         self.wake_followers();
                     }
                 }
@@ -664,102 +655,24 @@ impl Reactor {
         *followers -= 1;
         None
     }
-
-    /// The `memkv-reactor` thread: it leads whenever the loop has sat
-    /// untouched for [`QUIET`], and lets it go as soon as a caller turns
-    /// up. Returns once the reactor has shut down.
-    fn run(&self) {
-        let stats = &self.shared.stats;
-        loop {
-            let mut leader = self.await_quiet();
-            stats.thread_leads.fetch_add(1, Ordering::Relaxed);
-            loop {
-                let before = stats.completions.load(Ordering::Relaxed);
-                let turned = leader.turn(true);
-                let delivered = stats.completions.load(Ordering::Relaxed) - before;
-                stats
-                    .thread_completions
-                    .fetch_add(delivered, Ordering::Relaxed);
-                if !turned.alive {
-                    return;
-                }
-                if turned.commands || *self.followers.lock() > 0 {
-                    break;
-                }
-                if turned.delivered {
-                    self.wake_followers();
-                }
-            }
-        }
-    }
-
-    /// Park until nobody has turned the loop for [`QUIET`], then take it;
-    /// at shutdown, take it as soon as any leader lets it go, for the turn
-    /// that finishes the loop.
-    fn await_quiet(&self) -> Leader<'_> {
-        let mut lock = self.followers.lock();
-        let mut seen = self.shared.turns.load(Ordering::SeqCst);
-        loop {
-            let shutdown = self.shared.shutdown.load(Ordering::SeqCst);
-            if !shutdown {
-                let timed_out = self.quiet.wait_for(&mut lock, QUIET).timed_out();
-                let turns = self.shared.turns.load(Ordering::SeqCst);
-                let untouched = std::mem::replace(&mut seen, turns) == turns;
-                if !(timed_out && untouched) {
-                    continue;
-                }
-            }
-            match self.try_lead() {
-                Some(leader) => return leader,
-                // Shut down with a caller leading: its turn fails what is
-                // queued; the thread's own turn after it finishes.
-                None if shutdown => {
-                    self.quiet.wait_for(&mut lock, QUIET);
-                }
-                None => {}
-            }
-        }
-    }
 }
 
-struct HandleInner {
-    reactor: Arc<Reactor>,
-    thread: Mutex<Option<JoinHandle<()>>>,
-}
-
-impl Drop for HandleInner {
-    fn drop(&mut self) {
-        let reactor = &self.reactor;
-        reactor.shared.shutdown.store(true, Ordering::SeqCst);
-        reactor.shared.poller.notify();
-        {
-            // Under the lock, so the thread cannot miss it between its
-            // check of the flag and its park.
-            let _lock = reactor.followers.lock();
-            reactor.quiet.notify_all();
-        }
-        if let Some(thread) = self.thread.lock().take() {
-            let _ = thread.join();
-        }
-    }
-}
-
-/// Cloneable owner of one shared reactor thread. Clients register their
+/// Cloneable handle to one shared reactor. Clients register their
 /// connection with [`TcpClient::connect_shared`]
-/// (`crate::net::TcpClient`); every clone refers to the same loop, and
-/// the thread exits when the last clone (including those held by live
-/// registrations) drops.
+/// (`crate::net::TcpClient`); every clone refers to the same loop, which
+/// runs on the threads that submit to it and wait on it. Nothing is left
+/// to shut down when the last clone goes: every registration holds one,
+/// and deregistering a connection answers every batch it had queued.
 #[derive(Clone)]
 pub struct ReactorHandle {
-    inner: Arc<HandleInner>,
+    reactor: Arc<Reactor>,
 }
 
 impl ReactorHandle {
-    /// Spawn the reactor thread (named `memkv-reactor`) with no
-    /// registered connections. The first call in a process also pins
-    /// glibc malloc's `mmap` and trim thresholds, so that what a
-    /// stripe-sized buffer costs does not depend on the process's
-    /// allocation history.
+    /// A reactor with no registered connections. It starts no thread. The
+    /// first call in a process also pins glibc malloc's `mmap` and trim
+    /// thresholds, so that what a stripe-sized buffer costs does not
+    /// depend on the process's allocation history.
     pub fn new() -> KvResult<ReactorHandle> {
         pin_malloc_thresholds();
         let event_loop = EventLoop::new(Poller::new()?);
@@ -768,31 +681,21 @@ impl ReactorHandle {
             event_loop: Mutex::new(event_loop),
             followers: Mutex::new(0),
             handoff: Condvar::new(),
-            quiet: Condvar::new(),
         });
-        let thread = {
-            let reactor = Arc::clone(&reactor);
-            std::thread::Builder::new()
-                .name("memkv-reactor".into())
-                .spawn(move || reactor.run())
-                .map_err(KvError::Io)?
-        };
-        Ok(ReactorHandle {
-            inner: Arc::new(HandleInner {
-                reactor,
-                thread: Mutex::new(Some(thread)),
-            }),
-        })
+        Ok(ReactorHandle { reactor })
     }
 
     /// Current counters for this reactor.
     pub fn stats(&self) -> ReactorStatsSnapshot {
-        let shared = &self.inner.reactor.shared;
+        let shared = &self.reactor.shared;
         shared.stats.snapshot(Arc::as_ptr(shared) as usize)
     }
 
-    fn reactor(&self) -> &Arc<Reactor> {
-        &self.inner.reactor
+    /// Deliver whatever has arrived and send whatever the sockets take,
+    /// without waiting: one turn of the loop that does not sleep, unless
+    /// another thread is turning it.
+    pub(crate) fn progress(&self) {
+        self.reactor.progress();
     }
 
     /// Adopt a pre-connected `stream` (switched to non-blocking inside the
@@ -804,19 +707,16 @@ impl ReactorHandle {
         timeout: Duration,
     ) -> KvResult<Registration> {
         let reply = OneShot::new();
-        self.reactor().command(Command::Register {
+        self.reactor.command(Command::Register {
             addr,
             stream,
             timeout,
             reply: Arc::clone(&reply),
         });
-        // The loop cannot shut down while this handle is alive, so the
-        // reply always arrives.
-        let token = self.reactor().wait_for(&reply).map_err(KvError::Io)?;
+        let token = self.reactor.wait_for(&reply).map_err(KvError::Io)?;
         Ok(Registration {
             handle: self.clone(),
             token,
-            timeout,
         })
     }
 }
@@ -827,7 +727,6 @@ impl ReactorHandle {
 pub(crate) struct Registration {
     handle: ReactorHandle,
     token: usize,
-    timeout: Duration,
 }
 
 impl Registration {
@@ -844,9 +743,9 @@ impl Registration {
         expect: usize,
         idempotent: bool,
     ) -> PendingExchange {
-        let call = Exchange::new(segments, expect, idempotent, self.timeout);
+        let call = Exchange::new(segments, expect, idempotent);
         let done = Arc::clone(&call.done);
-        let reactor = self.handle.reactor();
+        let reactor = &self.handle.reactor;
         if expect == 0 {
             done.set(Ok(Vec::new()));
         } else {
@@ -863,7 +762,7 @@ impl Registration {
 impl Drop for Registration {
     fn drop(&mut self) {
         let token = self.token;
-        self.handle.reactor().command(Command::Deregister { token });
+        self.handle.reactor.command(Command::Deregister { token });
     }
 }
 
@@ -871,18 +770,6 @@ impl Drop for Registration {
 /// queue of batches).
 fn dup_io(err: &io::Error) -> io::Error {
     io::Error::new(err.kind(), err.to_string())
-}
-
-/// What one turn of the loop did.
-#[derive(Default)]
-struct Turned {
-    /// `false` once the reactor has shut down: every batch it held is
-    /// answered and the loop takes no more turns.
-    alive: bool,
-    /// The turn ran commands from the inbox: a caller is active.
-    commands: bool,
-    /// The turn delivered at least one completion or registration reply.
-    delivered: bool,
 }
 
 struct EventLoop {
@@ -905,8 +792,6 @@ impl EventLoop {
             shared: Arc::new(Shared {
                 poller,
                 inbox: Mutex::new(Vec::new()),
-                shutdown: AtomicBool::new(false),
-                turns: AtomicU64::new(0),
                 stats: ReactorStats::default(),
             }),
             conns: Vec::new(),
@@ -916,45 +801,20 @@ impl EventLoop {
         }
     }
 
-    /// One iteration: the inbox's commands, the timers that have expired,
-    /// then one `epoll_wait` and its events. With `sleep` the wait lasts
-    /// until an event or the first timer left — unless the commands or
-    /// timers already answered someone, whose caller must see it before
-    /// the loop sleeps; without, it only collects what is ready.
-    fn turn(&mut self, sleep: bool) -> Turned {
-        self.shared.turns.fetch_add(1, Ordering::SeqCst);
-        // Completions delivered by this iteration — commands, expired
-        // timers and socket events alike — count as one wake batch.
+    /// One iteration: one `epoll_wait` and its events, then the inbox's
+    /// commands, then the timers that have expired. Events go first: a
+    /// hang-up that came while nobody turned the loop marks its link down
+    /// before a submit writes to it, and a reply (or send room) that came
+    /// meanwhile is taken before a deadline could fire over it. With
+    /// `sleep` and an empty inbox the wait lasts until an event or the
+    /// first timer — a command pushed meanwhile wakes it; otherwise it
+    /// only collects what is ready. Returns whether the turn delivered a
+    /// completion or a registration reply.
+    fn turn(&mut self, sleep: bool) -> bool {
+        // Completions delivered by this iteration — socket events, commands
+        // and expired timers alike — count as one wake batch.
         let before = self.shared.stats.completions.load(Ordering::Relaxed);
-        let commands = std::mem::take(&mut *self.shared.inbox.lock());
-        let mut turned = Turned {
-            alive: true,
-            commands: !commands.is_empty(),
-            delivered: commands
-                .iter()
-                .any(|cmd| matches!(cmd, Command::Register { .. })),
-        };
-        for cmd in commands {
-            self.handle_command(cmd);
-        }
-        if self.shared.shutdown.load(Ordering::SeqCst) {
-            self.abort_all();
-            return Turned {
-                alive: false,
-                delivered: true,
-                ..turned
-            };
-        }
-        let now = Instant::now();
-        while let Some(&key) = self.timers.first().filter(|&&(at, ..)| at <= now) {
-            self.timers.remove(&key);
-            let (_, idx, kind) = key;
-            self.handle_timer(idx, kind);
-        }
-        let answered =
-            turned.commands || self.shared.stats.completions.load(Ordering::Relaxed) > before;
-        let sleep = sleep && !answered;
-        let poll_timeout = match sleep {
+        let poll_timeout = match sleep && self.shared.inbox.lock().is_empty() {
             true => self
                 .timers
                 .first()
@@ -968,45 +828,60 @@ impl EventLoop {
             self.shared.stats.wakeups.fetch_add(1, Ordering::Relaxed);
         }
         for &(token, ev) in events.iter() {
-            if token == WAKE_TOKEN {
-                self.shared.poller.drain_wake();
-                continue;
-            }
-            let idx = token as usize;
-            if idx >= self.conns.len() {
-                continue;
-            }
-            if matches!(self.conns[idx].link, Link::Connecting(_)) {
-                // Writable or error: either way SO_ERROR renders the
-                // verdict on the in-flight connect.
-                if ev & (libc::EPOLLOUT | libc::EPOLLERR | libc::EPOLLHUP) != 0 {
-                    self.finish_connect(idx);
-                }
-                continue;
-            }
-            if ev & (libc::EPOLLERR | libc::EPOLLHUP) != 0 {
-                self.kill_conn(
-                    idx,
-                    io::Error::new(io::ErrorKind::ConnectionReset, "connection error"),
-                );
-                continue;
-            }
-            if ev & (libc::EPOLLIN | libc::EPOLLRDHUP) != 0 {
-                self.handle_readable(idx);
-            }
-            if ev & libc::EPOLLOUT != 0 {
-                self.flush_conn(idx);
-            }
+            self.handle_event(token, ev);
         }
         self.events = events;
-        if self.shared.stats.completions.load(Ordering::Relaxed) > before {
-            turned.delivered = true;
+        let commands = std::mem::take(&mut *self.shared.inbox.lock());
+        let registered = commands
+            .iter()
+            .any(|cmd| matches!(cmd, Command::Register { .. }));
+        for cmd in commands {
+            self.handle_command(cmd);
+        }
+        let now = Instant::now();
+        while let Some(&key) = self.timers.first().filter(|&&(at, ..)| at <= now) {
+            self.timers.remove(&key);
+            let (_, idx, kind) = key;
+            self.handle_timer(idx, kind, now);
+        }
+        let completed = self.shared.stats.completions.load(Ordering::Relaxed) > before;
+        if completed {
             self.shared
                 .stats
                 .completion_batches
                 .fetch_add(1, Ordering::Relaxed);
         }
-        turned
+        registered || completed
+    }
+
+    fn handle_event(&mut self, token: u64, ev: u32) {
+        if token == WAKE_TOKEN {
+            return self.shared.poller.drain_wake();
+        }
+        let idx = token as usize;
+        if idx >= self.conns.len() {
+            return;
+        }
+        if matches!(self.conns[idx].link, Link::Connecting(_)) {
+            // Writable or error: either way SO_ERROR renders the verdict on
+            // the in-flight connect.
+            if ev & (libc::EPOLLOUT | libc::EPOLLERR | libc::EPOLLHUP) != 0 {
+                self.finish_connect(idx);
+            }
+            return;
+        }
+        if ev & (libc::EPOLLERR | libc::EPOLLHUP) != 0 {
+            return self.kill_conn(
+                idx,
+                io::Error::new(io::ErrorKind::ConnectionReset, "connection error"),
+            );
+        }
+        if ev & (libc::EPOLLIN | libc::EPOLLRDHUP) != 0 {
+            self.handle_readable(idx);
+        }
+        if ev & libc::EPOLLOUT != 0 {
+            self.flush_conn(idx);
+        }
     }
 
     fn handle_command(&mut self, cmd: Command) {
@@ -1034,7 +909,8 @@ impl EventLoop {
                 }
                 state.queue.push_back(call);
                 if state.queue.len() == 1 {
-                    self.arm_front_deadline(conn);
+                    state.progress = Instant::now();
+                    self.arm_deadline(conn);
                 }
                 match self.conns[conn].link {
                     Link::Up(_) => self.flush_conn(conn),
@@ -1049,18 +925,23 @@ impl EventLoop {
         }
     }
 
-    fn handle_timer(&mut self, idx: usize, kind: TimerKind) {
+    fn handle_timer(&mut self, idx: usize, kind: TimerKind, now: Instant) {
         match kind {
             TimerKind::Deadline => {
-                self.conns[idx].deadline_timer = None;
-                // The key was the front's own deadline, and it has passed.
-                // A deadline key is armed only for a queue front and
-                // removed with it, so an empty queue has nothing to time
-                // out.
-                let Some(front) = self.conns[idx].queue.pop_front() else {
+                let state = &mut self.conns[idx];
+                state.deadline_timer = None;
+                let after = state.timeout;
+                // Bytes moved since the key was armed: the deadline moved
+                // on with them.
+                if state.progress + after > now {
+                    return self.arm_deadline(idx);
+                }
+                // A deadline key is armed only for a non-empty queue and
+                // removed with its last batch, so an empty queue has
+                // nothing to time out.
+                let Some(front) = state.queue.pop_front() else {
                     return;
                 };
-                let after = self.conns[idx].timeout;
                 // Count and sever before delivering: a caller that observed
                 // the Timeout error must also observe the counter and the
                 // link down.
@@ -1087,15 +968,22 @@ impl EventLoop {
         }
     }
 
-    /// (Re)arm `idx`'s deadline timer for its current queue front.
-    fn arm_front_deadline(&mut self, idx: usize) {
-        if let Some(key) = self.conns[idx].deadline_timer.take() {
-            self.timers.remove(&key);
-        }
-        if let Some(deadline) = self.conns[idx].queue.front().map(|ex| ex.deadline) {
-            let key = (deadline, idx, TimerKind::Deadline);
-            self.timers.insert(key);
-            self.conns[idx].deadline_timer = Some(key);
+    /// Keep `idx`'s deadline key armed exactly while its queue holds a
+    /// batch: arm one at `progress` + timeout if there is none, cancel it
+    /// when the queue is empty.
+    fn arm_deadline(&mut self, idx: usize) {
+        let state = &mut self.conns[idx];
+        match (state.queue.is_empty(), state.deadline_timer) {
+            (true, Some(key)) => {
+                self.timers.remove(&key);
+                state.deadline_timer = None;
+            }
+            (false, None) => {
+                let key = (state.progress + state.timeout, idx, TimerKind::Deadline);
+                self.timers.insert(key);
+                state.deadline_timer = Some(key);
+            }
+            _ => {}
         }
     }
 
@@ -1309,7 +1197,7 @@ impl EventLoop {
             }
         }
         self.conns[idx].queue = keep;
-        self.arm_front_deadline(idx);
+        self.arm_deadline(idx);
         if !self.conns[idx].queue.is_empty() {
             self.begin_connect(idx);
         }
@@ -1322,7 +1210,7 @@ impl EventLoop {
         for ex in queue {
             ex.finish_err(KvError::Io(dup_io(&err)), &self.shared.stats);
         }
-        self.arm_front_deadline(idx); // queue empty: cancels the timer
+        self.arm_deadline(idx); // queue empty: cancels the timer
     }
 
     /// Read until the socket is drained, parsing as frames complete.
@@ -1344,6 +1232,7 @@ impl EventLoop {
                 Err(err) => return self.kill_conn(idx, err),
             };
             state.rx_since_quickack += n;
+            state.progress = Instant::now();
             self.shared
                 .stats
                 .bytes_rx
@@ -1410,7 +1299,7 @@ impl EventLoop {
             }
         };
         if front_changed {
-            self.arm_front_deadline(idx);
+            self.arm_deadline(idx);
         }
         result
     }
@@ -1434,7 +1323,8 @@ impl EventLoop {
     /// Write what the link's send queue holds until the socket pushes
     /// back, and keep EPOLLOUT registered exactly while some is left.
     fn flush_conn(&mut self, idx: usize) {
-        let Link::Up(conn) = &mut self.conns[idx].link else {
+        let state = &mut self.conns[idx];
+        let Link::Up(conn) = &mut state.link else {
             return;
         };
         let flushed = conn.flush().and_then(|written| {
@@ -1443,21 +1333,15 @@ impl EventLoop {
         });
         match flushed {
             Ok(written) => {
+                if written > 0 {
+                    state.progress = Instant::now();
+                }
                 self.shared
                     .stats
                     .bytes_tx
                     .fetch_add(written as u64, Ordering::Relaxed);
             }
             Err(err) => self.kill_conn(idx, err),
-        }
-    }
-
-    fn abort_all(&mut self) {
-        for idx in 0..self.conns.len() {
-            self.fail_queue(
-                idx,
-                io::Error::new(io::ErrorKind::NotConnected, "client shut down"),
-            );
         }
     }
 }
@@ -1611,6 +1495,8 @@ mod tests {
         while reactor.stats().bytes_rx < PARTIAL.len() as u64 {
             assert!(Instant::now() < deadline, "the partial reply never arrived");
             std::thread::sleep(Duration::from_millis(5));
+            // Nobody waits on the two batches: turn the loop to read.
+            reactor.progress();
         }
         // The slot now holds a partial frame with a hint, and a send
         // queue cut mid-segment. Its owner goes away.
@@ -1643,17 +1529,31 @@ mod tests {
         reply.take().unwrap().0.unwrap()
     }
 
-    /// Queue a `version` batch on `conn` with `timeout`; returns its
-    /// completion slot.
+    /// Queue a `version` batch on `conn`, its timeout set to `timeout`;
+    /// returns its completion slot.
     fn version_on(
         ev: &mut EventLoop,
         conn: usize,
         timeout: Duration,
     ) -> Arc<OneShot<KvResult<Vec<Response>>>> {
-        let call = Exchange::new(vec![Bytes::from_static(b"version\r\n")], 1, true, timeout);
+        ev.conns[conn].timeout = timeout;
+        let call = Exchange::new(vec![Bytes::from_static(b"version\r\n")], 1, true);
         let done = Arc::clone(&call.done);
         ev.handle_command(Command::Submit { conn, call });
         done
+    }
+
+    impl EventLoop {
+        /// Answer every batch still queued, as a loop must before it is
+        /// dropped.
+        fn abort_all(&mut self) {
+            for idx in 0..self.conns.len() {
+                self.fail_queue(
+                    idx,
+                    io::Error::new(io::ErrorKind::NotConnected, "client shut down"),
+                );
+            }
+        }
     }
 
     /// A loop that runs on the test's own thread, so its state can be

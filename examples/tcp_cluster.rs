@@ -32,7 +32,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // other. Each client keeps one connection per server and pipelines
     // batched requests (prefetch windows and write drains travel as
     // multi-key frames); all of the mount's sockets are multiplexed on
-    // one shared reactor thread.
+    // one shared reactor loop, which runs on the calling thread.
     let config = MemFsConfig {
         stripe_size: 256 << 10,
         ..MemFsConfig::default()

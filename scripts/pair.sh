@@ -3,7 +3,7 @@
 # tree.
 #
 #   scripts/pair.sh <rev> [--pairs N] [--workload W] [--aa] [--seed S0]
-#                         [--out FILE]
+#                         [--spread AA_FILE] [--out FILE]
 #
 # The base side is <rev>, exported with `git archive`; the change side is
 # the working tree as it stands (tracked and untracked files that git does
@@ -25,6 +25,12 @@
 #   * for a gain: per pair, whether the change won or lost, and `gain` when
 #     it won at least 9 in 10 pairs and its median beats the base's by more
 #     than the base's interquartile range.
+# --spread AA_FILE reads back an A/A set this script wrote with --aa (such
+# as bench_history/pr42-aa.json): two identical builds, whose median ratio
+# strays from 1 by the noise alone. Each row then reports that A/A spread
+# beside its verdict; a row whose A/A spread exceeds the row's bound
+# cannot be judged at that many pairs and is marked so, and `gain` also
+# needs the change's median ratio to beat the A/A spread.
 # FILE (default bench_history/pair.json) holds both, with each side's runs,
 # medians and quartiles. Nothing else runs while a pair does: the client
 # and the servers are pinned one CPU each. Needs bash, git and python3
@@ -44,6 +50,7 @@ pairs=5
 workloads=()
 aa=0
 seed0=1
+spread=""
 out="bench_history/pair.json"
 while (($#)); do
     case "$1" in
@@ -51,6 +58,7 @@ while (($#)); do
     --workload) workloads+=("$2"); shift 2 ;;
     --aa) aa=1; shift ;;
     --seed) seed0=$2; shift 2 ;;
+    --spread) spread=$2; shift 2 ;;
     --out) out=$2; shift 2 ;;
     -h | --help) usage ;;
     -*) echo "pair.sh: unknown option $1" >&2; usage ;;
@@ -58,6 +66,7 @@ while (($#)); do
     esac
 done
 [[ -n "$rev" ]] || usage
+[[ -z "$spread" || -r "$spread" ]] || { echo "pair.sh: cannot read $spread" >&2; exit 2; }
 base_rev=$(git rev-parse --verify "$rev^{commit}")
 if ((${#workloads[@]} == 0)); then
     mapfile -t workloads < <(python3 -c '
@@ -147,12 +156,23 @@ status=0
 cat "$work/compare.txt"
 ((status <= 1)) || { echo "pair.sh: run.sh compare failed" >&2; exit 1; }
 
-python3 - "$work" "$out" "$base_rev" "$aa" "$pairs" "$seed0" "$status" <<'EOF'
+python3 - "$work" "$out" "$base_rev" "$aa" "$pairs" "$seed0" "$status" "$spread" <<'EOF'
 import json, statistics, sys
 
-work, out, base_rev, aa, pairs, seed0, status = sys.argv[1:8]
+work, out, base_rev, aa, pairs, seed0, status, spread_file = sys.argv[1:9]
 pairs, seed0 = int(pairs), int(seed0)
-better = {m["name"]: m["better"] for m in json.load(open("BENCHMARK.json"))["end_to_end"]}
+suite = json.load(open("BENCHMARK.json"))["end_to_end"]
+better = {m["name"]: m["better"] for m in suite}
+bound_of = {m["name"]: m["bound"] for m in suite}
+# The A/A set's median-ratio spread per (workload, metric), and its pairs.
+aa_spread, aa_pairs = {}, None
+if spread_file:
+    aa_set = json.load(open(spread_file))
+    aa_pairs = aa_set["pairs"]
+    for workload, w in aa_set["workloads"].items():
+        for name, r in w["rows"].items():
+            if r["ratio"] is not None:
+                aa_spread[(workload, name)] = abs(r["ratio"] - 1)
 sets = {side: json.load(open(f"{work}/{side}.json"))["workloads"] for side in ("base", "change")}
 
 # `run.sh compare`'s rows: workload, metric, A and B medians, change, spread,
@@ -180,6 +200,7 @@ report = {
     "seeds": [seed0, seed0 + pairs - 1],
     "order": "base first on even pairs, change first on odd",
     "within_bounds": status == "0",
+    "spread_from": spread_file or None,
     "workloads": {},
 }
 for workload, b in sets["base"].items():
@@ -196,6 +217,9 @@ for workload, b in sets["base"].items():
         bm, cm = statistics.median(base), statistics.median(change)
         bq, cq = quartiles(base), quartiles(change)
         beats_by = (cm - bm) if higher else (bm - cm)
+        spread = aa_spread.get((workload, name))
+        judgeable = spread is None or spread <= bound_of[name]
+        beats_spread = spread is None or (bm and beats_by / bm > spread)
         rows[name] = {
             "better": better[name],
             "base": {"median": bm, "q1": bq[0], "q3": bq[1], "runs": base},
@@ -204,8 +228,11 @@ for workload, b in sets["base"].items():
             "won": won,
             "lost": lost,
             "of": len(base),
-            "gain": won >= -(-9 * len(base) // 10) and beats_by > bq[1] - bq[0],
+            "gain": bool(won >= -(-9 * len(base) // 10) and beats_by > bq[1] - bq[0]
+                         and beats_spread),
             "bound": bounds.get((workload, name)),
+            "aa_spread": spread,
+            "judgeable": judgeable,
         }
     report["workloads"][workload] = {
         "failed": {"base": b["failed"], "change": c["failed"]},
@@ -216,12 +243,19 @@ with open(out, "w") as f:
     json.dump(report, f, indent=1)
     f.write("\n")
 print()
+beyond = "the base's IQR" + (" and the A/A spread" if spread_file else "")
 for workload, w in report["workloads"].items():
-    print(f"{workload}: pairs won by the change, and gains (>= 9 in 10, beyond the base's IQR)")
+    print(f"{workload}: pairs won by the change, and gains (>= 9 in 10, beyond {beyond})")
     for name, r in w["rows"].items():
         ratio = "n/a" if r["ratio"] is None else f"{r['ratio']:.3f}"
+        verdict = (r["bound"] or {}).get("verdict", "n/a")
+        aa_note = ""
+        if r["aa_spread"] is not None:
+            aa_note = f"  A/A spread {100 * r['aa_spread']:.1f}%"
+            if not r["judgeable"]:
+                aa_note += f"  cannot be judged at {aa_pairs} pairs"
         print(f"  {name:24} ratio {ratio}  won {r['won']}/{r['of']}  lost {r['lost']}"
-              f"{'  GAIN' if r['gain'] else ''}")
+              f"  {verdict}{aa_note}{'  GAIN' if r['gain'] else ''}")
 print(f"bounds: {'no row worse' if status == '0' else 'a row is worse, or failed more ops'}")
 print(f"wrote {out}")
 EOF

@@ -37,8 +37,8 @@
 # move >= 90% of their aggregate cap both ways (line rate); 64 mounts on
 # 4 servers capped at 24 MiB/s must move >= 90% of the 4-mount aggregate
 # (fan-in). Then the
-# thread-census binaries (client side: one reactor loop per mount,
-# including a live 4 -> 6 grow; server side: exactly 1 epoll loop per
+# thread-census binaries (client side: a TCP mount or client starts no
+# thread, including a live 4 -> 6 grow; server side: exactly 1 epoll loop per
 # server and no other thread, regardless of connection count) with
 # the server loop's own suite (bounded turn, backpressure, exptime
 # refusal, verdict ordering) and the connection's (receive buffer, send queue,
@@ -152,7 +152,7 @@ overrides=$(find $trees -name '*.rs' -print0 | xargs -0 awk '
     inside && !/^[[:space:]]*\/\// {
         if (depth == 1 && match($0, /fn [a-z_0-9]+/)) {
             name = substr($0, RSTART + 3, RLENGTH - 3)
-            if (name !~ /^(start|scan_keys|reactor_stats)$/)
+            if (name !~ /^(start|scan_keys|reactor_stats|progress)$/)
                 print FILENAME ":" FNR ": fn " name
         }
         opened = gsub(/\{/, "{"); closed = gsub(/\}/, "}")
@@ -161,7 +161,7 @@ overrides=$(find $trees -name '*.rs' -print0 | xargs -0 awk '
     }')
 echo "==> KvClient census: ${tier:-no start_*_many}; ${overrides:-no provided method overridden}"
 if [[ -n "$tier$overrides" ]]; then
-    echo "verify: a KvClient implements \`start\` (+ scan_keys / reactor_stats)" \
+    echo "verify: a KvClient implements \`start\` (+ scan_keys / reactor_stats / progress)" \
         "and nothing else — write the new behaviour inside \`start\`" >&2
     exit 1
 fi
@@ -438,8 +438,9 @@ for arg in "$@"; do
             # The shared loop under load: stall/kill isolation, two callers
             # on one loop (one waits on a stalled server while the other's
             # answers must reach it at once), answers delivered on the
-            # waiting caller's own thread, and a batch nobody waits on
-            # answered by the reactor thread.
+            # waiting caller's own thread, a batch nobody waits on that
+            # does not hold up one waited on behind it, and deadlines that
+            # time the server, not a caller who stayed away.
             RUST_TEST_THREADS=16 cargo test -q --test shared_reactor
             # Self-healing + elastic membership: the repair pass and
             # daemon units, scan-as-census failure detection (stalled,

@@ -47,7 +47,8 @@ fn connect(servers: &str) -> (Vec<String>, MemFs) {
     if addrs.is_empty() {
         usage();
     }
-    // One shared reactor thread multiplexes every server's sockets.
+    // One shared reactor loop, run on this thread, multiplexes every
+    // server's sockets.
     let fs = MemFs::connect(&addrs, MemFsConfig::default()).unwrap_or_else(|e| {
         eprintln!("memfs-cli: cannot mount {servers}: {e}");
         std::process::exit(1);

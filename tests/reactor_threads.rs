@@ -1,18 +1,17 @@
-//! The tentpole property of the shared per-mount reactor: socket
-//! multiplexing costs one thread per *mount*, not one per server. Before
-//! the shared reactor every `TcpClient` spawned its own epoll loop, so a
-//! 16-server mount burned 16 reactor threads; now all of them register
-//! with one [`memfs::memkv::ReactorHandle`]. And that loop is all a mount
-//! runs: prefetch windows and write drains stay pending in their file
-//! handles, so however many files are open a TCP mount is one
-//! `memkv-reactor` thread and an in-process mount is none. This binary
-//! holds exactly one test on purpose — it counts process-wide threads,
-//! which would race with parallel tests.
+//! A mount owns no thread: its one epoll loop, shared by every server's
+//! `TcpClient`, runs only on the callers that submit to it and wait on
+//! it, as Libmemcached does its I/O on the calling thread. A standalone
+//! `TcpClient`, a 16-server TCP mount and an in-process mount each start
+//! no thread, however many files are open (prefetch windows and write
+//! drains stay pending in their file handles), and growing a live mount
+//! starts none either. This binary holds exactly one test on purpose — it
+//! counts process-wide threads, which would race with parallel tests.
 
 #![cfg(target_os = "linux")]
 
 use std::sync::Arc;
 
+use bytes::Bytes;
 use memfs::memfs_core::{MemFs, MemFsConfig, ReadHandle, WriteHandle};
 use memfs::memkv::net::{KvServer, PoolConfig, TcpClient};
 use memfs::memkv::{KvClient, ReactorHandle, SimClient, Store, StoreConfig};
@@ -51,12 +50,6 @@ fn open_files(fs: &MemFs, tag: &str) -> (Vec<ReadHandle>, Vec<WriteHandle>) {
     (readers, writers)
 }
 
-/// Reactor loops (`memkv-reactor`) — the prefix does not match the
-/// retired `memkv-reconnect` helper name.
-fn reactor_threads() -> usize {
-    named_threads("memkv-reactor")
-}
-
 /// The old transport spawned a short-lived `memkv-reconnect` thread per
 /// reconnect attempt. Connects now run inside the loop, so this census
 /// must stay at zero forever, including under reconnect pressure.
@@ -64,32 +57,19 @@ fn reconnect_threads() -> usize {
     named_threads("memkv-reconnec")
 }
 
-/// A spawned reactor names itself when it starts running, so poll briefly
-/// instead of racing freshly-created (or freshly-joined) threads.
-fn expect_reactor_threads(expected: usize, what: &str) {
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-    loop {
-        let n = reactor_threads();
-        if n == expected {
-            return;
-        }
-        assert!(
-            std::time::Instant::now() < deadline,
-            "{what}: expected {expected} reactor threads, found {n}"
-        );
-        std::thread::sleep(std::time::Duration::from_millis(10));
-    }
+/// Every live thread of this process.
+fn all_threads() -> usize {
+    std::fs::read_dir("/proc/self/task").unwrap().count()
 }
 
 #[test]
-fn sixteen_server_mount_runs_one_reactor_thread() {
+fn sixteen_server_mount_starts_no_thread() {
     let config = MemFsConfig {
         stripe_size: 4096,
         ..MemFsConfig::default()
     };
 
     // An in-process mount spawns no thread at all, with 64 files open.
-    let all_threads = || std::fs::read_dir("/proc/self/task").unwrap().count();
     let before = all_threads();
     let local: Vec<Arc<dyn KvClient>> = (0..4)
         .map(|_| {
@@ -116,19 +96,28 @@ fn sixteen_server_mount_runs_one_reactor_thread() {
         })
         .collect();
     let addrs: Vec<_> = servers.iter().map(|s| s.addr()).collect();
-    assert_eq!(reactor_threads(), 0, "no reactor threads before any client");
+    // From here on every thread is a server's loop or the test's own.
+    let before = all_threads();
 
-    // The old shape: standalone clients, one private reactor each.
+    // Standalone clients, one private reactor each: no thread each.
     let standalone: Vec<TcpClient> = addrs
         .iter()
         .map(|a| TcpClient::connect_with(a, PoolConfig::default()).expect("connect"))
         .collect();
-    expect_reactor_threads(16, "one private reactor per standalone client");
+    for (client, addr) in standalone.iter().zip(&addrs) {
+        client
+            .set(addr.to_string().as_bytes(), Bytes::from_static(b"v"))
+            .unwrap();
+    }
+    assert_eq!(
+        all_threads(),
+        before,
+        "a standalone client started a thread"
+    );
     drop(standalone);
-    expect_reactor_threads(0, "dropping a client joins its private reactor");
 
-    // The new shape: every client registers with one shared reactor.
-    let reactor = ReactorHandle::new().expect("spawn shared reactor");
+    // Every client registers with one shared reactor.
+    let reactor = ReactorHandle::new().expect("make shared reactor");
     let clients: Vec<Arc<dyn KvClient>> = addrs
         .iter()
         .map(|a| {
@@ -138,27 +127,18 @@ fn sixteen_server_mount_runs_one_reactor_thread() {
         })
         .collect();
     let fs = MemFs::new(clients, config.clone()).unwrap();
-    expect_reactor_threads(1, "16 shared clients multiplex on one reactor");
-
     // The single loop really carries traffic for all 16 servers.
     let data: Vec<u8> = (0..200_000u32).map(|i| (i % 249) as u8).collect();
-    fs.write_file("/one-thread", &data).unwrap();
-    assert_eq!(fs.read_to_vec("/one-thread").unwrap(), data);
-    expect_reactor_threads(1, "traffic must not spawn more reactors");
+    fs.write_file("/one-loop", &data).unwrap();
+    assert_eq!(fs.read_to_vec("/one-loop").unwrap(), data);
+    assert_eq!(all_threads(), before, "16 shared clients started a thread");
+    drop((fs, reactor));
 
-    drop(fs);
-    expect_reactor_threads(1, "the handle keeps the loop alive without clients");
-    drop(reactor);
-    expect_reactor_threads(0, "dropping the last handle joins the reactor");
-
-    // `MemFs::connect` wires the same shape end to end: the mount owns
-    // the handle, so dropping the mount tears the reactor down too.
+    // `MemFs::connect` wires the same shape end to end.
     let fs = MemFs::connect(&addrs, config.clone()).unwrap();
-    expect_reactor_threads(1, "MemFs::connect mounts on one shared reactor");
-    // However many files are open, the reactor is the mount's only thread.
+    // However many files are open, a mount starts no thread.
     let (readers, mut writers) = open_files(&fs, "tcp");
-    expect_reactor_threads(1, "64 open files on one mount");
-    assert_eq!(named_threads("memfs-"), 0, "a mount ran an I/O thread");
+    assert_eq!(all_threads(), before, "64 open files on one mount");
     for w in &mut writers {
         w.close().unwrap();
     }
@@ -175,6 +155,9 @@ fn sixteen_server_mount_runs_one_reactor_thread() {
     // absorbs every reconnect attempt itself — the per-attempt
     // `memkv-reconnect` helper thread must never reappear.
     servers[0].shutdown();
+    // A joined thread can linger in /proc for a moment after the join.
+    std::thread::sleep(std::time::Duration::from_millis(50));
+    let before = all_threads();
     for _ in 0..6 {
         let _ = fs.read_to_vec("/again");
         assert_eq!(
@@ -183,9 +166,8 @@ fn sixteen_server_mount_runs_one_reactor_thread() {
             "reconnect pressure spawned a helper thread"
         );
     }
-    expect_reactor_threads(1, "reconnect pressure must not change the loop census");
+    assert_eq!(all_threads(), before, "reconnect pressure started a thread");
     drop(fs);
-    expect_reactor_threads(0, "unmounting joins the mount's reactor");
 
     // Elastic membership rides the same loop: admitting servers into a
     // live mount and migrating keys onto them spawns nothing — the
@@ -193,7 +175,6 @@ fn sixteen_server_mount_runs_one_reactor_thread() {
     // client registers with the mount's existing reactor. (Server 0
     // is already shut down; mount a fresh slice of the survivors.)
     let fs = MemFs::connect(&addrs[1..5], config).unwrap();
-    expect_reactor_threads(1, "4-server mount before the grow");
     fs.write_file("/elastic", &data).unwrap();
     for (round, addr) in addrs[5..7].iter().enumerate() {
         fs.admit_server(*addr).unwrap();
@@ -201,9 +182,9 @@ fn sixteen_server_mount_runs_one_reactor_thread() {
         while fs.migration_active() {
             fs.repair_now().unwrap();
             assert_eq!(
-                reactor_threads(),
-                1,
-                "a migration pass spawned a reactor (grow round {round})"
+                all_threads(),
+                before,
+                "a migration pass started a thread (grow round {round})"
             );
             assert_eq!(
                 reconnect_threads(),
@@ -213,9 +194,8 @@ fn sixteen_server_mount_runs_one_reactor_thread() {
         }
     }
     assert_eq!(fs.read_to_vec("/elastic").unwrap(), data);
-    expect_reactor_threads(1, "live rebalance adds zero threads");
+    assert_eq!(all_threads(), before, "live rebalance adds zero threads");
     drop(fs);
-    expect_reactor_threads(0, "unmounting the elastic mount joins its reactor");
 
     for s in &mut servers {
         s.shutdown();

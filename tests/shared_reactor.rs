@@ -14,7 +14,7 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 use memfs::memfs_core::{DistributorKind, MemFsError, ServerPool};
 use memfs::memkv::net::{KvServer, PoolConfig, TcpClient};
-use memfs::memkv::{Batch, KvClient, KvError, ReactorHandle, Store, StoreConfig};
+use memfs::memkv::{Batch, KvClient, KvError, ReactorHandle, Store, StoreConfig, StoreVerb};
 use memfs_testkit::{Shape, ShapedCluster, ShapedProxy};
 
 const N: usize = 8;
@@ -359,7 +359,7 @@ fn a_caller_is_answered_while_another_waits_on_a_stalled_server() {
 
 /// A caller waiting on its own request runs the loop itself: on a quiet
 /// loop, its answers are read and delivered on its own thread, with no
-/// hand-off from the reactor thread.
+/// hand-off from another thread.
 #[test]
 fn sequential_gets_on_a_quiet_loop_are_delivered_on_the_callers_thread() {
     const GETS: u64 = 1000;
@@ -380,34 +380,71 @@ fn sequential_gets_on_a_quiet_loop_are_delivered_on_the_callers_thread() {
     );
 }
 
-/// A batch nobody waits on still completes: once the loop has sat
-/// untouched for a moment, the reactor thread runs it.
+/// A batch nobody waits on does not hold up a waited batch queued behind
+/// it on the same connection: the wait turns the loop, which answers both
+/// in order.
 #[test]
-fn a_batch_never_waited_on_is_answered_by_the_reactor_thread() {
+fn a_batch_nobody_waits_on_does_not_hold_up_a_waited_batch_behind_it() {
     let server = KvServer::spawn(Arc::new(Store::new(StoreConfig::default())), "127.0.0.1:0")
         .expect("bind storage server");
     let client = TcpClient::connect(server.addr()).expect("connect");
-    let keys = [Bytes::from_static(b"absent")];
+    let (a_keys, b_keys) = ([Bytes::from_static(b"a")], [Bytes::from_static(b"b")]);
+    let a = client.start(Batch::Get(&a_keys));
     let start = Instant::now();
-    let pending = client.start(Batch::Get(&keys));
-    while !pending.is_ready() {
-        assert!(
-            start.elapsed() < Duration::from_millis(50),
-            "a batch nobody waits on was not answered within 50 ms"
-        );
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    assert!(pending.wait().unwrap()[0].is_err(), "absent key was found");
-    // The thread adds its turn's answers to its counter once the turn is
-    // over, just after the answer itself is visible.
-    let counted = Instant::now();
-    let mut stats = client.reactor_stats();
-    while stats.thread_completions == 0 && counted.elapsed() < Duration::from_secs(1) {
-        std::thread::sleep(Duration::from_millis(1));
-        stats = client.reactor_stats();
-    }
+    let b = client.start(Batch::Get(&b_keys)).wait();
+    let waited = start.elapsed();
+    assert!(b.is_ok(), "the waited batch failed: {b:?}");
     assert!(
-        stats.thread_leads >= 1 && stats.thread_completions >= 1,
-        "the answer did not come from the reactor thread: {stats:?}"
+        waited < Duration::from_secs(1),
+        "the waited batch took {waited:?}"
     );
+    assert!(a.is_ready(), "the batch ahead of it was not answered");
+    assert!(a.wait().is_ok(), "the batch nobody waited on failed");
+}
+
+/// The deadline of the tests below: half the time their caller stays away.
+const DEADLINE: Duration = Duration::from_millis(200);
+
+/// A client to a loopback server, with a [`DEADLINE`] per request.
+fn deadline_client() -> (KvServer, TcpClient) {
+    let server = KvServer::spawn(Arc::new(Store::new(StoreConfig::default())), "127.0.0.1:0")
+        .expect("bind storage server");
+    let config = PoolConfig { timeout: DEADLINE };
+    let client = TcpClient::connect_with(server.addr(), config).expect("connect");
+    (server, client)
+}
+
+/// A deadline times a server that stopped answering, not a caller who
+/// went away: a reply that sat in the socket while nobody turned the loop
+/// is taken by the wait that comes back for it, not timed out.
+#[test]
+fn a_reply_nobody_waited_on_for_twice_the_deadline_is_not_timed_out() {
+    let (_server, client) = deadline_client();
+    let item = [(Bytes::from_static(b"k"), Bytes::from_static(b"v"))];
+    let before = client.reactor_stats().timeouts;
+    let pending = client.start(Batch::Store(StoreVerb::Set, &item));
+    std::thread::sleep(2 * DEADLINE);
+    let replies = pending.wait();
+    assert!(
+        matches!(replies.as_deref(), Ok([Ok(_)])),
+        "the set failed: {replies:?}"
+    );
+    assert_eq!(client.reactor_stats().timeouts, before, "a deadline fired");
+}
+
+/// Nor is a batch left half-written: 16 MiB is more than both socket
+/// buffers take, so most of it is still queued while nobody turns the loop.
+#[test]
+fn a_set_left_half_written_for_twice_the_deadline_is_not_timed_out() {
+    let (_server, client) = deadline_client();
+    let value = Bytes::from(vec![7u8; 16 << 20]);
+    let item = [(Bytes::from_static(b"big"), value.clone())];
+    let pending = client.start(Batch::Store(StoreVerb::Set, &item));
+    std::thread::sleep(2 * DEADLINE);
+    let replies = pending.wait();
+    assert!(
+        matches!(replies.as_deref(), Ok([Ok(_)])),
+        "the set failed: {replies:?}"
+    );
+    assert!(client.get(b"big").unwrap() == value, "the value differs");
 }
