@@ -41,9 +41,9 @@ pub struct MemFsConfig {
     /// Interval between background repair passes, in milliseconds. Each
     /// pass scans every member — a member is alive for the pass exactly
     /// when its scan answers — and re-replicates keys whose replica set
-    /// lost a member (found by that scan and by degraded-write records),
-    /// so a server that dies or returns while the mount is quiet is seen
-    /// by the next pass. `0` (the default) disables the repair daemon;
+    /// lost a member or holds a stale copy (both read off what the
+    /// replicas hold), so a server that dies or returns while the mount
+    /// is quiet is seen by the next pass. `0` (the default) disables the repair daemon;
     /// [`crate::MemFs::repair_now`] still runs single passes on demand.
     pub repair_interval_ms: u64,
 }

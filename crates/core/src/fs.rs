@@ -26,10 +26,10 @@ use crate::bufwrite::WriteBuffer;
 use crate::config::MemFsConfig;
 use crate::error::{MemFsError, MemFsResult};
 use crate::layout::StripeLayout;
-use crate::meta::{self, ChildKind, SizeRecord};
+use crate::meta::{self, ChildKind, Record, SizeRecord};
 use crate::path;
 use crate::pool::ServerPool;
-use crate::prefetch::{FirstStripe, StripeReader};
+use crate::prefetch::StripeReader;
 use crate::repair::{repair_pass, RepairDaemon, RepairReport};
 
 /// Kind of a namespace entry.
@@ -83,8 +83,8 @@ const UNLINK_BATCH: usize = 4096;
 /// many stripe keys per round until a round deletes nothing.
 const PROBE_BATCH: usize = 128;
 
-fn stripe_key_bytes(path: &str, stripe: u64) -> Bytes {
-    Bytes::from(KeySchema::stripe_key(path, stripe))
+fn stripe_key_bytes(path: &str, generation: u64, stripe: u64) -> Bytes {
+    Bytes::from(KeySchema::stripe_key(path, generation, stripe))
 }
 
 /// One validation for every way to mount: the config's own invariants
@@ -265,14 +265,13 @@ impl MemFs {
     /// log holds every entry ever appended, and a yes/no must not move it.
     fn probe<const N: usize>(&self, keys: [Vec<u8>; N]) -> [MemFsResult<bool>; N] {
         let reqs = keys.map(|key| (Bytes::from(key), 0, 0));
-        let found = |reply| match reply {
-            Ok(_) => Ok(true),
-            Err(MemFsError::Storage(KvError::NotFound)) => Ok(false),
-            Err(e) => Err(e),
-        };
-        let replies = self.inner.pool.get_range_many(&reqs);
-        let found: Vec<_> = replies.into_iter().map(found).collect();
-        found.try_into().expect("one reply per probe")
+        let mut replies = self.inner.pool.get_range_many(&reqs).into_iter();
+        std::array::from_fn(|_| match replies.next() {
+            Some(Ok(_)) => Ok(true),
+            Some(Err(MemFsError::Storage(KvError::NotFound))) => Ok(false),
+            Some(Err(e)) => Err(e),
+            None => Err(KvError::Protocol("no reply for a probe".into()).into()),
+        })
     }
 
     fn dir_exists(&self, dir: &str) -> MemFsResult<bool> {
@@ -286,11 +285,13 @@ impl MemFs {
     /// path is too long for its stripe keys ([`path::normalize_new`]).
     ///
     /// Three requests in two steps. In flight together: the probe for a
-    /// directory named `path`, and the atomic `add` of the empty size
+    /// directory named `path`, and the atomic `add` of the open size
     /// record — the write-once gate: the second creator loses, even from
-    /// another mount. Then the `append` to the parent's log, which is
-    /// also the parent check (`append` to a missing key fails), so the
-    /// parent's log is never read.
+    /// another mount. The record names a fresh generation
+    /// ([`meta::new_generation`]), and the file's stripes are keyed by it.
+    /// Then the `append` to the parent's log, which is also the parent
+    /// check (`append` to a missing key fails), so the parent's log is
+    /// never read.
     ///
     /// The gate is thus taken before the checks have answered. A create
     /// that wins it and is then refused — a directory of that name, the
@@ -298,7 +299,7 @@ impl MemFs {
     /// returns. Until then another mount's `open(path)` sees
     /// `NotFinalized` and its `create(path)` `WriteOnce` where each would
     /// have met the same refusal; a client that dies in between leaves
-    /// the empty record behind, which [`MemFs::unlink`] clears like any
+    /// the open record behind, which [`MemFs::unlink`] clears like any
     /// unclosed file. A storage error from the `append` leaves it too,
     /// as it always has: the entry may have landed.
     pub fn create(&self, raw: &str) -> MemFsResult<WriteHandle> {
@@ -308,9 +309,10 @@ impl MemFs {
         }
         let pool = &self.inner.pool;
         let file_key = KeySchema::file_key(&p);
+        let generation = meta::new_generation();
+        let record = Bytes::from(meta::encode_open(generation));
         let probe = || self.dir_exists(&p);
-        let (gate, same_name_dir) =
-            pool.store_beside(StoreVerb::Add, &file_key, Bytes::new(), probe);
+        let (gate, same_name_dir) = pool.store_beside(StoreVerb::Add, &file_key, record, probe);
         // Every way out, and whether it is a refusal known to have listed
         // nothing — only then is a gate that was won given back.
         let (undo, outcome) = match (same_name_dir, gate) {
@@ -336,6 +338,7 @@ impl MemFs {
         outcome?;
         let buffer = WriteBuffer::new(
             p.clone(),
+            generation,
             self.layout(),
             Arc::clone(&self.inner.pool),
             self.inner.config.write_buffer_stripes(),
@@ -350,40 +353,18 @@ impl MemFs {
     /// Open `path` for reading. The file must have been closed by its
     /// writer (its size record finalized).
     ///
-    /// One step: the size record and — when the mount prefetches — stripe
-    /// 0 whole, in one window (one multi-get when they share a server).
-    /// `open` waits only for the record's share: stripe 0 either came in
-    /// the same batch or stays in flight for the first read, which queues
-    /// its window before it waits for it. Stripes are stored before
-    /// `close` finalizes the record and never rewritten, so a stripe that
-    /// fits a `Striped` record is the file's; the reader starts with it
-    /// (`StripeReader::with_first_stripe` drops one that does not fit). The
-    /// size is unknown until the record arrives, so the guess goes out for
-    /// a file inline in its record too, and misses: that reader holds the
-    /// record's bytes and never asks for a stripe. A missing or unclosed
-    /// record drops the stripe too, and a missing record is then told
-    /// apart from a directory by the probe of the directory's log.
+    /// One request: the size record alone. It gives the size and the
+    /// generation whose stripes hold the bytes — or, for a file shorter
+    /// than a stripe, the bytes themselves, which the reader then holds
+    /// and never asks for a stripe. A missing record is told apart from a
+    /// directory by the probe of the directory's log; an open one is
+    /// `NotFinalized`.
     pub fn open(&self, raw: &str) -> MemFsResult<ReadHandle> {
         let p = path::normalize(raw)?;
         let config = &self.inner.config;
-        let mut reqs = vec![(Bytes::from(KeySchema::file_key(&p)), None)];
-        if config.prefetch_window > 0 {
-            reqs.push((stripe_key_bytes(&p, 0), None));
-        }
-        let mut shares = self.inner.pool.start_reads(reqs).into_shares();
-        let at = shares.iter().position(|s| s.positions().contains(&0));
-        let record_share = shares.swap_remove(at.expect("the record went out"));
-        let mut first = shares.pop().map(FirstStripe::InFlight);
-        // The record is its share's first entry; stripe 0 may follow it.
-        let mut replies = self.inner.pool.settle_read(record_share).into_iter();
-        let (_, record) = replies.next().expect("one reply per key");
-        if let Some((_, stripe)) = replies.next() {
-            first = stripe.ok().map(FirstStripe::Ready);
-        }
-        let record = match record {
+        let record = match self.inner.pool.get(&KeySchema::file_key(&p)) {
             Ok(v) => v,
             Err(MemFsError::Storage(KvError::NotFound)) => {
-                drop(first);
                 if self.dir_exists(&p)? {
                     return Err(MemFsError::IsADirectory(p));
                 }
@@ -391,23 +372,24 @@ impl MemFs {
             }
             Err(e) => return Err(e),
         };
-        let decoded = meta::decode_size(&record, &p)?;
-        let size = decoded
+        let Record { generation, state } = meta::decode_size(&record, &p)?;
+        let size = state
             .size()
             .ok_or_else(|| MemFsError::NotFinalized(p.clone()))?;
         let reader = StripeReader::new(
             p.clone(),
+            generation,
             self.layout(),
             size,
             Arc::clone(&self.inner.pool),
             config.prefetch_window,
             config.read_cache_stripes(),
         );
-        let reader = match decoded {
+        let reader = match state {
             SizeRecord::Inline(_) => {
                 reader.with_inline(record.slice(meta::INLINE_HEAD..record.len()))
             }
-            _ => reader.with_first_stripe(first),
+            _ => reader,
         };
         Ok(ReadHandle {
             path: p,
@@ -519,30 +501,27 @@ impl MemFs {
             .collect())
     }
 
-    /// The state and size of `p`'s size record, from its head alone
-    /// (`getrange f:<p> 0 21`, [`meta::RECORD_HEAD`]): never the bytes of
-    /// a file kept inline. `None` when there is no record.
-    fn record_head(&self, p: &str) -> MemFsResult<Option<SizeRecord>> {
-        let key = Bytes::from(KeySchema::file_key(p));
-        let mut replies = self
-            .inner
-            .pool
-            .get_range_many(&[(key, 0, meta::RECORD_HEAD)]);
-        match replies.pop().expect("one reply per key") {
-            Ok(head) => meta::decode_head(&head, p).map(Some),
-            Err(MemFsError::Storage(KvError::NotFound)) => Ok(None),
-            Err(e) => Err(e),
+    /// The generation, state and size of `p`'s size record, from its head
+    /// alone (`getrange f:<p> 0 18`, [`meta::RECORD_HEAD`]): never the
+    /// bytes of a file kept inline. `None` when there is no record.
+    fn record_head(&self, p: &str) -> MemFsResult<Option<Record>> {
+        let reqs = [(Bytes::from(KeySchema::file_key(p)), 0, meta::RECORD_HEAD)];
+        match self.inner.pool.get_range_many(&reqs).into_iter().next() {
+            Some(Ok(head)) => meta::decode_head(&head, p).map(Some),
+            Some(Err(MemFsError::Storage(KvError::NotFound))) => Ok(None),
+            Some(Err(e)) => Err(e),
+            None => Err(KvError::Protocol(format!("no reply for the record of {p}")).into()),
         }
     }
 
     /// Entry metadata for `path`.
     pub fn stat(&self, raw: &str) -> MemFsResult<FileStat> {
         let p = path::normalize(raw)?;
-        if let Some(record) = self.record_head(&p)? {
+        if let Some(Record { state, .. }) = self.record_head(&p)? {
             return Ok(FileStat {
                 kind: EntryKind::File,
-                size: record.size().unwrap_or(0),
-                finalized: record != SizeRecord::Open,
+                size: state.size().unwrap_or(0),
+                finalized: state != SizeRecord::Open,
             });
         }
         if self.dir_exists(&p)? {
@@ -588,20 +567,22 @@ impl MemFs {
     /// removed.
     pub fn unlink(&self, raw: &str) -> MemFsResult<()> {
         let p = path::normalize(raw)?;
-        let Some(record) = self.record_head(&p)? else {
+        let Some(Record { generation, state }) = self.record_head(&p)? else {
             if self.dir_exists(&p)? {
                 return Err(MemFsError::IsADirectory(p));
             }
             return Err(MemFsError::NotFound(p));
         };
-        match record {
+        match state {
             SizeRecord::Striped(size) => {
                 let count = self.layout().stripe_count(size);
-                let keys: Vec<Bytes> = (0..count).map(|s| stripe_key_bytes(&p, s)).collect();
+                let keys: Vec<Bytes> = (0..count)
+                    .map(|s| stripe_key_bytes(&p, generation, s))
+                    .collect();
                 self.delete_stripe_batch(&keys)?;
             }
             SizeRecord::Inline(_) => {}
-            SizeRecord::Open => self.probe_delete_stripes(&p)?,
+            SizeRecord::Open => self.probe_delete_stripes(&p, generation)?,
         }
         let (unlisted, erased) = self.inner.pool.store_beside(
             StoreVerb::Append,
@@ -637,10 +618,10 @@ impl MemFs {
     /// a whole round reports nothing deleted — one round trip more than
     /// ⌈stripes / `PROBE_BATCH`⌉. Deleting an absent stripe is
     /// `Ok(false)`, so probing past the end is harmless.
-    fn probe_delete_stripes(&self, p: &str) -> MemFsResult<()> {
+    fn probe_delete_stripes(&self, p: &str, generation: u64) -> MemFsResult<()> {
         for first in (0u64..).step_by(PROBE_BATCH) {
             let keys: Vec<Bytes> = (first..first + PROBE_BATCH as u64)
-                .map(|s| stripe_key_bytes(p, s))
+                .map(|s| stripe_key_bytes(p, generation, s))
                 .collect();
             let mut any = false;
             for deleted in self.inner.pool.delete_many(&keys) {
@@ -1250,8 +1231,9 @@ mod tests {
     /// byte more is refused before anything is stored.
     fn longest_path_works_and_the_next_is_refused(fs: &MemFs, what: &str) {
         use memfs_memkv::store::MAX_KEY_LEN;
-        let longest = format!("/{}", "x".repeat(MAX_KEY_LEN - 24));
-        assert_eq!(KeySchema::stripe_key(&longest, u64::MAX).len(), MAX_KEY_LEN);
+        let longest = format!("/{}", "x".repeat(MAX_KEY_LEN - 41));
+        let longest_key = KeySchema::stripe_key(&longest, u64::MAX, u64::MAX);
+        assert_eq!(longest_key.len(), MAX_KEY_LEN);
         let data: Vec<u8> = (0..150 * 16).map(|i| (i % 251) as u8).collect();
         fs.write_file(&longest, &data).expect(what);
         assert_eq!(fs.read_to_vec(&longest).expect(what), data, "{what}");
@@ -1361,38 +1343,40 @@ mod tests {
         log.take_steps();
         w.close().unwrap();
         assert_eq!(log.take_steps(), [["set f:/a"]]);
-        // The bytes come inside the record; the guessed stripe misses,
-        // and the read is a copy.
+        // The bytes come inside the record, and the read is a copy.
         assert_eq!(fs.read_to_vec("/a").unwrap(), [7u8; 100]);
-        assert_eq!(log.take_steps(), [["get f:/a", "get s:/a#0"]]);
+        assert_eq!(log.take_steps(), [["get f:/a"]]);
         // The record's head alone says there are no stripes.
         fs.unlink("/a").unwrap();
         assert_eq!(
             log.take_steps(),
             [
-                vec!["getrange f:/a 0 21"],
+                vec!["getrange f:/a 0 18"],
                 vec!["append d:/", "delete f:/a"]
             ]
         );
     }
 
     #[test]
-    fn pinned_one_stripe_file_costs_two_to_close_one_to_read_three_steps_to_unlink() {
+    fn pinned_one_stripe_file_costs_two_to_close_two_to_read_three_steps_to_unlink() {
         let (log, fs) = recording_mount(4);
         let mut w = fs.create("/a").unwrap();
         w.write_all(&[7u8; 128]).unwrap();
         log.take_steps();
         w.close().unwrap();
-        assert_eq!(log.take_steps(), [["set s:/a#0"], ["set f:/a"]]);
-        // The stripe travels beside the record; the read is a cache copy.
+        assert_eq!(log.take_steps(), [["set s:/a#0@g"], ["set f:/a"]]);
+        // The record names the stripe's generation; then the stripe.
         assert_eq!(fs.read_to_vec("/a").unwrap(), [7u8; 128]);
-        assert_eq!(log.take_steps(), [["get f:/a", "get s:/a#0"]]);
+        assert_eq!(
+            log.take_steps(),
+            [["get f:/a"], ["getrange s:/a#0@g 0 128"]]
+        );
         fs.unlink("/a").unwrap();
         assert_eq!(
             log.take_steps(),
             [
-                vec!["getrange f:/a 0 21"],
-                vec!["delete s:/a#0"],
+                vec!["getrange f:/a 0 18"],
+                vec!["delete s:/a#0@g"],
                 vec!["append d:/", "delete f:/a"]
             ]
         );
@@ -1406,35 +1390,34 @@ mod tests {
         fs.write_file("/z", b"").unwrap();
         fs.mkdir("/d").unwrap();
         log.take_steps();
-        // Three stripes: the open step, and stripes 1 and 2 go out while
-        // stripe 0 (on another server than the record) is still on its
-        // way — `open` waited for the record only.
+        // Three stripes: the open step is the record alone, which names
+        // the generation the stripes are keyed by; then all three in one
+        // window.
         assert_eq!(fs.read_to_vec("/c").unwrap(), data);
         assert_eq!(
             log.take_steps(),
-            [[
-                "get f:/c",
-                "get s:/c#0",
-                "getrange s:/c#1 0 128",
-                "getrange s:/c#2 0 44"
-            ]]
+            [
+                vec!["get f:/c"],
+                vec![
+                    "getrange s:/c#0@g 0 128",
+                    "getrange s:/c#1@g 0 128",
+                    "getrange s:/c#2@g 0 44"
+                ]
+            ]
         );
         // Zero bytes: nothing to read after the open.
         assert_eq!(fs.read_to_vec("/z").unwrap(), b"");
-        assert_eq!(log.take_steps(), [["get f:/z", "get s:/z#0"]]);
+        assert_eq!(log.take_steps(), [["get f:/z"]]);
         // No record: the directory probe tells the two misses apart.
         assert!(matches!(fs.open("/d"), Err(MemFsError::IsADirectory(_))));
         assert_eq!(
             log.take_steps(),
-            [vec!["get f:/d", "get s:/d#0"], vec!["getrange d:/d 0 0"]]
+            [vec!["get f:/d"], vec!["getrange d:/d 0 0"]]
         );
         assert!(matches!(fs.open("/nope"), Err(MemFsError::NotFound(_))));
         assert_eq!(
             log.take_steps(),
-            [
-                vec!["get f:/nope", "get s:/nope#0"],
-                vec!["getrange d:/nope 0 0"]
-            ]
+            [vec!["get f:/nope"], vec!["getrange d:/nope 0 0"]]
         );
     }
 
@@ -1453,7 +1436,7 @@ mod tests {
             log.take_steps(),
             [
                 vec!["get f:/b"],
-                vec!["getrange s:/b#0 0 128", "getrange s:/b#1 0 72"]
+                vec!["getrange s:/b#0@g 0 128", "getrange s:/b#1@g 0 72"]
             ]
         );
     }
@@ -1522,10 +1505,12 @@ mod tests {
 
     /// The stripe keys of `path` on any of `stores`.
     fn stripe_keys(stores: &[Arc<Store>], path: &str) -> usize {
-        let prefix = KeySchema::stripe_key(path, 0);
-        let prefix = &prefix[..prefix.len() - 1];
+        use memfs_hashring::schema::ParsedKey;
         let keys = stores.iter().flat_map(|s| s.keys());
-        keys.filter(|k| k.starts_with(prefix)).count()
+        keys.filter(
+            |k| matches!(KeySchema::parse(k), ParsedKey::Stripe { path: p, .. } if p == path),
+        )
+        .count()
     }
 
     #[test]
@@ -1669,46 +1654,45 @@ mod tests {
     }
 
     #[test]
-    fn open_of_an_unclosed_file_is_not_finalized_whatever_its_first_stripe() {
+    fn open_of_an_unclosed_file_is_not_finalized() {
         let (log, fs) = recording_mount(4);
         let mut w = fs.create("/slow").unwrap();
         w.write_all(&[3u8; 300]).unwrap();
         w.flush().unwrap();
-        // Stripes 0 and 1 are stored, the record is still open: the stripe
-        // that came back beside it is dropped.
+        // Stripes 0 and 1 are stored, the record is still open.
         log.take_steps();
         assert!(matches!(fs.open("/slow"), Err(MemFsError::NotFinalized(_))));
-        assert_eq!(log.take_steps(), [["get f:/slow", "get s:/slow#0"]]);
+        assert_eq!(log.take_steps(), [["get f:/slow"]]);
         w.close().unwrap();
-        let r = fs.open("/slow").unwrap();
-        assert_eq!(r.reader.cached_stripes(), 1, "finalized: stripe 0 kept");
         assert_eq!(fs.read_to_vec("/slow").unwrap(), [3u8; 300]);
     }
 
+    /// The generation `path`'s size record names.
+    fn generation_of(fs: &MemFs, path: &str) -> u64 {
+        let record = fs.pool().get(&KeySchema::file_key(path)).unwrap();
+        meta::decode_size(&record, path).unwrap().generation
+    }
+
     #[test]
-    fn a_first_stripe_that_does_not_fit_the_record_is_not_kept() {
+    fn a_stripe_that_does_not_fit_the_record_is_read_as_the_record_says() {
         let (_, _, fs) = small_stripe_mount(4);
         // Shorter than the record says: the first read is the parent's
         // whole-stripe fetch, and its `CorruptMetadata`.
         fs.write_file("/f", &[1u8; 40]).unwrap();
-        fs.pool()
-            .set(&KeySchema::stripe_key("/f", 0), Bytes::from(vec![1u8; 10]))
-            .unwrap();
+        let stripe = KeySchema::stripe_key("/f", generation_of(&fs, "/f"), 0);
+        fs.pool().set(&stripe, Bytes::from(vec![1u8; 10])).unwrap();
         let r = fs.open("/f").unwrap();
-        assert_eq!(r.reader.cached_stripes(), 0);
         let mut buf = [0u8; 40];
         assert!(matches!(
             r.read_at(0, &mut buf),
             Err(MemFsError::CorruptMetadata(_))
         ));
-        // Longer: not kept either; the first read fetches only the
-        // record's share of the stripe, as before.
+        // Longer: the first read fetches only the record's share of the
+        // stripe.
         fs.write_file("/g", &[3u8; 20]).unwrap();
-        fs.pool()
-            .set(&KeySchema::stripe_key("/g", 0), Bytes::from(vec![4u8; 20]))
-            .unwrap();
+        let stripe = KeySchema::stripe_key("/g", generation_of(&fs, "/g"), 0);
+        fs.pool().set(&stripe, Bytes::from(vec![4u8; 20])).unwrap();
         let r = fs.open("/g").unwrap();
-        assert_eq!(r.reader.cached_stripes(), 0);
         let mut buf = [0u8; 20];
         assert_eq!(r.read_at(0, &mut buf).unwrap(), 20);
         assert_eq!(buf[..16], [4u8; 16]);
@@ -1716,14 +1700,16 @@ mod tests {
     }
 
     /// A path of `fs` whose size record and stripe 0 have different
-    /// primaries, and stripe 0's primary.
+    /// primaries, and stripe 0's primary (any generation's: a generation
+    /// never moves a stripe).
     fn record_and_stripe_apart(fs: &MemFs) -> (String, usize) {
         let server_for = |key: Vec<u8>| fs.pool().server_for(&key).0;
+        let stripe_0 = |p: &str| server_for(KeySchema::stripe_key(p, 0, 0));
         let name = (0..)
             .map(|i| format!("/x{i}"))
-            .find(|p| server_for(KeySchema::file_key(p)) != server_for(KeySchema::stripe_key(p, 0)))
+            .find(|p| server_for(KeySchema::file_key(p)) != stripe_0(p))
             .unwrap();
-        let stripe_home = server_for(KeySchema::stripe_key(&name, 0));
+        let stripe_home = stripe_0(&name);
         (name, stripe_home)
     }
 
@@ -2379,7 +2365,8 @@ mod tests {
 
     /// Every stripe of `path` (and its size record) sits on its home set.
     fn homed(stores: &[Arc<Store>], fs: &MemFs, path: &str, stripes: u64) {
-        let keys = (0..stripes).map(|s| KeySchema::stripe_key(path, s));
+        let generation = generation_of(fs, path);
+        let keys = (0..stripes).map(|s| KeySchema::stripe_key(path, generation, s));
         for key in keys.chain([KeySchema::file_key(path)]) {
             for home in fs.pool().servers_for(&key) {
                 assert!(stores[home.0].contains(&key), "{key:?} not on {home:?}");
@@ -2428,14 +2415,12 @@ mod tests {
             // Down: the home of a window stripe, not of the record or of
             // stripe 0, so only the window's share meets it.
             let home = |key: Vec<u8>| fs.pool().server_for(&key).0;
-            let spared = [
-                home(KeySchema::file_key("/w")),
-                home(KeySchema::stripe_key("/w", 0)),
-            ];
+            let stripe_home = |s| home(KeySchema::stripe_key("/w", 0, s));
+            let spared = [home(KeySchema::file_key("/w")), stripe_home(0)];
             let stripe = (1..=8)
-                .find(|&s| !spared.contains(&home(KeySchema::stripe_key("/w", s))))
+                .find(|&s| !spared.contains(&stripe_home(s)))
                 .unwrap();
-            failables[home(KeySchema::stripe_key("/w", stripe))].set_down(true);
+            failables[stripe_home(stripe)].set_down(true);
             let r = fs.open("/w").unwrap();
             let mut buf = [0u8; 16];
             assert_eq!(r.read_at(0, &mut buf).unwrap(), 16);

@@ -82,4 +82,3 @@ pub use error::{MemFsError, MemFsResult};
 pub use fs::{DirEntry, EntryKind, FileStat, MemFs, ReadHandle, WriteHandle};
 pub use pool::{PoolStats, ServerIoSnapshot, ServerPool};
 pub use repair::{repair_pass, RepairDaemon, RepairReport};
-pub use replica::DegradedWrite;

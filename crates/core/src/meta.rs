@@ -1,12 +1,17 @@
 //! Metadata protocol (paper §3.2.4).
 //!
-//! * **File size records** — creating a file stores an *empty* value under
-//!   the file key; closing it replaces the empty value with the file size.
-//!   An empty record therefore means "still being written". A file none of
-//!   whose bytes left the write buffer before `close` — one shorter than a
-//!   stripe — is closed with its bytes *inside* the record instead, so it
-//!   has no stripe keys at all, and one `set` publishes size and bytes
-//!   together: a reader sees the whole file or an open record, never part.
+//! * **File size records** — creating a file stores an *open* record
+//!   under the file key; closing it replaces that with the file size. A
+//!   file none of whose bytes left the write buffer before `close` — one
+//!   shorter than a stripe — is closed with its bytes *inside* the record
+//!   instead, so it has no stripe keys at all, and one `set` publishes
+//!   size and bytes together: a reader sees the whole file or an open
+//!   record, never part. Every record names its file's *generation*: a
+//!   64-bit value `create` picks ([`new_generation`]), which is also part
+//!   of each stripe key (`s:<path>#<i>@<generation>`). An incarnation
+//!   made after an unlink gets a new generation, so its reader never
+//!   reaches an old incarnation's stripes, and every copy of one stripe
+//!   key holds the same bytes.
 //! * **Directory logs** — a directory's value is an append-only log of
 //!   child records. Adding a file/directory appends one record via the
 //!   store's atomic `append`; deletions append a tombstone. `readdir`
@@ -20,14 +25,14 @@
 //! Size record format, three states told apart by the first byte:
 //!
 //! ```text
-//! (empty)                    open: created, not yet closed
-//! <decimal size>             closed, its bytes in stripes s:<path>#<i>
-//! I<size: u64 LE><bytes>     closed, its bytes inline (size = |bytes|)
+//! O<generation: u64 LE>                          open: created, not yet closed
+//! S<generation: u64 LE><size: u64 LE>            closed, its bytes in stripes
+//! I<generation: u64 LE><size: u64 LE><bytes>     closed, its bytes inline
 //! ```
 //!
-//! The first [`RECORD_HEAD`] bytes of any record give its state and size,
-//! so `stat`, `exists` and `unlink` read only that head (`getrange`),
-//! never an inline file's bytes.
+//! The first [`RECORD_HEAD`] bytes of any record give its state,
+//! generation and size, so `stat`, `exists`, `unlink` and the repair pass
+//! read only that head (`getrange`), never an inline file's bytes.
 //!
 //! Directory log format (one record per line, names cannot contain
 //! whitespace):
@@ -39,6 +44,8 @@
 //! ```
 
 use std::collections::BTreeMap;
+use std::hash::{BuildHasher, Hasher};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::error::{MemFsError, MemFsResult};
 
@@ -51,7 +58,7 @@ pub enum ChildKind {
     Dir,
 }
 
-/// The decoded state of a file-size record.
+/// The state a file-size record gives its file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SizeRecord {
     /// Created but not yet closed — size unknown.
@@ -73,71 +80,106 @@ impl SizeRecord {
     }
 }
 
-/// Opens an inline record: not a decimal digit, so no striped record
-/// starts with it.
+/// A decoded file-size record: which incarnation of the file it is, and
+/// its state.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Record {
+    /// The incarnation, picked at `create`; its stripes are keyed by it.
+    pub generation: u64,
+    /// Open, or closed with a size.
+    pub state: SizeRecord,
+}
+
+const OPEN_TAG: u8 = b'O';
+const STRIPED_TAG: u8 = b'S';
 const INLINE_TAG: u8 = b'I';
 
-/// Bytes of an inline record before the file's own: the tag and the size.
-pub const INLINE_HEAD: usize = 1 + 8;
+/// Bytes of an open record: the tag and the generation.
+const OPEN_LEN: usize = 1 + 8;
 
-/// How much of a record tells its state and size: a whole decimal record
-/// (`u64::MAX` has 20 digits) and one byte more, so a longer number is
-/// caught as corrupt; of an inline record, the head and the file's first
-/// bytes.
-pub const RECORD_HEAD: usize = 21;
+/// Bytes of a striped record, and of an inline record before the file's
+/// own: the tag, the generation and the size.
+pub const INLINE_HEAD: usize = 1 + 8 + 8;
 
-/// Encode a striped file's size record.
-pub fn encode_size(size: u64) -> Vec<u8> {
-    size.to_string().into_bytes()
+/// How much of a record tells its state, generation and size: the longest
+/// fixed-size record and one byte more, so a longer one is caught as
+/// corrupt; of an inline record, the head and the file's first byte.
+pub const RECORD_HEAD: usize = INLINE_HEAD + 1;
+
+/// A fresh generation for a file `create` is about to publish: a process
+/// counter hashed under `std`'s randomly keyed hasher, so two incarnations
+/// of one path — from one mount or from any two — do not share one.
+pub fn new_generation() -> u64 {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let mut hasher = std::collections::hash_map::RandomState::new().build_hasher();
+    hasher.write_u64(NEXT.fetch_add(1, Ordering::Relaxed));
+    hasher.finish()
+}
+
+/// Encode the open record of generation `generation`.
+pub fn encode_open(generation: u64) -> Vec<u8> {
+    let mut record = vec![OPEN_TAG];
+    record.extend_from_slice(&generation.to_le_bytes());
+    record
+}
+
+/// Encode a striped file's closed record.
+pub fn encode_size(generation: u64, size: u64) -> Vec<u8> {
+    let mut record = inline_head(generation, size);
+    record[0] = STRIPED_TAG;
+    record.to_vec()
 }
 
 /// The head of an inline record of a `size`-byte file; the file's bytes
 /// follow it.
-pub fn inline_head(size: u64) -> [u8; INLINE_HEAD] {
+pub fn inline_head(generation: u64, size: u64) -> [u8; INLINE_HEAD] {
     let mut head = [INLINE_TAG; INLINE_HEAD];
-    head[1..].copy_from_slice(&size.to_le_bytes());
+    head[1..9].copy_from_slice(&generation.to_le_bytes());
+    head[9..].copy_from_slice(&size.to_le_bytes());
     head
 }
 
 /// Decode a whole file-size record (`path` is only for error messages).
-pub fn decode_size(raw: &[u8], path: &str) -> MemFsResult<SizeRecord> {
+pub fn decode_size(raw: &[u8], path: &str) -> MemFsResult<Record> {
     decode(raw, true, path)
 }
 
 /// Decode a record from its first [`RECORD_HEAD`] bytes; fewer are the
-/// whole record. The state and size are exact; only the length of an
-/// inline file's bytes past the head goes unchecked.
-pub fn decode_head(head: &[u8], path: &str) -> MemFsResult<SizeRecord> {
+/// whole record. The state, generation and size are exact; only the
+/// length of an inline file's bytes past the head goes unchecked.
+pub fn decode_head(head: &[u8], path: &str) -> MemFsResult<Record> {
     decode(head, head.len() < RECORD_HEAD, path)
 }
 
-fn decode(raw: &[u8], whole: bool, path: &str) -> MemFsResult<SizeRecord> {
+fn decode(raw: &[u8], whole: bool, path: &str) -> MemFsResult<Record> {
     let corrupt = |what: &str| {
         MemFsError::CorruptMetadata(format!(
             "file record of {path} {what}: {:?}",
             String::from_utf8_lossy(&raw[..raw.len().min(RECORD_HEAD)])
         ))
     };
-    match raw.first() {
-        None => Ok(SizeRecord::Open),
-        Some(&INLINE_TAG) => {
-            let size = raw
-                .get(1..INLINE_HEAD)
-                .map(|le| u64::from_le_bytes(le.try_into().expect("eight bytes")))
-                .ok_or_else(|| corrupt("is cut inside its head"))?;
+    let word = |at: usize| {
+        let bytes: Option<[u8; 8]> = raw.get(at..at + 8).and_then(|b| b.try_into().ok());
+        bytes.map(u64::from_le_bytes)
+    };
+    let generation = word(1).ok_or_else(|| corrupt("is cut inside its head"))?;
+    let fixed = |len: usize| raw.len() == len;
+    let state = match (raw[0], word(9)) {
+        (OPEN_TAG, _) if fixed(OPEN_LEN) => SizeRecord::Open,
+        (STRIPED_TAG, Some(size)) if fixed(INLINE_HEAD) => SizeRecord::Striped(size),
+        (INLINE_TAG, Some(size)) => {
             let bytes = (raw.len() - INLINE_HEAD) as u64;
             let fits = if whole { bytes == size } else { bytes <= size };
             if !fits {
                 return Err(corrupt(&format!("holds {bytes} bytes of an inline {size}")));
             }
-            Ok(SizeRecord::Inline(size))
+            SizeRecord::Inline(size)
         }
-        Some(_) => std::str::from_utf8(raw)
-            .ok()
-            .and_then(|s| s.parse::<u64>().ok())
-            .map(SizeRecord::Striped)
-            .ok_or_else(|| corrupt("is not a size")),
-    }
+        (STRIPED_TAG | INLINE_TAG, None) => return Err(corrupt("is cut inside its head")),
+        (OPEN_TAG | STRIPED_TAG, _) => return Err(corrupt("is longer than its state")),
+        _ => return Err(corrupt("has no known state")),
+    };
+    Ok(Record { generation, state })
 }
 
 /// Encode one directory-log record for an added child.
@@ -198,55 +240,78 @@ pub fn fold_dir_log(raw: &[u8], path: &str) -> MemFsResult<Vec<(String, ChildKin
 mod tests {
     use super::*;
 
+    fn record(generation: u64, state: SizeRecord) -> Record {
+        Record { generation, state }
+    }
+
     #[test]
     fn size_record_round_trip() {
-        assert_eq!(decode_size(b"", "/f").unwrap(), SizeRecord::Open);
-        assert_eq!(
-            decode_size(&encode_size(12345), "/f").unwrap(),
-            SizeRecord::Striped(12345)
-        );
-        assert_eq!(
-            decode_size(&encode_size(0), "/f").unwrap(),
-            SizeRecord::Striped(0)
-        );
-        assert_eq!(
-            decode_size(&encode_size(u64::MAX), "/f").unwrap(),
-            SizeRecord::Striped(u64::MAX)
-        );
-        for len in [0usize, 1, 11, 12, 13, 300] {
-            let mut record = inline_head(len as u64).to_vec();
-            record.extend((0..len).map(|i| i as u8));
-            let inline = SizeRecord::Inline(len as u64);
-            assert_eq!(decode_size(&record, "/f").unwrap(), inline, "{len}");
-            let head = &record[..record.len().min(RECORD_HEAD)];
-            assert_eq!(decode_head(head, "/f").unwrap(), inline, "{len}");
+        for g in [0, 1, 0x0123_4567_89ab_cdef, u64::MAX] {
+            assert_eq!(
+                decode_size(&encode_open(g), "/f").unwrap(),
+                record(g, SizeRecord::Open)
+            );
+            assert_eq!(decode_head(&encode_open(g), "/f").unwrap().generation, g);
+            for size in [0, 12345, u64::MAX] {
+                assert_eq!(
+                    decode_size(&encode_size(g, size), "/f").unwrap(),
+                    record(g, SizeRecord::Striped(size))
+                );
+            }
+            for len in [0usize, 1, 11, 12, 13, 300] {
+                let mut bytes = inline_head(g, len as u64).to_vec();
+                bytes.extend((0..len).map(|i| i as u8));
+                let inline = record(g, SizeRecord::Inline(len as u64));
+                assert_eq!(decode_size(&bytes, "/f").unwrap(), inline, "{len}");
+                let head = &bytes[..bytes.len().min(RECORD_HEAD)];
+                assert_eq!(decode_head(head, "/f").unwrap(), inline, "{len}");
+            }
         }
     }
 
     #[test]
+    fn generations_differ() {
+        let mut seen: Vec<u64> = (0..1000).map(|_| new_generation()).collect();
+        seen.sort_unstable();
+        seen.dedup();
+        assert_eq!(seen.len(), 1000);
+    }
+
+    #[test]
     fn corrupt_size_record_detected() {
+        assert!(decode_size(b"", "/f").is_err());
         assert!(decode_size(b"not-a-number", "/f").is_err());
-        assert!(decode_size(&[0xFF], "/f").is_err());
-        assert!(decode_size(b"-5", "/f").is_err());
-        // Twenty-one digits: past u64, and past any head that is not cut.
-        assert!(decode_head(b"123456789012345678901", "/f").is_err());
+        assert!(decode_size(&[0xFF; 17], "/f").is_err());
+        assert!(decode_size(b"4096", "/f").is_err());
+        // Cut inside the generation, or a closed record inside its size.
+        assert!(decode_size(&encode_open(1)[..5], "/f").is_err());
+        assert!(decode_size(&encode_size(1, 2)[..12], "/f").is_err());
+        assert!(decode_head(&inline_head(1, 0)[..12], "/f").is_err());
+        // A fixed-size record with a byte too many, whole or as a head.
+        for mut long in [encode_open(1), encode_size(1, 2)] {
+            long.push(0);
+            assert!(decode_size(&long, "/f").is_err());
+            assert!(decode_head(&long, "/f").is_err());
+        }
         // An inline record whose size disagrees with its length, whole or
         // as a head that is the whole record.
-        let mut record = inline_head(5).to_vec();
-        record.extend_from_slice(b"four");
-        assert!(decode_size(&record, "/f").is_err());
-        assert!(decode_head(&record, "/f").is_err());
-        record.extend_from_slice(b"56");
-        assert!(decode_size(&record, "/f").is_err());
-        assert!(decode_head(&record, "/f").is_err());
-        // Cut inside the head, or a head claiming fewer bytes than it has.
-        assert!(decode_size(&inline_head(0)[..5], "/f").is_err());
-        let mut long = inline_head(11).to_vec();
-        long.extend_from_slice(&[0; 12]);
+        let mut bytes = inline_head(1, 5).to_vec();
+        assert!(decode_head(&bytes, "/f").is_err());
+        bytes.extend_from_slice(b"four");
+        assert!(decode_size(&bytes, "/f").is_err());
+        bytes.extend_from_slice(b"56");
+        assert!(decode_size(&bytes, "/f").is_err());
+        assert!(decode_head(&bytes[..RECORD_HEAD], "/f").is_ok());
+        // A head claiming fewer bytes than it has.
+        let mut long = inline_head(1, 0).to_vec();
+        long.push(0);
         assert!(decode_head(&long, "/f").is_err());
         // A head of a longer record is not checked past itself.
-        long[1..INLINE_HEAD].copy_from_slice(&1000u64.to_le_bytes());
-        assert_eq!(decode_head(&long, "/f").unwrap(), SizeRecord::Inline(1000));
+        long[9..INLINE_HEAD].copy_from_slice(&1000u64.to_le_bytes());
+        assert_eq!(
+            decode_head(&long, "/f").unwrap(),
+            record(1, SizeRecord::Inline(1000))
+        );
         assert!(decode_size(&long, "/f").is_err());
     }
 

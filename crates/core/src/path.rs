@@ -43,13 +43,14 @@ pub fn normalize(raw: &str) -> MemFsResult<String> {
 
 /// [`normalize`] for a name about to be created (`create`, `mkdir`):
 /// additionally refuses a path whose stripe keys would not all fit a
-/// storage key. `s:<path>#<index>` is the longest key a path is embedded
-/// in, so a path that passes can be written to any length, read, listed
-/// and unlinked — a longer one would be accepted by the shorter `f:<path>`
-/// and then fail mid-write, and again in `unlink`.
+/// storage key. `s:<path>#<index>@<generation>` is the longest key a path
+/// is embedded in (the generation is always 16 hex digits), so a path
+/// that passes can be written to any length, read, listed and unlinked —
+/// a longer one would be accepted by the shorter `f:<path>` and then fail
+/// mid-write, and again in `unlink`.
 pub fn normalize_new(raw: &str) -> MemFsResult<String> {
     let path = normalize(raw)?;
-    if KeySchema::stripe_key(&path, u64::MAX).len() > MAX_KEY_LEN {
+    if KeySchema::stripe_key(&path, u64::MAX, u64::MAX).len() > MAX_KEY_LEN {
         return Err(MemFsError::InvalidPath(path));
     }
     Ok(path)

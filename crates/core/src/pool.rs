@@ -12,9 +12,9 @@
 //! call holds the quiescence gate and reads one snapshot at once
 //! (`Live::enter`), routes by it, and `start` puts every server's batch
 //! on the wire at once through [`KvClient::start`] (paper §3.2.2:
-//! symmetrical striping drives all N servers at once); it returns a [`Window`] of per-server [`Share`]s, and
-//! settling a share turns its replies into results on whichever thread
-//! needs them. The blocking calls — the single-key calls are those with
+//! symmetrical striping drives all N servers at once); it returns a
+//! `Window` of per-server `Share`s, and settling a share turns its
+//! replies into results on whichever thread needs them. The blocking calls — the single-key calls are those with
 //! one entry — start a window and settle its shares in arrival order, so
 //! a call costs `max(server RTT)` and occupies no thread but the caller's;
 //! a prefetch window or a write drain keeps its shares pending in its file
@@ -22,9 +22,8 @@
 //! an arbitration request are windows of one request. A window's gate
 //! hold is released by the transport as each share is *answered*
 //! ([`Deferred::when_answered`]), never by the settler. Membership
-//! changes swap in the snapshot [`RingState::next`] builds.
+//! changes swap in the snapshot `RingState::next` builds.
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -36,7 +35,7 @@ use parking_lot::{Mutex, RwLock};
 
 use crate::config::DistributorKind;
 use crate::error::{MemFsError, MemFsResult};
-use crate::replica::{DegradedWrite, KeyReplies};
+use crate::replica::KeyReplies;
 use crate::ring::{Change, Hold, Live, RingState};
 
 /// One server's part of a batched call before it is started: the original
@@ -117,18 +116,17 @@ impl<K> Window<K> {
     }
 
     /// Settle every share of a replicated call, in arrival order, into
-    /// one fold of replica replies per input entry, beside the entry.
-    fn fold(mut self) -> Vec<(K, KeyReplies)> {
-        let mut folds: Vec<Option<(K, KeyReplies)>> = (0..self.len).map(|_| None).collect();
+    /// one fold of replica replies per input entry. An entry no share
+    /// carried folds no reply, which settles as an error.
+    fn fold(mut self) -> Vec<KeyReplies> {
+        let mut folds: Vec<KeyReplies> = (0..self.len).map(|_| KeyReplies::default()).collect();
         while let Some(share) = self.next() {
             let server = ServerId(share.server);
-            for (i, entry, reply) in share.replies() {
-                let fold = folds[i].get_or_insert_with(|| (entry, KeyReplies::default()));
-                fold.1.record(server, reply);
+            for (i, _, reply) in share.replies() {
+                folds[i].record(server, reply);
             }
         }
-        let routed = |fold: Option<_>| fold.expect("every entry has a home");
-        folds.into_iter().map(routed).collect()
+        folds
     }
 }
 
@@ -147,6 +145,12 @@ fn group<K: Clone>(
         }
     }
     batches.into_iter().enumerate()
+}
+
+/// The error for an answer that carries fewer replies than its batch had
+/// requests: a transport that broke its one-reply-per-request contract.
+fn missing_reply() -> KvError {
+    KvError::Protocol("an answer is missing a reply".into())
 }
 
 /// One server's read batch: a `Get` when no request names a range, a
@@ -216,7 +220,8 @@ pub struct ServerIoSnapshot {
     /// Keys that needed the replica-chain fallback.
     pub fallbacks: u64,
     /// Replica writes this server missed while the key still landed on a
-    /// surviving replica (degraded writes handed to the repair queue).
+    /// surviving replica (degraded writes, which the repair pass finds by
+    /// its scan).
     pub degraded_writes: u64,
 }
 
@@ -296,11 +301,6 @@ pub struct ServerPool {
     kind: DistributorKind,
     replication: usize,
     stats: PoolStats,
-    /// Keys whose last write landed on some replicas but not all — the
-    /// hand-off point between the degraded write path and the repair
-    /// planner ([`ServerPool::take_degraded`]). May contain duplicates
-    /// when a key is written degraded repeatedly; repair dedups on drain.
-    degraded: Mutex<VecDeque<DegradedWrite>>,
     /// Serializes repair passes (each holds this across the pass).
     migration: Mutex<()>,
 }
@@ -339,7 +339,6 @@ impl ServerPool {
             kind,
             replication,
             stats,
-            degraded: Mutex::new(VecDeque::new()),
             migration: Mutex::new(()),
         }
     }
@@ -385,28 +384,6 @@ impl ServerPool {
     /// are down and converge back when they return.
     pub fn replica_candidates(&self, key: &[u8]) -> Vec<ServerId> {
         self.ring_state().rings().walk(key)
-    }
-
-    /// Drain the degraded-write queue: every key a write left
-    /// under-replicated since the last drain, in write order (duplicates
-    /// possible — dedup on use).
-    pub fn take_degraded(&self) -> Vec<DegradedWrite> {
-        self.degraded.lock().drain(..).collect()
-    }
-
-    /// Number of degraded writes currently queued for repair.
-    pub fn degraded_pending(&self) -> usize {
-        self.degraded.lock().len()
-    }
-
-    /// Put unresolved degraded-write hints back at the *front* of the
-    /// queue, ahead of any hint a write queued meanwhile: the last hint
-    /// of a key must stay its latest write's.
-    pub(crate) fn requeue_degraded(&self, hints: Vec<DegradedWrite>) {
-        let mut queue = self.degraded.lock();
-        for hint in hints.into_iter().rev() {
-            queue.push_front(hint);
-        }
     }
 
     /// Number of server *slots* (including joining and retired ones —
@@ -472,8 +449,8 @@ impl ServerPool {
     /// current and leaving slots are tombstoned. The repair pass calls
     /// this once every key reached its target homes; a no-op without an
     /// active transition.
-    pub(crate) fn complete_transition(&self) {
-        self.change(Change::Commit).expect("committing never fails");
+    pub(crate) fn complete_transition(&self) -> MemFsResult<()> {
+        self.change(Change::Commit).map(drop)
     }
 
     /// Swap in the snapshot after `change`, with a counter block for
@@ -523,10 +500,11 @@ impl ServerPool {
 
     /// Routed `set`: [`ServerPool::set_many`] with one item — every
     /// replica's request on the wire in one step. A key that lands on at
-    /// least one replica is durable — partial failures are recorded as a
-    /// degraded write and queued for repair rather than surfaced as an
-    /// error, so the write path stays available while a server is down.
-    /// Only a key every replica rejected is an error.
+    /// least one replica is durable — partial failures are counted as
+    /// degraded writes ([`ServerIoSnapshot::degraded_writes`]) rather than
+    /// surfaced as an error, so the write path stays available while a
+    /// server is down; the repair pass finds the missing copies by its
+    /// scan. Only a key every replica rejected is an error.
     pub fn set(&self, key: &[u8], value: Bytes) -> MemFsResult<()> {
         self.set_many(&[(Bytes::copy_from_slice(key), value)])
     }
@@ -567,8 +545,9 @@ impl ServerPool {
         let other = beside();
         let reply = deferred.wait();
         drop(guard);
-        let first =
-            reply.and_then(|mut reply| reply.pop().expect("one reply per request").map(drop));
+        let first = reply
+            .and_then(|mut replies| replies.pop().ok_or_else(missing_reply)?)
+            .map(drop);
         let follower = if verb == StoreVerb::Append {
             verb
         } else {
@@ -591,8 +570,8 @@ impl ServerPool {
     /// Routed `get`: [`ServerPool::get_many`] with one key — primary
     /// first, the replica walk on failure.
     pub fn get(&self, key: &[u8]) -> MemFsResult<Bytes> {
-        let mut replies = self.get_many(&[Bytes::copy_from_slice(key)]);
-        replies.pop().expect("one reply per key")
+        let reply = self.get_many(&[Bytes::copy_from_slice(key)]).pop();
+        reply.ok_or_else(|| MemFsError::from(missing_reply()))?
     }
 
     /// Routed `get` that maps a missing key to `None`.
@@ -613,7 +592,7 @@ impl ServerPool {
     ///
     /// A transport failure (of the whole batch or a single key) walks
     /// that key's replicas when that server's share settles
-    /// ([`ServerPool::settle_read`]), so a dead server degrades only its
+    /// (`ServerPool::settle_read`), so a dead server degrades only its
     /// own keys while the healthy servers' batches proceed.
     pub fn get_many(&self, keys: &[Bytes]) -> Vec<MemFsResult<Bytes>> {
         let reqs = keys.iter().map(|key| (key.clone(), None)).collect();
@@ -652,7 +631,7 @@ impl ServerPool {
             }
         }
         out.into_iter()
-            .map(|r| r.expect("every request grouped exactly once"))
+            .map(|r| r.unwrap_or_else(|| Err(missing_reply().into())))
             .collect()
     }
 
@@ -661,11 +640,10 @@ impl ServerPool {
     /// groups on the wire **concurrently** (replica batches to different
     /// servers overlap too). Every batch is always attempted.
     ///
-    /// A key stored on at least one replica is durable; if some replicas
-    /// failed it, it is recorded in the repair queue with the missing
-    /// servers ([`ServerPool::take_degraded`]). Only a key that failed on
-    /// *every* replica is an error, and the first such error in input
-    /// order is returned.
+    /// A key stored on at least one replica is durable; each replica that
+    /// failed it counts one degraded write against that server. Only a key
+    /// that failed on *every* replica is an error, and the first such
+    /// error in input order is returned.
     pub fn set_many(&self, items: &[(Bytes, Bytes)]) -> MemFsResult<()> {
         self.finish_writes(self.start_writes(items))
             .into_iter()
@@ -685,15 +663,12 @@ impl ServerPool {
 
     /// Settle every share of a started write, in arrival order, into one
     /// result per key, in input order: `Err` only for a key every replica
-    /// failed ([`ServerPool::set_many`]). A degraded key's repair hint is
-    /// queued here, on the settling thread.
+    /// failed ([`ServerPool::set_many`]). A degraded key's misses are
+    /// counted here, on the settling thread.
     pub(crate) fn finish_writes(&self, window: Window<(Bytes, Bytes)>) -> Vec<MemFsResult<()>> {
-        let settle = |((key, _), replies): ((Bytes, Bytes), KeyReplies)| {
-            if let Some(hint) = replies.settle_write(key)? {
-                for id in &hint.missing {
-                    self.stats.io(id.0).degraded.fetch_add(1, Ordering::SeqCst);
-                }
-                self.degraded.lock().push_back(hint);
+        let settle = |replies: KeyReplies| {
+            for id in replies.settle_write()? {
+                self.stats.io(id.0).degraded.fetch_add(1, Ordering::SeqCst);
             }
             Ok(())
         };
@@ -711,7 +686,8 @@ impl ServerPool {
     /// keys and dead replicas are ignored (idempotent cleanup).
     pub fn delete_quiet(&self, key: &[u8]) -> MemFsResult<()> {
         let mut outcomes = self.delete_many(&[Bytes::copy_from_slice(key)]);
-        outcomes.pop().expect("one outcome per key").map(drop)
+        let outcome = outcomes.pop().ok_or_else(|| missing_reply().into());
+        outcome.and_then(|deleted| deleted.map(drop))
     }
 
     /// Batched routed `delete`: keys are grouped per replica-holding
@@ -731,7 +707,7 @@ impl ServerPool {
             client.start(Batch::Delete(keys))
         });
         drop(op); // the shares hold the gate until answered, not settled
-        let resolve = |(_, replies): (Bytes, KeyReplies)| replies.resolve_delete();
+        let resolve = |replies: KeyReplies| replies.resolve_delete();
         window.fold().into_iter().map(resolve).collect()
     }
 
@@ -779,8 +755,8 @@ impl ServerPool {
     ) -> KvResult<Bytes> {
         let batch = (server.0, (vec![0], vec![entry]));
         let mut shares = self.start(op, 1, [batch], submit).shares;
-        let share = shares.pop().expect("a one-request window");
-        share.replies().next().expect("one reply per request").2
+        let reply = shares.pop().and_then(|share| share.replies().next());
+        reply.map_or_else(|| Err(missing_reply()), |(_, _, reply)| reply)
     }
 
     /// Settle one read share on the caller's thread: its results, paired
@@ -1240,8 +1216,15 @@ pub(crate) mod tests {
         }
     }
 
+    /// `verb key`, a stripe key's generation shown as `g`: a file's
+    /// generation is drawn at random, its requests are not.
     fn named(verb: &str, key: &[u8]) -> String {
-        format!("{verb} {}", String::from_utf8_lossy(key))
+        match memfs_hashring::schema::KeySchema::parse(key) {
+            memfs_hashring::schema::ParsedKey::Stripe { path, index, .. } => {
+                format!("{verb} s:{path}#{index}@g")
+            }
+            _ => format!("{verb} {}", String::from_utf8_lossy(key)),
+        }
     }
 
     impl KvClient for SubmitProbe {
@@ -1388,13 +1371,11 @@ pub(crate) mod tests {
         let (p, failables) = failable_pool(2, 2);
         failables[0].set_down(true);
         p.set(b"k", value.clone()).unwrap();
-        let hint = DegradedWrite {
-            key: Bytes::from_static(b"k"),
-            written: vec![ServerId(1)],
-            missing: vec![ServerId(0)],
+        let degraded = || {
+            let snap = p.stats().snapshot();
+            [snap[0].degraded_writes, snap[1].degraded_writes]
         };
-        assert_eq!(p.take_degraded(), [hint]);
-        assert_eq!(p.stats().snapshot()[0].degraded_writes, 1);
+        assert_eq!(degraded(), [1, 0]);
         assert_eq!(p.get(b"k").unwrap(), value);
         p.delete_quiet(b"k").unwrap();
         // Both down: the transport error is what each call returns.
@@ -1405,14 +1386,14 @@ pub(crate) mod tests {
         assert!(transport(p.delete_quiet(b"k")));
         assert!(transport(p.get(b"k").map(drop)));
         assert_eq!(
-            p.degraded_pending(),
-            0,
+            degraded(),
+            [1, 0],
             "a write that landed nowhere is not degraded"
         );
     }
 
     #[test]
-    fn set_many_records_degraded_outcomes_and_queues_repair() {
+    fn set_many_counts_degraded_outcomes() {
         let (p, failables) = failable_pool(3, 2);
         failables[0].set_down(true);
         let items: Vec<(Bytes, Bytes)> = (0..24)
@@ -1431,15 +1412,10 @@ pub(crate) mod tests {
             .filter(|key| p.servers_for(key).any(|s| s.0 == 0))
             .collect();
         assert!(!on_0.is_empty(), "server 0 must own some replicas");
-        // ...and exactly the keys server 0 missed are recorded for the
-        // repair planner, in write order.
-        assert_eq!(p.degraded_pending(), on_0.len());
-        let queued = p.take_degraded();
-        assert_eq!(queued.iter().map(|d| &d.key).collect::<Vec<_>>(), on_0);
-        assert!(queued.iter().all(|d| d.missing == [ServerId(0)]));
-        assert!(queued.iter().all(|d| d.written.len() == 1));
-        assert_eq!(p.degraded_pending(), 0);
-        assert_eq!(p.stats().snapshot()[0].degraded_writes, on_0.len() as u64);
+        // ...and exactly the keys server 0 missed are counted against it.
+        let snap = p.stats().snapshot();
+        assert_eq!(snap[0].degraded_writes, on_0.len() as u64);
+        assert!(snap[1..].iter().all(|s| s.degraded_writes == 0));
         // Every key reads back even while the server is still down.
         failables[0].set_down(true);
         for (key, value) in &items {
@@ -1657,7 +1633,7 @@ pub(crate) mod tests {
     fn completing_a_transition_retires_leaving_slots() {
         let (p, _) = ketama_pool(3, 1);
         p.begin_remove_server(ServerId(2)).unwrap();
-        p.complete_transition();
+        p.complete_transition().unwrap();
         assert!(!p.transition_active());
         assert_eq!(p.members(), vec![ServerId(0), ServerId(1)]);
         assert_eq!(p.n_servers(), 3, "slot ids never renumber");

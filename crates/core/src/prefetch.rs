@@ -44,12 +44,11 @@
 //! `window == 0` there is no cache, so sub-stripe spans are always
 //! ranged.
 //!
-//! For the same reason a caching reader may start with stripe 0 on its way
-//! (`StripeReader::with_first_stripe`): `MemFs::open` asks for it in the
-//! same step as the size record — a finalized file's stripes never change
-//! — so opening and reading a one-stripe file is one round trip. A file
-//! shorter than a stripe has no stripes: its bytes came inside the record
-//! (`StripeReader::with_inline`), and every read is a copy from them.
+//! A file shorter than a stripe has no stripes: its bytes came inside the
+//! size record `MemFs::open` fetched (`StripeReader::with_inline`), and
+//! every read is a copy from them. A striped file's stripes are keyed by
+//! the generation its record names, so a reader never meets another
+//! incarnation's bytes.
 //!
 //! All misses of one read, whole and ranged, travel as **one** read window
 //! of the pool, started *after* the prefetch window so the two overlap.
@@ -86,9 +85,9 @@ enum Slot {
     Ready(Bytes),
 }
 
-/// One server's share of a read this reader started — a prefetch window,
-/// a read's own requests, or the stripe 0 `open` asked for — kept until
-/// some reader needs what it carries, and then settled by that reader.
+/// One server's share of a read this reader started — a prefetch window
+/// or a read's own requests — kept until some reader needs what it
+/// carries, and then settled by that reader.
 struct Pending {
     /// The share's positions in the read it belongs to, in entry order.
     positions: Vec<usize>,
@@ -102,14 +101,6 @@ struct Pending {
 struct Landing {
     share: Option<Share<ReadReq>>,
     results: Vec<Option<MemFsResult<Bytes>>>,
-}
-
-/// Stripe 0 as `MemFs::open` hands it over: bytes that came back in the
-/// size record's batch, or the share of `open`'s window still bringing
-/// them.
-pub(crate) enum FirstStripe {
-    Ready(Bytes),
-    InFlight(Share<ReadReq>),
 }
 
 struct CacheState {
@@ -179,6 +170,9 @@ enum Source {
 /// A striped, prefetching reader over one finalized file.
 pub struct StripeReader {
     path: String,
+    /// The generation the size record names: the file's stripes are keyed
+    /// by it.
+    generation: u64,
     layout: StripeLayout,
     file_size: u64,
     pool: Arc<ServerPool>,
@@ -194,7 +188,8 @@ pub struct StripeReader {
 }
 
 impl StripeReader {
-    /// Create a reader for `path` with final size `file_size`.
+    /// Create a reader for generation `generation` of `path`, with final
+    /// size `file_size`.
     ///
     /// `window` is how many stripes to prefetch ahead of a sequential
     /// reader; `0` disables prefetching and the cache (the "no
@@ -202,6 +197,7 @@ impl StripeReader {
     /// cache (8 MiB / stripe size by default).
     pub fn new(
         path: String,
+        generation: u64,
         layout: StripeLayout,
         file_size: u64,
         pool: Arc<ServerPool>,
@@ -210,6 +206,7 @@ impl StripeReader {
     ) -> Self {
         StripeReader {
             path,
+            generation,
             layout,
             file_size,
             pool,
@@ -234,29 +231,6 @@ impl StripeReader {
             inline: Some(data),
             ..self
         }
-    }
-
-    /// Start with stripe 0 on its way: the bytes `MemFs::open` fetched
-    /// beside the size record, or the share of its window still bringing
-    /// them, so a first read from byte 0 is a cache copy (it still moves
-    /// the stream's end and queues the window). Kept only when the reader
-    /// caches at all; the bytes are kept only when they are exactly the
-    /// length the size record gives stripe 0. Anything else is dropped and the
-    /// first read fetches, and reports, as it would have without it.
-    pub(crate) fn with_first_stripe(self, first: Option<FirstStripe>) -> Self {
-        let first = first.filter(|_| self.window > 0 && self.file_size > 0);
-        let mut state = self.cache.state.lock();
-        match first {
-            Some(FirstStripe::Ready(data)) if self.fits(0, &data) => {
-                self.cache.insert_ready_locked(&mut state, 0, data);
-            }
-            Some(FirstStripe::InFlight(share)) => {
-                self.keep(&mut state, share, |_| Some(0));
-            }
-            _ => {}
-        }
-        drop(state);
-        self
     }
 
     /// The file size this reader was opened with.
@@ -375,7 +349,7 @@ impl StripeReader {
     }
 
     fn stripe_key(&self, stripe: u64) -> Bytes {
-        Bytes::from(KeySchema::stripe_key(&self.path, stripe))
+        Bytes::from(KeySchema::stripe_key(&self.path, self.generation, stripe))
     }
 
     /// Whether `data` is exactly the length the size record gives
@@ -649,7 +623,7 @@ mod tests {
             let start = (s as usize) * stripe;
             let end = (start + stripe).min(file_size as usize);
             // Zero-copy fill: every stripe shares the one backing buffer.
-            pool.set(&KeySchema::stripe_key("/f", s), data.slice(start..end))
+            pool.set(&KeySchema::stripe_key("/f", 0, s), data.slice(start..end))
                 .unwrap();
         }
         (pool, data)
@@ -663,6 +637,7 @@ mod tests {
     ) -> StripeReader {
         StripeReader::new(
             "/f".into(),
+            0,
             StripeLayout::new(stripe),
             file_size,
             Arc::clone(pool),
@@ -729,15 +704,15 @@ mod tests {
         let layout = StripeLayout::new(100);
         for s in 0..layout.stripe_count(2000) {
             pool.set(
-                &KeySchema::stripe_key("/f", s),
+                &KeySchema::stripe_key("/f", 0, s),
                 Bytes::from(vec![s as u8; 100]),
             )
             .unwrap();
         }
-        let r = StripeReader::new("/f".into(), layout, 2000, Arc::clone(&pool), 8, 16);
+        let r = StripeReader::new("/f".into(), 0, layout, 2000, Arc::clone(&pool), 8, 16);
         // One read triggers exactly one prefetch window (stripes 1..=8).
         let owners: std::collections::HashSet<usize> = (1..=8u64)
-            .map(|s| pool.server_for(&KeySchema::stripe_key("/f", s)).0)
+            .map(|s| pool.server_for(&KeySchema::stripe_key("/f", 0, s)).0)
             .collect();
         r.stripe(0).unwrap();
         // Acceptance criterion: every server owning part of the window saw
@@ -821,7 +796,7 @@ mod tests {
         let layout = StripeLayout::new(stripe);
         for s in 0..layout.stripe_count(file_size) {
             pool.set(
-                &KeySchema::stripe_key("/f", s),
+                &KeySchema::stripe_key("/f", 0, s),
                 Bytes::from(vec![s as u8; stripe]),
             )
             .unwrap();
@@ -880,7 +855,7 @@ mod tests {
 
     fn counted_reader(pool: &Arc<ServerPool>, stripes: u64, window: usize) -> StripeReader {
         let (layout, size) = (StripeLayout::new(800), stripes * 800);
-        StripeReader::new("/f".into(), layout, size, Arc::clone(pool), window, 32)
+        StripeReader::new("/f".into(), 0, layout, size, Arc::clone(pool), window, 32)
     }
 
     #[test]
@@ -997,26 +972,6 @@ mod tests {
     }
 
     #[test]
-    fn a_first_stripe_is_a_cache_copy_that_still_queues_the_window() {
-        let (counted, pool) = instrumented_pool(2000, 100);
-        let seeded = |window: usize, first: Vec<u8>| {
-            reader(&pool, 2000, 100, window)
-                .with_first_stripe(Some(FirstStripe::Ready(Bytes::from(first))))
-        };
-        let r = seeded(8, vec![0u8; 100]);
-        assert_eq!(r.cached_stripes(), 1);
-        assert_eq!(r.stripe(0).unwrap().as_ref(), &[0u8; 100][..]);
-        r.settle_pending();
-        assert_eq!(sync_gets(&counted) + ranged_gets(&counted), 0);
-        assert!(batched_gets(&counted) > 0, "the read queued no window");
-        assert_eq!(r.cached_stripes(), 9);
-        // The wrong length, or no cache to put it in: dropped.
-        for r in [seeded(8, vec![0u8; 99]), seeded(0, vec![0u8; 100])] {
-            assert_eq!(r.cached_stripes(), 0);
-        }
-    }
-
-    #[test]
     fn multi_stripe_read_is_correct_and_uses_cache() {
         let (pool, data) = setup(2000, 100);
         let r = reader(&pool, 2000, 100, 4);
@@ -1057,7 +1012,8 @@ mod tests {
     #[test]
     fn multi_stripe_read_missing_stripe_is_corrupt_metadata() {
         let (pool, _) = setup(1000, 100);
-        pool.delete_quiet(&KeySchema::stripe_key("/f", 5)).unwrap();
+        pool.delete_quiet(&KeySchema::stripe_key("/f", 0, 5))
+            .unwrap();
         let r = reader(&pool, 1000, 100, 4);
         let mut buf = vec![0u8; 600];
         assert!(matches!(
@@ -1078,8 +1034,11 @@ mod tests {
     fn short_stripe_is_corrupt_metadata_whole_or_ranged() {
         // The size record says 1000 bytes, but stripe 3 holds only 40.
         let (pool, _) = setup(1000, 100);
-        pool.set(&KeySchema::stripe_key("/f", 3), Bytes::from(vec![1u8; 40]))
-            .unwrap();
+        pool.set(
+            &KeySchema::stripe_key("/f", 0, 3),
+            Bytes::from(vec![1u8; 40]),
+        )
+        .unwrap();
         for window in [0, 4] {
             let r = reader(&pool, 1000, 100, window);
             let mut buf = [0u8; 100];
@@ -1101,6 +1060,7 @@ mod tests {
         let (pool, _) = setup(10_000, 100);
         let r = StripeReader::new(
             "/f".into(),
+            0,
             StripeLayout::new(100),
             10_000,
             Arc::clone(&pool),
@@ -1120,7 +1080,8 @@ mod tests {
     #[test]
     fn missing_stripe_is_corrupt_metadata() {
         let (pool, _) = setup(1000, 100);
-        pool.delete_quiet(&KeySchema::stripe_key("/f", 5)).unwrap();
+        pool.delete_quiet(&KeySchema::stripe_key("/f", 0, 5))
+            .unwrap();
         let r = reader(&pool, 1000, 100, 0);
         assert!(matches!(r.stripe(5), Err(MemFsError::CorruptMetadata(_))));
     }
@@ -1137,13 +1098,14 @@ mod tests {
         let layout = StripeLayout::new(100);
         for s in 0..layout.stripe_count(10_000) {
             pool.set(
-                &KeySchema::stripe_key("/f", s),
+                &KeySchema::stripe_key("/f", 0, s),
                 Bytes::from(vec![s as u8; 100]),
             )
             .unwrap();
         }
         let r = StripeReader::new(
             "/f".into(),
+            0,
             layout,
             10_000,
             Arc::clone(&pool),
@@ -1173,13 +1135,14 @@ mod tests {
         // failure) and its own must be released, to be retried
         // synchronously once the server is back.
         let (counted, pool) = instrumented_pool_over(2000, 100, SimClient::new);
-        let owner = |s: u64| pool.server_for(&KeySchema::stripe_key("/f", s)).0;
+        let owner = |s: u64| pool.server_for(&KeySchema::stripe_key("/f", 0, s)).0;
         let failed = (1..=8u64)
             .find(|&s| owner(s) != owner(0))
             .expect("a window stripe off the first stripe's server");
         let down = owner(failed);
         let r = StripeReader::new(
             "/f".into(),
+            0,
             StripeLayout::new(100),
             2000,
             Arc::clone(&pool),
@@ -1248,10 +1211,14 @@ mod tests {
         let pool = Arc::new(ServerPool::new(clients, DistributorKind::default()));
         // A one-stripe file: nothing to prefetch, so the only traffic is
         // the miss fetch itself.
-        pool.set(&KeySchema::stripe_key("/f", 0), Bytes::from(vec![7u8; 100]))
-            .unwrap();
+        pool.set(
+            &KeySchema::stripe_key("/f", 0, 0),
+            Bytes::from(vec![7u8; 100]),
+        )
+        .unwrap();
         let r = Arc::new(StripeReader::new(
             "/f".into(),
+            0,
             StripeLayout::new(100),
             100,
             Arc::clone(&pool),
@@ -1290,6 +1257,7 @@ mod tests {
         for cap in [1usize, 2, 5, 8] {
             let r = StripeReader::new(
                 "/f".into(),
+                0,
                 StripeLayout::new(100),
                 10_000,
                 Arc::clone(&pool),

@@ -10,7 +10,7 @@
 //! [`ServerPool::begin_add_servers`] / [`ServerPool::begin_remove_server`]):
 //! a transition only changes which ring a key's homes come from.
 //!
-//! A pass holds the pool's migration mutex and runs five steps:
+//! A pass holds the pool's migration mutex and runs four steps:
 //!
 //! 1. **Census and scan** — during a transition, first quiesce: no
 //!    operation routed by the pre-transition snapshot is still unanswered,
@@ -24,58 +24,53 @@
 //!    leaving and cannot be scanned blocks the commit this pass: without
 //!    its key census a commit could strand a key it alone holds behind an
 //!    authoritative target-ring `NotFound`.
-//! 2. **Hints** — drain the degraded-write queue. A hint names the servers
-//!    that took the key's write ([`DegradedWrite::written`]); for a hinted
-//!    key only those copies are fresh, and every other copy is suspect —
-//!    it may hold a prior value (a file-size record is created empty and
-//!    finalized by `set`), indistinguishable from a fresh copy by
-//!    presence.
-//! 3. **Homes and copies** — a key's homes are the first `r` alive servers
-//!    of its failover walk (`replica.rs`: the target ring's successors
-//!    during a transition, the current ring's otherwise), the walk a
-//!    failed read takes too. While an owner is down the home set slides
-//!    onto surviving successors; when it returns it converges back. A
-//!    fresh holder's value is copied over every stale holder (`set`) and
-//!    onto every home that holds nothing (`add`:
-//!    `Exists` means a racing foreground write already made it current).
-//!    During a transition the source is then re-read, so a dual-routed
-//!    append that raced the copy is carried across too. Copies are not
-//!    paced: the pass moves each value as fast as its servers take it. A
-//!    key is skipped as unlinked only when every fresh holder answers
-//!    `NotFound`; a key no fresh holder could serve (or whose re-read
-//!    failed) cannot be repaired this pass, so the commit waits and its
-//!    hint stays queued.
-//! 4. **Commit** (transition only) — once no current non-leaving member
+//! 2. **Homes and copies** — a key's homes are the first `r` alive
+//!    servers of the failover walk a failed read takes (`replica.rs`):
+//!    they slide onto successors while an owner is down and converge back
+//!    when it returns. Which copies are current is read off the copies
+//!    (DESIGN.md §4i): every copy of a stripe or directory key; of a file
+//!    record held more than once, those the record rule
+//!    (`replica::current_records`) picks from the holders' heads,
+//!    read in one batch per holder. A record with an unread head is not
+//!    judged this pass: the unread copy may be the current one. A current
+//!    copy is `set` over each stale holder and `add`ed onto each empty
+//!    home (`Exists`: a racing write made it current); during a transition
+//!    the source is re-read, so a raced dual-routed append is carried
+//!    across too. Copies are not paced. A key is skipped as unlinked only
+//!    when every current holder answers `NotFound`; a key left unjudged,
+//!    unserved or with a failed re-read waits for the next pass, and so
+//!    does the commit.
+//! 3. **Commit** (transition only) — once no current non-leaving member
 //!    failed its scan and every key reached its homes, the target ring
 //!    becomes current (`ServerPool::complete_transition`), then quiesce:
 //!    no read still trusts a pre-commit home.
-//! 5. **Retire and requeue** — unless a transition is still open, delete
-//!    the copies of each key fully homed on fresh copies that lie outside
-//!    its homes: failover copies whose owner returned, and a migrated
-//!    key's old homes. Then requeue the unresolved hints.
+//! 4. **Retire** — unless a transition is still open, delete the copies
+//!    of each key fully homed on current copies that lie outside its
+//!    homes: failover copies whose owner returned, and a migrated key's
+//!    old homes.
 //!
 //! [`RepairDaemon`] runs passes on an interval; [`crate::MemFs::repair_now`]
 //! runs one on demand. A member that is down is routed and repaired
 //! around; only [`crate::MemFs::remove_server`] takes it off the ring. A
 //! pass is idempotent and crash-safe: one that dies mid-copy leaves
-//! extra-but-valid copies the next pass reconciles. One
-//! caveat: a copy racing a concurrent `unlink` (read-before-delete,
-//! write-after) can resurrect an orphan key; it is invisible to the file
-//! system (its file metadata is gone) and never surfaced to reads.
+//! extra-but-valid copies the next pass reconciles. What a copy racing an
+//! `unlink`, or a replica that missed one, leaves: DESIGN.md §4i.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use bytes::Bytes;
+use memfs_hashring::schema::FILE_PREFIX;
 use memfs_hashring::ServerId;
-use memfs_memkv::KvError;
+use memfs_memkv::{Batch, KvError};
 
 use crate::error::MemFsResult;
+use crate::meta::{self, Record};
 use crate::pool::ServerPool;
-use crate::replica::{is_fresh, DegradedWrite};
+use crate::replica::current_records;
 use crate::ring::RingState;
 
 /// Outcome of one repair pass.
@@ -85,9 +80,7 @@ pub struct RepairReport {
     pub servers_down: usize,
     /// Distinct keys enumerated across the alive slots.
     pub scanned_keys: usize,
-    /// Degraded-write hints drained from the pool's queue.
-    pub degraded_hints: usize,
-    /// Keys that needed copies: a home without a fresh copy, or a stale
+    /// Keys that needed copies: a home without a current copy, or a stale
     /// holder. During a grow or shrink these are exactly the keys whose
     /// home set changed.
     pub under_replicated: usize,
@@ -97,10 +90,10 @@ pub struct RepairReport {
     pub copied_bytes: u64,
     /// Retired copies (on alive servers outside the key's home set).
     pub removed_copies: usize,
-    /// Keys the pass could not restore (no fresh holder served the value,
-    /// a target refused the copy, or the source's re-read failed). They
-    /// stay for the next pass, and so does the commit of an open
-    /// transition.
+    /// Keys the pass could not restore (a file record's head went unread,
+    /// no current holder served the value, a target refused the copy, or
+    /// the source's re-read failed). They stay for the next pass, and so
+    /// does the commit of an open transition.
     pub unrepairable: usize,
     /// No membership transition is left: this pass committed it, or none
     /// was active.
@@ -126,14 +119,14 @@ enum CopyOutcome {
     Failed,
 }
 
-/// Read `key` from one of the fresh `sources` and place it on every
+/// Read `key` from one of the current `sources` and place it on every
 /// server in `targets` — `set` over a server in `have` (a stale holder),
 /// `add` on one that holds nothing. While
 /// `migrating` (a transition is open), then re-read the source: a
 /// dual-routed append that raced the copy landed on the source but may
 /// have been tolerated as `NotFound` on a target-only home the copy had
-/// not reached (nowhere else can a write miss a home without failing or
-/// leaving a hint). A grown value re-appends its suffix (directory logs fold as
+/// not reached (nowhere else can an append miss a home without failing).
+/// A grown value re-appends its suffix (directory logs fold as
 /// order-insensitive idempotent sets, so a duplicate entry is absorbed);
 /// any other change is re-`set` whole. A source that fails a read (not
 /// `NotFound`) may still hold the key, and a failed re-read may hide a
@@ -220,15 +213,68 @@ fn copy_key(
     (outcome, copied)
 }
 
+/// Each file record's heads, by key and holder: `None` for a head that
+/// does not decode; a holder whose read failed (`NotFound` too) is absent.
+type Heads<'a> = BTreeMap<(&'a [u8], usize), Option<Record>>;
+
+/// Read the head of every copy of every file record held more than once,
+/// one [`Batch::GetRange`] per holder, all started before any is awaited.
+fn read_heads<'a>(state: &RingState, holders: &'a BTreeMap<Vec<u8>, BTreeSet<usize>>) -> Heads<'a> {
+    let mut asks: BTreeMap<usize, Vec<&'a [u8]>> = BTreeMap::new();
+    for (key, have) in holders {
+        if have.len() > 1 && key.starts_with(FILE_PREFIX.as_bytes()) {
+            have.iter()
+                .for_each(|&s| asks.entry(s).or_default().push(key));
+        }
+    }
+    let mut started = Vec::new();
+    for (s, keys) in asks {
+        let head = |k: &&[u8]| (Bytes::copy_from_slice(k), 0, meta::RECORD_HEAD);
+        let ranges: Vec<_> = keys.iter().map(head).collect();
+        let reply = state.client(ServerId(s)).start(Batch::GetRange(&ranges));
+        started.push((s, reply, keys));
+    }
+    let mut heads = Heads::new();
+    for (s, reply, keys) in started {
+        for (key, head) in keys.into_iter().zip(reply.wait().into_iter().flatten()) {
+            let Ok(head) = head else { continue };
+            let record = meta::decode_head(&head, &String::from_utf8_lossy(key));
+            heads.insert((key, s), record.ok());
+        }
+    }
+    heads
+}
+
+/// The holders of `key` whose copy is current: of a file record held more
+/// than once, those the record rule picks from `heads` in read order (a
+/// head that does not decode is stale), or `None` when a head went unread
+/// and the key cannot be judged; of any other key, every holder.
+fn current_holders(
+    state: &RingState,
+    key: &[u8],
+    have: &BTreeSet<usize>,
+    heads: &Heads<'_>,
+    r: usize,
+) -> Option<BTreeSet<usize>> {
+    if have.len() < 2 || !key.starts_with(FILE_PREFIX.as_bytes()) {
+        return Some(have.clone());
+    }
+    let walk = state.rings().read_walk(key, r);
+    let holders = walk.order().iter().filter(|id| have.contains(&id.0));
+    let copies = holders.map(|&id| Some((id, *heads.get(&(key, id.0))?)));
+    let current = current_records(&copies.collect::<Option<Vec<_>>>()?);
+    Some(current.into_iter().map(|id| id.0).collect())
+}
+
 /// Run one pass over `pool` (see the module docs): census, copy, commit
 /// a finished transition, retire. Blocks while another pass
 /// holds the pool's migration mutex. Safe to run concurrently with
 /// foreground reads and writes; runs on the caller's thread.
 ///
 /// # Errors
-/// None today: a server that fails mid-pass is treated as down and left
-/// for the next pass, and per-key copy failures are counted in
-/// [`RepairReport::unrepairable`].
+/// Only a commit the routing snapshot refuses: a server that fails
+/// mid-pass is treated as down and left for the next pass, and per-key
+/// copy failures are counted in [`RepairReport::unrepairable`].
 pub fn repair_pass(pool: &ServerPool) -> MemFsResult<RepairReport> {
     let _pass = pool.migration_mutex().lock();
     let state = pool.ring_state();
@@ -258,17 +304,10 @@ pub fn repair_pass(pool: &ServerPool) -> MemFsResult<RepairReport> {
     report.servers_down = slots.iter().filter(|&&s| !alive[s]).count();
     report.scanned_keys = holders.len();
 
-    // 2. Hints: a key's last hint is its latest hinted write.
-    let hints = pool.take_degraded();
-    report.degraded_hints = hints.len();
-    let mut latest: BTreeMap<Vec<u8>, DegradedWrite> = BTreeMap::new();
-    for hint in hints {
-        latest.insert(hint.key.to_vec(), hint);
-    }
-
-    // 3. Homes and copies.
+    // 2. Homes and copies, judged by what the copies hold.
     let r = pool.replication();
     let migrating = t.is_some();
+    let heads = read_heads(&state, &holders);
     let mut homed: BTreeMap<&[u8], Vec<ServerId>> = BTreeMap::new();
     for (key, have) in &holders {
         let homes = state.rings().repair_homes(key, r, |id| alive[id.0]);
@@ -277,12 +316,10 @@ pub fn repair_pass(pool: &ServerPool) -> MemFsResult<RepairReport> {
             report.unrepairable += 1;
             continue;
         }
-        let hint = latest.get(key.as_slice());
-        let fresh: BTreeSet<usize> = have
-            .iter()
-            .copied()
-            .filter(|&s| is_fresh(hint, ServerId(s)))
-            .collect();
+        let Some(fresh) = current_holders(&state, key, have, &heads, r) else {
+            report.unrepairable += 1;
+            continue; // a head went unread: keep every copy we have
+        };
         let stale = have.difference(&fresh).map(|&s| ServerId(s));
         let targets: Vec<ServerId> = homes
             .iter()
@@ -306,14 +343,14 @@ pub fn repair_pass(pool: &ServerPool) -> MemFsResult<RepairReport> {
         homed.insert(key, homes);
     }
 
-    // 4. Commit once every key reached its target homes.
+    // 3. Commit once every key reached its target homes.
     let committed = migrating && !scan_failed && report.unrepairable == 0;
     if committed {
-        pool.complete_transition();
+        pool.complete_transition()?;
         pool.quiesce();
     }
 
-    // 5. Retire copies outside the homes — only once the key is at full
+    // 4. Retire copies outside the homes — only once the key is at full
     // strength, never trading an existing copy for a hoped-for one, and
     // never while a transition is open, whose current homes still serve
     // reads.
@@ -331,29 +368,6 @@ pub fn repair_pass(pool: &ServerPool) -> MemFsResult<RepairReport> {
         }
     }
 
-    // A hint resolves once its key is fully homed (or gone) and every
-    // slot was scanned: a slot that is down may hold a stale copy that
-    // must not pass for fresh when it returns. A requeued hint of a homed
-    // key names the copies that are fresh now.
-    let all_scanned = report.servers_down == 0;
-    let requeue: Vec<DegradedWrite> = latest
-        .into_values()
-        .filter_map(|mut hint| {
-            let have = holders.get(hint.key.as_ref());
-            let homes = homed.get(hint.key.as_ref());
-            if all_scanned && (homes.is_some() || have.is_none()) {
-                return None;
-            }
-            if let (Some(have), Some(homes)) = (have, homes) {
-                hint.written
-                    .extend(have.iter().map(|&s| ServerId(s)).chain(homes.clone()));
-                hint.written.sort_unstable();
-                hint.written.dedup();
-            }
-            Some(hint)
-        })
-        .collect();
-    pool.requeue_degraded(requeue);
     report.complete = !pool.transition_active();
     Ok(report)
 }
@@ -362,12 +376,13 @@ pub fn repair_pass(pool: &ServerPool) -> MemFsResult<RepairReport> {
 /// [`repair_pass`] each tick — repair and migration alike. Its copies are
 /// not paced, so a pass competes with foreground traffic for the servers'
 /// bandwidth while it copies. Elastic membership adds **zero** threads
-/// to a mount. Idle passes are cheap
-/// only relative to the data volume — the scan walks every slot's
-/// key list — so the interval trades detection latency against
-/// enumeration traffic.
+/// to a mount. Idle passes are cheap only relative to the data volume —
+/// the scan walks every slot's key list, and each server answers one
+/// batch of record heads — so the interval trades detection latency
+/// against enumeration traffic.
 pub struct RepairDaemon {
-    stop: Arc<AtomicBool>,
+    /// Dropped to stop the loop: the thread's wait then ends at once.
+    stop: Option<mpsc::Sender<()>>,
     thread: Option<JoinHandle<()>>,
 }
 
@@ -379,36 +394,24 @@ impl RepairDaemon {
     /// one-shot repairs) or if the OS refuses the thread.
     pub fn spawn(pool: Arc<ServerPool>, interval: Duration) -> RepairDaemon {
         assert!(!interval.is_zero(), "repair interval must be non-zero");
-        let stop = Arc::new(AtomicBool::new(false));
-        let flag = Arc::clone(&stop);
+        let (stop, stopped) = mpsc::channel::<()>();
         let thread = std::thread::Builder::new()
             .name("memfs-repair".into())
             .spawn(move || {
-                while !flag.load(Ordering::Relaxed) {
-                    // Sleep in slices so stop() never waits a full
-                    // interval for the thread to notice.
-                    let mut slept = Duration::ZERO;
-                    while slept < interval && !flag.load(Ordering::Relaxed) {
-                        let slice = (interval - slept).min(Duration::from_millis(20));
-                        std::thread::sleep(slice);
-                        slept += slice;
-                    }
-                    if flag.load(Ordering::Relaxed) {
-                        break;
-                    }
+                while let Err(RecvTimeoutError::Timeout) = stopped.recv_timeout(interval) {
                     let _ = repair_pass(&pool);
                 }
             })
             .expect("spawn memfs-repair thread");
         RepairDaemon {
-            stop,
+            stop: Some(stop),
             thread: Some(thread),
         }
     }
 
     /// Stop the loop and join the thread. Idempotent.
     pub fn stop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
+        self.stop.take();
         if let Some(thread) = self.thread.take() {
             let _ = thread.join();
         }
@@ -426,8 +429,8 @@ mod tests {
     use super::*;
     use crate::config::DistributorKind;
     use memfs_hashring::{Distributor, KetamaRing};
-    use memfs_memkv::{Batch, Deferred, KvClient, SimClient, Store, StoreConfig};
-    use std::sync::atomic::AtomicUsize;
+    use memfs_memkv::{Deferred, KvClient, SimClient, Store, StoreConfig};
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::time::Instant;
 
     type FailableHarness = (Arc<ServerPool>, Vec<Arc<SimClient>>, Vec<Arc<Store>>);
@@ -605,67 +608,72 @@ mod tests {
     fn degraded_writes_during_an_outage_are_healed() {
         let (pool, failables, _stores) = failable_pool(4, 2);
         failables[1].set_down(true);
-        // Writes during the outage succeed degraded and queue hints.
+        // Writes during the outage succeed degraded.
         let keys = seed(&pool, 40);
-        assert!(pool.degraded_pending() > 0);
 
         let report = repair_pass(&pool).unwrap();
-        assert!(report.degraded_hints > 0);
         assert!(report.converged());
         let alive: Vec<bool> = (0..4).map(|s| s != 1).collect();
         assert!(fully_replicated(&pool, &keys, &alive, 2));
-        // Hints for the still-down replica stay queued: it may hold a
-        // stale copy the pass could not overwrite.
-        assert!(pool.degraded_pending() > 0);
 
-        // Once the replica returns, the next pass resolves them.
+        // Once the replica returns, the next pass takes it back in.
         failables[1].set_down(false);
-        repair_pass(&pool).unwrap();
-        assert_eq!(pool.degraded_pending(), 0, "hints resolve after revival");
+        assert!(repair_pass(&pool).unwrap().converged());
+    }
+
+    /// The generation of the file records below.
+    const G: u64 = 7;
+
+    /// A file record of generation [`G`], open.
+    fn open_record() -> Bytes {
+        Bytes::from(crate::meta::encode_open(G))
+    }
+
+    /// The same file record, closed at 4096 bytes.
+    fn closed_record() -> Bytes {
+        Bytes::from(crate::meta::encode_size(G, 4096))
     }
 
     #[test]
     fn stale_overwritten_values_on_a_missed_replica_are_re_copied() {
         // A replica that misses an *overwrite* still holds the prior
         // value — presence-based scanning alone would call it healthy.
-        // The degraded-write hint forces a re-copy of the fresh value.
+        // The record rule (closed over open) forces a re-copy of the
+        // fresh value.
         let (pool, failables, _stores) = failable_pool(4, 2);
         let key = b"f:/stale-check".to_vec();
-        pool.set(&key, Bytes::from_static(b"")).unwrap(); // create empty
+        pool.set(&key, open_record()).unwrap(); // create
         let victim = pool.servers_for(&key).last().unwrap();
         failables[victim.0].set_down(true);
-        pool.set(&key, Bytes::from_static(b"4096")).unwrap(); // finalize
-        assert_eq!(pool.degraded_pending(), 1);
+        pool.set(&key, closed_record()).unwrap(); // finalize
 
         failables[victim.0].set_down(false);
         let report = repair_pass(&pool).unwrap();
         assert!(report.converged());
-        assert_eq!(pool.degraded_pending(), 0);
         // Every home replica now serves the fresh value — including the
-        // one that sat out the overwrite holding the empty record.
+        // one that sat out the overwrite holding the open record.
         for id in pool.servers_for(&key) {
             let v = pool.client(id).get(&key).unwrap();
-            assert_eq!(&v[..], b"4096", "server {} is stale", id.0);
+            assert_eq!(v, closed_record(), "server {} is stale", id.0);
         }
     }
 
     #[test]
     fn a_failover_copy_made_before_a_degraded_overwrite_is_never_served() {
         // The failover copy placed while the first owner is down holds the
-        // empty record. The overwrite that follows reaches only the second
-        // owner; its hint must mark the failover copy stale too, or losing
-        // the second owner serves the empty record.
+        // open record. The overwrite that follows reaches only the second
+        // owner; the record rule must mark the failover copy stale too, or
+        // losing the second owner serves the open record.
         let (pool, failables, _stores) = failable_pool(4, 2);
         let key = b"f:/failover".to_vec();
-        pool.set(&key, Bytes::from_static(b"")).unwrap();
+        pool.set(&key, open_record()).unwrap();
         let owners: Vec<ServerId> = pool.servers_for(&key).collect();
         failables[owners[0].0].set_down(true);
         repair_pass(&pool).unwrap();
-        pool.set(&key, Bytes::from_static(b"4096")).unwrap();
-        assert_eq!(pool.degraded_pending(), 1, "the overwrite is degraded");
+        pool.set(&key, closed_record()).unwrap();
         repair_pass(&pool).unwrap();
         failables[owners[1].0].set_down(true);
-        assert_eq!(&pool.get(&key).unwrap()[..], b"4096");
+        assert_eq!(pool.get(&key).unwrap(), closed_record());
     }
 
     #[test]
@@ -934,10 +942,9 @@ mod tests {
 
     #[test]
     fn migration_never_copies_from_a_stale_holder() {
-        // A degraded write leaves server 0 holding the *prior* value
-        // with a pending hint. The grow must copy the acked value from
-        // the fresh holder — and overwrite any stale copy — never
-        // resurrect the old one.
+        // A degraded write leaves server 0 holding the *prior* value. The
+        // grow must copy the acked value from the fresh holder — and
+        // overwrite any stale copy — never resurrect the old one.
         let (pool, failables, _stores) = failable_servers(3, 2, 2, POINTS);
         // Pick a key whose home set actually changes when server 2
         // joins, so the pass must move it.
@@ -947,14 +954,13 @@ mod tests {
             .find(|k| new_ring.replicas_for(k, 2).contains(&ServerId(2)))
             .unwrap();
 
-        pool.set(&key, Bytes::from_static(b"old")).unwrap();
+        pool.set(&key, open_record()).unwrap();
         failables[0].set_down(true);
-        pool.set(&key, Bytes::from_static(b"new")).unwrap();
-        assert!(pool.degraded_pending() > 0, "the miss must leave a hint");
+        pool.set(&key, closed_record()).unwrap();
         failables[0].set_down(false);
         assert_eq!(
-            pool.client(ServerId(0)).get(&key).unwrap().as_ref(),
-            b"old",
+            pool.client(ServerId(0)).get(&key).unwrap(),
+            open_record(),
             "server 0 must still hold the stale prior value"
         );
 
@@ -966,13 +972,13 @@ mod tests {
         // nowhere the reader can see it.
         for id in new_ring.replicas_for(&key, 2) {
             assert_eq!(
-                pool.client(id).get(&key).unwrap().as_ref(),
-                b"new",
+                pool.client(id).get(&key).unwrap(),
+                closed_record(),
                 "home {} must hold the acked value",
                 id.0
             );
         }
-        assert_eq!(pool.get(&key).unwrap().as_ref(), b"new");
+        assert_eq!(pool.get(&key).unwrap(), closed_record());
     }
 
     #[test]
@@ -995,18 +1001,17 @@ mod tests {
                 (!new.contains(&old[1])).then_some((key, old, other?))
             })
             .unwrap();
-        pool.set(&key, Bytes::from_static(b"")).unwrap();
+        pool.set(&key, open_record()).unwrap();
         pool.begin_add_servers(vec![client(&failables[4])]).unwrap();
 
         failables[old[1].0].set_down(true);
-        pool.set(&key, Bytes::from_static(b"4096")).unwrap();
-        assert_eq!(pool.degraded_pending(), 1, "the overwrite is degraded");
+        pool.set(&key, closed_record()).unwrap();
         failables[old[1].0].set_down(false);
         failables[other].set_down(true);
         repair_pass(&pool).unwrap();
         assert!(pool.transition_active());
         failables[old[0].0].set_down(true);
-        assert_eq!(&pool.get(&key).unwrap()[..], b"4096");
+        assert_eq!(pool.get(&key).unwrap(), closed_record());
     }
 
     /// A member that is down stays a member — no pass evicts it — until
@@ -1069,8 +1074,17 @@ mod tests {
     }
 
     /// `n` flaky servers (none failing yet), the first `members` of them
-    /// mounted as a ketama pool with `POINTS` points each.
+    /// mounted as a ketama pool with `POINTS` points each, one copy a key.
     fn flaky_servers(n: usize, members: usize) -> (Arc<ServerPool>, Vec<Arc<FlakyReads>>) {
+        flaky_replicas(n, members, 1)
+    }
+
+    /// [`flaky_servers`] with `replication` copies of each key.
+    fn flaky_replicas(
+        n: usize,
+        members: usize,
+        replication: usize,
+    ) -> (Arc<ServerPool>, Vec<Arc<FlakyReads>>) {
         let flaky: Vec<Arc<FlakyReads>> = (0..n)
             .map(|_| {
                 Arc::new(FlakyReads {
@@ -1088,7 +1102,7 @@ mod tests {
             DistributorKind::Ketama {
                 points_per_server: POINTS,
             },
-            1,
+            replication,
         );
         (Arc::new(pool), flaky)
     }
@@ -1155,5 +1169,32 @@ mod tests {
         flaky[source.0].fail_reads_after(usize::MAX);
         assert!(drive_to_completion(&pool).complete);
         assert_eq!(pool.get(&key).unwrap().as_ref(), b"+a\n");
+    }
+
+    #[test]
+    fn a_record_whose_primary_head_goes_unread_is_not_overwritten() {
+        // The primary holds the closed record and the follower the open
+        // one of the same generation (a close the follower missed). A pass
+        // that cannot read the primary's head cannot tell which copy is
+        // current, so it must write neither over the other.
+        let (pool, flaky) = flaky_replicas(4, 4, 2);
+        let key = b"f:/closed-under-a-partition".to_vec();
+        pool.set(&key, open_record()).unwrap();
+        let owners: Vec<ServerId> = pool.servers_for(&key).collect();
+        pool.client(owners[0]).set(&key, closed_record()).unwrap();
+        flaky[owners[0].0].fail_reads_after(0);
+
+        let rep = repair_pass(&pool).unwrap();
+        assert_eq!(rep.unrepairable, 1, "{rep:?}");
+        assert_eq!(rep.under_replicated, 0, "{rep:?}");
+        flaky[owners[0].0].fail_reads_after(usize::MAX);
+        assert_eq!(pool.client(owners[0]).get(&key).unwrap(), closed_record());
+        assert_eq!(pool.client(owners[1]).get(&key).unwrap(), open_record());
+
+        // Once the primary answers, the closed record wins on both homes.
+        assert!(repair_pass(&pool).unwrap().converged());
+        for id in owners {
+            assert_eq!(pool.client(id).get(&key).unwrap(), closed_record());
+        }
     }
 }

@@ -1,19 +1,23 @@
 //! The replica rules (paper §3.2.5), each a function of plain data: where
 //! a key's copies live, the order a read walks them in, how one key's
-//! replica replies settle a write or a delete, and which copies a degraded
-//! write left stale. Nothing here talks to a server. The pool and the
+//! replica replies settle a write or a delete, and which copies of a file
+//! record are current. Nothing here talks to a server. The pool and the
 //! repair pass hand these rules the rings of one routing snapshot and the
 //! replies they got, so a harness can drive them with plain values. That
 //! a reply may be judged whenever it is read rests on BlobSeer's
 //! immutable-once-published rule (PAPERS.md): a published value never
-//! changes under it.
+//! changes under it. A stripe key names its file's generation, so every
+//! copy of it holds the same bytes; only a file record is rewritten in
+//! place (open, then closed), and its copies say themselves which is
+//! current ([`current_records`]).
 
 use bytes::Bytes;
 use memfs_hashring::{Distributor, ServerId};
 use memfs_memkv::error::KvResult;
 use memfs_memkv::KvError;
 
-use crate::error::MemFsResult;
+use crate::error::{MemFsError, MemFsResult};
+use crate::meta::{Record, SizeRecord};
 
 /// The rings of one routing snapshot: the current ring and, while a
 /// membership transition is installed, its target ring.
@@ -95,6 +99,11 @@ pub(crate) struct ReadWalk {
 }
 
 impl ReadWalk {
+    /// Every candidate, in the order a read tries them.
+    pub(crate) fn order(&self) -> &[ServerId] {
+        &self.order
+    }
+
     /// Walk on after `failed` (the primary, read in its batch) answered
     /// `err`, trying each other candidate once through `fetch`. A value
     /// ends the walk; so does `NotFound` from an authoritative home. A
@@ -123,23 +132,28 @@ impl ReadWalk {
     }
 }
 
-/// A key the last write left under-replicated: the repair pass's work
-/// unit (drained via [`crate::ServerPool::take_degraded`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DegradedWrite {
-    /// The short-written key.
-    pub key: Bytes,
-    /// The replicas that took the write, sorted: the only copies known to
-    /// hold the acked value. Every other copy of the key is suspect.
-    pub written: Vec<ServerId>,
-    /// The replicas that missed the write, sorted.
-    pub missing: Vec<ServerId>,
-}
-
-/// The staleness rule: of a key a degraded write hinted, only the copies
-/// that write reached are fresh; of any other key, every copy is.
-pub(crate) fn is_fresh(hint: Option<&DegradedWrite>, holder: ServerId) -> bool {
-    hint.is_none_or(|h| h.written.contains(&holder))
+/// The record rule: which holders of one file record hold the current
+/// copy. `copies` are the holders in the order a read tries them, each
+/// with its decoded head (`None` where it could not be read or decoded:
+/// never current). The first decoded copy names the generation — the
+/// primary's, where `create`'s `add` arbitrates, whenever it holds one;
+/// otherwise the copy a read that fails over reaches first. Of that
+/// generation's copies the closed ones are current if there are any,
+/// else the open ones. Every other copy is stale.
+pub(crate) fn current_records(copies: &[(ServerId, Option<Record>)]) -> Vec<ServerId> {
+    let decoded = copies
+        .iter()
+        .filter_map(|&(id, record)| Some((id, record?)));
+    let Some((_, lead)) = decoded.clone().next() else {
+        return Vec::new();
+    };
+    let ours: Vec<_> = decoded
+        .filter(|(_, r)| r.generation == lead.generation)
+        .collect();
+    let closed = |r: &Record| r.state != SizeRecord::Open;
+    let best = ours.iter().any(|(_, r)| closed(r));
+    let current = ours.into_iter().filter(|(_, r)| closed(r) == best);
+    current.map(|(id, _)| id).collect()
 }
 
 /// What the replicas of one key answered to a write or a delete.
@@ -166,23 +180,13 @@ impl KeyReplies {
     }
 
     /// Write settlement: a key no replica took fails with the last
-    /// refusal; one every replica took is settled; one some replicas
-    /// refused is durable but degraded, and its hint names who took the
-    /// write and who missed it.
-    pub(crate) fn settle_write(mut self, key: Bytes) -> MemFsResult<Option<DegradedWrite>> {
+    /// refusal; otherwise it is durable, and the homes that missed it are
+    /// returned (none when every replica took it).
+    pub(crate) fn settle_write(self) -> MemFsResult<Vec<ServerId>> {
         if self.took.is_empty() {
-            return Err(self.err.expect("replication >= 1").into());
+            return Err(self.refusal());
         }
-        if self.refused.is_empty() {
-            return Ok(None);
-        }
-        self.took.sort_unstable();
-        self.refused.sort_unstable();
-        Ok(Some(DegradedWrite {
-            key,
-            written: self.took,
-            missing: self.refused,
-        }))
+        Ok(self.refused)
     }
 
     /// Delete resolution: any replica deleting wins (`true`), a clean
@@ -194,7 +198,16 @@ impl KeyReplies {
         } else if self.absent {
             Ok(false)
         } else {
-            Err(self.err.expect("replication >= 1").into())
+            Err(self.refusal())
+        }
+    }
+
+    /// The last refusal, or — for a key no reply reached at all — that
+    /// nothing answered for it.
+    fn refusal(self) -> MemFsError {
+        match self.err {
+            Some(e) => e.into(),
+            None => KvError::Protocol("no replica answered for the key".into()).into(),
         }
     }
 }
@@ -204,7 +217,6 @@ mod tests {
     //! One table per rule, over plain replies: no store, no client. Each
     //! row is a case an oracle for a deterministic simulator can replay.
     use super::*;
-    use crate::error::MemFsError;
     use memfs_hashring::KetamaRing;
     use std::collections::HashMap;
 
@@ -233,34 +245,76 @@ mod tests {
 
     #[test]
     fn write_settlement_table() {
-        let key = || Bytes::from_static(b"k");
-        let hint = |written: &[usize], missing: &[usize]| DegradedWrite {
-            key: key(),
-            written: ids(written),
-            missing: ids(missing),
-        };
-        // (replies in arrival order, expected outcome)
-        let table: Vec<(Replies, MemFsResult<Option<DegradedWrite>>)> = vec![
-            // Full: every home took it, no hint.
-            (vec![(2, took()), (0, took())], Ok(None)),
-            // Degraded: sorted hint, whatever the arrival order.
+        // (replies in arrival order, expected outcome: the homes missed)
+        let table: Vec<(Replies, MemFsResult<Vec<ServerId>>)> = vec![
+            // Full: every home took it, none missed.
+            (vec![(2, took()), (0, took())], Ok(vec![])),
+            // Degraded: durable, and the homes that missed it, in arrival
+            // order.
             (
                 vec![(3, took()), (1, Err(down())), (0, took())],
-                Ok(Some(hint(&[0, 3], &[1]))),
+                Ok(ids(&[1])),
             ),
             (
                 vec![(2, Err(down())), (1, took()), (0, Err(down()))],
-                Ok(Some(hint(&[1], &[0, 2]))),
+                Ok(ids(&[2, 0])),
             ),
-            // Every home failed: the last refusal is the error, no hint.
+            // Every home failed: the last refusal is the error.
             (
                 vec![(0, Err(down())), (1, Err(KvError::Protocol("full".into())))],
                 Err(MemFsError::Storage(KvError::Protocol("full".into()))),
             ),
+            // No reply reached the key at all: an error, not a panic.
+            (
+                vec![],
+                Err(MemFsError::Storage(KvError::Protocol(
+                    "no replica answered for the key".into(),
+                ))),
+            ),
         ];
         for (replies, want) in table {
-            let got = fold(replies).settle_write(key());
+            let got = fold(replies).settle_write();
             assert_eq!(format!("{got:?}"), format!("{want:?}"));
+        }
+    }
+
+    #[test]
+    fn record_rule_table() {
+        let open = |generation| {
+            Some(Record {
+                generation,
+                state: SizeRecord::Open,
+            })
+        };
+        let closed = |generation| {
+            Some(Record {
+                generation,
+                state: SizeRecord::Striped(4096),
+            })
+        };
+        // (holders in read order with their heads, the current holders)
+        type Row = (Vec<(usize, Option<Record>)>, Vec<usize>);
+        let table: Vec<Row> = vec![
+            // One generation: the closed copy over the open one, wherever
+            // each sits.
+            (vec![(0, closed(1)), (1, open(1))], vec![0]),
+            (vec![(0, open(1)), (1, closed(1)), (2, open(1))], vec![1]),
+            (vec![(0, closed(1)), (1, closed(1))], vec![0, 1]),
+            (vec![(0, open(1)), (1, open(1))], vec![0, 1]),
+            // Two generations: the first copy's wins, even open over a
+            // closed copy of the other generation.
+            (vec![(0, closed(2)), (1, closed(1))], vec![0]),
+            (vec![(0, open(2)), (1, closed(1)), (2, open(2))], vec![0, 2]),
+            // The primary holds none: the first copy a read reaches.
+            (vec![(2, closed(1)), (3, open(2))], vec![2]),
+            // Unreadable heads are never current, and never lead.
+            (vec![(0, None), (1, open(3)), (2, closed(3))], vec![2]),
+            (vec![(0, None)], vec![]),
+            (vec![], vec![]),
+        ];
+        for (copies, want) in table {
+            let copies: Vec<_> = copies.into_iter().map(|(s, r)| (ServerId(s), r)).collect();
+            assert_eq!(current_records(&copies), ids(&want), "{copies:?}");
         }
     }
 

@@ -81,7 +81,7 @@ mod tests {
         let mut out = Vec::new();
         for f in 0..files {
             for s in 0..stripes_per_file {
-                out.push(KeySchema::stripe_key(&format!("/wf/file{f:05}.dat"), s));
+                out.push(KeySchema::stripe_key(&format!("/wf/file{f:05}.dat"), 0, s));
             }
         }
         out

@@ -2,13 +2,16 @@
 //! ketama-style consistent-hash ring for elastic membership.
 
 use crate::hash::{fnv1a_32, md5};
+use crate::schema::KeySchema;
 
 /// Index of a storage server within the pool.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ServerId(pub usize);
 
 /// Maps keys to servers. Implementations must be pure functions of the key
-/// and the configured membership so every client agrees on placement.
+/// and the configured membership so every client agrees on placement; both
+/// here hash the key's [`KeySchema::placement`], so a stripe's generation
+/// never moves it.
 pub trait Distributor: Send + Sync {
     /// The server that owns `key`.
     fn server_for(&self, key: &[u8]) -> ServerId;
@@ -55,7 +58,7 @@ impl ModuloRing {
 
 impl Distributor for ModuloRing {
     fn server_for(&self, key: &[u8]) -> ServerId {
-        ServerId((fnv1a_32(key) as usize) % self.n)
+        ServerId((fnv1a_32(KeySchema::placement(key)) as usize) % self.n)
     }
 
     fn n_servers(&self) -> usize {
@@ -165,7 +168,7 @@ impl KetamaRing {
     /// Index of the first ring point at or after `key`'s hash position,
     /// wrapping to the start.
     fn start_point(&self, key: &[u8]) -> usize {
-        let digest = md5(key);
+        let digest = md5(KeySchema::placement(key));
         let h = u32::from_le_bytes([digest[0], digest[1], digest[2], digest[3]]);
         match self.ring.binary_search_by(|(p, _)| p.cmp(&h)) {
             Ok(i) => i,
@@ -251,6 +254,21 @@ mod tests {
         }
         for (i, &c) in counts.iter().enumerate() {
             assert!(c > 0, "server {i} received no keys");
+        }
+    }
+
+    #[test]
+    fn a_stripes_generation_never_moves_it() {
+        let modulo = ModuloRing::new(7);
+        let ketama = KetamaRing::with_n_servers(7, 160);
+        for i in 0..200 {
+            let path = format!("/data/file{i}.fits");
+            let key = |generation| KeySchema::stripe_key(&path, generation, i % 9);
+            let distributors: [&dyn Distributor; 2] = [&modulo, &ketama];
+            for d in distributors {
+                assert_eq!(d.replicas_for(&key(0), 3), d.replicas_for(&key(i), 3));
+                assert_eq!(d.server_for(&key(0)), d.server_for(&key(u64::MAX)));
+            }
         }
     }
 

@@ -19,8 +19,10 @@
 //!   migration commits; this crate holds no migration state.
 //!
 //! [`schema`] defines MemFS' key naming: stripe keys are the file path
-//! concatenated with the stripe number (paper §3.1.2), plus file-size and
-//! directory metadata keys (§3.2.4). [`balance`] quantifies placement
+//! concatenated with the stripe number (paper §3.1.2), followed by the
+//! file's generation, plus file-size and directory metadata keys
+//! (§3.2.4). Both distributors place a stripe key without its generation.
+//! [`balance`] quantifies placement
 //! uniformity for the load-balance experiments.
 
 pub mod balance;

@@ -228,7 +228,7 @@ pub trait KvClient: Send + Sync {
     }
     /// Counters of the reactor driving this client's connection, if it
     /// has one. Clients sharing a reactor return snapshots with the same
-    /// [`ReactorStatsSnapshot::reactor_id`]
+    /// [`crate::ReactorStatsSnapshot::reactor_id`]
     /// ([`crate::reactor::ReactorStatsSnapshot`]); aggregators dedup on
     /// it. Default: `None` (in-process transports have no reactor).
     fn reactor_stats(&self) -> Option<crate::reactor::ReactorStatsSnapshot> {

@@ -1,5 +1,5 @@
 //! TCP transport: the evented memkv server ([`KvServer`], re-exported
-//! from [`crate::server`]) speaking the memcached text protocol, and a
+//! from the `server` module) speaking the memcached text protocol, and a
 //! matching client implementing [`KvClient`].
 //!
 //! This is what turns `memkv` into a real distributed deployment: one
@@ -11,7 +11,7 @@
 //! socket per server, and every request batch is **pipelined** on it: the
 //! frames of every batch are queued on that socket and the replies are
 //! read back in order. Connections are
-//! driven by a shared epoll reactor ([`crate::reactor`]): submitting a
+//! driven by a shared epoll reactor (the `reactor` module): submitting a
 //! batch never blocks on the socket, and the caller waits on a completion
 //! handle only when it actually needs the responses — so one thread can
 //! keep batches in flight on every server of a pool concurrently
@@ -68,7 +68,7 @@ impl Default for PoolConfig {
 /// An evented TCP client for one server, implementing [`KvClient`].
 ///
 /// Holds one non-blocking connection registered with an epoll reactor
-/// ([`crate::reactor`]) — the socket Libmemcached keeps per server in the
+/// (the `reactor` module) — the socket Libmemcached keeps per server in the
 /// paper's deployment, minus the thread-per-call cost: submitting a batch
 /// only encodes it and hands it to the reactor, so any number of batches
 /// (across any number of `TcpClient`s) stay in flight while a single

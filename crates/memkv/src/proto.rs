@@ -36,7 +36,7 @@
 //! can share a batch.
 //!
 //! Integers off the wire are never trusted: every length goes through
-//! [`parse_len`] (`usize::try_from`, no `as`), frame ends are
+//! `parse_len` (`usize::try_from`, no `as`), frame ends are
 //! `checked_add`ed, and a storage command announcing more than
 //! [`MAX_VALUE_LEN`] bytes is refused at its command line
 //! ([`KvError::ValueTooLarge`]) instead of being buffered toward. What an
@@ -81,7 +81,7 @@ pub enum Request {
         keys: Vec<Bytes>,
     },
     /// Non-standard extension: `len` bytes of `key`'s value starting at
-    /// `offset`, both clamped to the value ([`slice_range`]). One key per
+    /// `offset`, both clamped to the value (`slice_range`). One key per
     /// line; replies are ordinary `VALUE` frames.
     GetRange {
         key: Bytes,
@@ -382,7 +382,7 @@ pub(crate) fn next_request(rx: &mut RxBuf) -> KvResult<Option<Request>> {
 }
 
 /// Incremental request decoder for callers that have bytes rather than a
-/// socket: the server's receive buffer ([`RxBuf`]: a read cursor, lazy
+/// socket: the server's receive buffer (`RxBuf`: a read cursor, lazy
 /// compaction, no parse before an announced data block arrived) fed by
 /// hand.
 #[derive(Debug, Default)]
@@ -406,7 +406,7 @@ impl RequestDecoder {
     }
 
     /// Parse the next complete request, if the buffer holds one; see
-    /// [`next_request`].
+    /// the module's `next_request`.
     pub fn next_request(&mut self) -> KvResult<Option<Request>> {
         next_request(&mut self.rx)
     }

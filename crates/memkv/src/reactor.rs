@@ -658,8 +658,9 @@ impl Reactor {
 }
 
 /// Cloneable handle to one shared reactor. Clients register their
-/// connection with [`TcpClient::connect_shared`]
-/// (`crate::net::TcpClient`); every clone refers to the same loop, which
+/// connection with
+/// [`TcpClient::connect_shared`](crate::net::TcpClient::connect_shared);
+/// every clone refers to the same loop, which
 /// runs on the threads that submit to it and wait on it. Nothing is left
 /// to shut down when the last clone goes: every registration holds one,
 /// and deregistering a connection answers every batch it had queued.

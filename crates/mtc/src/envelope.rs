@@ -213,7 +213,7 @@ impl EnvelopeModel {
         let stripes = file.div_ceil(self.stripe_size).max(1);
         let mut servers: Vec<usize> = (0..stripes)
             .map(|s| {
-                ring.server_for(&KeySchema::stripe_key("/envelope/file.dat", s))
+                ring.server_for(&KeySchema::stripe_key("/envelope/file.dat", 0, s))
                     .0
             })
             .collect();

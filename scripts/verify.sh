@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Repo verification gate: build, tests, formatting, lints.
 #
-#   scripts/verify.sh            # build + workspace tests + fmt + clippy + knob count + options census + unsafe census + KvClient census + I/O pool census + connection census + timer census + pass census + phase census + replica census + substrate census + shaper census + harness census + measurement census + repro golden
+#   scripts/verify.sh            # build + workspace tests + fmt + clippy + rustdoc + knob count + options census + unsafe census + KvClient census + I/O pool census + connection census + timer census + pass census + phase census + replica census + substrate census + shaper census + harness census + measurement census + repro golden
 #   scripts/verify.sh --clippy   # fast path: fmt + clippy only, no build/tests
 #   scripts/verify.sh --threads  # additionally stress the concurrency tests
 #   scripts/verify.sh --soak     # shaped-cluster suites, N random seeds
@@ -10,7 +10,9 @@
 # root-package tests; the gate runs the whole workspace's tests, a
 # superset, so a red crate-level test cannot hide behind a green tier-1.
 # fmt/clippy keep the tree warning-free; clippy runs with -D warnings so
-# new lints fail the gate instead of scrolling by. The repro golden step
+# new lints fail the gate instead of scrolling by, and so does rustdoc: a
+# doc link that does not resolve, or that a reader of the public docs
+# cannot follow into a private item, fails the gate. The repro golden step
 # reruns every paper artifact (fig3a/fig3b time the real engine on a
 # virtual clock, so they are as reproducible as the simulated ones) and
 # diffs each section against repro_output.txt: a change that moves a
@@ -23,12 +25,12 @@
 # never settle, out-of-order reassembly) that a single quiet run can miss. The metadata protocol rides along: two
 # mounts racing `create` of the same 200 names (one winner each), the
 # refused-create undo, the request-count pins of create / mkdir / close /
-# unlink and of open + read (open is one step, stripe 0 beside the size
-# record; a sub-stripe file is closed inline in its record with one
-# `set` and unlinked in two steps, a one-stripe file keeps its stripe
-# and three), and the rules for when that stripe is dropped (unclosed file,
-# wrong length, its server down, a rewritten file reopened from a second
-# mount). Files either side of one stripe read back bit-exact (every
+# unlink and of open + read (open is one request, the size record alone,
+# which names the generation the stripes are keyed by; a sub-stripe file
+# is closed inline in its record with one `set` and unlinked in two
+# steps, a one-stripe file keeps its stripe and three), and open and read
+# around them (an unclosed file, a stripe of the wrong length, stripe 0's
+# server down, a rewritten file reopened from a second mount). Files either side of one stripe read back bit-exact (every
 # writer, prefetch on and off, a replica down at close then repaired),
 # and a reader racing another mount's closes sees no file or all of it. It
 # also runs the (otherwise `--ignored`) shaped-cluster scaling regressions:
@@ -86,6 +88,9 @@ cargo fmt --all -- --check
 
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "==> RUSTDOCFLAGS=\"-D warnings\" cargo doc --workspace --no-deps"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 # The knob count can only go down (ROADMAP aim 2: the same behaviour from
 # the simplest design). Lower KNOBS_MAX in the PR that deletes a knob.
@@ -399,9 +404,10 @@ for arg in "$@"; do
             # The metadata protocol: the two-mount create race, the
             # refused create that leaves nothing behind, the request
             # counts and overlap of the hot paths (`pinned_*`), the
-            # existence checks that do not move a directory log, when
-            # the stripe `open` fetches beside the record is dropped, the
-            # inline/striped boundary matrix and a reader racing closes.
+            # existence checks that do not move a directory log, open and
+            # read of an unclosed file, a misfit stripe, a stripe server
+            # down and a rewritten file, the inline/striped boundary
+            # matrix and a reader racing closes.
             RUST_TEST_THREADS=16 cargo test -q -p memfs-core --lib -- \
                 two_mounts_racing_create \
                 files_either_side_of_one_stripe \
@@ -412,7 +418,7 @@ for arg in "$@"; do
                 pinned_ \
                 existence_checks_do_not_move_the_directory_log \
                 open_of_an_unclosed_file_is_not_finalized \
-                a_first_stripe_that_does_not_fit_the_record \
+                a_stripe_that_does_not_fit_the_record \
                 open_succeeds_with_the_first_stripes_server_down \
                 no_first_stripe_crosses_handles_or_incarnations
             # reactor_threads / server_threads count process-wide threads
